@@ -63,9 +63,11 @@ type Snapshot struct {
 // defaultGates are the name prefixes whose ns/op regressions fail the
 // run: the paper-artifact benchmarks, the simulator hot-path micros,
 // the batch stepping kernels (BenchmarkBatch*/BenchmarkCluster*), the
-// federation load-generator burst and the accounting query path.
+// federation load-generator burst, the accounting query path and the
+// ingest codec and spill journal micros (BenchmarkWire*/BenchmarkJournal*).
 const defaultGates = "BenchmarkTable,BenchmarkFig,BenchmarkSim,BenchmarkNodeTick," +
-	"BenchmarkBatch,BenchmarkCluster,BenchmarkEarload,BenchmarkJobQuery"
+	"BenchmarkBatch,BenchmarkCluster,BenchmarkEarload,BenchmarkJobQuery," +
+	"BenchmarkWire,BenchmarkJournal"
 
 func run(args []string, stdin io.Reader, out io.Writer) error {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)

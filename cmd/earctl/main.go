@@ -390,7 +390,7 @@ func dbdCmd(args []string, out io.Writer) error {
 			return err
 		}
 		var st eardbd.Stats
-		if err := json.Unmarshal(res.Data, &st); err != nil {
+		if err := res.Decode(&st); err != nil {
 			return err
 		}
 		t := report.Table{Title: "eardbd activity", Columns: []string{"counter", "value"}}
@@ -416,7 +416,7 @@ func dbdCmd(args []string, out io.Writer) error {
 			return err
 		}
 		var agg eardbd.Aggregate
-		if err := json.Unmarshal(res.Data, &agg); err != nil {
+		if err := res.Decode(&agg); err != nil {
 			return err
 		}
 		t := report.Table{Title: "cluster aggregate", Columns: []string{"nodes", "DC power (W)", "energy (kJ)", "records"}}
@@ -431,7 +431,7 @@ func dbdCmd(args []string, out io.Writer) error {
 			return err
 		}
 		var sums []eard.JobSummary
-		if err := json.Unmarshal(res.Data, &sums); err != nil {
+		if err := res.Decode(&sums); err != nil {
 			return err
 		}
 		t := report.Table{Columns: []string{"job", "step", "nodes", "time(s)", "energy(J)", "avg power(W)"}}
@@ -451,7 +451,7 @@ func dbdCmd(args []string, out io.Writer) error {
 			return err
 		}
 		var s eard.JobSummary
-		if err := json.Unmarshal(res.Data, &s); err != nil {
+		if err := res.Decode(&s); err != nil {
 			return err
 		}
 		t := report.Table{Columns: []string{"job", "step", "nodes", "time(s)", "energy(J)", "avg power(W)"}}
@@ -507,7 +507,7 @@ func jobsCmd(args []string, out io.Writer) error {
 			return accounting.Page{}, err
 		}
 		var p accounting.Page
-		if err := json.Unmarshal(res.Data, &p); err != nil {
+		if err := res.Decode(&p); err != nil {
 			return accounting.Page{}, err
 		}
 		return p, nil

@@ -14,10 +14,12 @@ import (
 // Fixture polices test-helper packages that fabricate persisted
 // artefacts: spill journals, wire frames and job accounting records
 // must be produced through the versioned codec constructors, never
-// hand-rolled. A literal wire.Frame, accounting.Record or a
-// hand-marshalled batch bakes today's layout into a fixture, so a
-// codec version bump rots the fixture silently instead of failing
-// loudly at the constructor.
+// hand-rolled. A literal wire.Frame or accounting.Record bakes today's
+// layout into a fixture, so a codec version bump rots the fixture
+// silently instead of failing loudly at the constructor; and since the
+// wire codec is the only serialisation of the ingest path — socket and
+// journal alike — any encoding/json call on a batch, frame or journal
+// entry fabricates a format nothing reads.
 var Fixture = &analysis.Analyzer{
 	Name: "fixture",
 	Doc: "require test helpers to build spill journals, wire frames and job records " +
@@ -33,7 +35,7 @@ func runFixture(pass *analysis.Pass) error {
 			case *ast.CompositeLit:
 				checkFixtureLit(pass, f, n)
 			case *ast.CallExpr:
-				checkFixtureMarshal(pass, n)
+				checkFixtureJSON(pass, n)
 			}
 			return true
 		})
@@ -107,20 +109,35 @@ func checkBatchID(pass *analysis.Pass, file *ast.File, val ast.Expr) {
 	pass.ReportFix(val.Pos(), fix, "batch ID assembled with fmt.Sprintf; use eardbd.BatchID so the node/sequence format has one owner")
 }
 
-// checkFixtureMarshal flags hand-marshalling of batches: the spill
-// journal's on-disk encoding belongs to the Journal codec.
-func checkFixtureMarshal(pass *analysis.Pass, call *ast.CallExpr) {
-	if !isPkgCall(pass, call, "encoding/json", "Marshal") && !isPkgCall(pass, call, "encoding/json", "MarshalIndent") {
+// checkFixtureJSON flags any call into encoding/json — function or
+// method, encoding or decoding — that is handed a wire.Batch, a
+// wire.Frame or a journal entry (eardbd.EncodedBatch).
+func checkFixtureJSON(pass *analysis.Pass, call *ast.CallExpr) {
+	sel, ok := stripParens(call.Fun).(*ast.SelectorExpr)
+	if !ok {
 		return
 	}
-	if len(call.Args) == 0 {
+	fn, ok := pass.Info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "encoding/json" {
 		return
 	}
-	named := namedTypeOf(pass.TypeOf(call.Args[0]))
-	if named == nil || !isWireType(named) || named.Obj().Name() != "Batch" {
+	for _, arg := range call.Args {
+		named := namedTypeOf(pass.TypeOf(arg))
+		if named == nil {
+			continue
+		}
+		name := named.Obj().Name()
+		switch {
+		case isWireType(named) && (name == "Batch" || name == "Frame"):
+			name = "wire." + name
+		case isPkgType(named, "eardbd") && name == "EncodedBatch":
+			name = "journal entry (eardbd." + name + ")"
+		default:
+			continue
+		}
+		pass.Reportf(call.Pos(), "encoding/json call on a %s in a fixture helper; use the codec (wire.EncodeBatch, Frame.AsBatch, Journal.Append), the one serialisation of socket and journal", name)
 		return
 	}
-	pass.Reportf(call.Pos(), "json-marshalling a wire.Batch by hand in a fixture helper; write spill entries through the versioned Journal codec instead")
 }
 
 // namedTypeOf unwraps pointers and slices down to a named type.
@@ -140,27 +157,20 @@ func namedTypeOf(t types.Type) *types.Named {
 	return nil
 }
 
-// isWireType reports whether the named type lives in a wire package —
-// matched on the import path suffix so fixture packages loaded under
-// synthetic paths still qualify.
-func isWireType(named *types.Named) bool {
-	pkg := named.Obj().Pkg()
-	if pkg == nil {
-		return false
-	}
-	return pkg.Path() == "goear/internal/wire" || strings.HasSuffix(pkg.Path(), "/wire")
+// isPkgType reports whether the named type lives in the package whose
+// import path ends in /<pkg> — matched on the suffix so fixture
+// packages loaded under synthetic paths still qualify.
+func isPkgType(named *types.Named, pkg string) bool {
+	p := named.Obj().Pkg()
+	return p != nil && strings.HasSuffix(p.Path(), "/"+pkg)
 }
 
+// isWireType reports whether the named type lives in a wire package.
+func isWireType(named *types.Named) bool { return isPkgType(named, "wire") }
+
 // isAccountingType reports whether the named type lives in the job
-// accounting package, matched on the import path suffix like
-// isWireType.
-func isAccountingType(named *types.Named) bool {
-	pkg := named.Obj().Pkg()
-	if pkg == nil {
-		return false
-	}
-	return pkg.Path() == "goear/internal/accounting" || strings.HasSuffix(pkg.Path(), "/accounting")
-}
+// accounting package.
+func isAccountingType(named *types.Named) bool { return isPkgType(named, "accounting") }
 
 // isPkgCall reports whether the call is pkgpath.Name(...), resolved
 // through the type info so import aliases are honoured.

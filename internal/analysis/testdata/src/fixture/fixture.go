@@ -8,6 +8,7 @@ package dbdtest
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"goear/internal/accounting"
 	"goear/internal/eardbd"
@@ -47,20 +48,44 @@ func goodID(node string, seq uint64) wire.Batch {
 	return wire.Batch{ID: eardbd.BatchID(node, seq), Node: node}
 }
 
-// badMarshal hand-marshals a batch the way a spill entry would be
-// written, bypassing the Journal codec.
+// badMarshal hand-marshals a batch the way a spill entry used to be
+// written. The journal holds wire frames now: JSON of a batch is a
+// format nothing reads.
 func badMarshal(b wire.Batch) ([]byte, error) {
-	return json.Marshal(b) // want `json-marshalling a wire\.Batch by hand`
+	return json.Marshal(b) // want `encoding/json call on a wire\.Batch`
 }
 
 // badMarshalIndent is the pretty-printed variant of the same mistake.
 func badMarshalIndent(b *wire.Batch) ([]byte, error) {
-	return json.MarshalIndent(b, "", "  ") // want `json-marshalling a wire\.Batch by hand`
+	return json.MarshalIndent(b, "", "  ") // want `encoding/json call on a wire\.Batch`
+}
+
+// badUnmarshal decodes a "journal line" into a batch: the reading half
+// of the same mistake.
+func badUnmarshal(line []byte) (wire.Batch, error) {
+	var b wire.Batch
+	err := json.Unmarshal(line, &b) // want `encoding/json call on a wire\.Batch`
+	return b, err
+}
+
+// badEncodeEntries streams journal entries and frames through a JSON
+// encoder: methods of encoding/json count as much as its functions.
+func badEncodeEntries(w io.Writer, entries []eardbd.EncodedBatch, f wire.Frame) error {
+	enc := json.NewEncoder(w)
+	if err := enc.Encode(entries); err != nil { // want `encoding/json call on a journal entry \(eardbd\.EncodedBatch\)`
+		return err
+	}
+	return enc.Encode(f) // want `encoding/json call on a wire\.Frame`
 }
 
 // goodMarshal of a non-wire type is fine.
 func goodMarshal(v map[string]int) ([]byte, error) {
 	return json.Marshal(v)
+}
+
+// goodSpill writes spill entries the way the client does.
+func goodSpill(j *eardbd.Journal, b wire.Batch) error {
+	return j.Append(b)
 }
 
 // badRecord hand-rolls a job energy record: the codec version field is

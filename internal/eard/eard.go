@@ -8,10 +8,13 @@
 package eard
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"math"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -32,8 +35,16 @@ type JobRecord struct {
 	AvgGBs   float64 `json:"avg_gbs"`
 }
 
-// Validate reports whether the record is storable.
+// Validate reports whether the record is storable. Every measurement
+// must be finite: a NaN would never compare equal to itself, so the
+// daemon's re-delivery check (prev == r) could never recognise the
+// record again, and it would poison every sum it enters.
 func (r JobRecord) Validate() error {
+	for _, v := range [...]float64{r.TimeSec, r.EnergyJ, r.AvgPower, r.AvgCPU, r.AvgIMC, r.AvgCPI, r.AvgGBs} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("eard: record carries a non-finite value")
+		}
+	}
 	switch {
 	case r.JobID == "" || r.Node == "":
 		return fmt.Errorf("eard: record needs job id and node")
@@ -45,17 +56,43 @@ func (r JobRecord) Validate() error {
 	return nil
 }
 
-// key identifies a record uniquely.
-type key struct{ job, step, node string }
+// stepKey identifies a job step, the unit records are grouped by.
+type stepKey struct{ job, step string }
+
+// group holds one job step's records, one per node, in a single slice:
+// inserting appends (or overwrites in place), so a record costs no
+// allocation of its own, and everything asked about a job step touches
+// only its group.
+type group struct {
+	key    stepKey
+	rows   []JobRecord
+	byNode map[string]int32 // node → index into rows
+	// unsorted is set when a node arrived out of name order; the next
+	// ordered read sorts rows once and reindexes.
+	unsorted bool
+}
+
+// sort puts rows in node order. Callers hold the write lock.
+func (g *group) sort() {
+	if !g.unsorted {
+		return
+	}
+	slices.SortFunc(g.rows, func(a, b JobRecord) int { return strings.Compare(a.Node, b.Node) })
+	for i := range g.rows {
+		g.byNode[g.rows[i].Node] = int32(i)
+	}
+	g.unsorted = false
+}
 
 // DB is an in-memory accounting database with JSON persistence.
 type DB struct {
-	mu   sync.RWMutex
-	recs map[key]JobRecord
+	mu     sync.RWMutex
+	groups map[stepKey]*group
+	n      int
 }
 
 // NewDB returns an empty accounting database.
-func NewDB() *DB { return &DB{recs: map[key]JobRecord{}} }
+func NewDB() *DB { return &DB{groups: map[stepKey]*group{}} }
 
 // Insert stores (or replaces) a record.
 func (db *DB) Insert(r JobRecord) error {
@@ -64,8 +101,27 @@ func (db *DB) Insert(r JobRecord) error {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.recs[key{r.JobID, r.StepID, r.Node}] = r
+	db.insertLocked(r)
 	return nil
+}
+
+func (db *DB) insertLocked(r JobRecord) {
+	k := stepKey{r.JobID, r.StepID}
+	g := db.groups[k]
+	if g == nil {
+		g = &group{key: k, byNode: map[string]int32{}}
+		db.groups[k] = g
+	}
+	if i, ok := g.byNode[r.Node]; ok {
+		g.rows[i] = r
+		return
+	}
+	if n := len(g.rows); n > 0 && r.Node < g.rows[n-1].Node {
+		g.unsorted = true
+	}
+	g.byNode[r.Node] = int32(len(g.rows))
+	g.rows = append(g.rows, r)
+	db.n++
 }
 
 // Get returns the stored record for one (job, step, node) key, if any.
@@ -74,29 +130,38 @@ func (db *DB) Insert(r JobRecord) error {
 func (db *DB) Get(jobID, stepID, node string) (JobRecord, bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	r, ok := db.recs[key{jobID, stepID, node}]
-	return r, ok
+	if g := db.groups[stepKey{jobID, stepID}]; g != nil {
+		if i, ok := g.byNode[node]; ok {
+			return g.rows[i], true
+		}
+	}
+	return JobRecord{}, false
 }
 
 // Len returns the number of records.
 func (db *DB) Len() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return len(db.recs)
+	return db.n
+}
+
+// sortedRows returns one job step's rows in node order (nil when the
+// step has none). Callers hold the write lock, which the one-off sort
+// of a group that took nodes out of order needs.
+func (db *DB) sortedRows(k stepKey) []JobRecord {
+	g := db.groups[k]
+	if g == nil {
+		return nil
+	}
+	g.sort()
+	return g.rows
 }
 
 // Job returns all node records of one job step, sorted by node.
 func (db *DB) Job(jobID, stepID string) []JobRecord {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	var out []JobRecord
-	for k, r := range db.recs {
-		if k.job == jobID && k.step == stepID {
-			out = append(out, r)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
-	return out
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return slices.Clone(db.sortedRows(stepKey{jobID, stepID}))
 }
 
 // JobSummary aggregates a job step across nodes: total energy, the
@@ -110,15 +175,18 @@ type JobSummary struct {
 	AvgPower float64 `json:"avg_power_w"` // mean node power
 }
 
-// Summarize aggregates one job step. It returns an error when the job
-// has no records.
+// Summarize aggregates one job step, summing in node order. It
+// returns an error when the job has no records.
 func (db *DB) Summarize(jobID, stepID string) (JobSummary, error) {
-	recs := db.Job(jobID, stepID)
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	recs := db.sortedRows(stepKey{jobID, stepID})
 	if len(recs) == 0 {
 		return JobSummary{}, fmt.Errorf("eard: no records for job %s step %s", jobID, stepID)
 	}
 	s := JobSummary{JobID: jobID, StepID: stepID, Nodes: len(recs)}
-	for _, r := range recs {
+	for i := range recs {
+		r := &recs[i]
 		if r.TimeSec > s.TimeSec {
 			s.TimeSec = r.TimeSec
 		}
@@ -129,24 +197,28 @@ func (db *DB) Summarize(jobID, stepID string) (JobSummary, error) {
 	return s, nil
 }
 
+// sortedGroups returns the groups in (job, step) order. Callers hold
+// the lock.
+func (db *DB) sortedGroups() []*group {
+	gs := make([]*group, 0, len(db.groups))
+	for _, g := range db.groups {
+		gs = append(gs, g)
+	}
+	slices.SortFunc(gs, func(a, b *group) int {
+		return cmp.Or(strings.Compare(a.key.job, b.key.job), strings.Compare(a.key.step, b.key.step))
+	})
+	return gs
+}
+
 // Jobs lists distinct (job, step) pairs, sorted.
 func (db *DB) Jobs() [][2]string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	seen := map[[2]string]bool{}
-	for k := range db.recs {
-		seen[[2]string{k.job, k.step}] = true
+	gs := db.sortedGroups()
+	out := make([][2]string, len(gs))
+	for i, g := range gs {
+		out[i] = [2]string{g.key.job, g.key.step}
 	}
-	out := make([][2]string, 0, len(seen))
-	for js := range seen {
-		out = append(out, js)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
 	return out
 }
 
@@ -154,22 +226,13 @@ func (db *DB) Jobs() [][2]string {
 // the canonical dump order shared by Save and the federation tier's
 // shard merges.
 func (db *DB) Records() []JobRecord {
-	db.mu.RLock()
-	recs := make([]JobRecord, 0, len(db.recs))
-	for _, r := range db.recs {
-		recs = append(recs, r)
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	recs := make([]JobRecord, 0, db.n)
+	for _, g := range db.sortedGroups() {
+		g.sort()
+		recs = append(recs, g.rows...)
 	}
-	db.mu.RUnlock()
-	sort.Slice(recs, func(i, j int) bool {
-		a, b := recs[i], recs[j]
-		if a.JobID != b.JobID {
-			return a.JobID < b.JobID
-		}
-		if a.StepID != b.StepID {
-			return a.StepID < b.StepID
-		}
-		return a.Node < b.Node
-	})
 	return recs
 }
 
@@ -186,15 +249,15 @@ func (db *DB) Load(r io.Reader) error {
 	if err := json.NewDecoder(r).Decode(&recs); err != nil {
 		return fmt.Errorf("eard: decode: %w", err)
 	}
-	fresh := map[key]JobRecord{}
+	fresh := NewDB()
 	for _, rec := range recs {
 		if err := rec.Validate(); err != nil {
 			return err
 		}
-		fresh[key{rec.JobID, rec.StepID, rec.Node}] = rec
+		fresh.insertLocked(rec)
 	}
 	db.mu.Lock()
-	db.recs = fresh
+	db.groups, db.n = fresh.groups, fresh.n
 	db.mu.Unlock()
 	return nil
 }

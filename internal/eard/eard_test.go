@@ -2,8 +2,11 @@ package eard
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -67,6 +70,104 @@ func TestInsertValidates(t *testing.T) {
 	for i, b := range bads {
 		if err := db.Insert(b); err == nil {
 			t.Errorf("bad record %d accepted", i)
+		}
+	}
+}
+
+// Raw float bits can carry what JSON never could. A non-finite value
+// in any measurement must be refused: NaN != NaN would defeat the
+// daemon's re-delivery check forever and poison every sum.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	good := JobRecord{JobID: "j", StepID: "0", Node: "n", TimeSec: 10, EnergyJ: 1000, AvgPower: 100, AvgCPU: 2.1, AvgIMC: 2.4, AvgCPI: 0.6, AvgGBs: 48}
+	if err := good.Validate(); err != nil {
+		t.Fatalf("finite record refused: %v", err)
+	}
+	fields := map[string]func(*JobRecord) *float64{
+		"TimeSec":  func(r *JobRecord) *float64 { return &r.TimeSec },
+		"EnergyJ":  func(r *JobRecord) *float64 { return &r.EnergyJ },
+		"AvgPower": func(r *JobRecord) *float64 { return &r.AvgPower },
+		"AvgCPU":   func(r *JobRecord) *float64 { return &r.AvgCPU },
+		"AvgIMC":   func(r *JobRecord) *float64 { return &r.AvgIMC },
+		"AvgCPI":   func(r *JobRecord) *float64 { return &r.AvgCPI },
+		"AvgGBs":   func(r *JobRecord) *float64 { return &r.AvgGBs },
+	}
+	for name, field := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			r := good
+			*field(&r) = v
+			if err := r.Validate(); err == nil {
+				t.Errorf("%s = %v accepted", name, v)
+			}
+			if err := NewDB().Insert(r); err == nil {
+				t.Errorf("%s = %v inserted", name, v)
+			}
+		}
+	}
+}
+
+// Rows are grouped by job step and sorted lazily; whatever order
+// records arrive in — the interleaved sorted runs of a shard merge,
+// replacements included — every ordered read must equal what a store
+// fed in canonical order returns, bit for bit.
+func TestGroupedStoreIsOrderIndependent(t *testing.T) {
+	var recs []JobRecord
+	for j := 0; j < 4; j++ {
+		for s := 0; s < 3; s++ {
+			for n := 0; n < 17; n++ {
+				recs = append(recs, rec(fmt.Sprintf("job%d", j), fmt.Sprint(s), fmt.Sprintf("node%03d", n*7%17), 1000+float64(j*100+s*10+n)/3))
+			}
+		}
+	}
+	ordered, shuffled := NewDB(), NewDB()
+	for _, r := range recs {
+		if err := ordered.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	canonical := ordered.Records()
+	rng := rand.New(rand.NewSource(3))
+	perm := rng.Perm(len(recs))
+	for n, i := range perm {
+		stale := recs[i]
+		stale.EnergyJ++ // replaced below by the real record
+		if n%5 == 0 {
+			if err := shuffled.Insert(stale); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n == len(perm)/2 {
+			shuffled.Records() // an ordered read mid-stream sorts what is there
+		}
+		if err := shuffled.Insert(recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := shuffled.Records(); !slices.Equal(got, canonical) {
+		t.Fatal("Records() depends on insertion order")
+	}
+	if !slices.IsSortedFunc(canonical, func(a, b JobRecord) int {
+		return cmp.Or(strings.Compare(a.JobID, b.JobID), strings.Compare(a.StepID, b.StepID), strings.Compare(a.Node, b.Node))
+	}) {
+		t.Fatal("Records() is not in (job, step, node) order")
+	}
+	if shuffled.Len() != len(recs) || !slices.Equal(shuffled.Jobs(), ordered.Jobs()) {
+		t.Fatalf("Len %d / Jobs %v differ from the ordered store's", shuffled.Len(), shuffled.Jobs())
+	}
+	for _, js := range ordered.Jobs() {
+		want, err := ordered.Summarize(js[0], js[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := shuffled.Summarize(js[0], js[1]); err != nil || got != want {
+			t.Errorf("summary of %v = %+v (err %v), want %+v", js, got, err, want)
+		}
+		if !slices.Equal(shuffled.Job(js[0], js[1]), ordered.Job(js[0], js[1])) {
+			t.Errorf("Job(%v) depends on insertion order", js)
+		}
+	}
+	for _, r := range recs {
+		if got, ok := shuffled.Get(r.JobID, r.StepID, r.Node); !ok || got != r {
+			t.Fatalf("Get(%s, %s, %s) = %+v, %v after the sorts", r.JobID, r.StepID, r.Node, got, ok)
 		}
 	}
 }
@@ -167,6 +268,11 @@ func TestConcurrentInsertAndRead(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		db.Len()
 		db.Jobs()
+		// The ordered reads sort a group in place while inserts land.
+		db.Records()
+		db.Job("j", "s")
+		_, _ = db.Summarize("j", "s")
+		db.Get("j", "s", "w0-n0")
 	}
 	wg.Wait()
 	if db.Len() != 200 {

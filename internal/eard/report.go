@@ -22,20 +22,22 @@ func (db *DB) ByApp() []AppAggregate {
 	defer db.mu.RUnlock()
 	acc := map[string]*AppAggregate{}
 	jobsSeen := map[string]map[[2]string]bool{}
-	for k, r := range db.recs {
-		a := acc[r.App]
-		if a == nil {
-			a = &AppAggregate{App: r.App}
-			acc[r.App] = a
-			jobsSeen[r.App] = map[[2]string]bool{}
-		}
+	for k, g := range db.groups {
 		js := [2]string{k.job, k.step}
-		if !jobsSeen[r.App][js] {
-			jobsSeen[r.App][js] = true
-			a.Jobs++
+		for _, r := range g.rows {
+			a := acc[r.App]
+			if a == nil {
+				a = &AppAggregate{App: r.App}
+				acc[r.App] = a
+				jobsSeen[r.App] = map[[2]string]bool{}
+			}
+			if !jobsSeen[r.App][js] {
+				jobsSeen[r.App][js] = true
+				a.Jobs++
+			}
+			a.NodeHours += r.TimeSec / 3600
+			a.EnergyKJ += r.EnergyJ / 1e3
 		}
-		a.NodeHours += r.TimeSec / 3600
-		a.EnergyKJ += r.EnergyJ / 1e3
 	}
 	out := make([]AppAggregate, 0, len(acc))
 	for _, a := range acc {
@@ -68,20 +70,22 @@ func (db *DB) ByPolicy() []PolicyAggregate {
 	defer db.mu.RUnlock()
 	acc := map[string]*PolicyAggregate{}
 	jobsSeen := map[string]map[[2]string]bool{}
-	for k, r := range db.recs {
-		a := acc[r.Policy]
-		if a == nil {
-			a = &PolicyAggregate{Policy: r.Policy}
-			acc[r.Policy] = a
-			jobsSeen[r.Policy] = map[[2]string]bool{}
-		}
+	for k, g := range db.groups {
 		js := [2]string{k.job, k.step}
-		if !jobsSeen[r.Policy][js] {
-			jobsSeen[r.Policy][js] = true
-			a.Jobs++
+		for _, r := range g.rows {
+			a := acc[r.Policy]
+			if a == nil {
+				a = &PolicyAggregate{Policy: r.Policy}
+				acc[r.Policy] = a
+				jobsSeen[r.Policy] = map[[2]string]bool{}
+			}
+			if !jobsSeen[r.Policy][js] {
+				jobsSeen[r.Policy][js] = true
+				a.Jobs++
+			}
+			a.NodeHours += r.TimeSec / 3600
+			a.EnergyKJ += r.EnergyJ / 1e3
 		}
-		a.NodeHours += r.TimeSec / 3600
-		a.EnergyKJ += r.EnergyJ / 1e3
 	}
 	out := make([]PolicyAggregate, 0, len(acc))
 	for _, a := range acc {

@@ -1,12 +1,12 @@
 package eardbd
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
 	"strconv"
-	"strings"
 	"sync"
 
 	"goear/internal/accounting"
@@ -160,6 +160,7 @@ type Client struct {
 	conn      net.Conn
 	queue     []eard.JobRecord
 	acctQueue []accounting.Record
+	enc       []byte // the pending batch, encoded once; reused across flushes
 	seq       uint64
 	lastFlush float64
 	stats     ClientStats
@@ -186,38 +187,21 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		// Resume the batch sequence past anything a previous process
 		// spilled: reusing an ID would make the server's seen-window drop
 		// a fresh batch as a redelivery.
-		c.seq = maxJournalSeq(cfg.Journal, cfg.Node)
+		c.seq = cfg.Journal.maxSeq(cfg.Node)
 	}
 	return c, nil
 }
 
 // BatchID formats the client-assigned batch identifier for a node and
 // sequence number. The "<node>/<seq>" shape is load-bearing — the
-// server's duplicate window and maxJournalSeq both parse it back — so
+// server's duplicate window and Journal.maxSeq both parse it back — so
 // every producer (client flush, spill, test fixtures) must build IDs
 // here rather than re-deriving the format.
 func BatchID(node string, seq uint64) string {
-	return fmt.Sprintf("%s/%d", node, seq)
-}
-
-// maxJournalSeq returns the highest numeric suffix among journaled
-// batch IDs of the form "<node>/<seq>".
-func maxJournalSeq(j *Journal, node string) uint64 {
-	var max uint64
-	prefix := node + "/"
-	for _, b := range j.Entries() {
-		if !strings.HasPrefix(b.ID, prefix) {
-			continue
-		}
-		n, err := strconv.ParseUint(b.ID[len(prefix):], 10, 64)
-		if err != nil {
-			continue
-		}
-		if n > max {
-			max = n
-		}
-	}
-	return max
+	var scratch [64]byte // holds any realistic ID: the string is the one allocation
+	id := append(scratch[:0], node...)
+	id = append(id, '/')
+	return string(strconv.AppendUint(id, seq, 10))
 }
 
 // Enqueue buffers one record, flushing when the batch-size trigger
@@ -232,6 +216,9 @@ func (c *Client) Enqueue(r eard.JobRecord) error {
 	defer c.mu.Unlock()
 	if err := c.makeRoomLocked(); err != nil {
 		return err
+	}
+	if c.queue == nil {
+		c.queue = make([]eard.JobRecord, 0, c.queueHint())
 	}
 	c.queue = append(c.queue, r)
 	c.stats.Enqueued++
@@ -254,12 +241,22 @@ func (c *Client) EnqueueAcct(r accounting.Record) error {
 	if err := c.makeRoomLocked(); err != nil {
 		return err
 	}
+	if c.acctQueue == nil {
+		c.acctQueue = make([]accounting.Record, 0, c.queueHint())
+	}
 	c.acctQueue = append(c.acctQueue, r)
 	c.stats.Enqueued++
 	if c.pendingLocked() >= c.cfg.BatchRecords {
 		return c.flushLocked()
 	}
 	return nil
+}
+
+// queueHint is the capacity a queue is first allocated with: a flush
+// fires at BatchRecords pending records, so a queue only grows past
+// that while the daemon is unreachable and nothing journals.
+func (c *Client) queueHint() int {
+	return min(c.cfg.BatchRecords, c.cfg.QueueCap)
 }
 
 // pendingLocked counts buffered records across both queues; the batch
@@ -339,6 +336,22 @@ func (c *Client) Queued() int {
 	return c.pendingLocked()
 }
 
+// encodePendingLocked gives the pending load — both queues — the next
+// batch ID and encodes it, once, into the client's reused buffer. The
+// result stays valid until the next call; the queues are untouched.
+func (c *Client) encodePendingLocked() EncodedBatch {
+	c.seq++
+	id := BatchID(c.cfg.Node, c.seq)
+	c.enc = wire.AppendBatch(c.enc[:0], wire.Batch{ID: id, Node: c.cfg.Node, Records: c.queue, Acct: c.acctQueue})
+	return EncodedBatch{ID: id, Records: c.pendingLocked(), Payload: c.enc}
+}
+
+// clearPendingLocked empties both queues, keeping their backing arrays
+// for the next batch: once a batch is encoded nothing aliases them.
+func (c *Client) clearPendingLocked() {
+	c.queue, c.acctQueue = c.queue[:0], c.acctQueue[:0]
+}
+
 // flushLocked replays any journal backlog, then ships the queue. The
 // queue batch is assigned its ID before the first send attempt and
 // keeps it through retries and journal spills, which is what makes
@@ -360,13 +373,7 @@ func (c *Client) flushLocked() error {
 	if c.pendingLocked() == 0 {
 		return nil
 	}
-	c.seq++
-	b := wire.Batch{
-		ID:      BatchID(c.cfg.Node, c.seq),
-		Node:    c.cfg.Node,
-		Records: c.queue,
-		Acct:    c.acctQueue,
-	}
+	b := c.encodePendingLocked()
 	// The batch trace is rooted on the batch ID, so whatever worker or
 	// shard handles it — or a later replay after a spill — renders the
 	// same tree.
@@ -376,7 +383,7 @@ func (c *Client) flushLocked() error {
 	switch {
 	case err == nil:
 		sp.Attr("result", "acked")
-		c.queue, c.acctQueue = nil, nil
+		c.clearPendingLocked()
 	case errors.Is(err, ErrUnreachable):
 		sp.Attr("result", "unreachable")
 		if c.cfg.Journal != nil {
@@ -385,7 +392,7 @@ func (c *Client) flushLocked() error {
 				return serr
 			}
 			sp.Attr("result", "spilled")
-			c.queue, c.acctQueue = nil, nil
+			c.clearPendingLocked()
 		}
 	default:
 		var rej *RejectedError
@@ -393,10 +400,10 @@ func (c *Client) flushLocked() error {
 			// Permanent: drop the poison batch.
 			sp.Attr("result", "rejected")
 			c.stats.BatchesRejected++
-			c.stats.RecordsDropped += c.pendingLocked()
+			c.stats.RecordsDropped += b.Records
 			c.tel.rejected.Inc()
-			c.tel.dropped.Add(uint64(c.pendingLocked()))
-			c.queue, c.acctQueue = nil, nil
+			c.tel.dropped.Add(uint64(b.Records))
+			c.clearPendingLocked()
 		} else {
 			sp.Attr("result", "error")
 		}
@@ -406,7 +413,8 @@ func (c *Client) flushLocked() error {
 }
 
 // replayLocked redelivers spilled batches oldest-first, removing each
-// from the journal only after its ack.
+// from the journal only after its ack. A replay puts the journaled
+// payload on the wire as it is: nothing is decoded or re-encoded.
 func (c *Client) replayLocked() error {
 	if c.cfg.Journal == nil {
 		return nil
@@ -422,15 +430,15 @@ func (c *Client) replayLocked() error {
 			rsp.Attr("result", "acked").End(c.cfg.Clock.Now())
 			c.stats.BatchesReplayed++
 			c.tel.replayed.Inc()
-			c.tel.event(c.cfg.Clock.Now(), "eardbd.replay", c.cfg.Node, b.ID, len(b.Records)+len(b.Acct))
+			c.tel.event(c.cfg.Clock.Now(), "eardbd.replay", c.cfg.Node, b.ID, b.Records)
 		case errors.As(err, &rej):
 			// The daemon will never take this batch; keeping it would
 			// wedge the journal forever.
 			rsp.Attr("result", "rejected").End(c.cfg.Clock.Now())
 			c.stats.BatchesRejected++
-			c.stats.RecordsDropped += len(b.Records) + len(b.Acct)
+			c.stats.RecordsDropped += b.Records
 			c.tel.rejected.Inc()
-			c.tel.dropped.Add(uint64(len(b.Records) + len(b.Acct)))
+			c.tel.dropped.Add(uint64(b.Records))
 		default:
 			rsp.Attr("result", "unreachable").End(c.cfg.Clock.Now())
 			return err
@@ -442,17 +450,14 @@ func (c *Client) replayLocked() error {
 	return nil
 }
 
-// sendBatchLocked delivers one batch with bounded, jittered
+// sendBatchLocked delivers one encoded batch with bounded, jittered
 // exponential backoff. It returns nil on ack, a *RejectedError on a
 // server error frame, or ErrUnreachable when attempts are exhausted.
 // Each send attempt is a client.send child of parent whose context
 // rides the wire frame, which is how the server's span tree connects
 // to this client's; backoff sleeps render as client.backoff children.
-func (c *Client) sendBatchLocked(b wire.Batch, parent *trace.Active) error {
-	f, err := wire.EncodeBatch(b)
-	if err != nil {
-		return err
-	}
+func (c *Client) sendBatchLocked(b EncodedBatch, parent *trace.Active) error {
+	f := wire.Frame{Type: wire.TypeBatch, Payload: b.Payload}
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			c.stats.Retries++
@@ -506,9 +511,9 @@ func (c *Client) sendBatchLocked(b wire.Batch, parent *trace.Active) error {
 				}
 			}
 			c.stats.BatchesSent++
-			c.stats.RecordsSent += len(b.Records) + len(b.Acct)
+			c.stats.RecordsSent += b.Records
 			c.tel.sent.Inc()
-			c.tel.recSent.Add(uint64(len(b.Records) + len(b.Acct)))
+			c.tel.recSent.Add(uint64(b.Records))
 			return nil
 		case wire.TypeError:
 			ef, err := resp.AsError()
@@ -547,34 +552,30 @@ func (c *Client) spillQueueLocked() error {
 	if c.pendingLocked() == 0 {
 		return nil
 	}
-	c.seq++
-	b := wire.Batch{
-		ID:      BatchID(c.cfg.Node, c.seq),
-		Node:    c.cfg.Node,
-		Records: c.queue,
-		Acct:    c.acctQueue,
-	}
-	if err := c.journalBatchLocked(b); err != nil {
+	if err := c.journalBatchLocked(c.encodePendingLocked()); err != nil {
 		return err
 	}
-	c.queue, c.acctQueue = nil, nil
+	c.clearPendingLocked()
 	return nil
 }
 
-// journalBatchLocked persists one batch to the journal. The spill is
-// recorded as its own span in the batch's ID-keyed trace, so a
-// spill-then-replay batch reads as one trace: flush, spill, replay.
-func (c *Client) journalBatchLocked(b wire.Batch) error {
-	if err := c.cfg.Journal.Append(b); err != nil {
+// journalBatchLocked persists one encoded batch to the journal, which
+// gets its own copy of the bytes (b's are the client's reused buffer).
+// The spill is recorded as its own span in the batch's ID-keyed trace,
+// so a spill-then-replay batch reads as one trace: flush, spill,
+// replay.
+func (c *Client) journalBatchLocked(b EncodedBatch) error {
+	b.Payload = bytes.Clone(b.Payload)
+	if err := c.cfg.Journal.appendEncoded(b); err != nil {
 		return err
 	}
 	now := c.cfg.Clock.Now()
 	c.tracer.RootNamed(b.ID, spanClientSpill, now).
-		Attr("records", strconv.Itoa(len(b.Records)+len(b.Acct))).End(now)
+		Attr("records", strconv.Itoa(b.Records)).End(now)
 	c.stats.BatchesSpilled++
-	c.stats.RecordsSpilled += len(b.Records) + len(b.Acct)
+	c.stats.RecordsSpilled += b.Records
 	c.tel.spilled.Inc()
-	c.tel.event(c.cfg.Clock.Now(), "eardbd.spill", c.cfg.Node, b.ID, len(b.Records)+len(b.Acct))
+	c.tel.event(c.cfg.Clock.Now(), "eardbd.spill", c.cfg.Node, b.ID, b.Records)
 	return nil
 }
 

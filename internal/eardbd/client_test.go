@@ -278,7 +278,7 @@ func TestClientQueueCapSpillsToJournal(t *testing.T) {
 	}
 	total := 0
 	for _, b := range journal.Entries() {
-		total += len(b.Records)
+		total += b.Records
 	}
 	if total+c.Queued() != 10 {
 		t.Errorf("spilled %d + queued %d, want 10 total", total, c.Queued())

@@ -74,9 +74,11 @@ func (r *Root) mergedState(parent *trace.Active) (*eard.DB, *accounting.Store, e
 
 	// Rebuild outside the cache lock: concurrent misses duplicate work
 	// but never block a hit, and the last finisher wins the cache slot.
+	// Dumps are decoded one shard after the other and folded in by value,
+	// so every shard's decode reuses the first one's slice.
 	db := eard.NewDB()
+	var recs []eard.JobRecord
 	err = r.fanOut(msp, wire.Query{Kind: wire.QueryRecords}, func(_ int, res wire.Result) error {
-		var recs []eard.JobRecord
 		if err := res.Decode(&recs); err != nil {
 			return err
 		}
@@ -94,12 +96,12 @@ func (r *Root) mergedState(parent *trace.Active) (*eard.DB, *accounting.Store, e
 	// goear_accounting_* families on a federation root cover the
 	// serving tier the same way they cover a single daemon.
 	acct := accounting.NewStore(r.ts)
+	var acctRecs []accounting.Record
 	err = r.fanOut(msp, wire.Query{Kind: wire.QueryAcctRecords}, func(_ int, res wire.Result) error {
-		var recs []accounting.Record
-		if err := res.Decode(&recs); err != nil {
+		if err := res.Decode(&acctRecs); err != nil {
 			return err
 		}
-		for _, rec := range recs {
+		for _, rec := range acctRecs {
 			if _, err := acct.Insert(rec); err != nil {
 				return err
 			}

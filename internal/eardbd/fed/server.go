@@ -72,7 +72,9 @@ func (r *Root) Close() error {
 		}
 	}
 	for c := range r.conns {
-		if err := c.Close(); err != nil && firstErr == nil {
+		// A handler that is hanging up at this moment closes the
+		// connection itself; losing that race is not a failure to close.
+		if err := c.Close(); err != nil && !errors.Is(err, net.ErrClosed) && firstErr == nil {
 			firstErr = err
 		}
 	}

@@ -2,9 +2,14 @@ package eardbd
 
 import (
 	"bufio"
-	"encoding/json"
+	"bytes"
+	"errors"
 	"fmt"
+	"io"
+	"math"
 	"os"
+	"strconv"
+	"strings"
 	"sync"
 
 	"goear/internal/wire"
@@ -16,22 +21,43 @@ import (
 // a batch whose ack was lost is recognized server-side and dropped —
 // the exactly-once half of the degradation contract.
 //
-// The on-disk format is JSON lines, one wire.Batch per line, appended
-// synchronously. Removal (after a successful replay) compacts the file
-// through a temp-file rename. A journal opened with an empty path
-// lives purely in memory, which the deterministic tests use.
+// The on-disk format is the wire format: the file is the concatenation
+// of the exact untraced TypeBatch frames that would have been sent,
+// each appended with one synchronous write. Replaying an entry copies
+// its payload to the connection under a fresh header; nothing is
+// decoded or re-encoded. Removal (after a successful replay) compacts
+// the file through a temp-file rename. A journal opened with an empty
+// path lives purely in memory, which the deterministic tests use.
 type Journal struct {
 	mu      sync.Mutex
 	path    string
-	entries []wire.Batch
+	entries []EncodedBatch
+	frame   bytes.Buffer // one frame being assembled for the file
 }
 
+// EncodedBatch is one batch ready for the wire: its ID and record
+// count (node reports and accounting records together), and the
+// encoded TypeBatch body. It is what the journal stores and what a
+// replay sends; a Payload obtained from the journal is shared with it
+// and must not be modified.
+type EncodedBatch struct {
+	ID      string
+	Records int
+	Payload []byte
+}
+
+// journalMaxFrame bounds a journal frame only by what the header's
+// length field can say: what may be spilled is the client's frame
+// limit to decide, not the journal's.
+const journalMaxFrame = math.MaxInt32
+
 // OpenJournal opens (or creates) the journal at path, loading any
-// batches a previous run spilled. A line cut short by a crash mid-
-// append is tolerated if and only if it is the final line: the partial
-// tail is discarded and overwritten by the next append. Malformed
-// content anywhere else is corruption and errors. An empty path
-// returns a memory-only journal.
+// batches a previous run spilled. A final frame cut short by a crash
+// mid-append is tolerated: the torn tail is discarded and the file
+// rewritten without it. Anything else that does not read as a batch
+// frame is corruption and errors, and so does a journal in the JSON-
+// lines format that predates wire version 2. An empty path returns a
+// memory-only journal.
 func OpenJournal(path string) (*Journal, error) {
 	j := &Journal{path: path}
 	if path == "" {
@@ -46,52 +72,55 @@ func OpenJournal(path string) (*Journal, error) {
 	}
 	// Read-only descriptor: no buffered writes to lose on close.
 	defer func() { _ = f.Close() }()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var pendingErr error
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		if pendingErr != nil {
-			// The malformed line was not the final one: corruption.
-			return nil, pendingErr
-		}
-		var b wire.Batch
-		if err := json.Unmarshal(line, &b); err != nil {
-			pendingErr = fmt.Errorf("eardbd: journal %s corrupt: %w", path, err)
-			continue
-		}
-		j.entries = append(j.entries, b)
+	r := bufio.NewReader(f)
+	if first, _ := r.Peek(1); len(first) == 1 && first[0] == '{' {
+		return nil, fmt.Errorf("eardbd: journal %s is in the pre-v2 JSON-lines format, which this version cannot replay; drain it with the release that wrote it or move it aside", path)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("eardbd: read journal: %w", err)
-	}
-	if pendingErr != nil {
-		// Crash-truncated tail: drop it and rewrite the surviving prefix.
-		if err := j.rewrite(); err != nil {
-			return nil, err
+	for {
+		fr, err := wire.ReadFrame(r, journalMaxFrame)
+		if err == io.EOF {
+			return j, nil
 		}
+		if errors.Is(err, io.ErrUnexpectedEOF) {
+			// Crash-torn tail: keep the whole frames before it.
+			return j, j.rewrite()
+		}
+		if err != nil {
+			return nil, fmt.Errorf("eardbd: journal %s corrupt after %d batches: %w", path, len(j.entries), err)
+		}
+		b, err := fr.AsBatch()
+		if err != nil {
+			return nil, fmt.Errorf("eardbd: journal %s corrupt after %d batches: %w", path, len(j.entries), err)
+		}
+		j.entries = append(j.entries, EncodedBatch{ID: b.ID, Records: len(b.Records) + len(b.Acct), Payload: fr.Payload})
 	}
-	return j, nil
 }
 
 // Append spills one batch, persisting before returning so a crash
 // after Append cannot lose it.
 func (j *Journal) Append(b wire.Batch) error {
+	f, err := wire.EncodeBatch(b)
+	if err != nil {
+		return err
+	}
+	return j.appendEncoded(EncodedBatch{ID: b.ID, Records: len(b.Records) + len(b.Acct), Payload: f.Payload})
+}
+
+// appendEncoded spills a batch that is already encoded; the journal
+// keeps e.Payload.
+func (j *Journal) appendEncoded(e EncodedBatch) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.path != "" {
-		line, err := json.Marshal(b)
-		if err != nil {
-			return fmt.Errorf("eardbd: encode journal entry: %w", err)
+		j.frame.Reset()
+		if err := wire.WriteFrame(&j.frame, wire.Frame{Type: wire.TypeBatch, Payload: e.Payload}, journalMaxFrame); err != nil {
+			return fmt.Errorf("eardbd: append journal: %w", err)
 		}
 		f, err := os.OpenFile(j.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return fmt.Errorf("eardbd: append journal: %w", err)
 		}
-		_, werr := f.Write(append(line, '\n'))
+		_, werr := f.Write(j.frame.Bytes())
 		serr := f.Sync()
 		cerr := f.Close()
 		for _, err := range []error{werr, serr, cerr} {
@@ -100,7 +129,7 @@ func (j *Journal) Append(b wire.Batch) error {
 			}
 		}
 	}
-	j.entries = append(j.entries, b)
+	j.entries = append(j.entries, e)
 	return nil
 }
 
@@ -110,20 +139,21 @@ func (j *Journal) Remove(id string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	kept := j.entries[:0]
-	for _, b := range j.entries {
-		if b.ID != id {
-			kept = append(kept, b)
+	for _, e := range j.entries {
+		if e.ID != id {
+			kept = append(kept, e)
 		}
 	}
+	clear(j.entries[len(kept):]) // let removed payloads go
 	j.entries = kept
 	return j.rewrite()
 }
 
 // Entries returns a copy of the spilled batches, oldest first.
-func (j *Journal) Entries() []wire.Batch {
+func (j *Journal) Entries() []EncodedBatch {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]wire.Batch, len(j.entries))
+	out := make([]EncodedBatch, len(j.entries))
 	copy(out, j.entries)
 	return out
 }
@@ -133,6 +163,25 @@ func (j *Journal) Len() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return len(j.entries)
+}
+
+// maxSeq returns the highest numeric suffix among journaled batch IDs
+// of the form "<node>/<seq>".
+func (j *Journal) maxSeq(node string) uint64 {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	var max uint64
+	prefix := node + "/"
+	for _, e := range j.entries {
+		seq, ok := strings.CutPrefix(e.ID, prefix)
+		if !ok {
+			continue
+		}
+		if n, err := strconv.ParseUint(seq, 10, 64); err == nil && n > max {
+			max = n
+		}
+	}
+	return max
 }
 
 // rewrite persists the in-memory entries atomically. Callers hold mu.
@@ -152,9 +201,8 @@ func (j *Journal) rewrite() error {
 		return fmt.Errorf("eardbd: rewrite journal: %w", err)
 	}
 	w := bufio.NewWriter(f)
-	enc := json.NewEncoder(w)
-	for _, b := range j.entries {
-		if err := enc.Encode(b); err != nil {
+	for _, e := range j.entries {
+		if err := wire.WriteFrame(w, wire.Frame{Type: wire.TypeBatch, Payload: e.Payload}, journalMaxFrame); err != nil {
 			_ = f.Close()
 			return fmt.Errorf("eardbd: rewrite journal: %w", err)
 		}

@@ -1,8 +1,13 @@
 package eardbd
 
 import (
+	"bytes"
+	"errors"
+	"math/rand"
+	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"goear/internal/eard"
@@ -19,6 +24,31 @@ func journalBatch(id string, n int) wire.Batch {
 	return b
 }
 
+// journalFile renders batches the way the journal stores them: one
+// untraced wire frame after the other.
+func journalFile(t testing.TB, batches ...wire.Batch) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	for _, b := range batches {
+		f, err := wire.EncodeBatch(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wire.WriteFrame(&buf, f, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+func entryIDs(ents []EncodedBatch) string {
+	ids := make([]string, len(ents))
+	for i, e := range ents {
+		ids[i] = e.ID
+	}
+	return strings.Join(ids, " ")
+}
+
 func TestJournalPersistsAcrossReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "spill.journal")
 	j, err := OpenJournal(path)
@@ -31,6 +61,15 @@ func TestJournalPersistsAcrossReopen(t *testing.T) {
 	if err := j.Append(journalBatch("n01/2", 3)); err != nil {
 		t.Fatal(err)
 	}
+	// One format on disk: the file is exactly the frames that would
+	// have gone on the wire.
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := journalFile(t, journalBatch("n01/1", 2), journalBatch("n01/2", 3)); !bytes.Equal(raw, want) {
+		t.Fatalf("journal file is not the concatenated wire frames:\n got %x\nwant %x", raw, want)
+	}
 
 	// A fresh open (a restarted node daemon) sees both batches in
 	// order.
@@ -39,11 +78,15 @@ func TestJournalPersistsAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	ents := j2.Entries()
-	if len(ents) != 2 || ents[0].ID != "n01/1" || ents[1].ID != "n01/2" {
-		t.Fatalf("entries = %+v", ents)
+	if entryIDs(ents) != "n01/1 n01/2" {
+		t.Fatalf("entries = %s", entryIDs(ents))
 	}
-	if len(ents[1].Records) != 3 {
-		t.Errorf("batch 2 records = %d, want 3", len(ents[1].Records))
+	if ents[1].Records != 3 {
+		t.Errorf("batch 2 records = %d, want 3", ents[1].Records)
+	}
+	got, err := wire.Frame{Type: wire.TypeBatch, Payload: ents[1].Payload}.AsBatch()
+	if err != nil || len(got.Records) != 3 || got.Records[2] != journalBatch("", 3).Records[2] {
+		t.Errorf("batch 2 payload decodes to %+v, err %v", got, err)
 	}
 
 	// Removal compacts; a further reopen sees only the survivor, and
@@ -55,8 +98,8 @@ func TestJournalPersistsAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ents := j3.Entries(); len(ents) != 1 || ents[0].ID != "n01/2" {
-		t.Fatalf("entries after remove = %+v", ents)
+	if ents := j3.Entries(); entryIDs(ents) != "n01/2" {
+		t.Fatalf("entries after remove = %s", entryIDs(ents))
 	}
 	if err := j3.Remove("n01/2"); err != nil {
 		t.Fatal(err)
@@ -75,12 +118,13 @@ func TestJournalToleratesCrashTruncatedTail(t *testing.T) {
 	if err := j.Append(journalBatch("n01/1", 1)); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a crash mid-append: a partial JSON line at the tail.
+	// Simulate a crash mid-append: the first bytes of the next frame.
+	next := journalFile(t, journalBatch("n01/2", 1))
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"id":"n01/2","node":"n0`); err != nil {
+	if _, err := f.Write(next[:len(next)-7]); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -91,8 +135,8 @@ func TestJournalToleratesCrashTruncatedTail(t *testing.T) {
 	if err != nil {
 		t.Fatalf("crash-truncated journal refused: %v", err)
 	}
-	if ents := j2.Entries(); len(ents) != 1 || ents[0].ID != "n01/1" {
-		t.Fatalf("entries = %+v", ents)
+	if ents := j2.Entries(); entryIDs(ents) != "n01/1" {
+		t.Fatalf("entries = %s", entryIDs(ents))
 	}
 	// The truncated tail was compacted away: appending then reopening
 	// yields clean entries only.
@@ -103,21 +147,58 @@ func TestJournalToleratesCrashTruncatedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ents := j3.Entries(); len(ents) != 2 || ents[1].ID != "n01/3" {
-		t.Fatalf("entries after recovery = %+v", ents)
+	if ents := j3.Entries(); entryIDs(ents) != "n01/1 n01/3" {
+		t.Fatalf("entries after recovery = %s", entryIDs(ents))
 	}
 }
 
 func TestJournalRejectsMidFileCorruption(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "spill.journal")
-	content := `{"id":"n01/1","node":"n01","records":[]}` + "\n" +
-		`GARBAGE NOT JSON` + "\n" +
-		`{"id":"n01/2","node":"n01","records":[]}` + "\n"
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+	good := journalFile(t, journalBatch("n01/1", 1))
+	ack, err := wire.EncodeAck(wire.Ack{BatchID: "n01/1"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenJournal(path); err == nil {
-		t.Fatal("mid-file corruption accepted")
+	var ackFrame bytes.Buffer
+	if err := wire.WriteFrame(&ackFrame, ack, 0); err != nil {
+		t.Fatal(err)
+	}
+	badBody := bytes.Clone(good)
+	badBody[len(badBody)-60] ^= 0x55 // inside the record's string tags: a reference past the table
+	for name, content := range map[string][]byte{
+		"garbage between frames": append(append(bytes.Clone(good), "GARBAGE NOT A FRAME"...), good...),
+		"whole non-batch frame":  append(bytes.Clone(good), ackFrame.Bytes()...),
+		"undecodable batch body": append(badBody, good...),
+	} {
+		path := filepath.Join(t.TempDir(), "spill.journal")
+		if err := os.WriteFile(path, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenJournal(path); err == nil {
+			t.Errorf("%s: corruption accepted", name)
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, content) {
+			t.Errorf("%s: refusing the journal modified it (err %v)", name, err)
+		}
+	}
+}
+
+// A journal written before wire version 2 is JSON lines. It must fail
+// loudly — never load as empty, never be truncated as a torn tail.
+func TestJournalRejectsPreV2Format(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "spill.journal")
+	content := []byte(`{"id":"n01/1","node":"n01","records":[]}` + "\n")
+	if err := os.WriteFile(path, content, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := OpenJournal(path)
+	if err == nil {
+		t.Fatal("pre-v2 JSON-lines journal accepted")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "JSON-lines") || !strings.Contains(msg, path) {
+		t.Errorf("error names neither the format nor the path: %v", err)
+	}
+	if after, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(after, content) {
+		t.Errorf("refusing the journal modified it (err %v)", rerr)
 	}
 }
 
@@ -137,5 +218,201 @@ func TestJournalMemoryOnly(t *testing.T) {
 	}
 	if j.Len() != 0 {
 		t.Errorf("len after remove = %d", j.Len())
+	}
+}
+
+// recordingConn keeps everything written to it.
+type recordingConn struct {
+	net.Conn
+	written *bytes.Buffer
+}
+
+func (c recordingConn) Write(p []byte) (int, error) {
+	c.written.Write(p)
+	return c.Conn.Write(p)
+}
+
+// A spilled batch goes back on the wire as the bytes that were
+// journaled: the replay neither decodes nor re-encodes it.
+func TestReplaySendsJournaledPayloadVerbatim(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "spill.journal")
+	journal, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	down := newTestClient(t, ClientConfig{
+		Dial:        func() (net.Conn, error) { return nil, errors.New("refused") },
+		MaxAttempts: 1, BatchRecords: 2, Journal: journal,
+	})
+	for i := 0; i < 2; i++ {
+		if err := down.Enqueue(rec("j1", "0", "n01", float64(100+i))); !errors.Is(err, ErrUnreachable) && err != nil {
+			t.Fatal(err)
+		}
+	}
+	onDisk, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spilled := journal.Entries()
+	if len(spilled) != 1 || spilled[0].Records != 2 {
+		t.Fatalf("spilled = %+v, want one batch of 2 records", spilled)
+	}
+
+	// A restarted reporter replays from the file over a recorded pipe.
+	reopened, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(eard.NewDB(), Config{})
+	var sent bytes.Buffer
+	up := newTestClient(t, ClientConfig{
+		Dial: func() (net.Conn, error) {
+			conn, err := pipeDialer(srv, nil)()
+			return recordingConn{conn, &sent}, err
+		},
+		Journal: reopened,
+	})
+	if err := up.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sent.Bytes(), onDisk) {
+		t.Errorf("replay wrote\n %x\nthe journal file held\n %x", sent.Bytes(), onDisk)
+	}
+	f, err := wire.ReadFrame(&sent, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(f.Payload, spilled[0].Payload) {
+		t.Error("replayed payload differs from the journaled payload")
+	}
+	if st := srv.Stats(); st.RecordsAccepted != 1 || st.RecordsReplaced != 1 {
+		t.Errorf("server stats after replay = %+v", st)
+	}
+	if reopened.Len() != 0 {
+		t.Errorf("journal holds %d batches after the replay", reopened.Len())
+	}
+}
+
+// FuzzJournalTail cuts a valid journal file at an arbitrary point: what
+// reloads is exactly the whole frames before the cut, and the torn
+// tail is gone from the file.
+func FuzzJournalTail(f *testing.F) {
+	f.Add(uint16(0), int64(1))
+	f.Add(uint16(13), int64(2))
+	f.Add(uint16(400), int64(3))
+	f.Add(uint16(65535), int64(4))
+	f.Fuzz(func(t *testing.T, cut uint16, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		var batches []wire.Batch
+		var ends []int // file offset after each frame
+		var file []byte
+		for i := 0; i < 1+rng.Intn(5); i++ {
+			b := journalBatch(BatchID("n01", uint64(i+1)), rng.Intn(4))
+			batches = append(batches, b)
+			file = append(file, journalFile(t, b)...)
+			ends = append(ends, len(file))
+		}
+		at := int(cut) % (len(file) + 1)
+		whole := 0
+		for whole < len(ends) && ends[whole] <= at {
+			whole++
+		}
+		path := filepath.Join(t.TempDir(), "spill.journal")
+		if err := os.WriteFile(path, file[:at], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := OpenJournal(path)
+		if err != nil {
+			t.Fatalf("cut at %d of %d: %v", at, len(file), err)
+		}
+		ents := j.Entries()
+		if len(ents) != whole {
+			t.Fatalf("cut at %d of %d: reloaded %d batches, want %d", at, len(file), len(ents), whole)
+		}
+		for i, e := range ents {
+			if e.ID != batches[i].ID || e.Records != len(batches[i].Records) {
+				t.Errorf("entry %d = %s (%d records), want %s (%d)", i, e.ID, e.Records, batches[i].ID, len(batches[i].Records))
+			}
+		}
+		after, err := os.ReadFile(path)
+		if whole == 0 {
+			if !os.IsNotExist(err) && len(after) != 0 {
+				t.Errorf("nothing whole survived, yet the file holds %d bytes", len(after))
+			}
+			return
+		}
+		if err != nil || !bytes.Equal(after, file[:ends[whole-1]]) {
+			t.Errorf("file after reload is not the %d whole frames (err %v)", whole, err)
+		}
+	})
+}
+
+func benchJournalBatches(n int) []wire.Batch {
+	out := make([]wire.Batch, n)
+	for i := range out {
+		b := wire.Batch{ID: BatchID("node00001", uint64(i+1)), Node: "node00001"}
+		for r := 0; r < 32; r++ {
+			b.Records = append(b.Records, rec("job"+string(rune('0'+r%3)), "0", "node00001", 30000+float64(r)))
+		}
+		out[i] = b
+	}
+	return out
+}
+
+// BenchmarkJournalAppend spills 32-record batches to a memory-only
+// journal: the encode and bookkeeping cost without the fsync a file-
+// backed journal adds on top.
+func BenchmarkJournalAppend(b *testing.B) {
+	batches := benchJournalBatches(64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j, err := OpenJournal("")
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, batch := range batches {
+			if err := j.Append(batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkJournalReplay drains a 64-batch memory journal into a live
+// server through a real client: per batch a frame write, the server's
+// store and ack, and a journal removal.
+func BenchmarkJournalReplay(b *testing.B) {
+	batches := benchJournalBatches(64)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		j, err := OpenJournal("")
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, batch := range batches {
+			if err := j.Append(batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+		srv := NewServer(eard.NewDB(), Config{})
+		c, err := NewClient(ClientConfig{
+			Node: "node00001", Dial: pipeDialer(srv, nil), Clock: NewFakeClock(0),
+			Jitter: rand.New(rand.NewSource(1)), Journal: j,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := c.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if j.Len() != 0 {
+			b.Fatalf("%d batches left after the replay", j.Len())
+		}
+		_ = c.Close()
+		b.StartTimer()
 	}
 }

@@ -272,7 +272,9 @@ func (s *Server) Close() error {
 		}
 	}
 	for c := range s.conns {
-		if err := c.Close(); err != nil && firstErr == nil {
+		// A handler that is hanging up at this moment closes the
+		// connection itself; losing that race is not a failure to close.
+		if err := c.Close(); err != nil && !errors.Is(err, net.ErrClosed) && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -280,6 +282,11 @@ func (s *Server) Close() error {
 	s.wg.Wait()
 	return firstErr
 }
+
+// batchPool recycles batch decode scratch across connections: node
+// daemons that connect, report one batch and hang up would otherwise
+// pay for fresh record slices every time.
+var batchPool = sync.Pool{New: func() any { return new(wire.Batch) }}
 
 // ServeConn speaks the wire protocol on one connection until EOF or a
 // protocol error, then closes it. It is exported so tests and
@@ -291,6 +298,11 @@ func (s *Server) ServeConn(conn net.Conn) {
 	s.stats.Connections++
 	s.mu.Unlock()
 	s.tel.conns.Inc()
+	// Records are stored by value, so every batch may decode into the
+	// backing arrays an earlier one — of this connection or a finished
+	// one — left behind.
+	batch := batchPool.Get().(*wire.Batch)
+	defer batchPool.Put(batch)
 	for {
 		f, err := wire.ReadFrame(conn, s.cfg.MaxFramePayload)
 		if err != nil {
@@ -305,7 +317,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 		}
 		switch f.Type {
 		case wire.TypeBatch:
-			ok := s.handleBatch(conn, f)
+			ok := s.handleBatch(conn, f, batch)
 			if !ok {
 				return
 			}
@@ -328,10 +340,11 @@ func (s *Server) ServeConn(conn net.Conn) {
 // continuing the context the client stamped on the frame — with
 // validate/dedup/store/acct children, so one delivered batch reads as
 // a connected tree from the client's flush to the rows landing here.
-func (s *Server) handleBatch(conn net.Conn, f wire.Frame) bool {
+// b is the connection's decode scratch: nothing of it but its strings
+// may be kept once handleBatch returns.
+func (s *Server) handleBatch(conn net.Conn, f wire.Frame, b *wire.Batch) bool {
 	t0 := s.nowSec()
-	b, err := f.AsBatch()
-	if err != nil {
+	if err := f.DecodeBatch(b); err != nil {
 		s.countProtocolError()
 		s.reply(conn, mustError(err.Error()))
 		return false

@@ -1,11 +1,13 @@
 package eardbd
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"net"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"goear/internal/eard"
@@ -191,6 +193,90 @@ func TestServerRejectsBadBatches(t *testing.T) {
 	}
 }
 
+// The binary codec carries raw float bits, so a NaN can reach the
+// server where JSON never let one through. One such record refuses the
+// whole batch with an error frame; the connection stays usable.
+func TestServerRejectsNonFiniteRecord(t *testing.T) {
+	srv, addr := startServer(t, "tcp", "127.0.0.1:0", Config{})
+	conn, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for i, v := range []float64{math.NaN(), math.Inf(1)} {
+		poison := rec("j", "0", "b", 100)
+		poison.AvgPower = v
+		resp := exchange(t, conn, mustBatch(t, wire.Batch{ID: BatchID("n01", uint64(i+1)), Node: "n01",
+			Records: []eard.JobRecord{rec("j", "0", "a", 100), poison}}))
+		if ef, err := resp.AsError(); err != nil || !strings.Contains(ef.Message, "non-finite") {
+			t.Fatalf("batch carrying %v: response %s %+v (err %v), want an error frame naming the cause", v, resp.Type, ef, err)
+		}
+	}
+	if srv.DB().Len() != 0 || len(srv.NodePowers()) != 0 {
+		t.Errorf("a rejected batch left %d records and %d node powers behind", srv.DB().Len(), len(srv.NodePowers()))
+	}
+	if st := srv.Stats(); st.BatchesRejected != 2 || st.ProtocolErrors != 0 {
+		t.Errorf("stats = %+v, want 2 rejected batches and no protocol error", st)
+	}
+	resp := exchange(t, conn, mustBatch(t, wire.Batch{ID: "n01/3", Node: "n01", Records: []eard.JobRecord{rec("j", "0", "a", 100)}}))
+	if ack, err := resp.AsAck(); err != nil || ack.Accepted != 1 {
+		t.Errorf("post-rejection ack = %+v, %v", ack, err)
+	}
+}
+
+// A peer still speaking protocol version 1 (JSON payloads) is told so:
+// the server answers its first frame with an error naming the skew,
+// then hangs up.
+func TestServerSurfacesVersionSkew(t *testing.T) {
+	srv, addr := startServer(t, "tcp", "127.0.0.1:0", Config{})
+	conn, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	payload := `{"id":"n01/1","node":"n01","records":[]}`
+	v1 := binary.BigEndian.AppendUint32(nil, wire.Magic)
+	v1 = append(v1, 1, byte(wire.TypeBatch), 0, 0)
+	v1 = binary.BigEndian.AppendUint32(v1, uint32(len(payload)))
+	if _, err := conn.Write(append(v1, payload...)); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := wire.ReadFrame(conn, 0)
+	if err != nil {
+		t.Fatalf("expected an error frame before close: %v", err)
+	}
+	if ef, err := resp.AsError(); err != nil || !strings.Contains(ef.Message, wire.ErrVersion.Error()) {
+		t.Errorf("response = %s %+v (err %v), want an error frame carrying %q", resp.Type, ef, err, wire.ErrVersion)
+	}
+	if _, err := wire.ReadFrame(conn, 0); err == nil {
+		t.Error("connection still open after a version-1 frame")
+	}
+	if st := srv.Stats(); st.ProtocolErrors != 1 || st.Batches != 0 {
+		t.Errorf("stats = %+v, want one protocol error and no batch", st)
+	}
+}
+
+func TestBatchIDFormat(t *testing.T) {
+	long := strings.Repeat("n", 100)
+	for _, c := range []struct {
+		node string
+		seq  uint64
+		want string
+	}{
+		{"n01", 1, "n01/1"},
+		{"node00042", 18446744073709551615, "node00042/18446744073709551615"},
+		{"", 0, "/0"},
+		{long, 7, long + "/7"},
+	} {
+		if got := BatchID(c.node, c.seq); got != c.want {
+			t.Errorf("BatchID(%q, %d) = %q, want %q", c.node, c.seq, got, c.want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = BatchID("node00042", 123456) }); allocs > 1 {
+		t.Errorf("BatchID allocates %v times, want the ID string only", allocs)
+	}
+}
+
 func TestServerClosesOnGarbage(t *testing.T) {
 	srv, addr := startServer(t, "tcp", "127.0.0.1:0", Config{})
 	conn, err := net.Dial("tcp", addr.String())
@@ -247,7 +333,7 @@ func TestServerQueries(t *testing.T) {
 
 	var agg Aggregate
 	res := query(wire.Query{Kind: wire.QueryAggregate})
-	if err := json.Unmarshal(res.Data, &agg); err != nil {
+	if err := res.Decode(&agg); err != nil {
 		t.Fatal(err)
 	}
 	if agg.Nodes != 3 || agg.TotalPowerW != 860 || agg.Records != 3 {
@@ -260,7 +346,7 @@ func TestServerQueries(t *testing.T) {
 
 	var sums []eard.JobSummary
 	res = query(wire.Query{Kind: wire.QueryJobs})
-	if err := json.Unmarshal(res.Data, &sums); err != nil {
+	if err := res.Decode(&sums); err != nil {
 		t.Fatal(err)
 	}
 	if len(sums) != 2 || sums[0].JobID != "j1" || sums[0].Nodes != 2 || sums[1].JobID != "j2" {
@@ -269,7 +355,7 @@ func TestServerQueries(t *testing.T) {
 
 	var sum eard.JobSummary
 	res = query(wire.Query{Kind: wire.QuerySummary, Job: "j1", Step: "0"})
-	if err := json.Unmarshal(res.Data, &sum); err != nil {
+	if err := res.Decode(&sum); err != nil {
 		t.Fatal(err)
 	}
 	if sum.Nodes != 2 || sum.EnergyJ != 61000 {
@@ -278,7 +364,7 @@ func TestServerQueries(t *testing.T) {
 
 	var st Stats
 	res = query(wire.Query{Kind: wire.QueryStats})
-	if err := json.Unmarshal(res.Data, &st); err != nil {
+	if err := res.Decode(&st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Batches != 1 || st.RecordsAccepted != 3 || st.Queries < 3 {

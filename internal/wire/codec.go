@@ -1,0 +1,478 @@
+package wire
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"slices"
+
+	"goear/internal/accounting"
+	"goear/internal/eard"
+)
+
+// Payload layouts. "str" is a table string (below), "int" a zig-zag
+// varint, "uint" a plain varint, "f64" raw IEEE-754 bits in eight
+// big-endian bytes, "n × T" a uint count followed by that many T.
+// Every body must be consumed exactly: trailing bytes are an error.
+//
+//	batch    id str, node str, n × record, n × acct
+//	ack      batch_id str, accepted int, duplicate int, replaced int
+//	error    message str
+//	query    kind str, job str, step str, user str, cursor str,
+//	         since f64, limit int
+//	result   kind uint8, then per kind (result.go)
+//
+//	record   job_id str, step_id str, node str, app str, policy str,
+//	         time_sec, energy_j, avg_power_w, avg_cpu_ghz, avg_imc_ghz,
+//	         avg_cpi, avg_gbs f64
+//	acct     v int, job_id str, step_id str, user str, node str,
+//	         policy str, phase int, start_sec, end_sec, pkg_j, dram_j,
+//	         uncore_j, node_j, avg_cpu_ghz, avg_imc_ghz f64
+//
+// A str is one uint tag: an even tag t announces a literal of t>>1
+// bytes, which follow; an odd tag refers back to entry t>>1 of the
+// frame's string table. Every non-empty literal is appended to the
+// table as it is read, so the encoder writes each distinct string of
+// a frame once and names it by index afterwards; the empty string is
+// always the literal tag 0 and never enters the table.
+
+// Smallest possible encodings, which bound a count by the bytes left
+// before anything is allocated for it.
+const (
+	minRecordLen = 5 + 7*8
+	minAcctLen   = 1 + 5 + 1 + 8*8
+)
+
+// linearTable is how many strings an encoder finds by scanning before
+// it builds a map, and how many a decoder holds before its table
+// spills to the heap: a batch holds a dozen or two distinct strings, a
+// shard dump hundreds.
+const linearTable = 32
+
+// encoder appends one frame body to buf. Its string table is the
+// first n entries of small until that is full, the map idx from then
+// on. (An array and a count, not a slice of the array: a struct that
+// points into itself is moved to the heap.)
+type encoder struct {
+	buf   []byte
+	n     int
+	small [linearTable]string
+	idx   map[string]int
+}
+
+func (e *encoder) uint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
+func (e *encoder) int(v int)     { e.buf = binary.AppendVarint(e.buf, int64(v)) }
+func (e *encoder) f64(v float64) {
+	e.buf = binary.BigEndian.AppendUint64(e.buf, math.Float64bits(v))
+}
+
+func (e *encoder) str(s string) {
+	if s == "" {
+		e.buf = append(e.buf, 0)
+		return
+	}
+	if e.idx != nil {
+		if i, ok := e.idx[s]; ok {
+			e.uint(uint64(i)<<1 | 1)
+			return
+		}
+		e.idx[s] = len(e.idx)
+	} else {
+		for i, t := range e.small[:e.n] {
+			if t == s {
+				e.uint(uint64(i)<<1 | 1)
+				return
+			}
+		}
+		if e.n < linearTable {
+			e.small[e.n] = s
+			e.n++
+		} else {
+			e.idx = make(map[string]int, 4*linearTable)
+			for i, t := range e.small {
+				e.idx[t] = i
+			}
+			e.idx[s] = linearTable
+		}
+	}
+	e.uint(uint64(len(s)) << 1)
+	e.buf = append(e.buf, s...)
+}
+
+func (e *encoder) record(r *eard.JobRecord) {
+	e.str(r.JobID)
+	e.str(r.StepID)
+	e.str(r.Node)
+	e.str(r.App)
+	e.str(r.Policy)
+	e.f64(r.TimeSec)
+	e.f64(r.EnergyJ)
+	e.f64(r.AvgPower)
+	e.f64(r.AvgCPU)
+	e.f64(r.AvgIMC)
+	e.f64(r.AvgCPI)
+	e.f64(r.AvgGBs)
+}
+
+func (e *encoder) records(recs []eard.JobRecord) {
+	e.uint(uint64(len(recs)))
+	for i := range recs {
+		e.record(&recs[i])
+	}
+}
+
+func (e *encoder) acctRecord(r *accounting.Record) {
+	e.int(r.V)
+	e.str(r.JobID)
+	e.str(r.StepID)
+	e.str(r.User)
+	e.str(r.Node)
+	e.str(r.Policy)
+	e.int(r.Phase)
+	e.f64(r.StartSec)
+	e.f64(r.EndSec)
+	e.f64(r.PkgJ)
+	e.f64(r.DramJ)
+	e.f64(r.UncoreJ)
+	e.f64(r.NodeJ)
+	e.f64(r.AvgCPUGHz)
+	e.f64(r.AvgIMCGHz)
+}
+
+func (e *encoder) acctRecords(recs []accounting.Record) {
+	e.uint(uint64(len(recs)))
+	for i := range recs {
+		e.acctRecord(&recs[i])
+	}
+}
+
+// recordsSizeHint guesses an encoded size so a body is usually built
+// in one allocation: the fixed part of every record plus room for a
+// batch's worth of first-use strings.
+func recordsSizeHint(records, acct int) int {
+	return 256 + records*(minRecordLen+8) + acct*(minAcctLen+8)
+}
+
+// decoder reads one frame body. Errors are sticky: after the first,
+// every read returns a zero value, and finish reports it. The string
+// table is the first n entries of small, then more.
+type decoder struct {
+	p     []byte
+	off   int
+	err   error
+	n     int
+	small [linearTable]string
+	more  []string
+}
+
+func (d *decoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("%w: "+format, append([]any{ErrPayload}, args...)...)
+	}
+}
+
+func (d *decoder) left() int { return len(d.p) - d.off }
+
+func (d *decoder) uint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.p[d.off:])
+	if n <= 0 {
+		d.fail("bad varint at byte %d", d.off)
+		return 0
+	}
+	d.off += n
+	return v
+}
+
+func (d *decoder) int() int {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(d.p[d.off:])
+	if n <= 0 || int64(int(v)) != v {
+		d.fail("bad varint at byte %d", d.off)
+		return 0
+	}
+	d.off += n
+	return int(v)
+}
+
+func (d *decoder) byte() uint8 {
+	if d.err != nil {
+		return 0
+	}
+	if d.left() < 1 {
+		d.fail("body cut short at byte %d", d.off)
+		return 0
+	}
+	d.off++
+	return d.p[d.off-1]
+}
+
+func (d *decoder) f64() float64 {
+	if d.err != nil {
+		return 0
+	}
+	if d.left() < 8 {
+		d.fail("float cut short at byte %d", d.off)
+		return 0
+	}
+	v := binary.BigEndian.Uint64(d.p[d.off:])
+	d.off += 8
+	return math.Float64frombits(v)
+}
+
+// strBytes reads one str tag. It returns the table string for a
+// back-reference, or the literal's bytes for the caller to convert
+// (and remember).
+func (d *decoder) strBytes() (string, []byte) {
+	tag := d.uint()
+	if d.err != nil || tag == 0 {
+		return "", nil
+	}
+	if tag&1 == 1 {
+		switch i := tag >> 1; {
+		case i < uint64(d.n):
+			return d.small[i], nil
+		case i-linearTable < uint64(len(d.more)):
+			return d.more[i-linearTable], nil
+		}
+		d.fail("string reference %d into a table of %d", tag>>1, d.n+len(d.more))
+		return "", nil
+	}
+	n := tag >> 1
+	if n > uint64(d.left()) {
+		d.fail("string of %d bytes with %d left", n, d.left())
+		return "", nil
+	}
+	d.off += int(n)
+	return "", d.p[d.off-int(n) : d.off]
+}
+
+func (d *decoder) remember(s string) string {
+	if d.n < linearTable {
+		d.small[d.n] = s
+		d.n++
+	} else {
+		d.more = append(d.more, s)
+	}
+	return s
+}
+
+func (d *decoder) str() string {
+	s, lit := d.strBytes()
+	if lit == nil {
+		return s
+	}
+	return d.remember(string(lit))
+}
+
+// kind reads a query kind, returning the package constant for a known
+// one so the common case allocates nothing.
+func (d *decoder) kind() string {
+	s, lit := d.strBytes()
+	if lit == nil {
+		return s
+	}
+	for _, k := range resultKinds[1:] {
+		if string(lit) == k {
+			return d.remember(k)
+		}
+	}
+	return d.remember(string(lit))
+}
+
+// count reads an element count and checks that so many elements of at
+// least minLen bytes can still follow.
+func (d *decoder) count(minLen int) int {
+	n := d.uint()
+	if d.err != nil {
+		return 0
+	}
+	if n > uint64(d.left()/minLen) {
+		d.fail("count %d needs at least %d bytes, %d left", n, n*uint64(minLen), d.left())
+		return 0
+	}
+	return int(n)
+}
+
+// finish reports the first error met, trailing bytes included, as a
+// failure to decode the named thing ("batch" "payload").
+func (d *decoder) finish(what, noun string) error {
+	if d.err == nil && d.off != len(d.p) {
+		d.fail("%d trailing bytes", len(d.p)-d.off)
+	}
+	if d.err != nil {
+		return fmt.Errorf("wire: decode %s %s: %w", what, noun, d.err)
+	}
+	return nil
+}
+
+// resize returns s with length n, reusing its backing array when that
+// is large enough.
+func resize[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return make([]T, n)
+}
+
+func (d *decoder) record(r *eard.JobRecord) {
+	r.JobID = d.str()
+	r.StepID = d.str()
+	r.Node = d.str()
+	r.App = d.str()
+	r.Policy = d.str()
+	r.TimeSec = d.f64()
+	r.EnergyJ = d.f64()
+	r.AvgPower = d.f64()
+	r.AvgCPU = d.f64()
+	r.AvgIMC = d.f64()
+	r.AvgCPI = d.f64()
+	r.AvgGBs = d.f64()
+}
+
+// records decodes n × record into into's backing array when it fits.
+func (d *decoder) records(into []eard.JobRecord) []eard.JobRecord {
+	out := resize(into, d.count(minRecordLen))
+	for i := range out {
+		d.record(&out[i])
+	}
+	return out
+}
+
+func (d *decoder) acctRecord(r *accounting.Record) {
+	r.V = d.int()
+	r.JobID = d.str()
+	r.StepID = d.str()
+	r.User = d.str()
+	r.Node = d.str()
+	r.Policy = d.str()
+	r.Phase = d.int()
+	r.StartSec = d.f64()
+	r.EndSec = d.f64()
+	r.PkgJ = d.f64()
+	r.DramJ = d.f64()
+	r.UncoreJ = d.f64()
+	r.NodeJ = d.f64()
+	r.AvgCPUGHz = d.f64()
+	r.AvgIMCGHz = d.f64()
+}
+
+func (d *decoder) acctRecords(into []accounting.Record) []accounting.Record {
+	out := resize(into, d.count(minAcctLen))
+	for i := range out {
+		d.acctRecord(&out[i])
+	}
+	return out
+}
+
+// AppendBatch appends b's encoded body to dst and returns the extended
+// slice: the payload of a TypeBatch frame. A sender that keeps dst
+// across batches encodes without allocating.
+func AppendBatch(dst []byte, b Batch) []byte {
+	e := encoder{buf: slices.Grow(dst, recordsSizeHint(len(b.Records), len(b.Acct)))}
+	e.str(b.ID)
+	e.str(b.Node)
+	e.records(b.Records)
+	e.acctRecords(b.Acct)
+	return e.buf
+}
+
+// EncodeBatch builds a TypeBatch frame. The error is always nil; the
+// signature is the one every Encode constructor shares.
+func EncodeBatch(b Batch) (Frame, error) {
+	return Frame{Type: TypeBatch, Payload: AppendBatch(nil, b)}, nil
+}
+
+// EncodeAck builds a TypeAck frame.
+func EncodeAck(a Ack) (Frame, error) {
+	e := encoder{buf: make([]byte, 0, len(a.BatchID)+8)}
+	e.str(a.BatchID)
+	e.int(a.Accepted)
+	e.int(a.Duplicate)
+	e.int(a.Replaced)
+	return Frame{Type: TypeAck, Payload: e.buf}, nil
+}
+
+// EncodeError builds a TypeError frame.
+func EncodeError(msg string) (Frame, error) {
+	e := encoder{buf: make([]byte, 0, len(msg)+4)}
+	e.str(msg)
+	return Frame{Type: TypeError, Payload: e.buf}, nil
+}
+
+// EncodeQuery builds a TypeQuery frame.
+func EncodeQuery(q Query) (Frame, error) {
+	e := encoder{buf: make([]byte, 0, 32+len(q.Kind)+len(q.Job)+len(q.Step)+len(q.User)+len(q.Cursor))}
+	e.str(q.Kind)
+	e.str(q.Job)
+	e.str(q.Step)
+	e.str(q.User)
+	e.str(q.Cursor)
+	e.f64(q.Since)
+	e.int(q.Limit)
+	return Frame{Type: TypeQuery, Payload: e.buf}, nil
+}
+
+// body starts decoding f's payload, checking the frame type first.
+func (f Frame) body(want Type) (decoder, error) {
+	if f.Type != want {
+		return decoder{}, fmt.Errorf("wire: frame is %s, not %s", f.Type, want)
+	}
+	return decoder{p: f.Payload}, nil
+}
+
+// AsBatch decodes a TypeBatch frame.
+func (f Frame) AsBatch() (Batch, error) {
+	var b Batch
+	return b, f.DecodeBatch(&b)
+}
+
+// DecodeBatch decodes a TypeBatch frame into b, reusing the backing
+// arrays of b.Records and b.Acct when they are large enough — a server
+// that has stored the previous batch's records by value decodes the
+// next one without allocating slices.
+func (f Frame) DecodeBatch(b *Batch) error {
+	d, err := f.body(TypeBatch)
+	if err != nil {
+		return err
+	}
+	b.ID = d.str()
+	b.Node = d.str()
+	b.Records = d.records(b.Records[:0])
+	b.Acct = d.acctRecords(b.Acct[:0])
+	return d.finish("batch", "payload")
+}
+
+// AsAck decodes a TypeAck frame.
+func (f Frame) AsAck() (Ack, error) {
+	d, err := f.body(TypeAck)
+	if err != nil {
+		return Ack{}, err
+	}
+	a := Ack{BatchID: d.str(), Accepted: d.int(), Duplicate: d.int(), Replaced: d.int()}
+	return a, d.finish("ack", "payload")
+}
+
+// AsError decodes a TypeError frame.
+func (f Frame) AsError() (ErrorFrame, error) {
+	d, err := f.body(TypeError)
+	if err != nil {
+		return ErrorFrame{}, err
+	}
+	e := ErrorFrame{Message: d.str()}
+	return e, d.finish("error", "payload")
+}
+
+// AsQuery decodes a TypeQuery frame.
+func (f Frame) AsQuery() (Query, error) {
+	d, err := f.body(TypeQuery)
+	if err != nil {
+		return Query{}, err
+	}
+	q := Query{Kind: d.kind(), Job: d.str(), Step: d.str(), User: d.str(), Cursor: d.str(), Since: d.f64(), Limit: d.int()}
+	return q, d.finish("query", "payload")
+}

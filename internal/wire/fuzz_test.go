@@ -4,8 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
+	"reflect"
+	"runtime"
+	"runtime/metrics"
 	"testing"
 
+	"goear/internal/accounting"
 	"goear/internal/eard"
 	"goear/internal/telemetry/trace"
 )
@@ -68,9 +73,9 @@ func FuzzFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := ReadFrame(bytes.NewReader(data), 4096)
 		if err != nil {
-			// Every failure must be a typed protocol error, a JSON-level
-			// error is impossible here (payload bytes are opaque), and EOF
-			// conditions must be the io sentinels.
+			// Every failure must be a typed protocol error (payload bytes
+			// are opaque at this level), and EOF conditions must be the io
+			// sentinels.
 			if errors.Is(err, ErrMagic) || errors.Is(err, ErrVersion) ||
 				errors.Is(err, ErrType) || errors.Is(err, ErrFlags) ||
 				errors.Is(err, ErrTooLarge) || errors.Is(err, ErrTrace) ||
@@ -92,19 +97,208 @@ func FuzzFrame(f *testing.F) {
 		if want := data[:consumed]; !bytes.Equal(buf.Bytes(), want) {
 			t.Fatalf("re-encode differs:\n got %x\nwant %x", buf.Bytes(), want)
 		}
-		// Typed payload decoding must never panic either, whatever JSON
-		// (or non-JSON) the payload holds.
+		// Typed payload decoding must never panic either, whatever the
+		// payload holds, and fails only as ErrPayload.
+		var perr error
 		switch fr.Type {
 		case TypeBatch:
-			_, _ = fr.AsBatch()
+			_, perr = fr.AsBatch()
 		case TypeAck:
-			_, _ = fr.AsAck()
+			_, perr = fr.AsAck()
 		case TypeError:
-			_, _ = fr.AsError()
+			_, perr = fr.AsError()
 		case TypeQuery:
-			_, _ = fr.AsQuery()
+			_, perr = fr.AsQuery()
 		case TypeResult:
-			_, _ = fr.AsResult()
+			_, perr = fr.AsResult()
+		}
+		if perr != nil && !errors.Is(perr, ErrPayload) {
+			t.Fatalf("payload error outside ErrPayload: %v", perr)
+		}
+	})
+}
+
+// allocatedBy reports the heap bytes allocated while fn runs, read
+// from the runtime's cumulative counter without stopping the world
+// (inside a fuzz worker runtime.ReadMemStats takes milliseconds). An
+// allocation of 32 KiB or more is counted at once, smaller ones when
+// their span is retired, so the figure can run a few spans late.
+func allocatedBy(fn func()) uint64 {
+	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(sample)
+	before := sample[0].Value.Uint64()
+	fn()
+	metrics.Read(sample)
+	return sample[0].Value.Uint64() - before
+}
+
+// decodeBudget is the most a decoder may allocate for an input of n
+// bytes: a small multiple of it (the worst case is a run of two-byte
+// string literals, sixteen bytes of table each, doubled by slice
+// growth) plus slack — an error value where the count is exact, the
+// counter's lag where it is not. A count or length that is believed
+// before the bytes behind it are seen blows through this by orders of
+// magnitude.
+func decodeBudget(n int, slack uint64) uint64 { return uint64(24*n) + slack }
+
+// fuzzSlack covers allocatedBy's lag.
+const fuzzSlack = 1 << 20
+
+// TestDecodeAllocationBounded holds the decoders to the budget exactly
+// (ReadMemStats is cheap outside a fuzz worker) on the inputs built to
+// break it: counts and lengths that promise far more than follows.
+func TestDecodeAllocationBounded(t *testing.T) {
+	huge := []byte{0xff, 0xff, 0xff, 0xff, 0x0f}    // 2^32-1 as a varint
+	hugeStr := []byte{0xfe, 0xff, 0xff, 0xff, 0x0f} // the tag of a 2^31-1 byte literal
+	whole, _ := EncodeBatch(benchBatch())
+	cases := map[string]Frame{
+		"batch: huge record count":    {Type: TypeBatch, Payload: append([]byte{0, 0}, huge...)},
+		"batch: huge acct count":      {Type: TypeBatch, Payload: append([]byte{0, 0, 0}, huge...)},
+		"batch: count fits, then EOF": {Type: TypeBatch, Payload: append([]byte{0, 0, 100}, make([]byte, 100*minRecordLen-1)...)},
+		"batch: huge string length":   {Type: TypeBatch, Payload: append(bytes.Clone(hugeStr), 'x')},
+		"batch: cut short":            {Type: TypeBatch, Payload: whole.Payload[:len(whole.Payload)/2]},
+		"ack: huge string length":     {Type: TypeAck, Payload: hugeStr},
+	}
+	for code, kind := range resultKinds[5:] {
+		cases[kind+" result: huge count"] = Frame{Type: TypeResult, Payload: append([]byte{byte(code + 5)}, huge...)}
+	}
+	for name, f := range cases {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		var err error
+		switch f.Type {
+		case TypeBatch:
+			_, err = f.AsBatch()
+		case TypeAck:
+			_, err = f.AsAck()
+		case TypeResult:
+			var res Result
+			if res, err = f.AsResult(); err == nil {
+				err = res.Decode(map[string]any{
+					QueryNodePowers: new([]NodePower), QueryRecords: new([]eard.JobRecord), QueryAcctJobs: new(accounting.Page),
+					QueryAcctRecords: new([]accounting.Record), QueryGeneration: new(Generation),
+				}[res.Kind])
+			}
+		}
+		runtime.ReadMemStats(&m1)
+		if name != "generation result: huge count" && !errors.Is(err, ErrPayload) {
+			t.Errorf("%s: err = %v, want ErrPayload", name, err)
+		}
+		if got, max := m1.TotalAlloc-m0.TotalAlloc, decodeBudget(len(f.Payload), 4<<10); got > max {
+			t.Errorf("%s: decoding %d bytes allocated %d, budget %d", name, len(f.Payload), got, max)
+		}
+	}
+}
+
+// FuzzBatchPayload feeds arbitrary bytes to the batch body decoder:
+// it never panics and never allocates more than a small multiple of
+// its input; whatever decodes re-encodes to bytes that decode to an
+// equal value, and those bytes are a fixed point of decode∘encode.
+func FuzzBatchPayload(f *testing.F) {
+	for _, b := range []Batch{{}, {ID: "n01/1", Node: "n01"}, benchBatch()} {
+		f.Add(AppendBatch(nil, b))
+	}
+	f.Add([]byte{0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f})        // a count of 2^32-1 records and no bytes
+	f.Add([]byte{0xfe, 0xff, 0xff, 0xff, 0x0f, 'x'})         // a string of 2^31-1 bytes, one present
+	f.Add([]byte{2, 'a', 0, 1, 9, 9, 9, 9, 9})               // back-references past the table
+	f.Add(append(AppendBatch(nil, Batch{ID: "x"}), 0, 0, 0)) // trailing bytes
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var b Batch
+		var err error
+		if got := allocatedBy(func() { b, err = Frame{Type: TypeBatch, Payload: data}.AsBatch() }); got > decodeBudget(len(data), fuzzSlack) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), got)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrPayload) {
+				t.Fatalf("unexpected error class: %v", err)
+			}
+			return
+		}
+		again := AppendBatch(nil, b)
+		b2, err := Frame{Type: TypeBatch, Payload: again}.AsBatch()
+		if err != nil || !sameBits(b, b2) {
+			t.Fatalf("re-encoded batch decodes to %+v (err %v), want %+v", b2, err, b)
+		}
+		if third := AppendBatch(nil, b2); !bytes.Equal(third, again) {
+			t.Fatalf("encoder output is not a fixed point:\n %x\n %x", again, third)
+		}
+	})
+}
+
+// FuzzResultPayload is FuzzBatchPayload for result bodies. The
+// allocation bound covers the binary kinds; the four JSON kinds are
+// held only to never panicking (encoding/json's allocation per input
+// byte is its own business).
+func FuzzResultPayload(f *testing.F) {
+	b := benchBatch()
+	for _, seed := range []struct {
+		kind string
+		data any
+	}{
+		{QueryRecords, b.Records},
+		{QueryAcctRecords, b.Acct},
+		{QueryAcctJobs, accounting.Page{Records: b.Acct, Next: "bmV4dA", Total: 99}},
+		{QueryNodePowers, []NodePower{{Node: "n01", PowerW: 271.5}, {Node: "n02", PowerW: 0}}},
+		{QueryGeneration, Generation{Gen: math.MaxUint64}},
+		{QueryStats, map[string]int{"batches": 3}},
+	} {
+		fr, err := EncodeResult(seed.kind, seed.data)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(fr.Payload)
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0})
+	f.Add([]byte{200})
+	f.Add([]byte{6, 0xff, 0xff, 0xff, 0xff, 0x0f}) // records: a huge count and no bytes
+	f.Fuzz(func(t *testing.T, data []byte) {
+		res, err := Frame{Type: TypeResult, Payload: data}.AsResult()
+		if err != nil {
+			if !errors.Is(err, ErrPayload) {
+				t.Fatalf("unexpected error class: %v", err)
+			}
+			return
+		}
+		targets := map[string]func() any{
+			QueryRecords:     func() any { return new([]eard.JobRecord) },
+			QueryAcctRecords: func() any { return new([]accounting.Record) },
+			QueryAcctJobs:    func() any { return new(accounting.Page) },
+			QueryNodePowers:  func() any { return new([]NodePower) },
+			QueryGeneration:  func() any { return new(Generation) },
+		}
+		target, binary := targets[res.Kind]
+		if !binary {
+			var v any
+			_ = res.Decode(&v)
+			return
+		}
+		v := target()
+		if got := allocatedBy(func() { err = res.Decode(v) }); got > decodeBudget(len(data), fuzzSlack) {
+			t.Fatalf("decoding %d bytes of %s allocated %d", len(data), res.Kind, got)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrPayload) {
+				t.Fatalf("unexpected error class: %v", err)
+			}
+			return
+		}
+		value := reflect.ValueOf(v).Elem().Interface()
+		again, err := EncodeResult(res.Kind, value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res2, err := again.AsResult()
+		if err != nil || res2.Kind != res.Kind {
+			t.Fatalf("re-encoded %s result reads as %q (err %v)", res.Kind, res2.Kind, err)
+		}
+		v2 := target()
+		if err := res2.Decode(v2); err != nil || !sameBits(reflect.ValueOf(v2).Elem().Interface(), value) {
+			t.Fatalf("re-encoded %s decodes to %+v (err %v), want %+v", res.Kind, v2, err, value)
+		}
+		third, err := EncodeResult(res.Kind, reflect.ValueOf(v2).Elem().Interface())
+		if err != nil || !bytes.Equal(third.Payload, again.Payload) {
+			t.Fatalf("encoder output is not a fixed point (err %v):\n %x\n %x", err, again.Payload, third.Payload)
 		}
 	})
 }

@@ -1,0 +1,183 @@
+package wire
+
+import (
+	"encoding/json"
+	"fmt"
+	"slices"
+
+	"goear/internal/accounting"
+	"goear/internal/eard"
+)
+
+// Result bodies. A result payload is one kind byte — the index of the
+// kind in resultKinds — followed by that kind's body:
+//
+//	records       n × record
+//	acct_records  n × acct
+//	acct_jobs     n × acct, next str, total int
+//	node_powers   n × (node str, power_w f64)
+//	generation    gen uint
+//	stats, aggregate, jobs, summary
+//	              the rest of the payload is the value as JSON
+//
+// The five binary kinds are the ones that carry records or sit on the
+// federation root's fan-out path. The four JSON kinds are small,
+// operator-facing scalars whose shapes belong to the packages above
+// this one; each kind has exactly one encoding.
+
+// resultKinds maps a result's kind byte to its name; 0 is invalid.
+var resultKinds = [...]string{
+	"", QueryStats, QueryAggregate, QueryJobs, QuerySummary,
+	QueryNodePowers, QueryRecords, QueryAcctJobs, QueryAcctRecords, QueryGeneration,
+}
+
+// minNodePowerLen is the smallest encoded NodePower.
+const minNodePowerLen = 1 + 8
+
+// Result is a decoded TypeResult frame: the kind and its still-encoded
+// body, for the caller to Decode into the kind-specific shape.
+type Result struct {
+	Kind string
+	Data []byte
+}
+
+// EncodeResult builds a TypeResult frame of the given kind. The binary
+// kinds take exactly their Go shape ([]eard.JobRecord for records,
+// []accounting.Record for acct_records, accounting.Page for acct_jobs,
+// []NodePower for node_powers, Generation for generation); the JSON
+// kinds take any marshallable value.
+func EncodeResult(kind string, data any) (Frame, error) {
+	code := slices.Index(resultKinds[:], kind)
+	if code <= 0 {
+		return Frame{}, fmt.Errorf("wire: encode result: unknown kind %q", kind)
+	}
+	var e encoder
+	// begin sizes the payload for the body about to be written.
+	begin := func(sizeHint int) { e.buf = append(make([]byte, 0, 1+sizeHint), uint8(code)) }
+	ok := true
+	switch kind {
+	case QueryRecords:
+		var recs []eard.JobRecord
+		if recs, ok = data.([]eard.JobRecord); ok {
+			begin(recordsSizeHint(len(recs), 0))
+			e.records(recs)
+		}
+	case QueryAcctRecords:
+		var recs []accounting.Record
+		if recs, ok = data.([]accounting.Record); ok {
+			begin(recordsSizeHint(0, len(recs)))
+			e.acctRecords(recs)
+		}
+	case QueryAcctJobs:
+		var page accounting.Page
+		if page, ok = data.(accounting.Page); ok {
+			begin(recordsSizeHint(0, len(page.Records)) + len(page.Next))
+			e.acctRecords(page.Records)
+			e.str(page.Next)
+			e.int(page.Total)
+		}
+	case QueryNodePowers:
+		var nps []NodePower
+		if nps, ok = data.([]NodePower); ok {
+			begin(16 + len(nps)*(minNodePowerLen+16))
+			e.uint(uint64(len(nps)))
+			for _, np := range nps {
+				e.str(np.Node)
+				e.f64(np.PowerW)
+			}
+		}
+	case QueryGeneration:
+		var g Generation
+		if g, ok = data.(Generation); ok {
+			begin(10)
+			e.uint(g.Gen)
+		}
+	default:
+		raw, err := json.Marshal(data)
+		if err != nil {
+			return Frame{}, fmt.Errorf("wire: encode %s result: %w", kind, err)
+		}
+		begin(len(raw))
+		e.buf = append(e.buf, raw...)
+	}
+	if !ok {
+		return Frame{}, fmt.Errorf("wire: encode %s result: unexpected data type %T", kind, data)
+	}
+	return Frame{Type: TypeResult, Payload: e.buf}, nil
+}
+
+// AsResult decodes a TypeResult frame's kind; the body stays encoded
+// in Data (aliasing the frame's payload) until Decode.
+func (f Frame) AsResult() (Result, error) {
+	d, err := f.body(TypeResult)
+	if err != nil {
+		return Result{}, err
+	}
+	code := d.byte()
+	if d.err == nil && (code == 0 || int(code) >= len(resultKinds)) {
+		d.fail("unknown result kind %d", code)
+	}
+	if d.err != nil {
+		return Result{}, d.finish("result", "payload")
+	}
+	return Result{Kind: resultKinds[code], Data: d.p[d.off:]}, nil
+}
+
+// Decode decodes the result body into v, which must point at the
+// kind's Go shape (see EncodeResult). Slices v already holds are
+// reused when large enough, and a decoded slice is never nil.
+func (r Result) Decode(v any) error {
+	d := decoder{p: r.Data}
+	ok := true
+	switch r.Kind {
+	case QueryRecords:
+		var p *[]eard.JobRecord
+		if p, ok = v.(*[]eard.JobRecord); ok {
+			*p = nonNil(d.records((*p)[:0]))
+		}
+	case QueryAcctRecords:
+		var p *[]accounting.Record
+		if p, ok = v.(*[]accounting.Record); ok {
+			*p = nonNil(d.acctRecords((*p)[:0]))
+		}
+	case QueryAcctJobs:
+		var p *accounting.Page
+		if p, ok = v.(*accounting.Page); ok {
+			p.Records = nonNil(d.acctRecords(p.Records[:0]))
+			p.Next = d.str()
+			p.Total = d.int()
+		}
+	case QueryNodePowers:
+		var p *[]NodePower
+		if p, ok = v.(*[]NodePower); ok {
+			nps := nonNil(resize((*p)[:0], d.count(minNodePowerLen)))
+			for i := range nps {
+				nps[i] = NodePower{Node: d.str(), PowerW: d.f64()}
+			}
+			*p = nps
+		}
+	case QueryGeneration:
+		var p *Generation
+		if p, ok = v.(*Generation); ok {
+			p.Gen = d.uint()
+		}
+	default:
+		if err := json.Unmarshal(r.Data, v); err != nil {
+			return fmt.Errorf("wire: decode %s result: %w", r.Kind, err)
+		}
+		return nil
+	}
+	if !ok {
+		return fmt.Errorf("wire: decode %s result: unexpected target type %T", r.Kind, v)
+	}
+	return d.finish(r.Kind, "result")
+}
+
+// nonNil turns a nil slice into an empty one, so an empty result
+// renders as [] rather than null wherever it is printed.
+func nonNil[T any](s []T) []T {
+	if s == nil {
+		return []T{}
+	}
+	return s
+}

@@ -1,26 +1,30 @@
 // Package wire is the framed protocol spoken between EAR's node-side
-// reporting clients and the database daemon (package eardbd). EAR's
-// real deployment streams job signatures from every node daemon to
-// EARDBD over plain sockets; this codec reproduces that surface with a
-// length-prefixed, versioned binary header and JSON payloads, so the
-// transport stays inspectable while the framing stays strict.
+// reporting clients and the database daemon (package eardbd), and the
+// one serialisation of the ingest path: the same bytes travel on the
+// socket, sit in the client's spill journal and carry the shard dumps
+// a federation root merges. EAR's real deployment streams job
+// signatures from every node daemon to EARDBD over plain sockets; this
+// codec reproduces that surface with a length-prefixed, versioned
+// binary header and fixed-layout binary bodies.
 //
 // Every frame is
 //
 //	magic   uint32  "EARW"
-//	version uint8   protocol version, currently 1
+//	version uint8   protocol version, currently 2
 //	type    uint8   frame type (batch, ack, error, query, result)
-//	flags   uint16  reserved, must be zero
+//	flags   uint16  FlagTrace or zero; other bits reserved
 //	length  uint32  payload byte count
-//	payload [length]byte, JSON
+//	[trace] 18 bytes, present iff FlagTrace (see below)
+//	payload [length]byte, laid out per frame type (codec.go)
 //
 // all big-endian. Decoding is defensive: bad magic, unknown versions,
 // unknown types, oversized lengths and truncated payloads are errors,
 // never panics — the daemon must survive arbitrary bytes on its
-// listening socket.
+// listening socket — and a length prefix buys no memory until the
+// bytes it promises arrive.
 //
-// One flag bit is defined: FlagTrace marks that an 18-byte trace
-// context block sits between the header and the payload —
+// FlagTrace marks that an 18-byte trace context block sits between
+// the header and the payload —
 //
 //	ctx version uint8   trace block version, currently 1
 //	ctx flags   uint8   trace flags, carried verbatim
@@ -28,17 +32,26 @@
 //	span id     uint64  the sender's span, parent of the receiver's
 //
 // so a batch or query can be followed across processes as one span
-// tree. Frames without the flag are byte-identical to protocol
-// version 1 before tracing existed; peers that never set the flag
-// interoperate unchanged.
+// tree. The block is outside the payload: re-stamping a journaled
+// frame's context on replay never touches its body.
+//
+// Payload bodies are built from four primitives: unsigned and
+// zig-zag signed varints (encoding/binary's), float64 as its raw
+// IEEE-754 bits in eight big-endian bytes — so a value crosses any
+// number of hops bit for bit, -0, subnormals and all, and byte-identity
+// of every aggregate holds by construction — and strings through a
+// frame-scoped table: a string's first use in a frame carries its
+// bytes, every later use is a varint back-reference. Nothing is shared
+// across frames, so every frame (and every journal entry) decodes on
+// its own.
 package wire
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"goear/internal/accounting"
 	"goear/internal/eard"
@@ -50,8 +63,9 @@ const Magic uint32 = 0x45415257
 
 // Version is the protocol version this package speaks. Decoding a
 // frame with any other version fails with ErrVersion: version skew is
-// surfaced to the peer instead of being misparsed.
-const Version uint8 = 1
+// surfaced to the peer instead of being misparsed. Version 1 carried
+// JSON payloads; it has no remaining speakers.
+const Version uint8 = 2
 
 // headerLen is the fixed frame header size in bytes.
 const headerLen = 12
@@ -73,7 +87,8 @@ const traceBlockVersion uint8 = 1
 // DefaultMaxPayload bounds a frame payload unless the caller chooses
 // its own limit. One megabyte comfortably holds the largest record
 // batch a client may send while keeping a malicious length prefix from
-// ballooning server memory.
+// ballooning server memory. It is also the most ReadFrame allocates
+// ahead of the bytes actually arriving, whatever the limit.
 const DefaultMaxPayload = 1 << 20
 
 // Type enumerates the frame kinds.
@@ -118,9 +133,13 @@ var (
 	ErrFlags    = errors.New("wire: reserved flags set")
 	ErrTooLarge = errors.New("wire: frame exceeds payload limit")
 	ErrTrace    = errors.New("wire: malformed trace context block")
+	// ErrPayload marks a payload that is not a well-formed body of its
+	// frame type: a count or length past the bytes left, a string
+	// back-reference past the table, trailing bytes.
+	ErrPayload = errors.New("wire: malformed payload")
 )
 
-// Frame is one decoded frame: a type, its raw JSON payload, and the
+// Frame is one decoded frame: a type, its encoded body, and the
 // optional trace context it rode with (zero Context = untraced).
 type Frame struct {
 	Type    Type
@@ -128,7 +147,13 @@ type Frame struct {
 	Trace   trace.Context
 }
 
-// WriteFrame encodes f to w. Writing a frame larger than maxPayload is
+// headPool recycles header scratch: a stack array would escape
+// through the io.Writer/io.Reader call, costing every frame written or
+// read one allocation.
+var headPool = sync.Pool{New: func() any { return new([headerLen + traceBlockLen]byte) }}
+
+// WriteFrame encodes f to w: the header and trace block in one write,
+// the payload in a second. Writing a frame larger than maxPayload is
 // refused so a misconfigured client fails locally rather than being
 // dropped by the server; maxPayload <= 0 means DefaultMaxPayload.
 func WriteFrame(w io.Writer, f Frame, maxPayload int) error {
@@ -141,28 +166,26 @@ func WriteFrame(w io.Writer, f Frame, maxPayload int) error {
 	if len(f.Payload) > maxPayload {
 		return fmt.Errorf("%w: %d bytes > limit %d", ErrTooLarge, len(f.Payload), maxPayload)
 	}
+	head := headPool.Get().(*[headerLen + traceBlockLen]byte)
+	defer headPool.Put(head)
+	n := headerLen
 	var flags uint16
 	if f.Trace.Valid() {
 		flags |= FlagTrace
-	}
-	var hdr [headerLen]byte
-	binary.BigEndian.PutUint32(hdr[0:4], Magic)
-	hdr[4] = Version
-	hdr[5] = uint8(f.Type)
-	binary.BigEndian.PutUint16(hdr[6:8], flags)
-	binary.BigEndian.PutUint32(hdr[8:12], uint32(len(f.Payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wire: write header: %w", err)
-	}
-	if f.Trace.Valid() {
-		var blk [traceBlockLen]byte
+		n += traceBlockLen
+		blk := head[headerLen:]
 		blk[0] = traceBlockVersion
 		blk[1] = f.Trace.Flags
 		binary.BigEndian.PutUint64(blk[2:10], f.Trace.TraceID)
 		binary.BigEndian.PutUint64(blk[10:18], f.Trace.SpanID)
-		if _, err := w.Write(blk[:]); err != nil {
-			return fmt.Errorf("wire: write trace block: %w", err)
-		}
+	}
+	binary.BigEndian.PutUint32(head[0:4], Magic)
+	head[4] = Version
+	head[5] = uint8(f.Type)
+	binary.BigEndian.PutUint16(head[6:8], flags)
+	binary.BigEndian.PutUint32(head[8:12], uint32(len(f.Payload)))
+	if _, err := w.Write(head[:n]); err != nil {
+		return fmt.Errorf("wire: write header: %w", err)
 	}
 	if len(f.Payload) > 0 {
 		if _, err := w.Write(f.Payload); err != nil {
@@ -180,8 +203,10 @@ func ReadFrame(r io.Reader, maxPayload int) (Frame, error) {
 	if maxPayload <= 0 {
 		maxPayload = DefaultMaxPayload
 	}
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	head := headPool.Get().(*[headerLen + traceBlockLen]byte)
+	defer headPool.Put(head)
+	hdr := head[:headerLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		if errors.Is(err, io.EOF) && err != io.ErrUnexpectedEOF {
 			return Frame{}, io.EOF
 		}
@@ -207,8 +232,8 @@ func ReadFrame(r io.Reader, maxPayload int) (Frame, error) {
 	}
 	var tc trace.Context
 	if flags&FlagTrace != 0 {
-		var blk [traceBlockLen]byte
-		if _, err := io.ReadFull(r, blk[:]); err != nil {
+		blk := head[headerLen:]
+		if _, err := io.ReadFull(r, blk); err != nil {
 			if errors.Is(err, io.EOF) {
 				err = io.ErrUnexpectedEOF
 			}
@@ -229,8 +254,8 @@ func ReadFrame(r io.Reader, maxPayload int) (Frame, error) {
 			return Frame{}, fmt.Errorf("%w: zero trace id", ErrTrace)
 		}
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readPayload(r, int(n))
+	if err != nil {
 		if errors.Is(err, io.EOF) {
 			// The header promised n payload bytes; any shortfall is a
 			// truncated frame, even at zero bytes read.
@@ -239,6 +264,27 @@ func ReadFrame(r io.Reader, maxPayload int) (Frame, error) {
 		return Frame{}, fmt.Errorf("wire: read payload: %w", err)
 	}
 	return Frame{Type: t, Payload: payload, Trace: tc}, nil
+}
+
+// readPayload reads exactly n bytes. Up to DefaultMaxPayload — every
+// batch, ack and page — that is one allocation of exactly n. A larger
+// announcement is not believed up front: the buffer doubles as bytes
+// actually arrive, so a header followed by nothing costs a peer twelve
+// bytes and this side at most DefaultMaxPayload, whatever the limit.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, DefaultMaxPayload))
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, err
+	}
+	for len(buf) < n {
+		grown := make([]byte, min(n, 2*len(buf)))
+		copy(grown, buf)
+		if _, err := io.ReadFull(r, grown[len(buf):]); err != nil {
+			return nil, err
+		}
+		buf = grown
+	}
+	return buf, nil
 }
 
 // Batch is the unit a client ships: records under a client-assigned
@@ -250,25 +296,25 @@ func ReadFrame(r io.Reader, maxPayload int) (Frame, error) {
 // records are versioned independently (accounting.CodecVersion) so
 // the attribution layout can evolve without a wire version bump.
 type Batch struct {
-	ID      string              `json:"id"`
-	Node    string              `json:"node"`
-	Records []eard.JobRecord    `json:"records"`
-	Acct    []accounting.Record `json:"acct,omitempty"`
+	ID      string
+	Node    string
+	Records []eard.JobRecord
+	Acct    []accounting.Record
 }
 
 // Ack acknowledges one batch. Accepted counts fresh records,
 // Duplicate identical re-deliveries, Replaced records that updated an
 // existing (job, step, node) entry with different content.
 type Ack struct {
-	BatchID   string `json:"batch_id"`
-	Accepted  int    `json:"accepted"`
-	Duplicate int    `json:"duplicate"`
-	Replaced  int    `json:"replaced"`
+	BatchID   string
+	Accepted  int
+	Duplicate int
+	Replaced  int
 }
 
 // ErrorFrame reports a failure to the peer.
 type ErrorFrame struct {
-	Message string `json:"message"`
+	Message string
 }
 
 // Query asks the server for a snapshot. Kind selects the view; Job
@@ -276,13 +322,13 @@ type ErrorFrame struct {
 // scope and paginate the "acct_jobs" kind (Job doubles as its job
 // filter).
 type Query struct {
-	Kind   string  `json:"kind"`
-	Job    string  `json:"job,omitempty"`
-	Step   string  `json:"step,omitempty"`
-	User   string  `json:"user,omitempty"`
-	Since  float64 `json:"since,omitempty"`
-	Limit  int     `json:"limit,omitempty"`
-	Cursor string  `json:"cursor,omitempty"`
+	Kind   string
+	Job    string
+	Step   string
+	User   string
+	Since  float64
+	Limit  int
+	Cursor string
 }
 
 // Query kinds.
@@ -317,96 +363,13 @@ const (
 // It advances on every accepted or replaced record — node report or
 // accounting record alike — so equality implies identical contents.
 type Generation struct {
-	Gen uint64 `json:"gen"`
+	Gen uint64
 }
 
 // NodePower is one node's last reported DC power, the element of a
-// QueryNodePowers result.
+// QueryNodePowers result. The JSON tags serve snapshot renderings, not
+// the wire.
 type NodePower struct {
 	Node   string  `json:"node"`
 	PowerW float64 `json:"power_w"`
-}
-
-// Result wraps a query response as raw JSON for the caller to decode
-// into the kind-specific shape.
-type Result struct {
-	Kind string          `json:"kind"`
-	Data json.RawMessage `json:"data"`
-}
-
-// Decode unmarshals the result data into the kind-specific shape.
-func (r Result) Decode(v any) error {
-	if err := json.Unmarshal(r.Data, v); err != nil {
-		return fmt.Errorf("wire: decode %s result: %w", r.Kind, err)
-	}
-	return nil
-}
-
-// EncodeBatch builds a TypeBatch frame.
-func EncodeBatch(b Batch) (Frame, error) { return marshal(TypeBatch, b) }
-
-// EncodeAck builds a TypeAck frame.
-func EncodeAck(a Ack) (Frame, error) { return marshal(TypeAck, a) }
-
-// EncodeError builds a TypeError frame.
-func EncodeError(msg string) (Frame, error) { return marshal(TypeError, ErrorFrame{Message: msg}) }
-
-// EncodeQuery builds a TypeQuery frame.
-func EncodeQuery(q Query) (Frame, error) { return marshal(TypeQuery, q) }
-
-// EncodeResult builds a TypeResult frame around already-encoded data.
-func EncodeResult(kind string, data any) (Frame, error) {
-	raw, err := json.Marshal(data)
-	if err != nil {
-		return Frame{}, fmt.Errorf("wire: encode result data: %w", err)
-	}
-	return marshal(TypeResult, Result{Kind: kind, Data: raw})
-}
-
-func marshal(t Type, v any) (Frame, error) {
-	p, err := json.Marshal(v)
-	if err != nil {
-		return Frame{}, fmt.Errorf("wire: encode %s: %w", t, err)
-	}
-	return Frame{Type: t, Payload: p}, nil
-}
-
-// AsBatch decodes a TypeBatch frame.
-func (f Frame) AsBatch() (Batch, error) {
-	var b Batch
-	return b, f.unmarshal(TypeBatch, &b)
-}
-
-// AsAck decodes a TypeAck frame.
-func (f Frame) AsAck() (Ack, error) {
-	var a Ack
-	return a, f.unmarshal(TypeAck, &a)
-}
-
-// AsError decodes a TypeError frame.
-func (f Frame) AsError() (ErrorFrame, error) {
-	var e ErrorFrame
-	return e, f.unmarshal(TypeError, &e)
-}
-
-// AsQuery decodes a TypeQuery frame.
-func (f Frame) AsQuery() (Query, error) {
-	var q Query
-	return q, f.unmarshal(TypeQuery, &q)
-}
-
-// AsResult decodes a TypeResult frame.
-func (f Frame) AsResult() (Result, error) {
-	var r Result
-	return r, f.unmarshal(TypeResult, &r)
-}
-
-func (f Frame) unmarshal(want Type, v any) error {
-	if f.Type != want {
-		return fmt.Errorf("wire: frame is %s, not %s", f.Type, want)
-	}
-	if err := json.Unmarshal(f.Payload, v); err != nil {
-		return fmt.Errorf("wire: decode %s payload: %w", want, err)
-	}
-	return nil
 }
