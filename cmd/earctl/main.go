@@ -38,6 +38,7 @@ import (
 	"goear/internal/eard"
 	"goear/internal/eardbd"
 	"goear/internal/eardbd/fed"
+	"goear/internal/eardbd/ring"
 	"goear/internal/experiments"
 	"goear/internal/msr"
 	"goear/internal/policy"
@@ -312,12 +313,7 @@ func parseEndpoints(addr, unixSock string) (network string, targets []string, er
 	if unixSock != "" {
 		return "unix", []string{unixSock}, nil
 	}
-	for _, part := range strings.Split(addr, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			targets = append(targets, part)
-		}
-	}
-	if len(targets) == 0 {
+	if targets = ring.ParseMembers(addr); len(targets) == 0 {
 		return "", nil, fmt.Errorf("-addr lists no endpoints")
 	}
 	return "tcp", targets, nil
@@ -335,15 +331,7 @@ func dialEndpoints(network string, targets []string, maxFrame int) (net.Conn, fu
 		}
 		return conn, func() { conn.Close() }, nil
 	}
-	cfg := fed.Config{MaxFramePayload: maxFrame}
-	for _, a := range targets {
-		a := a
-		cfg.Shards = append(cfg.Shards, fed.Shard{
-			Name: a,
-			Dial: func() (net.Conn, error) { return net.Dial("tcp", a) },
-		})
-	}
-	root, err := fed.NewRoot(cfg)
+	root, err := fed.NewRoot(fed.Config{Shards: fed.ShardsAt(targets, nil), MaxFramePayload: maxFrame})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -383,14 +371,28 @@ func dbdCmd(args []string, out io.Writer) error {
 	}
 	defer cleanup()
 
-	switch kind {
-	case wire.QueryStats:
-		res, err := eardbd.Query(conn, wire.Query{Kind: kind}, *maxFrame)
+	// ask puts the query and decodes the answer into v.
+	ask := func(q wire.Query, v any) error {
+		res, err := eardbd.Query(conn, q, *maxFrame)
 		if err != nil {
 			return err
 		}
+		return res.Decode(v)
+	}
+	summaries := func(sums ...eard.JobSummary) error {
+		t := report.Table{Columns: []string{"job", "step", "nodes", "time(s)", "energy(J)", "avg power(W)"}}
+		for _, s := range sums {
+			if err := t.AddRow(s.JobID, s.StepID, fmt.Sprint(s.Nodes),
+				report.F(s.TimeSec, 2), report.F(s.EnergyJ, 0), report.F(s.AvgPower, 2)); err != nil {
+				return err
+			}
+		}
+		return t.Render(out)
+	}
+	switch kind {
+	case wire.QueryStats:
 		var st eardbd.Stats
-		if err := res.Decode(&st); err != nil {
+		if err := ask(wire.Query{Kind: kind}, &st); err != nil {
 			return err
 		}
 		t := report.Table{Title: "eardbd activity", Columns: []string{"counter", "value"}}
@@ -401,6 +403,9 @@ func dbdCmd(args []string, out io.Writer) error {
 			{"records accepted", fmt.Sprint(st.RecordsAccepted)},
 			{"records duplicate", fmt.Sprint(st.RecordsDuplicate)},
 			{"records replaced", fmt.Sprint(st.RecordsReplaced)},
+			{"acct accepted", fmt.Sprint(st.AcctAccepted)},
+			{"acct duplicate", fmt.Sprint(st.AcctDuplicate)},
+			{"acct replaced", fmt.Sprint(st.AcctReplaced)},
 			{"batches rejected", fmt.Sprint(st.BatchesRejected)},
 			{"protocol errors", fmt.Sprint(st.ProtocolErrors)},
 			{"queries", fmt.Sprint(st.Queries)},
@@ -411,12 +416,8 @@ func dbdCmd(args []string, out io.Writer) error {
 		}
 		return t.Render(out)
 	case wire.QueryAggregate:
-		res, err := eardbd.Query(conn, wire.Query{Kind: kind}, *maxFrame)
-		if err != nil {
-			return err
-		}
 		var agg eardbd.Aggregate
-		if err := res.Decode(&agg); err != nil {
+		if err := ask(wire.Query{Kind: kind}, &agg); err != nil {
 			return err
 		}
 		t := report.Table{Title: "cluster aggregate", Columns: []string{"nodes", "DC power (W)", "energy (kJ)", "records"}}
@@ -426,40 +427,20 @@ func dbdCmd(args []string, out io.Writer) error {
 		}
 		return t.Render(out)
 	case wire.QueryJobs:
-		res, err := eardbd.Query(conn, wire.Query{Kind: kind}, *maxFrame)
-		if err != nil {
-			return err
-		}
 		var sums []eard.JobSummary
-		if err := res.Decode(&sums); err != nil {
+		if err := ask(wire.Query{Kind: kind}, &sums); err != nil {
 			return err
 		}
-		t := report.Table{Columns: []string{"job", "step", "nodes", "time(s)", "energy(J)", "avg power(W)"}}
-		for _, s := range sums {
-			if err := t.AddRow(s.JobID, s.StepID, fmt.Sprint(s.Nodes),
-				report.F(s.TimeSec, 2), report.F(s.EnergyJ, 0), report.F(s.AvgPower, 2)); err != nil {
-				return err
-			}
-		}
-		return t.Render(out)
+		return summaries(sums...)
 	case wire.QuerySummary:
 		if *job == "" {
 			return fmt.Errorf("summary needs -job (and usually -step)")
 		}
-		res, err := eardbd.Query(conn, wire.Query{Kind: kind, Job: *job, Step: *step}, *maxFrame)
-		if err != nil {
-			return err
-		}
 		var s eard.JobSummary
-		if err := res.Decode(&s); err != nil {
+		if err := ask(wire.Query{Kind: kind, Job: *job, Step: *step}, &s); err != nil {
 			return err
 		}
-		t := report.Table{Columns: []string{"job", "step", "nodes", "time(s)", "energy(J)", "avg power(W)"}}
-		if err := t.AddRow(s.JobID, s.StepID, fmt.Sprint(s.Nodes),
-			report.F(s.TimeSec, 2), report.F(s.EnergyJ, 0), report.F(s.AvgPower, 2)); err != nil {
-			return err
-		}
-		return t.Render(out)
+		return summaries(s)
 	default:
 		return fmt.Errorf("unknown dbd query %q (stats, aggregate, jobs, summary)", kind)
 	}

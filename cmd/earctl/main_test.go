@@ -4,9 +4,12 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
+	"goear/internal/accounting"
 	"goear/internal/eard"
 	"goear/internal/eardbd"
 	"goear/internal/wire"
@@ -168,8 +171,56 @@ func TestReportCommand(t *testing.T) {
 	}
 }
 
+// acctRec builds one job accounting record for node with the given
+// package energy.
+func acctRec(t *testing.T, node string, pkgJ float64) accounting.Record {
+	t.Helper()
+	r, err := accounting.NewRecord(
+		accounting.Meta{JobID: "j1", StepID: "0", User: "alice"},
+		accounting.Window{Node: node, EndSec: 100},
+		accounting.Energy{PkgJ: pkgJ, NodeJ: 2 * pkgJ},
+		accounting.Rates{AvgCPUGHz: 2.1, AvgIMCGHz: 2.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// sendBatch delivers one batch to addr and requires its ack.
+func sendBatch(t *testing.T, addr string, b wire.Batch) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	f, err := wire.EncodeBatch(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.WriteFrame(conn, f, 0); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := wire.ReadFrame(conn, 0); err != nil || resp.Type != wire.TypeAck {
+		t.Fatalf("batch %s not acked: %v %v", b.ID, resp.Type, err)
+	}
+}
+
+// wantStatsRows asserts counter rows of a rendered `dbd stats` table.
+func wantStatsRows(t *testing.T, out string, rows map[string]int) {
+	t.Helper()
+	for name, want := range rows {
+		m := regexp.MustCompile(`(?m)^` + name + ` +(\d+) *$`).FindStringSubmatch(out)
+		if m == nil || m[1] != strconv.Itoa(want) {
+			t.Errorf("stats row %q = %v, want %d in:\n%s", name, m, want, out)
+		}
+	}
+}
+
 // startDBD serves an eardbd on an ephemeral TCP port, seeded through
-// the wire protocol so node powers are tracked like live reports.
+// the wire protocol so node powers are tracked like live reports: three
+// node records, and job accounting records landing once as new, once
+// as an identical re-delivery and once as an update.
 func startDBD(t *testing.T) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -180,26 +231,15 @@ func startDBD(t *testing.T) string {
 	go func() { _ = srv.Serve(l) }()
 	t.Cleanup(func() { _ = srv.Close() })
 
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	f, err := wire.EncodeBatch(wire.Batch{ID: "seed/1", Node: "n01", Records: []eard.JobRecord{
+	addr := l.Addr().String()
+	sendBatch(t, addr, wire.Batch{ID: "seed/1", Node: "n01", Records: []eard.JobRecord{
 		{JobID: "j1", StepID: "0", Node: "n01", App: "lulesh", TimeSec: 100, EnergyJ: 30000, AvgPower: 300},
 		{JobID: "j1", StepID: "0", Node: "n02", App: "lulesh", TimeSec: 100, EnergyJ: 31000, AvgPower: 310},
 		{JobID: "j2", StepID: "0", Node: "n01", App: "hpcg", TimeSec: 50, EnergyJ: 12500, AvgPower: 250},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.WriteFrame(conn, f, 0); err != nil {
-		t.Fatal(err)
-	}
-	if resp, err := wire.ReadFrame(conn, 0); err != nil || resp.Type != wire.TypeAck {
-		t.Fatalf("seed batch not acked: %v %v", resp.Type, err)
-	}
-	return l.Addr().String()
+	}, Acct: []accounting.Record{acctRec(t, "n01", 9000), acctRec(t, "n02", 9100)}})
+	sendBatch(t, addr, wire.Batch{ID: "seed/2", Node: "n01",
+		Acct: []accounting.Record{acctRec(t, "n01", 9000), acctRec(t, "n02", 9500)}})
+	return addr
 }
 
 func TestDbdQueries(t *testing.T) {
@@ -222,6 +262,9 @@ func TestDbdQueries(t *testing.T) {
 	if !strings.Contains(out, "eardbd activity") || !strings.Contains(out, "queries") {
 		t.Errorf("stats output = %q", out)
 	}
+	wantStatsRows(t, out, map[string]int{
+		"records accepted": 3, "acct accepted": 2, "acct duplicate": 1, "acct replaced": 1,
+	})
 }
 
 // TestParseEndpoints pins the dbd target-flag grammar: one unix
@@ -281,23 +324,9 @@ func TestDbdFederatedQuery(t *testing.T) {
 	srv := eardbd.NewServer(eard.NewDB(), eardbd.Config{})
 	go func() { _ = srv.Serve(l) }()
 	t.Cleanup(func() { _ = srv.Close() })
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	f, err := wire.EncodeBatch(wire.Batch{ID: "seed2/1", Node: "n03", Records: []eard.JobRecord{
+	sendBatch(t, l.Addr().String(), wire.Batch{ID: "seed2/1", Node: "n03", Records: []eard.JobRecord{
 		{JobID: "j3", StepID: "0", Node: "n03", App: "lulesh", TimeSec: 100, EnergyJ: 40000, AvgPower: 400},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.WriteFrame(conn, f, 0); err != nil {
-		t.Fatal(err)
-	}
-	if resp, err := wire.ReadFrame(conn, 0); err != nil || resp.Type != wire.TypeAck {
-		t.Fatalf("seed batch not acked: %v %v", resp.Type, err)
-	}
+	}, Acct: []accounting.Record{acctRec(t, "n03", 9900)}})
 
 	both := addr1 + "," + l.Addr().String()
 	// 250 + 310 + 400 W across three nodes.
@@ -311,6 +340,10 @@ func TestDbdFederatedQuery(t *testing.T) {
 			t.Errorf("federated jobs output missing %q: %q", want, out)
 		}
 	}
+	// The shard list sums both daemons' ingest counters.
+	wantStatsRows(t, capture(t, []string{"dbd", "-addr", both, "stats"}), map[string]int{
+		"records accepted": 4, "acct accepted": 3, "acct duplicate": 1, "acct replaced": 1,
+	})
 }
 
 func TestDbdErrors(t *testing.T) {

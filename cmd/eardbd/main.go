@@ -37,7 +37,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -46,17 +45,11 @@ import (
 	"goear/internal/eard"
 	"goear/internal/eardbd"
 	"goear/internal/eardbd/fed"
+	"goear/internal/eardbd/ring"
 	"goear/internal/eargm"
 	"goear/internal/telemetry"
 	"goear/internal/telemetry/trace"
 )
-
-// wireService is the part of a Server or a fed.Root the listener
-// plumbing needs; both speak the same wire protocol.
-type wireService interface {
-	Serve(net.Listener) error
-	Close() error
-}
 
 func main() {
 	quit := make(chan struct{})
@@ -129,7 +122,7 @@ func run(args []string, out io.Writer, ready chan<- []string, quit <-chan struct
 	start := time.Now()
 	wallSec := func() float64 { return time.Since(start).Seconds() }
 
-	var svc wireService
+	var svc *eardbd.Front // the wire front end a Server and a fed.Root share
 	var db *eard.DB
 	var srv *eardbd.Server
 	var root *fed.Root
@@ -143,13 +136,9 @@ func run(args []string, out io.Writer, ready chan<- []string, quit <-chan struct
 		case *acctRetain != 0:
 			return fmt.Errorf("-acct-retain is ingest-only: a federation root keeps no accounting store")
 		}
-		cfg := fed.Config{MaxFramePayload: *maxFrame, Telemetry: telSet, Trace: traceBuf, Now: wallSec}
-		for _, addr := range splitList(*fedShards) {
-			addr := addr
-			cfg.Shards = append(cfg.Shards, fed.Shard{
-				Name: addr,
-				Dial: func() (net.Conn, error) { return net.Dial("tcp", addr) },
-			})
+		cfg := fed.Config{
+			Shards:          fed.ShardsAt(ring.ParseMembers(*fedShards), nil),
+			MaxFramePayload: *maxFrame, Telemetry: telSet, Trace: traceBuf, Now: wallSec,
 		}
 		var err error
 		root, err = fed.NewRoot(cfg)
@@ -157,7 +146,7 @@ func run(args []string, out io.Writer, ready chan<- []string, quit <-chan struct
 			return err
 		}
 		fmt.Fprintf(out, "eardbd: federation root over %d shards\n", len(cfg.Shards))
-		svc = root
+		svc = &root.Front
 
 		if *cascadeBudget > 0 {
 			var islands []eargm.Island
@@ -235,7 +224,7 @@ func run(args []string, out io.Writer, ready chan<- []string, quit <-chan struct
 			}
 		}
 		srv = eardbd.NewServer(db, eardbd.Config{MaxFramePayload: *maxFrame, MaxBatchRecords: *maxBatch, AcctMaxRecords: *acctRetain, Telemetry: telSet, Trace: traceBuf, Now: wallSec})
-		svc = srv
+		svc = &srv.Front
 	}
 
 	if telLn != nil {
@@ -333,15 +322,4 @@ func run(args []string, out io.Writer, ready chan<- []string, quit <-chan struct
 			db.Len(), *dbPath, st.Batches, st.RecordsAccepted, st.RecordsDuplicate, st.RecordsReplaced)
 	}
 	return firstErr
-}
-
-// splitList splits a comma-separated list, dropping empty elements.
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }

@@ -25,7 +25,6 @@ import (
 	"math/rand"
 	"net"
 	"os"
-	"strings"
 	"time"
 
 	"goear/internal/eard"
@@ -112,11 +111,9 @@ func run(args []string, out io.Writer) error {
 	case *addrList != "":
 		// Ring placement: the same owner every reporting client and the
 		// federation pick for this node.
-		rg := ring.New(0)
-		for _, a := range splitList(*addrList) {
-			if err := rg.Add(a); err != nil {
-				return err
-			}
+		rg, err := ring.NewWithMembers(0, ring.ParseMembers(*addrList))
+		if err != nil {
+			return err
 		}
 		owner, ok := rg.Owner(*node)
 		if !ok {
@@ -171,36 +168,13 @@ func run(args []string, out io.Writer) error {
 	}
 	if traceBuf != nil {
 		spans := traceBuf.Canonical()
-		if *tracesOut == "-" {
-			if err := trace.WriteJSONLines(out, spans); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		} else {
-			tf, err := os.Create(*tracesOut)
-			if err != nil {
-				return err
-			}
-			werr := trace.WriteJSONLines(tf, spans)
-			cerr := tf.Close()
-			if werr != nil && firstErr == nil {
-				firstErr = werr
-			}
-			if cerr != nil && firstErr == nil {
-				firstErr = cerr
-			}
+		err := trace.WriteJSONLinesTo(*tracesOut, out, spans)
+		if err == nil && *tracesOut != "-" {
 			fmt.Fprintf(out, "eardsend: %d span(s) written to %s\n", len(spans), *tracesOut)
+		}
+		if firstErr == nil {
+			firstErr = err
 		}
 	}
 	return firstErr
-}
-
-// splitList splits a comma-separated list, dropping empty elements.
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }

@@ -33,6 +33,7 @@ import (
 	"goear/internal/accounting"
 	"goear/internal/eardbd"
 	"goear/internal/eardbd/fed"
+	"goear/internal/eardbd/ring"
 	"goear/internal/loadgen"
 	"goear/internal/telemetry"
 	"goear/internal/telemetry/trace"
@@ -86,7 +87,6 @@ func run(args []string, out io.Writer) error {
 	tracesOut := fs.String("traces-out", "", "write the canonical span export as JSON lines here ('-' = stdout); implies -trace")
 	simWl := fs.String("sim", "", "run a coordinated cluster simulation campaign of this catalogue workload instead of an ingest burst")
 	simNodes := fs.Int("sim-nodes", 1024, "simulated cluster size for -sim")
-	simShards := fs.Int("sim-shards", 0, "batch stepping kernels for -sim (0 = derive from -workers)")
 	simBudget := fs.Float64("sim-budget", 0, "site power budget in watts for -sim (0 = uncapped)")
 	simPolicy := fs.String("sim-policy", "none", "EARL policy for -sim")
 	exact := fs.Bool("exact", false, "with -sim: disable the macro-step fast-forward (slower, per-tick integration)")
@@ -101,7 +101,6 @@ func run(args []string, out io.Writer) error {
 			Policy:   *simPolicy,
 			Seed:     *seed,
 			Workers:  *workers,
-			Shards:   *simShards,
 			Exact:    *exact,
 			BudgetW:  *simBudget,
 		})
@@ -160,7 +159,7 @@ func run(args []string, out io.Writer) error {
 		if *kill != "" || *restart != "" {
 			return fmt.Errorf("fault injection needs in-process shards, not -addrs")
 		}
-		eps, err := loadgen.NewEndpoints(splitList(*addrs), func(addr string) (net.Conn, error) {
+		eps, err := loadgen.NewEndpoints(ring.ParseMembers(*addrs), func(addr string) (net.Conn, error) {
 			return net.Dial("tcp", addr)
 		})
 		if err != nil {
@@ -345,24 +344,8 @@ func run(args []string, out io.Writer) error {
 	if traceBuf != nil {
 		fmt.Fprintf(out, "earload: %d spans recorded (%d dropped)\n", traceBuf.Len(), traceBuf.Dropped())
 		if *tracesOut != "" {
-			spans := traceBuf.Canonical()
-			if *tracesOut == "-" {
-				if err := trace.WriteJSONLines(out, spans); err != nil {
-					return err
-				}
-			} else {
-				f, err := os.Create(*tracesOut)
-				if err != nil {
-					return err
-				}
-				werr := trace.WriteJSONLines(f, spans)
-				cerr := f.Close()
-				if werr != nil {
-					return werr
-				}
-				if cerr != nil {
-					return cerr
-				}
+			if err := trace.WriteJSONLinesTo(*tracesOut, out, traceBuf.Canonical()); err != nil {
+				return err
 			}
 		}
 	}
@@ -395,15 +378,4 @@ func percentiles(samples []float64) (n int, p50, p95, p99 float64) {
 // fmtSec renders a duration in seconds at microsecond resolution.
 func fmtSec(sec float64) string {
 	return time.Duration(sec * float64(time.Second)).Round(time.Microsecond).String()
-}
-
-// splitList splits a comma-separated list, dropping empty elements.
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }

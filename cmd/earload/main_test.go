@@ -68,7 +68,7 @@ func TestEarloadFlagErrors(t *testing.T) {
 
 // TestEarloadSimCampaign drives the -sim mode: a coordinated batch-
 // stepped cluster campaign whose one-line summary must be identical at
-// any shard count.
+// any worker count (one batch kernel per worker).
 func TestEarloadSimCampaign(t *testing.T) {
 	simOut := func(extra ...string) string {
 		t.Helper()
@@ -84,8 +84,9 @@ func TestEarloadSimCampaign(t *testing.T) {
 		t.Fatalf("unexpected summary: %q", ref)
 	}
 	for _, extra := range [][]string{
-		{"-sim-shards", "3"},
-		{"-sim-shards", "2", "-workers", "4"},
+		{"-workers", "1"},
+		{"-workers", "2"},
+		{"-workers", "4"},
 	} {
 		if got := simOut(extra...); got != ref {
 			t.Errorf("%v: summary differs\n got: %s\nwant: %s", extra, got, ref)

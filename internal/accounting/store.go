@@ -1,35 +1,43 @@
 package accounting
 
 import (
-	"sort"
+	"cmp"
+	"strings"
 	"sync"
 
+	"goear/internal/grouped"
 	"goear/internal/telemetry"
 )
 
-// Class is an ingest outcome, mirroring the eardbd record
-// classification so job records ride the same dedup semantics as node
-// reports: a byte-identical re-insert is a duplicate, a same-key
+// Class is an ingest outcome, shared with the node-report database so
+// job records ride the same dedup semantics as node reports: a
+// byte-identical re-insert is a duplicate, a same-key
 // different-payload insert replaces.
-type Class int
+type Class = grouped.Class
 
 const (
-	ClassAccepted Class = iota
-	ClassDuplicate
-	ClassReplaced
+	ClassAccepted  = grouped.Accepted
+	ClassDuplicate = grouped.Duplicate
+	ClassReplaced  = grouped.Replaced
 )
 
-// Store holds job energy records keyed by (job, step, node, phase)
-// and serves them read-optimised: the canonical sorted snapshot is
-// built once per generation and handed out until the next mutating
-// insert invalidates it, so a query storm between ingest batches
-// sorts nothing.
+// nodePhase is the part of a record's key inside its (job, step)
+// group.
+type nodePhase struct {
+	node  string
+	phase int
+}
+
+// Store holds job energy records keyed by (job, step, node, phase) in
+// the shared grouped store and serves them read-optimised: the
+// canonical sorted snapshot is built once per generation and handed
+// out until the next mutating insert invalidates it, so a query storm
+// between ingest batches sorts nothing.
 type Store struct {
 	tel storeTel
 
 	mu   sync.Mutex
-	recs map[Key]Record
-	gen  uint64
+	recs *grouped.Store[Record, nodePhase]
 	// maxRecords, when positive, caps the resident record count:
 	// crossing it evicts whole (job, step) groups, oldest window first,
 	// until the store fits again.
@@ -44,8 +52,13 @@ type Store struct {
 // telemetry.Default() to opt into the process-wide set.
 func NewStore(ts *telemetry.Set) *Store {
 	return &Store{
-		tel:  newStoreTel(ts),
-		recs: make(map[Key]Record),
+		tel: newStoreTel(ts),
+		recs: grouped.New(
+			func(r *Record) grouped.Group { return grouped.Group{Job: r.JobID, Step: r.StepID} },
+			func(r *Record) nodePhase { return nodePhase{r.Node, r.Phase} },
+			func(a, b nodePhase) int {
+				return cmp.Or(strings.Compare(a.node, b.node), cmp.Compare(a.phase, b.phase))
+			}),
 	}
 }
 
@@ -56,25 +69,19 @@ func (s *Store) Insert(r Record) (Class, error) {
 	if err := r.Validate(); err != nil {
 		return ClassAccepted, err
 	}
-	k := r.Key()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if prev, ok := s.recs[k]; ok {
-		if prev == r {
-			s.tel.ingDup.Inc()
-			return ClassDuplicate, nil
-		}
-		s.recs[k] = r
-		s.gen++
+	class := s.recs.Insert(&r)
+	switch class {
+	case ClassDuplicate:
+		s.tel.ingDup.Inc()
+	case ClassReplaced:
 		s.tel.ingRepl.Inc()
-		return ClassReplaced, nil
+	default:
+		s.tel.ingAccept.Inc()
+		s.pruneLocked()
 	}
-	s.recs[k] = r
-	s.gen++
-	s.tel.ingAccept.Inc()
-	s.pruneLocked()
-	s.tel.records.Set(float64(len(s.recs)))
-	return ClassAccepted, nil
+	return class, nil
 }
 
 // SetMaxRecords installs (or with 0 removes) the retention cap and
@@ -84,7 +91,6 @@ func (s *Store) SetMaxRecords(n int) {
 	defer s.mu.Unlock()
 	s.maxRecords = n
 	s.pruneLocked()
-	s.tel.records.Set(float64(len(s.recs)))
 }
 
 // MaxRecords reports the retention cap (0 = unlimited).
@@ -94,63 +100,16 @@ func (s *Store) MaxRecords() int {
 	return s.maxRecords
 }
 
-// pruneLocked enforces the retention cap by evicting whole (job, step)
-// groups — a job step's records age out together, never partially —
-// oldest first by the group's latest window end, ties broken by key
-// order so two stores with identical contents prune identically. Any
-// eviction bumps the generation: stacked snapshot caches must rebuild.
+// pruneLocked enforces the retention cap — whole (job, step) groups go,
+// oldest first by the group's latest window end (see grouped.Prune);
+// any eviction moves the generation, so stacked snapshot caches
+// rebuild — and refreshes the resident-records gauge.
 func (s *Store) pruneLocked() {
-	if s.maxRecords <= 0 || len(s.recs) <= s.maxRecords {
-		return
+	if s.maxRecords > 0 {
+		evicted := s.recs.Prune(s.maxRecords, func(r *Record) float64 { return r.EndSec })
+		s.tel.pruned.Add(uint64(evicted))
 	}
-	type stepKey struct{ job, step string }
-	type group struct {
-		k     stepKey
-		end   float64 // latest window end in the group
-		count int
-	}
-	byStep := make(map[stepKey]int, len(s.recs))
-	groups := make([]group, 0, len(s.recs))
-	for k, r := range s.recs {
-		sk := stepKey{k.JobID, k.StepID}
-		if i, ok := byStep[sk]; ok {
-			groups[i].count++
-			if r.EndSec > groups[i].end {
-				groups[i].end = r.EndSec
-			}
-			continue
-		}
-		byStep[sk] = len(groups)
-		groups = append(groups, group{k: sk, end: r.EndSec, count: 1})
-	}
-	sort.Slice(groups, func(i, j int) bool {
-		if groups[i].end != groups[j].end {
-			return groups[i].end < groups[j].end
-		}
-		if groups[i].k.job != groups[j].k.job {
-			return groups[i].k.job < groups[j].k.job
-		}
-		return groups[i].k.step < groups[j].k.step
-	})
-	evict := make(map[stepKey]bool)
-	left := len(s.recs)
-	for _, g := range groups {
-		if left <= s.maxRecords {
-			break
-		}
-		evict[g.k] = true
-		left -= g.count
-	}
-	if len(evict) == 0 {
-		return
-	}
-	for k := range s.recs {
-		if evict[stepKey{k.JobID, k.StepID}] {
-			delete(s.recs, k)
-			s.tel.pruned.Inc()
-		}
-	}
-	s.gen++
+	s.tel.records.Set(float64(s.recs.Len()))
 }
 
 // Seed restores records wholesale — a daemon reloading its persisted
@@ -159,38 +118,33 @@ func (s *Store) pruneLocked() {
 func (s *Store) Seed(recs []Record) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, r := range recs {
-		s.recs[r.Key()] = r
-	}
-	if len(recs) > 0 {
-		s.gen++
+	for i := range recs {
+		s.recs.Insert(&recs[i])
 	}
 	s.pruneLocked()
-	s.tel.records.Set(float64(len(s.recs)))
 }
 
 // Get returns the record stored under k, if any.
 func (s *Store) Get(k Key) (Record, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r, ok := s.recs[k]
-	return r, ok
+	return s.recs.Get(grouped.Group{Job: k.JobID, Step: k.StepID}, nodePhase{k.Node, k.Phase})
 }
 
 // Len reports the resident record count.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.recs)
+	return s.recs.Len()
 }
 
 // Generation reports the mutation counter: it advances on every
-// accepted or replaced record and never otherwise, so equal
-// generations imply identical store contents.
+// accepted or replaced record and every eviction and never otherwise,
+// so equal generations imply identical store contents.
 func (s *Store) Generation() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.gen
+	return s.recs.Generation()
 }
 
 // Snapshot returns the canonical (Key-ordered) dump of the store. The
@@ -204,20 +158,16 @@ func (s *Store) Snapshot() []Record {
 }
 
 func (s *Store) snapshotLocked() []Record {
-	if s.snapOK && s.snapGen == s.gen {
+	gen := s.recs.Generation()
+	if s.snapOK && s.snapGen == gen {
 		s.tel.cacheHit.Inc()
 		return s.snap
 	}
 	s.tel.cacheMiss.Inc()
-	snap := make([]Record, 0, len(s.recs))
-	for _, r := range s.recs {
-		snap = append(snap, r)
-	}
-	sort.Slice(snap, func(i, j int) bool { return snap[i].Key().Less(snap[j].Key()) })
-	s.snap = snap
-	s.snapGen = s.gen
+	s.snap = s.recs.Append(make([]Record, 0, s.recs.Len()))
+	s.snapGen = gen
 	s.snapOK = true
-	return snap
+	return s.snap
 }
 
 // Query serves one filtered, cursor-paginated page over the canonical

@@ -10,7 +10,9 @@ import (
 )
 
 // Determinism rejects sources of run-to-run variation in the
-// simulation, experiment, policy, wire, eardbd and loadgen packages
+// simulation, experiment, policy, wire, eardbd, loadgen and grouped
+// (the aggregation tier's record store, whose canonical dumps are
+// built from map iterations) packages
 // — including the struct-of-arrays batch stepping kernels, whose
 // fast-path replay must stay a pure function of the seed. The whole
 // experiment engine promises byte-identical output across worker
@@ -26,10 +28,10 @@ var Determinism = &analysis.Analyzer{
 	Doc: "forbid wall-clock reads (time.Now/Since/Until), global math/rand draws, " +
 		"and output or slice building in bare map-iteration order inside " +
 		"internal/sim, internal/experiments, internal/policy, " +
-		"internal/wire, internal/eardbd and internal/loadgen; " +
+		"internal/wire, internal/eardbd, internal/loadgen and internal/grouped; " +
 		"explicitly seeded *rand.Rand generators remain allowed",
 	Scope: []string{"internal/sim", "internal/experiments", "internal/policy",
-		"internal/wire", "internal/eardbd", "internal/loadgen"},
+		"internal/wire", "internal/eardbd", "internal/loadgen", "internal/grouped"},
 	Run: runDeterminism,
 }
 

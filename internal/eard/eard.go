@@ -8,14 +8,14 @@
 package eard
 
 import (
-	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"strings"
 	"sync"
+
+	"goear/internal/grouped"
 )
 
 // JobRecord is one node's accounting entry for one job step, the unit
@@ -56,112 +56,64 @@ func (r JobRecord) Validate() error {
 	return nil
 }
 
-// stepKey identifies a job step, the unit records are grouped by.
-type stepKey struct{ job, step string }
-
-// group holds one job step's records, one per node, in a single slice:
-// inserting appends (or overwrites in place), so a record costs no
-// allocation of its own, and everything asked about a job step touches
-// only its group.
-type group struct {
-	key    stepKey
-	rows   []JobRecord
-	byNode map[string]int32 // node → index into rows
-	// unsorted is set when a node arrived out of name order; the next
-	// ordered read sorts rows once and reindexes.
-	unsorted bool
-}
-
-// sort puts rows in node order. Callers hold the write lock.
-func (g *group) sort() {
-	if !g.unsorted {
-		return
-	}
-	slices.SortFunc(g.rows, func(a, b JobRecord) int { return strings.Compare(a.Node, b.Node) })
-	for i := range g.rows {
-		g.byNode[g.rows[i].Node] = int32(i)
-	}
-	g.unsorted = false
-}
-
-// DB is an in-memory accounting database with JSON persistence.
+// DB is an in-memory accounting database with JSON persistence: the
+// shared grouped store keyed by (job, step) and node, behind a lock,
+// with validation on the way in.
 type DB struct {
-	mu     sync.RWMutex
-	groups map[stepKey]*group
-	n      int
+	mu   sync.RWMutex
+	recs *grouped.Store[JobRecord, string]
+}
+
+func newRecords() *grouped.Store[JobRecord, string] {
+	return grouped.New(
+		func(r *JobRecord) grouped.Group { return grouped.Group{Job: r.JobID, Step: r.StepID} },
+		func(r *JobRecord) string { return r.Node },
+		strings.Compare)
 }
 
 // NewDB returns an empty accounting database.
-func NewDB() *DB { return &DB{groups: map[stepKey]*group{}} }
+func NewDB() *DB { return &DB{recs: newRecords()} }
 
 // Insert stores (or replaces) a record.
 func (db *DB) Insert(r JobRecord) error {
+	_, err := db.Put(r)
+	return err
+}
+
+// Put stores a record and reports how it was classified: accepted
+// under a new (job, step, node) key, a duplicate of the record already
+// there, or its replacement. The database daemon counts re-deliveries
+// and genuine updates by it.
+func (db *DB) Put(r JobRecord) (grouped.Class, error) {
 	if err := r.Validate(); err != nil {
-		return err
+		return grouped.Accepted, err
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.insertLocked(r)
-	return nil
-}
-
-func (db *DB) insertLocked(r JobRecord) {
-	k := stepKey{r.JobID, r.StepID}
-	g := db.groups[k]
-	if g == nil {
-		g = &group{key: k, byNode: map[string]int32{}}
-		db.groups[k] = g
-	}
-	if i, ok := g.byNode[r.Node]; ok {
-		g.rows[i] = r
-		return
-	}
-	if n := len(g.rows); n > 0 && r.Node < g.rows[n-1].Node {
-		g.unsorted = true
-	}
-	g.byNode[r.Node] = int32(len(g.rows))
-	g.rows = append(g.rows, r)
-	db.n++
+	return db.recs.Insert(&r), nil
 }
 
 // Get returns the stored record for one (job, step, node) key, if any.
-// The database daemon uses it to classify incoming records as fresh,
-// identical re-deliveries, or genuine updates.
 func (db *DB) Get(jobID, stepID, node string) (JobRecord, bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if g := db.groups[stepKey{jobID, stepID}]; g != nil {
-		if i, ok := g.byNode[node]; ok {
-			return g.rows[i], true
-		}
-	}
-	return JobRecord{}, false
+	return db.recs.Get(grouped.Group{Job: jobID, Step: stepID}, node)
 }
 
 // Len returns the number of records.
 func (db *DB) Len() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.n
-}
-
-// sortedRows returns one job step's rows in node order (nil when the
-// step has none). Callers hold the write lock, which the one-off sort
-// of a group that took nodes out of order needs.
-func (db *DB) sortedRows(k stepKey) []JobRecord {
-	g := db.groups[k]
-	if g == nil {
-		return nil
-	}
-	g.sort()
-	return g.rows
+	return db.recs.Len()
 }
 
 // Job returns all node records of one job step, sorted by node.
 func (db *DB) Job(jobID, stepID string) []JobRecord {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return slices.Clone(db.sortedRows(stepKey{jobID, stepID}))
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	var out []JobRecord
+	db.recs.Each(grouped.Group{Job: jobID, Step: stepID}, func(r *JobRecord) { out = append(out, *r) })
+	return out
 }
 
 // JobSummary aggregates a job step across nodes: total energy, the
@@ -175,49 +127,55 @@ type JobSummary struct {
 	AvgPower float64 `json:"avg_power_w"` // mean node power
 }
 
-// Summarize aggregates one job step, summing in node order. It
-// returns an error when the job has no records.
-func (db *DB) Summarize(jobID, stepID string) (JobSummary, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	recs := db.sortedRows(stepKey{jobID, stepID})
-	if len(recs) == 0 {
-		return JobSummary{}, fmt.Errorf("eard: no records for job %s step %s", jobID, stepID)
-	}
-	s := JobSummary{JobID: jobID, StepID: stepID, Nodes: len(recs)}
-	for i := range recs {
-		r := &recs[i]
+// summarize aggregates one job step, summing in node order; a step
+// with no records summarizes to zero Nodes. Callers hold the lock.
+func (db *DB) summarize(k grouped.Group) JobSummary {
+	s := JobSummary{JobID: k.Job, StepID: k.Step}
+	s.Nodes = db.recs.Each(k, func(r *JobRecord) {
 		if r.TimeSec > s.TimeSec {
 			s.TimeSec = r.TimeSec
 		}
 		s.EnergyJ += r.EnergyJ
 		s.AvgPower += r.AvgPower
+	})
+	if s.Nodes > 0 {
+		s.AvgPower /= float64(s.Nodes)
 	}
-	s.AvgPower /= float64(len(recs))
+	return s
+}
+
+// Summarize aggregates one job step, summing in node order. It
+// returns an error when the job has no records.
+func (db *DB) Summarize(jobID, stepID string) (JobSummary, error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	s := db.summarize(grouped.Group{Job: jobID, Step: stepID})
+	if s.Nodes == 0 {
+		return JobSummary{}, fmt.Errorf("eard: no records for job %s step %s", jobID, stepID)
+	}
 	return s, nil
 }
 
-// sortedGroups returns the groups in (job, step) order. Callers hold
-// the lock.
-func (db *DB) sortedGroups() []*group {
-	gs := make([]*group, 0, len(db.groups))
-	for _, g := range db.groups {
-		gs = append(gs, g)
+// Summaries aggregates every job step, in (job, step) order.
+func (db *DB) Summaries() []JobSummary {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	groups := db.recs.Groups()
+	out := make([]JobSummary, len(groups))
+	for i, k := range groups {
+		out[i] = db.summarize(k)
 	}
-	slices.SortFunc(gs, func(a, b *group) int {
-		return cmp.Or(strings.Compare(a.key.job, b.key.job), strings.Compare(a.key.step, b.key.step))
-	})
-	return gs
+	return out
 }
 
 // Jobs lists distinct (job, step) pairs, sorted.
 func (db *DB) Jobs() [][2]string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	gs := db.sortedGroups()
-	out := make([][2]string, len(gs))
-	for i, g := range gs {
-		out[i] = [2]string{g.key.job, g.key.step}
+	groups := db.recs.Groups()
+	out := make([][2]string, len(groups))
+	for i, k := range groups {
+		out[i] = [2]string{k.Job, k.Step}
 	}
 	return out
 }
@@ -226,14 +184,9 @@ func (db *DB) Jobs() [][2]string {
 // the canonical dump order shared by Save and the federation tier's
 // shard merges.
 func (db *DB) Records() []JobRecord {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	recs := make([]JobRecord, 0, db.n)
-	for _, g := range db.sortedGroups() {
-		g.sort()
-		recs = append(recs, g.rows...)
-	}
-	return recs
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.recs.Append(make([]JobRecord, 0, db.recs.Len()))
 }
 
 // Save writes the database as JSON.
@@ -249,15 +202,15 @@ func (db *DB) Load(r io.Reader) error {
 	if err := json.NewDecoder(r).Decode(&recs); err != nil {
 		return fmt.Errorf("eard: decode: %w", err)
 	}
-	fresh := NewDB()
-	for _, rec := range recs {
-		if err := rec.Validate(); err != nil {
+	fresh := newRecords()
+	for i := range recs {
+		if err := recs[i].Validate(); err != nil {
 			return err
 		}
-		fresh.insertLocked(rec)
+		fresh.Insert(&recs[i])
 	}
 	db.mu.Lock()
-	db.groups, db.n = fresh.groups, fresh.n
+	db.recs = fresh
 	db.mu.Unlock()
 	return nil
 }

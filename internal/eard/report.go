@@ -15,36 +15,54 @@ type AppAggregate struct {
 	AvgPowerW float64 `json:"avg_power_w"` // node-hour-weighted
 }
 
+// PolicyAggregate summarises recorded runs per policy.
+type PolicyAggregate struct {
+	Policy    string  `json:"policy"`
+	Jobs      int     `json:"jobs"`
+	NodeHours float64 `json:"node_hours"`
+	EnergyKJ  float64 `json:"energy_kj"`
+	AvgPowerW float64 `json:"avg_power_w"`
+}
+
+// usage is what both reports accumulate per label.
+type usage struct {
+	jobs                int
+	nodeHours, energyKJ float64
+	avgPowerW           float64
+}
+
+// usageBy totals the database per label(record), walking the records
+// in canonical order so the float sums do not depend on map order.
+func (db *DB) usageBy(label func(*JobRecord) string) map[string]usage {
+	acc := map[string]usage{}
+	jobsSeen := map[[3]string]bool{}
+	for _, r := range db.Records() {
+		l := label(&r)
+		u := acc[l]
+		if js := [3]string{l, r.JobID, r.StepID}; !jobsSeen[js] {
+			jobsSeen[js] = true
+			u.jobs++
+		}
+		u.nodeHours += r.TimeSec / 3600
+		u.energyKJ += r.EnergyJ / 1e3
+		acc[l] = u
+	}
+	for l, u := range acc {
+		if u.nodeHours > 0 {
+			u.avgPowerW = u.energyKJ * 1e3 / (u.nodeHours * 3600)
+			acc[l] = u
+		}
+	}
+	return acc
+}
+
 // ByApp aggregates the database per application, sorted by descending
 // energy (the consumers a site operator looks at first).
 func (db *DB) ByApp() []AppAggregate {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	acc := map[string]*AppAggregate{}
-	jobsSeen := map[string]map[[2]string]bool{}
-	for k, g := range db.groups {
-		js := [2]string{k.job, k.step}
-		for _, r := range g.rows {
-			a := acc[r.App]
-			if a == nil {
-				a = &AppAggregate{App: r.App}
-				acc[r.App] = a
-				jobsSeen[r.App] = map[[2]string]bool{}
-			}
-			if !jobsSeen[r.App][js] {
-				jobsSeen[r.App][js] = true
-				a.Jobs++
-			}
-			a.NodeHours += r.TimeSec / 3600
-			a.EnergyKJ += r.EnergyJ / 1e3
-		}
-	}
-	out := make([]AppAggregate, 0, len(acc))
-	for _, a := range acc {
-		if a.NodeHours > 0 {
-			a.AvgPowerW = a.EnergyKJ * 1e3 / (a.NodeHours * 3600)
-		}
-		out = append(out, *a)
+	byApp := db.usageBy(func(r *JobRecord) string { return r.App })
+	out := make([]AppAggregate, 0, len(byApp))
+	for app, u := range byApp {
+		out = append(out, AppAggregate{app, u.jobs, u.nodeHours, u.energyKJ, u.avgPowerW})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].EnergyKJ != out[j].EnergyKJ {
@@ -55,44 +73,12 @@ func (db *DB) ByApp() []AppAggregate {
 	return out
 }
 
-// PolicyAggregate summarises recorded runs per policy.
-type PolicyAggregate struct {
-	Policy    string  `json:"policy"`
-	Jobs      int     `json:"jobs"`
-	NodeHours float64 `json:"node_hours"`
-	EnergyKJ  float64 `json:"energy_kj"`
-	AvgPowerW float64 `json:"avg_power_w"`
-}
-
 // ByPolicy aggregates the database per energy policy, sorted by name.
 func (db *DB) ByPolicy() []PolicyAggregate {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	acc := map[string]*PolicyAggregate{}
-	jobsSeen := map[string]map[[2]string]bool{}
-	for k, g := range db.groups {
-		js := [2]string{k.job, k.step}
-		for _, r := range g.rows {
-			a := acc[r.Policy]
-			if a == nil {
-				a = &PolicyAggregate{Policy: r.Policy}
-				acc[r.Policy] = a
-				jobsSeen[r.Policy] = map[[2]string]bool{}
-			}
-			if !jobsSeen[r.Policy][js] {
-				jobsSeen[r.Policy][js] = true
-				a.Jobs++
-			}
-			a.NodeHours += r.TimeSec / 3600
-			a.EnergyKJ += r.EnergyJ / 1e3
-		}
-	}
-	out := make([]PolicyAggregate, 0, len(acc))
-	for _, a := range acc {
-		if a.NodeHours > 0 {
-			a.AvgPowerW = a.EnergyKJ * 1e3 / (a.NodeHours * 3600)
-		}
-		out = append(out, *a)
+	byPolicy := db.usageBy(func(r *JobRecord) string { return r.Policy })
+	out := make([]PolicyAggregate, 0, len(byPolicy))
+	for pol, u := range byPolicy {
+		out = append(out, PolicyAggregate{pol, u.jobs, u.nodeHours, u.energyKJ, u.avgPowerW})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Policy < out[j].Policy })
 	return out

@@ -1,16 +1,22 @@
 package eardbd_test
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"net"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"goear/internal/accounting"
+	"goear/internal/eard"
 	"goear/internal/eardbd"
 	"goear/internal/eardbd/dbdtest"
 	"goear/internal/eargm"
 	"goear/internal/loadgen"
 	"goear/internal/telemetry"
+	"goear/internal/wire"
 )
 
 // runClosedLoop drives the full reporting tier deterministically: N
@@ -30,7 +36,7 @@ func runClosedLoop(t *testing.T, nodes, workers int) string {
 	if res.NodeErrors != 0 || res.BacklogBatches != 0 {
 		t.Fatalf("canonical feed faulted: %+v", res)
 	}
-	tr, err := dbdtest.Transcript(dbdtest.ServerView{Srv: cluster.Server("shard0")}, nodes)
+	tr, err := dbdtest.Transcript(cluster.Server("shard0"), nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,12 +131,187 @@ func TestClosedLoopFederationShardCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := dbdtest.Transcript(dbdtest.RootView{Root: root}, nodes)
+		got, err := dbdtest.Transcript(root, nodes)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != ref {
 			t.Fatalf("shards=%d: federated transcript differs from single-daemon golden:\n--- want\n%s--- got\n%s", shards, ref, got)
+		}
+	}
+}
+
+// ask serves one pipe connection with serve — a daemon's or a root's
+// ServeConn — and puts the queries to it through eardbd.Query, the way
+// an admin client does. An acct_jobs query is walked through its
+// cursors, one result per page.
+func ask(serve func(net.Conn), queries []wire.Query) ([]wire.Result, error) {
+	client, server := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		serve(server)
+		close(done)
+	}()
+	defer func() {
+		_ = client.Close() // ends the serving loop
+		<-done
+	}()
+	var out []wire.Result
+	for _, q := range queries {
+		for {
+			res, err := eardbd.Query(client, q, 0)
+			if err != nil {
+				return nil, fmt.Errorf("%s query: %w", q.Kind, err)
+			}
+			// The result aliases the frame it arrived in; keep a copy.
+			res.Data = append([]byte(nil), res.Data...)
+			out = append(out, res)
+			if q.Kind != wire.QueryAcctJobs {
+				break
+			}
+			var page accounting.Page
+			if err := res.Decode(&page); err != nil {
+				return nil, err
+			}
+			if page.Next == "" {
+				break
+			}
+			q.Cursor = page.Next
+		}
+	}
+	return out, nil
+}
+
+// TestClosedLoopQueryKindsOverTheWire puts all nine query kinds to a
+// single daemon and to a root over 1, 2 and 4 shards holding the same
+// record set — node reports and job accounting records — through
+// eardbd.Query over a pipe, and requires byte-equal result payloads:
+// one query switch serves both, so an admin client cannot tell them
+// apart. Two kinds are compared by what they promise instead of by
+// bytes: stats (the root sums the shards' ingest counters; connection
+// and query counts differ by construction) and generation (equal
+// between two reads iff nothing was written between them).
+func TestClosedLoopQueryKindsOverTheWire(t *testing.T) {
+	const nodes = 12
+	queries := []wire.Query{
+		{Kind: wire.QueryAggregate},
+		{Kind: wire.QueryJobs},
+		{Kind: wire.QuerySummary, Job: "job1", Step: "0"},
+		{Kind: wire.QueryNodePowers},
+		{Kind: wire.QueryRecords},
+		{Kind: wire.QueryAcctJobs, Limit: 7},
+		{Kind: wire.QueryAcctJobs, User: "alice", Limit: 5},
+		{Kind: wire.QueryAcctRecords},
+		{Kind: wire.QueryStats},
+		{Kind: wire.QueryGeneration},
+		{Kind: wire.QueryGeneration},
+	}
+	load := func(shards int) *loadgen.Cluster {
+		t.Helper()
+		cluster, err := loadgen.NewCluster(shards, eardbd.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := loadgen.New(loadgen.Config{Nodes: nodes, Workers: 4, AcctPerNode: 3, NodeName: dbdtest.CanonicalNode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := g.Run(cluster.DialFor, loadgen.Hooks{}); err != nil || res.NodeErrors != 0 || res.BacklogBatches != 0 {
+			t.Fatalf("shards=%d: feed faulted: %+v, %v", shards, res, err)
+		}
+		return cluster
+	}
+	ingest := func(res wire.Result) eardbd.Stats {
+		t.Helper()
+		var st eardbd.Stats
+		if err := res.Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		st.Connections, st.Queries = 0, 0
+		return st
+	}
+	generation := func(res wire.Result) uint64 {
+		t.Helper()
+		var g wire.Generation
+		if err := res.Decode(&g); err != nil {
+			t.Fatal(err)
+		}
+		return g.Gen
+	}
+
+	ref, err := ask(load(1).Server("shard0").ServeConn, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref) < len(queries)+2 {
+		t.Fatalf("%d results: the acct_jobs walks did not page", len(ref))
+	}
+	for _, shards := range []int{1, 2, 4} {
+		cluster := load(shards)
+		root, err := cluster.Root()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ask(root.ServeConn, queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(ref) {
+			t.Fatalf("shards=%d: %d results, the daemon gave %d", shards, len(got), len(ref))
+		}
+		for i, want := range ref {
+			switch want.Kind {
+			case wire.QueryStats:
+				if g, w := ingest(got[i]), ingest(want); g != w {
+					t.Errorf("shards=%d: root ingest counters %+v, daemon's %+v", shards, g, w)
+				}
+			case wire.QueryGeneration:
+			default:
+				if got[i].Kind != want.Kind || !bytes.Equal(got[i].Data, want.Data) {
+					t.Errorf("shards=%d: result %d (%s) differs from the daemon's: %d vs %d bytes",
+						shards, i, want.Kind, len(got[i].Data), len(want.Data))
+				}
+			}
+		}
+		// Generation: the two back-to-back reads agree; one more record
+		// on one shard moves the next read, on the daemon as on the root.
+		n := len(got)
+		if a, b := generation(got[n-2]), generation(got[n-1]); a != b {
+			t.Errorf("shards=%d: generation moved from %d to %d with no write", shards, a, b)
+		}
+		node := dbdtest.CanonicalNode(0)
+		conn, err := cluster.DialFor(node)()
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := wire.EncodeBatch(wire.Batch{ID: node + "/late", Node: node, Records: []eard.JobRecord{
+			{JobID: "late", StepID: "0", Node: node, TimeSec: 1, EnergyJ: 1, AvgPower: 1},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wire.WriteFrame(conn, f, 0); err != nil {
+			t.Fatal(err)
+		}
+		if resp, err := wire.ReadFrame(conn, 0); err != nil || resp.Type != wire.TypeAck {
+			t.Fatalf("late batch not acked: %v %v", resp.Type, err)
+		}
+		if err := conn.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for name, serve := range map[string]func(net.Conn){
+			"root": root.ServeConn, "daemon": cluster.Server(cluster.Owner(node)).ServeConn,
+		} {
+			after, err := ask(serve, []wire.Query{{Kind: wire.QueryGeneration}, {Kind: wire.QueryGeneration}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a, b := generation(after[0]), generation(after[1]); a != b {
+				t.Errorf("shards=%d: %s generation moved from %d to %d with no write", shards, name, a, b)
+			}
+			if name == "root" && generation(after[0]) == generation(got[n-1]) {
+				t.Errorf("shards=%d: root generation still %d after a write", shards, generation(after[0]))
+			}
 		}
 	}
 }
@@ -207,7 +388,7 @@ func TestClosedLoopFederationFaultReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulted, err := dbdtest.Transcript(dbdtest.RootView{Root: root}, nodes)
+	faulted, err := dbdtest.Transcript(root, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,54 +13,22 @@ package dbdtest
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"strings"
 
-	"goear/internal/eard"
 	"goear/internal/eardbd"
-	"goear/internal/eardbd/fed"
 	"goear/internal/eargm"
 )
 
 // CanonicalNode names node i as the closed-loop battery always has.
 func CanonicalNode(i int) string { return fmt.Sprintf("n%02d", i) }
 
-// PipeDialer returns a dial function whose connections are served by
-// srv over net.Pipe, the synthetic transport of the whole battery.
-func PipeDialer(srv *eardbd.Server) func() (net.Conn, error) {
-	return func() (net.Conn, error) {
-		client, server := net.Pipe()
-		go srv.ServeConn(server)
-		return client, nil
-	}
-}
-
-// View is the snapshot surface a transcript renders: one daemon or a
-// federation root. It doubles as the eargm.PowerSource the cap
-// ratchet polls.
+// View is the snapshot surface a transcript renders — the production
+// query backend, which a daemon and a federation root both are — plus
+// the eargm.PowerSource the cap ratchet polls.
 type View interface {
-	Aggregate() (eardbd.Aggregate, error)
-	NodePowers() []float64
-	JobSummaries() ([]eard.JobSummary, error)
-	Stats() (eardbd.Stats, error)
+	eardbd.Backend
+	eargm.PowerSource
 }
-
-// ServerView adapts a single daemon to View.
-type ServerView struct{ Srv *eardbd.Server }
-
-func (v ServerView) Aggregate() (eardbd.Aggregate, error)     { return v.Srv.Aggregate(), nil }
-func (v ServerView) NodePowers() []float64                    { return v.Srv.NodePowers() }
-func (v ServerView) JobSummaries() ([]eard.JobSummary, error) { return v.Srv.JobSummaries(), nil }
-func (v ServerView) Stats() (eardbd.Stats, error)             { return v.Srv.Stats(), nil }
-
-// RootView adapts a federation root to View; Stats are the summed
-// shard ingest counters.
-type RootView struct{ Root *fed.Root }
-
-func (v RootView) Aggregate() (eardbd.Aggregate, error)     { return v.Root.Aggregate() }
-func (v RootView) NodePowers() []float64                    { return v.Root.NodePowers() }
-func (v RootView) JobSummaries() ([]eard.JobSummary, error) { return v.Root.JobSummaries() }
-func (v RootView) Stats() (eardbd.Stats, error)             { return v.Root.MergedStats() }
 
 // Transcript runs the eargm budget ratchet off the view's power feed
 // and renders everything observable: aggregate, node powers, job
@@ -77,14 +45,15 @@ func Transcript(v View, nodes int) (string, error) {
 		return "", err
 	}
 
-	agg, err := v.Aggregate()
+	agg, err := eardbd.AggregateOf(v, nil)
 	if err != nil {
 		return "", err
 	}
-	sums, err := v.JobSummaries()
+	db, _, err := v.State(nil)
 	if err != nil {
 		return "", err
 	}
+	sums := db.Summaries()
 	var b strings.Builder
 	enc := json.NewEncoder(&b)
 	for _, item := range []any{agg, v.NodePowers(), sums, caps, m.Stats()} {
@@ -92,7 +61,7 @@ func Transcript(v View, nodes int) (string, error) {
 			return "", err
 		}
 	}
-	st, err := v.Stats()
+	st, err := v.IngestStats(nil)
 	if err != nil {
 		return "", err
 	}

@@ -1,6 +1,8 @@
 package fed
 
 import (
+	"slices"
+
 	"goear/internal/accounting"
 	"goear/internal/eard"
 	"goear/internal/telemetry/trace"
@@ -35,78 +37,44 @@ func (r *Root) shardGenerations(parent *trace.Active) ([]uint64, error) {
 	return gens, nil
 }
 
-func equalGens(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// mergedState returns the folded cluster view — node-report database
-// plus accounting store — from cache when no shard generation has
-// moved, rebuilding it otherwise. Published views are immutable:
-// invalidation swaps in freshly built state, so concurrent readers of
-// an old view stay consistent.
-func (r *Root) mergedState(parent *trace.Active) (*eard.DB, *accounting.Store, error) {
-	msp := parent.Child(spanFedMerge, r.nowSec())
+// State implements eardbd.Backend with the folded cluster view —
+// node-report database plus accounting store — from cache when no
+// shard generation has moved, rebuilding it otherwise. Published views
+// are immutable: invalidation swaps in freshly built state, so
+// concurrent readers of an old view stay consistent.
+func (r *Root) State(parent *trace.Active) (*eard.DB, *accounting.Store, error) {
+	msp := parent.Child(spanFedMerge, r.Now.Sec())
 	gens, err := r.shardGenerations(msp)
 	if err != nil {
-		msp.Attr("cache", "error").End(r.nowSec())
+		msp.Attr("cache", "error").End(r.Now.Sec())
 		return nil, nil, err
 	}
 	r.cacheMu.Lock()
-	if r.cacheOK && equalGens(r.cacheGens, gens) {
+	if r.cacheOK && slices.Equal(r.cacheGens, gens) {
 		db, acct := r.cacheDB, r.cacheAcct
 		r.cacheMu.Unlock()
 		r.countCache(true)
-		msp.Attr("cache", "hit").End(r.nowSec())
+		msp.Attr("cache", "hit").End(r.Now.Sec())
 		return db, acct, nil
 	}
 	r.cacheMu.Unlock()
 	r.countCache(false)
 	msp.Attr("cache", "miss")
-	defer func() { msp.End(r.nowSec()) }()
+	defer func() { msp.End(r.Now.Sec()) }()
 
 	// Rebuild outside the cache lock: concurrent misses duplicate work
 	// but never block a hit, and the last finisher wins the cache slot.
-	// Dumps are decoded one shard after the other and folded in by value,
-	// so every shard's decode reuses the first one's slice.
 	db := eard.NewDB()
-	var recs []eard.JobRecord
-	err = r.fanOut(msp, wire.Query{Kind: wire.QueryRecords}, func(_ int, res wire.Result) error {
-		if err := res.Decode(&recs); err != nil {
-			return err
-		}
-		for _, rec := range recs {
-			if err := db.Insert(rec); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if err := foldDumps(r, msp, wire.QueryRecords, db.Insert); err != nil {
 		return nil, nil, err
 	}
 	// The merged store shares the root's telemetry set, so the
 	// goear_accounting_* families on a federation root cover the
 	// serving tier the same way they cover a single daemon.
 	acct := accounting.NewStore(r.ts)
-	var acctRecs []accounting.Record
-	err = r.fanOut(msp, wire.Query{Kind: wire.QueryAcctRecords}, func(_ int, res wire.Result) error {
-		if err := res.Decode(&acctRecs); err != nil {
-			return err
-		}
-		for _, rec := range acctRecs {
-			if _, err := acct.Insert(rec); err != nil {
-				return err
-			}
-		}
-		return nil
+	err = foldDumps(r, msp, wire.QueryAcctRecords, func(rec accounting.Record) error {
+		_, err := acct.Insert(rec)
+		return err
 	})
 	if err != nil {
 		return nil, nil, err
@@ -119,6 +87,25 @@ func (r *Root) mergedState(parent *trace.Active) (*eard.DB, *accounting.Store, e
 	r.cacheAcct = acct
 	r.cacheMu.Unlock()
 	return db, acct, nil
+}
+
+// foldDumps fans one record-dump query out and folds every shard's
+// records in through insert. Dumps are decoded one shard after the
+// other and folded in by value, so every shard's decode reuses the
+// first one's slice.
+func foldDumps[R any](r *Root, parent *trace.Active, kind string, insert func(R) error) error {
+	var recs []R
+	return r.fanOut(parent, wire.Query{Kind: kind}, func(_ int, res wire.Result) error {
+		if err := res.Decode(&recs); err != nil {
+			return err
+		}
+		for _, rec := range recs {
+			if err := insert(rec); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // countCache records one cache outcome in stats and telemetry,
@@ -140,15 +127,11 @@ func (r *Root) countCache(hit bool) {
 	r.tel.cacheHitR.Set(ratio)
 }
 
-// Generation reports the summed shard generations: a single counter
-// that moves whenever any shard ingests, which is what the root
-// answers to wire.QueryGeneration so a cache can stack above a root
-// exactly as above a daemon.
-func (r *Root) Generation() (uint64, error) {
-	return r.generation(nil)
-}
-
-func (r *Root) generation(parent *trace.Active) (uint64, error) {
+// Generation implements eardbd.Backend with the summed shard
+// generations: a single counter that moves whenever any shard ingests,
+// which is what the root answers to wire.QueryGeneration so a cache
+// can stack above a root exactly as above a daemon.
+func (r *Root) Generation(parent *trace.Active) (uint64, error) {
 	gens, err := r.shardGenerations(parent)
 	if err != nil {
 		return 0, err
@@ -158,34 +141,4 @@ func (r *Root) generation(parent *trace.Active) (uint64, error) {
 		sum += g
 	}
 	return sum, nil
-}
-
-// AcctQuery serves one filtered, paginated job-accounting query over
-// the merged federation view. Pages are byte-identical to what a
-// single daemon holding the union of the shards would serve — the
-// merged store's canonical order has no memory of which shard a
-// record came from.
-func (r *Root) AcctQuery(q accounting.Query) (accounting.Page, error) {
-	return r.acctQuery(nil, q)
-}
-
-func (r *Root) acctQuery(parent *trace.Active, q accounting.Query) (accounting.Page, error) {
-	_, acct, err := r.mergedState(parent)
-	if err != nil {
-		return accounting.Page{}, err
-	}
-	return acct.Query(q)
-}
-
-// AcctRecords dumps the merged accounting records in canonical order.
-func (r *Root) AcctRecords() ([]accounting.Record, error) {
-	return r.acctRecords(nil)
-}
-
-func (r *Root) acctRecords(parent *trace.Active) ([]accounting.Record, error) {
-	_, acct, err := r.mergedState(parent)
-	if err != nil {
-		return nil, err
-	}
-	return acct.Snapshot(), nil
 }

@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 
 	"goear/internal/accounting"
@@ -40,6 +39,20 @@ import (
 type Shard struct {
 	Name string
 	Dial func() (net.Conn, error)
+}
+
+// ShardsAt names one shard per address, reached through dial — or over
+// TCP when dial is nil, the way the binaries reach external daemons.
+func ShardsAt(addrs []string, dial func(addr string) (net.Conn, error)) []Shard {
+	if dial == nil {
+		dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
+	}
+	shards := make([]Shard, len(addrs))
+	for i, addr := range addrs {
+		addr := addr
+		shards[i] = Shard{Name: addr, Dial: func() (net.Conn, error) { return dial(addr) }}
+	}
+	return shards
 }
 
 // Config parameterises a federation root.
@@ -77,15 +90,17 @@ type Stats struct {
 	CacheMisses  int `json:"cache_misses"`  // merged snapshots rebuilt from shard dumps
 }
 
-// Root is the federation front end. It is safe for concurrent use.
+// Root is the federation front end: an eardbd.Front — the listeners,
+// frame loop and query switch a shard daemon serves with — over a
+// Backend that fans out to the shards. It is safe for concurrent use.
 // Merge-heavy queries go through a generation-keyed snapshot cache
 // (see cache.go): a query costs one cheap generation poll per shard
 // until ingest actually moves, instead of a full record dump.
 type Root struct {
-	cfg    Config
-	ts     *telemetry.Set
-	tel    rootTel
-	tracer *trace.Tracer
+	eardbd.Front
+	cfg Config
+	ts  *telemetry.Set
+	tel rootTel
 
 	mu    sync.Mutex
 	stats Stats
@@ -96,12 +111,6 @@ type Root struct {
 	cacheGens []uint64
 	cacheDB   *eard.DB
 	cacheAcct *accounting.Store
-
-	connMu    sync.Mutex
-	closed    bool
-	listeners map[net.Listener]struct{}
-	conns     map[net.Conn]struct{}
-	wg        sync.WaitGroup
 }
 
 // NewRoot builds a root over the given shards.
@@ -129,31 +138,23 @@ func NewRoot(cfg Config) (*Root, error) {
 		ts = telemetry.Default()
 	}
 	root := &Root{
-		cfg:       cfg,
-		ts:        ts,
-		tel:       newRootTel(ts),
-		tracer:    trace.New("fedroot", cfg.Trace),
-		reach:     map[string]bool{},
-		listeners: map[net.Listener]struct{}{},
-		conns:     map[net.Conn]struct{}{},
+		cfg:   cfg,
+		ts:    ts,
+		tel:   newRootTel(ts),
+		reach: map[string]bool{},
+	}
+	root.Front = eardbd.Front{
+		Backend:         root,
+		Batch:           root.refuseBatch,
+		Count:           root.count,
+		MaxFramePayload: cfg.MaxFramePayload,
+		Tracer:          trace.New("fedroot", cfg.Trace),
+		QuerySpan:       spanFedQuery,
+		Now:             cfg.Now,
+		QueryLatency:    root.tel.latQuery,
 	}
 	root.tel.shards.Set(float64(len(cfg.Shards)))
 	return root, nil
-}
-
-// nowSec reads the injected latency clock, 0 when none is configured.
-func (r *Root) nowSec() float64 {
-	if r.cfg.Now == nil {
-		return 0
-	}
-	return r.cfg.Now()
-}
-
-// observe records one latency sample when a clock is configured.
-func (r *Root) observe(h *telemetry.Histogram, startSec float64) {
-	if r.cfg.Now != nil {
-		h.Observe(r.cfg.Now() - startSec)
-	}
 }
 
 // ShardsReachable reports how many shards answered their most recent
@@ -184,15 +185,6 @@ func (r *Root) HealthCheck() telemetry.CheckFunc {
 	}
 }
 
-// Shards returns the member names in fan-out order.
-func (r *Root) Shards() []string {
-	out := make([]string, len(r.cfg.Shards))
-	for i, s := range r.cfg.Shards {
-		out[i] = s.Name
-	}
-	return out
-}
-
 // Stats returns a snapshot of the root's activity counters.
 func (r *Root) Stats() Stats {
 	r.mu.Lock()
@@ -207,7 +199,7 @@ func (r *Root) Stats() Stats {
 // period, admin queries), so simplicity and isolation beat connection
 // reuse here.
 func (r *Root) queryShard(s Shard, q wire.Query, tc trace.Context) (wire.Result, error) {
-	t0 := r.nowSec()
+	t0 := r.Now.Sec()
 	r.mu.Lock()
 	r.stats.Fanouts++
 	r.mu.Unlock()
@@ -218,7 +210,7 @@ func (r *Root) queryShard(s Shard, q wire.Query, tc trace.Context) (wire.Result,
 		_ = conn.Close()
 		if err == nil {
 			r.countReach(s.Name, true)
-			r.observe(r.tel.latFanout, t0)
+			r.Now.Observe(r.tel.latFanout, t0)
 			return res, nil
 		}
 	}
@@ -226,7 +218,7 @@ func (r *Root) queryShard(s Shard, q wire.Query, tc trace.Context) (wire.Result,
 	r.stats.FanoutErrors++
 	r.mu.Unlock()
 	r.countReach(s.Name, false)
-	r.observe(r.tel.latFanout, t0)
+	r.Now.Observe(r.tel.latFanout, t0)
 	return wire.Result{}, fmt.Errorf("fed: shard %s: %w", s.Name, err)
 }
 
@@ -263,20 +255,20 @@ func (r *Root) fanOut(parent *trace.Active, q wire.Query, decode func(i int, res
 	results := make([]wire.Result, len(r.cfg.Shards))
 	kids := make([]*trace.Active, len(r.cfg.Shards))
 	for i, s := range r.cfg.Shards {
-		kids[i] = parent.Child(spanFedFanout, r.nowSec()).Attr("shard", s.Name)
+		kids[i] = parent.Child(spanFedFanout, r.Now.Sec()).Attr("shard", s.Name)
 	}
 	err := par.ForEach(fanOutConcurrency, len(r.cfg.Shards), func(i int) error {
 		s := r.cfg.Shards[i]
 		res, err := r.queryShard(s, q, kids[i].Context())
 		if err != nil {
-			kids[i].Attr("result", "error").End(r.nowSec())
+			kids[i].Attr("result", "error").End(r.Now.Sec())
 			return err
 		}
 		if res.Kind != q.Kind {
-			kids[i].Attr("result", "error").End(r.nowSec())
+			kids[i].Attr("result", "error").End(r.Now.Sec())
 			return fmt.Errorf("fed: shard %s answered kind %q to %q", s.Name, res.Kind, q.Kind)
 		}
-		kids[i].Attr("result", "ok").End(r.nowSec())
+		kids[i].Attr("result", "ok").End(r.Now.Sec())
 		results[i] = res
 		return nil
 	})
@@ -291,16 +283,12 @@ func (r *Root) fanOut(parent *trace.Active, q wire.Query, decode func(i int, res
 	return nil
 }
 
-// MergedNodePowers returns the last reported power of every node in
-// the federation, sorted by node name. A node reports through exactly
-// one shard (ring placement), so the union is disjoint; a node seen on
-// two shards (mid-rebalance traffic) keeps the value from the later
-// shard in fan-out order.
-func (r *Root) MergedNodePowers() ([]wire.NodePower, error) {
-	return r.mergedNodePowers(nil)
-}
-
-func (r *Root) mergedNodePowers(parent *trace.Active) ([]wire.NodePower, error) {
+// PowersByName implements eardbd.Backend: the last reported power of
+// every node in the federation, sorted by node name. A node reports
+// through exactly one shard (ring placement), so the union is disjoint;
+// a node seen on two shards (mid-rebalance traffic) keeps the value
+// from the later shard in fan-out order.
+func (r *Root) PowersByName(parent *trace.Active) ([]wire.NodePower, error) {
 	merged := map[string]float64{}
 	err := r.fanOut(parent, wire.Query{Kind: wire.QueryNodePowers}, func(_ int, res wire.Result) error {
 		var nps []wire.NodePower
@@ -315,116 +303,13 @@ func (r *Root) mergedNodePowers(parent *trace.Active) ([]wire.NodePower, error) 
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, 0, len(merged))
-	for n := range merged {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]wire.NodePower, len(names))
-	for i, n := range names {
-		out[i] = wire.NodePower{Node: n, PowerW: merged[n]}
-	}
-	return out, nil
+	return eardbd.SortedPowers(merged), nil
 }
 
-// NodePowers implements eargm.PowerSource over the merged federation
-// view. The PowerSource interface cannot carry an error; an
-// unreachable shard yields an empty reading for this interval (and a
-// counted fan-out error) rather than a partial cluster view that
-// would ratchet the budget against half the fleet.
-func (r *Root) NodePowers() []float64 {
-	nps, err := r.MergedNodePowers()
-	if err != nil {
-		return nil
-	}
-	out := make([]float64, len(nps))
-	for i, np := range nps {
-		out[i] = np.PowerW
-	}
-	return out
-}
-
-// mergedDB returns the record-merge view, served from the
-// generation-keyed cache (cache.go): identical arithmetic to a fresh
-// fold, rebuilt only when a shard's ingest generation moves.
-func (r *Root) mergedDB(parent *trace.Active) (*eard.DB, error) {
-	db, _, err := r.mergedState(parent)
-	return db, err
-}
-
-// Aggregate returns the cluster view across every shard, merged with
-// the same arithmetic order a single daemon uses: power summed over
-// name-sorted nodes, energy summed over (job, step)-sorted summaries.
-func (r *Root) Aggregate() (eardbd.Aggregate, error) {
-	return r.aggregate(nil)
-}
-
-func (r *Root) aggregate(parent *trace.Active) (eardbd.Aggregate, error) {
-	nps, err := r.mergedNodePowers(parent)
-	if err != nil {
-		return eardbd.Aggregate{}, err
-	}
-	db, err := r.mergedDB(parent)
-	if err != nil {
-		return eardbd.Aggregate{}, err
-	}
-	agg := eardbd.Aggregate{Nodes: len(nps), Records: db.Len()}
-	for _, np := range nps {
-		agg.TotalPowerW += np.PowerW
-	}
-	for _, js := range db.Jobs() {
-		sum, err := db.Summarize(js[0], js[1])
-		if err != nil {
-			continue
-		}
-		agg.TotalEnergyJ += sum.EnergyJ
-	}
-	return agg, nil
-}
-
-// JobSummaries summarizes every (job, step) pair across the
-// federation, in the same sorted order a single daemon reports.
-func (r *Root) JobSummaries() ([]eard.JobSummary, error) {
-	return r.jobSummaries(nil)
-}
-
-func (r *Root) jobSummaries(parent *trace.Active) ([]eard.JobSummary, error) {
-	db, err := r.mergedDB(parent)
-	if err != nil {
-		return nil, err
-	}
-	jobs := db.Jobs()
-	out := make([]eard.JobSummary, 0, len(jobs))
-	for _, js := range jobs {
-		sum, err := db.Summarize(js[0], js[1])
-		if err != nil {
-			continue
-		}
-		out = append(out, sum)
-	}
-	return out, nil
-}
-
-// Summarize aggregates one job step across the federation.
-func (r *Root) Summarize(job, step string) (eard.JobSummary, error) {
-	return r.summarize(nil, job, step)
-}
-
-func (r *Root) summarize(parent *trace.Active, job, step string) (eard.JobSummary, error) {
-	db, err := r.mergedDB(parent)
-	if err != nil {
-		return eard.JobSummary{}, err
-	}
-	return db.Summarize(job, step)
-}
-
-// MergedStats sums the activity counters of every shard: the cluster's
-// ingest totals. The root's own Stats stay separate.
-func (r *Root) MergedStats() (eardbd.Stats, error) {
-	return r.mergedStats(nil)
-}
-
-func (r *Root) mergedStats(parent *trace.Active) (eardbd.Stats, error) {
+// IngestStats implements eardbd.Backend by summing the activity
+// counters of every shard: the cluster's ingest totals. The root's own
+// Stats stay separate.
+func (r *Root) IngestStats(parent *trace.Active) (eardbd.Stats, error) {
 	var total eardbd.Stats
 	err := r.fanOut(parent, wire.Query{Kind: wire.QueryStats}, func(_ int, res wire.Result) error {
 		var st eardbd.Stats
@@ -449,6 +334,43 @@ func (r *Root) mergedStats(parent *trace.Active) (eardbd.Stats, error) {
 		return eardbd.Stats{}, err
 	}
 	return total, nil
+}
+
+// The in-process accessors below answer from the same Backend the wire
+// queries do, outside any span: they trace nothing, only served frames
+// do.
+
+// MergedStats returns the summed shard ingest counters.
+func (r *Root) MergedStats() (eardbd.Stats, error) { return r.IngestStats(nil) }
+
+// Aggregate returns the cluster view across every shard, with the
+// arithmetic a single daemon uses (eardbd.AggregateOf).
+func (r *Root) Aggregate() (eardbd.Aggregate, error) { return eardbd.AggregateOf(r, nil) }
+
+// NodePowers implements eargm.PowerSource over the merged federation
+// view. The PowerSource interface cannot carry an error; an
+// unreachable shard yields an empty reading for this interval (and a
+// counted fan-out error) rather than a partial cluster view that
+// would ratchet the budget against half the fleet.
+func (r *Root) NodePowers() []float64 {
+	nps, err := r.PowersByName(nil)
+	if err != nil {
+		return nil
+	}
+	return eardbd.Watts(nps)
+}
+
+// AcctQuery serves one filtered, paginated job-accounting query over
+// the merged federation view. Pages are byte-identical to what a
+// single daemon holding the union of the shards would serve — the
+// merged store's canonical order has no memory of which shard a
+// record came from.
+func (r *Root) AcctQuery(q accounting.Query) (accounting.Page, error) {
+	_, acct, err := r.State(nil)
+	if err != nil {
+		return accounting.Page{}, err
+	}
+	return acct.Query(q)
 }
 
 // IslandSource returns an eargm.PowerSource view of one shard: the
@@ -480,9 +402,5 @@ func (s *IslandSource) NodePowers() []float64 {
 	if err := res.Decode(&nps); err != nil {
 		return nil
 	}
-	out := make([]float64, len(nps))
-	for i, np := range nps {
-		out[i] = np.PowerW
-	}
-	return out
+	return eardbd.Watts(nps)
 }

@@ -102,14 +102,15 @@ func TestRootMergesAcrossShardCounts(t *testing.T) {
 		if agg.Nodes != nodes || agg.Records != nodes*10 {
 			t.Fatalf("shards=%d aggregate = %+v", nShards, agg)
 		}
-		nps, err := root.MergedNodePowers()
+		nps, err := root.PowersByName(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sums, err := root.JobSummaries()
+		db, _, err := root.State(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		sums := db.Summaries()
 		blob, err := json.Marshal(struct {
 			Agg  eardbd.Aggregate
 			NPs  []wire.NodePower
@@ -294,7 +295,7 @@ func TestFanOutQueriesShardsConcurrently(t *testing.T) {
 	}
 	done := make(chan answer, 1)
 	go func() {
-		nps, err := root.MergedNodePowers()
+		nps, err := root.PowersByName(nil)
 		done <- answer{nps, err}
 	}()
 	select {
@@ -305,7 +306,7 @@ func TestFanOutQueriesShardsConcurrently(t *testing.T) {
 		// The concurrent fan-out must merge identically to the plain
 		// sequential-dial root over the same shards.
 		_, plain := buildFederation(t, 8, n)
-		want, err := plain.MergedNodePowers()
+		want, err := plain.PowersByName(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strings"
 )
 
 // DefaultReplicas is the virtual-point count per shard. 128 points
@@ -61,6 +62,18 @@ func NewWithMembers(replicas int, members []string) (*Ring, error) {
 		}
 	}
 	return r, nil
+}
+
+// ParseMembers splits a comma-separated member list — the form every
+// binary takes shard endpoints in — dropping empty elements.
+func ParseMembers(list string) []string {
+	var out []string
+	for _, part := range strings.Split(list, ",") {
+		if part = strings.TrimSpace(part); part != "" {
+			out = append(out, part)
+		}
+	}
+	return out
 }
 
 // Add inserts one shard. Adding an existing or empty name errors.

@@ -15,15 +15,13 @@
 package eardbd
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"net"
-	"sort"
 	"sync"
 
 	"goear/internal/accounting"
 	"goear/internal/eard"
+	"goear/internal/grouped"
 	"goear/internal/telemetry"
 	"goear/internal/telemetry/trace"
 	"goear/internal/wire"
@@ -107,13 +105,14 @@ type Aggregate struct {
 }
 
 // Server is the aggregation daemon. One Server may serve several
-// listeners (a TCP port and a unix socket, say) concurrently.
+// listeners (a TCP port and a unix socket, say) concurrently; Serve,
+// ServeConn and Close are its Front's.
 type Server struct {
-	cfg    Config
-	db     *eard.DB
-	acct   *accounting.Store
-	tel    serverTel
-	tracer *trace.Tracer
+	Front
+	cfg  Config
+	db   *eard.DB
+	acct *accounting.Store
+	tel  serverTel
 
 	mu        sync.Mutex
 	seen      map[string]bool
@@ -121,13 +120,7 @@ type Server struct {
 	nodeW     map[string]float64
 	stats     Stats
 	gen       uint64  // bumped whenever any record lands; see Generation
-	lastMut   float64 // cfg.Now at the last generation bump (0 with no clock)
-
-	connMu    sync.Mutex
-	closed    bool
-	listeners map[net.Listener]struct{}
-	conns     map[net.Conn]struct{}
-	wg        sync.WaitGroup
+	lastMut   float64 // Now at the last generation bump (0 with no clock)
 }
 
 // NewServer builds a server folding records into db. Telemetry
@@ -142,32 +135,41 @@ func NewServer(db *eard.DB, cfg Config) *Server {
 	if cfg.AcctMaxRecords > 0 {
 		acct.SetMaxRecords(cfg.AcctMaxRecords)
 	}
-	return &Server{
-		cfg:       cfg.withDefaults(),
-		db:        db,
-		acct:      acct,
-		tel:       newServerTel(ts),
-		tracer:    trace.New("eardbd", cfg.Trace),
-		seen:      map[string]bool{},
-		nodeW:     map[string]float64{},
-		listeners: map[net.Listener]struct{}{},
-		conns:     map[net.Conn]struct{}{},
+	s := &Server{
+		cfg:   cfg.withDefaults(),
+		db:    db,
+		acct:  acct,
+		tel:   newServerTel(ts),
+		seen:  map[string]bool{},
+		nodeW: map[string]float64{},
 	}
+	s.Front = Front{
+		Backend:         s,
+		Batch:           s.handleBatch,
+		Count:           s.count,
+		MaxFramePayload: s.cfg.MaxFramePayload,
+		Tracer:          trace.New("eardbd", cfg.Trace),
+		QuerySpan:       spanServerQuery,
+		Now:             cfg.Now,
+		QueryLatency:    s.tel.latQuery,
+	}
+	return s
 }
 
-// nowSec reads the injected latency clock, 0 when none is configured.
-func (s *Server) nowSec() float64 {
-	if s.cfg.Now == nil {
-		return 0
-	}
-	return s.cfg.Now()
-}
-
-// observe records one latency sample when a clock is configured;
-// without one there is nothing meaningful to observe.
-func (s *Server) observe(h *telemetry.Histogram, startSec float64) {
-	if s.cfg.Now != nil {
-		h.Observe(s.cfg.Now() - startSec)
+// count folds one front-end event into the stats and telemetry.
+func (s *Server) count(ev Event) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch ev {
+	case EventConnection:
+		s.stats.Connections++
+		s.tel.conns.Inc()
+	case EventQuery:
+		s.stats.Queries++
+		s.tel.queries.Inc()
+	case EventProtocolError:
+		s.stats.ProtocolErrors++
+		s.tel.protoErrs.Inc()
 	}
 }
 
@@ -178,14 +180,36 @@ func (s *Server) DB() *eard.DB { return s.db }
 // Acct exposes the per-job accounting store the server ingests into.
 func (s *Server) Acct() *accounting.Store { return s.acct }
 
-// Generation reports the server's mutation counter: it advances every
-// time a record — node report or accounting record — is accepted or
-// replaced, and never otherwise. Federation roots poll it to decide
-// whether their cached merged snapshot is still exact.
-func (s *Server) Generation() uint64 {
+// The Backend of a daemon is its live state; nothing fans out, so the
+// parent span goes unused and no method fails.
+
+// IngestStats implements Backend.
+func (s *Server) IngestStats(*trace.Active) (Stats, error) { return s.Stats(), nil }
+
+// PowersByName implements Backend with the last reported DC power of
+// every node, sorted by node. This is the shard-level view the
+// federation root merges: names make the merge unambiguous, and the
+// shared sort order keeps the merged sum arithmetic identical to a
+// single daemon's.
+func (s *Server) PowersByName(*trace.Active) ([]wire.NodePower, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.gen
+	return SortedPowers(s.nodeW), nil
+}
+
+// State implements Backend.
+func (s *Server) State(*trace.Active) (*eard.DB, *accounting.Store, error) {
+	return s.db, s.acct, nil
+}
+
+// Generation implements Backend with the server's mutation counter: it
+// advances every time a record — node report or accounting record — is
+// accepted or replaced, and never otherwise. Federation roots poll it
+// to decide whether their cached merged snapshot is still exact.
+func (s *Server) Generation(*trace.Active) (uint64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.gen, nil
 }
 
 // HealthCheck returns a readiness check on store freshness: degraded
@@ -199,138 +223,15 @@ func (s *Server) HealthCheck(staleAfterSec float64) telemetry.CheckFunc {
 		gen, last := s.gen, s.lastMut
 		s.mu.Unlock()
 		c := telemetry.Check{Name: "store", OK: true, Detail: fmt.Sprintf("generation %d", gen)}
-		if gen == 0 || staleAfterSec <= 0 || s.cfg.Now == nil {
+		if gen == 0 || staleAfterSec <= 0 || s.Now == nil {
 			return c
 		}
-		age := s.cfg.Now() - last
+		age := s.Now() - last
 		if age > staleAfterSec {
 			c.OK = false
 			c.Detail = fmt.Sprintf("generation %d stale: %.0fs since last record (limit %.0fs)", gen, age, staleAfterSec)
 		}
 		return c
-	}
-}
-
-// Serve accepts connections on l until the listener fails or the
-// server is closed; Close makes it return nil. Each connection is
-// handled on its own goroutine.
-func (s *Server) Serve(l net.Listener) error {
-	s.connMu.Lock()
-	if s.closed {
-		s.connMu.Unlock()
-		if err := l.Close(); err != nil {
-			return fmt.Errorf("eardbd: close listener of closed server: %w", err)
-		}
-		return errors.New("eardbd: server is closed")
-	}
-	s.listeners[l] = struct{}{}
-	s.connMu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			s.connMu.Lock()
-			closed := s.closed
-			delete(s.listeners, l)
-			s.connMu.Unlock()
-			if closed {
-				return nil
-			}
-			return fmt.Errorf("eardbd: accept: %w", err)
-		}
-		s.connMu.Lock()
-		if s.closed {
-			s.connMu.Unlock()
-			_ = conn.Close()
-			return nil
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.connMu.Unlock()
-		go func() {
-			defer s.wg.Done()
-			s.ServeConn(conn)
-			s.connMu.Lock()
-			delete(s.conns, conn)
-			s.connMu.Unlock()
-		}()
-	}
-}
-
-// Close stops all listeners, severs live connections and waits for
-// their handlers.
-func (s *Server) Close() error {
-	s.connMu.Lock()
-	if s.closed {
-		s.connMu.Unlock()
-		return nil
-	}
-	s.closed = true
-	var firstErr error
-	for l := range s.listeners {
-		if err := l.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	for c := range s.conns {
-		// A handler that is hanging up at this moment closes the
-		// connection itself; losing that race is not a failure to close.
-		if err := c.Close(); err != nil && !errors.Is(err, net.ErrClosed) && firstErr == nil {
-			firstErr = err
-		}
-	}
-	s.connMu.Unlock()
-	s.wg.Wait()
-	return firstErr
-}
-
-// batchPool recycles batch decode scratch across connections: node
-// daemons that connect, report one batch and hang up would otherwise
-// pay for fresh record slices every time.
-var batchPool = sync.Pool{New: func() any { return new(wire.Batch) }}
-
-// ServeConn speaks the wire protocol on one connection until EOF or a
-// protocol error, then closes it. It is exported so tests and
-// simulations can serve synthetic transports (net.Pipe) without a
-// listener.
-func (s *Server) ServeConn(conn net.Conn) {
-	defer func() { _ = conn.Close() }()
-	s.mu.Lock()
-	s.stats.Connections++
-	s.mu.Unlock()
-	s.tel.conns.Inc()
-	// Records are stored by value, so every batch may decode into the
-	// backing arrays an earlier one — of this connection or a finished
-	// one — left behind.
-	batch := batchPool.Get().(*wire.Batch)
-	defer batchPool.Put(batch)
-	for {
-		f, err := wire.ReadFrame(conn, s.cfg.MaxFramePayload)
-		if err != nil {
-			// A peer hanging up between frames (EOF, or a closed pipe in
-			// simulated transports) is a normal disconnect, not a protocol
-			// violation.
-			if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrClosedPipe) && !errors.Is(err, net.ErrClosed) {
-				s.countProtocolError()
-				s.reply(conn, mustError(err.Error()))
-			}
-			return
-		}
-		switch f.Type {
-		case wire.TypeBatch:
-			ok := s.handleBatch(conn, f, batch)
-			if !ok {
-				return
-			}
-		case wire.TypeQuery:
-			ok := s.handleQuery(conn, f)
-			if !ok {
-				return
-			}
-		default:
-			s.countProtocolError()
-			s.reply(conn, mustError(fmt.Sprintf("unexpected %s frame", f.Type)))
-			return
-		}
 	}
 }
 
@@ -343,22 +244,21 @@ func (s *Server) ServeConn(conn net.Conn) {
 // b is the connection's decode scratch: nothing of it but its strings
 // may be kept once handleBatch returns.
 func (s *Server) handleBatch(conn net.Conn, f wire.Frame, b *wire.Batch) bool {
-	t0 := s.nowSec()
+	t0 := s.Now.Sec()
 	if err := f.DecodeBatch(b); err != nil {
-		s.countProtocolError()
-		s.reply(conn, mustError(err.Error()))
+		s.protocolError(conn, err.Error())
 		return false
 	}
-	sp := s.tracer.Remote(f.Trace, spanServerBatch, t0)
+	sp := s.Tracer.Remote(f.Trace, spanServerBatch, t0)
 	sp.Attr("batch", b.ID)
 	done := func(result string) {
-		sp.Attr("result", result).End(s.nowSec())
-		s.observe(s.tel.latBatch, t0)
+		sp.Attr("result", result).End(s.Now.Sec())
+		s.Now.Observe(s.tel.latBatch, t0)
 	}
 
-	vsp := sp.Child(spanServerValidate, s.nowSec())
+	vsp := sp.Child(spanServerValidate, s.Now.Sec())
 	reject := func(msg string) bool {
-		vsp.End(s.nowSec())
+		vsp.End(s.Now.Sec())
 		done("rejected")
 		s.rejectBatch(conn, msg)
 		return true
@@ -379,16 +279,16 @@ func (s *Server) handleBatch(conn net.Conn, f wire.Frame, b *wire.Batch) bool {
 			return reject(fmt.Sprintf("batch %s: %v", b.ID, err))
 		}
 	}
-	vsp.End(s.nowSec())
+	vsp.End(s.Now.Sec())
 
-	dsp := sp.Child(spanServerDedup, s.nowSec())
+	dsp := sp.Child(spanServerDedup, s.Now.Sec())
 	s.mu.Lock()
 	if s.seen[b.ID] {
 		n := len(b.Records) + len(b.Acct)
 		s.stats.Batches++
 		s.stats.DuplicateBatches++
 		s.mu.Unlock()
-		dsp.End(s.nowSec())
+		dsp.End(s.Now.Sec())
 		done("duplicate")
 		s.tel.batchDup.Inc()
 		s.tel.recDup.Add(uint64(n))
@@ -396,73 +296,47 @@ func (s *Server) handleBatch(conn net.Conn, f wire.Frame, b *wire.Batch) bool {
 		return s.reply(conn, mustAck(wire.Ack{BatchID: b.ID, Duplicate: n}))
 	}
 	s.mu.Unlock()
-	dsp.End(s.nowSec())
+	dsp.End(s.Now.Sec())
 
-	ssp := sp.Child(spanServerStore, s.nowSec())
-	ack := wire.Ack{BatchID: b.ID}
-	for _, r := range b.Records {
-		prev, exists := s.db.Get(r.JobID, r.StepID, r.Node)
-		switch {
-		case exists && prev == r:
-			// Identical re-delivery (e.g. the batch-ID window evicted a
-			// replayed batch): nothing to store.
-			ack.Duplicate++
-			continue
-		case exists:
-			ack.Replaced++
-		default:
-			ack.Accepted++
-		}
-		if err := s.db.Insert(r); err != nil {
-			// Validate passed above; an insert failure here is a bug, not
-			// client traffic. Surface it and drop the connection.
-			ssp.End(s.nowSec())
-			done("error")
-			s.countProtocolError()
-			s.reply(conn, mustError(fmt.Sprintf("store batch %s: %v", b.ID, err)))
-			return false
-		}
+	// Node records and the accounting records riding the same batch are
+	// classified by the same store call and fold into one ack, so the
+	// client's exactly-once machinery sees one outcome per batch. An
+	// identical re-delivery (the batch-ID window evicted a replayed
+	// batch, say) stores nothing.
+	ssp := sp.Child(spanServerStore, s.Now.Sec())
+	nodes, err := storeAll(b.Records, s.db.Put)
+	ssp.End(s.Now.Sec())
+	var acct [3]int
+	if err == nil {
+		asp := sp.Child(spanServerAcct, s.Now.Sec())
+		acct, err = storeAll(b.Acct, s.acct.Insert)
+		asp.End(s.Now.Sec())
 	}
-	ssp.End(s.nowSec())
-	// Accounting records ride the same batch and fold into the same
-	// ack so the client's exactly-once machinery sees one outcome per
-	// batch; the store classifies them itself.
-	asp := sp.Child(spanServerAcct, s.nowSec())
-	var acctA, acctD, acctR int
-	for _, r := range b.Acct {
-		class, err := s.acct.Insert(r)
-		if err != nil {
-			asp.End(s.nowSec())
-			done("error")
-			s.countProtocolError()
-			s.reply(conn, mustError(fmt.Sprintf("store batch %s: %v", b.ID, err)))
-			return false
-		}
-		switch class {
-		case accounting.ClassDuplicate:
-			acctD++
-		case accounting.ClassReplaced:
-			acctR++
-		default:
-			acctA++
-		}
+	if err != nil {
+		// Validate passed above; an insert failure here is a bug, not
+		// client traffic. Surface it and drop the connection.
+		done("error")
+		s.protocolError(conn, fmt.Sprintf("store batch %s: %v", b.ID, err))
+		return false
 	}
-	asp.End(s.nowSec())
-	ack.Accepted += acctA
-	ack.Duplicate += acctD
-	ack.Replaced += acctR
+	ack := wire.Ack{
+		BatchID:   b.ID,
+		Accepted:  nodes[grouped.Accepted] + acct[grouped.Accepted],
+		Duplicate: nodes[grouped.Duplicate] + acct[grouped.Duplicate],
+		Replaced:  nodes[grouped.Replaced] + acct[grouped.Replaced],
+	}
 
 	s.mu.Lock()
 	s.stats.Batches++
-	s.stats.RecordsAccepted += ack.Accepted - acctA
-	s.stats.RecordsDuplicate += ack.Duplicate - acctD
-	s.stats.RecordsReplaced += ack.Replaced - acctR
-	s.stats.AcctAccepted += acctA
-	s.stats.AcctDuplicate += acctD
-	s.stats.AcctReplaced += acctR
+	s.stats.RecordsAccepted += nodes[grouped.Accepted]
+	s.stats.RecordsDuplicate += nodes[grouped.Duplicate]
+	s.stats.RecordsReplaced += nodes[grouped.Replaced]
+	s.stats.AcctAccepted += acct[grouped.Accepted]
+	s.stats.AcctDuplicate += acct[grouped.Duplicate]
+	s.stats.AcctReplaced += acct[grouped.Replaced]
 	if ack.Accepted+ack.Replaced > 0 {
 		s.gen++
-		s.lastMut = s.nowSec()
+		s.lastMut = s.Now.Sec()
 	}
 	for _, r := range b.Records {
 		s.nodeW[r.Node] = r.AvgPower
@@ -483,85 +357,18 @@ func (s *Server) handleBatch(conn net.Conn, f wire.Frame, b *wire.Batch) bool {
 	return s.reply(conn, mustAck(ack))
 }
 
-// handleQuery answers one snapshot query. It reports whether the
-// connection should stay open.
-func (s *Server) handleQuery(conn net.Conn, f wire.Frame) bool {
-	t0 := s.nowSec()
-	q, err := f.AsQuery()
-	if err != nil {
-		s.countProtocolError()
-		s.reply(conn, mustError(err.Error()))
-		return false
-	}
-	sp := s.tracer.Remote(f.Trace, spanServerQuery, t0)
-	sp.Attr("kind", string(q.Kind))
-	defer func() {
-		sp.End(s.nowSec())
-		s.observe(s.tel.latQuery, t0)
-	}()
-	s.mu.Lock()
-	s.stats.Queries++
-	s.mu.Unlock()
-	s.tel.queries.Inc()
-	var resp wire.Frame
-	switch q.Kind {
-	case wire.QueryStats:
-		resp, err = wire.EncodeResult(q.Kind, s.Stats())
-	case wire.QueryAggregate:
-		resp, err = wire.EncodeResult(q.Kind, s.Aggregate())
-	case wire.QueryJobs:
-		resp, err = wire.EncodeResult(q.Kind, s.JobSummaries())
-	case wire.QueryNodePowers:
-		resp, err = wire.EncodeResult(q.Kind, s.NodePowersByName())
-	case wire.QueryRecords:
-		resp, err = wire.EncodeResult(q.Kind, s.db.Records())
-	case wire.QueryAcctJobs:
-		var page accounting.Page
-		page, err = s.acct.Query(accounting.Query{
-			User:   q.User,
-			Job:    q.Job,
-			Since:  q.Since,
-			Limit:  q.Limit,
-			Cursor: q.Cursor,
-		})
-		if err == nil {
-			resp, err = wire.EncodeResult(q.Kind, page)
-		}
-	case wire.QueryAcctRecords:
-		resp, err = wire.EncodeResult(q.Kind, s.acct.Snapshot())
-	case wire.QueryGeneration:
-		resp, err = wire.EncodeResult(q.Kind, wire.Generation{Gen: s.Generation()})
-	case wire.QuerySummary:
-		var sum eard.JobSummary
-		sum, err = s.db.Summarize(q.Job, q.Step)
-		if err == nil {
-			resp, err = wire.EncodeResult(q.Kind, sum)
-		}
-	default:
-		s.reply(conn, mustError(fmt.Sprintf("unknown query kind %q", q.Kind)))
-		return true
-	}
-	if err != nil {
-		s.reply(conn, mustError(err.Error()))
-		return true
-	}
-	return s.reply(conn, resp)
-}
-
-// JobSummaries summarizes every (job, step) pair, in db.Jobs order.
-func (s *Server) JobSummaries() []eard.JobSummary {
-	jobs := s.db.Jobs()
-	out := make([]eard.JobSummary, 0, len(jobs))
-	for _, js := range jobs {
-		sum, err := s.db.Summarize(js[0], js[1])
+// storeAll folds recs in through insert — the classifying call the
+// node-report database and the accounting store share — and tallies
+// the outcomes by grouped.Class.
+func storeAll[R any](recs []R, insert func(R) (grouped.Class, error)) (byClass [3]int, err error) {
+	for _, r := range recs {
+		class, err := insert(r)
 		if err != nil {
-			// A job listed by Jobs always has records; a race with a
-			// concurrent Load is the only path here. Skip it.
-			continue
+			return byClass, err
 		}
-		out = append(out, sum)
+		byClass[class]++
 	}
-	return out
+	return byClass, nil
 }
 
 // Stats returns a snapshot of the activity counters.
@@ -571,36 +378,11 @@ func (s *Server) Stats() Stats {
 	return s.stats
 }
 
-// Aggregate returns the cluster view: node count, summed last-known
-// node power, total accounted energy and record count.
-func (s *Server) Aggregate() Aggregate {
-	powers := s.NodePowers()
-	agg := Aggregate{Nodes: len(powers), Records: s.db.Len()}
-	for _, p := range powers {
-		agg.TotalPowerW += p
-	}
-	for _, sum := range s.JobSummaries() {
-		agg.TotalEnergyJ += sum.EnergyJ
-	}
-	return agg
-}
-
 // NodePowers implements eargm.PowerSource: the last reported DC power
 // of every node, ordered by node name so the feed is deterministic.
 func (s *Server) NodePowers() []float64 {
-	byName := s.NodePowersByName()
-	out := make([]float64, len(byName))
-	for i, np := range byName {
-		out[i] = np.PowerW
-	}
-	return out
-}
-
-// SeedAcct restores the job accounting store, as a daemon restarting
-// over a persisted database does: accepted job records are durable
-// state, so they survive a restart the way node records in the DB do.
-func (s *Server) SeedAcct(recs []accounting.Record) {
-	s.acct.Seed(recs)
+	nps, _ := s.PowersByName(nil) // the live view cannot fail
+	return Watts(nps)
 }
 
 // SeedNodePowers pre-populates the last-known per-node power view, as
@@ -615,33 +397,6 @@ func (s *Server) SeedNodePowers(nps []wire.NodePower) {
 	}
 }
 
-// NodePowersByName returns the last reported DC power of every node
-// with its name, sorted by node. This is the shard-level view the
-// federation root merges: names make the merge unambiguous, and the
-// shared sort order keeps the merged sum arithmetic identical to a
-// single daemon's.
-func (s *Server) NodePowersByName() []wire.NodePower {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.nodeW))
-	for n := range s.nodeW {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]wire.NodePower, len(names))
-	for i, n := range names {
-		out[i] = wire.NodePower{Node: n, PowerW: s.nodeW[n]}
-	}
-	return out
-}
-
-func (s *Server) countProtocolError() {
-	s.mu.Lock()
-	s.stats.ProtocolErrors++
-	s.mu.Unlock()
-	s.tel.protoErrs.Inc()
-}
-
 // rejectBatch counts and reports a permanent (non-retryable) batch
 // rejection while keeping the connection open.
 func (s *Server) rejectBatch(conn net.Conn, msg string) {
@@ -650,16 +405,7 @@ func (s *Server) rejectBatch(conn net.Conn, msg string) {
 	s.mu.Unlock()
 	s.tel.batchRej.Inc()
 	s.tel.batchEvent("", "", "rejected", nil)
-	s.reply(conn, mustError(msg))
-}
-
-// reply best-effort writes a frame; a failed write means the peer is
-// gone, which the caller treats as connection end.
-func (s *Server) reply(conn net.Conn, f wire.Frame) bool {
-	if err := wire.WriteFrame(conn, f, s.cfg.MaxFramePayload); err != nil {
-		return false
-	}
-	return true
+	s.ReplyError(conn, msg)
 }
 
 // mustError encodes an error frame; encoding a plain string cannot

@@ -386,8 +386,8 @@ func TestServerQueries(t *testing.T) {
 		Records: []eard.JobRecord{rec("j3", "0", "n01", 200)}})).AsAck(); err != nil {
 		t.Errorf("connection dead after failed queries: %v", err)
 	}
-	if srv.Aggregate().Nodes != 3 {
-		t.Errorf("aggregate after update = %+v", srv.Aggregate())
+	if agg, err := AggregateOf(srv, nil); err != nil || agg.Nodes != 3 {
+		t.Errorf("aggregate after update = %+v, %v", agg, err)
 	}
 }
 

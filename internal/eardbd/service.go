@@ -1,0 +1,368 @@
+package eardbd
+
+import (
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"sort"
+	"sync"
+
+	"goear/internal/accounting"
+	"goear/internal/eard"
+	"goear/internal/telemetry"
+	"goear/internal/telemetry/trace"
+	"goear/internal/wire"
+)
+
+// Backend is the state snapshot queries are answered from: a daemon's
+// live stores, or a federation root's merged view of its shards. Every
+// method takes the span of the query being served (nil outside one);
+// a root parents its fan-out spans on it, a daemon has no use for it.
+type Backend interface {
+	// IngestStats returns the ingest activity counters.
+	IngestStats(parent *trace.Active) (Stats, error)
+	// PowersByName returns every node's last reported power, sorted by
+	// node name.
+	PowersByName(parent *trace.Active) ([]wire.NodePower, error)
+	// State returns the node-report database and the accounting store.
+	// Both are read-only to the caller.
+	State(parent *trace.Active) (*eard.DB, *accounting.Store, error)
+	// Generation returns a counter that moves whenever State's contents
+	// do.
+	Generation(parent *trace.Active) (uint64, error)
+}
+
+// AggregateOf computes the cluster view: node count and power summed
+// over name-sorted nodes, energy summed over (job, step)-sorted
+// summaries. A daemon and a root both answer through it, which is what
+// makes a federated aggregate bit-identical to a single daemon's.
+func AggregateOf(b Backend, parent *trace.Active) (Aggregate, error) {
+	nps, err := b.PowersByName(parent)
+	if err != nil {
+		return Aggregate{}, err
+	}
+	db, _, err := b.State(parent)
+	if err != nil {
+		return Aggregate{}, err
+	}
+	agg := Aggregate{Nodes: len(nps), Records: db.Len()}
+	for _, np := range nps {
+		agg.TotalPowerW += np.PowerW
+	}
+	for _, sum := range db.Summaries() {
+		agg.TotalEnergyJ += sum.EnergyJ
+	}
+	return agg, nil
+}
+
+// Answer computes the result frame for one snapshot query.
+func Answer(b Backend, parent *trace.Active, q wire.Query) (wire.Frame, error) {
+	var (
+		v    any
+		err  error
+		db   *eard.DB
+		acct *accounting.Store
+	)
+	switch q.Kind {
+	case wire.QueryStats:
+		v, err = b.IngestStats(parent)
+	case wire.QueryAggregate:
+		v, err = AggregateOf(b, parent)
+	case wire.QueryNodePowers:
+		v, err = b.PowersByName(parent)
+	case wire.QueryGeneration:
+		var gen uint64
+		gen, err = b.Generation(parent)
+		v = wire.Generation{Gen: gen}
+	case wire.QueryJobs:
+		if db, _, err = b.State(parent); err == nil {
+			v = db.Summaries()
+		}
+	case wire.QueryRecords:
+		if db, _, err = b.State(parent); err == nil {
+			v = db.Records()
+		}
+	case wire.QuerySummary:
+		if db, _, err = b.State(parent); err == nil {
+			v, err = db.Summarize(q.Job, q.Step)
+		}
+	case wire.QueryAcctJobs:
+		if _, acct, err = b.State(parent); err == nil {
+			v, err = acct.Query(accounting.Query{
+				User:   q.User,
+				Job:    q.Job,
+				Since:  q.Since,
+				Limit:  q.Limit,
+				Cursor: q.Cursor,
+			})
+		}
+	case wire.QueryAcctRecords:
+		if _, acct, err = b.State(parent); err == nil {
+			v = acct.Snapshot()
+		}
+	default:
+		return wire.Frame{}, fmt.Errorf("unknown query kind %q", q.Kind)
+	}
+	if err != nil {
+		return wire.Frame{}, err
+	}
+	return wire.EncodeResult(q.Kind, v)
+}
+
+// SortedPowers renders a node → power map as the name-sorted list the
+// wire carries and every power sum runs over.
+func SortedPowers(byNode map[string]float64) []wire.NodePower {
+	names := make([]string, 0, len(byNode))
+	for n := range byNode {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	out := make([]wire.NodePower, len(names))
+	for i, n := range names {
+		out[i] = wire.NodePower{Node: n, PowerW: byNode[n]}
+	}
+	return out
+}
+
+// Watts strips the names off a power list: the eargm.PowerSource shape.
+func Watts(nps []wire.NodePower) []float64 {
+	out := make([]float64, len(nps))
+	for i, np := range nps {
+		out[i] = np.PowerW
+	}
+	return out
+}
+
+// Event is something the front end saw on a connection, reported to
+// the service behind it for its own counters.
+type Event int
+
+const (
+	EventConnection Event = iota
+	EventQuery
+	EventProtocolError
+)
+
+// Stopwatch is the optional seconds reading a service stamps spans
+// and latency samples with — daemons inject a monotonic wall clock,
+// deterministic tests a logical one or none. A nil Stopwatch reads 0
+// and observes nothing: spans then carry no timestamps, and the span
+// tree itself stays fully deterministic.
+type Stopwatch func() float64
+
+// Sec reads the clock, 0 when there is none.
+func (w Stopwatch) Sec() float64 {
+	if w == nil {
+		return 0
+	}
+	return w()
+}
+
+// Observe records the time since startSec in h when there is a clock;
+// without one there is nothing meaningful to observe.
+func (w Stopwatch) Observe(h *telemetry.Histogram, startSec float64) {
+	if w != nil {
+		h.Observe(w() - startSec)
+	}
+}
+
+// Front is the wire front end a shard daemon and a federation root
+// share: listeners with connection tracking, the per-connection frame
+// loop, and query serving. Server and fed.Root each embed one, filling
+// in the exported fields — what differs between the two — before first
+// use.
+type Front struct {
+	// Backend answers the snapshot queries.
+	Backend Backend
+	// Batch handles one batch frame and reports whether the connection
+	// stays open. scratch is the connection's decode scratch.
+	Batch func(conn net.Conn, f wire.Frame, scratch *wire.Batch) bool
+	// Count records one event in the owner's stats and telemetry.
+	Count func(Event)
+	// MaxFramePayload caps frames read and written.
+	MaxFramePayload int
+	// Tracer and QuerySpan record one span of that kind per served
+	// query, continuing the context on the query frame; Now stamps it
+	// and feeds QueryLatency. All may be nil.
+	Tracer       *trace.Tracer
+	QuerySpan    string
+	Now          Stopwatch
+	QueryLatency *telemetry.Histogram
+
+	mu        sync.Mutex
+	closed    bool
+	listeners map[net.Listener]struct{}
+	conns     map[net.Conn]struct{}
+	wg        sync.WaitGroup
+}
+
+// Serve accepts connections on l until the listener fails or the
+// front end is closed; Close makes it return nil. Each connection is
+// handled on its own goroutine.
+func (fr *Front) Serve(l net.Listener) error {
+	fr.mu.Lock()
+	if fr.closed {
+		fr.mu.Unlock()
+		if err := l.Close(); err != nil {
+			return fmt.Errorf("eardbd: close listener of closed service: %w", err)
+		}
+		return errors.New("eardbd: service is closed")
+	}
+	if fr.listeners == nil {
+		fr.listeners, fr.conns = map[net.Listener]struct{}{}, map[net.Conn]struct{}{}
+	}
+	fr.listeners[l] = struct{}{}
+	fr.mu.Unlock()
+	for {
+		conn, err := l.Accept()
+		if err != nil {
+			fr.mu.Lock()
+			closed := fr.closed
+			delete(fr.listeners, l)
+			fr.mu.Unlock()
+			if closed {
+				return nil
+			}
+			return fmt.Errorf("eardbd: accept: %w", err)
+		}
+		fr.mu.Lock()
+		if fr.closed {
+			fr.mu.Unlock()
+			_ = conn.Close()
+			return nil
+		}
+		fr.conns[conn] = struct{}{}
+		fr.wg.Add(1)
+		fr.mu.Unlock()
+		go func() {
+			defer fr.wg.Done()
+			fr.ServeConn(conn)
+			fr.mu.Lock()
+			delete(fr.conns, conn)
+			fr.mu.Unlock()
+		}()
+	}
+}
+
+// Close stops all listeners, severs live connections and waits for
+// their handlers.
+func (fr *Front) Close() error {
+	fr.mu.Lock()
+	if fr.closed {
+		fr.mu.Unlock()
+		return nil
+	}
+	fr.closed = true
+	var firstErr error
+	for l := range fr.listeners {
+		if err := l.Close(); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	for c := range fr.conns {
+		// A handler that is hanging up at this moment closes the
+		// connection itself; losing that race is not a failure to close.
+		if err := c.Close(); err != nil && !errors.Is(err, net.ErrClosed) && firstErr == nil {
+			firstErr = err
+		}
+	}
+	fr.mu.Unlock()
+	fr.wg.Wait()
+	return firstErr
+}
+
+// batchPool recycles batch decode scratch across connections: node
+// daemons that connect, report one batch and hang up would otherwise
+// pay for fresh record slices every time.
+var batchPool = sync.Pool{New: func() any { return new(wire.Batch) }}
+
+// ServeConn speaks the wire protocol on one connection until EOF or a
+// protocol error, then closes it. It is exported so tests and
+// simulations can serve synthetic transports (net.Pipe) without a
+// listener.
+func (fr *Front) ServeConn(conn net.Conn) {
+	defer func() { _ = conn.Close() }()
+	fr.Count(EventConnection)
+	// Records are stored by value, so every batch may decode into the
+	// backing arrays an earlier one — of this connection or a finished
+	// one — left behind. A connection that only queries takes none.
+	var scratch *wire.Batch
+	defer func() {
+		if scratch != nil {
+			batchPool.Put(scratch)
+		}
+	}()
+	for {
+		f, err := wire.ReadFrame(conn, fr.MaxFramePayload)
+		if err != nil {
+			// A peer hanging up between frames (EOF, or a closed pipe in
+			// simulated transports) is a normal disconnect, not a protocol
+			// violation.
+			if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrClosedPipe) && !errors.Is(err, net.ErrClosed) {
+				fr.protocolError(conn, err.Error())
+			}
+			return
+		}
+		switch f.Type {
+		case wire.TypeBatch:
+			if scratch == nil {
+				scratch = batchPool.Get().(*wire.Batch)
+			}
+			if !fr.Batch(conn, f, scratch) {
+				return
+			}
+		case wire.TypeQuery:
+			if !fr.serveQuery(conn, f) {
+				return
+			}
+		default:
+			fr.protocolError(conn, fmt.Sprintf("unexpected %s frame", f.Type))
+			return
+		}
+	}
+}
+
+// serveQuery answers one snapshot query and reports whether the
+// connection should stay open. When tracing is on, the serving renders
+// as one span of the owner's query kind, continuing the caller's frame
+// context; whatever the backend fans out hangs below it.
+func (fr *Front) serveQuery(conn net.Conn, f wire.Frame) bool {
+	t0 := fr.Now.Sec()
+	q, err := f.AsQuery()
+	if err != nil {
+		fr.protocolError(conn, err.Error())
+		return false
+	}
+	sp := fr.Tracer.Remote(f.Trace, fr.QuerySpan, t0)
+	sp.Attr("kind", string(q.Kind))
+	defer func() {
+		sp.End(fr.Now.Sec())
+		fr.Now.Observe(fr.QueryLatency, t0)
+	}()
+	fr.Count(EventQuery)
+	resp, err := Answer(fr.Backend, sp, q)
+	if err != nil {
+		// A query the backend cannot answer is the caller's problem, not
+		// the connection's: it stays open.
+		fr.ReplyError(conn, err.Error())
+		return true
+	}
+	return fr.reply(conn, resp)
+}
+
+// protocolError counts a violation and tells the peer; the caller
+// hangs up.
+func (fr *Front) protocolError(conn net.Conn, msg string) {
+	fr.Count(EventProtocolError)
+	fr.ReplyError(conn, msg)
+}
+
+// ReplyError best-effort sends an error frame.
+func (fr *Front) ReplyError(conn net.Conn, msg string) { fr.reply(conn, mustError(msg)) }
+
+// reply best-effort writes a frame; a failed write means the peer is
+// gone, which the caller treats as connection end.
+func (fr *Front) reply(conn net.Conn, f wire.Frame) bool {
+	return wire.WriteFrame(conn, f, fr.MaxFramePayload) == nil
+}

@@ -25,10 +25,11 @@ func TestAcctByteIdenticalAcrossShardCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs, err := root.AcctRecords()
+		_, acct, err := root.State(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		recs := acct.Snapshot()
 		if len(recs) == 0 {
 			t.Fatalf("shards=%d: no accounting records surfaced", shards)
 		}

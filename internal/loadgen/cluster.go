@@ -180,7 +180,7 @@ func (c *Cluster) Kill(name string) error {
 		return err
 	}
 	c.mu.Lock()
-	sh.savedPowers = srv.NodePowersByName()
+	sh.savedPowers, _ = srv.PowersByName(nil) // a daemon's live view cannot fail
 	sh.savedAcct = srv.Acct().Snapshot()
 	sh.state = shardDown
 	c.mu.Unlock()
@@ -203,7 +203,7 @@ func (c *Cluster) Restart(name string) error {
 	}
 	sh.srv = eardbd.NewServer(sh.db, c.cfg)
 	sh.srv.SeedNodePowers(sh.savedPowers)
-	sh.srv.SeedAcct(sh.savedAcct)
+	sh.srv.Acct().Seed(sh.savedAcct)
 	sh.savedPowers = nil
 	sh.savedAcct = nil
 	sh.state = shardUp
@@ -215,15 +215,10 @@ func (c *Cluster) Restart(name string) error {
 // merge queries, and the shards' trace buffer so a root query and the
 // shard queries it fans out render as one connected tree.
 func (c *Cluster) Root() (*fed.Root, error) {
-	cfg := fed.Config{MaxFramePayload: c.cfg.MaxFramePayload, Telemetry: c.cfg.Telemetry, Trace: c.cfg.Trace}
-	for _, name := range c.names {
-		name := name
-		cfg.Shards = append(cfg.Shards, fed.Shard{
-			Name: name,
-			Dial: func() (net.Conn, error) { return c.DialShard(name) },
-		})
-	}
-	return fed.NewRoot(cfg)
+	return fed.NewRoot(fed.Config{
+		Shards:          fed.ShardsAt(c.names, c.DialShard),
+		MaxFramePayload: c.cfg.MaxFramePayload, Telemetry: c.cfg.Telemetry, Trace: c.cfg.Trace,
+	})
 }
 
 // Close shuts every live shard down.
@@ -295,13 +290,8 @@ func (e *Endpoints) DialFor(node string) func() (net.Conn, error) {
 // Root builds a federation root over the external shards, named by
 // address.
 func (e *Endpoints) Root() (*fed.Root, error) {
-	cfg := fed.Config{MaxFramePayload: e.MaxFramePayload, Telemetry: e.Telemetry, Trace: e.Trace}
-	for _, addr := range e.addrs {
-		addr := addr
-		cfg.Shards = append(cfg.Shards, fed.Shard{
-			Name: addr,
-			Dial: func() (net.Conn, error) { return e.dial(addr) },
-		})
-	}
-	return fed.NewRoot(cfg)
+	return fed.NewRoot(fed.Config{
+		Shards:          fed.ShardsAt(e.addrs, e.dial),
+		MaxFramePayload: e.MaxFramePayload, Telemetry: e.Telemetry, Trace: e.Trace,
+	})
 }

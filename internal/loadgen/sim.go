@@ -26,11 +26,9 @@ type SimConfig struct {
 	// Seed drives all measurement noise (results are pure functions of
 	// the seed and the configuration).
 	Seed int64
-	// Workers bounds the stepping fan-out; Shards the batch kernel
-	// count (0 derives it from Workers). Results are byte-identical at
-	// any setting of either.
+	// Workers bounds the stepping fan-out and sets the batch kernel
+	// count. Results are byte-identical at any setting.
 	Workers int
-	Shards  int
 	// Exact disables the macro-step fast-forward (several times
 	// slower; results agree to ~1e-3 relative).
 	Exact bool
@@ -64,7 +62,6 @@ func RunSim(cfg SimConfig) (sim.Result, error) {
 		Policy:    cfg.Policy,
 		Seed:      cfg.Seed,
 		Workers:   cfg.Workers,
-		Shards:    cfg.Shards,
 		MacroStep: !cfg.Exact,
 	}
 	if cfg.Policy != "" && cfg.Policy != "none" {

@@ -30,17 +30,13 @@ func Snapshot(root *fed.Root) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	nps, err := root.MergedNodePowers()
+	nps, err := root.PowersByName(nil)
 	if err != nil {
 		return nil, err
 	}
-	jobs, err := root.JobSummaries()
+	db, acct, err := root.State(nil)
 	if err != nil {
 		return nil, err
 	}
-	acct, err := root.AcctRecords()
-	if err != nil {
-		return nil, err
-	}
-	return json.MarshalIndent(snapshot{Aggregate: agg, NodePowers: nps, Jobs: jobs, Acct: acct}, "", "  ")
+	return json.MarshalIndent(snapshot{Aggregate: agg, NodePowers: nps, Jobs: db.Summaries(), Acct: acct.Snapshot()}, "", "  ")
 }

@@ -60,8 +60,8 @@ func (c batchGoldenCase) manager(t *testing.T) *eargm.Manager {
 
 // TestBatchMatchesReferenceByteIdentical pins the tentpole invariant:
 // batch (struct-of-arrays) stepping produces byte-identical coordinated
-// results to the per-node reference path, at every worker and shard
-// count, with and without macro stepping, capped and uncapped, for both
+// results to the per-node reference path, at every worker (and so
+// batch) count, with and without macro stepping, capped and uncapped, for both
 // workload classes.
 func TestBatchMatchesReferenceByteIdentical(t *testing.T) {
 	for _, c := range batchGoldenCases() {
@@ -79,19 +79,17 @@ func TestBatchMatchesReferenceByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			for _, workers := range []int{1, 4} {
-				for _, shards := range []int{1, 2, 4} {
-					opt := c.options(t, m)
-					opt.Workers = workers
-					opt.Shards = shards
-					got, err := RunCoordinated(cal, opt, c.manager(t))
-					if err != nil {
-						t.Fatalf("workers=%d shards=%d: %v", workers, shards, err)
-					}
-					if !reflect.DeepEqual(got, ref) {
-						t.Errorf("workers=%d shards=%d: batch result differs from reference\n got: %+v\nwant: %+v",
-							workers, shards, got, ref)
-					}
+			// One batch kernel per worker: 1, 2 and 4 partitions.
+			for _, workers := range []int{1, 2, 4} {
+				opt := c.options(t, m)
+				opt.Workers = workers
+				got, err := RunCoordinated(cal, opt, c.manager(t))
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if !reflect.DeepEqual(got, ref) {
+					t.Errorf("workers=%d: batch result differs from reference\n got: %+v\nwant: %+v",
+						workers, got, ref)
 				}
 			}
 		})

@@ -24,11 +24,13 @@ type PowerManager interface {
 // time slices under a cluster power manager, the way EAR's node daemons
 // advance jobs while EARGM enforces a site power budget over them.
 //
-// By default nodes are partitioned into Options.Shards batch stepping
-// kernels (contiguous node-id ranges) and each interval advances whole
-// shards through the struct-of-arrays fast path; Options.ReferenceStep
-// selects the per-node reference path instead. Both paths — at any
-// Workers and Shards count — produce byte-identical results. Macro
+// By default nodes are partitioned into one batch stepping kernel per
+// worker (contiguous node-id ranges, never more kernels than nodes)
+// and each interval advances whole batches through the
+// struct-of-arrays fast path; Options.ReferenceStep selects the
+// per-node reference path instead. Nodes are fully independent between
+// barriers, so both paths — at any Workers count — produce
+// byte-identical results. Macro
 // stepping (Options.MacroStep), when enabled, is bounded by the
 // lock-step barrier so intervals still end at exact time boundaries.
 func RunCoordinated(cal workload.Calibrated, opt Options, gm PowerManager) (Result, error) {
@@ -46,13 +48,7 @@ func RunCoordinated(cal workload.Calibrated, opt Options, gm PowerManager) (Resu
 		return runCoordinatedReference(cal, opt, gm)
 	}
 
-	nb := opt.Shards
-	if nb <= 0 {
-		nb = opt.workers()
-	}
-	if nb > cal.Nodes {
-		nb = cal.Nodes
-	}
+	nb := min(opt.workers(), cal.Nodes)
 	batches := make([]*Batch, nb)
 	for s := range batches {
 		b, err := NewBatch(cal, opt)
@@ -75,7 +71,7 @@ func RunCoordinated(cal workload.Calibrated, opt Options, gm PowerManager) (Resu
 	powers := make([]float64, cal.Nodes)
 	curCap := 0
 	for tick := interval; ; tick += interval {
-		// Shards share no state, so each interval's lock-step advance
+		// Batches share no state, so each interval's lock-step advance
 		// fans out across workers; the manager only runs once every
 		// node has reached the barrier, exactly as in the sequential
 		// schedule.

@@ -94,12 +94,6 @@ type Options struct {
 	// by (Seed, node id, run index), so results are byte-identical at
 	// any worker count; Workers only changes wall-clock time.
 	Workers int
-	// Shards is the number of batch stepping kernels a coordinated run
-	// partitions its nodes into (contiguous node-id ranges, one Batch
-	// each). 0 derives it from Workers. Nodes are fully independent
-	// between barriers, so results are byte-identical at any shard
-	// count; Shards only changes scheduling granularity.
-	Shards int
 	// ReferenceStep forces coordinated runs onto the per-node reference
 	// stepping path instead of the batch kernels. Results are
 	// byte-identical either way (the golden tests assert it); the

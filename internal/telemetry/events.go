@@ -1,12 +1,6 @@
 package telemetry
 
-import (
-	"bufio"
-	"encoding/json"
-	"io"
-	"sort"
-	"sync"
-)
+import "io"
 
 // Event is one structured telemetry event. The JSON shape is stable:
 // encoding/json marshals the Str/Num maps with sorted keys, so an
@@ -25,102 +19,40 @@ type Event struct {
 }
 
 // DefaultRecorderCap is the ring capacity NewRecorder(0) uses.
-const DefaultRecorderCap = 4096
+const DefaultRecorderCap = DefaultRingCap
 
-// Recorder is a bounded ring buffer of events. When full, recording
-// overwrites the oldest event and counts it as dropped. All methods
-// are nil-safe.
-type Recorder struct {
-	mu      sync.Mutex
-	buf     []Event
-	start   int // index of the oldest event
-	n       int // live events
-	seq     uint64
-	dropped uint64
-}
+// Recorder is the bounded ring of events (see Ring): when full,
+// recording overwrites the oldest event and counts it as dropped. All
+// methods are nil-safe.
+type Recorder Ring[Event]
+
+func (r *Recorder) ring() *Ring[Event] { return (*Ring[Event])(r) }
 
 // NewRecorder returns a recorder holding up to capacity events
 // (DefaultRecorderCap when capacity <= 0).
 func NewRecorder(capacity int) *Recorder {
-	if capacity <= 0 {
-		capacity = DefaultRecorderCap
-	}
-	return &Recorder{buf: make([]Event, capacity)}
+	return (*Recorder)(NewRing(capacity, func(ev *Event, seq uint64) { ev.Seq = seq }))
 }
 
 // Record appends ev, assigning its sequence number. The oldest event
 // is overwritten when the ring is full.
-func (r *Recorder) Record(ev Event) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.seq++
-	ev.Seq = r.seq
-	if r.n < len(r.buf) {
-		r.buf[(r.start+r.n)%len(r.buf)] = ev
-		r.n++
-	} else {
-		r.buf[r.start] = ev
-		r.start = (r.start + 1) % len(r.buf)
-		r.dropped++
-	}
-	r.mu.Unlock()
-}
+func (r *Recorder) Record(ev Event) { r.ring().Add(ev) }
 
 // Events returns a copy of the buffered events, oldest first.
-func (r *Recorder) Events() []Event {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Event, r.n)
-	for i := 0; i < r.n; i++ {
-		out[i] = r.buf[(r.start+i)%len(r.buf)]
-	}
-	return out
-}
+func (r *Recorder) Events() []Event { return r.ring().Since(0) }
 
 // EventsSince returns the buffered events with sequence numbers
 // greater than seq, oldest first: the resume form scrapers page with
 // (/events?since=). Events older than seq that the ring already
 // overwrote are simply absent; Dropped tells the scraper how many.
-func (r *Recorder) EventsSince(seq uint64) []Event {
-	all := r.Events()
-	i := sort.Search(len(all), func(i int) bool { return all[i].Seq > seq })
-	return all[i:]
-}
+func (r *Recorder) EventsSince(seq uint64) []Event { return r.ring().Since(seq) }
 
 // Len returns the number of buffered events.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
-}
+func (r *Recorder) Len() int { return r.ring().Len() }
 
 // Dropped returns how many events were overwritten.
-func (r *Recorder) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
+func (r *Recorder) Dropped() uint64 { return r.ring().Dropped() }
 
 // WriteJSONLines writes the buffered events as one JSON object per
 // line, oldest first.
-func (r *Recorder) WriteJSONLines(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, ev := range r.Events() {
-		if err := enc.Encode(ev); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
+func (r *Recorder) WriteJSONLines(w io.Writer) error { return WriteJSONLines(w, r.Events()) }

@@ -1,10 +1,7 @@
 package telemetry
 
 import (
-	"bufio"
-	"encoding/json"
 	"net/http"
-	"strconv"
 	"strings"
 )
 
@@ -32,26 +29,11 @@ func (s *Set) Handler() http.Handler {
 		_ = s.Reg().WritePrometheus(w)
 	})
 	mux.HandleFunc("/events", func(w http.ResponseWriter, req *http.Request) {
-		rec := s.Rec()
-		events := rec.Events()
-		if v := req.URL.Query().Get("since"); v != "" {
-			seq, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				http.Error(w, "bad since parameter: "+err.Error(), http.StatusBadRequest)
-				return
-			}
-			events = rec.EventsSince(seq)
+		events, _, ok := s.Rec().ring().ServeSince(w, req, DroppedEventsHeader)
+		if !ok {
+			return
 		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.Header().Set(DroppedEventsHeader, strconv.FormatUint(rec.Dropped(), 10))
-		bw := bufio.NewWriter(w)
-		enc := json.NewEncoder(bw)
-		for _, ev := range events {
-			if err := enc.Encode(ev); err != nil {
-				return
-			}
-		}
-		_ = bw.Flush()
+		_ = WriteJSONLines(w, events)
 	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, req *http.Request) {
 		if req.URL.Path != "/" {

@@ -1,13 +1,14 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strconv"
-	"sync"
+
+	"goear/internal/telemetry"
 )
 
 // HexID is a 64-bit identifier that serialises as 16 lowercase hex
@@ -125,89 +126,37 @@ type Span struct {
 }
 
 // DefaultBufferCap is the ring capacity NewBuffer(0) uses.
-const DefaultBufferCap = 4096
+const DefaultBufferCap = telemetry.DefaultRingCap
 
-// Buffer is a bounded ring of ended spans, the trace-side sibling of
-// telemetry.Recorder: recording overwrites the oldest span when full
-// and counts it as dropped. All methods are nil-safe.
-type Buffer struct {
-	mu      sync.Mutex
-	buf     []Span
-	start   int // index of the oldest span
-	n       int // live spans
-	seq     uint64
-	dropped uint64
-}
+// Buffer is the bounded ring of ended spans, the trace-side sibling of
+// telemetry.Recorder over the same telemetry.Ring: recording
+// overwrites the oldest span when full and counts it as dropped. All
+// methods are nil-safe.
+type Buffer telemetry.Ring[Span]
+
+func (b *Buffer) ring() *telemetry.Ring[Span] { return (*telemetry.Ring[Span])(b) }
 
 // NewBuffer returns a buffer holding up to capacity spans
 // (DefaultBufferCap when capacity <= 0).
 func NewBuffer(capacity int) *Buffer {
-	if capacity <= 0 {
-		capacity = DefaultBufferCap
-	}
-	return &Buffer{buf: make([]Span, capacity)}
+	return (*Buffer)(telemetry.NewRing(capacity, func(s *Span, seq uint64) { s.Seq = seq }))
 }
 
 // record appends one ended span, assigning its sequence number.
-func (b *Buffer) record(s Span) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	b.seq++
-	s.Seq = b.seq
-	if b.n < len(b.buf) {
-		b.buf[(b.start+b.n)%len(b.buf)] = s
-		b.n++
-	} else {
-		b.buf[b.start] = s
-		b.start = (b.start + 1) % len(b.buf)
-		b.dropped++
-	}
-	b.mu.Unlock()
-}
+func (b *Buffer) record(s Span) { b.ring().Add(s) }
 
 // Spans returns a copy of the buffered spans in arrival order.
-func (b *Buffer) Spans() []Span {
-	if b == nil {
-		return nil
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]Span, b.n)
-	for i := 0; i < b.n; i++ {
-		out[i] = b.buf[(b.start+i)%len(b.buf)]
-	}
-	return out
-}
+func (b *Buffer) Spans() []Span { return b.ring().Since(0) }
 
 // SpansSince returns the buffered spans with sequence numbers greater
 // than seq, in arrival order: the resume form scrapers page with.
-func (b *Buffer) SpansSince(seq uint64) []Span {
-	all := b.Spans()
-	i := sort.Search(len(all), func(i int) bool { return all[i].Seq > seq })
-	return all[i:]
-}
+func (b *Buffer) SpansSince(seq uint64) []Span { return b.ring().Since(seq) }
 
 // Len returns the number of buffered spans.
-func (b *Buffer) Len() int {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.n
-}
+func (b *Buffer) Len() int { return b.ring().Len() }
 
 // Dropped returns how many spans were overwritten.
-func (b *Buffer) Dropped() uint64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.dropped
-}
+func (b *Buffer) Dropped() uint64 { return b.ring().Dropped() }
 
 // Canonical returns the buffered spans in their canonical order —
 // sorted by (trace, parent, kind, span) with arrival sequence zeroed.
@@ -215,8 +164,11 @@ func (b *Buffer) Dropped() uint64 {
 // depends only on span content, so two runs that produce the same
 // spans render byte-identical canonical exports whatever the worker
 // count or shard placement.
-func (b *Buffer) Canonical() []Span {
-	spans := b.Spans()
+func (b *Buffer) Canonical() []Span { return canonical(b.Spans()) }
+
+// canonical turns arrival-ordered spans into the canonical export, in
+// place.
+func canonical(spans []Span) []Span {
 	for i := range spans {
 		spans[i].Seq = 0
 	}
@@ -242,13 +194,22 @@ func SortCanonical(spans []Span) {
 }
 
 // WriteJSONLines writes spans as one JSON object per line.
-func WriteJSONLines(w io.Writer, spans []Span) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, s := range spans {
-		if err := enc.Encode(s); err != nil {
-			return err
-		}
+func WriteJSONLines(w io.Writer, spans []Span) error { return telemetry.WriteJSONLines(w, spans) }
+
+// WriteJSONLinesTo writes spans as JSON lines to the file at path, or
+// to stdout when path is "-": the -traces-out convention of the
+// load-driving binaries.
+func WriteJSONLinesTo(path string, stdout io.Writer, spans []Span) error {
+	if path == "-" {
+		return WriteJSONLines(stdout, spans)
 	}
-	return bw.Flush()
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	werr := WriteJSONLines(f, spans)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	return werr
 }

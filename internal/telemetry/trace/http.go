@@ -2,7 +2,6 @@ package trace
 
 import (
 	"net/http"
-	"strconv"
 	"strings"
 )
 
@@ -27,30 +26,29 @@ const DroppedHeader = "X-Goear-Dropped-Spans"
 func (b *Buffer) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		qp := req.URL.Query()
-		var spans []Span
-		if v := qp.Get("since"); v != "" {
-			seq, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				http.Error(w, "bad since parameter: "+err.Error(), http.StatusBadRequest)
-				return
-			}
-			spans = b.SpansSince(seq)
-		} else {
-			spans = b.Canonical()
-		}
-		if v := qp.Get("trace"); v != "" {
-			id, err := ParseID(v)
+		traceParam := qp.Get("trace")
+		var traceID HexID
+		if traceParam != "" {
+			id, err := ParseID(traceParam)
 			if err != nil {
 				http.Error(w, "bad trace parameter: "+err.Error(), http.StatusBadRequest)
 				return
 			}
-			spans = filterSpans(spans, func(s Span) bool { return s.Trace == HexID(id) })
+			traceID = HexID(id)
+		}
+		spans, resumed, ok := b.ring().ServeSince(w, req, DroppedHeader)
+		if !ok {
+			return
+		}
+		if !resumed {
+			spans = canonical(spans)
+		}
+		if traceParam != "" {
+			spans = filterSpans(spans, func(s Span) bool { return s.Trace == traceID })
 		}
 		if v := qp.Get("kind"); v != "" {
 			spans = filterSpans(spans, func(s Span) bool { return kindHasPrefix(s.Kind, v) })
 		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.Header().Set(DroppedHeader, strconv.FormatUint(b.Dropped(), 10))
 		_ = WriteJSONLines(w, spans)
 	})
 }
