@@ -293,13 +293,13 @@ func BenchmarkNodeTick(b *testing.B) { benchNodeTick(b, false) }
 // once per run, so the expected delta is ~zero).
 func BenchmarkNodeTickTelemetry(b *testing.B) { benchNodeTick(b, true) }
 
-// Batch stepping benchmarks: the struct-of-arrays kernel that cluster
+// Batch stepping benchmarks: sim.Batch, the lock-step driver cluster
 // campaigns run on, measured over a 1024-node shard. BenchmarkBatchTick
-// is one 10 ms lock-step tick of the whole shard (the ns/node-tick
-// metric is the per-node cost to compare with BenchmarkNodeTick);
+// is one 10 ms tick of the whole shard (the ns/node-tick metric is the
+// per-node cost to compare with BenchmarkNodeTick, which never arms);
 // BenchmarkClusterSecond advances the shard one simulated second, and
-// BenchmarkClusterSecondReference does the same through the per-node
-// reference path — the ratio is the batch speedup the design targets.
+// BenchmarkClusterSecondReference does the same through stepOnce-only
+// Steppers — the ratio is what armed replay saves.
 
 const batchBenchNodes = 1024
 

@@ -62,7 +62,7 @@ type Snapshot struct {
 
 // defaultGates are the name prefixes whose ns/op regressions fail the
 // run: the paper-artifact benchmarks, the simulator hot-path micros,
-// the batch stepping kernels (BenchmarkBatch*/BenchmarkCluster*), the
+// the batch sweeps (BenchmarkBatch*/BenchmarkCluster*), the
 // federation load-generator burst, the accounting query path and the
 // ingest codec and spill journal micros (BenchmarkWire*/BenchmarkJournal*).
 const defaultGates = "BenchmarkTable,BenchmarkFig,BenchmarkSim,BenchmarkNodeTick," +

@@ -18,30 +18,21 @@ var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 //
 //	go test ./cmd/benchtables -run TestGolden -update
 var goldenCases = []struct {
-	exp   string
-	csv   bool
-	exact bool
+	exp string
+	csv bool
 }{
 	{exp: "table3"},
 	{exp: "table3", csv: true},
 	{exp: "summary"},
 	{exp: "summary", csv: true},
-	// The -exact opt-out pins the per-tick reference integration the
-	// default macro-stepped campaign is toleranced against.
-	{exp: "table3", exact: true},
-	{exp: "summary", exact: true},
 }
 
-func goldenPath(exp string, csv, exact bool) string {
+func goldenPath(exp string, csv bool) string {
 	ext := "txt"
 	if csv {
 		ext = "csv"
 	}
-	suffix := ""
-	if exact {
-		suffix = "_exact"
-	}
-	return filepath.Join("testdata", fmt.Sprintf("%s_runs1%s.%s", exp, suffix, ext))
+	return filepath.Join("testdata", fmt.Sprintf("%s_runs1.%s", exp, ext))
 }
 
 func TestGolden(t *testing.T) {
@@ -50,22 +41,16 @@ func TestGolden(t *testing.T) {
 		if tc.csv {
 			name += "_csv"
 		}
-		if tc.exact {
-			name += "_exact"
-		}
 		t.Run(name, func(t *testing.T) {
 			args := []string{"-exp", tc.exp, "-runs", "1", "-parallel", "1"}
 			if tc.csv {
 				args = append(args, "-csv")
 			}
-			if tc.exact {
-				args = append(args, "-exact")
-			}
 			var got bytes.Buffer
 			if err := run(args, &got); err != nil {
 				t.Fatal(err)
 			}
-			path := goldenPath(tc.exp, tc.csv, tc.exact)
+			path := goldenPath(tc.exp, tc.csv)
 			if *update {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
@@ -84,6 +69,26 @@ func TestGolden(t *testing.T) {
 					path, got.Bytes(), want)
 			}
 		})
+	}
+}
+
+// TestResultsFullMatchesDefaultFlags ties the committed results_full.txt
+// to the command that claims to produce it: `benchtables -exp all` at
+// the default flags (three runs, default parallelism) must reproduce
+// the file byte for byte, so the published numbers cannot drift from
+// the code. After a deliberate model change regenerate it with
+// `go run ./cmd/benchtables -exp all > results_full.txt`.
+func TestResultsFullMatchesDefaultFlags(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("..", "..", "results_full.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := run([]string{"-exp", "all"}, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("`benchtables -exp all` differs from results_full.txt (%d vs %d bytes)", got.Len(), len(want))
 	}
 }
 

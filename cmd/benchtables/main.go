@@ -52,8 +52,6 @@ func run(args []string, out io.Writer) error {
 	runs := fs.Int("runs", 3, "averaged runs per configuration (the paper uses 3)")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker bound for concurrent experiment generation (1 = sequential; output is identical at any setting)")
-	exact := fs.Bool("exact", false,
-		"disable the macro-step fast-forward and integrate every tick (several times slower; results differ by <0.1%)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the generation to this file")
 	memprofile := fs.String("memprofile", "", "write an allocation profile (alloc_space) to this file at exit")
 	if err := fs.Parse(args); err != nil {
@@ -91,7 +89,6 @@ func run(args []string, out io.Writer) error {
 	ctx := experiments.New()
 	ctx.Runs = *runs
 	ctx.Parallel = *parallel
-	ctx.Exact = *exact
 
 	ids := []string{*exp}
 	if *exp == "all" {

@@ -8,8 +8,8 @@
 // burst targets externally launched eardbd daemons.
 //
 // With -sim the command instead drives the compute-side simulator: a
-// coordinated cluster campaign of a catalogue workload on the batch
-// stepping kernels (macro-stepped by default; -exact opts out).
+// coordinated cluster campaign of a catalogue workload in lock step
+// under an EARGM power budget.
 //
 //	earload -nodes 10000 -shards 4 -snapshot -
 //	earload -nodes 2000 -shards 3 -kill shard1@500 -restart shard1@1500
@@ -89,7 +89,6 @@ func run(args []string, out io.Writer) error {
 	simNodes := fs.Int("sim-nodes", 1024, "simulated cluster size for -sim")
 	simBudget := fs.Float64("sim-budget", 0, "site power budget in watts for -sim (0 = uncapped)")
 	simPolicy := fs.String("sim-policy", "none", "EARL policy for -sim")
-	exact := fs.Bool("exact", false, "with -sim: disable the macro-step fast-forward (slower, per-tick integration)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -101,7 +100,6 @@ func run(args []string, out io.Writer) error {
 			Policy:   *simPolicy,
 			Seed:     *seed,
 			Workers:  *workers,
-			Exact:    *exact,
 			BudgetW:  *simBudget,
 		})
 		if err != nil {
@@ -110,9 +108,6 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "earload: sim %s: %d nodes, %.1fs simulated, %.1fW avg node power, %.0fJ mean node energy, %.2f GHz avg CPU, %.2f GHz avg IMC\n",
 			*simWl, len(r.Nodes), r.TimeSec, r.AvgPowerW, r.EnergyJ, r.AvgCPUGHz, r.AvgIMCGHz)
 		return nil
-	}
-	if *exact {
-		return fmt.Errorf("-exact needs -sim")
 	}
 
 	set := telemetry.NewSet()

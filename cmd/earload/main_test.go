@@ -56,7 +56,6 @@ func TestEarloadFlagErrors(t *testing.T) {
 		{"-nodes", "10", "-kill", "bogus"},
 		{"-nodes", "10", "-kill", "shard0@5", "-restart", "shard0@3"},
 		{"-nodes", "10", "-addrs", "127.0.0.1:1", "-kill", "shard0@5"},
-		{"-exact"},
 		{"-sim", "no-such-kernel"},
 	} {
 		var out strings.Builder
@@ -66,9 +65,9 @@ func TestEarloadFlagErrors(t *testing.T) {
 	}
 }
 
-// TestEarloadSimCampaign drives the -sim mode: a coordinated batch-
-// stepped cluster campaign whose one-line summary must be identical at
-// any worker count (one batch kernel per worker).
+// TestEarloadSimCampaign drives the -sim mode: a coordinated cluster
+// campaign whose one-line summary must be identical at any worker
+// count (one batch per worker).
 func TestEarloadSimCampaign(t *testing.T) {
 	simOut := func(extra ...string) string {
 		t.Helper()

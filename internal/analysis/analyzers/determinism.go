@@ -13,8 +13,8 @@ import (
 // simulation, experiment, policy, wire, eardbd, loadgen and grouped
 // (the aggregation tier's record store, whose canonical dumps are
 // built from map iterations) packages
-// — including the struct-of-arrays batch stepping kernels, whose
-// fast-path replay must stay a pure function of the seed. The whole
+// — including the simulator's armed replay, which must stay a pure
+// function of the seed. The whole
 // experiment engine promises byte-identical output across worker
 // counts and reruns (CI diffs `benchtables -parallel 1` against
 // `-parallel 8`), which only holds if these packages never consult

@@ -38,12 +38,6 @@ type Context struct {
 	// 0 = GOMAXPROCS (the default), 1 = fully sequential, n = n
 	// workers. Results are identical at any setting.
 	Parallel int
-	// Exact disables the macro-step fast-forward the engine otherwise
-	// enables on every campaign run (sim.Options.MacroStep). Macro
-	// results agree with exact mode to ~1e-3 relative (the policy
-	// trajectory is identical); set Exact for bit-exact per-tick
-	// integration at several times the cost.
-	Exact bool
 
 	models flight[*model.Model]
 	cals   flight[workload.Calibrated]
@@ -71,7 +65,7 @@ func NewQuick() *Context { return &Context{Runs: 1} }
 // workload calibrations (both immutable once built) but has a fresh run
 // cache, so benchmarks re-execute simulations without re-training.
 func NewFrom(src *Context) *Context {
-	c := &Context{Runs: src.Runs, Parallel: src.Parallel, Exact: src.Exact}
+	c := &Context{Runs: src.Runs, Parallel: src.Parallel}
 	for k, v := range src.models.snapshot() {
 		c.models.seed(k, v)
 	}
@@ -143,11 +137,10 @@ func runKey(name string, o sim.Options, runs int) string {
 	if o.FixedUncoreRatio != nil {
 		fu = *o.FixedUncoreRatio
 	}
-	return fmt.Sprintf("%s|%s|%.4f|%.4f|g%v|a%v|p%v|fp%d|fu%d|r%d|s%d|sc%.4f|w%.2f|st%.4f|n%.4f|d%v|m%v",
+	return fmt.Sprintf("%s|%s|%.4f|%.4f|g%v|a%v|p%v|fp%d|fu%d|r%d|s%d|sc%.4f|w%.2f|st%.4f|n%.4f|d%v",
 		name, o.Policy, *o.CPUTh, *o.UncTh, o.HWGuidedOff, o.NoAVX512Model,
 		o.PinBothUncoreLimits, fp, fu, runs,
-		o.Seed, o.SigChangeTh, o.MinWindowSec, o.StepSec, *o.NoiseSD, o.DecisionLog,
-		o.MacroStep)
+		o.Seed, o.SigChangeTh, o.MinWindowSec, o.StepSec, *o.NoiseSD, o.DecisionLog)
 }
 
 // run executes (or recalls) an averaged run of the named workload.
@@ -165,10 +158,6 @@ func (c *Context) run(name string, opt sim.Options) (sim.Result, error) {
 		opt.Model = m
 	}
 	opt.Workers = c.workers()
-	// Campaign runs macro-step by default (Exact opts out); per-run
-	// requests cannot re-enable it under Exact, keeping the whole
-	// campaign's integration mode uniform.
-	opt.MacroStep = !c.Exact
 	runs := c.runCount()
 	c.runRequests.Inc()
 	if t := tel.Load(); t != nil {
@@ -211,7 +200,6 @@ func (c *Context) RunPowercapped(name string, opt sim.Options, gmCfg eargm.Confi
 		return sim.Result{}, eargm.Stats{}, err
 	}
 	opt.Workers = c.workers()
-	opt.MacroStep = !c.Exact
 	r, err := sim.RunCoordinated(calw, opt, gm)
 	if err != nil {
 		return sim.Result{}, eargm.Stats{}, err

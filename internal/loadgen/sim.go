@@ -12,7 +12,7 @@ import (
 // SimConfig describes a coordinated cluster simulation campaign: the
 // compute-side counterpart of the reporting-tier burst. The campaign
 // runs N nodes of one catalogue workload in lock-step under an EARGM
-// power budget, on the simulator's batch stepping kernels.
+// power budget (sim.RunCoordinated).
 type SimConfig struct {
 	// Workload is the catalogue workload name (default BT-MZ.C).
 	Workload string
@@ -26,12 +26,9 @@ type SimConfig struct {
 	// Seed drives all measurement noise (results are pure functions of
 	// the seed and the configuration).
 	Seed int64
-	// Workers bounds the stepping fan-out and sets the batch kernel
-	// count. Results are byte-identical at any setting.
+	// Workers bounds the stepping fan-out (one sim.Batch per worker).
+	// Results are byte-identical at any setting.
 	Workers int
-	// Exact disables the macro-step fast-forward (several times
-	// slower; results agree to ~1e-3 relative).
-	Exact bool
 	// BudgetW is the site power budget EARGM enforces; 0 runs
 	// uncapped (a budget no cluster reaches).
 	BudgetW float64
@@ -59,10 +56,9 @@ func RunSim(cfg SimConfig) (sim.Result, error) {
 		return sim.Result{}, err
 	}
 	opt := sim.Options{
-		Policy:    cfg.Policy,
-		Seed:      cfg.Seed,
-		Workers:   cfg.Workers,
-		MacroStep: !cfg.Exact,
+		Policy:  cfg.Policy,
+		Seed:    cfg.Seed,
+		Workers: cfg.Workers,
 	}
 	if cfg.Policy != "" && cfg.Policy != "none" {
 		m, err := model.TrainForCPU(cal.Platform.Machine, cal.Platform.Power)

@@ -75,15 +75,15 @@ func (r *Rapl) Advance(b Breakdown, dt float64) error {
 
 // FlatCarry copies the fractional-joule carries into pkg (which must
 // hold one element per socket) and returns the DRAM carry. Together
-// with SetFlatCarry it lets a batch stepping kernel lift the meter's
-// hot state into dense arrays and restore it unchanged afterwards.
+// with SetFlatCarry it lets the simulator's armed replay lift the
+// meter's hot state and restore it unchanged afterwards.
 func (r *Rapl) FlatCarry(pkg []float64) (dram float64) {
 	copy(pkg, r.carryPkg)
 	return r.carryDram
 }
 
 // SetFlatCarry restores carries previously lifted with FlatCarry (or
-// advanced externally by a kernel replicating Advance's arithmetic).
+// advanced externally by a replay of Advance's arithmetic).
 func (r *Rapl) SetFlatCarry(pkg []float64, dram float64) {
 	copy(r.carryPkg, pkg)
 	r.carryDram = dram
@@ -152,9 +152,9 @@ func (nm *NodeManager) Advance(powerW, dt float64) error {
 
 // FlatState returns the meter's full internal state: the true energy
 // integral, the published counter, the last publication time and the
-// meter clock. It exists so a batch stepping kernel can lift the state
-// into dense arrays, advance it with Advance's exact arithmetic, and
-// restore it with SetFlatState — the flat round trip is bit-exact.
+// meter clock. It exists so the simulator's armed replay can lift the
+// state, advance it with Advance's exact arithmetic, and restore it
+// with SetFlatState — the flat round trip is bit-exact.
 func (nm *NodeManager) FlatState() (trueJ, published, lastPub, now float64) {
 	nm.mu.Lock()
 	defer nm.mu.Unlock()

@@ -3,102 +3,25 @@ package sim
 import (
 	"fmt"
 
-	"goear/internal/msr"
-	"goear/internal/uncore"
 	"goear/internal/workload"
 )
 
 // Batch advances many simulated nodes of one calibrated workload in
-// lock step, holding each node's hot per-tick state as parallel dense
-// slices (struct-of-arrays) so a tick over the whole batch is a linear
-// sweep instead of a pointer-chasing walk through per-node object
-// graphs.
-//
-// Every node is in one of two states:
-//
-//   - armed (fast): the node is mid-iteration at a stable operating
-//     point — evaluation cached, uncore controllers settled, no trace
-//     sampling. Every remaining tick of the iteration then performs
-//     the same constant increments, so the kernel precomputes them
-//     once (the node's LUT row) and replays them against the flat
-//     state with exactly stepOnce's arithmetic, in exactly its order.
-//     The replay is bit-identical to per-node stepping.
-//   - slow: everything else — iteration boundaries (noise draws, EARL
-//     events, policy actuation), macro-step decisions, controller
-//     ramps, trace sampling, the clamped final tick of an iteration.
-//     The node's flat state is flushed back and the existing per-node
-//     stepOnce runs; the kernel re-arms when the node stabilises.
-//
-// Arming and disarming round-trip the node's meters and controllers
-// through the flat views (power.NodeManager.FlatState, Rapl.FlatCarry,
-// uncore.Controller.TickAccum, the raw RAPL MSR counters), so batch
-// and per-node runs produce byte-identical results; the golden tests
-// assert this across worker and shard counts.
+// lock step: the slice RunCoordinated's intervals are made of, and the
+// handle benchmarks sweep one tick at a time. It holds only the nodes
+// and a clock — each node carries its own stepping state (replay.go),
+// which persists between calls, so the call granularity (one tick, one
+// EARGM interval, anything between) changes neither the results nor
+// the cost per node-tick.
 type Batch struct {
-	cal   workload.Calibrated
-	opt   Options
-	nsock int
+	cal workload.Calibrated
+	opt Options
 
 	nodes []*node
 	ids   []int
-	free  []*node // recycled node allocations for Add after Remove
 
 	// clock accumulates Tick deltas; StepUntil never rewinds it.
 	clock float64
-
-	armed []bool
-	accel []bool
-	done  []bool
-
-	// Hot per-tick state, one entry per resident node (per-socket
-	// slices hold nsock entries per node at i*nsock+s).
-	now       []float64
-	instrLeft []float64
-	wallLeft  []float64
-	instr     []float64
-	cycles    []float64
-	avx       []float64
-	bytes     []float64
-	coreFS    []float64
-	imcFS     []float64
-	pkgJ      []float64
-	dramJ     []float64
-	inmTrue   []float64
-	inmPub    []float64
-	inmLast   []float64
-	inmNow    []float64
-	carryDram []float64
-	cntDram   []uint64
-	carryPkg  []float64
-	cntPkg    []uint64
-	ctlAcc    []float64
-	steps     []uint64
-	ph        []*PhaseSample
-
-	// lut holds each armed node's precomputed per-tick increments.
-	lut []tickLUT
-}
-
-// tickLUT is one node's precomputed fast-tick increments: every value
-// stepOnce would recompute identically each tick while the operating
-// point holds. Each field is built with the exact expression (and
-// evaluation order) of the per-node path, so replaying the adds is
-// bit-identical to stepping.
-type tickLUT struct {
-	dt        float64 // simulated seconds per tick
-	instr     float64 // per-core instructions per tick
-	nodeInstr float64 // node instructions per tick
-	cycles    float64
-	avx       float64
-	bytes     float64
-	totalJ    float64 // DC energy per tick (INM scope)
-	pkgJ      float64 // RAPL PKG joules per tick (all sockets)
-	dramJ     float64
-	sockPkgJ  float64 // RAPL PKG joules per tick per socket
-	uncJ      float64 // uncore share per tick (phase attribution)
-	coreFS    float64 // core frequency-seconds per tick
-	imcFS     float64
-	esuScale  float64 // joules -> RAPL counter counts multiplier
 }
 
 // NewBatch builds an empty batch for one calibrated workload. Options
@@ -108,456 +31,80 @@ func NewBatch(cal workload.Calibrated, opt Options) (*Batch, error) {
 	if opt.Policy != "none" && opt.Model == nil {
 		return nil, fmt.Errorf("sim: policy %q needs a trained model", opt.Policy)
 	}
-	return &Batch{cal: cal, opt: opt, nsock: cal.Platform.Machine.CPU.Sockets}, nil
+	return &Batch{cal: cal, opt: opt}, nil
 }
 
 // Len reports the resident node count.
 func (b *Batch) Len() int { return len(b.nodes) }
 
-// NodeID returns the workload node id at dense index i.
-func (b *Batch) NodeID(i int) int { return b.ids[i] }
-
 // Add admits one node (seeded by its workload node id) and returns its
-// dense index. Node allocations freed by Remove are recycled.
+// index.
 func (b *Batch) Add(nodeID int) (int, error) {
-	var n *node
-	if len(b.free) > 0 {
-		n = b.free[len(b.free)-1]
-		b.free = b.free[:len(b.free)-1]
-		if err := n.init(b.cal, nodeID, b.opt); err != nil {
-			return 0, err
-		}
-	} else {
-		var err error
-		n, err = newNode(b.cal, nodeID, b.opt)
-		if err != nil {
-			return 0, err
-		}
+	n, err := newNode(b.cal, nodeID, b.opt)
+	if err != nil {
+		return 0, err
 	}
-	i := len(b.nodes)
 	b.nodes = append(b.nodes, n)
 	b.ids = append(b.ids, nodeID)
-	b.armed = append(b.armed, false)
-	b.accel = append(b.accel, b.cal.Class == workload.Accelerator)
-	b.done = append(b.done, n.done)
-	b.now = append(b.now, n.now)
-	b.instrLeft = append(b.instrLeft, 0)
-	b.wallLeft = append(b.wallLeft, 0)
-	b.instr = append(b.instr, 0)
-	b.cycles = append(b.cycles, 0)
-	b.avx = append(b.avx, 0)
-	b.bytes = append(b.bytes, 0)
-	b.coreFS = append(b.coreFS, 0)
-	b.imcFS = append(b.imcFS, 0)
-	b.pkgJ = append(b.pkgJ, 0)
-	b.dramJ = append(b.dramJ, 0)
-	b.inmTrue = append(b.inmTrue, 0)
-	b.inmPub = append(b.inmPub, 0)
-	b.inmLast = append(b.inmLast, 0)
-	b.inmNow = append(b.inmNow, 0)
-	b.carryDram = append(b.carryDram, 0)
-	b.cntDram = append(b.cntDram, 0)
-	b.ctlAcc = append(b.ctlAcc, make([]float64, b.nsock)...)
-	b.carryPkg = append(b.carryPkg, make([]float64, b.nsock)...)
-	b.cntPkg = append(b.cntPkg, make([]uint64, b.nsock)...)
-	b.steps = append(b.steps, 0)
-	b.ph = append(b.ph, nil)
-	b.lut = append(b.lut, tickLUT{})
-	return i, nil
-}
-
-// Remove evicts the node at dense index i, swapping the last node into
-// its slot so the slices stay dense; the freed allocation is recycled
-// by the next Add.
-func (b *Batch) Remove(i int) error {
-	if i < 0 || i >= len(b.nodes) {
-		return fmt.Errorf("sim: batch remove index %d out of range [0,%d)", i, len(b.nodes))
-	}
-	if b.armed[i] {
-		if err := b.disarm(i); err != nil {
-			return err
-		}
-	}
-	n := b.nodes[i]
-	n.trace = nil
-	n.lib = nil
-	b.free = append(b.free, n)
-
-	last := len(b.nodes) - 1
-	b.nodes[i] = b.nodes[last]
-	b.ids[i] = b.ids[last]
-	b.armed[i] = b.armed[last]
-	b.accel[i] = b.accel[last]
-	b.done[i] = b.done[last]
-	b.now[i] = b.now[last]
-	b.instrLeft[i] = b.instrLeft[last]
-	b.wallLeft[i] = b.wallLeft[last]
-	b.instr[i] = b.instr[last]
-	b.cycles[i] = b.cycles[last]
-	b.avx[i] = b.avx[last]
-	b.bytes[i] = b.bytes[last]
-	b.coreFS[i] = b.coreFS[last]
-	b.imcFS[i] = b.imcFS[last]
-	b.pkgJ[i] = b.pkgJ[last]
-	b.dramJ[i] = b.dramJ[last]
-	b.inmTrue[i] = b.inmTrue[last]
-	b.inmPub[i] = b.inmPub[last]
-	b.inmLast[i] = b.inmLast[last]
-	b.inmNow[i] = b.inmNow[last]
-	b.carryDram[i] = b.carryDram[last]
-	b.cntDram[i] = b.cntDram[last]
-	copy(b.ctlAcc[i*b.nsock:(i+1)*b.nsock], b.ctlAcc[last*b.nsock:(last+1)*b.nsock])
-	copy(b.carryPkg[i*b.nsock:(i+1)*b.nsock], b.carryPkg[last*b.nsock:(last+1)*b.nsock])
-	copy(b.cntPkg[i*b.nsock:(i+1)*b.nsock], b.cntPkg[last*b.nsock:(last+1)*b.nsock])
-	b.steps[i] = b.steps[last]
-	b.ph[i] = b.ph[last]
-	b.lut[i] = b.lut[last]
-
-	b.nodes = b.nodes[:last]
-	b.ids = b.ids[:last]
-	b.armed = b.armed[:last]
-	b.accel = b.accel[:last]
-	b.done = b.done[:last]
-	b.now = b.now[:last]
-	b.instrLeft = b.instrLeft[:last]
-	b.wallLeft = b.wallLeft[:last]
-	b.instr = b.instr[:last]
-	b.cycles = b.cycles[:last]
-	b.avx = b.avx[:last]
-	b.bytes = b.bytes[:last]
-	b.coreFS = b.coreFS[:last]
-	b.imcFS = b.imcFS[:last]
-	b.pkgJ = b.pkgJ[:last]
-	b.dramJ = b.dramJ[:last]
-	b.inmTrue = b.inmTrue[:last]
-	b.inmPub = b.inmPub[:last]
-	b.inmLast = b.inmLast[:last]
-	b.inmNow = b.inmNow[:last]
-	b.carryDram = b.carryDram[:last]
-	b.cntDram = b.cntDram[:last]
-	b.ctlAcc = b.ctlAcc[:last*b.nsock]
-	b.carryPkg = b.carryPkg[:last*b.nsock]
-	b.cntPkg = b.cntPkg[:last*b.nsock]
-	b.steps = b.steps[:last]
-	b.ph = b.ph[:last]
-	b.lut = b.lut[:last]
-	return nil
+	return len(b.nodes) - 1, nil
 }
 
 // Tick advances the batch clock by dt and steps every resident node to
-// it: the lock-step slice RunCoordinated's intervals are made of.
+// it.
 func (b *Batch) Tick(dt float64) error {
 	return b.StepUntil(b.clock + dt)
 }
 
 // StepUntil advances every resident node to (at least) simulated time
-// t or to completion, sweeping the batch one tick per pass so armed
-// nodes advance through the flat state linearly.
+// t or to completion.
 func (b *Batch) StepUntil(t float64) error {
 	if t > b.clock {
 		b.clock = t
 	}
-	for {
-		active := false
-		for i := range b.nodes {
-			if b.done[i] || b.now[i] >= t {
-				continue
-			}
-			active = true
-			if b.armed[i] && b.fastTick(i) {
-				continue
-			}
-			if err := b.slowStep(i, t); err != nil {
-				return fmt.Errorf("sim: %s node %d: %w", b.cal.Name, b.ids[i], err)
-			}
-		}
-		if !active {
-			return nil
+	for i, n := range b.nodes {
+		if err := n.runUntil(t); err != nil {
+			return fmt.Errorf("sim: %s node %d: %w", b.cal.Name, b.ids[i], err)
 		}
 	}
+	return nil
 }
 
 // Done reports whether every resident node has finished its workload.
 func (b *Batch) Done() bool {
-	for i := range b.done {
-		if !b.done[i] {
+	for _, n := range b.nodes {
+		if !n.done {
 			return false
 		}
 	}
 	return true
 }
 
-// TrueEnergy returns the node's exact DC energy integral (the
-// simulator-side Node Manager reading), serving armed nodes from the
-// flat state without a flush.
-func (b *Batch) TrueEnergy(i int) float64 {
-	if b.armed[i] {
-		return b.inmTrue[i]
-	}
-	return b.nodes[i].inm.TrueEnergy()
-}
+// TrueEnergy returns the exact DC energy integral of the node at index
+// i (the simulator-side Node Manager reading).
+func (b *Batch) TrueEnergy(i int) float64 { return b.nodes[i].trueEnergy() }
 
 // SetCapRatio applies (or with 0 releases) the node-daemon core-ratio
-// ceiling on every resident node. The cap changes the operating point,
-// so all armed nodes are disarmed; they re-arm once stable again.
+// ceiling on every resident node.
 func (b *Batch) SetCapRatio(r uint64) error {
-	for i, n := range b.nodes {
-		if b.armed[i] {
-			if err := b.disarm(i); err != nil {
-				return err
-			}
+	for _, n := range b.nodes {
+		if err := n.setCapRatio(r); err != nil {
+			return err
 		}
-		n.setCapRatio(r)
 	}
 	return nil
 }
 
-// Results assembles every resident node's outcome in dense order,
-// flushing armed nodes first.
+// Results assembles every resident node's outcome in index order and
+// adds each node's step tallies to the telemetry counters.
 func (b *Batch) Results() ([]NodeResult, error) {
 	out := make([]NodeResult, len(b.nodes))
 	for i, n := range b.nodes {
-		if b.armed[i] {
-			if err := b.disarm(i); err != nil {
-				return nil, err
-			}
-		}
 		nr, err := n.result()
 		if err != nil {
 			return nil, fmt.Errorf("sim: %s node %d: %w", b.cal.Name, b.ids[i], err)
 		}
+		n.flushTel()
 		out[i] = nr
 	}
 	return out, nil
-}
-
-// slowStep flushes the node (if armed), runs one per-node step bounded
-// by the barrier t, mirrors the cheap per-tick fields back, and tries
-// to re-arm.
-func (b *Batch) slowStep(i int, t float64) error {
-	if b.armed[i] {
-		if err := b.disarm(i); err != nil {
-			return err
-		}
-	}
-	n := b.nodes[i]
-	n.macroLimit = t
-	if err := n.stepOnce(); err != nil {
-		return err
-	}
-	b.now[i] = n.now
-	b.done[i] = n.done
-	b.tryArm(i)
-	return nil
-}
-
-// fastTick replays one precomputed tick against the flat state. It
-// returns false — leaving the state untouched — when the node's
-// iteration would clamp or finish this tick, which only the slow path
-// handles.
-func (b *Batch) fastTick(i int) bool {
-	l := &b.lut[i]
-	if b.accel[i] {
-		// stepOnce: dt = min(StepSec, wallLeft); the fast tick needs
-		// dt == StepSec and the iteration not to finish.
-		if b.wallLeft[i]-l.dt <= 1e-9 {
-			return false
-		}
-		b.wallLeft[i] -= l.dt
-	} else {
-		// stepOnce: nInstr = StepSec/spi clamped to instrLeft; the
-		// fast tick needs no clamp and the iteration not to finish.
-		if l.instr > b.instrLeft[i] {
-			return false
-		}
-		left := b.instrLeft[i] - l.instr
-		if left <= 1e-6 {
-			return false
-		}
-		b.instrLeft[i] = left
-	}
-	b.steps[i]++
-
-	// advance(), with every per-tick constant replayed from the LUT in
-	// the same order.
-	b.instr[i] += l.nodeInstr
-	b.cycles[i] += l.cycles
-	b.avx[i] += l.avx
-	b.bytes[i] += l.bytes
-
-	// Node Manager: integrate, publish at whole-second boundaries.
-	b.inmTrue[i] += l.totalJ
-	b.inmNow[i] += l.dt
-	if b.inmNow[i]-b.inmLast[i] >= 1.0 {
-		b.inmPub[i] = b.inmTrue[i]
-		b.inmLast[i] = float64(int64(b.inmNow[i]))
-	}
-
-	// RAPL: carry fractional joules, truncate to counter units, wrap
-	// the mirrored 32-bit counters exactly as msr.AddEnergyHw does.
-	base := i * b.nsock
-	for s := 0; s < b.nsock; s++ {
-		j := l.sockPkgJ + b.carryPkg[base+s]
-		whole := float64(int64(j*1e6)) / 1e6
-		b.cntPkg[base+s] = (b.cntPkg[base+s] + uint64(whole*l.esuScale)) & 0xFFFFFFFF
-		b.carryPkg[base+s] = j - whole
-	}
-	jd := l.dramJ + b.carryDram[i]
-	whole := float64(int64(jd*1e6)) / 1e6
-	b.cntDram[i] = (b.cntDram[i] + uint64(whole*l.esuScale)) & 0xFFFFFFFF
-	b.carryDram[i] = jd - whole
-
-	b.pkgJ[i] += l.pkgJ
-	b.dramJ[i] += l.dramJ
-	b.coreFS[i] += l.coreFS
-	b.imcFS[i] += l.imcFS
-
-	if ph := b.ph[i]; ph != nil {
-		ph.PkgJ += l.pkgJ
-		ph.DramJ += l.dramJ
-		ph.UncoreJ += l.uncJ
-		ph.NodeJ += l.totalJ
-		ph.Instr += l.nodeInstr
-		ph.Cycles += l.cycles
-		ph.DRAMBytes += l.bytes
-		ph.CoreFreqSec += l.coreFS
-		ph.IMCFreqSec += l.imcFS
-		ph.EndSec = b.now[i] + l.dt
-	}
-
-	// Settled controllers: ticks are no-ops, only the accumulator moves.
-	for s := 0; s < b.nsock; s++ {
-		b.ctlAcc[base+s] = uncore.SettleAccum(b.ctlAcc[base+s], l.dt)
-	}
-	b.now[i] += l.dt
-	return true
-}
-
-// tryArm lifts the node into the fast path when it is mid-iteration at
-// a stable operating point: evaluation cached, every uncore controller
-// settled, no trace sampling. The LUT is computed with stepOnce's
-// exact expressions so the replay is bit-identical.
-func (b *Batch) tryArm(i int) {
-	n := b.nodes[i]
-	if n.done || !n.iterActive || n.opt.Trace {
-		return
-	}
-	e, err := n.evalAt(n.segIdx)
-	if err != nil {
-		// Leave the node slow; the next stepOnce surfaces the error.
-		return
-	}
-	for _, c := range n.ctls {
-		ok, err := c.Settled(e.effRatio)
-		if err != nil || !ok {
-			return
-		}
-	}
-	if n.opt.Phases && len(n.phases) <= n.segIdx {
-		return
-	}
-
-	l := &b.lut[i]
-	spi := e.res.SecPerInstr * n.tNoise
-	if b.accel[i] {
-		l.dt = n.opt.StepSec
-		l.instr = l.dt / spi
-	} else {
-		l.instr = n.opt.StepSec / spi
-		l.dt = l.instr * spi
-	}
-	seg := n.cal.Segs[n.segIdx]
-	cores := float64(n.cal.ActiveCores)
-	l.nodeInstr = l.instr * cores
-	l.cycles = l.dt * e.res.EffCoreFreq.GHzF() * 1e9 * cores
-	l.avx = seg.Phase.VPI * l.nodeInstr
-	l.bytes = l.nodeInstr * seg.Phase.BytesPerInstr
-	total := e.brk.Total * n.pNoise
-	l.totalJ = total * l.dt
-	scaledPkg := e.brk.Pkg * n.pNoise
-	scaledDram := e.brk.Dram * n.pNoise
-	l.sockPkgJ = scaledPkg / float64(len(n.sockets)) * l.dt
-	l.pkgJ = scaledPkg * l.dt
-	l.dramJ = scaledDram * l.dt
-	l.uncJ = e.brk.Uncore * n.pNoise * l.dt
-	l.coreFS = e.res.EffCoreFreq.GHzF() * n.cal.FreqBias * l.dt
-	l.imcFS = e.res.UncoreFreq.GHzF() * n.cal.IMCBias * l.dt
-
-	unit, err := n.files[0].Read(msr.MSRRaplPowerUnit)
-	if err != nil {
-		return
-	}
-	l.esuScale = float64(uint64(1) << ((unit >> 8) & 0x1F))
-
-	// Lift the node's mutable per-tick state into the flat slices.
-	base := i * b.nsock
-	for s := 0; s < b.nsock; s++ {
-		pkg, err := n.files[s].Read(msr.MSRPkgEnergyStatus)
-		if err != nil {
-			return
-		}
-		b.cntPkg[base+s] = pkg
-		b.ctlAcc[base+s] = n.ctls[s].TickAccum()
-	}
-	dram, err := n.files[0].Read(msr.MSRDramEnergyStatus)
-	if err != nil {
-		return
-	}
-	b.cntDram[i] = dram
-	b.carryDram[i] = n.rapl.FlatCarry(b.carryPkg[base : base+b.nsock])
-	b.inmTrue[i], b.inmPub[i], b.inmLast[i], b.inmNow[i] = n.inm.FlatState()
-
-	b.now[i] = n.now
-	b.instrLeft[i] = n.instrLeft
-	b.wallLeft[i] = n.wallLeft
-	b.instr[i] = n.instr
-	b.cycles[i] = n.cycles
-	b.avx[i] = n.avx
-	b.bytes[i] = n.bytes
-	b.coreFS[i] = n.coreFreqSec
-	b.imcFS[i] = n.imcFreqSec
-	b.pkgJ[i] = n.pkgJ
-	b.dramJ[i] = n.dramJ
-	b.steps[i] = n.stepCount
-	if n.opt.Phases {
-		b.ph[i] = &n.phases[n.segIdx]
-	} else {
-		b.ph[i] = nil
-	}
-	b.armed[i] = true
-}
-
-// disarm flushes the flat state back into the node — counters, meters,
-// carries, controllers, MSR energy registers — restoring exactly the
-// state per-node stepping would have reached.
-func (b *Batch) disarm(i int) error {
-	n := b.nodes[i]
-	base := i * b.nsock
-	for s := 0; s < b.nsock; s++ {
-		if err := n.files[s].WriteHw(msr.MSRPkgEnergyStatus, b.cntPkg[base+s]); err != nil {
-			return err
-		}
-		n.ctls[s].SetTickAccum(b.ctlAcc[base+s])
-	}
-	if err := n.files[0].WriteHw(msr.MSRDramEnergyStatus, b.cntDram[i]); err != nil {
-		return err
-	}
-	n.rapl.SetFlatCarry(b.carryPkg[base:base+b.nsock], b.carryDram[i])
-	n.inm.SetFlatState(b.inmTrue[i], b.inmPub[i], b.inmLast[i], b.inmNow[i])
-
-	n.now = b.now[i]
-	n.instrLeft = b.instrLeft[i]
-	n.wallLeft = b.wallLeft[i]
-	n.instr = b.instr[i]
-	n.cycles = b.cycles[i]
-	n.avx = b.avx[i]
-	n.bytes = b.bytes[i]
-	n.coreFreqSec = b.coreFS[i]
-	n.imcFreqSec = b.imcFS[i]
-	n.pkgJ = b.pkgJ[i]
-	n.dramJ = b.dramJ[i]
-	n.stepCount = b.steps[i]
-	b.ph[i] = nil
-	b.armed[i] = false
-	return nil
 }

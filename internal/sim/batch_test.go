@@ -1,44 +1,45 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"goear/internal/eargm"
 	"goear/internal/model"
+	"goear/internal/par"
 	"goear/internal/workload"
 )
 
-// batchGoldenCase is one coordinated-run configuration whose batch and
-// reference stepping paths must agree byte for byte.
+// batchGoldenCase is one coordinated-run configuration whose replayed
+// and reference-stepped results must agree byte for byte.
 type batchGoldenCase struct {
 	name    string
 	wl      string
 	policy  string
-	macro   bool
 	phases  bool
 	budgetW float64 // 0 = loose (manager never caps)
 }
 
 func batchGoldenCases() []batchGoldenCase {
 	return []batchGoldenCase{
-		// Tight budget engages the cap ratchet, exercising the batch
-		// disarm path on SetCapRatio; phases exercise the in-place
-		// phase-sample pointer.
+		// Tight budget engages the cap ratchet, exercising the disarm
+		// on SetCapRatio; phases exercise the in-place phase-sample
+		// pointer.
 		{name: "btmz_eufs_capped", wl: workload.BTMZC, policy: "min_energy_eufs", budgetW: 1100, phases: true},
-		{name: "btmz_eufs_macro", wl: workload.BTMZC, policy: "min_energy_eufs", macro: true},
-		{name: "btmz_none", wl: workload.BTMZC, policy: "none", macro: true, phases: true},
+		{name: "btmz_eufs", wl: workload.BTMZC, policy: "min_energy_eufs"},
+		{name: "btmz_none", wl: workload.BTMZC, policy: "none", phases: true},
 		// Accelerator class: wall-clock paced iterations take the other
-		// fast-tick branch.
+		// replay branch.
 		{name: "btcuda_eufs", wl: workload.BTCUDA, policy: "min_energy_eufs"},
-		{name: "btcuda_none_macro", wl: workload.BTCUDA, policy: "none", macro: true},
+		{name: "btcuda_none", wl: workload.BTCUDA, policy: "none"},
 	}
 }
 
 func (c batchGoldenCase) options(t *testing.T, m *model.Model) Options {
 	t.Helper()
-	opt := Options{Policy: c.policy, Seed: 11, MacroStep: c.macro, Phases: c.phases}
+	opt := Options{Policy: c.policy, Seed: 11, Phases: c.phases}
 	if c.policy != "none" {
 		opt.Model = m
 	}
@@ -58,11 +59,10 @@ func (c batchGoldenCase) manager(t *testing.T) *eargm.Manager {
 	return gm
 }
 
-// TestBatchMatchesReferenceByteIdentical pins the tentpole invariant:
-// batch (struct-of-arrays) stepping produces byte-identical coordinated
-// results to the per-node reference path, at every worker (and so
-// batch) count, with and without macro stepping, capped and uncapped, for both
-// workload classes.
+// TestBatchMatchesReferenceByteIdentical pins the engine's invariant on
+// coordinated runs: armed replay produces byte-identical results to
+// ReferenceStep's tick-by-tick stepping, at every worker (and so batch)
+// count, capped and uncapped, for both workload classes.
 func TestBatchMatchesReferenceByteIdentical(t *testing.T) {
 	for _, c := range batchGoldenCases() {
 		c := c
@@ -79,7 +79,7 @@ func TestBatchMatchesReferenceByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// One batch kernel per worker: 1, 2 and 4 partitions.
+			// One batch per worker: 1, 2 and 4 partitions.
 			for _, workers := range []int{1, 2, 4} {
 				opt := c.options(t, m)
 				opt.Workers = workers
@@ -88,7 +88,7 @@ func TestBatchMatchesReferenceByteIdentical(t *testing.T) {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
 				if !reflect.DeepEqual(got, ref) {
-					t.Errorf("workers=%d: batch result differs from reference\n got: %+v\nwant: %+v",
+					t.Errorf("workers=%d: replayed result differs from reference\n got: %+v\nwant: %+v",
 						workers, got, ref)
 				}
 			}
@@ -96,157 +96,124 @@ func TestBatchMatchesReferenceByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCoordinatedMacroMatchesExactWithinTolerance checks that the
-// barrier-bounded macro fast-forward keeps coordinated runs within the
-// same tolerance macro stepping guarantees for free runs, with the
-// policy trajectory (decisions, final operating point) exactly equal.
-func TestCoordinatedMacroMatchesExactWithinTolerance(t *testing.T) {
-	const relTol = 1e-3
-	for _, wl := range []string{workload.BTMZC, workload.BTCUDA} {
-		for _, pol := range []string{"none", "min_energy_eufs"} {
-			cal := calibrated(t, wl)
-			m := platformModel(t, cal.Platform)
-			opt := Options{Policy: pol, Seed: 7}
-			if pol != "none" {
-				opt.Model = m
-			}
-			gmFor := func() *eargm.Manager {
-				gm, err := eargm.New(eargm.Config{BudgetW: 1e6, MaxCapPstate: 8, IntervalSec: 5})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return gm
-			}
-			exact, err := RunCoordinated(cal, opt, gmFor())
-			if err != nil {
-				t.Fatal(err)
-			}
-			opt.MacroStep = true
-			fast, err := RunCoordinated(cal, opt, gmFor())
-			if err != nil {
-				t.Fatal(err)
-			}
-			close := func(name string, a, b float64) {
-				t.Helper()
-				if b == 0 {
-					if a != 0 {
-						t.Errorf("%s/%s %s: %g vs 0", cal.Name, pol, name, a)
-					}
-					return
-				}
-				if d := (a - b) / b; d > relTol || d < -relTol {
-					t.Errorf("%s/%s %s: macro %g vs exact %g (rel %g)", cal.Name, pol, name, a, b, d)
-				}
-			}
-			close("TimeSec", fast.TimeSec, exact.TimeSec)
-			close("EnergyJ", fast.EnergyJ, exact.EnergyJ)
-			close("AvgPowerW", fast.AvgPowerW, exact.AvgPowerW)
-			close("AvgCPUGHz", fast.AvgCPUGHz, exact.AvgCPUGHz)
-			close("AvgIMCGHz", fast.AvgIMCGHz, exact.AvgIMCGHz)
-			for i := range exact.Nodes {
-				e, f := exact.Nodes[i], fast.Nodes[i]
-				if f.FinalCPUPstate != e.FinalCPUPstate || f.FinalUncoreMax != e.FinalUncoreMax {
-					t.Errorf("%s/%s node %d: final op point (%d,%d) vs (%d,%d)", cal.Name, pol, i,
-						f.FinalCPUPstate, f.FinalUncoreMax, e.FinalCPUPstate, e.FinalUncoreMax)
-				}
-				if f.Signatures != e.Signatures || f.PolicyApplies != e.PolicyApplies {
-					t.Errorf("%s/%s node %d: signatures/applies %d/%d vs %d/%d", cal.Name, pol, i,
-						f.Signatures, f.PolicyApplies, e.Signatures, e.PolicyApplies)
-				}
-			}
-		}
-	}
-}
-
-// TestBatchAddRemoveRecycle drives a randomized add/remove/step sequence
-// and checks the dense-index invariants swap-removal must maintain: the
-// id table tracks a model exactly, removed slots are recycled, and the
-// surviving nodes still step and report results.
-func TestBatchAddRemoveRecycle(t *testing.T) {
-	cal := calibrated(t, workload.BTMZC)
-	b, err := NewBatch(cal, Options{Policy: "none", Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rng := rand.New(rand.NewSource(42))
-	var ids []int // model of the batch's dense id table
-	nextID := 0
-	add := func() {
-		i, err := b.Add(nextID)
+// driveBatches runs cal's nodes to completion the way RunCoordinated
+// does — nb batches of contiguous node ids, 5 s intervals — except
+// that sub(b, hi) may first advance each batch to barriers of its own
+// choosing inside the interval, and the cap is not a manager's but a
+// fixed schedule (on after interval 4, off after interval 12), so the
+// only thing that varies between two calls is where runUntil returns.
+func driveBatches(t *testing.T, cal workload.Calibrated, opt Options, nb int, capped bool, sub func(b *Batch, hi float64) error) []NodeResult {
+	t.Helper()
+	batches := make([]*Batch, nb)
+	for s := range batches {
+		b, err := NewBatch(cal, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i != len(ids) {
-			t.Fatalf("Add returned index %d, want %d", i, len(ids))
+		for id := s * cal.Nodes / nb; id < (s+1)*cal.Nodes/nb; id++ {
+			if _, err := b.Add(id); err != nil {
+				t.Fatal(err)
+			}
 		}
-		ids = append(ids, nextID)
-		nextID++
+		batches[s] = b
 	}
-	remove := func(i int) {
-		if err := b.Remove(i); err != nil {
+	capRatio, err := cal.Platform.Machine.CPU.PstateRatio(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; ; k++ {
+		hi := 5 * float64(k)
+		err := par.ForEach(nb, nb, func(s int) error {
+			if err := sub(batches[s], hi); err != nil {
+				return err
+			}
+			return batches[s].StepUntil(hi)
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-		ids[i] = ids[len(ids)-1]
-		ids = ids[:len(ids)-1]
-	}
-	check := func() {
-		t.Helper()
-		if b.Len() != len(ids) {
-			t.Fatalf("Len() = %d, want %d", b.Len(), len(ids))
+		alive := false
+		for _, b := range batches {
+			alive = alive || !b.Done()
+			if capped && (k == 4 || k == 12) {
+				r := capRatio
+				if k == 12 {
+					r = 0
+				}
+				if err := b.SetCapRatio(r); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
-		for i, id := range ids {
-			if got := b.NodeID(i); got != id {
-				t.Fatalf("NodeID(%d) = %d, want %d", i, got, id)
+		if !alive {
+			break
+		}
+	}
+	var out []NodeResult
+	for _, b := range batches {
+		rs, err := b.Results()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, rs...)
+	}
+	return out
+}
+
+// TestCallGranularityIndependence pins that armed state persisting
+// between calls is invisible: the same nodes advanced by one-tick
+// sweeps, by whole intervals and by a seeded random barrier schedule
+// yield byte-identical results, equal to ReferenceStep's, capped and
+// uncapped, split over 1, 2 and 4 batches.
+func TestCallGranularityIndependence(t *testing.T) {
+	cal := calibrated(t, workload.BTMZC)
+	cal.Nodes = 4
+	opt := Options{Policy: "min_energy_eufs", Model: platformModel(t, cal.Platform), Seed: 3, Phases: true}
+
+	whole := func(*Batch, float64) error { return nil }
+	ticks := func(b *Batch, hi float64) error {
+		// Stop one tick short: accumulated 0.01s may not overshoot hi.
+		for b.clock+0.01 < hi {
+			if err := b.Tick(0.01); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	random := func(b *Batch, hi float64) error {
+		// Seeded per (batch, interval), so the schedule does not
+		// depend on goroutine interleaving.
+		rng := rand.New(rand.NewSource(int64(b.ids[0])*1000 + int64(hi)))
+		for at := hi - 5; ; {
+			at += rng.Float64() * 2
+			if at >= hi {
+				return nil
+			}
+			if err := b.StepUntil(at); err != nil {
+				return err
 			}
 		}
 	}
 
-	for i := 0; i < 8; i++ {
-		add()
+	refOpt := opt
+	refOpt.ReferenceStep = true
+	if reflect.DeepEqual(driveBatches(t, cal, refOpt, 1, false, whole), driveBatches(t, cal, refOpt, 1, true, whole)) {
+		t.Fatal("precondition: the cap schedule changes nothing")
 	}
-	check()
-	clock := 0.0
-	for op := 0; op < 60; op++ {
-		switch {
-		case len(ids) == 0 || rng.Intn(3) == 0:
-			add()
-		case rng.Intn(2) == 0:
-			remove(rng.Intn(len(ids)))
-		default:
-			clock += 5
-			if err := b.StepUntil(clock); err != nil {
-				t.Fatal(err)
+	for _, capped := range []bool{false, true} {
+		ref := driveBatches(t, cal, refOpt, 1, capped, whole)
+		for _, sched := range []struct {
+			name string
+			sub  func(*Batch, float64) error
+		}{{"ticks", ticks}, {"intervals", whole}, {"random", random}} {
+			for _, nb := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("capped=%v/%s/batches=%d", capped, sched.name, nb), func(t *testing.T) {
+					got := driveBatches(t, cal, opt, nb, capped, sched.sub)
+					if !reflect.DeepEqual(got, ref) {
+						t.Errorf("results differ from ReferenceStep\n got: %+v\nwant: %+v", got, ref)
+					}
+				})
 			}
 		}
-		check()
-	}
-	if len(ids) == 0 {
-		add()
-	}
-	// Every survivor must have advanced to the batch clock (or be done)
-	// and produce a well-formed result.
-	clock += 5
-	if err := b.StepUntil(clock); err != nil {
-		t.Fatal(err)
-	}
-	rs, err := b.Results()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != len(ids) {
-		t.Fatalf("Results len %d, want %d", len(rs), len(ids))
-	}
-	for i, r := range rs {
-		if r.TimeSec <= 0 || r.EnergyJ <= 0 {
-			t.Errorf("node %d: empty result %+v", ids[i], r)
-		}
-	}
-	if err := b.Remove(len(ids)); err == nil {
-		t.Error("Remove past end: expected error")
-	}
-	if !b.Done() {
-		// Not all nodes are done mid-run; Done must say so.
-		_ = b.Done()
 	}
 }

@@ -24,15 +24,13 @@ type PowerManager interface {
 // time slices under a cluster power manager, the way EAR's node daemons
 // advance jobs while EARGM enforces a site power budget over them.
 //
-// By default nodes are partitioned into one batch stepping kernel per
-// worker (contiguous node-id ranges, never more kernels than nodes)
-// and each interval advances whole batches through the
-// struct-of-arrays fast path; Options.ReferenceStep selects the
-// per-node reference path instead. Nodes are fully independent between
-// barriers, so both paths — at any Workers count — produce
-// byte-identical results. Macro
-// stepping (Options.MacroStep), when enabled, is bounded by the
-// lock-step barrier so intervals still end at exact time boundaries.
+// Nodes are partitioned into one Batch per worker (contiguous node-id
+// ranges, never more batches than nodes) and every interval advances
+// each batch to the barrier: armed nodes replay their settled tick,
+// the rest step (Options.ReferenceStep makes every node step). Nodes
+// are fully independent between barriers and the replay is
+// bit-identical to stepping, so the result is byte-identical at any
+// Workers count and under ReferenceStep.
 func RunCoordinated(cal workload.Calibrated, opt Options, gm PowerManager) (Result, error) {
 	opt = opt.withDefaults()
 	if gm == nil {
@@ -43,9 +41,6 @@ func RunCoordinated(cal workload.Calibrated, opt Options, gm PowerManager) (Resu
 	}
 	if opt.Policy != "none" && opt.Model == nil {
 		return Result{}, fmt.Errorf("sim: policy %q needs a trained model", opt.Policy)
-	}
-	if opt.ReferenceStep {
-		return runCoordinatedReference(cal, opt, gm)
 	}
 
 	nb := min(opt.workers(), cal.Nodes)
@@ -126,79 +121,6 @@ func RunCoordinated(cal workload.Calibrated, opt Options, gm PowerManager) (Resu
 			return Result{}, err
 		}
 		res.Nodes = append(res.Nodes, nrs...)
-	}
-	res.aggregate()
-	return res, nil
-}
-
-// runCoordinatedReference is the per-node stepping path batch kernels
-// are verified against (Options.ReferenceStep).
-func runCoordinatedReference(cal workload.Calibrated, opt Options, gm PowerManager) (Result, error) {
-	nodes := make([]*node, cal.Nodes)
-	for i := range nodes {
-		n, err := newNode(cal, i, opt)
-		if err != nil {
-			return Result{}, fmt.Errorf("sim: %s node %d: %w", cal.Name, i, err)
-		}
-		nodes[i] = n
-	}
-
-	interval := gm.Interval()
-	prevE := make([]float64, len(nodes))
-	powers := make([]float64, len(nodes))
-	curCap := 0
-	for tick := interval; ; tick += interval {
-		// Nodes share no state, so each interval's lock-step advance
-		// fans out across workers; the manager only runs once every
-		// node has reached the barrier, exactly as in the sequential
-		// schedule.
-		err := par.ForEach(opt.workers(), len(nodes), func(i int) error {
-			return nodes[i].stepUntil(tick)
-		})
-		if err != nil {
-			return Result{}, err
-		}
-		alive := false
-		for _, n := range nodes {
-			if !n.done {
-				alive = true
-			}
-		}
-		for i, n := range nodes {
-			e := n.inm.TrueEnergy()
-			powers[i] = (e - prevE[i]) / interval
-			prevE[i] = e
-		}
-		cap, err := gm.Update(tick, powers)
-		if err != nil {
-			return Result{}, err
-		}
-		if cap != curCap {
-			curCap = cap
-			for _, n := range nodes {
-				if cap == 0 {
-					n.setCapRatio(0)
-					continue
-				}
-				ratio, err := cal.Platform.Machine.CPU.PstateRatio(cap)
-				if err != nil {
-					return Result{}, err
-				}
-				n.setCapRatio(ratio)
-			}
-		}
-		if !alive {
-			break
-		}
-	}
-
-	res := Result{Workload: cal.Name, Policy: opt.Policy}
-	for i, n := range nodes {
-		nr, err := n.result()
-		if err != nil {
-			return Result{}, fmt.Errorf("sim: %s node %d: %w", cal.Name, i, err)
-		}
-		res.Nodes = append(res.Nodes, nr)
 	}
 	res.aggregate()
 	return res, nil

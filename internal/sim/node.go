@@ -40,6 +40,9 @@ type node struct {
 	// run the node is recycled for.
 	curve uncore.Curve
 
+	// Everything a replayed tick touches sits together from here to
+	// armed: a 1,024-node sweep walks these bytes once per tick, so the
+	// fewer cache lines they span the cheaper the sweep.
 	now float64
 
 	// Cumulative node counters (what EARL samples).
@@ -47,6 +50,21 @@ type node struct {
 	coreFreqSec, imcFreqSec   float64
 	// True energy integrals by scope (simulator bookkeeping).
 	pkgJ, dramJ float64
+
+	// Iteration progress, for resumable stepping (RunCoordinated).
+	instrLeft  float64
+	wallLeft   float64
+	iterActive bool
+	done       bool
+
+	// stepCount tallies every tick of this run and replayed those
+	// advanced while armed; plain ints on purpose — flushTel adds them
+	// to the telemetry counters in one atomic Add each.
+	stepCount uint64
+	replayed  uint64
+
+	// armed is the fast-path state (see replay.go).
+	armed armedState
 
 	// Steady-state evaluation cache. The operating point changes rarely
 	// relative to the 10 ms step, so a same-key fast path plus a linear
@@ -85,38 +103,13 @@ type node struct {
 	// pool recycles (result copies out) and is truncated by init.
 	phases []PhaseSample
 
-	// Iteration progress, for resumable stepping (RunCoordinated).
+	// Position in the workload and the in-flight iteration's noise.
 	segIdx, iterInSeg int
-	instrLeft         float64
-	wallLeft          float64
-	iterActive        bool
-	done              bool
 	tNoise, pNoise    float64
 
-	// stepCount/macroCount tally stepOnce calls and macro-step
-	// activations for this run; plain ints on purpose — runNode flushes
-	// them into the telemetry counters in one atomic Add each.
 	// everUsed marks a node that already served a run (i.e. a pool
 	// recycle on the next Get); init must NOT reset it.
-	stepCount  uint64
-	macroCount uint64
-	everUsed   bool
-
-	// macroLimit, when positive, bounds macro-step fast-forwarding to
-	// iterations that complete by this simulated time. Coordinated
-	// (lock-step) runs set it to the current barrier so a macro step
-	// never overshoots an interval boundary; 0 leaves macro unbounded.
-	macroLimit float64
-
-	// Macro-step (Options.MacroStep) bookkeeping: iterKey/iterSingle
-	// track whether the in-flight iteration has run entirely at one
-	// operating point; prevIterKey/prevIterSingle hold the completed
-	// iteration's verdict. A new iteration that starts at the same
-	// stable point is consumed in one analytic step.
-	iterKey        cacheKey
-	iterSingle     bool
-	prevIterKey    cacheKey
-	prevIterSingle bool
+	everUsed bool
 }
 
 type cacheKey struct {
@@ -143,8 +136,7 @@ var nodePool = sync.Pool{New: func() any { return new(node) }}
 // runNode simulates the whole workload on one node.
 func runNode(cal workload.Calibrated, nodeID int, opt Options) (NodeResult, error) {
 	n := nodePool.Get().(*node)
-	tl := tel.Load()
-	if tl != nil && n.everUsed {
+	if tl := tel.Load(); tl != nil && n.everUsed {
 		tl.recycles.Inc()
 	}
 	n.everUsed = true
@@ -158,16 +150,12 @@ func runNode(cal workload.Calibrated, nodeID int, opt Options) (NodeResult, erro
 	if err := n.init(cal, nodeID, opt); err != nil {
 		return NodeResult{}, err
 	}
-	for !n.done {
-		if err := n.stepOnce(); err != nil {
-			return NodeResult{}, err
-		}
+	if err := n.runUntil(math.Inf(1)); err != nil {
+		return NodeResult{}, err
 	}
 	res, err := n.result()
-	if err == nil && tl != nil {
-		tl.runs.Inc()
-		tl.steps.Add(n.stepCount)
-		tl.macro.Add(n.macroCount)
+	if err == nil {
+		n.flushTel()
 	}
 	return res, err
 }
@@ -196,84 +184,30 @@ func (n *node) startIteration() {
 }
 
 // stepOnce advances the node by at most one simulation step, crossing
-// iteration and segment boundaries as needed. It is the resumable core
-// used both by full runs and by coordinated (powercapped) cluster runs.
+// iteration and segment boundaries as needed. It is the slow state of
+// the stepping engine — every tick a node is not armed for — and, on
+// its own (Stepper, Options.ReferenceStep), the oracle the armed replay
+// is tested against.
 func (n *node) stepOnce() error {
 	if n.done {
 		return nil
 	}
 	n.stepCount++
-	first := false
 	if !n.iterActive {
 		n.startIteration()
-		first = true
 	}
 	e, err := n.evalAt(n.segIdx)
 	if err != nil {
 		return err
 	}
-	key := n.lastKey
-	if first {
-		n.iterKey, n.iterSingle = key, true
-	} else if key != n.iterKey {
-		n.iterSingle = false
-	}
-
 	spi := e.res.SecPerInstr * n.tNoise
 
-	// Steady-phase fast-forward: the previous iteration ran entirely at
-	// this operating point, so this one will too (noise scales the
-	// whole iteration uniformly) — consume it in one analytic step.
-	// Noise draws, EARL events and policy cadence are identical to
-	// exact mode; only the integral summation order differs.
-	macro := first && n.opt.MacroStep && !n.opt.Trace &&
-		n.prevIterSingle && key == n.prevIterKey
-	if macro && n.macroLimit > 0 {
-		// Lock-step runs may not overshoot their barrier: fast-forward
-		// only iterations that complete inside the current slice.
-		projDt := n.instrLeft * spi
-		if n.cal.Class == workload.Accelerator {
-			projDt = n.wallLeft
-		}
-		if n.now+projDt > n.macroLimit {
-			macro = false
-		}
-	}
-	if macro {
-		// A still-ramping uncore controller would move mid-iteration
-		// (and exact mode would re-evaluate at each new ratio), so the
-		// fast-forward additionally requires every controller settled.
-		for _, c := range n.ctls {
-			ok, err := c.Settled(e.effRatio)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				macro = false
-				break
-			}
-		}
-	}
-
-	if macro {
-		n.macroCount++
-	}
-
 	var dt, nInstr float64
-	switch {
-	case macro && n.cal.Class == workload.Accelerator:
-		dt = n.wallLeft
-		nInstr = dt / spi
-		n.wallLeft = 0
-	case macro:
-		nInstr = n.instrLeft
-		dt = nInstr * spi
-		n.instrLeft = 0
-	case n.cal.Class == workload.Accelerator:
+	if n.cal.Class == workload.Accelerator {
 		dt = math.Min(n.opt.StepSec, n.wallLeft)
 		nInstr = dt / spi
 		n.wallLeft -= dt
-	default:
+	} else {
 		nInstr = n.opt.StepSec / spi
 		if nInstr > n.instrLeft {
 			nInstr = n.instrLeft
@@ -290,7 +224,6 @@ func (n *node) stepOnce() error {
 		return nil
 	}
 	n.iterActive = false
-	n.prevIterKey, n.prevIterSingle = n.iterKey, n.iterSingle
 	if err := n.iterationBoundary(); err != nil {
 		return err
 	}
@@ -305,24 +238,18 @@ func (n *node) stepOnce() error {
 	return nil
 }
 
-// stepUntil advances the node to (at least) the given simulated time or
-// to completion, whichever comes first. The target doubles as the
-// macro-step bound: a lock-step caller's barrier must not be overshot
-// by an analytic fast-forward.
-func (n *node) stepUntil(t float64) error {
-	n.macroLimit = t
-	for !n.done && n.now < t {
-		if err := n.stepOnce(); err != nil {
+// setCapRatio applies (or with 0 releases) the node-daemon core-ratio
+// ceiling used by cluster power management. The cap changes the
+// operating point, so an armed node is disarmed first; it re-arms once
+// stable again.
+func (n *node) setCapRatio(r uint64) error {
+	if n.armed.on {
+		if err := n.disarm(); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-// setCapRatio applies (or with 0 releases) the node-daemon core-ratio
-// ceiling used by cluster power management.
-func (n *node) setCapRatio(r uint64) {
 	n.capRatio = r
+	return nil
 }
 
 func newNode(cal workload.Calibrated, nodeID int, opt Options) (*node, error) {
@@ -353,11 +280,9 @@ func (n *node) init(cal workload.Calibrated, nodeID int, opt Options) error {
 	n.segIdx, n.iterInSeg = 0, 0
 	n.instrLeft, n.wallLeft = 0, 0
 	n.iterActive, n.done = false, false
-	n.stepCount, n.macroCount = 0, 0
+	n.stepCount, n.replayed = 0, 0
+	n.armed = armedState{}
 	n.tNoise, n.pNoise = 0, 0
-	n.iterKey, n.prevIterKey = cacheKey{}, cacheKey{}
-	n.iterSingle, n.prevIterSingle = false, false
-	n.macroLimit = 0
 	n.lib = nil
 	n.mpiEvents = cal.AppendMPIEvents(n.mpiEvents)
 	n.nctl.n = n
@@ -641,8 +566,13 @@ func (n *node) iterationBoundary() error {
 	return n.lib.OnTick(n.now)
 }
 
-// result assembles the node's run outcome.
+// result assembles the node's run outcome, flushing armed state first.
 func (n *node) result() (NodeResult, error) {
+	if n.armed.on {
+		if err := n.disarm(); err != nil {
+			return NodeResult{}, err
+		}
+	}
 	if n.now <= 0 || n.instr <= 0 {
 		return NodeResult{}, fmt.Errorf("sim: empty run")
 	}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -66,78 +65,5 @@ func TestWorkersByteIdentical(t *testing.T) {
 		if !reflect.DeepEqual(ref, r) {
 			t.Errorf("workers=%d result differs from workers=1", workers)
 		}
-	}
-}
-
-// TestMacroStepMatchesExactWithinTolerance validates the opt-in
-// steady-phase fast-forward: aggregate outcomes must agree with exact
-// mode within the documented tolerance (the modes differ only in float
-// summation order plus the coarser INM publication grid), and the
-// policy trajectory (final operating point, EARL activity) must be
-// identical.
-func TestMacroStepMatchesExactWithinTolerance(t *testing.T) {
-	const relTol = 1e-3
-	for _, name := range []string{workload.BTMZC, workload.BTCUDA} {
-		cal := calibrated(t, name)
-		m := platformModel(t, cal.Platform)
-		for _, pol := range []string{"none", "min_energy_eufs"} {
-			exact, err := Run(cal, Options{Policy: pol, Model: m, Seed: 11})
-			if err != nil {
-				t.Fatal(err)
-			}
-			fast, err := Run(cal, Options{Policy: pol, Model: m, Seed: 11, MacroStep: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			check := func(what string, e, f float64) {
-				if e == 0 && f == 0 {
-					return
-				}
-				if rel := math.Abs(f-e) / math.Abs(e); rel > relTol {
-					t.Errorf("%s/%s: macro %s = %v, exact %v (rel err %.2e > %g)",
-						name, pol, what, f, e, rel, relTol)
-				}
-			}
-			check("time", exact.TimeSec, fast.TimeSec)
-			check("energy", exact.EnergyJ, fast.EnergyJ)
-			check("avg power", exact.AvgPowerW, fast.AvgPowerW)
-			check("avg CPU GHz", exact.AvgCPUGHz, fast.AvgCPUGHz)
-			check("avg IMC GHz", exact.AvgIMCGHz, fast.AvgIMCGHz)
-			en, fn := exact.Nodes[0], fast.Nodes[0]
-			if en.FinalCPUPstate != fn.FinalCPUPstate || en.FinalUncoreMax != fn.FinalUncoreMax {
-				t.Errorf("%s/%s: macro settled at (p%d, u%d), exact (p%d, u%d)",
-					name, pol, fn.FinalCPUPstate, fn.FinalUncoreMax,
-					en.FinalCPUPstate, en.FinalUncoreMax)
-			}
-			if en.Signatures != fn.Signatures || en.PolicyApplies != fn.PolicyApplies {
-				t.Errorf("%s/%s: macro EARL activity (%d sigs, %d applies), exact (%d, %d)",
-					name, pol, fn.Signatures, fn.PolicyApplies, en.Signatures, en.PolicyApplies)
-			}
-		}
-	}
-}
-
-// TestMacroStepActuallyFastForwards guards against the fast-forward
-// silently never engaging: a steady no-policy run must finish in far
-// fewer steps than exact mode.
-func TestMacroStepActuallyFastForwards(t *testing.T) {
-	cal := calibrated(t, workload.BTMZC)
-	count := func(macro bool) int {
-		s, err := NewStepper(cal, 0, Options{Policy: "none", Seed: 5, MacroStep: macro})
-		if err != nil {
-			t.Fatal(err)
-		}
-		steps := 0
-		for !s.Done() {
-			if err := s.Step(); err != nil {
-				t.Fatal(err)
-			}
-			steps++
-		}
-		return steps
-	}
-	exact, fast := count(false), count(true)
-	if fast*10 > exact {
-		t.Errorf("macro mode took %d steps vs %d exact; fast-forward not engaging", fast, exact)
 	}
 }

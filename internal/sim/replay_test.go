@@ -1,0 +1,190 @@
+package sim
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"testing"
+
+	"goear/internal/eard"
+	"goear/internal/eargm"
+	"goear/internal/msr"
+	"goear/internal/telemetry"
+	"goear/internal/workload"
+)
+
+// stepToEnd drives a fresh node through stepOnce alone — the oracle.
+func stepToEnd(t *testing.T, cal workload.Calibrated, id int, opt Options) *node {
+	t.Helper()
+	s, err := NewStepper(cal, id, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !s.Done() {
+		if err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s.n
+}
+
+// runToEnd drives a fresh node through the engine, as runNode does.
+func runToEnd(t *testing.T, cal workload.Calibrated, id int, opt Options) *node {
+	t.Helper()
+	n, err := newNode(cal, id, opt.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.runUntil(math.Inf(1)); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// instruments reads what software on the node could observe after the
+// run: the RAPL MSR counters, the published INM value, plus the meter
+// and controller remainders the next tick would start from.
+func instruments(t *testing.T, n *node) []any {
+	t.Helper()
+	out := []any{n.inm.ReadEnergy(), n.inm.TrueEnergy(), n.inm.Now(), n.stepCount}
+	carry := make([]float64, len(n.sockets))
+	out = append(out, n.rapl.FlatCarry(carry), carry)
+	for s, f := range n.files {
+		for _, reg := range []uint32{msr.MSRPkgEnergyStatus, msr.MSRDramEnergyStatus, msr.MSRUncorePerfStatus} {
+			v, err := f.Read(reg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, v)
+		}
+		out = append(out, n.ctls[s].TickAccum())
+	}
+	return out
+}
+
+// TestRunMatchesStepperExactly is the identity that replaced the
+// macro-step tolerance: sim.Run (armed replay) must equal a
+// stepOnce-only run of the same node field for field — the NodeResult,
+// and every instrument read through the node afterwards.
+func TestRunMatchesStepperExactly(t *testing.T) {
+	limits := &eard.Limits{MaxPstate: 4, UncoreFloorRatio: 18}
+	for _, wl := range []string{workload.BTMZC, workload.HPCG, workload.BTCUDA} {
+		cal := calibrated(t, wl)
+		if cal.Nodes > 2 {
+			cal.Nodes = 2
+		}
+		m := platformModel(t, cal.Platform)
+		for _, pol := range []string{"none", "min_energy", "min_energy_eufs"} {
+			for _, phases := range []bool{false, true} {
+				for _, lim := range []*eard.Limits{nil, limits} {
+					opt := Options{Policy: pol, Model: m, Seed: 11, Phases: phases, DaemonLimits: lim}
+					t.Run(fmt.Sprintf("%s/%s/phases=%v/limits=%v", wl, pol, phases, lim != nil), func(t *testing.T) {
+						t.Parallel()
+						got, err := Run(cal, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for id := 0; id < cal.Nodes; id++ {
+							oracle := stepToEnd(t, cal, id, opt)
+							want, err := oracle.result()
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !reflect.DeepEqual(got.Nodes[id], want) {
+								t.Errorf("node %d: Run differs from Stepper\n got: %+v\nwant: %+v", id, got.Nodes[id], want)
+							}
+							n := runToEnd(t, cal, id, opt)
+							if n.replayed == 0 || n.replayed >= n.stepCount {
+								t.Errorf("node %d: %d of %d ticks replayed; the fast path is not engaging", id, n.replayed, n.stepCount)
+							}
+							if g, w := instruments(t, n), instruments(t, oracle); !reflect.DeepEqual(g, w) {
+								t.Errorf("node %d: instruments differ\n got: %v\nwant: %v", id, g, w)
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestNeverArms covers the two nodes the fast path must refuse: one
+// wider than the armed state's socket arrays, and one being traced
+// (trace points need per-step sampling). Both must run, match the
+// oracle, and replay nothing.
+func TestNeverArms(t *testing.T) {
+	wide := calibrated(t, workload.BTMZC)
+	wide.Platform.Machine.CPU.Sockets = 2 * armSockets
+	traced := calibrated(t, workload.BTMZC)
+	for _, c := range []struct {
+		name string
+		cal  workload.Calibrated
+		opt  Options
+	}{
+		{"four_sockets", wide, Options{Policy: "none", Seed: 4, Phases: true}},
+		{"trace", traced, Options{Policy: "min_energy_eufs", Model: platformModel(t, traced.Platform), Seed: 4, Trace: true}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			n := runToEnd(t, c.cal, 0, c.opt)
+			if n.replayed != 0 || n.armed.on {
+				t.Errorf("%d ticks replayed, armed=%v; want a node that never arms", n.replayed, n.armed.on)
+			}
+			oracle := stepToEnd(t, c.cal, 0, c.opt)
+			got, err := n.result()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := oracle.result()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("result differs from the oracle\n got: %+v\nwant: %+v", got, want)
+			}
+			if g, w := instruments(t, n), instruments(t, oracle); !reflect.DeepEqual(g, w) {
+				t.Errorf("instruments differ\n got: %v\nwant: %v", g, w)
+			}
+		})
+	}
+}
+
+// TestStepTelemetryCoversEveryDriver checks the step counters are
+// flushed by free and coordinated runs alike, once per node run, and
+// that replayed ticks are a strict subset of all ticks.
+func TestStepTelemetryCoversEveryDriver(t *testing.T) {
+	cal := calibrated(t, workload.BTMZC)
+	cal.Nodes = 3
+	opt := Options{Policy: "none", Seed: 2}
+	want := stepToEnd(t, cal, 0, opt).stepCount + stepToEnd(t, cal, 1, opt).stepCount + stepToEnd(t, cal, 2, opt).stepCount
+
+	for _, d := range []struct {
+		name  string
+		drive func() error
+	}{
+		{"Run", func() error { _, err := Run(cal, opt); return err }},
+		{"RunCoordinated", func() error {
+			gm, err := eargm.New(eargm.Config{BudgetW: 1e6, MaxCapPstate: 8, IntervalSec: 5})
+			if err != nil {
+				return err
+			}
+			_, err = RunCoordinated(cal, opt, gm)
+			return err
+		}},
+	} {
+		t.Run(d.name, func(t *testing.T) {
+			telemetry.Enable()
+			defer telemetry.Disable()
+			if err := d.drive(); err != nil {
+				t.Fatal(err)
+			}
+			tl := tel.Load()
+			steps, replayed, runs := tl.steps.Value(), tl.replayed.Value(), tl.runs.Value()
+			if runs != uint64(cal.Nodes) || steps != want {
+				t.Errorf("%d runs, %d steps; want %d runs, %d steps", runs, steps, cal.Nodes, want)
+			}
+			if replayed == 0 || replayed >= steps {
+				t.Errorf("%d of %d steps replayed; want a strict, non-empty subset", replayed, steps)
+			}
+		})
+	}
+}

@@ -55,29 +55,14 @@ type Options struct {
 	// DaemonLimits, when set, routes EARL's actuation through the node
 	// daemon's enforcement (site pstate bounds, uncore floor).
 	DaemonLimits *eard.Limits
-	// MacroStep enables steady-phase fast-forwarding: when an entire
-	// iteration ran at one operating point (no policy actuation, no
-	// uncore controller movement) and the next iteration starts at that
-	// same point, the simulator consumes the whole iteration in one
-	// analytic step instead of walking it in StepSec ticks. Per-
-	// iteration noise draws, EARL events and policy decisions are
-	// unchanged; only the float summation order of the integrals
-	// differs, so results agree with exact mode to a small tolerance
-	// (~1e-3 relative, see DESIGN.md § Performance) instead of being
-	// byte-identical. Off by default here; the experiment engine turns
-	// it on for campaign paths (opt out with its Exact switch). Ignored
-	// while Trace is on (trace points need per-step sampling); in
-	// coordinated (powercapped) cluster runs the fast-forward is bounded
-	// by the lock-step barrier, so intervals still end at exact time
-	// boundaries.
-	MacroStep bool
 	// DecisionLog collects every EARL signature-handling event into
 	// NodeResult.Decisions (see Result.WriteDecisionLog). Collection is
 	// per-node and ordered, so the log is byte-identical at any Workers
 	// count. Off by default: the conversion allocates per node run.
 	DecisionLog bool
 	// Trace records a per-node time series (one point per TraceStepSec
-	// of simulated time) in NodeResult.Trace.
+	// of simulated time) in NodeResult.Trace. A traced node never arms:
+	// trace points need per-step sampling.
 	Trace bool
 	// Phases accumulates per-workload-phase energy and usage counters
 	// into NodeResult.Phases — the raw material per-job energy
@@ -94,10 +79,10 @@ type Options struct {
 	// by (Seed, node id, run index), so results are byte-identical at
 	// any worker count; Workers only changes wall-clock time.
 	Workers int
-	// ReferenceStep forces coordinated runs onto the per-node reference
-	// stepping path instead of the batch kernels. Results are
-	// byte-identical either way (the golden tests assert it); the
-	// switch exists for verification and benchmarking.
+	// ReferenceStep makes every node step tick by tick and never arm
+	// for replay (see replay.go). Results are byte-identical either way
+	// (the identity tests assert it); the switch exists as the oracle
+	// for verification and benchmarking.
 	ReferenceStep bool
 }
 

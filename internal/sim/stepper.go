@@ -6,11 +6,11 @@ import (
 	"goear/internal/workload"
 )
 
-// Stepper drives one simulated node tick by tick. It exposes the same
-// resumable core RunCoordinated uses internally, so benchmarks and
-// diagnostics can measure the per-step cost of the simulator's inner
-// loop (tick → perf evaluation → meters → controller → EARL) in
-// isolation from run setup and aggregation.
+// Stepper drives one simulated node tick by tick through stepOnce
+// alone: it never arms, so every Step pays the full inner loop (tick →
+// perf evaluation → meters → controller → EARL). Benchmarks use it to
+// measure that cost in isolation from run setup and aggregation, and
+// the identity tests use it as the oracle Run's replay must equal.
 type Stepper struct {
 	n *node
 }

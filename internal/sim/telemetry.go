@@ -10,18 +10,19 @@ import (
 // analyzer).
 const (
 	metricSimSteps    = "goear_sim_steps_total"
-	metricSimMacro    = "goear_sim_macro_steps_total"
+	metricSimReplayed = "goear_sim_replayed_steps_total"
 	metricSimNodeRuns = "goear_sim_node_runs_total"
 	metricSimRecycles = "goear_sim_pool_recycles_total"
 )
 
 // simTel is the package instrument bundle. The pointer stays nil until
-// global telemetry is enabled; runNode loads it once per node run and
-// flushes the node's plain step counters in one Add each, so the
-// per-step hot path carries no atomics for telemetry.
+// global telemetry is enabled; flushTel loads it once per node run and
+// adds the node's plain step tallies in one Add each, so the per-step
+// hot path carries no atomics for telemetry. steps − replayed is the
+// number of ticks that took the slow path.
 type simTel struct {
 	steps    *telemetry.Counter
-	macro    *telemetry.Counter
+	replayed *telemetry.Counter
 	runs     *telemetry.Counter
 	recycles *telemetry.Counter
 }
@@ -37,9 +38,23 @@ func init() {
 		r := s.Registry
 		tel.Store(&simTel{
 			steps:    r.Counter(metricSimSteps, "simulation steps executed"),
-			macro:    r.Counter(metricSimMacro, "steady-phase macro-step activations"),
+			replayed: r.Counter(metricSimReplayed, "simulation steps advanced by armed replay"),
 			runs:     r.Counter(metricSimNodeRuns, "node runs completed"),
 			recycles: r.Counter(metricSimRecycles, "node allocations recycled from the pool"),
 		})
 	})
+}
+
+// flushTel adds the node's step tallies to the telemetry counters and
+// zeroes them, so a run is counted once however often its results are
+// read. Run and Batch.Results call it; a Stepper never reports.
+func (n *node) flushTel() {
+	tl := tel.Load()
+	if tl == nil || n.stepCount == 0 {
+		return
+	}
+	tl.runs.Inc()
+	tl.steps.Add(n.stepCount)
+	tl.replayed.Add(n.replayed)
+	n.stepCount, n.replayed = 0, 0
 }

@@ -203,9 +203,9 @@ func (c *Controller) tick(coreRatio uint64) error {
 }
 
 // TickAccum returns the time accumulated toward the controller's next
-// tick. Together with SetTickAccum it lets a batch stepping kernel lift
-// the controller's only mutable non-MSR state into a dense array while
-// the controller is settled (ticks are then pure no-ops) and restore it
+// tick. Together with SetTickAccum it lets the simulator's armed
+// replay lift the controller's only mutable non-MSR state while the
+// controller is settled (ticks are then pure no-ops) and restore it
 // unchanged afterwards.
 func (c *Controller) TickAccum() float64 { return c.acc }
 
@@ -217,7 +217,7 @@ func (c *Controller) SetTickAccum(v float64) { c.acc = v }
 // Advance's arithmetic, draining whole ticks without performing them.
 // It is only correct while the controller is settled (a tick neither
 // reads changing state nor writes anything), which is the condition
-// batch kernels arm under.
+// the simulator arms a node under.
 func SettleAccum(acc, dt float64) float64 {
 	acc += dt
 	const eps = 1e-9
@@ -229,8 +229,8 @@ func SettleAccum(acc, dt float64) float64 {
 
 // Settled reports whether a tick at the given effective core ratio
 // would leave the operating ratio where it is — i.e. the control loop
-// has converged under the current limits. The simulator's macro-step
-// fast-forward requires this: while the controller is still ramping,
+// has converged under the current limits. The simulator arms a node
+// for replay only then: while the controller is still ramping,
 // per-tick stepping is what produces the ramp.
 func (c *Controller) Settled(coreRatio uint64) (bool, error) {
 	cur, next, err := c.step(coreRatio)
