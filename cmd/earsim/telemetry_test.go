@@ -30,6 +30,8 @@ func TestTelemetryDump(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE goear_sim_steps_total counter",
 		"goear_sim_node_runs_total",
+		"# TYPE goear_sim_mpi_events_total counter",
+		"# TYPE goear_sim_signatures_total counter",
 		`goear_policy_decisions_total{policy="min_energy_eufs",state="ready"}`,
 	} {
 		if !strings.Contains(string(metrics), want) {

@@ -5,7 +5,7 @@
 // when a loop begins, when each new iteration starts, and when the loop
 // is lost.
 //
-// The detector keeps a sliding window of recent event identifiers. While
+// The detector keeps a bounded window of recent event identifiers. While
 // searching, it looks for the smallest period p such that the last
 // MinRepetitions·p events are p-periodic. Once locked, each incoming
 // event is checked against the event one period back; completing a
@@ -58,10 +58,16 @@ const MinRepetitions = 3
 // Detector detects periodic event streams. Construct with New.
 type Detector struct {
 	maxPeriod int
-	window    []uint32 // most recent events, bounded
-	locked    bool
-	period    int
-	phase     int // events seen since the last iteration boundary
+	// window holds the most recent events in one buffer allocated at
+	// the first Push and never grown: when it fills, the newest
+	// MinRepetitions·maxPeriod−1 events are copied down to its front.
+	// That tail is all detection ever reads, so a detector that never
+	// sees an event costs nothing and one that does never allocates
+	// again.
+	window []uint32
+	locked bool
+	period int
+	phase  int // events seen since the last iteration boundary
 }
 
 // New returns a detector able to find periods up to maxPeriod events.
@@ -85,12 +91,16 @@ func (d *Detector) Locked() bool { return d.locked }
 
 // Push consumes one event and returns the resulting state.
 func (d *Detector) Push(ev uint32) State {
-	d.window = append(d.window, ev)
-	// Bound the window: we never need more than what detection of the
-	// largest period requires.
-	if maxLen := d.maxPeriod*(MinRepetitions+1) + 1; len(d.window) > maxLen {
-		d.window = d.window[len(d.window)-maxLen:]
+	if len(d.window) == cap(d.window) {
+		if d.window == nil {
+			d.window = make([]uint32, 0, d.maxPeriod*(MinRepetitions+1)+1)
+		} else {
+			keep := d.maxPeriod*MinRepetitions - 1
+			copy(d.window, d.window[len(d.window)-keep:])
+			d.window = d.window[:keep]
+		}
 	}
+	d.window = append(d.window, ev)
 
 	if d.locked {
 		// The new event must match the event one period back.

@@ -206,12 +206,59 @@ func TestStateString(t *testing.T) {
 	}
 }
 
-func TestWindowBounded(t *testing.T) {
+// TestWindowAllocatedOnceAtFirstPush pins the window's bound: nothing
+// before the first event, one buffer of (MinRepetitions+1)·maxPeriod+1
+// events from then on, whatever the stream does.
+func TestWindowAllocatedOnceAtFirstPush(t *testing.T) {
 	d, _ := New(4)
-	for i := 0; i < 10000; i++ {
-		d.Push(uint32(i % 3))
+	if d.window != nil {
+		t.Fatal("window allocated before the first push")
 	}
-	if len(d.window) > 4*(MinRepetitions+1)+1 {
-		t.Errorf("window grew to %d events", len(d.window))
+	d.Push(0)
+	want, first := 4*(MinRepetitions+1)+1, &d.window[0]
+	for i := 1; i < 10000; i++ {
+		d.Push(uint32(i % 3))
+		if i%1000 == 999 {
+			d.Push(uint32(i)) // break the loop now and then
+		}
+		if cap(d.window) != want || &d.window[0] != first {
+			t.Fatalf("push %d: window cap %d (want %d) or buffer moved", i, cap(d.window), want)
+		}
+	}
+	d.Reset()
+	d.Push(1)
+	if &d.window[0] != first {
+		t.Error("Reset dropped the window buffer")
+	}
+}
+
+// TestPushDoesNotAllocate guards the event path: once the windows
+// exist, neither a searching nor a locked detector or hierarchy touches
+// the heap.
+func TestPushDoesNotAllocate(t *testing.T) {
+	d, _ := New(64)
+	h, _ := NewHierarchy(2, 64)
+	i := uint32(0)
+	for _, tc := range []struct {
+		name string
+		next func() uint32
+	}{
+		{"unlocked", func() uint32 { i++; return i }},
+		{"locked", func() uint32 { i++; return i % 8 }},
+	} {
+		for k := 0; k < 1000; k++ {
+			ev := tc.next()
+			d.Push(ev)
+			h.Push(ev)
+		}
+		if (tc.name == "locked") != (d.Locked() && h.Locked(0) && h.Locked(1)) {
+			t.Fatalf("%s: detector locked=%v hierarchy locked=%v/%v", tc.name, d.Locked(), h.Locked(0), h.Locked(1))
+		}
+		if n := testing.AllocsPerRun(2000, func() { d.Push(tc.next()) }); n != 0 {
+			t.Errorf("%s: Detector.Push allocates %v per event", tc.name, n)
+		}
+		if n := testing.AllocsPerRun(2000, func() { h.Push(tc.next()) }); n != 0 {
+			t.Errorf("%s: Hierarchy.Push allocates %v per event", tc.name, n)
+		}
 	}
 }

@@ -12,9 +12,10 @@ import (
 // higher level, whose period counts inner-loop iterations per outer
 // iteration.
 type Hierarchy struct {
-	levels []*Detector
-	// ring of recent events per level, for pattern hashing.
-	recent [][]uint32
+	levels []Detector
+	// states is the per-level report of the last Push, owned by the
+	// hierarchy so delivering an event allocates nothing.
+	states []State
 }
 
 // NewHierarchy builds a detector stack. levels must be at least 1;
@@ -23,16 +24,16 @@ func NewHierarchy(levels, maxPeriod int) (*Hierarchy, error) {
 	if levels < 1 {
 		return nil, fmt.Errorf("dynais: hierarchy needs at least one level, got %d", levels)
 	}
+	d, err := New(maxPeriod)
+	if err != nil {
+		return nil, err
+	}
 	h := &Hierarchy{
-		levels: make([]*Detector, levels),
-		recent: make([][]uint32, levels),
+		levels: make([]Detector, levels),
+		states: make([]State, levels),
 	}
 	for i := range h.levels {
-		d, err := New(maxPeriod)
-		if err != nil {
-			return nil, err
-		}
-		h.levels[i] = d
+		h.levels[i] = *d
 	}
 	return h, nil
 }
@@ -41,29 +42,26 @@ func NewHierarchy(levels, maxPeriod int) (*Hierarchy, error) {
 func (h *Hierarchy) Levels() int { return len(h.levels) }
 
 // Push consumes one raw event and returns the state of every level
-// after propagation (index 0 = raw level).
+// after propagation (index 0 = raw level). The returned slice is the
+// hierarchy's own buffer: it is valid until the next Push and must not
+// be modified.
 func (h *Hierarchy) Push(ev uint32) []State {
-	out := make([]State, len(h.levels))
-	for i := range out {
-		out[i] = NoLoop
+	for i := range h.states {
+		h.states[i] = NoLoop
 		if h.levels[i].Locked() {
-			out[i] = InLoop
+			h.states[i] = InLoop
 		}
 	}
-	h.push(0, ev, out)
-	return out
+	h.push(0, ev)
+	return h.states
 }
 
 // push feeds one event into the given level, propagating iteration
 // completions upward.
-func (h *Hierarchy) push(level int, ev uint32, out []State) {
-	d := h.levels[level]
-	h.recent[level] = append(h.recent[level], ev)
-	if max := cap(h.recent[level]); len(h.recent[level]) > 4*64 && max > 0 {
-		h.recent[level] = h.recent[level][len(h.recent[level])-4*64:]
-	}
+func (h *Hierarchy) push(level int, ev uint32) {
+	d := &h.levels[level]
 	st := d.Push(ev)
-	out[level] = st
+	h.states[level] = st
 	if st != NewIteration {
 		return
 	}
@@ -72,17 +70,15 @@ func (h *Hierarchy) push(level int, ev uint32, out []State) {
 	}
 	// Token: hash of the completed iteration's event pattern, so two
 	// different inner loops of equal length produce distinct tokens.
-	h.push(level+1, h.patternToken(level, d.Period()), out)
+	h.push(level+1, d.patternToken())
 }
 
-// patternToken hashes the last period events of a level.
-func (h *Hierarchy) patternToken(level, period int) uint32 {
-	buf := h.recent[level]
-	if period > len(buf) {
-		period = len(buf)
-	}
+// patternToken hashes the events of the iteration just completed: the
+// last period events of the window, which always holds at least
+// MinRepetitions periods while locked.
+func (d *Detector) patternToken() uint32 {
 	hash := uint32(2166136261)
-	for _, e := range buf[len(buf)-period:] {
+	for _, e := range d.window[len(d.window)-d.period:] {
 		hash = (hash ^ e) * 16777619
 	}
 	return hash
@@ -120,8 +116,7 @@ func (h *Hierarchy) TopLocked() (level, period int) {
 
 // Reset clears every level.
 func (h *Hierarchy) Reset() {
-	for i, d := range h.levels {
-		d.Reset()
-		h.recent[i] = h.recent[i][:0]
+	for i := range h.levels {
+		h.levels[i].Reset()
 	}
 }

@@ -90,20 +90,47 @@ func TestDetectsAlternatingPhasesAtLevelOne(t *testing.T) {
 }
 
 func TestDistinctInnerLoopsProduceDistinctTokens(t *testing.T) {
-	h, err := NewHierarchy(2, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Same period, different events: tokens must differ.
-	t1 := h.patternToken(0, 0) // empty
-	h.recent[0] = []uint32{1, 2, 3}
-	tokA := h.patternToken(0, 3)
-	h.recent[0] = []uint32{4, 5, 6}
-	tokB := h.patternToken(0, 3)
-	if tokA == tokB {
+	a := Detector{window: []uint32{1, 2, 3}, period: 3}
+	b := Detector{window: []uint32{4, 5, 6}, period: 3}
+	if a.patternToken() == b.patternToken() {
 		t.Error("different patterns hashed to the same token")
 	}
-	_ = t1
+}
+
+// TestPatternTokenCoversWholePeriod: the token must hash every event of
+// the completed iteration however long the period, so two long inner
+// loops that differ only in their first event stay distinguishable one
+// level up. (The token window was once a fixed 256 events whatever
+// maxPeriod said.)
+func TestPatternTokenCoversWholePeriod(t *testing.T) {
+	token := func(first uint32) uint32 {
+		h, err := NewHierarchy(2, 300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inner := make([]uint32, 280)
+		for i := range inner {
+			inner[i] = uint32(1000 + i)
+		}
+		inner[0] = first
+		for rep := 0; rep <= MinRepetitions; rep++ {
+			for _, ev := range inner {
+				h.Push(ev)
+			}
+		}
+		if h.Period(0) != len(inner) {
+			t.Fatalf("level 0 period = %d, want %d", h.Period(0), len(inner))
+		}
+		w := h.levels[1].window
+		if len(w) != 1 {
+			t.Fatalf("level 1 saw %d tokens, want 1", len(w))
+		}
+		return w[0]
+	}
+	if token(1) == token(2) {
+		t.Error("280-event loops differing in event 0 hashed to the same level-1 token")
+	}
 }
 
 func TestHierarchyReset(t *testing.T) {

@@ -78,6 +78,10 @@ type Config struct {
 	// inner loop plus one nesting level, enough for the outer time-step
 	// structure of the paper's applications).
 	NestingLevels int
+	// EventLog retains every signature-handling Event for Events. Off,
+	// the library only counts (Signatures, Applies): a campaign of
+	// thousands of runs that never reads the trace keeps none.
+	EventLog bool
 }
 
 // Defaults fills unset fields.
@@ -128,9 +132,10 @@ type Library struct {
 	stable     metrics.Signature
 	haveStable bool
 
-	events []Event
-	// signatures counted, for introspection
+	events []Event // kept only with Config.EventLog
+	// signatures and applied decisions counted, for introspection
 	sigCount int
+	applies  int
 }
 
 // New builds a library instance. Call Start before feeding events.
@@ -278,7 +283,12 @@ func (l *Library) newSignature(sig metrics.Signature, now float64, timeGuided bo
 		}
 	}
 
-	l.events = append(l.events, ev)
+	if ev.Applied {
+		l.applies++
+	}
+	if l.cfg.EventLog {
+		l.events = append(l.events, ev)
+	}
 	return nil
 }
 
@@ -322,7 +332,11 @@ func (l *Library) Iterations() int { return l.iterations }
 // Signatures returns how many signatures have been processed.
 func (l *Library) Signatures() int { return l.sigCount }
 
-// Events returns the decision trace.
+// Applies returns how many signatures ended in a frequency actuation
+// (a policy selection or a restore of the defaults).
+func (l *Library) Applies() int { return l.applies }
+
+// Events returns the decision trace; nil unless Config.EventLog is set.
 func (l *Library) Events() []Event { return l.events }
 
 // LoopDetected reports whether Dynais currently has a lock.

@@ -368,7 +368,7 @@ func TestEventsTraceRecorded(t *testing.T) {
 		}{{policy.NodeFreqs{CPUPstate: 2}, policy.Ready}},
 		validateOK: true,
 	}
-	l, err := New(Config{Policy: sp}, ctl)
+	l, err := New(Config{Policy: sp, EventLog: true}, ctl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,6 +385,48 @@ func TestEventsTraceRecorded(t *testing.T) {
 	}
 	if evs[1].State != ValidatePolicy {
 		t.Errorf("second event = %+v, want VALIDATE_POLICY", evs[1])
+	}
+	if len(evs) != l.Signatures() || l.Applies() != 1 {
+		t.Errorf("%d events for %d signatures, %d applies (want 1)", len(evs), l.Signatures(), l.Applies())
+	}
+}
+
+// TestEventPathDoesNotAllocateWithoutEventLog guards the per-event
+// path a simulated campaign runs millions of times: with no event log
+// asked for, delivering MPI events — signatures and validated policy
+// decisions included — touches the heap not at all, while the counters
+// still tell what happened.
+func TestEventPathDoesNotAllocateWithoutEventLog(t *testing.T) {
+	ctl := newFakeCtl()
+	sp := &scriptedPolicy{
+		applies: []struct {
+			nf policy.NodeFreqs
+			st policy.State
+		}{{policy.NodeFreqs{CPUPstate: 2}, policy.Ready}},
+		validateOK: true,
+	}
+	l, err := New(Config{Policy: sp}, ctl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Start(0); err != nil {
+		t.Fatal(err)
+	}
+	pattern := []uint32{1, 2, 3, 4, 5, 6, 7, 8}
+	runIterations(t, l, ctl, pattern, 30, 1.0)
+	if l.State() != ValidatePolicy || l.Applies() != 1 {
+		t.Fatalf("state %v after %d applies, want validated after 1", l.State(), l.Applies())
+	}
+	sigs := l.Signatures()
+	allocs := testing.AllocsPerRun(200, func() { runIterations(t, l, ctl, pattern, 1, 1.0) })
+	if allocs != 0 {
+		t.Errorf("one iteration of %d events allocates %v", len(pattern), allocs)
+	}
+	if got := l.Signatures() - sigs; got < 15 {
+		t.Errorf("only %d signatures in the measured 200 s: the guard missed the signature path", got)
+	}
+	if l.Events() != nil {
+		t.Errorf("event log kept without Config.EventLog: %d events", len(l.Events()))
 	}
 }
 

@@ -41,7 +41,6 @@ import (
 
 	"goear/internal/cpu"
 	"goear/internal/metrics"
-	"goear/internal/stats"
 	"goear/internal/units"
 )
 
@@ -313,17 +312,4 @@ type AccuracySample struct {
 	From    int
 	To      int
 	TrueCPI float64
-}
-
-// fitClass fits one utilisation class of one pstate pair.
-func fitClass(cpiX [][]float64, cpiY []float64, powX [][]float64, powY []float64) (LinCoeffs, error) {
-	cb, err := stats.LeastSquares(cpiX, cpiY)
-	if err != nil {
-		return LinCoeffs{}, fmt.Errorf("model: CPI fit: %w", err)
-	}
-	pb, err := stats.LeastSquares(powX, powY)
-	if err != nil {
-		return LinCoeffs{}, fmt.Errorf("model: power fit: %w", err)
-	}
-	return LinCoeffs{A: cb[0], B: cb[1], C: cb[2], D: pb[0], E: pb[1], F: pb[2]}, nil
 }

@@ -6,6 +6,7 @@ import (
 	"goear/internal/cpu"
 	"goear/internal/perf"
 	"goear/internal/power"
+	"goear/internal/stats"
 	"goear/internal/units"
 )
 
@@ -122,33 +123,37 @@ func Train(cfg TrainConfig) (*Model, error) {
 		}
 	}
 
+	// Fit each (from, to, class) by streaming its samples, in probe
+	// order, into fixed-size normal equations: no design matrix is ever
+	// materialised.
 	for from := 0; from < n; from++ {
 		m.Pairs[from] = make([]PairCoeffs, n)
 		for to := 0; to < n; to++ {
-			var cpiX, powX [NumClasses][][]float64
-			var cpiY, powY [NumClasses][]float64
-			for i := range probes {
-				src, dst := eval[from][i], eval[to][i]
+			var cpiFit, powFit [NumClasses]stats.Normal3
+			for i, src := range eval[from] {
+				dst := eval[to][i]
 				if src.rho > trainSatCutoff || dst.rho > trainSatCutoff {
 					continue
 				}
 				cl := m.ClassOf(src.gbs)
-				cpiX[cl] = append(cpiX[cl], []float64{src.cpi, src.tpi, 1})
-				cpiY[cl] = append(cpiY[cl], dst.cpi)
-				powX[cl] = append(powX[cl], []float64{src.pow, src.tpi, 1})
-				powY[cl] = append(powY[cl], dst.pow)
+				cpiFit[cl].Add([3]float64{src.cpi, src.tpi, 1}, dst.cpi)
+				powFit[cl].Add([3]float64{src.pow, src.tpi, 1}, dst.pow)
 			}
 			var pc PairCoeffs
 			for cl := 0; cl < NumClasses; cl++ {
-				if len(cpiY[cl]) < 4 {
+				if cpiFit[cl].N < 4 {
 					return nil, fmt.Errorf("model: pair (%d,%d) class %d has only %d samples",
-						from, to, cl, len(cpiY[cl]))
+						from, to, cl, cpiFit[cl].N)
 				}
-				lc, err := fitClass(cpiX[cl], cpiY[cl], powX[cl], powY[cl])
+				cb, err := cpiFit[cl].Solve()
 				if err != nil {
-					return nil, fmt.Errorf("model: pair (%d,%d) class %d: %w", from, to, cl, err)
+					return nil, fmt.Errorf("model: pair (%d,%d) class %d: model: CPI fit: %w", from, to, cl, err)
 				}
-				pc.ByClass[cl] = lc
+				pb, err := powFit[cl].Solve()
+				if err != nil {
+					return nil, fmt.Errorf("model: pair (%d,%d) class %d: model: power fit: %w", from, to, cl, err)
+				}
+				pc.ByClass[cl] = LinCoeffs{A: cb[0], B: cb[1], C: cb[2], D: pb[0], E: pb[1], F: pb[2]}
 			}
 			m.Pairs[from][to] = pc
 		}

@@ -77,8 +77,12 @@ type node struct {
 	cacheVals []evalEntry
 
 	// mpiEvents is the per-iteration MPI call-site sequence, computed
-	// once: Spec.MPIEvents allocates and hashes per call.
+	// once: Spec.MPIEvents allocates and hashes per call. mpiCount
+	// tallies the events handed to EARL, for flushTel like stepCount; it
+	// is touched at iteration boundaries only, so it stays out of the
+	// replayed tick's bytes above.
 	mpiEvents []uint32
+	mpiCount  uint64
 
 	// nctl is the earl.Ctl adapter over this node, embedded so the
 	// actuation path never allocates.
@@ -280,7 +284,7 @@ func (n *node) init(cal workload.Calibrated, nodeID int, opt Options) error {
 	n.segIdx, n.iterInSeg = 0, 0
 	n.instrLeft, n.wallLeft = 0, 0
 	n.iterActive, n.done = false, false
-	n.stepCount, n.replayed = 0, 0
+	n.stepCount, n.replayed, n.mpiCount = 0, 0, 0
 	n.armed = armedState{}
 	n.tNoise, n.pNoise = 0, 0
 	n.lib = nil
@@ -375,6 +379,7 @@ func (n *node) init(cal workload.Calibrated, nodeID int, opt Options) error {
 			Policy:       pol,
 			MinWindowSec: opt.MinWindowSec,
 			SigChangeTh:  opt.SigChangeTh,
+			EventLog:     opt.DecisionLog,
 		}, libCtl)
 		if err != nil {
 			return err
@@ -554,6 +559,7 @@ func (n *node) iterationBoundary() error {
 		if inner < 1 {
 			inner = 1
 		}
+		n.mpiCount += uint64(inner * len(evs))
 		for l := 0; l < inner; l++ {
 			for _, ev := range evs {
 				if err := n.lib.OnMPICall(ev, n.now); err != nil {
@@ -608,11 +614,7 @@ func (n *node) result() (NodeResult, error) {
 		r.Signatures = n.lib.Signatures()
 		r.LoopDetected = n.lib.LoopDetected()
 		r.NestedLevel, r.NestedPeriod = n.lib.NestedStructure()
-		for _, ev := range n.lib.Events() {
-			if ev.Applied {
-				r.PolicyApplies++
-			}
-		}
+		r.PolicyApplies = n.lib.Applies()
 		if n.opt.DecisionLog {
 			r.Decisions = decisionsFromEvents(n.lib.Events())
 		}

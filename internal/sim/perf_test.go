@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -66,4 +67,46 @@ func TestWorkersByteIdentical(t *testing.T) {
 			t.Errorf("workers=%d result differs from workers=1", workers)
 		}
 	}
+}
+
+// TestRunAllocationsIndependentOfLength guards the event path end to
+// end: a node running an MPI code under a policy allocates what building
+// it costs (sockets, meters, policy, EARL instance, the detector windows
+// at the first event) and nothing per MPI event, iteration or signature
+// — a run four times as long costs exactly the same. Nodes are built
+// directly rather than drawn from nodePool, whose hit rate is not
+// deterministic under the race detector.
+func TestRunAllocationsIndependentOfLength(t *testing.T) {
+	short := calibrated(t, workload.BTMZD) // 8 MPI events per iteration
+	long := short
+	long.Segs = append([]workload.CalSegment(nil), short.Segs...)
+	long.Segs[0].Iterations *= 4
+	opt := Options{Policy: "min_energy_eufs", Model: platformModel(t, short.Platform), Seed: 1}.withDefaults()
+
+	var sigs [2]int
+	var allocs [2]float64
+	for i, cal := range []workload.Calibrated{short, long} {
+		allocs[i] = testing.AllocsPerRun(5, func() {
+			n, err := newNode(cal, 0, opt)
+			if err == nil {
+				err = n.runUntil(math.Inf(1))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := n.result()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sigs[i] = r.Signatures
+		})
+	}
+	if sigs[0] < 10 || sigs[1] < 3*sigs[0] {
+		t.Fatalf("signatures %v: the long run is not longer", sigs)
+	}
+	if allocs[1] != allocs[0] {
+		t.Errorf("allocations depend on run length: %v for %d signatures, %v for %d",
+			allocs[0], sigs[0], allocs[1], sigs[1])
+	}
+	t.Logf("%v allocations per node run (%d and %d signatures)", allocs[0], sigs[0], sigs[1])
 }

@@ -149,41 +149,71 @@ func TestNeverArms(t *testing.T) {
 }
 
 // TestStepTelemetryCoversEveryDriver checks the step counters are
-// flushed by free and coordinated runs alike, once per node run, and
-// that replayed ticks are a strict subset of all ticks.
+// flushed by free and coordinated runs alike, once per node run, that
+// replayed ticks are a strict subset of all ticks, and that the slow
+// path's composition — MPI events delivered, signatures computed — is
+// counted: zero for an OpenMP kernel under no policy, the per-node sums
+// for a nested MPI code under min_energy.
 func TestStepTelemetryCoversEveryDriver(t *testing.T) {
-	cal := calibrated(t, workload.BTMZC)
-	cal.Nodes = 3
-	opt := Options{Policy: "none", Seed: 2}
-	want := stepToEnd(t, cal, 0, opt).stepCount + stepToEnd(t, cal, 1, opt).stepCount + stepToEnd(t, cal, 2, opt).stepCount
+	type load struct {
+		cal                    workload.Calibrated
+		opt                    Options
+		steps, events, signats uint64
+	}
+	var loads []load
+	for _, name := range []string{workload.BTMZC, workload.BQCD} {
+		l := load{cal: calibrated(t, name), opt: Options{Policy: "none", Seed: 2}}
+		l.cal.Nodes = 3
+		if name == workload.BQCD {
+			l.opt = Options{Policy: "min_energy", Model: platformModel(t, l.cal.Platform), Seed: 2}
+		}
+		for id := 0; id < l.cal.Nodes; id++ {
+			n := stepToEnd(t, l.cal, id, l.opt)
+			l.steps += n.stepCount
+			l.events += n.mpiCount
+			if n.lib != nil {
+				l.signats += uint64(n.lib.Signatures())
+			}
+		}
+		if mpi := name == workload.BQCD; mpi != (l.events > 0) || mpi != (l.signats > 0) {
+			t.Fatalf("%s: %d events, %d signatures", name, l.events, l.signats)
+		}
+		loads = append(loads, l)
+	}
 
 	for _, d := range []struct {
 		name  string
-		drive func() error
+		drive func(load) error
 	}{
-		{"Run", func() error { _, err := Run(cal, opt); return err }},
-		{"RunCoordinated", func() error {
+		{"Run", func(l load) error { _, err := Run(l.cal, l.opt); return err }},
+		{"RunCoordinated", func(l load) error {
 			gm, err := eargm.New(eargm.Config{BudgetW: 1e6, MaxCapPstate: 8, IntervalSec: 5})
 			if err != nil {
 				return err
 			}
-			_, err = RunCoordinated(cal, opt, gm)
+			_, err = RunCoordinated(l.cal, l.opt, gm)
 			return err
 		}},
 	} {
 		t.Run(d.name, func(t *testing.T) {
-			telemetry.Enable()
-			defer telemetry.Disable()
-			if err := d.drive(); err != nil {
-				t.Fatal(err)
-			}
-			tl := tel.Load()
-			steps, replayed, runs := tl.steps.Value(), tl.replayed.Value(), tl.runs.Value()
-			if runs != uint64(cal.Nodes) || steps != want {
-				t.Errorf("%d runs, %d steps; want %d runs, %d steps", runs, steps, cal.Nodes, want)
-			}
-			if replayed == 0 || replayed >= steps {
-				t.Errorf("%d of %d steps replayed; want a strict, non-empty subset", replayed, steps)
+			for _, l := range loads {
+				telemetry.Enable()
+				err := d.drive(l)
+				tl := tel.Load()
+				telemetry.Disable()
+				if err != nil {
+					t.Fatal(err)
+				}
+				steps, replayed, runs := tl.steps.Value(), tl.replayed.Value(), tl.runs.Value()
+				if runs != uint64(l.cal.Nodes) || steps != l.steps {
+					t.Errorf("%s: %d runs, %d steps; want %d runs, %d steps", l.cal.Name, runs, steps, l.cal.Nodes, l.steps)
+				}
+				if replayed == 0 || replayed >= steps {
+					t.Errorf("%s: %d of %d steps replayed; want a strict, non-empty subset", l.cal.Name, replayed, steps)
+				}
+				if ev, sig := tl.mpiEvents.Value(), tl.signatures.Value(); ev != l.events || sig != l.signats {
+					t.Errorf("%s: %d MPI events, %d signatures; want %d, %d", l.cal.Name, ev, sig, l.events, l.signats)
+				}
 			}
 		})
 	}

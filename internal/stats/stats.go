@@ -1,7 +1,7 @@
 // Package stats provides the small numerical toolbox used by goear:
-// descriptive statistics for averaging experiment runs, and dense linear
-// least squares used by the energy-model learning phase to fit projection
-// coefficients against simulator samples.
+// descriptive statistics for averaging experiment runs, and the
+// three-feature linear least squares the energy-model learning phase
+// uses to fit projection coefficients against simulator samples.
 package stats
 
 import (
@@ -94,98 +94,69 @@ func Clamp(x, lo, hi float64) float64 {
 // solution (rank-deficient design matrix).
 var ErrSingular = errors.New("stats: singular system")
 
-// LeastSquares solves min ||X·beta - y||² by normal equations with
-// partial-pivot Gaussian elimination. X is row-major: len(X) samples,
-// each with the same number of features. It returns the coefficient
-// vector beta with one entry per feature.
-func LeastSquares(X [][]float64, y []float64) ([]float64, error) {
-	n := len(X)
-	if n == 0 || n != len(y) {
-		return nil, errors.New("stats: least squares needs matching, non-empty X and y")
-	}
-	p := len(X[0])
-	if p == 0 {
-		return nil, errors.New("stats: least squares needs at least one feature")
-	}
-	for i, row := range X {
-		if len(row) != p {
-			return nil, errors.New("stats: ragged design matrix")
-		}
-		_ = i
-	}
-	// Form A = XᵀX (p×p) and b = Xᵀy.
-	A := make([][]float64, p)
-	b := make([]float64, p)
-	for i := 0; i < p; i++ {
-		A[i] = make([]float64, p)
-	}
-	for _, row := range X {
-		for i := 0; i < p; i++ {
-			for j := i; j < p; j++ {
-				A[i][j] += row[i] * row[j]
-			}
-		}
-	}
-	for i := 0; i < p; i++ {
-		for j := 0; j < i; j++ {
-			A[i][j] = A[j][i]
-		}
-	}
-	for k, row := range X {
-		for i := 0; i < p; i++ {
-			b[i] += row[i] * y[k]
-		}
-	}
-	return SolveLinear(A, b)
+// Normal3 accumulates the normal equations of a three-feature linear
+// least-squares fit, min ||X·beta − y||², one sample at a time: XᵀX
+// (upper triangle) and Xᵀy live in fixed arrays, so a fit of any number
+// of samples needs no design matrix and no heap. The zero value is an
+// empty system. Every sum receives its addends in Add order, so the
+// result is a function of the sample sequence alone.
+type Normal3 struct {
+	N   int // samples added
+	xtx [3][3]float64
+	xty [3]float64
 }
 
-// SolveLinear solves the square system A·x = b in place using Gaussian
-// elimination with partial pivoting. A and b are copied, not mutated.
-func SolveLinear(A [][]float64, b []float64) ([]float64, error) {
-	n := len(A)
-	if n == 0 || n != len(b) {
-		return nil, errors.New("stats: solve needs square, non-empty system")
-	}
-	// Work on copies.
-	M := make([][]float64, n)
-	for i := range A {
-		if len(A[i]) != n {
-			return nil, errors.New("stats: non-square matrix")
+// Add appends the sample (x, y) to the system.
+func (a *Normal3) Add(x [3]float64, y float64) {
+	a.N++
+	for i := 0; i < 3; i++ {
+		for j := i; j < 3; j++ {
+			a.xtx[i][j] += x[i] * x[j]
 		}
-		M[i] = append([]float64(nil), A[i]...)
+		a.xty[i] += x[i] * y
 	}
-	x := append([]float64(nil), b...)
+}
 
-	for col := 0; col < n; col++ {
+// Solve returns the coefficient vector beta, one entry per feature, by
+// Gaussian elimination with partial pivoting on the normal equations.
+// The accumulator is left untouched, so more samples may follow.
+func (a *Normal3) Solve() ([3]float64, error) {
+	M, x := a.xtx, a.xty
+	for i := 1; i < 3; i++ {
+		for j := 0; j < i; j++ {
+			M[i][j] = M[j][i]
+		}
+	}
+	for col := 0; col < 3; col++ {
 		// Partial pivot.
 		piv := col
 		best := math.Abs(M[col][col])
-		for r := col + 1; r < n; r++ {
-			if a := math.Abs(M[r][col]); a > best {
-				best, piv = a, r
+		for r := col + 1; r < 3; r++ {
+			if v := math.Abs(M[r][col]); v > best {
+				best, piv = v, r
 			}
 		}
 		if best < 1e-12 {
-			return nil, ErrSingular
+			return [3]float64{}, ErrSingular
 		}
 		M[col], M[piv] = M[piv], M[col]
 		x[col], x[piv] = x[piv], x[col]
 		// Eliminate below.
-		for r := col + 1; r < n; r++ {
+		for r := col + 1; r < 3; r++ {
 			f := M[r][col] / M[col][col]
 			if f == 0 {
 				continue
 			}
-			for c := col; c < n; c++ {
+			for c := col; c < 3; c++ {
 				M[r][c] -= f * M[col][c]
 			}
 			x[r] -= f * x[col]
 		}
 	}
 	// Back substitution.
-	for col := n - 1; col >= 0; col-- {
+	for col := 2; col >= 0; col-- {
 		s := x[col]
-		for c := col + 1; c < n; c++ {
+		for c := col + 1; c < 3; c++ {
 			s -= M[col][c] * x[c]
 		}
 		x[col] = s / M[col][col]

@@ -54,52 +54,74 @@ func TestClamp(t *testing.T) {
 	}
 }
 
+// fit3 streams (X, y) into a Normal3 and solves it.
+func fit3(X [][3]float64, y []float64) ([3]float64, error) {
+	var a Normal3
+	for i, x := range X {
+		a.Add(x, y[i])
+	}
+	return a.Solve()
+}
+
 func TestSolveLinearExact(t *testing.T) {
-	A := [][]float64{{2, 1}, {1, 3}}
-	b := []float64{5, 10}
-	x, err := SolveLinear(A, b)
+	// Three orthogonal unit samples make XᵀX the identity and Xᵀy = y,
+	// so Solve sees exactly the system it is handed; a scaled, permuted
+	// variant makes it pivot.
+	x, err := fit3([][3]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}, []float64{5, 10, -2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEqual(x[0], 1, 1e-9) || !almostEqual(x[1], 3, 1e-9) {
-		t.Errorf("SolveLinear = %v, want [1 3]", x)
+	if x != [3]float64{5, 10, -2} {
+		t.Errorf("identity system = %v, want [5 10 -2]", x)
 	}
-	// Inputs untouched.
-	if A[0][0] != 2 || b[0] != 5 {
-		t.Error("SolveLinear mutated inputs")
+	// 2a+b = 5, a+3b = 10, c = 4, as samples of an exact plane.
+	x, err = fit3([][3]float64{{2, 1, 0}, {1, 3, 0}, {0, 0, 2}, {3, 4, 2}}, []float64{5, 10, 8, 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range [3]float64{1, 3, 4} {
+		if !almostEqual(x[i], want, 1e-9) {
+			t.Errorf("x = %v, want [1 3 4]", x)
+			break
+		}
 	}
 }
 
 func TestSolveLinearSingular(t *testing.T) {
-	A := [][]float64{{1, 2}, {2, 4}}
-	if _, err := SolveLinear(A, []float64{1, 2}); err == nil {
-		t.Error("expected singular error")
+	// Second feature is twice the first.
+	if _, err := fit3([][3]float64{{1, 2, 1}, {2, 4, 1}, {3, 6, 1}, {4, 8, 1}}, []float64{1, 2, 3, 4}); err != ErrSingular {
+		t.Errorf("err = %v, want ErrSingular", err)
 	}
 }
 
-func TestSolveLinearBadShape(t *testing.T) {
-	if _, err := SolveLinear(nil, nil); err == nil {
-		t.Error("expected error for empty system")
+func TestSolveDoesNotConsumeAccumulator(t *testing.T) {
+	var a Normal3
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 10; i++ {
+		a.Add([3]float64{rng.Float64(), rng.Float64(), 1}, rng.Float64())
 	}
-	if _, err := SolveLinear([][]float64{{1, 2}}, []float64{1}); err == nil {
-		t.Error("expected error for non-square matrix")
+	before := a
+	x1, err := a.Solve()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := SolveLinear([][]float64{{1}}, []float64{1, 2}); err == nil {
-		t.Error("expected error for mismatched b")
+	x2, _ := a.Solve()
+	if a != before || x1 != x2 || a.N != 10 {
+		t.Error("Solve changed the accumulator")
 	}
 }
 
 func TestLeastSquaresRecoversPlane(t *testing.T) {
 	// y = 3 + 2*x1 - 0.5*x2, noiseless: LS must recover coefficients.
 	rng := rand.New(rand.NewSource(1))
-	var X [][]float64
+	var X [][3]float64
 	var y []float64
 	for i := 0; i < 50; i++ {
 		x1, x2 := rng.Float64()*10, rng.Float64()*10
-		X = append(X, []float64{1, x1, x2})
+		X = append(X, [3]float64{1, x1, x2})
 		y = append(y, 3+2*x1-0.5*x2)
 	}
-	beta, err := LeastSquares(X, y)
+	beta, err := fit3(X, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,22 +135,22 @@ func TestLeastSquaresRecoversPlane(t *testing.T) {
 
 func TestLeastSquaresNoisy(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var X [][]float64
+	var X [][3]float64
 	var y, yhat []float64
 	for i := 0; i < 400; i++ {
-		x := rng.Float64() * 5
-		X = append(X, []float64{1, x})
-		y = append(y, 1+4*x+rng.NormFloat64()*0.1)
+		x, z := rng.Float64()*5, rng.Float64()
+		X = append(X, [3]float64{1, x, z})
+		y = append(y, 1+4*x+rng.NormFloat64()*0.1) // z carries no signal
 	}
-	beta, err := LeastSquares(X, y)
+	beta, err := fit3(X, y)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEqual(beta[0], 1, 0.1) || !almostEqual(beta[1], 4, 0.05) {
+	if !almostEqual(beta[0], 1, 0.1) || !almostEqual(beta[1], 4, 0.05) || !almostEqual(beta[2], 0, 0.1) {
 		t.Errorf("noisy fit beta = %v", beta)
 	}
 	for _, row := range X {
-		yhat = append(yhat, beta[0]+beta[1]*row[1])
+		yhat = append(yhat, beta[0]+beta[1]*row[1]+beta[2]*row[2])
 	}
 	if r2 := R2(y, yhat); r2 < 0.99 {
 		t.Errorf("R2 = %v, want >= 0.99", r2)
@@ -136,19 +158,17 @@ func TestLeastSquaresNoisy(t *testing.T) {
 }
 
 func TestLeastSquaresErrors(t *testing.T) {
-	if _, err := LeastSquares(nil, nil); err == nil {
-		t.Error("expected error for empty system")
+	var empty Normal3
+	if _, err := empty.Solve(); err != ErrSingular {
+		t.Errorf("empty system: err = %v, want ErrSingular", err)
 	}
-	if _, err := LeastSquares([][]float64{{}}, []float64{1}); err == nil {
-		t.Error("expected error for zero features")
-	}
-	if _, err := LeastSquares([][]float64{{1, 2}, {1}}, []float64{1, 2}); err == nil {
-		t.Error("expected error for ragged matrix")
+	// Fewer samples than features.
+	if _, err := fit3([][3]float64{{1, 2, 3}, {4, 5, 6}}, []float64{1, 2}); err != ErrSingular {
+		t.Errorf("underdetermined system: err = %v, want ErrSingular", err)
 	}
 	// Rank-deficient: duplicate column.
-	X := [][]float64{{1, 1}, {2, 2}, {3, 3}}
-	if _, err := LeastSquares(X, []float64{1, 2, 3}); err == nil {
-		t.Error("expected singular error for collinear features")
+	if _, err := fit3([][3]float64{{1, 1, 1}, {2, 2, 1}, {3, 3, 1}}, []float64{1, 2, 3}); err != ErrSingular {
+		t.Errorf("collinear features: err = %v, want ErrSingular", err)
 	}
 }
 
@@ -169,33 +189,28 @@ func TestR2Bounds(t *testing.T) {
 }
 
 func TestSolveLinearRandomProperty(t *testing.T) {
-	// For random well-conditioned diagonally dominant systems,
-	// A·x must reproduce b.
+	// For random well-conditioned systems, the solution must satisfy
+	// the normal equations XᵀX·beta = Xᵀy.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 3 + int(rng.Int31n(4))
-		A := make([][]float64, n)
-		b := make([]float64, n)
-		for i := 0; i < n; i++ {
-			A[i] = make([]float64, n)
-			rowSum := 0.0
-			for j := 0; j < n; j++ {
-				A[i][j] = rng.Float64()*2 - 1
-				rowSum += math.Abs(A[i][j])
-			}
-			A[i][i] = rowSum + 1 // diagonal dominance => nonsingular
-			b[i] = rng.Float64() * 10
+		var a Normal3
+		for i := 0; i < 8+int(rng.Int31n(20)); i++ {
+			a.Add([3]float64{rng.Float64()*2 - 1, rng.Float64()*2 - 1, 1}, rng.Float64()*10)
 		}
-		x, err := SolveLinear(A, b)
+		x, err := a.Solve()
 		if err != nil {
 			return false
 		}
-		for i := 0; i < n; i++ {
+		for i := 0; i < 3; i++ {
 			s := 0.0
-			for j := 0; j < n; j++ {
-				s += A[i][j] * x[j]
+			for j := 0; j < 3; j++ {
+				aij := a.xtx[i][j]
+				if j < i {
+					aij = a.xtx[j][i]
+				}
+				s += aij * x[j]
 			}
-			if !almostEqual(s, b[i], 1e-8) {
+			if !almostEqual(s, a.xty[i], 1e-8) {
 				return false
 			}
 		}
