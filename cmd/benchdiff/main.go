@@ -1,12 +1,18 @@
 // Command benchdiff compares `go test -bench` output against the
-// committed benchmark baseline and gates CI on performance regressions.
+// committed benchmark baseline and gates CI on what repeats.
 //
 // It reads the standard benchmark text format (one file argument, or
 // stdin), matches entries by name (GOMAXPROCS suffixes like "-8" are
-// stripped), and prints a table of ns/op and allocs/op deltas. Entries
-// whose name starts with one of the gated prefixes fail the run — exit
-// status 1 — when their ns/op regresses by more than -threshold
-// relative to the baseline; everything else is informational.
+// stripped), and prints a table of ns/op, allocs/op and B/op against
+// the baseline. The gate is on the heap figures, which are properties
+// of the code and repeat run to run: an entry fails the run — exit
+// status 1 — when its allocs/op exceeds the baseline's by more than 2 %
+// or its B/op by more than 5 %, the bounds BENCHMARK.json holds the
+// same quantities to. It applies to every baseline entry that records
+// the figure; an entry whose figure does not repeat on an unchanged
+// tree simply does not record it (the baseline's label names those).
+// ns/op is printed as information only: identical runs on one box
+// differ by 10–40 %, so a single run's time gates nothing.
 //
 // With -out it also emits a snapshot of the parsed results in the
 // baseline's JSON schema, so the repository accumulates a dated
@@ -18,6 +24,10 @@
 //	go test -run XXX -bench . -benchtime=0.5s . | benchdiff
 //	benchdiff -baseline BENCH_baseline.json bench.txt
 //	benchdiff -out auto -label "after node pooling" bench.txt
+//
+// -out records what the run reported. To make such a snapshot the new
+// baseline, delete the heap figures of the entries the old baseline's
+// label lists as not repeating.
 package main
 
 import (
@@ -43,12 +53,22 @@ func main() {
 }
 
 // Entry is one benchmark's recorded figures. BytesPerOp and AllocsPerOp
-// are zero when the benchmark does not report allocations.
+// are nil when the benchmark does not report the figure — or, in the
+// baseline, when it is deliberately left ungated; a recorded zero is a
+// figure like any other (and gates at zero).
 type Entry struct {
 	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
+	BytesPerOp  *int64  `json:"bytes_per_op,omitempty"`
+	AllocsPerOp *int64  `json:"allocs_per_op,omitempty"`
 }
+
+// The gate's bounds: how far above the baseline a heap figure may sit.
+// They are BENCHMARK.json's bounds for allocs_per_work and
+// alloc_bytes_per_work, constants on purpose.
+const (
+	allocsBound = 0.02
+	bytesBound  = 0.05
+)
 
 // Snapshot is the schema of BENCH_baseline.json and the dated
 // BENCH_<date>.json trajectory files.
@@ -60,30 +80,15 @@ type Snapshot struct {
 	Benchmarks map[string]Entry `json:"benchmarks"`
 }
 
-// defaultGates are the name prefixes whose ns/op regressions fail the
-// run: the paper-artifact benchmarks, the simulator hot-path micros,
-// the batch sweeps (BenchmarkBatch*/BenchmarkCluster*), the
-// federation load-generator burst, the accounting query path and the
-// ingest codec and spill journal micros (BenchmarkWire*/BenchmarkJournal*).
-const defaultGates = "BenchmarkTable,BenchmarkFig,BenchmarkSim,BenchmarkNodeTick," +
-	"BenchmarkBatch,BenchmarkCluster,BenchmarkEarload,BenchmarkJobQuery," +
-	"BenchmarkWire,BenchmarkJournal"
-
 func run(args []string, stdin io.Reader, out io.Writer) error {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
 	baseline := fs.String("baseline", "BENCH_baseline.json", "baseline snapshot to compare against")
-	threshold := fs.Float64("threshold", 0.10, "relative ns/op regression that fails a gated benchmark")
-	gates := fs.String("gate", defaultGates, "comma-separated name prefixes that are gated (empty gates nothing)")
 	outFile := fs.String("out", "", "write a snapshot of the parsed results here ('auto' = BENCH_<date>.json)")
 	date := fs.String("date", time.Now().Format("2006-01-02"), "date stamped into the emitted snapshot")
 	label := fs.String("label", "", "free-form label stamped into the emitted snapshot")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *threshold <= 0 {
-		return fmt.Errorf("-threshold must be > 0 (got %g)", *threshold)
-	}
-
 	in := stdin
 	switch fs.NArg() {
 	case 0:
@@ -126,36 +131,36 @@ func run(args []string, stdin io.Reader, out io.Writer) error {
 		fmt.Fprintf(out, "wrote %s (%d benchmarks)\n", name, len(cur))
 	}
 
-	regressions := report(out, base, cur, splitGates(*gates), *threshold)
+	regressions := report(out, base, cur)
 	if len(regressions) > 0 {
-		return fmt.Errorf("%d gated benchmark(s) regressed >%d%% vs %s: %s",
-			len(regressions), int(*threshold*100), *baseline, strings.Join(regressions, ", "))
+		return fmt.Errorf("%d benchmark(s) above %s by more than %g%% allocs/op or %g%% B/op: %s",
+			len(regressions), *baseline, allocsBound*100, bytesBound*100, strings.Join(regressions, ", "))
 	}
 	return nil
 }
 
-func splitGates(s string) []string {
-	var out []string
-	for _, g := range strings.Split(s, ",") {
-		if g = strings.TrimSpace(g); g != "" {
-			out = append(out, g)
-		}
-	}
-	return out
+// over reports whether cur sits above base by more than bound; both
+// must be recorded for the figure to gate.
+func over(base, cur *int64, bound float64) bool {
+	return base != nil && cur != nil && float64(*cur) > float64(*base)*(1+bound)
 }
 
-func gated(name string, gates []string) bool {
-	for _, g := range gates {
-		if strings.HasPrefix(name, g) {
-			return true
-		}
+// figure renders a heap figure against its baseline: "46", "46->52",
+// or "-" when the run does not report it.
+func figure(base, cur *int64) string {
+	switch {
+	case cur == nil:
+		return "-"
+	case base == nil || *base == *cur:
+		return fmt.Sprint(*cur)
 	}
-	return false
+	return fmt.Sprintf("%d->%d", *base, *cur)
 }
 
-// report prints the comparison table and returns the names of gated
-// benchmarks whose ns/op regressed beyond the threshold.
-func report(out io.Writer, base Snapshot, cur map[string]Entry, gates []string, threshold float64) []string {
+// report prints the comparison table and returns the names of the
+// benchmarks whose allocs/op or B/op sit above the baseline's by more
+// than the bound.
+func report(out io.Writer, base Snapshot, cur map[string]Entry) []string {
 	names := make([]string, 0, len(cur))
 	for n := range cur {
 		names = append(names, n)
@@ -163,40 +168,48 @@ func report(out io.Writer, base Snapshot, cur map[string]Entry, gates []string, 
 	sort.Strings(names)
 
 	var regressions []string
-	fmt.Fprintf(out, "%-28s %14s %14s %8s %8s  %s\n",
-		"benchmark", "base ns/op", "ns/op", "delta", "allocs", "")
+	fmt.Fprintf(out, "%-32s %14s %14s %8s %14s %20s  %s\n",
+		"benchmark", "base ns/op", "ns/op", "(info)", "allocs/op", "B/op", "")
 	for _, name := range names {
 		c := cur[name]
 		b, ok := base.Benchmarks[name]
 		if !ok {
-			fmt.Fprintf(out, "%-28s %14s %14.1f %8s %8d  new\n", name, "-", c.NsPerOp, "-", c.AllocsPerOp)
+			fmt.Fprintf(out, "%-32s %14s %14.1f %8s %14s %20s  new\n",
+				name, "-", c.NsPerOp, "-", figure(nil, c.AllocsPerOp), figure(nil, c.BytesPerOp))
 			continue
 		}
-		delta := (c.NsPerOp - b.NsPerOp) / b.NsPerOp
-		verdict := ""
-		switch {
-		case gated(name, gates) && delta > threshold:
-			verdict = "REGRESSION"
+		var verdicts []string
+		if over(b.AllocsPerOp, c.AllocsPerOp, allocsBound) {
+			verdicts = append(verdicts, "REGRESSION allocs/op")
+		}
+		if over(b.BytesPerOp, c.BytesPerOp, bytesBound) {
+			verdicts = append(verdicts, "REGRESSION B/op")
+		}
+		if len(verdicts) > 0 {
 			regressions = append(regressions, name)
-		case delta > threshold:
-			verdict = "slower (not gated)"
-		case delta < -threshold:
-			verdict = "faster"
 		}
-		alloc := fmt.Sprintf("%d", c.AllocsPerOp)
-		if c.AllocsPerOp != b.AllocsPerOp {
-			alloc = fmt.Sprintf("%d->%d", b.AllocsPerOp, c.AllocsPerOp)
+		if b.AllocsPerOp == nil {
+			verdicts = append(verdicts, "allocs/op not gated")
 		}
-		fmt.Fprintf(out, "%-28s %14.1f %14.1f %+7.1f%% %8s  %s\n",
-			name, b.NsPerOp, c.NsPerOp, delta*100, alloc, verdict)
+		if b.BytesPerOp == nil {
+			verdicts = append(verdicts, "B/op not gated")
+		}
+		fmt.Fprintf(out, "%-32s %14.1f %14.1f %+7.1f%% %14s %20s  %s\n",
+			name, b.NsPerOp, c.NsPerOp, (c.NsPerOp-b.NsPerOp)/b.NsPerOp*100,
+			figure(b.AllocsPerOp, c.AllocsPerOp), figure(b.BytesPerOp, c.BytesPerOp), strings.Join(verdicts, ", "))
 	}
-	for name := range base.Benchmarks {
-		if _, ok := cur[name]; !ok && gated(name, gates) {
-			// A gated benchmark that silently disappears from the run
-			// would otherwise dodge the gate forever; surface it loudly
-			// (but a partial run is legitimate, so do not fail on it).
-			fmt.Fprintf(out, "%-28s missing from input (in baseline, gated)\n", name)
+	var missing []string
+	for name, b := range base.Benchmarks {
+		if _, ok := cur[name]; !ok && (b.AllocsPerOp != nil || b.BytesPerOp != nil) {
+			missing = append(missing, name)
 		}
+	}
+	sort.Strings(missing)
+	for _, name := range missing {
+		// A gated benchmark that silently disappears from the run would
+		// otherwise dodge the gate forever; surface it loudly (but a
+		// partial run is legitimate, so do not fail on it).
+		fmt.Fprintf(out, "%-32s missing from input (gated in the baseline)\n", name)
 	}
 	return regressions
 }
@@ -248,9 +261,11 @@ func parseFields(fields []string) (Entry, error) {
 		case "ns/op":
 			e.NsPerOp = v
 		case "B/op":
-			e.BytesPerOp = int64(v)
+			n := int64(v)
+			e.BytesPerOp = &n
 		case "allocs/op":
-			e.AllocsPerOp = int64(v)
+			n := int64(v)
+			e.AllocsPerOp = &n
 		}
 	}
 	if e.NsPerOp == 0 {

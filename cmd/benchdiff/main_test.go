@@ -21,6 +21,8 @@ PASS
 ok  	goear	37.578s
 `
 
+func i64(v int64) *int64 { return &v }
+
 func TestParseBench(t *testing.T) {
 	got, cpu, err := parseBench(strings.NewReader(sampleBench))
 	if err != nil {
@@ -33,10 +35,11 @@ func TestParseBench(t *testing.T) {
 		t.Fatalf("parsed %d entries, want 3: %v", len(got), got)
 	}
 	sim := got["BenchmarkSimSecond"]
-	if sim.NsPerOp != 82110 || sim.BytesPerOp != 12928 || sim.AllocsPerOp != 46 {
+	if sim.NsPerOp != 82110 || sim.BytesPerOp == nil || *sim.BytesPerOp != 12928 ||
+		sim.AllocsPerOp == nil || *sim.AllocsPerOp != 46 {
 		t.Errorf("BenchmarkSimSecond = %+v", sim)
 	}
-	if mt := got["BenchmarkModelTrain"]; mt.NsPerOp != 11000000 || mt.AllocsPerOp != 0 {
+	if mt := got["BenchmarkModelTrain"]; mt.NsPerOp != 11000000 || mt.AllocsPerOp != nil || mt.BytesPerOp != nil {
 		t.Errorf("entry without -benchmem fields = %+v", mt)
 	}
 }
@@ -65,13 +68,14 @@ func diff(t *testing.T, baseline, bench string, extra ...string) (string, error)
 }
 
 // TestInjectedRegressionFails is the harness's own acceptance test: a
-// synthetic +50% ns/op regression on a gated benchmark must make run()
-// fail (non-zero exit in main).
+// synthetic +50% allocs/op regression must make run() fail (non-zero
+// exit in main), whatever the benchmark is called — and the same size
+// of ns/op move on its own must not.
 func TestInjectedRegressionFails(t *testing.T) {
 	base := writeBaseline(t, map[string]Entry{
-		"BenchmarkSimSecond": {NsPerOp: 82110, AllocsPerOp: 46},
+		"BenchmarkSimSecond": {NsPerOp: 82110, BytesPerOp: i64(12928), AllocsPerOp: i64(46)},
 	})
-	bench := "BenchmarkSimSecond-8 \t 100 \t 123165 ns/op \t 12928 B/op \t 46 allocs/op\n"
+	bench := "BenchmarkSimSecond-8 \t 100 \t 82000 ns/op \t 12928 B/op \t 69 allocs/op\n"
 	out, err := diff(t, base, bench)
 	if err == nil {
 		t.Fatalf("synthetic regression passed; output:\n%s", out)
@@ -79,57 +83,91 @@ func TestInjectedRegressionFails(t *testing.T) {
 	if !strings.Contains(err.Error(), "BenchmarkSimSecond") {
 		t.Errorf("error does not name the regressed benchmark: %v", err)
 	}
-	if !strings.Contains(out, "REGRESSION") {
+	if !strings.Contains(out, "REGRESSION allocs/op") || !strings.Contains(out, "46->69") {
 		t.Errorf("report does not flag the regression:\n%s", out)
+	}
+
+	slow := "BenchmarkSimSecond-8 \t 100 \t 123165 ns/op \t 12928 B/op \t 46 allocs/op\n"
+	if out, err := diff(t, base, slow); err != nil {
+		t.Errorf("a +50%% ns/op move alone failed the run: %v\n%s", err, out)
+	} else if !strings.Contains(out, "+50.0%") {
+		t.Errorf("ns/op delta not printed:\n%s", out)
 	}
 }
 
 func TestWithinThresholdPasses(t *testing.T) {
 	base := writeBaseline(t, map[string]Entry{
-		"BenchmarkSimSecond": {NsPerOp: 82110, AllocsPerOp: 46},
+		"BenchmarkEarload": {NsPerOp: 11760584, BytesPerOp: i64(5000000), AllocsPerOp: i64(18481)},
 	})
-	bench := "BenchmarkSimSecond-8 \t 100 \t 86000 ns/op\n" // +4.7%
+	bench := "BenchmarkEarload-8 \t 100 \t 16000000 ns/op \t 5200000 B/op \t 18800 allocs/op\n" // +4.0% B, +1.7% allocs
 	if out, err := diff(t, base, bench); err != nil {
-		t.Errorf("within-threshold run failed: %v\n%s", err, out)
+		t.Errorf("within-bound run failed: %v\n%s", err, out)
 	}
 }
 
 func TestImprovementPasses(t *testing.T) {
 	base := writeBaseline(t, map[string]Entry{
-		"BenchmarkNodeTick": {NsPerOp: 433.3},
+		"BenchmarkTable3": {NsPerOp: 277987896, BytesPerOp: i64(125000000), AllocsPerOp: i64(500539)},
 	})
-	bench := "BenchmarkNodeTick-8 \t 100 \t 133.5 ns/op \t 0 B/op \t 0 allocs/op\n"
+	bench := "BenchmarkTable3-8 \t 1 \t 133000000 ns/op \t 799139 B/op \t 566 allocs/op\n"
 	out, err := diff(t, base, bench)
 	if err != nil {
 		t.Errorf("improvement failed the gate: %v", err)
 	}
-	if !strings.Contains(out, "faster") {
-		t.Errorf("report does not note the improvement:\n%s", out)
+	if !strings.Contains(out, "500539->566") {
+		t.Errorf("report does not show the improvement:\n%s", out)
 	}
 }
 
-// TestUngatedRegressionPasses: only BenchmarkTable*/Fig*/Sim*/NodeTick
-// gate by default; a training benchmark may slow down without failing.
+// TestUngatedRegressionPasses: a baseline entry that records no heap
+// figure — one that does not repeat on an unchanged tree — is
+// informational; nothing it does fails the run, and the table says so.
 func TestUngatedRegressionPasses(t *testing.T) {
 	base := writeBaseline(t, map[string]Entry{
-		"BenchmarkModelTrain": {NsPerOp: 10000000},
+		"BenchmarkFig6":  {NsPerOp: 836427347},
+		"BenchmarkFig5":  {NsPerOp: 406224326, BytesPerOp: i64(491912)},
+		"BenchmarkExtra": {NsPerOp: 1000, AllocsPerOp: i64(7)},
 	})
-	bench := "BenchmarkModelTrain-8 \t 10 \t 20000000 ns/op\n"
-	if out, err := diff(t, base, bench); err != nil {
-		t.Errorf("ungated regression failed the run: %v\n%s", err, out)
+	bench := "BenchmarkFig6-8 \t 1 \t 1700000000 ns/op \t 900000 B/op \t 1100 allocs/op\n" +
+		"BenchmarkFig5-8 \t 1 \t 400000000 ns/op \t 480000 B/op \t 9999 allocs/op\n"
+	out, err := diff(t, base, bench)
+	if err != nil {
+		t.Errorf("ungated figures failed the run: %v\n%s", err, out)
+	}
+	for _, want := range []string{"not gated", "allocs/op not gated", "BenchmarkExtra", "missing from input"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report missing %q:\n%s", want, out)
+		}
 	}
 }
 
-func TestThresholdFlag(t *testing.T) {
+// TestBoundsAreConstants pins the gate at BENCHMARK.json's bounds — 2 %
+// on allocs/op, 5 % on B/op, a recorded zero gating at zero — and the
+// absence of any flag to move them or to pick what is gated.
+func TestBoundsAreConstants(t *testing.T) {
 	base := writeBaseline(t, map[string]Entry{
-		"BenchmarkFig7": {NsPerOp: 1000},
+		"BenchmarkFig7":     {NsPerOp: 1000, BytesPerOp: i64(100000), AllocsPerOp: i64(1000)},
+		"BenchmarkNodeTick": {NsPerOp: 433.3, BytesPerOp: i64(0), AllocsPerOp: i64(0)},
 	})
-	bench := "BenchmarkFig7 \t 10 \t 1150 ns/op\n" // +15%
-	if _, err := diff(t, base, bench); err == nil {
-		t.Error("a 15% slowdown passed the default 10% gate")
+	for _, tc := range []struct {
+		bench string
+		fails bool
+	}{
+		{"BenchmarkFig7 \t 10 \t 1000 ns/op \t 100000 B/op \t 1020 allocs/op\n", false}, // +2.0%
+		{"BenchmarkFig7 \t 10 \t 1000 ns/op \t 100000 B/op \t 1021 allocs/op\n", true},  // +2.1%
+		{"BenchmarkFig7 \t 10 \t 1000 ns/op \t 105000 B/op \t 1000 allocs/op\n", false}, // +5.0%
+		{"BenchmarkFig7 \t 10 \t 1000 ns/op \t 105100 B/op \t 1000 allocs/op\n", true},  // +5.1%
+		{"BenchmarkNodeTick \t 10 \t 900 ns/op \t 0 B/op \t 0 allocs/op\n", false},
+		{"BenchmarkNodeTick \t 10 \t 400 ns/op \t 16 B/op \t 1 allocs/op\n", true},
+	} {
+		if _, err := diff(t, base, tc.bench); (err != nil) != tc.fails {
+			t.Errorf("%q: err = %v, want failure %v", tc.bench, err, tc.fails)
+		}
 	}
-	if _, err := diff(t, base, bench, "-threshold", "0.20"); err != nil {
-		t.Errorf("a 15%% slowdown failed a 20%% gate: %v", err)
+	for _, flag := range []string{"-threshold", "-gate"} {
+		if _, err := diff(t, base, "BenchmarkFig7 \t 10 \t 1000 ns/op\n", flag, "0.5"); err == nil {
+			t.Errorf("%s is still accepted", flag)
+		}
 	}
 }
 
@@ -137,7 +175,7 @@ func TestThresholdFlag(t *testing.T) {
 // the parsed entries and the requested date stamp.
 func TestTrajectoryEmit(t *testing.T) {
 	base := writeBaseline(t, map[string]Entry{
-		"BenchmarkSimSecond": {NsPerOp: 82110, AllocsPerOp: 46},
+		"BenchmarkSimSecond": {NsPerOp: 82110, AllocsPerOp: i64(46)},
 	})
 	dir := t.TempDir()
 	outPath := filepath.Join(dir, "BENCH_2026-08-06.json")
@@ -153,7 +191,7 @@ func TestTrajectoryEmit(t *testing.T) {
 		t.Errorf("snapshot stamps = (%q, %q)", snap.Date, snap.Label)
 	}
 	e := snap.Benchmarks["BenchmarkSimSecond"]
-	if e.NsPerOp != 42105 || e.AllocsPerOp != 4 {
+	if e.NsPerOp != 42105 || e.AllocsPerOp == nil || *e.AllocsPerOp != 4 {
 		t.Errorf("snapshot entry = %+v", e)
 	}
 }

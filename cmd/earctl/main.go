@@ -1,14 +1,16 @@
 // Command earctl inspects the simulated platform the way EAR's admin
 // tools inspect real nodes: the workload catalogue, the registered
 // policy plugins, the pstate tables, the boot-time MSR state of a
-// socket, and an accounting database.
+// socket, and an accounting database — and runs the two admin jobs
+// that act on it: the learning phase and the node-side report feeder.
 //
 // Subcommands:
 //
 //	earctl workloads          list the workload catalogue
 //	earctl policies           list registered energy policies
-//	earctl pstates [-platform SD530|GPUNode]
-//	earctl msr     [-platform SD530|GPUNode]
+//	earctl pstates [-platform SD530|CascadeLake|GPUNode]
+//	earctl msr     [-platform SD530|CascadeLake|GPUNode]
+//	earctl learn   [-platform P] [-o model.json]  train the energy model (for earsim -model)
 //	earctl experiments        list reproducible paper experiments
 //	earctl acct -db jobs.json list accounting records
 //	earctl conf [-f ear.conf]  show the effective site configuration
@@ -17,6 +19,7 @@
 //	earctl jobs -addr host:port[,host:port...] [-user u] [-job j] [-since s] list per-job energy records
 //	earctl metrics -addr host:port  scrape a daemon's telemetry endpoint
 //	earctl trace -addr host:port [-trace id] [-kind prefix] [-since seq]  fetch a daemon's span traces
+//	earctl send -addr host:port[,host:port...] -records jobs.json [-node n] [-journal f]  feed records to eardbd
 package main
 
 import (
@@ -56,44 +59,48 @@ func main() {
 	}
 }
 
+// subcommands is the dispatch table, in usage order.
+var subcommands = []struct {
+	name string
+	run  func(args []string, out io.Writer) error
+}{
+	{"workloads", func(_ []string, out io.Writer) error { return workloads(out) }},
+	{"policies", func(_ []string, out io.Writer) error { return printLines(out, policy.Names()) }},
+	{"pstates", pstates},
+	{"msr", msrDump},
+	{"learn", learnCmd},
+	{"experiments", func(_ []string, out io.Writer) error { return printLines(out, experiments.IDs()) }},
+	{"acct", acct},
+	{"conf", confCmd},
+	{"report", reportCmd},
+	{"dbd", dbdCmd},
+	{"jobs", jobsCmd},
+	{"metrics", metricsCmd},
+	{"trace", traceCmd},
+	{"send", sendCmd},
+}
+
 func run(args []string, out io.Writer) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: earctl <workloads|policies|pstates|msr|experiments|acct|conf|report|dbd|jobs|metrics|trace> [flags]")
-	}
-	switch args[0] {
-	case "workloads":
-		return workloads(out)
-	case "policies":
-		for _, n := range policy.Names() {
-			fmt.Fprintln(out, n)
+		names := make([]string, len(subcommands))
+		for i, c := range subcommands {
+			names[i] = c.name
 		}
-		return nil
-	case "pstates":
-		return pstates(args[1:], out)
-	case "msr":
-		return msrDump(args[1:], out)
-	case "experiments":
-		for _, id := range experiments.IDs() {
-			fmt.Fprintln(out, id)
-		}
-		return nil
-	case "acct":
-		return acct(args[1:], out)
-	case "conf":
-		return confCmd(args[1:], out)
-	case "report":
-		return reportCmd(args[1:], out)
-	case "dbd":
-		return dbdCmd(args[1:], out)
-	case "jobs":
-		return jobsCmd(args[1:], out)
-	case "metrics":
-		return metricsCmd(args[1:], out)
-	case "trace":
-		return traceCmd(args[1:], out)
-	default:
-		return fmt.Errorf("unknown subcommand %q", args[0])
+		return fmt.Errorf("usage: earctl <%s> [flags]", strings.Join(names, "|"))
 	}
+	for _, c := range subcommands {
+		if c.name == args[0] {
+			return c.run(args[1:], out)
+		}
+	}
+	return fmt.Errorf("unknown subcommand %q", args[0])
+}
+
+func printLines(out io.Writer, lines []string) error {
+	for _, l := range lines {
+		fmt.Fprintln(out, l)
+	}
+	return nil
 }
 
 func workloads(out io.Writer) error {
@@ -116,26 +123,19 @@ func workloads(out io.Writer) error {
 	return t.Render(out)
 }
 
-func platformByName(name string) (workload.Platform, error) {
-	switch name {
-	case "SD530", "":
-		return workload.SD530(), nil
-	case "GPUNode":
-		return workload.GPUNode(), nil
-	case "CascadeLake":
-		return workload.CascadeLake(), nil
-	default:
-		return workload.Platform{}, fmt.Errorf("unknown platform %q (SD530, GPUNode, CascadeLake)", name)
-	}
+// platformFlag declares the -platform flag of pstates, msr and learn;
+// its help text lists exactly the names workload.PlatformByName takes.
+func platformFlag(fs *flag.FlagSet) *string {
+	return fs.String("platform", "SD530", "platform name ("+strings.Join(workload.PlatformNames(), ", ")+")")
 }
 
 func pstates(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("pstates", flag.ContinueOnError)
-	plName := fs.String("platform", "SD530", "platform name")
+	plName := platformFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	pl, err := platformByName(*plName)
+	pl, err := workload.PlatformByName(*plName)
 	if err != nil {
 		return err
 	}
@@ -164,11 +164,11 @@ func pstates(args []string, out io.Writer) error {
 
 func msrDump(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("msr", flag.ContinueOnError)
-	plName := fs.String("platform", "SD530", "platform name")
+	plName := platformFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	pl, err := platformByName(*plName)
+	pl, err := workload.PlatformByName(*plName)
 	if err != nil {
 		return err
 	}
@@ -267,13 +267,8 @@ func reportCmd(args []string, out io.Writer) error {
 	if *dbPath == "" {
 		return fmt.Errorf("report needs -db")
 	}
-	f, err := os.Open(*dbPath)
+	db, err := eard.LoadFile(*dbPath)
 	if err != nil {
-		return err
-	}
-	defer f.Close()
-	db := eard.NewDB()
-	if err := db.Load(f); err != nil {
 		return err
 	}
 	byApp := report.Table{
@@ -303,12 +298,13 @@ func reportCmd(args []string, out io.Writer) error {
 	return byPol.Render(out)
 }
 
-// parseEndpoints resolves the dbd target flags into a dial plan: a
-// unix socket path, a single TCP endpoint, or a comma-separated list
-// of shard endpoints (queried through an in-process federation root).
+// parseEndpoints resolves the -addr/-unix target flags of dbd, jobs and
+// send into a dial plan: a unix socket path, a single TCP endpoint, or
+// a comma-separated list of shard endpoints (queried through an
+// in-process federation root; ring-routed by send).
 func parseEndpoints(addr, unixSock string) (network string, targets []string, err error) {
 	if (addr == "") == (unixSock == "") {
-		return "", nil, fmt.Errorf("dbd needs exactly one of -addr or -unix")
+		return "", nil, fmt.Errorf("pass exactly one of -addr or -unix")
 	}
 	if unixSock != "" {
 		return "unix", []string{unixSock}, nil
@@ -694,13 +690,8 @@ func acct(args []string, out io.Writer) error {
 	if *dbPath == "" {
 		return fmt.Errorf("acct needs -db")
 	}
-	f, err := os.Open(*dbPath)
+	db, err := eard.LoadFile(*dbPath)
 	if err != nil {
-		return err
-	}
-	defer f.Close()
-	db := eard.NewDB()
-	if err := db.Load(f); err != nil {
 		return err
 	}
 	t := report.Table{

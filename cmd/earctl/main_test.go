@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -31,6 +32,29 @@ func TestUsageAndUnknown(t *testing.T) {
 	}
 	if err := run([]string{"bogus"}, &b); err == nil {
 		t.Error("expected unknown-subcommand error")
+	}
+}
+
+// TestEverySubcommandIsListed holds the two places a user learns the
+// subcommands from — the usage line and the package comment — to the
+// dispatch table, learn and send included.
+func TestEverySubcommandIsListed(t *testing.T) {
+	usage := run(nil, io.Discard).Error()
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, _, _ := strings.Cut(string(src), "\npackage main")
+	if len(subcommands) != 14 {
+		t.Errorf("%d subcommands, want 14", len(subcommands))
+	}
+	for _, c := range subcommands {
+		if !strings.Contains(usage, c.name) {
+			t.Errorf("usage line omits %s: %s", c.name, usage)
+		}
+		if !strings.Contains(doc, "//\tearctl "+c.name+" ") {
+			t.Errorf("package comment has no line for earctl %s", c.name)
+		}
 	}
 }
 

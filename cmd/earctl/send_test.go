@@ -1,7 +1,10 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -12,7 +15,7 @@ import (
 	"goear/internal/eardbd"
 )
 
-func startServer(t *testing.T) (*eardbd.Server, string) {
+func startSendServer(t *testing.T) (*eardbd.Server, string) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -53,12 +56,12 @@ func testRecords(n int) []eard.JobRecord {
 }
 
 func TestSendDeliversAll(t *testing.T) {
-	srv, addr := startServer(t)
+	srv, addr := startSendServer(t)
 	recs := testRecords(5)
 	path := writeRecords(t, recs)
 
 	var out strings.Builder
-	err := run([]string{"-addr", addr, "-records", path, "-node", "n01", "-batch", "2"}, &out)
+	err := run([]string{"send", "-addr", addr, "-records", path, "-node", "n01", "-batch", "2"}, &out)
 	if err != nil {
 		t.Fatalf("run: %v\noutput: %s", err, out.String())
 	}
@@ -73,12 +76,12 @@ func TestSendDeliversAll(t *testing.T) {
 // TestSendTracesOut feeds with span tracing on: the export must hold
 // the client-side trace of every batch.
 func TestSendTracesOut(t *testing.T) {
-	_, addr := startServer(t)
+	_, addr := startSendServer(t)
 	path := writeRecords(t, testRecords(4))
 	tracePath := filepath.Join(t.TempDir(), "traces.jsonl")
 
 	var out strings.Builder
-	err := run([]string{"-addr", addr, "-records", path, "-node", "n01", "-batch", "2", "-traces-out", tracePath}, &out)
+	err := run([]string{"send", "-addr", addr, "-records", path, "-node", "n01", "-batch", "2", "-traces-out", tracePath}, &out)
 	if err != nil {
 		t.Fatalf("run: %v\noutput: %s", err, out.String())
 	}
@@ -112,7 +115,7 @@ func TestSendSpillsThenReplays(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "n01.journal")
 
 	var out strings.Builder
-	err = run([]string{"-addr", deadAddr, "-records", path, "-node", "n01",
+	err = run([]string{"send", "-addr", deadAddr, "-records", path, "-node", "n01",
 		"-journal", journal, "-attempts", "1"}, &out)
 	if err != nil {
 		t.Fatalf("offline run should spill, not fail: %v", err)
@@ -126,9 +129,9 @@ func TestSendSpillsThenReplays(t *testing.T) {
 
 	// Daemon comes back; replaying the same journal delivers exactly once
 	// even though the record file is sent again too.
-	srv, addr := startServer(t)
+	srv, addr := startSendServer(t)
 	out.Reset()
-	err = run([]string{"-addr", addr, "-records", path, "-node", "n01", "-journal", journal}, &out)
+	err = run([]string{"send", "-addr", addr, "-records", path, "-node", "n01", "-journal", journal}, &out)
 	if err != nil {
 		t.Fatalf("replay run: %v\noutput: %s", err, out.String())
 	}
@@ -158,7 +161,7 @@ func TestSendLostWithoutJournal(t *testing.T) {
 	}
 	path := writeRecords(t, testRecords(2))
 	var out strings.Builder
-	if err := run([]string{"-addr", deadAddr, "-records", path, "-attempts", "1"}, &out); err == nil {
+	if err := run([]string{"send", "-addr", deadAddr, "-records", path, "-attempts", "1"}, &out); err == nil {
 		t.Error("undeliverable without journal should error")
 	}
 	if !strings.Contains(out.String(), "no -journal given; they are lost") {
@@ -166,12 +169,12 @@ func TestSendLostWithoutJournal(t *testing.T) {
 	}
 }
 
-// TestSendAddrsRoutesByRing feeds one node through a two-shard -addrs
+// TestSendAddrsRoutesByRing feeds one node through a two-shard -addr
 // list: every record must land on the single shard the hash ring owns
 // the node on, the same owner the load generator and federation use.
 func TestSendAddrsRoutesByRing(t *testing.T) {
-	srv1, addr1 := startServer(t)
-	srv2, addr2 := startServer(t)
+	srv1, addr1 := startSendServer(t)
+	srv2, addr2 := startSendServer(t)
 	recs := testRecords(4)
 	for i := range recs {
 		recs[i].Node = "n01"
@@ -180,7 +183,7 @@ func TestSendAddrsRoutesByRing(t *testing.T) {
 	path := writeRecords(t, recs)
 
 	var out strings.Builder
-	err := run([]string{"-addrs", addr1 + "," + addr2, "-records", path, "-node", "n01"}, &out)
+	err := run([]string{"send", "-addr", addr1 + "," + addr2, "-records", path, "-node", "n01"}, &out)
 	if err != nil {
 		t.Fatalf("run: %v\noutput: %s", err, out.String())
 	}
@@ -196,21 +199,78 @@ func TestSendAddrsRoutesByRing(t *testing.T) {
 func TestSendFlagErrors(t *testing.T) {
 	var out strings.Builder
 	cases := [][]string{
-		nil,                           // no target at all
-		{"-addr", "x", "-unix", "y"},  // two targets
-		{"-addr", "x", "-addrs", "y"}, // two targets again
-		{"-addr", "x"},                // no -records
+		nil,                                // no target at all
+		{"-addr", "x", "-unix", "y"},       // two targets
+		{"-addr", "x", "-addrs", "y"},      // the flag -addr absorbed
+		{"-addr", ",, ,"},                  // a list with no endpoints
+		{"-addr", "x"},                     // no -records
 		{"-addr", "x", "-records", "nope"}, // missing file
 	}
 	for _, args := range cases {
-		if err := run(args, &out); err == nil {
-			t.Errorf("run(%v) accepted", args)
+		if err := run(append([]string{"send"}, args...), &out); err == nil {
+			t.Errorf("send %v accepted", args)
 		}
 	}
 
 	empty := writeRecords(t, []eard.JobRecord{})
-	if err := run([]string{"-addr", "x", "-records", empty}, &out); err == nil ||
+	if err := run([]string{"send", "-addr", "x", "-records", empty}, &out); err == nil ||
 		!strings.Contains(err.Error(), "no records") {
 		t.Errorf("empty record file: err = %v", err)
+	}
+}
+
+// sendFramesDigest is the SHA-256 of the 459 bytes the parent commit's
+// eardsend binary put on the connection for
+// `-records testdata/send_records.json -node n01 -batch 2`, captured
+// through a recording proxy before the command moved here.
+const sendFramesDigest = "66bfed39894f0bfbe3e614beeb9f46a81094ca222344b5e33d5d87b987d6cff0"
+
+// TestSendFramesMatchEardsend pins the move of eardsend into earctl at
+// the wire: for the same records file, earctl send writes byte for
+// byte the frames eardsend did.
+func TestSendFramesMatchEardsend(t *testing.T) {
+	srv, _ := startSendServer(t)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	type capture struct {
+		n   int64
+		sum [sha256.Size]byte
+	}
+	got := make(chan capture, 1)
+	go func() {
+		// A recording proxy: everything the client writes reaches the
+		// server and the hash; acks flow back untouched.
+		c, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		near, far := net.Pipe()
+		go srv.ServeConn(far)
+		go func() { _, _ = io.Copy(c, near) }()
+		h := sha256.New()
+		n, _ := io.Copy(io.MultiWriter(near, h), c)
+		near.Close()
+		var cp capture
+		cp.n = n
+		h.Sum(cp.sum[:0])
+		got <- cp
+	}()
+
+	var out strings.Builder
+	err = run([]string{"send", "-addr", l.Addr().String(), "-records", "testdata/send_records.json",
+		"-node", "n01", "-batch", "2"}, &out)
+	if err != nil {
+		t.Fatalf("send: %v\noutput: %s", err, out.String())
+	}
+	cp := <-got
+	if sum := hex.EncodeToString(cp.sum[:]); cp.n != 459 || sum != sendFramesDigest {
+		t.Errorf("earctl send wrote %d bytes, sha256 %s; eardsend wrote 459, %s", cp.n, sum, sendFramesDigest)
+	}
+	if n := srv.DB().Len(); n != 5 {
+		t.Errorf("server holds %d records, want 5", n)
 	}
 }

@@ -30,6 +30,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -119,8 +120,7 @@ func run(args []string, out io.Writer, ready chan<- []string, quit <-chan struct
 	}
 	// Latency spans and SLO percentiles use a monotonic wall clock; the
 	// span tree itself stays deterministic, only the timings are live.
-	start := time.Now()
-	wallSec := func() float64 { return time.Since(start).Seconds() }
+	wallSec := telemetry.StartWallClock().Now
 
 	var svc *eardbd.Front // the wire front end a Server and a fed.Root share
 	var db *eard.DB
@@ -205,21 +205,14 @@ func run(args []string, out io.Writer, ready chan<- []string, quit <-chan struct
 	} else {
 		db = eard.NewDB()
 		if *dbPath != "" {
-			f, err := os.Open(*dbPath)
+			loaded, err := eard.LoadFile(*dbPath)
 			switch {
-			case os.IsNotExist(err):
+			case errors.Is(err, os.ErrNotExist):
 				// First boot: the file appears at shutdown.
 			case err != nil:
 				return err
 			default:
-				lerr := db.Load(f)
-				cerr := f.Close()
-				if lerr != nil {
-					return lerr
-				}
-				if cerr != nil {
-					return cerr
-				}
+				db = loaded
 				fmt.Fprintf(out, "eardbd: loaded %d records from %s\n", db.Len(), *dbPath)
 			}
 		}
@@ -228,8 +221,6 @@ func run(args []string, out io.Writer, ready chan<- []string, quit <-chan struct
 	}
 
 	if telLn != nil {
-		mux := http.NewServeMux()
-		mux.Handle("/", telSet.Handler())
 		var queryFn accounting.QueryFunc
 		slo := telemetry.NewSLO()
 		health := telemetry.NewHealth()
@@ -242,18 +233,14 @@ func run(args []string, out io.Writer, ready chan<- []string, quit <-chan struct
 			srv.LatencySLO(slo, 0, 0)
 			health.Register(srv.HealthCheck(*staleAfter))
 		}
-		mux.Handle("/api/jobs", accounting.Handler(queryFn))
-		mux.Handle("/slo", slo.Handler())
-		mux.Handle("/healthz", health.Healthz())
-		mux.Handle("/readyz", health.Readyz())
-		if traceBuf != nil {
-			mux.Handle("/traces", traceBuf.Handler())
+		routes := map[string]http.Handler{
+			"/api/jobs": accounting.Handler(queryFn),
+			"/slo":      slo.Handler(),
 		}
-		go func() {
-			// Serve returns when the listener closes at shutdown; the
-			// daemon's fate is decided by the wire listeners, not this one.
-			_ = http.Serve(telLn, mux)
-		}()
+		if traceBuf != nil {
+			routes["/traces"] = traceBuf.Handler()
+		}
+		telemetry.ServeEndpoint(telLn, telSet, health, routes)
 	}
 
 	var addrs []string
@@ -305,17 +292,8 @@ func run(args []string, out io.Writer, ready chan<- []string, quit <-chan struct
 	}
 
 	if *dbPath != "" {
-		f, err := os.Create(*dbPath)
-		if err != nil {
+		if err := db.SaveFile(*dbPath); err != nil {
 			return err
-		}
-		serr := db.Save(f)
-		cerr := f.Close()
-		if serr != nil {
-			return serr
-		}
-		if cerr != nil {
-			return cerr
 		}
 		st := srv.Stats()
 		fmt.Fprintf(out, "eardbd: saved %d records to %s (%d batches, %d accepted, %d duplicate, %d replaced)\n",

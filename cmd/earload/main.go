@@ -7,14 +7,13 @@
 // spill journals drain with exactly-once replay; with -addrs the same
 // burst targets externally launched eardbd daemons.
 //
-// With -sim the command instead drives the compute-side simulator: a
-// coordinated cluster campaign of a catalogue workload in lock step
-// under an EARGM power budget.
+// Ingest load and fault injection only: the compute-side campaign (a
+// catalogue workload scaled to cluster size under an EARGM budget) is
+// earsim -nodes N -powercap W.
 //
 //	earload -nodes 10000 -shards 4 -snapshot -
 //	earload -nodes 2000 -shards 3 -kill shard1@500 -restart shard1@1500
 //	earload -nodes 500 -addrs 127.0.0.1:4711,127.0.0.1:4712
-//	earload -sim BT-MZ.C -sim-nodes 4096 -sim-budget 1.1e6
 package main
 
 import (
@@ -23,7 +22,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -85,29 +83,8 @@ func run(args []string, out io.Writer) error {
 	metrics := fs.Bool("metrics", false, "dump the telemetry registry after the run")
 	traceOn := fs.Bool("trace", false, "record span traces across the burst (clients, shards and root share one buffer)")
 	tracesOut := fs.String("traces-out", "", "write the canonical span export as JSON lines here ('-' = stdout); implies -trace")
-	simWl := fs.String("sim", "", "run a coordinated cluster simulation campaign of this catalogue workload instead of an ingest burst")
-	simNodes := fs.Int("sim-nodes", 1024, "simulated cluster size for -sim")
-	simBudget := fs.Float64("sim-budget", 0, "site power budget in watts for -sim (0 = uncapped)")
-	simPolicy := fs.String("sim-policy", "none", "EARL policy for -sim")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	if *simWl != "" {
-		r, err := loadgen.RunSim(loadgen.SimConfig{
-			Workload: *simWl,
-			Nodes:    *simNodes,
-			Policy:   *simPolicy,
-			Seed:     *seed,
-			Workers:  *workers,
-			BudgetW:  *simBudget,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "earload: sim %s: %d nodes, %.1fs simulated, %.1fW avg node power, %.0fJ mean node energy, %.2f GHz avg CPU, %.2f GHz avg IMC\n",
-			*simWl, len(r.Nodes), r.TimeSec, r.AvgPowerW, r.EnergyJ, r.AvgCPUGHz, r.AvgIMCGHz)
-		return nil
 	}
 
 	set := telemetry.NewSet()
@@ -129,8 +106,7 @@ func run(args []string, out io.Writer) error {
 	}
 	// RTTs and latency histograms ride a monotonic wall clock; the
 	// span tree and the workload stay deterministic regardless.
-	start := time.Now()
-	wallSec := func() float64 { return time.Since(start).Seconds() }
+	wallSec := telemetry.StartWallClock().Now
 	g, err := loadgen.New(loadgen.Config{
 		Nodes:          *nodes,
 		RecordsPerNode: *records,
@@ -302,7 +278,7 @@ func run(args []string, out io.Writer) error {
 	if *queries > 0 {
 		fmt.Fprintf(out, "earload: query hammer: %d workers, %d pages, %d errors\n",
 			*queries, atomic.LoadUint64(&qPages), atomic.LoadUint64(&qErrs))
-		if n, p50, p95, p99 := percentiles(qRTTs); n > 0 {
+		if n, p50, p95, p99 := loadgen.Percentiles(qRTTs); n > 0 {
 			fmt.Fprintf(out, "earload: query rtt: %d pages, p50 %s, p95 %s, p99 %s\n",
 				n, fmtSec(p50), fmtSec(p95), fmtSec(p99))
 			set.Rec().Record(telemetry.Event{
@@ -325,9 +301,10 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if *snapshotPath == "-" {
-			fmt.Fprintf(out, "%s\n", blob)
-		} else if err := os.WriteFile(*snapshotPath, append(blob, '\n'), 0o644); err != nil {
+		if err := telemetry.Sink(*snapshotPath, out, func(w io.Writer) error {
+			_, err := w.Write(append(blob, '\n'))
+			return err
+		}); err != nil {
 			return err
 		}
 	}
@@ -338,36 +315,16 @@ func run(args []string, out io.Writer) error {
 	}
 	if traceBuf != nil {
 		fmt.Fprintf(out, "earload: %d spans recorded (%d dropped)\n", traceBuf.Len(), traceBuf.Dropped())
-		if *tracesOut != "" {
-			if err := trace.WriteJSONLinesTo(*tracesOut, out, traceBuf.Canonical()); err != nil {
-				return err
-			}
+		if err := telemetry.Sink(*tracesOut, out, func(w io.Writer) error {
+			return trace.WriteJSONLines(w, traceBuf.Canonical())
+		}); err != nil {
+			return err
 		}
 	}
 	if left > 0 {
 		return fmt.Errorf("%d spilled batches left undrained", left)
 	}
 	return nil
-}
-
-// percentiles summarises samples with nearest-rank p50/p95/p99.
-func percentiles(samples []float64) (n int, p50, p95, p99 float64) {
-	if len(samples) == 0 {
-		return 0, 0, 0, 0
-	}
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	rank := func(q float64) float64 {
-		i := int(q*float64(len(s))+0.5) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(s) {
-			i = len(s) - 1
-		}
-		return s[i]
-	}
-	return len(s), rank(0.50), rank(0.95), rank(0.99)
 }
 
 // fmtSec renders a duration in seconds at microsecond resolution.

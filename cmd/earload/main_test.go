@@ -56,39 +56,11 @@ func TestEarloadFlagErrors(t *testing.T) {
 		{"-nodes", "10", "-kill", "bogus"},
 		{"-nodes", "10", "-kill", "shard0@5", "-restart", "shard0@3"},
 		{"-nodes", "10", "-addrs", "127.0.0.1:1", "-kill", "shard0@5"},
-		{"-sim", "no-such-kernel"},
+		{"-sim", "BT-MZ.C"}, // the campaign mode moved to earsim -nodes -powercap
 	} {
 		var out strings.Builder
 		if err := run(args, &out); err == nil {
 			t.Errorf("run(%v) succeeded", args)
-		}
-	}
-}
-
-// TestEarloadSimCampaign drives the -sim mode: a coordinated cluster
-// campaign whose one-line summary must be identical at any worker
-// count (one batch per worker).
-func TestEarloadSimCampaign(t *testing.T) {
-	simOut := func(extra ...string) string {
-		t.Helper()
-		args := append([]string{"-sim", "BT-MZ.C", "-sim-nodes", "6", "-seed", "2"}, extra...)
-		var out strings.Builder
-		if err := run(args, &out); err != nil {
-			t.Fatalf("run(%v): %v", args, err)
-		}
-		return out.String()
-	}
-	ref := simOut()
-	if !strings.Contains(ref, "sim BT-MZ.C: 6 nodes") {
-		t.Fatalf("unexpected summary: %q", ref)
-	}
-	for _, extra := range [][]string{
-		{"-workers", "1"},
-		{"-workers", "2"},
-		{"-workers", "4"},
-	} {
-		if got := simOut(extra...); got != ref {
-			t.Errorf("%v: summary differs\n got: %s\nwant: %s", extra, got, ref)
 		}
 	}
 }

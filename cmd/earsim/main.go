@@ -10,16 +10,18 @@
 //	earsim -workload BT-MZ.C -pin-uncore 1.8
 //	earsim -workload GROMACS(I) -policy min_energy_eufs -not-guided
 //	earsim -workload HPCG -policy min_energy_eufs -acct jobs.json -job j42
+//	earsim -workload BT-MZ.C -nodes 4096 -powercap 1.1e6
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
+	"runtime"
 
 	"goear/internal/earconf"
 	"goear/internal/eard"
@@ -51,13 +53,14 @@ func run(args []string, out io.Writer) error {
 		compare   = fs.Bool("compare", false, "also run the nominal baseline and print savings")
 		pinCPU    = fs.Int("pin-cpu-pstate", -1, "pin the CPU pstate (disables DVFS)")
 		pinUnc    = fs.Float64("pin-uncore", 0, "pin the uncore frequency in GHz (0 = hardware UFS)")
-		modelPath = fs.String("model", "", "energy-model JSON from earlearn (default: train in-process)")
+		modelPath = fs.String("model", "", "energy-model JSON from earctl learn (default: train in-process)")
 		acctPath  = fs.String("acct", "", "accounting database JSON to append the run to")
 		jobID     = fs.String("job", "job0", "job id for accounting")
 		tracePath = fs.String("trace", "", "write node 0's 1 Hz time series (power, frequencies, CPI) as CSV")
 		specPath  = fs.String("spec", "", "JSON workload definition to run instead of a catalogue entry")
 		template  = fs.Bool("spec-template", false, "print a starter workload definition and exit")
 		powercapW = fs.Float64("powercap", 0, "cluster DC power budget in watts (0 = unmanaged); runs under the global manager")
+		nodes     = fs.Int("nodes", 0, "override the workload's node count, scaling the run to cluster size (0 = as catalogued)")
 		confPath  = fs.String("conf", "", "ear.conf-style site configuration providing defaults and policy authorisation")
 		telAddr   = fs.String("telemetry", "", "HTTP address serving /metrics and /events for the run's duration")
 		metricsTo = fs.String("metrics-out", "", "write the final Prometheus metrics snapshot to this file (- = stdout)")
@@ -85,14 +88,14 @@ func run(args []string, out io.Writer) error {
 			health.Register(func() telemetry.Check {
 				return telemetry.Check{Name: "run", OK: true, Detail: "simulation running"}
 			})
-			mux := http.NewServeMux()
-			mux.Handle("/", set.Handler())
-			mux.Handle("/healthz", health.Healthz())
-			mux.Handle("/readyz", health.Readyz())
-			go func() { _ = http.Serve(ln, mux) }()
+			telemetry.ServeEndpoint(ln, set, health, nil)
 		}
 		defer func() {
-			if err := dumpTelemetry(set, *metricsTo, *eventsTo, out); err != nil {
+			err := telemetry.Sink(*metricsTo, out, set.Reg().WritePrometheus)
+			if err == nil {
+				err = telemetry.Sink(*eventsTo, out, set.Rec().WriteJSONLines)
+			}
+			if err != nil {
 				fmt.Fprintln(os.Stderr, "earsim: telemetry dump:", err)
 			}
 		}()
@@ -151,6 +154,9 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if *nodes > 0 {
+		spec.Nodes = *nodes
+	}
 	cal, err := spec.Calibrate()
 	if err != nil {
 		return err
@@ -166,6 +172,9 @@ func run(args []string, out io.Writer) error {
 		MinWindowSec: conf.MinSignatureWindowSec,
 		SigChangeTh:  conf.SignatureChangeTh,
 		DecisionLog:  telemetry.Enabled(),
+		// Fan-out follows the machine; results are byte-identical at
+		// any worker count.
+		Workers: runtime.GOMAXPROCS(0),
 	}
 	if *pinCPU >= 0 {
 		opt.FixedCPUPstate = pinCPU
@@ -232,7 +241,7 @@ func run(args []string, out io.Writer) error {
 			len(res.Nodes), *jobID, *acctPath)
 	}
 	if *tracePath != "" {
-		if err := writeTrace(*tracePath, res.Nodes[0].Trace); err != nil {
+		if err := telemetry.Sink(*tracePath, out, func(w io.Writer) error { return writeTrace(w, res.Nodes[0].Trace) }); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "\ntrace: %d samples written to %s\n",
@@ -241,45 +250,13 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// dumpTelemetry writes the final metrics and event snapshots to the
-// requested sinks ("-" = the command's own output stream).
-func dumpTelemetry(set *telemetry.Set, metricsTo, eventsTo string, out io.Writer) error {
-	sink := func(path string, write func(io.Writer) error) error {
-		if path == "" {
-			return nil
-		}
-		if path == "-" {
-			return write(out)
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		werr := write(f)
-		cerr := f.Close()
-		if werr != nil {
-			return werr
-		}
-		return cerr
-	}
-	if err := sink(metricsTo, set.Reg().WritePrometheus); err != nil {
-		return err
-	}
-	return sink(eventsTo, set.Rec().WriteJSONLines)
-}
-
 // writeTrace dumps a node time series as CSV for plotting.
-func writeTrace(path string, trace []sim.TracePoint) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if _, err := fmt.Fprintln(f, "time_s,power_w,cpu_ghz,imc_ghz,cpi,gbs,cpu_pstate,unc_max_ratio"); err != nil {
+func writeTrace(w io.Writer, trace []sim.TracePoint) error {
+	if _, err := fmt.Fprintln(w, "time_s,power_w,cpu_ghz,imc_ghz,cpi,gbs,cpu_pstate,unc_max_ratio"); err != nil {
 		return err
 	}
 	for _, p := range trace {
-		if _, err := fmt.Fprintf(f, "%.2f,%.2f,%.3f,%.3f,%.4f,%.3f,%d,%d\n",
+		if _, err := fmt.Fprintf(w, "%.2f,%.2f,%.3f,%.3f,%.4f,%.3f,%d,%d\n",
 			p.TimeSec, p.PowerW, p.CPUGHz, p.IMCGHz, p.CPI, p.GBs, p.CPUPstate, p.UncMax); err != nil {
 			return err
 		}
@@ -313,13 +290,12 @@ func printResult(out io.Writer, label string, r sim.Result) {
 }
 
 func appendAccounting(path, jobID string, r sim.Result) error {
-	db := eard.NewDB()
-	if f, err := os.Open(path); err == nil {
-		err = db.Load(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
+	db, err := eard.LoadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		db, err = eard.NewDB(), nil // first run into this file
+	}
+	if err != nil {
+		return err
 	}
 	for i, n := range r.Nodes {
 		rec := eard.JobRecord{
@@ -332,10 +308,5 @@ func appendAccounting(path, jobID string, r sim.Result) error {
 			return err
 		}
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return db.Save(f)
+	return db.SaveFile(path)
 }

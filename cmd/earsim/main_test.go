@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -50,6 +51,36 @@ func TestPinnedUncore(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "1.49 GHz") && !strings.Contains(b.String(), "1.50 GHz") {
 		t.Errorf("pinned IMC not reflected:\n%s", b.String())
+	}
+}
+
+// TestNodesPowercapCampaign drives the one CLI path into a coordinated
+// run: -nodes scales the catalogue workload to cluster size and
+// -powercap puts it under the global manager. The fan-out follows
+// GOMAXPROCS, and the printed result must not: it is identical at 1, 2
+// and 4 (sim.TestCallGranularityIndependence holds the engine to the
+// same contract against ReferenceStep).
+func TestNodesPowercapCampaign(t *testing.T) {
+	campaign := func(procs int) string {
+		t.Helper()
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		var out strings.Builder
+		args := []string{"-workload", "BT-MZ.C", "-nodes", "6", "-powercap", "1900", "-seed", "2"}
+		if err := run(args, &out); err != nil {
+			t.Fatalf("run(%v): %v", args, err)
+		}
+		return out.String()
+	}
+	ref := campaign(1)
+	for _, want := range []string{"run (powercapped): BT-MZ.C under none on 6 node(s)", "1900.00 W budget"} {
+		if !strings.Contains(ref, want) {
+			t.Fatalf("output missing %q:\n%s", want, ref)
+		}
+	}
+	for _, procs := range []int{2, 4} {
+		if got := campaign(procs); got != ref {
+			t.Errorf("GOMAXPROCS=%d: result differs\n got: %s\nwant: %s", procs, got, ref)
+		}
 	}
 }
 

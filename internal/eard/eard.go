@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"strings"
 	"sync"
 
@@ -194,6 +195,35 @@ func (db *DB) Save(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(db.Records())
+}
+
+// LoadFile returns the database saved at path. A missing file is an
+// error satisfying errors.Is(err, fs.ErrNotExist), which first-boot
+// callers treat as an empty database.
+func LoadFile(path string) (*DB, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer func() { _ = f.Close() }() // read-only: nothing to lose
+	db := NewDB()
+	if err := db.Load(f); err != nil {
+		return nil, err
+	}
+	return db, nil
+}
+
+// SaveFile writes the database to path as Save does, replacing the file.
+func (db *DB) SaveFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	serr := db.Save(f)
+	if cerr := f.Close(); serr == nil {
+		serr = cerr
+	}
+	return serr
 }
 
 // Load replaces the database contents from JSON produced by Save.

@@ -3,9 +3,12 @@ package eard
 import (
 	"bytes"
 	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -363,5 +366,33 @@ func TestGet(t *testing.T) {
 	}
 	if _, ok := db.Get("j1", "0", "n4"); ok {
 		t.Error("Get matched a different node")
+	}
+}
+
+func TestFileRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.json")
+	if _, err := LoadFile(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("missing file: err = %v, want ErrNotExist", err)
+	}
+	db := NewDB()
+	rec := JobRecord{JobID: "j1", StepID: "0", Node: "n01", App: "x", TimeSec: 10, EnergyJ: 3000, AvgPower: 300}
+	if err := db.Insert(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := back.Records(); len(got) != 1 || got[0] != rec {
+		t.Errorf("round trip = %+v, want %+v", got, rec)
+	}
+	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadFile(path); err == nil {
+		t.Error("corrupt file loaded")
 	}
 }

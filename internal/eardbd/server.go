@@ -119,8 +119,16 @@ type Server struct {
 	seenQueue []string // FIFO eviction order for seen
 	nodeW     map[string]float64
 	stats     Stats
-	gen       uint64  // bumped whenever any record lands; see Generation
-	lastMut   float64 // Now at the last generation bump (0 with no clock)
+	// gen is bumped once per batch that lands a record; see Generation.
+	// It is not derived from the db and acct store generations because
+	// those move on other events too: db is the caller's and arrives
+	// already loaded from -db (its counter is past 0 before the first
+	// batch, so HealthCheck's "generation 0 = nothing landed in this
+	// daemon's life" would read stale right after a restart), and the
+	// stores move per record, mid-batch, where gen moves once under mu
+	// together with lastMut and the node power view.
+	gen     uint64
+	lastMut float64 // Now at the last generation bump (0 with no clock)
 }
 
 // NewServer builds a server folding records into db. Telemetry

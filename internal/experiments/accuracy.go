@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 
+	"goear/internal/cpu"
 	"goear/internal/metrics"
+	"goear/internal/model"
 	"goear/internal/perf"
 	"goear/internal/power"
 	"goear/internal/report"
@@ -45,53 +47,12 @@ func (c *Context) ModelAccuracy() ([]report.Table, error) {
 				"mean |CPI err|", "max |CPI err|", "mean |power err|"},
 		}
 		cpuM := pl.Machine.CPU
-		fromRatio, err := cpuM.PstateRatio(1)
-		if err != nil {
-			return nil, err
-		}
-		var targets []int
-		for to := 2; to < cpuM.PstateCount(); to += 2 {
-			targets = append(targets, to)
-		}
+		targets := accuracyTargets(cpuM)
 		type row struct{ freqGHz, meanCPI, maxCPI, meanPow float64 }
 		rows, err := mapRows(c, targets, func(to int) (row, error) {
-			toRatio, err := cpuM.PstateRatio(to)
+			cpiErrs, powErrs, err := heldOutErrors(pl, m, to)
 			if err != nil {
 				return row{}, err
-			}
-			var cpiErrs, powErrs []float64
-			for _, ph := range accuracyProbes(cpuM.TotalCores()) {
-				src, err := perf.Evaluate(pl.Machine, ph, perf.Operating{
-					CoreRatio: fromRatio, UncoreRatio: cpuM.UncoreMaxRatio,
-				})
-				if err != nil {
-					return row{}, err
-				}
-				dst, err := perf.Evaluate(pl.Machine, ph, perf.Operating{
-					CoreRatio: toRatio, UncoreRatio: cpuM.UncoreMaxRatio,
-				})
-				if err != nil {
-					return row{}, err
-				}
-				srcPow, err := pl.Power.Node(powerInput(pl, ph, src))
-				if err != nil {
-					return row{}, err
-				}
-				dstPow, err := pl.Power.Node(powerInput(pl, ph, dst))
-				if err != nil {
-					return row{}, err
-				}
-				sig := metrics.Signature{
-					IterTimeSec: 1, CPI: src.CPI,
-					TPI: ph.BytesPerInstr / perf.CacheLineBytes,
-					GBs: src.NodeGBs, DCPowerW: srcPow.Total,
-				}
-				pred, err := m.Predict(sig, 1, to)
-				if err != nil {
-					return row{}, err
-				}
-				cpiErrs = append(cpiErrs, math.Abs(pred.CPI-dst.CPI)/dst.CPI)
-				powErrs = append(powErrs, math.Abs(pred.PowerW-dstPow.Total)/dstPow.Total)
 			}
 			f, err := cpuM.PstateFreq(to)
 			if err != nil {
@@ -113,6 +74,80 @@ func (c *Context) ModelAccuracy() ([]report.Table, error) {
 		out = append(out, t)
 	}
 	return out, nil
+}
+
+// accuracyTargets are the projection targets the accuracy table walks:
+// every second pstate below nominal.
+func accuracyTargets(cpuM cpu.Model) []int {
+	var targets []int
+	for to := 2; to < cpuM.PstateCount(); to += 2 {
+		targets = append(targets, to)
+	}
+	return targets
+}
+
+// heldOutErrors projects every accuracyProbes phase from the nominal
+// pstate to pstate to with m and returns the relative CPI and DC power
+// errors against the substrate's own evaluation there, one per probe.
+func heldOutErrors(pl workload.Platform, m *model.Model, to int) (cpiErrs, powErrs []float64, err error) {
+	cpuM := pl.Machine.CPU
+	fromRatio, err := cpuM.PstateRatio(1)
+	if err != nil {
+		return nil, nil, err
+	}
+	toRatio, err := cpuM.PstateRatio(to)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, ph := range accuracyProbes(cpuM.TotalCores()) {
+		src, err := perf.Evaluate(pl.Machine, ph, perf.Operating{
+			CoreRatio: fromRatio, UncoreRatio: cpuM.UncoreMaxRatio,
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		dst, err := perf.Evaluate(pl.Machine, ph, perf.Operating{
+			CoreRatio: toRatio, UncoreRatio: cpuM.UncoreMaxRatio,
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		srcPow, err := pl.Power.Node(powerInput(pl, ph, src))
+		if err != nil {
+			return nil, nil, err
+		}
+		dstPow, err := pl.Power.Node(powerInput(pl, ph, dst))
+		if err != nil {
+			return nil, nil, err
+		}
+		sig := metrics.Signature{
+			IterTimeSec: 1, CPI: src.CPI,
+			TPI: ph.BytesPerInstr / perf.CacheLineBytes,
+			GBs: src.NodeGBs, DCPowerW: srcPow.Total,
+		}
+		pred, err := m.Predict(sig, 1, to)
+		if err != nil {
+			return nil, nil, err
+		}
+		cpiErrs = append(cpiErrs, math.Abs(pred.CPI-dst.CPI)/dst.CPI)
+		powErrs = append(powErrs, math.Abs(pred.PowerW-dstPow.Total)/dstPow.Total)
+	}
+	return cpiErrs, powErrs, nil
+}
+
+// HeldOutCPIError is the one-number form of the accuracy table: m's
+// mean relative CPI error over every probe and target ModelAccuracy
+// tabulates for pl. The learning phase prints it after training.
+func HeldOutCPIError(pl workload.Platform, m *model.Model) (float64, error) {
+	var all []float64
+	for _, to := range accuracyTargets(pl.Machine.CPU) {
+		cpiErrs, _, err := heldOutErrors(pl, m, to)
+		if err != nil {
+			return 0, err
+		}
+		all = append(all, cpiErrs...)
+	}
+	return mean(all), nil
 }
 
 func powerInput(pl workload.Platform, ph perf.Phase, r perf.Result) power.Input {

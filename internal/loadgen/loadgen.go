@@ -139,11 +139,18 @@ func (g *Generator) recordRTT(sec float64) {
 // zeros when RTT measurement was off or nothing was acked.
 func (g *Generator) RTTPercentiles() (n int, p50, p95, p99 float64) {
 	g.mu.Lock()
-	samples := append([]float64(nil), g.rtts...)
+	samples := g.rtts // appends never touch the elements already there
 	g.mu.Unlock()
+	return Percentiles(samples)
+}
+
+// Percentiles summarises samples with nearest-rank p50/p95/p99; all
+// zeros for no samples. The input is not modified.
+func Percentiles(samples []float64) (n int, p50, p95, p99 float64) {
 	if len(samples) == 0 {
 		return 0, 0, 0, 0
 	}
+	samples = append([]float64(nil), samples...)
 	sort.Float64s(samples)
 	rank := func(q float64) float64 {
 		i := int(q*float64(len(samples))+0.5) - 1
@@ -279,6 +286,25 @@ func (g *Generator) Run(dial func(node string) func() (net.Conn, error), hooks H
 	return g.result(), err
 }
 
+// clientFor builds one node's reporting client over its journal. The
+// burst and the drain differ only in the jitter seed they mix into the
+// workload seed.
+func (g *Generator) clientFor(node string, dial func() (net.Conn, error), journal *eardbd.Journal, seed int64) (*eardbd.Client, error) {
+	return eardbd.NewClient(eardbd.ClientConfig{
+		Node:         node,
+		Dial:         dial,
+		Clock:        eardbd.NewFakeClock(0),
+		Jitter:       rand.New(rand.NewSource(g.cfg.Seed ^ seed)),
+		BatchRecords: g.cfg.BatchRecords,
+		MaxAttempts:  g.cfg.MaxAttempts,
+		Journal:      journal,
+		Telemetry:    g.cfg.Telemetry,
+		Trace:        g.cfg.Trace,
+		RTTNow:       g.cfg.RTTNow,
+		OnBatchRTT:   g.recordRTT,
+	})
+}
+
 func (g *Generator) runNode(i int, dial func(node string) func() (net.Conn, error)) error {
 	node := g.nodeName(i)
 	journal, err := eardbd.OpenJournal("") // memory-only
@@ -289,19 +315,7 @@ func (g *Generator) runNode(i int, dial func(node string) func() (net.Conn, erro
 	g.journals[node] = journal
 	g.mu.Unlock()
 
-	c, err := eardbd.NewClient(eardbd.ClientConfig{
-		Node:         node,
-		Dial:         dial(node),
-		Clock:        eardbd.NewFakeClock(0),
-		Jitter:       rand.New(rand.NewSource(g.cfg.Seed ^ int64(7919*i+1))),
-		BatchRecords: g.cfg.BatchRecords,
-		MaxAttempts:  g.cfg.MaxAttempts,
-		Journal:      journal,
-		Telemetry:    g.cfg.Telemetry,
-		Trace:        g.cfg.Trace,
-		RTTNow:       g.cfg.RTTNow,
-		OnBatchRTT:   g.recordRTT,
-	})
+	c, err := g.clientFor(node, dial(node), journal, int64(7919*i+1))
 	if err != nil {
 		return err
 	}
@@ -381,19 +395,7 @@ func (g *Generator) Drain(dial func(node string) func() (net.Conn, error), maxPa
 				continue
 			}
 			before := journal.Len()
-			c, err := eardbd.NewClient(eardbd.ClientConfig{
-				Node:         node,
-				Dial:         dial(node),
-				Clock:        eardbd.NewFakeClock(0),
-				Jitter:       rand.New(rand.NewSource(g.cfg.Seed ^ hashNode(node))),
-				BatchRecords: g.cfg.BatchRecords,
-				MaxAttempts:  g.cfg.MaxAttempts,
-				Journal:      journal,
-				Telemetry:    g.cfg.Telemetry,
-				Trace:        g.cfg.Trace,
-				RTTNow:       g.cfg.RTTNow,
-				OnBatchRTT:   g.recordRTT,
-			})
+			c, err := g.clientFor(node, dial(node), journal, hashNode(node))
 			if err != nil {
 				return g.Backlog(), err
 			}

@@ -32,7 +32,8 @@ func coeffDigest(m *Model) uint64 {
 
 // TestTrainedCoefficientsGolden pins every trained coefficient bit for
 // bit on the three catalogue platforms, and the bytes of the JSON
-// earlearn writes. The digests were computed with the generic
+// earctl learn writes (cmd/earctl's TestLearnWritesGoldenBytes holds the
+// command to the same digests). The digests were computed with the generic
 // slice-of-slices least squares (stats.LeastSquares at PR 15); a
 // training change that moves one bit of one coefficient fails here
 // before it can move results_full.txt.

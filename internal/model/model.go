@@ -263,7 +263,7 @@ func PstateTable(c cpu.Model) []float64 {
 }
 
 // MarshalJSON / UnmarshalJSON give the model a stable on-disk format so
-// a learning phase (cmd/earlearn) can persist coefficients.
+// a learning phase (earctl learn) can persist coefficients.
 
 type modelJSON struct {
 	FreqGHz      []float64      `json:"freq_ghz"`

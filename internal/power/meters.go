@@ -53,7 +53,10 @@ func (r *Rapl) Advance(b Breakdown, dt float64) error {
 	if dt < 0 {
 		return fmt.Errorf("power: negative time step %g", dt)
 	}
-	perSocketPkg := b.Pkg / float64(len(r.sockets)) * dt
+	// float64(a*b) forbids fusing the product into the add that follows
+	// (Go spec, floating-point operators), so the simulator's armed
+	// replay, which adds the stored product, matches on every target.
+	perSocketPkg := float64(b.Pkg / float64(len(r.sockets)) * dt)
 	for i, s := range r.sockets {
 		j := perSocketPkg + r.carryPkg[i]
 		// AddEnergyHw truncates to whole counter units; keep the
@@ -64,7 +67,7 @@ func (r *Rapl) Advance(b Breakdown, dt float64) error {
 		}
 		r.carryPkg[i] = j - whole
 	}
-	j := b.Dram*dt + r.carryDram
+	j := float64(b.Dram*dt) + r.carryDram
 	whole := float64(int64(j*1e6)) / 1e6
 	if _, err := r.sockets[0].AddEnergyHw(msr.MSRDramEnergyStatus, whole); err != nil {
 		return err
@@ -141,7 +144,7 @@ func (nm *NodeManager) Advance(powerW, dt float64) error {
 	}
 	nm.mu.Lock()
 	defer nm.mu.Unlock()
-	nm.trueJ += powerW * dt
+	nm.trueJ += float64(powerW * dt) // unfused, see Rapl.Advance
 	nm.now += dt
 	if nm.now-nm.lastPub >= 1.0 {
 		nm.published = nm.trueJ

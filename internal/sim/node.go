@@ -216,7 +216,7 @@ func (n *node) stepOnce() error {
 		if nInstr > n.instrLeft {
 			nInstr = n.instrLeft
 		}
-		dt = nInstr * spi
+		dt = float64(nInstr * spi)
 		n.instrLeft -= nInstr
 	}
 	if err := n.advance(n.segIdx, e, nInstr, dt, n.pNoise); err != nil {
@@ -452,17 +452,21 @@ func (n *node) evalAt(segIdx int) (evalEntry, error) {
 }
 
 // advance moves simulated time forward by dt with nInstr instructions
-// retiring per active core.
+// retiring per active core. Every product that feeds a sum is written
+// float64(a*b): the explicit conversion rounds it, which by the language
+// spec forbids fusing it into the add (an FMA on arm64, ppc64, s390x),
+// so the armed replay — which adds the same product, rounded once into
+// its tickLUT — is bit-identical on every target, not only on amd64.
 func (n *node) advance(segIdx int, e evalEntry, nInstr, dt, pNoise float64) error {
 	seg := n.cal.Segs[segIdx]
-	nodeInstr := nInstr * float64(n.cal.ActiveCores)
+	nodeInstr := float64(nInstr * float64(n.cal.ActiveCores))
 
 	n.instr += nodeInstr
 	// Unhalted cycles follow wall time at the effective clock, so
 	// iteration noise shows up in measured CPI as it does on hardware.
-	n.cycles += dt * e.res.EffCoreFreq.GHzF() * 1e9 * float64(n.cal.ActiveCores)
-	n.avx += seg.Phase.VPI * nodeInstr
-	n.bytes += nodeInstr * seg.Phase.BytesPerInstr
+	n.cycles += float64(dt * e.res.EffCoreFreq.GHzF() * 1e9 * float64(n.cal.ActiveCores))
+	n.avx += float64(seg.Phase.VPI * nodeInstr)
+	n.bytes += float64(nodeInstr * seg.Phase.BytesPerInstr)
 
 	total := e.brk.Total * pNoise
 	if err := n.inm.Advance(total, dt); err != nil {
@@ -474,11 +478,11 @@ func (n *node) advance(segIdx int, e evalEntry, nInstr, dt, pNoise float64) erro
 	if err := n.rapl.Advance(scaled, dt); err != nil {
 		return err
 	}
-	n.pkgJ += scaled.Pkg * dt
-	n.dramJ += scaled.Dram * dt
+	n.pkgJ += float64(scaled.Pkg * dt)
+	n.dramJ += float64(scaled.Dram * dt)
 
-	n.coreFreqSec += e.res.EffCoreFreq.GHzF() * n.cal.FreqBias * dt
-	n.imcFreqSec += e.res.UncoreFreq.GHzF() * n.cal.IMCBias * dt
+	n.coreFreqSec += float64(e.res.EffCoreFreq.GHzF() * n.cal.FreqBias * dt)
+	n.imcFreqSec += float64(e.res.UncoreFreq.GHzF() * n.cal.IMCBias * dt)
 
 	if n.opt.Phases {
 		// Segments run in order, each visited contiguously, so the
@@ -487,18 +491,18 @@ func (n *node) advance(segIdx int, e evalEntry, nInstr, dt, pNoise float64) erro
 			n.phases = append(n.phases, PhaseSample{Seg: segIdx, StartSec: n.now})
 		}
 		ph := &n.phases[segIdx]
-		ph.PkgJ += scaled.Pkg * dt
-		ph.DramJ += scaled.Dram * dt
+		ph.PkgJ += float64(scaled.Pkg * dt)
+		ph.DramJ += float64(scaled.Dram * dt)
 		// Uncore is not separately noise-scaled in the RAPL view (it is
 		// a component of Pkg there); for attribution it carries the same
 		// multiplicative noise as its parent domain.
-		ph.UncoreJ += e.brk.Uncore * pNoise * dt
-		ph.NodeJ += total * dt
+		ph.UncoreJ += float64(e.brk.Uncore * pNoise * dt)
+		ph.NodeJ += float64(total * dt)
 		ph.Instr += nodeInstr
-		ph.Cycles += dt * e.res.EffCoreFreq.GHzF() * 1e9 * float64(n.cal.ActiveCores)
-		ph.DRAMBytes += nodeInstr * seg.Phase.BytesPerInstr
-		ph.CoreFreqSec += e.res.EffCoreFreq.GHzF() * n.cal.FreqBias * dt
-		ph.IMCFreqSec += e.res.UncoreFreq.GHzF() * n.cal.IMCBias * dt
+		ph.Cycles += float64(dt * e.res.EffCoreFreq.GHzF() * 1e9 * float64(n.cal.ActiveCores))
+		ph.DRAMBytes += float64(nodeInstr * seg.Phase.BytesPerInstr)
+		ph.CoreFreqSec += float64(e.res.EffCoreFreq.GHzF() * n.cal.FreqBias * dt)
+		ph.IMCFreqSec += float64(e.res.UncoreFreq.GHzF() * n.cal.IMCBias * dt)
 		ph.EndSec = n.now + dt
 	}
 

@@ -223,24 +223,26 @@ func (n *node) arm() {
 		l.instr = l.dt / spi
 	} else {
 		l.instr = n.opt.StepSec / spi
-		l.dt = l.instr * spi
+		l.dt = float64(l.instr * spi)
 	}
+	// The products advance writes as float64(a*b), rounded here the
+	// same way: neither side can fuse one into the add that consumes it.
 	seg := n.cal.Segs[n.segIdx]
 	cores := float64(n.cal.ActiveCores)
-	l.nodeInstr = l.instr * cores
-	l.cycles = l.dt * e.res.EffCoreFreq.GHzF() * 1e9 * cores
-	l.avx = seg.Phase.VPI * l.nodeInstr
-	l.bytes = l.nodeInstr * seg.Phase.BytesPerInstr
+	l.nodeInstr = float64(l.instr * cores)
+	l.cycles = float64(l.dt * e.res.EffCoreFreq.GHzF() * 1e9 * cores)
+	l.avx = float64(seg.Phase.VPI * l.nodeInstr)
+	l.bytes = float64(l.nodeInstr * seg.Phase.BytesPerInstr)
 	total := e.brk.Total * n.pNoise
-	l.totalJ = total * l.dt
+	l.totalJ = float64(total * l.dt)
 	scaledPkg := e.brk.Pkg * n.pNoise
 	scaledDram := e.brk.Dram * n.pNoise
-	l.sockPkgJ = scaledPkg / float64(ns) * l.dt
-	l.pkgJ = scaledPkg * l.dt
-	l.dramJ = scaledDram * l.dt
-	l.uncJ = e.brk.Uncore * n.pNoise * l.dt
-	l.coreFS = e.res.EffCoreFreq.GHzF() * n.cal.FreqBias * l.dt
-	l.imcFS = e.res.UncoreFreq.GHzF() * n.cal.IMCBias * l.dt
+	l.sockPkgJ = float64(scaledPkg / float64(ns) * l.dt)
+	l.pkgJ = float64(scaledPkg * l.dt)
+	l.dramJ = float64(scaledDram * l.dt)
+	l.uncJ = float64(e.brk.Uncore * n.pNoise * l.dt)
+	l.coreFS = float64(e.res.EffCoreFreq.GHzF() * n.cal.FreqBias * l.dt)
+	l.imcFS = float64(e.res.UncoreFreq.GHzF() * n.cal.IMCBias * l.dt)
 
 	unit, err := n.files[0].Read(msr.MSRRaplPowerUnit)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strconv"
 
@@ -195,21 +194,3 @@ func SortCanonical(spans []Span) {
 
 // WriteJSONLines writes spans as one JSON object per line.
 func WriteJSONLines(w io.Writer, spans []Span) error { return telemetry.WriteJSONLines(w, spans) }
-
-// WriteJSONLinesTo writes spans as JSON lines to the file at path, or
-// to stdout when path is "-": the -traces-out convention of the
-// load-driving binaries.
-func WriteJSONLinesTo(path string, stdout io.Writer, spans []Span) error {
-	if path == "-" {
-		return WriteJSONLines(stdout, spans)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	werr := WriteJSONLines(f, spans)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	return werr
-}

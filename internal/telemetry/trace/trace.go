@@ -36,7 +36,7 @@ type Context struct {
 func (c Context) Valid() bool { return c.TraceID != 0 }
 
 // Tracer mints spans for one source (a component name such as
-// "eardsend" or "eardbd"). A nil Tracer is valid and hands out nil
+// "fedroot" or "eardbd"). A nil Tracer is valid and hands out nil
 // spans, so a disabled pipeline costs one nil check per operation and
 // zero allocations.
 type Tracer struct {

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"goear/internal/cpu"
 	"goear/internal/mem"
@@ -41,6 +42,34 @@ func GPUNode() Platform {
 		Machine: perf.Machine{CPU: cpu.XeonGold6142M(), Mem: mem.DDR4SD530()},
 		Power:   power.GPUNodeCoeffs(),
 	}
+}
+
+// platforms is the one list of platform constructors: PlatformNames,
+// PlatformByName and every command's help and error text derive from it.
+var platforms = []func() Platform{SD530, CascadeLake, GPUNode}
+
+// PlatformNames returns the platform names PlatformByName resolves, in
+// listing order.
+func PlatformNames() []string {
+	names := make([]string, len(platforms))
+	for i, mk := range platforms {
+		names[i] = mk().Name
+	}
+	return names
+}
+
+// PlatformByName returns the named platform; the empty name means the
+// paper's SD530. An unknown name errors with the list of known ones.
+func PlatformByName(name string) (Platform, error) {
+	if name == "" {
+		return SD530(), nil
+	}
+	for _, mk := range platforms {
+		if pl := mk(); pl.Name == name {
+			return pl, nil
+		}
+	}
+	return Platform{}, fmt.Errorf("workload: unknown platform %q (%s)", name, strings.Join(PlatformNames(), ", "))
 }
 
 // Catalogue names. Kernel entries reproduce Table II, the motivation

@@ -57,7 +57,7 @@ type SpecFile struct {
 	Name      string `json:"name"`
 	Class     string `json:"class"`      // cpu-bound, mem-bound, accelerator
 	ProgModel string `json:"prog_model"` // informational
-	Platform  string `json:"platform"`   // SD530 or GPUNode
+	Platform  string `json:"platform"`   // a PlatformNames entry; "" = SD530
 
 	Nodes          int `json:"nodes"`
 	ProcsPerNode   int `json:"procs_per_node"`
@@ -81,16 +81,9 @@ type SpecFile struct {
 
 // Spec converts the file form into a validated runtime Spec.
 func (f SpecFile) Spec() (Spec, error) {
-	var pl Platform
-	switch f.Platform {
-	case "SD530", "":
-		pl = SD530()
-	case "GPUNode":
-		pl = GPUNode()
-	case "CascadeLake":
-		pl = CascadeLake()
-	default:
-		return Spec{}, fmt.Errorf("workload: unknown platform %q (SD530, GPUNode, CascadeLake)", f.Platform)
+	pl, err := PlatformByName(f.Platform)
+	if err != nil {
+		return Spec{}, err
 	}
 	curve, err := f.HWUncore.Build()
 	if err != nil {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"goear/internal/perf"
@@ -268,5 +269,36 @@ func TestCalibrateErrorsPropagate(t *testing.T) {
 	if c.NominalOp.UncoreRatio != s2.Platform.Machine.CPU.UncoreMinRatio {
 		t.Errorf("uncore ratio = %d, want clamped to %d",
 			c.NominalOp.UncoreRatio, s2.Platform.Machine.CPU.UncoreMinRatio)
+	}
+}
+
+// TestPlatformByName pins the single name list: every listed name
+// resolves to the platform carrying it, the empty name is the paper's
+// SD530, and an unlisted name errors with the whole list — the text
+// every command's -platform help and error are generated from.
+func TestPlatformByName(t *testing.T) {
+	names := PlatformNames()
+	if len(names) != 3 {
+		t.Fatalf("PlatformNames() = %v, want the three catalogue platforms", names)
+	}
+	for _, name := range names {
+		pl, err := PlatformByName(name)
+		if err != nil {
+			t.Errorf("listed platform %q does not resolve: %v", name, err)
+		} else if pl.Name != name {
+			t.Errorf("PlatformByName(%q) returned %q", name, pl.Name)
+		}
+	}
+	if pl, err := PlatformByName(""); err != nil || pl.Name != "SD530" {
+		t.Errorf(`PlatformByName("") = %q, %v; want SD530`, pl.Name, err)
+	}
+	_, err := PlatformByName("Cray")
+	if err == nil {
+		t.Fatal("unlisted platform resolved")
+	}
+	for _, name := range names {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list %s", err, name)
+		}
 	}
 }
