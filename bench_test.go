@@ -123,7 +123,7 @@ func benchOneRun(b *testing.B, name string, opt sim.Options) {
 	cal := mustCal(b, name)
 	if opt.Policy != "" && opt.Policy != "none" {
 		ctx := experiments.NewFrom(base)
-		r, err := ctx.RunWorkload(name, sim.Options{Policy: "none", Seed: 1})
+		r, err := ctx.Run(name, sim.Options{Policy: "none", Seed: 1})
 		_ = r
 		if err != nil {
 			b.Fatal(err)

@@ -38,13 +38,6 @@ func main() {
 	}
 }
 
-// order presents experiments in the paper's order rather than sorted.
-var order = []string{
-	"table1", "fig1", "table2", "table3", "table4", "table5", "table6",
-	"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "table7", "summary",
-	"ablations", "baselines", "future_work", "model_accuracy",
-}
-
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("benchtables", flag.ContinueOnError)
 	exp := fs.String("exp", "all", "experiment id or 'all' (see earctl experiments)")
@@ -92,7 +85,7 @@ func run(args []string, out io.Writer) error {
 
 	ids := []string{*exp}
 	if *exp == "all" {
-		ids = order
+		ids = experiments.Order()
 	}
 	// Experiments render into per-experiment buffers that are flushed
 	// in presentation order, so the byte stream does not depend on

@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"goear/internal/experiments"
 )
 
 func TestSingleExperiment(t *testing.T) {
@@ -37,19 +39,24 @@ func TestUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestOrderCoversAllGenerators holds `-exp all` to the registry: it
+// prints every registered experiment, in the registry's presentation
+// order, exactly as the single-experiment invocations print them.
 func TestOrderCoversAllGenerators(t *testing.T) {
-	// The presentation order must include every registered experiment.
-	var b strings.Builder
-	seen := map[string]bool{}
-	for _, id := range order {
-		seen[id] = true
-	}
-	if err := run([]string{"-exp", "table1", "-runs", "1"}, &b); err != nil {
+	var all, each strings.Builder
+	if err := run([]string{"-exp", "all", "-runs", "1"}, &all); err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range []string{"table1", "table7", "fig1", "fig8", "summary", "ablations"} {
-		if !seen[id] {
-			t.Errorf("presentation order missing %s", id)
+	order := experiments.Order()
+	if len(order) != len(experiments.IDs()) {
+		t.Fatalf("registry order has %d ids, IDs() %d", len(order), len(experiments.IDs()))
+	}
+	for _, id := range order {
+		if err := run([]string{"-exp", id, "-runs", "1"}, &each); err != nil {
+			t.Fatal(err)
 		}
+	}
+	if all.String() != each.String() {
+		t.Error("-exp all is not the registry's experiments in the registry's order")
 	}
 }

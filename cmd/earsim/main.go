@@ -220,17 +220,16 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *compare {
-		base, err := sim.RunAveraged(cal, sim.Options{Policy: "none", Seed: 100}, *runs)
+		base, err := sim.RunAveraged(cal, sim.Baseline(), *runs)
 		if err != nil {
 			return err
 		}
 		printResult(out, "baseline", base)
+		d := sim.DeltaOf(base, res)
 		fmt.Fprintf(out, "\nvs nominal baseline:\n")
-		fmt.Fprintf(out, "  time penalty:  %+.2f%%\n", units.PercentChange(base.TimeSec, res.TimeSec))
-		fmt.Fprintf(out, "  power saving:  %+.2f%% (DC)  %+.2f%% (RAPL PCK)\n",
-			-units.PercentChange(base.AvgPowerW, res.AvgPowerW),
-			-units.PercentChange(base.AvgPkgPowerW, res.AvgPkgPowerW))
-		fmt.Fprintf(out, "  energy saving: %+.2f%%\n", -units.PercentChange(base.EnergyJ, res.EnergyJ))
+		fmt.Fprintf(out, "  time penalty:  %+.2f%%\n", d.TimePenaltyPct)
+		fmt.Fprintf(out, "  power saving:  %+.2f%% (DC)  %+.2f%% (RAPL PCK)\n", d.PowerSavingPct, d.PkgSavingPct)
+		fmt.Fprintf(out, "  energy saving: %+.2f%%\n", d.EnergySavingPct)
 	}
 
 	if *acctPath != "" {

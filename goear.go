@@ -167,15 +167,21 @@ func (c Config) toOptions() sim.Options {
 	return opt
 }
 
-// Run executes a catalogue workload under the configuration.
-func (s *Session) Run(name string, cfg Config) (Result, error) {
+// run executes a catalogue workload under the configuration on the
+// session's shared run cache.
+func (s *Session) run(name string, cfg Config) (sim.Result, error) {
 	if s == nil || s.ctx == nil {
-		return Result{}, fmt.Errorf("goear: use NewSession")
+		return sim.Result{}, fmt.Errorf("goear: use NewSession")
 	}
 	if cfg.Runs != 0 && cfg.Runs != s.ctx.Runs {
-		return Result{}, fmt.Errorf("goear: per-call run counts are fixed by the session (%d)", s.ctx.Runs)
+		return sim.Result{}, fmt.Errorf("goear: per-call run counts are fixed by the session (%d)", s.ctx.Runs)
 	}
-	r, err := s.ctx.RunWorkload(name, cfg.toOptions())
+	return s.ctx.Run(name, cfg.toOptions())
+}
+
+// Run executes a catalogue workload under the configuration.
+func (s *Session) Run(name string, cfg Config) (Result, error) {
+	r, err := s.run(name, cfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -188,20 +194,21 @@ func (s *Session) Compare(name string, cfg Config) (Comparison, error) {
 	if cfg.Policy == "" || cfg.Policy == PolicyNone {
 		return Comparison{}, fmt.Errorf("goear: comparison needs a policy")
 	}
-	run, err := s.Run(name, cfg)
+	run, err := s.run(name, cfg)
 	if err != nil {
 		return Comparison{}, err
 	}
-	base, err := s.Run(name, Config{Policy: PolicyNone, Seed: 100})
+	base, err := s.ctx.Run(name, sim.Baseline())
 	if err != nil {
 		return Comparison{}, err
 	}
+	d := sim.DeltaOf(base, run)
 	return Comparison{
-		Run:             run,
-		Baseline:        base,
-		TimePenaltyPct:  units.PercentChange(base.TimeSec, run.TimeSec),
-		PowerSavingPct:  -units.PercentChange(base.AvgPowerW, run.AvgPowerW),
-		EnergySavingPct: -units.PercentChange(base.EnergyJ, run.EnergyJ),
+		Run:             fromSim(run),
+		Baseline:        fromSim(base),
+		TimePenaltyPct:  d.TimePenaltyPct,
+		PowerSavingPct:  d.PowerSavingPct,
+		EnergySavingPct: d.EnergySavingPct,
 	}, nil
 }
 

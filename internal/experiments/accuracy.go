@@ -10,12 +10,9 @@ import (
 	"goear/internal/perf"
 	"goear/internal/power"
 	"goear/internal/report"
+	"goear/internal/stats"
 	"goear/internal/workload"
 )
-
-func init() {
-	generators["model_accuracy"] = (*Context).ModelAccuracy
-}
 
 // accuracyProbes are held-out phases (not in the training grid),
 // spanning the catalogue's behaviour space.
@@ -29,49 +26,40 @@ func accuracyProbes(cores int) []perf.Phase {
 	}
 }
 
-// ModelAccuracy reports the trained energy model's held-out prediction
+// modelAccuracy reports the trained energy model's held-out prediction
 // error (mean and maximum absolute relative CPI error, which equals the
 // relative time error under the projection identity) as a function of
 // projection distance, per platform — the fidelity evidence behind the
 // policies' decisions.
-func (c *Context) ModelAccuracy() ([]report.Table, error) {
+func (c *Context) modelAccuracy() ([]report.Table, error) {
 	var out []report.Table
 	for _, pl := range []workload.Platform{workload.SD530(), workload.CascadeLake()} {
 		m, err := c.modelFor(pl)
 		if err != nil {
 			return nil, err
 		}
-		t := report.Table{
-			Title: fmt.Sprintf("Model accuracy (%s): held-out projection error from the nominal pstate", pl.Name),
-			Columns: []string{"target pstate", "target freq (GHz)",
-				"mean |CPI err|", "max |CPI err|", "mean |power err|"},
-		}
 		cpuM := pl.Machine.CPU
-		targets := accuracyTargets(cpuM)
-		type row struct{ freqGHz, meanCPI, maxCPI, meanPow float64 }
-		rows, err := mapRows(c, targets, func(to int) (row, error) {
-			cpiErrs, powErrs, err := heldOutErrors(pl, m, to)
-			if err != nil {
-				return row{}, err
-			}
-			f, err := cpuM.PstateFreq(to)
-			if err != nil {
-				return row{}, err
-			}
-			return row{f.GHzF(), mean(cpiErrs), maxOf(cpiErrs), mean(powErrs)}, nil
-		})
+		t, err := tabulate(c,
+			fmt.Sprintf("Model accuracy (%s): held-out projection error from the nominal pstate", pl.Name),
+			[]string{"target pstate", "target freq (GHz)",
+				"mean |CPI err|", "max |CPI err|", "mean |power err|"},
+			accuracyTargets(cpuM), func(to int) ([]string, error) {
+				cpiErrs, powErrs, err := heldOutErrors(pl, m, to)
+				if err != nil {
+					return nil, err
+				}
+				f, err := cpuM.PstateFreq(to)
+				if err != nil {
+					return nil, err
+				}
+				return []string{fmt.Sprint(to), report.GHz(f.GHzF()),
+					report.Pct(100 * stats.Mean(cpiErrs)), report.Pct(100 * stats.Max(cpiErrs)),
+					report.Pct(100 * stats.Mean(powErrs))}, nil
+			})
 		if err != nil {
 			return nil, err
 		}
-		for i, to := range targets {
-			r := rows[i]
-			if err := t.AddRow(fmt.Sprint(to), report.GHz(r.freqGHz),
-				report.Pct(100*r.meanCPI), report.Pct(100*r.maxCPI),
-				report.Pct(100*r.meanPow)); err != nil {
-				return nil, err
-			}
-		}
-		out = append(out, t)
+		out = append(out, t...)
 	}
 	return out, nil
 }
@@ -136,7 +124,7 @@ func heldOutErrors(pl workload.Platform, m *model.Model, to int) (cpiErrs, powEr
 }
 
 // HeldOutCPIError is the one-number form of the accuracy table: m's
-// mean relative CPI error over every probe and target ModelAccuracy
+// mean relative CPI error over every probe and target modelAccuracy
 // tabulates for pl. The learning phase prints it after training.
 func HeldOutCPIError(pl workload.Platform, m *model.Model) (float64, error) {
 	var all []float64
@@ -147,7 +135,7 @@ func HeldOutCPIError(pl workload.Platform, m *model.Model) (float64, error) {
 		}
 		all = append(all, cpiErrs...)
 	}
-	return mean(all), nil
+	return stats.Mean(all), nil
 }
 
 func powerInput(pl workload.Platform, ph perf.Phase, r perf.Result) power.Input {
@@ -159,25 +147,4 @@ func powerInput(pl workload.Platform, ph perf.Phase, r perf.Result) power.Input 
 		Activity:      1.0,
 		GBs:           r.NodeGBs,
 	}
-}
-
-func mean(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	if len(xs) == 0 {
-		return 0
-	}
-	return s / float64(len(xs))
-}
-
-func maxOf(xs []float64) float64 {
-	m := 0.0
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

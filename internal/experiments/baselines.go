@@ -6,66 +6,40 @@ import (
 	"goear/internal/workload"
 )
 
-func init() {
-	generators["baselines"] = (*Context).Baselines
-	generators["future_work"] = (*Context).FutureWork
+// policyPairs is the row group of the studies that set two policies
+// side by side per workload, default thresholds: each policy is a
+// {label, registered name} pair and a row reads "workload / label".
+func policyPairs(names []string, seed int64, policies ...[2]string) []runCfg {
+	var rows []runCfg
+	for _, name := range names {
+		for _, p := range policies {
+			rows = append(rows, runCfg{name + " / " + p[0], name, sim.Options{Policy: p[1], Seed: seed}})
+		}
+	}
+	return rows
 }
 
-// Baselines contrasts EAR's model-driven ME+eU with the controller-based
+// baselines contrasts EAR's model-driven ME+eU with the controller-based
 // related work the paper discusses in §VII (a DUF/Uncore-Power-Scavenger
 // style pure-feedback controller, reimplemented as the "duf" policy):
 // one CPU-bound kernel, one accelerator kernel, and one memory-bound
 // application. The controller manages only the uncore, so on codes where
 // DVFS matters (HPCG) it leaves the CPU saving on the table; on
 // uncore-dominated codes the two approaches converge.
-func (c *Context) Baselines() ([]report.Table, error) {
-	t := report.Table{
-		Title:   "Baselines: EAR ME+eU vs controller-based uncore scaling (duf)",
-		Columns: append([]string{"workload"}, figColumns()[1:]...),
-	}
-	var cfgs []runCfg
-	for _, name := range []string{workload.BTMZC, workload.BTCUDA, workload.HPCG} {
-		cfgs = append(cfgs,
-			runCfg{name + " / ME+eU", name, sim.Options{Policy: "min_energy_eufs", Seed: 50}},
-			runCfg{name + " / duf", name, sim.Options{Policy: "duf", Seed: 50}},
-		)
-	}
-	ds, err := c.compareAll(cfgs)
-	if err != nil {
-		return nil, err
-	}
-	for i, cfg := range cfgs {
-		if err := figRow(&t, cfg.label, ds[i]); err != nil {
-			return nil, err
-		}
-	}
-	return []report.Table{t}, nil
+func (c *Context) baselines() ([]report.Table, error) {
+	return c.sweeps(sweep{"Baselines: EAR ME+eU vs controller-based uncore scaling (duf)",
+		"workload", barFigure,
+		policyPairs([]string{workload.BTMZC, workload.BTCUDA, workload.HPCG}, 50,
+			[2]string{"ME+eU", "min_energy_eufs"}, [2]string{"duf", "duf"})})
 }
 
-// FutureWork evaluates the extension the paper announces but does not
+// futureWork evaluates the extension the paper announces but does not
 // evaluate: min_time_to_solution with the same explicit-UFS stage. The
 // rows show min_time climbing frequency-sensitive codes back to nominal
 // while the uncore stage still harvests the IMC headroom.
-func (c *Context) FutureWork() ([]report.Table, error) {
-	t := report.Table{
-		Title:   "Future work (paper §VIII): min_time_to_solution with explicit UFS",
-		Columns: append([]string{"workload"}, figColumns()[1:]...),
-	}
-	var cfgs []runCfg
-	for _, name := range []string{workload.BTMZC, workload.HPCG, workload.POP} {
-		cfgs = append(cfgs,
-			runCfg{name + " / min_time", name, sim.Options{Policy: "min_time", Seed: 60}},
-			runCfg{name + " / min_time+eU", name, sim.Options{Policy: "min_time_eufs", Seed: 60}},
-		)
-	}
-	ds, err := c.compareAll(cfgs)
-	if err != nil {
-		return nil, err
-	}
-	for i, cfg := range cfgs {
-		if err := figRow(&t, cfg.label, ds[i]); err != nil {
-			return nil, err
-		}
-	}
-	return []report.Table{t}, nil
+func (c *Context) futureWork() ([]report.Table, error) {
+	return c.sweeps(sweep{"Future work (paper §VIII): min_time_to_solution with explicit UFS",
+		"workload", barFigure,
+		policyPairs([]string{workload.BTMZC, workload.HPCG, workload.POP}, 60,
+			[2]string{"min_time", "min_time"}, [2]string{"min_time+eU", "min_time_eufs"})})
 }

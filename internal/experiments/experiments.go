@@ -19,12 +19,11 @@ import (
 	"fmt"
 	"sort"
 
+	"goear/internal/eard"
 	"goear/internal/eargm"
 	"goear/internal/model"
 	"goear/internal/report"
 	"goear/internal/sim"
-	"goear/internal/telemetry"
-	"goear/internal/units"
 	"goear/internal/workload"
 )
 
@@ -39,20 +38,12 @@ type Context struct {
 	// workers. Results are identical at any setting.
 	Parallel int
 
-	models flight[*model.Model]
-	cals   flight[workload.Calibrated]
-	runs   flight[sim.Result]
-
-	// Cache activity, kept directly in telemetry counters (standalone
-	// instruments; Stats() is a thin view over them). With global
-	// telemetry enabled the same activity is also mirrored into the
-	// goear_experiments_cache_* families across all contexts.
-	modelRequests   telemetry.Counter
-	calRequests     telemetry.Counter
-	runRequests     telemetry.Counter
-	modelsTrained   telemetry.Counter
-	calibrationsRun telemetry.Counter
-	runsExecuted    telemetry.Counter
+	// Each cache counts its own requests and computations (Stats reads
+	// them); with global telemetry enabled the same activity is mirrored
+	// into the goear_experiments_cache_* families across all contexts.
+	models flight[string, *model.Model]
+	cals   flight[string, workload.Calibrated]
+	runs   flight[runKey, sim.Result]
 }
 
 // New returns a context with the paper's protocol (three runs).
@@ -86,18 +77,10 @@ func (c *Context) runCount() int {
 // cal returns the cached calibration of a catalogue workload,
 // calibrating it exactly once however many goroutines ask.
 func (c *Context) cal(name string) (workload.Calibrated, error) {
-	c.calRequests.Inc()
-	if t := tel.Load(); t != nil {
-		t.calReq.Inc()
-	}
-	return c.cals.do(name, func() (workload.Calibrated, error) {
+	return c.cals.do(calCache, name, func() (workload.Calibrated, error) {
 		spec, err := workload.Lookup(name)
 		if err != nil {
 			return workload.Calibrated{}, err
-		}
-		c.calibrationsRun.Inc()
-		if t := tel.Load(); t != nil {
-			t.calComp.Inc()
 		}
 		return spec.Calibrate()
 	})
@@ -106,15 +89,7 @@ func (c *Context) cal(name string) (workload.Calibrated, error) {
 // modelFor returns the (lazily trained) energy model of a platform,
 // training it exactly once however many goroutines ask.
 func (c *Context) modelFor(pl workload.Platform) (*model.Model, error) {
-	c.modelRequests.Inc()
-	if t := tel.Load(); t != nil {
-		t.modelReq.Inc()
-	}
-	return c.models.do(pl.Name, func() (*model.Model, error) {
-		c.modelsTrained.Inc()
-		if t := tel.Load(); t != nil {
-			t.modelComp.Inc()
-		}
+	return c.models.do(modelCache, pl.Name, func() (*model.Model, error) {
 		m, err := model.TrainForCPU(pl.Machine, pl.Power)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: training model for %s: %w", pl.Name, err)
@@ -123,83 +98,104 @@ func (c *Context) modelFor(pl workload.Platform) (*model.Model, error) {
 	})
 }
 
-// runKey canonicalises the options that distinguish cached runs. The
-// options are resolved to their defaults first, so an unset threshold
-// and an explicitly-supplied default value share a cache entry — they
-// run identically.
-func runKey(name string, o sim.Options, runs int) string {
-	o = o.WithDefaults()
-	fp := -1
-	if o.FixedCPUPstate != nil {
-		fp = *o.FixedCPUPstate
-	}
-	fu := uint64(0)
-	if o.FixedUncoreRatio != nil {
-		fu = *o.FixedUncoreRatio
-	}
-	return fmt.Sprintf("%s|%s|%.4f|%.4f|g%v|a%v|p%v|fp%d|fu%d|r%d|s%d|sc%.4f|w%.2f|st%.4f|n%.4f|d%v",
-		name, o.Policy, *o.CPUTh, *o.UncTh, o.HWGuidedOff, o.NoAVX512Model,
-		o.PinBothUncoreLimits, fp, fu, runs,
-		o.Seed, o.SigChangeTh, o.MinWindowSec, o.StepSec, *o.NoiseSD, o.DecisionLog)
+// set is a pointer-typed option by value: the pointee and whether the
+// pointer was set at all.
+type set[T comparable] struct {
+	v  T
+	ok bool
 }
 
-// run executes (or recalls) an averaged run of the named workload.
-// Concurrent callers with the same configuration share one execution.
-func (c *Context) run(name string, opt sim.Options) (sim.Result, error) {
+func deref[T comparable](p *T) set[T] {
+	if p == nil {
+		return set[T]{}
+	}
+	return set[T]{*p, true}
+}
+
+// runKey is the identity of a cached run: workload, averaged run count
+// and the options. opt is the defaulted sim.Options with every pointer
+// field nil — its pointee is compared through the field of the same
+// name below — and the fields that cannot change a result (Model, which
+// follows from the workload's platform; Workers; ReferenceStep) zeroed.
+// So a field added to sim.Options is part of the key by construction;
+// one that must not be (or is a pointer) has to be handled in keyOf,
+// and TestRunKeyCoversOptions fails until it is.
+type runKey struct {
+	name string
+	runs int
+	opt  sim.Options
+
+	cpuTh, uncTh, noiseSD set[float64]
+	fixedCPUPstate        set[int]
+	fixedUncoreRatio      set[uint64]
+	daemonLimits          set[eard.Limits]
+}
+
+// keyOf builds the cache key of a run. The options are resolved to
+// their defaults first, so an unset threshold and an explicitly supplied
+// default share a cache entry — they run identically.
+func keyOf(name string, o sim.Options, runs int) runKey {
+	o = o.WithDefaults()
+	k := runKey{
+		name: name, runs: runs,
+		cpuTh: deref(o.CPUTh), uncTh: deref(o.UncTh), noiseSD: deref(o.NoiseSD),
+		fixedCPUPstate:   deref(o.FixedCPUPstate),
+		fixedUncoreRatio: deref(o.FixedUncoreRatio),
+		daemonLimits:     deref(o.DaemonLimits),
+	}
+	o.CPUTh, o.UncTh, o.NoiseSD = nil, nil, nil
+	o.FixedCPUPstate, o.FixedUncoreRatio, o.DaemonLimits = nil, nil, nil
+	o.Model, o.Workers, o.ReferenceStep = nil, 0, false
+	k.opt = o
+	return k
+}
+
+// prepare resolves what every run of a catalogue workload needs: its
+// calibration, the platform's trained model when a policy is requested,
+// and the context's fan-out bound.
+func (c *Context) prepare(name string, opt sim.Options) (workload.Calibrated, sim.Options, error) {
 	calw, err := c.cal(name)
 	if err != nil {
-		return sim.Result{}, err
+		return workload.Calibrated{}, opt, err
 	}
 	if opt.Policy != "" && opt.Policy != "none" {
 		m, err := c.modelFor(calw.Platform)
 		if err != nil {
-			return sim.Result{}, err
+			return workload.Calibrated{}, opt, err
 		}
 		opt.Model = m
 	}
 	opt.Workers = c.workers()
-	runs := c.runCount()
-	c.runRequests.Inc()
-	if t := tel.Load(); t != nil {
-		t.runReq.Inc()
-	}
-	return c.runs.do(runKey(name, opt, runs), func() (sim.Result, error) {
-		c.runsExecuted.Inc()
-		if t := tel.Load(); t != nil {
-			t.runComp.Inc()
-		}
-		return sim.RunAveraged(calw, opt, runs)
-	})
+	return calw, opt, nil
 }
 
-// RunWorkload is the exported run entry point used by the goear facade:
-// it executes (or recalls) an averaged run of the named catalogue
+// Run executes (or recalls) an averaged run of the named catalogue
 // workload, supplying the platform's trained model when a policy is
-// requested.
-func (c *Context) RunWorkload(name string, opt sim.Options) (sim.Result, error) {
-	return c.run(name, opt)
+// requested. Concurrent callers with the same configuration share one
+// execution.
+func (c *Context) Run(name string, opt sim.Options) (sim.Result, error) {
+	calw, opt, err := c.prepare(name, opt)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	runs := c.runCount()
+	return c.runs.do(runCache, keyOf(name, opt, runs), func() (sim.Result, error) {
+		return sim.RunAveraged(calw, opt, runs)
+	})
 }
 
 // RunPowercapped executes the workload under a cluster power budget
 // enforced by an EARGM instance (EAR's energy-control service). Results
 // are not cached: the manager's trace is part of the outcome.
 func (c *Context) RunPowercapped(name string, opt sim.Options, gmCfg eargm.Config) (sim.Result, eargm.Stats, error) {
-	calw, err := c.cal(name)
+	calw, opt, err := c.prepare(name, opt)
 	if err != nil {
 		return sim.Result{}, eargm.Stats{}, err
-	}
-	if opt.Policy != "" && opt.Policy != "none" {
-		m, err := c.modelFor(calw.Platform)
-		if err != nil {
-			return sim.Result{}, eargm.Stats{}, err
-		}
-		opt.Model = m
 	}
 	gm, err := eargm.New(gmCfg)
 	if err != nil {
 		return sim.Result{}, eargm.Stats{}, err
 	}
-	opt.Workers = c.workers()
 	r, err := sim.RunCoordinated(calw, opt, gm)
 	if err != nil {
 		return sim.Result{}, eargm.Stats{}, err
@@ -210,90 +206,76 @@ func (c *Context) RunPowercapped(name string, opt sim.Options, gmCfg eargm.Confi
 // baseline is the paper's reference: nominal CPU frequency, hardware
 // UFS, no policy.
 func (c *Context) baseline(name string) (sim.Result, error) {
-	return c.run(name, sim.Options{Policy: "none", Seed: 100})
-}
-
-// Delta expresses a configuration against the baseline with the paper's
-// reporting conventions: penalties positive when worse, savings positive
-// when better.
-type Delta struct {
-	TimePenaltyPct  float64
-	PowerSavingPct  float64
-	EnergySavingPct float64
-	GBsPenaltyPct   float64
-	PkgSavingPct    float64
-	AvgCPUGHz       float64
-	AvgIMCGHz       float64
-	EfficiencyRatio float64 // energy saving / time penalty
-}
-
-func deltaOf(base, r sim.Result) Delta {
-	d := Delta{
-		TimePenaltyPct:  units.PercentChange(base.TimeSec, r.TimeSec),
-		PowerSavingPct:  -units.PercentChange(base.AvgPowerW, r.AvgPowerW),
-		EnergySavingPct: -units.PercentChange(base.EnergyJ, r.EnergyJ),
-		GBsPenaltyPct:   -units.PercentChange(base.AvgGBs, r.AvgGBs),
-		PkgSavingPct:    -units.PercentChange(base.AvgPkgPowerW, r.AvgPkgPowerW),
-		AvgCPUGHz:       r.AvgCPUGHz,
-		AvgIMCGHz:       r.AvgIMCGHz,
-	}
-	if d.TimePenaltyPct > 0.01 {
-		d.EfficiencyRatio = d.EnergySavingPct / d.TimePenaltyPct
-	}
-	return d
+	return c.Run(name, sim.Baseline())
 }
 
 // compare runs a configuration and returns its Delta against baseline.
-func (c *Context) compare(name string, opt sim.Options) (Delta, error) {
+func (c *Context) compare(name string, opt sim.Options) (sim.Delta, error) {
 	base, err := c.baseline(name)
 	if err != nil {
-		return Delta{}, err
+		return sim.Delta{}, err
 	}
-	r, err := c.run(name, opt)
+	r, err := c.Run(name, opt)
 	if err != nil {
-		return Delta{}, err
+		return sim.Delta{}, err
 	}
-	return deltaOf(base, r), nil
+	return sim.DeltaOf(base, r), nil
 }
 
-// Generator is one experiment's regeneration function.
-type Generator func(*Context) ([]report.Table, error)
-
-// generators maps experiment ids to their functions.
-var generators = map[string]Generator{
-	"table1":    (*Context).Table1,
-	"fig1":      (*Context).Fig1,
-	"table2":    (*Context).Table2,
-	"table3":    (*Context).Table3,
-	"table4":    (*Context).Table4,
-	"table5":    (*Context).Table5,
-	"table6":    (*Context).Table6,
-	"fig3":      (*Context).Fig3,
-	"fig4":      (*Context).Fig4,
-	"fig5":      (*Context).Fig5,
-	"fig6":      (*Context).Fig6,
-	"fig7":      (*Context).Fig7,
-	"fig8":      (*Context).Fig8,
-	"table7":    (*Context).Table7,
-	"summary":   (*Context).Summary,
-	"ablations": (*Context).Ablations,
+// registry lists the experiments in the paper's presentation order. It
+// is the one place an experiment is named: Generate, Order, IDs and
+// `benchtables -exp all` read it.
+var registry = []struct {
+	id  string
+	gen func(*Context) ([]report.Table, error)
+}{
+	{"table1", (*Context).table1},
+	{"fig1", (*Context).fig1},
+	{"table2", (*Context).table2},
+	{"table3", (*Context).table3},
+	{"table4", (*Context).table4},
+	{"table5", (*Context).table5},
+	{"table6", (*Context).table6},
+	{"fig3", (*Context).fig3},
+	{"fig4", (*Context).fig4},
+	{"fig5", (*Context).fig5},
+	{"fig6", (*Context).fig6},
+	{"fig7", (*Context).fig7},
+	{"fig8", (*Context).fig8},
+	{"table7", (*Context).table7},
+	{"summary", (*Context).summary},
+	{"ablations", (*Context).ablations},
+	{"baselines", (*Context).baselines},
+	{"future_work", (*Context).futureWork},
+	{"model_accuracy", (*Context).modelAccuracy},
 }
 
-// IDs lists the experiment identifiers in presentation order.
+// Order lists the experiment identifiers in the paper's presentation
+// order.
+func Order() []string {
+	out := make([]string, len(registry))
+	for i, e := range registry {
+		out[i] = e.id
+	}
+	return out
+}
+
+// IDs lists the experiment identifiers sorted by name — not in
+// presentation order (that is Order): the repository benchmark digests
+// the rendered experiments in this order, so it must not follow a
+// reshuffle of the registry.
 func IDs() []string {
-	out := make([]string, 0, len(generators))
-	for id := range generators {
-		out = append(out, id)
-	}
+	out := Order()
 	sort.Strings(out)
 	return out
 }
 
 // Generate regenerates the experiment with the given id.
 func (c *Context) Generate(id string) ([]report.Table, error) {
-	g, ok := generators[id]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
+	for _, e := range registry {
+		if e.id == id {
+			return e.gen(c)
+		}
 	}
-	return g(c)
+	return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
 }

@@ -1,10 +1,15 @@
 package experiments
 
 import (
+	"os"
+	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
+	"goear/internal/eard"
+	"goear/internal/model"
 	"goear/internal/sim"
 	"goear/internal/workload"
 )
@@ -33,15 +38,48 @@ func TestIDsAndUnknown(t *testing.T) {
 	if len(ids) != 19 {
 		t.Errorf("IDs = %v (%d), want 19 experiments", ids, len(ids))
 	}
+	// The registry names each experiment once; IDs is the same set,
+	// sorted (the order bench/ digests in), whatever the registry's order.
+	order := Order()
+	seen := map[string]bool{}
+	for _, id := range order {
+		if seen[id] {
+			t.Errorf("registry lists %q twice", id)
+		}
+		seen[id] = true
+	}
+	sort.Strings(order)
+	if !reflect.DeepEqual(ids, order) {
+		t.Errorf("IDs = %v, want the registry's ids sorted %v", ids, order)
+	}
 	c := NewQuick()
 	if _, err := c.Generate("nope"); err == nil {
 		t.Error("expected error for unknown experiment")
 	}
 }
 
+// TestREADMEListsRegistryOrder holds the README's experiment list to
+// the registry: same ids, same (presentation) order.
+func TestREADMEListsRegistryOrder(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const marker = "Experiment ids, in the order `-exp all` prints them:"
+	_, rest, ok := strings.Cut(string(readme), marker)
+	if !ok {
+		t.Fatalf("README.md lost its experiment list (%q)", marker)
+	}
+	list, _, _ := strings.Cut(rest, ".")
+	got := strings.Fields(strings.ReplaceAll(list, "`", ""))
+	if want := Order(); !reflect.DeepEqual(got, want) {
+		t.Errorf("README lists %v, registry order is %v", got, want)
+	}
+}
+
 func TestTable2Structure(t *testing.T) {
 	c := NewQuick()
-	tabs, err := c.Table2()
+	tabs, err := c.Generate("table2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +102,7 @@ func TestTable2Structure(t *testing.T) {
 
 func TestTable3ShapeMatchesPaper(t *testing.T) {
 	c := NewQuick()
-	tabs, err := c.Table3()
+	tabs, err := c.Generate("table3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +132,7 @@ func TestTable3ShapeMatchesPaper(t *testing.T) {
 
 func TestTable4FrequencyDomains(t *testing.T) {
 	c := NewQuick()
-	tabs, err := c.Table4()
+	tabs, err := c.Generate("table4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +166,7 @@ func TestTable4FrequencyDomains(t *testing.T) {
 
 func TestFig1SweepShape(t *testing.T) {
 	c := NewQuick()
-	tabs, err := c.Fig1()
+	tabs, err := c.Generate("fig1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +203,7 @@ func TestFig1SweepShape(t *testing.T) {
 
 func TestFig4ThresholdMonotonicity(t *testing.T) {
 	c := NewQuick()
-	tabs, err := c.Fig4()
+	tabs, err := c.Generate("fig4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,25 +227,202 @@ func TestFig4ThresholdMonotonicity(t *testing.T) {
 
 func TestRunCacheReuse(t *testing.T) {
 	c := NewQuick()
-	if _, err := c.run(workload.BTMZC, sim.Options{Policy: "none", Seed: 100}); err != nil {
+	if _, err := c.Run(workload.BTMZC, sim.Options{Policy: "none", Seed: 100}); err != nil {
 		t.Fatal(err)
 	}
 	n := c.Stats().Runs
-	if _, err := c.run(workload.BTMZC, sim.Options{Policy: "none", Seed: 100}); err != nil {
+	if _, err := c.Run(workload.BTMZC, sim.Options{Policy: "none", Seed: 100}); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Stats().Runs; got != n {
 		t.Errorf("cache grew on identical run: %d -> %d", n, got)
 	}
 	// Different thresholds are distinct entries.
-	if _, err := c.run(workload.BTMZC, sim.Options{Policy: "min_energy", CPUTh: sim.F(0.03), Seed: 100}); err != nil {
+	if _, err := c.Run(workload.BTMZC, sim.Options{Policy: "min_energy", CPUTh: sim.F(0.03), Seed: 100}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.run(workload.BTMZC, sim.Options{Policy: "min_energy", CPUTh: sim.F(0.05), Seed: 100}); err != nil {
+	if _, err := c.Run(workload.BTMZC, sim.Options{Policy: "min_energy", CPUTh: sim.F(0.05), Seed: 100}); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Stats(); got.Runs != n+2 || got.RunsExecuted != got.Runs {
 		t.Errorf("distinct options not cached separately: %+v", got)
+	}
+}
+
+// TestRunCacheKeepsOutputOptionsApart is the aliasing regression: the
+// options that only add output (a trace, phase samples), the trace
+// period and the daemon limits were not part of the format-string key,
+// so asking for them after the plain run returned the plain run.
+func TestRunCacheKeepsOutputOptionsApart(t *testing.T) {
+	c := NewQuick()
+	plain := sim.Options{Policy: "min_energy_eufs", Seed: 40}
+	if _, err := c.Run(workload.BTCUDA, plain); err != nil {
+		t.Fatal(err)
+	}
+	executed := c.Stats().RunsExecuted
+	again := func(what string, o sim.Options) sim.Result {
+		t.Helper()
+		r, err := c.Run(workload.BTCUDA, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		executed++
+		if got := c.Stats().RunsExecuted; got != executed {
+			t.Fatalf("%s: %d runs executed, want %d (served from another configuration's entry)", what, got, executed)
+		}
+		return r
+	}
+
+	traced := plain
+	traced.Trace = true
+	full := again("Trace", traced)
+	if len(full.Nodes[0].Trace) == 0 {
+		t.Error("Trace after the untraced run: empty trace")
+	}
+	traced.TraceStepSec = 5
+	if coarse := again("TraceStepSec", traced); len(coarse.Nodes[0].Trace) >= len(full.Nodes[0].Trace) {
+		t.Errorf("TraceStepSec 5: %d points, the 1 s trace has %d", len(coarse.Nodes[0].Trace), len(full.Nodes[0].Trace))
+	}
+	phased := plain
+	phased.Phases = true
+	if r := again("Phases", phased); len(r.Nodes[0].Phases) == 0 {
+		t.Error("Phases after the plain run: no phase samples")
+	}
+	limited := plain
+	limited.DaemonLimits = &eard.Limits{MaxPstate: 2}
+	again("DaemonLimits", limited)
+	// Limits are compared by value, not by pointer.
+	limited.DaemonLimits = &eard.Limits{MaxPstate: 2}
+	if _, err := c.Run(workload.BTCUDA, limited); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Stats().RunsExecuted; got != executed {
+		t.Errorf("equal limits behind another pointer executed again: %d runs, want %d", got, executed)
+	}
+}
+
+// fill sets v to a non-zero value of its type; seed varies it.
+func fill(t *testing.T, v reflect.Value, seed int) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString("x" + strconv.Itoa(seed))
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int64:
+		v.SetInt(int64(seed))
+	case reflect.Uint64:
+		v.SetUint(uint64(seed))
+	case reflect.Float64:
+		v.SetFloat(float64(seed) / 8)
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fill(t, v.Elem(), seed)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fill(t, v.Field(i), seed)
+		}
+	default:
+		t.Fatalf("fill: no rule for %s — teach the test this kind", v.Type())
+	}
+}
+
+// TestRunKeyCoversOptions walks sim.Options by reflection so the next
+// option cannot alias silently: in the key's copy of the options every
+// pointer field is nil, every other field either carries the caller's
+// value or is one of the few that cannot change a result, and every
+// pointer option's pointee decides the key by value.
+func TestRunKeyCoversOptions(t *testing.T) {
+	neutral := map[string]bool{"Model": true, "Workers": true, "ReferenceStep": true}
+	o := sim.Options{Model: &model.Model{}} // never compared, so its content is left alone
+	for v, i := reflect.ValueOf(&o).Elem(), 0; i < v.NumField(); i++ {
+		if v.Type().Field(i).Name != "Model" {
+			fill(t, v.Field(i), 3)
+		}
+	}
+	key := keyOf("w", o, 1)
+	in, got := reflect.ValueOf(o), reflect.ValueOf(key.opt)
+	for i := 0; i < in.NumField(); i++ {
+		f := in.Type().Field(i)
+		switch {
+		case f.Type.Kind() == reflect.Pointer:
+			if !got.Field(i).IsNil() {
+				t.Errorf("%s: pointer left in the key — compares by address", f.Name)
+			}
+		case neutral[f.Name]:
+			if !got.Field(i).IsZero() {
+				t.Errorf("%s: listed result-neutral but not zeroed in the key", f.Name)
+			}
+		case !got.Field(i).Equal(in.Field(i)):
+			t.Errorf("%s: the key holds %v, the options %v", f.Name, got.Field(i), in.Field(i))
+		}
+		if f.Type.Kind() != reflect.Pointer || neutral[f.Name] {
+			continue
+		}
+		same, other := o, o
+		fill(t, reflect.ValueOf(&same).Elem().Field(i), 3)
+		fill(t, reflect.ValueOf(&other).Elem().Field(i), 4)
+		if keyOf("w", same, 1) != key {
+			t.Errorf("%s: an equal value behind another pointer changes the key", f.Name)
+		}
+		if keyOf("w", other, 1) == key {
+			t.Errorf("%s: the pointee is not part of the key", f.Name)
+		}
+		reflect.ValueOf(&other).Elem().Field(i).SetZero()
+		if keyOf("w", other, 1) == key {
+			t.Errorf("%s: unset and set share a key", f.Name)
+		}
+	}
+	if keyOf("v", o, 1) == key || keyOf("w", o, 2) == key {
+		t.Error("workload and run count must be part of the key")
+	}
+	// Defaults are resolved first: unset and the explicit default agree.
+	if keyOf("w", sim.Options{}, 1) != keyOf("w", sim.Options{Policy: "none", CPUTh: sim.F(0.05), StepSec: 0.01}, 1) {
+		t.Error("an explicit default and an unset option have different keys")
+	}
+}
+
+// TestSweepsHandsEachTableItsRows pins the flattening: tables of
+// different layouts and lengths resolved in one fan-out each get their
+// own rows, in order, rendered with their own layout.
+func TestSweepsHandsEachTableItsRows(t *testing.T) {
+	c := NewQuick()
+	me := sim.Options{Policy: "min_energy", Seed: 20}
+	eu := sim.Options{Policy: "min_energy_eufs", Seed: 20}
+	ss := []sweep{
+		{"bars", "configuration", barFigure, []runCfg{
+			{"a", workload.BTMZC, me}, {"b", workload.BTMZC, eu}, {"c", workload.DGEMM, me}}},
+		{"none", "workload", barFigure, nil},
+		{"ratios", "kernel", efficiencyRatio, []runCfg{
+			{"d", workload.DGEMM, eu}, {"e", workload.BTCUDA, eu}}},
+	}
+	tabs, err := c.sweeps(ss...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tabs) != len(ss) {
+		t.Fatalf("tables = %d, want %d", len(tabs), len(ss))
+	}
+	for i, s := range ss {
+		tab := tabs[i]
+		if tab.Title != s.title || !reflect.DeepEqual(tab.Columns, s.layout.columns(s.first)) {
+			t.Errorf("table %d: title %q columns %v", i, tab.Title, tab.Columns)
+		}
+		if len(tab.Rows) != len(s.rows) {
+			t.Fatalf("table %q: rows = %d, want %d", s.title, len(tab.Rows), len(s.rows))
+		}
+		for j, r := range s.rows {
+			d, err := c.compare(r.name, r.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := s.layout.cells(r.label, d); !reflect.DeepEqual(tab.Rows[j], want) {
+				t.Errorf("table %q row %d = %v, want %v", s.title, j, tab.Rows[j], want)
+			}
+		}
+	}
+	if got, want := len(tabs[0].Columns), len(tabs[2].Columns)+1; got != want {
+		t.Errorf("bar figure has %d columns, ratio table %d: layouts not distinct", got, want-1)
 	}
 }
 
@@ -216,7 +431,7 @@ func TestSummaryBands(t *testing.T) {
 		t.Skip("full-application sweep in short mode")
 	}
 	c := NewQuick()
-	tabs, err := c.Summary()
+	tabs, err := c.Generate("summary")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +460,7 @@ func TestTable7ScopeGap(t *testing.T) {
 		t.Skip("full-application sweep in short mode")
 	}
 	c := NewQuick()
-	tabs, err := c.Table7()
+	tabs, err := c.Generate("table7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +484,7 @@ func TestAblationsRun(t *testing.T) {
 		t.Skip("ablation sweep in short mode")
 	}
 	c := NewQuick()
-	tabs, err := c.Ablations()
+	tabs, err := c.Generate("ablations")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +502,7 @@ func TestAblationsRun(t *testing.T) {
 
 func TestFig3ThresholdProgression(t *testing.T) {
 	c := NewQuick()
-	tabs, err := c.Fig3()
+	tabs, err := c.Generate("fig3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +532,7 @@ func TestFig3ThresholdProgression(t *testing.T) {
 
 func TestFig5GuidedColumns(t *testing.T) {
 	c := NewQuick()
-	tabs, err := c.Fig5()
+	tabs, err := c.Generate("fig5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +552,7 @@ func TestFig5GuidedColumns(t *testing.T) {
 
 func TestFig6EUFSBeatsME(t *testing.T) {
 	c := NewQuick()
-	tabs, err := c.Fig6()
+	tabs, err := c.Generate("fig6")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +570,7 @@ func TestFig8ThresholdTradeoff(t *testing.T) {
 		t.Skip("large-application sweep in short mode")
 	}
 	c := NewQuick()
-	tabs, err := c.Fig8()
+	tabs, err := c.Generate("fig8")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +595,7 @@ func TestFig8ThresholdTradeoff(t *testing.T) {
 
 func TestBaselinesStory(t *testing.T) {
 	c := NewQuick()
-	tabs, err := c.Baselines()
+	tabs, err := c.Generate("baselines")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +621,7 @@ func TestBaselinesStory(t *testing.T) {
 
 func TestFutureWorkStory(t *testing.T) {
 	c := NewQuick()
-	tabs, err := c.FutureWork()
+	tabs, err := c.Generate("future_work")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,10 +640,11 @@ func TestFutureWorkStory(t *testing.T) {
 
 func TestA1SettleTimeShowsGuidedAdvantage(t *testing.T) {
 	c := NewQuick()
-	tab, err := c.ablationSearch()
+	tabs, err := c.ablationSearch()
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := tabs[0]
 	guided := parseF(t, tab.Rows[0][4])
 	fromMax := parseF(t, tab.Rows[1][4])
 	if guided >= fromMax {
@@ -438,7 +654,7 @@ func TestA1SettleTimeShowsGuidedAdvantage(t *testing.T) {
 
 func TestModelAccuracyExperiment(t *testing.T) {
 	c := NewQuick()
-	tabs, err := c.ModelAccuracy()
+	tabs, err := c.Generate("model_accuracy")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 	"goear/internal/workload"
 )
 
-// Fig1 reproduces Figure 1: the motivation uncore sweep. For each
+// fig1 reproduces Figure 1: the motivation uncore sweep. For each
 // motivation kernel, the CPU frequency the policy selects is pinned and
 // the uncore frequency is fixed from 2.4 GHz down to 1.2 GHz in 100 MHz
 // steps; each row reports average DC power saving, energy saving, time
@@ -16,11 +16,11 @@ import (
 // average IMC frequency (the figure's second y-axis). The two staging
 // runs are sequential (the sweep depends on the policy's selection);
 // the sweep itself fans out one run per uncore point.
-func (c *Context) Fig1() ([]report.Table, error) {
+func (c *Context) fig1() ([]report.Table, error) {
 	var out []report.Table
 	for _, name := range []string{workload.BTMZMotiv, workload.LUDMotiv} {
 		// Stage 1: let the policy pick the CPU frequency.
-		me, err := c.run(name, sim.Options{Policy: "min_energy", Seed: 10})
+		me, err := c.Run(name, sim.Options{Policy: "min_energy", Seed: 10})
 		if err != nil {
 			return nil, err
 		}
@@ -28,17 +28,11 @@ func (c *Context) Fig1() ([]report.Table, error) {
 
 		// Stage 2: reference run at that CPU frequency with hardware
 		// UFS (default uncore range).
-		ref, err := c.run(name, sim.Options{Policy: "none", Seed: 10, FixedCPUPstate: &pinned})
+		ref, err := c.Run(name, sim.Options{Policy: "none", Seed: 10, FixedCPUPstate: &pinned})
 		if err != nil {
 			return nil, err
 		}
 
-		t := report.Table{
-			Title: fmt.Sprintf("Fig 1 (%s): fixed-uncore sweep at policy-selected CPU frequency (pstate %d); reference avg IMC %s GHz",
-				name, pinned, report.GHz(ref.AvgIMCGHz)),
-			Columns: []string{"uncore (GHz)", "power saving", "energy saving",
-				"time penalty", "GB/s penalty", "avg IMC (GHz)"},
-		}
 		cal, err := c.cal(name)
 		if err != nil {
 			return nil, err
@@ -52,224 +46,123 @@ func (c *Context) Fig1() ([]report.Table, error) {
 				break
 			}
 		}
-		runs, err := mapRows(c, ratios, func(ratio uint64) (sim.Result, error) {
-			return c.run(name, sim.Options{
-				Policy: "none", Seed: 10,
-				FixedCPUPstate: &pinned, FixedUncoreRatio: &ratio,
+		t, err := tabulate(c,
+			fmt.Sprintf("Fig 1 (%s): fixed-uncore sweep at policy-selected CPU frequency (pstate %d); reference avg IMC %s GHz",
+				name, pinned, report.GHz(ref.AvgIMCGHz)),
+			[]string{"uncore (GHz)", "power saving", "energy saving",
+				"time penalty", "GB/s penalty", "avg IMC (GHz)"},
+			ratios, func(ratio uint64) ([]string, error) {
+				r, err := c.Run(name, sim.Options{
+					Policy: "none", Seed: 10,
+					FixedCPUPstate: &pinned, FixedUncoreRatio: &ratio,
+				})
+				if err != nil {
+					return nil, err
+				}
+				d := sim.DeltaOf(ref, r)
+				return []string{report.GHz(float64(ratio) / 10),
+					report.Pct(d.PowerSavingPct), report.Pct(d.EnergySavingPct),
+					report.Pct(d.TimePenaltyPct), report.Pct(d.GBsPenaltyPct),
+					report.GHz(r.AvgIMCGHz)}, nil
 			})
-		})
 		if err != nil {
 			return nil, err
 		}
-		for i, r := range ratios {
-			d := deltaOf(ref, runs[i])
-			if err := t.AddRow(report.GHz(float64(r)/10),
-				report.Pct(d.PowerSavingPct), report.Pct(d.EnergySavingPct),
-				report.Pct(d.TimePenaltyPct), report.Pct(d.GBsPenaltyPct),
-				report.GHz(runs[i].AvgIMCGHz)); err != nil {
-				return nil, err
-			}
-		}
-		out = append(out, t)
+		out = append(out, t...)
 	}
 	return out, nil
 }
 
-// figColumns is the shared column layout of the bar figures.
-func figColumns() []string {
-	return []string{"configuration", "time penalty", "DC power saving",
-		"energy saving", "avg CPU (GHz)", "avg IMC (GHz)"}
+// appOpt is a seed-30 application run of policy at cpu_policy_th cpuTh
+// with unc_policy_th at its 2 % default: the configuration behind
+// Figs. 3-8 and Tables VI-VII.
+func appOpt(policy string, cpuTh float64) sim.Options {
+	return sim.Options{Policy: policy, CPUTh: sim.F(cpuTh), Seed: 30}
 }
 
-// Fig3 reproduces Figure 3: BQCD under ME and ME+eU with
+// policyRows is the row group the application figures repeat: ME, the
+// not-guided uncore search (ME+NG-U) when ng is set, and ME+eU on one
+// workload at one cpu_policy_th. suffix tells a table's groups apart.
+func policyRows(name string, cpuTh float64, suffix string, ng bool) []runCfg {
+	rows := []runCfg{{"ME" + suffix, name, appOpt("min_energy", cpuTh)}}
+	if ng {
+		o := appOpt("min_energy_eufs", cpuTh)
+		o.HWGuidedOff = true
+		rows = append(rows, runCfg{"ME+NG-U" + suffix, name, o})
+	}
+	return append(rows, runCfg{"ME+eU" + suffix, name, appOpt("min_energy_eufs", cpuTh)})
+}
+
+// cpuThRows is policyRows at cpu_policy_th 3 % and 5 %, each group
+// labelled with its threshold.
+func cpuThRows(name string, ng bool) []runCfg {
+	var rows []runCfg
+	for _, th := range []float64{0.03, 0.05} {
+		rows = append(rows, policyRows(name, th, fmt.Sprintf(" (cpu_th %d%%)", int(th*100)), ng)...)
+	}
+	return rows
+}
+
+// uncThRows is ME followed by ME+eU at each unc_policy_th, all at
+// cpu_policy_th 3 %. Rows are labelled in whole percents, so the 0.1 %
+// that stands in for the paper's 0 % threshold reads "0%".
+func uncThRows(name string, uncs ...float64) []runCfg {
+	rows := []runCfg{{"ME", name, appOpt("min_energy", 0.03)}}
+	for _, unc := range uncs {
+		o := appOpt("min_energy_eufs", 0.03)
+		o.UncTh = sim.F(unc)
+		rows = append(rows, runCfg{fmt.Sprintf("ME+eU %d%%", int(unc*100)), name, o})
+	}
+	return rows
+}
+
+// fig3 reproduces Figure 3: BQCD under ME and ME+eU with
 // unc_policy_th 1%, 2% and 3% (cpu_policy_th 3%).
-func (c *Context) Fig3() ([]report.Table, error) {
-	t := report.Table{
-		Title:   "Fig 3: BQCD, min_energy configurations (cpu_th 3%)",
-		Columns: figColumns(),
-	}
-	name := workload.BQCD
-	cfgs := []runCfg{
-		{"ME", name, sim.Options{Policy: "min_energy", CPUTh: sim.F(0.03), Seed: 30}},
-	}
-	for _, unc := range []float64{0.01, 0.02, 0.03} {
-		cfgs = append(cfgs, runCfg{
-			fmt.Sprintf("ME+eU %d%%", int(unc*100)), name,
-			sim.Options{Policy: "min_energy_eufs", CPUTh: sim.F(0.03), UncTh: sim.F(unc), Seed: 30},
-		})
-	}
-	ds, err := c.compareAll(cfgs)
-	if err != nil {
-		return nil, err
-	}
-	for i, cfg := range cfgs {
-		if err := figRow(&t, cfg.label, ds[i]); err != nil {
-			return nil, err
-		}
-	}
-	return []report.Table{t}, nil
+func (c *Context) fig3() ([]report.Table, error) {
+	return c.sweeps(sweep{"Fig 3: BQCD, min_energy configurations (cpu_th 3%)",
+		"configuration", barFigure, uncThRows(workload.BQCD, 0.01, 0.02, 0.03)})
 }
 
-// Fig4 reproduces Figure 4: BT-MZ under ME and ME+eU with
+// fig4 reproduces Figure 4: BT-MZ under ME and ME+eU with
 // unc_policy_th 0%, 1% and 2% (cpu_policy_th 3%).
-func (c *Context) Fig4() ([]report.Table, error) {
-	t := report.Table{
-		Title:   "Fig 4: BT-MZ, min_energy configurations (cpu_th 3%)",
-		Columns: figColumns(),
-	}
-	name := workload.BTMZD
-	cfgs := []runCfg{
-		{"ME", name, sim.Options{Policy: "min_energy", CPUTh: sim.F(0.03), Seed: 30}},
-	}
-	for _, unc := range []float64{0.001, 0.01, 0.02} {
-		label := fmt.Sprintf("ME+eU %g%%", unc*100)
-		if unc == 0.001 {
-			label = "ME+eU 0%"
-		}
-		cfgs = append(cfgs, runCfg{
-			label, name,
-			sim.Options{Policy: "min_energy_eufs", CPUTh: sim.F(0.03), UncTh: sim.F(unc), Seed: 30},
-		})
-	}
-	ds, err := c.compareAll(cfgs)
-	if err != nil {
-		return nil, err
-	}
-	for i, cfg := range cfgs {
-		if err := figRow(&t, cfg.label, ds[i]); err != nil {
-			return nil, err
-		}
-	}
-	return []report.Table{t}, nil
+func (c *Context) fig4() ([]report.Table, error) {
+	return c.sweeps(sweep{"Fig 4: BT-MZ, min_energy configurations (cpu_th 3%)",
+		"configuration", barFigure, uncThRows(workload.BTMZD, 0.001, 0.01, 0.02)})
 }
 
-// Fig5 reproduces Figure 5: GROMACS(I) with cpu_policy_th 3% and 5%,
+// fig5 reproduces Figure 5: GROMACS(I) with cpu_policy_th 3% and 5%,
 // comparing ME, the not-guided uncore search (ME+NG-U) and the
 // HW-guided search (ME+eU), all with unc_policy_th 2%.
-func (c *Context) Fig5() ([]report.Table, error) {
-	t := report.Table{
-		Title:   "Fig 5: GROMACS(I), HW-guided vs not-guided uncore search (unc_th 2%)",
-		Columns: figColumns(),
-	}
-	name := workload.GromacsI
-	var cfgs []runCfg
-	for _, th := range []float64{0.03, 0.05} {
-		pct := int(th * 100)
-		cfgs = append(cfgs,
-			runCfg{fmt.Sprintf("ME (cpu_th %d%%)", pct), name,
-				sim.Options{Policy: "min_energy", CPUTh: sim.F(th), Seed: 30}},
-			runCfg{fmt.Sprintf("ME+NG-U (cpu_th %d%%)", pct), name,
-				sim.Options{Policy: "min_energy_eufs", CPUTh: sim.F(th), HWGuidedOff: true, Seed: 30}},
-			runCfg{fmt.Sprintf("ME+eU (cpu_th %d%%)", pct), name,
-				sim.Options{Policy: "min_energy_eufs", CPUTh: sim.F(th), Seed: 30}},
-		)
-	}
-	ds, err := c.compareAll(cfgs)
-	if err != nil {
-		return nil, err
-	}
-	for i, cfg := range cfgs {
-		if err := figRow(&t, cfg.label, ds[i]); err != nil {
-			return nil, err
-		}
-	}
-	return []report.Table{t}, nil
+func (c *Context) fig5() ([]report.Table, error) {
+	return c.sweeps(sweep{"Fig 5: GROMACS(I), HW-guided vs not-guided uncore search (unc_th 2%)",
+		"configuration", barFigure, cpuThRows(workload.GromacsI, true)})
 }
 
-// Fig6 reproduces Figure 6: GROMACS(II) under ME and ME+eU
+// fig6 reproduces Figure 6: GROMACS(II) under ME and ME+eU
 // (cpu_policy_th 5%, unc_policy_th 2%).
-func (c *Context) Fig6() ([]report.Table, error) {
-	t := report.Table{
-		Title:   "Fig 6: GROMACS(II), min_energy configurations (cpu_th 5%)",
-		Columns: figColumns(),
-	}
-	name := workload.GromacsII
-	cfgs := []runCfg{
-		{"ME", name, sim.Options{Policy: "min_energy", Seed: 30}},
-		{"ME+eU", name, sim.Options{Policy: "min_energy_eufs", Seed: 30}},
-	}
-	ds, err := c.compareAll(cfgs)
-	if err != nil {
-		return nil, err
-	}
-	for i, cfg := range cfgs {
-		if err := figRow(&t, cfg.label, ds[i]); err != nil {
-			return nil, err
-		}
-	}
-	return []report.Table{t}, nil
+func (c *Context) fig6() ([]report.Table, error) {
+	return c.sweeps(sweep{"Fig 6: GROMACS(II), min_energy configurations (cpu_th 5%)",
+		"configuration", barFigure, policyRows(workload.GromacsII, 0.05, "", false)})
 }
 
-func ratioColumns() []string {
-	return []string{"configuration", "time penalty", "DC power saving",
-		"energy saving", "eff. ratio"}
-}
-
-// Fig7 reproduces Figure 7: HPCG (a) and POP (b) under ME and ME+eU
+// fig7 reproduces Figure 7: HPCG (a) and POP (b) under ME and ME+eU
 // (cpu_policy_th 5%, unc_policy_th 2%), with the efficiency ratio.
-func (c *Context) Fig7() ([]report.Table, error) {
-	names := []string{workload.HPCG, workload.POP}
-	var cfgs []runCfg
-	for _, name := range names {
-		cfgs = append(cfgs,
-			runCfg{"ME", name, sim.Options{Policy: "min_energy", Seed: 30}},
-			runCfg{"ME+eU", name, sim.Options{Policy: "min_energy_eufs", Seed: 30}},
-		)
+func (c *Context) fig7() ([]report.Table, error) {
+	var ss []sweep
+	for _, name := range []string{workload.HPCG, workload.POP} {
+		ss = append(ss, sweep{fmt.Sprintf("Fig 7 (%s): min_energy configurations (cpu_th 5%%)", name),
+			"configuration", efficiencyRatio, policyRows(name, 0.05, "", false)})
 	}
-	ds, err := c.compareAll(cfgs)
-	if err != nil {
-		return nil, err
-	}
-	var out []report.Table
-	for i, name := range names {
-		t := report.Table{
-			Title:   fmt.Sprintf("Fig 7 (%s): min_energy configurations (cpu_th 5%%)", name),
-			Columns: ratioColumns(),
-		}
-		for j := 0; j < 2; j++ {
-			cfg := cfgs[i*2+j]
-			if err := ratioRowOf(&t, cfg.label, ds[i*2+j]); err != nil {
-				return nil, err
-			}
-		}
-		out = append(out, t)
-	}
-	return out, nil
+	return c.sweeps(ss...)
 }
 
-// Fig8 reproduces Figure 8: DUMSES (a) and AFiD (b) with
+// fig8 reproduces Figure 8: DUMSES (a) and AFiD (b) with
 // cpu_policy_th 3% and 5% (unc_policy_th 2%).
-func (c *Context) Fig8() ([]report.Table, error) {
-	names := []string{workload.DUMSES, workload.AFiD}
-	var cfgs []runCfg
-	for _, name := range names {
-		for _, th := range []float64{0.03, 0.05} {
-			pct := int(th * 100)
-			cfgs = append(cfgs,
-				runCfg{fmt.Sprintf("ME (cpu_th %d%%)", pct), name,
-					sim.Options{Policy: "min_energy", CPUTh: sim.F(th), Seed: 30}},
-				runCfg{fmt.Sprintf("ME+eU (cpu_th %d%%)", pct), name,
-					sim.Options{Policy: "min_energy_eufs", CPUTh: sim.F(th), Seed: 30}},
-			)
-		}
+func (c *Context) fig8() ([]report.Table, error) {
+	var ss []sweep
+	for _, name := range []string{workload.DUMSES, workload.AFiD} {
+		ss = append(ss, sweep{fmt.Sprintf("Fig 8 (%s): cpu_th 3%% vs 5%% (unc_th 2%%)", name),
+			"configuration", efficiencyRatio, cpuThRows(name, false)})
 	}
-	ds, err := c.compareAll(cfgs)
-	if err != nil {
-		return nil, err
-	}
-	var out []report.Table
-	for i, name := range names {
-		t := report.Table{
-			Title:   fmt.Sprintf("Fig 8 (%s): cpu_th 3%% vs 5%% (unc_th 2%%)", name),
-			Columns: ratioColumns(),
-		}
-		for j := 0; j < 4; j++ {
-			cfg := cfgs[i*4+j]
-			if err := ratioRowOf(&t, cfg.label, ds[i*4+j]); err != nil {
-				return nil, err
-			}
-		}
-		out = append(out, t)
-	}
-	return out, nil
+	return c.sweeps(ss...)
 }

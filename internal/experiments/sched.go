@@ -6,18 +6,20 @@ import (
 	"sync/atomic"
 
 	"goear/internal/par"
-	"goear/internal/report"
-	"goear/internal/sim"
+	"goear/internal/telemetry"
 )
 
 // flight is a singleflight cache: the first caller of a key computes
 // its value while concurrent callers of the same key block on the same
 // computation instead of duplicating it. Completed values (including
 // errors, which are deterministic here: bad configurations stay bad)
-// are cached for the cache's lifetime. The zero value is ready to use.
-type flight[V any] struct {
+// are cached for the cache's lifetime. It counts its own requests and
+// computations. The zero value is ready to use.
+type flight[K comparable, V any] struct {
 	mu sync.Mutex
-	m  map[string]*call[V]
+	m  map[K]*call[V]
+
+	requests, computes telemetry.Counter
 }
 
 type call[V any] struct {
@@ -28,11 +30,18 @@ type call[V any] struct {
 }
 
 // do returns the cached value for key, computing it with fn exactly
-// once no matter how many goroutines ask concurrently.
-func (f *flight[V]) do(key string, fn func() (V, error)) (V, error) {
+// once no matter how many goroutines ask concurrently. The request and
+// the computation are counted here and, with global telemetry enabled,
+// mirrored into the series labelled as.
+func (f *flight[K, V]) do(as cache, key K, fn func() (V, error)) (V, error) {
+	f.requests.Inc()
+	t := tel.Load()
+	if t != nil {
+		t[as].requests.Inc()
+	}
 	f.mu.Lock()
 	if f.m == nil {
-		f.m = map[string]*call[V]{}
+		f.m = map[K]*call[V]{}
 	}
 	c, ok := f.m[key]
 	if !ok {
@@ -41,6 +50,10 @@ func (f *flight[V]) do(key string, fn func() (V, error)) (V, error) {
 	}
 	f.mu.Unlock()
 	c.once.Do(func() {
+		f.computes.Inc()
+		if t != nil {
+			t[as].computes.Inc()
+		}
 		c.val, c.err = fn()
 		c.done.Store(true)
 	})
@@ -48,7 +61,7 @@ func (f *flight[V]) do(key string, fn func() (V, error)) (V, error) {
 }
 
 // len counts the distinct keys ever requested.
-func (f *flight[V]) len() int {
+func (f *flight[K, V]) len() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return len(f.m)
@@ -56,13 +69,13 @@ func (f *flight[V]) len() int {
 
 // seed pre-completes key with a known value (used to share immutable
 // results across contexts).
-func (f *flight[V]) seed(key string, v V) {
+func (f *flight[K, V]) seed(key K, v V) {
 	c := &call[V]{val: v}
 	c.once.Do(func() {})
 	c.done.Store(true)
 	f.mu.Lock()
 	if f.m == nil {
-		f.m = map[string]*call[V]{}
+		f.m = map[K]*call[V]{}
 	}
 	f.m[key] = c
 	f.mu.Unlock()
@@ -70,10 +83,10 @@ func (f *flight[V]) seed(key string, v V) {
 
 // snapshot returns the successfully completed entries; in-flight and
 // failed computations are skipped.
-func (f *flight[V]) snapshot() map[string]V {
+func (f *flight[K, V]) snapshot() map[K]V {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make(map[string]V, len(f.m))
+	out := make(map[K]V, len(f.m))
 	for k, c := range f.m {
 		if c.done.Load() && c.err == nil {
 			out[k] = c.val
@@ -86,8 +99,8 @@ func (f *flight[V]) snapshot() map[string]V {
 // was actually executed to build it. With singleflight deduplication
 // the key and execution columns are equal — each distinct model,
 // calibration and run is computed exactly once regardless of
-// concurrency. It is a thin view assembled on demand from the
-// context's telemetry counters (see Context's counter fields).
+// concurrency. It is a thin view assembled on demand from the three
+// caches' own counters.
 type CacheStats struct {
 	// Models / Calibrations / Runs count distinct cache keys requested.
 	Models       int
@@ -111,12 +124,12 @@ func (c *Context) Stats() CacheStats {
 		Models:          c.models.len(),
 		Calibrations:    c.cals.len(),
 		Runs:            c.runs.len(),
-		ModelsTrained:   int(c.modelsTrained.Value()),
-		CalibrationsRun: int(c.calibrationsRun.Value()),
-		RunsExecuted:    int(c.runsExecuted.Value()),
-		ModelHits:       int(c.modelRequests.Value() - c.modelsTrained.Value()),
-		CalibrationHits: int(c.calRequests.Value() - c.calibrationsRun.Value()),
-		RunHits:         int(c.runRequests.Value() - c.runsExecuted.Value()),
+		ModelsTrained:   int(c.models.computes.Value()),
+		CalibrationsRun: int(c.cals.computes.Value()),
+		RunsExecuted:    int(c.runs.computes.Value()),
+		ModelHits:       int(c.models.requests.Value() - c.models.computes.Value()),
+		CalibrationHits: int(c.cals.requests.Value() - c.cals.computes.Value()),
+		RunHits:         int(c.runs.requests.Value() - c.runs.computes.Value()),
 	}
 }
 
@@ -139,38 +152,4 @@ func (c *Context) workers() int {
 // caches, so rows that share configurations share work.
 func mapRows[T, R any](c *Context, items []T, fn func(T) (R, error)) ([]R, error) {
 	return par.Map(c.workers(), items, fn)
-}
-
-// runCfg names one configured run of a workload: the unit of the
-// configuration-sweep tables (Figs. 3-8, ablations, baselines).
-type runCfg struct {
-	label string
-	name  string
-	opt   sim.Options
-}
-
-// compareAll resolves every configuration's Delta against its
-// workload's baseline, in parallel, preserving order.
-func (c *Context) compareAll(cfgs []runCfg) ([]Delta, error) {
-	return mapRows(c, cfgs, func(r runCfg) (Delta, error) {
-		return c.compare(r.name, r.opt)
-	})
-}
-
-// figRow renders one bar-figure row from a precomputed Delta.
-func figRow(t *report.Table, label string, d Delta) error {
-	return t.AddRow(label,
-		report.Pct(d.TimePenaltyPct), report.Pct(d.PowerSavingPct),
-		report.Pct(d.EnergySavingPct), report.GHz(d.AvgCPUGHz), report.GHz(d.AvgIMCGHz))
-}
-
-// ratioRowOf renders one efficiency-ratio row from a precomputed Delta.
-func ratioRowOf(t *report.Table, label string, d Delta) error {
-	ratio := "-"
-	if d.EfficiencyRatio != 0 {
-		ratio = report.F(d.EfficiencyRatio, 2)
-	}
-	return t.AddRow(label,
-		report.Pct(d.TimePenaltyPct), report.Pct(d.PowerSavingPct),
-		report.Pct(d.EnergySavingPct), ratio)
 }

@@ -4,19 +4,21 @@ import (
 	"errors"
 	"sync"
 	"testing"
+
+	"goear/internal/telemetry"
 )
 
 var errTest = errors.New("boom")
 
 func TestFlightExactlyOnce(t *testing.T) {
-	var f flight[int]
+	var f flight[string, int]
 	var calls int
 	var wg sync.WaitGroup
 	for i := 0; i < 64; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err := f.do("k", func() (int, error) {
+			v, err := f.do(runCache, "k", func() (int, error) {
 				calls++ // safe: do guarantees exactly one execution
 				return 42, nil
 			})
@@ -35,20 +37,52 @@ func TestFlightExactlyOnce(t *testing.T) {
 }
 
 func TestFlightSnapshotSkipsErrors(t *testing.T) {
-	var f flight[int]
-	f.do("good", func() (int, error) { return 1, nil })
-	f.do("bad", func() (int, error) { return 0, errTest })
+	var f flight[string, int]
+	f.do(runCache, "good", func() (int, error) { return 1, nil })
+	f.do(runCache, "bad", func() (int, error) { return 0, errTest })
 	snap := f.snapshot()
 	if len(snap) != 1 || snap["good"] != 1 {
 		t.Fatalf("snapshot = %v, want only the good entry", snap)
 	}
 	// Errors are cached: a second call must not re-run the function.
 	ran := false
-	if _, err := f.do("bad", func() (int, error) { ran = true; return 0, nil }); err == nil {
+	if _, err := f.do(runCache, "bad", func() (int, error) { ran = true; return 0, nil }); err == nil {
 		t.Error("cached error lost")
 	}
 	if ran {
 		t.Error("failed entry re-executed")
+	}
+}
+
+// TestCacheActivityMirrored: what each cache counts for Stats is what
+// it mirrors into its own labelled series of the global registry.
+func TestCacheActivityMirrored(t *testing.T) {
+	telemetry.Enable()
+	defer telemetry.Disable()
+	c := NewQuick()
+	for _, id := range []string{"table2", "fig6"} {
+		if _, err := c.Generate(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, m := c.Stats(), tel.Load()
+	for _, k := range []struct {
+		as             cache
+		computes, hits int
+	}{
+		{modelCache, st.ModelsTrained, st.ModelHits},
+		{calCache, st.CalibrationsRun, st.CalibrationHits},
+		{runCache, st.RunsExecuted, st.RunHits},
+	} {
+		if k.computes == 0 || k.hits == 0 {
+			t.Errorf("%s cache: %d computes, %d hits; the experiments should cause both", cacheLabels[k.as], k.computes, k.hits)
+		}
+		if got := int(m[k.as].computes.Value()); got != k.computes {
+			t.Errorf("%s computes mirrored as %d, counted %d", cacheLabels[k.as], got, k.computes)
+		}
+		if got := int(m[k.as].requests.Value()); got != k.computes+k.hits {
+			t.Errorf("%s requests mirrored as %d, counted %d", cacheLabels[k.as], got, k.computes+k.hits)
+		}
 	}
 }
 

@@ -6,121 +6,83 @@ import (
 	"goear/internal/workload"
 )
 
-// Table1 reproduces Table I: kernel metrics under min_energy_to_solution
+// table1 reproduces Table I: kernel metrics under min_energy_to_solution
 // with hardware IMC selection, for the motivation kernels (BT-MZ.C over
 // 4 nodes, LU.D over 2 nodes).
-func (c *Context) Table1() ([]report.Table, error) {
-	t := report.Table{
-		Title:   "Table I: kernel metrics under min_energy with hardware IMC selection",
-		Columns: []string{"kernel", "CPI", "GB/s", "CPU freq (GHz)", "IMC freq (GHz)"},
-	}
-	names := []string{workload.BTMZMotiv, workload.LUDMotiv}
-	rows, err := mapRows(c, names, func(name string) (sim.Result, error) {
-		return c.run(name, sim.Options{Policy: "min_energy", Seed: 10})
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, name := range names {
-		r := rows[i]
-		if err := t.AddRow(name, report.F(r.AvgCPI, 2), report.F(r.AvgGBs, 2),
-			report.GHz(r.AvgCPUGHz), report.GHz(r.AvgIMCGHz)); err != nil {
-			return nil, err
-		}
-	}
-	return []report.Table{t}, nil
+func (c *Context) table1() ([]report.Table, error) {
+	return tabulate(c, "Table I: kernel metrics under min_energy with hardware IMC selection",
+		[]string{"kernel", "CPI", "GB/s", "CPU freq (GHz)", "IMC freq (GHz)"},
+		[]string{workload.BTMZMotiv, workload.LUDMotiv}, func(name string) ([]string, error) {
+			r, err := c.Run(name, sim.Options{Policy: "min_energy", Seed: 10})
+			if err != nil {
+				return nil, err
+			}
+			return []string{name, report.F(r.AvgCPI, 2), report.F(r.AvgGBs, 2),
+				report.GHz(r.AvgCPUGHz), report.GHz(r.AvgIMCGHz)}, nil
+		})
 }
 
-// Table2 reproduces Table II: single-node kernel characteristics at
+// table2 reproduces Table II: single-node kernel characteristics at
 // nominal frequency.
-func (c *Context) Table2() ([]report.Table, error) {
-	t := report.Table{
-		Title:   "Table II: single node kernels",
-		Columns: []string{"kernel", "prog. model", "time (s)", "CPI", "GB/s", "avg DC power (W)"},
-	}
-	type row struct {
-		progModel string
-		r         sim.Result
-	}
-	rows, err := mapRows(c, workload.Kernels(), func(name string) (row, error) {
-		spec, err := workload.Lookup(name)
-		if err != nil {
-			return row{}, err
-		}
-		r, err := c.baseline(name)
-		if err != nil {
-			return row{}, err
-		}
-		return row{spec.ProgModel, r}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, name := range workload.Kernels() {
-		r := rows[i].r
-		if err := t.AddRow(name, rows[i].progModel, report.F(r.TimeSec, 0),
-			report.F(r.AvgCPI, 2), report.F(r.AvgGBs, 2), report.F(r.AvgPowerW, 0)); err != nil {
-			return nil, err
-		}
-	}
-	return []report.Table{t}, nil
+func (c *Context) table2() ([]report.Table, error) {
+	return tabulate(c, "Table II: single node kernels",
+		[]string{"kernel", "prog. model", "time (s)", "CPI", "GB/s", "avg DC power (W)"},
+		workload.Kernels(), func(name string) ([]string, error) {
+			spec, err := workload.Lookup(name)
+			if err != nil {
+				return nil, err
+			}
+			r, err := c.baseline(name)
+			if err != nil {
+				return nil, err
+			}
+			return []string{name, spec.ProgModel, report.F(r.TimeSec, 0),
+				report.F(r.AvgCPI, 2), report.F(r.AvgGBs, 2), report.F(r.AvgPowerW, 0)}, nil
+		})
 }
 
-// Table3 reproduces Table III: kernel time penalty / power saving /
+// table3 reproduces Table III: kernel time penalty / power saving /
 // energy saving for ME and ME+eU (cpu_policy_th 5%, unc_policy_th 2%).
-func (c *Context) Table3() ([]report.Table, error) {
-	t := report.Table{
-		Title: "Table III: single node kernels evaluation (cpu_th 5%, unc_th 2%)",
-		Columns: []string{"kernel",
+func (c *Context) table3() ([]report.Table, error) {
+	return tabulate(c, "Table III: single node kernels evaluation (cpu_th 5%, unc_th 2%)",
+		[]string{"kernel",
 			"time penalty ME", "time penalty ME+eU",
 			"power saving ME", "power saving ME+eU",
 			"energy saving ME", "energy saving ME+eU"},
-	}
-	type row struct{ me, eu Delta }
-	rows, err := mapRows(c, workload.Kernels(), func(name string) (row, error) {
-		me, err := c.compare(name, sim.Options{Policy: "min_energy", Seed: 20})
-		if err != nil {
-			return row{}, err
-		}
-		eu, err := c.compare(name, sim.Options{Policy: "min_energy_eufs", Seed: 20})
-		if err != nil {
-			return row{}, err
-		}
-		return row{me, eu}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, name := range workload.Kernels() {
-		me, eu := rows[i].me, rows[i].eu
-		if err := t.AddRow(name,
-			report.Pct(me.TimePenaltyPct), report.Pct(eu.TimePenaltyPct),
-			report.Pct(me.PowerSavingPct), report.Pct(eu.PowerSavingPct),
-			report.Pct(me.EnergySavingPct), report.Pct(eu.EnergySavingPct)); err != nil {
-			return nil, err
-		}
-	}
-	return []report.Table{t}, nil
+		workload.Kernels(), func(name string) ([]string, error) {
+			me, err := c.compare(name, sim.Options{Policy: "min_energy", Seed: 20})
+			if err != nil {
+				return nil, err
+			}
+			eu, err := c.compare(name, sim.Options{Policy: "min_energy_eufs", Seed: 20})
+			if err != nil {
+				return nil, err
+			}
+			return []string{name,
+				report.Pct(me.TimePenaltyPct), report.Pct(eu.TimePenaltyPct),
+				report.Pct(me.PowerSavingPct), report.Pct(eu.PowerSavingPct),
+				report.Pct(me.EnergySavingPct), report.Pct(eu.EnergySavingPct)}, nil
+		})
 }
 
-// Table4 reproduces Table IV: average CPU and IMC frequency for the
-// kernels under No policy / ME / ME+eU.
-func (c *Context) Table4() ([]report.Table, error) {
-	t := report.Table{
-		Title:   "Table IV: avg CPU and IMC frequency domains (kernels)",
-		Columns: []string{"kernel", "dom", "No policy", "ME", "ME+eU"},
-	}
+// freqDomains renders the average CPU and IMC frequency of each named
+// workload under No policy / ME / ME+eU, the two policies at the given
+// seed and the workload's paperCPUTh: Tables IV and VI.
+func (c *Context) freqDomains(title, first string, names []string, seed int64) ([]report.Table, error) {
+	t := report.Table{Title: title, Columns: []string{first, "dom", "No policy", "ME", "ME+eU"}}
 	type row struct{ base, me, eu sim.Result }
-	rows, err := mapRows(c, workload.Kernels(), func(name string) (row, error) {
+	rows, err := mapRows(c, names, func(name string) (row, error) {
 		base, err := c.baseline(name)
 		if err != nil {
 			return row{}, err
 		}
-		me, err := c.run(name, sim.Options{Policy: "min_energy", Seed: 20})
+		opt := sim.Options{Policy: "min_energy", CPUTh: sim.F(paperCPUTh(name)), Seed: seed}
+		me, err := c.Run(name, opt)
 		if err != nil {
 			return row{}, err
 		}
-		eu, err := c.run(name, sim.Options{Policy: "min_energy_eufs", Seed: 20})
+		opt.Policy = "min_energy_eufs"
+		eu, err := c.Run(name, opt)
 		if err != nil {
 			return row{}, err
 		}
@@ -129,7 +91,7 @@ func (c *Context) Table4() ([]report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, name := range workload.Kernels() {
+	for i, name := range names {
 		base, me, eu := rows[i].base, rows[i].me, rows[i].eu
 		if err := t.AddRow(name, "CPU", report.GHz(base.AvgCPUGHz),
 			report.GHz(me.AvgCPUGHz), report.GHz(eu.AvgCPUGHz)); err != nil {
@@ -143,128 +105,83 @@ func (c *Context) Table4() ([]report.Table, error) {
 	return []report.Table{t}, nil
 }
 
-// Table5 reproduces Table V: MPI application characteristics at nominal
-// frequency.
-func (c *Context) Table5() ([]report.Table, error) {
-	t := report.Table{
-		Title:   "Table V: MPI applications",
-		Columns: []string{"application", "time (s)", "CPI", "GB/s", "avg DC power (W)"},
-	}
-	rows, err := mapRows(c, workload.Applications(), c.baseline)
-	if err != nil {
-		return nil, err
-	}
-	for i, name := range workload.Applications() {
-		r := rows[i]
-		if err := t.AddRow(name, report.F(r.TimeSec, 2), report.F(r.AvgCPI, 2),
-			report.F(r.AvgGBs, 2), report.F(r.AvgPowerW, 2)); err != nil {
-			return nil, err
-		}
-	}
-	return []report.Table{t}, nil
+// table4 reproduces Table IV: average CPU and IMC frequency for the
+// kernels under No policy / ME / ME+eU (seed 20, cpu_policy_th 5%).
+func (c *Context) table4() ([]report.Table, error) {
+	return c.freqDomains("Table IV: avg CPU and IMC frequency domains (kernels)", "kernel",
+		workload.Kernels(), 20)
 }
 
-// appCPUTh returns the paper's per-application cpu_policy_th: 3% for
-// BQCD, 5% elsewhere.
-func appCPUTh(name string) float64 {
+// table5 reproduces Table V: MPI application characteristics at nominal
+// frequency.
+func (c *Context) table5() ([]report.Table, error) {
+	return tabulate(c, "Table V: MPI applications",
+		[]string{"application", "time (s)", "CPI", "GB/s", "avg DC power (W)"},
+		workload.Applications(), func(name string) ([]string, error) {
+			r, err := c.baseline(name)
+			if err != nil {
+				return nil, err
+			}
+			return []string{name, report.F(r.TimeSec, 2), report.F(r.AvgCPI, 2),
+				report.F(r.AvgGBs, 2), report.F(r.AvgPowerW, 2)}, nil
+		})
+}
+
+// paperCPUTh is the cpu_policy_th the paper runs a workload at: 3% for
+// BQCD, 5% for every other application and for the kernels.
+func paperCPUTh(name string) float64 {
 	if name == workload.BQCD {
 		return 0.03
 	}
 	return 0.05
 }
 
-// Table6 reproduces Table VI: average CPU and IMC frequency per
+// table6 reproduces Table VI: average CPU and IMC frequency per
 // application under No policy / ME / ME+eU.
-func (c *Context) Table6() ([]report.Table, error) {
-	t := report.Table{
-		Title:   "Table VI: avg CPU and IMC frequency domains (applications)",
-		Columns: []string{"application", "dom", "No policy", "ME", "ME+eU"},
-	}
-	type row struct{ base, me, eu sim.Result }
-	rows, err := mapRows(c, workload.Applications(), func(name string) (row, error) {
-		th := appCPUTh(name)
-		base, err := c.baseline(name)
-		if err != nil {
-			return row{}, err
-		}
-		me, err := c.run(name, sim.Options{Policy: "min_energy", CPUTh: sim.F(th), Seed: 30})
-		if err != nil {
-			return row{}, err
-		}
-		eu, err := c.run(name, sim.Options{Policy: "min_energy_eufs", CPUTh: sim.F(th), Seed: 30})
-		if err != nil {
-			return row{}, err
-		}
-		return row{base, me, eu}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, name := range workload.Applications() {
-		base, me, eu := rows[i].base, rows[i].me, rows[i].eu
-		if err := t.AddRow(name, "CPU", report.GHz(base.AvgCPUGHz),
-			report.GHz(me.AvgCPUGHz), report.GHz(eu.AvgCPUGHz)); err != nil {
-			return nil, err
-		}
-		if err := t.AddRow(name, "IMC", report.GHz(base.AvgIMCGHz),
-			report.GHz(me.AvgIMCGHz), report.GHz(eu.AvgIMCGHz)); err != nil {
-			return nil, err
-		}
-	}
-	return []report.Table{t}, nil
+func (c *Context) table6() ([]report.Table, error) {
+	return c.freqDomains("Table VI: avg CPU and IMC frequency domains (applications)", "application",
+		workload.Applications(), 30)
 }
 
-// table7Apps is the application list of Table VII (GROMACS(I) omitted,
-// as in the paper).
-func table7Apps() []string {
-	return []string{
-		workload.BQCD, workload.BTMZD, workload.GromacsII, workload.HPCG,
-		workload.POP, workload.DUMSES, workload.AFiD,
-	}
+// appEUDelta resolves ME+eU at the application's cpu_policy_th against
+// the nominal baseline: the comparison behind Table VII and the
+// headline summary.
+func (c *Context) appEUDelta(name string) (sim.Delta, error) {
+	return c.compare(name, appOpt("min_energy_eufs", paperCPUTh(name)))
 }
 
-// Table7 reproduces Table VII: DC node power savings vs RAPL PCK power
-// savings under ME+eU.
-func (c *Context) Table7() ([]report.Table, error) {
-	t := report.Table{
-		Title:   "Table VII: DC node power savings vs RAPL PCK power savings (ME+eU)",
-		Columns: []string{"application", "DC node power", "RAPL PCK power"},
-	}
-	rows, err := mapRows(c, table7Apps(), func(name string) (Delta, error) {
-		return c.compare(name, sim.Options{
-			Policy: "min_energy_eufs", CPUTh: sim.F(appCPUTh(name)), Seed: 30,
+// table7 reproduces Table VII: DC node power savings vs RAPL PCK power
+// savings under ME+eU, for the applications but GROMACS(I) (omitted as
+// in the paper).
+func (c *Context) table7() ([]report.Table, error) {
+	return tabulate(c, "Table VII: DC node power savings vs RAPL PCK power savings (ME+eU)",
+		[]string{"application", "DC node power", "RAPL PCK power"},
+		[]string{
+			workload.BQCD, workload.BTMZD, workload.GromacsII, workload.HPCG,
+			workload.POP, workload.DUMSES, workload.AFiD,
+		}, func(name string) ([]string, error) {
+			d, err := c.appEUDelta(name)
+			if err != nil {
+				return nil, err
+			}
+			return []string{name, report.Pct(d.PowerSavingPct), report.Pct(d.PkgSavingPct)}, nil
 		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, name := range table7Apps() {
-		d := rows[i]
-		if err := t.AddRow(name, report.Pct(d.PowerSavingPct), report.Pct(d.PkgSavingPct)); err != nil {
-			return nil, err
-		}
-	}
-	return []report.Table{t}, nil
 }
 
-// Summary reproduces the headline numbers of the abstract and §VIII:
+// summary reproduces the headline numbers of the abstract and §VIII:
 // average and maximum energy saving and time penalty of ME+eU across
 // the applications.
-func (c *Context) Summary() ([]report.Table, error) {
+func (c *Context) summary() ([]report.Table, error) {
 	t := report.Table{
 		Title:   "Summary: ME+eU across MPI applications (paper: avg energy save ~9%, avg time penalty ~3%)",
 		Columns: []string{"metric", "average", "maximum"},
 	}
-	deltas, err := mapRows(c, workload.Applications(), func(name string) (Delta, error) {
-		return c.compare(name, sim.Options{
-			Policy: "min_energy_eufs", CPUTh: sim.F(appCPUTh(name)), Seed: 30,
-		})
-	})
+	ds, err := mapRows(c, workload.Applications(), c.appEUDelta)
 	if err != nil {
 		return nil, err
 	}
 	var eSum, tSum, eMax, tMax float64
-	for _, d := range deltas {
+	for _, d := range ds {
 		eSum += d.EnergySavingPct
 		tSum += d.TimePenaltyPct
 		if d.EnergySavingPct > eMax {
@@ -274,7 +191,7 @@ func (c *Context) Summary() ([]report.Table, error) {
 			tMax = d.TimePenaltyPct
 		}
 	}
-	n := float64(len(deltas))
+	n := float64(len(ds))
 	if err := t.AddRow("energy saving", report.Pct(eSum/n), report.Pct(eMax)); err != nil {
 		return nil, err
 	}

@@ -13,15 +13,25 @@ const (
 	metricExpCacheComputes = "goear_experiments_cache_computes_total"
 )
 
-// expTel mirrors every context's cache activity into the global
+// cache names one of a Context's three singleflight caches in the
+// mirrored series.
+type cache int
+
+const (
+	modelCache cache = iota
+	calCache
+	runCache
+	numCaches
+)
+
+var cacheLabels = [numCaches]string{"model", "calibration", "run"}
+
+// cacheTel mirrors every context's cache activity into the global
 // registry; handles are pre-resolved per cache label so the request
 // path never hashes label strings.
-type expTel struct {
-	modelReq, calReq, runReq    *telemetry.Counter
-	modelComp, calComp, runComp *telemetry.Counter
-}
+type cacheTel struct{ requests, computes *telemetry.Counter }
 
-var tel atomic.Pointer[expTel]
+var tel atomic.Pointer[[numCaches]cacheTel]
 
 func init() {
 	telemetry.OnEnable(func(s *telemetry.Set) {
@@ -32,13 +42,10 @@ func init() {
 		r := s.Registry
 		req := r.CounterVec(metricExpCacheRequests, "singleflight cache requests by cache", "cache")
 		comp := r.CounterVec(metricExpCacheComputes, "singleflight cache computations (misses) by cache", "cache")
-		tel.Store(&expTel{
-			modelReq:  req.With("model"),
-			calReq:    req.With("calibration"),
-			runReq:    req.With("run"),
-			modelComp: comp.With("model"),
-			calComp:   comp.With("calibration"),
-			runComp:   comp.With("run"),
-		})
+		var t [numCaches]cacheTel
+		for i, label := range cacheLabels {
+			t[i] = cacheTel{req.With(label), comp.With(label)}
+		}
+		tel.Store(&t)
 	})
 }

@@ -37,7 +37,6 @@ package model
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 
 	"goear/internal/cpu"
 	"goear/internal/metrics"
@@ -287,29 +286,4 @@ func (m *Model) UnmarshalJSON(b []byte) error {
 	m.FreqGHz, m.AVX512Pstate, m.Pairs = j.FreqGHz, j.AVX512Pstate, j.Pairs
 	m.CapGBs, m.SatGBs = j.CapGBs, j.SatGBs
 	return m.Validate()
-}
-
-// Accuracy evaluates prediction quality: mean absolute relative error of
-// the CPI projection over the provided (sig, from, to, trueCPI) tuples.
-func (m *Model) Accuracy(samples []AccuracySample) (float64, error) {
-	if len(samples) == 0 {
-		return 0, fmt.Errorf("model: no accuracy samples")
-	}
-	sum := 0.0
-	for _, s := range samples {
-		p, err := m.Predict(s.Sig, s.From, s.To)
-		if err != nil {
-			return 0, err
-		}
-		sum += math.Abs(p.CPI-s.TrueCPI) / s.TrueCPI
-	}
-	return sum / float64(len(samples)), nil
-}
-
-// AccuracySample is one held-out evaluation point.
-type AccuracySample struct {
-	Sig     metrics.Signature
-	From    int
-	To      int
-	TrueCPI float64
 }

@@ -234,37 +234,6 @@ func TestModelJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAccuracy(t *testing.T) {
-	m := trainSD530(t)
-	machine := perf.Machine{CPU: cpu.XeonGold6148(), Mem: mem.DDR4SD530()}
-	ph := perf.Phase{BaseCPI: 0.6, BytesPerInstr: 1.5, Overlap: 0.85, ActiveCores: 40}
-	fromRatio, _ := machine.CPU.PstateRatio(1)
-	r1, err := perf.Evaluate(machine, ph, perf.Operating{CoreRatio: fromRatio, UncoreRatio: 24})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sig := metrics.Signature{IterTimeSec: 1, CPI: r1.CPI, TPI: ph.BytesPerInstr / 64, DCPowerW: 330}
-	var samples []AccuracySample
-	for to := 2; to < 10; to++ {
-		toRatio, _ := machine.CPU.PstateRatio(to)
-		r2, err := perf.Evaluate(machine, ph, perf.Operating{CoreRatio: toRatio, UncoreRatio: 24})
-		if err != nil {
-			t.Fatal(err)
-		}
-		samples = append(samples, AccuracySample{Sig: sig, From: 1, To: to, TrueCPI: r2.CPI})
-	}
-	mae, err := m.Accuracy(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mae > 0.05 {
-		t.Errorf("mean CPI error = %.1f%%, want < 5%%", mae*100)
-	}
-	if _, err := m.Accuracy(nil); err == nil {
-		t.Error("expected error for no samples")
-	}
-}
-
 func TestValidateRejectsBroken(t *testing.T) {
 	m := trainSD530(t)
 	cases := []func(*Model){
