@@ -122,7 +122,12 @@ func run(args []string, out io.Writer, ready chan<- []string, quit <-chan struct
 	// span tree itself stays deterministic, only the timings are live.
 	wallSec := telemetry.StartWallClock().Now
 
-	var svc *eardbd.Front // the wire front end a Server and a fed.Root share
+	// The daemon serves as a Server or as a fed.Root; both run the shared
+	// wire front end, and a root's Close also hangs up on its shards.
+	var svc interface {
+		Serve(net.Listener) error
+		Close() error
+	}
 	var db *eard.DB
 	var srv *eardbd.Server
 	var root *fed.Root
@@ -146,7 +151,7 @@ func run(args []string, out io.Writer, ready chan<- []string, quit <-chan struct
 			return err
 		}
 		fmt.Fprintf(out, "eardbd: federation root over %d shards\n", len(cfg.Shards))
-		svc = &root.Front
+		svc = root
 
 		if *cascadeBudget > 0 {
 			var islands []eargm.Island
@@ -217,7 +222,7 @@ func run(args []string, out io.Writer, ready chan<- []string, quit <-chan struct
 			}
 		}
 		srv = eardbd.NewServer(db, eardbd.Config{MaxFramePayload: *maxFrame, MaxBatchRecords: *maxBatch, AcctMaxRecords: *acctRetain, Telemetry: telSet, Trace: traceBuf, Now: wallSec})
-		svc = &srv.Front
+		svc = srv
 	}
 
 	if telLn != nil {

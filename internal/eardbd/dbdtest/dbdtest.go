@@ -45,15 +45,11 @@ func Transcript(v View, nodes int) (string, error) {
 		return "", err
 	}
 
-	agg, err := eardbd.AggregateOf(v, nil)
+	view, err := v.View(nil)
 	if err != nil {
 		return "", err
 	}
-	db, _, err := v.State(nil)
-	if err != nil {
-		return "", err
-	}
-	sums := db.Summaries()
+	agg, sums := view.Aggregate(), view.DB.Summaries()
 	var b strings.Builder
 	enc := json.NewEncoder(&b)
 	for _, item := range []any{agg, v.NodePowers(), sums, caps, m.Stats()} {

@@ -5,20 +5,31 @@ import (
 
 	"goear/internal/accounting"
 	"goear/internal/eard"
+	"goear/internal/eardbd"
 	"goear/internal/telemetry/trace"
 	"goear/internal/wire"
 )
 
-// Root-side snapshot caching. The merge-heavy queries (aggregate, job
-// summaries, the accounting tier) all reduce to one folded view of
-// every shard's record dumps. Rebuilding that view per query is fine
-// at eargm snapshot rate and wrong for a dashboard tier taking
-// repeated reads, so the root keys the folded view by the vector of
-// shard ingest generations: a query polls the cheap generation counter
-// on every shard, and only a moved generation pays for record dumps
-// and a re-fold. The rebuilt view runs the exact same insertion
-// arithmetic as an uncached fold, so caching is invisible to the
-// byte-identity contract — it only changes how often the fold runs.
+// Root-side view caching. Every state query (aggregate, node powers,
+// job summaries, the accounting tier) reduces to one folded view of
+// what the shards hold. Rebuilding that view per query is fine at
+// eargm snapshot rate and wrong for a dashboard tier taking repeated
+// reads, so the root keys the folded view by the vector of shard
+// ingest generations: a query polls the cheap generation counter on
+// every shard, and only a moved generation pays for the dumps and a
+// re-fold. The rebuilt view runs the exact same insertion arithmetic
+// as an uncached fold, so caching is invisible to the byte-identity
+// contract — it only changes how often the fold runs.
+
+// view is one folded reading of the fleet, keyed by the shard
+// generations it was polled at. A published view is immutable, the
+// power list included: invalidation swaps in a freshly built one, so
+// readers of an old view stay consistent and every query served from
+// one view sees one generation vector.
+type view struct {
+	gens []uint64
+	eardbd.View
+}
 
 // shardGenerations polls every shard's ingest generation counter.
 func (r *Root) shardGenerations(parent *trace.Active) ([]uint64, error) {
@@ -37,56 +48,57 @@ func (r *Root) shardGenerations(parent *trace.Active) ([]uint64, error) {
 	return gens, nil
 }
 
-// State implements eardbd.Backend with the folded cluster view —
-// node-report database plus accounting store — from cache when no
-// shard generation has moved, rebuilding it otherwise. Published views
-// are immutable: invalidation swaps in freshly built state, so
-// concurrent readers of an old view stay consistent.
-func (r *Root) State(parent *trace.Active) (*eard.DB, *accounting.Store, error) {
+// View implements eardbd.Backend with the folded cluster view — from
+// cache when no shard generation has moved, rebuilt otherwise. A node
+// reports through exactly one shard (ring placement), so the union of
+// the shards' power lists is disjoint; a node seen on two shards
+// (mid-rebalance traffic) keeps the value from the later shard in
+// fan-out order.
+func (r *Root) View(parent *trace.Active) (eardbd.View, error) {
 	msp := parent.Child(spanFedMerge, r.Now.Sec())
 	gens, err := r.shardGenerations(msp)
 	if err != nil {
 		msp.Attr("cache", "error").End(r.Now.Sec())
-		return nil, nil, err
+		return eardbd.View{}, err
 	}
-	r.cacheMu.Lock()
-	if r.cacheOK && slices.Equal(r.cacheGens, gens) {
-		db, acct := r.cacheDB, r.cacheAcct
-		r.cacheMu.Unlock()
+	if v := r.cache.Load(); v != nil && slices.Equal(v.gens, gens) {
 		r.countCache(true)
 		msp.Attr("cache", "hit").End(r.Now.Sec())
-		return db, acct, nil
+		return v.View, nil
 	}
-	r.cacheMu.Unlock()
 	r.countCache(false)
 	msp.Attr("cache", "miss")
 	defer func() { msp.End(r.Now.Sec()) }()
 
-	// Rebuild outside the cache lock: concurrent misses duplicate work
-	// but never block a hit, and the last finisher wins the cache slot.
-	db := eard.NewDB()
-	if err := foldDumps(r, msp, wire.QueryRecords, db.Insert); err != nil {
-		return nil, nil, err
+	// Concurrent misses duplicate work but never block a hit, and the
+	// last finisher wins the cache slot.
+	v := &view{gens: gens}
+	v.DB = eard.NewDB()
+	if err := foldDumps(r, msp, wire.QueryRecords, v.DB.Insert); err != nil {
+		return eardbd.View{}, err
 	}
 	// The merged store shares the root's telemetry set, so the
 	// goear_accounting_* families on a federation root cover the
 	// serving tier the same way they cover a single daemon.
-	acct := accounting.NewStore(r.ts)
+	v.Acct = accounting.NewStore(r.ts)
 	err = foldDumps(r, msp, wire.QueryAcctRecords, func(rec accounting.Record) error {
-		_, err := acct.Insert(rec)
+		_, err := v.Acct.Insert(rec)
 		return err
 	})
 	if err != nil {
-		return nil, nil, err
+		return eardbd.View{}, err
 	}
-
-	r.cacheMu.Lock()
-	r.cacheOK = true
-	r.cacheGens = gens
-	r.cacheDB = db
-	r.cacheAcct = acct
-	r.cacheMu.Unlock()
-	return db, acct, nil
+	byNode := map[string]float64{}
+	err = foldDumps(r, msp, wire.QueryNodePowers, func(np wire.NodePower) error {
+		byNode[np.Node] = np.PowerW
+		return nil
+	})
+	if err != nil {
+		return eardbd.View{}, err
+	}
+	v.Powers = eardbd.SortedPowers(byNode)
+	r.cache.Store(v)
+	return v.View, nil
 }
 
 // foldDumps fans one record-dump query out and folds every shard's

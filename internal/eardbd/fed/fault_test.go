@@ -1,0 +1,250 @@
+package fed_test
+
+import (
+	"bytes"
+	"net"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"goear/internal/eardbd"
+	"goear/internal/eardbd/fed"
+	"goear/internal/loadgen"
+	"goear/internal/telemetry"
+	"goear/internal/wire"
+)
+
+// These tests hold the root's pooled shard connections to their
+// contract under faults. They live outside package fed because the
+// fleet with kill/restart is loadgen's, and loadgen imports fed.
+
+const faultShards = 4
+
+// loadedCluster is a four-shard fleet holding 40 nodes' traffic.
+func loadedCluster(t *testing.T, ts *telemetry.Set) *loadgen.Cluster {
+	t.Helper()
+	cluster, err := loadgen.NewCluster(faultShards, eardbd.Config{Telemetry: ts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cluster.Close() })
+	g, err := loadgen.New(loadgen.Config{Nodes: 40, Workers: 4, AcctPerNode: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := g.Run(cluster.DialFor, loadgen.Hooks{}); err != nil || res.NodeErrors != 0 || res.BacklogBatches != 0 {
+		t.Fatalf("load: %+v, %v", res, err)
+	}
+	return cluster
+}
+
+func newRoot(t *testing.T, cluster *loadgen.Cluster) *fed.Root {
+	t.Helper()
+	root, err := cluster.Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = root.Close() })
+	return root
+}
+
+// waitConns waits until shard serves at most max connections — a
+// closed client end takes the handler a scheduling round to notice —
+// and returns the count.
+func waitConns(t *testing.T, cluster *loadgen.Cluster, shard string, max int) int {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		n := cluster.Conns(shard)
+		if n <= max {
+			return n
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s still serves %d connections, want at most %d", shard, n, max)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRestartedShardCostsOneRedial: a shard killed and restarted
+// between two root queries leaves the root holding a dead connection.
+// The second query must notice, redial exactly once, and answer what a
+// fresh root answers.
+func TestRestartedShardCostsOneRedial(t *testing.T) {
+	ts := telemetry.NewSet()
+	cluster := loadedCluster(t, ts)
+	root := newRoot(t, cluster)
+	if _, err := loadgen.Snapshot(root); err != nil {
+		t.Fatal(err)
+	}
+	before := root.Stats()
+	if before.Dials != faultShards || before.Redials != 0 {
+		t.Fatalf("cold query: %+v, want one dial per shard and no redial", before)
+	}
+
+	if err := cluster.Kill("shard1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.Restart("shard1"); err != nil {
+		t.Fatal(err)
+	}
+	got, err := loadgen.Snapshot(root)
+	if err != nil {
+		t.Fatalf("query after the restart: %v", err)
+	}
+	st := root.Stats()
+	if st.Redials != 1 || st.Dials != before.Dials+1 || st.FanoutErrors != 0 {
+		t.Fatalf("after the restart: %+v, want exactly one redial and no fan-out error", st)
+	}
+	want, err := loadgen.Snapshot(newRoot(t, cluster))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("snapshot over a redialled connection differs from a fresh root's")
+	}
+
+	var metrics strings.Builder
+	if err := ts.Reg().WritePrometheus(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	for _, series := range []string{
+		`goear_eardbd_fed_dials_total{shard="shard1",result="redial"} 1`,
+		`goear_eardbd_fed_dials_total{shard="shard0",result="new"} 2`, // this root's and the fresh one's
+	} {
+		if !strings.Contains(metrics.String(), series+"\n") {
+			t.Errorf("/metrics lacks %s", series)
+		}
+	}
+	if !strings.Contains(metrics.String(), `goear_eardbd_fed_dials_total{shard="shard0",result="reused"}`) {
+		t.Error("/metrics counts no reused connection")
+	}
+}
+
+// TestDownShardStillSurfaces: a shard that stays down is a counted
+// fan-out error and a degraded readiness check, pool or no pool.
+func TestDownShardStillSurfaces(t *testing.T) {
+	cluster := loadedCluster(t, nil)
+	root := newRoot(t, cluster)
+	if _, err := root.Aggregate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.Kill("shard2"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := root.Aggregate(); err == nil {
+		t.Fatal("aggregate over a dead shard succeeded")
+	}
+	if st := root.Stats(); st.FanoutErrors != 1 || st.Redials != 1 {
+		t.Fatalf("stats = %+v, want the one failed fan-out counted after its one redial", st)
+	}
+	if c := root.HealthCheck()(); c.OK || c.Detail != "3/4 shards reachable" {
+		t.Fatalf("readiness = %+v, want 3/4 shards reachable", c)
+	}
+	// The shard comes back: the next query dials it afresh.
+	if err := cluster.Restart("shard2"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := root.Aggregate(); err != nil {
+		t.Fatalf("aggregate after the shard returned: %v", err)
+	}
+	if c := root.HealthCheck()(); !c.OK {
+		t.Fatalf("readiness = %+v after the shard returned", c)
+	}
+}
+
+// TestConcurrentAdminsShareBoundedPool: eight admin connections
+// reading at once get right answers, and afterwards no shard is left
+// holding more than the idle bound.
+func TestConcurrentAdminsShareBoundedPool(t *testing.T) {
+	const admins, queries = 8, 200
+	cluster := loadedCluster(t, nil)
+	root := newRoot(t, cluster)
+	mix := []wire.Query{
+		{Kind: wire.QueryAcctJobs, User: "alice", Limit: 5},
+		{Kind: wire.QueryNodePowers},
+		{Kind: wire.QueryAggregate},
+		{Kind: wire.QueryJobs},
+		{Kind: wire.QueryStats},
+	}
+	want := make([][]byte, len(mix))
+	ref := newRoot(t, cluster)
+	for i, q := range mix[:len(mix)-1] { // stats count the queries themselves
+		f, err := eardbd.Answer(ref, nil, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = f.Payload[1:] // Result.Data: the payload past its kind byte
+	}
+	if err := ref.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	for a := 0; a < admins; a++ {
+		client, server := net.Pipe()
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			root.ServeConn(server)
+		}()
+		go func(a int) {
+			defer wg.Done()
+			defer client.Close()
+			for i := 0; i < queries; i++ {
+				k := (a + i) % len(mix)
+				res, err := eardbd.Query(client, mix[k], 0)
+				if err != nil {
+					t.Errorf("admin %d query %d (%s): %v", a, i, mix[k].Kind, err)
+					return
+				}
+				if want[k] != nil && !bytes.Equal(res.Data, want[k]) {
+					t.Errorf("admin %d query %d: %s reply differs from a lone root's", a, i, mix[k].Kind)
+					return
+				}
+			}
+		}(a)
+	}
+	wg.Wait()
+	if st := root.Stats(); st.FanoutErrors != 0 || st.Redials != 0 {
+		t.Fatalf("stats = %+v, want no failed fan-out", st)
+	}
+	for _, name := range cluster.Names() {
+		if n := waitConns(t, cluster, name, fed.MaxIdlePerShard); n == 0 {
+			t.Errorf("%s serves no connection: nothing was parked", name)
+		}
+	}
+}
+
+// TestCloseEmptiesPool: Close hangs up every parked connection, and a
+// query that returns its connection afterwards finds the pool shut.
+func TestCloseEmptiesPool(t *testing.T) {
+	cluster := loadedCluster(t, nil)
+	root := newRoot(t, cluster)
+	if _, err := root.Aggregate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range cluster.Names() {
+		if n := cluster.Conns(name); n != 1 {
+			t.Fatalf("%s serves %d connections after one query, want the parked one", name, n)
+		}
+	}
+	if err := root.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range cluster.Names() {
+		waitConns(t, cluster, name, 0)
+	}
+	// The in-process accessors outlive Close; what they dial must not
+	// be parked again.
+	if _, err := root.Aggregate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range cluster.Names() {
+		waitConns(t, cluster, name, 0)
+	}
+	if err := root.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+}

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 
 	"goear/internal/accounting"
 	"goear/internal/eard"
@@ -86,6 +87,8 @@ type Stats struct {
 	Queries      int `json:"queries"`       // snapshot queries served by the root
 	Fanouts      int `json:"fanouts"`       // shard queries issued
 	FanoutErrors int `json:"fanout_errors"` // shard queries that failed
+	Dials        int `json:"dials"`         // shard connections opened (the other fan-outs reused a parked one)
+	Redials      int `json:"redials"`       // of those, second attempts after a reused connection failed
 	CacheHits    int `json:"cache_hits"`    // merged snapshots served from cache
 	CacheMisses  int `json:"cache_misses"`  // merged snapshots rebuilt from shard dumps
 }
@@ -93,7 +96,7 @@ type Stats struct {
 // Root is the federation front end: an eardbd.Front — the listeners,
 // frame loop and query switch a shard daemon serves with — over a
 // Backend that fans out to the shards. It is safe for concurrent use.
-// Merge-heavy queries go through a generation-keyed snapshot cache
+// Every state query is answered from a generation-keyed cached view
 // (see cache.go): a query costs one cheap generation poll per shard
 // until ingest actually moves, instead of a full record dump.
 type Root struct {
@@ -102,15 +105,13 @@ type Root struct {
 	ts  *telemetry.Set
 	tel rootTel
 
-	mu    sync.Mutex
-	stats Stats
-	reach map[string]bool // last fan-out outcome per shard
+	mu     sync.Mutex
+	stats  Stats
+	reach  map[string]bool       // last fan-out outcome per shard
+	idle   map[string][]net.Conn // parked shard connections, most recently used last
+	closed bool                  // Close has run: connections are closed, not parked
 
-	cacheMu   sync.Mutex
-	cacheOK   bool
-	cacheGens []uint64
-	cacheDB   *eard.DB
-	cacheAcct *accounting.Store
+	cache atomic.Pointer[view]
 }
 
 // NewRoot builds a root over the given shards.
@@ -142,6 +143,7 @@ func NewRoot(cfg Config) (*Root, error) {
 		ts:    ts,
 		tel:   newRootTel(ts),
 		reach: map[string]bool{},
+		idle:  map[string][]net.Conn{},
 	}
 	root.Front = eardbd.Front{
 		Backend:         root,
@@ -192,41 +194,132 @@ func (r *Root) Stats() Stats {
 	return r.stats
 }
 
-// queryShard runs one wire query against one shard over a fresh
-// connection, stamping tc on the query frame so the shard's
-// server.query span joins the caller's trace. Fan-out connections are
-// per-query: the root's load is snapshot-rate (the eargm control
-// period, admin queries), so simplicity and isolation beat connection
-// reuse here.
+// maxIdlePerShard bounds the connections parked per shard between
+// queries. One serves a root with one reader (the eargm control period,
+// one admin tool); four cover a few dashboards reading at once, and a
+// busier moment dials the surplus and closes it afterwards.
+const maxIdlePerShard = 4
+
+// queryShard runs one wire query against one shard, stamping tc on the
+// query frame so the shard's server.query span joins the caller's
+// trace. It prefers a connection parked by an earlier query and parks
+// its own after a complete reply. A reused connection may have gone
+// stale since (the shard restarted, a peer timed it out), which the
+// root cannot tell from a failing shard without asking again: queries
+// are idempotent reads, so a failure on a reused connection is retried
+// once on a fresh dial, and a failure on a fresh one is the answer.
 func (r *Root) queryShard(s Shard, q wire.Query, tc trace.Context) (wire.Result, error) {
 	t0 := r.Now.Sec()
-	r.mu.Lock()
-	r.stats.Fanouts++
-	r.mu.Unlock()
-	conn, err := s.Dial()
-	if err == nil {
-		var res wire.Result
-		res, err = eardbd.QueryCtx(conn, q, r.cfg.MaxFramePayload, tc)
-		_ = conn.Close()
-		if err == nil {
-			r.countReach(s.Name, true)
-			r.Now.Observe(r.tel.latFanout, t0)
-			return res, nil
-		}
+	conn := r.checkOut(s.Name)
+	res, err := r.queryOn(s, conn, q, tc)
+	if err != nil && conn != nil {
+		r.dropIdle(s.Name)
+		res, err = r.queryOn(s, nil, q, tc)
 	}
-	r.mu.Lock()
-	r.stats.FanoutErrors++
-	r.mu.Unlock()
-	r.countReach(s.Name, false)
+	r.countReach(s.Name, err == nil)
 	r.Now.Observe(r.tel.latFanout, t0)
-	return wire.Result{}, fmt.Errorf("fed: shard %s: %w", s.Name, err)
+	if err != nil {
+		return wire.Result{}, fmt.Errorf("fed: shard %s: %w", s.Name, err)
+	}
+	return res, nil
 }
 
-// countReach folds one fan-out outcome into the telemetry counters
-// and the reachability view the readiness probe reports.
+// queryOn runs q over conn, dialling the shard first when conn is nil,
+// and parks the connection after a complete reply; after anything else
+// it is closed.
+func (r *Root) queryOn(s Shard, conn net.Conn, q wire.Query, tc trace.Context) (wire.Result, error) {
+	if conn == nil {
+		var err error
+		if conn, err = s.Dial(); err != nil {
+			return wire.Result{}, err
+		}
+	}
+	res, err := eardbd.QueryCtx(conn, q, r.cfg.MaxFramePayload, tc)
+	if err != nil {
+		_ = conn.Close() // the query's error is the one to report
+		return wire.Result{}, err
+	}
+	r.park(s.Name, conn)
+	return res, nil
+}
+
+// checkOut counts one fan-out and takes the shard's most recently
+// parked connection, nil when there is none; the telemetry says which,
+// and whether a dial is a first attempt or the retry.
+func (r *Root) checkOut(shard string) net.Conn {
+	var conn net.Conn
+	how := dialNew
+	r.mu.Lock()
+	r.stats.Fanouts++
+	if idle := r.idle[shard]; len(idle) > 0 {
+		conn, r.idle[shard] = idle[len(idle)-1], idle[:len(idle)-1]
+		how = dialReused
+	} else {
+		r.stats.Dials++
+	}
+	r.mu.Unlock()
+	r.tel.dial(shard, how)
+	return conn
+}
+
+// dropIdle counts a redial and closes everything parked for the shard:
+// the connection that just failed was the youngest of them, so the
+// rest have outlived the same event.
+func (r *Root) dropIdle(shard string) {
+	r.mu.Lock()
+	r.stats.Dials++
+	r.stats.Redials++
+	stale := r.idle[shard]
+	delete(r.idle, shard)
+	r.mu.Unlock()
+	r.tel.dial(shard, dialRedial)
+	for _, c := range stale {
+		_ = c.Close() // already dead, by the reasoning above
+	}
+}
+
+// park keeps conn for the shard's next query, or closes it when the
+// idle list is full or the root has been closed meanwhile.
+func (r *Root) park(shard string, conn net.Conn) {
+	r.mu.Lock()
+	keep := !r.closed && len(r.idle[shard]) < maxIdlePerShard
+	if keep {
+		r.idle[shard] = append(r.idle[shard], conn)
+	}
+	r.mu.Unlock()
+	if !keep {
+		_ = conn.Close() // surplus, fully read: nothing to lose
+	}
+}
+
+// Close stops serving (the Front's listeners, connections and
+// handlers) and then closes every parked shard connection; one a query
+// still in flight returns later is closed on arrival.
+func (r *Root) Close() error {
+	err := r.Front.Close()
+	r.mu.Lock()
+	r.closed = true
+	idle := r.idle
+	r.idle = map[string][]net.Conn{}
+	r.mu.Unlock()
+	for _, conns := range idle {
+		for _, c := range conns {
+			if cerr := c.Close(); cerr != nil && err == nil {
+				err = cerr
+			}
+		}
+	}
+	return err
+}
+
+// countReach folds one fan-out outcome into the stats, the telemetry
+// counters and the reachability view the readiness probe reports.
 func (r *Root) countReach(shard string, ok bool) {
 	r.mu.Lock()
 	r.reach[shard] = ok
+	if !ok {
+		r.stats.FanoutErrors++
+	}
 	r.mu.Unlock()
 	r.tel.fanout(shard, ok)
 }
@@ -283,29 +376,6 @@ func (r *Root) fanOut(parent *trace.Active, q wire.Query, decode func(i int, res
 	return nil
 }
 
-// PowersByName implements eardbd.Backend: the last reported power of
-// every node in the federation, sorted by node name. A node reports
-// through exactly one shard (ring placement), so the union is disjoint;
-// a node seen on two shards (mid-rebalance traffic) keeps the value
-// from the later shard in fan-out order.
-func (r *Root) PowersByName(parent *trace.Active) ([]wire.NodePower, error) {
-	merged := map[string]float64{}
-	err := r.fanOut(parent, wire.Query{Kind: wire.QueryNodePowers}, func(_ int, res wire.Result) error {
-		var nps []wire.NodePower
-		if err := res.Decode(&nps); err != nil {
-			return err
-		}
-		for _, np := range nps {
-			merged[np.Node] = np.PowerW
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return eardbd.SortedPowers(merged), nil
-}
-
 // IngestStats implements eardbd.Backend by summing the activity
 // counters of every shard: the cluster's ingest totals. The root's own
 // Stats stay separate.
@@ -338,14 +408,35 @@ func (r *Root) IngestStats(parent *trace.Active) (eardbd.Stats, error) {
 
 // The in-process accessors below answer from the same Backend the wire
 // queries do, outside any span: they trace nothing, only served frames
-// do.
+// do. Each is one view lookup.
 
 // MergedStats returns the summed shard ingest counters.
 func (r *Root) MergedStats() (eardbd.Stats, error) { return r.IngestStats(nil) }
 
 // Aggregate returns the cluster view across every shard, with the
-// arithmetic a single daemon uses (eardbd.AggregateOf).
-func (r *Root) Aggregate() (eardbd.Aggregate, error) { return eardbd.AggregateOf(r, nil) }
+// arithmetic a single daemon uses (eardbd.View.Aggregate).
+func (r *Root) Aggregate() (eardbd.Aggregate, error) {
+	v, err := r.View(nil)
+	if err != nil {
+		return eardbd.Aggregate{}, err
+	}
+	return v.Aggregate(), nil
+}
+
+// PowersByName returns the last reported power of every node in the
+// federation, sorted by node name. The list is the cached view's:
+// read-only.
+func (r *Root) PowersByName(parent *trace.Active) ([]wire.NodePower, error) {
+	v, err := r.View(parent)
+	return v.Powers, err
+}
+
+// State returns the folded node-report database and accounting store,
+// both read-only.
+func (r *Root) State(parent *trace.Active) (*eard.DB, *accounting.Store, error) {
+	v, err := r.View(parent)
+	return v.DB, v.Acct, err
+}
 
 // NodePowers implements eargm.PowerSource over the merged federation
 // view. The PowerSource interface cannot carry an error; an
@@ -353,11 +444,11 @@ func (r *Root) Aggregate() (eardbd.Aggregate, error) { return eardbd.AggregateOf
 // counted fan-out error) rather than a partial cluster view that
 // would ratchet the budget against half the fleet.
 func (r *Root) NodePowers() []float64 {
-	nps, err := r.PowersByName(nil)
+	v, err := r.View(nil)
 	if err != nil {
 		return nil
 	}
-	return eardbd.Watts(nps)
+	return eardbd.Watts(v.Powers)
 }
 
 // AcctQuery serves one filtered, paginated job-accounting query over
@@ -366,11 +457,11 @@ func (r *Root) NodePowers() []float64 {
 // merged store's canonical order has no memory of which shard a
 // record came from.
 func (r *Root) AcctQuery(q accounting.Query) (accounting.Page, error) {
-	_, acct, err := r.State(nil)
+	v, err := r.View(nil)
 	if err != nil {
 		return accounting.Page{}, err
 	}
-	return acct.Query(q)
+	return v.Acct.Query(q)
 }
 
 // IslandSource returns an eargm.PowerSource view of one shard: the

@@ -317,3 +317,75 @@ func TestFanOutQueriesShardsConcurrently(t *testing.T) {
 		t.Fatal("fan-out deadlocked: shard queries are not concurrent")
 	}
 }
+
+// TestDuplicateRedeliveryMovesCachedPowers pins the shard invariant the
+// root's cached view rests on: whatever changes a shard's node_powers
+// moves its generation. A node reports a newer record, then an older
+// batch is delivered again after the batch-ID window forgot it — every
+// record a duplicate, nothing stored, yet the node's last reported
+// power is the old batch's again. A root whose cache was warm before
+// the re-delivery and a cold one must both serve the shard's own view.
+func TestDuplicateRedeliveryMovesCachedPowers(t *testing.T) {
+	shard := shardFixture{name: "s0", srv: eardbd.NewServer(eard.NewDB(), eardbd.Config{MaxSeenBatches: 1})}
+	conn, err := shard.dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	deliver := func(id string, step string, power float64) wire.Ack {
+		t.Helper()
+		f, err := wire.EncodeBatch(wire.Batch{ID: id, Node: "n00", Records: []eard.JobRecord{{
+			JobID: "job0", StepID: step, Node: "n00", TimeSec: 120, EnergyJ: power * 120, AvgPower: power,
+		}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wire.WriteFrame(conn, f, 0); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := wire.ReadFrame(conn, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ack, err := resp.AsAck()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ack
+	}
+	newRoot := func() *Root {
+		root, err := NewRoot(Config{Shards: []Shard{{Name: shard.name, Dial: shard.dial}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = root.Close() })
+		return root
+	}
+
+	deliver("n00/1", "0", 250)
+	deliver("n00/2", "1", 300)
+	warm := newRoot()
+	if nps, err := warm.PowersByName(nil); err != nil || len(nps) != 1 || nps[0].PowerW != 300 {
+		t.Fatalf("before the re-delivery: %v, %v", nps, err)
+	}
+	if ack := deliver("n00/1", "0", 250); ack.Duplicate != 1 || ack.Accepted+ack.Replaced != 0 {
+		t.Fatalf("re-delivery ack = %+v, want one duplicate record", ack)
+	}
+
+	own, _ := shard.srv.View(nil)
+	if len(own.Powers) != 1 || own.Powers[0].PowerW != 250 {
+		t.Fatalf("shard's own powers = %v, want the re-delivered 250 W", own.Powers)
+	}
+	for name, root := range map[string]*Root{"warm": warm, "cold": newRoot()} {
+		nps, err := root.PowersByName(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(nps, own.Powers) {
+			t.Errorf("%s root serves %v, the shard itself %v", name, nps, own.Powers)
+		}
+	}
+	if st := warm.Stats(); st.CacheMisses != 2 {
+		t.Errorf("warm root: %+v, want the re-delivery to cost a second miss", st)
+	}
+}

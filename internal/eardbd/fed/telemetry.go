@@ -10,6 +10,7 @@ import (
 const (
 	metricFedQueries   = "goear_eardbd_fed_queries_total"
 	metricFedFanout    = "goear_eardbd_fed_fanout_total"
+	metricFedDials     = "goear_eardbd_fed_dials_total"
 	metricFedShards    = "goear_eardbd_fed_shards"
 	metricFedCache     = "goear_eardbd_fed_cache_total"
 	metricFedCacheHitR = "goear_eardbd_fed_cache_hit_ratio"
@@ -23,6 +24,14 @@ const (
 	spanFedMerge  = "fed.merge"
 )
 
+// How a fan-out got its shard connection: the result label of
+// goear_eardbd_fed_dials_total.
+const (
+	dialNew    = "new"    // nothing parked: dialled
+	dialReused = "reused" // took a parked connection
+	dialRedial = "redial" // the reused connection failed: dialled for the one retry
+)
+
 // rootTel is a root's pre-resolved instrument bundle; nil fields
 // (telemetry absent) make every use a nil-receiver no-op. Fan-out
 // outcomes are labeled per shard so a flapping island is visible as
@@ -30,6 +39,7 @@ const (
 type rootTel struct {
 	queries   *telemetry.Counter
 	fanoutVec *telemetry.CounterVec
+	dialVec   *telemetry.CounterVec
 	shards    *telemetry.Gauge
 	cacheHit  *telemetry.Counter // result="hit"
 	cacheMiss *telemetry.Counter // result="miss"
@@ -46,6 +56,7 @@ func newRootTel(s *telemetry.Set) rootTel {
 	return rootTel{
 		queries:   r.Counter(metricFedQueries, "snapshot queries served by the federation root"),
 		fanoutVec: r.CounterVec(metricFedFanout, "shard fan-out queries by shard and result", "shard", "result"),
+		dialVec:   r.CounterVec(metricFedDials, "shard connections taken for a fan-out, by shard and how (new, reused, redial)", "shard", "result"),
 		shards:    r.Gauge(metricFedShards, "shards configured on the federation root"),
 		cacheHit:  cache.With("hit"),
 		cacheMiss: cache.With("miss"),
@@ -75,4 +86,11 @@ func (t rootTel) fanout(shard string, ok bool) {
 		result = "error"
 	}
 	t.fanoutVec.With(shard, result).Inc()
+}
+
+// dial counts how one fan-out got its connection.
+func (t rootTel) dial(shard, how string) {
+	if t.dialVec != nil {
+		t.dialVec.With(shard, how).Inc()
+	}
 }

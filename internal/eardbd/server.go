@@ -118,17 +118,20 @@ type Server struct {
 	seen      map[string]bool
 	seenQueue []string // FIFO eviction order for seen
 	nodeW     map[string]float64
+	powers    []wire.NodePower // nodeW name-sorted, as last handed out; nil once nodeW has moved
 	stats     Stats
-	// gen is bumped once per batch that lands a record; see Generation.
-	// It is not derived from the db and acct store generations because
-	// those move on other events too: db is the caller's and arrives
-	// already loaded from -db (its counter is past 0 before the first
-	// batch, so HealthCheck's "generation 0 = nothing landed in this
-	// daemon's life" would read stale right after a restart), and the
-	// stores move per record, mid-batch, where gen moves once under mu
-	// together with lastMut and the node power view.
+	// gen is bumped once per batch that lands a record or moves a
+	// node's power (a re-delivered batch of duplicates still rewrites
+	// nodeW), and by a SeedNodePowers that changes a value: everything
+	// View hands out is covered, which a root's cached view relies on;
+	// see Generation. It is not derived from the db and acct store
+	// generations because those move on other events too: db is the
+	// caller's and arrives already loaded from -db (its counter is past
+	// 0 before the first batch), and the stores move per record,
+	// mid-batch, where gen moves once under mu together with the node
+	// power view.
 	gen     uint64
-	lastMut float64 // Now at the last generation bump (0 with no clock)
+	lastMut float64 // Now when a batch last landed a record (0 with no clock)
 }
 
 // NewServer builds a server folding records into db. Telemetry
@@ -194,26 +197,26 @@ func (s *Server) Acct() *accounting.Store { return s.acct }
 // IngestStats implements Backend.
 func (s *Server) IngestStats(*trace.Active) (Stats, error) { return s.Stats(), nil }
 
-// PowersByName implements Backend with the last reported DC power of
-// every node, sorted by node. This is the shard-level view the
-// federation root merges: names make the merge unambiguous, and the
-// shared sort order keeps the merged sum arithmetic identical to a
-// single daemon's.
-func (s *Server) PowersByName(*trace.Active) ([]wire.NodePower, error) {
+// View implements Backend with the live stores and the last reported
+// DC power of every node, sorted by node. The power list is the
+// shard-level view the federation root merges: names make the merge
+// unambiguous, and the shared sort order keeps the merged sum
+// arithmetic identical to a single daemon's. It is sorted once per
+// change of nodeW, not per query.
+func (s *Server) View(*trace.Active) (View, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return SortedPowers(s.nodeW), nil
-}
-
-// State implements Backend.
-func (s *Server) State(*trace.Active) (*eard.DB, *accounting.Store, error) {
-	return s.db, s.acct, nil
+	if s.powers == nil {
+		s.powers = SortedPowers(s.nodeW)
+	}
+	return View{DB: s.db, Acct: s.acct, Powers: s.powers}, nil
 }
 
 // Generation implements Backend with the server's mutation counter: it
 // advances every time a record — node report or accounting record — is
-// accepted or replaced, and never otherwise. Federation roots poll it
-// to decide whether their cached merged snapshot is still exact.
+// accepted or replaced or a node's last reported power changes, and
+// never otherwise. Federation roots poll it to decide whether their
+// cached merged view is still exact.
 func (s *Server) Generation(*trace.Active) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -229,9 +232,10 @@ func (s *Server) HealthCheck(staleAfterSec float64) telemetry.CheckFunc {
 	return func() telemetry.Check {
 		s.mu.Lock()
 		gen, last := s.gen, s.lastMut
+		landed := s.stats.RecordsAccepted + s.stats.RecordsReplaced + s.stats.AcctAccepted + s.stats.AcctReplaced
 		s.mu.Unlock()
 		c := telemetry.Check{Name: "store", OK: true, Detail: fmt.Sprintf("generation %d", gen)}
-		if gen == 0 || staleAfterSec <= 0 || s.Now == nil {
+		if landed == 0 || staleAfterSec <= 0 || s.Now == nil {
 			return c
 		}
 		age := s.Now() - last
@@ -342,12 +346,16 @@ func (s *Server) handleBatch(conn net.Conn, f wire.Frame, b *wire.Batch) bool {
 	s.stats.AcctAccepted += acct[grouped.Accepted]
 	s.stats.AcctDuplicate += acct[grouped.Duplicate]
 	s.stats.AcctReplaced += acct[grouped.Replaced]
-	if ack.Accepted+ack.Replaced > 0 {
-		s.gen++
+	landed := ack.Accepted+ack.Replaced > 0
+	if landed {
 		s.lastMut = s.Now.Sec()
 	}
+	moved := landed
 	for _, r := range b.Records {
-		s.nodeW[r.Node] = r.AvgPower
+		moved = s.setPower(r.Node, r.AvgPower) || moved
+	}
+	if moved {
+		s.gen++
 	}
 	s.seen[b.ID] = true
 	s.seenQueue = append(s.seenQueue, b.ID)
@@ -389,8 +397,20 @@ func (s *Server) Stats() Stats {
 // NodePowers implements eargm.PowerSource: the last reported DC power
 // of every node, ordered by node name so the feed is deterministic.
 func (s *Server) NodePowers() []float64 {
-	nps, _ := s.PowersByName(nil) // the live view cannot fail
-	return Watts(nps)
+	v, _ := s.View(nil) // the live view cannot fail
+	return Watts(v.Powers)
+}
+
+// setPower records one node's last reported power and reports whether
+// the value moved — in which case the sorted list View hands out is
+// stale and the caller, who holds mu, owes a generation bump.
+func (s *Server) setPower(node string, w float64) bool {
+	if old, ok := s.nodeW[node]; ok && old == w {
+		return false
+	}
+	s.nodeW[node] = w
+	s.powers = nil
+	return true
 }
 
 // SeedNodePowers pre-populates the last-known per-node power view, as
@@ -400,8 +420,12 @@ func (s *Server) NodePowers() []float64 {
 func (s *Server) SeedNodePowers(nps []wire.NodePower) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	moved := false
 	for _, np := range nps {
-		s.nodeW[np.Node] = np.PowerW
+		moved = s.setPower(np.Node, np.PowerW) || moved
+	}
+	if moved {
+		s.gen++
 	}
 }
 

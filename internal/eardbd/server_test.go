@@ -6,6 +6,7 @@ import (
 	"math"
 	"net"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -386,8 +387,8 @@ func TestServerQueries(t *testing.T) {
 		Records: []eard.JobRecord{rec("j3", "0", "n01", 200)}})).AsAck(); err != nil {
 		t.Errorf("connection dead after failed queries: %v", err)
 	}
-	if agg, err := AggregateOf(srv, nil); err != nil || agg.Nodes != 3 {
-		t.Errorf("aggregate after update = %+v, %v", agg, err)
+	if v, _ := srv.View(nil); v.Aggregate().Nodes != 3 {
+		t.Errorf("aggregate after update = %+v", v.Aggregate())
 	}
 }
 
@@ -435,7 +436,9 @@ func TestSeenWindowEviction(t *testing.T) {
 		}
 	}
 	// Batch n01/1 was evicted from the ID window; its replay is still
-	// absorbed record-by-record.
+	// absorbed record-by-record, and — storing nothing, moving no node's
+	// power — leaves the generation where it was.
+	gen, _ := srv.Generation(nil)
 	resp := exchange(t, conn, mustBatch(t, wire.Batch{ID: "n01/1", Node: "n01",
 		Records: []eard.JobRecord{rec("j", "0", "n01", 100)}}))
 	ack, err := resp.AsAck()
@@ -447,6 +450,40 @@ func TestSeenWindowEviction(t *testing.T) {
 	}
 	if srv.DB().Len() != 3 {
 		t.Errorf("db = %d records, want 3", srv.DB().Len())
+	}
+	if after, _ := srv.Generation(nil); after != gen {
+		t.Errorf("generation moved %d -> %d on a replay that changed nothing", gen, after)
+	}
+}
+
+// TestGenerationCoversNodePowers: the generation moves with everything
+// View hands out, the seeded power view included, and only when a
+// value really changes.
+func TestGenerationCoversNodePowers(t *testing.T) {
+	srv := NewServer(eard.NewDB(), Config{})
+	seed := []wire.NodePower{{Node: "n01", PowerW: 250}, {Node: "n02", PowerW: 260}}
+	srv.SeedNodePowers(seed)
+	if gen, _ := srv.Generation(nil); gen != 1 {
+		t.Fatalf("generation %d after seeding two nodes, want 1", gen)
+	}
+	v, _ := srv.View(nil)
+	if !reflect.DeepEqual(v.Powers, seed) {
+		t.Fatalf("powers = %v, want the seed", v.Powers)
+	}
+	srv.SeedNodePowers(seed)
+	if gen, _ := srv.Generation(nil); gen != 1 {
+		t.Errorf("generation %d after re-seeding the same values, want 1", gen)
+	}
+	srv.SeedNodePowers([]wire.NodePower{{Node: "n02", PowerW: 270}})
+	again, _ := srv.View(nil)
+	if gen, _ := srv.Generation(nil); gen != 2 || again.Powers[1].PowerW != 270 {
+		t.Errorf("generation %d, powers %v after one value moved, want 2 and n02 at 270 W", gen, again.Powers)
+	}
+	if v.Powers[1].PowerW != 260 {
+		t.Error("a power list already handed out was written to")
+	}
+	if c := srv.HealthCheck(1)(); !c.OK {
+		t.Errorf("seeding alone reads as a stale store: %+v", c)
 	}
 }
 

@@ -22,84 +22,59 @@ import (
 type Backend interface {
 	// IngestStats returns the ingest activity counters.
 	IngestStats(parent *trace.Active) (Stats, error)
-	// PowersByName returns every node's last reported power, sorted by
-	// node name.
-	PowersByName(parent *trace.Active) ([]wire.NodePower, error)
-	// State returns the node-report database and the accounting store.
-	// Both are read-only to the caller.
-	State(parent *trace.Active) (*eard.DB, *accounting.Store, error)
-	// Generation returns a counter that moves whenever State's contents
+	// View returns the state every other query kind is answered from,
+	// in one lookup.
+	View(parent *trace.Active) (View, error)
+	// Generation returns a counter that moves whenever View's contents
 	// do.
 	Generation(parent *trace.Active) (uint64, error)
 }
 
-// AggregateOf computes the cluster view: node count and power summed
+// View is one reading of a backend's state: the node-report database,
+// the accounting store, and every node's last reported power sorted by
+// node name. All three are read-only to the caller — the power list is
+// shared between the queries served from the same state, not copied
+// per query.
+type View struct {
+	DB     *eard.DB
+	Acct   *accounting.Store
+	Powers []wire.NodePower
+}
+
+// Aggregate computes the cluster view: node count and power summed
 // over name-sorted nodes, energy summed over (job, step)-sorted
 // summaries. A daemon and a root both answer through it, which is what
 // makes a federated aggregate bit-identical to a single daemon's.
-func AggregateOf(b Backend, parent *trace.Active) (Aggregate, error) {
-	nps, err := b.PowersByName(parent)
-	if err != nil {
-		return Aggregate{}, err
-	}
-	db, _, err := b.State(parent)
-	if err != nil {
-		return Aggregate{}, err
-	}
-	agg := Aggregate{Nodes: len(nps), Records: db.Len()}
-	for _, np := range nps {
+func (v View) Aggregate() Aggregate {
+	agg := Aggregate{Nodes: len(v.Powers), Records: v.DB.Len()}
+	for _, np := range v.Powers {
 		agg.TotalPowerW += np.PowerW
 	}
-	for _, sum := range db.Summaries() {
+	for _, sum := range v.DB.Summaries() {
 		agg.TotalEnergyJ += sum.EnergyJ
 	}
-	return agg, nil
+	return agg
 }
 
-// Answer computes the result frame for one snapshot query.
+// Answer computes the result frame for one snapshot query, from at
+// most one lookup of the backend.
 func Answer(b Backend, parent *trace.Active, q wire.Query) (wire.Frame, error) {
 	var (
-		v    any
-		err  error
-		db   *eard.DB
-		acct *accounting.Store
+		v   any
+		err error
 	)
 	switch q.Kind {
 	case wire.QueryStats:
 		v, err = b.IngestStats(parent)
-	case wire.QueryAggregate:
-		v, err = AggregateOf(b, parent)
-	case wire.QueryNodePowers:
-		v, err = b.PowersByName(parent)
 	case wire.QueryGeneration:
 		var gen uint64
 		gen, err = b.Generation(parent)
 		v = wire.Generation{Gen: gen}
-	case wire.QueryJobs:
-		if db, _, err = b.State(parent); err == nil {
-			v = db.Summaries()
-		}
-	case wire.QueryRecords:
-		if db, _, err = b.State(parent); err == nil {
-			v = db.Records()
-		}
-	case wire.QuerySummary:
-		if db, _, err = b.State(parent); err == nil {
-			v, err = db.Summarize(q.Job, q.Step)
-		}
-	case wire.QueryAcctJobs:
-		if _, acct, err = b.State(parent); err == nil {
-			v, err = acct.Query(accounting.Query{
-				User:   q.User,
-				Job:    q.Job,
-				Since:  q.Since,
-				Limit:  q.Limit,
-				Cursor: q.Cursor,
-			})
-		}
-	case wire.QueryAcctRecords:
-		if _, acct, err = b.State(parent); err == nil {
-			v = acct.Snapshot()
+	case wire.QueryAggregate, wire.QueryNodePowers, wire.QueryJobs, wire.QueryRecords,
+		wire.QuerySummary, wire.QueryAcctJobs, wire.QueryAcctRecords:
+		var view View
+		if view, err = b.View(parent); err == nil {
+			v, err = view.answer(q)
 		}
 	default:
 		return wire.Frame{}, fmt.Errorf("unknown query kind %q", q.Kind)
@@ -108,6 +83,32 @@ func Answer(b Backend, parent *trace.Active, q wire.Query) (wire.Frame, error) {
 		return wire.Frame{}, err
 	}
 	return wire.EncodeResult(q.Kind, v)
+}
+
+// answer computes the value of one state query.
+func (v View) answer(q wire.Query) (any, error) {
+	switch q.Kind {
+	case wire.QueryAggregate:
+		return v.Aggregate(), nil
+	case wire.QueryNodePowers:
+		return v.Powers, nil
+	case wire.QueryJobs:
+		return v.DB.Summaries(), nil
+	case wire.QueryRecords:
+		return v.DB.Records(), nil
+	case wire.QuerySummary:
+		return v.DB.Summarize(q.Job, q.Step)
+	case wire.QueryAcctJobs:
+		return v.Acct.Query(accounting.Query{
+			User:   q.User,
+			Job:    q.Job,
+			Since:  q.Since,
+			Limit:  q.Limit,
+			Cursor: q.Cursor,
+		})
+	default: // wire.QueryAcctRecords
+		return v.Acct.Snapshot(), nil
+	}
 }
 
 // SortedPowers renders a node → power map as the name-sorted list the

@@ -111,6 +111,17 @@ func (c *Cluster) Server(name string) *eardbd.Server {
 	return nil
 }
 
+// Conns reports how many connections to a shard are being served:
+// those its clients hold open, parked or in use.
+func (c *Cluster) Conns(name string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if sh := c.shards[name]; sh != nil {
+		return len(sh.conns)
+	}
+	return 0
+}
+
 // DialShard opens a connection to one shard, or fails if the shard is
 // down.
 func (c *Cluster) DialShard(name string) (net.Conn, error) {
@@ -180,8 +191,9 @@ func (c *Cluster) Kill(name string) error {
 		return err
 	}
 	c.mu.Lock()
-	sh.savedPowers, _ = srv.PowersByName(nil) // a daemon's live view cannot fail
-	sh.savedAcct = srv.Acct().Snapshot()
+	view, _ := srv.View(nil) // a daemon's live view cannot fail
+	sh.savedPowers = view.Powers
+	sh.savedAcct = view.Acct.Snapshot()
 	sh.state = shardDown
 	c.mu.Unlock()
 	return nil

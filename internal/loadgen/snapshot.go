@@ -26,17 +26,9 @@ type snapshot struct {
 // whatever the shard count or fault history, which is the federation
 // tier's core correctness contract.
 func Snapshot(root *fed.Root) ([]byte, error) {
-	agg, err := root.Aggregate()
+	v, err := root.View(nil)
 	if err != nil {
 		return nil, err
 	}
-	nps, err := root.PowersByName(nil)
-	if err != nil {
-		return nil, err
-	}
-	db, acct, err := root.State(nil)
-	if err != nil {
-		return nil, err
-	}
-	return json.MarshalIndent(snapshot{Aggregate: agg, NodePowers: nps, Jobs: db.Summaries(), Acct: acct.Snapshot()}, "", "  ")
+	return json.MarshalIndent(snapshot{Aggregate: v.Aggregate(), NodePowers: v.Powers, Jobs: v.DB.Summaries(), Acct: v.Acct.Snapshot()}, "", "  ")
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 
 	"goear/internal/accounting"
 	"goear/internal/eard"
@@ -153,9 +154,24 @@ func recordsSizeHint(records, acct int) int {
 	return 256 + records*(minRecordLen+8) + acct*(minAcctLen+8)
 }
 
+// Literal blocks. A decoded literal is not converted on its own (one
+// heap string per node name of a fleet-sized reply) but copied to the
+// end of the frame's current block and sliced out of it. Blocks start
+// at firstBlock bytes and double to maxBlock, never larger than what
+// the payload can still hold; a block too full for the next literal is
+// abandoned to the strings already cut from it, never re-copied. The
+// strings of one frame therefore share a few blocks: a retained record
+// pins at most its frame's literal blocks, never the payload.
+const (
+	firstBlock = 64
+	maxBlock   = 4 << 10
+)
+
 // decoder reads one frame body. Errors are sticky: after the first,
 // every read returns a zero value, and finish reports it. The string
-// table is the first n entries of small, then more.
+// table is the first n entries of small, then more. A decoder is
+// copied only before its first literal (Frame.body returns it by
+// value): blk must not be copied once written to.
 type decoder struct {
 	p     []byte
 	off   int
@@ -163,6 +179,8 @@ type decoder struct {
 	n     int
 	small [linearTable]string
 	more  []string
+	blk   strings.Builder // the current literal block
+	next  int             // size of the block after it
 }
 
 func (d *decoder) fail(format string, args ...any) {
@@ -251,11 +269,30 @@ func (d *decoder) strBytes() (string, []byte) {
 	return "", d.p[d.off-int(n) : d.off]
 }
 
+// literal copies lit, which ends at d.off, into the frame's block and
+// returns it as a string.
+func (d *decoder) literal(lit []byte) string {
+	if len(lit) > d.blk.Cap()-d.blk.Len() {
+		size := max(d.next, firstBlock, len(lit))
+		d.next = min(2*size, maxBlock)
+		d.blk.Reset()
+		d.blk.Grow(min(size, len(lit)+d.left()))
+	}
+	start := d.blk.Len()
+	d.blk.Write(lit)
+	return d.blk.String()[start:]
+}
+
 func (d *decoder) remember(s string) string {
-	if d.n < linearTable {
+	switch {
+	case d.n < linearTable:
 		d.small[d.n] = s
 		d.n++
-	} else {
+	case d.more == nil:
+		// A frame that fills small is a dump or a fleet-sized reply:
+		// skip the first seven doublings.
+		d.more = append(make([]string, 0, 4*linearTable), s)
+	default:
 		d.more = append(d.more, s)
 	}
 	return s
@@ -266,7 +303,7 @@ func (d *decoder) str() string {
 	if lit == nil {
 		return s
 	}
-	return d.remember(string(lit))
+	return d.remember(d.literal(lit))
 }
 
 // kind reads a query kind, returning the package constant for a known
@@ -281,7 +318,7 @@ func (d *decoder) kind() string {
 			return d.remember(k)
 		}
 	}
-	return d.remember(string(lit))
+	return d.remember(d.literal(lit))
 }
 
 // count reads an element count and checks that so many elements of at

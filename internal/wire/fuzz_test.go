@@ -23,52 +23,62 @@ func traceZeros() []byte {
 	return blk
 }
 
+// frameSeeds is FuzzFrame's seed corpus: whole frames as they travel.
+func frameSeeds(tb testing.TB) [][]byte {
+	// Well-formed frames of every type ...
+	batch, err := EncodeBatch(Batch{ID: "n01/1", Node: "n01", Records: []eard.JobRecord{
+		{JobID: "1", StepID: "0", Node: "n01", TimeSec: 1, EnergyJ: 100, AvgPower: 100},
+	}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	frames := []Frame{batch}
+	if ack, err := EncodeAck(Ack{BatchID: "n01/1", Accepted: 1}); err == nil {
+		frames = append(frames, ack)
+	}
+	if ef, err := EncodeError("boom"); err == nil {
+		frames = append(frames, ef)
+	}
+	if q, err := EncodeQuery(Query{Kind: QueryStats}); err == nil {
+		frames = append(frames, q)
+	}
+	// Traced variants exercise the optional context block.
+	traced := batch
+	traced.Trace = trace.Context{TraceID: 0x1122334455667788, SpanID: 0x99AABBCCDDEEFF00, Flags: 3}
+	frames = append(frames, traced)
+	var seeds [][]byte
+	for _, s := range frames {
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, s, 0); err != nil {
+			tb.Fatal(err)
+		}
+		seeds = append(seeds, buf.Bytes())
+	}
+	// ... and deliberately broken headers: bad magic, future version,
+	// unknown type, reserved flags, lying length prefixes, malformed
+	// trace blocks.
+	return append(seeds,
+		header(0xDEADBEEF, Version, 2, 0, 0),
+		header(Magic, Version+3, 2, 0, 0),
+		header(Magic, Version, 250, 0, 0),
+		header(Magic, Version, 2, 0xFFFF, 0),
+		header(Magic, Version, 2, 0, 0xFFFFFFFF),
+		append(header(Magic, Version, 2, 0, 100), "short"...),
+		header(Magic, Version, 2, uint16(FlagTrace), 0),                          // flag with no block
+		append(header(Magic, Version, 2, uint16(FlagTrace), 0), 9, 0),            // future block version
+		append(header(Magic, Version, 2, uint16(FlagTrace), 0), traceZeros()...), // zero trace id
+	)
+}
+
 // FuzzFrame hammers the decoder with arbitrary bytes and checks the
 // codec's two safety contracts: decoding never panics whatever the
 // input (malformed length prefixes, truncated payloads, version skew
 // all surface as errors), and any frame that does decode re-encodes
 // byte-identically — the codec has one canonical wire form.
 func FuzzFrame(f *testing.F) {
-	// Seed with well-formed frames of every type ...
-	batch, err := EncodeBatch(Batch{ID: "n01/1", Node: "n01", Records: []eard.JobRecord{
-		{JobID: "1", StepID: "0", Node: "n01", TimeSec: 1, EnergyJ: 100, AvgPower: 100},
-	}})
-	if err != nil {
-		f.Fatal(err)
+	for _, seed := range frameSeeds(f) {
+		f.Add(seed)
 	}
-	seeds := []Frame{batch}
-	if ack, err := EncodeAck(Ack{BatchID: "n01/1", Accepted: 1}); err == nil {
-		seeds = append(seeds, ack)
-	}
-	if ef, err := EncodeError("boom"); err == nil {
-		seeds = append(seeds, ef)
-	}
-	if q, err := EncodeQuery(Query{Kind: QueryStats}); err == nil {
-		seeds = append(seeds, q)
-	}
-	// Traced variants exercise the optional context block.
-	traced := batch
-	traced.Trace = trace.Context{TraceID: 0x1122334455667788, SpanID: 0x99AABBCCDDEEFF00, Flags: 3}
-	seeds = append(seeds, traced)
-	for _, s := range seeds {
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, s, 0); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-	}
-	// ... and with deliberately broken headers: bad magic, future
-	// version, unknown type, reserved flags, lying length prefixes,
-	// malformed trace blocks.
-	f.Add(header(0xDEADBEEF, Version, 2, 0, 0))
-	f.Add(header(Magic, Version+3, 2, 0, 0))
-	f.Add(header(Magic, Version, 250, 0, 0))
-	f.Add(header(Magic, Version, 2, 0xFFFF, 0))
-	f.Add(header(Magic, Version, 2, 0, 0xFFFFFFFF))
-	f.Add(append(header(Magic, Version, 2, 0, 100), "short"...))
-	f.Add(header(Magic, Version, 2, uint16(FlagTrace), 0))                          // flag with no block
-	f.Add(append(header(Magic, Version, 2, uint16(FlagTrace), 0), 9, 0))            // future block version
-	f.Add(append(header(Magic, Version, 2, uint16(FlagTrace), 0), traceZeros()...)) // zero trace id
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := ReadFrame(bytes.NewReader(data), 4096)
@@ -190,18 +200,28 @@ func TestDecodeAllocationBounded(t *testing.T) {
 	}
 }
 
+// batchSeeds is FuzzBatchPayload's seed corpus: batch bodies.
+func batchSeeds() [][]byte {
+	var seeds [][]byte
+	for _, b := range []Batch{{}, {ID: "n01/1", Node: "n01"}, benchBatch()} {
+		seeds = append(seeds, AppendBatch(nil, b))
+	}
+	return append(seeds,
+		[]byte{0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f},        // a count of 2^32-1 records and no bytes
+		[]byte{0xfe, 0xff, 0xff, 0xff, 0x0f, 'x'},         // a string of 2^31-1 bytes, one present
+		[]byte{2, 'a', 0, 1, 9, 9, 9, 9, 9},               // back-references past the table
+		append(AppendBatch(nil, Batch{ID: "x"}), 0, 0, 0), // trailing bytes
+	)
+}
+
 // FuzzBatchPayload feeds arbitrary bytes to the batch body decoder:
 // it never panics and never allocates more than a small multiple of
 // its input; whatever decodes re-encodes to bytes that decode to an
 // equal value, and those bytes are a fixed point of decode∘encode.
 func FuzzBatchPayload(f *testing.F) {
-	for _, b := range []Batch{{}, {ID: "n01/1", Node: "n01"}, benchBatch()} {
-		f.Add(AppendBatch(nil, b))
+	for _, seed := range batchSeeds() {
+		f.Add(seed)
 	}
-	f.Add([]byte{0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f})        // a count of 2^32-1 records and no bytes
-	f.Add([]byte{0xfe, 0xff, 0xff, 0xff, 0x0f, 'x'})         // a string of 2^31-1 bytes, one present
-	f.Add([]byte{2, 'a', 0, 1, 9, 9, 9, 9, 9})               // back-references past the table
-	f.Add(append(AppendBatch(nil, Batch{ID: "x"}), 0, 0, 0)) // trailing bytes
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var b Batch
 		var err error
@@ -225,12 +245,10 @@ func FuzzBatchPayload(f *testing.F) {
 	})
 }
 
-// FuzzResultPayload is FuzzBatchPayload for result bodies. The
-// allocation bound covers the binary kinds; the four JSON kinds are
-// held only to never panicking (encoding/json's allocation per input
-// byte is its own business).
-func FuzzResultPayload(f *testing.F) {
+// resultSeeds is FuzzResultPayload's seed corpus: result payloads.
+func resultSeeds(tb testing.TB) [][]byte {
 	b := benchBatch()
+	var seeds [][]byte
 	for _, seed := range []struct {
 		kind string
 		data any
@@ -244,14 +262,26 @@ func FuzzResultPayload(f *testing.F) {
 	} {
 		fr, err := EncodeResult(seed.kind, seed.data)
 		if err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
-		f.Add(fr.Payload)
+		seeds = append(seeds, fr.Payload)
 	}
-	f.Add([]byte{})
-	f.Add([]byte{0})
-	f.Add([]byte{200})
-	f.Add([]byte{6, 0xff, 0xff, 0xff, 0xff, 0x0f}) // records: a huge count and no bytes
+	return append(seeds,
+		[]byte{},
+		[]byte{0},
+		[]byte{200},
+		[]byte{6, 0xff, 0xff, 0xff, 0xff, 0x0f}, // records: a huge count and no bytes
+	)
+}
+
+// FuzzResultPayload is FuzzBatchPayload for result bodies. The
+// allocation bound covers the binary kinds; the four JSON kinds are
+// held only to never panicking (encoding/json's allocation per input
+// byte is its own business).
+func FuzzResultPayload(f *testing.F) {
+	for _, seed := range resultSeeds(f) {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := Frame{Type: TypeResult, Payload: data}.AsResult()
 		if err != nil {

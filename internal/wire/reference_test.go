@@ -1,0 +1,288 @@
+package wire
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"goear/internal/accounting"
+	"goear/internal/eard"
+)
+
+// refDecoder is the decoder as it stood before literal blocks — every
+// literal its own string(lit) — kept as the oracle the block decoder
+// must equal field for field. It shares the primitives that did not
+// change (varints, floats, tags, the table) and repeats only what
+// reaches str.
+type refDecoder struct{ decoder }
+
+func (d *refDecoder) str() string {
+	s, lit := d.strBytes()
+	if lit == nil {
+		return s
+	}
+	return d.remember(string(lit))
+}
+
+func (d *refDecoder) records() []eard.JobRecord {
+	out := make([]eard.JobRecord, d.count(minRecordLen))
+	for i := range out {
+		r := &out[i]
+		r.JobID, r.StepID, r.Node, r.App, r.Policy = d.str(), d.str(), d.str(), d.str(), d.str()
+		r.TimeSec, r.EnergyJ, r.AvgPower = d.f64(), d.f64(), d.f64()
+		r.AvgCPU, r.AvgIMC, r.AvgCPI, r.AvgGBs = d.f64(), d.f64(), d.f64(), d.f64()
+	}
+	return out
+}
+
+func (d *refDecoder) acctRecords() []accounting.Record {
+	out := make([]accounting.Record, d.count(minAcctLen))
+	for i := range out {
+		r := &out[i]
+		r.V = d.int()
+		r.JobID, r.StepID, r.User, r.Node, r.Policy = d.str(), d.str(), d.str(), d.str(), d.str()
+		r.Phase = d.int()
+		r.StartSec, r.EndSec = d.f64(), d.f64()
+		r.PkgJ, r.DramJ, r.UncoreJ, r.NodeJ = d.f64(), d.f64(), d.f64(), d.f64()
+		r.AvgCPUGHz, r.AvgIMCGHz = d.f64(), d.f64()
+	}
+	return out
+}
+
+// refDecode decodes one payload the old way into the shape the typed
+// decoders produce: a Batch, Ack, ErrorFrame or Query, or — for a
+// result — the binary kind's Go value (nil for the JSON kinds).
+func refDecode(typ Type, p []byte) (any, error) {
+	d := refDecoder{decoder{p: p}}
+	switch typ {
+	case TypeBatch:
+		b := Batch{ID: d.str(), Node: d.str()}
+		b.Records, b.Acct = d.records(), d.acctRecords()
+		return b, d.finish("batch", "payload")
+	case TypeAck:
+		a := Ack{BatchID: d.str(), Accepted: d.int(), Duplicate: d.int(), Replaced: d.int()}
+		return a, d.finish("ack", "payload")
+	case TypeError:
+		e := ErrorFrame{Message: d.str()}
+		return e, d.finish("error", "payload")
+	case TypeQuery:
+		q := Query{Kind: d.str(), Job: d.str(), Step: d.str(), User: d.str(), Cursor: d.str(), Since: d.f64(), Limit: d.int()}
+		return q, d.finish("query", "payload")
+	}
+	code := d.byte()
+	if d.err != nil || code == 0 || int(code) >= len(resultKinds) {
+		return nil, fmt.Errorf("bad result kind")
+	}
+	kind := resultKinds[code]
+	var v any
+	switch kind {
+	case QueryRecords:
+		v = d.records()
+	case QueryAcctRecords:
+		v = d.acctRecords()
+	case QueryAcctJobs:
+		v = accounting.Page{Records: d.acctRecords(), Next: d.str(), Total: d.int()}
+	case QueryNodePowers:
+		nps := make([]NodePower, d.count(minNodePowerLen))
+		for i := range nps {
+			nps[i] = NodePower{Node: d.str(), PowerW: d.f64()}
+		}
+		v = nps
+	case QueryGeneration:
+		v = Generation{Gen: d.uint()}
+	default:
+		return nil, nil
+	}
+	return v, d.finish(kind, "result")
+}
+
+// blockDecode is the production decode of the same payload, into the
+// same shapes.
+func blockDecode(typ Type, p []byte) (any, error) {
+	f := Frame{Type: typ, Payload: p}
+	switch typ {
+	case TypeBatch:
+		return f.AsBatch()
+	case TypeAck:
+		return f.AsAck()
+	case TypeError:
+		return f.AsError()
+	case TypeQuery:
+		return f.AsQuery()
+	}
+	res, err := f.AsResult()
+	if err != nil {
+		return nil, err
+	}
+	target := map[string]any{
+		QueryRecords: new([]eard.JobRecord), QueryAcctRecords: new([]accounting.Record), QueryAcctJobs: new(accounting.Page),
+		QueryNodePowers: new([]NodePower), QueryGeneration: new(Generation),
+	}[res.Kind]
+	if target == nil {
+		return nil, nil
+	}
+	err = res.Decode(target)
+	return reflect.ValueOf(target).Elem().Interface(), err
+}
+
+// fleetNode names node i the way the load generator does.
+func fleetNode(i int) string { return fmt.Sprintf("node%05d", i) }
+
+// fleetPowers is a 200-node node_powers reply, fleetPage a 200-record
+// accounting page over those nodes: the two fleet-sized replies an
+// admin client decodes.
+func fleetPowers() []NodePower {
+	nps := make([]NodePower, 200)
+	for i := range nps {
+		nps[i] = NodePower{Node: fleetNode(i), PowerW: 250 + float64(i%40)}
+	}
+	return nps
+}
+
+func fleetPage() accounting.Page {
+	page := accounting.Page{Next: "am9iMDAwNy8wL25vZGUwMDE5OS8z", Total: 2400}
+	for i := 0; i < 200; i++ {
+		page.Records = append(page.Records, accounting.Record{
+			V: accounting.CodecVersion, JobID: fmt.Sprintf("job%04d", i/64), StepID: fmt.Sprint(i / 32 % 2), User: "alice",
+			Node: fleetNode(i % 64), Policy: "min_energy_eufs", Phase: i % 3, StartSec: 120 * float64(i), EndSec: 120 * float64(i+1),
+			PkgJ: 21000.5, DramJ: 3100.25, UncoreJ: 4000.125, NodeJ: 31000, AvgCPUGHz: 2.1, AvgIMCGHz: 2.4,
+		})
+	}
+	return page
+}
+
+func mustResultPayload(tb testing.TB, kind string, v any) []byte {
+	tb.Helper()
+	f, err := EncodeResult(kind, v)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return f.Payload
+}
+
+// TestBlockDecodeMatchesReference runs both decoders over the seed
+// corpora of the three wire fuzzers and the fleet-sized replies:
+// whatever one makes of a payload — every field, and whether it fails —
+// the other must too.
+func TestBlockDecodeMatchesReference(t *testing.T) {
+	type input struct {
+		name string
+		typ  Type
+		p    []byte
+	}
+	var inputs []input
+	for i, raw := range frameSeeds(t) {
+		if f, err := ReadFrame(bytes.NewReader(raw), 4096); err == nil {
+			inputs = append(inputs, input{fmt.Sprintf("frame seed %d (%s)", i, f.Type), f.Type, f.Payload})
+		}
+	}
+	for i, p := range batchSeeds() {
+		inputs = append(inputs, input{fmt.Sprintf("batch seed %d", i), TypeBatch, p})
+	}
+	for i, p := range resultSeeds(t) {
+		inputs = append(inputs, input{fmt.Sprintf("result seed %d", i), TypeResult, p})
+	}
+	inputs = append(inputs,
+		input{"node_powers x200", TypeResult, mustResultPayload(t, QueryNodePowers, fleetPowers())},
+		input{"acct_jobs page x200", TypeResult, mustResultPayload(t, QueryAcctJobs, fleetPage())},
+		input{"batch x32", TypeBatch, AppendBatch(nil, benchBatch())},
+	)
+	// Every payload also cut short, so both decoders fail mid-literal,
+	// mid-record and mid-table the same way.
+	for _, in := range inputs {
+		if n := len(in.p); n > 1 {
+			inputs = append(inputs, input{in.name + ", two thirds", in.typ, in.p[:2*n/3]})
+		}
+	}
+	for _, in := range inputs {
+		got, gotErr := blockDecode(in.typ, in.p)
+		want, wantErr := refDecode(in.typ, in.p)
+		if (gotErr != nil) != (wantErr != nil) {
+			t.Errorf("%s: block decoder err = %v, reference err = %v", in.name, gotErr, wantErr)
+			continue
+		}
+		if gotErr == nil && got != nil && !sameBits(got, want) { // nil: a JSON kind, not the codec's
+			t.Errorf("%s: decodes differ\n got %+v\nwant %+v", in.name, got, want)
+		}
+	}
+}
+
+// TestFleetReplyDecodeAllocations pins what the blocks buy on the two
+// fleet-sized replies, decoded into a reused target as a polling
+// client does: a handful of blocks and one table spill, where there
+// was a heap string per literal (200 node names; 71 distinct strings
+// a page) and a table doubled from nothing.
+func TestFleetReplyDecodeAllocations(t *testing.T) {
+	powers, err := Frame{Type: TypeResult, Payload: mustResultPayload(t, QueryNodePowers, fleetPowers())}.AsResult()
+	if err != nil {
+		t.Fatal(err)
+	}
+	page, err := Frame{Type: TypeResult, Payload: mustResultPayload(t, QueryAcctJobs, fleetPage())}.AsResult()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nps []NodePower
+	var pg accounting.Page
+	for _, c := range []struct {
+		name   string
+		decode func() error
+		max    float64
+	}{
+		// 1,800 bytes of names: blocks of 64, 128, 256, 512 and 1,024
+		// bytes, and a table that spills to 128 and then 256 entries.
+		{"node_powers x200", func() error { return powers.Decode(&nps) }, 7},
+		// 540 bytes of literals: four blocks and one spill.
+		{"acct_jobs page x200", func() error { return page.Decode(&pg) }, 5},
+	} {
+		if err := c.decode(); err != nil { // sizes the reused target
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(50, func() {
+			if err := c.decode(); err != nil {
+				t.Fatal(err)
+			}
+		}); got > c.max {
+			t.Errorf("%s: %v allocations per decode, want at most %v", c.name, got, c.max)
+		}
+	}
+	if !sameBits(nps, fleetPowers()) || !sameBits(pg, fleetPage()) {
+		t.Error("the reused targets no longer hold the replies")
+	}
+}
+
+// TestLiteralBlocksBoundedByPayload: a block is never sized past what
+// the payload can still fill (the allocator may round it up a size
+// class), however long the literals and however many — a frame of
+// maximal literals gets blocks of their own size, and the strings cut
+// from a frame never pin more than twice its length.
+func TestLiteralBlocksBoundedByPayload(t *testing.T) {
+	long := bytes.Repeat([]byte{'x'}, 3*maxBlock)
+	var e encoder
+	for i := 0; i < 8; i++ {
+		long[0] = byte('a' + i) // distinct, so each is a literal
+		e.str(string(long))
+	}
+	for i := 0; i < 300; i++ {
+		e.str(fmt.Sprintf("s%03d", i))
+	}
+	d := decoder{p: e.buf}
+	pinned, blocks := 0, 0
+	for d.left() > 0 {
+		s := d.str()
+		if d.err != nil {
+			t.Fatal(d.err)
+		}
+		if d.blk.Len() != len(s) {
+			continue // cut from the block the literal before it opened
+		}
+		blocks++
+		pinned += d.blk.Cap()
+		if fill := len(s) + d.left(); d.blk.Cap() > fill+fill/4+16 {
+			t.Fatalf("block %d: %d bytes with %d payload bytes to fill it", blocks, d.blk.Cap(), fill)
+		}
+	}
+	if blocks < 9 || pinned > 2*len(d.p) {
+		t.Errorf("%d blocks pin %d bytes for a %d-byte payload", blocks, pinned, len(d.p))
+	}
+}
