@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -131,6 +132,16 @@ func TestCursorRoundTrip(t *testing.T) {
 	}
 }
 
+// stored looks one key up in the store's canonical snapshot.
+func stored(s *Store, k Key) (Record, bool) {
+	for _, r := range s.Snapshot() {
+		if r.Key() == k {
+			return r, true
+		}
+	}
+	return Record{}, false
+}
+
 func TestStoreClassesAndGeneration(t *testing.T) {
 	s := NewStore(nil)
 	r := mustRecord(t, "j1", "0", "alice", "n1", 0)
@@ -161,8 +172,8 @@ func TestStoreClassesAndGeneration(t *testing.T) {
 	if s.Len() != 1 {
 		t.Errorf("Len = %d, want 1", s.Len())
 	}
-	if got, ok := s.Get(r.Key()); !ok || got.PkgJ != r2.PkgJ {
-		t.Errorf("Get returned %+v ok=%v", got, ok)
+	if got, ok := stored(s, r.Key()); !ok || got.PkgJ != r2.PkgJ {
+		t.Errorf("snapshot holds %+v ok=%v", got, ok)
 	}
 }
 
@@ -264,10 +275,10 @@ func TestStoreRetentionCap(t *testing.T) {
 		t.Error("eviction did not move the generation counter")
 	}
 	for n := 0; n < 2; n++ {
-		if _, ok := s.Get(Key{JobID: "j0", StepID: "0", Node: fmt.Sprintf("n%d", n)}); ok {
+		if _, ok := stored(s, Key{JobID: "j0", StepID: "0", Node: fmt.Sprintf("n%d", n)}); ok {
 			t.Errorf("j0/n%d survived eviction of the oldest group", n)
 		}
-		if _, ok := s.Get(Key{JobID: "j1", StepID: "0", Node: fmt.Sprintf("n%d", n)}); !ok {
+		if _, ok := stored(s, Key{JobID: "j1", StepID: "0", Node: fmt.Sprintf("n%d", n)}); !ok {
 			t.Errorf("j1/n%d evicted out of order", n)
 		}
 	}
@@ -282,11 +293,11 @@ func TestStoreRetentionCap(t *testing.T) {
 		t.Fatalf("Len = %d after over-cap insert, want 3", s.Len())
 	}
 	for n := 0; n < 2; n++ {
-		if _, ok := s.Get(Key{JobID: "j1", StepID: "0", Node: fmt.Sprintf("n%d", n)}); ok {
+		if _, ok := stored(s, Key{JobID: "j1", StepID: "0", Node: fmt.Sprintf("n%d", n)}); ok {
 			t.Errorf("j1/n%d survived a whole-group eviction", n)
 		}
 	}
-	if _, ok := s.Get(Key{JobID: "j3", StepID: "0", Node: "n0"}); !ok {
+	if _, ok := stored(s, Key{JobID: "j3", StepID: "0", Node: "n0"}); !ok {
 		t.Error("the record that triggered pruning was itself evicted")
 	}
 
@@ -299,7 +310,7 @@ func TestStoreRetentionCap(t *testing.T) {
 	if s.Len() != 4 {
 		t.Fatalf("Len = %d after Seed, want 4", s.Len())
 	}
-	if _, ok := s.Get(Key{JobID: "j4", StepID: "0", Node: "n2"}); !ok {
+	if _, ok := stored(s, Key{JobID: "j4", StepID: "0", Node: "n2"}); !ok {
 		t.Error("seeded newest-group record missing after prune")
 	}
 
@@ -427,6 +438,177 @@ func TestQueryLimitClamping(t *testing.T) {
 	}
 	if len(p.Records) != 150 {
 		t.Errorf("over-limit page returned %d records", len(p.Records))
+	}
+}
+
+// refPageRecords is PageRecords as it stood before Select: the page
+// append-grown while the snapshot is walked. Select and its two
+// readings, Each and Page, are held to it.
+func refPageRecords(snap []Record, q Query) (Page, error) {
+	limit := q.Limit
+	switch {
+	case limit <= 0:
+		limit = DefaultPageSize
+	case limit > MaxPageSize:
+		limit = MaxPageSize
+	}
+	var after Key
+	skipping := false
+	if q.Cursor != "" {
+		k, err := DecodeCursor(q.Cursor)
+		if err != nil {
+			return Page{}, err
+		}
+		after = k
+		skipping = true
+	}
+	page := Page{Records: []Record{}}
+	more := false
+	for _, r := range snap {
+		if !q.match(&r) {
+			continue
+		}
+		page.Total++
+		if skipping && !after.Less(r.Key()) {
+			continue
+		}
+		if len(page.Records) < limit {
+			page.Records = append(page.Records, r)
+		} else {
+			more = true
+		}
+	}
+	if more {
+		page.Next = EncodeCursor(page.Records[len(page.Records)-1].Key())
+	}
+	return page, nil
+}
+
+// TestSelectMatchesReferencePage walks every filter with every limit
+// from the first page to the last over a 3,000-record store, then the
+// cursors no walk produces, and holds Select, Selection.Each,
+// Selection.Page and Store.Query to the reference at every step.
+func TestSelectMatchesReferencePage(t *testing.T) {
+	s := buildStore(t, 15, 200)
+	snap := s.Snapshot()
+	check := func(q Query) Page {
+		t.Helper()
+		want, wantErr := refPageRecords(snap, q)
+		sel, err := Select(snap, q)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("%+v: Select err = %v, reference err = %v", q, err, wantErr)
+		}
+		if err != nil {
+			if _, err := s.Query(q); err == nil {
+				t.Fatalf("%+v: Store.Query accepted what Select refused", q)
+			}
+			return want
+		}
+		if sel.N != len(want.Records) || sel.Next != want.Next || sel.Total != want.Total {
+			t.Fatalf("%+v: selected %d records, next %q, total %d; want %d, %q, %d",
+				q, sel.N, sel.Next, sel.Total, len(want.Records), want.Next, want.Total)
+		}
+		i := 0
+		sel.Each(func(r *Record) {
+			if i >= len(want.Records) || *r != want.Records[i] {
+				t.Fatalf("%+v: Each yields %+v at %d", q, *r, i)
+			}
+			i++
+		})
+		if i != len(want.Records) {
+			t.Fatalf("%+v: Each yielded %d records, want %d", q, i, len(want.Records))
+		}
+		for name, got := range map[string]Page{"Selection.Page": sel.Page(), "PageRecords": mustPage(t, snap, q), "Store.Query": mustQuery(t, s, q)} {
+			if got.Records == nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%+v: %s differs from the reference page (%d records, next %q)", q, name, len(got.Records), got.Next)
+			}
+		}
+		return want
+	}
+	pages := 0
+	for _, filter := range []Query{{}, {User: "alice"}, {Job: "job2"}, {Since: 180}, {User: "bob", Since: 400}, {User: "nobody"}, {Job: "job2", User: "alice"}} {
+		for _, limit := range []int{-1, 0, 1, 7, 200, MaxPageSize, 10 * MaxPageSize} {
+			if limit == 1 && filter.Job == "" {
+				continue // a job's 200 one-record pages say all that 3,000 would
+			}
+			q := filter
+			q.Limit = limit
+			for {
+				page := check(q)
+				pages++
+				if page.Next == "" {
+					break
+				}
+				q.Cursor = page.Next
+			}
+		}
+	}
+	if pages < 500 {
+		t.Fatalf("walked only %d pages", pages)
+	}
+	// Cursors no walk hands out: past the last key, before the first,
+	// between two stored keys, and not a cursor at all.
+	for _, cursor := range []string{
+		EncodeCursor(Key{JobID: "zzz", StepID: "9", Node: "z"}),
+		EncodeCursor(Key{JobID: "a"}),
+		EncodeCursor(Key{JobID: "job3", StepID: "0", Node: "node0991"}),
+		"*bad*",
+	} {
+		check(Query{Cursor: cursor, Limit: 200})
+		check(Query{Cursor: cursor, User: "carol"})
+	}
+}
+
+func mustPage(t *testing.T, snap []Record, q Query) Page {
+	t.Helper()
+	p, err := PageRecords(snap, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func mustQuery(t *testing.T, s *Store, q Query) Page {
+	t.Helper()
+	p, err := s.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestQueryAllocatesOnlyThePage: selecting a 200-record page of a
+// 3,000-record store allocates nothing but its cursors (the one it
+// resumes from, parsed; the one it hands out, rendered), and copying it
+// out adds exactly one slice, exactly sized.
+func TestQueryAllocatesOnlyThePage(t *testing.T) {
+	s := buildStore(t, 15, 200)
+	snap := s.Snapshot()
+	for _, c := range []struct {
+		name string
+		q    Query
+	}{
+		{"first page", Query{Limit: 200}},
+		{"middle page", Query{Limit: 200, Cursor: EncodeCursor(snap[999].Key())}},
+		{"last page", Query{Limit: 200, Cursor: EncodeCursor(snap[len(snap)-201].Key())}},
+	} {
+		page, err := s.Query(c.q)
+		if err != nil || len(page.Records) != 200 || cap(page.Records) != 200 {
+			t.Fatalf("%s: %d records in a slice of %d, err %v", c.name, len(page.Records), cap(page.Records), err)
+		}
+		cursors := 0.0
+		if c.q.Cursor != "" {
+			cursors += testing.AllocsPerRun(20, func() { _, _ = DecodeCursor(c.q.Cursor) })
+		}
+		if page.Next != "" {
+			cursors += testing.AllocsPerRun(20, func() { _ = EncodeCursor(page.Records[199].Key()) })
+		}
+		if got := testing.AllocsPerRun(20, func() { _, _ = s.Select(c.q) }); got != cursors {
+			t.Errorf("%s: Store.Select allocates %v times, its cursors %v", c.name, got, cursors)
+		}
+		if got := testing.AllocsPerRun(20, func() { _, _ = s.Query(c.q) }); got != cursors+1 {
+			t.Errorf("%s: Store.Query allocates %v times, want its cursors' %v and one slice", c.name, got, cursors)
+		}
 	}
 }
 

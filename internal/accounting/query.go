@@ -38,7 +38,7 @@ type Page struct {
 }
 
 // match reports whether r passes q's filters.
-func (q Query) match(r Record) bool {
+func (q *Query) match(r *Record) bool {
 	if q.User != "" && r.User != q.User {
 		return false
 	}
@@ -51,11 +51,25 @@ func (q Query) match(r Record) bool {
 	return true
 }
 
-// PageRecords evaluates q over a canonical (Key-ordered) snapshot.
-// Pure: same snapshot + same query ⇒ same page, bytes included, which
-// is what makes pages interchangeable between a shard daemon and a
-// federation root holding the same merged state.
-func PageRecords(snap []Record, q Query) (Page, error) {
+// Selection is one evaluated query before anything is copied: which
+// records of a canonical snapshot make up the page, not the records
+// themselves. It aliases the snapshot it was selected from — shared and
+// read-only — so serving a page costs its encoding and nothing else.
+type Selection struct {
+	q    Query
+	tail []Record // the snapshot from the page's first record on
+	// N is the number of records on the page; Next and Total are the
+	// Page fields of the same name.
+	N     int
+	Next  string
+	Total int
+}
+
+// Select evaluates q over a canonical (Key-ordered) snapshot in one
+// pass. Pure: same snapshot + same query ⇒ same page, bytes included,
+// which is what makes pages interchangeable between a shard daemon and
+// a federation root holding the same merged state.
+func Select(snap []Record, q Query) (Selection, error) {
 	limit := q.Limit
 	switch {
 	case limit <= 0:
@@ -68,31 +82,65 @@ func PageRecords(snap []Record, q Query) (Page, error) {
 	if q.Cursor != "" {
 		k, err := DecodeCursor(q.Cursor)
 		if err != nil {
-			return Page{}, err
+			return Selection{}, err
 		}
 		after = k
 		skipping = true
 	}
-	page := Page{Records: []Record{}}
-	more := false
-	for _, r := range snap {
+	sel := Selection{q: q}
+	last, more := 0, false
+	for i := range snap {
+		r := &snap[i]
 		if !q.match(r) {
 			continue
 		}
-		page.Total++
+		sel.Total++
 		if skipping && !after.Less(r.Key()) {
 			continue
 		}
-		if len(page.Records) < limit {
-			page.Records = append(page.Records, r)
-		} else {
+		if sel.N == limit {
 			more = true
+			continue
 		}
+		if sel.N == 0 {
+			sel.tail = snap[i:]
+		}
+		sel.N++
+		last = i
 	}
 	if more {
-		page.Next = EncodeCursor(page.Records[len(page.Records)-1].Key())
+		sel.Next = EncodeCursor(snap[last].Key())
 	}
-	return page, nil
+	return sel, nil
+}
+
+// Each calls fn for every record of the page, in order. The pointers
+// are into the shared snapshot: read-only.
+func (s Selection) Each(fn func(*Record)) {
+	n := 0
+	for i := 0; n < s.N; i++ {
+		if r := &s.tail[i]; s.q.match(r) {
+			fn(r)
+			n++
+		}
+	}
+}
+
+// Page copies the selected records out: the value in-process callers
+// and the HTTP API hold on to.
+func (s Selection) Page() Page {
+	page := Page{Records: make([]Record, 0, s.N), Next: s.Next, Total: s.Total}
+	s.Each(func(r *Record) { page.Records = append(page.Records, *r) })
+	return page
+}
+
+// PageRecords is Select followed by the copy.
+func PageRecords(snap []Record, q Query) (Page, error) {
+	sel, err := Select(snap, q)
+	if err != nil {
+		return Page{}, err
+	}
+	return sel.Page(), nil
 }
 
 // Walk pages through q until exhaustion and returns the concatenated

@@ -124,13 +124,6 @@ func (s *Store) Seed(recs []Record) {
 	s.pruneLocked()
 }
 
-// Get returns the record stored under k, if any.
-func (s *Store) Get(k Key) (Record, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.recs.Get(grouped.Group{Job: k.JobID, Step: k.StepID}, nodePhase{k.Node, k.Phase})
-}
-
 // Len reports the resident record count.
 func (s *Store) Len() int {
 	s.mu.Lock()
@@ -170,14 +163,24 @@ func (s *Store) snapshotLocked() []Record {
 	return s.snap
 }
 
-// Query serves one filtered, cursor-paginated page over the canonical
-// snapshot. Two stores with identical contents return byte-identical
-// pages for the same query — the property the federation-root vs.
-// single-daemon acceptance check rides on.
-func (s *Store) Query(q Query) (Page, error) {
+// Select evaluates one filtered, cursor-paginated query over the
+// canonical snapshot without copying the page out of it — what the
+// wire path encodes from. Two stores with identical contents select
+// byte-identical pages for the same query — the property the
+// federation-root vs. single-daemon acceptance check rides on.
+func (s *Store) Select(q Query) (Selection, error) {
 	s.mu.Lock()
 	snap := s.snapshotLocked()
 	s.mu.Unlock()
 	s.tel.queries.Inc()
-	return PageRecords(snap, q)
+	return Select(snap, q)
+}
+
+// Query is Select with the page copied out, for callers that keep it.
+func (s *Store) Query(q Query) (Page, error) {
+	sel, err := s.Select(q)
+	if err != nil {
+		return Page{}, err
+	}
+	return sel.Page(), nil
 }

@@ -94,13 +94,6 @@ func (db *DB) Put(r JobRecord) (grouped.Class, error) {
 	return db.recs.Insert(&r), nil
 }
 
-// Get returns the stored record for one (job, step, node) key, if any.
-func (db *DB) Get(jobID, stepID, node string) (JobRecord, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.recs.Get(grouped.Group{Job: jobID, Step: stepID}, node)
-}
-
 // Len returns the number of records.
 func (db *DB) Len() int {
 	db.mu.RLock()
@@ -188,6 +181,18 @@ func (db *DB) Records() []JobRecord {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.recs.Append(make([]JobRecord, 0, db.recs.Len()))
+}
+
+// Walk is Records without the copy: under one read lock it calls
+// begin with the record count and then each with every stored record in
+// Records' order. The pointers are into the database's own rows —
+// read-only, valid only during the call — and neither callback may call
+// back into db.
+func (db *DB) Walk(begin func(n int), each func(*JobRecord)) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	begin(db.recs.Len())
+	db.recs.Walk(each)
 }
 
 // Save writes the database as JSON.

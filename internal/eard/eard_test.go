@@ -169,8 +169,8 @@ func TestGroupedStoreIsOrderIndependent(t *testing.T) {
 		}
 	}
 	for _, r := range recs {
-		if got, ok := shuffled.Get(r.JobID, r.StepID, r.Node); !ok || got != r {
-			t.Fatalf("Get(%s, %s, %s) = %+v, %v after the sorts", r.JobID, r.StepID, r.Node, got, ok)
+		if !slices.Contains(shuffled.Job(r.JobID, r.StepID), r) {
+			t.Fatalf("Job(%s, %s) lacks node %s after the sorts", r.JobID, r.StepID, r.Node)
 		}
 	}
 }
@@ -275,7 +275,7 @@ func TestConcurrentInsertAndRead(t *testing.T) {
 		db.Records()
 		db.Job("j", "s")
 		_, _ = db.Summarize("j", "s")
-		db.Get("j", "s", "w0-n0")
+		db.Walk(func(int) {}, func(*JobRecord) {})
 	}
 	wg.Wait()
 	if db.Len() != 200 {
@@ -351,21 +351,20 @@ func TestByPolicyAggregation(t *testing.T) {
 	}
 }
 
-func TestGet(t *testing.T) {
+func TestJobLookup(t *testing.T) {
 	db := NewDB()
 	r := JobRecord{JobID: "j1", StepID: "0", Node: "n3", App: "X", TimeSec: 10, EnergyJ: 1000}
-	if _, ok := db.Get("j1", "0", "n3"); ok {
-		t.Error("Get on empty DB reported a record")
+	if got := db.Job("j1", "0"); len(got) != 0 {
+		t.Errorf("Job on empty DB = %+v", got)
 	}
 	if err := db.Insert(r); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := db.Get("j1", "0", "n3")
-	if !ok || got != r {
-		t.Errorf("Get = %+v, %v; want %+v, true", got, ok, r)
+	if got := db.Job("j1", "0"); len(got) != 1 || got[0] != r {
+		t.Errorf("Job = %+v; want [%+v]", got, r)
 	}
-	if _, ok := db.Get("j1", "0", "n4"); ok {
-		t.Error("Get matched a different node")
+	if got := db.Job("j1", "1"); len(got) != 0 {
+		t.Errorf("Job matched a different step: %+v", got)
 	}
 }
 

@@ -472,9 +472,8 @@ func TestClientReconnectStress(t *testing.T) {
 	for g := 0; g < producers; g++ {
 		for i := 0; i < perProducer; i++ {
 			want := rec(fmt.Sprintf("j%d", g), fmt.Sprint(i), fmt.Sprintf("n%02d", g), 100+float64(g))
-			got, ok := db.Get(want.JobID, want.StepID, want.Node)
-			if !ok || got != want {
-				t.Fatalf("record (%s,%s,%s) = %+v, ok=%v", want.JobID, want.StepID, want.Node, got, ok)
+			if got := db.Job(want.JobID, want.StepID); len(got) != 1 || got[0] != want {
+				t.Fatalf("step (%s,%s) = %+v, want [%+v]", want.JobID, want.StepID, got, want)
 			}
 		}
 	}

@@ -316,6 +316,98 @@ func TestClosedLoopQueryKindsOverTheWire(t *testing.T) {
 	}
 }
 
+// TestReplyBufferReuseMatchesFreshAnswer asks one connection — of a
+// daemon, and of a root over four shards — for a large reply, small
+// ones, and the large one again, so the connection's kept buffer is
+// outgrown, reused and outgrown again, and requires every reply to be
+// exactly the bytes Answer builds in a fresh payload. Replies are
+// encoded straight from shared snapshots and store rows; the canonical
+// transcript rendered before and after shows serving left them as they
+// were.
+func TestReplyBufferReuseMatchesFreshAnswer(t *testing.T) {
+	const nodes = 400 // every shard holds more node reports than a kept buffer
+	cluster, err := loadgen.NewCluster(4, eardbd.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cluster.Close() })
+	g, err := loadgen.New(loadgen.Config{Nodes: nodes, Workers: 4, AcctPerNode: 4, NodeName: dbdtest.CanonicalNode})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := g.Run(cluster.DialFor, loadgen.Hooks{}); err != nil || res.NodeErrors != 0 || res.BacklogBatches != 0 {
+		t.Fatalf("feed faulted: %+v, %v", res, err)
+	}
+	root, err := cluster.Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = root.Close() })
+
+	sequence := []wire.Query{
+		{Kind: wire.QueryGeneration},
+		{Kind: wire.QueryRecords}, // outgrows the kept buffer
+		{Kind: wire.QueryGeneration},
+		{Kind: wire.QueryAcctJobs, User: "alice", Limit: 5},
+		{Kind: wire.QueryAcctRecords},
+		{Kind: wire.QueryNodePowers},
+		{Kind: wire.QueryAcctJobs, Limit: 200},
+		{Kind: wire.QueryAggregate},
+		{Kind: wire.QueryRecords},
+		{Kind: wire.QuerySummary, Job: "job1", Step: "0"},
+		{Kind: wire.QueryGeneration},
+	}
+	for name, v := range map[string]interface {
+		dbdtest.View
+		ServeConn(net.Conn)
+	}{"daemon": cluster.Server("shard0"), "root": root} {
+		before, err := dbdtest.Transcript(v, nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ask(v.ServeConn, sequence)
+		if err != nil {
+			t.Fatal(err)
+		}
+		large := 0
+		i := 0
+		for _, q := range sequence {
+			for ; ; i++ { // an acct_jobs query is one result per page
+				fresh, err := eardbd.Answer(nil, v, nil, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got[i].Data, fresh.Payload[1:]) {
+					t.Errorf("%s: reply %d (%s) over a reused buffer is %d bytes, a fresh Answer %d, or they differ",
+						name, i, q.Kind, len(got[i].Data), len(fresh.Payload)-1)
+				}
+				if len(fresh.Payload) > 32<<10 {
+					large++
+				}
+				var page accounting.Page
+				if q.Kind != wire.QueryAcctJobs || got[i].Decode(&page) != nil || page.Next == "" {
+					i++
+					break
+				}
+				q.Cursor = page.Next
+			}
+		}
+		if i != len(got) {
+			t.Fatalf("%s: compared %d of %d replies", name, i, len(got))
+		}
+		if large < 2 {
+			t.Errorf("%s: only %d replies outgrew a kept buffer; the sequence tests nothing", name, large)
+		}
+		after, err := dbdtest.Transcript(v, nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after != before {
+			t.Errorf("%s: serving changed the state the transcript renders", name)
+		}
+	}
+}
+
 // TestClosedLoopFederationFaultReplay kills a shard mid-load and
 // restarts it before the drain: the spill journals must replay
 // exactly once — asserted through the goear_eardbd_* client telemetry

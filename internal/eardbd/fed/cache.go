@@ -71,26 +71,40 @@ func (r *Root) View(parent *trace.Active) (eardbd.View, error) {
 	defer func() { msp.End(r.Now.Sec()) }()
 
 	// Concurrent misses duplicate work but never block a hit, and the
-	// last finisher wins the cache slot.
+	// last finisher wins the cache slot. Every dump is folded straight
+	// from its frame, a record at a time, one shard after the other; a
+	// dump that turns out malformed part-way leaves records behind in a
+	// view that is dropped here, never published.
 	v := &view{gens: gens}
 	v.DB = eard.NewDB()
-	if err := foldDumps(r, msp, wire.QueryRecords, v.DB.Insert); err != nil {
+	err = r.fanOut(msp, wire.Query{Kind: wire.QueryRecords}, func(_ int, res wire.Result) error {
+		return res.EachRecord(v.DB.Insert)
+	})
+	if err != nil {
 		return eardbd.View{}, err
 	}
 	// The merged store shares the root's telemetry set, so the
 	// goear_accounting_* families on a federation root cover the
 	// serving tier the same way they cover a single daemon.
 	v.Acct = accounting.NewStore(r.ts)
-	err = foldDumps(r, msp, wire.QueryAcctRecords, func(rec accounting.Record) error {
-		_, err := v.Acct.Insert(rec)
-		return err
+	err = r.fanOut(msp, wire.Query{Kind: wire.QueryAcctRecords}, func(_ int, res wire.Result) error {
+		return res.EachAcctRecord(func(rec accounting.Record) error {
+			_, err := v.Acct.Insert(rec)
+			return err
+		})
 	})
 	if err != nil {
 		return eardbd.View{}, err
 	}
 	byNode := map[string]float64{}
-	err = foldDumps(r, msp, wire.QueryNodePowers, func(np wire.NodePower) error {
-		byNode[np.Node] = np.PowerW
+	var nps []wire.NodePower // every shard's list decodes into the first one's
+	err = r.fanOut(msp, wire.Query{Kind: wire.QueryNodePowers}, func(_ int, res wire.Result) error {
+		if err := res.Decode(&nps); err != nil {
+			return err
+		}
+		for _, np := range nps {
+			byNode[np.Node] = np.PowerW
+		}
 		return nil
 	})
 	if err != nil {
@@ -99,25 +113,6 @@ func (r *Root) View(parent *trace.Active) (eardbd.View, error) {
 	v.Powers = eardbd.SortedPowers(byNode)
 	r.cache.Store(v)
 	return v.View, nil
-}
-
-// foldDumps fans one record-dump query out and folds every shard's
-// records in through insert. Dumps are decoded one shard after the
-// other and folded in by value, so every shard's decode reuses the
-// first one's slice.
-func foldDumps[R any](r *Root, parent *trace.Active, kind string, insert func(R) error) error {
-	var recs []R
-	return r.fanOut(parent, wire.Query{Kind: kind}, func(_ int, res wire.Result) error {
-		if err := res.Decode(&recs); err != nil {
-			return err
-		}
-		for _, rec := range recs {
-			if err := insert(rec); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
 }
 
 // countCache records one cache outcome in stats and telemetry,

@@ -21,7 +21,10 @@ import (
 
 const faultShards = 4
 
-// loadedCluster is a four-shard fleet holding 40 nodes' traffic.
+// loadedCluster is a four-shard fleet holding 40 nodes' traffic and
+// serving nobody: the loader's clients have hung up by the time it
+// returns, but a handler takes a scheduling round to notice, so the
+// connection counts are waited down to zero before a test reads them.
 func loadedCluster(t *testing.T, ts *telemetry.Set) *loadgen.Cluster {
 	t.Helper()
 	cluster, err := loadgen.NewCluster(faultShards, eardbd.Config{Telemetry: ts})
@@ -35,6 +38,9 @@ func loadedCluster(t *testing.T, ts *telemetry.Set) *loadgen.Cluster {
 	}
 	if res, err := g.Run(cluster.DialFor, loadgen.Hooks{}); err != nil || res.NodeErrors != 0 || res.BacklogBatches != 0 {
 		t.Fatalf("load: %+v, %v", res, err)
+	}
+	for _, name := range cluster.Names() {
+		waitConns(t, cluster, name, 0)
 	}
 	return cluster
 }
@@ -171,7 +177,7 @@ func TestConcurrentAdminsShareBoundedPool(t *testing.T) {
 	want := make([][]byte, len(mix))
 	ref := newRoot(t, cluster)
 	for i, q := range mix[:len(mix)-1] { // stats count the queries themselves
-		f, err := eardbd.Answer(ref, nil, q)
+		f, err := eardbd.Answer(nil, ref, nil, q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -154,6 +154,7 @@ func NewRoot(cfg Config) (*Root, error) {
 		QuerySpan:       spanFedQuery,
 		Now:             cfg.Now,
 		QueryLatency:    root.tel.latQuery,
+		ReplyBytes:      eardbd.NewReplyBytes(ts),
 	}
 	root.tel.shards.Set(float64(len(cfg.Shards)))
 	return root, nil

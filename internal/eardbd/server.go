@@ -163,6 +163,7 @@ func NewServer(db *eard.DB, cfg Config) *Server {
 		QuerySpan:       spanServerQuery,
 		Now:             cfg.Now,
 		QueryLatency:    s.tel.latQuery,
+		ReplyBytes:      NewReplyBytes(ts),
 	}
 	return s
 }

@@ -1,6 +1,7 @@
 package eardbd
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -389,6 +390,67 @@ func TestServerQueries(t *testing.T) {
 	}
 	if v, _ := srv.View(nil); v.Aggregate().Nodes != 3 {
 		t.Errorf("aggregate after update = %+v", v.Aggregate())
+	}
+}
+
+// TestReplyBufferKeptOnlyWhileSmall drives serveQuery as ServeConn
+// does, holding the connection's buffer: a small reply is built in it
+// and kept, a dump past maxKeptReply is written from a buffer of its
+// own that is not kept, and the next small reply is built in the very
+// bytes the first one was.
+func TestReplyBufferKeptOnlyWhileSmall(t *testing.T) {
+	db := eard.NewDB()
+	for i := 0; i < 800; i++ {
+		if err := db.Insert(rec("j1", "0", fmt.Sprintf("node%05d", i), 300)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := NewServer(db, Config{})
+	client, server := net.Pipe()
+	defer client.Close()
+	defer server.Close()
+	var reply []byte
+	serve := func(kind string) wire.Frame {
+		t.Helper()
+		qf, err := wire.EncodeQuery(wire.Query{Kind: kind})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make(chan wire.Frame, 1)
+		go func() {
+			f, _ := wire.ReadFrame(client, 0)
+			got <- f
+		}()
+		if !srv.serveQuery(server, qf, &reply) {
+			t.Fatalf("%s: serveQuery gave the connection up", kind)
+		}
+		f := <-got
+		if f.Type != wire.TypeResult {
+			t.Fatalf("%s: answered with a %s frame", kind, f.Type)
+		}
+		return f
+	}
+
+	if reply != nil {
+		t.Fatal("a connection owns a reply buffer before its first query")
+	}
+	small := serve(wire.QueryNodePowers)
+	if cap(reply) == 0 || cap(reply) > maxKeptReply || !bytes.Equal(reply, small.Payload) {
+		t.Fatalf("after a %d-byte reply the kept buffer holds %d bytes of %d", len(small.Payload), len(reply), cap(reply))
+	}
+	kept := &reply[0]
+
+	dump := serve(wire.QueryRecords)
+	if len(dump.Payload) <= maxKeptReply {
+		t.Fatalf("the dump is only %d bytes: it tests nothing", len(dump.Payload))
+	}
+	if cap(reply) > maxKeptReply || &reply[0] != kept {
+		t.Fatalf("a %d-byte dump left the connection holding a buffer of %d bytes", len(dump.Payload), cap(reply))
+	}
+
+	next := serve(wire.QueryGeneration)
+	if &reply[0] != kept || !bytes.Equal(reply, next.Payload) {
+		t.Fatalf("after the dump, a %d-byte reply was not built in the kept buffer", len(next.Payload))
 	}
 }
 

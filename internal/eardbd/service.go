@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"sort"
+	"strconv"
 	"sync"
 
 	"goear/internal/accounting"
@@ -57,8 +58,9 @@ func (v View) Aggregate() Aggregate {
 }
 
 // Answer computes the result frame for one snapshot query, from at
-// most one lookup of the backend.
-func Answer(b Backend, parent *trace.Active, q wire.Query) (wire.Frame, error) {
+// most one lookup of the backend, appending its payload to dst (nil for
+// a fresh one).
+func Answer(dst []byte, b Backend, parent *trace.Active, q wire.Query) (wire.Frame, error) {
 	var (
 		v   any
 		err error
@@ -82,10 +84,18 @@ func Answer(b Backend, parent *trace.Active, q wire.Query) (wire.Frame, error) {
 	if err != nil {
 		return wire.Frame{}, err
 	}
-	return wire.EncodeResult(q.Kind, v)
+	p, err := wire.AppendResult(dst, q.Kind, v)
+	if err != nil {
+		return wire.Frame{}, err
+	}
+	return wire.Frame{Type: wire.TypeResult, Payload: p}, nil
 }
 
-// answer computes the value of one state query.
+// answer computes the value of one state query. The two kinds that
+// carry a store's records hand the encoder the store's own view — a
+// selection of the shared accounting snapshot, the node-report
+// database itself — so a record moves once, from its row into the
+// frame.
 func (v View) answer(q wire.Query) (any, error) {
 	switch q.Kind {
 	case wire.QueryAggregate:
@@ -95,11 +105,11 @@ func (v View) answer(q wire.Query) (any, error) {
 	case wire.QueryJobs:
 		return v.DB.Summaries(), nil
 	case wire.QueryRecords:
-		return v.DB.Records(), nil
+		return v.DB, nil
 	case wire.QuerySummary:
 		return v.DB.Summarize(q.Job, q.Step)
 	case wire.QueryAcctJobs:
-		return v.Acct.Query(accounting.Query{
+		return v.Acct.Select(accounting.Query{
 			User:   q.User,
 			Job:    q.Job,
 			Since:  q.Since,
@@ -190,6 +200,9 @@ type Front struct {
 	QuerySpan    string
 	Now          Stopwatch
 	QueryLatency *telemetry.Histogram
+	// ReplyBytes counts the payload bytes of served results by kind
+	// (NewReplyBytes).
+	ReplyBytes ReplyBytes
 
 	mu        sync.Mutex
 	closed    bool
@@ -294,6 +307,9 @@ func (fr *Front) ServeConn(conn net.Conn) {
 			batchPool.Put(scratch)
 		}
 	}()
+	// A connection that queries builds every reply in one buffer of its
+	// own; a reporter's never comes into being.
+	var reply []byte
 	for {
 		f, err := wire.ReadFrame(conn, fr.MaxFramePayload)
 		if err != nil {
@@ -314,7 +330,7 @@ func (fr *Front) ServeConn(conn net.Conn) {
 				return
 			}
 		case wire.TypeQuery:
-			if !fr.serveQuery(conn, f) {
+			if !fr.serveQuery(conn, f, &reply) {
 				return
 			}
 		default:
@@ -324,11 +340,22 @@ func (fr *Front) ServeConn(conn net.Conn) {
 	}
 }
 
+// maxKeptReply is the largest reply buffer a connection keeps between
+// queries. Pages, power lists and generation polls fit, so a polling
+// peer (an admin tool, a root's pooled connection) is answered without
+// allocating; a shard dump does not, and is garbage once written — a
+// root asks for one only after a write, and a few hundred idle
+// connections must not each pin the largest reply they ever served.
+const maxKeptReply = 32 << 10
+
 // serveQuery answers one snapshot query and reports whether the
-// connection should stay open. When tracing is on, the serving renders
-// as one span of the owner's query kind, continuing the caller's frame
-// context; whatever the backend fans out hangs below it.
-func (fr *Front) serveQuery(conn net.Conn, f wire.Frame) bool {
+// connection should stay open. The result is built in *reply, the
+// connection's buffer, which makes a served payload valid until the
+// connection's next reply and no longer. When tracing is on, the
+// serving renders as one span of the owner's query kind, continuing
+// the caller's frame context; whatever the backend fans out hangs
+// below it.
+func (fr *Front) serveQuery(conn net.Conn, f wire.Frame, reply *[]byte) bool {
 	t0 := fr.Now.Sec()
 	q, err := f.AsQuery()
 	if err != nil {
@@ -342,12 +369,19 @@ func (fr *Front) serveQuery(conn net.Conn, f wire.Frame) bool {
 		fr.Now.Observe(fr.QueryLatency, t0)
 	}()
 	fr.Count(EventQuery)
-	resp, err := Answer(fr.Backend, sp, q)
+	resp, err := Answer((*reply)[:0], fr.Backend, sp, q)
 	if err != nil {
 		// A query the backend cannot answer is the caller's problem, not
 		// the connection's: it stays open.
 		fr.ReplyError(conn, err.Error())
 		return true
+	}
+	if cap(resp.Payload) <= maxKeptReply {
+		*reply = resp.Payload
+	}
+	fr.ReplyBytes.count(resp.Payload)
+	if sp != nil {
+		sp.Attr("bytes", strconv.Itoa(len(resp.Payload)))
 	}
 	return fr.reply(conn, resp)
 }

@@ -2,6 +2,7 @@ package eardbd
 
 import (
 	"goear/internal/telemetry"
+	"goear/internal/wire"
 )
 
 // Metric names (package-level constants per the goearvet telemetry
@@ -13,6 +14,7 @@ const (
 	metricDBDRecords     = "goear_eardbd_records_total"
 	metricDBDProtoErrors = "goear_eardbd_protocol_errors_total"
 	metricDBDQueries     = "goear_eardbd_queries_total"
+	metricDBDReplyBytes  = "goear_eardbd_reply_bytes_total"
 
 	metricDBDClientFlushes     = "goear_eardbd_client_flushes_total"
 	metricDBDClientBatchesSent = "goear_eardbd_client_batches_sent_total"
@@ -108,6 +110,37 @@ func newServerTel(s *telemetry.Set) serverTel {
 		latBatch:   latency.With("batch"),
 		latQuery:   latency.With("query"),
 		rec:        s.Rec(),
+	}
+}
+
+// ReplyBytes counts served result payload bytes by kind: how big the
+// answers a daemon or root serves are, readable live. It is indexed by
+// the kind byte a result payload starts with, so counting a reply is an
+// array load and an add. The zero value counts nothing.
+type ReplyBytes []*telemetry.Counter
+
+// NewReplyBytes resolves one counter per result kind in s (nil: every
+// counter is a no-op). A shard daemon and a root sharing one set fold
+// into the same series, as their query counters do.
+func NewReplyBytes(s *telemetry.Set) ReplyBytes {
+	vec := s.Reg().CounterVec(metricDBDReplyBytes, "result payload bytes served, by result kind", "kind")
+	if vec == nil {
+		return nil
+	}
+	kinds := wire.ResultKinds()
+	out := make(ReplyBytes, len(kinds))
+	for code, kind := range kinds {
+		if kind != "" {
+			out[code] = vec.With(kind)
+		}
+	}
+	return out
+}
+
+// count adds one served result payload.
+func (rb ReplyBytes) count(payload []byte) {
+	if len(payload) > 0 && int(payload[0]) < len(rb) {
+		rb[payload[0]].Add(uint64(len(payload)))
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"goear/internal/eargm"
 	"goear/internal/par"
 	"goear/internal/telemetry"
+	"goear/internal/wire"
 )
 
 // metricsMap renders a set's registry and parses it back into a
@@ -176,6 +177,20 @@ func runTelemetryClosedLoop(t *testing.T, nodes, workers int) (string, map[strin
 	if _, err := eargm.Drive(m, srv, 0, 12); err != nil {
 		t.Fatal(err)
 	}
+	// An admin tool reads over the wire: the node powers once and the
+	// generation twice, on one connection.
+	admin, err := pipeDialer(srv, nil)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{wire.QueryNodePowers, wire.QueryGeneration, wire.QueryGeneration} {
+		if _, err := Query(admin, wire.Query{Kind: kind}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := admin.Close(); err != nil {
+		t.Fatal(err)
+	}
 	var b strings.Builder
 	if err := set.Reg().WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -212,9 +227,19 @@ func TestTelemetryClosedLoopWorkerInvariance(t *testing.T) {
 		metricDBDClientFlushes:                   24,
 		metricDBDClientBatchesSent:               24,
 		metricDBDClientRecordsSent:               80,
-		metricDBDConnections:                     8, // one connection per node client
+		metricDBDConnections:                     9, // one connection per node client, and the admin's
+		metricDBDQueries:                         3,
 		"goear_eargm_intervals_total":            12,
+		// How big the answers served are, by kind: eight names of three
+		// bytes with a power each behind a kind byte and a count, and two
+		// one-digit generations. A kind nobody asked for reads zero.
+		metricDBDReplyBytes + `{kind="node_powers"}`: 2 + 8*(1+3+8),
+		metricDBDReplyBytes + `{kind="generation"}`:  2 * 2,
+		metricDBDReplyBytes + `{kind="records"}`:     0,
 	} {
+		if _, ok := vals[key]; !ok {
+			t.Errorf("/metrics has no %s", key)
+		}
 		if vals[key] != want {
 			t.Errorf("%s = %g, want %g", key, vals[key], want)
 		}
@@ -237,5 +262,28 @@ func TestTelemetryClosedLoopWorkerInvariance(t *testing.T) {
 				t.Errorf("workers=%d: %d %s events, want %d", workers, kinds[k], k, n)
 			}
 		}
+	}
+}
+
+// TestReplyBytesCountsWithoutAllocating: counting a served reply is an
+// array load and an add, with telemetry on or off, and a payload that
+// is no result at all is not counted against anybody.
+func TestReplyBytesCountsWithoutAllocating(t *testing.T) {
+	set := telemetry.NewSet()
+	on, off := NewReplyBytes(set), NewReplyBytes(nil)
+	gen, err := wire.EncodeResult(wire.QueryGeneration, wire.Generation{Gen: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		on.count(gen.Payload)
+		off.count(gen.Payload)
+		on.count([]byte{200, 1, 2})
+		on.count(nil)
+	}); n != 0 {
+		t.Errorf("counting a reply allocates %v times", n)
+	}
+	if got := metricsMap(t, set)[metricDBDReplyBytes+`{kind="generation"}`]; got != 101*float64(len(gen.Payload)) {
+		t.Errorf("generation reply bytes = %v after 101 replies of %d", got, len(gen.Payload))
 	}
 }

@@ -1,7 +1,9 @@
 package eardbd_test
 
 import (
+	"fmt"
 	"net"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -149,7 +151,8 @@ func TestTraceFederationQueryTree(t *testing.T) {
 		root.ServeConn(srvConn)
 		close(done)
 	}()
-	if _, err := eardbd.Query(cli, wire.Query{Kind: wire.QueryAggregate}, 0); err != nil {
+	agg, err := eardbd.Query(cli, wire.Query{Kind: wire.QueryAggregate}, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eardbd.Query(cli, wire.Query{Kind: wire.QueryStats}, 0); err != nil {
@@ -167,6 +170,11 @@ func TestTraceFederationQueryTree(t *testing.T) {
 	var fanouts, joined, merges int
 	for _, s := range spans {
 		switch s.Kind {
+		case "fed.query":
+			// How big the answer was rides on the span that served it.
+			if s.Attrs.Get("kind") == wire.QueryAggregate && s.Attrs.Get("bytes") != fmt.Sprint(1+len(agg.Data)) {
+				t.Errorf("fed.query bytes = %q for an aggregate payload of %d", s.Attrs.Get("bytes"), 1+len(agg.Data))
+			}
 		case "fed.fanout":
 			fanouts++
 			if p := byID[s.Parent]; p.Kind != "fed.query" && p.Kind != "fed.merge" {
@@ -178,6 +186,9 @@ func TestTraceFederationQueryTree(t *testing.T) {
 		case "server.query":
 			if p := byID[s.Parent]; p.Kind == "fed.fanout" {
 				joined++
+			}
+			if n, err := strconv.Atoi(s.Attrs.Get("bytes")); err != nil || n < 2 {
+				t.Errorf("server.query (%s) bytes = %q", s.Attrs.Get("kind"), s.Attrs.Get("bytes"))
 			}
 		case "fed.merge":
 			merges++

@@ -143,17 +143,6 @@ func (s *Store[R, S]) Insert(r *R) Class {
 	return Accepted
 }
 
-// Get returns the record stored under (k, sub), if any.
-func (s *Store[R, S]) Get(k Group, sub S) (R, bool) {
-	if g := s.groups[k]; g != nil {
-		if i, found := s.find(g, sub); found {
-			return *s.row(g.slots[i]), true
-		}
-	}
-	var zero R
-	return zero, false
-}
-
 // Len returns the number of stored records.
 func (s *Store[R, S]) Len() int { return s.n }
 
@@ -196,15 +185,21 @@ func (s *Store[R, S]) Each(k Group, fn func(*R)) int {
 	return len(g.slots)
 }
 
-// Append appends every record to dst in canonical order — groups by
-// (job, step), records by the rest of their key — and returns the
-// extended slice: the dump persistence, merges and pages all share.
-func (s *Store[R, S]) Append(dst []R) []R {
+// Walk calls fn for every record in canonical order — groups by (job,
+// step), records by the rest of their key. The pointer is into the
+// store's own rows: read-only, and only valid during the call.
+func (s *Store[R, S]) Walk(fn func(*R)) {
 	for _, g := range s.sorted() {
 		for _, slot := range g.slots {
-			dst = append(dst, *s.row(slot))
+			fn(s.row(slot))
 		}
 	}
+}
+
+// Append appends every record to dst in Walk's order and returns the
+// extended slice: the dump persistence, merges and pages all share.
+func (s *Store[R, S]) Append(dst []R) []R {
+	s.Walk(func(r *R) { dst = append(dst, *r) })
 	return dst
 }
 

@@ -195,10 +195,15 @@ func exercise[R comparable, S comparable](t *testing.T, inst instance[R, S], see
 		if got := st.Groups(); !slices.Equal(got, groups) {
 			t.Fatalf("step %d: Groups() = %v, want %v", step, got, groups)
 		}
-		for _, r := range after {
-			if got, ok := st.Get(inst.group(&r), inst.sub(&r)); !ok || got != r {
-				t.Fatalf("step %d: Get of a stored key = %v, %v; want %v", step, got, ok, r)
+		walked := 0
+		st.Walk(func(r *R) {
+			if walked >= len(after) || *r != after[walked] {
+				t.Fatalf("step %d: Walk out of canonical order at row %d: %v", step, walked, *r)
 			}
+			walked++
+		})
+		if walked != len(after) {
+			t.Fatalf("step %d: Walk visited %d rows, want %d", step, walked, len(after))
 		}
 		if len(groups) > 0 {
 			g, i := groups[rng.Intn(len(groups))], 0

@@ -274,6 +274,46 @@ func resultSeeds(tb testing.TB) [][]byte {
 	)
 }
 
+// eachAgreesWithDecode holds the streaming decode of a dump to the
+// slice decode of the same body, whose outcome was v and err: the same
+// records in the same order, or both fail with ErrPayload — the
+// streaming one having handed out only records the slice decode read
+// the same way before the fault.
+func eachAgreesWithDecode(t *testing.T, res Result, v any, err error) {
+	t.Helper()
+	var streamed, whole any
+	var eachErr error
+	switch res.Kind {
+	case QueryRecords:
+		recs := []eard.JobRecord{}
+		eachErr = res.EachRecord(func(r eard.JobRecord) error { recs = append(recs, r); return nil })
+		streamed, whole = recs, *v.(*[]eard.JobRecord)
+	case QueryAcctRecords:
+		recs := []accounting.Record{}
+		eachErr = res.EachAcctRecord(func(r accounting.Record) error { recs = append(recs, r); return nil })
+		streamed, whole = recs, *v.(*[]accounting.Record)
+	default:
+		if res.EachRecord(nil) == nil || res.EachAcctRecord(nil) == nil {
+			t.Fatalf("a %s result streamed as a dump", res.Kind)
+		}
+		return
+	}
+	if (eachErr != nil) != (err != nil) || (eachErr != nil && !errors.Is(eachErr, ErrPayload)) {
+		t.Fatalf("%s: streaming decode err = %v, slice decode err = %v", res.Kind, eachErr, err)
+	}
+	if n := reflect.ValueOf(streamed).Len(); err != nil {
+		// The slice decode leaves zero records past the fault: compare
+		// what was streamed before it.
+		if n > reflect.ValueOf(whole).Len() {
+			t.Fatalf("%s: streamed %d records of a dump announcing %d", res.Kind, n, reflect.ValueOf(whole).Len())
+		}
+		whole = reflect.ValueOf(whole).Slice(0, n).Interface()
+	}
+	if !sameBits(streamed, whole) {
+		t.Fatalf("%s: streamed records differ from the decoded slice\n got %+v\nwant %+v", res.Kind, streamed, whole)
+	}
+}
+
 // FuzzResultPayload is FuzzBatchPayload for result bodies. The
 // allocation bound covers the binary kinds; the four JSON kinds are
 // held only to never panicking (encoding/json's allocation per input
@@ -281,6 +321,7 @@ func resultSeeds(tb testing.TB) [][]byte {
 func FuzzResultPayload(f *testing.F) {
 	for _, seed := range resultSeeds(f) {
 		f.Add(seed)
+		f.Add(seed[:2*len(seed)/3]) // a dump that fails part-way
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := Frame{Type: TypeResult, Payload: data}.AsResult()
@@ -307,6 +348,7 @@ func FuzzResultPayload(f *testing.F) {
 		if got := allocatedBy(func() { err = res.Decode(v) }); got > decodeBudget(len(data), fuzzSlack) {
 			t.Fatalf("decoding %d bytes of %s allocated %d", len(data), res.Kind, got)
 		}
+		eachAgreesWithDecode(t, res, v, err)
 		if err != nil {
 			if !errors.Is(err, ErrPayload) {
 				t.Fatalf("unexpected error class: %v", err)

@@ -44,26 +44,50 @@ type Result struct {
 	Data []byte
 }
 
-// EncodeResult builds a TypeResult frame of the given kind. The binary
-// kinds take exactly their Go shape ([]eard.JobRecord for records,
+// ResultKinds lists the result kinds by kind byte — the first byte of
+// every result payload; index 0, the invalid code, is empty.
+func ResultKinds() []string { return slices.Clone(resultKinds[:]) }
+
+// EncodeResult builds a TypeResult frame of the given kind in a fresh
+// payload; see AppendResult for the shapes it takes.
+func EncodeResult(kind string, data any) (Frame, error) {
+	p, err := AppendResult(nil, kind, data)
+	if err != nil {
+		return Frame{}, err
+	}
+	return Frame{Type: TypeResult, Payload: p}, nil
+}
+
+// AppendResult appends the payload of a TypeResult frame of the given
+// kind to dst and returns the extended slice; a caller that keeps dst
+// across replies encodes without allocating. The binary kinds take
+// exactly their Go shape ([]eard.JobRecord for records,
 // []accounting.Record for acct_records, accounting.Page for acct_jobs,
 // []NodePower for node_powers, Generation for generation); the JSON
-// kinds take any marshallable value.
-func EncodeResult(kind string, data any) (Frame, error) {
+// kinds take any marshallable value. The two kinds a store serves
+// also take the store's own view, encoded record by record with no
+// copy in between and to the same bytes: an accounting.Selection for
+// acct_jobs, an *eard.DB for records. On error dst comes back as it
+// was.
+func AppendResult(dst []byte, kind string, data any) ([]byte, error) {
 	code := slices.Index(resultKinds[:], kind)
 	if code <= 0 {
-		return Frame{}, fmt.Errorf("wire: encode result: unknown kind %q", kind)
+		return dst, fmt.Errorf("wire: encode result: unknown kind %q", kind)
 	}
 	var e encoder
 	// begin sizes the payload for the body about to be written.
-	begin := func(sizeHint int) { e.buf = append(make([]byte, 0, 1+sizeHint), uint8(code)) }
+	begin := func(sizeHint int) { e.buf = append(slices.Grow(dst, 1+sizeHint), uint8(code)) }
 	ok := true
 	switch kind {
 	case QueryRecords:
-		var recs []eard.JobRecord
-		if recs, ok = data.([]eard.JobRecord); ok {
+		switch recs := data.(type) {
+		case []eard.JobRecord:
 			begin(recordsSizeHint(len(recs), 0))
 			e.records(recs)
+		case *eard.DB:
+			return appendRecordsOf(dst, uint8(code), recs), nil
+		default:
+			ok = false
 		}
 	case QueryAcctRecords:
 		var recs []accounting.Record
@@ -72,12 +96,22 @@ func EncodeResult(kind string, data any) (Frame, error) {
 			e.acctRecords(recs)
 		}
 	case QueryAcctJobs:
-		var page accounting.Page
-		if page, ok = data.(accounting.Page); ok {
+		switch page := data.(type) {
+		case accounting.Page:
 			begin(recordsSizeHint(0, len(page.Records)) + len(page.Next))
 			e.acctRecords(page.Records)
 			e.str(page.Next)
 			e.int(page.Total)
+		case accounting.Selection:
+			begin(recordsSizeHint(0, page.N) + len(page.Next))
+			e.uint(uint64(page.N))
+			// Each is a concrete method that only calls its argument, so
+			// the closure — and with it e — stays on the stack.
+			page.Each(func(r *accounting.Record) { e.acctRecord(r) })
+			e.str(page.Next)
+			e.int(page.Total)
+		default:
+			ok = false
 		}
 	case QueryNodePowers:
 		var nps []NodePower
@@ -98,15 +132,31 @@ func EncodeResult(kind string, data any) (Frame, error) {
 	default:
 		raw, err := json.Marshal(data)
 		if err != nil {
-			return Frame{}, fmt.Errorf("wire: encode %s result: %w", kind, err)
+			return dst, fmt.Errorf("wire: encode %s result: %w", kind, err)
 		}
 		begin(len(raw))
 		e.buf = append(e.buf, raw...)
 	}
 	if !ok {
-		return Frame{}, fmt.Errorf("wire: encode %s result: unexpected data type %T", kind, data)
+		return dst, fmt.Errorf("wire: encode %s result: unexpected data type %T", kind, data)
 	}
-	return Frame{Type: TypeResult, Payload: e.buf}, nil
+	return e.buf, nil
+}
+
+// appendRecordsOf is the records dump encoded straight from the
+// database's rows, under its read lock. It is a function of its own
+// because its encoder is reached from callbacks handed across two
+// packages and a generic instantiation: should the compiler ever stop
+// proving they do not escape, the encoder moves to the heap here, for
+// a dump, and not in AppendResult for every reply of every kind
+// (TestAppendResultAllocations holds that line).
+func appendRecordsOf(dst []byte, code uint8, db *eard.DB) []byte {
+	e := encoder{buf: dst}
+	db.Walk(func(n int) {
+		e.buf = append(slices.Grow(e.buf, 1+recordsSizeHint(n, 0)), code)
+		e.uint(uint64(n))
+	}, e.record)
+	return e.buf
 }
 
 // AsResult decodes a TypeResult frame's kind; the body stays encoded
@@ -172,6 +222,47 @@ func (r Result) Decode(v any) error {
 	}
 	if !ok {
 		return fmt.Errorf("wire: decode %s result: unexpected target type %T", r.Kind, v)
+	}
+	return d.finish(r.Kind, "result")
+}
+
+// EachRecord decodes a records dump one record at a time, handing each
+// to fn, so a dump folds into a store with no slice in between. The
+// strings of a record are cut from the frame's literal blocks like any
+// decoded string. It stops at fn's first error and returns it; a
+// malformed body fails as Decode does, after fn has seen the records
+// before the fault.
+func (r Result) EachRecord(fn func(eard.JobRecord) error) error {
+	if r.Kind != QueryRecords {
+		return fmt.Errorf("wire: decode %s result: not a %s dump", r.Kind, QueryRecords)
+	}
+	d := decoder{p: r.Data}
+	var rec eard.JobRecord
+	for n := d.count(minRecordLen); n > 0; n-- {
+		if d.record(&rec); d.err != nil {
+			break
+		}
+		if err := fn(rec); err != nil {
+			return err
+		}
+	}
+	return d.finish(r.Kind, "result")
+}
+
+// EachAcctRecord is EachRecord for an acct_records dump.
+func (r Result) EachAcctRecord(fn func(accounting.Record) error) error {
+	if r.Kind != QueryAcctRecords {
+		return fmt.Errorf("wire: decode %s result: not an %s dump", r.Kind, QueryAcctRecords)
+	}
+	d := decoder{p: r.Data}
+	var rec accounting.Record
+	for n := d.count(minAcctLen); n > 0; n-- {
+		if d.acctRecord(&rec); d.err != nil {
+			break
+		}
+		if err := fn(rec); err != nil {
+			return err
+		}
 	}
 	return d.finish(r.Kind, "result")
 }
