@@ -299,43 +299,46 @@ func reportCmd(args []string, out io.Writer) error {
 }
 
 // parseEndpoints resolves the -addr/-unix target flags of dbd, jobs and
-// send into a dial plan: a unix socket path, a single TCP endpoint, or
-// a comma-separated list of shard endpoints (queried through an
-// in-process federation root; ring-routed by send).
-func parseEndpoints(addr, unixSock string) (network string, targets []string, err error) {
+// send into the fleet they name: a unix socket path, a single TCP
+// endpoint, or a comma-separated list of shard endpoints (queried
+// through an in-process federation root; ring-routed by send).
+func parseEndpoints(addr, unixSock string) (*fed.Fleet, error) {
 	if (addr == "") == (unixSock == "") {
-		return "", nil, fmt.Errorf("pass exactly one of -addr or -unix")
+		return nil, fmt.Errorf("pass exactly one of -addr or -unix")
 	}
 	if unixSock != "" {
-		return "unix", []string{unixSock}, nil
+		return fed.NewFleet([]string{unixSock}, func(path string) (net.Conn, error) { return net.Dial("unix", path) })
 	}
-	if targets = ring.ParseMembers(addr); len(targets) == 0 {
-		return "", nil, fmt.Errorf("-addr lists no endpoints")
+	targets := ring.ParseMembers(addr)
+	if len(targets) == 0 {
+		return nil, fmt.Errorf("-addr lists no endpoints")
 	}
-	return "tcp", targets, nil
+	return fed.NewFleet(targets, nil)
 }
 
 // dialEndpoints opens one query connection: straight to a single
 // daemon, or through an in-process federation root when several shard
 // endpoints are listed — the same merged view a long-running root
 // serves, built on the fly. The returned cleanup closes everything.
-func dialEndpoints(network string, targets []string, maxFrame int) (net.Conn, func(), error) {
-	if len(targets) == 1 {
-		conn, err := net.Dial(network, targets[0])
+func dialEndpoints(fleet *fed.Fleet, maxFrame int) (net.Conn, func(), error) {
+	if names := fleet.Names(); len(names) == 1 {
+		conn, err := fleet.Dial(names[0])
 		if err != nil {
 			return nil, nil, fmt.Errorf("dial eardbd: %w", err)
 		}
 		return conn, func() { conn.Close() }, nil
 	}
-	root, err := fed.NewRoot(fed.Config{Shards: fed.ShardsAt(targets, nil), MaxFramePayload: maxFrame})
+	root, err := fed.NewRoot(fed.Config{Fleet: fleet, MaxFramePayload: maxFrame})
 	if err != nil {
 		return nil, nil, err
 	}
-	conn, server := net.Pipe()
-	go root.ServeConn(server)
+	conn, err := root.Dial()
+	if err != nil {
+		return nil, nil, err
+	}
 	return conn, func() {
 		conn.Close()
-		root.Close()
+		root.Close() // waits for the connection's handler
 	}, nil
 }
 
@@ -352,7 +355,7 @@ func dbdCmd(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	network, targets, err := parseEndpoints(*addr, *unixSock)
+	fleet, err := parseEndpoints(*addr, *unixSock)
 	if err != nil {
 		return err
 	}
@@ -361,7 +364,7 @@ func dbdCmd(args []string, out io.Writer) error {
 	}
 	kind := fs.Arg(0)
 
-	conn, cleanup, err := dialEndpoints(network, targets, *maxFrame)
+	conn, cleanup, err := dialEndpoints(fleet, *maxFrame)
 	if err != nil {
 		return err
 	}
@@ -461,11 +464,11 @@ func jobsCmd(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	network, targets, err := parseEndpoints(*addr, *unixSock)
+	fleet, err := parseEndpoints(*addr, *unixSock)
 	if err != nil {
 		return err
 	}
-	conn, cleanup, err := dialEndpoints(network, targets, *maxFrame)
+	conn, cleanup, err := dialEndpoints(fleet, *maxFrame)
 	if err != nil {
 		return err
 	}

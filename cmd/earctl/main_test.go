@@ -294,24 +294,31 @@ func TestDbdQueries(t *testing.T) {
 // TestParseEndpoints pins the dbd target-flag grammar: one unix
 // socket, one TCP endpoint, or a comma-separated shard list.
 func TestParseEndpoints(t *testing.T) {
+	// A real socket behind the -unix case: the fleet must reach it as a
+	// unix socket, not as a TCP address.
+	sock := filepath.Join(t.TempDir(), "eardbd.sock")
+	l, err := net.Listen("unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
 	cases := []struct {
 		name        string
 		addr, unix  string
-		wantNetwork string
 		wantTargets []string
 		wantErr     bool
 	}{
-		{name: "single tcp", addr: "127.0.0.1:4711", wantNetwork: "tcp", wantTargets: []string{"127.0.0.1:4711"}},
-		{name: "two shards", addr: "a:1,b:2", wantNetwork: "tcp", wantTargets: []string{"a:1", "b:2"}},
-		{name: "spaces and trailing comma", addr: " a:1 , b:2 ,", wantNetwork: "tcp", wantTargets: []string{"a:1", "b:2"}},
-		{name: "unix socket", unix: "/run/eardbd.sock", wantNetwork: "unix", wantTargets: []string{"/run/eardbd.sock"}},
+		{name: "single tcp", addr: "127.0.0.1:4711", wantTargets: []string{"127.0.0.1:4711"}},
+		{name: "two shards", addr: "a:1,b:2", wantTargets: []string{"a:1", "b:2"}},
+		{name: "spaces and trailing comma", addr: " a:1 , b:2 ,", wantTargets: []string{"a:1", "b:2"}},
+		{name: "unix socket", unix: sock, wantTargets: []string{sock}},
 		{name: "neither", wantErr: true},
 		{name: "both", addr: "a:1", unix: "/sock", wantErr: true},
 		{name: "only commas", addr: ",,", wantErr: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			network, targets, err := parseEndpoints(tc.addr, tc.unix)
+			fleet, err := parseEndpoints(tc.addr, tc.unix)
 			if tc.wantErr {
 				if err == nil {
 					t.Fatalf("parseEndpoints(%q, %q) accepted", tc.addr, tc.unix)
@@ -321,9 +328,7 @@ func TestParseEndpoints(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if network != tc.wantNetwork {
-				t.Errorf("network = %q, want %q", network, tc.wantNetwork)
-			}
+			targets := fleet.Names()
 			if len(targets) != len(tc.wantTargets) {
 				t.Fatalf("targets = %v, want %v", targets, tc.wantTargets)
 			}
@@ -331,6 +336,13 @@ func TestParseEndpoints(t *testing.T) {
 				if targets[i] != tc.wantTargets[i] {
 					t.Errorf("targets[%d] = %q, want %q", i, targets[i], tc.wantTargets[i])
 				}
+			}
+			if tc.unix != "" {
+				conn, err := fleet.Dial(tc.unix)
+				if err != nil {
+					t.Fatalf("dial the unix socket: %v", err)
+				}
+				conn.Close()
 			}
 		})
 	}

@@ -7,12 +7,10 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"os"
 
 	"goear/internal/eard"
 	"goear/internal/eardbd"
-	"goear/internal/eardbd/ring"
 	"goear/internal/telemetry"
 	"goear/internal/telemetry/trace"
 )
@@ -43,7 +41,7 @@ func sendCmd(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	network, targets, err := parseEndpoints(*addr, *unixSock)
+	fleet, err := parseEndpoints(*addr, *unixSock)
 	if err != nil {
 		return err
 	}
@@ -78,16 +76,10 @@ func sendCmd(args []string, out io.Writer) error {
 	if n := journal.Len(); n > 0 {
 		fmt.Fprintf(out, "earctl send: journal holds %d spilled batch(es) to replay\n", n)
 	}
-	target := targets[0]
-	if len(targets) > 1 {
+	if len(fleet.Names()) > 1 {
 		// Ring placement: the same owner every reporting client and the
 		// federation pick for this node.
-		rg, err := ring.NewWithMembers(0, targets)
-		if err != nil {
-			return err
-		}
-		target, _ = rg.Owner(*node) // a ring with members owns every key
-		fmt.Fprintf(out, "earctl send: node %s routes to shard %s\n", *node, target)
+		fmt.Fprintf(out, "earctl send: node %s routes to shard %s\n", *node, fleet.Owner(*node))
 	}
 	var traceBuf *trace.Buffer
 	if *tracesOut != "" {
@@ -95,7 +87,7 @@ func sendCmd(args []string, out io.Writer) error {
 	}
 	c, err := eardbd.NewClient(eardbd.ClientConfig{
 		Node:         *node,
-		Dial:         func() (net.Conn, error) { return net.Dial(network, target) },
+		Dial:         fleet.DialFor(*node),
 		Clock:        telemetry.StartWallClock(),
 		Jitter:       rand.New(rand.NewSource(*seed)),
 		BatchRecords: *batch,

@@ -248,8 +248,10 @@ func TestSendFramesMatchEardsend(t *testing.T) {
 			return
 		}
 		defer c.Close()
-		near, far := net.Pipe()
-		go srv.ServeConn(far)
+		near, err := srv.Dial()
+		if err != nil {
+			return
+		}
 		go func() { _, _ = io.Copy(c, near) }()
 		h := sha256.New()
 		n, _ := io.Copy(io.MultiWriter(near, h), c)

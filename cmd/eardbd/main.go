@@ -2,8 +2,9 @@
 // between per-node reporting clients and the accounting database. It
 // listens on TCP and/or a unix socket for wire-framed record batches,
 // validates and deduplicates them into an in-memory eard.DB, serves
-// snapshot queries (earctl dbd ...), and persists the database as JSON
-// on shutdown.
+// snapshot queries (earctl dbd ...), and with -db persists what it
+// acknowledged on shutdown: the records as JSON at that path, the node
+// powers and job accounting records beside it at <path>.state.
 //
 // With -fed the daemon runs as a federation root instead: a query-only
 // tier over a fleet of shard daemons that merges their snapshots and
@@ -26,10 +27,12 @@
 //	eardbd -listen 127.0.0.1:4700 -fed 127.0.0.1:4711,127.0.0.1:4712
 //	eardbd -listen 127.0.0.1:4700 -fed ... -cascade 40000 -cascade-interval 10
 //
-// Stop with SIGINT/SIGTERM; the database file is written on exit.
+// Stop with SIGINT/SIGTERM; both files are written on exit, each
+// through a temporary file renamed into place.
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -97,6 +100,10 @@ func run(args []string, out io.Writer, ready chan<- []string, quit <-chan struct
 	if *traceOn && *telAddr == "" {
 		return fmt.Errorf("-trace serves spans over the telemetry endpoint: pass -telemetry")
 	}
+	// Beside the -db record file, which keeps the format earctl
+	// acct|report and earsim -acct share, goes the rest of what a restart
+	// keeps (eardbd.Saved).
+	statePath := *dbPath + ".state"
 
 	// Telemetry must be live before the server is built: instrument
 	// handles are resolved in NewServer. The HTTP listener binds here
@@ -141,26 +148,25 @@ func run(args []string, out io.Writer, ready chan<- []string, quit <-chan struct
 		case *acctRetain != 0:
 			return fmt.Errorf("-acct-retain is ingest-only: a federation root keeps no accounting store")
 		}
-		cfg := fed.Config{
-			Shards:          fed.ShardsAt(ring.ParseMembers(*fedShards), nil),
-			MaxFramePayload: *maxFrame, Telemetry: telSet, Trace: traceBuf, Now: wallSec,
-		}
-		var err error
-		root, err = fed.NewRoot(cfg)
+		fleet, err := fed.NewFleet(ring.ParseMembers(*fedShards), nil)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "eardbd: federation root over %d shards\n", len(cfg.Shards))
+		root, err = fed.NewRoot(fed.Config{Fleet: fleet, MaxFramePayload: *maxFrame, Telemetry: telSet, Trace: traceBuf, Now: wallSec})
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "eardbd: federation root over %d shards\n", len(fleet.Names()))
 		svc = root
 
 		if *cascadeBudget > 0 {
 			var islands []eargm.Island
-			for _, sh := range cfg.Shards {
-				src, err := root.IslandSource(sh.Name)
+			for _, name := range fleet.Names() {
+				src, err := root.IslandSource(name)
 				if err != nil {
 					return err
 				}
-				islands = append(islands, eargm.Island{Name: sh.Name, Src: src})
+				islands = append(islands, eargm.Island{Name: name, Src: src})
 			}
 			casc, err := eargm.NewCascade(eargm.CascadeConfig{
 				BudgetW:     *cascadeBudget,
@@ -223,6 +229,21 @@ func run(args []string, out io.Writer, ready chan<- []string, quit <-chan struct
 		}
 		srv = eardbd.NewServer(db, eardbd.Config{MaxFramePayload: *maxFrame, MaxBatchRecords: *maxBatch, AcctMaxRecords: *acctRetain, Telemetry: telSet, Trace: traceBuf, Now: wallSec})
 		svc = srv
+		if *dbPath != "" {
+			saved, err := loadState(statePath)
+			switch {
+			case errors.Is(err, os.ErrNotExist):
+				// First boot, or a record file earsim wrote: nothing beside it yet.
+			case err != nil:
+				return err
+			default:
+				if err := srv.Restore(saved); err != nil {
+					return err
+				}
+				fmt.Fprintf(out, "eardbd: restored %d node powers and %d accounting records from %s\n",
+					len(saved.Powers), len(saved.Acct), statePath)
+			}
+		}
 	}
 
 	if telLn != nil {
@@ -303,6 +324,28 @@ func run(args []string, out io.Writer, ready chan<- []string, quit <-chan struct
 		st := srv.Stats()
 		fmt.Fprintf(out, "eardbd: saved %d records to %s (%d batches, %d accepted, %d duplicate, %d replaced)\n",
 			db.Len(), *dbPath, st.Batches, st.RecordsAccepted, st.RecordsDuplicate, st.RecordsReplaced)
+		saved := srv.Saved()
+		err := eard.WriteFile(statePath, func(w io.Writer) error { return json.NewEncoder(w).Encode(saved) })
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "eardbd: saved %d node powers and %d accounting records to %s\n",
+			len(saved.Powers), len(saved.Acct), statePath)
 	}
 	return firstErr
+}
+
+// loadState reads the state a previous run saved; a missing file is an
+// error satisfying errors.Is(err, os.ErrNotExist), which a first boot
+// treats as an empty state.
+func loadState(path string) (eardbd.Saved, error) {
+	var saved eardbd.Saved
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		return saved, err
+	}
+	if err := json.Unmarshal(blob, &saved); err != nil {
+		return saved, fmt.Errorf("decode %s: %w", path, err)
+	}
+	return saved, nil
 }

@@ -1,12 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"goear/internal/accounting"
 	"goear/internal/eard"
 	"goear/internal/eardbd"
 	"goear/internal/wire"
@@ -64,39 +66,82 @@ func sendBatch(t *testing.T, addr string, b wire.Batch) wire.Ack {
 	return ack
 }
 
+// TestDaemonLifecycleWithPersistence: what the daemon acknowledged, it
+// still serves after a restart — the records, every node's last
+// reported power and the job accounting records, byte for byte.
 func TestDaemonLifecycleWithPersistence(t *testing.T) {
 	dbFile := filepath.Join(t.TempDir(), "jobs.json")
 	addr, stop := startDaemon(t, "-db", dbFile)
 
+	acct := make([]accounting.Record, 2)
+	for i, node := range []string{"n01", "n02"} {
+		var err error
+		acct[i], err = accounting.NewRecord(
+			accounting.Meta{JobID: "j1", StepID: "0", User: "alice", Policy: "min_energy"},
+			accounting.Window{Node: node, Phase: 0, StartSec: 0, EndSec: 10},
+			accounting.Energy{PkgJ: 2000 + float64(i), DramJ: 300, UncoreJ: 400, NodeJ: 3000 + 100*float64(i)},
+			accounting.Rates{AvgCPUGHz: 2.1, AvgIMCGHz: 2.4})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 	ack := sendBatch(t, addr, wire.Batch{ID: "n01/1", Node: "n01", Records: []eard.JobRecord{
 		{JobID: "j1", StepID: "0", Node: "n01", App: "X", TimeSec: 10, EnergyJ: 3000, AvgPower: 300},
 		{JobID: "j1", StepID: "0", Node: "n02", App: "X", TimeSec: 10, EnergyJ: 3100, AvgPower: 310},
-	}})
-	if ack.Accepted != 2 {
+	}, Acct: acct})
+	if ack.Accepted != 4 {
 		t.Fatalf("ack = %+v", ack)
 	}
+	// read puts the three queries a restart must not change to the
+	// daemon and returns the result payloads.
+	read := func(addr string) [][]byte {
+		t.Helper()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		var out [][]byte
+		for _, q := range []wire.Query{
+			{Kind: wire.QueryAggregate},
+			{Kind: wire.QueryNodePowers},
+			{Kind: wire.QueryAcctJobs, User: "alice", Limit: 10},
+		} {
+			res, err := eardbd.Query(conn, q, 0)
+			if err != nil {
+				t.Fatalf("%s: %v", q.Kind, err)
+			}
+			out = append(out, append([]byte(nil), res.Data...))
+		}
+		return out
+	}
+	before := read(addr)
+	if !strings.Contains(string(before[0]), `"nodes":2`) || !strings.Contains(string(before[0]), `"total_power_w":610`) {
+		t.Fatalf("aggregate before the restart = %s", before[0])
+	}
 	out := stop()
-	if !strings.Contains(out, "saved 2 records") {
-		t.Errorf("shutdown output missing save line:\n%s", out)
+	for _, want := range []string{"saved 2 records", "saved 2 node powers and 2 accounting records"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("shutdown output missing %q:\n%s", want, out)
+		}
+	}
+	if left, _ := filepath.Glob(dbFile + "*.tmp"); len(left) != 0 {
+		t.Errorf("temporary files left beside the database: %v", left)
 	}
 
-	// A restarted daemon loads the persisted database and serves it.
+	// A restarted daemon loads both files and serves what it did before.
 	addr2, stop2 := startDaemon(t, "-db", dbFile)
-	conn, err := net.Dial("tcp", addr2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	res, err := eardbd.Query(conn, wire.Query{Kind: wire.QueryAggregate}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(res.Data), `"records":2`) {
-		t.Errorf("aggregate after restart = %s", res.Data)
+	after := read(addr2)
+	for i, kind := range []string{"aggregate", "node_powers", "acct_jobs"} {
+		if !bytes.Equal(after[i], before[i]) {
+			t.Errorf("%s after the restart differs:\n before %q\n after  %q", kind, before[i], after[i])
+		}
 	}
 	out2 := stop2()
-	if !strings.Contains(out2, "loaded 2 records") {
-		t.Errorf("restart output missing load line:\n%s", out2)
+	for _, want := range []string{"loaded 2 records", "restored 2 node powers and 2 accounting records"} {
+		if !strings.Contains(out2, want) {
+			t.Errorf("restart output missing %q:\n%s", want, out2)
+		}
 	}
 }
 
@@ -217,5 +262,14 @@ func TestDaemonFlagErrors(t *testing.T) {
 	}
 	if err := run([]string{"-listen", "127.0.0.1:0", "-db", bad}, &out, nil, nil); err == nil {
 		t.Error("corrupt db file accepted")
+	}
+	good := filepath.Join(t.TempDir(), "jobs.json")
+	for path, content := range map[string]string{good: "[]", good + ".state": "not json"} {
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := run([]string{"-listen", "127.0.0.1:0", "-db", good}, &out, nil, nil); err == nil {
+		t.Error("corrupt state file accepted")
 	}
 }

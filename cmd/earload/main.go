@@ -20,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"strconv"
 	"strings"
@@ -122,30 +121,25 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	var dialFor func(node string) func() (net.Conn, error)
-	var root func() (*fed.Root, error)
+	// Both modes drive one fleet description and differ in what answers
+	// its dial function: the external daemons over TCP, or in-process
+	// shards that can be killed and restarted.
+	var fleet *fed.Fleet
 	hooks := loadgen.Hooks{}
 	postBurst := func() {}
 	if *addrs != "" {
 		if *kill != "" || *restart != "" {
 			return fmt.Errorf("fault injection needs in-process shards, not -addrs")
 		}
-		eps, err := loadgen.NewEndpoints(ring.ParseMembers(*addrs), func(addr string) (net.Conn, error) {
-			return net.Dial("tcp", addr)
-		})
-		if err != nil {
+		if fleet, err = fed.NewFleet(ring.ParseMembers(*addrs), nil); err != nil {
 			return err
 		}
-		eps.MaxFramePayload = *maxFrame
-		eps.Telemetry = set
-		eps.Trace = traceBuf
-		dialFor, root = eps.DialFor, eps.Root
 	} else {
 		cluster, err := loadgen.NewCluster(*shards, eardbd.Config{Telemetry: set, MaxFramePayload: *maxFrame, Trace: traceBuf})
 		if err != nil {
 			return err
 		}
-		dialFor, root = cluster.DialFor, cluster.Root
+		fleet = cluster.Fleet()
 		if *restart != "" && *kill == "" {
 			return fmt.Errorf("-restart without -kill")
 		}
@@ -197,6 +191,10 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
+	root := func() (*fed.Root, error) {
+		return fed.NewRoot(fed.Config{Fleet: fleet, MaxFramePayload: *maxFrame, Telemetry: set, Trace: traceBuf})
+	}
+
 	// The query hammer pages the accounting API through a federation
 	// root concurrently with ingest, exercising the snapshot cache
 	// under constant invalidation. Errors are expected around fault
@@ -246,16 +244,17 @@ func run(args []string, out io.Writer) error {
 		stopQueries = func() {
 			close(stop)
 			wg.Wait()
+			_ = qr.Close() // hangs up the parked shard connections; nothing is written through them
 		}
 	}
 
-	res, err := g.Run(dialFor, hooks)
+	res, err := g.Run(fleet.DialFor, hooks)
 	if err != nil {
 		stopQueries()
 		return err
 	}
 	postBurst()
-	left, err := g.Drain(dialFor, *drainPasses)
+	left, err := g.Drain(fleet.DialFor, *drainPasses)
 	stopQueries()
 	if err != nil {
 		return err
@@ -298,6 +297,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		blob, err := loadgen.Snapshot(r)
+		_ = r.Close() // a read-only root: only parked connections to hang up
 		if err != nil {
 			return err
 		}

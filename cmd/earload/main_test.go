@@ -2,10 +2,15 @@ package main
 
 import (
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"goear/internal/eard"
+	"goear/internal/eardbd"
 )
 
 func readFile(path string) (string, error) {
@@ -90,6 +95,49 @@ func TestEarloadSnapshotIdenticalAcrossShardCounts(t *testing.T) {
 	for _, shards := range []int{2, 4} {
 		if got := snapshotOf(t, 60, shards, 10); got != ref {
 			t.Fatalf("shards=%d snapshot differs from single-shard run", shards)
+		}
+	}
+}
+
+// TestEarloadExternalShardsHangUp drives -addrs mode against two
+// listening daemons and reads the same snapshot an in-process fleet of
+// two gives; once the run returns, the daemons serve no connection of
+// its — the roots behind the query hammer and the snapshot hang up the
+// connections they parked.
+func TestEarloadExternalShardsHangUp(t *testing.T) {
+	var addrs []string
+	var shards []*eardbd.Server
+	for i := 0; i < 2; i++ {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := eardbd.NewServer(eard.NewDB(), eardbd.Config{})
+		go func() { _ = srv.Serve(l) }() // returns nil on Close
+		defer srv.Close()
+		addrs, shards = append(addrs, l.Addr().String()), append(shards, srv)
+	}
+	snap := filepath.Join(t.TempDir(), "snap.json")
+	var out strings.Builder
+	err := run([]string{"-addrs", strings.Join(addrs, ","), "-nodes", "40", "-acct", "1", "-queries", "2", "-snapshot", snap}, &out)
+	if err != nil {
+		t.Fatalf("%v\noutput: %s", err, out.String())
+	}
+	got, err := readFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(got, `"nodes": 40`) {
+		t.Errorf("snapshot does not cover the 40 nodes:\n%.300s", got)
+	}
+	// A closed client end takes the handler a scheduling round to notice.
+	deadline := time.Now().Add(10 * time.Second)
+	for _, srv := range shards {
+		for srv.Conns() > 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("a daemon still serves %d connections after earload returned", srv.Conns())
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
 }

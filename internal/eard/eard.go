@@ -218,17 +218,33 @@ func LoadFile(path string) (*DB, error) {
 	return db, nil
 }
 
-// SaveFile writes the database to path as Save does, replacing the file.
-func (db *DB) SaveFile(path string) error {
-	f, err := os.Create(path)
+// SaveFile writes the database to path as Save does, replacing the
+// file the way WriteFile does.
+func (db *DB) SaveFile(path string) error { return WriteFile(path, db.Save) }
+
+// WriteFile replaces the file at path with what write produces, through
+// a temporary file beside it that is synced and then renamed over path:
+// a crash mid-save leaves the previous file intact and loadable.
+func WriteFile(path string, write func(io.Writer) error) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	serr := db.Save(f)
-	if cerr := f.Close(); serr == nil {
-		serr = cerr
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
 	}
-	return serr
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp) // the write's error is the one to report
+	}
+	return err
 }
 
 // Load replaces the database contents from JSON produced by Save.

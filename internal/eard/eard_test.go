@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -387,6 +388,22 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 	if got := back.Records(); len(got) != 1 || got[0] != rec {
 		t.Errorf("round trip = %+v, want %+v", got, rec)
+	}
+	// A save that dies part-way leaves the previous file loadable and
+	// nothing else behind.
+	torn := errors.New("killed mid-save")
+	err = WriteFile(path, func(w io.Writer) error {
+		_, _ = io.WriteString(w, `[{"job_id":"j1","st`)
+		return torn
+	})
+	if !errors.Is(err, torn) {
+		t.Fatalf("WriteFile = %v, want the write's error", err)
+	}
+	if back, err = LoadFile(path); err != nil || back.Len() != 1 {
+		t.Errorf("after a torn save: %v, want the previous file intact", err)
+	}
+	if left, _ := filepath.Glob(path + ".*"); len(left) != 0 {
+		t.Errorf("torn save left %v behind", left)
 	}
 	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
 		t.Fatal(err)

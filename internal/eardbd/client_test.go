@@ -13,16 +13,15 @@ import (
 	"goear/internal/par"
 )
 
-// pipeDialer returns a Dial function handing out net.Pipe ends served
-// by srv, with the server end optionally wrapped.
-func pipeDialer(srv *Server, wrap func(net.Conn) net.Conn) func() (net.Conn, error) {
+// ackDropDialer dials srv with the client end wrapped in an
+// ackDropConn sharing drops.
+func ackDropDialer(srv *Server, drops *atomic.Int32) func() (net.Conn, error) {
 	return func() (net.Conn, error) {
-		client, server := net.Pipe()
-		if wrap != nil {
-			server = wrap(server)
+		conn, err := srv.Dial()
+		if err != nil {
+			return nil, err
 		}
-		go srv.ServeConn(server)
-		return client, nil
+		return &ackDropConn{Conn: conn, drops: drops}, nil
 	}
 }
 
@@ -73,7 +72,7 @@ func TestClientConfigValidation(t *testing.T) {
 
 func TestClientBatchSizeTrigger(t *testing.T) {
 	srv := NewServer(eard.NewDB(), Config{})
-	c := newTestClient(t, ClientConfig{Dial: pipeDialer(srv, nil), BatchRecords: 3})
+	c := newTestClient(t, ClientConfig{Dial: srv.Dial, BatchRecords: 3})
 	for i := 0; i < 7; i++ {
 		if err := c.Enqueue(rec("j1", "0", fmt.Sprintf("n%02d", i), 100)); err != nil {
 			t.Fatal(err)
@@ -101,7 +100,7 @@ func TestClientBatchSizeTrigger(t *testing.T) {
 func TestClientIntervalTrigger(t *testing.T) {
 	srv := NewServer(eard.NewDB(), Config{})
 	clock := NewFakeClock(100)
-	c := newTestClient(t, ClientConfig{Dial: pipeDialer(srv, nil), Clock: clock,
+	c := newTestClient(t, ClientConfig{Dial: srv.Dial, Clock: clock,
 		BatchRecords: 100, FlushIntervalSec: 5})
 	if err := c.Enqueue(rec("j1", "0", "n01", 100)); err != nil {
 		t.Fatal(err)
@@ -128,20 +127,22 @@ func TestClientIntervalTrigger(t *testing.T) {
 	}
 }
 
-// ackDropConn drops (fails) the first `drops` writes on the server
-// side: the batch is processed but its ack never reaches the client —
-// the lost-ack half of a mid-stream kill.
+// ackDropConn loses the first `drops` acks on the client side: it
+// waits for the reply to start arriving — by then the server has
+// processed the batch — and kills the connection instead of delivering
+// it, the lost-ack half of a mid-stream kill.
 type ackDropConn struct {
 	net.Conn
 	drops *atomic.Int32
 }
 
-func (c *ackDropConn) Write(p []byte) (int, error) {
-	if c.drops.Add(-1) >= 0 {
+func (c *ackDropConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if err == nil && c.drops.Add(-1) >= 0 {
 		_ = c.Conn.Close()
 		return 0, errors.New("ack lost: connection killed")
 	}
-	return c.Conn.Write(p)
+	return n, err
 }
 
 // TestExactlyOnceAfterLostAck is the acceptance test for graceful
@@ -153,7 +154,7 @@ func TestExactlyOnceAfterLostAck(t *testing.T) {
 	drops := &atomic.Int32{}
 	drops.Store(1)
 	c := newTestClient(t, ClientConfig{
-		Dial:         pipeDialer(srv, func(conn net.Conn) net.Conn { return &ackDropConn{Conn: conn, drops: drops} }),
+		Dial:         ackDropDialer(srv, drops),
 		BatchRecords: 4, MaxAttempts: 3,
 	})
 	for i := 0; i < 4; i++ {
@@ -191,7 +192,7 @@ func TestJournalSpillAndReplayExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := newTestClient(t, ClientConfig{
-		Dial:         pipeDialer(srv, func(conn net.Conn) net.Conn { return &ackDropConn{Conn: conn, drops: drops} }),
+		Dial:         ackDropDialer(srv, drops),
 		BatchRecords: 4, MaxAttempts: 2, Journal: journal,
 	})
 	for i := 0; i < 4; i++ {
@@ -287,7 +288,7 @@ func TestClientQueueCapSpillsToJournal(t *testing.T) {
 
 func TestClientDropsPoisonBatch(t *testing.T) {
 	srv := NewServer(eard.NewDB(), Config{MaxBatchRecords: 2})
-	c := newTestClient(t, ClientConfig{Dial: pipeDialer(srv, nil), BatchRecords: 3})
+	c := newTestClient(t, ClientConfig{Dial: srv.Dial, BatchRecords: 3})
 	for i := 0; i < 2; i++ {
 		if err := c.Enqueue(rec("j1", "0", fmt.Sprintf("n%02d", i), 100)); err != nil {
 			t.Fatal(err)
@@ -500,7 +501,7 @@ func TestFreshClientResumesSeqPastJournal(t *testing.T) {
 	}
 
 	srv := NewServer(eard.NewDB(), Config{})
-	c2 := newTestClient(t, ClientConfig{Dial: pipeDialer(srv, nil), Journal: journal})
+	c2 := newTestClient(t, ClientConfig{Dial: srv.Dial, Journal: journal})
 	if err := c2.Enqueue(rec("j2", "0", "n01", 200)); err != nil {
 		t.Fatal(err)
 	}

@@ -141,21 +141,16 @@ func TestClosedLoopFederationShardCounts(t *testing.T) {
 	}
 }
 
-// ask serves one pipe connection with serve — a daemon's or a root's
-// ServeConn — and puts the queries to it through eardbd.Query, the way
-// an admin client does. An acct_jobs query is walked through its
-// cursors, one result per page.
-func ask(serve func(net.Conn), queries []wire.Query) ([]wire.Result, error) {
-	client, server := net.Pipe()
-	done := make(chan struct{})
-	go func() {
-		serve(server)
-		close(done)
-	}()
-	defer func() {
-		_ = client.Close() // ends the serving loop
-		<-done
-	}()
+// ask opens one connection with dial — a daemon's or a root's Dial —
+// and puts the queries to it through eardbd.Query, the way an admin
+// client does. An acct_jobs query is walked through its cursors, one
+// result per page.
+func ask(dial func() (net.Conn, error), queries []wire.Query) ([]wire.Result, error) {
+	client, err := dial()
+	if err != nil {
+		return nil, err
+	}
+	defer func() { _ = client.Close() }() // ends the serving loop
 	var out []wire.Result
 	for _, q := range queries {
 		for {
@@ -239,7 +234,7 @@ func TestClosedLoopQueryKindsOverTheWire(t *testing.T) {
 		return g.Gen
 	}
 
-	ref, err := ask(load(1).Server("shard0").ServeConn, queries)
+	ref, err := ask(load(1).Server("shard0").Dial, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +247,7 @@ func TestClosedLoopQueryKindsOverTheWire(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ask(root.ServeConn, queries)
+		got, err := ask(root.Dial, queries)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,10 +294,10 @@ func TestClosedLoopQueryKindsOverTheWire(t *testing.T) {
 		if err := conn.Close(); err != nil {
 			t.Fatal(err)
 		}
-		for name, serve := range map[string]func(net.Conn){
-			"root": root.ServeConn, "daemon": cluster.Server(cluster.Owner(node)).ServeConn,
+		for name, dial := range map[string]func() (net.Conn, error){
+			"root": root.Dial, "daemon": cluster.Server(cluster.Owner(node)).Dial,
 		} {
-			after, err := ask(serve, []wire.Query{{Kind: wire.QueryGeneration}, {Kind: wire.QueryGeneration}})
+			after, err := ask(dial, []wire.Query{{Kind: wire.QueryGeneration}, {Kind: wire.QueryGeneration}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -359,13 +354,13 @@ func TestReplyBufferReuseMatchesFreshAnswer(t *testing.T) {
 	}
 	for name, v := range map[string]interface {
 		dbdtest.View
-		ServeConn(net.Conn)
+		Dial() (net.Conn, error)
 	}{"daemon": cluster.Server("shard0"), "root": root} {
 		before, err := dbdtest.Transcript(v, nodes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ask(v.ServeConn, sequence)
+		got, err := ask(v.Dial, sequence)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,7 +33,7 @@ type view struct {
 
 // shardGenerations polls every shard's ingest generation counter.
 func (r *Root) shardGenerations(parent *trace.Active) ([]uint64, error) {
-	gens := make([]uint64, len(r.cfg.Shards))
+	gens := make([]uint64, len(r.cfg.Fleet.names))
 	err := r.fanOut(parent, wire.Query{Kind: wire.QueryGeneration}, func(i int, res wire.Result) error {
 		var g wire.Generation
 		if err := res.Decode(&g); err != nil {

@@ -2,7 +2,6 @@ package fed_test
 
 import (
 	"bytes"
-	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -189,12 +188,11 @@ func TestConcurrentAdminsShareBoundedPool(t *testing.T) {
 
 	var wg sync.WaitGroup
 	for a := 0; a < admins; a++ {
-		client, server := net.Pipe()
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			root.ServeConn(server)
-		}()
+		client, err := root.Dial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
 		go func(a int) {
 			defer wg.Done()
 			defer client.Close()

@@ -22,45 +22,74 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"goear/internal/accounting"
 	"goear/internal/eard"
 	"goear/internal/eardbd"
+	"goear/internal/eardbd/ring"
 	"goear/internal/par"
 	"goear/internal/telemetry"
 	"goear/internal/telemetry/trace"
 	"goear/internal/wire"
 )
 
-// Shard names one member daemon and how to reach it. Dial is injected
-// so tests can hand out net.Pipe ends and the daemon binary can choose
-// TCP or unix transports.
-type Shard struct {
-	Name string
-	Dial func() (net.Conn, error)
+// Fleet describes a shard fleet: the member daemons' names, the
+// consistent-hash ring that places every node on exactly one of them,
+// and the one function that opens a connection to a member. Reporters,
+// a root's fan-out and admin tools all reach the shards through that
+// function, so wrapping it puts a fault between every client and the
+// fleet at once.
+type Fleet struct {
+	names []string
+	ring  *ring.Ring
+	dial  func(name string) (net.Conn, error)
 }
 
-// ShardsAt names one shard per address, reached through dial — or over
-// TCP when dial is nil, the way the binaries reach external daemons.
-func ShardsAt(addrs []string, dial func(addr string) (net.Conn, error)) []Shard {
+// NewFleet describes the named shards, reached through dial — or over
+// TCP with the names as addresses when dial is nil, the way the
+// binaries reach external daemons. At least one shard is required;
+// names must be unique and non-empty.
+func NewFleet(names []string, dial func(name string) (net.Conn, error)) (*Fleet, error) {
+	if len(names) == 0 {
+		return nil, errors.New("fed: a fleet needs at least one shard")
+	}
+	rg, err := ring.NewWithMembers(0, names)
+	if err != nil {
+		return nil, fmt.Errorf("fed: %w", err)
+	}
 	if dial == nil {
 		dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 	}
-	shards := make([]Shard, len(addrs))
-	for i, addr := range addrs {
-		addr := addr
-		shards[i] = Shard{Name: addr, Dial: func() (net.Conn, error) { return dial(addr) }}
-	}
-	return shards
+	return &Fleet{names: append([]string(nil), names...), ring: rg, dial: dial}, nil
+}
+
+// Names returns the shard names in the order given, which is the order
+// a root queries and merges them in.
+func (f *Fleet) Names() []string { return append([]string(nil), f.names...) }
+
+// Owner returns the shard a node's reports land on.
+func (f *Fleet) Owner(node string) string {
+	owner, _ := f.ring.Owner(node) // a ring with members owns every key
+	return owner
+}
+
+// Dial opens a connection to one shard.
+func (f *Fleet) Dial(name string) (net.Conn, error) { return f.dial(name) }
+
+// DialFor returns a dial function routing one node to its ring owner.
+func (f *Fleet) DialFor(node string) func() (net.Conn, error) {
+	owner := f.Owner(node)
+	return func() (net.Conn, error) { return f.dial(owner) }
 }
 
 // Config parameterises a federation root.
 type Config struct {
-	// Shards are the member daemons, queried in slice order. At least
-	// one is required; names must be unique and non-empty.
-	Shards []Shard
+	// Fleet is the shards the root serves the union of, queried in
+	// Fleet.Names order.
+	Fleet *Fleet
 	// MaxFramePayload caps frame payloads on both the shard-facing and
 	// serving sides (default wire.DefaultMaxPayload).
 	MaxFramePayload int
@@ -116,20 +145,8 @@ type Root struct {
 
 // NewRoot builds a root over the given shards.
 func NewRoot(cfg Config) (*Root, error) {
-	if len(cfg.Shards) == 0 {
-		return nil, errors.New("fed: root needs at least one shard")
-	}
-	seen := map[string]bool{}
-	for _, s := range cfg.Shards {
-		switch {
-		case s.Name == "":
-			return nil, errors.New("fed: shard needs a name")
-		case s.Dial == nil:
-			return nil, fmt.Errorf("fed: shard %s needs a dial function", s.Name)
-		case seen[s.Name]:
-			return nil, fmt.Errorf("fed: duplicate shard name %s", s.Name)
-		}
-		seen[s.Name] = true
+	if cfg.Fleet == nil {
+		return nil, errors.New("fed: root needs a fleet")
 	}
 	if cfg.MaxFramePayload <= 0 {
 		cfg.MaxFramePayload = wire.DefaultMaxPayload
@@ -156,7 +173,7 @@ func NewRoot(cfg Config) (*Root, error) {
 		QueryLatency:    root.tel.latQuery,
 		ReplyBytes:      eardbd.NewReplyBytes(ts),
 	}
-	root.tel.shards.Set(float64(len(cfg.Shards)))
+	root.tel.shards.Set(float64(len(cfg.Fleet.names)))
 	return root, nil
 }
 
@@ -167,12 +184,12 @@ func NewRoot(cfg Config) (*Root, error) {
 func (r *Root) ShardsReachable() (ok, total int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, s := range r.cfg.Shards {
-		if r.reach[s.Name] {
+	for _, name := range r.cfg.Fleet.names {
+		if r.reach[name] {
 			ok++
 		}
 	}
-	return ok, len(r.cfg.Shards)
+	return ok, len(r.cfg.Fleet.names)
 }
 
 // HealthCheck returns the root's readiness check for a telemetry
@@ -209,18 +226,18 @@ const maxIdlePerShard = 4
 // root cannot tell from a failing shard without asking again: queries
 // are idempotent reads, so a failure on a reused connection is retried
 // once on a fresh dial, and a failure on a fresh one is the answer.
-func (r *Root) queryShard(s Shard, q wire.Query, tc trace.Context) (wire.Result, error) {
+func (r *Root) queryShard(shard string, q wire.Query, tc trace.Context) (wire.Result, error) {
 	t0 := r.Now.Sec()
-	conn := r.checkOut(s.Name)
-	res, err := r.queryOn(s, conn, q, tc)
+	conn := r.checkOut(shard)
+	res, err := r.queryOn(shard, conn, q, tc)
 	if err != nil && conn != nil {
-		r.dropIdle(s.Name)
-		res, err = r.queryOn(s, nil, q, tc)
+		r.dropIdle(shard)
+		res, err = r.queryOn(shard, nil, q, tc)
 	}
-	r.countReach(s.Name, err == nil)
+	r.countReach(shard, err == nil)
 	r.Now.Observe(r.tel.latFanout, t0)
 	if err != nil {
-		return wire.Result{}, fmt.Errorf("fed: shard %s: %w", s.Name, err)
+		return wire.Result{}, fmt.Errorf("fed: shard %s: %w", shard, err)
 	}
 	return res, nil
 }
@@ -228,10 +245,10 @@ func (r *Root) queryShard(s Shard, q wire.Query, tc trace.Context) (wire.Result,
 // queryOn runs q over conn, dialling the shard first when conn is nil,
 // and parks the connection after a complete reply; after anything else
 // it is closed.
-func (r *Root) queryOn(s Shard, conn net.Conn, q wire.Query, tc trace.Context) (wire.Result, error) {
+func (r *Root) queryOn(shard string, conn net.Conn, q wire.Query, tc trace.Context) (wire.Result, error) {
 	if conn == nil {
 		var err error
-		if conn, err = s.Dial(); err != nil {
+		if conn, err = r.cfg.Fleet.dial(shard); err != nil {
 			return wire.Result{}, err
 		}
 	}
@@ -240,7 +257,7 @@ func (r *Root) queryOn(s Shard, conn net.Conn, q wire.Query, tc trace.Context) (
 		_ = conn.Close() // the query's error is the one to report
 		return wire.Result{}, err
 	}
-	r.park(s.Name, conn)
+	r.park(shard, conn)
 	return res, nil
 }
 
@@ -346,21 +363,21 @@ const fanOutConcurrency = 8
 // so allocation order (not completion order) is what must be
 // deterministic for the trace to be byte-identical across runs.
 func (r *Root) fanOut(parent *trace.Active, q wire.Query, decode func(i int, res wire.Result) error) error {
-	results := make([]wire.Result, len(r.cfg.Shards))
-	kids := make([]*trace.Active, len(r.cfg.Shards))
-	for i, s := range r.cfg.Shards {
-		kids[i] = parent.Child(spanFedFanout, r.Now.Sec()).Attr("shard", s.Name)
+	shards := r.cfg.Fleet.names
+	results := make([]wire.Result, len(shards))
+	kids := make([]*trace.Active, len(shards))
+	for i, shard := range shards {
+		kids[i] = parent.Child(spanFedFanout, r.Now.Sec()).Attr("shard", shard)
 	}
-	err := par.ForEach(fanOutConcurrency, len(r.cfg.Shards), func(i int) error {
-		s := r.cfg.Shards[i]
-		res, err := r.queryShard(s, q, kids[i].Context())
+	err := par.ForEach(fanOutConcurrency, len(shards), func(i int) error {
+		res, err := r.queryShard(shards[i], q, kids[i].Context())
 		if err != nil {
 			kids[i].Attr("result", "error").End(r.Now.Sec())
 			return err
 		}
 		if res.Kind != q.Kind {
 			kids[i].Attr("result", "error").End(r.Now.Sec())
-			return fmt.Errorf("fed: shard %s answered kind %q to %q", s.Name, res.Kind, q.Kind)
+			return fmt.Errorf("fed: shard %s answered kind %q to %q", shards[i], res.Kind, q.Kind)
 		}
 		kids[i].Attr("result", "ok").End(r.Now.Sec())
 		results[i] = res
@@ -369,9 +386,9 @@ func (r *Root) fanOut(parent *trace.Active, q wire.Query, decode func(i int, res
 	if err != nil {
 		return err
 	}
-	for i, s := range r.cfg.Shards {
+	for i, shard := range shards {
 		if err := decode(i, results[i]); err != nil {
-			return fmt.Errorf("fed: shard %s: %w", s.Name, err)
+			return fmt.Errorf("fed: shard %s: %w", shard, err)
 		}
 	}
 	return nil
@@ -470,18 +487,16 @@ func (r *Root) AcctQuery(q accounting.Query) (accounting.Page, error) {
 // source polls the shard on every read; an unreachable shard reads as
 // empty, matching NodePowers' degradation.
 func (r *Root) IslandSource(name string) (*IslandSource, error) {
-	for _, s := range r.cfg.Shards {
-		if s.Name == name {
-			return &IslandSource{root: r, shard: s}, nil
-		}
+	if !slices.Contains(r.cfg.Fleet.names, name) {
+		return nil, fmt.Errorf("fed: no shard named %s", name)
 	}
-	return nil, fmt.Errorf("fed: no shard named %s", name)
+	return &IslandSource{root: r, shard: name}, nil
 }
 
 // IslandSource adapts one shard to eargm.PowerSource.
 type IslandSource struct {
 	root  *Root
-	shard Shard
+	shard string
 }
 
 // NodePowers implements eargm.PowerSource for one island.

@@ -12,21 +12,42 @@ import (
 
 	"goear/internal/eard"
 	"goear/internal/eardbd"
-	"goear/internal/eardbd/ring"
 	"goear/internal/wire"
 )
 
-// shardFixture is one in-process shard: a server plus a dialer that
-// hands out net.Pipe ends served by it.
+// shardFixture is one in-process shard, reached through its server's
+// own Dial.
 type shardFixture struct {
 	name string
 	srv  *eardbd.Server
 }
 
-func (s shardFixture) dial() (net.Conn, error) {
-	client, server := net.Pipe()
-	go s.srv.ServeConn(server)
-	return client, nil
+// dialer is the fleet dial function over the fixtures: by name, through
+// each server's own Dial.
+func dialer(shards []shardFixture) func(name string) (net.Conn, error) {
+	byName := map[string]*eardbd.Server{}
+	for _, s := range shards {
+		byName[s.name] = s.srv
+	}
+	return func(name string) (net.Conn, error) { return byName[name].Dial() }
+}
+
+// rootOver builds a root over the fixtures' names, reached through dial.
+func rootOver(t *testing.T, shards []shardFixture, dial func(name string) (net.Conn, error)) *Root {
+	t.Helper()
+	names := make([]string, len(shards))
+	for i, s := range shards {
+		names[i] = s.name
+	}
+	fleet, err := NewFleet(names, dial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := NewRoot(Config{Fleet: fleet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return root
 }
 
 // buildFederation routes the canonical workload (nodes × 10 records)
@@ -35,26 +56,15 @@ func (s shardFixture) dial() (net.Conn, error) {
 func buildFederation(t *testing.T, nodes, nShards int) ([]shardFixture, *Root) {
 	t.Helper()
 	shards := make([]shardFixture, nShards)
-	rg := ring.New(0)
 	for i := range shards {
 		shards[i] = shardFixture{name: fmt.Sprintf("s%d", i), srv: eardbd.NewServer(eard.NewDB(), eardbd.Config{})}
-		if err := rg.Add(shards[i].name); err != nil {
-			t.Fatal(err)
-		}
 	}
-	byName := map[string]shardFixture{}
-	for _, s := range shards {
-		byName[s.name] = s
-	}
+	root := rootOver(t, shards, dialer(shards))
 	for i := 0; i < nodes; i++ {
 		node := fmt.Sprintf("n%02d", i)
-		owner, ok := rg.Owner(node)
-		if !ok {
-			t.Fatal("empty ring")
-		}
 		c, err := eardbd.NewClient(eardbd.ClientConfig{
 			Node:         node,
-			Dial:         byName[owner].dial,
+			Dial:         root.cfg.Fleet.DialFor(node),
 			Clock:        eardbd.NewFakeClock(0),
 			Jitter:       rand.New(rand.NewSource(int64(i))),
 			BatchRecords: 4,
@@ -78,14 +88,6 @@ func buildFederation(t *testing.T, nodes, nShards int) ([]shardFixture, *Root) {
 		if err := c.Close(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	cfg := Config{}
-	for _, s := range shards {
-		cfg.Shards = append(cfg.Shards, Shard{Name: s.name, Dial: s.dial})
-	}
-	root, err := NewRoot(cfg)
-	if err != nil {
-		t.Fatal(err)
 	}
 	return shards, root
 }
@@ -131,13 +133,7 @@ func TestRootMergesAcrossShardCounts(t *testing.T) {
 
 func TestRootServesWireProtocol(t *testing.T) {
 	_, root := buildFederation(t, 6, 2)
-	dial := func() (net.Conn, error) {
-		client, server := net.Pipe()
-		go root.ServeConn(server)
-		return client, nil
-	}
-
-	conn, err := dial()
+	conn, err := root.Dial()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +174,7 @@ func TestRootServesWireProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn2, err := dial()
+	conn2, err := root.Dial()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,29 +224,32 @@ func TestIslandSource(t *testing.T) {
 }
 
 func TestRootConfigValidation(t *testing.T) {
-	dial := func() (net.Conn, error) { return nil, nil }
-	cases := []struct {
-		name string
-		cfg  Config
-	}{
-		{"no shards", Config{}},
-		{"unnamed shard", Config{Shards: []Shard{{Dial: dial}}}},
-		{"no dial", Config{Shards: []Shard{{Name: "s1"}}}},
-		{"duplicate", Config{Shards: []Shard{{Name: "s1", Dial: dial}, {Name: "s1", Dial: dial}}}},
+	if _, err := NewRoot(Config{}); err == nil {
+		t.Error("NewRoot accepted a config with no fleet")
 	}
-	for _, tc := range cases {
-		if _, err := NewRoot(tc.cfg); err == nil {
-			t.Errorf("%s: NewRoot accepted invalid config", tc.name)
+	for name, shards := range map[string][]string{
+		"no shards":     nil,
+		"unnamed shard": {""},
+		"duplicate":     {"s1", "s1"},
+	} {
+		if _, err := NewFleet(shards, nil); err == nil {
+			t.Errorf("%s: NewFleet accepted invalid shard names", name)
 		}
 	}
 }
 
 func TestUnreachableShardSurfacesError(t *testing.T) {
-	good := shardFixture{name: "s0", srv: eardbd.NewServer(eard.NewDB(), eardbd.Config{})}
-	root, err := NewRoot(Config{Shards: []Shard{
-		{Name: "s0", Dial: good.dial},
-		{Name: "s1", Dial: func() (net.Conn, error) { return nil, fmt.Errorf("down") }},
-	}})
+	good := eardbd.NewServer(eard.NewDB(), eardbd.Config{})
+	fleet, err := NewFleet([]string{"s0", "s1"}, func(name string) (net.Conn, error) {
+		if name == "s1" {
+			return nil, fmt.Errorf("down")
+		}
+		return good.Dial()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := NewRoot(Config{Fleet: fleet})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,19 +274,12 @@ func TestFanOutQueriesShardsConcurrently(t *testing.T) {
 	var barrier sync.WaitGroup
 	barrier.Add(n)
 	shards, _ := buildFederation(t, 8, n)
-	cfg := Config{}
-	for _, s := range shards {
-		s := s
-		cfg.Shards = append(cfg.Shards, Shard{Name: s.name, Dial: func() (net.Conn, error) {
-			barrier.Done()
-			barrier.Wait()
-			return s.dial()
-		}})
-	}
-	root, err := NewRoot(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dial := dialer(shards)
+	root := rootOver(t, shards, func(name string) (net.Conn, error) {
+		barrier.Done()
+		barrier.Wait()
+		return dial(name)
+	})
 
 	type answer struct {
 		nps []wire.NodePower
@@ -327,7 +319,7 @@ func TestFanOutQueriesShardsConcurrently(t *testing.T) {
 // the re-delivery and a cold one must both serve the shard's own view.
 func TestDuplicateRedeliveryMovesCachedPowers(t *testing.T) {
 	shard := shardFixture{name: "s0", srv: eardbd.NewServer(eard.NewDB(), eardbd.Config{MaxSeenBatches: 1})}
-	conn, err := shard.dial()
+	conn, err := shard.srv.Dial()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,10 +346,7 @@ func TestDuplicateRedeliveryMovesCachedPowers(t *testing.T) {
 		return ack
 	}
 	newRoot := func() *Root {
-		root, err := NewRoot(Config{Shards: []Shard{{Name: shard.name, Dial: shard.dial}}})
-		if err != nil {
-			t.Fatal(err)
-		}
+		root := rootOver(t, []shardFixture{shard}, dialer([]shardFixture{shard}))
 		t.Cleanup(func() { _ = root.Close() })
 		return root
 	}

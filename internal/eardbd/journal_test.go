@@ -267,7 +267,7 @@ func TestReplaySendsJournaledPayloadVerbatim(t *testing.T) {
 	var sent bytes.Buffer
 	up := newTestClient(t, ClientConfig{
 		Dial: func() (net.Conn, error) {
-			conn, err := pipeDialer(srv, nil)()
+			conn, err := srv.Dial()
 			return recordingConn{conn, &sent}, err
 		},
 		Journal: reopened,
@@ -398,7 +398,7 @@ func BenchmarkJournalReplay(b *testing.B) {
 		}
 		srv := NewServer(eard.NewDB(), Config{})
 		c, err := NewClient(ClientConfig{
-			Node: "node00001", Dial: pipeDialer(srv, nil), Clock: NewFakeClock(0),
+			Node: "node00001", Dial: srv.Dial, Clock: NewFakeClock(0),
 			Jitter: rand.New(rand.NewSource(1)), Journal: j,
 		})
 		if err != nil {

@@ -122,7 +122,7 @@ type Server struct {
 	stats     Stats
 	// gen is bumped once per batch that lands a record or moves a
 	// node's power (a re-delivered batch of duplicates still rewrites
-	// nodeW), and by a SeedNodePowers that changes a value: everything
+	// nodeW), and by a Restore that changes a power: everything
 	// View hands out is covered, which a root's cached view relies on;
 	// see Generation. It is not derived from the db and acct store
 	// generations because those move on other events too: db is the
@@ -414,20 +414,49 @@ func (s *Server) setPower(node string, w float64) bool {
 	return true
 }
 
-// SeedNodePowers pre-populates the last-known per-node power view, as
-// a daemon restarting over a persisted DB does from its saved
-// snapshot: the record set alone cannot reconstruct ingestion order,
-// so the power view travels separately across a restart.
-func (s *Server) SeedNodePowers(nps []wire.NodePower) {
+// Saved is what a daemon keeps across a restart beside its node-report
+// database: every node's last reported power (the record set alone
+// cannot reconstruct ingestion order, so the power view travels
+// separately) and the per-job accounting store. The batch-ID window is
+// not kept: a batch redelivered to a restarted daemon is deduplicated
+// record by record against the stores.
+type Saved struct {
+	Powers []wire.NodePower    `json:"node_powers"`
+	Acct   []accounting.Record `json:"acct"`
+}
+
+// Saved captures the server's restart state. Both lists are the live
+// view's: read-only.
+func (s *Server) Saved() Saved {
+	v, _ := s.View(nil) // the live view cannot fail
+	return Saved{Powers: v.Powers, Acct: v.Acct.Snapshot()}
+}
+
+// Restore loads a captured state, as a daemon booting over its
+// persisted files does, without counting any of it as fresh ingest. It
+// refuses a state holding a record a batch could not have delivered.
+func (s *Server) Restore(sv Saved) error {
+	for _, np := range sv.Powers {
+		if np.Node == "" {
+			return fmt.Errorf("eardbd: restore: node power %g W has no node", np.PowerW)
+		}
+	}
+	for _, r := range sv.Acct {
+		if err := r.Validate(); err != nil {
+			return fmt.Errorf("eardbd: restore: %w", err)
+		}
+	}
+	s.acct.Seed(sv.Acct)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	moved := false
-	for _, np := range nps {
+	for _, np := range sv.Powers {
 		moved = s.setPower(np.Node, np.PowerW) || moved
 	}
 	if moved {
 		s.gen++
 	}
+	return nil
 }
 
 // rejectBatch counts and reports a permanent (non-retryable) batch

@@ -524,7 +524,13 @@ func TestSeenWindowEviction(t *testing.T) {
 func TestGenerationCoversNodePowers(t *testing.T) {
 	srv := NewServer(eard.NewDB(), Config{})
 	seed := []wire.NodePower{{Node: "n01", PowerW: 250}, {Node: "n02", PowerW: 260}}
-	srv.SeedNodePowers(seed)
+	restore := func(nps []wire.NodePower) {
+		t.Helper()
+		if err := srv.Restore(Saved{Powers: nps}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	restore(seed)
 	if gen, _ := srv.Generation(nil); gen != 1 {
 		t.Fatalf("generation %d after seeding two nodes, want 1", gen)
 	}
@@ -532,11 +538,11 @@ func TestGenerationCoversNodePowers(t *testing.T) {
 	if !reflect.DeepEqual(v.Powers, seed) {
 		t.Fatalf("powers = %v, want the seed", v.Powers)
 	}
-	srv.SeedNodePowers(seed)
+	restore(seed)
 	if gen, _ := srv.Generation(nil); gen != 1 {
 		t.Errorf("generation %d after re-seeding the same values, want 1", gen)
 	}
-	srv.SeedNodePowers([]wire.NodePower{{Node: "n02", PowerW: 270}})
+	restore([]wire.NodePower{{Node: "n02", PowerW: 270}})
 	again, _ := srv.View(nil)
 	if gen, _ := srv.Generation(nil); gen != 2 || again.Powers[1].PowerW != 270 {
 		t.Errorf("generation %d, powers %v after one value moved, want 2 and n02 at 270 W", gen, again.Powers)
@@ -551,8 +557,27 @@ func TestGenerationCoversNodePowers(t *testing.T) {
 
 func TestServeAfterCloseRefuses(t *testing.T) {
 	srv := NewServer(eard.NewDB(), Config{})
+	// Close owns an in-process connection as it owns an accepted one:
+	// it severs it and returns once its handler has.
+	held, err := srv.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	if n := srv.Conns(); n != 1 {
+		t.Fatalf("serving %d connections after one Dial, want 1", n)
+	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := held.Read(make([]byte, 1)); err == nil {
+		t.Error("a dialled connection outlived Close")
+	}
+	if _, err := srv.Dial(); err == nil {
+		t.Error("Dial on a closed server succeeded")
+	}
+	if n := srv.Conns(); n != 0 {
+		t.Errorf("serving %d connections after Close, want 0", n)
 	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

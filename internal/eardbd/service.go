@@ -179,7 +179,8 @@ func (w Stopwatch) Observe(h *telemetry.Histogram, startSec float64) {
 }
 
 // Front is the wire front end a shard daemon and a federation root
-// share: listeners with connection tracking, the per-connection frame
+// share: the connections it accepts from listeners or makes in process,
+// all tracked until their handlers return, the per-connection frame
 // loop, and query serving. Server and fed.Root each embed one, filling
 // in the exported fields — what differs between the two — before first
 // use.
@@ -221,10 +222,10 @@ func (fr *Front) Serve(l net.Listener) error {
 		if err := l.Close(); err != nil {
 			return fmt.Errorf("eardbd: close listener of closed service: %w", err)
 		}
-		return errors.New("eardbd: service is closed")
+		return errClosed
 	}
 	if fr.listeners == nil {
-		fr.listeners, fr.conns = map[net.Listener]struct{}{}, map[net.Conn]struct{}{}
+		fr.listeners = map[net.Listener]struct{}{}
 	}
 	fr.listeners[l] = struct{}{}
 	fr.mu.Unlock()
@@ -240,23 +241,58 @@ func (fr *Front) Serve(l net.Listener) error {
 			}
 			return fmt.Errorf("eardbd: accept: %w", err)
 		}
-		fr.mu.Lock()
-		if fr.closed {
-			fr.mu.Unlock()
-			_ = conn.Close()
+		if !fr.handle(conn) {
 			return nil
 		}
-		fr.conns[conn] = struct{}{}
-		fr.wg.Add(1)
-		fr.mu.Unlock()
-		go func() {
-			defer fr.wg.Done()
-			fr.ServeConn(conn)
-			fr.mu.Lock()
-			delete(fr.conns, conn)
-			fr.mu.Unlock()
-		}()
 	}
+}
+
+var errClosed = errors.New("eardbd: service is closed")
+
+// Dial opens an in-process connection to the front end: the client end
+// of a net.Pipe whose server end is handled exactly as an accepted
+// connection is, so Close severs it and waits for its handler. It is
+// the one place an in-process connection is born — the seam a test
+// wraps to put faults between every client and the service.
+func (fr *Front) Dial() (net.Conn, error) {
+	client, server := net.Pipe()
+	if !fr.handle(server) {
+		return nil, errClosed
+	}
+	return client, nil
+}
+
+// handle registers conn and serves it on its own goroutine until it
+// ends, or closes it and reports false when the front end is closed.
+func (fr *Front) handle(conn net.Conn) bool {
+	fr.mu.Lock()
+	if fr.closed {
+		fr.mu.Unlock()
+		_ = conn.Close()
+		return false
+	}
+	if fr.conns == nil {
+		fr.conns = map[net.Conn]struct{}{}
+	}
+	fr.conns[conn] = struct{}{}
+	fr.wg.Add(1)
+	fr.mu.Unlock()
+	go func() {
+		defer fr.wg.Done()
+		fr.ServeConn(conn)
+		fr.mu.Lock()
+		delete(fr.conns, conn)
+		fr.mu.Unlock()
+	}()
+	return true
+}
+
+// Conns reports how many connections are being served: those accepted
+// or dialled whose handlers have not returned yet.
+func (fr *Front) Conns() int {
+	fr.mu.Lock()
+	defer fr.mu.Unlock()
+	return len(fr.conns)
 }
 
 // Close stops all listeners, severs live connections and waits for
@@ -292,9 +328,9 @@ func (fr *Front) Close() error {
 var batchPool = sync.Pool{New: func() any { return new(wire.Batch) }}
 
 // ServeConn speaks the wire protocol on one connection until EOF or a
-// protocol error, then closes it. It is exported so tests and
-// simulations can serve synthetic transports (net.Pipe) without a
-// listener.
+// protocol error, then closes it. Serve and Dial run it for every
+// connection they own; it is exported for a caller that brings a
+// transport of its own and answers for its lifetime itself.
 func (fr *Front) ServeConn(conn net.Conn) {
 	defer func() { _ = conn.Close() }()
 	fr.Count(EventConnection)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -57,7 +56,7 @@ func TestTelemetryJournalReplayKnownCounts(t *testing.T) {
 	}
 	c, err := NewClient(ClientConfig{
 		Node:         "n01",
-		Dial:         pipeDialer(srv, func(conn net.Conn) net.Conn { return &ackDropConn{Conn: conn, drops: drops} }),
+		Dial:         ackDropDialer(srv, drops),
 		Clock:        NewFakeClock(0),
 		Jitter:       rand.New(rand.NewSource(42)),
 		BatchRecords: 4, MaxAttempts: 2, Journal: journal,
@@ -144,7 +143,7 @@ func runTelemetryClosedLoop(t *testing.T, nodes, workers int) (string, map[strin
 		rng := rand.New(rand.NewSource(int64(1000 + i)))
 		c, err := NewClient(ClientConfig{
 			Node:         node,
-			Dial:         pipeDialer(srv, nil),
+			Dial:         srv.Dial,
 			Clock:        NewFakeClock(0),
 			Jitter:       rand.New(rand.NewSource(int64(i))),
 			BatchRecords: 4,
@@ -179,7 +178,7 @@ func runTelemetryClosedLoop(t *testing.T, nodes, workers int) (string, map[strin
 	}
 	// An admin tool reads over the wire: the node powers once and the
 	// generation twice, on one connection.
-	admin, err := pipeDialer(srv, nil)()
+	admin, err := srv.Dial()
 	if err != nil {
 		t.Fatal(err)
 	}

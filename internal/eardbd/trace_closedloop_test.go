@@ -2,7 +2,6 @@ package eardbd_test
 
 import (
 	"fmt"
-	"net"
 	"strconv"
 	"strings"
 	"testing"
@@ -145,12 +144,10 @@ func TestTraceFederationQueryTree(t *testing.T) {
 	}
 	// Query over the wire, as earctl would: the in-process accessors
 	// deliberately trace nothing, only served frames do.
-	cli, srvConn := net.Pipe()
-	done := make(chan struct{})
-	go func() {
-		root.ServeConn(srvConn)
-		close(done)
-	}()
+	cli, err := root.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
 	agg, err := eardbd.Query(cli, wire.Query{Kind: wire.QueryAggregate}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +158,11 @@ func TestTraceFederationQueryTree(t *testing.T) {
 	if err := cli.Close(); err != nil {
 		t.Fatal(err)
 	}
-	<-done // fed.query spans end when the serving loop unwinds
+	// fed.query spans end when the serving loop unwinds, which Close
+	// waits for.
+	if err := root.Close(); err != nil {
+		t.Fatal(err)
+	}
 	spans := buf.Spans()
 	byID := map[trace.HexID]trace.Span{}
 	for _, s := range spans {

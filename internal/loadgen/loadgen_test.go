@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"goear/internal/eardbd"
+	"goear/internal/eardbd/fed"
 	"goear/internal/telemetry"
 )
 
@@ -212,17 +214,23 @@ func TestClusterFaultAPIErrors(t *testing.T) {
 	}
 }
 
-func TestEndpointsRouteLikeCluster(t *testing.T) {
-	// External mode over fake "addresses" that pipe into in-process
-	// servers must place nodes exactly as a Cluster would, because
-	// both hash the same member names.
+// TestFleetOverDialRoutesLikeCluster: a fleet built over a dial function
+// of the caller's own — how earload reaches external daemons, and where
+// a fault plan wraps — places every node exactly as the cluster does,
+// because both hash the same member names, and a root over it reads the
+// same aggregate.
+func TestFleetOverDialRoutesLikeCluster(t *testing.T) {
 	cluster, err := NewCluster(2, eardbd.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrs := cluster.Names()
-	eps, err := NewEndpoints(addrs, func(addr string) (net.Conn, error) {
-		return cluster.DialShard(addr)
+	dialled := map[string]int{}
+	var mu sync.Mutex
+	fleet, err := fed.NewFleet(cluster.Names(), func(name string) (net.Conn, error) {
+		mu.Lock()
+		dialled[name]++
+		mu.Unlock()
+		return cluster.DialShard(name)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -231,26 +239,46 @@ func TestEndpointsRouteLikeCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := g.Run(eps.DialFor, Hooks{})
+	res, err := g.Run(fleet.DialFor, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.BacklogBatches != 0 || res.Client.RecordsSent != 200 {
 		t.Fatalf("result = %+v", res)
 	}
-	root, err := eps.Root()
+	for i := 0; i < 20; i++ {
+		if a, b := fleet.Owner(NodeName(i)), cluster.Owner(NodeName(i)); a != b {
+			t.Errorf("%s: the fleet places it on %s, the cluster on %s", NodeName(i), a, b)
+		}
+	}
+	for _, name := range cluster.Names() {
+		if dialled[name] == 0 {
+			t.Errorf("%s was never reached through the fleet's dial function", name)
+		}
+	}
+	root, err := fed.NewRoot(fed.Config{Fleet: fleet})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer root.Close()
 	agg, err := root.Aggregate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if agg.Nodes != 20 || agg.Records != 200 {
-		t.Fatalf("aggregate = %+v", agg)
+	own, err := cluster.Root()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewEndpoints(nil, nil); err == nil {
-		t.Error("built endpoints with no addresses")
+	defer own.Close()
+	want, err := own.Aggregate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if agg != want || agg.Nodes != 20 || agg.Records != 200 {
+		t.Fatalf("aggregate over the fleet = %+v, the cluster's own root reads %+v", agg, want)
+	}
+	if _, err := fed.NewFleet(nil, cluster.DialShard); err == nil {
+		t.Error("built a fleet with no shards")
 	}
 }
 
@@ -272,5 +300,29 @@ func TestGeneratorValidation(t *testing.T) {
 	}
 	if _, err := g.Run(nil, Hooks{}); err == nil {
 		t.Error("Run accepted a nil dialer")
+	}
+}
+
+// BenchmarkDialShard is what one reporter connection costs the fleet
+// beyond its traffic: a dial through the cluster to a live shard and
+// the hang-up. The repo benchmark's ingest workloads dial once per 16
+// to 32 records, so one allocation more here is their whole
+// allocs_per_work bound; BENCH_baseline.json pins the figure.
+func BenchmarkDialShard(b *testing.B) {
+	cluster, err := NewCluster(4, eardbd.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cluster.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		conn, err := cluster.DialShard("shard2")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := conn.Close(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
