@@ -157,10 +157,11 @@ type Client struct {
 	tracer *trace.Tracer
 
 	mu        sync.Mutex
-	conn      net.Conn
+	conn      net.Conn  // nil between connections
+	framed    wire.Conn // conn's framing state; its buffers outlive conn
 	queue     []eard.JobRecord
 	acctQueue []accounting.Record
-	enc       []byte // the pending batch, encoded once; reused across flushes
+	enc       []byte // the pending batch's image, encoded once; reused across flushes
 	seq       uint64
 	lastFlush float64
 	stats     ClientStats
@@ -181,6 +182,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		cfg:       cfg,
 		tel:       newClientTel(ts),
 		tracer:    trace.New(cfg.Node, cfg.Trace),
+		framed:    wire.Conn{MaxPayload: cfg.MaxFramePayload},
 		lastFlush: cfg.Clock.Now(),
 	}
 	if cfg.Journal != nil {
@@ -337,13 +339,14 @@ func (c *Client) Queued() int {
 }
 
 // encodePendingLocked gives the pending load — both queues — the next
-// batch ID and encodes it, once, into the client's reused buffer. The
-// result stays valid until the next call; the queues are untouched.
+// batch ID and encodes it, once, into the client's reused buffer, as
+// the image every send of it goes out from. The result stays valid
+// until the next call; the queues are untouched.
 func (c *Client) encodePendingLocked() EncodedBatch {
 	c.seq++
 	id := BatchID(c.cfg.Node, c.seq)
-	c.enc = wire.AppendBatch(c.enc[:0], wire.Batch{ID: id, Node: c.cfg.Node, Records: c.queue, Acct: c.acctQueue})
-	return EncodedBatch{ID: id, Records: c.pendingLocked(), Payload: c.enc}
+	c.enc = wire.BatchImage(c.enc, wire.Batch{ID: id, Node: c.cfg.Node, Records: c.queue, Acct: c.acctQueue})
+	return EncodedBatch{ID: id, Records: c.pendingLocked(), image: c.enc}
 }
 
 // clearPendingLocked empties both queues, keeping their backing arrays
@@ -399,10 +402,7 @@ func (c *Client) flushLocked() error {
 		if errors.As(err, &rej) {
 			// Permanent: drop the poison batch.
 			sp.Attr("result", "rejected")
-			c.stats.BatchesRejected++
-			c.stats.RecordsDropped += b.Records
-			c.tel.rejected.Inc()
-			c.tel.dropped.Add(uint64(b.Records))
+			c.countRejectedLocked(b)
 			c.clearPendingLocked()
 		} else {
 			sp.Attr("result", "error")
@@ -412,52 +412,70 @@ func (c *Client) flushLocked() error {
 	return err
 }
 
-// replayLocked redelivers spilled batches oldest-first, removing each
-// from the journal only after its ack. A replay puts the journaled
-// payload on the wire as it is: nothing is decoded or re-encoded.
+// countRejectedLocked counts a batch the daemon will never take, and
+// its records as dropped.
+func (c *Client) countRejectedLocked(b EncodedBatch) {
+	c.stats.BatchesRejected++
+	c.stats.RecordsDropped += b.Records
+	c.tel.rejected.Inc()
+	c.tel.dropped.Add(uint64(b.Records))
+}
+
+// replayLocked redelivers spilled batches oldest-first, taking each out
+// of the journal only after its ack. A replay sends the journaled image
+// as it is: nothing is decoded, re-encoded or copied. Delivered batches
+// leave the journal in memory one by one and its file once, when the
+// pass ends — drained, or at the first batch the daemon cannot be
+// reached for.
 func (c *Client) replayLocked() error {
-	if c.cfg.Journal == nil {
+	j := c.cfg.Journal
+	if j == nil {
 		return nil
 	}
-	for _, b := range c.cfg.Journal.Entries() {
+	for {
+		b, ok := j.head()
+		if !ok {
+			return j.compact()
+		}
 		// RootNamed keys the trace by batch ID, so the replay span lands
 		// in the same trace the batch's original flush and spill did.
 		rsp := c.tracer.RootNamed(b.ID, spanClientReplay, c.cfg.Clock.Now())
 		err := c.sendBatchLocked(b, rsp)
-		var rej *RejectedError
-		switch {
+		// The error is asserted, not errors.As'd: a target declared here
+		// escapes, one allocation per entry — and, hoisted out of the
+		// loop, one per flush, backlog or none.
+		switch _, rejected := err.(*RejectedError); {
 		case err == nil:
 			rsp.Attr("result", "acked").End(c.cfg.Clock.Now())
 			c.stats.BatchesReplayed++
 			c.tel.replayed.Inc()
 			c.tel.event(c.cfg.Clock.Now(), "eardbd.replay", c.cfg.Node, b.ID, b.Records)
-		case errors.As(err, &rej):
+		case rejected:
 			// The daemon will never take this batch; keeping it would
 			// wedge the journal forever.
 			rsp.Attr("result", "rejected").End(c.cfg.Clock.Now())
-			c.stats.BatchesRejected++
-			c.stats.RecordsDropped += b.Records
-			c.tel.rejected.Inc()
-			c.tel.dropped.Add(uint64(b.Records))
+			c.countRejectedLocked(b)
 		default:
 			rsp.Attr("result", "unreachable").End(c.cfg.Clock.Now())
+			if cerr := j.compact(); cerr != nil {
+				return cerr
+			}
 			return err
 		}
-		if err := c.cfg.Journal.Remove(b.ID); err != nil {
-			return err
-		}
+		j.dropHead()
 	}
-	return nil
 }
 
 // sendBatchLocked delivers one encoded batch with bounded, jittered
-// exponential backoff. It returns nil on ack, a *RejectedError on a
-// server error frame, or ErrUnreachable when attempts are exhausted.
-// Each send attempt is a client.send child of parent whose context
-// rides the wire frame, which is how the server's span tree connects
-// to this client's; backoff sleeps render as client.backoff children.
+// exponential backoff. It returns nil on ack, a bare *RejectedError on
+// a server error frame, or an error wrapping ErrUnreachable when
+// attempts are exhausted — and nothing else. Each send attempt is a
+// client.send child of parent whose context rides the wire frame, which
+// is how the server's span tree connects to this client's; backoff
+// sleeps render as client.backoff children. The frame goes out from b's
+// image in one write; the reply is read into the connection's kept
+// buffer and an ack is matched against b.ID where it lies.
 func (c *Client) sendBatchLocked(b EncodedBatch, parent *trace.Active) error {
-	f := wire.Frame{Type: wire.TypeBatch, Payload: b.Payload}
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			c.stats.Retries++
@@ -476,19 +494,19 @@ func (c *Client) sendBatchLocked(b EncodedBatch, parent *trace.Active) error {
 			c.stats.Redials++
 			c.tel.redials.Inc()
 			c.conn = conn
+			c.framed.Reset(conn)
 		}
 		ssp := parent.Child(spanClientSend, c.cfg.Clock.Now())
-		f.Trace = ssp.Context()
 		var rt0 float64
 		if c.cfg.RTTNow != nil {
 			rt0 = c.cfg.RTTNow()
 		}
-		if err := wire.WriteFrame(c.conn, f, c.cfg.MaxFramePayload); err != nil {
+		if err := c.framed.WriteImage(wire.TypeBatch, ssp.Context(), b.image); err != nil {
 			ssp.Attr("result", "io_error").End(c.cfg.Clock.Now())
 			c.closeConnLocked()
 			continue
 		}
-		resp, err := wire.ReadFrame(c.conn, c.cfg.MaxFramePayload)
+		resp, err := c.framed.Read()
 		if err != nil {
 			ssp.Attr("result", "io_error").End(c.cfg.Clock.Now())
 			c.closeConnLocked()
@@ -496,8 +514,7 @@ func (c *Client) sendBatchLocked(b EncodedBatch, parent *trace.Active) error {
 		}
 		switch resp.Type {
 		case wire.TypeAck:
-			ack, err := resp.AsAck()
-			if err != nil || ack.BatchID != b.ID {
+			if !resp.AcksBatch(b.ID) {
 				ssp.Attr("result", "bad_ack").End(c.cfg.Clock.Now())
 				c.closeConnLocked()
 				continue
@@ -560,12 +577,12 @@ func (c *Client) spillQueueLocked() error {
 }
 
 // journalBatchLocked persists one encoded batch to the journal, which
-// gets its own copy of the bytes (b's are the client's reused buffer).
+// gets its own copy of the image (b's is the client's reused buffer).
 // The spill is recorded as its own span in the batch's ID-keyed trace,
 // so a spill-then-replay batch reads as one trace: flush, spill,
 // replay.
 func (c *Client) journalBatchLocked(b EncodedBatch) error {
-	b.Payload = bytes.Clone(b.Payload)
+	b.image = bytes.Clone(b.image)
 	if err := c.cfg.Journal.appendEncoded(b); err != nil {
 		return err
 	}
@@ -583,5 +600,6 @@ func (c *Client) closeConnLocked() {
 	if c.conn != nil {
 		_ = c.conn.Close()
 		c.conn = nil
+		c.framed.Reset(nil)
 	}
 }

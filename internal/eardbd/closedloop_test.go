@@ -372,11 +372,11 @@ func TestReplyBufferReuseMatchesFreshAnswer(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(got[i].Data, fresh.Payload[1:]) {
+				if !bytes.Equal(got[i].Data, fresh[1:]) {
 					t.Errorf("%s: reply %d (%s) over a reused buffer is %d bytes, a fresh Answer %d, or they differ",
-						name, i, q.Kind, len(got[i].Data), len(fresh.Payload)-1)
+						name, i, q.Kind, len(got[i].Data), len(fresh)-1)
 				}
-				if len(fresh.Payload) > 32<<10 {
+				if len(fresh) > wire.MaxKept {
 					large++
 				}
 				var page accounting.Page

@@ -2,11 +2,16 @@ package fed_test
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"goear/internal/accounting"
+	"goear/internal/eard"
 	"goear/internal/eardbd"
 	"goear/internal/eardbd/fed"
 	"goear/internal/loadgen"
@@ -176,11 +181,11 @@ func TestConcurrentAdminsShareBoundedPool(t *testing.T) {
 	want := make([][]byte, len(mix))
 	ref := newRoot(t, cluster)
 	for i, q := range mix[:len(mix)-1] { // stats count the queries themselves
-		f, err := eardbd.Answer(nil, ref, nil, q)
+		payload, err := eardbd.Answer(nil, ref, nil, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = f.Payload[1:] // Result.Data: the payload past its kind byte
+		want[i] = payload[1:] // Result.Data: the payload past its kind byte
 	}
 	if err := ref.Close(); err != nil {
 		t.Fatal(err)
@@ -218,6 +223,87 @@ func TestConcurrentAdminsShareBoundedPool(t *testing.T) {
 		if n := waitConns(t, cluster, name, fed.MaxIdlePerShard); n == 0 {
 			t.Errorf("%s serves no connection: nothing was parked", name)
 		}
+	}
+}
+
+// TestPooledReplyOutlivesNoQuery: a shard's reply is its pooled
+// connection's read buffer, and the next query over that connection
+// reads into the same bytes — so a connection may go back to the pool
+// only once its reply has been decoded. Eight readers at a time, 200
+// snapshots each, share at most four parked connections per shard; a
+// write lands between every burst, so the bursts begin with concurrent
+// misses (dumps and power lists decoded out of the buffers) and go on
+// with hits (generation polls). Every snapshot is the bytes a lone root
+// reads serially after the same write. Were a connection parked before
+// its reply was decoded, a reader would decode what another's query
+// read over it: a snapshot differs, a decode fails, or the race
+// detector names the two.
+func TestPooledReplyOutlivesNoQuery(t *testing.T) {
+	// reading is everything a root's view holds, as values: what
+	// loadgen.Snapshot renders, without the rendering.
+	type snapshot struct {
+		agg    eardbd.Aggregate
+		powers []wire.NodePower
+		jobs   []eard.JobSummary
+		acct   []accounting.Record
+	}
+	reading := func(root *fed.Root) (snapshot, error) {
+		v, err := root.View(nil)
+		if err != nil {
+			return snapshot{}, err
+		}
+		return snapshot{v.Aggregate(), v.Powers, v.DB.Summaries(), v.Acct.Snapshot()}, nil
+	}
+	const readers, bursts, perBurst = 8, 20, 10 // 8 × 200 snapshots
+	cluster := loadedCluster(t, nil)
+	root, lone := newRoot(t, cluster), newRoot(t, cluster)
+	node := loadgen.NodeName(3)
+	writer, err := eardbd.NewClient(eardbd.ClientConfig{
+		Node: node, Dial: cluster.DialFor(node), Clock: eardbd.NewFakeClock(0), Jitter: rand.New(rand.NewSource(1)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer writer.Close()
+	for burst := 0; burst < bursts; burst++ {
+		err := writer.Enqueue(eard.JobRecord{
+			JobID: fmt.Sprintf("late%d", burst), StepID: "0", Node: node, TimeSec: 60, EnergyJ: 60 * float64(200+burst), AvgPower: float64(200 + burst),
+		})
+		if err == nil {
+			err = writer.Flush()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := reading(lone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				for i := 0; i < perBurst; i++ {
+					got, err := reading(root)
+					if err != nil {
+						t.Errorf("burst %d, reader %d, snapshot %d: %v", burst, r, i, err)
+						return
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("burst %d, reader %d, snapshot %d differs from the serial one", burst, r, i)
+						return
+					}
+				}
+			}(r)
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+	}
+	if st := root.Stats(); st.FanoutErrors != 0 || st.Redials != 0 || st.CacheMisses < bursts || st.CacheHits == 0 {
+		t.Errorf("stats = %+v, want no failed fan-out, a miss after every write and hits between them", st)
 	}
 }
 

@@ -136,9 +136,9 @@ type Root struct {
 
 	mu     sync.Mutex
 	stats  Stats
-	reach  map[string]bool       // last fan-out outcome per shard
-	idle   map[string][]net.Conn // parked shard connections, most recently used last
-	closed bool                  // Close has run: connections are closed, not parked
+	reach  map[string]bool         // last fan-out outcome per shard
+	idle   map[string][]*shardConn // parked shard connections, most recently used last
+	closed bool                    // Close has run: connections are closed, not parked
 
 	cache atomic.Pointer[view]
 }
@@ -160,7 +160,7 @@ func NewRoot(cfg Config) (*Root, error) {
 		ts:    ts,
 		tel:   newRootTel(ts),
 		reach: map[string]bool{},
-		idle:  map[string][]net.Conn{},
+		idle:  map[string][]*shardConn{},
 	}
 	root.Front = eardbd.Front{
 		Backend:         root,
@@ -218,54 +218,69 @@ func (r *Root) Stats() Stats {
 // busier moment dials the surplus and closes it afterwards.
 const maxIdlePerShard = 4
 
+// shardConn is one connection to a shard with its framing state: the
+// image its queries are built in and the buffer its replies arrive in,
+// kept with it while it is parked, so a warm poll allocates nothing on
+// either side.
+type shardConn struct {
+	wire.Conn
+	raw net.Conn
+}
+
 // queryShard runs one wire query against one shard, stamping tc on the
 // query frame so the shard's server.query span joins the caller's
-// trace. It prefers a connection parked by an earlier query and parks
-// its own after a complete reply. A reused connection may have gone
-// stale since (the shard restarted, a peer timed it out), which the
-// root cannot tell from a failing shard without asking again: queries
-// are idempotent reads, so a failure on a reused connection is retried
-// once on a fresh dial, and a failure on a fresh one is the answer.
-func (r *Root) queryShard(shard string, q wire.Query, tc trace.Context) (wire.Result, error) {
+// trace. It prefers a connection parked by an earlier query. A reused
+// connection may have gone stale since (the shard restarted, a peer
+// timed it out), which the root cannot tell from a failing shard
+// without asking again: queries are idempotent reads, so a failure on a
+// reused connection is retried once on a fresh dial, and a failure on a
+// fresh one is the answer.
+//
+// The result's body is the returned connection's read buffer. The
+// caller decodes it and only then parks the connection: a parked
+// connection's buffer belongs to the next query.
+func (r *Root) queryShard(shard string, q wire.Query, tc trace.Context) (wire.Result, *shardConn, error) {
 	t0 := r.Now.Sec()
 	conn := r.checkOut(shard)
-	res, err := r.queryOn(shard, conn, q, tc)
-	if err != nil && conn != nil {
+	reused := conn != nil
+	res, conn, err := r.queryOn(shard, conn, q, tc)
+	if err != nil && reused {
 		r.dropIdle(shard)
-		res, err = r.queryOn(shard, nil, q, tc)
+		res, conn, err = r.queryOn(shard, nil, q, tc)
 	}
 	r.countReach(shard, err == nil)
 	r.Now.Observe(r.tel.latFanout, t0)
 	if err != nil {
-		return wire.Result{}, fmt.Errorf("fed: shard %s: %w", shard, err)
+		return wire.Result{}, nil, fmt.Errorf("fed: shard %s: %w", shard, err)
 	}
-	return res, nil
+	return res, conn, nil
 }
 
 // queryOn runs q over conn, dialling the shard first when conn is nil,
-// and parks the connection after a complete reply; after anything else
-// it is closed.
-func (r *Root) queryOn(shard string, conn net.Conn, q wire.Query, tc trace.Context) (wire.Result, error) {
+// and returns the connection after a complete reply; after anything
+// else it is closed.
+func (r *Root) queryOn(shard string, conn *shardConn, q wire.Query, tc trace.Context) (wire.Result, *shardConn, error) {
 	if conn == nil {
-		var err error
-		if conn, err = r.cfg.Fleet.dial(shard); err != nil {
-			return wire.Result{}, err
+		raw, err := r.cfg.Fleet.dial(shard)
+		if err != nil {
+			return wire.Result{}, nil, err
 		}
+		conn = &shardConn{Conn: wire.Conn{MaxPayload: r.cfg.MaxFramePayload}, raw: raw}
+		conn.Reset(raw)
 	}
-	res, err := eardbd.QueryCtx(conn, q, r.cfg.MaxFramePayload, tc)
+	res, err := eardbd.QueryOn(&conn.Conn, q, tc)
 	if err != nil {
-		_ = conn.Close() // the query's error is the one to report
-		return wire.Result{}, err
+		_ = conn.raw.Close() // the query's error is the one to report
+		return wire.Result{}, nil, err
 	}
-	r.park(shard, conn)
-	return res, nil
+	return res, conn, nil
 }
 
 // checkOut counts one fan-out and takes the shard's most recently
 // parked connection, nil when there is none; the telemetry says which,
 // and whether a dial is a first attempt or the retry.
-func (r *Root) checkOut(shard string) net.Conn {
-	var conn net.Conn
+func (r *Root) checkOut(shard string) *shardConn {
+	var conn *shardConn
 	how := dialNew
 	r.mu.Lock()
 	r.stats.Fanouts++
@@ -292,13 +307,14 @@ func (r *Root) dropIdle(shard string) {
 	r.mu.Unlock()
 	r.tel.dial(shard, dialRedial)
 	for _, c := range stale {
-		_ = c.Close() // already dead, by the reasoning above
+		_ = c.raw.Close() // already dead, by the reasoning above
 	}
 }
 
-// park keeps conn for the shard's next query, or closes it when the
-// idle list is full or the root has been closed meanwhile.
-func (r *Root) park(shard string, conn net.Conn) {
+// park keeps conn, whose last reply the caller is done with, for the
+// shard's next query, or closes it when the idle list is full or the
+// root has been closed meanwhile.
+func (r *Root) park(shard string, conn *shardConn) {
 	r.mu.Lock()
 	keep := !r.closed && len(r.idle[shard]) < maxIdlePerShard
 	if keep {
@@ -306,7 +322,7 @@ func (r *Root) park(shard string, conn net.Conn) {
 	}
 	r.mu.Unlock()
 	if !keep {
-		_ = conn.Close() // surplus, fully read: nothing to lose
+		_ = conn.raw.Close() // surplus, fully read: nothing to lose
 	}
 }
 
@@ -318,11 +334,11 @@ func (r *Root) Close() error {
 	r.mu.Lock()
 	r.closed = true
 	idle := r.idle
-	r.idle = map[string][]net.Conn{}
+	r.idle = map[string][]*shardConn{}
 	r.mu.Unlock()
 	for _, conns := range idle {
 		for _, c := range conns {
-			if cerr := c.Close(); cerr != nil && err == nil {
+			if cerr := c.raw.Close(); cerr != nil && err == nil {
 				err = cerr
 			}
 		}
@@ -355,7 +371,10 @@ const fanOutConcurrency = 8
 // decoded sequentially in configured shard order — so the merged
 // output stays byte-identical to a sequential fan-out, and decode
 // callbacks never race. On error the lowest-indexed failure wins,
-// matching what the sequential loop would have reported.
+// matching what the sequential loop would have reported. A result is
+// its connection's read buffer, so every connection stays checked out
+// until the decoding is over and is parked then, whatever the outcome:
+// its reply was read whole.
 //
 // When parent is live, each shard gets a fed.fanout child span. The
 // children are all created here, in configured shard order, before
@@ -364,30 +383,43 @@ const fanOutConcurrency = 8
 // deterministic for the trace to be byte-identical across runs.
 func (r *Root) fanOut(parent *trace.Active, q wire.Query, decode func(i int, res wire.Result) error) error {
 	shards := r.cfg.Fleet.names
-	results := make([]wire.Result, len(shards))
-	kids := make([]*trace.Active, len(shards))
-	for i, shard := range shards {
-		kids[i] = parent.Child(spanFedFanout, r.Now.Sec()).Attr("shard", shard)
+	type leg struct {
+		kid  *trace.Active
+		res  wire.Result
+		conn *shardConn
 	}
+	legs := make([]leg, len(shards))
+	for i, shard := range shards {
+		legs[i].kid = parent.Child(spanFedFanout, r.Now.Sec()).Attr("shard", shard)
+	}
+	defer func() {
+		for i, l := range legs {
+			if l.conn != nil {
+				r.park(shards[i], l.conn)
+			}
+		}
+	}()
 	err := par.ForEach(fanOutConcurrency, len(shards), func(i int) error {
-		res, err := r.queryShard(shards[i], q, kids[i].Context())
+		l := &legs[i]
+		res, conn, err := r.queryShard(shards[i], q, l.kid.Context())
 		if err != nil {
-			kids[i].Attr("result", "error").End(r.Now.Sec())
+			l.kid.Attr("result", "error").End(r.Now.Sec())
 			return err
 		}
+		l.conn = conn
 		if res.Kind != q.Kind {
-			kids[i].Attr("result", "error").End(r.Now.Sec())
+			l.kid.Attr("result", "error").End(r.Now.Sec())
 			return fmt.Errorf("fed: shard %s answered kind %q to %q", shards[i], res.Kind, q.Kind)
 		}
-		kids[i].Attr("result", "ok").End(r.Now.Sec())
-		results[i] = res
+		l.kid.Attr("result", "ok").End(r.Now.Sec())
+		l.res = res
 		return nil
 	})
 	if err != nil {
 		return err
 	}
 	for i, shard := range shards {
-		if err := decode(i, results[i]); err != nil {
+		if err := decode(i, legs[i].res); err != nil {
 			return fmt.Errorf("fed: shard %s: %w", shard, err)
 		}
 	}
@@ -501,12 +533,14 @@ type IslandSource struct {
 
 // NodePowers implements eargm.PowerSource for one island.
 func (s *IslandSource) NodePowers() []float64 {
-	res, err := s.root.queryShard(s.shard, wire.Query{Kind: wire.QueryNodePowers}, trace.Context{})
+	res, conn, err := s.root.queryShard(s.shard, wire.Query{Kind: wire.QueryNodePowers}, trace.Context{})
 	if err != nil {
 		return nil
 	}
 	var nps []wire.NodePower
-	if err := res.Decode(&nps); err != nil {
+	err = res.Decode(&nps)
+	s.root.park(s.shard, conn)
+	if err != nil {
 		return nil
 	}
 	return eardbd.Watts(nps)

@@ -12,6 +12,7 @@ import (
 
 	"goear/internal/eard"
 	"goear/internal/eardbd"
+	"goear/internal/telemetry/trace"
 	"goear/internal/wire"
 )
 
@@ -376,5 +377,101 @@ func TestDuplicateRedeliveryMovesCachedPowers(t *testing.T) {
 	}
 	if st := warm.Stats(); st.CacheMisses != 2 {
 		t.Errorf("warm root: %+v, want the re-delivery to cost a second miss", st)
+	}
+}
+
+// replacer reports one node's four job steps over and over through one
+// client and one kept connection: every flush is a 4-record batch under
+// a fresh ID whose records replace the last one's, so the shard's
+// stores stay the size they are and what a round trip allocates is what
+// the path costs, not what the data does.
+type replacer struct {
+	client *eardbd.Client
+	round  int
+}
+
+func newReplacer(tb testing.TB, srv *eardbd.Server) *replacer {
+	tb.Helper()
+	c, err := eardbd.NewClient(eardbd.ClientConfig{
+		Node: "n00", Dial: srv.Dial, Clock: eardbd.NewFakeClock(0), Jitter: rand.New(rand.NewSource(1)), BatchRecords: 4,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = c.Close() })
+	return &replacer{client: c}
+}
+
+func (r *replacer) roundTrip(tb testing.TB) {
+	r.round++
+	for step := 0; step < 4; step++ {
+		err := r.client.Enqueue(eard.JobRecord{
+			JobID: "job0", StepID: "0123"[step : step+1], Node: "n00", App: "BT-MZ.C", Policy: "min_energy",
+			TimeSec: 120 + float64(r.round), EnergyJ: 36000, AvgPower: 300, AvgCPU: 2.1, AvgIMC: 2.4,
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestBatchRoundTripAllocations pins what the framed connections leave
+// of a warm round trip, counted across every goroutine it touches. A
+// batch — enqueue, encode, one write, the shard's read, decode, dedup,
+// store, ack, the client's read — allocates what it keeps and nothing
+// else: the client's batch-ID string and the block the shard cuts the
+// batch's strings from (the ID among them, which the window keeps). A
+// generation poll over a parked root connection — checkout, query,
+// serve, reply, decode, park — keeps nothing and allocates nothing, on
+// either side.
+func TestBatchRoundTripAllocations(t *testing.T) {
+	srv := eardbd.NewServer(eard.NewDB(), eardbd.Config{})
+	t.Cleanup(func() { _ = srv.Close() })
+	r := newReplacer(t, srv)
+	for i := 0; i < 64; i++ {
+		r.roundTrip(t) // grow every buffer, and the window's map past its next doubling
+	}
+	if n := testing.AllocsPerRun(100, func() { r.roundTrip(t) }); n > 2 {
+		t.Errorf("a warm 4-record batch round trip allocates %v times, want at most 2", n)
+	}
+	if st := srv.Stats(); st.Batches != 165 || st.RecordsAccepted != 4 || st.RecordsReplaced != 4*164 || r.client.Stats().Redials != 1 {
+		t.Errorf("the batches did not replace over one connection: %+v, %d dials", st, r.client.Stats().Redials)
+	}
+
+	shard := shardFixture{name: "s0", srv: srv}
+	root := rootOver(t, []shardFixture{shard}, dialer([]shardFixture{shard}))
+	t.Cleanup(func() { _ = root.Close() })
+	var g wire.Generation
+	poll := func() {
+		res, conn, err := root.queryShard("s0", wire.Query{Kind: wire.QueryGeneration}, trace.Context{})
+		if err == nil {
+			err = res.Decode(&g)
+			root.park("s0", conn)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	poll()
+	if n := testing.AllocsPerRun(100, poll); n != 0 {
+		t.Errorf("a warm generation poll over a parked connection allocates %v times, want 0", n)
+	}
+	if st := root.Stats(); g.Gen != 165 || st.Dials != 1 || st.Fanouts != 102 {
+		t.Errorf("generation %d after 165 batches; the polls did not share one connection: %+v", g.Gen, st)
+	}
+}
+
+// BenchmarkBatchRoundTrip is the round trip TestBatchRoundTripAllocations
+// counts: one client, one kept connection, 4-record batches that
+// replace.
+func BenchmarkBatchRoundTrip(b *testing.B) {
+	srv := eardbd.NewServer(eard.NewDB(), eardbd.Config{})
+	b.Cleanup(func() { _ = srv.Close() })
+	r := newReplacer(b, srv)
+	r.roundTrip(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.roundTrip(b)
 	}
 }

@@ -1,8 +1,6 @@
 package fed
 
 import (
-	"net"
-
 	"goear/internal/eardbd"
 	"goear/internal/wire"
 )
@@ -15,8 +13,8 @@ import (
 // shard that owns the node (ring placement), never through the root —
 // the root is a read path, and keeping it so means a root outage can
 // never lose accounting data.
-func (r *Root) refuseBatch(conn net.Conn, _ wire.Frame, _ *wire.Batch) bool {
-	r.ReplyError(conn, "federation root does not accept batches; report to the owning shard")
+func (r *Root) refuseBatch(c *wire.Conn, _ wire.Frame, _ *wire.Batch) bool {
+	r.ReplyError(c, "federation root does not accept batches; report to the owning shard")
 	return false
 }
 

@@ -23,28 +23,35 @@ import (
 //
 // The on-disk format is the wire format: the file is the concatenation
 // of the exact untraced TypeBatch frames that would have been sent,
-// each appended with one synchronous write. Replaying an entry copies
-// its payload to the connection under a fresh header; nothing is
-// decoded or re-encoded. Removal (after a successful replay) compacts
-// the file through a temp-file rename. A journal opened with an empty
-// path lives purely in memory, which the deterministic tests use.
+// each appended with one synchronous write. Replaying an entry sends
+// its image under a fresh header; nothing is decoded, re-encoded or
+// copied. Removal compacts the file through a temp-file rename: one
+// entry at a time through Remove, or — a client draining its backlog —
+// once for everything a replay pass delivered (dropHead, compact). A
+// journal opened with an empty path lives purely in memory, which the
+// deterministic tests use.
 type Journal struct {
 	mu      sync.Mutex
 	path    string
 	entries []EncodedBatch
 	frame   bytes.Buffer // one frame being assembled for the file
+	stale   bool         // the file still holds entries dropHead took out
 }
 
 // EncodedBatch is one batch ready for the wire: its ID and record
 // count (node reports and accounting records together), and the
-// encoded TypeBatch body. It is what the journal stores and what a
-// replay sends; a Payload obtained from the journal is shared with it
-// and must not be modified.
+// encoded TypeBatch body behind the header room a connection sends it
+// from (wire.Conn.WriteImage). It is what the journal stores and what a
+// replay sends; an entry obtained from the journal shares its bytes
+// with it, and only a send may write to them — to the room.
 type EncodedBatch struct {
 	ID      string
 	Records int
-	Payload []byte
+	image   []byte
 }
+
+// Payload returns the encoded TypeBatch body; read-only.
+func (e EncodedBatch) Payload() []byte { return e.image[wire.HeaderRoom:] }
 
 // journalMaxFrame bounds a journal frame only by what the header's
 // length field can say: what may be spilled is the client's frame
@@ -92,28 +99,27 @@ func OpenJournal(path string) (*Journal, error) {
 		if err != nil {
 			return nil, fmt.Errorf("eardbd: journal %s corrupt after %d batches: %w", path, len(j.entries), err)
 		}
-		j.entries = append(j.entries, EncodedBatch{ID: b.ID, Records: len(b.Records) + len(b.Acct), Payload: fr.Payload})
+		// The frame was read without room in front of it: copy it behind
+		// some.
+		image := append(make([]byte, wire.HeaderRoom, wire.HeaderRoom+len(fr.Payload)), fr.Payload...)
+		j.entries = append(j.entries, EncodedBatch{ID: b.ID, Records: len(b.Records) + len(b.Acct), image: image})
 	}
 }
 
 // Append spills one batch, persisting before returning so a crash
 // after Append cannot lose it.
 func (j *Journal) Append(b wire.Batch) error {
-	f, err := wire.EncodeBatch(b)
-	if err != nil {
-		return err
-	}
-	return j.appendEncoded(EncodedBatch{ID: b.ID, Records: len(b.Records) + len(b.Acct), Payload: f.Payload})
+	return j.appendEncoded(EncodedBatch{ID: b.ID, Records: len(b.Records) + len(b.Acct), image: wire.BatchImage(nil, b)})
 }
 
 // appendEncoded spills a batch that is already encoded; the journal
-// keeps e.Payload.
+// keeps e's image.
 func (j *Journal) appendEncoded(e EncodedBatch) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.path != "" {
 		j.frame.Reset()
-		if err := wire.WriteFrame(&j.frame, wire.Frame{Type: wire.TypeBatch, Payload: e.Payload}, journalMaxFrame); err != nil {
+		if err := wire.WriteFrame(&j.frame, wire.Frame{Type: wire.TypeBatch, Payload: e.Payload()}, journalMaxFrame); err != nil {
 			return fmt.Errorf("eardbd: append journal: %w", err)
 		}
 		f, err := os.OpenFile(j.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -134,7 +140,7 @@ func (j *Journal) appendEncoded(e EncodedBatch) error {
 }
 
 // Remove drops the batch with the given ID (after its replay was
-// acknowledged) and compacts the file.
+// acknowledged) and compacts the file before it returns.
 func (j *Journal) Remove(id string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -156,6 +162,43 @@ func (j *Journal) Entries() []EncodedBatch {
 	out := make([]EncodedBatch, len(j.entries))
 	copy(out, j.entries)
 	return out
+}
+
+// head returns the oldest spilled batch, if there is one.
+func (j *Journal) head() (EncodedBatch, bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if len(j.entries) == 0 {
+		return EncodedBatch{}, false
+	}
+	return j.entries[0], true
+}
+
+// dropHead takes the oldest batch out of the journal in memory only:
+// the file keeps it until compact. A replay pass drops every batch it
+// delivers and compacts once when it ends, so a backlog of N batches
+// costs one rewrite and one fsync, not N rewrites of N…1 frames. A crash
+// in between leaves delivered batches in the file; the next process
+// sends them again under their IDs and the daemon drops them as
+// redeliveries — the contract a lost ack already relies on.
+func (j *Journal) dropHead() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.entries[0] = EncodedBatch{} // let the image go
+	j.entries = j.entries[1:]
+	j.stale = true
+}
+
+// compact brings the file in line with what dropHead left.
+func (j *Journal) compact() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if !j.stale {
+		return nil
+	}
+	err := j.rewrite()
+	j.stale = err != nil
+	return err
 }
 
 // Len returns the number of spilled batches.
@@ -202,7 +245,7 @@ func (j *Journal) rewrite() error {
 	}
 	w := bufio.NewWriter(f)
 	for _, e := range j.entries {
-		if err := wire.WriteFrame(w, wire.Frame{Type: wire.TypeBatch, Payload: e.Payload}, journalMaxFrame); err != nil {
+		if err := wire.WriteFrame(w, wire.Frame{Type: wire.TypeBatch, Payload: e.Payload()}, journalMaxFrame); err != nil {
 			_ = f.Close()
 			return fmt.Errorf("eardbd: rewrite journal: %w", err)
 		}

@@ -3,6 +3,7 @@ package eardbd
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
 	"os"
@@ -84,7 +85,7 @@ func TestJournalPersistsAcrossReopen(t *testing.T) {
 	if ents[1].Records != 3 {
 		t.Errorf("batch 2 records = %d, want 3", ents[1].Records)
 	}
-	got, err := wire.Frame{Type: wire.TypeBatch, Payload: ents[1].Payload}.AsBatch()
+	got, err := wire.Frame{Type: wire.TypeBatch, Payload: ents[1].Payload()}.AsBatch()
 	if err != nil || len(got.Records) != 3 || got.Records[2] != journalBatch("", 3).Records[2] {
 		t.Errorf("batch 2 payload decodes to %+v, err %v", got, err)
 	}
@@ -282,7 +283,7 @@ func TestReplaySendsJournaledPayloadVerbatim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(f.Payload, spilled[0].Payload) {
+	if !bytes.Equal(f.Payload, spilled[0].Payload()) {
 		t.Error("replayed payload differs from the journaled payload")
 	}
 	if st := srv.Stats(); st.RecordsAccepted != 1 || st.RecordsReplaced != 1 {
@@ -290,6 +291,154 @@ func TestReplaySendsJournaledPayloadVerbatim(t *testing.T) {
 	}
 	if reopened.Len() != 0 {
 		t.Errorf("journal holds %d batches after the replay", reopened.Len())
+	}
+}
+
+// watchedConn calls before ahead of every write: the moment a client is
+// about to put its next frame on the wire.
+type watchedConn struct {
+	net.Conn
+	before func() error
+}
+
+func (c watchedConn) Write(p []byte) (int, error) {
+	if err := c.before(); err != nil {
+		return 0, err
+	}
+	return c.Conn.Write(p)
+}
+
+// backlogJournal spills n one-record batches, each its own job, to a
+// fresh on-disk journal and returns its path.
+func backlogJournal(t *testing.T, n int) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "spill.journal")
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= n; i++ {
+		b := wire.Batch{ID: BatchID("n01", uint64(i)), Node: "n01", Records: []eard.JobRecord{rec(fmt.Sprintf("j%d", i), "0", "n01", 100)}}
+		if err := j.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return path
+}
+
+// TestReplayCompactsJournalOnce: draining an on-disk backlog rewrites
+// the file once, when the pass ends — not once per acked batch, each a
+// rewrite of everything behind it and an fsync. Until then the file is
+// the one the pass started from: every frame the client sends leaves
+// with the journal file untouched. A pass that ends early, at the first
+// batch the daemon cannot be reached for, compacts to what is left.
+func TestReplayCompactsJournalOnce(t *testing.T) {
+	const backlog, reachable = 64, 40
+	for name, cut := range map[string]int{"drained": backlog, "daemon lost mid-pass": reachable} {
+		path := backlogJournal(t, backlog)
+		started, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := NewServer(eard.NewDB(), Config{})
+		frames := 0
+		c := newTestClient(t, ClientConfig{MaxAttempts: 1, Journal: j, Dial: func() (net.Conn, error) {
+			conn, err := srv.Dial()
+			return watchedConn{conn, func() error {
+				if now, err := os.Stat(path); err != nil || !os.SameFile(started, now) || now.Size() != started.Size() {
+					t.Errorf("%s: the journal file was rewritten with %d batches acked (stat error %v)", name, frames, err)
+				}
+				if frames == cut {
+					return errors.New("daemon lost")
+				}
+				frames++
+				return nil
+			}}, err
+		}})
+		err = c.Flush()
+		if cut == backlog && (err != nil || frames != backlog) {
+			t.Fatalf("%s: flush sent %d frames, err %v", name, frames, err)
+		}
+		if cut < backlog && !errors.Is(err, ErrUnreachable) {
+			t.Fatalf("%s: flush err = %v, want ErrUnreachable", name, err)
+		}
+		if st := srv.Stats(); st.Batches != cut || st.RecordsAccepted != cut {
+			t.Errorf("%s: server stats %+v, want %d batches", name, st, cut)
+		}
+		// What the next process finds is what was not delivered.
+		left, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if left.Len() != backlog-cut || j.Len() != backlog-cut {
+			t.Errorf("%s: %d batches left on disk, %d in memory, want %d", name, left.Len(), j.Len(), backlog-cut)
+		}
+		if ents := left.Entries(); len(ents) > 0 && ents[0].ID != BatchID("n01", uint64(cut+1)) {
+			t.Errorf("%s: the journal now starts at %s", name, ents[0].ID)
+		}
+	}
+}
+
+// TestCrashMidReplayResendsAsDuplicates: a reporter that dies between
+// an ack and the compaction that ends its replay pass leaves delivered
+// batches in the file. The next process sends them again under their
+// IDs; the daemon acks them as the redeliveries they are and stores
+// nothing twice.
+func TestCrashMidReplayResendsAsDuplicates(t *testing.T) {
+	const backlog, delivered = 64, 40
+	path := backlogJournal(t, backlog)
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(eard.NewDB(), Config{})
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := 0
+	dying := newTestClient(t, ClientConfig{MaxAttempts: 1, Journal: j, Dial: func() (net.Conn, error) {
+		conn, err := srv.Dial()
+		return watchedConn{conn, func() error {
+			if frames == delivered {
+				return errors.New("reporter killed")
+			}
+			frames++
+			return nil
+		}}, err
+	}})
+	if err := dying.Flush(); !errors.Is(err, ErrUnreachable) {
+		t.Fatalf("flush err = %v, want ErrUnreachable", err)
+	}
+	// The crash: the pass never got to compact.
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened, err := OpenJournal(path)
+	if err != nil || reopened.Len() != backlog {
+		t.Fatalf("reopened journal holds %d batches, err %v", reopened.Len(), err)
+	}
+	next := newTestClient(t, ClientConfig{Journal: reopened, Dial: srv.Dial})
+	if err := next.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	st := srv.Stats()
+	if st.Batches != delivered+backlog || st.DuplicateBatches != delivered || st.RecordsAccepted != backlog || st.RecordsReplaced != 0 {
+		t.Errorf("server stats %+v: want %d batches, %d of them duplicates, %d records accepted once", st, delivered+backlog, delivered, backlog)
+	}
+	if n := srv.DB().Len(); n != backlog {
+		t.Errorf("the database holds %d records, want %d", n, backlog)
+	}
+	if cs := next.Stats(); cs.BatchesReplayed != backlog || reopened.Len() != 0 {
+		t.Errorf("second pass replayed %d batches and left %d", cs.BatchesReplayed, reopened.Len())
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("drained journal file still exists: %v", err)
 	}
 }
 

@@ -16,9 +16,11 @@ func Query(conn net.Conn, q wire.Query, maxPayload int) (wire.Result, error) {
 }
 
 // QueryCtx is Query carrying a trace context on the query frame, so a
-// caller's span tree (the federation root's fan-out) continues into
-// the server's server.query span. A zero context sends an untraced
-// frame, byte-identical to Query's.
+// caller's span tree continues into the server's server.query span. A
+// zero context sends an untraced frame, byte-identical to Query's. It
+// keeps no state between calls and the result is the caller's to keep;
+// a caller that asks the same peer again and again holds a wire.Conn
+// and asks through QueryOn.
 func QueryCtx(conn net.Conn, q wire.Query, maxPayload int, tc trace.Context) (wire.Result, error) {
 	qf, err := wire.EncodeQuery(q)
 	if err != nil {
@@ -32,6 +34,27 @@ func QueryCtx(conn net.Conn, q wire.Query, maxPayload int, tc trace.Context) (wi
 	if err != nil {
 		return wire.Result{}, err
 	}
+	return resultOf(resp)
+}
+
+// QueryOn is QueryCtx over a connection's framing state (the federation
+// root's fan-out over its pooled shard connections): the query is built
+// in c's image and sent in one write, and the result's body is c's read
+// buffer — valid until c's next read and no longer.
+func QueryOn(c *wire.Conn, q wire.Query, tc trace.Context) (wire.Result, error) {
+	if err := c.Send(wire.TypeQuery, tc, wire.AppendQuery(c.Body(), q)); err != nil {
+		return wire.Result{}, err
+	}
+	resp, err := c.Read()
+	if err != nil {
+		return wire.Result{}, err
+	}
+	return resultOf(resp)
+}
+
+// resultOf reads the reply to a query: a result, or the server's error
+// frame as an error.
+func resultOf(resp wire.Frame) (wire.Result, error) {
 	switch resp.Type {
 	case wire.TypeResult:
 		return resp.AsResult()

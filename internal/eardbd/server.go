@@ -16,7 +16,6 @@ package eardbd
 
 import (
 	"fmt"
-	"net"
 	"sync"
 
 	"goear/internal/accounting"
@@ -114,9 +113,14 @@ type Server struct {
 	acct *accounting.Store
 	tel  serverTel
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// seen is the batch-ID window: true for a batch that is stored,
+	// false for one a handler has claimed and is storing. A redelivery
+	// that meets a claim waits on resolved for that, so a batch
+	// is never in two handlers at once.
 	seen      map[string]bool
-	seenQueue []string // FIFO eviction order for seen
+	seenQueue []string  // FIFO eviction order for the stored IDs of seen
+	resolved  sync.Cond // on mu; signalled when a claim resolves
 	nodeW     map[string]float64
 	powers    []wire.NodePower // nodeW name-sorted, as last handed out; nil once nodeW has moved
 	stats     Stats
@@ -154,6 +158,7 @@ func NewServer(db *eard.DB, cfg Config) *Server {
 		seen:  map[string]bool{},
 		nodeW: map[string]float64{},
 	}
+	s.resolved.L = &s.mu
 	s.Front = Front{
 		Backend:         s,
 		Batch:           s.handleBatch,
@@ -256,10 +261,10 @@ func (s *Server) HealthCheck(staleAfterSec float64) telemetry.CheckFunc {
 // a connected tree from the client's flush to the rows landing here.
 // b is the connection's decode scratch: nothing of it but its strings
 // may be kept once handleBatch returns.
-func (s *Server) handleBatch(conn net.Conn, f wire.Frame, b *wire.Batch) bool {
+func (s *Server) handleBatch(c *wire.Conn, f wire.Frame, b *wire.Batch) bool {
 	t0 := s.Now.Sec()
 	if err := f.DecodeBatch(b); err != nil {
-		s.protocolError(conn, err.Error())
+		s.protocolError(c, err.Error())
 		return false
 	}
 	sp := s.Tracer.Remote(f.Trace, spanServerBatch, t0)
@@ -273,7 +278,7 @@ func (s *Server) handleBatch(conn net.Conn, f wire.Frame, b *wire.Batch) bool {
 	reject := func(msg string) bool {
 		vsp.End(s.Now.Sec())
 		done("rejected")
-		s.rejectBatch(conn, msg)
+		s.rejectBatch(c, msg)
 		return true
 	}
 	if b.ID == "" {
@@ -294,9 +299,22 @@ func (s *Server) handleBatch(conn net.Conn, f wire.Frame, b *wire.Batch) bool {
 	}
 	vsp.End(s.Now.Sec())
 
+	// The window check is a claim: from here until the batch is marked
+	// stored, its ID is this handler's. A client whose connection died
+	// under a delivery retries on a new one while the first handler may
+	// still be storing; were both let through, the retry's ack could
+	// reach the client before the first delivery landed, the node's next
+	// batch overtake it, and the older batch's power be the one that
+	// stays. The retry waits instead, and is then acked as the duplicate
+	// it is.
 	dsp := sp.Child(spanServerDedup, s.Now.Sec())
 	s.mu.Lock()
-	if s.seen[b.ID] {
+	stored, claimed := s.seen[b.ID]
+	for claimed && !stored {
+		s.resolved.Wait()
+		stored, claimed = s.seen[b.ID]
+	}
+	if stored {
 		n := len(b.Records) + len(b.Acct)
 		s.stats.Batches++
 		s.stats.DuplicateBatches++
@@ -306,8 +324,9 @@ func (s *Server) handleBatch(conn net.Conn, f wire.Frame, b *wire.Batch) bool {
 		s.tel.batchDup.Inc()
 		s.tel.recDup.Add(uint64(n))
 		s.tel.batchEvent(b.Node, b.ID, "duplicate", &int3{b: n})
-		return s.reply(conn, mustAck(wire.Ack{BatchID: b.ID, Duplicate: n}))
+		return sendAck(c, wire.Ack{BatchID: b.ID, Duplicate: n})
 	}
+	s.seen[b.ID] = false
 	s.mu.Unlock()
 	dsp.End(s.Now.Sec())
 
@@ -327,9 +346,14 @@ func (s *Server) handleBatch(conn net.Conn, f wire.Frame, b *wire.Batch) bool {
 	}
 	if err != nil {
 		// Validate passed above; an insert failure here is a bug, not
-		// client traffic. Surface it and drop the connection.
+		// client traffic. Give the claim up, surface it and drop the
+		// connection.
+		s.mu.Lock()
+		delete(s.seen, b.ID)
+		s.resolved.Broadcast()
+		s.mu.Unlock()
 		done("error")
-		s.protocolError(conn, fmt.Sprintf("store batch %s: %v", b.ID, err))
+		s.protocolError(c, fmt.Sprintf("store batch %s: %v", b.ID, err))
 		return false
 	}
 	ack := wire.Ack{
@@ -364,6 +388,7 @@ func (s *Server) handleBatch(conn net.Conn, f wire.Frame, b *wire.Batch) bool {
 		delete(s.seen, s.seenQueue[0])
 		s.seenQueue = s.seenQueue[1:]
 	}
+	s.resolved.Broadcast()
 	s.mu.Unlock()
 	done("accepted")
 	s.tel.batchOK.Inc()
@@ -371,7 +396,14 @@ func (s *Server) handleBatch(conn net.Conn, f wire.Frame, b *wire.Batch) bool {
 	s.tel.recDup.Add(uint64(ack.Duplicate))
 	s.tel.recReplace.Add(uint64(ack.Replaced))
 	s.tel.batchEvent(b.Node, b.ID, "accepted", &int3{ack.Accepted, ack.Duplicate, ack.Replaced})
-	return s.reply(conn, mustAck(ack))
+	return sendAck(c, ack)
+}
+
+// sendAck builds the ack in the connection's image and sends it; a
+// failed write means the peer is gone, which the caller treats as
+// connection end.
+func sendAck(c *wire.Conn, a wire.Ack) bool {
+	return c.Send(wire.TypeAck, trace.Context{}, wire.AppendAck(c.Body(), a)) == nil
 }
 
 // storeAll folds recs in through insert — the classifying call the
@@ -461,31 +493,11 @@ func (s *Server) Restore(sv Saved) error {
 
 // rejectBatch counts and reports a permanent (non-retryable) batch
 // rejection while keeping the connection open.
-func (s *Server) rejectBatch(conn net.Conn, msg string) {
+func (s *Server) rejectBatch(c *wire.Conn, msg string) {
 	s.mu.Lock()
 	s.stats.BatchesRejected++
 	s.mu.Unlock()
 	s.tel.batchRej.Inc()
 	s.tel.batchEvent("", "", "rejected", nil)
-	s.ReplyError(conn, msg)
-}
-
-// mustError encodes an error frame; encoding a plain string cannot
-// fail.
-func mustError(msg string) wire.Frame {
-	f, err := wire.EncodeError(msg)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
-// mustAck encodes an ack frame; encoding the fixed Ack struct cannot
-// fail.
-func mustAck(a wire.Ack) wire.Frame {
-	f, err := wire.EncodeAck(a)
-	if err != nil {
-		panic(err)
-	}
-	return f
+	s.ReplyError(c, msg)
 }

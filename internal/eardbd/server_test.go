@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"goear/internal/eard"
@@ -394,10 +395,10 @@ func TestServerQueries(t *testing.T) {
 }
 
 // TestReplyBufferKeptOnlyWhileSmall drives serveQuery as ServeConn
-// does, holding the connection's buffer: a small reply is built in it
-// and kept, a dump past maxKeptReply is written from a buffer of its
-// own that is not kept, and the next small reply is built in the very
-// bytes the first one was.
+// does, over the connection's framing state: a small reply is built in
+// the connection's image and kept, a dump past wire.MaxKept is written
+// from a buffer of its own that is not kept, and the next small reply
+// is built in the very bytes the first one was.
 func TestReplyBufferKeptOnlyWhileSmall(t *testing.T) {
 	db := eard.NewDB()
 	for i := 0; i < 800; i++ {
@@ -409,7 +410,8 @@ func TestReplyBufferKeptOnlyWhileSmall(t *testing.T) {
 	client, server := net.Pipe()
 	defer client.Close()
 	defer server.Close()
-	var reply []byte
+	var c wire.Conn
+	c.Reset(server)
 	serve := func(kind string) wire.Frame {
 		t.Helper()
 		qf, err := wire.EncodeQuery(wire.Query{Kind: kind})
@@ -421,7 +423,7 @@ func TestReplyBufferKeptOnlyWhileSmall(t *testing.T) {
 			f, _ := wire.ReadFrame(client, 0)
 			got <- f
 		}()
-		if !srv.serveQuery(server, qf, &reply) {
+		if !srv.serveQuery(&c, qf) {
 			t.Fatalf("%s: serveQuery gave the connection up", kind)
 		}
 		f := <-got
@@ -430,26 +432,30 @@ func TestReplyBufferKeptOnlyWhileSmall(t *testing.T) {
 		}
 		return f
 	}
+	// holds reports whether the connection's image, as kept, holds f's
+	// payload behind its room.
+	holds := func(f wire.Frame) bool {
+		image := c.Body()
+		return cap(image) >= wire.HeaderRoom+len(f.Payload) &&
+			bytes.Equal(image[wire.HeaderRoom:wire.HeaderRoom+len(f.Payload)], f.Payload)
+	}
 
-	if reply != nil {
-		t.Fatal("a connection owns a reply buffer before its first query")
-	}
 	small := serve(wire.QueryNodePowers)
-	if cap(reply) == 0 || cap(reply) > maxKeptReply || !bytes.Equal(reply, small.Payload) {
-		t.Fatalf("after a %d-byte reply the kept buffer holds %d bytes of %d", len(small.Payload), len(reply), cap(reply))
+	kept := c.Body()
+	if cap(kept) > wire.MaxKept || !holds(small) {
+		t.Fatalf("after a %d-byte reply the connection keeps a buffer of %d bytes that holds it: %v", len(small.Payload), cap(kept), holds(small))
 	}
-	kept := &reply[0]
 
 	dump := serve(wire.QueryRecords)
-	if len(dump.Payload) <= maxKeptReply {
+	if len(dump.Payload) <= wire.MaxKept {
 		t.Fatalf("the dump is only %d bytes: it tests nothing", len(dump.Payload))
 	}
-	if cap(reply) > maxKeptReply || &reply[0] != kept {
-		t.Fatalf("a %d-byte dump left the connection holding a buffer of %d bytes", len(dump.Payload), cap(reply))
+	if image := c.Body(); cap(image) > wire.MaxKept || &image[0] != &kept[0] {
+		t.Fatalf("a %d-byte dump left the connection holding a buffer of %d bytes", len(dump.Payload), cap(image))
 	}
 
 	next := serve(wire.QueryGeneration)
-	if &reply[0] != kept || !bytes.Equal(reply, next.Payload) {
+	if &c.Body()[0] != &kept[0] || !holds(next) {
 		t.Fatalf("after the dump, a %d-byte reply was not built in the kept buffer", len(next.Payload))
 	}
 }
@@ -480,6 +486,89 @@ func TestServerFrameLimitIsEnforced(t *testing.T) {
 	}
 	if ef.Message == "" {
 		t.Error("empty error message")
+	}
+}
+
+// TestRedeliveryWaitsForClaimedBatch: a batch redelivered while its
+// first delivery's handler is still storing it — the client's
+// connection died under the delivery and it retried on a new one — is
+// not let through beside it. It waits for the first delivery to land
+// and is acked as a duplicate batch: stored once, by the handler that
+// claimed it, and no ack precedes that store.
+//
+// The server's clock is the one thing a handler calls out to between
+// claiming a batch and storing it, so the test stalls the first handler
+// there: at the first reading that finds the ID claimed and not stored.
+// The readings a handler takes before its window check are counted on
+// the way, which tells when the second handler has got that far.
+func TestRedeliveryWaitsForClaimedBatch(t *testing.T) {
+	const id = "n01/1"
+	var srv *Server
+	var readings, beforeCheck, second atomic.Int32
+	claimed, atCheck, release := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	srv = NewServer(eard.NewDB(), Config{Now: func() float64 {
+		n := readings.Add(1)
+		if beforeCheck.Load() == 0 {
+			srv.mu.Lock()
+			stored, held := srv.seen[id]
+			srv.mu.Unlock()
+			if held && !stored {
+				beforeCheck.Store(n - 1)
+				close(claimed)
+				<-release
+			}
+		} else if second.Add(1) == beforeCheck.Load() {
+			close(atCheck)
+		}
+		return 0
+	}})
+	defer srv.Close()
+	batch := mustBatch(t, wire.Batch{ID: id, Node: "n01", Records: []eard.JobRecord{rec("j1", "0", "n01", 300)}})
+	deliver := func() <-chan wire.Ack {
+		conn, err := srv.Dial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		acked := make(chan wire.Ack, 1)
+		go func() {
+			if err := wire.WriteFrame(conn, batch, 0); err != nil {
+				t.Error(err)
+			}
+			resp, err := wire.ReadFrame(conn, 0)
+			if err != nil {
+				t.Error(err)
+			}
+			ack, err := resp.AsAck()
+			if err != nil {
+				t.Error(err)
+			}
+			acked <- ack
+		}()
+		return acked
+	}
+
+	first := deliver()
+	<-claimed
+	again := deliver()
+	<-atCheck
+	select {
+	case ack := <-again:
+		t.Fatalf("the redelivery was acked (%+v) with the first delivery not yet stored", ack)
+	default:
+	}
+	if n := srv.DB().Len(); n != 0 {
+		t.Fatalf("%d records stored while the claiming handler is stalled before its store", n)
+	}
+	close(release)
+	if ack := <-first; ack.Accepted != 1 || ack.Duplicate != 0 {
+		t.Errorf("first delivery acked %+v, want one record accepted", ack)
+	}
+	if ack := <-again; ack.Accepted != 0 || ack.Duplicate != 1 {
+		t.Errorf("redelivery acked %+v, want one duplicate", ack)
+	}
+	if st := srv.Stats(); st.Batches != 2 || st.DuplicateBatches != 1 || st.RecordsAccepted != 1 || st.RecordsDuplicate != 0 || srv.DB().Len() != 1 {
+		t.Errorf("stats %+v with %d records stored: the batch was not stored once, by one handler", st, srv.DB().Len())
 	}
 }
 

@@ -57,10 +57,11 @@ func (v View) Aggregate() Aggregate {
 	return agg
 }
 
-// Answer computes the result frame for one snapshot query, from at
-// most one lookup of the backend, appending its payload to dst (nil for
-// a fresh one).
-func Answer(dst []byte, b Backend, parent *trace.Active, q wire.Query) (wire.Frame, error) {
+// Answer computes the result of one snapshot query, from at most one
+// lookup of the backend, and appends it to dst — nil, or the room of a
+// connection's image — as the payload of a TypeResult frame. On error
+// dst comes back as it was.
+func Answer(dst []byte, b Backend, parent *trace.Active, q wire.Query) ([]byte, error) {
 	var (
 		v   any
 		err error
@@ -79,16 +80,12 @@ func Answer(dst []byte, b Backend, parent *trace.Active, q wire.Query) (wire.Fra
 			v, err = view.answer(q)
 		}
 	default:
-		return wire.Frame{}, fmt.Errorf("unknown query kind %q", q.Kind)
+		return dst, fmt.Errorf("unknown query kind %q", q.Kind)
 	}
 	if err != nil {
-		return wire.Frame{}, err
+		return dst, err
 	}
-	p, err := wire.AppendResult(dst, q.Kind, v)
-	if err != nil {
-		return wire.Frame{}, err
-	}
-	return wire.Frame{Type: wire.TypeResult, Payload: p}, nil
+	return wire.AppendResult(dst, q.Kind, v)
 }
 
 // answer computes the value of one state query. The two kinds that
@@ -187,9 +184,10 @@ func (w Stopwatch) Observe(h *telemetry.Histogram, startSec float64) {
 type Front struct {
 	// Backend answers the snapshot queries.
 	Backend Backend
-	// Batch handles one batch frame and reports whether the connection
-	// stays open. scratch is the connection's decode scratch.
-	Batch func(conn net.Conn, f wire.Frame, scratch *wire.Batch) bool
+	// Batch handles one batch frame read from c, answers on c, and
+	// reports whether the connection stays open. scratch is the
+	// connection's decode scratch.
+	Batch func(c *wire.Conn, f wire.Frame, scratch *wire.Batch) bool
 	// Count records one event in the owner's stats and telemetry.
 	Count func(Event)
 	// MaxFramePayload caps frames read and written.
@@ -322,10 +320,18 @@ func (fr *Front) Close() error {
 	return firstErr
 }
 
-// batchPool recycles batch decode scratch across connections: node
-// daemons that connect, report one batch and hang up would otherwise
-// pay for fresh record slices every time.
-var batchPool = sync.Pool{New: func() any { return new(wire.Batch) }}
+// connState is what serving a connection takes beyond the connection:
+// its framing state — the read buffer frames arrive in, the image acks
+// and results are built in — and the batch decode scratch.
+type connState struct {
+	wire.Conn
+	scratch wire.Batch
+}
+
+// batchPool recycles connection state across connections: node daemons
+// that connect, report one batch and hang up would otherwise pay for a
+// fresh read buffer, ack buffer and record slices every time.
+var batchPool = sync.Pool{New: func() any { return new(connState) }}
 
 // ServeConn speaks the wire protocol on one connection until EOF or a
 // protocol error, then closes it. Serve and Dial run it for every
@@ -334,68 +340,57 @@ var batchPool = sync.Pool{New: func() any { return new(wire.Batch) }}
 func (fr *Front) ServeConn(conn net.Conn) {
 	defer func() { _ = conn.Close() }()
 	fr.Count(EventConnection)
-	// Records are stored by value, so every batch may decode into the
-	// backing arrays an earlier one — of this connection or a finished
-	// one — left behind. A connection that only queries takes none.
-	var scratch *wire.Batch
+	// Records are stored by value and every frame is handled before the
+	// next is read, so each batch may arrive in the buffer and decode
+	// into the backing arrays an earlier one — of this connection or a
+	// finished one — left behind, and each reply be built where the last
+	// one was.
+	st := batchPool.Get().(*connState)
+	st.MaxPayload = fr.MaxFramePayload
+	st.Reset(conn)
 	defer func() {
-		if scratch != nil {
-			batchPool.Put(scratch)
-		}
+		st.Reset(nil)
+		batchPool.Put(st)
 	}()
-	// A connection that queries builds every reply in one buffer of its
-	// own; a reporter's never comes into being.
-	var reply []byte
+	c := &st.Conn
 	for {
-		f, err := wire.ReadFrame(conn, fr.MaxFramePayload)
+		f, err := c.Read()
 		if err != nil {
 			// A peer hanging up between frames (EOF, or a closed pipe in
 			// simulated transports) is a normal disconnect, not a protocol
 			// violation.
 			if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrClosedPipe) && !errors.Is(err, net.ErrClosed) {
-				fr.protocolError(conn, err.Error())
+				fr.protocolError(c, err.Error())
 			}
 			return
 		}
 		switch f.Type {
 		case wire.TypeBatch:
-			if scratch == nil {
-				scratch = batchPool.Get().(*wire.Batch)
-			}
-			if !fr.Batch(conn, f, scratch) {
+			if !fr.Batch(c, f, &st.scratch) {
 				return
 			}
 		case wire.TypeQuery:
-			if !fr.serveQuery(conn, f, &reply) {
+			if !fr.serveQuery(c, f) {
 				return
 			}
 		default:
-			fr.protocolError(conn, fmt.Sprintf("unexpected %s frame", f.Type))
+			fr.protocolError(c, fmt.Sprintf("unexpected %s frame", f.Type))
 			return
 		}
 	}
 }
 
-// maxKeptReply is the largest reply buffer a connection keeps between
-// queries. Pages, power lists and generation polls fit, so a polling
-// peer (an admin tool, a root's pooled connection) is answered without
-// allocating; a shard dump does not, and is garbage once written — a
-// root asks for one only after a write, and a few hundred idle
-// connections must not each pin the largest reply they ever served.
-const maxKeptReply = 32 << 10
-
 // serveQuery answers one snapshot query and reports whether the
-// connection should stay open. The result is built in *reply, the
-// connection's buffer, which makes a served payload valid until the
-// connection's next reply and no longer. When tracing is on, the
-// serving renders as one span of the owner's query kind, continuing
-// the caller's frame context; whatever the backend fans out hangs
-// below it.
-func (fr *Front) serveQuery(conn net.Conn, f wire.Frame, reply *[]byte) bool {
+// connection should stay open. The result is built in the connection's
+// image, which makes a served payload valid until the connection's next
+// reply and no longer. When tracing is on, the serving renders as one
+// span of the owner's query kind, continuing the caller's frame
+// context; whatever the backend fans out hangs below it.
+func (fr *Front) serveQuery(c *wire.Conn, f wire.Frame) bool {
 	t0 := fr.Now.Sec()
 	q, err := f.AsQuery()
 	if err != nil {
-		fr.protocolError(conn, err.Error())
+		fr.protocolError(c, err.Error())
 		return false
 	}
 	sp := fr.Tracer.Remote(f.Trace, fr.QuerySpan, t0)
@@ -405,35 +400,30 @@ func (fr *Front) serveQuery(conn net.Conn, f wire.Frame, reply *[]byte) bool {
 		fr.Now.Observe(fr.QueryLatency, t0)
 	}()
 	fr.Count(EventQuery)
-	resp, err := Answer((*reply)[:0], fr.Backend, sp, q)
+	image, err := Answer(c.Body(), fr.Backend, sp, q)
 	if err != nil {
 		// A query the backend cannot answer is the caller's problem, not
 		// the connection's: it stays open.
-		fr.ReplyError(conn, err.Error())
+		fr.ReplyError(c, err.Error())
 		return true
 	}
-	if cap(resp.Payload) <= maxKeptReply {
-		*reply = resp.Payload
-	}
-	fr.ReplyBytes.count(resp.Payload)
+	payload := image[wire.HeaderRoom:]
+	fr.ReplyBytes.count(payload)
 	if sp != nil {
-		sp.Attr("bytes", strconv.Itoa(len(resp.Payload)))
+		sp.Attr("bytes", strconv.Itoa(len(payload)))
 	}
-	return fr.reply(conn, resp)
+	return c.Send(wire.TypeResult, trace.Context{}, image) == nil
 }
 
 // protocolError counts a violation and tells the peer; the caller
 // hangs up.
-func (fr *Front) protocolError(conn net.Conn, msg string) {
+func (fr *Front) protocolError(c *wire.Conn, msg string) {
 	fr.Count(EventProtocolError)
-	fr.ReplyError(conn, msg)
+	fr.ReplyError(c, msg)
 }
 
-// ReplyError best-effort sends an error frame.
-func (fr *Front) ReplyError(conn net.Conn, msg string) { fr.reply(conn, mustError(msg)) }
-
-// reply best-effort writes a frame; a failed write means the peer is
-// gone, which the caller treats as connection end.
-func (fr *Front) reply(conn net.Conn, f wire.Frame) bool {
-	return wire.WriteFrame(conn, f, fr.MaxFramePayload) == nil
+// ReplyError best-effort sends an error frame: a failed write means the
+// peer is gone, which its next read tells the frame loop.
+func (fr *Front) ReplyError(c *wire.Conn, msg string) {
+	_ = c.Send(wire.TypeError, trace.Context{}, wire.AppendError(c.Body(), msg))
 }

@@ -37,6 +37,11 @@ type Cluster struct {
 // whole Kill, so a dial or a Restart arriving meanwhile waits and then
 // sees the shard down with every handler gone.
 type clusterShard struct {
+	// errDown is what a dial gets while the shard is down: built once,
+	// because a fleet reporting into a dead shard is refused a few
+	// times per batch.
+	errDown error
+
 	mu   sync.Mutex
 	srv  *eardbd.Server
 	down bool
@@ -52,7 +57,10 @@ func NewCluster(n int, cfg eardbd.Config) (*Cluster, error) {
 	names := make([]string, n)
 	for i := range names {
 		names[i] = fmt.Sprintf("shard%d", i)
-		c.shards[names[i]] = &clusterShard{srv: eardbd.NewServer(eard.NewDB(), cfg)}
+		c.shards[names[i]] = &clusterShard{
+			errDown: fmt.Errorf("loadgen: shard %s is down", names[i]),
+			srv:     eardbd.NewServer(eard.NewDB(), cfg),
+		}
 	}
 	var err error
 	c.fleet, err = fed.NewFleet(names, c.DialShard)
@@ -109,7 +117,7 @@ func (c *Cluster) DialShard(name string) (net.Conn, error) {
 	srv, down := sh.srv, sh.down
 	sh.mu.Unlock()
 	if down {
-		return nil, fmt.Errorf("loadgen: shard %s is down", name)
+		return nil, sh.errDown
 	}
 	return srv.Dial()
 }

@@ -15,36 +15,27 @@ import (
 
 // faultConn kills its connection around the byte `left` written
 // through it. The write that gets there is either cut at that byte — a
-// torn frame — or, when lostReply is set, delivered along with the rest
-// of its frame, and the connection dies as the reply starts to arrive: a
-// batch the shard stored whose ack is lost.
-//
-// The reply is waited for on purpose. Killing the connection the moment
-// the frame is out lets the client's retry overlap the first delivery's
-// handler, and a shard that finishes the older delivery last keeps its
-// power as the node's last reported one: seed 207 then differed from
-// the fault-free snapshot in one node_powers value about one run in
-// twenty. That is a server race for ROADMAP B(2), not a property this
-// test can hold byte for byte.
+// torn frame — or, when lostReply is set, delivered whole (a frame is
+// one write) and the connection dies the moment it is out: a batch the
+// shard is still storing when the client starts to retry it, whose ack
+// is lost.
 type faultConn struct {
 	net.Conn
 	left      int
 	lostReply bool
-	dying     bool // the frame is out: the next read kills the connection
 }
 
 var errFault = errors.New("injected fault: connection killed")
 
 func (c *faultConn) Write(p []byte) (int, error) {
-	switch {
-	case c.dying:
-		return c.Conn.Write(p)
-	case len(p) < c.left:
+	if len(p) < c.left {
 		c.left -= len(p)
 		return c.Conn.Write(p)
-	case c.lostReply:
-		c.dying = true
-		return c.Conn.Write(p)
+	}
+	if c.lostReply {
+		n, err := c.Conn.Write(p)
+		_ = c.Conn.Close()
+		return n, err // delivered: it is the read of the reply that fails
 	}
 	n := 0
 	if c.left > 0 {
@@ -52,15 +43,6 @@ func (c *faultConn) Write(p []byte) (int, error) {
 	}
 	_ = c.Conn.Close()
 	return n, errFault
-}
-
-func (c *faultConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	if c.dying && err == nil {
-		_ = c.Conn.Close()
-		return 0, errFault
-	}
-	return n, err
 }
 
 // faulty wraps a fleet dial function in a seeded fault plan: about half

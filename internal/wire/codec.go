@@ -418,32 +418,56 @@ func AppendBatch(dst []byte, b Batch) []byte {
 	return e.buf
 }
 
+// BatchImage encodes b as an image (HeaderRoom bytes of room, then the
+// body) in buf's backing array when that is large enough: what a sender
+// hands to Conn.WriteImage, as often as it takes.
+func BatchImage(buf []byte, b Batch) []byte {
+	buf = slices.Grow(buf[:0], HeaderRoom+recordsSizeHint(len(b.Records), len(b.Acct)))
+	return AppendBatch(buf[:HeaderRoom], b)
+}
+
 // EncodeBatch builds a TypeBatch frame. The error is always nil; the
 // signature is the one every Encode constructor shares.
 func EncodeBatch(b Batch) (Frame, error) {
 	return Frame{Type: TypeBatch, Payload: AppendBatch(nil, b)}, nil
 }
 
-// EncodeAck builds a TypeAck frame.
-func EncodeAck(a Ack) (Frame, error) {
-	e := encoder{buf: make([]byte, 0, len(a.BatchID)+8)}
+// The three small bodies have an Append form, for a sender that builds
+// them behind the room of a connection's image (Conn.Body), and an
+// Encode form, the same bytes in a payload of their own.
+
+// AppendAck appends a's encoded body, the payload of a TypeAck frame,
+// to dst.
+func AppendAck(dst []byte, a Ack) []byte {
+	e := encoder{buf: dst}
 	e.str(a.BatchID)
 	e.int(a.Accepted)
 	e.int(a.Duplicate)
 	e.int(a.Replaced)
-	return Frame{Type: TypeAck, Payload: e.buf}, nil
+	return e.buf
+}
+
+// EncodeAck builds a TypeAck frame.
+func EncodeAck(a Ack) (Frame, error) {
+	return Frame{Type: TypeAck, Payload: AppendAck(make([]byte, 0, len(a.BatchID)+8), a)}, nil
+}
+
+// AppendError appends the payload of a TypeError frame to dst.
+func AppendError(dst []byte, msg string) []byte {
+	e := encoder{buf: dst}
+	e.str(msg)
+	return e.buf
 }
 
 // EncodeError builds a TypeError frame.
 func EncodeError(msg string) (Frame, error) {
-	e := encoder{buf: make([]byte, 0, len(msg)+4)}
-	e.str(msg)
-	return Frame{Type: TypeError, Payload: e.buf}, nil
+	return Frame{Type: TypeError, Payload: AppendError(make([]byte, 0, len(msg)+4), msg)}, nil
 }
 
-// EncodeQuery builds a TypeQuery frame.
-func EncodeQuery(q Query) (Frame, error) {
-	e := encoder{buf: make([]byte, 0, 32+len(q.Kind)+len(q.Job)+len(q.Step)+len(q.User)+len(q.Cursor))}
+// AppendQuery appends q's encoded body, the payload of a TypeQuery
+// frame, to dst.
+func AppendQuery(dst []byte, q Query) []byte {
+	e := encoder{buf: dst}
 	e.str(q.Kind)
 	e.str(q.Job)
 	e.str(q.Step)
@@ -451,7 +475,13 @@ func EncodeQuery(q Query) (Frame, error) {
 	e.str(q.Cursor)
 	e.f64(q.Since)
 	e.int(q.Limit)
-	return Frame{Type: TypeQuery, Payload: e.buf}, nil
+	return e.buf
+}
+
+// EncodeQuery builds a TypeQuery frame.
+func EncodeQuery(q Query) (Frame, error) {
+	size := 32 + len(q.Kind) + len(q.Job) + len(q.Step) + len(q.User) + len(q.Cursor)
+	return Frame{Type: TypeQuery, Payload: AppendQuery(make([]byte, 0, size), q)}, nil
 }
 
 // body starts decoding f's payload, checking the frame type first.
@@ -484,14 +514,33 @@ func (f Frame) DecodeBatch(b *Batch) error {
 	return d.finish("batch", "payload")
 }
 
-// AsAck decodes a TypeAck frame.
-func (f Frame) AsAck() (Ack, error) {
+// ack decodes a TypeAck frame, but for its batch ID, which it returns
+// where it lies in the payload. (The first string of a frame is a
+// literal or empty; a reference fails the decode.)
+func (f Frame) ack() (id []byte, a Ack, err error) {
 	d, err := f.body(TypeAck)
 	if err != nil {
-		return Ack{}, err
+		return nil, Ack{}, err
 	}
-	a := Ack{BatchID: d.str(), Accepted: d.int(), Duplicate: d.int(), Replaced: d.int()}
-	return a, d.finish("ack", "payload")
+	_, id = d.strBytes()
+	a = Ack{Accepted: d.int(), Duplicate: d.int(), Replaced: d.int()}
+	return id, a, d.finish("ack", "payload")
+}
+
+// AsAck decodes a TypeAck frame.
+func (f Frame) AsAck() (Ack, error) {
+	id, a, err := f.ack()
+	a.BatchID = string(id)
+	return a, err
+}
+
+// AcksBatch reports whether f is a well-formed ack of the batch with
+// the given ID. The ID is compared in place: nothing is decoded to a
+// string, which is all a sender that holds the ID needs of the ack it
+// waits for.
+func (f Frame) AcksBatch(id string) bool {
+	lit, _, err := f.ack()
+	return err == nil && string(lit) == id
 }
 
 // AsError decodes a TypeError frame.

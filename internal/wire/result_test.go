@@ -7,6 +7,7 @@ import (
 
 	"goear/internal/accounting"
 	"goear/internal/eard"
+	"goear/internal/telemetry/trace"
 )
 
 // fleetAcct is a 3,000-record accounting store — 15 jobs of three
@@ -176,15 +177,16 @@ func TestStoreViewsEncodeByteIdentically(t *testing.T) {
 	}
 }
 
-// TestAppendResultAllocations pins what a kept reply buffer buys, and
-// that the encoder stays on the stack for it. AppendResult declares one
-// encoder for every kind, so had any path moved it to the heap — an
-// iterator the compiler cannot see through would — the generation
-// reply, which touches nothing else, would show it. A reply of up to
-// linearTable distinct strings is built in a warm buffer with no
-// allocation at all; a fleet-sized one (200 node names) pays for the
-// encoder's string map and nothing more. (Selecting a page costs its
-// cursor string, before the encoder runs; accounting pins that.)
+// TestAppendResultAllocations pins what a connection's kept image buys
+// a served reply, and that the encoder stays on the stack for it.
+// AppendResult declares one encoder for every kind, so had any path
+// moved it to the heap — an iterator the compiler cannot see through
+// would — the generation reply, which touches nothing else, would show
+// it. A reply of up to linearTable distinct strings is built behind the
+// room of a warm connection's image and sent with no allocation at all;
+// a fleet-sized one (200 node names) pays for the encoder's string map
+// and nothing more. (Selecting a page costs its cursor string, before
+// the encoder runs; accounting pins that.)
 func TestAppendResultAllocations(t *testing.T) {
 	acct := fleetAcct(t)
 	page := func(limit int) accounting.Selection {
@@ -196,8 +198,10 @@ func TestAppendResultAllocations(t *testing.T) {
 	}
 	// The string map: made for 128 entries, grown once on the way to 200.
 	const stringMap = 4
-	buf := make([]byte, 0, 32<<10)
-	for _, c := range []struct {
+	var sent bytes.Buffer
+	var c Conn
+	c.Reset(&sent)
+	for _, tc := range []struct {
 		name, kind string
 		v          any
 		max        float64
@@ -208,13 +212,23 @@ func TestAppendResultAllocations(t *testing.T) {
 		{"node_powers x200", QueryNodePowers, fleetPowers(), stringMap},
 		{"acct_jobs page x200", QueryAcctJobs, page(200), stringMap},
 	} {
-		want := mustResultPayload(t, c.kind, c.v)
-		var got []byte
-		if n := testing.AllocsPerRun(50, func() { got, _ = AppendResult(buf[:0], c.kind, c.v) }); n > c.max {
-			t.Errorf("%s into a warm buffer: %v allocations, want at most %v", c.name, n, c.max)
+		reply := func() {
+			sent.Reset()
+			image, err := AppendResult(c.Body(), tc.kind, tc.v)
+			if err == nil {
+				err = c.Send(TypeResult, trace.Context{}, image)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
-		if !bytes.Equal(got, want) || &got[0] != &buf[:1][0] {
-			t.Errorf("%s: the warm buffer does not hold the reply", c.name)
+		reply() // the image and the transport's buffer grow to the reply
+		image := &c.Body()[0]
+		if n := testing.AllocsPerRun(50, reply); n > tc.max {
+			t.Errorf("%s from a warm connection: %v allocations, want at most %v", tc.name, n, tc.max)
+		}
+		if want := mustResultPayload(t, tc.kind, tc.v); !bytes.Equal(sent.Bytes()[headerLen:], want) || &c.Body()[0] != image {
+			t.Errorf("%s: the reply was not built in the connection's image, or is not the payload EncodeResult builds", tc.name)
 		}
 	}
 }

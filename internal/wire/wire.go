@@ -147,44 +147,133 @@ type Frame struct {
 	Trace   trace.Context
 }
 
-// headPool recycles header scratch: a stack array would escape
-// through the io.Writer/io.Reader call, costing every frame written or
-// read one allocation.
-var headPool = sync.Pool{New: func() any { return new([headerLen + traceBlockLen]byte) }}
+// HeaderRoom is the bytes a frame needs in front of its payload at
+// most: the header and a trace block. An image — how this package names
+// a frame body with that much room before it — is stamped in place and
+// leaves in one write, with no copy (Conn.WriteImage).
+const HeaderRoom = headerLen + traceBlockLen
 
-// WriteFrame encodes f to w: the header and trace block in one write,
-// the payload in a second. Writing a frame larger than maxPayload is
-// refused so a misconfigured client fails locally rather than being
-// dropped by the server; maxPayload <= 0 means DefaultMaxPayload.
-func WriteFrame(w io.Writer, f Frame, maxPayload int) error {
-	if f.Type == 0 || f.Type >= typeEnd {
-		return fmt.Errorf("%w: %d", ErrType, uint8(f.Type))
+// headPool recycles header scratch for the package-level WriteFrame and
+// ReadFrame, which have no connection to keep it in: a stack array
+// would escape through the io.Writer/io.Reader call, costing every
+// frame written or read one allocation.
+var headPool = sync.Pool{New: func() any { return new([HeaderRoom]byte) }}
+
+// checkOutgoing refuses a frame this side must not send: an unknown
+// type, or an n-byte payload past maxPayload (<= 0 means
+// DefaultMaxPayload), so a misconfigured sender fails locally rather
+// than being dropped by its peer.
+func checkOutgoing(t Type, n, maxPayload int) error {
+	if t == 0 || t >= typeEnd {
+		return fmt.Errorf("%w: %d", ErrType, uint8(t))
 	}
 	if maxPayload <= 0 {
 		maxPayload = DefaultMaxPayload
 	}
-	if len(f.Payload) > maxPayload {
-		return fmt.Errorf("%w: %d bytes > limit %d", ErrTooLarge, len(f.Payload), maxPayload)
+	if n > maxPayload {
+		return fmt.Errorf("%w: %d bytes > limit %d", ErrTooLarge, n, maxPayload)
 	}
-	head := headPool.Get().(*[headerLen + traceBlockLen]byte)
-	defer headPool.Put(head)
-	n := headerLen
-	var flags uint16
-	if f.Trace.Valid() {
-		flags |= FlagTrace
-		n += traceBlockLen
-		blk := head[headerLen:]
+	return nil
+}
+
+// stamp writes the header of a t frame with an n-byte payload into
+// room, the HeaderRoom bytes that end where the payload starts, and
+// returns where in room the frame begins. A valid tc puts its trace
+// block between header and payload and the frame begins at 0; an
+// untraced frame's header sits directly before the payload,
+// traceBlockLen bytes in.
+func stamp(room []byte, t Type, tc trace.Context, n int) int {
+	start, flags := traceBlockLen, uint16(0)
+	if tc.Valid() {
+		start, flags = 0, FlagTrace
+		blk := room[headerLen:HeaderRoom]
 		blk[0] = traceBlockVersion
-		blk[1] = f.Trace.Flags
-		binary.BigEndian.PutUint64(blk[2:10], f.Trace.TraceID)
-		binary.BigEndian.PutUint64(blk[10:18], f.Trace.SpanID)
+		blk[1] = tc.Flags
+		binary.BigEndian.PutUint64(blk[2:10], tc.TraceID)
+		binary.BigEndian.PutUint64(blk[10:18], tc.SpanID)
 	}
-	binary.BigEndian.PutUint32(head[0:4], Magic)
-	head[4] = Version
-	head[5] = uint8(f.Type)
-	binary.BigEndian.PutUint16(head[6:8], flags)
-	binary.BigEndian.PutUint32(head[8:12], uint32(len(f.Payload)))
-	if _, err := w.Write(head[:n]); err != nil {
+	hdr := room[start : start+headerLen]
+	binary.BigEndian.PutUint32(hdr[0:4], Magic)
+	hdr[4] = Version
+	hdr[5] = uint8(t)
+	binary.BigEndian.PutUint16(hdr[6:8], flags)
+	binary.BigEndian.PutUint32(hdr[8:12], uint32(n))
+	return start
+}
+
+// parseHeader checks the fixed header of an incoming frame against this
+// side's protocol and payload limit (<= 0 means DefaultMaxPayload) and
+// returns the frame's type, whether a trace block follows, and the
+// payload length.
+func parseHeader(hdr []byte, maxPayload int) (t Type, traced bool, n int, err error) {
+	if maxPayload <= 0 {
+		maxPayload = DefaultMaxPayload
+	}
+	if got := binary.BigEndian.Uint32(hdr[0:4]); got != Magic {
+		return 0, false, 0, fmt.Errorf("%w: 0x%08X", ErrMagic, got)
+	}
+	if hdr[4] != Version {
+		return 0, false, 0, fmt.Errorf("%w: peer speaks version %d, this side %d", ErrVersion, hdr[4], Version)
+	}
+	t = Type(hdr[5])
+	if t == 0 || t >= typeEnd {
+		return 0, false, 0, fmt.Errorf("%w: %d", ErrType, hdr[5])
+	}
+	flags := binary.BigEndian.Uint16(hdr[6:8])
+	if flags&^FlagTrace != 0 {
+		return 0, false, 0, fmt.Errorf("%w: 0x%04X", ErrFlags, flags)
+	}
+	size := binary.BigEndian.Uint32(hdr[8:12])
+	if int64(size) > int64(maxPayload) {
+		return 0, false, 0, fmt.Errorf("%w: %d bytes > limit %d", ErrTooLarge, size, maxPayload)
+	}
+	return t, flags&FlagTrace != 0, int(size), nil
+}
+
+// parseTrace decodes a trace block.
+func parseTrace(blk []byte) (trace.Context, error) {
+	if blk[0] != traceBlockVersion {
+		return trace.Context{}, fmt.Errorf("%w: version %d, this side %d", ErrTrace, blk[0], traceBlockVersion)
+	}
+	tc := trace.Context{
+		Flags:   blk[1],
+		TraceID: binary.BigEndian.Uint64(blk[2:10]),
+		SpanID:  binary.BigEndian.Uint64(blk[10:18]),
+	}
+	if !tc.Valid() {
+		// A zero trace ID means "untraced", which the flag
+		// contradicts; refusing it keeps the encoding canonical
+		// (every decoded frame re-encodes byte-identically).
+		return trace.Context{}, fmt.Errorf("%w: zero trace id", ErrTrace)
+	}
+	return tc, nil
+}
+
+// cutShort names the end of the stream inside a frame: once the header
+// has promised bytes, any shortfall is a truncated frame, even at zero
+// bytes read.
+func cutShort(err error) error {
+	if errors.Is(err, io.EOF) {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// WriteFrame encodes f to w: the header and trace block in one write,
+// the payload in a second. It serves a writer that is not a connection
+// (a file, a buffer) or a peer met once; a connection that stays sends
+// through its Conn, one write a frame. Writing a frame larger than
+// maxPayload is refused so a misconfigured client fails locally rather
+// than being dropped by the server; maxPayload <= 0 means
+// DefaultMaxPayload.
+func WriteFrame(w io.Writer, f Frame, maxPayload int) error {
+	if err := checkOutgoing(f.Type, len(f.Payload), maxPayload); err != nil {
+		return err
+	}
+	head := headPool.Get().(*[HeaderRoom]byte)
+	defer headPool.Put(head)
+	start := stamp(head[:], f.Type, f.Trace, len(f.Payload))
+	if _, err := w.Write(head[start:]); err != nil {
 		return fmt.Errorf("wire: write header: %w", err)
 	}
 	if len(f.Payload) > 0 {
@@ -195,15 +284,13 @@ func WriteFrame(w io.Writer, f Frame, maxPayload int) error {
 	return nil
 }
 
-// ReadFrame decodes one frame from r, refusing payloads larger than
-// maxPayload (<= 0 means DefaultMaxPayload). A clean EOF before any
-// header byte returns io.EOF; a header or payload cut short returns an
-// error wrapping io.ErrUnexpectedEOF.
+// ReadFrame decodes one frame from r, reading not one byte past it and
+// refusing payloads larger than maxPayload (<= 0 means
+// DefaultMaxPayload). A clean EOF before any header byte returns
+// io.EOF; a header or payload cut short returns an error wrapping
+// io.ErrUnexpectedEOF. The payload is the caller's to keep.
 func ReadFrame(r io.Reader, maxPayload int) (Frame, error) {
-	if maxPayload <= 0 {
-		maxPayload = DefaultMaxPayload
-	}
-	head := headPool.Get().(*[headerLen + traceBlockLen]byte)
+	head := headPool.Get().(*[HeaderRoom]byte)
 	defer headPool.Put(head)
 	hdr := head[:headerLen]
 	if _, err := io.ReadFull(r, hdr); err != nil {
@@ -212,56 +299,23 @@ func ReadFrame(r io.Reader, maxPayload int) (Frame, error) {
 		}
 		return Frame{}, fmt.Errorf("wire: read header: %w", err)
 	}
-	if got := binary.BigEndian.Uint32(hdr[0:4]); got != Magic {
-		return Frame{}, fmt.Errorf("%w: 0x%08X", ErrMagic, got)
-	}
-	if hdr[4] != Version {
-		return Frame{}, fmt.Errorf("%w: peer speaks version %d, this side %d", ErrVersion, hdr[4], Version)
-	}
-	t := Type(hdr[5])
-	if t == 0 || t >= typeEnd {
-		return Frame{}, fmt.Errorf("%w: %d", ErrType, hdr[5])
-	}
-	flags := binary.BigEndian.Uint16(hdr[6:8])
-	if flags&^FlagTrace != 0 {
-		return Frame{}, fmt.Errorf("%w: 0x%04X", ErrFlags, flags)
-	}
-	n := binary.BigEndian.Uint32(hdr[8:12])
-	if int64(n) > int64(maxPayload) {
-		return Frame{}, fmt.Errorf("%w: %d bytes > limit %d", ErrTooLarge, n, maxPayload)
+	t, traced, n, err := parseHeader(hdr, maxPayload)
+	if err != nil {
+		return Frame{}, err
 	}
 	var tc trace.Context
-	if flags&FlagTrace != 0 {
+	if traced {
 		blk := head[headerLen:]
 		if _, err := io.ReadFull(r, blk); err != nil {
-			if errors.Is(err, io.EOF) {
-				err = io.ErrUnexpectedEOF
-			}
-			return Frame{}, fmt.Errorf("wire: read trace block: %w", err)
+			return Frame{}, fmt.Errorf("wire: read trace block: %w", cutShort(err))
 		}
-		if blk[0] != traceBlockVersion {
-			return Frame{}, fmt.Errorf("%w: version %d, this side %d", ErrTrace, blk[0], traceBlockVersion)
-		}
-		tc = trace.Context{
-			Flags:   blk[1],
-			TraceID: binary.BigEndian.Uint64(blk[2:10]),
-			SpanID:  binary.BigEndian.Uint64(blk[10:18]),
-		}
-		if !tc.Valid() {
-			// A zero trace ID means "untraced", which the flag
-			// contradicts; refusing it keeps the encoding canonical
-			// (every decoded frame re-encodes byte-identically).
-			return Frame{}, fmt.Errorf("%w: zero trace id", ErrTrace)
+		if tc, err = parseTrace(blk); err != nil {
+			return Frame{}, err
 		}
 	}
-	payload, err := readPayload(r, int(n))
+	payload, err := readPayload(r, n)
 	if err != nil {
-		if errors.Is(err, io.EOF) {
-			// The header promised n payload bytes; any shortfall is a
-			// truncated frame, even at zero bytes read.
-			err = io.ErrUnexpectedEOF
-		}
-		return Frame{}, fmt.Errorf("wire: read payload: %w", err)
+		return Frame{}, fmt.Errorf("wire: read payload: %w", cutShort(err))
 	}
 	return Frame{Type: t, Payload: payload, Trace: tc}, nil
 }
