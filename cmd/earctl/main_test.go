@@ -386,11 +386,11 @@ func TestDbdErrors(t *testing.T) {
 	addr := startDBD(t)
 	var b strings.Builder
 	for _, args := range [][]string{
-		{"dbd", "aggregate"},                       // no target
+		{"dbd", "aggregate"},                              // no target
 		{"dbd", "-addr", addr, "-unix", "x", "aggregate"}, // both targets
-		{"dbd", "-addr", addr},                     // no query kind
-		{"dbd", "-addr", addr, "bogus"},            // unknown kind
-		{"dbd", "-addr", addr, "summary"},          // summary without -job
+		{"dbd", "-addr", addr},                            // no query kind
+		{"dbd", "-addr", addr, "bogus"},                   // unknown kind
+		{"dbd", "-addr", addr, "summary"},                 // summary without -job
 	} {
 		if err := run(args, &b); err == nil {
 			t.Errorf("earctl %v accepted", args)

@@ -109,7 +109,7 @@ func checkFieldTag(pass *analysis.Pass, at ast.Expr, key string, fld *confField)
 	case fld.tag == "":
 		fix := &analysis.SuggestedFix{
 			Message: "tag field " + fld.name + " with `conf:\"" + key + "\"`",
-			Edits:   []analysis.TextEdit{pass.Insert(fld.astField.Type.End(), " `conf:" + strconv.Quote(key) + "`")},
+			Edits:   []analysis.TextEdit{pass.Insert(fld.astField.Type.End(), " `conf:"+strconv.Quote(key)+"`")},
 		}
 		if len(fld.astField.Names) != 1 {
 			fix = nil // a shared declaration can't take a per-field tag
@@ -121,7 +121,7 @@ func checkFieldTag(pass *analysis.Pass, at ast.Expr, key string, fld *confField)
 			newTag := rewriteConfTag(fld.tag, key)
 			fix = &analysis.SuggestedFix{
 				Message: "rewrite the conf tag to " + strconv.Quote(key),
-				Edits:   []analysis.TextEdit{pass.Edit(fld.astField.Tag.Pos(), fld.astField.Tag.End(), "`" + newTag + "`")},
+				Edits:   []analysis.TextEdit{pass.Edit(fld.astField.Tag.Pos(), fld.astField.Tag.End(), "`"+newTag+"`")},
 			}
 		}
 		pass.ReportFix(at.Pos(), fix, "config key %q assigns field %s, whose conf tag says %q", key, fld.name, tag)

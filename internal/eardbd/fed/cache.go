@@ -22,25 +22,26 @@ import (
 // contract — it only changes how often the fold runs.
 
 // view is one folded reading of the fleet, keyed by the shard
-// generations it was polled at. A published view is immutable, the
-// power list included: invalidation swaps in a freshly built one, so
-// readers of an old view stay consistent and every query served from
-// one view sees one generation vector.
+// generations it was polled at and the root's failure epoch then. A
+// shard counts its generations from where its saved state left off, but
+// one that comes back without its state counts from zero again, and
+// could reach a generation the root has cached with other contents; it
+// cannot come back without a failed leg or a redial in between, which
+// moves the epoch. A published view is immutable, the power list
+// included: invalidation swaps in a freshly built one, so readers of an
+// old view stay consistent and every query served from one view sees
+// one generation vector.
 type view struct {
-	gens []uint64
+	gens  []wire.Generation
+	epoch uint64
 	eardbd.View
 }
 
 // shardGenerations polls every shard's ingest generation counter.
-func (r *Root) shardGenerations(parent *trace.Active) ([]uint64, error) {
-	gens := make([]uint64, len(r.cfg.Fleet.names))
+func (r *Root) shardGenerations(parent *trace.Active) ([]wire.Generation, error) {
+	gens := make([]wire.Generation, len(r.cfg.Fleet.names))
 	err := r.fanOut(parent, wire.Query{Kind: wire.QueryGeneration}, func(i int, res wire.Result) error {
-		var g wire.Generation
-		if err := res.Decode(&g); err != nil {
-			return err
-		}
-		gens[i] = g.Gen
-		return nil
+		return res.Decode(&gens[i])
 	})
 	if err != nil {
 		return nil, err
@@ -61,7 +62,9 @@ func (r *Root) View(parent *trace.Active) (eardbd.View, error) {
 		msp.Attr("cache", "error").End(r.Now.Sec())
 		return eardbd.View{}, err
 	}
-	if v := r.cache.Load(); v != nil && slices.Equal(v.gens, gens) {
+	// Loaded after the poll: a redial during it is in the epoch.
+	epoch := r.epoch.Load()
+	if v := r.cache.Load(); v != nil && v.epoch == epoch && slices.Equal(v.gens, gens) {
 		r.countCache(true)
 		msp.Attr("cache", "hit").End(r.Now.Sec())
 		return v.View, nil
@@ -75,7 +78,7 @@ func (r *Root) View(parent *trace.Active) (eardbd.View, error) {
 	// from its frame, a record at a time, one shard after the other; a
 	// dump that turns out malformed part-way leaves records behind in a
 	// view that is dropped here, never published.
-	v := &view{gens: gens}
+	v := &view{gens: gens, epoch: epoch}
 	v.DB = eard.NewDB()
 	err = r.fanOut(msp, wire.Query{Kind: wire.QueryRecords}, func(_ int, res wire.Result) error {
 		return res.EachRecord(v.DB.Insert)
@@ -145,7 +148,7 @@ func (r *Root) Generation(parent *trace.Active) (uint64, error) {
 	}
 	var sum uint64
 	for _, g := range gens {
-		sum += g
+		sum += g.Gen
 	}
 	return sum, nil
 }

@@ -132,6 +132,61 @@ func TestRestartedShardCostsOneRedial(t *testing.T) {
 	}
 }
 
+// TestRestartedShardServesNoStaleView: a root caches its merged view
+// under the shard generations it polled. A restarted shard that counted
+// its generations from scratch would, after enough fresh ingest, answer
+// the very generation the root cached before the restart — and the root
+// would serve the old view. Three batches for one node, a cached view,
+// a kill and restart, two batches for another node: the root must read
+// what a fresh root reads.
+func TestRestartedShardServesNoStaleView(t *testing.T) {
+	cluster, err := loadgen.NewCluster(1, eardbd.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cluster.Close() })
+	report := func(node string, batches int, power float64) {
+		t.Helper()
+		c, err := eardbd.NewClient(eardbd.ClientConfig{
+			Node: node, Dial: cluster.DialFor(node), Clock: eardbd.NewFakeClock(0), Jitter: rand.New(rand.NewSource(1)), BatchRecords: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < batches; i++ {
+			err := c.Enqueue(eard.JobRecord{JobID: fmt.Sprintf("job%d", i), StepID: "0", Node: node, TimeSec: 60, EnergyJ: 60 * power, AvgPower: power})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	root := newRoot(t, cluster)
+	report("n1", 3, 100)
+	if agg, err := root.Aggregate(); err != nil || agg.Nodes != 1 || agg.Records != 3 {
+		t.Fatalf("before the restart: %+v, %v", agg, err)
+	}
+	if err := cluster.Kill("shard0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.Restart("shard0"); err != nil {
+		t.Fatal(err)
+	}
+	report("n2", 2, 300)
+	want, err := newRoot(t, cluster).Aggregate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Nodes != 2 || want.Records != 5 || want.TotalPowerW != 400 {
+		t.Fatalf("a fresh root reads %+v, want 2 nodes, 5 records, 400 W", want)
+	}
+	if got, err := root.Aggregate(); err != nil || got != want {
+		t.Fatalf("the root that cached before the restart reads %+v (%v), a fresh root %+v", got, err, want)
+	}
+}
+
 // TestDownShardStillSurfaces: a shard that stays down is a counted
 // fan-out error and a degraded readiness check, pool or no pool.
 func TestDownShardStillSurfaces(t *testing.T) {

@@ -100,9 +100,9 @@ type Config struct {
 	// Trace, when set, records a span tree per served query: a
 	// fed.query root continuing the incoming frame's context, one
 	// fed.fanout child per shard (created in configured shard order, so
-	// the tree is identical whatever order the concurrent fan-out
-	// finishes in), and a fed.merge child annotated with the snapshot
-	// cache outcome. Nil disables tracing at zero cost.
+	// the tree is identical whatever order the shards answer in), and a
+	// fed.merge child annotated with the snapshot cache outcome. Nil
+	// disables tracing at zero cost.
 	Trace *trace.Buffer
 	// Now, when set, stamps span times and feeds the
 	// goear_eardbd_fed_latency_seconds histograms. Nil leaves spans
@@ -141,6 +141,10 @@ type Root struct {
 	closed bool                    // Close has run: connections are closed, not parked
 
 	cache atomic.Pointer[view]
+	// epoch counts failed legs and redials: a shard may have restarted
+	// behind one, so a view is only served under the epoch it was polled
+	// in (cache.go).
+	epoch atomic.Uint64
 }
 
 // NewRoot builds a root over the given shards.
@@ -227,78 +231,116 @@ type shardConn struct {
 	raw net.Conn
 }
 
-// queryShard runs one wire query against one shard, stamping tc on the
-// query frame so the shard's server.query span joins the caller's
-// trace. It prefers a connection parked by an earlier query. A reused
-// connection may have gone stale since (the shard restarted, a peer
-// timed it out), which the root cannot tell from a failing shard
-// without asking again: queries are idempotent reads, so a failure on a
-// reused connection is retried once on a fresh dial, and a failure on a
-// fresh one is the answer.
-//
-// The result's body is the returned connection's read buffer. The
-// caller decodes it and only then parks the connection: a parked
-// connection's buffer belongs to the next query.
-func (r *Root) queryShard(shard string, q wire.Query, tc trace.Context) (wire.Result, *shardConn, error) {
-	t0 := r.Now.Sec()
-	conn := r.checkOut(shard)
-	reused := conn != nil
-	res, conn, err := r.queryOn(shard, conn, q, tc)
-	if err != nil && reused {
-		r.dropIdle(shard)
-		res, conn, err = r.queryOn(shard, nil, q, tc)
-	}
-	r.countReach(shard, err == nil)
-	r.Now.Observe(r.tel.latFanout, t0)
-	if err != nil {
-		return wire.Result{}, nil, fmt.Errorf("fed: shard %s: %w", shard, err)
-	}
-	return res, conn, nil
+// leg is one shard query in flight: the query sent on conn, then its
+// reply read from it. A query is an idempotent read, so a leg whose
+// connection was parked (reused) may try once more on a fresh dial when
+// it fails — the shard may have restarted under it, which the root
+// cannot tell from a failing shard without asking again — and a failure
+// on a fresh connection is the leg's answer. err ends the leg; conn is
+// nil once it has.
+type leg struct {
+	shard  string
+	kid    *trace.Active // the leg's fed.fanout span, whose context the query frame carries; nil untraced
+	t0     float64
+	conn   *shardConn
+	reused bool
+	err    error
 }
 
-// queryOn runs q over conn, dialling the shard first when conn is nil,
-// and returns the connection after a complete reply; after anything
-// else it is closed.
-func (r *Root) queryOn(shard string, conn *shardConn, q wire.Query, tc trace.Context) (wire.Result, *shardConn, error) {
-	if conn == nil {
-		raw, err := r.cfg.Fleet.dial(shard)
-		if err != nil {
-			return wire.Result{}, nil, err
-		}
-		conn = &shardConn{Conn: wire.Conn{MaxPayload: r.cfg.MaxFramePayload}, raw: raw}
-		conn.Reset(raw)
-	}
-	res, err := eardbd.QueryOn(&conn.Conn, q, tc)
-	if err != nil {
-		_ = conn.raw.Close() // the query's error is the one to report
-		return wire.Result{}, nil, err
-	}
-	return res, conn, nil
+// queryShard runs one wire query against one shard: a fan-out of one
+// leg, on the same send and read path. The result's body is the
+// returned connection's read buffer. The caller decodes it and only
+// then parks the connection: a parked connection's buffer belongs to
+// the next query.
+func (r *Root) queryShard(shard string, q wire.Query) (wire.Result, *shardConn, error) {
+	l := r.checkOut(shard, nil)
+	r.send(&l, q)
+	res, err := r.receive(&l, q)
+	return res, l.conn, err
 }
 
-// checkOut counts one fan-out and takes the shard's most recently
-// parked connection, nil when there is none; the telemetry says which,
-// and whether a dial is a first attempt or the retry.
-func (r *Root) checkOut(shard string) *shardConn {
-	var conn *shardConn
+// checkOut counts one fan-out and starts its leg on the shard's most
+// recently parked connection, or on none; the telemetry says which, and
+// whether a dial is a first attempt or the retry.
+func (r *Root) checkOut(shard string, kid *trace.Active) leg {
+	l := leg{shard: shard, kid: kid, t0: r.Now.Sec()}
 	how := dialNew
 	r.mu.Lock()
 	r.stats.Fanouts++
 	if idle := r.idle[shard]; len(idle) > 0 {
-		conn, r.idle[shard] = idle[len(idle)-1], idle[:len(idle)-1]
-		how = dialReused
+		l.conn, r.idle[shard] = idle[len(idle)-1], idle[:len(idle)-1]
+		l.reused, how = true, dialReused
 	} else {
 		r.stats.Dials++
 	}
 	r.mu.Unlock()
 	r.tel.dial(shard, how)
-	return conn
+	return l
+}
+
+// dial opens a fresh connection to a shard.
+func (r *Root) dial(shard string) (*shardConn, error) {
+	raw, err := r.cfg.Fleet.dial(shard)
+	if err != nil {
+		return nil, err
+	}
+	conn := &shardConn{Conn: wire.Conn{MaxPayload: r.cfg.MaxFramePayload}, raw: raw}
+	conn.Reset(raw)
+	return conn, nil
+}
+
+// send puts the leg's query on its connection in one write, dialling
+// first when it has none.
+func (r *Root) send(l *leg, q wire.Query) {
+	for l.err == nil {
+		if l.conn == nil {
+			if l.conn, l.err = r.dial(l.shard); l.err != nil {
+				return
+			}
+		}
+		if l.err = eardbd.SendQuery(&l.conn.Conn, q, l.kid.Context()); l.err == nil || !r.retry(l) {
+			return
+		}
+	}
+}
+
+// receive reads the reply to the leg's query — a failure on a reused
+// connection sends the query again on a fresh one — and counts the
+// leg's outcome.
+func (r *Root) receive(l *leg, q wire.Query) (wire.Result, error) {
+	var res wire.Result
+	for l.err == nil {
+		if res, l.err = eardbd.ReadResult(&l.conn.Conn); l.err == nil || !r.retry(l) {
+			break
+		}
+		r.send(l, q)
+	}
+	r.countReach(l.shard, l.err == nil)
+	r.Now.Observe(r.tel.latFanout, l.t0)
+	if l.err != nil {
+		return wire.Result{}, fmt.Errorf("fed: shard %s: %w", l.shard, l.err)
+	}
+	return res, nil
+}
+
+// retry hangs up the leg's failed connection and reports whether the
+// leg may try again: once, and only if the connection was a parked one.
+func (r *Root) retry(l *leg) bool {
+	_ = l.conn.raw.Close() // the leg's error is the one to report
+	l.conn = nil
+	if !l.reused {
+		return false
+	}
+	l.reused, l.err = false, nil
+	r.dropIdle(l.shard)
+	return true
 }
 
 // dropIdle counts a redial and closes everything parked for the shard:
 // the connection that just failed was the youngest of them, so the
 // rest have outlived the same event.
 func (r *Root) dropIdle(shard string) {
+	r.epoch.Add(1)
 	r.mu.Lock()
 	r.stats.Dials++
 	r.stats.Redials++
@@ -349,6 +391,9 @@ func (r *Root) Close() error {
 // countReach folds one fan-out outcome into the stats, the telemetry
 // counters and the reachability view the readiness probe reports.
 func (r *Root) countReach(shard string, ok bool) {
+	if !ok {
+		r.epoch.Add(1)
+	}
 	r.mu.Lock()
 	r.reach[shard] = ok
 	if !ok {
@@ -358,72 +403,100 @@ func (r *Root) countReach(shard string, ok bool) {
 	r.tel.fanout(shard, ok)
 }
 
-// fanOutConcurrency bounds concurrent shard queries per fan-out. A
-// snapshot's latency is the slowest shard's round trip, so querying
-// islands concurrently matters once a fleet is wide or a WAN link is
-// slow; eight in flight covers realistic island counts without
-// letting one root stampede the fleet.
+// fanOutConcurrency is how many legs of a fan-out are kept on the
+// caller's stack, and how many dials a cold root runs at once: eight
+// covers realistic island counts without letting one root stampede the
+// fleet.
 const fanOutConcurrency = 8
 
-// fanOut runs one query against every shard and decodes each result
-// into decode(i). Shard queries run concurrently under a bounded
-// group, but results land in a slice keyed by shard index and are
-// decoded sequentially in configured shard order — so the merged
-// output stays byte-identical to a sequential fan-out, and decode
-// callbacks never race. On error the lowest-indexed failure wins,
-// matching what the sequential loop would have reported. A result is
-// its connection's read buffer, so every connection stays checked out
-// until the decoding is over and is parked then, whatever the outcome:
-// its reply was read whole.
+// fanOut runs one query against every shard, on the calling goroutine,
+// and decodes each result into decode(i). Scatter: every leg is checked
+// out and its query sent before any reply is read, so the shards work
+// at once. Gather: the replies are read and decoded in configured shard
+// order, leg i while the legs after it are still working — so the merged
+// output is byte-identical to a sequential fan-out's and decode
+// callbacks never race. A silent shard blocks the read of its reply as
+// it would block any one round trip; nothing else waits on it.
 //
-// When parent is live, each shard gets a fed.fanout child span. The
-// children are all created here, in configured shard order, before
-// any goroutine runs — span IDs come from a per-parent child counter,
-// so allocation order (not completion order) is what must be
-// deterministic for the trace to be byte-identical across runs.
+// Every leg is read to the end, even after one has failed: each counts
+// its reach, and each healthy connection is parked, once its reply is
+// decoded (a result is its connection's read buffer) or skipped. The
+// error is the lowest-indexed leg's, from its read or its decode.
+//
+// When parent is live, each shard gets a fed.fanout child span, created
+// in configured shard order — span IDs come from a per-parent child
+// counter, so creation order is what keeps the trace byte-identical
+// across runs.
 func (r *Root) fanOut(parent *trace.Active, q wire.Query, decode func(i int, res wire.Result) error) error {
 	shards := r.cfg.Fleet.names
-	type leg struct {
-		kid  *trace.Active
-		res  wire.Result
-		conn *shardConn
+	var onStack [fanOutConcurrency]leg
+	legs := onStack[:]
+	if len(shards) > len(legs) {
+		legs = make([]leg, len(shards))
 	}
-	legs := make([]leg, len(shards))
+	legs = legs[:len(shards)]
+	cold := 0
 	for i, shard := range shards {
-		legs[i].kid = parent.Child(spanFedFanout, r.Now.Sec()).Attr("shard", shard)
+		legs[i] = r.checkOut(shard, parent.Child(spanFedFanout, r.Now.Sec()).Attr("shard", shard))
+		if legs[i].conn == nil {
+			cold++
+		}
 	}
-	defer func() {
-		for i, l := range legs {
-			if l.conn != nil {
-				r.park(shards[i], l.conn)
+	if cold > 1 {
+		r.dialCold(legs)
+	}
+	for i := range legs {
+		r.send(&legs[i], q)
+	}
+	var first error
+	for i := range legs {
+		l := &legs[i]
+		res, err := r.receive(l, q)
+		if err == nil && res.Kind != q.Kind {
+			err = fmt.Errorf("fed: shard %s answered kind %q to %q", l.shard, res.Kind, q.Kind)
+		}
+		result := "ok"
+		if err != nil {
+			result = "error"
+		}
+		l.kid.Attr("result", result).End(r.Now.Sec())
+		if err == nil && first == nil {
+			if derr := decode(i, res); derr != nil {
+				err = fmt.Errorf("fed: shard %s: %w", l.shard, derr)
 			}
 		}
-	}()
-	err := par.ForEach(fanOutConcurrency, len(shards), func(i int) error {
-		l := &legs[i]
-		res, conn, err := r.queryShard(shards[i], q, l.kid.Context())
-		if err != nil {
-			l.kid.Attr("result", "error").End(r.Now.Sec())
-			return err
+		if l.conn != nil {
+			r.park(l.shard, l.conn)
 		}
-		l.conn = conn
-		if res.Kind != q.Kind {
-			l.kid.Attr("result", "error").End(r.Now.Sec())
-			return fmt.Errorf("fed: shard %s answered kind %q to %q", shards[i], res.Kind, q.Kind)
+		if first == nil {
+			first = err
 		}
-		l.kid.Attr("result", "ok").End(r.Now.Sec())
-		l.res = res
-		return nil
+	}
+	return first
+}
+
+// dialCold opens the connections of the legs that have none, at most
+// fanOutConcurrency at a time: a cold root's fan-out, where dialling
+// one shard after another would add the dials up. The dialling
+// goroutines get copies of the legs, never the legs themselves, which
+// stay on the fan-out's stack.
+func (r *Root) dialCold(legs []leg) {
+	var dials []leg
+	for _, l := range legs {
+		if l.conn == nil {
+			dials = append(dials, leg{shard: l.shard})
+		}
+	}
+	_ = par.ForEach(fanOutConcurrency, len(dials), func(j int) error {
+		dials[j].conn, dials[j].err = r.dial(dials[j].shard)
+		return nil // a failed dial is its leg's answer
 	})
-	if err != nil {
-		return err
-	}
-	for i, shard := range shards {
-		if err := decode(i, legs[i].res); err != nil {
-			return fmt.Errorf("fed: shard %s: %w", shard, err)
+	for i := range legs {
+		if legs[i].conn == nil {
+			legs[i].conn, legs[i].err = dials[0].conn, dials[0].err
+			dials = dials[1:]
 		}
 	}
-	return nil
 }
 
 // IngestStats implements eardbd.Backend by summing the activity
@@ -533,7 +606,7 @@ type IslandSource struct {
 
 // NodePowers implements eargm.PowerSource for one island.
 func (s *IslandSource) NodePowers() []float64 {
-	res, conn, err := s.root.queryShard(s.shard, wire.Query{Kind: wire.QueryNodePowers}, trace.Context{})
+	res, conn, err := s.root.queryShard(s.shard, wire.Query{Kind: wire.QueryNodePowers})
 	if err != nil {
 		return nil
 	}

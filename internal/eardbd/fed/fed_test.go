@@ -6,13 +6,14 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"goear/internal/eard"
 	"goear/internal/eardbd"
-	"goear/internal/telemetry/trace"
 	"goear/internal/wire"
 )
 
@@ -34,7 +35,7 @@ func dialer(shards []shardFixture) func(name string) (net.Conn, error) {
 }
 
 // rootOver builds a root over the fixtures' names, reached through dial.
-func rootOver(t *testing.T, shards []shardFixture, dial func(name string) (net.Conn, error)) *Root {
+func rootOver(t testing.TB, shards []shardFixture, dial func(name string) (net.Conn, error)) *Root {
 	t.Helper()
 	names := make([]string, len(shards))
 	for i, s := range shards {
@@ -54,7 +55,7 @@ func rootOver(t *testing.T, shards []shardFixture, dial func(name string) (net.C
 // buildFederation routes the canonical workload (nodes × 10 records)
 // through n shards by ring placement and returns the shards plus a
 // root over them.
-func buildFederation(t *testing.T, nodes, nShards int) ([]shardFixture, *Root) {
+func buildFederation(t testing.TB, nodes, nShards int) ([]shardFixture, *Root) {
 	t.Helper()
 	shards := make([]shardFixture, nShards)
 	for i := range shards {
@@ -311,6 +312,209 @@ func TestFanOutQueriesShardsConcurrently(t *testing.T) {
 	}
 }
 
+// heldReplies wraps a fleet's connections so that, once armed, no
+// reply reaches the root before every shard has received its query: a
+// root that waited for shard i's reply before asking shard i+1 would
+// wait forever.
+type heldReplies struct {
+	asked atomic.Pointer[sync.WaitGroup] // nil: disarmed
+}
+
+func (h *heldReplies) dial(dial func(string) (net.Conn, error)) func(string) (net.Conn, error) {
+	return func(name string) (net.Conn, error) {
+		conn, err := dial(name)
+		if err != nil {
+			return nil, err
+		}
+		return heldConn{conn, h}, nil
+	}
+}
+
+type heldConn struct {
+	net.Conn
+	h *heldReplies
+}
+
+// Write returns once the shard has read the query (a pipe hands the
+// bytes over), which is when it counts as received.
+func (c heldConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	if wg := c.h.asked.Load(); wg != nil {
+		wg.Done()
+	}
+	return n, err
+}
+
+func (c heldConn) Read(p []byte) (int, error) {
+	if wg := c.h.asked.Load(); wg != nil {
+		wg.Wait()
+	}
+	return c.Conn.Read(p)
+}
+
+// TestFanOutOverlapsWarmRoundTrips pins the scatter before the gather
+// on a warm root, whose fan-out dials nothing: every shard holds its
+// reply until all of them have their query.
+func TestFanOutOverlapsWarmRoundTrips(t *testing.T) {
+	const n = 4
+	shards, _ := buildFederation(t, 8, n)
+	var held heldReplies
+	root := rootOver(t, shards, held.dial(dialer(shards)))
+	t.Cleanup(func() { _ = root.Close() })
+	want, err := root.PowersByName(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var asked sync.WaitGroup
+	asked.Add(n) // one generation poll per shard: the view is cached
+	held.asked.Store(&asked)
+	done := make(chan error, 1)
+	go func() {
+		got, err := root.PowersByName(nil)
+		if err == nil && !reflect.DeepEqual(got, want) {
+			err = fmt.Errorf("warm read %v, cold read %v", got, want)
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("fan-out deadlocked: a reply was awaited before every shard was asked")
+	}
+	held.asked.Store(nil)
+	if st := root.Stats(); st.Dials != n || st.CacheHits != 1 {
+		t.Errorf("stats = %+v, want the warm read served over the parked connections from cache", st)
+	}
+}
+
+// TestWarmViewAllocations: a warm view over four shards — a generation
+// poll on every parked connection, served, read and decoded on the
+// caller's goroutine, then a cache hit — allocates the generation
+// vector a miss would keep, and nothing else, on either side.
+func TestWarmViewAllocations(t *testing.T) {
+	_, root := buildFederation(t, 8, 4)
+	t.Cleanup(func() { _ = root.Close() })
+	for i := 0; i < 2; i++ {
+		if _, err := root.View(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = root.View(nil) }); n > 1 {
+		t.Errorf("a warm view over 4 shards allocates %v times, want at most 1", n)
+	}
+	if st := root.Stats(); st.CacheMisses != 1 || st.Dials != 4 || st.FanoutErrors != 0 {
+		t.Errorf("stats = %+v, want one miss and one dial per shard", st)
+	}
+}
+
+// BenchmarkRootWarmView is the read TestWarmViewAllocations counts.
+func BenchmarkRootWarmView(b *testing.B) {
+	_, root := buildFederation(b, 8, 4)
+	b.Cleanup(func() { _ = root.Close() })
+	if _, err := root.View(nil); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := root.View(nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestFanOutErrorPrecedence: two of four shards go down under a warm
+// root. Every leg is read to its end — all four outcomes counted, the
+// healthy legs' connections parked — and the error is the
+// lowest-indexed leg's, whatever order the legs failed in.
+func TestFanOutErrorPrecedence(t *testing.T) {
+	shards, root := buildFederation(t, 8, 4)
+	t.Cleanup(func() { _ = root.Close() })
+	if _, err := root.View(nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{3, 1} {
+		if err := shards[i].srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := root.View(nil)
+	if err == nil || !strings.HasPrefix(err.Error(), "fed: shard s1: ") {
+		t.Fatalf("view over two dead shards: %v, want shard s1's error", err)
+	}
+	if c := root.HealthCheck()(); c.Detail != "2/4 shards reachable" {
+		t.Errorf("readiness = %+v, want 2/4 shards reachable", c)
+	}
+	if st := root.Stats(); st.FanoutErrors != 2 || st.Redials != 2 {
+		t.Errorf("stats = %+v, want two failed legs, each after its one redial", st)
+	}
+	root.mu.Lock()
+	defer root.mu.Unlock()
+	for name, want := range map[string]int{"s0": 1, "s1": 0, "s2": 1, "s3": 0} {
+		if n := len(root.idle[name]); n != want {
+			t.Errorf("%s: %d connections parked, want %d", name, n, want)
+		}
+	}
+}
+
+// TestEmptyRestartServesNoStaleView: a shard that comes back without
+// its state counts its generations from zero again and can reach the
+// one the root cached before it went away. The redial that found it is
+// in the root's cache key, so the root reads the shard as it is.
+func TestEmptyRestartServesNoStaleView(t *testing.T) {
+	var cur atomic.Pointer[eardbd.Server]
+	cur.Store(eardbd.NewServer(eard.NewDB(), eardbd.Config{}))
+	fleet, err := NewFleet([]string{"s0"}, func(string) (net.Conn, error) { return cur.Load().Dial() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := NewRoot(Config{Fleet: fleet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = root.Close() })
+	report := func(node string, power float64) {
+		t.Helper()
+		conn, err := fleet.Dial("s0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		for i := 0; i < 3; i++ {
+			f, err := wire.EncodeBatch(wire.Batch{ID: fmt.Sprintf("%s/%d", node, i), Node: node, Records: []eard.JobRecord{{
+				JobID: fmt.Sprint(i), StepID: "0", Node: node, TimeSec: 60, EnergyJ: 60 * power, AvgPower: power,
+			}}})
+			if err == nil {
+				err = wire.WriteFrame(conn, f, 0)
+			}
+			if err == nil {
+				_, err = wire.ReadFrame(conn, 0)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	report("n1", 100)
+	if agg, err := root.Aggregate(); err != nil || agg.Nodes != 1 || agg.TotalPowerW != 100 {
+		t.Fatalf("before the restart: %+v, %v", agg, err)
+	}
+	if err := cur.Load().Close(); err != nil {
+		t.Fatal(err)
+	}
+	cur.Store(eardbd.NewServer(eard.NewDB(), eardbd.Config{}))
+	report("n2", 300)
+	if gen, _ := cur.Load().Generation(nil); gen != 3 {
+		t.Fatalf("the empty shard is at generation %d, want the cached 3", gen)
+	}
+	if agg, err := root.Aggregate(); err != nil || agg.Nodes != 1 || agg.TotalPowerW != 300 {
+		t.Errorf("after an empty restart the root reads %+v (%v), want n2 alone at 300 W", agg, err)
+	}
+}
+
 // TestDuplicateRedeliveryMovesCachedPowers pins the shard invariant the
 // root's cached view rests on: whatever changes a shard's node_powers
 // moves its generation. A node reports a newer record, then an older
@@ -443,7 +647,7 @@ func TestBatchRoundTripAllocations(t *testing.T) {
 	t.Cleanup(func() { _ = root.Close() })
 	var g wire.Generation
 	poll := func() {
-		res, conn, err := root.queryShard("s0", wire.Query{Kind: wire.QueryGeneration}, trace.Context{})
+		res, conn, err := root.queryShard("s0", wire.Query{Kind: wire.QueryGeneration})
 		if err == nil {
 			err = res.Decode(&g)
 			root.park("s0", conn)

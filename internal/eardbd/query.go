@@ -20,7 +20,7 @@ func Query(conn net.Conn, q wire.Query, maxPayload int) (wire.Result, error) {
 // zero context sends an untraced frame, byte-identical to Query's. It
 // keeps no state between calls and the result is the caller's to keep;
 // a caller that asks the same peer again and again holds a wire.Conn
-// and asks through QueryOn.
+// and asks through SendQuery and ReadResult.
 func QueryCtx(conn net.Conn, q wire.Query, maxPayload int, tc trace.Context) (wire.Result, error) {
 	qf, err := wire.EncodeQuery(q)
 	if err != nil {
@@ -37,14 +37,17 @@ func QueryCtx(conn net.Conn, q wire.Query, maxPayload int, tc trace.Context) (wi
 	return resultOf(resp)
 }
 
-// QueryOn is QueryCtx over a connection's framing state (the federation
-// root's fan-out over its pooled shard connections): the query is built
-// in c's image and sent in one write, and the result's body is c's read
-// buffer — valid until c's next read and no longer.
-func QueryOn(c *wire.Conn, q wire.Query, tc trace.Context) (wire.Result, error) {
-	if err := c.Send(wire.TypeQuery, tc, wire.AppendQuery(c.Body(), q)); err != nil {
-		return wire.Result{}, err
-	}
+// SendQuery and ReadResult are QueryCtx's two halves over a
+// connection's framing state — the federation root's pooled shard
+// connections, which it asks all before it reads any. SendQuery builds
+// the query in c's image and sends it in one write.
+func SendQuery(c *wire.Conn, q wire.Query, tc trace.Context) error {
+	return c.Send(wire.TypeQuery, tc, wire.AppendQuery(c.Body(), q))
+}
+
+// ReadResult reads the reply to a query SendQuery sent. The result's
+// body is c's read buffer: valid until c's next read and no longer.
+func ReadResult(c *wire.Conn) (wire.Result, error) {
 	resp, err := c.Read()
 	if err != nil {
 		return wire.Result{}, err

@@ -126,10 +126,11 @@ type Server struct {
 	stats     Stats
 	// gen is bumped once per batch that lands a record or moves a
 	// node's power (a re-delivered batch of duplicates still rewrites
-	// nodeW), and by a Restore that changes a power: everything
-	// View hands out is covered, which a root's cached view relies on;
-	// see Generation. It is not derived from the db and acct store
-	// generations because those move on other events too: db is the
+	// nodeW), and by a Restore that changes a power, which then
+	// continues from the saved generation: everything View hands out is
+	// covered, which a root's cached view relies on; see Generation. It
+	// is not derived from the db and acct store generations because
+	// those move on other events too: db is the
 	// caller's and arrives already loaded from -db (its counter is past
 	// 0 before the first batch), and the stores move per record,
 	// mid-batch, where gen moves once under mu together with the node
@@ -451,22 +452,28 @@ func (s *Server) setPower(node string, w float64) bool {
 // cannot reconstruct ingestion order, so the power view travels
 // separately) and the per-job accounting store. The batch-ID window is
 // not kept: a batch redelivered to a restarted daemon is deduplicated
-// record by record against the stores.
+// record by record against the stores. The generation is, so a
+// restarted daemon never answers one it has answered with other
+// contents: a root's cached view is keyed by it. Files written before it
+// was kept have none and restore as they did.
 type Saved struct {
 	Powers []wire.NodePower    `json:"node_powers"`
 	Acct   []accounting.Record `json:"acct"`
+	Gen    uint64              `json:"generation,omitempty"`
 }
 
-// Saved captures the server's restart state. Both lists are the live
-// view's: read-only.
+// Saved captures the server's restart state, once it has stopped
+// serving. Both lists are the live view's: read-only.
 func (s *Server) Saved() Saved {
-	v, _ := s.View(nil) // the live view cannot fail
-	return Saved{Powers: v.Powers, Acct: v.Acct.Snapshot()}
+	v, _ := s.View(nil)         // the live view cannot fail
+	gen, _ := s.Generation(nil) // nor can the counter
+	return Saved{Powers: v.Powers, Acct: v.Acct.Snapshot(), Gen: gen}
 }
 
 // Restore loads a captured state, as a daemon booting over its
-// persisted files does, without counting any of it as fresh ingest. It
-// refuses a state holding a record a batch could not have delivered.
+// persisted files does, without counting any of it as fresh ingest, and
+// continues the generation from the saved one. It refuses a state
+// holding a record a batch could not have delivered.
 func (s *Server) Restore(sv Saved) error {
 	for _, np := range sv.Powers {
 		if np.Node == "" {
@@ -488,6 +495,7 @@ func (s *Server) Restore(sv Saved) error {
 	if moved {
 		s.gen++
 	}
+	s.gen = max(s.gen, sv.Gen)
 	return nil
 }
 

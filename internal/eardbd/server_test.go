@@ -3,6 +3,7 @@ package eardbd
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math"
 	"net"
@@ -641,6 +642,57 @@ func TestGenerationCoversNodePowers(t *testing.T) {
 	}
 	if c := srv.HealthCheck(1)(); !c.OK {
 		t.Errorf("seeding alone reads as a stale store: %+v", c)
+	}
+}
+
+// TestRestoreContinuesGeneration: a restored server answers the
+// generation its state was saved at and counts on from there, so it
+// never answers one it has answered with other contents; a state file
+// written before the generation was kept restores as it did.
+func TestRestoreContinuesGeneration(t *testing.T) {
+	srv := NewServer(eard.NewDB(), Config{})
+	conn, err := srv.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 3; i++ {
+		b := wire.Batch{ID: fmt.Sprintf("n01/%d", i), Node: "n01", Records: []eard.JobRecord{rec(fmt.Sprint(i), "0", "n01", 100)}}
+		if _, err := exchange(t, conn, mustBatch(t, b)).AsAck(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(srv.Saved())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sv Saved
+	if err := json.Unmarshal(blob, &sv); err != nil || sv.Gen != 3 {
+		t.Fatalf("saved %s (%v), want generation 3", blob, err)
+	}
+	back := NewServer(srv.DB(), Config{})
+	if err := back.Restore(sv); err != nil {
+		t.Fatal(err)
+	}
+	if gen, _ := back.Generation(nil); gen != 3 {
+		t.Errorf("restored at generation %d, want the saved 3", gen)
+	}
+
+	var old Saved
+	if err := json.Unmarshal([]byte(`{"node_powers":[{"node":"n01","power_w":100}],"acct":[]}`), &old); err != nil {
+		t.Fatal(err)
+	}
+	fresh := NewServer(eard.NewDB(), Config{})
+	if err := fresh.Restore(old); err != nil {
+		t.Fatal(err)
+	}
+	if gen, _ := fresh.Generation(nil); gen != 1 {
+		t.Errorf("a state saved without a generation restores at %d, want 1", gen)
+	}
+	if blob, _ := json.Marshal(NewServer(eard.NewDB(), Config{}).Saved()); strings.Contains(string(blob), "generation") {
+		t.Errorf("an empty server saves %s: a zero generation is omitted, as files written before it were", blob)
 	}
 }
 

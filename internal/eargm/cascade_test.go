@@ -58,7 +58,7 @@ func TestCascadeApportionsBudgetBySumExactly(t *testing.T) {
 	}
 	// Reserve 0.2 of 1000 split 3 ways = 66.66...; pool 800 split
 	// 600:200:0 over a draw of 800.
-	want := []float64{1000 * 0.2 / 3 + 800 * 600 / 800.0, 1000*0.2/3 + 800*200/800.0, 1000 * 0.2 / 3}
+	want := []float64{1000*0.2/3 + 800*600/800.0, 1000*0.2/3 + 800*200/800.0, 1000 * 0.2 / 3}
 	for i := range want {
 		if math.Abs(budgets[i]-want[i]) > 1e-9 {
 			t.Fatalf("budgets = %v, want %v", budgets, want)

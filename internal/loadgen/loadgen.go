@@ -102,11 +102,11 @@ type Hooks struct {
 
 // Result summarises a load run.
 type Result struct {
-	Nodes           int                 `json:"nodes"`
-	RecordsEnqueued int                 `json:"records_enqueued"`
-	NodeErrors      int                 `json:"node_errors"`
-	Client          eardbd.ClientStats  `json:"client"`
-	BacklogBatches  int                 `json:"backlog_batches"`
+	Nodes           int                `json:"nodes"`
+	RecordsEnqueued int                `json:"records_enqueued"`
+	NodeErrors      int                `json:"node_errors"`
+	Client          eardbd.ClientStats `json:"client"`
+	BacklogBatches  int                `json:"backlog_batches"`
 }
 
 // Generator drives simulated node reporters through real EARDBD

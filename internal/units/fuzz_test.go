@@ -14,7 +14,7 @@ func FuzzParseFrequency(f *testing.F) {
 	for _, s := range []string{
 		"2.4GHz", "2400MHz", "2400000 kHz", "2400000000", "0",
 		"  1.8 ghz ", "100Hz", "2.6E9", "-1GHz", "NaNGHz", "+InfMHz",
-		"KHz", // Kelvin sign: ToLower would change the byte length
+		"KHz",      // Kelvin sign: ToLower would change the byte length
 		"9e999",    // overflows to +Inf in ParseFloat
 		"1e300GHz", // finite number, overflows after the unit multiply
 		"999.96",   // rounds across the Hz/kHz decade boundary
