@@ -2,6 +2,7 @@ package fed
 
 import (
 	"slices"
+	"strings"
 
 	"goear/internal/accounting"
 	"goear/internal/eard"
@@ -16,10 +17,11 @@ import (
 // eargm snapshot rate and wrong for a dashboard tier taking repeated
 // reads, so the root keys the folded view by the vector of shard
 // ingest generations: a query polls the cheap generation counter on
-// every shard, and only a moved generation pays for the dumps and a
-// re-fold. The rebuilt view runs the exact same insertion arithmetic
-// as an uncached fold, so caching is invisible to the byte-identity
-// contract — it only changes how often the fold runs.
+// every shard, and only a moved generation pays for dumps and a
+// re-fold — of the parts whose stamps moved, not of the whole view. The
+// rebuilt parts run the exact same insertion arithmetic as an uncached
+// fold, so caching is invisible to the byte-identity contract — it only
+// changes how often each fold runs.
 
 // view is one folded reading of the fleet, keyed by the shard
 // generations it was polled at and the root's failure epoch then. A
@@ -27,50 +29,116 @@ import (
 // one that comes back without its state counts from zero again, and
 // could reach a generation the root has cached with other contents; it
 // cannot come back without a failed leg or a redial in between, which
-// moves the epoch. A published view is immutable, the power list
-// included: invalidation swaps in a freshly built one, so readers of an
-// old view stay consistent and every query served from one view sees
-// one generation vector.
+// moves the epoch. A published view is immutable, its stores and power
+// list included: invalidation swaps in a freshly built one, so readers
+// of an old view stay consistent, every query served from one view sees
+// one generation vector, and two views may share a part.
 type view struct {
 	gens  []wire.Generation
 	epoch uint64
 	eardbd.View
 }
 
-// shardGenerations polls every shard's ingest generation counter.
-func (r *Root) shardGenerations(parent *trace.Active) ([]wire.Generation, error) {
-	gens := make([]wire.Generation, len(r.cfg.Fleet.names))
-	err := r.fanOut(parent, wire.Query{Kind: wire.QueryGeneration}, func(i int, res wire.Result) error {
-		return res.Decode(&gens[i])
-	})
-	if err != nil {
-		return nil, err
+// parts is a set of the three stores a view folds, bit i standing for
+// partNames[i].
+type parts uint8
+
+const (
+	partRecords parts = 1 << iota
+	partAcct
+	partPowers
+	allParts = partRecords | partAcct | partPowers
+)
+
+// partNames are the parts' labels on goear_eardbd_fed_refolds_total and
+// in the fed.merge span's refold attribute.
+var partNames = [...]string{"records", "acct", "powers"}
+
+// movedParts returns the parts whose stamp differs on some shard between
+// two polls of the same fleet.
+func movedParts(old, cur []wire.Generation) parts {
+	var p parts
+	for i := range cur {
+		if old[i].Records != cur[i].Records {
+			p |= partRecords
+		}
+		if old[i].Acct != cur[i].Acct {
+			p |= partAcct
+		}
+		if old[i].Powers != cur[i].Powers {
+			p |= partPowers
+		}
 	}
-	return gens, nil
+	return p
+}
+
+// String lists the set's part names, comma-separated.
+func (p parts) String() string {
+	var names []string
+	for i, name := range partNames {
+		if p&(1<<i) != 0 {
+			names = append(names, name)
+		}
+	}
+	return strings.Join(names, ",")
+}
+
+// pollGenerations polls every shard's generation, one entry a shard in
+// fleet order, into buf when the fleet fits it. Decoded by value, a poll
+// into an array on the caller's stack stays there: a hit keeps nothing,
+// and a miss copies the vector it keys the view by.
+func (r *Root) pollGenerations(parent *trace.Active, buf *[fanOutConcurrency]wire.Generation) ([]wire.Generation, error) {
+	gens := buf[:]
+	if n := len(r.cfg.Fleet.names); n > len(gens) {
+		gens = make([]wire.Generation, n)
+	}
+	gens = gens[:len(r.cfg.Fleet.names)]
+	err := r.fanOut(parent, wire.Query{Kind: wire.QueryGeneration}, func(i int, res wire.Result) (err error) {
+		gens[i], err = res.Generation()
+		return err
+	})
+	return gens, err
 }
 
 // View implements eardbd.Backend with the folded cluster view — from
-// cache when no shard generation has moved, rebuilt otherwise. A node
-// reports through exactly one shard (ring placement), so the union of
-// the shards' power lists is disjoint; a node seen on two shards
-// (mid-rebalance traffic) keeps the value from the later shard in
-// fan-out order.
+// cache when no shard generation has moved, otherwise rebuilt from the
+// cached one by folding again the parts whose stamps moved on some
+// shard; a changed epoch re-folds all three. A node reports through
+// exactly one shard (ring placement), so the union of the shards' power
+// lists is disjoint; a node seen on two shards (mid-rebalance traffic)
+// keeps the value from the later shard in fan-out order.
+//
+// A part kept from the cached view is exact for its unchanged stamps: a
+// shard stamps a part only after the store under it took the batch, so
+// a part folded before the stamp moved holds at least what the stamp
+// covers — and one that holds more is folded again at the next poll,
+// which sees the stamp moved.
 func (r *Root) View(parent *trace.Active) (eardbd.View, error) {
 	msp := parent.Child(spanFedMerge, r.Now.Sec())
-	gens, err := r.shardGenerations(msp)
+	var buf [fanOutConcurrency]wire.Generation
+	gens, err := r.pollGenerations(msp, &buf)
 	if err != nil {
 		msp.Attr("cache", "error").End(r.Now.Sec())
 		return eardbd.View{}, err
 	}
 	// Loaded after the poll: a redial during it is in the epoch.
 	epoch := r.epoch.Load()
-	if v := r.cache.Load(); v != nil && v.epoch == epoch && slices.Equal(v.gens, gens) {
+	old := r.cache.Load()
+	if old != nil && old.epoch == epoch && slices.Equal(old.gens, gens) {
 		r.countCache(true)
 		msp.Attr("cache", "hit").End(r.Now.Sec())
-		return v.View, nil
+		return old.View, nil
+	}
+	refold := allParts
+	if old != nil && old.epoch == epoch {
+		refold = movedParts(old.gens, gens)
 	}
 	r.countCache(false)
+	r.tel.refold(refold)
 	msp.Attr("cache", "miss")
+	if msp != nil {
+		msp.Attr("refold", refold.String())
+	}
 	defer func() { msp.End(r.Now.Sec()) }()
 
 	// Concurrent misses duplicate work but never block a hit, and the
@@ -78,42 +146,51 @@ func (r *Root) View(parent *trace.Active) (eardbd.View, error) {
 	// from its frame, a record at a time, one shard after the other; a
 	// dump that turns out malformed part-way leaves records behind in a
 	// view that is dropped here, never published.
-	v := &view{gens: gens, epoch: epoch}
-	v.DB = eard.NewDB()
-	err = r.fanOut(msp, wire.Query{Kind: wire.QueryRecords}, func(_ int, res wire.Result) error {
-		return res.EachRecord(v.DB.Insert)
-	})
-	if err != nil {
-		return eardbd.View{}, err
+	v := &view{gens: slices.Clone(gens), epoch: epoch}
+	if old != nil {
+		v.View = old.View // the parts not folded again are shared
 	}
-	// The merged store shares the root's telemetry set, so the
-	// goear_accounting_* families on a federation root cover the
-	// serving tier the same way they cover a single daemon.
-	v.Acct = accounting.NewStore(r.ts)
-	err = r.fanOut(msp, wire.Query{Kind: wire.QueryAcctRecords}, func(_ int, res wire.Result) error {
-		return res.EachAcctRecord(func(rec accounting.Record) error {
-			_, err := v.Acct.Insert(rec)
-			return err
+	if refold&partRecords != 0 {
+		v.DB = eard.NewDB()
+		err = r.fanOut(msp, wire.Query{Kind: wire.QueryRecords}, func(_ int, res wire.Result) error {
+			return res.EachRecord(v.DB.Insert)
 		})
-	})
-	if err != nil {
-		return eardbd.View{}, err
-	}
-	byNode := map[string]float64{}
-	var nps []wire.NodePower // every shard's list decodes into the first one's
-	err = r.fanOut(msp, wire.Query{Kind: wire.QueryNodePowers}, func(_ int, res wire.Result) error {
-		if err := res.Decode(&nps); err != nil {
-			return err
+		if err != nil {
+			return eardbd.View{}, err
 		}
-		for _, np := range nps {
-			byNode[np.Node] = np.PowerW
-		}
-		return nil
-	})
-	if err != nil {
-		return eardbd.View{}, err
 	}
-	v.Powers = eardbd.SortedPowers(byNode)
+	if refold&partAcct != 0 {
+		// The merged store shares the root's telemetry set, so the
+		// goear_accounting_* families on a federation root cover the
+		// serving tier the same way they cover a single daemon.
+		v.Acct = accounting.NewStore(r.ts)
+		err = r.fanOut(msp, wire.Query{Kind: wire.QueryAcctRecords}, func(_ int, res wire.Result) error {
+			return res.EachAcctRecord(func(rec accounting.Record) error {
+				_, err := v.Acct.Insert(rec)
+				return err
+			})
+		})
+		if err != nil {
+			return eardbd.View{}, err
+		}
+	}
+	if refold&partPowers != 0 {
+		byNode := map[string]float64{}
+		var nps []wire.NodePower // every shard's list decodes into the first one's
+		err = r.fanOut(msp, wire.Query{Kind: wire.QueryNodePowers}, func(_ int, res wire.Result) error {
+			if err := res.Decode(&nps); err != nil {
+				return err
+			}
+			for _, np := range nps {
+				byNode[np.Node] = np.PowerW
+			}
+			return nil
+		})
+		if err != nil {
+			return eardbd.View{}, err
+		}
+		v.Powers = eardbd.SortedPowers(byNode)
+	}
 	r.cache.Store(v)
 	return v.View, nil
 }
@@ -137,18 +214,29 @@ func (r *Root) countCache(hit bool) {
 	r.tel.cacheHitR.Set(ratio)
 }
 
-// Generation implements eardbd.Backend with the summed shard
-// generations: a single counter that moves whenever any shard ingests,
-// which is what the root answers to wire.QueryGeneration so a cache
-// can stack above a root exactly as above a daemon.
-func (r *Root) Generation(parent *trace.Active) (uint64, error) {
-	gens, err := r.shardGenerations(parent)
+// Generation implements eardbd.Backend the way a shard daemon does, so
+// a cache stacks above a root exactly as above a daemon: the root keeps
+// a counter of its own and bumps it whenever a poll's epoch or shard
+// vector differs from the one it last answered for, stamping the parts
+// whose column moved — all three across an epoch. A sum of the shard
+// counters would not do: it can come round again with other contents.
+func (r *Root) Generation(parent *trace.Active) (wire.Generation, error) {
+	var buf [fanOutConcurrency]wire.Generation
+	gens, err := r.pollGenerations(parent, &buf)
 	if err != nil {
-		return 0, err
+		return wire.Generation{}, err
 	}
-	var sum uint64
-	for _, g := range gens {
-		sum += g.Gen
+	epoch := r.epoch.Load()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.answered != nil && r.answeredEpoch == epoch && slices.Equal(r.answered, gens) {
+		return r.gen, nil
 	}
-	return sum, nil
+	moved := allParts
+	if r.answered != nil && r.answeredEpoch == epoch {
+		moved = movedParts(r.answered, gens)
+	}
+	r.gen = r.gen.Bump(moved&partRecords != 0, moved&partAcct != 0, moved&partPowers != 0)
+	r.answered, r.answeredEpoch = append(r.answered[:0], gens...), epoch
+	return r.gen, nil
 }

@@ -139,6 +139,12 @@ type Root struct {
 	reach  map[string]bool         // last fan-out outcome per shard
 	idle   map[string][]*shardConn // parked shard connections, most recently used last
 	closed bool                    // Close has run: connections are closed, not parked
+	// gen is the root's answer to a generation query; answered and
+	// answeredEpoch are the shard vector and epoch it last moved for
+	// (cache.go).
+	gen           wire.Generation
+	answered      []wire.Generation
+	answeredEpoch uint64
 
 	cache atomic.Pointer[view]
 	// epoch counts failed legs and redials: a shard may have restarted

@@ -12,8 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"goear/internal/accounting"
 	"goear/internal/eard"
 	"goear/internal/eardbd"
+	"goear/internal/telemetry"
 	"goear/internal/wire"
 )
 
@@ -92,6 +94,68 @@ func buildFederation(t testing.TB, nodes, nShards int) ([]shardFixture, *Root) {
 		}
 	}
 	return shards, root
+}
+
+// report is one node report of a job step at the given power.
+func report(node, job, step string, power float64) eard.JobRecord {
+	return eard.JobRecord{
+		JobID: job, StepID: step, Node: node, App: "BT-MZ.C", Policy: "min_energy",
+		TimeSec: 120, EnergyJ: 120 * power, AvgPower: power, AvgCPU: 2.1, AvgIMC: 2.4,
+	}
+}
+
+// window is one accounting record of a job on a node.
+func window(node, job string, phase int, nodeJ float64) accounting.Record {
+	return accounting.Record{
+		V: accounting.CodecVersion, JobID: job, StepID: "0", User: "alice", Node: node, Policy: "min_energy",
+		Phase: phase, StartSec: 60 * float64(phase), EndSec: 60 * float64(phase+1),
+		PkgJ: 0.6 * nodeJ, DramJ: 0.1 * nodeJ, UncoreJ: 0.1 * nodeJ, NodeJ: nodeJ, AvgCPUGHz: 2.1, AvgIMCGHz: 2.4,
+	}
+}
+
+// deliver sends one batch over a fresh connection from dial and returns
+// its ack.
+func deliver(tb testing.TB, dial func() (net.Conn, error), b wire.Batch) wire.Ack {
+	tb.Helper()
+	conn, err := dial()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer conn.Close()
+	f, err := wire.EncodeBatch(b)
+	if err == nil {
+		err = wire.WriteFrame(conn, f, 0)
+	}
+	if err == nil {
+		f, err = wire.ReadFrame(conn, 0)
+	}
+	var ack wire.Ack
+	if err == nil {
+		ack, err = f.AsAck()
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ack
+}
+
+// series reads one sample of a telemetry set's rendered /metrics.
+func series(tb testing.TB, ts *telemetry.Set, name string) float64 {
+	tb.Helper()
+	var b strings.Builder
+	if err := ts.Reg().WritePrometheus(&b); err != nil {
+		tb.Fatal(err)
+	}
+	samples, err := telemetry.ParseText(strings.NewReader(b.String()))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, s := range samples {
+		if s.Name+s.Labels == name {
+			return s.Value
+		}
+	}
+	return 0
 }
 
 func TestRootMergesAcrossShardCounts(t *testing.T) {
@@ -478,24 +542,10 @@ func TestEmptyRestartServesNoStaleView(t *testing.T) {
 	t.Cleanup(func() { _ = root.Close() })
 	report := func(node string, power float64) {
 		t.Helper()
-		conn, err := fleet.Dial("s0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
 		for i := 0; i < 3; i++ {
-			f, err := wire.EncodeBatch(wire.Batch{ID: fmt.Sprintf("%s/%d", node, i), Node: node, Records: []eard.JobRecord{{
+			deliver(t, fleet.DialFor(node), wire.Batch{ID: fmt.Sprintf("%s/%d", node, i), Node: node, Records: []eard.JobRecord{{
 				JobID: fmt.Sprint(i), StepID: "0", Node: node, TimeSec: 60, EnergyJ: 60 * power, AvgPower: power,
 			}}})
-			if err == nil {
-				err = wire.WriteFrame(conn, f, 0)
-			}
-			if err == nil {
-				_, err = wire.ReadFrame(conn, 0)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
 	report("n1", 100)
@@ -507,8 +557,8 @@ func TestEmptyRestartServesNoStaleView(t *testing.T) {
 	}
 	cur.Store(eardbd.NewServer(eard.NewDB(), eardbd.Config{}))
 	report("n2", 300)
-	if gen, _ := cur.Load().Generation(nil); gen != 3 {
-		t.Fatalf("the empty shard is at generation %d, want the cached 3", gen)
+	if gen, _ := cur.Load().Generation(nil); gen.Gen != 3 {
+		t.Fatalf("the empty shard is at generation %d, want the cached 3", gen.Gen)
 	}
 	if agg, err := root.Aggregate(); err != nil || agg.Nodes != 1 || agg.TotalPowerW != 300 {
 		t.Errorf("after an empty restart the root reads %+v (%v), want n2 alone at 300 W", agg, err)
@@ -524,31 +574,9 @@ func TestEmptyRestartServesNoStaleView(t *testing.T) {
 // the re-delivery and a cold one must both serve the shard's own view.
 func TestDuplicateRedeliveryMovesCachedPowers(t *testing.T) {
 	shard := shardFixture{name: "s0", srv: eardbd.NewServer(eard.NewDB(), eardbd.Config{MaxSeenBatches: 1})}
-	conn, err := shard.srv.Dial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	deliver := func(id string, step string, power float64) wire.Ack {
+	send := func(id string, step string, power float64) wire.Ack {
 		t.Helper()
-		f, err := wire.EncodeBatch(wire.Batch{ID: id, Node: "n00", Records: []eard.JobRecord{{
-			JobID: "job0", StepID: step, Node: "n00", TimeSec: 120, EnergyJ: power * 120, AvgPower: power,
-		}}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := wire.WriteFrame(conn, f, 0); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := wire.ReadFrame(conn, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ack, err := resp.AsAck()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ack
+		return deliver(t, shard.srv.Dial, wire.Batch{ID: id, Node: "n00", Records: []eard.JobRecord{report("n00", "job0", step, power)}})
 	}
 	newRoot := func() *Root {
 		root := rootOver(t, []shardFixture{shard}, dialer([]shardFixture{shard}))
@@ -556,13 +584,13 @@ func TestDuplicateRedeliveryMovesCachedPowers(t *testing.T) {
 		return root
 	}
 
-	deliver("n00/1", "0", 250)
-	deliver("n00/2", "1", 300)
+	send("n00/1", "0", 250)
+	send("n00/2", "1", 300)
 	warm := newRoot()
 	if nps, err := warm.PowersByName(nil); err != nil || len(nps) != 1 || nps[0].PowerW != 300 {
 		t.Fatalf("before the re-delivery: %v, %v", nps, err)
 	}
-	if ack := deliver("n00/1", "0", 250); ack.Duplicate != 1 || ack.Accepted+ack.Replaced != 0 {
+	if ack := send("n00/1", "0", 250); ack.Duplicate != 1 || ack.Accepted+ack.Replaced != 0 {
 		t.Fatalf("re-delivery ack = %+v, want one duplicate record", ack)
 	}
 

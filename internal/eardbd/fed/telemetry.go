@@ -14,6 +14,7 @@ const (
 	metricFedShards    = "goear_eardbd_fed_shards"
 	metricFedCache     = "goear_eardbd_fed_cache_total"
 	metricFedCacheHitR = "goear_eardbd_fed_cache_hit_ratio"
+	metricFedRefolds   = "goear_eardbd_fed_refolds_total"
 	metricFedLatency   = "goear_eardbd_fed_latency_seconds"
 )
 
@@ -46,6 +47,8 @@ type rootTel struct {
 	cacheHitR *telemetry.Gauge
 	latQuery  *telemetry.Histogram // op="query": serving a merged query
 	latFanout *telemetry.Histogram // op="fanout": one shard round trip
+	// refolds[i] counts the misses that folded part partNames[i] again.
+	refolds [len(partNames)]*telemetry.Counter
 }
 
 func newRootTel(s *telemetry.Set) rootTel {
@@ -53,7 +56,7 @@ func newRootTel(s *telemetry.Set) rootTel {
 	cache := r.CounterVec(metricFedCache, "merged-snapshot lookups by cache outcome", "result")
 	latency := r.HistogramVec(metricFedLatency, "federation root latency by wire op, seconds",
 		eardbd.LatencyBounds(), "op")
-	return rootTel{
+	t := rootTel{
 		queries:   r.Counter(metricFedQueries, "snapshot queries served by the federation root"),
 		fanoutVec: r.CounterVec(metricFedFanout, "shard fan-out queries by shard and result", "shard", "result"),
 		dialVec:   r.CounterVec(metricFedDials, "shard connections taken for a fan-out, by shard and how (new, reused, redial)", "shard", "result"),
@@ -63,6 +66,20 @@ func newRootTel(s *telemetry.Set) rootTel {
 		cacheHitR: r.Gauge(metricFedCacheHitR, "fraction of merged-snapshot lookups served from cache"),
 		latQuery:  latency.With("query"),
 		latFanout: latency.With("fanout"),
+	}
+	refolds := r.CounterVec(metricFedRefolds, "merged-view parts folded again from shard dumps on a cache miss, by part", "part")
+	for i, name := range partNames {
+		t.refolds[i] = refolds.With(name)
+	}
+	return t
+}
+
+// refold counts the parts a cache miss folds again.
+func (t rootTel) refold(p parts) {
+	for i, c := range t.refolds {
+		if p&(1<<i) != 0 {
+			c.Inc()
+		}
 	}
 }
 

@@ -124,18 +124,20 @@ type Server struct {
 	nodeW     map[string]float64
 	powers    []wire.NodePower // nodeW name-sorted, as last handed out; nil once nodeW has moved
 	stats     Stats
-	// gen is bumped once per batch that lands a record or moves a
+	// gen.Gen is bumped once per batch that lands a record or moves a
 	// node's power (a re-delivered batch of duplicates still rewrites
 	// nodeW), and by a Restore that changes a power, which then
 	// continues from the saved generation: everything View hands out is
-	// covered, which a root's cached view relies on; see Generation. It
-	// is not derived from the db and acct store generations because
-	// those move on other events too: db is the
-	// caller's and arrives already loaded from -db (its counter is past
-	// 0 before the first batch), and the stores move per record,
-	// mid-batch, where gen moves once under mu together with the node
-	// power view.
-	gen     uint64
+	// covered, which a root's cached view relies on; see Generation. The
+	// bump stamps the parts the batch moved — Records for a node report
+	// accepted or replaced, Acct likewise, Powers for a changed power —
+	// with the new value, after the stores took the batch. It is not
+	// derived from the db and acct store generations because those move
+	// on other events too: db is the caller's and arrives already loaded
+	// from -db (its counter is past 0 before the first batch), and the
+	// stores move per record, mid-batch, where gen moves once under mu
+	// together with the node power view.
+	gen     wire.Generation
 	lastMut float64 // Now when a batch last landed a record (0 with no clock)
 }
 
@@ -222,9 +224,10 @@ func (s *Server) View(*trace.Active) (View, error) {
 // Generation implements Backend with the server's mutation counter: it
 // advances every time a record — node report or accounting record — is
 // accepted or replaced or a node's last reported power changes, and
-// never otherwise. Federation roots poll it to decide whether their
-// cached merged view is still exact.
-func (s *Server) Generation(*trace.Active) (uint64, error) {
+// never otherwise; each part stamp only when its part did. Federation
+// roots poll it to decide whether their cached merged view is still
+// exact, and which parts of it to fold again when it is not.
+func (s *Server) Generation(*trace.Active) (wire.Generation, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.gen, nil
@@ -238,7 +241,7 @@ func (s *Server) Generation(*trace.Active) (uint64, error) {
 func (s *Server) HealthCheck(staleAfterSec float64) telemetry.CheckFunc {
 	return func() telemetry.Check {
 		s.mu.Lock()
-		gen, last := s.gen, s.lastMut
+		gen, last := s.gen.Gen, s.lastMut
 		landed := s.stats.RecordsAccepted + s.stats.RecordsReplaced + s.stats.AcctAccepted + s.stats.AcctReplaced
 		s.mu.Unlock()
 		c := telemetry.Check{Name: "store", OK: true, Detail: fmt.Sprintf("generation %d", gen)}
@@ -372,16 +375,16 @@ func (s *Server) handleBatch(c *wire.Conn, f wire.Frame, b *wire.Batch) bool {
 	s.stats.AcctAccepted += acct[grouped.Accepted]
 	s.stats.AcctDuplicate += acct[grouped.Duplicate]
 	s.stats.AcctReplaced += acct[grouped.Replaced]
-	landed := ack.Accepted+ack.Replaced > 0
-	if landed {
+	if ack.Accepted+ack.Replaced > 0 {
 		s.lastMut = s.Now.Sec()
 	}
-	moved := landed
+	powers := false
 	for _, r := range b.Records {
-		moved = s.setPower(r.Node, r.AvgPower) || moved
+		powers = s.setPower(r.Node, r.AvgPower) || powers
 	}
-	if moved {
-		s.gen++
+	records, accounted := nodes[grouped.Accepted]+nodes[grouped.Replaced] > 0, acct[grouped.Accepted]+acct[grouped.Replaced] > 0
+	if records || accounted || powers {
+		s.gen = s.gen.Bump(records, accounted, powers)
 	}
 	s.seen[b.ID] = true
 	s.seenQueue = append(s.seenQueue, b.ID)
@@ -467,13 +470,14 @@ type Saved struct {
 func (s *Server) Saved() Saved {
 	v, _ := s.View(nil)         // the live view cannot fail
 	gen, _ := s.Generation(nil) // nor can the counter
-	return Saved{Powers: v.Powers, Acct: v.Acct.Snapshot(), Gen: gen}
+	return Saved{Powers: v.Powers, Acct: v.Acct.Snapshot(), Gen: gen.Gen}
 }
 
 // Restore loads a captured state, as a daemon booting over its
 // persisted files does, without counting any of it as fresh ingest, and
-// continues the generation from the saved one. It refuses a state
-// holding a record a batch could not have delivered.
+// continues the generation from the saved one, every part stamped with
+// it. It refuses a state holding a record a batch could not have
+// delivered.
 func (s *Server) Restore(sv Saved) error {
 	for _, np := range sv.Powers {
 		if np.Node == "" {
@@ -493,9 +497,10 @@ func (s *Server) Restore(sv Saved) error {
 		moved = s.setPower(np.Node, np.PowerW) || moved
 	}
 	if moved {
-		s.gen++
+		s.gen.Gen++
 	}
-	s.gen = max(s.gen, sv.Gen)
+	gen := max(s.gen.Gen, sv.Gen)
+	s.gen = wire.Generation{Gen: gen, Records: gen, Acct: gen, Powers: gen}
 	return nil
 }
 

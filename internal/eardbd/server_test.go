@@ -621,7 +621,7 @@ func TestGenerationCoversNodePowers(t *testing.T) {
 		}
 	}
 	restore(seed)
-	if gen, _ := srv.Generation(nil); gen != 1 {
+	if gen, _ := srv.Generation(nil); gen.Gen != 1 {
 		t.Fatalf("generation %d after seeding two nodes, want 1", gen)
 	}
 	v, _ := srv.View(nil)
@@ -629,12 +629,12 @@ func TestGenerationCoversNodePowers(t *testing.T) {
 		t.Fatalf("powers = %v, want the seed", v.Powers)
 	}
 	restore(seed)
-	if gen, _ := srv.Generation(nil); gen != 1 {
+	if gen, _ := srv.Generation(nil); gen.Gen != 1 {
 		t.Errorf("generation %d after re-seeding the same values, want 1", gen)
 	}
 	restore([]wire.NodePower{{Node: "n02", PowerW: 270}})
 	again, _ := srv.View(nil)
-	if gen, _ := srv.Generation(nil); gen != 2 || again.Powers[1].PowerW != 270 {
+	if gen, _ := srv.Generation(nil); gen.Gen != 2 || again.Powers[1].PowerW != 270 {
 		t.Errorf("generation %d, powers %v after one value moved, want 2 and n02 at 270 W", gen, again.Powers)
 	}
 	if v.Powers[1].PowerW != 260 {
@@ -676,7 +676,7 @@ func TestRestoreContinuesGeneration(t *testing.T) {
 	if err := back.Restore(sv); err != nil {
 		t.Fatal(err)
 	}
-	if gen, _ := back.Generation(nil); gen != 3 {
+	if gen, _ := back.Generation(nil); gen.Gen != 3 {
 		t.Errorf("restored at generation %d, want the saved 3", gen)
 	}
 
@@ -688,7 +688,7 @@ func TestRestoreContinuesGeneration(t *testing.T) {
 	if err := fresh.Restore(old); err != nil {
 		t.Fatal(err)
 	}
-	if gen, _ := fresh.Generation(nil); gen != 1 {
+	if gen, _ := fresh.Generation(nil); gen.Gen != 1 {
 		t.Errorf("a state saved without a generation restores at %d, want 1", gen)
 	}
 	if blob, _ := json.Marshal(NewServer(eard.NewDB(), Config{}).Saved()); strings.Contains(string(blob), "generation") {

@@ -27,8 +27,8 @@ type Backend interface {
 	// in one lookup.
 	View(parent *trace.Active) (View, error)
 	// Generation returns a counter that moves whenever View's contents
-	// do.
-	Generation(parent *trace.Active) (uint64, error)
+	// do, and a stamp per part of View that moves only with that part.
+	Generation(parent *trace.Active) (wire.Generation, error)
 }
 
 // View is one reading of a backend's state: the node-report database,
@@ -70,9 +70,13 @@ func Answer(dst []byte, b Backend, parent *trace.Active, q wire.Query) ([]byte, 
 	case wire.QueryStats:
 		v, err = b.IngestStats(parent)
 	case wire.QueryGeneration:
-		var gen uint64
-		gen, err = b.Generation(parent)
-		v = wire.Generation{Gen: gen}
+		// Encoded from the value: boxed in v, a generation would cost
+		// every poll an allocation.
+		gen, err := b.Generation(parent)
+		if err != nil {
+			return dst, err
+		}
+		return wire.AppendGeneration(dst, gen), nil
 	case wire.QueryAggregate, wire.QueryNodePowers, wire.QueryJobs, wire.QueryRecords,
 		wire.QuerySummary, wire.QueryAcctJobs, wire.QueryAcctRecords:
 		var view View

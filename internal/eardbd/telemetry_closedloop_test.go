@@ -231,9 +231,10 @@ func TestTelemetryClosedLoopWorkerInvariance(t *testing.T) {
 		"goear_eargm_intervals_total":            12,
 		// How big the answers served are, by kind: eight names of three
 		// bytes with a power each behind a kind byte and a count, and two
-		// one-digit generations. A kind nobody asked for reads zero.
+		// generations of one-digit counter and stamps. A kind nobody asked
+		// for reads zero.
 		metricDBDReplyBytes + `{kind="node_powers"}`: 2 + 8*(1+3+8),
-		metricDBDReplyBytes + `{kind="generation"}`:  2 * 2,
+		metricDBDReplyBytes + `{kind="generation"}`:  2 * (1 + 4),
 		metricDBDReplyBytes + `{kind="records"}`:     0,
 	} {
 		if _, ok := vals[key]; !ok {

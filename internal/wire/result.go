@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"slices"
@@ -16,9 +17,13 @@ import (
 //	acct_records  n × acct
 //	acct_jobs     n × acct, next str, total int
 //	node_powers   n × (node str, power_w f64)
-//	generation    gen uint
+//	generation    gen uint, records uint, acct uint, powers uint
 //	stats, aggregate, jobs, summary
 //	              the rest of the payload is the value as JSON
+//
+// A generation body of gen alone, as a sender from before the part
+// stamps writes it, decodes with every stamp equal to gen: to a cache
+// every part moved whenever anything did.
 //
 // The five binary kinds are the ones that carry records or sit on the
 // federation root's fan-out path. The four JSON kinds are small,
@@ -126,8 +131,7 @@ func AppendResult(dst []byte, kind string, data any) ([]byte, error) {
 	case QueryGeneration:
 		var g Generation
 		if g, ok = data.(Generation); ok {
-			begin(10)
-			e.uint(g.Gen)
+			return AppendGeneration(dst, g), nil
 		}
 	default:
 		raw, err := json.Marshal(data)
@@ -157,6 +161,21 @@ func appendRecordsOf(dst []byte, code uint8, db *eard.DB) []byte {
 		e.uint(uint64(n))
 	}, e.record)
 	return e.buf
+}
+
+// generationCode is the generation kind's byte.
+var generationCode = uint8(slices.Index(resultKinds[:], QueryGeneration))
+
+// AppendGeneration appends the payload of a generation result to dst:
+// what AppendResult encodes for one, from the value itself rather than
+// an interface holding it, so a generation answered into a kept buffer
+// allocates nothing.
+func AppendGeneration(dst []byte, g Generation) []byte {
+	dst = append(dst, generationCode)
+	for _, v := range [...]uint64{g.Gen, g.Records, g.Acct, g.Powers} {
+		dst = binary.AppendUvarint(dst, v)
+	}
+	return dst
 }
 
 // AsResult decodes a TypeResult frame's kind; the body stays encoded
@@ -212,7 +231,7 @@ func (r Result) Decode(v any) error {
 	case QueryGeneration:
 		var p *Generation
 		if p, ok = v.(*Generation); ok {
-			p.Gen = d.uint()
+			*p = d.generation()
 		}
 	default:
 		if err := json.Unmarshal(r.Data, v); err != nil {
@@ -224,6 +243,30 @@ func (r Result) Decode(v any) error {
 		return fmt.Errorf("wire: decode %s result: unexpected target type %T", r.Kind, v)
 	}
 	return d.finish(r.Kind, "result")
+}
+
+// Generation decodes a generation result, as Decode into a *Generation
+// does, but returns the value: nothing passes through an interface, so
+// a poll decoded into a caller's array leaves it on the caller's stack.
+func (r Result) Generation() (Generation, error) {
+	if r.Kind != QueryGeneration {
+		return Generation{}, fmt.Errorf("wire: decode %s result: not a %s", r.Kind, QueryGeneration)
+	}
+	d := decoder{p: r.Data}
+	g := d.generation()
+	return g, d.finish(r.Kind, "result")
+}
+
+// generation reads a generation body: the counter and its three part
+// stamps, or the counter alone, which stamps every part with it.
+func (d *decoder) generation() Generation {
+	g := Generation{Gen: d.uint()}
+	if d.err == nil && d.left() == 0 {
+		g.Records, g.Acct, g.Powers = g.Gen, g.Gen, g.Gen
+		return g
+	}
+	g.Records, g.Acct, g.Powers = d.uint(), d.uint(), d.uint()
+	return g
 }
 
 // EachRecord decodes a records dump one record at a time, handing each

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -230,6 +231,36 @@ func TestAppendResultAllocations(t *testing.T) {
 		if want := mustResultPayload(t, tc.kind, tc.v); !bytes.Equal(sent.Bytes()[headerLen:], want) || &c.Body()[0] != image {
 			t.Errorf("%s: the reply was not built in the connection's image, or is not the payload EncodeResult builds", tc.name)
 		}
+	}
+}
+
+// TestGenerationBodyOfCounterAlone: a generation body that holds the
+// counter and nothing else — what a sender from before the part stamps
+// writes — decodes with every stamp equal to the counter, through
+// Decode and Result.Generation alike; a body with some stamps but not
+// all is malformed.
+func TestGenerationBodyOfCounterAlone(t *testing.T) {
+	want := Generation{Gen: 300, Records: 300, Acct: 300, Powers: 300}
+	old := Result{Kind: QueryGeneration, Data: []byte{0xac, 0x02}} // 300
+	var g Generation
+	if err := old.Decode(&g); err != nil || g != want {
+		t.Errorf("Decode: %+v, %v; want %+v", g, err, want)
+	}
+	if g, err := old.Generation(); err != nil || g != want {
+		t.Errorf("Generation: %+v, %v; want %+v", g, err, want)
+	}
+	full := Generation{Gen: 9, Records: 7, Acct: 2, Powers: 9}
+	payload := AppendGeneration(nil, full)
+	if len(payload) != 1+4 {
+		t.Fatalf("a generation of one-byte values encodes to %d bytes, want a kind byte and four", len(payload))
+	}
+	res, err := Frame{Type: TypeResult, Payload: payload}.AsResult()
+	if g, gerr := res.Generation(); err != nil || gerr != nil || g != full {
+		t.Errorf("round trip: %+v (%v, %v), want %+v", g, err, gerr, full)
+	}
+	short := Result{Kind: QueryGeneration, Data: payload[1:3]}
+	if _, err := short.Generation(); !errors.Is(err, ErrPayload) {
+		t.Errorf("a counter and one stamp decode with err %v, want ErrPayload", err)
 	}
 }
 

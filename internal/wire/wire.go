@@ -407,17 +407,40 @@ const (
 	// canonical (job, step, node, phase) order — the bulk path the
 	// federation root merges shards by.
 	QueryAcctRecords = "acct_records"
-	// QueryGeneration returns the store's mutation counter (a
-	// Generation). Snapshot caches poll it: unchanged generations mean
-	// the cached merge is still exact.
+	// QueryGeneration returns the store's mutation counter and part
+	// stamps (a Generation). Snapshot caches poll it: unchanged
+	// generations mean the cached merge is still exact, unchanged stamps
+	// that the part they stamp is.
 	QueryGeneration = "generation"
 )
 
 // Generation is a store mutation counter, the QueryGeneration result.
-// It advances on every accepted or replaced record — node report or
-// accounting record alike — so equality implies identical contents.
+// Gen advances whenever anything a view hands out moves — a node report
+// or accounting record accepted or replaced, a node's last power
+// changed — so equality implies identical contents. Each stamp is the
+// value Gen had when its part of the view last moved, so an equal stamp
+// implies that part is unchanged whatever the others did: a cache
+// re-folds only the parts whose stamps moved.
 type Generation struct {
-	Gen uint64
+	Gen     uint64
+	Records uint64 // the node reports: the records dump
+	Acct    uint64 // the accounting records: the acct_records dump
+	Powers  uint64 // every node's last reported power: node_powers
+}
+
+// Bump advances the counter and stamps the parts named true with it.
+func (g Generation) Bump(records, acct, powers bool) Generation {
+	g.Gen++
+	if records {
+		g.Records = g.Gen
+	}
+	if acct {
+		g.Acct = g.Gen
+	}
+	if powers {
+		g.Powers = g.Gen
+	}
+	return g
 }
 
 // NodePower is one node's last reported DC power, the element of a
