@@ -2,11 +2,14 @@ package accounting
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -129,6 +132,55 @@ func TestCursorRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeCursor("!!not-base64!!"); err == nil {
 		t.Error("DecodeCursor accepted garbage")
+	}
+}
+
+// FuzzCursor: a key whose fields Validate would let into a store comes
+// back from its cursor as it went in, the cursor being its fields
+// joined by the separator in unpadded URL base64; and DecodeCursor
+// answers any string with a key or an error, never a panic.
+func FuzzCursor(f *testing.F) {
+	f.Add("job1", "0", "node007", 3, "")
+	f.Add("", "", "", 0, "*bad*")
+	f.Add("a", "0", "n", -1, "YR9iHzAfbjEfMA") // a cursor of five fields
+	f.Fuzz(func(t *testing.T, job, step, node string, phase int, cursor string) {
+		_, _ = DecodeCursor(cursor)
+		if strings.Contains(job+step+node, cursorSep) {
+			return
+		}
+		k := Key{JobID: job, StepID: step, Node: node, Phase: phase}
+		c := EncodeCursor(k)
+		raw := strings.Join([]string{job, step, node, strconv.Itoa(phase)}, cursorSep)
+		if want := base64.RawURLEncoding.EncodeToString([]byte(raw)); c != want {
+			t.Fatalf("%+v: cursor %q, want %q", k, c, want)
+		}
+		if got, err := DecodeCursor(c); err != nil || got != k {
+			t.Fatalf("%+v: cursor %q decodes to %+v, %v", k, c, got, err)
+		}
+	})
+}
+
+// TestCursorSeparatorCannotStopPagination: a key field that carried the
+// cursor separator would render a cursor its own decoder splits into
+// five fields, and no walk could get past that record. Validate refuses
+// the separator in every field a cursor carries, so the store never
+// holds such a record and a one-record walk visits all it does hold.
+func TestCursorSeparatorCannotStopPagination(t *testing.T) {
+	s := NewStore(nil)
+	for _, r := range []Record{
+		mustRecord(t, "c", "0", "u", "n1", 0),
+		{V: CodecVersion, JobID: "a" + cursorSep + "b", StepID: "0", User: "u", Node: "n1", EndSec: 1},
+		{V: CodecVersion, JobID: "d", StepID: "0" + cursorSep, User: "u", Node: "n1", EndSec: 1},
+		{V: CodecVersion, JobID: "e", StepID: "0", User: "u", Node: cursorSep + "n1", EndSec: 1},
+	} {
+		_, err := s.Insert(r)
+		if sep := strings.Contains(r.JobID+r.StepID+r.Node, cursorSep); sep != (err != nil) {
+			t.Errorf("insert %q/%q on %q: err %v", r.JobID, r.StepID, r.Node, err)
+		}
+	}
+	walked, err := Walk(s.Query, Query{Limit: 1})
+	if err != nil || len(walked) != s.Len() {
+		t.Fatalf("a one-record walk returned %d of %d records, err %v", len(walked), s.Len(), err)
 	}
 }
 
@@ -441,71 +493,30 @@ func TestQueryLimitClamping(t *testing.T) {
 	}
 }
 
-// refPageRecords is PageRecords as it stood before Select: the page
-// append-grown while the snapshot is walked. Select and its two
-// readings, Each and Page, are held to it.
-func refPageRecords(snap []Record, q Query) (Page, error) {
-	limit := q.Limit
-	switch {
-	case limit <= 0:
-		limit = DefaultPageSize
-	case limit > MaxPageSize:
-		limit = MaxPageSize
-	}
-	var after Key
-	skipping := false
-	if q.Cursor != "" {
-		k, err := DecodeCursor(q.Cursor)
-		if err != nil {
-			return Page{}, err
-		}
-		after = k
-		skipping = true
-	}
-	page := Page{Records: []Record{}}
-	more := false
-	for _, r := range snap {
-		if !q.match(&r) {
-			continue
-		}
-		page.Total++
-		if skipping && !after.Less(r.Key()) {
-			continue
-		}
-		if len(page.Records) < limit {
-			page.Records = append(page.Records, r)
-		} else {
-			more = true
-		}
-	}
-	if more {
-		page.Next = EncodeCursor(page.Records[len(page.Records)-1].Key())
-	}
-	return page, nil
-}
-
 // TestSelectMatchesReferencePage walks every filter with every limit
 // from the first page to the last over a 3,000-record store, then the
-// cursors no walk produces, and holds Select, Selection.Each,
-// Selection.Page and Store.Query to the reference at every step.
+// cursors no walk produces. At every step Select, Selection.Each,
+// Selection.Page, PageRecords and Store.Query agree, and the pages —
+// records, Next (the cursor bytes) and Total, or a refusal — hash to a
+// digest pinned while they were still held, page for page, to the
+// page-building loop Select replaced.
 func TestSelectMatchesReferencePage(t *testing.T) {
 	s := buildStore(t, 15, 200)
 	snap := s.Snapshot()
+	h := fnv.New64a()
 	check := func(q Query) Page {
 		t.Helper()
-		want, wantErr := refPageRecords(snap, q)
 		sel, err := Select(snap, q)
-		if (err != nil) != (wantErr != nil) {
-			t.Fatalf("%+v: Select err = %v, reference err = %v", q, err, wantErr)
-		}
 		if err != nil {
 			if _, err := s.Query(q); err == nil {
 				t.Fatalf("%+v: Store.Query accepted what Select refused", q)
 			}
-			return want
+			h.Write([]byte("refused\n"))
+			return Page{}
 		}
+		want := sel.Page()
 		if sel.N != len(want.Records) || sel.Next != want.Next || sel.Total != want.Total {
-			t.Fatalf("%+v: selected %d records, next %q, total %d; want %d, %q, %d",
+			t.Fatalf("%+v: selected %d records, next %q, total %d; its page %d, %q, %d",
 				q, sel.N, sel.Next, sel.Total, len(want.Records), want.Next, want.Total)
 		}
 		i := 0
@@ -518,11 +529,16 @@ func TestSelectMatchesReferencePage(t *testing.T) {
 		if i != len(want.Records) {
 			t.Fatalf("%+v: Each yielded %d records, want %d", q, i, len(want.Records))
 		}
-		for name, got := range map[string]Page{"Selection.Page": sel.Page(), "PageRecords": mustPage(t, snap, q), "Store.Query": mustQuery(t, s, q)} {
+		for name, got := range map[string]Page{"PageRecords": mustPage(t, snap, q), "Store.Query": mustQuery(t, s, q)} {
 			if got.Records == nil || !reflect.DeepEqual(got, want) {
-				t.Fatalf("%+v: %s differs from the reference page (%d records, next %q)", q, name, len(got.Records), got.Next)
+				t.Fatalf("%+v: %s differs from Selection.Page (%d records, next %q)", q, name, len(got.Records), got.Next)
 			}
 		}
+		data, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(append(data, '\n'))
 		return want
 	}
 	pages := 0
@@ -554,8 +570,13 @@ func TestSelectMatchesReferencePage(t *testing.T) {
 		EncodeCursor(Key{JobID: "job3", StepID: "0", Node: "node0991"}),
 		"*bad*",
 	} {
+		h.Write([]byte(cursor + "\n"))
 		check(Query{Cursor: cursor, Limit: 200})
 		check(Query{Cursor: cursor, User: "carol"})
+	}
+	const want uint64 = 0xcb6fc6009c65ef28
+	if got := h.Sum64(); got != want {
+		t.Errorf("%d pages digest to %#016x, want %#016x", pages, got, want)
 	}
 }
 
@@ -579,8 +600,8 @@ func mustQuery(t *testing.T, s *Store, q Query) Page {
 
 // TestQueryAllocatesOnlyThePage: selecting a 200-record page of a
 // 3,000-record store allocates nothing but its cursors (the one it
-// resumes from, parsed; the one it hands out, rendered), and copying it
-// out adds exactly one slice, exactly sized.
+// resumes from, parsed; the one it hands out, rendered), one string
+// each, and copying it out adds exactly one slice, exactly sized.
 func TestQueryAllocatesOnlyThePage(t *testing.T) {
 	s := buildStore(t, 15, 200)
 	snap := s.Snapshot()
@@ -598,10 +619,16 @@ func TestQueryAllocatesOnlyThePage(t *testing.T) {
 		}
 		cursors := 0.0
 		if c.q.Cursor != "" {
-			cursors += testing.AllocsPerRun(20, func() { _, _ = DecodeCursor(c.q.Cursor) })
+			if n := testing.AllocsPerRun(20, func() { _, _ = DecodeCursor(c.q.Cursor) }); n != 1 {
+				t.Errorf("%s: DecodeCursor allocates %v times, want 1", c.name, n)
+			}
+			cursors++
 		}
 		if page.Next != "" {
-			cursors += testing.AllocsPerRun(20, func() { _ = EncodeCursor(page.Records[199].Key()) })
+			if n := testing.AllocsPerRun(20, func() { _ = EncodeCursor(page.Records[199].Key()) }); n != 1 {
+				t.Errorf("%s: EncodeCursor allocates %v times, want 1", c.name, n)
+			}
+			cursors++
 		}
 		if got := testing.AllocsPerRun(20, func() { _, _ = s.Select(c.q) }); got != cursors {
 			t.Errorf("%s: Store.Select allocates %v times, its cursors %v", c.name, got, cursors)

@@ -127,6 +127,8 @@ func (r Record) Validate() error {
 		return fmt.Errorf("accounting: record %s/%s has negative phase %d", r.JobID, r.StepID, r.Phase)
 	case r.EndSec < r.StartSec:
 		return fmt.Errorf("accounting: record %s/%s window ends (%g) before it starts (%g)", r.JobID, r.StepID, r.EndSec, r.StartSec)
+	case strings.Contains(r.JobID, cursorSep) || strings.Contains(r.StepID, cursorSep) || strings.Contains(r.Node, cursorSep):
+		return fmt.Errorf("accounting: record %q/%q on %q carries the cursor separator", r.JobID, r.StepID, r.Node)
 	}
 	for _, v := range []float64{r.StartSec, r.EndSec, r.PkgJ, r.DramJ, r.UncoreJ, r.NodeJ, r.AvgCPUGHz, r.AvgIMCGHz} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -168,35 +170,52 @@ func (k Key) Less(o Key) bool {
 	return k.Phase < o.Phase
 }
 
-// cursorSep separates cursor fields before encoding; it cannot appear
-// in IDs that survive Validate (it is a control character, and even if
-// an ID carried it the decode would merely mis-split and miss — the
-// cursor contract is "resume after this key", never correctness of the
-// underlying data).
+// cursorSep separates cursor fields before encoding. Validate refuses
+// it in every key field a cursor carries, so a cursor splits back into
+// exactly the four fields it was joined from.
 const cursorSep = "\x1f"
+
+// cursorRoom is the stack room a cursor's fields are joined or parsed
+// in, before and after base64: a fleet's keys fit with room to spare,
+// and a longer key costs one buffer more, not a different result.
+const cursorRoom = 96
 
 // EncodeCursor renders a pagination cursor naming the last-returned
 // key. Cursors are opaque to clients and stable across daemons: the
 // same key encodes identically everywhere, which is what lets a page
 // walk hop between a shard daemon and a federation root mid-flight.
+// The fields are joined and encoded on the stack; the cursor string is
+// the one allocation.
 func EncodeCursor(k Key) string {
-	raw := strings.Join([]string{k.JobID, k.StepID, k.Node, strconv.Itoa(k.Phase)}, cursorSep)
-	return base64.RawURLEncoding.EncodeToString([]byte(raw))
+	var raw [cursorRoom]byte
+	b := append(raw[:0], k.JobID...)
+	b = append(append(b, cursorSep...), k.StepID...)
+	b = append(append(b, cursorSep...), k.Node...)
+	b = strconv.AppendInt(append(b, cursorSep...), int64(k.Phase), 10)
+	var enc [cursorRoom * 4 / 3]byte
+	return string(base64.RawURLEncoding.AppendEncode(enc[:0], b))
 }
 
-// DecodeCursor parses a cursor back into the key it names.
+// DecodeCursor parses a cursor back into the key it names. The cursor
+// is decoded on the stack into one string, and the key's three strings
+// are cut from it.
 func DecodeCursor(s string) (Key, error) {
-	raw, err := base64.RawURLEncoding.DecodeString(s)
+	var src [cursorRoom * 4 / 3]byte
+	var raw [cursorRoom]byte
+	dec, err := base64.RawURLEncoding.AppendDecode(raw[:0], append(src[:0], s...))
 	if err != nil {
 		return Key{}, fmt.Errorf("accounting: bad cursor: %w", err)
 	}
-	parts := strings.Split(string(raw), cursorSep)
-	if len(parts) != 4 {
-		return Key{}, fmt.Errorf("accounting: bad cursor: %d fields", len(parts))
+	fields := string(dec)
+	if n := strings.Count(fields, cursorSep) + 1; n != 4 {
+		return Key{}, fmt.Errorf("accounting: bad cursor: %d fields", n)
 	}
-	phase, err := strconv.Atoi(parts[3])
+	job, rest, _ := strings.Cut(fields, cursorSep)
+	step, rest, _ := strings.Cut(rest, cursorSep)
+	node, rest, _ := strings.Cut(rest, cursorSep)
+	phase, err := strconv.Atoi(rest)
 	if err != nil {
 		return Key{}, fmt.Errorf("accounting: bad cursor phase: %w", err)
 	}
-	return Key{JobID: parts[0], StepID: parts[1], Node: parts[2], Phase: phase}, nil
+	return Key{JobID: job, StepID: step, Node: node, Phase: phase}, nil
 }

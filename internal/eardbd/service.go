@@ -58,14 +58,19 @@ func (v View) Aggregate() Aggregate {
 }
 
 // Answer computes the result of one snapshot query, from at most one
-// lookup of the backend, and appends it to dst — nil, or the room of a
-// connection's image — as the payload of a TypeResult frame. On error
-// dst comes back as it was.
-func Answer(dst []byte, b Backend, parent *trace.Active, q wire.Query) ([]byte, error) {
+// lookup of the backend, and encodes it as the payload of a TypeResult
+// frame: behind the room of c's image (Conn.Body), with c's string
+// table, for c to Send — or, for a nil c, in a fresh payload. On error
+// it builds nothing.
+func Answer(c *wire.Conn, b Backend, parent *trace.Active, q wire.Query) ([]byte, error) {
 	var (
+		dst []byte
 		v   any
 		err error
 	)
+	if c != nil {
+		dst = c.Body()
+	}
 	switch q.Kind {
 	case wire.QueryStats:
 		v, err = b.IngestStats(parent)
@@ -89,7 +94,7 @@ func Answer(dst []byte, b Backend, parent *trace.Active, q wire.Query) ([]byte, 
 	if err != nil {
 		return dst, err
 	}
-	return wire.AppendResult(dst, q.Kind, v)
+	return c.AppendResult(dst, q.Kind, v)
 }
 
 // answer computes the value of one state query. The two kinds that
@@ -326,7 +331,8 @@ func (fr *Front) Close() error {
 
 // connState is what serving a connection takes beyond the connection:
 // its framing state — the read buffer frames arrive in, the image acks
-// and results are built in — and the batch decode scratch.
+// and results are built in, the string table a fleet-sized result is
+// encoded with — and the batch decode scratch.
 type connState struct {
 	wire.Conn
 	scratch wire.Batch
@@ -404,7 +410,7 @@ func (fr *Front) serveQuery(c *wire.Conn, f wire.Frame) bool {
 		fr.Now.Observe(fr.QueryLatency, t0)
 	}()
 	fr.Count(EventQuery)
-	image, err := Answer(c.Body(), fr.Backend, sp, q)
+	image, err := Answer(c, fr.Backend, sp, q)
 	if err != nil {
 		// A query the backend cannot answer is the caller's problem, not
 		// the connection's: it stays open.

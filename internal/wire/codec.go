@@ -50,15 +50,28 @@ const (
 // shard dump hundreds.
 const linearTable = 32
 
+// maxTable is the most strings a map may have indexed and still be kept
+// by a connection for its next frame. 896 is what a 1,024-slot map
+// holds before it doubles: about 30 KiB at 24 bytes and a control byte
+// a slot (go1.24), MaxKept's scale. A fleet-sized reply — 200 node
+// names, a 200-record page — fits with room to spare; a map a shard
+// dump grew past it is dropped, as an outgrown frame buffer is, rather
+// than cleared: clearing keeps a map's slots, and every later reply
+// would pay to clear them again.
+const maxTable = 896
+
 // encoder appends one frame body to buf. Its string table is the
 // first n entries of small until that is full, the map idx from then
 // on. (An array and a count, not a slice of the array: a struct that
-// points into itself is moved to the heap.)
+// points into itself is moved to the heap.) kept, when not nil, is a
+// connection's slot for the map between frames: idx is taken from it
+// instead of made, and release puts it back.
 type encoder struct {
 	buf   []byte
 	n     int
 	small [linearTable]string
 	idx   map[string]int
+	kept  *map[string]int
 }
 
 func (e *encoder) uint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
@@ -89,7 +102,11 @@ func (e *encoder) str(s string) {
 			e.small[e.n] = s
 			e.n++
 		} else {
-			e.idx = make(map[string]int, 4*linearTable)
+			if e.kept != nil && *e.kept != nil {
+				e.idx, *e.kept = *e.kept, nil
+			} else {
+				e.idx = make(map[string]int, 4*linearTable)
+			}
 			for i, t := range e.small {
 				e.idx[t] = i
 			}
@@ -98,6 +115,17 @@ func (e *encoder) str(s string) {
 	}
 	e.uint(uint64(len(s)) << 1)
 	e.buf = append(e.buf, s...)
+}
+
+// release ends the frame: the map, if the frame needed one, goes back
+// to the connection cleared — a stale entry would become a reference
+// the next frame's decoder cannot resolve — unless it grew past
+// maxTable.
+func (e *encoder) release() {
+	if e.kept != nil && e.idx != nil && len(e.idx) <= maxTable {
+		clear(e.idx)
+		*e.kept = e.idx
+	}
 }
 
 func (e *encoder) record(r *eard.JobRecord) {

@@ -22,7 +22,7 @@ const MaxKept = 32 << 10
 const firstBuf = 64
 
 // Conn is one connection's framing state: the transport, one read
-// buffer and one write buffer. It is how a connection that carries more
+// buffer, one write buffer and the encoder's string table. It is how a connection that carries more
 // than one frame moves them — a frame read is one transport Read when
 // the bytes are there, a frame sent is one Write — and it allocates only
 // while its buffers grow towards the frames it carries. The state is
@@ -51,6 +51,9 @@ type Conn struct {
 
 	// wbuf is the image buffer Body hands out, kept while small.
 	wbuf []byte
+	// strs is the string table AppendResult's encoder indexes a
+	// fleet-sized reply in: empty between frames, kept while small.
+	strs map[string]int
 }
 
 // Reset points the state at a new transport — nil to let go of the last

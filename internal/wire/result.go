@@ -65,7 +65,9 @@ func EncodeResult(kind string, data any) (Frame, error) {
 
 // AppendResult appends the payload of a TypeResult frame of the given
 // kind to dst and returns the extended slice; a caller that keeps dst
-// across replies encodes without allocating. The binary kinds take
+// across replies encodes one of up to linearTable distinct strings
+// without allocating (Conn.AppendResult, once warm: up to maxTable).
+// The binary kinds take
 // exactly their Go shape ([]eard.JobRecord for records,
 // []accounting.Record for acct_records, accounting.Page for acct_jobs,
 // []NodePower for node_powers, Generation for generation); the JSON
@@ -75,11 +77,30 @@ func EncodeResult(kind string, data any) (Frame, error) {
 // acct_jobs, an *eard.DB for records. On error dst comes back as it
 // was.
 func AppendResult(dst []byte, kind string, data any) ([]byte, error) {
+	return appendResult(dst, nil, kind, data)
+}
+
+// AppendResult is wire.AppendResult encoding with the connection's
+// string table: a reply of more than linearTable distinct strings
+// indexes them in the map the connection kept from an earlier one, not
+// in a map made for it, and the connection keeps it, cleared, for the
+// next — while it stays within maxTable. The bytes are the same. A nil
+// Conn keeps no table.
+func (c *Conn) AppendResult(dst []byte, kind string, data any) ([]byte, error) {
+	if c == nil {
+		return appendResult(dst, nil, kind, data)
+	}
+	return appendResult(dst, &c.strs, kind, data)
+}
+
+// appendResult is AppendResult with the connection's map slot, nil
+// without a connection.
+func appendResult(dst []byte, kept *map[string]int, kind string, data any) ([]byte, error) {
 	code := slices.Index(resultKinds[:], kind)
 	if code <= 0 {
 		return dst, fmt.Errorf("wire: encode result: unknown kind %q", kind)
 	}
-	var e encoder
+	e := encoder{kept: kept}
 	// begin sizes the payload for the body about to be written.
 	begin := func(sizeHint int) { e.buf = append(slices.Grow(dst, 1+sizeHint), uint8(code)) }
 	ok := true
@@ -90,7 +111,7 @@ func AppendResult(dst []byte, kind string, data any) ([]byte, error) {
 			begin(recordsSizeHint(len(recs), 0))
 			e.records(recs)
 		case *eard.DB:
-			return appendRecordsOf(dst, uint8(code), recs), nil
+			return appendRecordsOf(dst, kept, uint8(code), recs), nil
 		default:
 			ok = false
 		}
@@ -144,6 +165,7 @@ func AppendResult(dst []byte, kind string, data any) ([]byte, error) {
 	if !ok {
 		return dst, fmt.Errorf("wire: encode %s result: unexpected data type %T", kind, data)
 	}
+	e.release()
 	return e.buf, nil
 }
 
@@ -154,12 +176,13 @@ func AppendResult(dst []byte, kind string, data any) ([]byte, error) {
 // proving they do not escape, the encoder moves to the heap here, for
 // a dump, and not in AppendResult for every reply of every kind
 // (TestAppendResultAllocations holds that line).
-func appendRecordsOf(dst []byte, code uint8, db *eard.DB) []byte {
-	e := encoder{buf: dst}
+func appendRecordsOf(dst []byte, kept *map[string]int, code uint8, db *eard.DB) []byte {
+	e := encoder{buf: dst, kept: kept}
 	db.Walk(func(n int) {
 		e.buf = append(slices.Grow(e.buf, 1+recordsSizeHint(n, 0)), code)
 		e.uint(uint64(n))
 	}, e.record)
+	e.release()
 	return e.buf
 }
 

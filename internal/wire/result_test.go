@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"goear/internal/accounting"
@@ -178,44 +179,34 @@ func TestStoreViewsEncodeByteIdentically(t *testing.T) {
 	}
 }
 
-// TestAppendResultAllocations pins what a connection's kept image buys
-// a served reply, and that the encoder stays on the stack for it.
-// AppendResult declares one encoder for every kind, so had any path
-// moved it to the heap — an iterator the compiler cannot see through
-// would — the generation reply, which touches nothing else, would show
-// it. A reply of up to linearTable distinct strings is built behind the
-// room of a warm connection's image and sent with no allocation at all;
-// a fleet-sized one (200 node names) pays for the encoder's string map
-// and nothing more. (Selecting a page costs its cursor string, before
-// the encoder runs; accounting pins that.)
+// TestAppendResultAllocations pins what a connection's kept image and
+// string table buy a served reply, and that the encoder stays on the
+// stack for it. AppendResult declares one encoder for every kind, so had
+// any path moved it to the heap — an iterator the compiler cannot see
+// through would — the generation reply, which touches nothing else,
+// would show it. Any reply up to fleet size (200 node names, a
+// 200-record page, whose strings outgrow the linear table) is built
+// behind the room of a warm connection's image, its strings indexed in
+// the table the connection kept, and sent with no allocation at all.
+// (Selecting a page costs its cursor string, before the encoder runs;
+// accounting pins that.)
 func TestAppendResultAllocations(t *testing.T) {
-	acct := fleetAcct(t)
-	page := func(limit int) accounting.Selection {
-		sel, err := acct.Select(accounting.Query{User: "alice", Limit: limit})
-		if err != nil || sel.N != limit || sel.Next == "" {
-			t.Fatalf("selected %d of %d records, next %q, err %v", sel.N, limit, sel.Next, err)
-		}
-		return sel
-	}
-	// The string map: made for 128 entries, grown once on the way to 200.
-	const stringMap = 4
 	var sent bytes.Buffer
 	var c Conn
 	c.Reset(&sent)
 	for _, tc := range []struct {
 		name, kind string
 		v          any
-		max        float64
 	}{
-		{"generation", QueryGeneration, Generation{Gen: 1 << 40}, 0},
-		{"node_powers x20", QueryNodePowers, fleetPowers()[:20], 0},
-		{"acct_jobs page x20", QueryAcctJobs, page(20), 0},
-		{"node_powers x200", QueryNodePowers, fleetPowers(), stringMap},
-		{"acct_jobs page x200", QueryAcctJobs, page(200), stringMap},
+		{"generation", QueryGeneration, Generation{Gen: 1 << 40}},
+		{"node_powers x20", QueryNodePowers, fleetPowers()[:20]},
+		{"acct_jobs page x20", QueryAcctJobs, alicePage(t, 20)},
+		{"node_powers x200", QueryNodePowers, fleetPowers()},
+		{"acct_jobs page x200", QueryAcctJobs, alicePage(t, 200)},
 	} {
 		reply := func() {
 			sent.Reset()
-			image, err := AppendResult(c.Body(), tc.kind, tc.v)
+			image, err := c.AppendResult(c.Body(), tc.kind, tc.v)
 			if err == nil {
 				err = c.Send(TypeResult, trace.Context{}, image)
 			}
@@ -223,13 +214,67 @@ func TestAppendResultAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		reply() // the image and the transport's buffer grow to the reply
+		reply() // the image, the table and the transport's buffer grow to the reply
 		image := &c.Body()[0]
-		if n := testing.AllocsPerRun(50, reply); n > tc.max {
-			t.Errorf("%s from a warm connection: %v allocations, want at most %v", tc.name, n, tc.max)
+		if n := testing.AllocsPerRun(50, reply); n != 0 {
+			t.Errorf("%s from a warm connection: %v allocations, want 0", tc.name, n)
 		}
 		if want := mustResultPayload(t, tc.kind, tc.v); !bytes.Equal(sent.Bytes()[headerLen:], want) || &c.Body()[0] != image {
 			t.Errorf("%s: the reply was not built in the connection's image, or is not the payload EncodeResult builds", tc.name)
+		}
+		if len(c.strs) != 0 {
+			t.Errorf("%s: the connection keeps a table of %d strings between frames", tc.name, len(c.strs))
+		}
+	}
+}
+
+// alicePage selects the first limit records of alice's jobs from the
+// fleet store, a page that continues.
+func alicePage(t *testing.T, limit int) accounting.Selection {
+	t.Helper()
+	sel, err := fleetAcct(t).Select(accounting.Query{User: "alice", Limit: limit})
+	if err != nil || sel.N != limit || sel.Next == "" {
+		t.Fatalf("selected %d of %d records, next %q, err %v", sel.N, limit, sel.Next, err)
+	}
+	return sel
+}
+
+// TestConnStringTable: replies through one connection, whose string
+// sets overlap, are each the bytes EncodeResult builds alone — the
+// table holds nothing from one frame to the next. The connection keeps
+// the table a reply of at most maxTable strings indexed in, and has
+// none after one that needed more; the next reply makes a new one.
+func TestConnStringTable(t *testing.T) {
+	var c Conn
+	fleet := fleetPowers()
+	many := make([]NodePower, maxTable+1)
+	for i := range many {
+		many[i] = NodePower{Node: fleetNode(i), PowerW: 300}
+	}
+	for _, tc := range []struct {
+		name, kind string
+		v          any
+		kept       bool
+	}{
+		{"names 0-199", QueryNodePowers, fleet, true},
+		{"names 100-199", QueryNodePowers, fleet[100:], true},
+		{"page of 200", QueryAcctJobs, alicePage(t, 200), true},
+		{"names 50-149", QueryNodePowers, fleet[50:150], true},
+		{"names 0-9, no table needed", QueryNodePowers, fleet[:10], true},
+		{"node reports of the fleet", QueryRecords, fleetDB(t), true},
+		{"one name more than a kept table holds", QueryNodePowers, many, false},
+		{"names 0-199 again", QueryNodePowers, fleet, true},
+	} {
+		before := c.strs
+		got, err := c.AppendResult(nil, tc.kind, tc.v)
+		if want := mustResultPayload(t, tc.kind, tc.v); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: %d bytes (err %v), EncodeResult builds %d", tc.name, len(got), err, len(want))
+		}
+		if kept := c.strs != nil; kept != tc.kept || len(c.strs) != 0 {
+			t.Errorf("%s: the connection keeps a table: %v, of %d strings; want %v, empty", tc.name, kept, len(c.strs), tc.kept)
+		}
+		if before != nil && tc.kept && reflect.ValueOf(c.strs).UnsafePointer() != reflect.ValueOf(before).UnsafePointer() {
+			t.Errorf("%s: the reply made a table of its own", tc.name)
 		}
 	}
 }
@@ -265,12 +310,14 @@ func TestGenerationBodyOfCounterAlone(t *testing.T) {
 }
 
 // BenchmarkAcctPageEncode is what serving one accounting page costs a
-// connection that keeps its reply buffer: select 200 of 3,000 records
-// from the warm snapshot and encode them straight into the frame.
+// connection that keeps its reply buffer and string table: select 200
+// of 3,000 records from the warm snapshot and encode them straight into
+// the frame.
 func BenchmarkAcctPageEncode(b *testing.B) {
 	s := fleetAcct(b)
 	s.Snapshot()
 	q := accounting.Query{User: "alice", Limit: 200}
+	var c Conn
 	var buf []byte
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -279,7 +326,7 @@ func BenchmarkAcctPageEncode(b *testing.B) {
 		if err != nil || sel.N != 200 {
 			b.Fatalf("selected %d records, err %v", sel.N, err)
 		}
-		if buf, err = AppendResult(buf[:0], QueryAcctJobs, sel); err != nil {
+		if buf, err = c.AppendResult(buf[:0], QueryAcctJobs, sel); err != nil {
 			b.Fatal(err)
 		}
 	}
