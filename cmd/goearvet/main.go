@@ -11,44 +11,28 @@
 //	go run ./cmd/goearvet ./...
 //	go run ./cmd/goearvet -json ./internal/msr ./internal/uncore
 //	go run ./cmd/goearvet -determinism=false ./internal/sim
-//	go run ./cmd/goearvet -diff origin/main ./...
-//	go run ./cmd/goearvet -fix ./...
-//	go run ./cmd/goearvet -fix -dry-run ./...
 //
 // Patterns are import paths or ./-relative directories, with an
 // optional /... suffix for recursion. With no pattern, ./... is
-// assumed. -diff restricts the run to packages holding .go files git
-// reports as changed since the given ref (including working-tree and
-// untracked files), which keeps pull-request lint runs proportional
-// to the change.
+// assumed. goearvet only reports; it never rewrites a file. CI runs
+// it over the whole tree on every event, so a change that breaks a
+// package it did not touch still fails its own lint run.
 //
-// Some analyzers attach suggested fixes to their findings. -fix
-// applies them in place (each touched file is gofmt-ed) and reports
-// only what it could not repair; -fix -dry-run prints the repairs as
-// unified diffs without writing anything and exits non-zero when
-// fixes are outstanding, which is the shape CI wants. A fix whose
-// edits conflict with an already-accepted fix is skipped whole and
-// surfaced for manual repair.
-//
-// Exit status is 0 for a clean tree, 1 when findings (or, under
-// -fix -dry-run, pending fixes) were reported, 2 on usage or load
-// errors.
+// Exit status is 0 for a clean tree, 1 when findings were reported, 2
+// on usage or load errors.
 //
 // Findings are suppressed line by line with an annotation carrying a
-// mandatory reason; suppressed findings never contribute fixes:
+// mandatory reason:
 //
 //	v := ratio * gran //goearvet:ignore count times granularity
 package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
-	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -66,9 +50,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array")
 	list := fs.Bool("list", false, "list the analyzers and exit")
-	diffRef := fs.String("diff", "", "only analyze packages with .go files changed since this git ref (untracked files count as changed)")
-	fix := fs.Bool("fix", false, "apply suggested fixes in place")
-	dryRun := fs.Bool("dry-run", false, "with -fix, print repairs as unified diffs instead of writing; exit 1 when fixes are outstanding")
 	all := analyzers.All()
 	enabled := map[string]*bool{}
 	for _, a := range all {
@@ -85,14 +66,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-	if *dryRun && !*fix {
-		fmt.Fprintln(stderr, "goearvet: -dry-run only makes sense with -fix")
-		return 2
-	}
-	if *fix && *jsonOut {
-		fmt.Fprintln(stderr, "goearvet: -fix and -json are mutually exclusive")
-		return 2
 	}
 
 	var active []*analysis.Analyzer
@@ -128,29 +101,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *diffRef != "" {
-		changed, err := changedPackages(root, modPath, *diffRef)
-		if err != nil {
-			fmt.Fprintln(stderr, "goearvet:", err)
-			return 2
-		}
-		kept := paths[:0]
-		for _, p := range paths {
-			if changed[p] {
-				kept = append(kept, p)
-			}
-		}
-		paths = kept
-		if len(paths) == 0 {
-			if *jsonOut {
-				fmt.Fprintln(stdout, "[]")
-			} else {
-				fmt.Fprintf(stderr, "goearvet: no analyzed packages changed since %s\n", *diffRef)
-			}
-			return 0
-		}
-	}
-
 	pkgs, err := loader.LoadAll(paths)
 	if err != nil {
 		fmt.Fprintln(stderr, "goearvet:", err)
@@ -160,10 +110,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintln(stderr, "goearvet:", err)
 		return 2
-	}
-
-	if *fix {
-		return runFixes(diags, root, *dryRun, stdout, stderr)
 	}
 
 	if *jsonOut {
@@ -188,120 +134,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// runFixes resolves the suggested fixes of diags and either applies
-// them (writing each repaired file in place) or, under dry-run,
-// prints them as unified diffs. Diff and summary paths are shown
-// relative to the module root when possible.
-func runFixes(diags []analysis.Diagnostic, root string, dryRun bool, stdout, stderr io.Writer) int {
-	plan, err := analysis.PlanFixes(diags, nil)
-	if err != nil {
-		fmt.Fprintln(stderr, "goearvet:", err)
-		return 2
-	}
-	fixes, files, skipped := 0, 0, 0
-	applied := map[*analysis.SuggestedFix]bool{}
-	for _, f := range plan {
-		fixes += len(f.Applied)
-		skipped += len(f.Skipped)
-		for _, d := range f.Applied {
-			applied[d.Fix] = true
-		}
-		if f.Changed() {
-			files++
-		}
-	}
-
-	if dryRun {
-		for _, f := range plan {
-			if f.Changed() {
-				fmt.Fprint(stdout, analysis.UnifiedDiff(relTo(root, f.Path), f.Orig, f.Fixed))
-			}
-		}
-		if skipped > 0 {
-			fmt.Fprintf(stderr, "goearvet: %d fix(es) skipped due to conflicting edits\n", skipped)
-		}
-		if fixes > 0 {
-			fmt.Fprintf(stderr, "goearvet: %d auto-fixable finding(s) in %d file(s); run with -fix to apply\n", fixes, files)
-			return 1
-		}
-		fmt.Fprintln(stderr, "goearvet: no auto-fixable findings")
-		return 0
-	}
-
-	if err := analysis.WriteFixes(plan); err != nil {
-		fmt.Fprintln(stderr, "goearvet:", err)
-		return 2
-	}
-	if fixes > 0 {
-		fmt.Fprintf(stderr, "goearvet: applied %d fix(es) across %d file(s)\n", fixes, files)
-	}
-	if skipped > 0 {
-		fmt.Fprintf(stderr, "goearvet: %d fix(es) skipped due to conflicting edits; re-run -fix\n", skipped)
-	}
-	// Findings whose fixes were applied are repaired; everything else
-	// still needs a human.
-	remaining := 0
-	for _, d := range diags {
-		if d.Fix != nil && applied[d.Fix] {
-			continue
-		}
-		fmt.Fprintln(stdout, d)
-		remaining++
-	}
-	if remaining > 0 {
-		fmt.Fprintf(stderr, "goearvet: %d finding(s) not auto-fixable\n", remaining)
-		return 1
-	}
-	return 0
-}
-
-// relTo renders path relative to root for readable diff headers,
-// falling back to the path itself.
-func relTo(root, path string) string {
-	rel, err := filepath.Rel(root, path)
-	if err != nil || strings.HasPrefix(rel, "..") {
-		return path
-	}
-	return filepath.ToSlash(rel)
-}
-
-// changedPackages maps the .go files git reports as changed since ref
-// — committed differences, working-tree edits and untracked files —
-// to the import paths of their directories. Deleted files keep their
-// old directory in the set; a directory that no longer holds a
-// package simply fails to intersect the resolved patterns.
-func changedPackages(root, modPath, ref string) (map[string]bool, error) {
-	diff := exec.Command("git", "-C", root, "diff", "--name-only", ref, "--")
-	diffOut, err := diff.Output()
-	if err != nil {
-		var ee *exec.ExitError
-		if errors.As(err, &ee) && len(ee.Stderr) > 0 {
-			return nil, fmt.Errorf("git diff %s: %s", ref, strings.TrimSpace(string(ee.Stderr)))
-		}
-		return nil, fmt.Errorf("git diff %s: %w", ref, err)
-	}
-	untracked := exec.Command("git", "-C", root, "ls-files", "--others", "--exclude-standard")
-	untrackedOut, err := untracked.Output()
-	if err != nil {
-		return nil, fmt.Errorf("git ls-files: %w", err)
-	}
-
-	set := map[string]bool{}
-	for _, line := range strings.Split(string(diffOut)+string(untrackedOut), "\n") {
-		file := strings.TrimSpace(line)
-		if !strings.HasSuffix(file, ".go") {
-			continue
-		}
-		dir := path.Dir(filepath.ToSlash(file))
-		if dir == "." {
-			set[modPath] = true
-		} else {
-			set[modPath+"/"+dir] = true
-		}
-	}
-	return set, nil
 }
 
 // moduleRoot walks up from the working directory to the enclosing

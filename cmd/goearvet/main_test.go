@@ -3,7 +3,6 @@ package main
 import (
 	"encoding/json"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -43,18 +42,6 @@ func TestListSorted(t *testing.T) {
 	}
 }
 
-func TestFixFlagCombinations(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run([]string{"-dry-run", "goear/internal/units"}, &out, &errOut); code != 2 {
-		t.Errorf("-dry-run without -fix: exit = %d, want 2", code)
-	}
-	out.Reset()
-	errOut.Reset()
-	if code := run([]string{"-fix", "-json", "goear/internal/units"}, &out, &errOut); code != 2 {
-		t.Errorf("-fix with -json: exit = %d, want 2", code)
-	}
-}
-
 func TestCleanPackage(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := run([]string{"goear/internal/units"}, &out, &errOut); code != 0 {
@@ -76,6 +63,48 @@ func TestJSONOutput(t *testing.T) {
 	}
 	if len(diags) != 0 {
 		t.Errorf("expected clean JSON run, got %v", diags)
+	}
+
+	// A throwaway module whose sim package collects map keys in
+	// iteration order: each finding object carries exactly the
+	// position and the message, and nothing beside them.
+	root := t.TempDir()
+	for rel, content := range map[string]string{
+		"go.mod": "module tmpmod\n\ngo 1.24\n",
+		"internal/sim/sim.go": "package sim\n\nfunc Keys(m map[string]int) []string {\n" +
+			"\tvar out []string\n\tfor k := range m {\n\t\tout = append(out, k)\n\t}\n\treturn out\n}\n",
+	} {
+		p := filepath.Join(root, rel)
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Chdir(root)
+	out.Reset()
+	errOut.Reset()
+	if code := run([]string{"-json", "./..."}, &out, &errOut); code != 1 {
+		t.Fatalf("exit = %d, want 1\nstdout: %s\nstderr: %s", code, out.String(), errOut.String())
+	}
+	var objs []map[string]any
+	if err := json.Unmarshal([]byte(out.String()), &objs); err != nil {
+		t.Fatalf("-json output is not an object array: %v\n%s", err, out.String())
+	}
+	if len(objs) == 0 {
+		t.Fatal("no findings reported for map-order output in a sim package")
+	}
+	want := []string{"analyzer", "col", "file", "line", "message"}
+	for _, o := range objs {
+		keys := make([]string, 0, len(o))
+		for k := range o {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if strings.Join(keys, ",") != strings.Join(want, ",") {
+			t.Errorf("finding keys = %v, want %v", keys, want)
+		}
 	}
 }
 
@@ -104,178 +133,5 @@ func TestRecursivePatternScopesToSubtree(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := run([]string{"./..."}, &out, &errOut); code != 0 {
 		t.Fatalf("exit = %d, stdout: %s stderr: %s", code, out.String(), errOut.String())
-	}
-}
-
-// initDiffRepo builds a throwaway git module with two packages —
-// "clean" (no findings) and "dirty" (a determinism violation in a
-// package named so the analyzer scopes to it) — commits it, and
-// chdirs into it.
-func initDiffRepo(t *testing.T) string {
-	t.Helper()
-	root := t.TempDir()
-	write := func(rel, content string) {
-		t.Helper()
-		p := filepath.Join(root, rel)
-		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("go.mod", "module tmpmod\n\ngo 1.24\n")
-	write("internal/clean/clean.go", "package clean\n\nfunc Two() int { return 2 }\n")
-	write("internal/sim/sim.go", "package sim\n\nfunc Tick() int { return 1 }\n")
-	git := func(args ...string) {
-		t.Helper()
-		cmd := exec.Command("git", append([]string{"-C", root}, args...)...)
-		cmd.Env = append(os.Environ(),
-			"GIT_AUTHOR_NAME=t", "GIT_AUTHOR_EMAIL=t@t",
-			"GIT_COMMITTER_NAME=t", "GIT_COMMITTER_EMAIL=t@t")
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("git %v: %v\n%s", args, err, out)
-		}
-	}
-	git("init", "-q")
-	git("add", ".")
-	git("commit", "-q", "-m", "base")
-	t.Chdir(root)
-	return root
-}
-
-func TestDiffModeNoChanges(t *testing.T) {
-	initDiffRepo(t)
-	var out, errOut strings.Builder
-	if code := run([]string{"-diff", "HEAD", "./..."}, &out, &errOut); code != 0 {
-		t.Fatalf("exit = %d, stderr: %s", code, errOut.String())
-	}
-	if !strings.Contains(errOut.String(), "no analyzed packages changed") {
-		t.Errorf("stderr = %q", errOut.String())
-	}
-	// JSON mode keeps stdout a valid (empty) diagnostic array.
-	out.Reset()
-	errOut.Reset()
-	if code := run([]string{"-diff", "HEAD", "-json", "./..."}, &out, &errOut); code != 0 {
-		t.Fatalf("json exit = %d", code)
-	}
-	if strings.TrimSpace(out.String()) != "[]" {
-		t.Errorf("json stdout = %q", out.String())
-	}
-}
-
-func TestDiffModeScopesToChangedPackages(t *testing.T) {
-	root := initDiffRepo(t)
-	// Introduce a finding in internal/sim (in the determinism scope) and
-	// one in internal/clean; only sim's package is dirtied vs HEAD after
-	// we commit clean's change.
-	bad := "package sim\n\nimport \"time\"\n\nfunc Tick() int { return time.Now().Second() }\n"
-	if err := os.WriteFile(filepath.Join(root, "internal/sim/sim.go"), []byte(bad), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var out, errOut strings.Builder
-	if code := run([]string{"-diff", "HEAD", "./..."}, &out, &errOut); code != 1 {
-		t.Fatalf("exit = %d, want 1\nstdout: %s\nstderr: %s", code, out.String(), errOut.String())
-	}
-	if !strings.Contains(out.String(), "time.Now") {
-		t.Errorf("finding not reported: %s", out.String())
-	}
-
-	// An untracked package also counts as changed.
-	extra := filepath.Join(root, "internal", "fresh", "fresh.go")
-	if err := os.MkdirAll(filepath.Dir(extra), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(extra, []byte("package fresh\n\nfunc One() int { return 1 }\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	errOut.Reset()
-	if code := run([]string{"-diff", "HEAD", "./internal/fresh"}, &out, &errOut); code != 0 {
-		t.Fatalf("untracked package run: exit = %d, stderr: %s", code, errOut.String())
-	}
-
-	// A pattern naming only unchanged packages analyzes nothing.
-	out.Reset()
-	errOut.Reset()
-	if code := run([]string{"-diff", "HEAD", "./internal/clean"}, &out, &errOut); code != 0 {
-		t.Fatalf("unchanged package run: exit = %d", code)
-	}
-	if !strings.Contains(errOut.String(), "no analyzed packages changed") {
-		t.Errorf("stderr = %q", errOut.String())
-	}
-}
-
-// TestFixEndToEnd drives the full autofix loop in a throwaway module:
-// a determinism finding with a suggested fix (map-keys append without
-// a sort, in a package missing the sort import) is first shown by
-// -fix -dry-run, then applied by -fix, after which the tree is clean.
-func TestFixEndToEnd(t *testing.T) {
-	root := initDiffRepo(t)
-	src := `package sim
-
-func Keys(m map[string]int) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}
-`
-	path := filepath.Join(root, "internal/sim/sim.go")
-	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Dry run: diff on stdout, exit 1, file untouched.
-	var out, errOut strings.Builder
-	if code := run([]string{"-fix", "-dry-run", "./internal/sim"}, &out, &errOut); code != 1 {
-		t.Fatalf("dry-run exit = %d, want 1\nstdout: %s\nstderr: %s", code, out.String(), errOut.String())
-	}
-	for _, want := range []string{"--- a/internal/sim/sim.go", "+\tsort.Strings(out)", `+import "sort"`} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("dry-run diff is missing %q:\n%s", want, out.String())
-		}
-	}
-	if got, _ := os.ReadFile(path); string(got) != src {
-		t.Fatalf("dry-run modified the file:\n%s", got)
-	}
-
-	// Apply: file repaired, nothing unfixable left, exit 0.
-	out.Reset()
-	errOut.Reset()
-	if code := run([]string{"-fix", "./internal/sim"}, &out, &errOut); code != 0 {
-		t.Fatalf("fix exit = %d\nstdout: %s\nstderr: %s", code, out.String(), errOut.String())
-	}
-	fixed, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`import "sort"`, "sort.Strings(out)"} {
-		if !strings.Contains(string(fixed), want) {
-			t.Errorf("fixed file is missing %q:\n%s", want, fixed)
-		}
-	}
-	if !strings.Contains(errOut.String(), "applied 1 fix(es)") {
-		t.Errorf("stderr = %q", errOut.String())
-	}
-
-	// The repaired tree is clean: dry-run now exits 0.
-	out.Reset()
-	errOut.Reset()
-	if code := run([]string{"-fix", "-dry-run", "./internal/sim"}, &out, &errOut); code != 0 {
-		t.Fatalf("post-fix dry-run exit = %d\nstdout: %s\nstderr: %s", code, out.String(), errOut.String())
-	}
-	if out.String() != "" {
-		t.Errorf("post-fix dry-run still prints diffs:\n%s", out.String())
-	}
-}
-
-func TestDiffModeBadRef(t *testing.T) {
-	initDiffRepo(t)
-	var out, errOut strings.Builder
-	if code := run([]string{"-diff", "no-such-ref", "./..."}, &out, &errOut); code != 2 {
-		t.Errorf("exit = %d, want 2 for unknown ref", code)
 	}
 }

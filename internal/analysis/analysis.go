@@ -40,10 +40,6 @@ type Diagnostic struct {
 	Col  int `json:"col"`
 	// Message describes the violation.
 	Message string `json:"message"`
-	// Fix, when non-nil, is a machine-applicable repair for the
-	// finding (goearvet -fix). Suppressed diagnostics are dropped
-	// before fix planning, so an ignored finding never edits a file.
-	Fix *SuggestedFix `json:"fix,omitempty"`
 }
 
 // Pos formats the diagnostic position as file:line:col.
@@ -151,25 +147,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Col:      position.Column,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// ReportFix records a finding at pos carrying a suggested fix.
-func (p *Pass) ReportFix(pos token.Pos, fix *SuggestedFix, format string, args ...any) {
-	p.Reportf(pos, format, args...)
-	(*p.diags)[len(*p.diags)-1].Fix = fix
-}
-
-// Edit builds a TextEdit replacing the source range [pos, end) with
-// newText, resolved to the owning file and its byte offsets.
-func (p *Pass) Edit(pos, end token.Pos, newText string) TextEdit {
-	a := p.Fset.Position(pos)
-	b := p.Fset.Position(end)
-	return TextEdit{File: a.Filename, Start: a.Offset, End: b.Offset, NewText: newText}
-}
-
-// Insert builds a zero-width TextEdit inserting newText at pos.
-func (p *Pass) Insert(pos token.Pos, newText string) TextEdit {
-	return p.Edit(pos, pos, newText)
 }
 
 // TypeOf returns the type of an expression, or nil if the checker did

@@ -6,8 +6,6 @@ import (
 	"go/token"
 	"go/types"
 	"reflect"
-	"strconv"
-	"strings"
 
 	"goear/internal/analysis"
 )
@@ -96,35 +94,19 @@ func checkSetMethod(pass *analysis.Pass, fd *ast.FuncDecl) {
 }
 
 // checkFieldTag verifies the assigned field's conf tag names exactly
-// the key the case matches, offering a fix that inserts or rewrites
-// the tag.
+// the key the case matches.
 func checkFieldTag(pass *analysis.Pass, at ast.Expr, key string, fld *confField) {
 	tag := confTag(fld.tag)
 	switch {
 	case fld.astField == nil:
-		// Field declared outside the loaded files; report without fix.
+		// Field declared outside the loaded files.
 		if tag != key {
 			pass.Reportf(at.Pos(), "config key %q assigns field %s whose conf tag is %q", key, fld.name, tag)
 		}
 	case fld.tag == "":
-		fix := &analysis.SuggestedFix{
-			Message: "tag field " + fld.name + " with `conf:\"" + key + "\"`",
-			Edits:   []analysis.TextEdit{pass.Insert(fld.astField.Type.End(), " `conf:"+strconv.Quote(key)+"`")},
-		}
-		if len(fld.astField.Names) != 1 {
-			fix = nil // a shared declaration can't take a per-field tag
-		}
-		pass.ReportFix(at.Pos(), fix, "config key %q assigns field %s, which has no conf tag", key, fld.name)
+		pass.Reportf(at.Pos(), "config key %q assigns field %s, which has no conf tag", key, fld.name)
 	case tag != key:
-		var fix *analysis.SuggestedFix
-		if fld.astField.Tag != nil && len(fld.astField.Names) == 1 {
-			newTag := rewriteConfTag(fld.tag, key)
-			fix = &analysis.SuggestedFix{
-				Message: "rewrite the conf tag to " + strconv.Quote(key),
-				Edits:   []analysis.TextEdit{pass.Edit(fld.astField.Tag.Pos(), fld.astField.Tag.End(), "`"+newTag+"`")},
-			}
-		}
-		pass.ReportFix(at.Pos(), fix, "config key %q assigns field %s, whose conf tag says %q", key, fld.name, tag)
+		pass.Reportf(at.Pos(), "config key %q assigns field %s, whose conf tag says %q", key, fld.name, tag)
 	}
 }
 
@@ -288,24 +270,4 @@ func stringLitValue(pass *analysis.Pass, e ast.Expr) (string, bool) {
 // confTag extracts the conf key from a raw struct tag.
 func confTag(raw string) string {
 	return reflect.StructTag(raw).Get("conf")
-}
-
-// rewriteConfTag replaces (or appends) the conf key inside a raw tag
-// string, preserving any other tags.
-func rewriteConfTag(raw, key string) string {
-	parts := strings.Fields(raw)
-	out := make([]string, 0, len(parts)+1)
-	replaced := false
-	for _, p := range parts {
-		if strings.HasPrefix(p, "conf:") {
-			out = append(out, "conf:"+strconv.Quote(key))
-			replaced = true
-		} else {
-			out = append(out, p)
-		}
-	}
-	if !replaced {
-		out = append(out, "conf:"+strconv.Quote(key))
-	}
-	return strings.Join(out, " ")
 }

@@ -2,7 +2,6 @@ package analyzers
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 
@@ -56,7 +55,7 @@ func runDeterminism(pass *analysis.Pass) error {
 			stack = append(stack, n)
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				checkDeterministicCall(pass, n, stack)
+				checkDeterministicCall(pass, n)
 			case *ast.RangeStmt:
 				checkMapRangeOutput(pass, n, enclosingFuncBody(stack))
 			}
@@ -80,7 +79,7 @@ func enclosingFuncBody(stack []ast.Node) *ast.BlockStmt {
 	return nil
 }
 
-func checkDeterministicCall(pass *analysis.Pass, call *ast.CallExpr, stack []ast.Node) {
+func checkDeterministicCall(pass *analysis.Pass, call *ast.CallExpr) {
 	pkg, fn, ok := calleePkgFunc(pass.Info, call)
 	if !ok {
 		return
@@ -89,102 +88,13 @@ func checkDeterministicCall(pass *analysis.Pass, call *ast.CallExpr, stack []ast
 	case "time":
 		switch fn {
 		case "Now", "Since", "Until":
-			var fix *analysis.SuggestedFix
-			if fn == "Now" {
-				fix = clockFix(pass, call, stack)
-			}
-			pass.ReportFix(call.Pos(), fix, "time.%s reads the wall clock; simulated time must come from the run's own clock", fn)
+			pass.Reportf(call.Pos(), "time.%s reads the wall clock; simulated time must come from the run's own clock", fn)
 		}
 	case "math/rand", "math/rand/v2":
 		if !seededConstructors[fn] {
 			pass.Reportf(call.Pos(), "%s.%s draws from the shared global generator; use an explicitly seeded *rand.Rand", pkg, fn)
 		}
 	}
-}
-
-// clockFix rewrites a time.Now() call to read the injected clock when
-// the enclosing method's receiver carries one — a field (or a field of
-// a config-struct field, the client's c.cfg.Clock shape) whose type
-// has a parameterless, single-result Now method. Returns nil when no
-// clock is in scope; the finding is then report-only.
-func clockFix(pass *analysis.Pass, call *ast.CallExpr, stack []ast.Node) *analysis.SuggestedFix {
-	path := clockFieldPath(pass, stack)
-	if path == "" {
-		return nil
-	}
-	repl := path + ".Now()"
-	return &analysis.SuggestedFix{
-		Message: "replace time.Now() with the injected clock read " + repl,
-		Edits:   []analysis.TextEdit{pass.Edit(call.Pos(), call.End(), repl)},
-	}
-}
-
-// clockFieldPath finds the selector path to a clock reachable from the
-// innermost enclosing method's receiver, or "".
-func clockFieldPath(pass *analysis.Pass, stack []ast.Node) string {
-	var fd *ast.FuncDecl
-	for i := len(stack) - 1; i >= 0 && fd == nil; i-- {
-		if d, ok := stack[i].(*ast.FuncDecl); ok {
-			fd = d
-		}
-	}
-	if fd == nil || fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
-		return ""
-	}
-	recvIdent := fd.Recv.List[0].Names[0]
-	if recvIdent.Name == "_" {
-		return ""
-	}
-	obj := pass.Info.Defs[recvIdent]
-	if obj == nil {
-		return ""
-	}
-	st := structUnder(obj.Type())
-	if st == nil {
-		return ""
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		if f := st.Field(i); hasClockNow(f.Type()) {
-			return recvIdent.Name + "." + f.Name()
-		}
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		inner := structUnder(f.Type())
-		if inner == nil {
-			continue
-		}
-		for j := 0; j < inner.NumFields(); j++ {
-			if g := inner.Field(j); hasClockNow(g.Type()) {
-				return recvIdent.Name + "." + f.Name() + "." + g.Name()
-			}
-		}
-	}
-	return ""
-}
-
-// structUnder unwraps pointers and named types down to a struct.
-func structUnder(t types.Type) *types.Struct {
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	st, _ := t.Underlying().(*types.Struct)
-	return st
-}
-
-// hasClockNow reports whether the type has a Now() method taking
-// nothing and returning one value — the injected-clock shape.
-func hasClockNow(t types.Type) bool {
-	for _, tt := range []types.Type{t, types.NewPointer(t)} {
-		obj, _, _ := types.LookupFieldOrMethod(tt, true, nil, "Now")
-		if fn, ok := obj.(*types.Func); ok {
-			sig, ok := fn.Type().(*types.Signature)
-			if ok && sig.Params().Len() == 0 && sig.Results().Len() == 1 {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // checkMapRangeOutput flags `for ... := range m` over a map whose body
@@ -202,7 +112,6 @@ func checkMapRangeOutput(pass *analysis.Pass, rng *ast.RangeStmt, fnBody *ast.Bl
 		return
 	}
 	var culprit string
-	var appendCall *ast.CallExpr
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		if culprit != "" {
 			return false
@@ -217,7 +126,6 @@ func checkMapRangeOutput(pass *analysis.Pass, rng *ast.RangeStmt, fnBody *ast.Bl
 					return true
 				}
 				culprit = "appends to a slice"
-				appendCall = call
 				return false
 			}
 		}
@@ -240,94 +148,8 @@ func checkMapRangeOutput(pass *analysis.Pass, rng *ast.RangeStmt, fnBody *ast.Bl
 		return true
 	})
 	if culprit != "" {
-		var fix *analysis.SuggestedFix
-		if appendCall != nil {
-			fix = sortAfterLoopFix(pass, rng, appendCall)
-		}
-		pass.ReportFix(rng.Pos(), fix, "map iteration order is randomized but this loop %s; collect the keys, sort them, and range over the slice", culprit)
+		pass.Reportf(rng.Pos(), "map iteration order is randomized but this loop %s; collect the keys, sort them, and range over the slice", culprit)
 	}
-}
-
-// sortAfterLoopFix converts a collect-in-map-order loop into the
-// collect-then-sort idiom: insert the matching sort call directly
-// after the loop (and the "sort" import when the file lacks it). Only
-// slices of string, int or float64 appended to a plain local variable
-// get a fix — everything else needs a human.
-func sortAfterLoopFix(pass *analysis.Pass, rng *ast.RangeStmt, appendCall *ast.CallExpr) *analysis.SuggestedFix {
-	if len(appendCall.Args) == 0 {
-		return nil
-	}
-	target, ok := stripParens(appendCall.Args[0]).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	t := pass.TypeOf(target)
-	if t == nil {
-		return nil
-	}
-	sl, ok := t.Underlying().(*types.Slice)
-	if !ok {
-		return nil
-	}
-	basic, ok := sl.Elem().Underlying().(*types.Basic)
-	if !ok || sl.Elem() != sl.Elem().Underlying() {
-		// Named element types would change sort semantics visible to
-		// the reader; leave those to a human.
-		return nil
-	}
-	var sortFn string
-	switch basic.Kind() {
-	case types.String:
-		sortFn = "sort.Strings"
-	case types.Int:
-		sortFn = "sort.Ints"
-	case types.Float64:
-		sortFn = "sort.Float64s"
-	default:
-		return nil
-	}
-	stmt := sortFn + "(" + target.Name + ")"
-	edits := []analysis.TextEdit{pass.Insert(rng.End(), "\n"+stmt)}
-	if imp, needed := importEdit(pass, rng.Pos(), "sort"); needed {
-		edits = append(edits, imp)
-	}
-	return &analysis.SuggestedFix{
-		Message: "insert " + stmt + " after the loop (collect-then-sort)",
-		Edits:   edits,
-	}
-}
-
-// importEdit returns an edit adding the import to the file containing
-// pos, or needed=false when it is already imported. The inserted path
-// lands wherever is syntactically valid; the fix applier's gofmt pass
-// canonicalises the order.
-func importEdit(pass *analysis.Pass, pos token.Pos, path string) (analysis.TextEdit, bool) {
-	var file *ast.File
-	for _, f := range pass.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			file = f
-			break
-		}
-	}
-	if file == nil {
-		return analysis.TextEdit{}, false
-	}
-	for _, imp := range file.Imports {
-		if imp.Path.Value == `"`+path+`"` {
-			return analysis.TextEdit{}, false
-		}
-	}
-	for _, d := range file.Decls {
-		gd, ok := d.(*ast.GenDecl)
-		if !ok || gd.Tok != token.IMPORT {
-			continue
-		}
-		if gd.Lparen.IsValid() {
-			return pass.Insert(gd.Lparen+1, "\n\t\""+path+"\""), true
-		}
-		return pass.Insert(gd.End(), "\nimport \""+path+"\""), true
-	}
-	return pass.Insert(file.Name.End(), "\n\nimport \""+path+"\""), true
 }
 
 // sortedLater reports whether the slice receiving the append is passed

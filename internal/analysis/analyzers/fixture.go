@@ -1,11 +1,8 @@
 package analyzers
 
 import (
-	"bytes"
 	"go/ast"
-	"go/printer"
 	"go/types"
-	"strconv"
 	"strings"
 
 	"goear/internal/analysis"
@@ -33,7 +30,7 @@ func runFixture(pass *analysis.Pass) error {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CompositeLit:
-				checkFixtureLit(pass, f, n)
+				checkFixtureLit(pass, n)
 			case *ast.CallExpr:
 				checkFixtureJSON(pass, n)
 			}
@@ -46,7 +43,7 @@ func runFixture(pass *analysis.Pass) error {
 // checkFixtureLit flags hand-rolled wire.Frame literals,
 // hand-formatted batch IDs inside wire.Batch literals, and hand-rolled
 // accounting.Record literals.
-func checkFixtureLit(pass *analysis.Pass, file *ast.File, lit *ast.CompositeLit) {
+func checkFixtureLit(pass *analysis.Pass, lit *ast.CompositeLit) {
 	named := namedTypeOf(pass.TypeOf(lit))
 	if named == nil {
 		return
@@ -60,7 +57,7 @@ func checkFixtureLit(pass *analysis.Pass, file *ast.File, lit *ast.CompositeLit)
 	}
 	switch named.Obj().Name() {
 	case "Frame":
-		pass.Reportf(lit.Pos(), "wire.Frame composite literal in a fixture helper; build frames with the versioned wire.Encode constructors so the magic, version and checksum stay consistent")
+		pass.Reportf(lit.Pos(), "wire.Frame composite literal in a fixture helper; build frames with the codec's wire.Encode*/Append* constructors so the header's magic, version, type, flags and length stay consistent")
 	case "Batch":
 		for _, el := range lit.Elts {
 			kv, ok := el.(*ast.KeyValueExpr)
@@ -71,42 +68,23 @@ func checkFixtureLit(pass *analysis.Pass, file *ast.File, lit *ast.CompositeLit)
 			if !ok || key.Name != "ID" {
 				continue
 			}
-			checkBatchID(pass, file, kv.Value)
+			checkBatchID(pass, kv.Value)
 		}
 	}
 }
 
-// checkBatchID flags ID fields assembled with fmt.Sprintf("%s/%d", …):
-// the batch-ID wire format lives in one place (eardbd.BatchID) and
-// fixtures must call it, not re-derive it.
-func checkBatchID(pass *analysis.Pass, file *ast.File, val ast.Expr) {
+// checkBatchID flags ID fields assembled with fmt.Sprintf from a
+// literal format (`"%s/%d"` or any other): the batch-ID wire format
+// lives in one place (eardbd.BatchID) and fixtures must call it, not
+// re-derive it.
+func checkBatchID(pass *analysis.Pass, val ast.Expr) {
 	call, ok := stripParens(val).(*ast.CallExpr)
 	if !ok || !isPkgCall(pass, call, "fmt", "Sprintf") || len(call.Args) < 1 {
 		return
 	}
-	lit, ok := stripParens(call.Args[0]).(*ast.BasicLit)
-	if !ok {
-		return
-	}
-	format, err := strconv.Unquote(lit.Value)
-	if err != nil || format != "%s/%d" || len(call.Args) != 3 {
+	if _, ok := stripParens(call.Args[0]).(*ast.BasicLit); ok {
 		pass.Reportf(val.Pos(), "batch ID assembled with fmt.Sprintf; use eardbd.BatchID so the node/sequence format has one owner")
-		return
 	}
-	var fix *analysis.SuggestedFix
-	if alias, ok := importAlias(file, "goear/internal/eardbd"); ok {
-		node := renderExpr(pass, call.Args[1])
-		seq := renderExpr(pass, call.Args[2])
-		if node != "" && seq != "" {
-			fix = &analysis.SuggestedFix{
-				Message: "call " + alias + ".BatchID instead of re-deriving the format",
-				Edits: []analysis.TextEdit{
-					pass.Edit(call.Pos(), call.End(), alias+".BatchID("+node+", "+seq+")"),
-				},
-			}
-		}
-	}
-	pass.ReportFix(val.Pos(), fix, "batch ID assembled with fmt.Sprintf; use eardbd.BatchID so the node/sequence format has one owner")
 }
 
 // checkFixtureJSON flags any call into encoding/json — function or
@@ -184,35 +162,4 @@ func isPkgCall(pass *analysis.Pass, call *ast.CallExpr, pkgPath, name string) bo
 		return false
 	}
 	return fn.Pkg().Path() == pkgPath
-}
-
-// importAlias returns the local name under which the file imports the
-// given path ("eardbd" when unaliased), and whether it imports it at
-// all. Fixes are only offered when the import already exists — adding
-// one could create a cycle in helper packages.
-func importAlias(file *ast.File, path string) (string, bool) {
-	for _, imp := range file.Imports {
-		p, err := strconv.Unquote(imp.Path.Value)
-		if err != nil || p != path {
-			continue
-		}
-		if imp.Name != nil {
-			if imp.Name.Name == "." || imp.Name.Name == "_" {
-				return "", false
-			}
-			return imp.Name.Name, true
-		}
-		return p[strings.LastIndex(p, "/")+1:], true
-	}
-	return "", false
-}
-
-// renderExpr prints an expression back to source for use inside a
-// replacement edit.
-func renderExpr(pass *analysis.Pass, e ast.Expr) string {
-	var buf bytes.Buffer
-	if err := printer.Fprint(&buf, pass.Fset, e); err != nil {
-		return ""
-	}
-	return buf.String()
 }

@@ -1,10 +1,7 @@
 package analyzers
 
 import (
-	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -12,10 +9,6 @@ import (
 
 	"goear/internal/analysis"
 )
-
-// -update regenerates the post-fix .golden fixtures from the current
-// analyzer output instead of asserting against them.
-var updateGolden = flag.Bool("update", false, "rewrite golden post-fix fixtures")
 
 // TestGolden runs every analyzer over its fixture package under
 // ../testdata/src and matches the reported diagnostics against the
@@ -189,72 +182,5 @@ func TestAllRegistry(t *testing.T) {
 		if all[i-1].Name >= all[i].Name {
 			t.Errorf("All() is not sorted by name: %q before %q", all[i-1].Name, all[i].Name)
 		}
-	}
-}
-
-// TestGoldenFix applies every suggested fix an analyzer emits over its
-// fixture package and asserts the repaired fixture.go matches the
-// committed fixture.go.golden byte for byte. Run with -update to
-// regenerate the goldens after changing a fix.
-func TestGoldenFix(t *testing.T) {
-	loader := analysis.NewLoader()
-	if _, err := loader.AddModule("../../.."); err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		analyzer   *analysis.Analyzer
-		importPath string
-		fixture    string
-	}{
-		{Determinism, "fix/internal/sim", "../testdata/src/determinism"},
-		{PolicyReg, "fix/internal/policy", "../testdata/src/policyreg"},
-		{ConfTag, "fix/internal/earconf", "../testdata/src/conftag"},
-		{Fixture, "fix/internal/loadgen", "../testdata/src/fixture"},
-	}
-	for _, c := range cases {
-		loader.AddDir(c.importPath, c.fixture)
-	}
-	for _, c := range cases {
-		t.Run(c.analyzer.Name, func(t *testing.T) {
-			pkg, err := loader.Load(c.importPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			diags, err := analysis.Run([]*analysis.Package{pkg}, []*analysis.Analyzer{c.analyzer})
-			if err != nil {
-				t.Fatal(err)
-			}
-			plan, err := analysis.PlanFixes(diags, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var fixed []byte
-			for _, f := range plan {
-				if filepath.Base(f.Path) == "fixture.go" {
-					if len(f.Skipped) > 0 {
-						t.Errorf("%d fixes skipped as conflicting in %s", len(f.Skipped), f.Path)
-					}
-					fixed = f.Fixed
-				}
-			}
-			if fixed == nil {
-				t.Fatal("no fix plan touched fixture.go; every fix-capable analyzer fixture must exercise at least one fix")
-			}
-			golden := filepath.Join(c.fixture, "fixture.go.golden")
-			if *updateGolden {
-				if err := os.WriteFile(golden, fixed, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(fixed) != string(want) {
-				t.Errorf("post-fix fixture diverges from golden:\n%s",
-					analysis.UnifiedDiff(golden, want, fixed))
-			}
-		})
 	}
 }

@@ -26,8 +26,7 @@
 //   - fixture: test helpers build spill journals and wire frames
 //     through the versioned codec constructors, never by hand.
 //
-// Some analyzers attach suggested fixes to their diagnostics; those
-// are applied by goearvet -fix through analysis.PlanFixes.
+// Analyzers only report; none rewrites source.
 package analyzers
 
 import (

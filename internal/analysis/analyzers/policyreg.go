@@ -3,10 +3,7 @@ package analyzers
 import (
 	"go/ast"
 	"go/constant"
-	"go/token"
 	"go/types"
-	"strconv"
-	"strings"
 
 	"goear/internal/analysis"
 )
@@ -125,8 +122,7 @@ func checkRegisterName(pass *analysis.Pass, call *ast.CallExpr, regCount map[typ
 		valueOwner[val] = obj
 	}
 	if !roundTrips(val) {
-		pass.ReportFix(arg.Pos(), nameConstFix(pass, obj, val),
-			"policy name %q does not round-trip config parsing (want ^[a-z0-9_]+$ so AuthorizedPolicies lists survive split and trim)", val)
+		pass.Reportf(arg.Pos(), "policy name %q does not round-trip config parsing (want ^[a-z0-9_]+$ so AuthorizedPolicies lists survive split and trim)", val)
 	}
 }
 
@@ -144,73 +140,6 @@ func roundTrips(name string) bool {
 		}
 	}
 	return true
-}
-
-// sanitizeName rewrites a registry name to its round-tripping form:
-// lowercased, runs of separators collapsed to underscores, everything
-// else dropped.
-func sanitizeName(name string) string {
-	var b strings.Builder
-	pendingSep := false
-	for _, r := range strings.ToLower(name) {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
-			if pendingSep && b.Len() > 0 {
-				b.WriteByte('_')
-			}
-			pendingSep = false
-			b.WriteRune(r)
-		case r == '_', r == '-', r == ' ', r == ',', r == '.':
-			pendingSep = true
-		}
-	}
-	return b.String()
-}
-
-// nameConstFix rewrites the constant's string literal to the sanitized
-// name, when the declaration is a plain literal in this package and
-// the sanitized form is usable.
-func nameConstFix(pass *analysis.Pass, obj types.Object, val string) *analysis.SuggestedFix {
-	clean := sanitizeName(val)
-	if clean == "" || clean == val {
-		return nil
-	}
-	lit := constLiteral(pass, obj)
-	if lit == nil {
-		return nil
-	}
-	return &analysis.SuggestedFix{
-		Message: "rewrite the name constant to " + strconv.Quote(clean),
-		Edits:   []analysis.TextEdit{pass.Edit(lit.Pos(), lit.End(), strconv.Quote(clean))},
-	}
-}
-
-// constLiteral finds the basic literal initialising the constant's
-// declaration, or nil (computed constants, other files not loaded).
-func constLiteral(pass *analysis.Pass, obj types.Object) *ast.BasicLit {
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			gd, ok := d.(*ast.GenDecl)
-			if !ok || gd.Tok != token.CONST {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for i, name := range vs.Names {
-					if pass.Info.Defs[name] != obj || i >= len(vs.Values) {
-						continue
-					}
-					if lit, ok := stripParens(vs.Values[i]).(*ast.BasicLit); ok {
-						return lit
-					}
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // factoryReturnTypes resolves the concrete package-level named types a
@@ -282,4 +211,13 @@ func embedsInterface(t types.Type, iface *types.TypeName) bool {
 		}
 	}
 	return false
+}
+
+// structUnder unwraps pointers and named types down to a struct.
+func structUnder(t types.Type) *types.Struct {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	st, _ := t.Underlying().(*types.Struct)
+	return st
 }

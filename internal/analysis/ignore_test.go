@@ -25,25 +25,18 @@ func loadSnippet(t *testing.T, src string) *Package {
 	return pkg
 }
 
-// fixEveryReturn is a synthetic analyzer that attaches a suggested fix
-// to every return statement, rewriting its expression to 0.
-func fixEveryReturn() *Analyzer {
+// reportEveryReturn is a synthetic analyzer that reports every return
+// statement carrying a value.
+func reportEveryReturn() *Analyzer {
 	return &Analyzer{
-		Name: "fixreturns",
-		Doc:  "rewrites every returned expression to 0",
+		Name: "returns",
+		Doc:  "flags every returned expression",
 		Run: func(pass *Pass) error {
 			for _, f := range pass.Files {
 				ast.Inspect(f, func(n ast.Node) bool {
-					r, ok := n.(*ast.ReturnStmt)
-					if !ok || len(r.Results) == 0 {
-						return true
+					if r, ok := n.(*ast.ReturnStmt); ok && len(r.Results) > 0 {
+						pass.Reportf(r.Pos(), "value returned")
 					}
-					e := r.Results[0]
-					fix := &SuggestedFix{
-						Message: "return 0",
-						Edits:   []TextEdit{pass.Edit(e.Pos(), e.End(), "0")},
-					}
-					pass.ReportFix(r.Pos(), fix, "nonzero return")
 					return true
 				})
 			}
@@ -62,7 +55,7 @@ func f() int {
 	return 1 //goearvet:ignore
 }
 `)
-	diags, err := Run([]*Package{pkg}, []*Analyzer{fixEveryReturn()})
+	diags, err := Run([]*Package{pkg}, []*Analyzer{reportEveryReturn()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +67,7 @@ func f() int {
 			if !strings.Contains(d.Message, "needs a reason") {
 				t.Errorf("ignore finding message = %q", d.Message)
 			}
-		case "fixreturns":
+		case "returns":
 			sawFinding = true
 		}
 	}
@@ -105,7 +98,7 @@ func unprotected() int {
 	return 3
 }
 `)
-	diags, err := Run([]*Package{pkg}, []*Analyzer{fixEveryReturn()})
+	diags, err := Run([]*Package{pkg}, []*Analyzer{reportEveryReturn()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,44 +107,5 @@ func unprotected() int {
 	}
 	if diags[0].Line != 13 {
 		t.Errorf("finding at line %d, want 13 (unprotected)", diags[0].Line)
-	}
-}
-
-// TestIgnoreSuppressedFindingsProduceNoFixes pins the -fix
-// interaction: a suppressed diagnostic never reaches the fix planner,
-// so its edits are never applied — only the unsuppressed finding's
-// repair lands.
-func TestIgnoreSuppressedFindingsProduceNoFixes(t *testing.T) {
-	src := `package p
-
-func suppressed() int {
-	return 1 //goearvet:ignore intentional nonzero
-}
-
-func repaired() int {
-	return 2
-}
-`
-	pkg := loadSnippet(t, src)
-	diags, err := Run([]*Package{pkg}, []*Analyzer{fixEveryReturn()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 1 {
-		t.Fatalf("diags = %v, want only the unsuppressed finding", diags)
-	}
-	plan, err := PlanFixes(diags, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan) != 1 {
-		t.Fatalf("plan = %+v, want one file", plan)
-	}
-	fixed := string(plan[0].Fixed)
-	if !strings.Contains(fixed, "return 1 //goearvet:ignore intentional nonzero") {
-		t.Errorf("suppressed finding was repaired anyway:\n%s", fixed)
-	}
-	if !strings.Contains(fixed, "func repaired() int {\n\treturn 0\n}") {
-		t.Errorf("unsuppressed finding was not repaired:\n%s", fixed)
 	}
 }
