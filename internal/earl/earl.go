@@ -139,7 +139,15 @@ type Library struct {
 }
 
 // New builds a library instance. Call Start before feeding events.
-func New(cfg Config, ctl Ctl) (*Library, error) {
+func New(cfg Config, ctl Ctl) (*Library, error) { return Renew(nil, cfg, ctl) }
+
+// Renew rebuilds l in place for a new run, as New would build it; a nil
+// l is New. The Dynais hierarchy (with its detector windows) and the
+// event buffer are kept when NestingLevels and MaxLoopPeriod are
+// unchanged, so renewing a node's library for the same shape allocates
+// nothing. cfg is validated exactly as New does; on error l is left as
+// it was.
+func Renew(l *Library, cfg Config, ctl Ctl) (*Library, error) {
 	cfg = cfg.Defaults()
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("earl: missing policy")
@@ -147,11 +155,20 @@ func New(cfg Config, ctl Ctl) (*Library, error) {
 	if ctl == nil {
 		return nil, fmt.Errorf("earl: missing node control")
 	}
-	d, err := dynais.NewHierarchy(cfg.NestingLevels, cfg.MaxLoopPeriod)
-	if err != nil {
-		return nil, err
+	if l == nil {
+		l = new(Library)
 	}
-	return &Library{cfg: cfg, ctl: ctl, dyn: d, state: NodePolicy}, nil
+	d := l.dyn
+	if d != nil && l.cfg.NestingLevels == cfg.NestingLevels && l.cfg.MaxLoopPeriod == cfg.MaxLoopPeriod {
+		d.Reset()
+	} else {
+		var err error
+		if d, err = dynais.NewHierarchy(cfg.NestingLevels, cfg.MaxLoopPeriod); err != nil {
+			return nil, err
+		}
+	}
+	*l = Library{cfg: cfg, ctl: ctl, dyn: d, state: NodePolicy, events: l.events[:0]}
+	return l, nil
 }
 
 // Start records the baseline counter sample at application begin.
@@ -336,8 +353,15 @@ func (l *Library) Signatures() int { return l.sigCount }
 // (a policy selection or a restore of the defaults).
 func (l *Library) Applies() int { return l.applies }
 
-// Events returns the decision trace; nil unless Config.EventLog is set.
-func (l *Library) Events() []Event { return l.events }
+// Events returns the decision trace; nil unless Config.EventLog is set
+// and a signature was handled. It is the library's own buffer: valid
+// until the next Renew.
+func (l *Library) Events() []Event {
+	if len(l.events) == 0 {
+		return nil
+	}
+	return l.events
+}
 
 // LoopDetected reports whether Dynais currently has a lock.
 func (l *Library) LoopDetected() bool { return l.dyn.Locked(0) }

@@ -2,6 +2,7 @@ package earl
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"goear/internal/metrics"
@@ -467,5 +468,104 @@ func TestStateString(t *testing.T) {
 	}
 	if State(7).String() == "" {
 		t.Error("unknown state must format")
+	}
+}
+
+// TestRenewMatchesNew: a library renewed after a run behaves as a new
+// one, whether Renew keeps its Dynais hierarchy (same shape) or has to
+// build another (changed shape); and a renewal that fails leaves the
+// library untouched.
+func TestRenewMatchesNew(t *testing.T) {
+	script := func() *scriptedPolicy {
+		return &scriptedPolicy{
+			applies: []struct {
+				nf policy.NodeFreqs
+				st policy.State
+			}{
+				{policy.NodeFreqs{CPUPstate: 3}, policy.Continue},
+				{policy.NodeFreqs{CPUPstate: 2, SetIMC: true, IMCMinRatio: 12, IMCMaxRatio: 20}, policy.Ready},
+			},
+			validateOK: true,
+			def:        policy.NodeFreqs{CPUPstate: 1},
+		}
+	}
+	type outcome struct {
+		Events              []Event
+		Sigs, Applies, Iter int
+		State               State
+		Loop                bool
+		Level, Period       int
+	}
+	drive := func(l *Library, ctl *fakeCtl, pattern []uint32) outcome {
+		t.Helper()
+		if err := l.Start(0); err != nil {
+			t.Fatal(err)
+		}
+		runIterations(t, l, ctl, pattern, 40, 1.0)
+		o := outcome{Events: l.Events(), Sigs: l.Signatures(), Applies: l.Applies(),
+			Iter: l.Iterations(), State: l.State(), Loop: l.LoopDetected()}
+		o.Level, o.Period = l.NestedStructure()
+		return o
+	}
+	// The second pattern starts with the first: a detector still locked
+	// on the first would count a spurious iteration.
+	first, second := []uint32{1, 2, 3}, []uint32{1, 2, 3, 4, 5}
+
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"same shape", Config{EventLog: true}},
+		{"new shape", Config{EventLog: true, NestingLevels: 3, MaxLoopPeriod: 16}},
+		{"log off", Config{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Policy = script()
+			fresh, err := New(cfg, newFakeCtl())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := drive(fresh, fresh.ctl.(*fakeCtl), second)
+
+			l, err := New(Config{Policy: script(), EventLog: true}, newFakeCtl())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if drive(l, l.ctl.(*fakeCtl), first).Sigs == 0 {
+				t.Fatal("the first run handled no signature")
+			}
+			dyn := l.dyn
+			cfg.Policy = script()
+			ctl := newFakeCtl()
+			got, err := Renew(l, cfg, ctl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != l {
+				t.Fatal("Renew built a new library instead of renewing in place")
+			}
+			if keep := tc.cfg.NestingLevels == 0; (l.dyn == dyn) != keep {
+				t.Errorf("hierarchy kept = %v, want %v", l.dyn == dyn, keep)
+			}
+			if o := drive(l, ctl, second); !reflect.DeepEqual(o, want) {
+				t.Errorf("renewed library:\n%+v\nnew library:\n%+v", o, want)
+			}
+		})
+	}
+
+	l, err := New(Config{Policy: script()}, newFakeCtl())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := *l
+	if _, err := Renew(l, Config{Policy: script(), MaxLoopPeriod: -1}, newFakeCtl()); err == nil {
+		t.Error("Renew accepted a negative MaxLoopPeriod")
+	}
+	if _, err := Renew(l, Config{}, newFakeCtl()); err == nil {
+		t.Error("Renew accepted a missing policy")
+	}
+	if !reflect.DeepEqual(*l, before) {
+		t.Error("a failed Renew changed the library")
 	}
 }

@@ -44,7 +44,8 @@ func newDUF(cfg Config) *duf {
 	return &duf{cfg: cfg, curMax: cfg.UncoreMaxRatio}
 }
 
-func (p *duf) Name() string { return DUF }
+func (p *duf) Name() string   { return DUF }
+func (p *duf) config() Config { return p.cfg }
 
 // ipc converts the signature's CPI to instructions per cycle, the
 // metric the published controllers regulate on.

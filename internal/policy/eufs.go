@@ -66,20 +66,20 @@ type eufs struct {
 	// (min_time_to_solution's performance-first variant, §VIII).
 	raiseForMemBound bool
 
-	stage    eufsStage
-	cpuSel   int
-	refCPI   float64
-	refGBs   float64
-	curMax   uint64
-	started  bool
-	lastDone NodeFreqs
+	stage   eufsStage
+	cpuSel  int
+	refCPI  float64
+	refGBs  float64
+	curMax  uint64
+	started bool
 }
 
 func newEUFS(name string, base Policy, cfg Config) *eufs {
-	return &eufs{name: name, base: base, cfg: cfg, stage: stCPUFreqSel}
+	return &eufs{name: name, base: base, cfg: cfg, stage: stCPUFreqSel, cpuSel: cfg.DefaultPstate}
 }
 
-func (p *eufs) Name() string { return p.name }
+func (p *eufs) Name() string   { return p.name }
+func (p *eufs) config() Config { return p.cfg }
 
 func (p *eufs) Apply(in Inputs) (NodeFreqs, State, error) {
 	if !in.Sig.Valid() {
@@ -121,14 +121,12 @@ func (p *eufs) compRef(in Inputs) (NodeFreqs, State, error) {
 		// full mesh bandwidth while this phase runs.
 		p.started = true
 		p.curMax = p.cfg.UncoreMaxRatio
-		nf := NodeFreqs{
+		return NodeFreqs{
 			CPUPstate:   p.cpuSel,
 			SetIMC:      true,
 			IMCMaxRatio: p.cfg.UncoreMaxRatio,
 			IMCMinRatio: p.cfg.UncoreMaxRatio,
-		}
-		p.lastDone = nf
-		return nf, Ready, nil
+		}, Ready, nil
 	}
 
 	start := p.cfg.UncoreMaxRatio
@@ -143,7 +141,7 @@ func (p *eufs) compRef(in Inputs) (NodeFreqs, State, error) {
 		// Nothing to lower: settle immediately, pinning the window at
 		// the hardware's level so it cannot drift back up.
 		p.curMax = p.cfg.UncoreMinRatio
-		return p.settle(), Ready, nil
+		return p.freqs(), Ready, nil
 	}
 	p.curMax = start - p.cfg.UncoreStep
 	if p.curMax < p.cfg.UncoreMinRatio {
@@ -173,12 +171,12 @@ func (p *eufs) imcStep(in Inputs) (NodeFreqs, State, error) {
 		if p.curMax > p.cfg.UncoreMaxRatio {
 			p.curMax = p.cfg.UncoreMaxRatio
 		}
-		return p.settle(), Ready, nil
+		return p.freqs(), Ready, nil
 	}
 
 	// Floor reached: accept.
 	if p.curMax <= p.cfg.UncoreMinRatio {
-		return p.settle(), Ready, nil
+		return p.freqs(), Ready, nil
 	}
 
 	// Keep lowering.
@@ -214,12 +212,6 @@ func (p *eufs) freqs() NodeFreqs {
 		IMCMaxRatio: p.curMax,
 		IMCMinRatio: minR,
 	}
-}
-
-// settle freezes the final selection.
-func (p *eufs) settle() NodeFreqs {
-	p.lastDone = p.freqs()
-	return p.lastDone
 }
 
 // LastPrediction forwards the base policy's prediction view, so the

@@ -20,7 +20,8 @@ func init() {
 // never moves frequencies away from the defaults.
 type monitoring struct{ cfg Config }
 
-func (m *monitoring) Name() string { return Monitoring }
+func (m *monitoring) Name() string   { return Monitoring }
+func (m *monitoring) config() Config { return m.cfg }
 
 func (m *monitoring) Apply(in Inputs) (NodeFreqs, State, error) {
 	return NodeFreqs{CPUPstate: in.CurrentPstate}, Ready, nil
@@ -59,7 +60,8 @@ func newMinEnergy(cfg Config) *minEnergy {
 	return &minEnergy{cfg: cfg, selected: cfg.DefaultPstate}
 }
 
-func (p *minEnergy) Name() string { return MinEnergy }
+func (p *minEnergy) Name() string   { return MinEnergy }
+func (p *minEnergy) config() Config { return p.cfg }
 
 // predict dispatches between the AVX512-aware and the default model.
 func (p *minEnergy) predict(sig metrics.Signature, from, to int) (model.Prediction, error) {

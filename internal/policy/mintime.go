@@ -49,7 +49,8 @@ func newMinTime(cfg Config) *minTime {
 	return &minTime{cfg: cfg, defPst: def, selected: def}
 }
 
-func (p *minTime) Name() string { return MinTime }
+func (p *minTime) Name() string   { return MinTime }
+func (p *minTime) config() Config { return p.cfg }
 
 func (p *minTime) Apply(in Inputs) (NodeFreqs, State, error) {
 	if !in.Sig.Valid() {

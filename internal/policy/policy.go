@@ -240,6 +240,42 @@ func New(name string, cfg Config) (Policy, error) {
 	return maybeInstrument(p), nil
 }
 
+// Renew returns old, Reset, when New(name, cfg) would build the same
+// policy: the same name and defaulted Config, and the same telemetry
+// decoration (a policy built while telemetry was off is never reused
+// once it is on, nor one counting into a since-replaced registry).
+// Otherwise it returns New(name, cfg). A pooled simulator node renews
+// its policy each run, keeping the buffers (prediction tables) the
+// policy owns.
+func Renew(old Policy, name string, cfg Config) (Policy, error) {
+	if old != nil && builtAs(old, name, cfg.Defaults()) {
+		old.Reset()
+		return old, nil
+	}
+	return New(name, cfg)
+}
+
+// configured is implemented by the built-in policies: it returns the
+// Config their factory received. Policies registered elsewhere lack it,
+// so Renew always rebuilds them.
+type configured interface{ config() Config }
+
+// builtAs reports whether p is what New(name, cfg) returns under the
+// current telemetry state, up to its run state.
+func builtAs(p Policy, name string, cfg Config) bool {
+	t := tel.Load()
+	if in, ok := p.(*instrumented); ok {
+		if in.tel != t {
+			return false
+		}
+		p = in.Policy
+	} else if t != nil {
+		return false
+	}
+	c, ok := p.(configured)
+	return ok && p.Name() == name && c.config() == cfg
+}
+
 // Names lists registered policies, sorted.
 func Names() []string {
 	regMu.RLock()

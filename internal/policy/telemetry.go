@@ -59,6 +59,7 @@ func init() {
 // trace still sees the underlying prediction.
 type instrumented struct {
 	Policy
+	tel     *policyTel // the families the handles below resolve into
 	ready   *telemetry.Counter
 	cont    *telemetry.Counter
 	valOK   *telemetry.Counter
@@ -75,6 +76,7 @@ func maybeInstrument(p Policy) Policy {
 	name := p.Name()
 	return &instrumented{
 		Policy:  p,
+		tel:     t,
 		ready:   t.decisions.With(name, "ready"),
 		cont:    t.decisions.With(name, "continue"),
 		valOK:   t.validations.With(name, "ok"),

@@ -89,7 +89,14 @@ type node struct {
 	nctl nodeCtl
 
 	rng *rand.Rand
-	lib *earl.Library
+	// lib is this run's EARL instance, nil when no policy runs. ownLib
+	// and pol are the node's EARL stack: init renews them in place run
+	// after run (earl.Renew, policy.Renew), so a recycled node keeps its
+	// Dynais windows and prediction tables, and a run without a policy
+	// leaves them for the next that has one.
+	lib    *earl.Library
+	ownLib *earl.Library
+	pol    policy.Policy
 
 	// capRatio, when non-zero, is a node-daemon-enforced ceiling on the
 	// core ratio (the EARGM powercap path); the policy's requests are
@@ -134,7 +141,8 @@ type evalEntry struct {
 // nodePool recycles per-node state across runs. Every field is reset by
 // (*node).init, so reuse cannot leak state between runs; it exists purely
 // to keep the per-run constant-size allocations (sockets, MSR files,
-// meters, caches) out of the steady-state experiment loop.
+// meters, caches, and the EARL library, Dynais windows and policy) out
+// of the steady-state experiment loop.
 var nodePool = sync.Pool{New: func() any { return new(node) }}
 
 // runNode simulates the whole workload on one node.
@@ -145,10 +153,10 @@ func runNode(cal workload.Calibrated, nodeID int, opt Options) (NodeResult, erro
 	}
 	n.everUsed = true
 	defer func() {
-		// The trace slice and EARL instance escape into the result;
-		// drop them so reuse cannot alias a returned NodeResult.
+		// The trace slice escapes into the result; drop it so reuse
+		// cannot alias a returned NodeResult. Nothing of the library
+		// escapes: result copies its counts and decisions out.
 		n.trace = nil
-		n.lib = nil
 		nodePool.Put(n)
 	}()
 	if err := n.init(cal, nodeID, opt); err != nil {
@@ -371,11 +379,14 @@ func (n *node) init(cal workload.Calibrated, nodeID int, opt Options) error {
 			SigChangeTh:    opt.SigChangeTh,
 			PinBothLimits:  opt.PinBothUncoreLimits,
 		}
-		pol, err := policy.New(opt.Policy, pcfg)
+		pol, err := policy.Renew(n.pol, opt.Policy, pcfg)
 		if err != nil {
 			return err
 		}
-		lib, err := earl.New(earl.Config{
+		n.pol = pol
+		// libCtl is taken afresh every run: with DaemonLimits it is a
+		// new daemon wrapping this node.
+		lib, err := earl.Renew(n.ownLib, earl.Config{
 			Policy:       pol,
 			MinWindowSec: opt.MinWindowSec,
 			SigChangeTh:  opt.SigChangeTh,
@@ -384,6 +395,7 @@ func (n *node) init(cal workload.Calibrated, nodeID int, opt Options) error {
 		if err != nil {
 			return err
 		}
+		n.ownLib = lib
 		if err := lib.Start(0); err != nil {
 			return err
 		}

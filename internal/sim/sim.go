@@ -288,19 +288,24 @@ func Run(cal workload.Calibrated, opt Options) (Result, error) {
 		res.aggregate()
 		return res, nil
 	}
-	err := par.ForEach(opt.workers(), cal.Nodes, func(nodeID int) error {
-		nr, err := runNode(cal, nodeID, opt)
-		if err != nil {
-			return fmt.Errorf("sim: %s node %d: %w", cal.Name, nodeID, err)
-		}
-		res.Nodes[nodeID] = nr
-		return nil
-	})
-	if err != nil {
+	if err := runNodesPar(cal, opt, res.Nodes); err != nil {
 		return Result{}, err
 	}
 	res.aggregate()
 	return res, nil
+}
+
+// runNodesPar is Run's parallel dispatch. The closure moves cal and opt
+// to the heap; keeping it out of Run spares the serial path that cost.
+func runNodesPar(cal workload.Calibrated, opt Options, out []NodeResult) error {
+	return par.ForEach(opt.workers(), cal.Nodes, func(nodeID int) error {
+		nr, err := runNode(cal, nodeID, opt)
+		if err != nil {
+			return fmt.Errorf("sim: %s node %d: %w", cal.Name, nodeID, err)
+		}
+		out[nodeID] = nr
+		return nil
+	})
 }
 
 // RunSpec calibrates and runs a workload spec.
@@ -323,17 +328,16 @@ func RunAveraged(cal workload.Calibrated, opt Options, runs int) (Result, error)
 		return Result{}, fmt.Errorf("sim: need at least one run")
 	}
 	results := make([]Result, runs)
-	err := par.ForEach(opt.workers(), runs, func(i int) error {
-		o := opt
-		o.Seed = opt.Seed + int64(i)*7919
-		r, err := Run(cal, o)
-		if err != nil {
-			return err
+	if opt.workers() == 1 || runs == 1 {
+		// In order, as par.ForEach runs at limit 1, minus the closure.
+		for i := range results {
+			r, err := Run(cal, seededRun(opt, i))
+			if err != nil {
+				return Result{}, err
+			}
+			results[i] = r
 		}
-		results[i] = r
-		return nil
-	})
-	if err != nil {
+	} else if err := runsPar(cal, opt, results); err != nil {
 		return Result{}, err
 	}
 	// Accumulate in run order with stats.Mean's exact operations
@@ -362,4 +366,24 @@ func RunAveraged(cal workload.Calibrated, opt Options, runs int) (Result, error)
 	acc.AvgCPI = cpis / cnt
 	acc.AvgGBs = gbs / cnt
 	return acc, nil
+}
+
+// seededRun is run i's options: its seed is a pure function of
+// (opt.Seed, i).
+func seededRun(opt Options, i int) Options {
+	opt.Seed += int64(i) * 7919
+	return opt
+}
+
+// runsPar is RunAveraged's parallel dispatch, apart for the same reason
+// as runNodesPar.
+func runsPar(cal workload.Calibrated, opt Options, out []Result) error {
+	return par.ForEach(opt.workers(), len(out), func(i int) error {
+		r, err := Run(cal, seededRun(opt, i))
+		if err != nil {
+			return err
+		}
+		out[i] = r
+		return nil
+	})
 }
