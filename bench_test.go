@@ -394,7 +394,7 @@ func BenchmarkClusterSecondReference(b *testing.B) {
 	}
 }
 
-// Trace on/off pair: the delta is the cost of per-interval trace
+// Trace on/off pair: the delta is the cost of 1 Hz trace
 // sampling, the off case is the production configuration.
 
 func benchTraceRun(b *testing.B, trace bool) {
@@ -407,7 +407,7 @@ func benchTraceRun(b *testing.B, trace bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opt := sim.Options{Policy: "none", Seed: 1, Trace: trace, TraceStepSec: 0.1}
+	opt := sim.Options{Policy: "none", Seed: 1, Trace: trace}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -60,8 +60,6 @@ type Config struct {
 	// NotGuided starts the uncore search from the hardware maximum
 	// instead of the hardware-selected frequency (the paper's ME+NG-U).
 	NotGuided bool
-	// Runs is the number of averaged runs (default 3, as the paper).
-	Runs int
 	// Seed drives measurement noise.
 	Seed int64
 	// FixedCPUPstate pins the CPU pstate when >= 0 (set -1 or leave the
@@ -172,9 +170,6 @@ func (c Config) toOptions() sim.Options {
 func (s *Session) run(name string, cfg Config) (sim.Result, error) {
 	if s == nil || s.ctx == nil {
 		return sim.Result{}, fmt.Errorf("goear: use NewSession")
-	}
-	if cfg.Runs != 0 && cfg.Runs != s.ctx.Runs {
-		return sim.Result{}, fmt.Errorf("goear: per-call run counts are fixed by the session (%d)", s.ctx.Runs)
 	}
 	return s.ctx.Run(name, cfg.toOptions())
 }

@@ -101,9 +101,6 @@ func TestRunErrors(t *testing.T) {
 	if _, err := session().Run("BT-MZ.C", Config{Policy: "bogus"}); err == nil {
 		t.Error("expected error for unknown policy")
 	}
-	if _, err := session().Run("BT-MZ.C", Config{Runs: 7}); err == nil {
-		t.Error("expected error for per-call run count")
-	}
 	var nilSess *Session
 	if _, err := nilSess.Run("BT-MZ.C", Config{}); err == nil {
 		t.Error("expected error for nil session")

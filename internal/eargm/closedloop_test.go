@@ -89,7 +89,7 @@ func TestClosedLoopConvergence(t *testing.T) {
 // TestEventTrace pins the decision log: deepen and relax transitions
 // must be visible with their timestamps and totals.
 func TestEventTrace(t *testing.T) {
-	m, err := New(Config{BudgetW: 1000, MaxCapPstate: 5, SettleIntervals: 1})
+	m, err := New(Config{BudgetW: 1000, MaxCapPstate: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +103,10 @@ func TestEventTrace(t *testing.T) {
 		{5, 1200, true, false, 1},  // over budget: impose the min cap
 		{10, 1100, true, false, 2}, // still over: deepen
 		{15, 950, false, false, 2}, // dead band (920..1000): hold
-		{20, 900, false, true, 1},  // below release mark: relax
-		{25, 900, false, true, 0},  // and fully release
+		{20, 900, false, false, 2}, // below release mark: settling
+		{25, 900, false, true, 1},  // second low interval: relax
+		{30, 900, false, false, 1}, // settling again
+		{35, 900, false, true, 0},  // and fully release
 	}
 	for _, s := range steps {
 		cap, err := m.Update(s.now, []float64{s.power})
@@ -155,7 +157,7 @@ func TestNoNodesIsUnderBudget(t *testing.T) {
 }
 
 // TestCapStepDiscipline: whatever the power sequence, the cap moves
-// at most one level per interval (release may drop from MinCapPstate
+// at most one level per interval (release may drop from minCapPstate
 // to 0, which is also one level).
 func TestCapStepDiscipline(t *testing.T) {
 	fn := func(seq []uint16) bool {
@@ -171,8 +173,8 @@ func TestCapStepDiscipline(t *testing.T) {
 			}
 			d := cap - prev
 			if d > 1 || d < -1 {
-				// One exception: imposing the first cap jumps 0 -> MinCapPstate.
-				if !(prev == 0 && cap == m.cfg.MinCapPstate) {
+				// One exception: imposing the first cap jumps 0 -> minCapPstate.
+				if !(prev == 0 && cap == minCapPstate) {
 					return false
 				}
 			}

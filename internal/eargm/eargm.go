@@ -22,22 +22,11 @@ import (
 type Config struct {
 	// BudgetW is the cluster DC power budget in watts.
 	BudgetW float64
-	// ReleaseMark is the fraction of the budget below which the cap is
-	// relaxed one step (default 0.92). Hysteresis between BudgetW and
-	// ReleaseMark·BudgetW keeps the controller from oscillating.
-	ReleaseMark float64
 	// IntervalSec is the control period (default 5 s; EARGM's real
 	// period is seconds to minutes).
 	IntervalSec float64
 	// MaxCapPstate is the deepest ceiling the manager may impose.
 	MaxCapPstate int
-	// MinCapPstate is the shallowest non-released ceiling (default 1,
-	// the nominal frequency: the first action is disabling turbo-level
-	// requests).
-	MinCapPstate int
-	// SettleIntervals is how many consecutive below-release intervals
-	// are required before relaxing (default 2).
-	SettleIntervals int
 	// Telemetry, when set, exposes the manager's activity as
 	// goear_eargm_* instruments and logs ratchet transitions to that
 	// set's event recorder. Falls back to the process-global telemetry
@@ -46,19 +35,24 @@ type Config struct {
 	Telemetry *telemetry.Set
 }
 
+// The fixed ratchet constants.
+const (
+	// releaseMark is the fraction of the budget below which the cap is
+	// relaxed one step. Hysteresis between BudgetW and
+	// releaseMark·BudgetW keeps the controller from oscillating.
+	releaseMark = 0.92
+	// minCapPstate is the shallowest non-released ceiling: the nominal
+	// frequency, so the first action is disabling turbo-level requests.
+	minCapPstate = 1
+	// settleIntervals is how many consecutive below-release intervals
+	// are required before relaxing.
+	settleIntervals = 2
+)
+
 // Defaults fills unset fields.
 func (c Config) Defaults() Config {
-	if c.ReleaseMark == 0 {
-		c.ReleaseMark = 0.92
-	}
 	if c.IntervalSec == 0 {
 		c.IntervalSec = 5
-	}
-	if c.MinCapPstate == 0 {
-		c.MinCapPstate = 1
-	}
-	if c.SettleIntervals == 0 {
-		c.SettleIntervals = 2
 	}
 	return c
 }
@@ -68,16 +62,10 @@ func (c Config) Validate() error {
 	switch {
 	case c.BudgetW <= 0:
 		return fmt.Errorf("eargm: budget must be positive, got %g", c.BudgetW)
-	case c.ReleaseMark <= 0 || c.ReleaseMark >= 1:
-		return fmt.Errorf("eargm: release mark %g outside (0,1)", c.ReleaseMark)
 	case c.IntervalSec <= 0:
 		return fmt.Errorf("eargm: interval must be positive")
-	case c.MaxCapPstate < c.MinCapPstate:
-		return fmt.Errorf("eargm: max cap pstate %d below min %d", c.MaxCapPstate, c.MinCapPstate)
-	case c.MinCapPstate < 1:
-		return fmt.Errorf("eargm: min cap pstate must be >= 1")
-	case c.SettleIntervals < 1:
-		return fmt.Errorf("eargm: settle intervals must be >= 1")
+	case c.MaxCapPstate < minCapPstate:
+		return fmt.Errorf("eargm: max cap pstate %d below min %d", c.MaxCapPstate, minCapPstate)
 	}
 	return nil
 }
@@ -142,17 +130,17 @@ func (m *Manager) Update(now float64, nodePowerW []float64) (int, error) {
 		m.belowCount = 0
 		switch {
 		case m.cap == 0:
-			m.cap = m.cfg.MinCapPstate
+			m.cap = minCapPstate
 			ev.Deepened = true
 		case m.cap < m.cfg.MaxCapPstate:
 			m.cap++
 			ev.Deepened = true
 		}
-	case total < m.cfg.ReleaseMark*m.cfg.BudgetW && m.cap != 0:
+	case total < releaseMark*m.cfg.BudgetW && m.cap != 0:
 		m.belowCount++
-		if m.belowCount >= m.cfg.SettleIntervals {
+		if m.belowCount >= settleIntervals {
 			m.belowCount = 0
-			if m.cap > m.cfg.MinCapPstate {
+			if m.cap > minCapPstate {
 				m.cap--
 			} else {
 				m.cap = 0

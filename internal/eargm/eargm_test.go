@@ -11,17 +11,13 @@ func testConfig() Config {
 
 func TestConfigDefaultsAndValidation(t *testing.T) {
 	c := testConfig().Defaults()
-	if c.ReleaseMark != 0.92 || c.IntervalSec != 5 || c.MinCapPstate != 1 || c.SettleIntervals != 2 {
+	if c.IntervalSec != 5 {
 		t.Errorf("defaults = %+v", c)
 	}
 	muts := []func(*Config){
 		func(c *Config) { c.BudgetW = 0 },
-		func(c *Config) { c.ReleaseMark = 1.0 },
-		func(c *Config) { c.ReleaseMark = -0.1 },
 		func(c *Config) { c.IntervalSec = -1 },
 		func(c *Config) { c.MaxCapPstate = 0 },
-		func(c *Config) { c.MinCapPstate = -1; c.MaxCapPstate = 5 },
-		func(c *Config) { c.SettleIntervals = -1 },
 	}
 	for i, mut := range muts {
 		c := testConfig().Defaults()
@@ -83,7 +79,7 @@ func TestHysteresisRelease(t *testing.T) {
 	if m.Cap() != 3 {
 		t.Errorf("cap moved in dead band: %d", m.Cap())
 	}
-	// Well below release mark: relax one step per SettleIntervals.
+	// Well below release mark: relax one step per settleIntervals.
 	low := []float64{250, 250, 250, 250} // 1000
 	steps := 0
 	for i := 0; i < 12 && m.Cap() != 0; i++ {
@@ -114,7 +110,7 @@ func TestReleaseRequiresSettling(t *testing.T) {
 	if m.Cap() != 1 {
 		t.Fatal("cap not imposed")
 	}
-	// One low interval is not enough (SettleIntervals = 2).
+	// One low interval is not enough (settleIntervals = 2).
 	if _, err := m.Update(5, []float64{900}); err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +165,7 @@ func TestStatsAndEvents(t *testing.T) {
 
 func TestCapBoundsProperty(t *testing.T) {
 	// Whatever power sequence arrives, the cap stays within
-	// [0] ∪ [MinCapPstate, MaxCapPstate].
+	// [0] ∪ [minCapPstate, MaxCapPstate].
 	fn := func(seq []uint16) bool {
 		m, err := New(testConfig())
 		if err != nil {

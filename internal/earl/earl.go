@@ -72,17 +72,21 @@ type Config struct {
 	// SigChangeTh re-applies the policy when a stable signature drifts
 	// beyond this relative threshold (the paper accepts 15 %).
 	SigChangeTh float64
-	// MaxLoopPeriod bounds Dynais period detection.
-	MaxLoopPeriod int
-	// NestingLevels is how many Dynais levels are stacked (default 2:
-	// inner loop plus one nesting level, enough for the outer time-step
-	// structure of the paper's applications).
-	NestingLevels int
 	// EventLog retains every signature-handling Event for Events. Off,
 	// the library only counts (Signatures, Applies): a campaign of
 	// thousands of runs that never reads the trace keeps none.
 	EventLog bool
 }
+
+// The fixed Dynais shape.
+const (
+	// maxLoopPeriod bounds Dynais period detection.
+	maxLoopPeriod = 64
+	// nestingLevels is how many Dynais levels are stacked: the inner
+	// loop plus one nesting level, enough for the outer time-step
+	// structure of the paper's applications.
+	nestingLevels = 2
+)
 
 // Defaults fills unset fields.
 func (c Config) Defaults() Config {
@@ -91,12 +95,6 @@ func (c Config) Defaults() Config {
 	}
 	if c.SigChangeTh == 0 {
 		c.SigChangeTh = 0.15
-	}
-	if c.MaxLoopPeriod == 0 {
-		c.MaxLoopPeriod = 64
-	}
-	if c.NestingLevels == 0 {
-		c.NestingLevels = 2
 	}
 	return c
 }
@@ -142,9 +140,8 @@ type Library struct {
 func New(cfg Config, ctl Ctl) (*Library, error) { return Renew(nil, cfg, ctl) }
 
 // Renew rebuilds l in place for a new run, as New would build it; a nil
-// l is New. The Dynais hierarchy (with its detector windows) and the
-// event buffer are kept when NestingLevels and MaxLoopPeriod are
-// unchanged, so renewing a node's library for the same shape allocates
+// l is New. The Dynais hierarchy (with its detector windows) is Reset
+// and the event buffer kept, so renewing a node's library allocates
 // nothing. cfg is validated exactly as New does; on error l is left as
 // it was.
 func Renew(l *Library, cfg Config, ctl Ctl) (*Library, error) {
@@ -159,11 +156,11 @@ func Renew(l *Library, cfg Config, ctl Ctl) (*Library, error) {
 		l = new(Library)
 	}
 	d := l.dyn
-	if d != nil && l.cfg.NestingLevels == cfg.NestingLevels && l.cfg.MaxLoopPeriod == cfg.MaxLoopPeriod {
+	if d != nil {
 		d.Reset()
 	} else {
 		var err error
-		if d, err = dynais.NewHierarchy(cfg.NestingLevels, cfg.MaxLoopPeriod); err != nil {
+		if d, err = dynais.NewHierarchy(nestingLevels, maxLoopPeriod); err != nil {
 			return nil, err
 		}
 	}

@@ -471,10 +471,9 @@ func TestStateString(t *testing.T) {
 	}
 }
 
-// TestRenewMatchesNew: a library renewed after a run behaves as a new
-// one, whether Renew keeps its Dynais hierarchy (same shape) or has to
-// build another (changed shape); and a renewal that fails leaves the
-// library untouched.
+// TestRenewMatchesNew: a library renewed after a run keeps its Dynais
+// hierarchy and behaves as a new one; and a renewal that fails leaves
+// the library untouched.
 func TestRenewMatchesNew(t *testing.T) {
 	script := func() *scriptedPolicy {
 		return &scriptedPolicy{
@@ -516,7 +515,6 @@ func TestRenewMatchesNew(t *testing.T) {
 		cfg  Config
 	}{
 		{"same shape", Config{EventLog: true}},
-		{"new shape", Config{EventLog: true, NestingLevels: 3, MaxLoopPeriod: 16}},
 		{"log off", Config{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -545,8 +543,8 @@ func TestRenewMatchesNew(t *testing.T) {
 			if got != l {
 				t.Fatal("Renew built a new library instead of renewing in place")
 			}
-			if keep := tc.cfg.NestingLevels == 0; (l.dyn == dyn) != keep {
-				t.Errorf("hierarchy kept = %v, want %v", l.dyn == dyn, keep)
+			if l.dyn != dyn {
+				t.Error("Renew rebuilt the Dynais hierarchy instead of keeping it")
 			}
 			if o := drive(l, ctl, second); !reflect.DeepEqual(o, want) {
 				t.Errorf("renewed library:\n%+v\nnew library:\n%+v", o, want)
@@ -559,9 +557,6 @@ func TestRenewMatchesNew(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := *l
-	if _, err := Renew(l, Config{Policy: script(), MaxLoopPeriod: -1}, newFakeCtl()); err == nil {
-		t.Error("Renew accepted a negative MaxLoopPeriod")
-	}
 	if _, err := Renew(l, Config{}, newFakeCtl()); err == nil {
 		t.Error("Renew accepted a missing policy")
 	}

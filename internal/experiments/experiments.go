@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"sort"
 
-	"goear/internal/eard"
 	"goear/internal/eargm"
 	"goear/internal/model"
 	"goear/internal/report"
@@ -125,10 +124,9 @@ type runKey struct {
 	runs int
 	opt  sim.Options
 
-	cpuTh, uncTh, noiseSD set[float64]
-	fixedCPUPstate        set[int]
-	fixedUncoreRatio      set[uint64]
-	daemonLimits          set[eard.Limits]
+	cpuTh, uncTh     set[float64]
+	fixedCPUPstate   set[int]
+	fixedUncoreRatio set[uint64]
 }
 
 // keyOf builds the cache key of a run. The options are resolved to
@@ -138,13 +136,12 @@ func keyOf(name string, o sim.Options, runs int) runKey {
 	o = o.WithDefaults()
 	k := runKey{
 		name: name, runs: runs,
-		cpuTh: deref(o.CPUTh), uncTh: deref(o.UncTh), noiseSD: deref(o.NoiseSD),
+		cpuTh: deref(o.CPUTh), uncTh: deref(o.UncTh),
 		fixedCPUPstate:   deref(o.FixedCPUPstate),
 		fixedUncoreRatio: deref(o.FixedUncoreRatio),
-		daemonLimits:     deref(o.DaemonLimits),
 	}
-	o.CPUTh, o.UncTh, o.NoiseSD = nil, nil, nil
-	o.FixedCPUPstate, o.FixedUncoreRatio, o.DaemonLimits = nil, nil, nil
+	o.CPUTh, o.UncTh = nil, nil
+	o.FixedCPUPstate, o.FixedUncoreRatio = nil, nil
 	o.Model, o.Workers, o.ReferenceStep = nil, 0, false
 	k.opt = o
 	return k

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"goear/internal/eard"
 	"goear/internal/model"
 	"goear/internal/sim"
 	"goear/internal/workload"
@@ -250,9 +249,9 @@ func TestRunCacheReuse(t *testing.T) {
 }
 
 // TestRunCacheKeepsOutputOptionsApart is the aliasing regression: the
-// options that only add output (a trace, phase samples), the trace
-// period and the daemon limits were not part of the format-string key,
-// so asking for them after the plain run returned the plain run.
+// options that only add output (a trace, the decision log) are part of
+// the key, so asking for them after the plain run does not return the
+// plain run.
 func TestRunCacheKeepsOutputOptionsApart(t *testing.T) {
 	c := NewQuick()
 	plain := sim.Options{Policy: "min_energy_eufs", Seed: 40}
@@ -275,29 +274,13 @@ func TestRunCacheKeepsOutputOptionsApart(t *testing.T) {
 
 	traced := plain
 	traced.Trace = true
-	full := again("Trace", traced)
-	if len(full.Nodes[0].Trace) == 0 {
+	if r := again("Trace", traced); len(r.Nodes[0].Trace) == 0 {
 		t.Error("Trace after the untraced run: empty trace")
 	}
-	traced.TraceStepSec = 5
-	if coarse := again("TraceStepSec", traced); len(coarse.Nodes[0].Trace) >= len(full.Nodes[0].Trace) {
-		t.Errorf("TraceStepSec 5: %d points, the 1 s trace has %d", len(coarse.Nodes[0].Trace), len(full.Nodes[0].Trace))
-	}
-	phased := plain
-	phased.Phases = true
-	if r := again("Phases", phased); len(r.Nodes[0].Phases) == 0 {
-		t.Error("Phases after the plain run: no phase samples")
-	}
-	limited := plain
-	limited.DaemonLimits = &eard.Limits{MaxPstate: 2}
-	again("DaemonLimits", limited)
-	// Limits are compared by value, not by pointer.
-	limited.DaemonLimits = &eard.Limits{MaxPstate: 2}
-	if _, err := c.Run(workload.BTCUDA, limited); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Stats().RunsExecuted; got != executed {
-		t.Errorf("equal limits behind another pointer executed again: %d runs, want %d", got, executed)
+	logged := plain
+	logged.DecisionLog = true
+	if r := again("DecisionLog", logged); len(r.Nodes[0].Decisions) == 0 {
+		t.Error("DecisionLog after the plain run: no decisions")
 	}
 }
 
@@ -377,7 +360,7 @@ func TestRunKeyCoversOptions(t *testing.T) {
 		t.Error("workload and run count must be part of the key")
 	}
 	// Defaults are resolved first: unset and the explicit default agree.
-	if keyOf("w", sim.Options{}, 1) != keyOf("w", sim.Options{Policy: "none", CPUTh: sim.F(0.05), StepSec: 0.01}, 1) {
+	if keyOf("w", sim.Options{}, 1) != keyOf("w", sim.Options{Policy: "none", CPUTh: sim.F(0.05)}, 1) {
 		t.Error("an explicit default and an unset option have different keys")
 	}
 }

@@ -82,7 +82,7 @@ func (p *duf) Apply(in Inputs) (NodeFreqs, State, error) {
 
 	// Degradation beyond tolerance: back off one step and hold.
 	if ipc(sig) < p.refIPC*(1-dufIPCTolerance) || sig.GBs < p.refGBs*(1-dufIPCTolerance) {
-		p.curMax += p.cfg.UncoreStep
+		p.curMax += uncoreStep
 		if p.curMax > p.cfg.UncoreMaxRatio {
 			p.curMax = p.cfg.UncoreMaxRatio
 		}
@@ -103,7 +103,7 @@ func (p *duf) step(in Inputs) (NodeFreqs, State, error) {
 		p.holding = true
 		return p.freqs(in), Ready, nil
 	}
-	p.curMax -= p.cfg.UncoreStep
+	p.curMax -= uncoreStep
 	if p.curMax < p.cfg.UncoreMinRatio {
 		p.curMax = p.cfg.UncoreMinRatio
 	}

@@ -143,7 +143,7 @@ func (p *eufs) compRef(in Inputs) (NodeFreqs, State, error) {
 		p.curMax = p.cfg.UncoreMinRatio
 		return p.freqs(), Ready, nil
 	}
-	p.curMax = start - p.cfg.UncoreStep
+	p.curMax = start - uncoreStep
 	if p.curMax < p.cfg.UncoreMinRatio {
 		p.curMax = p.cfg.UncoreMinRatio
 	}
@@ -167,7 +167,7 @@ func (p *eufs) imcStep(in Inputs) (NodeFreqs, State, error) {
 	extraCPI := p.refCPI * p.cfg.UncPolicyTh
 	extraGBs := p.refGBs * p.cfg.UncPolicyTh
 	if sig.CPI > p.refCPI+extraCPI || sig.GBs < p.refGBs-extraGBs {
-		p.curMax += p.cfg.UncoreStep
+		p.curMax += uncoreStep
 		if p.curMax > p.cfg.UncoreMaxRatio {
 			p.curMax = p.cfg.UncoreMaxRatio
 		}
@@ -180,7 +180,7 @@ func (p *eufs) imcStep(in Inputs) (NodeFreqs, State, error) {
 	}
 
 	// Keep lowering.
-	p.curMax -= p.cfg.UncoreStep
+	p.curMax -= uncoreStep
 	if p.curMax < p.cfg.UncoreMinRatio {
 		p.curMax = p.cfg.UncoreMinRatio
 	}

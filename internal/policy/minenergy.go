@@ -82,7 +82,7 @@ func (p *minEnergy) selectPstate(in Inputs) (int, model.Prediction, error) {
 	// prediction-based search does not apply: EAR drops a bounded
 	// number of pstates to harvest the idle host core.
 	if IsBusyWaiting(sig) {
-		sel := def + p.cfg.BusyWaitPstateDrop
+		sel := def + busyWaitPstateDrop
 		if max := p.cfg.Model.PstateCount() - 1; sel > max {
 			sel = max
 		}

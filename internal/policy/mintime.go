@@ -19,7 +19,7 @@ const minTimeDefaultDrop = 4
 
 // minTime is min_time_to_solution: starting from its (lower) default
 // frequency, it raises the CPU frequency one pstate at a time while the
-// predicted time gain per step stays above MinTimeMinGain — applications
+// predicted time gain per step stays above minTimeMinGain — applications
 // that do not scale with frequency stay low, frequency-sensitive ones
 // climb to nominal. The paper lists this policy's eUFS integration as
 // ongoing work; it is provided here with the same uncore stage as
@@ -77,11 +77,11 @@ func (p *minTime) Apply(in Inputs) (NodeFreqs, State, error) {
 	sel := p.defPst
 	cur := p.tbl.Preds[sel]
 	// Climb toward pstate 1 (nominal) while each step still buys at
-	// least MinTimeMinGain of relative time.
+	// least minTimeMinGain of relative time.
 	for ps := sel - 1; ps >= 1; ps-- {
 		next := p.tbl.Preds[ps]
 		gain := (cur.TimeSec - next.TimeSec) / cur.TimeSec
-		if gain < p.cfg.MinTimeMinGain {
+		if gain < minTimeMinGain {
 			break
 		}
 		sel, cur = ps, next
@@ -99,7 +99,7 @@ func (p *minTime) Validate(in Inputs) bool {
 	if !p.havePred {
 		return true
 	}
-	margin := p.cfg.SigChangeTh + p.cfg.MinTimeMinGain
+	margin := p.cfg.SigChangeTh + minTimeMinGain
 	return p.predCPI <= 0 || in.Sig.CPI <= p.predCPI*(1+margin)
 }
 

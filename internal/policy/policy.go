@@ -136,19 +136,24 @@ type Config struct {
 	// SigChangeTh is the relative signature variation treated as an
 	// application phase change (the paper accepts 15 %).
 	SigChangeTh float64
-	// UncoreStep is the search step in ratio units (1 = 0.1 GHz).
-	UncoreStep uint64
 	// PinBothLimits sets min=max during the IMC search instead of the
 	// paper's chosen move-max-only strategy (§V-B item 3); kept as an
 	// ablation of that design decision.
 	PinBothLimits bool
-	// BusyWaitPstateDrop is how many pstates below default the policy
-	// selects for busy-waiting (GPU offload) phases.
-	BusyWaitPstateDrop int
-	// MinTimeMinGain is min_time_to_solution's required relative time
-	// gain per frequency step.
-	MinTimeMinGain float64
 }
+
+// The fixed policy constants.
+const (
+	// uncoreStep is the IMC search step in ratio units (1 = 0.1 GHz).
+	uncoreStep = 1
+	// busyWaitPstateDrop is how many pstates below default the policy
+	// selects for busy-waiting (GPU offload) phases.
+	busyWaitPstateDrop = 2
+	// minTimeMinGain is min_time_to_solution's required relative time
+	// gain per frequency step: just below one 100 MHz step's ideal gain
+	// at nominal (4.2 %), so frequency-sensitive code climbs all the way.
+	minTimeMinGain = 0.03
+)
 
 // Defaults fills unset fields with the paper's defaults.
 func (c Config) Defaults() Config {
@@ -163,17 +168,6 @@ func (c Config) Defaults() Config {
 	}
 	if c.SigChangeTh == 0 {
 		c.SigChangeTh = 0.15
-	}
-	if c.UncoreStep == 0 {
-		c.UncoreStep = 1
-	}
-	if c.BusyWaitPstateDrop == 0 {
-		c.BusyWaitPstateDrop = 2
-	}
-	if c.MinTimeMinGain == 0 {
-		// Just below one 100 MHz step's ideal gain at nominal (4.2%),
-		// so frequency-sensitive code climbs all the way.
-		c.MinTimeMinGain = 0.03
 	}
 	return c
 }
@@ -193,8 +187,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("policy: uncore window [%d,%d] invalid", c.UncoreMinRatio, c.UncoreMaxRatio)
 	case c.SigChangeTh <= 0:
 		return fmt.Errorf("policy: signature change threshold must be positive")
-	case c.UncoreStep == 0:
-		return fmt.Errorf("policy: uncore step must be positive")
 	}
 	return c.Model.Validate()
 }

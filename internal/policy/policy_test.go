@@ -136,7 +136,7 @@ func TestConfigValidation(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	c := Config{Model: sd530Model(t), UncoreMinRatio: 12, UncoreMaxRatio: 24}.Defaults()
 	if c.CPUPolicyTh != 0.05 || c.UncPolicyTh != 0.02 || c.DefaultPstate != 1 ||
-		c.SigChangeTh != 0.15 || c.UncoreStep != 1 || c.BusyWaitPstateDrop != 2 {
+		c.SigChangeTh != 0.15 {
 		t.Errorf("defaults wrong: %+v", c)
 	}
 }

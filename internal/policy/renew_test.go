@@ -130,7 +130,7 @@ func TestRenewReusesOnlyWhatNewWouldBuild(t *testing.T) {
 		t.Error("same name and config: not reused")
 	}
 	undefaulted := cfg
-	undefaulted.UncoreStep, undefaulted.MinTimeMinGain = 0, 0
+	undefaulted.SigChangeTh, undefaulted.DefaultPstate = 0, 0
 	if p := renew(old, MinEnergyEUFS, undefaulted); p != old {
 		t.Error("a config equal after Defaults: not reused")
 	}

@@ -27,7 +27,7 @@ type Batch struct {
 // NewBatch builds an empty batch for one calibrated workload. Options
 // are defaulted exactly as Run does; nodes join with Add.
 func NewBatch(cal workload.Calibrated, opt Options) (*Batch, error) {
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	if opt.Policy != "none" && opt.Model == nil {
 		return nil, fmt.Errorf("sim: policy %q needs a trained model", opt.Policy)
 	}

@@ -18,18 +18,16 @@ type batchGoldenCase struct {
 	name    string
 	wl      string
 	policy  string
-	phases  bool
 	budgetW float64 // 0 = loose (manager never caps)
 }
 
 func batchGoldenCases() []batchGoldenCase {
 	return []batchGoldenCase{
 		// Tight budget engages the cap ratchet, exercising the disarm
-		// on SetCapRatio; phases exercise the in-place phase-sample
-		// pointer.
-		{name: "btmz_eufs_capped", wl: workload.BTMZC, policy: "min_energy_eufs", budgetW: 1100, phases: true},
+		// on SetCapRatio.
+		{name: "btmz_eufs_capped", wl: workload.BTMZC, policy: "min_energy_eufs", budgetW: 1100},
 		{name: "btmz_eufs", wl: workload.BTMZC, policy: "min_energy_eufs"},
-		{name: "btmz_none", wl: workload.BTMZC, policy: "none", phases: true},
+		{name: "btmz_none", wl: workload.BTMZC, policy: "none"},
 		// Accelerator class: wall-clock paced iterations take the other
 		// replay branch.
 		{name: "btcuda_eufs", wl: workload.BTCUDA, policy: "min_energy_eufs"},
@@ -39,7 +37,7 @@ func batchGoldenCases() []batchGoldenCase {
 
 func (c batchGoldenCase) options(t *testing.T, m *model.Model) Options {
 	t.Helper()
-	opt := Options{Policy: c.policy, Seed: 11, Phases: c.phases}
+	opt := Options{Policy: c.policy, Seed: 11}
 	if c.policy != "none" {
 		opt.Model = m
 	}
@@ -168,7 +166,7 @@ func driveBatches(t *testing.T, cal workload.Calibrated, opt Options, nb int, ca
 func TestCallGranularityIndependence(t *testing.T) {
 	cal := calibrated(t, workload.BTMZC)
 	cal.Nodes = 4
-	opt := Options{Policy: "min_energy_eufs", Model: platformModel(t, cal.Platform), Seed: 3, Phases: true}
+	opt := Options{Policy: "min_energy_eufs", Model: platformModel(t, cal.Platform), Seed: 3}
 
 	whole := func(*Batch, float64) error { return nil }
 	ticks := func(b *Batch, hi float64) error {

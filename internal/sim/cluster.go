@@ -32,7 +32,7 @@ type PowerManager interface {
 // bit-identical to stepping, so the result is byte-identical at any
 // Workers count and under ReferenceStep.
 func RunCoordinated(cal workload.Calibrated, opt Options, gm PowerManager) (Result, error) {
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	if gm == nil {
 		return Result{}, fmt.Errorf("sim: coordinated run needs a power manager")
 	}

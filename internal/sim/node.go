@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"goear/internal/cpu"
-	"goear/internal/eard"
 	"goear/internal/earl"
 	"goear/internal/metrics"
 	"goear/internal/msr"
@@ -109,11 +108,6 @@ type node struct {
 	lastTraceE float64
 	lastTraceB float64
 
-	// Per-phase accumulation (Options.Phases). Segments run strictly in
-	// order, so phases[i] covers segment i; the backing array survives
-	// pool recycles (result copies out) and is truncated by init.
-	phases []PhaseSample
-
 	// Position in the workload and the in-flight iteration's noise.
 	segIdx, iterInSeg int
 	tNoise, pNoise    float64
@@ -174,9 +168,8 @@ func runNode(cal workload.Calibrated, nodeID int, opt Options) (NodeResult, erro
 
 // startIteration draws this iteration's noise and work budget.
 func (n *node) startIteration() {
-	sd := *n.opt.NoiseSD
-	n.tNoise = 1 + sd*n.rng.NormFloat64()
-	n.pNoise = 1 + sd*n.rng.NormFloat64()
+	n.tNoise = 1 + noiseSD*n.rng.NormFloat64()
+	n.pNoise = 1 + noiseSD*n.rng.NormFloat64()
 	if n.tNoise < 0.9 {
 		n.tNoise = 0.9
 	}
@@ -216,11 +209,11 @@ func (n *node) stepOnce() error {
 
 	var dt, nInstr float64
 	if n.cal.Class == workload.Accelerator {
-		dt = math.Min(n.opt.StepSec, n.wallLeft)
+		dt = math.Min(stepSec, n.wallLeft)
 		nInstr = dt / spi
 		n.wallLeft -= dt
 	} else {
-		nInstr = n.opt.StepSec / spi
+		nInstr = stepSec / spi
 		if nInstr > n.instrLeft {
 			nInstr = n.instrLeft
 		}
@@ -288,7 +281,6 @@ func (n *node) init(cal workload.Calibrated, nodeID int, opt Options) error {
 	n.capRatio = 0
 	n.trace = nil
 	n.lastTraceT, n.lastTraceE, n.lastTraceB = 0, 0, 0
-	n.phases = n.phases[:0]
 	n.segIdx, n.iterInSeg = 0, 0
 	n.instrLeft, n.wallLeft = 0, 0
 	n.iterActive, n.done = false, false
@@ -359,14 +351,6 @@ func (n *node) init(cal workload.Calibrated, nodeID int, opt Options) error {
 	}
 
 	if opt.Policy != "none" {
-		var libCtl earl.Ctl = nctl
-		if opt.DaemonLimits != nil {
-			d, err := eard.NewDaemon(nctl, *opt.DaemonLimits)
-			if err != nil {
-				return err
-			}
-			libCtl = d
-		}
 		pcfg := policy.Config{
 			Model:          opt.Model,
 			CPUPolicyTh:    *opt.CPUTh,
@@ -384,14 +368,12 @@ func (n *node) init(cal workload.Calibrated, nodeID int, opt Options) error {
 			return err
 		}
 		n.pol = pol
-		// libCtl is taken afresh every run: with DaemonLimits it is a
-		// new daemon wrapping this node.
 		lib, err := earl.Renew(n.ownLib, earl.Config{
 			Policy:       pol,
 			MinWindowSec: opt.MinWindowSec,
 			SigChangeTh:  opt.SigChangeTh,
 			EventLog:     opt.DecisionLog,
-		}, libCtl)
+		}, nctl)
 		if err != nil {
 			return err
 		}
@@ -496,35 +478,13 @@ func (n *node) advance(segIdx int, e evalEntry, nInstr, dt, pNoise float64) erro
 	n.coreFreqSec += float64(e.res.EffCoreFreq.GHzF() * n.cal.FreqBias * dt)
 	n.imcFreqSec += float64(e.res.UncoreFreq.GHzF() * n.cal.IMCBias * dt)
 
-	if n.opt.Phases {
-		// Segments run in order, each visited contiguously, so the
-		// current segment is either the last sample or a fresh one.
-		if len(n.phases) == segIdx {
-			n.phases = append(n.phases, PhaseSample{Seg: segIdx, StartSec: n.now})
-		}
-		ph := &n.phases[segIdx]
-		ph.PkgJ += float64(scaled.Pkg * dt)
-		ph.DramJ += float64(scaled.Dram * dt)
-		// Uncore is not separately noise-scaled in the RAPL view (it is
-		// a component of Pkg there); for attribution it carries the same
-		// multiplicative noise as its parent domain.
-		ph.UncoreJ += float64(e.brk.Uncore * pNoise * dt)
-		ph.NodeJ += float64(total * dt)
-		ph.Instr += nodeInstr
-		ph.Cycles += float64(dt * e.res.EffCoreFreq.GHzF() * 1e9 * float64(n.cal.ActiveCores))
-		ph.DRAMBytes += float64(nodeInstr * seg.Phase.BytesPerInstr)
-		ph.CoreFreqSec += float64(e.res.EffCoreFreq.GHzF() * n.cal.FreqBias * dt)
-		ph.IMCFreqSec += float64(e.res.UncoreFreq.GHzF() * n.cal.IMCBias * dt)
-		ph.EndSec = n.now + dt
-	}
-
 	for _, c := range n.ctls {
 		if err := c.Advance(dt, e.effRatio); err != nil {
 			return err
 		}
 	}
 	n.now += dt
-	if n.opt.Trace && n.now-n.lastTraceT >= n.opt.TraceStepSec {
+	if n.opt.Trace && n.now-n.lastTraceT >= traceStepSec {
 		if err := n.traceSample(e); err != nil {
 			return err
 		}
@@ -621,11 +581,6 @@ func (n *node) result() (NodeResult, error) {
 	r.AvgPowerW = r.EnergyJ / r.TimeSec
 	r.AvgPkgPowerW = r.PkgEnergyJ / r.TimeSec
 	r.Trace = n.trace
-	if n.opt.Phases {
-		// Copy out: the node (and its phases backing array) goes back to
-		// the pool, but results outlive the run.
-		r.Phases = append([]PhaseSample(nil), n.phases...)
-	}
 	if n.lib != nil {
 		r.Signatures = n.lib.Signatures()
 		r.LoopDetected = n.lib.LoopDetected()

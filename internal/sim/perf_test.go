@@ -13,33 +13,12 @@ import (
 // resolve to the documented defaults.
 func TestExplicitZeroThresholds(t *testing.T) {
 	d := Options{}.WithDefaults()
-	if *d.CPUTh != 0.05 || *d.UncTh != 0.02 || *d.NoiseSD != 0.003 {
-		t.Errorf("nil thresholds resolved to (%v, %v, %v), want (0.05, 0.02, 0.003)",
-			*d.CPUTh, *d.UncTh, *d.NoiseSD)
+	if *d.CPUTh != 0.05 || *d.UncTh != 0.02 {
+		t.Errorf("nil thresholds resolved to (%v, %v), want (0.05, 0.02)", *d.CPUTh, *d.UncTh)
 	}
-	z := Options{CPUTh: F(0), UncTh: F(0), NoiseSD: F(0)}.WithDefaults()
-	if *z.CPUTh != 0 || *z.UncTh != 0 || *z.NoiseSD != 0 {
-		t.Errorf("explicit zeros resolved to (%v, %v, %v), want (0, 0, 0)",
-			*z.CPUTh, *z.UncTh, *z.NoiseSD)
-	}
-}
-
-// TestExplicitZeroNoiseIsNoiseless verifies F(0) actually changes run
-// behaviour: with NoiseSD zero, two different seeds produce identical
-// results, something an unset (defaulted) NoiseSD never does.
-func TestExplicitZeroNoiseIsNoiseless(t *testing.T) {
-	cal := calibrated(t, workload.BTMZC)
-	a, err := Run(cal, Options{Policy: "none", NoiseSD: F(0), Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(cal, Options{Policy: "none", NoiseSD: F(0), Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.TimeSec != b.TimeSec || a.EnergyJ != b.EnergyJ {
-		t.Errorf("noiseless runs differ across seeds: (%v, %v) vs (%v, %v)",
-			a.TimeSec, a.EnergyJ, b.TimeSec, b.EnergyJ)
+	z := Options{CPUTh: F(0), UncTh: F(0)}.WithDefaults()
+	if *z.CPUTh != 0 || *z.UncTh != 0 {
+		t.Errorf("explicit zeros resolved to (%v, %v), want (0, 0)", *z.CPUTh, *z.UncTh)
 	}
 }
 
@@ -81,7 +60,7 @@ func TestRunAllocationsIndependentOfLength(t *testing.T) {
 	long := short
 	long.Segs = append([]workload.CalSegment(nil), short.Segs...)
 	long.Segs[0].Iterations *= 4
-	opt := Options{Policy: "min_energy_eufs", Model: platformModel(t, short.Platform), Seed: 1}.withDefaults()
+	opt := Options{Policy: "min_energy_eufs", Model: platformModel(t, short.Platform), Seed: 1}.WithDefaults()
 
 	var sigs [2]int
 	var allocs [2]float64

@@ -35,7 +35,7 @@ func runOn(t *testing.T, n *node, cal workload.Calibrated, nodeID int, opt Optio
 // (see TestRunAllocationsIndependentOfLength).
 func TestRecycledNodeRunDoesNotAllocate(t *testing.T) {
 	cal := calibrated(t, workload.BTMZD)
-	opt := Options{Policy: policy.MinEnergyEUFS, Model: platformModel(t, cal.Platform), Seed: 1}.withDefaults()
+	opt := Options{Policy: policy.MinEnergyEUFS, Model: platformModel(t, cal.Platform), Seed: 1}.WithDefaults()
 	n := new(node)
 	first := runOn(t, n, cal, 0, opt)
 	if first.Signatures < 10 || !first.LoopDetected {
@@ -71,7 +71,7 @@ func TestRecycledNodeMatchesFresh(t *testing.T) {
 		{bt, Options{Policy: "none", Seed: 4}},
 		{bt, Options{Policy: policy.MinEnergyEUFS, Model: btModel, Seed: 3, DecisionLog: true}},
 	} {
-		opt := c.opt.withDefaults()
+		opt := c.opt.WithDefaults()
 		got := runOn(t, n, c.cal, 1, opt)
 		want := runOn(t, new(node), c.cal, 1, opt)
 		if !reflect.DeepEqual(got, want) {
@@ -89,7 +89,7 @@ func TestRecycledNodeMatchesFresh(t *testing.T) {
 // once it is turned off again.
 func TestRecycledNodeFollowsTelemetry(t *testing.T) {
 	cal := calibrated(t, workload.BTMZD)
-	opt := Options{Policy: policy.MinEnergyEUFS, Model: platformModel(t, cal.Platform), Seed: 1}.withDefaults()
+	opt := Options{Policy: policy.MinEnergyEUFS, Model: platformModel(t, cal.Platform), Seed: 1}.WithDefaults()
 	n := new(node)
 	runOn(t, n, cal, 0, opt)
 

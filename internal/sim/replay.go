@@ -44,9 +44,6 @@ type armedState struct {
 	nsock int
 	lut   tickLUT
 
-	// ph is the in-flight phase sample (Options.Phases), nil otherwise.
-	ph *PhaseSample
-
 	inmTrue, inmPub, inmLast, inmNow float64
 
 	carryDram float64
@@ -72,7 +69,6 @@ type tickLUT struct {
 	pkgJ      float64 // RAPL PKG joules per tick (all sockets)
 	dramJ     float64
 	sockPkgJ  float64 // RAPL PKG joules per tick per socket
-	uncJ      float64 // uncore share per tick (phase attribution)
 	coreFS    float64 // core frequency-seconds per tick
 	imcFS     float64
 	esuScale  float64 // joules -> RAPL counter counts multiplier
@@ -113,14 +109,14 @@ func (n *node) replay(t float64) {
 	ticks := uint64(0)
 	for n.now < t {
 		if a.accel {
-			// stepOnce: dt = min(StepSec, wallLeft); the replayed tick
-			// needs dt == StepSec and the iteration not to finish.
+			// stepOnce: dt = min(stepSec, wallLeft); the replayed tick
+			// needs dt == stepSec and the iteration not to finish.
 			if n.wallLeft-l.dt <= 1e-9 {
 				break
 			}
 			n.wallLeft -= l.dt
 		} else {
-			// stepOnce: nInstr = StepSec/spi clamped to instrLeft; the
+			// stepOnce: nInstr = stepSec/spi clamped to instrLeft; the
 			// replayed tick needs no clamp and the iteration not to
 			// finish.
 			if l.instr > n.instrLeft {
@@ -167,19 +163,6 @@ func (n *node) replay(t float64) {
 		n.coreFreqSec += l.coreFS
 		n.imcFreqSec += l.imcFS
 
-		if ph := a.ph; ph != nil {
-			ph.PkgJ += l.pkgJ
-			ph.DramJ += l.dramJ
-			ph.UncoreJ += l.uncJ
-			ph.NodeJ += l.totalJ
-			ph.Instr += l.nodeInstr
-			ph.Cycles += l.cycles
-			ph.DRAMBytes += l.bytes
-			ph.CoreFreqSec += l.coreFS
-			ph.IMCFreqSec += l.imcFS
-			ph.EndSec = n.now + l.dt
-		}
-
 		// Settled controllers: ticks are no-ops, only the accumulator moves.
 		for s := 0; s < a.nsock; s++ {
 			a.ctlAcc[s] = uncore.SettleAccum(a.ctlAcc[s], l.dt)
@@ -209,20 +192,16 @@ func (n *node) arm() {
 			return
 		}
 	}
-	if n.opt.Phases && len(n.phases) <= n.segIdx {
-		return
-	}
-
 	a := &n.armed
 	a.accel = n.cal.Class == workload.Accelerator
 	a.nsock = ns
 	l := &a.lut
 	spi := e.res.SecPerInstr * n.tNoise
 	if a.accel {
-		l.dt = n.opt.StepSec
+		l.dt = stepSec
 		l.instr = l.dt / spi
 	} else {
-		l.instr = n.opt.StepSec / spi
+		l.instr = stepSec / spi
 		l.dt = float64(l.instr * spi)
 	}
 	// The products advance writes as float64(a*b), rounded here the
@@ -240,7 +219,6 @@ func (n *node) arm() {
 	l.sockPkgJ = float64(scaledPkg / float64(ns) * l.dt)
 	l.pkgJ = float64(scaledPkg * l.dt)
 	l.dramJ = float64(scaledDram * l.dt)
-	l.uncJ = float64(e.brk.Uncore * n.pNoise * l.dt)
 	l.coreFS = float64(e.res.EffCoreFreq.GHzF() * n.cal.FreqBias * l.dt)
 	l.imcFS = float64(e.res.UncoreFreq.GHzF() * n.cal.IMCBias * l.dt)
 
@@ -261,9 +239,6 @@ func (n *node) arm() {
 	}
 	a.carryDram = n.rapl.FlatCarry(a.carryPkg[:ns])
 	a.inmTrue, a.inmPub, a.inmLast, a.inmNow = n.inm.FlatState()
-	if n.opt.Phases {
-		a.ph = &n.phases[n.segIdx]
-	}
 	a.on = true
 }
 
@@ -283,7 +258,6 @@ func (n *node) disarm() error {
 	}
 	n.rapl.SetFlatCarry(a.carryPkg[:a.nsock], a.carryDram)
 	n.inm.SetFlatState(a.inmTrue, a.inmPub, a.inmLast, a.inmNow)
-	a.ph = nil
 	a.on = false
 	return nil
 }

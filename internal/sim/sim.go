@@ -8,7 +8,6 @@ package sim
 import (
 	"fmt"
 
-	"goear/internal/eard"
 	"goear/internal/model"
 	"goear/internal/par"
 	"goear/internal/workload"
@@ -42,37 +41,19 @@ type Options struct {
 	// PinBothUncoreLimits makes the eUFS search pin min=max instead of
 	// moving only the maximum (ablation A3 of the paper's §V-B item 3).
 	PinBothUncoreLimits bool
-	// StepSec is the simulation step (default 10 ms, the uncore
-	// controller tick).
-	StepSec float64
-	// NoiseSD is the per-iteration multiplicative noise standard
-	// deviation. nil means the default 0.3 %; F(0) runs noiseless.
-	NoiseSD *float64
 	// SigChangeTh overrides EARL's signature-change threshold.
 	SigChangeTh float64
 	// MinWindowSec overrides EARL's signature window.
 	MinWindowSec float64
-	// DaemonLimits, when set, routes EARL's actuation through the node
-	// daemon's enforcement (site pstate bounds, uncore floor).
-	DaemonLimits *eard.Limits
 	// DecisionLog collects every EARL signature-handling event into
 	// NodeResult.Decisions (see Result.WriteDecisionLog). Collection is
 	// per-node and ordered, so the log is byte-identical at any Workers
 	// count. Off by default: the conversion allocates per node run.
 	DecisionLog bool
-	// Trace records a per-node time series (one point per TraceStepSec
+	// Trace records a per-node time series (one point per traceStepSec
 	// of simulated time) in NodeResult.Trace. A traced node never arms:
 	// trace points need per-step sampling.
 	Trace bool
-	// Phases accumulates per-workload-phase energy and usage counters
-	// into NodeResult.Phases — the raw material per-job energy
-	// attribution (package accounting) splits. Like the trace it is
-	// opt-in: the accumulation is cheap (a few adds per step) but the
-	// samples allocate per node run. Phase accumulation is per-node and
-	// ordered, so it is byte-identical at any Workers count.
-	Phases bool
-	// TraceStepSec is the trace sampling period (default 1 s).
-	TraceStepSec float64
 	// Workers bounds the goroutines fanned out over a run's nodes and
 	// over RunAveraged's seeds (0 or 1 = sequential). Every node and
 	// every averaged run draws its randomness from an RNG seeded purely
@@ -100,20 +81,30 @@ func (o Options) workers() int {
 //	sim.Options{Policy: "min_energy_eufs", UncTh: sim.F(0)}
 func F(v float64) *float64 { return &v }
 
+// The fixed simulation constants.
+const (
+	// stepSec is the simulation step: 10 ms, the uncore controller tick.
+	stepSec = 0.01
+	// noiseSD is the standard deviation of the per-iteration
+	// multiplicative time and power noise (0.3 %).
+	noiseSD = 0.003
+	// traceStepSec is the trace sampling period: a 1 Hz series.
+	traceStepSec = 1.0
+)
+
+// Shared targets for the defaulted threshold pointers: resolving an
+// unset option must not allocate (Run sits on the experiment hot path).
+// Callers treat Options fields as read-only, so aliasing is safe.
+var (
+	defCPUTh = 0.05
+	defUncTh = 0.02
+)
+
 // WithDefaults returns the options with every unset field resolved to
 // its default. Run and friends apply it internally; it is exported so
 // callers that key caches on option values (the experiment engine) can
 // canonicalise first — two Options that resolve identically behave
 // identically.
-// Shared targets for the defaulted threshold pointers: resolving an
-// unset option must not allocate (Run sits on the experiment hot path).
-// Callers treat Options fields as read-only, so aliasing is safe.
-var (
-	defCPUTh   = 0.05
-	defUncTh   = 0.02
-	defNoiseSD = 0.003
-)
-
 func (o Options) WithDefaults() Options {
 	if o.Policy == "" {
 		o.Policy = "none"
@@ -124,20 +115,8 @@ func (o Options) WithDefaults() Options {
 	if o.UncTh == nil {
 		o.UncTh = &defUncTh
 	}
-	if o.StepSec == 0 {
-		o.StepSec = 0.01
-	}
-	if o.NoiseSD == nil {
-		o.NoiseSD = &defNoiseSD
-	}
-	if o.TraceStepSec == 0 {
-		o.TraceStepSec = 1
-	}
 	return o
 }
-
-// withDefaults is the internal spelling of WithDefaults.
-func (o Options) withDefaults() Options { return o.WithDefaults() }
 
 // TracePoint is one sample of a node's operating state.
 type TracePoint struct {
@@ -149,31 +128,6 @@ type TracePoint struct {
 	GBs       float64 // bandwidth over the last trace step
 	CPUPstate int
 	UncMax    uint64 // programmed uncore ceiling (MSR 0x620 max)
-}
-
-// PhaseSample is one workload phase's accumulated energy and usage on
-// one node: what per-job attribution ratio-splits. Energies carry the
-// same noise scaling as the node totals, so summing a node's phases
-// reproduces its NodeResult energies to float-reassociation accuracy.
-type PhaseSample struct {
-	// Seg is the workload segment (phase) index.
-	Seg int
-	// StartSec/EndSec bound the phase's wall-clock window.
-	StartSec float64
-	EndSec   float64
-	// Per-domain energy: RAPL PCK, RAPL DRAM, the uncore share of PCK,
-	// and the DC node meter scope.
-	PkgJ    float64
-	DramJ   float64
-	UncoreJ float64
-	NodeJ   float64
-	// Usage counters over the phase.
-	Instr     float64
-	Cycles    float64
-	DRAMBytes float64
-	// Frequency-seconds integrals (divide by duration for averages).
-	CoreFreqSec float64
-	IMCFreqSec  float64
 }
 
 // NodeResult is one node's run outcome.
@@ -202,9 +156,6 @@ type NodeResult struct {
 	NestedPeriod int
 	// Trace is the sampled time series when Options.Trace is set.
 	Trace []TracePoint
-	// Phases is the per-phase energy/usage breakdown when
-	// Options.Phases is set, in phase (segment) order.
-	Phases []PhaseSample
 	// Decisions is the EARL decision trace when Options.DecisionLog is
 	// set (node ids are assigned by Result.WriteDecisionLog).
 	Decisions []Decision
@@ -268,7 +219,7 @@ func (r *Result) aggregate() {
 // fully independent (own sockets, MSR files, meters, EARL instance and
 // RNG), so the result does not depend on scheduling.
 func Run(cal workload.Calibrated, opt Options) (Result, error) {
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	if opt.Policy != "none" && opt.Model == nil {
 		return Result{}, fmt.Errorf("sim: policy %q needs a trained model", opt.Policy)
 	}

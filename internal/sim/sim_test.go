@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"goear/internal/eard"
 	"goear/internal/workload"
 )
 
@@ -362,44 +361,6 @@ func TestTraceRecording(t *testing.T) {
 	}
 	if r2.Nodes[0].Trace != nil {
 		t.Error("trace recorded without Options.Trace")
-	}
-}
-
-func TestDaemonLimitsBoundThePolicy(t *testing.T) {
-	// Site limits: jobs may not go below pstate 4 (2.1 GHz). HPCG's
-	// min_energy wants ~1.7 GHz; the daemon clamps it.
-	cal := calibrated(t, workload.HPCG)
-	m := platformModel(t, cal.Platform)
-	free, err := Run(cal, Options{Policy: "min_energy", Model: m, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if free.AvgCPUGHz > 2.0 {
-		t.Fatalf("precondition: unbounded ME should go low, got %.2f GHz", free.AvgCPUGHz)
-	}
-	lim := &eard.Limits{MaxPstate: 4}
-	bounded, err := Run(cal, Options{Policy: "min_energy", Model: m, Seed: 1, DaemonLimits: lim})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bounded.AvgCPUGHz < 2.0 {
-		t.Errorf("daemon limit not enforced: avg CPU %.2f GHz", bounded.AvgCPUGHz)
-	}
-	if bounded.Nodes[0].FinalCPUPstate > 4 {
-		t.Errorf("final pstate %d beyond site limit 4", bounded.Nodes[0].FinalCPUPstate)
-	}
-	// An uncore floor bounds the eUFS search.
-	floor := &eard.Limits{UncoreFloorRatio: 22}
-	eu, err := Run(calibrated(t, workload.BTMZC), Options{
-		Policy: "min_energy_eufs",
-		Model:  platformModel(t, calibrated(t, workload.BTMZC).Platform),
-		Seed:   1, DaemonLimits: floor,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eu.Nodes[0].FinalUncoreMax < 22 {
-		t.Errorf("uncore floor violated: final max %d", eu.Nodes[0].FinalUncoreMax)
 	}
 }
 

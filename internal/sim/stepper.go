@@ -18,7 +18,7 @@ type Stepper struct {
 // NewStepper builds a node ready to step through the calibrated
 // workload. Options are defaulted exactly as Run does.
 func NewStepper(cal workload.Calibrated, nodeID int, opt Options) (*Stepper, error) {
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	if opt.Policy != "none" && opt.Model == nil {
 		return nil, fmt.Errorf("sim: policy %q needs a trained model", opt.Policy)
 	}

@@ -7,7 +7,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
@@ -22,35 +21,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the sample standard deviation of xs (n-1 denominator).
-// It returns 0 for fewer than two samples.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
-}
-
-// Min returns the minimum of xs, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the maximum of xs, or 0 for an empty slice.
 func Max(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -63,31 +33,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Median returns the median of xs, or 0 for an empty slice.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	n := len(c)
-	if n%2 == 1 {
-		return c[n/2]
-	}
-	return (c[n/2-1] + c[n/2]) / 2
-}
-
-// Clamp limits x to the inclusive range [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }
 
 // ErrSingular is returned when a least-squares system has no unique
@@ -162,22 +107,4 @@ func (a *Normal3) Solve() ([3]float64, error) {
 		x[col] = s / M[col][col]
 	}
 	return x, nil
-}
-
-// R2 returns the coefficient of determination of predictions yhat against
-// observations y. It returns 0 when y has no variance.
-func R2(y, yhat []float64) float64 {
-	if len(y) != len(yhat) || len(y) == 0 {
-		return 0
-	}
-	m := Mean(y)
-	ssTot, ssRes := 0.0, 0.0
-	for i := range y {
-		ssTot += (y[i] - m) * (y[i] - m)
-		ssRes += (y[i] - yhat[i]) * (y[i] - yhat[i])
-	}
-	if ssTot == 0 {
-		return 0
-	}
-	return 1 - ssRes/ssTot
 }
