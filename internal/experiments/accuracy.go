@@ -87,7 +87,10 @@ func heldOutErrors(pl workload.Platform, m *model.Model, to int) (cpiErrs, powEr
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, ph := range accuracyProbes(cpuM.TotalCores()) {
+	probes := accuracyProbes(cpuM.TotalCores())
+	cpiErrs = make([]float64, len(probes))
+	powErrs = make([]float64, len(probes))
+	for i, ph := range probes {
 		src, err := perf.Evaluate(pl.Machine, ph, perf.Operating{
 			CoreRatio: fromRatio, UncoreRatio: cpuM.UncoreMaxRatio,
 		})
@@ -117,8 +120,8 @@ func heldOutErrors(pl workload.Platform, m *model.Model, to int) (cpiErrs, powEr
 		if err != nil {
 			return nil, nil, err
 		}
-		cpiErrs = append(cpiErrs, math.Abs(pred.CPI-dst.CPI)/dst.CPI)
-		powErrs = append(powErrs, math.Abs(pred.PowerW-dstPow.Total)/dstPow.Total)
+		cpiErrs[i] = math.Abs(pred.CPI-dst.CPI) / dst.CPI
+		powErrs[i] = math.Abs(pred.PowerW-dstPow.Total) / dstPow.Total
 	}
 	return cpiErrs, powErrs, nil
 }

@@ -19,8 +19,10 @@ import (
 
 // ForEach invokes fn(0) … fn(n-1), running at most limit invocations
 // concurrently. With limit <= 1 the calls happen inline, in order.
-// On error the remaining unstarted indices are skipped and the error
-// of the lowest-indexed failed call is returned.
+// Otherwise the calling goroutine is one of the limit workers, so
+// limit-1 goroutines are started. On error the remaining unstarted
+// indices are skipped and the error of the lowest-indexed failed call
+// is returned.
 func ForEach(limit, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -51,57 +53,67 @@ func ForEach(limit, n int, fn func(i int) error) error {
 		tl.queue.Add(float64(n))
 	}
 
-	var (
-		next   atomic.Int64
-		failed atomic.Bool
-		mu     sync.Mutex
-		errIdx = n
-		first  error
-		done   atomic.Int64
-		wg     sync.WaitGroup
-	)
-	record := func(i int, err error) {
-		mu.Lock()
-		if i < errIdx {
-			errIdx, first = i, err
-		}
-		mu.Unlock()
-		failed.Store(true)
+	f := &fanOut{fn: fn, tl: tl, n: n, errIdx: n}
+	f.wg.Add(limit)
+	for w := 1; w < limit; w++ {
+		go f.work()
 	}
-	wg.Add(limit)
-	for w := 0; w < limit; w++ {
-		go func() {
-			defer wg.Done()
-			completed := 0
-			if tl != nil {
-				tl.active.Add(1)
-				defer func() {
-					tl.active.Add(-1)
-					tl.tasks.Add(uint64(completed))
-					tl.queue.Add(-float64(completed))
-					done.Add(int64(completed))
-				}()
-			}
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || failed.Load() {
-					return
-				}
-				if err := fn(i); err != nil {
-					record(i, err)
-					return
-				}
-				completed++
-			}
-		}()
-	}
-	wg.Wait()
+	f.work()
+	f.wg.Wait()
 	if tl != nil {
 		// Indices skipped after an error were never executed; return
 		// the queue gauge to its pre-call level regardless.
-		tl.queue.Add(-float64(int64(n) - done.Load()))
+		tl.queue.Add(-float64(int64(n) - f.done.Load()))
 	}
-	return first
+	return f.first
+}
+
+// fanOut is the state one parallel ForEach shares between its workers.
+// It is the call's one heap object; each started goroutine adds its
+// closure.
+type fanOut struct {
+	fn     func(i int) error
+	tl     *parTel
+	n      int
+	next   atomic.Int64
+	failed atomic.Bool
+	done   atomic.Int64 // tasks completed, counted only with telemetry
+	wg     sync.WaitGroup
+
+	mu     sync.Mutex
+	errIdx int
+	first  error
+}
+
+// work claims indices until they run out or a call fails.
+func (f *fanOut) work() {
+	defer f.wg.Done()
+	if f.tl != nil {
+		f.tl.active.Add(1)
+	}
+	completed := 0
+	for {
+		i := int(f.next.Add(1)) - 1
+		if i >= f.n || f.failed.Load() {
+			break
+		}
+		if err := f.fn(i); err != nil {
+			f.mu.Lock()
+			if i < f.errIdx {
+				f.errIdx, f.first = i, err
+			}
+			f.mu.Unlock()
+			f.failed.Store(true)
+			break
+		}
+		completed++
+	}
+	if f.tl != nil {
+		f.tl.active.Add(-1)
+		f.tl.tasks.Add(uint64(completed))
+		f.tl.queue.Add(-float64(completed))
+		f.done.Add(int64(completed))
+	}
 }
 
 // Map applies fn to every item, running at most limit applications

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"goear/internal/telemetry"
 )
 
 func TestForEachCoversAllIndices(t *testing.T) {
@@ -81,6 +83,49 @@ func TestForEachSkipsAfterFailure(t *testing.T) {
 	}
 	if n := ran.Load(); n == 1000 {
 		t.Error("all indices ran despite early failure")
+	}
+}
+
+func nop(int) error { return nil }
+
+// A parallel call costs its shared state plus one closure per started
+// goroutine: limit allocations, the calling goroutine being a worker.
+func TestForEachAllocatesOnePerWorker(t *testing.T) {
+	for _, limit := range []int{2, 4} {
+		got := testing.AllocsPerRun(200, func() {
+			if err := ForEach(limit, 8, nop); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > float64(limit) {
+			t.Errorf("ForEach(%d, 8, nop): %v allocations, want <= %d", limit, got, limit)
+		}
+	}
+}
+
+func TestForEachFailureRestoresGauges(t *testing.T) {
+	telemetry.Enable()
+	defer telemetry.Disable()
+	tl := tel.Load()
+	queue, active := tl.queue.Value(), tl.active.Value()
+	started := tl.workers.Value()
+	err := ForEach(3, 100, func(i int) error {
+		if i%7 == 2 {
+			return errors.New("fail")
+		}
+		return nil
+	})
+	if err == nil {
+		t.Fatal("expected error")
+	}
+	if got := tl.queue.Value(); got != queue {
+		t.Errorf("queue depth %v after the call, %v before", got, queue)
+	}
+	if got := tl.active.Value(); got != active {
+		t.Errorf("active workers %v after the call, %v before", got, active)
+	}
+	if got := tl.workers.Value() - started; got != 3 {
+		t.Errorf("workers started %d, want 3 (the caller counts)", got)
 	}
 }
 

@@ -38,9 +38,9 @@ func init() {
 		r := s.Registry
 		tel.Store(&parTel{
 			tasks:   r.Counter(metricParTasks, "tasks executed by par.ForEach"),
-			workers: r.Counter(metricParWorkers, "worker goroutines launched by par.ForEach"),
+			workers: r.Counter(metricParWorkers, "workers of parallel par.ForEach calls, the calling goroutine counted as one"),
 			inline:  r.Counter(metricParInline, "ForEach calls that ran inline (limit<=1 or n==1)"),
-			active:  r.Gauge(metricParActive, "worker goroutines currently running"),
+			active:  r.Gauge(metricParActive, "parallel ForEach workers currently running, calling goroutines included"),
 			queue:   r.Gauge(metricParQueue, "tasks dispatched to par.ForEach and not yet finished"),
 		})
 	})

@@ -106,9 +106,11 @@ func F(v float64, decimals int) string {
 	return strconv.FormatFloat(v, 'f', decimals, 64)
 }
 
-// Pct formats a percentage with two decimals and a % sign.
+// Pct formats a percentage with two decimals and a % sign. It formats
+// into a stack buffer, so the string is its only allocation.
 func Pct(v float64) string {
-	return strconv.FormatFloat(v, 'f', 2, 64) + "%"
+	var buf [32]byte
+	return string(append(strconv.AppendFloat(buf[:0], v, 'f', 2, 64), '%'))
 }
 
 // GHz formats a frequency in GHz with two decimals (the paper's table

@@ -2,6 +2,8 @@ package report
 
 import (
 	"errors"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -91,6 +93,22 @@ func TestWriterErrorsPropagate(t *testing.T) {
 	}
 	if err := sample().CSV(failWriter{}); err == nil {
 		t.Error("CSV error not propagated")
+	}
+}
+
+func TestPctMatchesFormatFloat(t *testing.T) {
+	for _, v := range []float64{
+		0, math.Copysign(0, -1), 12.3456, -12.3456, -0.001, -0.005, 0.005, 0.015,
+		0.125, 2.675, 1.005, 99.995, 1e9, -1e9, 1e-9, 1e21, 1e300,
+		math.NaN(), math.Inf(1), math.Inf(-1),
+	} {
+		if got, want := Pct(v), strconv.FormatFloat(v, 'f', 2, 64)+"%"; got != want {
+			t.Errorf("Pct(%v) = %q, want %q", v, got, want)
+		}
+	}
+	var s string
+	if n := testing.AllocsPerRun(100, func() { s = Pct(-12.3456) }); n != 1 || s != "-12.35%" {
+		t.Errorf("Pct = %q in %v allocations, want 1", s, n)
 	}
 }
 

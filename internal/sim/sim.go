@@ -278,8 +278,12 @@ func RunAveraged(cal workload.Calibrated, opt Options, runs int) (Result, error)
 	if runs < 1 {
 		return Result{}, fmt.Errorf("sim: need at least one run")
 	}
+	if runs == 1 {
+		// Every average below would be (0 + x) / 1 == x.
+		return Run(cal, opt)
+	}
 	results := make([]Result, runs)
-	if opt.workers() == 1 || runs == 1 {
+	if opt.workers() == 1 {
 		// In order, as par.ForEach runs at limit 1, minus the closure.
 		for i := range results {
 			r, err := Run(cal, seededRun(opt, i))

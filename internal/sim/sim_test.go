@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"goear/internal/workload"
@@ -272,6 +273,28 @@ func TestRunAveraged(t *testing.T) {
 	}
 	if _, err := RunAveraged(cal, Options{}, 0); err == nil {
 		t.Error("expected error for zero runs")
+	}
+}
+
+// One averaged run is the run itself: every average is (0 + x) / 1.
+func TestRunAveragedOneRunIsRun(t *testing.T) {
+	cal := calibrated(t, workload.HPCG)
+	m := platformModel(t, cal.Platform)
+	for _, pol := range []string{"none", "min_energy_eufs"} {
+		for _, workers := range []int{1, 2} {
+			opt := Options{Policy: pol, Model: m, Seed: 5, Workers: workers}
+			want, err := Run(cal, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := RunAveraged(cal, opt, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, workers %d: RunAveraged(1) differs from Run", pol, workers)
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -97,12 +98,43 @@ const (
 	PhaseChangeMild = "PhaseChangeMild"
 )
 
-// Catalog returns every workload, calibration targets taken from the
-// paper's Tables I, II and V. The HWUncore curves encode the silicon
-// heuristic's observed settling points (Tables IV and VI, ME column);
-// see the package comment of internal/uncore for why these are
-// per-workload inputs rather than a single global heuristic.
+// Catalog returns every workload, sorted by name. The entries are
+// copies: changing one, its Segments included, changes nothing another
+// caller sees.
 func Catalog() []Spec {
+	out := make([]Spec, len(catalog))
+	for i, s := range catalog {
+		out[i] = s.clone()
+	}
+	return out
+}
+
+// Lookup returns the catalogue entry with the given name, a copy as
+// Catalog's are.
+func Lookup(name string) (Spec, error) {
+	for _, s := range catalog {
+		if s.Name == name {
+			return s.clone(), nil
+		}
+	}
+	return Spec{}, fmt.Errorf("workload: unknown workload %q", name)
+}
+
+// clone returns s with Segments of its own.
+func (s Spec) clone() Spec {
+	s.Segments = slices.Clone(s.Segments)
+	return s
+}
+
+// catalog is the shared table Catalog and Lookup copy from, built once.
+var catalog = buildCatalog()
+
+// buildCatalog builds every workload, calibration targets taken from
+// the paper's Tables I, II and V. The HWUncore curves encode the
+// silicon heuristic's observed settling points (Tables IV and VI, ME
+// column); see the package comment of internal/uncore for why these are
+// per-workload inputs rather than a single global heuristic.
+func buildCatalog() []Spec {
 	sd := SD530()
 	gpu := GPUNode()
 	specs := []Spec{
@@ -334,16 +366,6 @@ func Catalog() []Spec {
 	}
 	sort.SliceStable(specs, func(i, j int) bool { return specs[i].Name < specs[j].Name })
 	return specs
-}
-
-// Lookup returns the catalogue entry with the given name.
-func Lookup(name string) (Spec, error) {
-	for _, s := range Catalog() {
-		if s.Name == name {
-			return s, nil
-		}
-	}
-	return Spec{}, fmt.Errorf("workload: unknown workload %q", name)
 }
 
 // Kernels returns the single-node kernel entries of Table II, in the

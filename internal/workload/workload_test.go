@@ -92,6 +92,42 @@ func TestLookup(t *testing.T) {
 	}
 }
 
+// The catalogue is built once and shared; what Lookup and Catalog hand
+// out must not reach it.
+func TestReturnedSpecsAreCopies(t *testing.T) {
+	want, err := Lookup(PhaseChange)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCPI := want.Segments[1].TargetCPI
+
+	s, _ := Lookup(PhaseChange)
+	s.Segments[1].TargetCPI = 99
+	s.Segments = append(s.Segments, Segment{})
+	cat := Catalog()
+	for i := range cat {
+		if cat[i].Name == PhaseChange {
+			cat[i].Segments[1].TargetCPI = 98
+			cat[i].TargetTimeSec = 1
+		}
+	}
+
+	got, _ := Lookup(PhaseChange)
+	if len(got.Segments) != 2 || got.Segments[1].TargetCPI != wantCPI || got.TargetTimeSec != want.TargetTimeSec {
+		t.Errorf("Lookup after callers mutated their copies = %+v", got)
+	}
+}
+
+func TestLookupWithoutSegmentsDoesNotAllocate(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := Lookup(BTMZC); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Lookup(%s) allocates %v times, want 0", BTMZC, n)
+	}
+}
+
 func TestKernelsAndApplicationsResolve(t *testing.T) {
 	for _, n := range append(Kernels(), Applications()...) {
 		if _, err := Lookup(n); err != nil {
