@@ -40,7 +40,8 @@ type ClientConfig struct {
 	// keeps IDs cluster-unique.
 	Node string
 	// Dial opens a connection to the daemon. Injected so tests and
-	// simulations can hand out net.Pipe ends or flaky transports.
+	// simulations can hand out in-process connections (Server.Dial) or
+	// flaky transports.
 	Dial func() (net.Conn, error)
 	// Clock paces interval flushes and backoff sleeps.
 	Clock Clock
@@ -254,11 +255,15 @@ func (c *Client) EnqueueAcct(r accounting.Record) error {
 	return nil
 }
 
-// queueHint is the capacity a queue is first allocated with: a flush
-// fires at BatchRecords pending records, so a queue only grows past
-// that while the daemon is unreachable and nothing journals.
+// queueHint is the capacity a queue is first allocated with (c.mu
+// held): the room left before the batch trigger, which counts both
+// queues. A reporter that sends 24 records and then 8 accounting
+// records into 32-record batches allocates 32 and 8 slots, not 32 and
+// 32. A queue grows past its hint when a long-lived client's mix shifts
+// towards its kind — once, since a flush keeps the backing arrays — or
+// while the daemon is unreachable and nothing journals.
 func (c *Client) queueHint() int {
-	return min(c.cfg.BatchRecords, c.cfg.QueueCap)
+	return max(1, min(c.cfg.BatchRecords, c.cfg.QueueCap)-c.pendingLocked())
 }
 
 // pendingLocked counts buffered records across both queues; the batch

@@ -9,8 +9,10 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"goear/internal/accounting"
 	"goear/internal/eard"
 	"goear/internal/par"
+	"goear/internal/telemetry"
 )
 
 // ackDropDialer dials srv with the client end wrapped in an
@@ -94,6 +96,48 @@ func TestClientBatchSizeTrigger(t *testing.T) {
 	st := c.Stats()
 	if st.Enqueued != 7 || st.BatchesSent != 3 || st.RecordsSent != 7 || st.Retries != 0 {
 		t.Errorf("stats = %+v", st)
+	}
+}
+
+// TestQueueHintLeavesRoomForTheBatch: a reporter that sends 24 records
+// and then 8 accounting records into 32-record batches sizes its second
+// queue by the room the first left, and one batch carries all 32.
+func TestQueueHintLeavesRoomForTheBatch(t *testing.T) {
+	srv := NewServer(eard.NewDB(), Config{})
+	c := newTestClient(t, ClientConfig{Dial: srv.Dial, BatchRecords: 32})
+	for i := 0; i < 24; i++ {
+		if err := c.Enqueue(rec("j1", fmt.Sprint(i), "n01", 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		if err := c.EnqueueAcct(accounting.Record{
+			V: accounting.CodecVersion, JobID: "j1", StepID: "0", User: "alice", Node: "n01",
+			Phase: i, StartSec: 60 * float64(i), EndSec: 60 * float64(i+1), NodeJ: 1000,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := c.Stats(); st.BatchesSent != 1 || st.RecordsSent != 32 {
+		t.Fatalf("stats = %+v, want one 32-record batch", st)
+	}
+	if cap(c.queue) != 32 || cap(c.acctQueue) != 8 {
+		t.Errorf("queues allocated %d + %d slots, want 32 + 8", cap(c.queue), cap(c.acctQueue))
+	}
+}
+
+// TestNewClientWithoutTelemetryAllocatesOnlyItself: with telemetry off
+// a client resolves no instruments, so building one is its struct.
+func TestNewClientWithoutTelemetryAllocatesOnlyItself(t *testing.T) {
+	if telemetry.Enabled() {
+		t.Skip("global telemetry is on")
+	}
+	cfg := ClientConfig{
+		Node: "n01", Dial: func() (net.Conn, error) { return nil, errors.New("no") },
+		Clock: NewFakeClock(0), Jitter: rand.New(rand.NewSource(1)),
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = NewClient(cfg) }); n != 1 {
+		t.Errorf("NewClient without telemetry: %v allocations, want 1", n)
 	}
 }
 

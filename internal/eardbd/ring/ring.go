@@ -14,9 +14,11 @@
 package ring
 
 import (
+	"cmp"
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -88,11 +90,11 @@ func (r *Ring) Add(name string) error {
 	for i := 0; i < r.replicas; i++ {
 		r.points = append(r.points, point{hash: pointHash(name, i), name: name})
 	}
-	sort.Slice(r.points, func(i, j int) bool {
-		if r.points[i].hash != r.points[j].hash {
-			return r.points[i].hash < r.points[j].hash
+	slices.SortFunc(r.points, func(a, b point) int {
+		if c := cmp.Compare(a.hash, b.hash); c != 0 {
+			return c
 		}
-		return r.points[i].name < r.points[j].name
+		return strings.Compare(a.name, b.name)
 	})
 	return nil
 }
@@ -159,23 +161,35 @@ func (r *Ring) Spread(keys []string) map[string]int {
 	return out
 }
 
+// FNV-1a 64 is folded inline over the bytes (hashInit → hashString →
+// mix), the trace package's idiom: the same bytes as hash/fnv hashes,
+// so placement is unchanged, and no hasher or byte slice on the heap.
+const (
+	hashInit        = uint64(14695981039346656037)
+	fnvPrime uint64 = 1099511628211
+)
+
+func hashString[S string | []byte](h uint64, s S) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime
+	}
+	return h
+}
+
 // pointHash positions virtual point i of a shard on the circle.
 func pointHash(name string, i int) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(name))
 	// Separator plus a decimal index: "s1"#11 and "s11"#1 must differ.
-	_, _ = fmt.Fprintf(h, "#%d", i)
-	return mix(h.Sum64())
+	var label [24]byte
+	h := hashString(hashInit, name)
+	return mix(hashString(h, strconv.AppendInt(append(label[:0], '#'), int64(i), 10)))
 }
 
 // keyHash positions a key on the circle. Keys hash through a distinct
 // prefix from points so a node named exactly like a shard's virtual
 // point label cannot land on its hash by construction.
 func keyHash(key string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte("k/"))
-	_, _ = h.Write([]byte(key))
-	return mix(h.Sum64())
+	return mix(hashString(hashString(hashInit, "k/"), key))
 }
 
 // mix is the MurmurHash3 64-bit finaliser. Ring placement sorts on the

@@ -2,8 +2,55 @@ package ring
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
 )
+
+// TestHashesMatchHashFNV holds the inline FNV-1a folds to hash/fnv over
+// the same bytes, so rings built before and after them place every
+// node alike: each point of a corpus of names at 300 indices, and
+// 10,000 keys.
+func TestHashesMatchHashFNV(t *testing.T) {
+	refPoint := func(name string, i int) uint64 {
+		h := fnv.New64a()
+		_, _ = h.Write([]byte(name))
+		_, _ = fmt.Fprintf(h, "#%d", i)
+		return mix(h.Sum64())
+	}
+	refKey := func(key string) uint64 {
+		h := fnv.New64a()
+		_, _ = h.Write([]byte("k/" + key))
+		return mix(h.Sum64())
+	}
+	names := []string{"", "s1", "s11", "shard0", "shard3", "127.0.0.1:4711", "nœud-é", "k/node0001",
+		"a-shard-name-longer-than-any-stack-label-the-hash-could-keep"}
+	for _, name := range names {
+		for i := 0; i < 300; i++ {
+			if got, want := pointHash(name, i), refPoint(name, i); got != want {
+				t.Fatalf("pointHash(%q, %d) = %#x, hash/fnv gives %#x", name, i, got, want)
+			}
+		}
+	}
+	for i := 0; i < 10000; i++ {
+		key := fmt.Sprintf("node%05d", i)
+		if i%1000 == 999 {
+			key = names[i/1000%len(names)]
+		}
+		if got, want := keyHash(key), refKey(key); got != want {
+			t.Fatalf("keyHash(%q) = %#x, hash/fnv gives %#x", key, got, want)
+		}
+	}
+}
+
+// TestNewWithMembersAllocations holds a fleet's ring build to its
+// struct, member map and point slices: the hashes are folded on the
+// stack and the sort allocates nothing.
+func TestNewWithMembersAllocations(t *testing.T) {
+	members := []string{"shard0", "shard1", "shard2", "shard3"}
+	if n := testing.AllocsPerRun(20, func() { _, _ = NewWithMembers(0, members) }); n > 16 {
+		t.Errorf("NewWithMembers of 4 shards: %v allocations, want at most 16", n)
+	}
+}
 
 func TestPlacementDeterministicAcrossBuildOrder(t *testing.T) {
 	a, err := NewWithMembers(0, []string{"s1", "s2", "s3", "s4"})

@@ -257,12 +257,13 @@ func (fr *Front) Serve(l net.Listener) error {
 var errClosed = errors.New("eardbd: service is closed")
 
 // Dial opens an in-process connection to the front end: the client end
-// of a net.Pipe whose server end is handled exactly as an accepted
-// connection is, so Close severs it and waits for its handler. It is
-// the one place an in-process connection is born — the seam a test
-// wraps to put faults between every client and the service.
+// of a pipe (net.Pipe's contract, one allocation) whose server end is
+// handled exactly as an accepted connection is, so Close severs it and
+// waits for its handler. It is the one place an in-process connection
+// is born — the seam a test wraps to put faults between every client
+// and the service.
 func (fr *Front) Dial() (net.Conn, error) {
-	client, server := net.Pipe()
+	client, server := newPipe()
 	if !fr.handle(server) {
 		return nil, errClosed
 	}

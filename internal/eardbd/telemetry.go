@@ -204,6 +204,10 @@ type clientTel struct {
 
 func newClientTel(s *telemetry.Set) clientTel {
 	r := s.Reg()
+	if r == nil {
+		// Nothing to resolve; the label list below would still escape.
+		return clientTel{rec: s.Rec()}
+	}
 	latency := r.HistogramVec(metricDBDClientLatency, "client-observed latency by wire op, seconds", latencyBounds, "op")
 	return clientTel{
 		flushes:  r.Counter(metricDBDClientFlushes, "flush cycles started"),
