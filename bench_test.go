@@ -365,8 +365,10 @@ func BenchmarkClusterSecondReference(b *testing.B) {
 		}
 		return ss
 	}
+	// One simulated second is a hundred of the simulator's 10 ms steps
+	// (an iteration's last step may be shorter).
+	const stepsPerSecond = 100
 	steppers := build()
-	barrier := 0.0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -380,12 +382,10 @@ func BenchmarkClusterSecondReference(b *testing.B) {
 		if done {
 			b.StopTimer()
 			steppers = build()
-			barrier = 0
 			b.StartTimer()
 		}
-		barrier += 1.0
 		for _, s := range steppers {
-			for !s.Done() && s.Now() < barrier {
+			for k := 0; k < stepsPerSecond && !s.Done(); k++ {
 				if err := s.Step(); err != nil {
 					b.Fatal(err)
 				}

@@ -52,11 +52,11 @@ func main() {
 	}
 }
 
-// Entry is one benchmark's recorded figures. BytesPerOp and AllocsPerOp
+// entry is one benchmark's recorded figures. BytesPerOp and AllocsPerOp
 // are nil when the benchmark does not report the figure — or, in the
 // baseline, when it is deliberately left ungated; a recorded zero is a
 // figure like any other (and gates at zero).
-type Entry struct {
+type entry struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  *int64  `json:"bytes_per_op,omitempty"`
 	AllocsPerOp *int64  `json:"allocs_per_op,omitempty"`
@@ -70,14 +70,14 @@ const (
 	bytesBound  = 0.05
 )
 
-// Snapshot is the schema of BENCH_baseline.json and the dated
+// snapshot is the schema of BENCH_baseline.json and the dated
 // BENCH_<date>.json trajectory files.
-type Snapshot struct {
+type snapshot struct {
 	Date       string           `json:"date"`
 	Label      string           `json:"label,omitempty"`
 	Go         string           `json:"go,omitempty"`
 	CPU        string           `json:"cpu,omitempty"`
-	Benchmarks map[string]Entry `json:"benchmarks"`
+	Benchmarks map[string]entry `json:"benchmarks"`
 }
 
 func run(args []string, stdin io.Reader, out io.Writer) error {
@@ -124,7 +124,7 @@ func run(args []string, stdin io.Reader, out io.Writer) error {
 				return err
 			}
 		}
-		snap := Snapshot{Date: *date, Label: *label, Go: runtime.Version(), CPU: cpu, Benchmarks: cur}
+		snap := snapshot{Date: *date, Label: *label, Go: runtime.Version(), CPU: cpu, Benchmarks: cur}
 		if err := writeSnapshot(name, snap); err != nil {
 			return err
 		}
@@ -160,7 +160,7 @@ func figure(base, cur *int64) string {
 // report prints the comparison table and returns the names of the
 // benchmarks whose allocs/op or B/op sit above the baseline's by more
 // than the bound.
-func report(out io.Writer, base Snapshot, cur map[string]Entry) []string {
+func report(out io.Writer, base snapshot, cur map[string]entry) []string {
 	names := make([]string, 0, len(cur))
 	for n := range cur {
 		names = append(names, n)
@@ -220,8 +220,8 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(.*)$`)
 
 // parseBench reads benchmark text output, returning entries keyed by
 // name (GOMAXPROCS suffix stripped) and the "cpu:" header if present.
-func parseBench(r io.Reader) (map[string]Entry, string, error) {
-	out := make(map[string]Entry)
+func parseBench(r io.Reader) (map[string]entry, string, error) {
+	out := make(map[string]entry)
 	cpu := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
@@ -247,8 +247,8 @@ func parseBench(r io.Reader) (map[string]Entry, string, error) {
 
 // parseFields decodes the value/unit pairs after the iteration count.
 // Unknown units (MB/s, custom metrics) are ignored.
-func parseFields(fields []string) (Entry, error) {
-	var e Entry
+func parseFields(fields []string) (entry, error) {
+	var e entry
 	if len(fields)%2 != 0 {
 		return e, fmt.Errorf("odd value/unit field count")
 	}
@@ -274,8 +274,8 @@ func parseFields(fields []string) (Entry, error) {
 	return e, nil
 }
 
-func loadSnapshot(path string) (Snapshot, error) {
-	var s Snapshot
+func loadSnapshot(path string) (snapshot, error) {
+	var s snapshot
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return s, err
@@ -310,7 +310,7 @@ func datedSnapshotName(date string) (string, error) {
 	}
 }
 
-func writeSnapshot(path string, s Snapshot) error {
+func writeSnapshot(path string, s snapshot) error {
 	data, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
 		return err

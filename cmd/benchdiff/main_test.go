@@ -46,10 +46,10 @@ func TestParseBench(t *testing.T) {
 
 // writeBaseline commits a synthetic baseline to a temp dir and returns
 // its path.
-func writeBaseline(t *testing.T, benches map[string]Entry) string {
+func writeBaseline(t *testing.T, benches map[string]entry) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "BENCH_baseline.json")
-	data, err := json.Marshal(Snapshot{Date: "2026-01-01", Benchmarks: benches})
+	data, err := json.Marshal(snapshot{Date: "2026-01-01", Benchmarks: benches})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func diff(t *testing.T, baseline, bench string, extra ...string) (string, error)
 // exit in main), whatever the benchmark is called — and the same size
 // of ns/op move on its own must not.
 func TestInjectedRegressionFails(t *testing.T) {
-	base := writeBaseline(t, map[string]Entry{
+	base := writeBaseline(t, map[string]entry{
 		"BenchmarkSimSecond": {NsPerOp: 82110, BytesPerOp: i64(12928), AllocsPerOp: i64(46)},
 	})
 	bench := "BenchmarkSimSecond-8 \t 100 \t 82000 ns/op \t 12928 B/op \t 69 allocs/op\n"
@@ -96,7 +96,7 @@ func TestInjectedRegressionFails(t *testing.T) {
 }
 
 func TestWithinThresholdPasses(t *testing.T) {
-	base := writeBaseline(t, map[string]Entry{
+	base := writeBaseline(t, map[string]entry{
 		"BenchmarkEarload": {NsPerOp: 11760584, BytesPerOp: i64(5000000), AllocsPerOp: i64(18481)},
 	})
 	bench := "BenchmarkEarload-8 \t 100 \t 16000000 ns/op \t 5200000 B/op \t 18800 allocs/op\n" // +4.0% B, +1.7% allocs
@@ -106,7 +106,7 @@ func TestWithinThresholdPasses(t *testing.T) {
 }
 
 func TestImprovementPasses(t *testing.T) {
-	base := writeBaseline(t, map[string]Entry{
+	base := writeBaseline(t, map[string]entry{
 		"BenchmarkTable3": {NsPerOp: 277987896, BytesPerOp: i64(125000000), AllocsPerOp: i64(500539)},
 	})
 	bench := "BenchmarkTable3-8 \t 1 \t 133000000 ns/op \t 799139 B/op \t 566 allocs/op\n"
@@ -123,7 +123,7 @@ func TestImprovementPasses(t *testing.T) {
 // figure — one that does not repeat on an unchanged tree — is
 // informational; nothing it does fails the run, and the table says so.
 func TestUngatedRegressionPasses(t *testing.T) {
-	base := writeBaseline(t, map[string]Entry{
+	base := writeBaseline(t, map[string]entry{
 		"BenchmarkFig6":  {NsPerOp: 836427347},
 		"BenchmarkFig5":  {NsPerOp: 406224326, BytesPerOp: i64(491912)},
 		"BenchmarkExtra": {NsPerOp: 1000, AllocsPerOp: i64(7)},
@@ -145,7 +145,7 @@ func TestUngatedRegressionPasses(t *testing.T) {
 // on allocs/op, 5 % on B/op, a recorded zero gating at zero — and the
 // absence of any flag to move them or to pick what is gated.
 func TestBoundsAreConstants(t *testing.T) {
-	base := writeBaseline(t, map[string]Entry{
+	base := writeBaseline(t, map[string]entry{
 		"BenchmarkFig7":     {NsPerOp: 1000, BytesPerOp: i64(100000), AllocsPerOp: i64(1000)},
 		"BenchmarkNodeTick": {NsPerOp: 433.3, BytesPerOp: i64(0), AllocsPerOp: i64(0)},
 	})
@@ -174,7 +174,7 @@ func TestBoundsAreConstants(t *testing.T) {
 // TestTrajectoryEmit verifies -out writes a loadable snapshot carrying
 // the parsed entries and the requested date stamp.
 func TestTrajectoryEmit(t *testing.T) {
-	base := writeBaseline(t, map[string]Entry{
+	base := writeBaseline(t, map[string]entry{
 		"BenchmarkSimSecond": {NsPerOp: 82110, AllocsPerOp: i64(46)},
 	})
 	dir := t.TempDir()
@@ -199,7 +199,7 @@ func TestTrajectoryEmit(t *testing.T) {
 // TestAutoSnapshotFreshDate verifies '-out auto' takes the plain dated
 // name when no snapshot from that day exists.
 func TestAutoSnapshotFreshDate(t *testing.T) {
-	base := writeBaseline(t, map[string]Entry{
+	base := writeBaseline(t, map[string]entry{
 		"BenchmarkSimSecond": {NsPerOp: 82110},
 	})
 	t.Chdir(t.TempDir())
@@ -220,7 +220,7 @@ func TestAutoSnapshotFreshDate(t *testing.T) {
 // append -N suffixes instead of silently overwriting the earlier
 // snapshot.
 func TestAutoSnapshotSuffix(t *testing.T) {
-	base := writeBaseline(t, map[string]Entry{
+	base := writeBaseline(t, map[string]entry{
 		"BenchmarkSimSecond": {NsPerOp: 82110},
 	})
 	t.Chdir(t.TempDir())

@@ -36,7 +36,6 @@ func sendCmd(args []string, out io.Writer) error {
 	journalPath := fs.String("journal", "", "spill journal path for offline buffering")
 	batch := fs.Int("batch", 64, "records per batch")
 	attempts := fs.Int("attempts", 3, "delivery attempts per flush")
-	seed := fs.Int64("seed", 1, "backoff jitter seed")
 	tracesOut := fs.String("traces-out", "", "write the feed's span trace as JSON lines here ('-' = stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -89,7 +88,7 @@ func sendCmd(args []string, out io.Writer) error {
 		Node:         *node,
 		Dial:         fleet.DialFor(*node),
 		Clock:        telemetry.StartWallClock(),
-		Jitter:       rand.New(rand.NewSource(*seed)),
+		Jitter:       rand.New(rand.NewSource(1)), // one fixed backoff schedule, run after run
 		BatchRecords: *batch,
 		MaxAttempts:  *attempts,
 		Journal:      journal,

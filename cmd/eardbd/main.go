@@ -79,15 +79,12 @@ func run(args []string, out io.Writer, ready chan<- []string, quit <-chan struct
 	dbPath := fs.String("db", "", "JSON accounting database to load and persist")
 	fedShards := fs.String("fed", "", "comma-separated shard TCP endpoints: run as a federation root (query-only)")
 	maxFrame := fs.Int("max-frame", 0, "per-frame payload byte limit (default 1 MiB)")
-	maxBatch := fs.Int("max-batch", 0, "records per batch limit (default 1024)")
 	acctRetain := fs.Int("acct-retain", 0, "resident accounting record cap: oldest (job, step) groups are evicted past it (0 = unlimited)")
 	telAddr := fs.String("telemetry", "", "HTTP address serving /metrics, /events, /healthz, /readyz and /api/jobs (empty = telemetry off)")
 	traceOn := fs.Bool("trace", false, "record span traces, served at /traces on the telemetry address (requires -telemetry)")
 	staleAfter := fs.Float64("stale-after", 0, "readiness degrades when no record landed for this many seconds (ingest mode, 0 = off)")
 	cascadeBudget := fs.Float64("cascade", 0, "cluster DC power budget in watts: run the cascaded EARGM over the shards (fed mode only, 0 = off)")
 	cascadeInterval := fs.Float64("cascade-interval", 5, "cascaded EARGM control period in seconds")
-	cascadeReserve := fs.Float64("cascade-reserve", 0.2, "budget fraction split equally across islands regardless of draw")
-	cascadeMaxP := fs.Int("cascade-max-pstate", 8, "deepest pstate ceiling the cascaded EARGM may impose")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -143,8 +140,6 @@ func run(args []string, out io.Writer, ready chan<- []string, quit <-chan struct
 		switch {
 		case *dbPath != "":
 			return fmt.Errorf("-db is ingest-only: a federation root keeps no database")
-		case *maxBatch != 0:
-			return fmt.Errorf("-max-batch is ingest-only: a federation root refuses batches")
 		case *acctRetain != 0:
 			return fmt.Errorf("-acct-retain is ingest-only: a federation root keeps no accounting store")
 		}
@@ -159,7 +154,7 @@ func run(args []string, out io.Writer, ready chan<- []string, quit <-chan struct
 		fmt.Fprintf(out, "eardbd: federation root over %d shards\n", len(fleet.Names()))
 		svc = root
 
-		if *cascadeBudget > 0 {
+		if *cascadeBudget != 0 {
 			var islands []eargm.Island
 			for _, name := range fleet.Names() {
 				src, err := root.IslandSource(name)
@@ -169,11 +164,10 @@ func run(args []string, out io.Writer, ready chan<- []string, quit <-chan struct
 				islands = append(islands, eargm.Island{Name: name, Src: src})
 			}
 			casc, err := eargm.NewCascade(eargm.CascadeConfig{
-				BudgetW:     *cascadeBudget,
-				ReserveFrac: *cascadeReserve,
+				BudgetW: *cascadeBudget,
 				Island: eargm.Config{
 					IntervalSec:  *cascadeInterval,
-					MaxCapPstate: *cascadeMaxP,
+					MaxCapPstate: 8,
 					Telemetry:    telSet,
 				},
 				Trace: traceBuf,
@@ -227,7 +221,7 @@ func run(args []string, out io.Writer, ready chan<- []string, quit <-chan struct
 				fmt.Fprintf(out, "eardbd: loaded %d records from %s\n", db.Len(), *dbPath)
 			}
 		}
-		srv = eardbd.NewServer(db, eardbd.Config{MaxFramePayload: *maxFrame, MaxBatchRecords: *maxBatch, AcctMaxRecords: *acctRetain, Telemetry: telSet, Trace: traceBuf, Now: wallSec})
+		srv = eardbd.NewServer(db, eardbd.Config{MaxFramePayload: *maxFrame, AcctMaxRecords: *acctRetain, Telemetry: telSet, Trace: traceBuf, Now: wallSec})
 		svc = srv
 		if *dbPath != "" {
 			saved, err := loadState(statePath)

@@ -41,7 +41,8 @@ func startDaemon(t *testing.T, extra ...string) (string, func() string) {
 	}
 }
 
-func sendBatch(t *testing.T, addr string, b wire.Batch) wire.Ack {
+// sendBatch sends b to the daemon at addr and requires its ack.
+func sendBatch(t *testing.T, addr string, b wire.Batch) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -59,11 +60,9 @@ func sendBatch(t *testing.T, addr string, b wire.Batch) wire.Ack {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ack, err := resp.AsAck()
-	if err != nil {
-		t.Fatalf("response = %s: %v", resp.Type, err)
+	if !resp.AcksBatch(b.ID) {
+		t.Fatalf("batch %s answered by a %s frame, not its ack", b.ID, resp.Type)
 	}
-	return ack
 }
 
 // TestDaemonLifecycleWithPersistence: what the daemon acknowledged, it
@@ -85,13 +84,10 @@ func TestDaemonLifecycleWithPersistence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ack := sendBatch(t, addr, wire.Batch{ID: "n01/1", Node: "n01", Records: []eard.JobRecord{
+	sendBatch(t, addr, wire.Batch{ID: "n01/1", Node: "n01", Records: []eard.JobRecord{
 		{JobID: "j1", StepID: "0", Node: "n01", App: "X", TimeSec: 10, EnergyJ: 3000, AvgPower: 300},
 		{JobID: "j1", StepID: "0", Node: "n02", App: "X", TimeSec: 10, EnergyJ: 3100, AvgPower: 310},
 	}, Acct: acct})
-	if ack.Accepted != 4 {
-		t.Fatalf("ack = %+v", ack)
-	}
 	// read puts the three queries a restart must not change to the
 	// daemon and returns the result payloads.
 	read := func(addr string) [][]byte {
@@ -236,6 +232,26 @@ func TestFederationRootDaemon(t *testing.T) {
 	}
 }
 
+// TestNegativeCascadeBudgetRefused: a negative -cascade budget reaches
+// the cascade's validation instead of leaving a plain root serving.
+func TestNegativeCascadeBudgetRefused(t *testing.T) {
+	var out strings.Builder
+	ready, quit, done := make(chan []string, 1), make(chan struct{}), make(chan error, 1)
+	go func() {
+		done <- run([]string{"-listen", "127.0.0.1:0", "-fed", "a:1", "-cascade", "-5"}, &out, ready, quit)
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "budget must be positive") {
+			t.Errorf("run = %v, want the cascade's budget error", err)
+		}
+	case <-ready:
+		close(quit)
+		<-done
+		t.Error("a negative cascade budget started a root without a cascade")
+	}
+}
+
 func TestDaemonFlagErrors(t *testing.T) {
 	var out strings.Builder
 	if err := run(nil, &out, nil, nil); err == nil {
@@ -244,8 +260,8 @@ func TestDaemonFlagErrors(t *testing.T) {
 	if err := run([]string{"-listen", "127.0.0.1:0", "-fed", "a:1", "-db", "x.json"}, &out, nil, nil); err == nil {
 		t.Error("-fed with -db accepted")
 	}
-	if err := run([]string{"-listen", "127.0.0.1:0", "-fed", "a:1", "-max-batch", "9"}, &out, nil, nil); err == nil {
-		t.Error("-fed with -max-batch accepted")
+	if err := run([]string{"-listen", "127.0.0.1:0", "-fed", "a:1", "-acct-retain", "9"}, &out, nil, nil); err == nil {
+		t.Error("-fed with -acct-retain accepted")
 	}
 	if err := run([]string{"-listen", "127.0.0.1:0", "-fed", ",,"}, &out, nil, nil); err == nil {
 		t.Error("empty -fed list accepted")

@@ -43,6 +43,9 @@ func main() {
 	}
 }
 
+// drainPasses bounds the journal drain passes after the burst.
+const drainPasses = 5
+
 // faultSpec is a parsed "<shard>@<nodes-done>" trigger.
 type faultSpec struct {
 	shard string
@@ -71,12 +74,10 @@ func run(args []string, out io.Writer) error {
 	addrs := fs.String("addrs", "", "comma-separated external eardbd TCP endpoints (disables in-process shards)")
 	batch := fs.Int("batch", 4, "records per client batch")
 	workers := fs.Int("workers", 32, "concurrent node reporters")
-	seed := fs.Int64("seed", 1, "workload seed (record content and retry jitter)")
 	acct := fs.Int("acct", 0, "per-job accounting windows per node (0 disables job traffic)")
 	queries := fs.Int("queries", 0, "concurrent workers hammering the accounting query API while ingest runs")
 	kill := fs.String("kill", "", "kill spec <shard>@<nodes-done> (in-process only)")
 	restart := fs.String("restart", "", "restart spec <shard>@<nodes-done> (in-process only)")
-	drainPasses := fs.Int("drain", 5, "max journal drain passes after the burst")
 	maxFrame := fs.Int("max-frame", 64<<20, "frame payload cap in bytes (snapshot record dumps scale with node count)")
 	snapshotPath := fs.String("snapshot", "", "write the federation root snapshot here ('-' = stdout)")
 	metrics := fs.Bool("metrics", false, "dump the telemetry registry after the run")
@@ -112,7 +113,7 @@ func run(args []string, out io.Writer) error {
 		AcctPerNode:    *acct,
 		BatchRecords:   *batch,
 		Workers:        *workers,
-		Seed:           *seed,
+		Seed:           1,
 		Telemetry:      set,
 		Trace:          traceBuf,
 		RTTNow:         wallSec,
@@ -254,7 +255,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	postBurst()
-	left, err := g.Drain(fleet.DialFor, *drainPasses)
+	left, err := g.Drain(fleet.DialFor, drainPasses)
 	stopQueries()
 	if err != nil {
 		return err

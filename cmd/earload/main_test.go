@@ -160,16 +160,15 @@ func TestEarloadScale(t *testing.T) {
 }
 
 func TestEarloadFaultInjection(t *testing.T) {
-	clean := snapshotOf(t, 80, 3, 10, "-seed", "11")
-	faulted := snapshotOf(t, 80, 3, 10, "-seed", "11",
-		"-kill", "shard1@10", "-restart", "shard1@60")
+	clean := snapshotOf(t, 80, 3, 10)
+	faulted := snapshotOf(t, 80, 3, 10, "-kill", "shard1@10", "-restart", "shard1@60")
 	if faulted != clean {
 		t.Fatal("faulted snapshot differs from clean run")
 	}
 
 	var out strings.Builder
 	err := run([]string{
-		"-nodes", "80", "-shards", "3", "-seed", "11",
+		"-nodes", "80", "-shards", "3",
 		"-kill", "shard1@10", "-restart", "shard1@60", "-metrics",
 	}, &out)
 	if err != nil {

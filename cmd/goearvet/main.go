@@ -10,7 +10,6 @@
 //
 //	go run ./cmd/goearvet ./...
 //	go run ./cmd/goearvet -json ./internal/msr ./internal/uncore
-//	go run ./cmd/goearvet -determinism=false ./internal/sim
 //
 // Patterns are import paths or ./-relative directories, with an
 // optional /... suffix for recursion. With no pattern, ./... is
@@ -50,15 +49,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array")
 	list := fs.Bool("list", false, "list the analyzers and exit")
-	all := analyzers.All()
-	enabled := map[string]*bool{}
-	for _, a := range all {
-		enabled[a.Name] = fs.Bool(a.Name, true, "enable the "+a.Name+" analyzer")
-	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
+	all := analyzers.All()
 	if *list {
 		sorted := append([]*analysis.Analyzer(nil), all...)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
@@ -66,17 +61,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-
-	var active []*analysis.Analyzer
-	for _, a := range all {
-		if *enabled[a.Name] {
-			active = append(active, a)
-		}
-	}
-	if len(active) == 0 {
-		fmt.Fprintln(stderr, "goearvet: every analyzer is disabled")
-		return 2
 	}
 
 	root, err := moduleRoot()
@@ -106,7 +90,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "goearvet:", err)
 		return 2
 	}
-	diags, err := analysis.Run(pkgs, active)
+	diags, err := analysis.Run(pkgs, all)
 	if err != nil {
 		fmt.Fprintln(stderr, "goearvet:", err)
 		return 2

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"goear/internal/grouped"
 	"goear/internal/telemetry"
 )
 
@@ -123,28 +124,28 @@ func TestAttributeEdgeCases(t *testing.T) {
 
 func TestCursorRoundTrip(t *testing.T) {
 	k := Key{JobID: "job1", StepID: "0", Node: "node007", Phase: 3}
-	got, err := DecodeCursor(EncodeCursor(k))
+	got, err := decodeCursor(EncodeCursor(k))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != k {
 		t.Fatalf("round trip %+v != %+v", got, k)
 	}
-	if _, err := DecodeCursor("!!not-base64!!"); err == nil {
+	if _, err := decodeCursor("!!not-base64!!"); err == nil {
 		t.Error("DecodeCursor accepted garbage")
 	}
 }
 
 // FuzzCursor: a key whose fields Validate would let into a store comes
 // back from its cursor as it went in, the cursor being its fields
-// joined by the separator in unpadded URL base64; and DecodeCursor
+// joined by the separator in unpadded URL base64; and decodeCursor
 // answers any string with a key or an error, never a panic.
 func FuzzCursor(f *testing.F) {
 	f.Add("job1", "0", "node007", 3, "")
 	f.Add("", "", "", 0, "*bad*")
 	f.Add("a", "0", "n", -1, "YR9iHzAfbjEfMA") // a cursor of five fields
 	f.Fuzz(func(t *testing.T, job, step, node string, phase int, cursor string) {
-		_, _ = DecodeCursor(cursor)
+		_, _ = decodeCursor(cursor)
 		if strings.Contains(job+step+node, cursorSep) {
 			return
 		}
@@ -154,7 +155,7 @@ func FuzzCursor(f *testing.F) {
 		if want := base64.RawURLEncoding.EncodeToString([]byte(raw)); c != want {
 			t.Fatalf("%+v: cursor %q, want %q", k, c, want)
 		}
-		if got, err := DecodeCursor(c); err != nil || got != k {
+		if got, err := decodeCursor(c); err != nil || got != k {
 			t.Fatalf("%+v: cursor %q decodes to %+v, %v", k, c, got, err)
 		}
 	})
@@ -179,15 +180,15 @@ func TestCursorSeparatorCannotStopPagination(t *testing.T) {
 		}
 	}
 	walked, err := Walk(s.Query, Query{Limit: 1})
-	if err != nil || len(walked) != s.Len() {
-		t.Fatalf("a one-record walk returned %d of %d records, err %v", len(walked), s.Len(), err)
+	if err != nil || len(walked) != len(s.Snapshot()) {
+		t.Fatalf("a one-record walk returned %d of %d records, err %v", len(walked), len(s.Snapshot()), err)
 	}
 }
 
 // stored looks one key up in the store's canonical snapshot.
 func stored(s *Store, k Key) (Record, bool) {
 	for _, r := range s.Snapshot() {
-		if r.Key() == k {
+		if r.key() == k {
 			return r, true
 		}
 	}
@@ -198,22 +199,22 @@ func TestStoreClassesAndGeneration(t *testing.T) {
 	s := NewStore(nil)
 	r := mustRecord(t, "j1", "0", "alice", "n1", 0)
 	class, err := s.Insert(r)
-	if err != nil || class != ClassAccepted {
+	if err != nil || class != grouped.Accepted {
 		t.Fatalf("first insert: class %v err %v", class, err)
 	}
-	g1 := s.Generation()
-	if class, _ = s.Insert(r); class != ClassDuplicate {
+	g1 := s.recs.Generation()
+	if class, _ = s.Insert(r); class != grouped.Duplicate {
 		t.Fatalf("identical re-insert: class %v, want duplicate", class)
 	}
-	if s.Generation() != g1 {
+	if s.recs.Generation() != g1 {
 		t.Error("duplicate moved the generation counter")
 	}
 	r2 := r
 	r2.PkgJ += 5
-	if class, _ = s.Insert(r2); class != ClassReplaced {
+	if class, _ = s.Insert(r2); class != grouped.Replaced {
 		t.Fatalf("same-key different payload: class %v, want replaced", class)
 	}
-	if s.Generation() == g1 {
+	if s.recs.Generation() == g1 {
 		t.Error("replace did not move the generation counter")
 	}
 	bad := r
@@ -221,10 +222,10 @@ func TestStoreClassesAndGeneration(t *testing.T) {
 	if _, err := s.Insert(bad); err == nil {
 		t.Error("Insert accepted a foreign codec version")
 	}
-	if s.Len() != 1 {
-		t.Errorf("Len = %d, want 1", s.Len())
+	if n := len(s.Snapshot()); n != 1 {
+		t.Errorf("snapshot holds %d records, want 1", n)
 	}
-	if got, ok := stored(s, r.Key()); !ok || got.PkgJ != r2.PkgJ {
+	if got, ok := stored(s, r.key()); !ok || got.PkgJ != r2.PkgJ {
 		t.Errorf("snapshot holds %+v ok=%v", got, ok)
 	}
 }
@@ -276,8 +277,8 @@ func TestSnapshotCanonicalOrder(t *testing.T) {
 	}
 	snap := s.Snapshot()
 	for i := 1; i < len(snap); i++ {
-		if !snap[i-1].Key().Less(snap[i].Key()) {
-			t.Fatalf("snapshot out of order at %d: %+v then %+v", i, snap[i-1].Key(), snap[i].Key())
+		if !snap[i-1].key().less(snap[i].key()) {
+			t.Fatalf("snapshot out of order at %d: %+v then %+v", i, snap[i-1].key(), snap[i].key())
 		}
 	}
 }
@@ -312,18 +313,18 @@ func TestStoreRetentionCap(t *testing.T) {
 			}
 		}
 	}
-	if s.MaxRecords() != 0 {
-		t.Fatalf("MaxRecords = %d before any cap", s.MaxRecords())
+	if s.maxRecords != 0 {
+		t.Fatalf("maxRecords = %d before any cap", s.maxRecords)
 	}
 
 	// Installing a cap of 4 must evict the oldest group whole and bump
 	// the generation.
-	gen := s.Generation()
+	gen := s.recs.Generation()
 	s.SetMaxRecords(4)
-	if s.Len() != 4 {
-		t.Fatalf("Len = %d after SetMaxRecords(4), want 4", s.Len())
+	if n := len(s.Snapshot()); n != 4 {
+		t.Fatalf("snapshot holds %d records after SetMaxRecords(4), want 4", n)
 	}
-	if s.Generation() == gen {
+	if s.recs.Generation() == gen {
 		t.Error("eviction did not move the generation counter")
 	}
 	for n := 0; n < 2; n++ {
@@ -341,8 +342,8 @@ func TestStoreRetentionCap(t *testing.T) {
 	if _, err := s.Insert(windowRecord(t, "j3", "0", "n0", 340, 400)); err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d after over-cap insert, want 3", s.Len())
+	if n := len(s.Snapshot()); n != 3 {
+		t.Fatalf("snapshot holds %d records after over-cap insert, want 3", n)
 	}
 	for n := 0; n < 2; n++ {
 		if _, ok := stored(s, Key{JobID: "j1", StepID: "0", Node: fmt.Sprintf("n%d", n)}); ok {
@@ -359,8 +360,8 @@ func TestStoreRetentionCap(t *testing.T) {
 		windowRecord(t, "j4", "0", "n1", 440, 500),
 		windowRecord(t, "j4", "0", "n2", 440, 500),
 	})
-	if s.Len() != 4 {
-		t.Fatalf("Len = %d after Seed, want 4", s.Len())
+	if n := len(s.Snapshot()); n != 4 {
+		t.Fatalf("snapshot holds %d records after Seed, want 4", n)
 	}
 	if _, ok := stored(s, Key{JobID: "j4", StepID: "0", Node: "n2"}); !ok {
 		t.Error("seeded newest-group record missing after prune")
@@ -385,8 +386,8 @@ func TestStoreRetentionCap(t *testing.T) {
 	if _, err := s.Insert(windowRecord(t, "j5", "0", "n0", 540, 600)); err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 5 {
-		t.Fatalf("Len = %d with the cap lifted, want 5", s.Len())
+	if n := len(s.Snapshot()); n != 5 {
+		t.Fatalf("snapshot holds %d records with the cap lifted, want 5", n)
 	}
 }
 
@@ -481,7 +482,7 @@ func TestQueryLimitClamping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Records) != DefaultPageSize || p.Next == "" {
+	if len(p.Records) != defaultPageSize || p.Next == "" {
 		t.Errorf("default page: %d records, next %q", len(p.Records), p.Next)
 	}
 	p, err = s.Query(Query{Limit: MaxPageSize * 10})
@@ -495,18 +496,18 @@ func TestQueryLimitClamping(t *testing.T) {
 
 // TestSelectMatchesReferencePage walks every filter with every limit
 // from the first page to the last over a 3,000-record store, then the
-// cursors no walk produces. At every step Select, Selection.Each,
-// Selection.Page, PageRecords and Store.Query agree, and the pages —
+// cursors no walk produces. At every step selectSnapshot, Selection.Each,
+// Selection.page and Store.Query agree, and the pages —
 // records, Next (the cursor bytes) and Total, or a refusal — hash to a
 // digest pinned while they were still held, page for page, to the
-// page-building loop Select replaced.
+// page-building loop selectSnapshot replaced.
 func TestSelectMatchesReferencePage(t *testing.T) {
 	s := buildStore(t, 15, 200)
 	snap := s.Snapshot()
 	h := fnv.New64a()
 	check := func(q Query) Page {
 		t.Helper()
-		sel, err := Select(snap, q)
+		sel, err := selectSnapshot(snap, q)
 		if err != nil {
 			if _, err := s.Query(q); err == nil {
 				t.Fatalf("%+v: Store.Query accepted what Select refused", q)
@@ -514,7 +515,7 @@ func TestSelectMatchesReferencePage(t *testing.T) {
 			h.Write([]byte("refused\n"))
 			return Page{}
 		}
-		want := sel.Page()
+		want := sel.page()
 		if sel.N != len(want.Records) || sel.Next != want.Next || sel.Total != want.Total {
 			t.Fatalf("%+v: selected %d records, next %q, total %d; its page %d, %q, %d",
 				q, sel.N, sel.Next, sel.Total, len(want.Records), want.Next, want.Total)
@@ -529,10 +530,8 @@ func TestSelectMatchesReferencePage(t *testing.T) {
 		if i != len(want.Records) {
 			t.Fatalf("%+v: Each yielded %d records, want %d", q, i, len(want.Records))
 		}
-		for name, got := range map[string]Page{"PageRecords": mustPage(t, snap, q), "Store.Query": mustQuery(t, s, q)} {
-			if got.Records == nil || !reflect.DeepEqual(got, want) {
-				t.Fatalf("%+v: %s differs from Selection.Page (%d records, next %q)", q, name, len(got.Records), got.Next)
-			}
+		if got := mustQuery(t, s, q); got.Records == nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: Store.Query differs from Selection.Page (%d records, next %q)", q, len(got.Records), got.Next)
 		}
 		data, err := json.Marshal(want)
 		if err != nil {
@@ -580,15 +579,6 @@ func TestSelectMatchesReferencePage(t *testing.T) {
 	}
 }
 
-func mustPage(t *testing.T, snap []Record, q Query) Page {
-	t.Helper()
-	p, err := PageRecords(snap, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
 func mustQuery(t *testing.T, s *Store, q Query) Page {
 	t.Helper()
 	p, err := s.Query(q)
@@ -610,8 +600,8 @@ func TestQueryAllocatesOnlyThePage(t *testing.T) {
 		q    Query
 	}{
 		{"first page", Query{Limit: 200}},
-		{"middle page", Query{Limit: 200, Cursor: EncodeCursor(snap[999].Key())}},
-		{"last page", Query{Limit: 200, Cursor: EncodeCursor(snap[len(snap)-201].Key())}},
+		{"middle page", Query{Limit: 200, Cursor: EncodeCursor(snap[999].key())}},
+		{"last page", Query{Limit: 200, Cursor: EncodeCursor(snap[len(snap)-201].key())}},
 	} {
 		page, err := s.Query(c.q)
 		if err != nil || len(page.Records) != 200 || cap(page.Records) != 200 {
@@ -619,13 +609,13 @@ func TestQueryAllocatesOnlyThePage(t *testing.T) {
 		}
 		cursors := 0.0
 		if c.q.Cursor != "" {
-			if n := testing.AllocsPerRun(20, func() { _, _ = DecodeCursor(c.q.Cursor) }); n != 1 {
+			if n := testing.AllocsPerRun(20, func() { _, _ = decodeCursor(c.q.Cursor) }); n != 1 {
 				t.Errorf("%s: DecodeCursor allocates %v times, want 1", c.name, n)
 			}
 			cursors++
 		}
 		if page.Next != "" {
-			if n := testing.AllocsPerRun(20, func() { _ = EncodeCursor(page.Records[199].Key()) }); n != 1 {
+			if n := testing.AllocsPerRun(20, func() { _ = EncodeCursor(page.Records[199].key()) }); n != 1 {
 				t.Errorf("%s: EncodeCursor allocates %v times, want 1", c.name, n)
 			}
 			cursors++
@@ -695,11 +685,11 @@ func BenchmarkJobQuery(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, err := s.Query(Query{User: "alice", Limit: DefaultPageSize})
+		p, err := s.Query(Query{User: "alice", Limit: defaultPageSize})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(p.Records) != DefaultPageSize {
+		if len(p.Records) != defaultPageSize {
 			b.Fatalf("page of %d", len(p.Records))
 		}
 	}

@@ -2,12 +2,12 @@ package accounting
 
 import "fmt"
 
-// Page-size bounds: a query asking for nothing gets DefaultPageSize
+// Page-size bounds: a query asking for nothing gets defaultPageSize
 // records, and nobody gets more than MaxPageSize per round trip — the
 // read tier is sized for many small queries, not bulk export (the
 // records dump query is the bulk path).
 const (
-	DefaultPageSize = 100
+	defaultPageSize = 100
 	MaxPageSize     = 1000
 )
 
@@ -20,7 +20,7 @@ type Query struct {
 	Job string `json:"job,omitempty"`
 	// Since drops windows that ended at or before this time.
 	Since float64 `json:"since,omitempty"`
-	// Limit caps the page size (DefaultPageSize when 0, MaxPageSize
+	// Limit caps the page size (defaultPageSize when 0, MaxPageSize
 	// ceiling).
 	Limit int `json:"limit,omitempty"`
 	// Cursor resumes a walk after the key a previous page's Next
@@ -65,22 +65,22 @@ type Selection struct {
 	Total int
 }
 
-// Select evaluates q over a canonical (Key-ordered) snapshot in one
+// selectSnapshot evaluates q over a canonical (Key-ordered) snapshot in one
 // pass. Pure: same snapshot + same query ⇒ same page, bytes included,
 // which is what makes pages interchangeable between a shard daemon and
 // a federation root holding the same merged state.
-func Select(snap []Record, q Query) (Selection, error) {
+func selectSnapshot(snap []Record, q Query) (Selection, error) {
 	limit := q.Limit
 	switch {
 	case limit <= 0:
-		limit = DefaultPageSize
+		limit = defaultPageSize
 	case limit > MaxPageSize:
 		limit = MaxPageSize
 	}
 	var after Key
 	skipping := false
 	if q.Cursor != "" {
-		k, err := DecodeCursor(q.Cursor)
+		k, err := decodeCursor(q.Cursor)
 		if err != nil {
 			return Selection{}, err
 		}
@@ -95,7 +95,7 @@ func Select(snap []Record, q Query) (Selection, error) {
 			continue
 		}
 		sel.Total++
-		if skipping && !after.Less(r.Key()) {
+		if skipping && !after.less(r.key()) {
 			continue
 		}
 		if sel.N == limit {
@@ -109,7 +109,7 @@ func Select(snap []Record, q Query) (Selection, error) {
 		last = i
 	}
 	if more {
-		sel.Next = EncodeCursor(snap[last].Key())
+		sel.Next = EncodeCursor(snap[last].key())
 	}
 	return sel, nil
 }
@@ -126,21 +126,12 @@ func (s Selection) Each(fn func(*Record)) {
 	}
 }
 
-// Page copies the selected records out: the value in-process callers
+// page copies the selected records out: the value in-process callers
 // and the HTTP API hold on to.
-func (s Selection) Page() Page {
+func (s Selection) page() Page {
 	page := Page{Records: make([]Record, 0, s.N), Next: s.Next, Total: s.Total}
 	s.Each(func(r *Record) { page.Records = append(page.Records, *r) })
 	return page
-}
-
-// PageRecords is Select followed by the copy.
-func PageRecords(snap []Record, q Query) (Page, error) {
-	sel, err := Select(snap, q)
-	if err != nil {
-		return Page{}, err
-	}
-	return sel.Page(), nil
 }
 
 // Walk pages through q until exhaustion and returns the concatenated

@@ -151,13 +151,13 @@ type Key struct {
 	Phase  int
 }
 
-// Key returns the record's identity.
-func (r Record) Key() Key {
+// key returns the record's identity.
+func (r Record) key() Key {
 	return Key{JobID: r.JobID, StepID: r.StepID, Node: r.Node, Phase: r.Phase}
 }
 
-// Less orders keys canonically: (job, step, node, phase).
-func (k Key) Less(o Key) bool {
+// less orders keys canonically: (job, step, node, phase).
+func (k Key) less(o Key) bool {
 	if k.JobID != o.JobID {
 		return k.JobID < o.JobID
 	}
@@ -196,10 +196,10 @@ func EncodeCursor(k Key) string {
 	return string(base64.RawURLEncoding.AppendEncode(enc[:0], b))
 }
 
-// DecodeCursor parses a cursor back into the key it names. The cursor
+// decodeCursor parses a cursor back into the key it names. The cursor
 // is decoded on the stack into one string, and the key's three strings
 // are cut from it.
-func DecodeCursor(s string) (Key, error) {
+func decodeCursor(s string) (Key, error) {
 	var src [cursorRoom * 4 / 3]byte
 	var raw [cursorRoom]byte
 	dec, err := base64.RawURLEncoding.AppendDecode(raw[:0], append(src[:0], s...))

@@ -9,18 +9,6 @@ import (
 	"goear/internal/telemetry"
 )
 
-// Class is an ingest outcome, shared with the node-report database so
-// job records ride the same dedup semantics as node reports: a
-// byte-identical re-insert is a duplicate, a same-key
-// different-payload insert replaces.
-type Class = grouped.Class
-
-const (
-	ClassAccepted  = grouped.Accepted
-	ClassDuplicate = grouped.Duplicate
-	ClassReplaced  = grouped.Replaced
-)
-
 // nodePhase is the part of a record's key inside its (job, step)
 // group.
 type nodePhase struct {
@@ -63,19 +51,23 @@ func NewStore(ts *telemetry.Set) *Store {
 }
 
 // Insert validates and folds one record in, reporting how it was
-// classified. Accepted and replaced records bump the store generation
-// — the signal snapshot caches (local and federation-root) key on.
-func (s *Store) Insert(r Record) (Class, error) {
+// classified. The outcome is shared with the node-report database, so
+// job records ride the same dedup semantics as node reports: a
+// byte-identical re-insert is a duplicate, a same-key
+// different-payload insert replaces. Accepted and replaced records
+// bump the store generation — the signal snapshot caches (local and
+// federation-root) key on.
+func (s *Store) Insert(r Record) (grouped.Class, error) {
 	if err := r.Validate(); err != nil {
-		return ClassAccepted, err
+		return grouped.Accepted, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	class := s.recs.Insert(&r)
 	switch class {
-	case ClassDuplicate:
+	case grouped.Duplicate:
 		s.tel.ingDup.Inc()
-	case ClassReplaced:
+	case grouped.Replaced:
 		s.tel.ingRepl.Inc()
 	default:
 		s.tel.ingAccept.Inc()
@@ -91,13 +83,6 @@ func (s *Store) SetMaxRecords(n int) {
 	defer s.mu.Unlock()
 	s.maxRecords = n
 	s.pruneLocked()
-}
-
-// MaxRecords reports the retention cap (0 = unlimited).
-func (s *Store) MaxRecords() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.maxRecords
 }
 
 // pruneLocked enforces the retention cap — whole (job, step) groups go,
@@ -122,22 +107,6 @@ func (s *Store) Seed(recs []Record) {
 		s.recs.Insert(&recs[i])
 	}
 	s.pruneLocked()
-}
-
-// Len reports the resident record count.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.recs.Len()
-}
-
-// Generation reports the mutation counter: it advances on every
-// accepted or replaced record and every eviction and never otherwise,
-// so equal generations imply identical store contents.
-func (s *Store) Generation() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.recs.Generation()
 }
 
 // Snapshot returns the canonical (Key-ordered) dump of the store. The
@@ -173,7 +142,7 @@ func (s *Store) Select(q Query) (Selection, error) {
 	snap := s.snapshotLocked()
 	s.mu.Unlock()
 	s.tel.queries.Inc()
-	return Select(snap, q)
+	return selectSnapshot(snap, q)
 }
 
 // Query is Select with the page copied out, for callers that keep it.
@@ -182,5 +151,5 @@ func (s *Store) Query(q Query) (Page, error) {
 	if err != nil {
 		return Page{}, err
 	}
-	return sel.Page(), nil
+	return sel.page(), nil
 }

@@ -42,15 +42,15 @@ type Diagnostic struct {
 	Message string `json:"message"`
 }
 
-// Pos formats the diagnostic position as file:line:col.
-func (d Diagnostic) Pos() string {
+// pos formats the diagnostic position as file:line:col.
+func (d Diagnostic) pos() string {
 	return fmt.Sprintf("%s:%d:%d", d.File, d.Line, d.Col)
 }
 
 // String renders the diagnostic in the conventional one-line vet
 // format.
 func (d Diagnostic) String() string {
-	return fmt.Sprintf("%s: %s (%s)", d.Pos(), d.Message, d.Analyzer)
+	return fmt.Sprintf("%s: %s (%s)", d.pos(), d.Message, d.Analyzer)
 }
 
 // Analyzer is one named check. Analyzers are stateless; all per-run
@@ -69,9 +69,9 @@ type Analyzer struct {
 	Run func(*Pass) error
 }
 
-// AppliesTo reports whether the analyzer's scope covers the package
+// appliesTo reports whether the analyzer's scope covers the package
 // with the given import path.
-func (a *Analyzer) AppliesTo(path string) bool {
+func (a *Analyzer) appliesTo(path string) bool {
 	if len(a.Scope) == 0 {
 		return true
 	}
@@ -167,7 +167,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		diags = append(diags, ign.malformed...)
 		var pkgDiags []Diagnostic
 		for _, a := range analyzers {
-			if !a.AppliesTo(pkg.Path) {
+			if !a.appliesTo(pkg.Path) {
 				continue
 			}
 			pass := &Pass{

@@ -37,11 +37,11 @@ func TestPathMatches(t *testing.T) {
 
 func TestAnalyzerAppliesTo(t *testing.T) {
 	a := &Analyzer{Name: "x", Scope: []string{"internal/sim", "internal/policy"}}
-	if !a.AppliesTo("goear/internal/sim") || a.AppliesTo("goear/internal/msr") {
+	if !a.appliesTo("goear/internal/sim") || a.appliesTo("goear/internal/msr") {
 		t.Error("scope matching is wrong")
 	}
 	unscoped := &Analyzer{Name: "y"}
-	if !unscoped.AppliesTo("anything/at/all") {
+	if !unscoped.appliesTo("anything/at/all") {
 		t.Error("empty scope must match every package")
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"goear/internal/analysis"
 )
 
-// Concurrency enforces the repo's two concurrency ground rules:
+// concurrency enforces the repo's two concurrency ground rules:
 //
 //   - values containing sync primitives (Mutex, RWMutex, WaitGroup,
 //     Once, Cond, Pool, Map) are never copied — not as by-value
@@ -17,7 +17,7 @@ import (
 //     goroutines. All fan-out goes through internal/par, whose
 //     bounded, slot-addressed primitives are what makes parallel runs
 //     byte-identical to sequential ones.
-var Concurrency = &analysis.Analyzer{
+var concurrency = &analysis.Analyzer{
 	Name: "concurrency",
 	Doc: "flag by-value copies of sync primitives anywhere in internal/, and raw go " +
 		"statements in internal/sim, internal/experiments and internal/policy " +

@@ -10,13 +10,13 @@ import (
 	"goear/internal/analysis"
 )
 
-// ConfTag cross-checks the three places a cluster-config key lives:
+// conftag cross-checks the three places a cluster-config key lives:
 // the string matched in the parser's set switch, the struct field the
 // case assigns, and the field's `conf:"..."` tag. EAR's ear.conf keys
 // drift easily — a renamed key with a stale tag still parses but
 // documents the wrong name, and a tagged field with no case is a knob
 // that silently never takes effect.
-var ConfTag = &analysis.Analyzer{
+var conftag = &analysis.Analyzer{
 	Name: "conftag",
 	Doc: "require config keys, the struct fields their parser cases assign, and the " +
 		"fields' conf struct tags to agree: no dead keys, no stale or missing tags",

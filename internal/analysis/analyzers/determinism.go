@@ -8,7 +8,7 @@ import (
 	"goear/internal/analysis"
 )
 
-// Determinism rejects sources of run-to-run variation in the
+// determinism rejects sources of run-to-run variation in the
 // simulation, experiment, policy, wire, eardbd, loadgen and grouped
 // (the aggregation tier's record store, whose canonical dumps are
 // built from map iterations) packages
@@ -22,7 +22,7 @@ import (
 // iteration. The report-aggregation tier is held to the same bar so
 // closed-loop tests stay reproducible: its client takes an injected
 // Clock and an explicitly seeded jitter generator instead.
-var Determinism = &analysis.Analyzer{
+var determinism = &analysis.Analyzer{
 	Name: "determinism",
 	Doc: "forbid wall-clock reads (time.Now/Since/Until), global math/rand draws, " +
 		"and output or slice building in bare map-iteration order inside " +

@@ -7,7 +7,7 @@ import (
 	"goear/internal/analysis"
 )
 
-// ErrCheck flags calls in internal packages whose error result is
+// errcheck flags calls in internal packages whose error result is
 // silently dropped. The simulator layers its failure reporting
 // through returned errors (MSR writability, config validation,
 // conservation checks); a discarded error here means a run continues
@@ -18,7 +18,7 @@ import (
 // a reason. Writes through fmt to a strings.Builder or bytes.Buffer
 // are exempt — those writers cannot fail — as is best-effort console
 // logging via fmt.Print/Printf/Println.
-var ErrCheck = &analysis.Analyzer{
+var errcheck = &analysis.Analyzer{
 	Name: "errcheck",
 	Doc: "flag dropped error results in internal packages (expression statements, " +
 		"defer and go calls); infallible Builder/Buffer writes are exempt",

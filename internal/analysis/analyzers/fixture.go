@@ -8,7 +8,7 @@ import (
 	"goear/internal/analysis"
 )
 
-// Fixture polices test-helper packages that fabricate persisted
+// fixture polices test-helper packages that fabricate persisted
 // artefacts: spill journals, wire frames and job accounting records
 // must be produced through the versioned codec constructors, never
 // hand-rolled. A literal wire.Frame or accounting.Record bakes today's
@@ -17,7 +17,7 @@ import (
 // wire codec is the only serialisation of the ingest path — socket and
 // journal alike — any encoding/json call on a batch, frame or journal
 // entry fabricates a format nothing reads.
-var Fixture = &analysis.Analyzer{
+var fixture = &analysis.Analyzer{
 	Name: "fixture",
 	Doc: "require test helpers to build spill journals, wire frames and job records " +
 		"through the versioned codec constructors instead of hand-rolled literals",

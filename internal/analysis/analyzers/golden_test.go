@@ -25,15 +25,15 @@ func TestGolden(t *testing.T) {
 		importPath string
 		fixture    string
 	}{
-		{Determinism, "fix/internal/sim", "../testdata/src/determinism"},
-		{UnitSafety, "fix/internal/unitsafety", "../testdata/src/unitsafety"},
-		{MSRField, "fix/internal/msr", "../testdata/src/msrfield"},
-		{ErrCheck, "fix/internal/errs", "../testdata/src/errcheck"},
-		{Concurrency, "fix2/internal/sim", "../testdata/src/concurrency"},
-		{Telemetry, "fix/internal/telemetrytest", "../testdata/src/telemetry"},
-		{PolicyReg, "fix/internal/policy", "../testdata/src/policyreg"},
-		{ConfTag, "fix/internal/earconf", "../testdata/src/conftag"},
-		{Fixture, "fix/internal/loadgen", "../testdata/src/fixture"},
+		{determinism, "fix/internal/sim", "../testdata/src/determinism"},
+		{unitsafety, "fix/internal/unitsafety", "../testdata/src/unitsafety"},
+		{msrfield, "fix/internal/msr", "../testdata/src/msrfield"},
+		{errcheck, "fix/internal/errs", "../testdata/src/errcheck"},
+		{concurrency, "fix2/internal/sim", "../testdata/src/concurrency"},
+		{telemetry, "fix/internal/telemetrytest", "../testdata/src/telemetry"},
+		{policyreg, "fix/internal/policy", "../testdata/src/policyreg"},
+		{conftag, "fix/internal/earconf", "../testdata/src/conftag"},
+		{fixture, "fix/internal/loadgen", "../testdata/src/fixture"},
 	}
 	for _, c := range cases {
 		loader.AddDir(c.importPath, c.fixture)
@@ -143,7 +143,7 @@ func TestFixtureCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := analysis.Run([]*analysis.Package{pkg}, []*analysis.Analyzer{Determinism})
+	diags, err := analysis.Run([]*analysis.Package{pkg}, []*analysis.Analyzer{determinism})
 	if err != nil {
 		t.Fatal(err)
 	}

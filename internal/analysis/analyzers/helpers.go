@@ -41,15 +41,15 @@ import (
 // All returns the full analyzer suite sorted by name.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		Concurrency,
-		ConfTag,
-		Determinism,
-		ErrCheck,
-		Fixture,
-		MSRField,
-		PolicyReg,
-		Telemetry,
-		UnitSafety,
+		concurrency,
+		conftag,
+		determinism,
+		errcheck,
+		fixture,
+		msrfield,
+		policyreg,
+		telemetry,
+		unitsafety,
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 	"goear/internal/analysis"
 )
 
-// MSRField checks the bit-field arithmetic that the MSR emulation and
+// msrfield checks the bit-field arithmetic that the MSR emulation and
 // its consumers are built on. The whole reproduction hangs off a
 // handful of mask/shift pairs (MSR 0x620's 7-bit ratio fields,
 // IA32_PERF_CTL's ratio byte, the RAPL unit field); a silently wrong
@@ -26,7 +26,7 @@ import (
 //     layouts,
 //   - a doc comment documenting "bits H:L" matches an extracted field
 //     of exactly that position and width.
-var MSRField = &analysis.Analyzer{
+var msrfield = &analysis.Analyzer{
 	Name: "msrfield",
 	Doc: "verify MSR bit-field mask/shift constants: contiguous masks, non-overlapping " +
 		"encode fields, Encode*/Decode* layout agreement, and doc 'bits H:L' consistency",

@@ -8,7 +8,7 @@ import (
 	"goear/internal/analysis"
 )
 
-// PolicyReg checks the policy plugin registry for completeness and
+// policyreg checks the policy plugin registry for completeness and
 // config round-tripping. The registry mirrors EAR's dlopen plugin
 // table: every concrete Policy implementation must be constructed by
 // exactly one Register factory, registered under a declared name
@@ -16,7 +16,7 @@ import (
 // through earconf parsing — the AuthorizedPolicies list is split on
 // commas and trimmed, so a name with commas, spaces or uppercase would
 // silently never match what a job requests.
-var PolicyReg = &analysis.Analyzer{
+var policyreg = &analysis.Analyzer{
 	Name: "policyreg",
 	Doc: "require every Policy implementation to be registered exactly once under a " +
 		"declared name constant whose value round-trips config parsing " +

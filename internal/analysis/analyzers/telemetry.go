@@ -11,7 +11,7 @@ import (
 	"goear/internal/analysis"
 )
 
-// Telemetry enforces the observability naming contract: every metric
+// telemetry enforces the observability naming contract: every metric
 // name handed to a telemetry Registry registration (Counter, Gauge,
 // Histogram and their Vec variants) must be a package-level string
 // constant whose value matches ^goear_[a-z0-9_]+$, and each constant
@@ -27,7 +27,7 @@ import (
 // and span kinds passed to trace span constructors (Root, RootNamed,
 // Remote, Child) must be dotted lowercase paths, the shape the /traces
 // kind filter matches on dot boundaries.
-var Telemetry = &analysis.Analyzer{
+var telemetry = &analysis.Analyzer{
 	Name: "telemetry",
 	Doc: "metric names passed to telemetry registry registrations must be package-level " +
 		"constants matching ^goear_[a-z0-9_]+$, each registered at exactly one call site; " +

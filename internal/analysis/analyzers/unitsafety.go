@@ -8,7 +8,7 @@ import (
 	"goear/internal/analysis"
 )
 
-// UnitSafety enforces dimensional discipline on the internal/units
+// unitsafety enforces dimensional discipline on the internal/units
 // quantity types (Freq, Power, Energy, Seconds). The types are all
 // float64 underneath, so Go's checker happily permits conversions that
 // are dimensional nonsense — units.Freq(somePower) compiles. This
@@ -24,7 +24,7 @@ import (
 //
 // Scaling by untyped constants (2 * f, f / 2) stays legal, as do the
 // canonical constructions value*unit-constant.
-var UnitSafety = &analysis.Analyzer{
+var unitsafety = &analysis.Analyzer{
 	Name: "unitsafety",
 	Doc: "flag cross-kind conversions between internal/units quantities, same-kind " +
 		"products/quotients, and raw numeric literals used where a unit value is expected",

@@ -7,7 +7,7 @@
 //
 // The detector keeps a bounded window of recent event identifiers. While
 // searching, it looks for the smallest period p such that the last
-// MinRepetitions·p events are p-periodic. Once locked, each incoming
+// minRepetitions·p events are p-periodic. Once locked, each incoming
 // event is checked against the event one period back; completing a
 // period reports a new iteration, and a mismatch drops back to search.
 package dynais
@@ -21,14 +21,14 @@ type State int
 
 // Detector states.
 const (
-	// NoLoop: no periodic structure currently detected.
-	NoLoop State = iota
-	// InLoop: inside a detected loop, mid-iteration.
-	InLoop
+	// noLoop: no periodic structure currently detected.
+	noLoop State = iota
+	// inLoop: inside a detected loop, mid-iteration.
+	inLoop
 	// NewIteration: this event completed one full period.
 	NewIteration
-	// NewLoop: a loop has just been detected (first lock).
-	NewLoop
+	// newLoop: a loop has just been detected (first lock).
+	newLoop
 	// EndLoop: the previously detected loop broke on this event.
 	EndLoop
 )
@@ -36,13 +36,13 @@ const (
 // String names the state.
 func (s State) String() string {
 	switch s {
-	case NoLoop:
+	case noLoop:
 		return "NO_LOOP"
-	case InLoop:
+	case inLoop:
 		return "IN_LOOP"
 	case NewIteration:
 		return "NEW_ITERATION"
-	case NewLoop:
+	case newLoop:
 		return "NEW_LOOP"
 	case EndLoop:
 		return "END_LOOP"
@@ -51,16 +51,16 @@ func (s State) String() string {
 	}
 }
 
-// MinRepetitions is how many consecutive periods must match before the
+// minRepetitions is how many consecutive periods must match before the
 // detector locks onto a loop.
-const MinRepetitions = 3
+const minRepetitions = 3
 
 // Detector detects periodic event streams. Construct with New.
 type Detector struct {
 	maxPeriod int
 	// window holds the most recent events in one buffer allocated at
 	// the first Push and never grown: when it fills, the newest
-	// MinRepetitions·maxPeriod−1 events are copied down to its front.
+	// minRepetitions·maxPeriod−1 events are copied down to its front.
 	// That tail is all detection ever reads, so a detector that never
 	// sees an event costs nothing and one that does never allocates
 	// again.
@@ -93,9 +93,9 @@ func (d *Detector) Locked() bool { return d.locked }
 func (d *Detector) Push(ev uint32) State {
 	if len(d.window) == cap(d.window) {
 		if d.window == nil {
-			d.window = make([]uint32, 0, d.maxPeriod*(MinRepetitions+1)+1)
+			d.window = make([]uint32, 0, d.maxPeriod*(minRepetitions+1)+1)
 		} else {
-			keep := d.maxPeriod*MinRepetitions - 1
+			keep := d.maxPeriod*minRepetitions - 1
 			copy(d.window, d.window[len(d.window)-keep:])
 			d.window = d.window[:keep]
 		}
@@ -111,7 +111,7 @@ func (d *Detector) Push(ev uint32) State {
 				d.phase = 0
 				return NewIteration
 			}
-			return InLoop
+			return inLoop
 		}
 		// Loop broken: drop the lock but keep the window so that a new
 		// structure can be found quickly.
@@ -125,18 +125,18 @@ func (d *Detector) Push(ev uint32) State {
 		d.locked = true
 		d.period = p
 		d.phase = 0
-		return NewLoop
+		return newLoop
 	}
-	return NoLoop
+	return noLoop
 }
 
 // findPeriod searches for the smallest period p whose last
-// MinRepetitions·p events are p-periodic. Periods of length 1 require a
+// minRepetitions·p events are p-periodic. Periods of length 1 require a
 // run of identical events.
 func (d *Detector) findPeriod() int {
 	n := len(d.window)
 	for p := 1; p <= d.maxPeriod; p++ {
-		need := p * MinRepetitions
+		need := p * minRepetitions
 		if n < need {
 			// Larger periods need even more history.
 			return 0
@@ -156,8 +156,8 @@ func (d *Detector) findPeriod() int {
 	return 0
 }
 
-// Reset clears all detector state.
-func (d *Detector) Reset() {
+// reset clears all detector state.
+func (d *Detector) reset() {
 	d.window = d.window[:0]
 	d.locked = false
 	d.period = 0

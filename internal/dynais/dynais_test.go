@@ -26,7 +26,7 @@ func TestDetectsSimpleLoop(t *testing.T) {
 		for i, ev := range pattern {
 			st := d.Push(ev)
 			switch st {
-			case NewLoop:
+			case newLoop:
 				lockEvent = rep*len(pattern) + i
 			case NewIteration:
 				iterations++
@@ -39,7 +39,7 @@ func TestDetectsSimpleLoop(t *testing.T) {
 	if d.Period() != len(pattern) {
 		t.Errorf("period = %d, want %d", d.Period(), len(pattern))
 	}
-	// Lock must happen after MinRepetitions patterns.
+	// Lock must happen after minRepetitions patterns.
 	if lockEvent >= 4*len(pattern) {
 		t.Errorf("locked too late: event %d", lockEvent)
 	}
@@ -54,7 +54,7 @@ func TestPeriodOneRun(t *testing.T) {
 	var locked bool
 	for i := 0; i < 10; i++ {
 		st := d.Push(7)
-		if st == NewLoop {
+		if st == newLoop {
 			locked = true
 		}
 	}
@@ -98,7 +98,7 @@ func TestLoopBreakAndRelock(t *testing.T) {
 	var relocked bool
 	for rep := 0; rep < 6; rep++ {
 		for _, ev := range newPat {
-			if d.Push(ev) == NewLoop {
+			if d.Push(ev) == newLoop {
 				relocked = true
 			}
 		}
@@ -112,7 +112,7 @@ func TestNoFalseLockOnRandomStream(t *testing.T) {
 	// A stream of unique events must never lock.
 	d, _ := New(16)
 	for i := 0; i < 500; i++ {
-		if st := d.Push(uint32(i)); st != NoLoop {
+		if st := d.Push(uint32(i)); st != noLoop {
 			t.Fatalf("event %d: state %v on strictly increasing stream", i, st)
 		}
 	}
@@ -123,7 +123,7 @@ func TestIterationCadenceExact(t *testing.T) {
 	d, _ := New(32)
 	pattern := []uint32{11, 22, 33, 44, 55}
 	// Prime to lock.
-	for rep := 0; rep < MinRepetitions; rep++ {
+	for rep := 0; rep < minRepetitions; rep++ {
 		for _, ev := range pattern {
 			d.Push(ev)
 		}
@@ -160,7 +160,7 @@ func TestDetectsAnyPeriodProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for rep := 0; rep < MinRepetitions+4; rep++ {
+		for rep := 0; rep < minRepetitions+4; rep++ {
 			for _, ev := range pattern {
 				d.Push(ev)
 			}
@@ -185,19 +185,19 @@ func TestReset(t *testing.T) {
 	if !d.Locked() {
 		t.Fatal("not locked")
 	}
-	d.Reset()
+	d.reset()
 	if d.Locked() || d.Period() != 0 {
 		t.Error("reset did not clear lock")
 	}
-	if st := d.Push(1); st != NoLoop {
+	if st := d.Push(1); st != noLoop {
 		t.Errorf("state after reset = %v, want NO_LOOP", st)
 	}
 }
 
 func TestStateString(t *testing.T) {
 	names := map[State]string{
-		NoLoop: "NO_LOOP", InLoop: "IN_LOOP", NewIteration: "NEW_ITERATION",
-		NewLoop: "NEW_LOOP", EndLoop: "END_LOOP", State(42): "State(42)",
+		noLoop: "NO_LOOP", inLoop: "IN_LOOP", NewIteration: "NEW_ITERATION",
+		newLoop: "NEW_LOOP", EndLoop: "END_LOOP", State(42): "State(42)",
 	}
 	for s, want := range names {
 		if got := s.String(); got != want {
@@ -207,7 +207,7 @@ func TestStateString(t *testing.T) {
 }
 
 // TestWindowAllocatedOnceAtFirstPush pins the window's bound: nothing
-// before the first event, one buffer of (MinRepetitions+1)·maxPeriod+1
+// before the first event, one buffer of (minRepetitions+1)·maxPeriod+1
 // events from then on, whatever the stream does.
 func TestWindowAllocatedOnceAtFirstPush(t *testing.T) {
 	d, _ := New(4)
@@ -215,7 +215,7 @@ func TestWindowAllocatedOnceAtFirstPush(t *testing.T) {
 		t.Fatal("window allocated before the first push")
 	}
 	d.Push(0)
-	want, first := 4*(MinRepetitions+1)+1, &d.window[0]
+	want, first := 4*(minRepetitions+1)+1, &d.window[0]
 	for i := 1; i < 10000; i++ {
 		d.Push(uint32(i % 3))
 		if i%1000 == 999 {
@@ -225,7 +225,7 @@ func TestWindowAllocatedOnceAtFirstPush(t *testing.T) {
 			t.Fatalf("push %d: window cap %d (want %d) or buffer moved", i, cap(d.window), want)
 		}
 	}
-	d.Reset()
+	d.reset()
 	d.Push(1)
 	if &d.window[0] != first {
 		t.Error("Reset dropped the window buffer")

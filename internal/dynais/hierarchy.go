@@ -38,18 +38,15 @@ func NewHierarchy(levels, maxPeriod int) (*Hierarchy, error) {
 	return h, nil
 }
 
-// Levels returns the number of stacked detectors.
-func (h *Hierarchy) Levels() int { return len(h.levels) }
-
 // Push consumes one raw event and returns the state of every level
 // after propagation (index 0 = raw level). The returned slice is the
 // hierarchy's own buffer: it is valid until the next Push and must not
 // be modified.
 func (h *Hierarchy) Push(ev uint32) []State {
 	for i := range h.states {
-		h.states[i] = NoLoop
+		h.states[i] = noLoop
 		if h.levels[i].Locked() {
-			h.states[i] = InLoop
+			h.states[i] = inLoop
 		}
 	}
 	h.push(0, ev)
@@ -75,7 +72,7 @@ func (h *Hierarchy) push(level int, ev uint32) {
 
 // patternToken hashes the events of the iteration just completed: the
 // last period events of the window, which always holds at least
-// MinRepetitions periods while locked.
+// minRepetitions periods while locked.
 func (d *Detector) patternToken() uint32 {
 	hash := uint32(2166136261)
 	for _, e := range d.window[len(d.window)-d.period:] {
@@ -90,15 +87,6 @@ func (h *Hierarchy) Locked(level int) bool {
 		return false
 	}
 	return h.levels[level].Locked()
-}
-
-// Period returns the detected period at a level (0 when unlocked or
-// out of range).
-func (h *Hierarchy) Period(level int) int {
-	if level < 0 || level >= len(h.levels) {
-		return 0
-	}
-	return h.levels[level].Period()
 }
 
 // TopLocked returns the highest locked level and its period, or (-1, 0)
@@ -117,6 +105,6 @@ func (h *Hierarchy) TopLocked() (level, period int) {
 // Reset clears every level.
 func (h *Hierarchy) Reset() {
 	for i := range h.levels {
-		h.levels[i].Reset()
+		h.levels[i].reset()
 	}
 }

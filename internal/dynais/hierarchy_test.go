@@ -15,8 +15,8 @@ func TestNewHierarchyValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Levels() != 3 {
-		t.Errorf("levels = %d", h.Levels())
+	if len(h.levels) != 3 || len(h.Push(1)) != 3 {
+		t.Errorf("levels = %d", len(h.levels))
 	}
 }
 
@@ -38,8 +38,8 @@ func TestDetectsInnerLoopAtLevelZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	feedNested(h, []uint32{1, 2, 3}, 10, 1)
-	if !h.Locked(0) || h.Period(0) != 3 {
-		t.Errorf("level 0: locked=%v period=%d, want period 3", h.Locked(0), h.Period(0))
+	if !h.Locked(0) || h.levels[0].Period() != 3 {
+		t.Errorf("level 0: locked=%v period=%d, want period 3", h.Locked(0), h.levels[0].Period())
 	}
 }
 
@@ -55,8 +55,8 @@ func TestDetectsOuterStructure(t *testing.T) {
 	if !h.Locked(1) {
 		t.Fatal("level 1 never locked on homogeneous nesting")
 	}
-	if h.Period(1) != 1 {
-		t.Errorf("level 1 period = %d, want 1", h.Period(1))
+	if h.levels[1].Period() != 1 {
+		t.Errorf("level 1 period = %d, want 1", h.levels[1].Period())
 	}
 	lvl, period := h.TopLocked()
 	if lvl != 1 || period != 1 {
@@ -84,7 +84,7 @@ func TestDetectsAlternatingPhasesAtLevelOne(t *testing.T) {
 	// Tokens alternate A...A B...B; the minimal period found must
 	// divide one full A+B group's token count and be > 1 (it must see
 	// both phases, not a constant stream).
-	if p := h.Period(1); p < 2 {
+	if p := h.levels[1].Period(); p < 2 {
 		t.Errorf("level 1 period = %d, want >= 2 (both phases)", p)
 	}
 }
@@ -114,13 +114,13 @@ func TestPatternTokenCoversWholePeriod(t *testing.T) {
 			inner[i] = uint32(1000 + i)
 		}
 		inner[0] = first
-		for rep := 0; rep <= MinRepetitions; rep++ {
+		for rep := 0; rep <= minRepetitions; rep++ {
 			for _, ev := range inner {
 				h.Push(ev)
 			}
 		}
-		if h.Period(0) != len(inner) {
-			t.Fatalf("level 0 period = %d, want %d", h.Period(0), len(inner))
+		if h.levels[0].Period() != len(inner) {
+			t.Fatalf("level 0 period = %d, want %d", h.levels[0].Period(), len(inner))
 		}
 		w := h.levels[1].window
 		if len(w) != 1 {
@@ -159,9 +159,6 @@ func TestHierarchyBoundsChecks(t *testing.T) {
 	if h.Locked(-1) || h.Locked(5) {
 		t.Error("out-of-range Locked must be false")
 	}
-	if h.Period(-1) != 0 || h.Period(5) != 0 {
-		t.Error("out-of-range Period must be 0")
-	}
 	// Single level: iteration completions have nowhere to go but must
 	// not panic.
 	for i := 0; i < 50; i++ {
@@ -188,7 +185,7 @@ func TestPushStatesReported(t *testing.T) {
 				if sts[0] == NewIteration {
 					sawIter0 = true
 				}
-				if sts[1] == NewLoop || sts[1] == NewIteration {
+				if sts[1] == newLoop || sts[1] == NewIteration {
 					sawLock1 = true
 				}
 			}

@@ -55,8 +55,8 @@ func Default() Config {
 	}
 }
 
-// Validate reports whether the configuration is usable.
-func (c Config) Validate() error {
+// validate reports whether the configuration is usable.
+func (c Config) validate() error {
 	switch {
 	case c.DefaultPolicy == "":
 		return fmt.Errorf("earconf: DefaultPolicy is required")
@@ -113,7 +113,7 @@ func Parse(r io.Reader) (Config, error) {
 	if err := sc.Err(); err != nil {
 		return Config{}, fmt.Errorf("earconf: read: %w", err)
 	}
-	if err := c.Validate(); err != nil {
+	if err := c.validate(); err != nil {
 		return Config{}, err
 	}
 	return c, nil

@@ -6,7 +6,7 @@ import (
 )
 
 func TestDefaultIsValid(t *testing.T) {
-	if err := Default().Validate(); err != nil {
+	if err := Default().validate(); err != nil {
 		t.Fatal(err)
 	}
 	if !Default().Authorized("anything") {
@@ -81,7 +81,7 @@ func TestParseRejects(t *testing.T) {
 func TestValidateDirect(t *testing.T) {
 	c := Default()
 	c.SignatureChangeTh = 1.5
-	if err := c.Validate(); err == nil {
+	if err := c.validate(); err == nil {
 		t.Error("expected error for out-of-range signature threshold")
 	}
 }

@@ -22,16 +22,25 @@ import (
 // configured) and will be replayed by a later flush.
 var ErrUnreachable = errors.New("eardbd: daemon unreachable")
 
-// ErrQueueFull reports that a record was dropped because the bounded
+// errQueueFull reports that a record was dropped because the bounded
 // queue is full and no journal is configured to absorb the overflow.
-var ErrQueueFull = errors.New("eardbd: queue full and no journal configured")
+var errQueueFull = errors.New("eardbd: queue full and no journal configured")
 
-// RejectedError is a permanent, non-retryable server rejection (an
+// rejectedError is a permanent, non-retryable server rejection (an
 // invalid or oversized batch). The client drops the batch: resending a
 // poison batch forever would wedge the pipeline.
-type RejectedError struct{ Msg string }
+type rejectedError struct{ Msg string }
 
-func (e *RejectedError) Error() string { return "eardbd: server rejected batch: " + e.Msg }
+func (e *rejectedError) Error() string { return "eardbd: server rejected batch: " + e.Msg }
+
+// Client limits. A full queue spills to the journal. Retry delays
+// start at backoffBaseSec and double per attempt up to backoffMaxSec,
+// each scaled by a jitter factor in [0.5, 1).
+const (
+	queueCap       = 4096
+	backoffBaseSec = 0.5
+	backoffMaxSec  = 30
+)
 
 // ClientConfig parameterises a reporting client. Node, Dial, Clock
 // and Jitter are required; everything else has serviceable defaults.
@@ -43,7 +52,7 @@ type ClientConfig struct {
 	// simulations can hand out in-process connections (Server.Dial) or
 	// flaky transports.
 	Dial func() (net.Conn, error)
-	// Clock paces interval flushes and backoff sleeps.
+	// Clock paces backoff sleeps and stamps spans.
 	Clock Clock
 	// Jitter randomises backoff; an explicitly seeded generator keeps
 	// retry schedules reproducible.
@@ -51,19 +60,8 @@ type ClientConfig struct {
 	// BatchRecords triggers a flush when the queue reaches this size
 	// (default 64).
 	BatchRecords int
-	// FlushIntervalSec triggers a flush when this much time has passed
-	// since the last one (default 5).
-	FlushIntervalSec float64
-	// QueueCap bounds the in-memory queue (default 4096). Overflow
-	// spills to the journal.
-	QueueCap int
 	// MaxAttempts bounds delivery tries per flush (default 3).
 	MaxAttempts int
-	// BackoffBaseSec is the first retry delay (default 0.5); delays
-	// double per attempt up to BackoffMaxSec (default 30), each scaled
-	// by a jitter factor in [0.5, 1).
-	BackoffBaseSec float64
-	BackoffMaxSec  float64
 	// MaxFramePayload caps outgoing frame payloads (default
 	// wire.DefaultMaxPayload); it must not exceed the server's limit.
 	MaxFramePayload int
@@ -99,20 +97,8 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	if c.BatchRecords <= 0 {
 		c.BatchRecords = 64
 	}
-	if c.FlushIntervalSec <= 0 {
-		c.FlushIntervalSec = 5
-	}
-	if c.QueueCap <= 0 {
-		c.QueueCap = 4096
-	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
-	}
-	if c.BackoffBaseSec <= 0 {
-		c.BackoffBaseSec = 0.5
-	}
-	if c.BackoffMaxSec <= 0 {
-		c.BackoffMaxSec = 30
 	}
 	if c.MaxFramePayload <= 0 {
 		c.MaxFramePayload = wire.DefaultMaxPayload
@@ -120,8 +106,8 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	return c
 }
 
-// Validate reports whether the required injections are present.
-func (c ClientConfig) Validate() error {
+// validate reports whether the required injections are present.
+func (c ClientConfig) validate() error {
 	switch {
 	case c.Node == "":
 		return errors.New("eardbd: client needs a node name")
@@ -164,14 +150,13 @@ type Client struct {
 	acctQueue []accounting.Record
 	enc       []byte // the pending batch's image, encoded once; reused across flushes
 	seq       uint64
-	lastFlush float64
 	stats     ClientStats
 }
 
-// NewClient builds a client. The first interval flush is measured
-// from the clock's reading at construction.
+// NewClient builds a client. Records go out when a batch fills or on
+// an explicit Flush or Close.
 func NewClient(cfg ClientConfig) (*Client, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
@@ -180,11 +165,10 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		ts = telemetry.Default()
 	}
 	c := &Client{
-		cfg:       cfg,
-		tel:       newClientTel(ts),
-		tracer:    trace.New(cfg.Node, cfg.Trace),
-		framed:    wire.Conn{MaxPayload: cfg.MaxFramePayload},
-		lastFlush: cfg.Clock.Now(),
+		cfg:    cfg,
+		tel:    newClientTel(ts),
+		tracer: trace.New(cfg.Node, cfg.Trace),
+		framed: wire.Conn{MaxPayload: cfg.MaxFramePayload},
 	}
 	if cfg.Journal != nil {
 		// Resume the batch sequence past anything a previous process
@@ -263,7 +247,7 @@ func (c *Client) EnqueueAcct(r accounting.Record) error {
 // towards its kind — once, since a flush keeps the backing arrays — or
 // while the daemon is unreachable and nothing journals.
 func (c *Client) queueHint() int {
-	return max(1, min(c.cfg.BatchRecords, c.cfg.QueueCap)-c.pendingLocked())
+	return max(1, min(c.cfg.BatchRecords, queueCap)-c.pendingLocked())
 }
 
 // pendingLocked counts buffered records across both queues; the batch
@@ -276,13 +260,13 @@ func (c *Client) pendingLocked() int {
 // makeRoomLocked enforces the queue cap ahead of an append, spilling
 // the pending batch when a journal can absorb it.
 func (c *Client) makeRoomLocked() error {
-	if c.pendingLocked() < c.cfg.QueueCap {
+	if c.pendingLocked() < queueCap {
 		return nil
 	}
 	if c.cfg.Journal == nil {
 		c.stats.RecordsDropped++
 		c.tel.dropped.Inc()
-		return ErrQueueFull
+		return errQueueFull
 	}
 	if err := c.spillQueueLocked(); err != nil {
 		c.stats.RecordsDropped++
@@ -296,23 +280,6 @@ func (c *Client) makeRoomLocked() error {
 func (c *Client) Flush() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.flushLocked()
-}
-
-// Tick applies the interval trigger: when FlushIntervalSec has passed
-// since the last flush, pending work is flushed. Callers run it from
-// their own pacing loop.
-func (c *Client) Tick() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.cfg.Clock.Now()
-	if now-c.lastFlush < c.cfg.FlushIntervalSec {
-		return nil
-	}
-	if c.pendingLocked() == 0 && (c.cfg.Journal == nil || c.cfg.Journal.Len() == 0) {
-		c.lastFlush = now
-		return nil
-	}
 	return c.flushLocked()
 }
 
@@ -333,14 +300,6 @@ func (c *Client) Stats() ClientStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// Queued returns the number of buffered (unflushed) records, node
-// reports and accounting records combined.
-func (c *Client) Queued() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.pendingLocked()
 }
 
 // encodePendingLocked gives the pending load — both queues — the next
@@ -367,7 +326,6 @@ func (c *Client) clearPendingLocked() {
 func (c *Client) flushLocked() error {
 	c.stats.Flushes++
 	c.tel.flushes.Inc()
-	c.lastFlush = c.cfg.Clock.Now()
 	if err := c.replayLocked(); err != nil {
 		// The daemon is unreachable; spill the live queue too and let a
 		// later flush retry everything in order.
@@ -403,7 +361,7 @@ func (c *Client) flushLocked() error {
 			c.clearPendingLocked()
 		}
 	default:
-		var rej *RejectedError
+		var rej *rejectedError
 		if errors.As(err, &rej) {
 			// Permanent: drop the poison batch.
 			sp.Attr("result", "rejected")
@@ -449,7 +407,7 @@ func (c *Client) replayLocked() error {
 		// The error is asserted, not errors.As'd: a target declared here
 		// escapes, one allocation per entry — and, hoisted out of the
 		// loop, one per flush, backlog or none.
-		switch _, rejected := err.(*RejectedError); {
+		switch _, rejected := err.(*rejectedError); {
 		case err == nil:
 			rsp.Attr("result", "acked").End(c.cfg.Clock.Now())
 			c.stats.BatchesReplayed++
@@ -472,7 +430,7 @@ func (c *Client) replayLocked() error {
 }
 
 // sendBatchLocked delivers one encoded batch with bounded, jittered
-// exponential backoff. It returns nil on ack, a bare *RejectedError on
+// exponential backoff. It returns nil on ack, a bare *rejectedError on
 // a server error frame, or an error wrapping ErrUnreachable when
 // attempts are exhausted — and nothing else. Each send attempt is a
 // client.send child of parent whose context rides the wire frame, which
@@ -545,7 +503,7 @@ func (c *Client) sendBatchLocked(b EncodedBatch, parent *trace.Active) error {
 				continue
 			}
 			ssp.Attr("result", "rejected").End(c.cfg.Clock.Now())
-			return &RejectedError{Msg: ef.Message}
+			return &rejectedError{Msg: ef.Message}
 		default:
 			ssp.Attr("result", "bad_frame").End(c.cfg.Clock.Now())
 			c.closeConnLocked()
@@ -558,12 +516,12 @@ func (c *Client) sendBatchLocked(b EncodedBatch, parent *trace.Active) error {
 // >= 1): exponential from the base, capped, scaled by a jitter factor
 // in [0.5, 1) so a fleet of clients does not retry in lockstep.
 func (c *Client) backoff(attempt int) float64 {
-	d := c.cfg.BackoffBaseSec
-	for i := 1; i < attempt && d < c.cfg.BackoffMaxSec; i++ {
+	d := backoffBaseSec
+	for i := 1; i < attempt && d < backoffMaxSec; i++ {
 		d *= 2
 	}
-	if d > c.cfg.BackoffMaxSec {
-		d = c.cfg.BackoffMaxSec
+	if d > backoffMaxSec {
+		d = backoffMaxSec
 	}
 	return d * (0.5 + 0.5*c.cfg.Jitter.Float64())
 }

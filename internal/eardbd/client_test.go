@@ -84,8 +84,8 @@ func TestClientBatchSizeTrigger(t *testing.T) {
 	if got := srv.DB().Len(); got != 6 {
 		t.Errorf("db = %d records before explicit flush, want 6", got)
 	}
-	if c.Queued() != 1 {
-		t.Errorf("queued = %d, want 1", c.Queued())
+	if c.pendingLocked() != 1 {
+		t.Errorf("queued = %d, want 1", c.pendingLocked())
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
@@ -138,36 +138,6 @@ func TestNewClientWithoutTelemetryAllocatesOnlyItself(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { _, _ = NewClient(cfg) }); n != 1 {
 		t.Errorf("NewClient without telemetry: %v allocations, want 1", n)
-	}
-}
-
-func TestClientIntervalTrigger(t *testing.T) {
-	srv := NewServer(eard.NewDB(), Config{})
-	clock := NewFakeClock(100)
-	c := newTestClient(t, ClientConfig{Dial: srv.Dial, Clock: clock,
-		BatchRecords: 100, FlushIntervalSec: 5})
-	if err := c.Enqueue(rec("j1", "0", "n01", 100)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	if srv.DB().Len() != 0 {
-		t.Error("tick flushed before the interval elapsed")
-	}
-	clock.Advance(4.9)
-	if err := c.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	if srv.DB().Len() != 0 {
-		t.Error("tick flushed 0.1s early")
-	}
-	clock.Advance(0.2)
-	if err := c.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	if srv.DB().Len() != 1 {
-		t.Errorf("db = %d after interval tick, want 1", srv.DB().Len())
 	}
 }
 
@@ -253,8 +223,8 @@ func TestJournalSpillAndReplayExactlyOnce(t *testing.T) {
 	if journal.Len() != 1 {
 		t.Fatalf("journal = %d batches, want 1", journal.Len())
 	}
-	if c.Queued() != 0 {
-		t.Errorf("queue = %d records after spill, want 0", c.Queued())
+	if c.pendingLocked() != 0 {
+		t.Errorf("queue = %d records after spill, want 0", c.pendingLocked())
 	}
 
 	// Daemon recovers.
@@ -280,22 +250,21 @@ func TestJournalSpillAndReplayExactlyOnce(t *testing.T) {
 func TestClientUnreachableWithoutJournalKeepsQueue(t *testing.T) {
 	c := newTestClient(t, ClientConfig{
 		Dial:        func() (net.Conn, error) { return nil, errors.New("refused") },
-		MaxAttempts: 2, BatchRecords: 2, QueueCap: 3,
+		MaxAttempts: 2, BatchRecords: queueCap,
 	})
-	if err := c.Enqueue(rec("j1", "0", "n01", 100)); err != nil {
-		t.Fatal(err)
+	for i := 1; i < queueCap; i++ {
+		if err := c.Enqueue(rec("j1", fmt.Sprint(i), "n01", 100)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := c.Enqueue(rec("j1", "0", "n02", 100)); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("flush = %v, want ErrUnreachable", err)
 	}
-	if c.Queued() != 2 {
-		t.Errorf("queue = %d, want 2 (kept, not lost)", c.Queued())
-	}
-	if err := c.Enqueue(rec("j1", "0", "n03", 100)); !errors.Is(err, ErrUnreachable) {
-		t.Fatal(err)
+	if c.pendingLocked() != queueCap {
+		t.Errorf("queue = %d, want %d (kept, not lost)", c.pendingLocked(), queueCap)
 	}
 	// Queue at cap with no journal: the next record is refused.
-	if err := c.Enqueue(rec("j1", "0", "n04", 100)); !errors.Is(err, ErrQueueFull) {
+	if err := c.Enqueue(rec("j1", "0", "n04", 100)); !errors.Is(err, errQueueFull) {
 		t.Fatalf("enqueue over cap = %v, want ErrQueueFull", err)
 	}
 	if st := c.Stats(); st.RecordsDropped != 1 {
@@ -310,44 +279,46 @@ func TestClientQueueCapSpillsToJournal(t *testing.T) {
 	}
 	c := newTestClient(t, ClientConfig{
 		Dial:        func() (net.Conn, error) { return nil, errors.New("refused") },
-		MaxAttempts: 1, BatchRecords: 100, QueueCap: 4, Journal: journal,
+		MaxAttempts: 1, BatchRecords: 3 * queueCap, Journal: journal,
 	})
-	for i := 0; i < 10; i++ {
-		if err := c.Enqueue(rec("j1", "0", fmt.Sprintf("n%02d", i), 100)); err != nil {
+	const n = 2*queueCap + 2
+	for i := 0; i < n; i++ {
+		if err := c.Enqueue(rec("j1", fmt.Sprint(i), "n01", 100)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Cap 4: enqueues 5 and 9 spilled full queues; 2 remain queued.
+	// The enqueues that found the queue full spilled it whole, twice;
+	// 2 records remain queued.
 	if journal.Len() != 2 {
 		t.Errorf("journal = %d batches, want 2", journal.Len())
 	}
 	total := 0
-	for _, b := range journal.Entries() {
+	for _, b := range journal.entries {
 		total += b.Records
 	}
-	if total+c.Queued() != 10 {
-		t.Errorf("spilled %d + queued %d, want 10 total", total, c.Queued())
+	if total+c.pendingLocked() != n || c.pendingLocked() != 2 {
+		t.Errorf("spilled %d + queued %d, want %d with 2 queued", total, c.pendingLocked(), n)
 	}
 }
 
 func TestClientDropsPoisonBatch(t *testing.T) {
-	srv := NewServer(eard.NewDB(), Config{MaxBatchRecords: 2})
-	c := newTestClient(t, ClientConfig{Dial: srv.Dial, BatchRecords: 3})
-	for i := 0; i < 2; i++ {
-		if err := c.Enqueue(rec("j1", "0", fmt.Sprintf("n%02d", i), 100)); err != nil {
+	srv := NewServer(eard.NewDB(), Config{})
+	c := newTestClient(t, ClientConfig{Dial: srv.Dial, BatchRecords: maxBatchRecords + 1})
+	for i := 0; i < maxBatchRecords; i++ {
+		if err := c.Enqueue(rec("j1", fmt.Sprint(i), "n01", 100)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	err := c.Enqueue(rec("j1", "0", "n02", 100))
-	var rej *RejectedError
+	var rej *rejectedError
 	if !errors.As(err, &rej) {
 		t.Fatalf("oversized batch = %v, want RejectedError", err)
 	}
 	// The poison batch is dropped, not retried forever.
-	if c.Queued() != 0 {
-		t.Errorf("queue = %d after rejection, want 0", c.Queued())
+	if c.pendingLocked() != 0 {
+		t.Errorf("queue = %d after rejection, want 0", c.pendingLocked())
 	}
-	if st := c.Stats(); st.BatchesRejected != 1 || st.RecordsDropped != 3 {
+	if st := c.Stats(); st.BatchesRejected != 1 || st.RecordsDropped != maxBatchRecords+1 {
 		t.Errorf("stats = %+v", st)
 	}
 	// The client is still usable within the server's limits.
@@ -381,19 +352,20 @@ func TestBackoffIsJitteredExponential(t *testing.T) {
 	c := newTestClient(t, ClientConfig{
 		Dial:  func() (net.Conn, error) { return nil, errors.New("refused") },
 		Clock: clock, Jitter: rand.New(rand.NewSource(7)),
-		MaxAttempts: 4, BackoffBaseSec: 1, BackoffMaxSec: 4, BatchRecords: 1,
+		MaxAttempts: 9, BatchRecords: 1,
 	})
 	if err := c.Enqueue(rec("j1", "0", "n01", 100)); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("err = %v", err)
 	}
-	if len(clock.slept) != 3 {
-		t.Fatalf("sleeps = %v, want 3 backoffs for 4 attempts", clock.slept)
+	if len(clock.slept) != 8 {
+		t.Fatalf("sleeps = %v, want 8 backoffs for 9 attempts", clock.slept)
 	}
-	// Attempt k backs off 2^(k-1)·base scaled into [0.5, 1).
-	bounds := []struct{ lo, hi float64 }{{0.5, 1}, {1, 2}, {2, 4}}
+	// Attempt k backs off 2^(k-1)·0.5 s, capped at 30 s, scaled into
+	// [0.5, 1).
 	for i, s := range clock.slept {
-		if s < bounds[i].lo || s >= bounds[i].hi {
-			t.Errorf("backoff %d = %g, want [%g, %g)", i+1, s, bounds[i].lo, bounds[i].hi)
+		d := min(backoffBaseSec*float64(int(1)<<i), backoffMaxSec)
+		if s < d/2 || s >= d {
+			t.Errorf("backoff %d = %g, want [%g, %g)", i+1, s, d/2, d)
 		}
 	}
 	// The schedule is reproducible under the same seed.
@@ -401,7 +373,7 @@ func TestBackoffIsJitteredExponential(t *testing.T) {
 	c2 := newTestClient(t, ClientConfig{
 		Dial:  func() (net.Conn, error) { return nil, errors.New("refused") },
 		Clock: clock2, Jitter: rand.New(rand.NewSource(7)),
-		MaxAttempts: 4, BackoffBaseSec: 1, BackoffMaxSec: 4, BatchRecords: 1,
+		MaxAttempts: 9, BatchRecords: 1,
 	})
 	if err := c2.Enqueue(rec("j1", "0", "n01", 100)); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("err = %v", err)
@@ -482,8 +454,7 @@ func TestClientReconnectStress(t *testing.T) {
 		Dial: func() (net.Conn, error) { return net.Dial("tcp", base.Addr().String()) },
 		// 5 attempts ride out the flaky listener's worst-case run of
 		// broken connections.
-		BatchRecords: 8, QueueCap: 64, MaxAttempts: 5,
-		BackoffBaseSec: 0.001, Journal: journal,
+		BatchRecords: 8, MaxAttempts: 5, Journal: journal,
 	})
 
 	const producers, perProducer = 4, 100
@@ -500,7 +471,7 @@ func TestClientReconnectStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Drain: flush until everything buffered or spilled has landed.
-	for i := 0; i < 200 && (c.Queued() > 0 || journal.Len() > 0); i++ {
+	for i := 0; i < 200 && (c.pendingLocked() > 0 || journal.Len() > 0); i++ {
 		if err := c.Flush(); err != nil && !errors.Is(err, ErrUnreachable) {
 			t.Fatal(err)
 		}

@@ -295,7 +295,7 @@ func TestClosedLoopQueryKindsOverTheWire(t *testing.T) {
 			t.Fatal(err)
 		}
 		for name, dial := range map[string]func() (net.Conn, error){
-			"root": root.Dial, "daemon": cluster.Server(cluster.Owner(node)).Dial,
+			"root": root.Dial, "daemon": cluster.Server(cluster.Fleet().Owner(node)).Dial,
 		} {
 			after, err := ask(dial, []wire.Query{{Kind: wire.QueryGeneration}, {Kind: wire.QueryGeneration}})
 			if err != nil {
@@ -416,7 +416,7 @@ func TestClosedLoopFederationFaultReplay(t *testing.T) {
 	cluster, g := buildCanonical(t, nodes, 4, shards, set)
 	// Kill the shard owning a mid-burst node once a few nodes are
 	// done: the owner's remaining reporters must spill.
-	victim := cluster.Owner(dbdtest.CanonicalNode(nodes - 1))
+	victim := cluster.Fleet().Owner(dbdtest.CanonicalNode(nodes - 1))
 	var done int64
 	var killing atomic.Bool
 	res, err := g.Run(cluster.DialFor, loadgen.Hooks{AfterNode: func(i int) {

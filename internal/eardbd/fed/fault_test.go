@@ -43,7 +43,7 @@ func loadedCluster(t *testing.T, ts *telemetry.Set) *loadgen.Cluster {
 	if res, err := g.Run(cluster.DialFor, loadgen.Hooks{}); err != nil || res.NodeErrors != 0 || res.BacklogBatches != 0 {
 		t.Fatalf("load: %+v, %v", res, err)
 	}
-	for _, name := range cluster.Names() {
+	for _, name := range cluster.Fleet().Names() {
 		waitConns(t, cluster, name, 0)
 	}
 	return cluster
@@ -66,7 +66,7 @@ func waitConns(t *testing.T, cluster *loadgen.Cluster, shard string, max int) in
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		n := cluster.Conns(shard)
+		n := cluster.Server(shard).Conns()
 		if n <= max {
 			return n
 		}
@@ -274,7 +274,7 @@ func TestConcurrentAdminsShareBoundedPool(t *testing.T) {
 	if st := root.Stats(); st.FanoutErrors != 0 || st.Redials != 0 {
 		t.Fatalf("stats = %+v, want no failed fan-out", st)
 	}
-	for _, name := range cluster.Names() {
+	for _, name := range cluster.Fleet().Names() {
 		if n := waitConns(t, cluster, name, fed.MaxIdlePerShard); n == 0 {
 			t.Errorf("%s serves no connection: nothing was parked", name)
 		}
@@ -370,15 +370,15 @@ func TestCloseEmptiesPool(t *testing.T) {
 	if _, err := root.Aggregate(); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range cluster.Names() {
-		if n := cluster.Conns(name); n != 1 {
+	for _, name := range cluster.Fleet().Names() {
+		if n := cluster.Server(name).Conns(); n != 1 {
 			t.Fatalf("%s serves %d connections after one query, want the parked one", name, n)
 		}
 	}
 	if err := root.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range cluster.Names() {
+	for _, name := range cluster.Fleet().Names() {
 		waitConns(t, cluster, name, 0)
 	}
 	// The in-process accessors outlive Close; what they dial must not
@@ -386,7 +386,7 @@ func TestCloseEmptiesPool(t *testing.T) {
 	if _, err := root.Aggregate(); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range cluster.Names() {
+	for _, name := range cluster.Fleet().Names() {
 		waitConns(t, cluster, name, 0)
 	}
 	if err := root.Close(); err != nil {

@@ -27,7 +27,6 @@ import (
 	"sync/atomic"
 
 	"goear/internal/accounting"
-	"goear/internal/eard"
 	"goear/internal/eardbd"
 	"goear/internal/eardbd/ring"
 	"goear/internal/par"
@@ -187,11 +186,11 @@ func NewRoot(cfg Config) (*Root, error) {
 	return root, nil
 }
 
-// ShardsReachable reports how many shards answered their most recent
+// shardsReachable reports how many shards answered their most recent
 // fan-out query, out of the configured total. Shards not yet queried
 // count as unreachable: a root that has never completed a fan-out is
 // not ready.
-func (r *Root) ShardsReachable() (ok, total int) {
+func (r *Root) shardsReachable() (ok, total int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, name := range r.cfg.Fleet.names {
@@ -206,7 +205,7 @@ func (r *Root) ShardsReachable() (ok, total int) {
 // Health set: OK when every shard answered its last fan-out.
 func (r *Root) HealthCheck() telemetry.CheckFunc {
 	return func() telemetry.Check {
-		ok, total := r.ShardsReachable()
+		ok, total := r.shardsReachable()
 		return telemetry.Check{
 			Name:   "shards",
 			OK:     ok == total,
@@ -550,21 +549,6 @@ func (r *Root) Aggregate() (eardbd.Aggregate, error) {
 		return eardbd.Aggregate{}, err
 	}
 	return v.Aggregate(), nil
-}
-
-// PowersByName returns the last reported power of every node in the
-// federation, sorted by node name. The list is the cached view's:
-// read-only.
-func (r *Root) PowersByName(parent *trace.Active) ([]wire.NodePower, error) {
-	v, err := r.View(parent)
-	return v.Powers, err
-}
-
-// State returns the folded node-report database and accounting store,
-// both read-only.
-func (r *Root) State(parent *trace.Active) (*eard.DB, *accounting.Store, error) {
-	v, err := r.View(parent)
-	return v.DB, v.Acct, err
 }
 
 // NodePowers implements eargm.PowerSource over the merged federation

@@ -113,9 +113,9 @@ func window(node, job string, phase int, nodeJ float64) accounting.Record {
 	}
 }
 
-// deliver sends one batch over a fresh connection from dial and returns
-// its ack.
-func deliver(tb testing.TB, dial func() (net.Conn, error), b wire.Batch) wire.Ack {
+// deliver sends one batch over a fresh connection from dial and
+// requires its ack.
+func deliver(tb testing.TB, dial func() (net.Conn, error), b wire.Batch) {
 	tb.Helper()
 	conn, err := dial()
 	if err != nil {
@@ -129,14 +129,12 @@ func deliver(tb testing.TB, dial func() (net.Conn, error), b wire.Batch) wire.Ac
 	if err == nil {
 		f, err = wire.ReadFrame(conn, 0)
 	}
-	var ack wire.Ack
-	if err == nil {
-		ack, err = f.AsAck()
-	}
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return ack
+	if !f.AcksBatch(b.ID) {
+		tb.Fatalf("batch %s answered by a %s frame, not its ack", b.ID, f.Type)
+	}
 }
 
 // series reads one sample of a telemetry set's rendered /metrics.
@@ -170,15 +168,11 @@ func TestRootMergesAcrossShardCounts(t *testing.T) {
 		if agg.Nodes != nodes || agg.Records != nodes*10 {
 			t.Fatalf("shards=%d aggregate = %+v", nShards, agg)
 		}
-		nps, err := root.PowersByName(nil)
+		v, err := root.View(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		db, _, err := root.State(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sums := db.Summaries()
+		nps, sums := v.Powers, v.DB.Summaries()
 		blob, err := json.Marshal(struct {
 			Agg  eardbd.Aggregate
 			NPs  []wire.NodePower
@@ -353,8 +347,8 @@ func TestFanOutQueriesShardsConcurrently(t *testing.T) {
 	}
 	done := make(chan answer, 1)
 	go func() {
-		nps, err := root.PowersByName(nil)
-		done <- answer{nps, err}
+		v, err := root.View(nil)
+		done <- answer{v.Powers, err}
 	}()
 	select {
 	case a := <-done:
@@ -364,12 +358,12 @@ func TestFanOutQueriesShardsConcurrently(t *testing.T) {
 		// The concurrent fan-out must merge identically to the plain
 		// sequential-dial root over the same shards.
 		_, plain := buildFederation(t, 8, n)
-		want, err := plain.PowersByName(nil)
+		want, err := plain.View(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(a.nps, want) {
-			t.Errorf("concurrent merge diverges:\n got %v\nwant %v", a.nps, want)
+		if !reflect.DeepEqual(a.nps, want.Powers) {
+			t.Errorf("concurrent merge diverges:\n got %v\nwant %v", a.nps, want.Powers)
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("fan-out deadlocked: shard queries are not concurrent")
@@ -425,7 +419,7 @@ func TestFanOutOverlapsWarmRoundTrips(t *testing.T) {
 	var held heldReplies
 	root := rootOver(t, shards, held.dial(dialer(shards)))
 	t.Cleanup(func() { _ = root.Close() })
-	want, err := root.PowersByName(nil)
+	want, err := root.View(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,9 +428,9 @@ func TestFanOutOverlapsWarmRoundTrips(t *testing.T) {
 	held.asked.Store(&asked)
 	done := make(chan error, 1)
 	go func() {
-		got, err := root.PowersByName(nil)
-		if err == nil && !reflect.DeepEqual(got, want) {
-			err = fmt.Errorf("warm read %v, cold read %v", got, want)
+		got, err := root.View(nil)
+		if err == nil && !reflect.DeepEqual(got.Powers, want.Powers) {
+			err = fmt.Errorf("warm read %v, cold read %v", got.Powers, want.Powers)
 		}
 		done <- err
 	}()
@@ -568,15 +562,16 @@ func TestEmptyRestartServesNoStaleView(t *testing.T) {
 // TestDuplicateRedeliveryMovesCachedPowers pins the shard invariant the
 // root's cached view rests on: whatever changes a shard's node_powers
 // moves its generation. A node reports a newer record, then an older
-// batch is delivered again after the batch-ID window forgot it — every
-// record a duplicate, nothing stored, yet the node's last reported
-// power is the old batch's again. A root whose cache was warm before
-// the re-delivery and a cold one must both serve the shard's own view.
+// record is delivered again under a batch ID the window does not hold,
+// as after it forgot the old one — every record a duplicate, nothing
+// stored, yet the node's last reported power is the old record's
+// again. A root whose cache was warm before the re-delivery and a cold
+// one must both serve the shard's own view.
 func TestDuplicateRedeliveryMovesCachedPowers(t *testing.T) {
-	shard := shardFixture{name: "s0", srv: eardbd.NewServer(eard.NewDB(), eardbd.Config{MaxSeenBatches: 1})}
-	send := func(id string, step string, power float64) wire.Ack {
+	shard := shardFixture{name: "s0", srv: eardbd.NewServer(eard.NewDB(), eardbd.Config{})}
+	send := func(id string, step string, power float64) {
 		t.Helper()
-		return deliver(t, shard.srv.Dial, wire.Batch{ID: id, Node: "n00", Records: []eard.JobRecord{report("n00", "job0", step, power)}})
+		deliver(t, shard.srv.Dial, wire.Batch{ID: id, Node: "n00", Records: []eard.JobRecord{report("n00", "job0", step, power)}})
 	}
 	newRoot := func() *Root {
 		root := rootOver(t, []shardFixture{shard}, dialer([]shardFixture{shard}))
@@ -587,11 +582,14 @@ func TestDuplicateRedeliveryMovesCachedPowers(t *testing.T) {
 	send("n00/1", "0", 250)
 	send("n00/2", "1", 300)
 	warm := newRoot()
-	if nps, err := warm.PowersByName(nil); err != nil || len(nps) != 1 || nps[0].PowerW != 300 {
-		t.Fatalf("before the re-delivery: %v, %v", nps, err)
+	if v, err := warm.View(nil); err != nil || len(v.Powers) != 1 || v.Powers[0].PowerW != 300 {
+		t.Fatalf("before the re-delivery: %v, %v", v.Powers, err)
 	}
-	if ack := send("n00/1", "0", 250); ack.Duplicate != 1 || ack.Accepted+ack.Replaced != 0 {
-		t.Fatalf("re-delivery ack = %+v, want one duplicate record", ack)
+	// n00/1's record again, under an ID the batch window does not hold.
+	before := shard.srv.Stats()
+	send("n00/3", "0", 250)
+	if st := shard.srv.Stats(); st.RecordsDuplicate != before.RecordsDuplicate+1 || st.RecordsAccepted+st.RecordsReplaced != before.RecordsAccepted+before.RecordsReplaced {
+		t.Fatalf("re-delivery moved the shard's counters from %+v to %+v, want one duplicate record", before, st)
 	}
 
 	own, _ := shard.srv.View(nil)
@@ -599,12 +597,12 @@ func TestDuplicateRedeliveryMovesCachedPowers(t *testing.T) {
 		t.Fatalf("shard's own powers = %v, want the re-delivered 250 W", own.Powers)
 	}
 	for name, root := range map[string]*Root{"warm": warm, "cold": newRoot()} {
-		nps, err := root.PowersByName(nil)
+		v, err := root.View(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(nps, own.Powers) {
-			t.Errorf("%s root serves %v, the shard itself %v", name, nps, own.Powers)
+		if !reflect.DeepEqual(v.Powers, own.Powers) {
+			t.Errorf("%s root serves %v, the shard itself %v", name, v.Powers, own.Powers)
 		}
 	}
 	if st := warm.Stats(); st.CacheMisses != 2 {

@@ -50,8 +50,8 @@ type EncodedBatch struct {
 	image   []byte
 }
 
-// Payload returns the encoded TypeBatch body; read-only.
-func (e EncodedBatch) Payload() []byte { return e.image[wire.HeaderRoom:] }
+// payload returns the encoded TypeBatch body; read-only.
+func (e EncodedBatch) payload() []byte { return e.image[wire.HeaderRoom:] }
 
 // journalMaxFrame bounds a journal frame only by what the header's
 // length field can say: what may be spilled is the client's frame
@@ -119,7 +119,7 @@ func (j *Journal) appendEncoded(e EncodedBatch) error {
 	defer j.mu.Unlock()
 	if j.path != "" {
 		j.frame.Reset()
-		if err := wire.WriteFrame(&j.frame, wire.Frame{Type: wire.TypeBatch, Payload: e.Payload()}, journalMaxFrame); err != nil {
+		if err := wire.WriteFrame(&j.frame, wire.Frame{Type: wire.TypeBatch, Payload: e.payload()}, journalMaxFrame); err != nil {
 			return fmt.Errorf("eardbd: append journal: %w", err)
 		}
 		f, err := os.OpenFile(j.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -153,15 +153,6 @@ func (j *Journal) Remove(id string) error {
 	clear(j.entries[len(kept):]) // let removed payloads go
 	j.entries = kept
 	return j.rewrite()
-}
-
-// Entries returns a copy of the spilled batches, oldest first.
-func (j *Journal) Entries() []EncodedBatch {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make([]EncodedBatch, len(j.entries))
-	copy(out, j.entries)
-	return out
 }
 
 // head returns the oldest spilled batch, if there is one.
@@ -245,7 +236,7 @@ func (j *Journal) rewrite() error {
 	}
 	w := bufio.NewWriter(f)
 	for _, e := range j.entries {
-		if err := wire.WriteFrame(w, wire.Frame{Type: wire.TypeBatch, Payload: e.Payload()}, journalMaxFrame); err != nil {
+		if err := wire.WriteFrame(w, wire.Frame{Type: wire.TypeBatch, Payload: e.payload()}, journalMaxFrame); err != nil {
 			_ = f.Close()
 			return fmt.Errorf("eardbd: rewrite journal: %w", err)
 		}

@@ -78,14 +78,14 @@ func TestJournalPersistsAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ents := j2.Entries()
+	ents := j2.entries
 	if entryIDs(ents) != "n01/1 n01/2" {
 		t.Fatalf("entries = %s", entryIDs(ents))
 	}
 	if ents[1].Records != 3 {
 		t.Errorf("batch 2 records = %d, want 3", ents[1].Records)
 	}
-	got, err := wire.Frame{Type: wire.TypeBatch, Payload: ents[1].Payload()}.AsBatch()
+	got, err := wire.Frame{Type: wire.TypeBatch, Payload: ents[1].payload()}.AsBatch()
 	if err != nil || len(got.Records) != 3 || got.Records[2] != journalBatch("", 3).Records[2] {
 		t.Errorf("batch 2 payload decodes to %+v, err %v", got, err)
 	}
@@ -99,7 +99,7 @@ func TestJournalPersistsAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ents := j3.Entries(); entryIDs(ents) != "n01/2" {
+	if ents := j3.entries; entryIDs(ents) != "n01/2" {
 		t.Fatalf("entries after remove = %s", entryIDs(ents))
 	}
 	if err := j3.Remove("n01/2"); err != nil {
@@ -136,7 +136,7 @@ func TestJournalToleratesCrashTruncatedTail(t *testing.T) {
 	if err != nil {
 		t.Fatalf("crash-truncated journal refused: %v", err)
 	}
-	if ents := j2.Entries(); entryIDs(ents) != "n01/1" {
+	if ents := j2.entries; entryIDs(ents) != "n01/1" {
 		t.Fatalf("entries = %s", entryIDs(ents))
 	}
 	// The truncated tail was compacted away: appending then reopening
@@ -148,7 +148,7 @@ func TestJournalToleratesCrashTruncatedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ents := j3.Entries(); entryIDs(ents) != "n01/1 n01/3" {
+	if ents := j3.entries; entryIDs(ents) != "n01/1 n01/3" {
 		t.Fatalf("entries after recovery = %s", entryIDs(ents))
 	}
 }
@@ -254,7 +254,7 @@ func TestReplaySendsJournaledPayloadVerbatim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spilled := journal.Entries()
+	spilled := journal.entries
 	if len(spilled) != 1 || spilled[0].Records != 2 {
 		t.Fatalf("spilled = %+v, want one batch of 2 records", spilled)
 	}
@@ -283,7 +283,7 @@ func TestReplaySendsJournaledPayloadVerbatim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(f.Payload, spilled[0].Payload()) {
+	if !bytes.Equal(f.Payload, spilled[0].payload()) {
 		t.Error("replayed payload differs from the journaled payload")
 	}
 	if st := srv.Stats(); st.RecordsAccepted != 1 || st.RecordsReplaced != 1 {
@@ -377,7 +377,7 @@ func TestReplayCompactsJournalOnce(t *testing.T) {
 		if left.Len() != backlog-cut || j.Len() != backlog-cut {
 			t.Errorf("%s: %d batches left on disk, %d in memory, want %d", name, left.Len(), j.Len(), backlog-cut)
 		}
-		if ents := left.Entries(); len(ents) > 0 && ents[0].ID != BatchID("n01", uint64(cut+1)) {
+		if ents := left.entries; len(ents) > 0 && ents[0].ID != BatchID("n01", uint64(cut+1)) {
 			t.Errorf("%s: the journal now starts at %s", name, ents[0].ID)
 		}
 	}
@@ -474,7 +474,7 @@ func FuzzJournalTail(f *testing.F) {
 		if err != nil {
 			t.Fatalf("cut at %d of %d: %v", at, len(file), err)
 		}
-		ents := j.Entries()
+		ents := j.entries
 		if len(ents) != whole {
 			t.Fatalf("cut at %d of %d: reloaded %d batches, want %d", at, len(file), len(ents), whole)
 		}

@@ -2,71 +2,61 @@ package ring
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// FuzzRing drives the ring through an arbitrary membership script and
-// key set, checking the package's three contracts on every input:
-// no panic on any byte soup, placement that is a pure function of the
-// surviving membership (rebuilding from scratch agrees with the
-// mutated ring), and removal remapping only the removed shard's keys.
+// FuzzRing builds rings from arbitrary member sets and key sets,
+// checking the package's contracts on every input: no panic on any
+// byte soup, placement that is a pure function of the member set (the
+// set listed in reverse places every key alike), and a ring with one
+// member more moving keys only onto that member.
 //
-// The script encodes one operation per '|'-separated token: "+name"
-// adds a shard, "-name" removes one, anything else is looked up as a
-// key. Errors from Add/Remove (duplicates, absent members, empty
-// names) are expected outcomes, not failures.
+// The script lists one member per '|'-separated token; empty tokens
+// are skipped and repeats collapse, so every script names a set. The
+// last member of the set is the one the smaller ring lacks.
 func FuzzRing(f *testing.F) {
-	f.Add("+s1|+s2|node1|node2|-s1|node1", "node1|node2|node3", int8(3))
-	f.Add("+a|+b|+c|-b|+b|-b", "x|y|z", int8(1))
+	f.Add("s1|s2|s3", "node1|node2|node3", int8(3))
+	f.Add("a|b|c|b", "x|y|z", int8(1))
 	f.Add("", "", int8(0))
-	f.Add("+\x00|+s1|\xff\xfe|-\x00", "\x00|\xff", int8(7))
+	f.Add("\x00|s1|\xff\xfe", "\x00|\xff", int8(7))
 	f.Fuzz(func(t *testing.T, script, keyBlob string, replicas int8) {
-		r := New(int(replicas)) // <= 0 falls back to the default
-		live := map[string]bool{}
+		var members []string
 		for _, tok := range strings.Split(script, "|") {
-			switch {
-			case tok == "":
-			case tok[0] == '+':
-				if err := r.Add(tok[1:]); err == nil {
-					live[tok[1:]] = true
-				}
-			case tok[0] == '-':
-				name := tok[1:]
-				var before map[string]string
-				if live[name] {
-					before = owners(r, keyBlob)
-				}
-				if err := r.Remove(name); err == nil {
-					delete(live, name)
-					// Keys not owned by the removed shard must not move.
-					for key, was := range before {
-						if was == name {
-							continue
-						}
-						now, ok := r.Owner(key)
-						if !ok || now != was {
-							t.Fatalf("remove %q moved key %q: %q -> %q", name, key, was, now)
-						}
-					}
-				}
-			default:
-				r.Owner(tok)
+			if tok != "" && !slices.Contains(members, tok) {
+				members = append(members, tok)
 			}
 		}
-		if r.Len() != len(live) {
-			t.Fatalf("ring tracks %d members, script applied %d", r.Len(), len(live))
-		}
-		// Placement is a pure function of the final membership: a ring
-		// rebuilt member-by-member in sorted order must agree everywhere.
-		rebuilt, err := NewWithMembers(int(replicas), r.Members())
+		r, err := NewWithMembers(int(replicas), members) // <= 0 falls back to the default
 		if err != nil {
-			t.Fatalf("rebuild from surviving members: %v", err)
+			t.Fatalf("ring over %q: %v", members, err)
 		}
-		for key, was := range owners(r, keyBlob) {
-			got, ok := rebuilt.Owner(key)
-			if !ok || got != was {
-				t.Fatalf("key %q: mutated ring says %q, rebuilt ring says %q (ok=%v)", key, was, got, ok)
+		reversed := slices.Clone(members)
+		slices.Reverse(reversed)
+		rev, err := NewWithMembers(int(replicas), reversed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := owners(r, keyBlob)
+		if want := owners(rev, keyBlob); !maps.Equal(got, want) {
+			t.Fatalf("members %q place keys %v, in reverse order %v", members, got, want)
+		}
+		if len(members) == 0 {
+			if len(got) != 0 {
+				t.Fatalf("empty ring owns keys: %v", got)
+			}
+			return
+		}
+		last := members[len(members)-1]
+		smaller, err := NewWithMembers(int(replicas), members[:len(members)-1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for key, was := range owners(smaller, keyBlob) {
+			if now := got[key]; now != was && now != last {
+				t.Fatalf("adding %q moved key %q: %q -> %q", last, key, was, now)
 			}
 		}
 	})

@@ -9,8 +9,9 @@
 // (FNV-1a over "name#i") onto a 64-bit circle; a key is owned by the
 // first point clockwise from its own hash. Placement is a pure
 // function of the membership set — two rings built from the same
-// members agree on every key, whatever the order of Add calls — and
-// removing one shard only remaps the keys that shard owned.
+// members agree on every key, whatever order they are listed in — and
+// a ring with one shard more owns every other key as the smaller ring
+// does: only the added shard's keys move.
 package ring
 
 import (
@@ -22,11 +23,11 @@ import (
 	"strings"
 )
 
-// DefaultReplicas is the virtual-point count per shard. 128 points
+// defaultReplicas is the virtual-point count per shard. 128 points
 // keeps the owner-share spread within a few percent for the shard
 // counts this tier runs (single digits to low tens) while a full
 // rebuild stays microseconds.
-const DefaultReplicas = 128
+const defaultReplicas = 128
 
 // point is one virtual position of a shard on the circle. Points sort
 // by hash with the shard name as tiebreak, so even a hash collision
@@ -37,32 +38,38 @@ type point struct {
 	name string
 }
 
-// Ring is a consistent-hash ring over shard names. The zero value is
-// not usable; construct with New. Ring is not safe for concurrent
-// mutation; callers that rebalance while routing must synchronise.
+// Ring is a consistent-hash ring over shard names, built once from its
+// member set by NewWithMembers. It is never mutated, so concurrent
+// lookups are safe.
 type Ring struct {
-	replicas int
-	members  map[string]bool
-	points   []point // sorted by (hash, name)
+	points []point // sorted by (hash, name)
 }
 
-// New builds an empty ring. replicas <= 0 selects DefaultReplicas.
-func New(replicas int) *Ring {
-	if replicas <= 0 {
-		replicas = DefaultReplicas
-	}
-	return &Ring{replicas: replicas, members: map[string]bool{}}
-}
-
-// NewWithMembers builds a ring holding the given shards. Duplicate or
-// empty names error.
+// NewWithMembers builds a ring holding the given shards, each under
+// replicas virtual points (defaultReplicas when replicas <= 0).
+// Duplicate or empty names error.
 func NewWithMembers(replicas int, members []string) (*Ring, error) {
-	r := New(replicas)
-	for _, m := range members {
-		if err := r.Add(m); err != nil {
-			return nil, err
+	if replicas <= 0 {
+		replicas = defaultReplicas
+	}
+	r := &Ring{points: make([]point, 0, replicas*len(members))}
+	for i, name := range members {
+		if name == "" {
+			return nil, fmt.Errorf("ring: shard name must be non-empty")
+		}
+		if slices.Contains(members[:i], name) {
+			return nil, fmt.Errorf("ring: shard %q already present", name)
+		}
+		for j := 0; j < replicas; j++ {
+			r.points = append(r.points, point{hash: pointHash(name, j), name: name})
 		}
 	}
+	slices.SortFunc(r.points, func(a, b point) int {
+		if c := cmp.Compare(a.hash, b.hash); c != 0 {
+			return c
+		}
+		return strings.Compare(a.name, b.name)
+	})
 	return r, nil
 }
 
@@ -78,45 +85,6 @@ func ParseMembers(list string) []string {
 	return out
 }
 
-// Add inserts one shard. Adding an existing or empty name errors.
-func (r *Ring) Add(name string) error {
-	if name == "" {
-		return fmt.Errorf("ring: shard name must be non-empty")
-	}
-	if r.members[name] {
-		return fmt.Errorf("ring: shard %q already present", name)
-	}
-	r.members[name] = true
-	for i := 0; i < r.replicas; i++ {
-		r.points = append(r.points, point{hash: pointHash(name, i), name: name})
-	}
-	slices.SortFunc(r.points, func(a, b point) int {
-		if c := cmp.Compare(a.hash, b.hash); c != 0 {
-			return c
-		}
-		return strings.Compare(a.name, b.name)
-	})
-	return nil
-}
-
-// Remove drops one shard; keys it owned move to their next point on
-// the circle, everything else keeps its owner. Removing an absent
-// shard errors.
-func (r *Ring) Remove(name string) error {
-	if !r.members[name] {
-		return fmt.Errorf("ring: shard %q not present", name)
-	}
-	delete(r.members, name)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.name != name {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-	return nil
-}
-
 // Owner returns the shard owning key, or false on an empty ring.
 func (r *Ring) Owner(key string) (string, bool) {
 	if len(r.points) == 0 {
@@ -130,35 +98,6 @@ func (r *Ring) Owner(key string) (string, bool) {
 		i = 0
 	}
 	return r.points[i].name, true
-}
-
-// Members returns the shard names, sorted.
-func (r *Ring) Members() []string {
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Len returns the shard count.
-func (r *Ring) Len() int { return len(r.members) }
-
-// Spread counts, for each member, how many of the given keys it owns:
-// the balance diagnostic earload prints per shard. Keys on an empty
-// ring count nowhere.
-func (r *Ring) Spread(keys []string) map[string]int {
-	out := make(map[string]int, len(r.members))
-	for m := range r.members {
-		out[m] = 0
-	}
-	for _, k := range keys {
-		if owner, ok := r.Owner(k); ok {
-			out[owner]++
-		}
-	}
-	return out
 }
 
 // FNV-1a 64 is folded inline over the bytes (hashInit → hashString →

@@ -26,19 +26,22 @@ import (
 	"goear/internal/wire"
 )
 
+// Server limits. A batch holds at most maxBatchRecords records. The
+// batch-ID dedup window holds the last maxSeenBatches IDs; oldest IDs
+// are evicted first. An eviction only matters if a client replays a
+// batch older than the window, and even then the replay is caught
+// record-by-record against the database.
+const (
+	maxBatchRecords = 1024
+	maxSeenBatches  = 1 << 16
+)
+
 // Config bounds the server's exposure to any single connection.
 type Config struct {
 	// MaxFramePayload caps one frame's payload bytes (default
 	// wire.DefaultMaxPayload). Larger frames are refused before their
 	// payload is read, so a hostile length prefix cannot balloon memory.
 	MaxFramePayload int
-	// MaxBatchRecords caps records per batch (default 1024).
-	MaxBatchRecords int
-	// MaxSeenBatches bounds the batch-ID dedup window (default 65536).
-	// Oldest IDs are evicted first; an eviction only matters if a client
-	// replays a batch older than the window, and even then the replay is
-	// caught record-by-record against the database.
-	MaxSeenBatches int
 	// AcctMaxRecords caps the per-job accounting store's resident
 	// record count (0 = unlimited). Over the cap, whole (job, step)
 	// groups are evicted oldest-window-first; each eviction advances
@@ -65,12 +68,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxFramePayload <= 0 {
 		c.MaxFramePayload = wire.DefaultMaxPayload
-	}
-	if c.MaxBatchRecords <= 0 {
-		c.MaxBatchRecords = 1024
-	}
-	if c.MaxSeenBatches <= 0 {
-		c.MaxSeenBatches = 1 << 16
 	}
 	return c
 }
@@ -181,13 +178,13 @@ func (s *Server) count(ev Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch ev {
-	case EventConnection:
+	case eventConnection:
 		s.stats.Connections++
 		s.tel.conns.Inc()
 	case EventQuery:
 		s.stats.Queries++
 		s.tel.queries.Inc()
-	case EventProtocolError:
+	case eventProtocolError:
 		s.stats.ProtocolErrors++
 		s.tel.protoErrs.Inc()
 	}
@@ -288,8 +285,8 @@ func (s *Server) handleBatch(c *wire.Conn, f wire.Frame, b *wire.Batch) bool {
 	if b.ID == "" {
 		return reject("batch has no id")
 	}
-	if n := len(b.Records) + len(b.Acct); n > s.cfg.MaxBatchRecords {
-		return reject(fmt.Sprintf("batch %s holds %d records, limit %d", b.ID, n, s.cfg.MaxBatchRecords))
+	if n := len(b.Records) + len(b.Acct); n > maxBatchRecords {
+		return reject(fmt.Sprintf("batch %s holds %d records, limit %d", b.ID, n, maxBatchRecords))
 	}
 	for _, r := range b.Records {
 		if err := r.Validate(); err != nil {
@@ -388,7 +385,7 @@ func (s *Server) handleBatch(c *wire.Conn, f wire.Frame, b *wire.Batch) bool {
 	}
 	s.seen[b.ID] = true
 	s.seenQueue = append(s.seenQueue, b.ID)
-	for len(s.seenQueue) > s.cfg.MaxSeenBatches {
+	for len(s.seenQueue) > maxSeenBatches {
 		delete(s.seen, s.seenQueue[0])
 		s.seenQueue = s.seenQueue[1:]
 	}

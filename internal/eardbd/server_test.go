@@ -69,6 +69,24 @@ func mustBatch(t *testing.T, b wire.Batch) wire.Frame {
 	return f
 }
 
+// outcome is how a server classified one batch, read off its counters:
+// records accepted, duplicate and replaced, and whether the batch ID
+// itself was a duplicate.
+type outcome struct{ accepted, duplicate, replaced, dupBatches int }
+
+// sendAcked sends b over conn, requires the server's ack of it, and
+// returns the batch's outcome.
+func sendAcked(t *testing.T, srv *Server, conn net.Conn, b wire.Batch) outcome {
+	t.Helper()
+	before := srv.Stats()
+	if resp := exchange(t, conn, mustBatch(t, b)); !resp.AcksBatch(b.ID) {
+		t.Fatalf("batch %s answered by a %s frame, not its ack", b.ID, resp.Type)
+	}
+	after := srv.Stats()
+	return outcome{after.RecordsAccepted - before.RecordsAccepted, after.RecordsDuplicate - before.RecordsDuplicate,
+		after.RecordsReplaced - before.RecordsReplaced, after.DuplicateBatches - before.DuplicateBatches}
+}
+
 func TestServerAcceptsAndAcks(t *testing.T) {
 	srv, addr := startServer(t, "tcp", "127.0.0.1:0", Config{})
 	conn, err := net.Dial("tcp", addr.String())
@@ -80,42 +98,30 @@ func TestServerAcceptsAndAcks(t *testing.T) {
 	b := wire.Batch{ID: "n01/1", Node: "n01", Records: []eard.JobRecord{
 		rec("j1", "0", "n01", 300), rec("j1", "0", "n02", 310),
 	}}
-	resp := exchange(t, conn, mustBatch(t, b))
-	ack, err := resp.AsAck()
-	if err != nil {
-		t.Fatalf("response = %s: %v", resp.Type, err)
-	}
-	if ack.BatchID != "n01/1" || ack.Accepted != 2 || ack.Duplicate != 0 || ack.Replaced != 0 {
-		t.Errorf("ack = %+v", ack)
+	if got := sendAcked(t, srv, conn, b); got != (outcome{accepted: 2}) {
+		t.Errorf("first delivery: %+v", got)
 	}
 	if srv.DB().Len() != 2 {
 		t.Errorf("db holds %d records, want 2", srv.DB().Len())
 	}
 
 	// The identical batch ID is deduplicated without touching the DB.
-	resp = exchange(t, conn, mustBatch(t, b))
-	ack, err = resp.AsAck()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ack.Accepted != 0 || ack.Duplicate != 2 {
-		t.Errorf("replay ack = %+v", ack)
+	if got := sendAcked(t, srv, conn, b); got != (outcome{dupBatches: 1}) {
+		t.Errorf("replay: %+v", got)
 	}
 
 	// Same records under a new batch ID: record-level dedup catches
 	// them.
 	b2 := b
 	b2.ID = "n01/2"
-	resp = exchange(t, conn, mustBatch(t, b2))
-	if ack, _ = resp.AsAck(); ack.Accepted != 0 || ack.Duplicate != 2 {
-		t.Errorf("new-id replay ack = %+v", ack)
+	if got := sendAcked(t, srv, conn, b2); got != (outcome{duplicate: 2}) {
+		t.Errorf("new-id replay: %+v", got)
 	}
 
 	// An updated record for an existing key counts as replaced.
 	b3 := wire.Batch{ID: "n01/3", Node: "n01", Records: []eard.JobRecord{rec("j1", "0", "n01", 305)}}
-	resp = exchange(t, conn, mustBatch(t, b3))
-	if ack, _ = resp.AsAck(); ack.Replaced != 1 || ack.Accepted != 0 {
-		t.Errorf("update ack = %+v", ack)
+	if got := sendAcked(t, srv, conn, b3); got != (outcome{replaced: 1}) {
+		t.Errorf("update: %+v", got)
 	}
 
 	st := srv.Stats()
@@ -136,10 +142,9 @@ func TestServerOverUnixSocket(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	resp := exchange(t, conn, mustBatch(t, wire.Batch{ID: "n02/1", Node: "n02",
-		Records: []eard.JobRecord{rec("j2", "0", "n02", 250)}}))
-	if ack, err := resp.AsAck(); err != nil || ack.Accepted != 1 {
-		t.Errorf("unix ack = %+v, %v", resp, err)
+	if got := sendAcked(t, srv, conn, wire.Batch{ID: "n02/1", Node: "n02",
+		Records: []eard.JobRecord{rec("j2", "0", "n02", 250)}}); got != (outcome{accepted: 1}) {
+		t.Errorf("over the unix socket: %+v", got)
 	}
 	if srv.DB().Len() != 1 {
 		t.Errorf("db holds %d records", srv.DB().Len())
@@ -147,7 +152,7 @@ func TestServerOverUnixSocket(t *testing.T) {
 }
 
 func TestServerRejectsBadBatches(t *testing.T) {
-	srv, addr := startServer(t, "tcp", "127.0.0.1:0", Config{MaxBatchRecords: 2})
+	srv, addr := startServer(t, "tcp", "127.0.0.1:0", Config{})
 	dial := func() net.Conn {
 		conn, err := net.Dial("tcp", addr.String())
 		if err != nil {
@@ -159,9 +164,10 @@ func TestServerRejectsBadBatches(t *testing.T) {
 	defer conn.Close()
 
 	// Oversized batch: rejected, connection stays usable.
-	big := wire.Batch{ID: "n01/1", Node: "n01", Records: []eard.JobRecord{
-		rec("j", "0", "a", 1), rec("j", "0", "b", 1), rec("j", "0", "c", 1),
-	}}
+	big := wire.Batch{ID: "n01/1", Node: "n01"}
+	for i := 0; i <= maxBatchRecords; i++ {
+		big.Records = append(big.Records, rec("j", fmt.Sprint(i), "a", 1))
+	}
 	resp := exchange(t, conn, mustBatch(t, big))
 	if ef, err := resp.AsError(); err != nil || ef.Message == "" {
 		t.Fatalf("oversized batch response = %s %v", resp.Type, err)
@@ -190,10 +196,9 @@ func TestServerRejectsBadBatches(t *testing.T) {
 	}
 
 	// The connection survived all three rejections.
-	resp = exchange(t, conn, mustBatch(t, wire.Batch{ID: "n01/3", Node: "n01",
-		Records: []eard.JobRecord{rec("j", "0", "a", 1)}}))
-	if ack, err := resp.AsAck(); err != nil || ack.Accepted != 1 {
-		t.Errorf("post-rejection ack = %+v, %v", resp, err)
+	if got := sendAcked(t, srv, conn, wire.Batch{ID: "n01/3", Node: "n01",
+		Records: []eard.JobRecord{rec("j", "0", "a", 1)}}); got != (outcome{accepted: 1}) {
+		t.Errorf("post-rejection: %+v", got)
 	}
 }
 
@@ -222,9 +227,8 @@ func TestServerRejectsNonFiniteRecord(t *testing.T) {
 	if st := srv.Stats(); st.BatchesRejected != 2 || st.ProtocolErrors != 0 {
 		t.Errorf("stats = %+v, want 2 rejected batches and no protocol error", st)
 	}
-	resp := exchange(t, conn, mustBatch(t, wire.Batch{ID: "n01/3", Node: "n01", Records: []eard.JobRecord{rec("j", "0", "a", 100)}}))
-	if ack, err := resp.AsAck(); err != nil || ack.Accepted != 1 {
-		t.Errorf("post-rejection ack = %+v, %v", ack, err)
+	if got := sendAcked(t, srv, conn, wire.Batch{ID: "n01/3", Node: "n01", Records: []eard.JobRecord{rec("j", "0", "a", 100)}}); got != (outcome{accepted: 1}) {
+		t.Errorf("post-rejection: %+v", got)
 	}
 }
 
@@ -318,9 +322,7 @@ func TestServerQueries(t *testing.T) {
 	batch := wire.Batch{ID: "n01/1", Node: "n01", Records: []eard.JobRecord{
 		rec("j1", "0", "n01", 300), rec("j1", "0", "n02", 310), rec("j2", "0", "n03", 250),
 	}}
-	if _, err := exchange(t, conn, mustBatch(t, batch)).AsAck(); err != nil {
-		t.Fatal(err)
-	}
+	sendAcked(t, srv, conn, batch)
 
 	query := func(q wire.Query) wire.Result {
 		t.Helper()
@@ -386,10 +388,8 @@ func TestServerQueries(t *testing.T) {
 			t.Errorf("query %+v response = %s, want error", q, resp.Type)
 		}
 	}
-	if _, err := exchange(t, conn, mustBatch(t, wire.Batch{ID: "n01/2", Node: "n01",
-		Records: []eard.JobRecord{rec("j3", "0", "n01", 200)}})).AsAck(); err != nil {
-		t.Errorf("connection dead after failed queries: %v", err)
-	}
+	sendAcked(t, srv, conn, wire.Batch{ID: "n01/2", Node: "n01",
+		Records: []eard.JobRecord{rec("j3", "0", "n01", 200)}})
 	if v, _ := srv.View(nil); v.Aggregate().Nodes != 3 {
 		t.Errorf("aggregate after update = %+v", v.Aggregate())
 	}
@@ -525,13 +525,13 @@ func TestRedeliveryWaitsForClaimedBatch(t *testing.T) {
 	}})
 	defer srv.Close()
 	batch := mustBatch(t, wire.Batch{ID: id, Node: "n01", Records: []eard.JobRecord{rec("j1", "0", "n01", 300)}})
-	deliver := func() <-chan wire.Ack {
+	deliver := func() <-chan bool {
 		conn, err := srv.Dial()
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { conn.Close() })
-		acked := make(chan wire.Ack, 1)
+		acked := make(chan bool, 1)
 		go func() {
 			if err := wire.WriteFrame(conn, batch, 0); err != nil {
 				t.Error(err)
@@ -540,11 +540,7 @@ func TestRedeliveryWaitsForClaimedBatch(t *testing.T) {
 			if err != nil {
 				t.Error(err)
 			}
-			ack, err := resp.AsAck()
-			if err != nil {
-				t.Error(err)
-			}
-			acked <- ack
+			acked <- resp.AcksBatch(id)
 		}()
 		return acked
 	}
@@ -554,19 +550,16 @@ func TestRedeliveryWaitsForClaimedBatch(t *testing.T) {
 	again := deliver()
 	<-atCheck
 	select {
-	case ack := <-again:
-		t.Fatalf("the redelivery was acked (%+v) with the first delivery not yet stored", ack)
+	case <-again:
+		t.Fatal("the redelivery was answered with the first delivery not yet stored")
 	default:
 	}
 	if n := srv.DB().Len(); n != 0 {
 		t.Fatalf("%d records stored while the claiming handler is stalled before its store", n)
 	}
 	close(release)
-	if ack := <-first; ack.Accepted != 1 || ack.Duplicate != 0 {
-		t.Errorf("first delivery acked %+v, want one record accepted", ack)
-	}
-	if ack := <-again; ack.Accepted != 0 || ack.Duplicate != 1 {
-		t.Errorf("redelivery acked %+v, want one duplicate", ack)
+	if !<-first || !<-again {
+		t.Error("a delivery was not acked")
 	}
 	if st := srv.Stats(); st.Batches != 2 || st.DuplicateBatches != 1 || st.RecordsAccepted != 1 || st.RecordsDuplicate != 0 || srv.DB().Len() != 1 {
 		t.Errorf("stats %+v with %d records stored: the batch was not stored once, by one handler", st, srv.DB().Len())
@@ -574,7 +567,7 @@ func TestRedeliveryWaitsForClaimedBatch(t *testing.T) {
 }
 
 func TestSeenWindowEviction(t *testing.T) {
-	srv, addr := startServer(t, "tcp", "127.0.0.1:0", Config{MaxSeenBatches: 2})
+	srv, addr := startServer(t, "tcp", "127.0.0.1:0", Config{})
 	conn, err := net.Dial("tcp", addr.String())
 	if err != nil {
 		t.Fatal(err)
@@ -583,22 +576,26 @@ func TestSeenWindowEviction(t *testing.T) {
 	for i := 1; i <= 3; i++ {
 		b := wire.Batch{ID: fmt.Sprintf("n01/%d", i), Node: "n01",
 			Records: []eard.JobRecord{rec("j", "0", fmt.Sprintf("n%02d", i), 100)}}
-		if _, err := exchange(t, conn, mustBatch(t, b)).AsAck(); err != nil {
-			t.Fatal(err)
+		sendAcked(t, srv, conn, b)
+		if i == 1 {
+			// Fill the window behind n01/1 with IDs no client sends, so
+			// n01/3 pushes it out.
+			srv.mu.Lock()
+			for k := 2; k < maxSeenBatches; k++ {
+				id := fmt.Sprintf("filler/%d", k)
+				srv.seen[id] = true
+				srv.seenQueue = append(srv.seenQueue, id)
+			}
+			srv.mu.Unlock()
 		}
 	}
 	// Batch n01/1 was evicted from the ID window; its replay is still
 	// absorbed record-by-record, and — storing nothing, moving no node's
 	// power — leaves the generation where it was.
 	gen, _ := srv.Generation(nil)
-	resp := exchange(t, conn, mustBatch(t, wire.Batch{ID: "n01/1", Node: "n01",
-		Records: []eard.JobRecord{rec("j", "0", "n01", 100)}}))
-	ack, err := resp.AsAck()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ack.Accepted != 0 || ack.Duplicate != 1 {
-		t.Errorf("evicted replay ack = %+v", ack)
+	if got := sendAcked(t, srv, conn, wire.Batch{ID: "n01/1", Node: "n01",
+		Records: []eard.JobRecord{rec("j", "0", "n01", 100)}}); got != (outcome{duplicate: 1}) {
+		t.Errorf("evicted replay: %+v", got)
 	}
 	if srv.DB().Len() != 3 {
 		t.Errorf("db = %d records, want 3", srv.DB().Len())
@@ -657,9 +654,7 @@ func TestRestoreContinuesGeneration(t *testing.T) {
 	}
 	for i := 1; i <= 3; i++ {
 		b := wire.Batch{ID: fmt.Sprintf("n01/%d", i), Node: "n01", Records: []eard.JobRecord{rec(fmt.Sprint(i), "0", "n01", 100)}}
-		if _, err := exchange(t, conn, mustBatch(t, b)).AsAck(); err != nil {
-			t.Fatal(err)
-		}
+		sendAcked(t, srv, conn, b)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)

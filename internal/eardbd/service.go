@@ -156,9 +156,9 @@ func Watts(nps []wire.NodePower) []float64 {
 type Event int
 
 const (
-	EventConnection Event = iota
+	eventConnection Event = iota
 	EventQuery
-	EventProtocolError
+	eventProtocolError
 )
 
 // Stopwatch is the optional seconds reading a service stamps spans
@@ -350,7 +350,7 @@ var batchPool = sync.Pool{New: func() any { return new(connState) }}
 // transport of its own and answers for its lifetime itself.
 func (fr *Front) ServeConn(conn net.Conn) {
 	defer func() { _ = conn.Close() }()
-	fr.Count(EventConnection)
+	fr.Count(eventConnection)
 	// Records are stored by value and every frame is handled before the
 	// next is read, so each batch may arrive in the buffer and decode
 	// into the backing arrays an earlier one — of this connection or a
@@ -429,7 +429,7 @@ func (fr *Front) serveQuery(c *wire.Conn, f wire.Frame) bool {
 // protocolError counts a violation and tells the peer; the caller
 // hangs up.
 func (fr *Front) protocolError(c *wire.Conn, msg string) {
-	fr.Count(EventProtocolError)
+	fr.Count(eventProtocolError)
 	fr.ReplyError(c, msg)
 }
 

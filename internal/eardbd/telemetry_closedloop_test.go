@@ -271,19 +271,19 @@ func TestTelemetryClosedLoopWorkerInvariance(t *testing.T) {
 func TestReplyBytesCountsWithoutAllocating(t *testing.T) {
 	set := telemetry.NewSet()
 	on, off := NewReplyBytes(set), NewReplyBytes(nil)
-	gen, err := wire.EncodeResult(wire.QueryGeneration, wire.Generation{Gen: 7})
+	gen, err := (*wire.Conn)(nil).AppendResult(nil, wire.QueryGeneration, wire.Generation{Gen: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		on.count(gen.Payload)
-		off.count(gen.Payload)
+		on.count(gen)
+		off.count(gen)
 		on.count([]byte{200, 1, 2})
 		on.count(nil)
 	}); n != 0 {
 		t.Errorf("counting a reply allocates %v times", n)
 	}
-	if got := metricsMap(t, set)[metricDBDReplyBytes+`{kind="generation"}`]; got != 101*float64(len(gen.Payload)) {
-		t.Errorf("generation reply bytes = %v after 101 replies of %d", got, len(gen.Payload))
+	if got := metricsMap(t, set)[metricDBDReplyBytes+`{kind="generation"}`]; got != 101*float64(len(gen)) {
+		t.Errorf("generation reply bytes = %v after 101 replies of %d", got, len(gen))
 	}
 }

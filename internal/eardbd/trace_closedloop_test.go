@@ -101,8 +101,8 @@ func TestTraceSingleBatchSpanTree(t *testing.T) {
 		if p := byID[s.Parent]; p.Kind != "client.send" {
 			t.Errorf("server.batch parented by %q, want client.send", p.Kind)
 		}
-		if s.Attrs.Get("result") != "accepted" {
-			t.Errorf("server.batch result = %q, want accepted", s.Attrs.Get("result"))
+		if attrs(s)["result"] != "accepted" {
+			t.Errorf("server.batch result = %q, want accepted", attrs(s)["result"])
 		}
 	}
 }
@@ -173,27 +173,27 @@ func TestTraceFederationQueryTree(t *testing.T) {
 		switch s.Kind {
 		case "fed.query":
 			// How big the answer was rides on the span that served it.
-			if s.Attrs.Get("kind") == wire.QueryAggregate && s.Attrs.Get("bytes") != fmt.Sprint(1+len(agg.Data)) {
-				t.Errorf("fed.query bytes = %q for an aggregate payload of %d", s.Attrs.Get("bytes"), 1+len(agg.Data))
+			if attrs(s)["kind"] == wire.QueryAggregate && attrs(s)["bytes"] != fmt.Sprint(1+len(agg.Data)) {
+				t.Errorf("fed.query bytes = %q for an aggregate payload of %d", attrs(s)["bytes"], 1+len(agg.Data))
 			}
 		case "fed.fanout":
 			fanouts++
 			if p := byID[s.Parent]; p.Kind != "fed.query" && p.Kind != "fed.merge" {
 				t.Errorf("fed.fanout parented by %q", p.Kind)
 			}
-			if s.Attrs.Get("shard") == "" {
+			if attrs(s)["shard"] == "" {
 				t.Error("fed.fanout span lacks a shard attribute")
 			}
 		case "server.query":
 			if p := byID[s.Parent]; p.Kind == "fed.fanout" {
 				joined++
 			}
-			if n, err := strconv.Atoi(s.Attrs.Get("bytes")); err != nil || n < 2 {
-				t.Errorf("server.query (%s) bytes = %q", s.Attrs.Get("kind"), s.Attrs.Get("bytes"))
+			if n, err := strconv.Atoi(attrs(s)["bytes"]); err != nil || n < 2 {
+				t.Errorf("server.query (%s) bytes = %q", attrs(s)["kind"], attrs(s)["bytes"])
 			}
 		case "fed.merge":
 			merges++
-			switch c := s.Attrs.Get("cache"); c {
+			switch c := attrs(s)["cache"]; c {
 			case "hit", "miss":
 			default:
 				t.Errorf("fed.merge cache attr = %q", c)
@@ -209,4 +209,13 @@ func TestTraceFederationQueryTree(t *testing.T) {
 	if merges == 0 {
 		t.Error("no fed.merge span recorded")
 	}
+}
+
+// attrs maps a span's attributes by key.
+func attrs(s trace.Span) map[string]string {
+	m := make(map[string]string, len(s.Attrs))
+	for _, a := range s.Attrs {
+		m[a.Key] = a.Value
+	}
+	return m
 }

@@ -32,14 +32,15 @@ type Island struct {
 	Src PowerSource
 }
 
+// reserveFrac is the fraction of the cluster budget split equally
+// across islands regardless of draw; the remainder is apportioned
+// proportionally to each island's observed power.
+const reserveFrac = 0.2
+
 // CascadeConfig parameterises a cascaded manager.
 type CascadeConfig struct {
 	// BudgetW is the cluster-wide DC power budget in watts.
 	BudgetW float64
-	// ReserveFrac is the fraction of the budget split equally across
-	// islands regardless of draw (default 0.2); the remainder is
-	// apportioned proportionally to each island's observed power.
-	ReserveFrac float64
 	// Island templates the per-island managers: every field but BudgetW
 	// applies as in a flat deployment. BudgetW is owned by the cascade
 	// and overwritten every interval.
@@ -52,21 +53,10 @@ type CascadeConfig struct {
 	Trace *trace.Buffer
 }
 
-// Defaults fills unset fields.
-func (c CascadeConfig) Defaults() CascadeConfig {
-	if c.ReserveFrac == 0 {
-		c.ReserveFrac = 0.2
-	}
-	return c
-}
-
-// Validate reports whether the configuration is usable.
-func (c CascadeConfig) Validate() error {
-	switch {
-	case c.BudgetW <= 0:
+// validate reports whether the configuration is usable.
+func (c CascadeConfig) validate() error {
+	if c.BudgetW <= 0 {
 		return fmt.Errorf("eargm: cascade budget must be positive, got %g", c.BudgetW)
-	case c.ReserveFrac <= 0 || c.ReserveFrac > 1:
-		return fmt.Errorf("eargm: reserve fraction %g outside (0,1]", c.ReserveFrac)
 	}
 	return nil
 }
@@ -76,7 +66,6 @@ type Cascade struct {
 	cfg     CascadeConfig
 	islands []Island
 	mgrs    []*Manager
-	budgets []float64
 	tel     cascadeTel
 	tracer  *trace.Tracer
 }
@@ -84,8 +73,7 @@ type Cascade struct {
 // NewCascade builds a cascade over the given islands. Island names
 // must be unique and non-empty, and every island needs a source.
 func NewCascade(cfg CascadeConfig, islands []Island) (*Cascade, error) {
-	cfg = cfg.Defaults()
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if len(islands) == 0 {
@@ -107,7 +95,6 @@ func NewCascade(cfg CascadeConfig, islands []Island) (*Cascade, error) {
 		cfg:     cfg,
 		islands: islands,
 		mgrs:    make([]*Manager, len(islands)),
-		budgets: make([]float64, len(islands)),
 		tel:     newCascadeTel(cfg.Island.Telemetry, islands),
 		tracer:  trace.New("eargm", cfg.Trace),
 	}
@@ -121,7 +108,6 @@ func NewCascade(cfg CascadeConfig, islands []Island) (*Cascade, error) {
 			return nil, fmt.Errorf("eargm: island %s: %w", islands[i].Name, err)
 		}
 		c.mgrs[i] = m
-		c.budgets[i] = mcfg.BudgetW
 	}
 	return c, nil
 }
@@ -139,8 +125,8 @@ func (c *Cascade) apportion(draws []float64) []float64 {
 		total += d
 	}
 	out := make([]float64, len(draws))
-	reserve := c.cfg.ReserveFrac * c.cfg.BudgetW / n
-	pool := (1 - c.cfg.ReserveFrac) * c.cfg.BudgetW
+	reserve := reserveFrac * c.cfg.BudgetW / n
+	pool := (1 - reserveFrac) * c.cfg.BudgetW
 	for i, d := range draws {
 		if total > 0 {
 			out[i] = reserve + pool*(d/total)
@@ -166,12 +152,12 @@ func (c *Cascade) Update(now float64) ([]int, error) {
 			draws[i] += p
 		}
 	}
-	c.budgets = c.apportion(draws)
+	budgets := c.apportion(draws)
 	caps := make([]int, len(c.islands))
 	for i, m := range c.mgrs {
 		isp := sp.Child(spanGMIsland, now)
 		isp.Attr("island", c.islands[i].Name)
-		if err := m.SetBudget(c.budgets[i]); err != nil {
+		if err := m.setBudget(budgets[i]); err != nil {
 			isp.End(now)
 			return nil, fmt.Errorf("eargm: island %s: %w", c.islands[i].Name, err)
 		}
@@ -181,60 +167,12 @@ func (c *Cascade) Update(now float64) ([]int, error) {
 			return nil, fmt.Errorf("eargm: island %s: %w", c.islands[i].Name, err)
 		}
 		caps[i] = cap
-		c.tel.island(i, c.budgets[i], draws[i], cap)
-		isp.Attr("budget_w", strconv.FormatFloat(c.budgets[i], 'g', -1, 64)).
+		c.tel.island(i, budgets[i], draws[i], cap)
+		isp.Attr("budget_w", strconv.FormatFloat(budgets[i], 'g', -1, 64)).
 			Attr("draw_w", strconv.FormatFloat(draws[i], 'g', -1, 64)).
 			Attr("cap", strconv.Itoa(cap)).
 			End(now)
 	}
 	c.tel.updates.Inc()
 	return caps, nil
-}
-
-// Drive runs steps control intervals starting at start seconds and
-// returns the cap trace, one row per interval in island order: the
-// headless cascaded-EARGM daemon loop.
-func (c *Cascade) Drive(start float64, steps int) ([][]int, error) {
-	if steps < 0 {
-		return nil, fmt.Errorf("eargm: negative step count %d", steps)
-	}
-	rows := make([][]int, 0, steps)
-	for i := 0; i < steps; i++ {
-		caps, err := c.Update(start + float64(i)*c.Interval())
-		if err != nil {
-			return rows, err
-		}
-		rows = append(rows, caps)
-	}
-	return rows, nil
-}
-
-// Budgets returns the most recent per-island budget split, in island
-// order.
-func (c *Cascade) Budgets() []float64 {
-	out := make([]float64, len(c.budgets))
-	copy(out, c.budgets)
-	return out
-}
-
-// Caps returns the current per-island ceilings, in island order.
-func (c *Cascade) Caps() []int {
-	out := make([]int, len(c.mgrs))
-	for i, m := range c.mgrs {
-		out[i] = m.Cap()
-	}
-	return out
-}
-
-// Managers exposes the island managers, in island order (for stats
-// and event traces).
-func (c *Cascade) Managers() []*Manager { return c.mgrs }
-
-// Names returns the island names, in island order.
-func (c *Cascade) Names() []string {
-	out := make([]string, len(c.islands))
-	for i, isl := range c.islands {
-		out[i] = isl.Name
-	}
-	return out
 }

@@ -26,9 +26,14 @@ func (s *slicesSource) NodePowers() []float64 {
 
 func newCascadeForTest(t *testing.T, budget float64, islands []Island) *Cascade {
 	t.Helper()
+	return newCascadeWith(t, budget, nil, islands)
+}
+
+func newCascadeWith(t *testing.T, budget float64, set *telemetry.Set, islands []Island) *Cascade {
+	t.Helper()
 	c, err := NewCascade(CascadeConfig{
 		BudgetW: budget,
-		Island:  Config{MaxCapPstate: 8},
+		Island:  Config{MaxCapPstate: 8, Telemetry: set},
 	}, islands)
 	if err != nil {
 		t.Fatal(err)
@@ -36,8 +41,55 @@ func newCascadeForTest(t *testing.T, budget float64, islands []Island) *Cascade 
 	return c
 }
 
+// gauges reads every series of set's registry, keyed by name and
+// labels.
+func gauges(t *testing.T, set *telemetry.Set) map[string]float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := set.Reg().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := telemetry.ParseText(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := make(map[string]float64, len(samples))
+	for _, s := range samples {
+		vals[s.Name+s.Labels] = s.Value
+	}
+	return vals
+}
+
+// islandBudgets reads the apportioned budgets off the island gauges,
+// in the order names gives.
+func islandBudgets(t *testing.T, set *telemetry.Set, names ...string) []float64 {
+	t.Helper()
+	vals := gauges(t, set)
+	out := make([]float64, len(names))
+	for i, name := range names {
+		out[i] = vals[metricGMIslandBudget+`{island="`+name+`"}`]
+	}
+	return out
+}
+
+// drive runs steps control intervals from t=0 and returns the caps of
+// each, one row per interval in island order.
+func drive(t *testing.T, c *Cascade, steps int) [][]int {
+	t.Helper()
+	rows := make([][]int, steps)
+	for i := range rows {
+		caps, err := c.Update(float64(i) * c.Interval())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows[i] = caps
+	}
+	return rows
+}
+
 func TestCascadeApportionsBudgetBySumExactly(t *testing.T) {
-	c := newCascadeForTest(t, 1000, []Island{
+	set := telemetry.NewSet()
+	c := newCascadeWith(t, 1000, set, []Island{
 		{Name: "i0", Src: &slicesSource{rows: [][]float64{{300, 300}}}},
 		{Name: "i1", Src: &slicesSource{rows: [][]float64{{200}}}},
 		{Name: "i2", Src: &slicesSource{rows: [][]float64{{}}}},
@@ -45,7 +97,7 @@ func TestCascadeApportionsBudgetBySumExactly(t *testing.T) {
 	if _, err := c.Update(0); err != nil {
 		t.Fatal(err)
 	}
-	budgets := c.Budgets()
+	budgets := islandBudgets(t, set, "i0", "i1", "i2")
 	total := 0.0
 	for _, b := range budgets {
 		total += b
@@ -71,7 +123,8 @@ func TestCascadeApportionsBudgetBySumExactly(t *testing.T) {
 }
 
 func TestCascadeZeroDrawSplitsEqually(t *testing.T) {
-	c := newCascadeForTest(t, 900, []Island{
+	set := telemetry.NewSet()
+	c := newCascadeWith(t, 900, set, []Island{
 		{Name: "i0", Src: &slicesSource{rows: [][]float64{{}}}},
 		{Name: "i1", Src: &slicesSource{rows: [][]float64{{}}}},
 		{Name: "i2", Src: &slicesSource{rows: [][]float64{{}}}},
@@ -79,9 +132,10 @@ func TestCascadeZeroDrawSplitsEqually(t *testing.T) {
 	if _, err := c.Update(0); err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range c.Budgets() {
+	budgets := islandBudgets(t, set, "i0", "i1", "i2")
+	for _, b := range budgets {
 		if math.Abs(b-300) > 1e-9 {
-			t.Fatalf("budgets = %v, want equal thirds", c.Budgets())
+			t.Fatalf("budgets = %v, want equal thirds", budgets)
 		}
 	}
 }
@@ -90,23 +144,22 @@ func TestCascadeCapsOverloadedIslandOnly(t *testing.T) {
 	// Island 0 draws far over any fair share; island 1 stays modest.
 	hot := &slicesSource{rows: [][]float64{{400, 400, 400}}}
 	cool := &slicesSource{rows: [][]float64{{100}}}
-	c := newCascadeForTest(t, 800, []Island{
+	set := telemetry.NewSet()
+	c := newCascadeWith(t, 800, set, []Island{
 		{Name: "hot", Src: hot},
 		{Name: "cool", Src: cool},
 	})
-	trace, err := c.Drive(0, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	trace := drive(t, c, 6)
 	final := trace[len(trace)-1]
 	if final[0] == 0 {
 		t.Errorf("hot island left uncapped: trace %v", trace)
 	}
 	if final[1] != 0 {
-		t.Errorf("cool island capped though under its share: trace %v budgets %v", trace, c.Budgets())
+		t.Errorf("cool island capped though under its share: trace %v budgets %v", trace, islandBudgets(t, set, "hot", "cool"))
 	}
-	if got := c.Caps(); !reflect.DeepEqual(got, final) {
-		t.Errorf("Caps() = %v, want %v", got, final)
+	vals := gauges(t, set)
+	if got := []float64{vals[metricGMIslandCap+`{island="hot"}`], vals[metricGMIslandCap+`{island="cool"}`]}; got[0] != float64(final[0]) || got[1] != float64(final[1]) {
+		t.Errorf("island cap gauges = %v, want %v", got, final)
 	}
 }
 
@@ -117,14 +170,7 @@ func TestCascadeDeterministicReplay(t *testing.T) {
 			{Name: "i1", Src: &slicesSource{rows: [][]float64{{260}, {280}, {240}}}},
 		})
 	}
-	a, err := build().Drive(0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := build().Drive(0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := drive(t, build(), 8), drive(t, build(), 8)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("cascade replay diverged:\n%v\n%v", a, b)
 	}
@@ -142,7 +188,7 @@ func TestCascadeValidation(t *testing.T) {
 		{"unnamed", CascadeConfig{BudgetW: 100}, []Island{{Src: src}}},
 		{"no source", CascadeConfig{BudgetW: 100}, []Island{{Name: "a"}}},
 		{"dup name", CascadeConfig{BudgetW: 100}, []Island{{Name: "a", Src: src}, {Name: "a", Src: src}}},
-		{"bad reserve", CascadeConfig{BudgetW: 100, ReserveFrac: 1.5}, []Island{{Name: "a", Src: src}}},
+		{"negative budget", CascadeConfig{BudgetW: -5}, []Island{{Name: "a", Src: src}}},
 	}
 	for _, tc := range cases {
 		if _, err := NewCascade(tc.cfg, tc.islands); err == nil {
@@ -156,14 +202,14 @@ func TestSetBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.SetBudget(-1); err == nil {
+	if err := m.setBudget(-1); err == nil {
 		t.Error("negative budget accepted")
 	}
-	if err := m.SetBudget(750); err != nil {
+	if err := m.setBudget(750); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Budget(); got != 750 {
-		t.Errorf("Budget() = %g after SetBudget(750)", got)
+	if got := m.cfg.BudgetW; got != 750 {
+		t.Errorf("budget = %g after SetBudget(750)", got)
 	}
 }
 
@@ -182,18 +228,7 @@ func TestCascadeTelemetry(t *testing.T) {
 	if _, err := c.Update(0); err != nil {
 		t.Fatal(err)
 	}
-	var b strings.Builder
-	if err := set.Reg().WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	samples, err := telemetry.ParseText(strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals := make(map[string]float64, len(samples))
-	for _, s := range samples {
-		vals[s.Name+s.Labels] = s.Value
-	}
+	vals := gauges(t, set)
 	if got := vals[metricGMCascadeUpdates]; got != 1 {
 		t.Errorf("cascade updates counter = %g, want 1", got)
 	}

@@ -3,6 +3,8 @@ package eargm
 import (
 	"testing"
 	"testing/quick"
+
+	"goear/internal/telemetry"
 )
 
 // TestIntervalAccessor covers the sim.PowerManager wiring: the
@@ -89,7 +91,8 @@ func TestClosedLoopConvergence(t *testing.T) {
 // TestEventTrace pins the decision log: deepen and relax transitions
 // must be visible with their timestamps and totals.
 func TestEventTrace(t *testing.T) {
-	m, err := New(Config{BudgetW: 1000, MaxCapPstate: 5})
+	set := telemetry.NewSet()
+	m, err := New(Config{BudgetW: 1000, MaxCapPstate: 5, Telemetry: set})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,21 +120,30 @@ func TestEventTrace(t *testing.T) {
 			t.Fatalf("t=%g: cap = %d, want %d", s.now, cap, s.wantCap)
 		}
 	}
-	evs := m.Events()
-	if len(evs) != len(steps) {
-		t.Fatalf("events = %d, want %d", len(evs), len(steps))
-	}
-	for i, s := range steps {
+	// Every transition, and only a transition, is logged.
+	evs := set.Rec().Events()
+	i := 0
+	for _, s := range steps {
+		if !s.deepen && !s.relax {
+			continue
+		}
+		if i >= len(evs) {
+			t.Fatalf("only %d events, missing the transition at t=%g", len(evs), s.now)
+		}
 		ev := evs[i]
-		if ev.TimeSec != s.now || ev.TotalW != s.power {
-			t.Errorf("event %d = %+v, want t=%g total=%g", i, ev, s.now, s.power)
+		i++
+		if ev.TimeSec != s.now || ev.Num["total_power_w"] != s.power {
+			t.Errorf("event %+v, want t=%g total=%g", ev, s.now, s.power)
 		}
-		if ev.Deepened != s.deepen || ev.Relaxed != s.relax {
-			t.Errorf("event %d transitions = %+v, want deepen=%v relax=%v", i, ev, s.deepen, s.relax)
+		if want := map[bool]string{true: "deepen", false: "relax"}[s.deepen]; ev.Str["action"] != want {
+			t.Errorf("event at t=%g is a %q, want %q", ev.TimeSec, ev.Str["action"], want)
 		}
-		if ev.Cap != s.wantCap {
-			t.Errorf("event %d cap = %d, want %d", i, ev.Cap, s.wantCap)
+		if ev.Num["cap_pstate"] != float64(s.wantCap) {
+			t.Errorf("event at t=%g caps at %v, want %d", ev.TimeSec, ev.Num["cap_pstate"], s.wantCap)
 		}
+	}
+	if i != len(evs) {
+		t.Errorf("%d events for %d transitions: %+v", len(evs), i, evs)
 	}
 }
 

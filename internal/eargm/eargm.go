@@ -49,16 +49,16 @@ const (
 	settleIntervals = 2
 )
 
-// Defaults fills unset fields.
-func (c Config) Defaults() Config {
+// defaults fills unset fields.
+func (c Config) defaults() Config {
 	if c.IntervalSec == 0 {
 		c.IntervalSec = 5
 	}
 	return c
 }
 
-// Validate reports whether the configuration is usable.
-func (c Config) Validate() error {
+// validate reports whether the configuration is usable.
+func (c Config) validate() error {
 	switch {
 	case c.BudgetW <= 0:
 		return fmt.Errorf("eargm: budget must be positive, got %g", c.BudgetW)
@@ -70,15 +70,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Event records one control decision for inspection.
-type Event struct {
-	TimeSec  float64
-	TotalW   float64
-	Cap      int // 0 = uncapped
-	Deepened bool
-	Relaxed  bool
-}
-
 // Manager is the global power manager. It implements sim.PowerManager.
 type Manager struct {
 	cfg Config
@@ -86,7 +77,6 @@ type Manager struct {
 
 	cap        int // 0 = released
 	belowCount int
-	events     []Event
 	peakW      float64
 	overs      int
 	intervals  int
@@ -94,8 +84,8 @@ type Manager struct {
 
 // New builds a manager.
 func New(cfg Config) (*Manager, error) {
-	cfg = cfg.Defaults()
-	if err := cfg.Validate(); err != nil {
+	cfg = cfg.defaults()
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	ts := cfg.Telemetry
@@ -122,8 +112,7 @@ func (m *Manager) Update(now float64, nodePowerW []float64) (int, error) {
 	if total > m.peakW {
 		m.peakW = total
 	}
-	ev := Event{TimeSec: now, TotalW: total, Cap: m.cap}
-
+	deepened, relaxed := false, false
 	switch {
 	case total > m.cfg.BudgetW:
 		m.overs++
@@ -131,10 +120,10 @@ func (m *Manager) Update(now float64, nodePowerW []float64) (int, error) {
 		switch {
 		case m.cap == 0:
 			m.cap = minCapPstate
-			ev.Deepened = true
+			deepened = true
 		case m.cap < m.cfg.MaxCapPstate:
 			m.cap++
-			ev.Deepened = true
+			deepened = true
 		}
 	case total < releaseMark*m.cfg.BudgetW && m.cap != 0:
 		m.belowCount++
@@ -145,48 +134,37 @@ func (m *Manager) Update(now float64, nodePowerW []float64) (int, error) {
 			} else {
 				m.cap = 0
 			}
-			ev.Relaxed = true
+			relaxed = true
 		}
 	default:
 		m.belowCount = 0
 	}
 
-	ev.Cap = m.cap
-	m.events = append(m.events, ev)
 	m.tel.intervals.Inc()
 	m.tel.cap.Set(float64(m.cap))
 	m.tel.power.Set(total)
 	switch {
-	case ev.Deepened:
+	case deepened:
 		m.tel.deepened.Inc()
 		m.tel.transition(now, "deepen", m.cap, total)
-	case ev.Relaxed:
+	case relaxed:
 		m.tel.relaxed.Inc()
 		m.tel.transition(now, "relax", m.cap, total)
 	}
 	return m.cap, nil
 }
 
-// Cap returns the current ceiling (0 = released).
-func (m *Manager) Cap() int { return m.cap }
-
-// Budget returns the current power budget in watts.
-func (m *Manager) Budget() float64 { return m.cfg.BudgetW }
-
-// SetBudget re-targets the manager to a new power budget, keeping the
+// setBudget re-targets the manager to a new power budget, keeping the
 // ratchet state (cap, settle count) intact. A cascaded deployment
 // re-apportions island budgets every interval as cluster draw shifts;
 // resetting the ratchet each time would defeat the hysteresis.
-func (m *Manager) SetBudget(w float64) error {
+func (m *Manager) setBudget(w float64) error {
 	if w <= 0 {
 		return fmt.Errorf("eargm: budget must be positive, got %g", w)
 	}
 	m.cfg.BudgetW = w
 	return nil
 }
-
-// Events returns the decision trace.
-func (m *Manager) Events() []Event { return m.events }
 
 // Stats summarises the run for reporting.
 type Stats struct {

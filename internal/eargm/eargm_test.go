@@ -3,6 +3,8 @@ package eargm
 import (
 	"testing"
 	"testing/quick"
+
+	"goear/internal/telemetry"
 )
 
 func testConfig() Config {
@@ -10,7 +12,7 @@ func testConfig() Config {
 }
 
 func TestConfigDefaultsAndValidation(t *testing.T) {
-	c := testConfig().Defaults()
+	c := testConfig().defaults()
 	if c.IntervalSec != 5 {
 		t.Errorf("defaults = %+v", c)
 	}
@@ -20,9 +22,9 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 		func(c *Config) { c.MaxCapPstate = 0 },
 	}
 	for i, mut := range muts {
-		c := testConfig().Defaults()
+		c := testConfig().defaults()
 		mut(&c)
-		if err := c.Validate(); err == nil {
+		if err := c.validate(); err == nil {
 			t.Errorf("mutation %d: expected error", i)
 		}
 	}
@@ -66,8 +68,8 @@ func TestHysteresisRelease(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if m.Cap() != 3 {
-		t.Fatalf("cap = %d, want 3", m.Cap())
+	if m.cap != 3 {
+		t.Fatalf("cap = %d, want 3", m.cap)
 	}
 	// Power in the dead band (between release mark and budget): hold.
 	mid := []float64{310, 310, 310, 310} // 1240, release mark is 1196
@@ -76,23 +78,23 @@ func TestHysteresisRelease(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if m.Cap() != 3 {
-		t.Errorf("cap moved in dead band: %d", m.Cap())
+	if m.cap != 3 {
+		t.Errorf("cap moved in dead band: %d", m.cap)
 	}
 	// Well below release mark: relax one step per settleIntervals.
 	low := []float64{250, 250, 250, 250} // 1000
 	steps := 0
-	for i := 0; i < 12 && m.Cap() != 0; i++ {
-		before := m.Cap()
+	for i := 0; i < 12 && m.cap != 0; i++ {
+		before := m.cap
 		if _, err := m.Update(100+float64(i), low); err != nil {
 			t.Fatal(err)
 		}
-		if m.Cap() != before {
+		if m.cap != before {
 			steps++
 		}
 	}
-	if m.Cap() != 0 {
-		t.Errorf("cap not fully released: %d", m.Cap())
+	if m.cap != 0 {
+		t.Errorf("cap not fully released: %d", m.cap)
 	}
 	if steps != 3 {
 		t.Errorf("release steps = %d, want 3 (3 -> 2 -> 1 -> released)", steps)
@@ -107,14 +109,14 @@ func TestReleaseRequiresSettling(t *testing.T) {
 	if _, err := m.Update(0, []float64{1400}); err != nil {
 		t.Fatal(err)
 	}
-	if m.Cap() != 1 {
+	if m.cap != 1 {
 		t.Fatal("cap not imposed")
 	}
 	// One low interval is not enough (settleIntervals = 2).
 	if _, err := m.Update(5, []float64{900}); err != nil {
 		t.Fatal(err)
 	}
-	if m.Cap() != 1 {
+	if m.cap != 1 {
 		t.Errorf("cap released after a single low interval")
 	}
 	// An over-budget interval resets the settle counter.
@@ -124,7 +126,7 @@ func TestReleaseRequiresSettling(t *testing.T) {
 	if _, err := m.Update(15, []float64{900}); err != nil {
 		t.Fatal(err)
 	}
-	if m.Cap() == 0 {
+	if m.cap == 0 {
 		t.Error("settle counter not reset by over-budget interval")
 	}
 }
@@ -140,7 +142,10 @@ func TestUpdateRejectsNegativePower(t *testing.T) {
 }
 
 func TestStatsAndEvents(t *testing.T) {
-	m, err := New(testConfig())
+	set := telemetry.NewSet()
+	cfg := testConfig()
+	cfg.Telemetry = set
+	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +162,10 @@ func TestStatsAndEvents(t *testing.T) {
 	if s.OverBudgetPct != 50 {
 		t.Errorf("over-budget pct = %v", s.OverBudgetPct)
 	}
-	evs := m.Events()
-	if len(evs) != 2 || !evs[0].Deepened || evs[0].Cap != 1 {
+	// The first interval deepened to the min cap; the second, in the
+	// dead band, changed nothing and logged nothing.
+	evs := set.Rec().Events()
+	if len(evs) != 1 || evs[0].Str["action"] != "deepen" || evs[0].Num["cap_pstate"] != 1 || evs[0].TimeSec != 5 {
 		t.Errorf("events = %+v", evs)
 	}
 }

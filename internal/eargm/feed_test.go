@@ -1,6 +1,11 @@
 package eargm
 
-import "testing"
+import (
+	"math"
+	"testing"
+
+	"goear/internal/telemetry"
+)
 
 // respondingSource models a cluster whose draw responds to the cap the
 // manager imposed on the previous interval — the feedback shape of the
@@ -13,7 +18,7 @@ type respondingSource struct {
 }
 
 func (s *respondingSource) NodePowers() []float64 {
-	p := s.baseW * (1 - s.shedFrac*float64(s.m.Cap()))
+	p := s.baseW * (1 - s.shedFrac*float64(s.m.cap))
 	out := make([]float64, s.nodes)
 	for i := range out {
 		out[i] = p
@@ -22,7 +27,8 @@ func (s *respondingSource) NodePowers() []float64 {
 }
 
 func TestDriveConvergesFromSource(t *testing.T) {
-	m, err := New(Config{BudgetW: 1000, MaxCapPstate: 8})
+	set := telemetry.NewSet()
+	m, err := New(Config{BudgetW: 1000, MaxCapPstate: 8, Telemetry: set})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,15 +49,16 @@ func TestDriveConvergesFromSource(t *testing.T) {
 			t.Fatalf("cap still oscillating: %v", caps[len(caps)-10:])
 		}
 	}
-	// Drive paced by the manager interval: the event timestamps step by
-	// Interval().
-	evs := m.Events()
-	if len(evs) != 40 {
-		t.Fatalf("events = %d, want 40", len(evs))
+	// Drive paced by the manager interval: every ratchet transition is
+	// stamped with a whole number of intervals, the first (the cap the
+	// over-budget cluster forces at once) with t=0.
+	evs := set.Rec().Events()
+	if len(evs) == 0 || evs[0].TimeSec != 0 {
+		t.Fatalf("events = %+v, want the first transition at t=0", evs)
 	}
-	for i, ev := range evs {
-		if want := float64(i) * m.Interval(); ev.TimeSec != want {
-			t.Fatalf("event %d at t=%g, want %g", i, ev.TimeSec, want)
+	for _, ev := range evs {
+		if k := ev.TimeSec / m.Interval(); k != math.Trunc(k) || k >= 40 {
+			t.Fatalf("transition at t=%g, not one of 40 interval boundaries", ev.TimeSec)
 		}
 	}
 }

@@ -46,16 +46,16 @@ type State int
 
 // Runtime states.
 const (
-	NodePolicy State = iota
-	ValidatePolicy
+	nodePolicy State = iota
+	validatePolicy
 )
 
 // String names the state.
 func (s State) String() string {
 	switch s {
-	case NodePolicy:
+	case nodePolicy:
 		return "NODE_POLICY"
-	case ValidatePolicy:
+	case validatePolicy:
 		return "VALIDATE_POLICY"
 	default:
 		return fmt.Sprintf("State(%d)", int(s))
@@ -88,8 +88,8 @@ const (
 	nestingLevels = 2
 )
 
-// Defaults fills unset fields.
-func (c Config) Defaults() Config {
+// defaults fills unset fields.
+func (c Config) defaults() Config {
 	if c.MinWindowSec == 0 {
 		c.MinWindowSec = metrics.MinWindowSeconds
 	}
@@ -136,16 +136,13 @@ type Library struct {
 	applies  int
 }
 
-// New builds a library instance. Call Start before feeding events.
-func New(cfg Config, ctl Ctl) (*Library, error) { return Renew(nil, cfg, ctl) }
-
-// Renew rebuilds l in place for a new run, as New would build it; a nil
-// l is New. The Dynais hierarchy (with its detector windows) is Reset
-// and the event buffer kept, so renewing a node's library allocates
-// nothing. cfg is validated exactly as New does; on error l is left as
-// it was.
+// Renew builds a library for a new run, in place of l; a nil l builds
+// a fresh one. The Dynais hierarchy (with its detector windows) is
+// Reset and the event buffer kept, so renewing a node's library
+// allocates nothing. On a config error l is left as it was. Call Start
+// before feeding events.
 func Renew(l *Library, cfg Config, ctl Ctl) (*Library, error) {
-	cfg = cfg.Defaults()
+	cfg = cfg.defaults()
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("earl: missing policy")
 	}
@@ -164,7 +161,7 @@ func Renew(l *Library, cfg Config, ctl Ctl) (*Library, error) {
 			return nil, err
 		}
 	}
-	*l = Library{cfg: cfg, ctl: ctl, dyn: d, state: NodePolicy, events: l.events[:0]}
+	*l = Library{cfg: cfg, ctl: ctl, dyn: d, state: nodePolicy, events: l.events[:0]}
 	return l, nil
 }
 
@@ -248,7 +245,7 @@ func (l *Library) newSignature(sig metrics.Signature, now float64, timeGuided bo
 	ev := Event{TimeSec: now, Sig: sig, State: l.state}
 
 	switch l.state {
-	case NodePolicy:
+	case nodePolicy:
 		nf, pst, err := l.cfg.Policy.Apply(in)
 		if err != nil {
 			return fmt.Errorf("earl: policy apply: %w", err)
@@ -261,11 +258,11 @@ func (l *Library) newSignature(sig metrics.Signature, now float64, timeGuided bo
 			ev.Pred, ev.HavePred = pr.LastPrediction()
 		}
 		if pst == policy.Ready {
-			l.state = ValidatePolicy
+			l.state = validatePolicy
 			l.haveStable = false
 		}
 
-	case ValidatePolicy:
+	case validatePolicy:
 		ok := l.cfg.Policy.Validate(in)
 		ev.Validated = ok
 		if !ok {
@@ -276,7 +273,7 @@ func (l *Library) newSignature(sig metrics.Signature, now float64, timeGuided bo
 				return err
 			}
 			ev.Freqs, ev.Applied = def, true
-			l.state = NodePolicy
+			l.state = nodePolicy
 			l.haveStable = false
 			break
 		}
@@ -292,7 +289,7 @@ func (l *Library) newSignature(sig metrics.Signature, now float64, timeGuided bo
 				return err
 			}
 			ev.Freqs, ev.Applied = def, true
-			l.state = NodePolicy
+			l.state = nodePolicy
 			l.haveStable = false
 		}
 	}
@@ -336,12 +333,6 @@ func (l *Library) applyFreqs(nf policy.NodeFreqs) error {
 	}
 	return nil
 }
-
-// State returns the current runtime state.
-func (l *Library) State() State { return l.state }
-
-// Iterations returns the Dynais-detected iteration count.
-func (l *Library) Iterations() int { return l.iterations }
 
 // Signatures returns how many signatures have been processed.
 func (l *Library) Signatures() int { return l.sigCount }

@@ -35,7 +35,7 @@ func TestWindowSkippedOnStalledEnergyCounter(t *testing.T) {
 		nf policy.NodeFreqs
 		st policy.State
 	}{{policy.NodeFreqs{CPUPstate: 1}, policy.Ready}}, validateOK: true}
-	l, err := New(Config{Policy: sp}, ctl)
+	l, err := Renew(nil, Config{Policy: sp}, ctl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestCounterReadErrorsPropagate(t *testing.T) {
 		nf policy.NodeFreqs
 		st policy.State
 	}{{policy.NodeFreqs{CPUPstate: 1}, policy.Ready}}, validateOK: true}
-	l, err := New(Config{Policy: sp}, ctl)
+	l, err := Renew(nil, Config{Policy: sp}, ctl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestLoopBreakFallsBackToTimeGuided(t *testing.T) {
 		nf policy.NodeFreqs
 		st policy.State
 	}{{policy.NodeFreqs{CPUPstate: 1}, policy.Ready}}, validateOK: true}
-	l, err := New(Config{Policy: sp}, ctl)
+	l, err := Renew(nil, Config{Policy: sp}, ctl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestNestedStructureReported(t *testing.T) {
 		nf policy.NodeFreqs
 		st policy.State
 	}{{policy.NodeFreqs{CPUPstate: 1}, policy.Ready}}, validateOK: true}
-	l, err := New(Config{Policy: sp}, ctl)
+	l, err := Renew(nil, Config{Policy: sp}, ctl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,14 +117,14 @@ func runIterations(t *testing.T, l *Library, ctl *fakeCtl, pattern []uint32, n i
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{}, newFakeCtl()); err == nil {
+	if _, err := Renew(nil, Config{}, newFakeCtl()); err == nil {
 		t.Error("expected error for missing policy")
 	}
 	sp := &scriptedPolicy{applies: []struct {
 		nf policy.NodeFreqs
 		st policy.State
 	}{{policy.NodeFreqs{CPUPstate: 1}, policy.Ready}}, validateOK: true}
-	if _, err := New(Config{Policy: sp}, nil); err == nil {
+	if _, err := Renew(nil, Config{Policy: sp}, nil); err == nil {
 		t.Error("expected error for missing ctl")
 	}
 }
@@ -135,7 +135,7 @@ func TestSignatureCadenceRespectsMinWindow(t *testing.T) {
 		nf policy.NodeFreqs
 		st policy.State
 	}{{policy.NodeFreqs{CPUPstate: 1}, policy.Ready}}, validateOK: true}
-	l, err := New(Config{Policy: sp}, ctl)
+	l, err := Renew(nil, Config{Policy: sp}, ctl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +158,8 @@ func TestSignatureCadenceRespectsMinWindow(t *testing.T) {
 	}
 	// Dynais needs MinRepetitions patterns to lock, so of 12 fed
 	// iterations at least 9 are counted.
-	if l.Iterations() < 9 {
-		t.Errorf("iterations = %d, want >= 9", l.Iterations())
+	if l.iterations < 9 {
+		t.Errorf("iterations = %d, want >= 9", l.iterations)
 	}
 }
 
@@ -172,7 +172,7 @@ func TestPolicyAppliedAndFrequenciesSet(t *testing.T) {
 		}{{policy.NodeFreqs{CPUPstate: 5, SetIMC: true, IMCMinRatio: 12, IMCMaxRatio: 20}, policy.Ready}},
 		validateOK: true,
 	}
-	l, err := New(Config{Policy: sp}, ctl)
+	l, err := Renew(nil, Config{Policy: sp}, ctl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,8 +189,8 @@ func TestPolicyAppliedAndFrequenciesSet(t *testing.T) {
 	if len(ctl.setUncore) != 1 || ctl.setUncore[0] != [2]uint64{12, 20} {
 		t.Errorf("uncore actuations = %v, want [[12 20]]", ctl.setUncore)
 	}
-	if l.State() != ValidatePolicy {
-		t.Errorf("state = %v, want VALIDATE_POLICY", l.State())
+	if l.state != validatePolicy {
+		t.Errorf("state = %v, want VALIDATE_POLICY", l.state)
 	}
 	// Subsequent signatures validate.
 	runIterations(t, l, ctl, []uint32{1, 2}, 12, 1.0)
@@ -214,7 +214,7 @@ func TestContinueKeepsApplying(t *testing.T) {
 		},
 		validateOK: true,
 	}
-	l, err := New(Config{Policy: sp}, ctl)
+	l, err := Renew(nil, Config{Policy: sp}, ctl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,8 +228,8 @@ func TestContinueKeepsApplying(t *testing.T) {
 	if got := len(ctl.setUncore); got != 3 {
 		t.Errorf("uncore actuations = %d, want 3", got)
 	}
-	if l.State() != ValidatePolicy {
-		t.Errorf("state = %v, want VALIDATE_POLICY", l.State())
+	if l.state != validatePolicy {
+		t.Errorf("state = %v, want VALIDATE_POLICY", l.state)
 	}
 }
 
@@ -243,7 +243,7 @@ func TestValidationFailureRestoresDefaults(t *testing.T) {
 		validateOK: false,
 		def:        policy.NodeFreqs{CPUPstate: 1, SetIMC: true, IMCMinRatio: 12, IMCMaxRatio: 24},
 	}
-	l, err := New(Config{Policy: sp}, ctl)
+	l, err := Renew(nil, Config{Policy: sp}, ctl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,8 +258,8 @@ func TestValidationFailureRestoresDefaults(t *testing.T) {
 	if ctl.pstate != 1 {
 		t.Errorf("pstate = %d, want default 1 restored", ctl.pstate)
 	}
-	if l.State() != NodePolicy {
-		t.Errorf("state = %v, want NODE_POLICY (re-application)", l.State())
+	if l.state != nodePolicy {
+		t.Errorf("state = %v, want NODE_POLICY (re-application)", l.state)
 	}
 }
 
@@ -273,7 +273,7 @@ func TestSignatureChangeReappliesPolicy(t *testing.T) {
 		validateOK: true,
 		def:        policy.NodeFreqs{CPUPstate: 1},
 	}
-	l, err := New(Config{Policy: sp}, ctl)
+	l, err := Renew(nil, Config{Policy: sp}, ctl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestTimeGuidedModeWithoutMPI(t *testing.T) {
 		}{{policy.NodeFreqs{CPUPstate: 3}, policy.Ready}},
 		validateOK: true,
 	}
-	l, err := New(Config{Policy: sp}, ctl)
+	l, err := Renew(nil, Config{Policy: sp}, ctl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestOnTickIsNoOpWhileLocked(t *testing.T) {
 		}{{policy.NodeFreqs{CPUPstate: 1}, policy.Ready}},
 		validateOK: true,
 	}
-	l, err := New(Config{Policy: sp}, ctl)
+	l, err := Renew(nil, Config{Policy: sp}, ctl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestEventsTraceRecorded(t *testing.T) {
 		}{{policy.NodeFreqs{CPUPstate: 2}, policy.Ready}},
 		validateOK: true,
 	}
-	l, err := New(Config{Policy: sp, EventLog: true}, ctl)
+	l, err := Renew(nil, Config{Policy: sp, EventLog: true}, ctl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,10 +381,10 @@ func TestEventsTraceRecorded(t *testing.T) {
 	if len(evs) < 2 {
 		t.Fatalf("events = %d, want >= 2", len(evs))
 	}
-	if evs[0].State != NodePolicy || !evs[0].Applied {
+	if evs[0].State != nodePolicy || !evs[0].Applied {
 		t.Errorf("first event = %+v, want applied NODE_POLICY", evs[0])
 	}
-	if evs[1].State != ValidatePolicy {
+	if evs[1].State != validatePolicy {
 		t.Errorf("second event = %+v, want VALIDATE_POLICY", evs[1])
 	}
 	if len(evs) != l.Signatures() || l.Applies() != 1 {
@@ -406,7 +406,7 @@ func TestEventPathDoesNotAllocateWithoutEventLog(t *testing.T) {
 		}{{policy.NodeFreqs{CPUPstate: 2}, policy.Ready}},
 		validateOK: true,
 	}
-	l, err := New(Config{Policy: sp}, ctl)
+	l, err := Renew(nil, Config{Policy: sp}, ctl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,8 +415,8 @@ func TestEventPathDoesNotAllocateWithoutEventLog(t *testing.T) {
 	}
 	pattern := []uint32{1, 2, 3, 4, 5, 6, 7, 8}
 	runIterations(t, l, ctl, pattern, 30, 1.0)
-	if l.State() != ValidatePolicy || l.Applies() != 1 {
-		t.Fatalf("state %v after %d applies, want validated after 1", l.State(), l.Applies())
+	if l.state != validatePolicy || l.Applies() != 1 {
+		t.Fatalf("state %v after %d applies, want validated after 1", l.state, l.Applies())
 	}
 	sigs := l.Signatures()
 	allocs := testing.AllocsPerRun(200, func() { runIterations(t, l, ctl, pattern, 1, 1.0) })
@@ -441,7 +441,7 @@ func TestActuationErrorsPropagate(t *testing.T) {
 		}{{policy.NodeFreqs{CPUPstate: 2}, policy.Ready}},
 		validateOK: true,
 	}
-	l, err := New(Config{Policy: sp}, ctl)
+	l, err := Renew(nil, Config{Policy: sp}, ctl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +463,7 @@ func TestActuationErrorsPropagate(t *testing.T) {
 }
 
 func TestStateString(t *testing.T) {
-	if NodePolicy.String() != "NODE_POLICY" || ValidatePolicy.String() != "VALIDATE_POLICY" {
+	if nodePolicy.String() != "NODE_POLICY" || validatePolicy.String() != "VALIDATE_POLICY" {
 		t.Error("state names wrong")
 	}
 	if State(7).String() == "" {
@@ -502,7 +502,7 @@ func TestRenewMatchesNew(t *testing.T) {
 		}
 		runIterations(t, l, ctl, pattern, 40, 1.0)
 		o := outcome{Events: l.Events(), Sigs: l.Signatures(), Applies: l.Applies(),
-			Iter: l.Iterations(), State: l.State(), Loop: l.LoopDetected()}
+			Iter: l.iterations, State: l.state, Loop: l.LoopDetected()}
 		o.Level, o.Period = l.NestedStructure()
 		return o
 	}
@@ -520,13 +520,13 @@ func TestRenewMatchesNew(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
 			cfg.Policy = script()
-			fresh, err := New(cfg, newFakeCtl())
+			fresh, err := Renew(nil, cfg, newFakeCtl())
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := drive(fresh, fresh.ctl.(*fakeCtl), second)
 
-			l, err := New(Config{Policy: script(), EventLog: true}, newFakeCtl())
+			l, err := Renew(nil, Config{Policy: script(), EventLog: true}, newFakeCtl())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -552,7 +552,7 @@ func TestRenewMatchesNew(t *testing.T) {
 		})
 	}
 
-	l, err := New(Config{Policy: script()}, newFakeCtl())
+	l, err := Renew(nil, Config{Policy: script()}, newFakeCtl())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"goear/internal/perf"
 	"goear/internal/power"
 	"goear/internal/report"
-	"goear/internal/stats"
 	"goear/internal/workload"
 )
 
@@ -53,8 +52,8 @@ func (c *Context) modelAccuracy() ([]report.Table, error) {
 					return nil, err
 				}
 				return []string{fmt.Sprint(to), report.GHz(f.GHzF()),
-					report.Pct(100 * stats.Mean(cpiErrs)), report.Pct(100 * stats.Max(cpiErrs)),
-					report.Pct(100 * stats.Mean(powErrs))}, nil
+					report.Pct(100 * mean(cpiErrs)), report.Pct(100 * maxOf(cpiErrs)),
+					report.Pct(100 * mean(powErrs))}, nil
 			})
 		if err != nil {
 			return nil, err
@@ -138,7 +137,33 @@ func HeldOutCPIError(pl workload.Platform, m *model.Model) (float64, error) {
 		}
 		all = append(all, cpiErrs...)
 	}
-	return stats.Mean(all), nil
+	return mean(all), nil
+}
+
+// mean returns the arithmetic mean of xs, or 0 for an empty slice.
+func mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := 0.0
+	for _, x := range xs {
+		s += x
+	}
+	return s / float64(len(xs))
+}
+
+// maxOf returns the maximum of xs, or 0 for an empty slice.
+func maxOf(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if x > m {
+			m = x
+		}
+	}
+	return m
 }
 
 func powerInput(pl workload.Platform, ph perf.Phase, r perf.Result) power.Input {

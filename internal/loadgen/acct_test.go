@@ -25,10 +25,11 @@ func TestAcctByteIdenticalAcrossShardCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, acct, err := root.State(nil)
+		v, err := root.View(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		acct := v.Acct
 		recs := acct.Snapshot()
 		if len(recs) == 0 {
 			t.Fatalf("shards=%d: no accounting records surfaced", shards)

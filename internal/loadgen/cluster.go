@@ -63,19 +63,13 @@ func NewCluster(n int, cfg eardbd.Config) (*Cluster, error) {
 		}
 	}
 	var err error
-	c.fleet, err = fed.NewFleet(names, c.DialShard)
+	c.fleet, err = fed.NewFleet(names, c.dialShard)
 	return c, err
 }
 
 // Fleet returns the cluster as every other client of a fleet sees one:
-// its shard names, their ring, and DialShard.
+// its shard names, their ring, and dialShard.
 func (c *Cluster) Fleet() *fed.Fleet { return c.fleet }
-
-// Names returns the shard names in creation order.
-func (c *Cluster) Names() []string { return c.fleet.Names() }
-
-// Owner returns the shard a node's reports land on.
-func (c *Cluster) Owner(node string) string { return c.fleet.Owner(node) }
 
 // shard looks one shard up by name.
 func (c *Cluster) shard(name string) (*clusterShard, error) {
@@ -97,18 +91,9 @@ func (c *Cluster) Server(name string) *eardbd.Server {
 	return sh.srv
 }
 
-// Conns reports how many connections to a shard are being served:
-// those its clients hold open, parked or in use.
-func (c *Cluster) Conns(name string) int {
-	if srv := c.Server(name); srv != nil {
-		return srv.Conns()
-	}
-	return 0
-}
-
-// DialShard opens a connection to one shard, or fails if the shard is
+// dialShard opens a connection to one shard, or fails if the shard is
 // down.
-func (c *Cluster) DialShard(name string) (net.Conn, error) {
+func (c *Cluster) dialShard(name string) (net.Conn, error) {
 	sh, err := c.shard(name)
 	if err != nil {
 		return nil, err

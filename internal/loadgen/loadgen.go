@@ -40,9 +40,6 @@ type Config struct {
 	// placement, so runs over different shard counts generate
 	// byte-identical data.
 	Seed int64
-	// MaxAttempts is the per-batch delivery attempt bound passed to
-	// the clients (0 = client default).
-	MaxAttempts int
 	// NodeName, when set, overrides the node naming scheme (default
 	// NodeName). The closed-loop battery feeds its historical "n%02d"
 	// names through this hook so the federated transcripts stay
@@ -77,8 +74,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validate reports whether the configuration is usable.
-func (c Config) Validate() error {
+// validate reports whether the configuration is usable.
+func (c Config) validate() error {
 	switch {
 	case c.Nodes < 1:
 		return fmt.Errorf("loadgen: need at least one node, got %d", c.Nodes)
@@ -167,7 +164,7 @@ func Percentiles(samples []float64) (n int, p50, p95, p99 float64) {
 
 // New builds a generator.
 func New(cfg Config) (*Generator, error) {
-	if err := cfg.withDefaults().Validate(); err != nil {
+	if err := cfg.withDefaults().validate(); err != nil {
 		return nil, err
 	}
 	return &Generator{
@@ -296,7 +293,6 @@ func (g *Generator) clientFor(node string, dial func() (net.Conn, error), journa
 		Clock:        eardbd.NewFakeClock(0),
 		Jitter:       rand.New(rand.NewSource(g.cfg.Seed ^ seed)),
 		BatchRecords: g.cfg.BatchRecords,
-		MaxAttempts:  g.cfg.MaxAttempts,
 		Journal:      journal,
 		Telemetry:    g.cfg.Telemetry,
 		Trace:        g.cfg.Trace,
@@ -397,15 +393,15 @@ func (g *Generator) Drain(dial func(node string) func() (net.Conn, error), maxPa
 			before := journal.Len()
 			c, err := g.clientFor(node, dial(node), journal, hashNode(node))
 			if err != nil {
-				return g.Backlog(), err
+				return g.backlog(), err
 			}
 			ferr := c.Flush()
 			cerr := c.Close()
 			if ferr != nil && !errors.Is(ferr, eardbd.ErrUnreachable) {
-				return g.Backlog(), ferr
+				return g.backlog(), ferr
 			}
 			if cerr != nil && !errors.Is(cerr, eardbd.ErrUnreachable) {
-				return g.Backlog(), cerr
+				return g.backlog(), cerr
 			}
 			g.mu.Lock()
 			addClientStats(&g.sum, c.Stats())
@@ -417,16 +413,16 @@ func (g *Generator) Drain(dial func(node string) func() (net.Conn, error), maxPa
 			}
 			g.mu.Unlock()
 		}
-		g.tel.backlog.Set(float64(g.Backlog()))
+		g.tel.backlog.Set(float64(g.backlog()))
 		if !progress {
 			break
 		}
 	}
-	return g.Backlog(), nil
+	return g.backlog(), nil
 }
 
-// Backlog returns the spilled batches still awaiting drain.
-func (g *Generator) Backlog() int {
+// backlog returns the spilled batches still awaiting drain.
+func (g *Generator) backlog() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.backlogLocked()

@@ -38,7 +38,7 @@ func TestGeneratorDeliversEverything(t *testing.T) {
 		t.Fatalf("result = %+v", res)
 	}
 	accepted := 0
-	for _, name := range cluster.Names() {
+	for _, name := range cluster.Fleet().Names() {
 		accepted += cluster.Server(name).Stats().RecordsAccepted
 	}
 	if accepted != nodes*10 {
@@ -108,7 +108,7 @@ func TestFaultInjectionReplaysExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim := cluster.Names()[1]
+	victim := cluster.Fleet().Names()[1]
 	var done int64
 	var killing, killDone, restarted atomic.Bool
 	hooks := Hooks{AfterNode: func(i int) {
@@ -198,13 +198,13 @@ func TestClusterFaultAPIErrors(t *testing.T) {
 	if err := cluster.Kill("shard0"); err == nil {
 		t.Error("killed a dead shard twice")
 	}
-	if _, err := cluster.DialShard("shard0"); err == nil {
+	if _, err := cluster.dialShard("shard0"); err == nil {
 		t.Error("dialed a dead shard")
 	}
 	if err := cluster.Restart("shard0"); err != nil {
 		t.Fatal(err)
 	}
-	conn, err := cluster.DialShard("shard0")
+	conn, err := cluster.dialShard("shard0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,11 +226,11 @@ func TestFleetOverDialRoutesLikeCluster(t *testing.T) {
 	}
 	dialled := map[string]int{}
 	var mu sync.Mutex
-	fleet, err := fed.NewFleet(cluster.Names(), func(name string) (net.Conn, error) {
+	fleet, err := fed.NewFleet(cluster.Fleet().Names(), func(name string) (net.Conn, error) {
 		mu.Lock()
 		dialled[name]++
 		mu.Unlock()
-		return cluster.DialShard(name)
+		return cluster.dialShard(name)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -247,11 +247,11 @@ func TestFleetOverDialRoutesLikeCluster(t *testing.T) {
 		t.Fatalf("result = %+v", res)
 	}
 	for i := 0; i < 20; i++ {
-		if a, b := fleet.Owner(NodeName(i)), cluster.Owner(NodeName(i)); a != b {
+		if a, b := fleet.Owner(NodeName(i)), cluster.Fleet().Owner(NodeName(i)); a != b {
 			t.Errorf("%s: the fleet places it on %s, the cluster on %s", NodeName(i), a, b)
 		}
 	}
-	for _, name := range cluster.Names() {
+	for _, name := range cluster.Fleet().Names() {
 		if dialled[name] == 0 {
 			t.Errorf("%s was never reached through the fleet's dial function", name)
 		}
@@ -277,7 +277,7 @@ func TestFleetOverDialRoutesLikeCluster(t *testing.T) {
 	if agg != want || agg.Nodes != 20 || agg.Records != 200 {
 		t.Fatalf("aggregate over the fleet = %+v, the cluster's own root reads %+v", agg, want)
 	}
-	if _, err := fed.NewFleet(nil, cluster.DialShard); err == nil {
+	if _, err := fed.NewFleet(nil, cluster.dialShard); err == nil {
 		t.Error("built a fleet with no shards")
 	}
 }
@@ -317,7 +317,7 @@ func BenchmarkDialShard(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		conn, err := cluster.DialShard("shard2")
+		conn, err := cluster.dialShard("shard2")
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -46,8 +46,10 @@ func (c *faultConn) Write(p []byte) (int, error) {
 }
 
 // faulty wraps a fleet dial function in a seeded fault plan: about half
-// the connections to each shard are faultConns, with the byte count and
-// the kind of cut drawn from the seed. Each shard draws from its own
+// the connections to each shard are faultConns, with the byte count (in
+// the first 256, so a small batch frame is reached too) and the kind of
+// cut drawn from the seed. A reporter's client makes three attempts per
+// flush, so a flush spills when three dials in a row are cut. Each shard draws from its own
 // stream in the order it is dialled, so a run whose dials to any one
 // shard are sequential — one reporter at a time, then one root reader —
 // replays exactly from its seed.
@@ -68,7 +70,7 @@ func faulty(seed int64, names []string, dial func(string) (net.Conn, error)) fun
 		if rng.Intn(2) == 0 {
 			return conn, nil
 		}
-		return &faultConn{Conn: conn, left: rng.Intn(1024), lostReply: rng.Intn(2) == 0}, nil
+		return &faultConn{Conn: conn, left: rng.Intn(256), lostReply: rng.Intn(2) == 0}, nil
 	}
 }
 
@@ -109,9 +111,6 @@ func TestSeamSeededFaults(t *testing.T) {
 	}
 	spilling, refanning := 0, 0
 	for seed := int64(1); seed <= int64(seeds); seed++ {
-		// One attempt per flush spills on every fault; two also take the
-		// in-flush retry path.
-		cfg.MaxAttempts = 1 + int(seed%2)
 		spilled, refanned, err := seamRun(cfg, shards, seed, want, wantAgg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -141,7 +140,7 @@ func seamRun(cfg Config, shards int, seed int64, want []byte, wantAgg eardbd.Agg
 		return 0, 0, err
 	}
 	defer cluster.Close()
-	fleet, err := fed.NewFleet(cluster.Names(), faulty(seed, cluster.Names(), cluster.DialShard))
+	fleet, err := fed.NewFleet(cluster.Fleet().Names(), faulty(seed, cluster.Fleet().Names(), cluster.dialShard))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -155,7 +154,7 @@ func seamRun(cfg Config, shards int, seed int64, want []byte, wantAgg eardbd.Agg
 	}
 	// A drain pass that lands nothing ends the drain; under a plan that
 	// keeps cutting, the next one gets further.
-	for round := 0; g.Backlog() > 0; round++ {
+	for round := 0; g.backlog() > 0; round++ {
 		if round == 64 {
 			return 0, 0, errors.New("backlog never drained")
 		}
@@ -222,18 +221,18 @@ func TestKillRacesDials(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			conns[i], _ = cluster.DialShard("shard0")
+			conns[i], _ = cluster.dialShard("shard0")
 		}(i)
 	}
 	close(start)
 	if err := cluster.Kill("shard0"); err != nil {
 		t.Fatal(err)
 	}
-	if n := cluster.Conns("shard0"); n != 0 {
+	if n := cluster.Server("shard0").Conns(); n != 0 {
 		t.Errorf("Kill returned with %d connections still served", n)
 	}
 	wg.Wait()
-	if n := cluster.Conns("shard0"); n != 0 {
+	if n := cluster.Server("shard0").Conns(); n != 0 {
 		t.Errorf("%d connections were born on a dead shard", n)
 	}
 	for i, conn := range conns {
@@ -262,7 +261,7 @@ func TestRestartDuringKill(t *testing.T) {
 	}
 	for round := 0; round < 50; round++ {
 		// A held connection gives the Kill a handler to wait for.
-		held, err := cluster.DialShard("shard0")
+		held, err := cluster.dialShard("shard0")
 		if err != nil {
 			t.Fatal(err)
 		}

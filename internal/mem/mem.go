@@ -75,15 +75,15 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// PeakGBs is the DRAM-side peak bandwidth of the node.
-func (c Config) PeakGBs() float64 { return float64(c.Channels) * c.ChannelGBs }
+// peakGBs is the DRAM-side peak bandwidth of the node.
+func (c Config) peakGBs() float64 { return float64(c.Channels) * c.ChannelGBs }
 
 // CapabilityGBs returns the bandwidth the memory subsystem can sustain at
 // the given uncore frequency: the lesser of the DRAM peak and the IMC
 // capability at that frequency.
 func (c Config) CapabilityGBs(fu units.Freq) float64 {
 	imc := c.IMCGBsPerGHz * fu.GHzF()
-	return math.Min(c.PeakGBs(), imc)
+	return math.Min(c.peakGBs(), imc)
 }
 
 // Utilization returns demanded/capability clamped to [0, MaxUtilization].

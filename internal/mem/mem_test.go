@@ -13,7 +13,7 @@ func TestDDR4SD530Valid(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.PeakGBs(); math.Abs(got-230.4) > 1e-9 {
+	if got := c.peakGBs(); math.Abs(got-230.4) > 1e-9 {
 		t.Errorf("PeakGBs = %v, want 230.4 (12 x 19.2)", got)
 	}
 }

@@ -11,14 +11,14 @@ type PhaseClass int
 
 // Phase classes.
 const (
-	// CPUComp: compute-dominated, little main-memory traffic relative
+	// cpuComp: compute-dominated, little main-memory traffic relative
 	// to the instruction rate.
-	CPUComp PhaseClass = iota
+	cpuComp PhaseClass = iota
 	// MemBound: main-memory dominated (high CPI together with high
 	// bandwidth).
 	MemBound
 	// Mixed: meaningful core and memory components.
-	Mixed
+	mixed
 	// BusyWaiting: negligible memory traffic and low CPI — a spinning
 	// host core making no application progress per cycle.
 	BusyWaiting
@@ -27,11 +27,11 @@ const (
 // String names the class.
 func (c PhaseClass) String() string {
 	switch c {
-	case CPUComp:
+	case cpuComp:
 		return "CPU_COMP"
 	case MemBound:
 		return "MEM_BOUND"
-	case Mixed:
+	case mixed:
 		return "MIXED"
 	case BusyWaiting:
 		return "BUSY_WAITING"
@@ -57,8 +57,8 @@ func Classify(sig Signature) PhaseClass {
 	case sig.CPI >= memBoundMinCPI && sig.GBs >= memBoundMinGBs:
 		return MemBound
 	case sig.GBs >= mixedMinGBs:
-		return Mixed
+		return mixed
 	default:
-		return CPUComp
+		return cpuComp
 	}
 }

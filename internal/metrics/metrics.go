@@ -62,8 +62,8 @@ type Signature struct {
 	Iterations int
 }
 
-// CacheLineBytes converts DRAM bytes to transactions.
-const CacheLineBytes = 64
+// cacheLineBytes converts DRAM bytes to transactions.
+const cacheLineBytes = 64
 
 // Compute derives the signature of the window between two samples.
 func Compute(prev, cur Sample) (Signature, error) {
@@ -87,7 +87,7 @@ func Compute(prev, cur Sample) (Signature, error) {
 		IterTimeSec: dt,
 		DCPowerW:    dEnergy / dt,
 		CPI:         dc / di,
-		TPI:         dbytes / CacheLineBytes / di,
+		TPI:         dbytes / cacheLineBytes / di,
 		GBs:         dbytes / dt / 1e9,
 		VPI:         davx / di,
 		AvgCPUGHz:   (cur.CoreFreqSeconds - prev.CoreFreqSeconds) / dt,

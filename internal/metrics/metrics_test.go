@@ -169,12 +169,12 @@ func TestClassify(t *testing.T) {
 		want PhaseClass
 	}{
 		{Signature{CPI: 0.49, GBs: 0.09}, BusyWaiting},     // CUDA host spin
-		{Signature{CPI: 0.39, GBs: 28}, CPUComp},           // BT-MZ
+		{Signature{CPI: 0.39, GBs: 28}, cpuComp},           // BT-MZ
 		{Signature{CPI: 3.13, GBs: 177}, MemBound},         // HPCG
-		{Signature{CPI: 0.72, GBs: 100}, Mixed},            // POP
-		{Signature{CPI: 0.45, GBs: 98, VPI: 1}, Mixed},     // DGEMM
-		{Signature{CPI: 0.3, GBs: 0.1, VPI: 0.5}, CPUComp}, // AVX spin is not busy-wait
-		{Signature{CPI: 2.0, GBs: 20}, CPUComp},            // high CPI, low traffic
+		{Signature{CPI: 0.72, GBs: 100}, mixed},            // POP
+		{Signature{CPI: 0.45, GBs: 98, VPI: 1}, mixed},     // DGEMM
+		{Signature{CPI: 0.3, GBs: 0.1, VPI: 0.5}, cpuComp}, // AVX spin is not busy-wait
+		{Signature{CPI: 2.0, GBs: 20}, cpuComp},            // high CPI, low traffic
 	}
 	for i, c := range cases {
 		if got := Classify(c.sig); got != c.want {
@@ -185,7 +185,7 @@ func TestClassify(t *testing.T) {
 
 func TestPhaseClassString(t *testing.T) {
 	names := map[PhaseClass]string{
-		CPUComp: "CPU_COMP", MemBound: "MEM_BOUND", Mixed: "MIXED",
+		cpuComp: "CPU_COMP", MemBound: "MEM_BOUND", mixed: "MIXED",
 		BusyWaiting: "BUSY_WAITING", PhaseClass(9): "PhaseClass(9)",
 	}
 	for c, want := range names {

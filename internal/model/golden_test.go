@@ -8,7 +8,6 @@ import (
 	"math"
 	"testing"
 
-	"goear/internal/stats"
 	"goear/internal/workload"
 )
 
@@ -73,7 +72,7 @@ func TestTrainErrorText(t *testing.T) {
 
 	// The first 12 probes sit in the lowest bandwidth class, so the
 	// middle class has no samples.
-	_, err := Train(TrainConfig{Machine: pl.Machine, Power: pl.Power, Probes: all[:12]})
+	_, err := train(pl.Machine, pl.Power, all[:12])
 	if want := "model: pair (0,0) class 1 has only 0 samples"; err == nil || err.Error() != want {
 		t.Errorf("too-few-samples error = %v, want %q", err, want)
 	}
@@ -84,12 +83,12 @@ func TestTrainErrorText(t *testing.T) {
 	for i := range same {
 		same[i] = all[0]
 	}
-	_, err = Train(TrainConfig{Machine: pl.Machine, Power: pl.Power, Probes: same})
-	if want := "model: pair (0,0) class 0: model: CPI fit: stats: singular system"; err == nil || err.Error() != want {
+	_, err = train(pl.Machine, pl.Power, same)
+	if want := "model: pair (0,0) class 0: model: CPI fit: singular system"; err == nil || err.Error() != want {
 		t.Errorf("singular error = %v, want %q", err, want)
 	}
-	if !errors.Is(err, stats.ErrSingular) {
-		t.Errorf("singular error %v does not wrap stats.ErrSingular", err)
+	if !errors.Is(err, errSingular) {
+		t.Errorf("singular error %v does not wrap errSingular", err)
 	}
 }
 

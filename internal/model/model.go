@@ -43,8 +43,8 @@ import (
 	"goear/internal/units"
 )
 
-// NumClasses is the number of memory-utilisation classes.
-const NumClasses = 3
+// numClasses is the number of memory-utilisation classes.
+const numClasses = 3
 
 // Utilisation class boundaries (fraction of memory capability).
 const (
@@ -61,7 +61,7 @@ type LinCoeffs struct {
 
 // PairCoeffs holds the per-class coefficients of one pstate pair.
 type PairCoeffs struct {
-	ByClass [NumClasses]LinCoeffs
+	ByClass [numClasses]LinCoeffs
 }
 
 // Model is a trained per-architecture energy model.
@@ -117,8 +117,8 @@ func (m *Model) Validate() error {
 // PstateCount returns the number of pstates the model covers.
 func (m *Model) PstateCount() int { return len(m.FreqGHz) }
 
-// ClassOf returns the memory-utilisation class of a bandwidth level.
-func (m *Model) ClassOf(gbs float64) int {
+// classOf returns the memory-utilisation class of a bandwidth level.
+func (m *Model) classOf(gbs float64) int {
 	u := gbs / m.CapGBs
 	switch {
 	case u < classLowMax:
@@ -133,7 +133,7 @@ func (m *Model) ClassOf(gbs float64) int {
 // projectDefault applies the class-selected projection with the
 // bandwidth-roofline clamp.
 func (m *Model) projectDefault(sig metrics.Signature, from, to int) Prediction {
-	c := m.Pairs[from][to].ByClass[m.ClassOf(sig.GBs)]
+	c := m.Pairs[from][to].ByClass[m.classOf(sig.GBs)]
 	cpi2 := c.A*sig.CPI + c.B*sig.TPI + c.C
 	pow2 := c.D*sig.DCPowerW + c.E*sig.TPI + c.F
 	f1, f2 := m.FreqGHz[from], m.FreqGHz[to]
@@ -250,9 +250,9 @@ func (m *Model) checkPstates(from, to int) error {
 	return nil
 }
 
-// PstateTable builds the model frequency table from a CPU model: entry 0
+// pstateTable builds the model frequency table from a CPU model: entry 0
 // is the all-core turbo frequency, entry 1 the nominal, stepping down.
-func PstateTable(c cpu.Model) []float64 {
+func pstateTable(c cpu.Model) []float64 {
 	out := make([]float64, c.PstateCount())
 	out[0] = units.FromRatio(c.TurboRatio, cpu.BusClock).GHzF()
 	for p := 1; p < c.PstateCount(); p++ {

@@ -193,20 +193,17 @@ func TestPredictErrors(t *testing.T) {
 
 func TestTrainErrors(t *testing.T) {
 	machine := perf.Machine{CPU: cpu.XeonGold6148(), Mem: mem.DDR4SD530()}
-	if _, err := Train(TrainConfig{
-		Machine: machine, Power: power.SD530Coeffs(),
-		Probes: DefaultProbes(40)[:2],
-	}); err == nil {
+	if _, err := train(machine, power.SD530Coeffs(), DefaultProbes(40)[:2]); err == nil {
 		t.Error("expected error for too few probes")
 	}
 	badM := machine
 	badM.CPU.Sockets = 0
-	if _, err := Train(TrainConfig{Machine: badM, Power: power.SD530Coeffs()}); err == nil {
+	if _, err := TrainForCPU(badM, power.SD530Coeffs()); err == nil {
 		t.Error("expected error for invalid machine")
 	}
 	badP := power.SD530Coeffs()
 	badP.PkgBase = -1
-	if _, err := Train(TrainConfig{Machine: machine, Power: badP}); err == nil {
+	if _, err := TrainForCPU(machine, badP); err == nil {
 		t.Error("expected error for invalid power coefficients")
 	}
 }

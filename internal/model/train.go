@@ -6,18 +6,8 @@ import (
 	"goear/internal/cpu"
 	"goear/internal/perf"
 	"goear/internal/power"
-	"goear/internal/stats"
 	"goear/internal/units"
 )
-
-// TrainConfig describes the node the model is learned for.
-type TrainConfig struct {
-	Machine perf.Machine
-	Power   power.Coeffs
-	// Probes are the synthetic phases executed across pstate pairs;
-	// when empty, DefaultProbes is used.
-	Probes []Probe
-}
 
 // Probe is one training workload: an execution phase plus the power
 // activity factor it runs with.
@@ -54,34 +44,32 @@ func DefaultProbes(activeCores int) []Probe {
 // fits: the roofline clamp covers that regime analytically.
 const trainSatCutoff = 0.9
 
-// Train runs the learning phase: every probe is evaluated at every
-// pstate pair (uncore held at the hardware maximum, as EAR's
-// CPU-frequency model assumes), and the per-class projection
-// coefficients are fitted by least squares.
-func Train(cfg TrainConfig) (*Model, error) {
-	if err := cfg.Machine.Validate(); err != nil {
+// TrainForCPU runs the learning phase for a node with the given machine
+// and power coefficients over DefaultProbes, like EAR's learning-phase
+// kernel suite.
+func TrainForCPU(machine perf.Machine, pw power.Coeffs) (*Model, error) {
+	if err := machine.Validate(); err != nil {
 		return nil, err
 	}
-	if err := cfg.Power.Validate(); err != nil {
+	if err := pw.Validate(); err != nil {
 		return nil, err
 	}
-	probes := cfg.Probes
-	if len(probes) == 0 {
-		probes = DefaultProbes(cfg.Machine.CPU.TotalCores())
-	}
-	if len(probes) < 4*NumClasses {
-		return nil, fmt.Errorf("model: need at least %d probes, got %d", 4*NumClasses, len(probes))
-	}
+	return train(machine, pw, DefaultProbes(machine.CPU.TotalCores()))
+}
 
-	c := cfg.Machine.CPU
+// train evaluates every probe at every pstate pair (uncore held at the
+// hardware maximum, as EAR's CPU-frequency model assumes) and fits the
+// per-class projection coefficients by least squares.
+func train(machine perf.Machine, pw power.Coeffs, probes []Probe) (*Model, error) {
+	c := machine.CPU
 	n := c.PstateCount()
 	fuMax := units.FromRatio(c.UncoreMaxRatio, cpu.BusClock)
-	capGBs := cfg.Machine.Mem.CapabilityGBs(fuMax)
+	capGBs := machine.Mem.CapabilityGBs(fuMax)
 	m := &Model{
-		FreqGHz:      PstateTable(c),
+		FreqGHz:      pstateTable(c),
 		AVX512Pstate: int(c.NominalRatio-c.AVX512Ratio) + 1,
 		CapGBs:       capGBs,
-		SatGBs:       capGBs * cfg.Machine.Mem.MaxUtilization,
+		SatGBs:       capGBs * machine.Mem.MaxUtilization,
 		Pairs:        make([][]PairCoeffs, n),
 	}
 
@@ -98,11 +86,11 @@ func Train(cfg TrainConfig) (*Model, error) {
 		}
 		eval[p] = make([]point, len(probes))
 		for i, pr := range probes {
-			r, err := perf.Evaluate(cfg.Machine, pr.Phase, perf.Operating{CoreRatio: ratio, UncoreRatio: uncore})
+			r, err := perf.Evaluate(machine, pr.Phase, perf.Operating{CoreRatio: ratio, UncoreRatio: uncore})
 			if err != nil {
 				return nil, fmt.Errorf("model: probe %d at pstate %d: %w", i, p, err)
 			}
-			b, err := cfg.Power.Node(power.Input{
+			b, err := pw.Node(power.Input{
 				CoreFreqGHz:   r.EffCoreFreq.GHzF(),
 				UncoreFreqGHz: r.UncoreFreq.GHzF(),
 				Sockets:       c.Sockets,
@@ -129,27 +117,27 @@ func Train(cfg TrainConfig) (*Model, error) {
 	for from := 0; from < n; from++ {
 		m.Pairs[from] = make([]PairCoeffs, n)
 		for to := 0; to < n; to++ {
-			var cpiFit, powFit [NumClasses]stats.Normal3
+			var cpiFit, powFit [numClasses]normal3
 			for i, src := range eval[from] {
 				dst := eval[to][i]
 				if src.rho > trainSatCutoff || dst.rho > trainSatCutoff {
 					continue
 				}
-				cl := m.ClassOf(src.gbs)
-				cpiFit[cl].Add([3]float64{src.cpi, src.tpi, 1}, dst.cpi)
-				powFit[cl].Add([3]float64{src.pow, src.tpi, 1}, dst.pow)
+				cl := m.classOf(src.gbs)
+				cpiFit[cl].add([3]float64{src.cpi, src.tpi, 1}, dst.cpi)
+				powFit[cl].add([3]float64{src.pow, src.tpi, 1}, dst.pow)
 			}
 			var pc PairCoeffs
-			for cl := 0; cl < NumClasses; cl++ {
-				if cpiFit[cl].N < 4 {
+			for cl := 0; cl < numClasses; cl++ {
+				if cpiFit[cl].n < 4 {
 					return nil, fmt.Errorf("model: pair (%d,%d) class %d has only %d samples",
-						from, to, cl, cpiFit[cl].N)
+						from, to, cl, cpiFit[cl].n)
 				}
-				cb, err := cpiFit[cl].Solve()
+				cb, err := cpiFit[cl].solve()
 				if err != nil {
 					return nil, fmt.Errorf("model: pair (%d,%d) class %d: model: CPI fit: %w", from, to, cl, err)
 				}
-				pb, err := powFit[cl].Solve()
+				pb, err := powFit[cl].solve()
 				if err != nil {
 					return nil, fmt.Errorf("model: pair (%d,%d) class %d: model: power fit: %w", from, to, cl, err)
 				}
@@ -159,10 +147,4 @@ func Train(cfg TrainConfig) (*Model, error) {
 		}
 	}
 	return m, m.Validate()
-}
-
-// TrainForCPU is a convenience wrapper building the config from a CPU
-// model, memory config and power coefficients with default probes.
-func TrainForCPU(machine perf.Machine, pw power.Coeffs) (*Model, error) {
-	return Train(TrainConfig{Machine: machine, Power: pw})
 }

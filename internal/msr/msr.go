@@ -24,9 +24,9 @@ const (
 	IA32PerfStatus      uint32 = 0x198 // current core ratio in bits 15:8
 	IA32PerfCtl         uint32 = 0x199 // requested core ratio in bits 15:8
 	IA32EnergyPerfBias  uint32 = 0x1B0 // EPB hint, 0 (perf) .. 15 (powersave)
-	IA32FixedCtr0       uint32 = 0x309 // instructions retired
-	IA32FixedCtr1       uint32 = 0x30A // core clock cycles unhalted
-	IA32FixedCtr2       uint32 = 0x30B // reference clock cycles unhalted
+	ia32FixedCtr0       uint32 = 0x309 // instructions retired
+	ia32FixedCtr1       uint32 = 0x30A // core clock cycles unhalted
+	ia32FixedCtr2       uint32 = 0x30B // reference clock cycles unhalted
 	MSRRaplPowerUnit    uint32 = 0x606 // energy status units in bits 12:8
 	MSRPkgEnergyStatus  uint32 = 0x611 // package energy, 32-bit accumulator
 	MSRDramEnergyStatus uint32 = 0x619 // DRAM energy, 32-bit accumulator
@@ -34,27 +34,23 @@ const (
 	MSRUncorePerfStatus uint32 = 0x621 // current uncore ratio in bits 6:0
 )
 
-// RatioUnitMHz is the granularity of core and uncore frequency ratios:
-// one ratio step is 100 MHz.
-const RatioUnitMHz = 100
-
-// DefaultEnergyStatusUnit is the power-of-two divisor exponent for RAPL
+// defaultEnergyStatusUnit is the power-of-two divisor exponent for RAPL
 // energy counters: one count is 2^-14 J (= 61 µJ), the Skylake-SP value.
-const DefaultEnergyStatusUnit = 14
+const defaultEnergyStatusUnit = 14
 
-// ErrUnknownRegister is returned when reading or writing an address the
+// errUnknownRegister is returned when reading or writing an address the
 // socket does not implement.
-type ErrUnknownRegister struct{ Addr uint32 }
+type errUnknownRegister struct{ Addr uint32 }
 
-func (e ErrUnknownRegister) Error() string {
+func (e errUnknownRegister) Error() string {
 	return fmt.Sprintf("msr: unknown register 0x%X", e.Addr)
 }
 
-// ErrReadOnly is returned when software writes a register only hardware
+// errReadOnly is returned when software writes a register only hardware
 // may update.
-type ErrReadOnly struct{ Addr uint32 }
+type errReadOnly struct{ Addr uint32 }
 
-func (e ErrReadOnly) Error() string {
+func (e errReadOnly) Error() string {
 	return fmt.Sprintf("msr: register 0x%X is read-only", e.Addr)
 }
 
@@ -80,11 +76,11 @@ func regIndex(addr uint32) int {
 		return 3
 	case IA32EnergyPerfBias:
 		return 4
-	case IA32FixedCtr0:
+	case ia32FixedCtr0:
 		return 5
-	case IA32FixedCtr1:
+	case ia32FixedCtr1:
 		return 6
-	case IA32FixedCtr2:
+	case ia32FixedCtr2:
 		return 7
 	case MSRRaplPowerUnit:
 		return 8
@@ -101,8 +97,8 @@ func regIndex(addr uint32) int {
 	}
 }
 
-// File is the register file of one socket. The zero value is not usable;
-// construct with NewFile.
+// File is the register file of one socket. The zero value is not usable
+// until Init programs its power-on defaults.
 type File struct {
 	regs [numRegs]atomic.Uint64
 }
@@ -116,24 +112,16 @@ func writableBySoftware(addr uint32) bool {
 	return false
 }
 
-// NewFile returns a register file with power-on defaults: uncore ratio
-// limits set to the given hardware range, RAPL units programmed, and all
-// counters zero.
-func NewFile(uncoreMinRatio, uncoreMaxRatio uint64) *File {
-	f := &File{}
-	f.Init(uncoreMinRatio, uncoreMaxRatio)
-	return f
-}
-
-// Init (re)programs power-on defaults in place, so a File embedded in a
-// larger allocation — or recycled from a pool — starts from the same
-// state NewFile produces.
+// Init (re)programs power-on defaults in place: uncore ratio limits set
+// to the given hardware range, RAPL units programmed, and all counters
+// zero. A File embedded in a larger allocation — or recycled from a
+// pool — starts from the same state whatever it held before.
 func (f *File) Init(uncoreMinRatio, uncoreMaxRatio uint64) {
 	for i := range f.regs {
 		f.regs[i].Store(0)
 	}
 	f.regs[regIndex(IA32EnergyPerfBias)].Store(6) // BIOS default: balanced
-	f.regs[regIndex(MSRRaplPowerUnit)].Store(DefaultEnergyStatusUnit << 8)
+	f.regs[regIndex(MSRRaplPowerUnit)].Store(defaultEnergyStatusUnit << 8)
 	f.regs[regIndex(MSRUncoreRatioLimit)].Store(EncodeUncoreRatioLimit(UncoreRatioLimit{
 		MinRatio: uncoreMinRatio,
 		MaxRatio: uncoreMaxRatio,
@@ -144,7 +132,7 @@ func (f *File) Init(uncoreMinRatio, uncoreMaxRatio uint64) {
 func (f *File) Read(addr uint32) (uint64, error) {
 	i := regIndex(addr)
 	if i < 0 {
-		return 0, ErrUnknownRegister{addr}
+		return 0, errUnknownRegister{addr}
 	}
 	return f.regs[i].Load(), nil
 }
@@ -154,10 +142,10 @@ func (f *File) Read(addr uint32) (uint64, error) {
 func (f *File) Write(addr uint32, v uint64) error {
 	i := regIndex(addr)
 	if i < 0 {
-		return ErrUnknownRegister{addr}
+		return errUnknownRegister{addr}
 	}
 	if !writableBySoftware(addr) {
-		return ErrReadOnly{addr}
+		return errReadOnly{addr}
 	}
 	f.regs[i].Store(v)
 	return nil
@@ -168,21 +156,10 @@ func (f *File) Write(addr uint32, v uint64) error {
 func (f *File) WriteHw(addr uint32, v uint64) error {
 	i := regIndex(addr)
 	if i < 0 {
-		return ErrUnknownRegister{addr}
+		return errUnknownRegister{addr}
 	}
 	f.regs[i].Store(v)
 	return nil
-}
-
-// AddHw adds delta to a counter register with 64-bit wraparound,
-// returning the new value. RAPL energy counters wrap at 32 bits; callers
-// must use AddEnergyHw for those.
-func (f *File) AddHw(addr uint32, delta uint64) (uint64, error) {
-	i := regIndex(addr)
-	if i < 0 {
-		return 0, ErrUnknownRegister{addr}
-	}
-	return f.regs[i].Add(delta), nil
 }
 
 // AddEnergyHw accumulates joules into a RAPL energy-status register,
@@ -193,7 +170,7 @@ func (f *File) AddHw(addr uint32, delta uint64) (uint64, error) {
 func (f *File) AddEnergyHw(addr uint32, joules float64) (uint64, error) {
 	i := regIndex(addr)
 	if i < 0 {
-		return 0, ErrUnknownRegister{addr}
+		return 0, errUnknownRegister{addr}
 	}
 	esu := (f.regs[regIndex(MSRRaplPowerUnit)].Load() >> 8) & 0x1F
 	counts := uint64(joules * float64(uint64(1)<<esu))

@@ -8,7 +8,8 @@ import (
 )
 
 func TestNewFileDefaults(t *testing.T) {
-	f := NewFile(12, 24)
+	var f File
+	f.Init(12, 24)
 	v, err := f.Read(MSRUncoreRatioLimit)
 	if err != nil {
 		t.Fatal(err)
@@ -21,8 +22,8 @@ func TestNewFileDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if esu := (unit >> 8) & 0x1F; esu != DefaultEnergyStatusUnit {
-		t.Errorf("ESU = %d, want %d", esu, DefaultEnergyStatusUnit)
+	if esu := (unit >> 8) & 0x1F; esu != defaultEnergyStatusUnit {
+		t.Errorf("ESU = %d, want %d", esu, defaultEnergyStatusUnit)
 	}
 	epb, err := f.Read(IA32EnergyPerfBias)
 	if err != nil {
@@ -34,11 +35,12 @@ func TestNewFileDefaults(t *testing.T) {
 }
 
 func TestUnknownRegister(t *testing.T) {
-	f := NewFile(12, 24)
+	var f File
+	f.Init(12, 24)
 	if _, err := f.Read(0xDEAD); err == nil {
 		t.Error("expected error reading unknown register")
 	} else {
-		var u ErrUnknownRegister
+		var u errUnknownRegister
 		if !errors.As(err, &u) || u.Addr != 0xDEAD {
 			t.Errorf("wrong error: %v", err)
 		}
@@ -49,26 +51,24 @@ func TestUnknownRegister(t *testing.T) {
 	if err := f.WriteHw(0xDEAD, 1); err == nil {
 		t.Error("expected error hw-writing unknown register")
 	}
-	if _, err := f.AddHw(0xDEAD, 1); err == nil {
-		t.Error("expected error hw-adding unknown register")
-	}
 	if _, err := f.AddEnergyHw(0xDEAD, 1); err == nil {
 		t.Error("expected error adding energy to unknown register")
 	}
 }
 
 func TestSoftwareWritability(t *testing.T) {
-	f := NewFile(12, 24)
+	var f File
+	f.Init(12, 24)
 	// Counters must be read-only to software.
 	for _, addr := range []uint32{
-		IA32MPerf, IA32APerf, IA32FixedCtr0, IA32FixedCtr1, IA32FixedCtr2,
+		IA32MPerf, IA32APerf, ia32FixedCtr0, ia32FixedCtr1, ia32FixedCtr2,
 		MSRPkgEnergyStatus, MSRDramEnergyStatus, MSRUncorePerfStatus,
 		IA32PerfStatus, MSRRaplPowerUnit,
 	} {
 		if err := f.Write(addr, 42); err == nil {
 			t.Errorf("register 0x%X writable by software, want read-only", addr)
 		} else {
-			var ro ErrReadOnly
+			var ro errReadOnly
 			if !errors.As(err, &ro) {
 				t.Errorf("0x%X: wrong error type %v", addr, err)
 			}
@@ -81,10 +81,10 @@ func TestSoftwareWritability(t *testing.T) {
 		}
 	}
 	// Hardware can write anything implemented.
-	if err := f.WriteHw(IA32FixedCtr0, 99); err != nil {
+	if err := f.WriteHw(ia32FixedCtr0, 99); err != nil {
 		t.Errorf("WriteHw: %v", err)
 	}
-	if v, _ := f.Read(IA32FixedCtr0); v != 99 {
+	if v, _ := f.Read(ia32FixedCtr0); v != 99 {
 		t.Errorf("counter = %d, want 99", v)
 	}
 }
@@ -139,29 +139,16 @@ func TestUncorePerfStatusRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAddHwWraps64(t *testing.T) {
-	f := NewFile(12, 24)
-	if err := f.WriteHw(IA32FixedCtr0, math.MaxUint64-1); err != nil {
-		t.Fatal(err)
-	}
-	v, err := f.AddHw(IA32FixedCtr0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 1 {
-		t.Errorf("wrapped counter = %d, want 1", v)
-	}
-}
-
 func TestEnergyAccumulationAndUnits(t *testing.T) {
-	f := NewFile(12, 24)
+	var f File
+	f.Init(12, 24)
 	// 1 J at ESU 14 is 16384 counts.
 	v, err := f.AddEnergyHw(MSRPkgEnergyStatus, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v != 1<<DefaultEnergyStatusUnit {
-		t.Errorf("counter = %d, want %d", v, 1<<DefaultEnergyStatusUnit)
+	if v != 1<<defaultEnergyStatusUnit {
+		t.Errorf("counter = %d, want %d", v, 1<<defaultEnergyStatusUnit)
 	}
 	if j := f.EnergyJoules(v); math.Abs(j-1.0) > 1e-9 {
 		t.Errorf("EnergyJoules = %v, want 1", j)
@@ -169,7 +156,8 @@ func TestEnergyAccumulationAndUnits(t *testing.T) {
 }
 
 func TestEnergyCounterWraps32(t *testing.T) {
-	f := NewFile(12, 24)
+	var f File
+	f.Init(12, 24)
 	if err := f.WriteHw(MSRPkgEnergyStatus, 0xFFFF_FFFF); err != nil {
 		t.Fatal(err)
 	}
@@ -203,24 +191,27 @@ func TestEnergyDeltaProperty(t *testing.T) {
 func TestConcurrentAccess(t *testing.T) {
 	// Hardware adds while software reads: must be race-free (run with
 	// -race) and conserve the total.
-	f := NewFile(12, 24)
+	var f File
+	f.Init(12, 24)
 	done := make(chan struct{})
+	// One count each: 2^-14 J at the default energy unit.
+	const count = 1.0 / (1 << defaultEnergyStatusUnit)
 	go func() {
 		defer close(done)
 		for i := 0; i < 1000; i++ {
-			if _, err := f.AddHw(IA32FixedCtr0, 1); err != nil {
-				t.Errorf("AddHw: %v", err)
+			if _, err := f.AddEnergyHw(MSRPkgEnergyStatus, count); err != nil {
+				t.Errorf("AddEnergyHw: %v", err)
 				return
 			}
 		}
 	}()
 	for i := 0; i < 100; i++ {
-		if _, err := f.Read(IA32FixedCtr0); err != nil {
+		if _, err := f.Read(MSRPkgEnergyStatus); err != nil {
 			t.Fatalf("Read: %v", err)
 		}
 	}
 	<-done
-	v, _ := f.Read(IA32FixedCtr0)
+	v, _ := f.Read(MSRPkgEnergyStatus)
 	if v != 1000 {
 		t.Errorf("counter = %d, want 1000", v)
 	}

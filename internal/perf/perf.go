@@ -60,8 +60,8 @@ type Phase struct {
 	ActiveCores int
 }
 
-// Validate reports whether the phase parameters are physical.
-func (p Phase) Validate() error {
+// validate reports whether the phase parameters are physical.
+func (p Phase) validate() error {
 	switch {
 	case p.BaseCPI <= 0:
 		return fmt.Errorf("perf: base CPI must be positive, got %g", p.BaseCPI)
@@ -119,10 +119,10 @@ const bisectIters = 60
 // the saturated capability, the phase is bandwidth-bound and cycles
 // stretch until achieved bandwidth equals that capability.
 func Evaluate(m Machine, p Phase, op Operating) (Result, error) {
-	if err := p.Validate(); err != nil {
+	if err := p.validate(); err != nil {
 		return Result{}, err
 	}
-	fEff := EffectiveCoreFreq(m.CPU, p.VPI, op.CoreRatio)
+	fEff := effectiveCoreFreq(m.CPU, p.VPI, op.CoreRatio)
 	fu := units.FromRatio(op.UncoreRatio, cpu.BusClock)
 	if fu <= 0 {
 		return Result{}, fmt.Errorf("perf: uncore ratio %d yields non-positive frequency", op.UncoreRatio)
@@ -196,11 +196,11 @@ func Evaluate(m Machine, p Phase, op Operating) (Result, error) {
 	return res, nil
 }
 
-// EffectiveCoreFreq resolves the licence-blended core frequency for a
+// effectiveCoreFreq resolves the licence-blended core frequency for a
 // phase with the given AVX512 fraction at the requested ratio: the
 // non-AVX licence frequency and the AVX512 licence frequency are blended
 // by instruction fraction.
-func EffectiveCoreFreq(m cpu.Model, vpi float64, coreRatio uint64) units.Freq {
+func effectiveCoreFreq(m cpu.Model, vpi float64, coreRatio uint64) units.Freq {
 	rNon := m.EffectiveRatio(coreRatio, false)
 	rAvx := m.EffectiveRatio(coreRatio, true)
 	fNon := units.FromRatio(rNon, cpu.BusClock).GHzF()
@@ -227,7 +227,7 @@ func SolveWithCoreFrac(m Machine, proto Phase, op Operating, targetCPI, targetGB
 	if targetGBs < 0 {
 		return Phase{}, fmt.Errorf("perf: target GB/s must be non-negative, got %g", targetGBs)
 	}
-	fEff := EffectiveCoreFreq(m.CPU, proto.VPI, op.CoreRatio)
+	fEff := effectiveCoreFreq(m.CPU, proto.VPI, op.CoreRatio)
 	fg := fEff.GHzF()
 	fu := units.FromRatio(op.UncoreRatio, cpu.BusClock)
 
@@ -269,7 +269,7 @@ func SolveWithCoreFrac(m Machine, proto Phase, op Operating, targetCPI, targetGB
 	out.BaseCPI = base
 	out.BytesPerInstr = bytesPerInstr
 	out.Overlap = overlap
-	if err := out.Validate(); err != nil {
+	if err := out.validate(); err != nil {
 		return Phase{}, fmt.Errorf("perf: core-fraction calibration produced invalid phase: %w", err)
 	}
 
@@ -301,7 +301,7 @@ func SolveWithCoreFrac(m Machine, proto Phase, op Operating, targetCPI, targetGB
 			}
 		}
 	}
-	if err := out.Validate(); err != nil {
+	if err := out.validate(); err != nil {
 		return Phase{}, fmt.Errorf("perf: core-fraction refinement produced invalid phase: %w", err)
 	}
 	return out, nil
@@ -329,7 +329,7 @@ func SolveBaseCPI(m Machine, proto Phase, op Operating, targetCPI, targetGBs flo
 	if targetGBs < 0 {
 		return Phase{}, fmt.Errorf("perf: target GB/s must be non-negative, got %g", targetGBs)
 	}
-	fEff := EffectiveCoreFreq(m.CPU, proto.VPI, op.CoreRatio)
+	fEff := effectiveCoreFreq(m.CPU, proto.VPI, op.CoreRatio)
 	fg := fEff.GHzF()
 	fu := units.FromRatio(op.UncoreRatio, cpu.BusClock)
 
@@ -368,7 +368,7 @@ func SolveBaseCPI(m Machine, proto Phase, op Operating, targetCPI, targetGBs flo
 	out.BaseCPI = base
 	out.BytesPerInstr = bytesPerInstr
 	out.Overlap = overlap
-	if err := out.Validate(); err != nil {
+	if err := out.validate(); err != nil {
 		return Phase{}, fmt.Errorf("perf: calibration produced invalid phase: %w", err)
 	}
 
@@ -398,7 +398,7 @@ func SolveBaseCPI(m Machine, proto Phase, op Operating, targetCPI, targetGBs flo
 			}
 		}
 	}
-	if err := out.Validate(); err != nil {
+	if err := out.validate(); err != nil {
 		return Phase{}, fmt.Errorf("perf: calibration refinement produced invalid phase: %w", err)
 	}
 	return out, nil

@@ -40,7 +40,7 @@ func TestMachineValidate(t *testing.T) {
 
 func TestPhaseValidate(t *testing.T) {
 	good := cpuBoundPhase()
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Fatal(err)
 	}
 	muts := []func(*Phase){
@@ -55,7 +55,7 @@ func TestPhaseValidate(t *testing.T) {
 	for i, mut := range muts {
 		p := good
 		mut(&p)
-		if err := p.Validate(); err == nil {
+		if err := p.validate(); err == nil {
 			t.Errorf("mutation %d: expected error", i)
 		}
 	}
@@ -172,22 +172,22 @@ func TestEvaluateMonotonicInUncoreFreqProperty(t *testing.T) {
 func TestEffectiveCoreFreqAVX512(t *testing.T) {
 	m := cpu.XeonGold6148()
 	// Pure AVX512 at nominal runs at the 2.2 GHz licence.
-	f := EffectiveCoreFreq(m, 1.0, 24)
+	f := effectiveCoreFreq(m, 1.0, 24)
 	if math.Abs(f.GHzF()-2.2) > 1e-9 {
 		t.Errorf("VPI=1 freq = %v, want 2.2GHz", f)
 	}
 	// No AVX512: nominal.
-	f = EffectiveCoreFreq(m, 0, 24)
+	f = effectiveCoreFreq(m, 0, 24)
 	if math.Abs(f.GHzF()-2.4) > 1e-9 {
 		t.Errorf("VPI=0 freq = %v, want 2.4GHz", f)
 	}
 	// Half: blended.
-	f = EffectiveCoreFreq(m, 0.5, 24)
+	f = effectiveCoreFreq(m, 0.5, 24)
 	if math.Abs(f.GHzF()-2.3) > 1e-9 {
 		t.Errorf("VPI=0.5 freq = %v, want 2.3GHz", f)
 	}
 	// Below the licence, VPI does not matter.
-	f = EffectiveCoreFreq(m, 1.0, 20)
+	f = effectiveCoreFreq(m, 1.0, 20)
 	if math.Abs(f.GHzF()-2.0) > 1e-9 {
 		t.Errorf("VPI=1 at 2.0GHz = %v, want 2.0GHz", f)
 	}

@@ -81,7 +81,7 @@ func (p *minEnergy) selectPstate(in Inputs) (int, model.Prediction, error) {
 	// Busy-waiting phases make no observable progress per cycle, so the
 	// prediction-based search does not apply: EAR drops a bounded
 	// number of pstates to harvest the idle host core.
-	if IsBusyWaiting(sig) {
+	if isBusyWaiting(sig) {
 		sel := def + busyWaitPstateDrop
 		if max := p.cfg.Model.PstateCount() - 1; sel > max {
 			sel = max
@@ -142,7 +142,7 @@ func (p *minEnergy) Apply(in Inputs) (NodeFreqs, State, error) {
 	p.predCPI = pred.CPI
 	p.predPower = pred.PowerW
 	p.havePred = true
-	p.isBusyWait = IsBusyWaiting(in.Sig)
+	p.isBusyWait = isBusyWaiting(in.Sig)
 	return NodeFreqs{CPUPstate: sel}, Ready, nil
 }
 

@@ -59,7 +59,7 @@ func (p *minTime) Apply(in Inputs) (NodeFreqs, State, error) {
 	sig := in.Sig
 	from := in.CurrentPstate
 
-	if IsBusyWaiting(sig) {
+	if isBusyWaiting(sig) {
 		// No benefit from frequency for a spinning host core.
 		sel := p.defPst
 		p.selected = sel

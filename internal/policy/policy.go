@@ -172,8 +172,8 @@ func (c Config) Defaults() Config {
 	return c
 }
 
-// Validate reports whether the configuration is usable.
-func (c Config) Validate() error {
+// validate reports whether the configuration is usable.
+func (c Config) validate() error {
 	switch {
 	case c.Model == nil:
 		return fmt.Errorf("policy: missing energy model")
@@ -219,7 +219,7 @@ func New(name string, cfg Config) (Policy, error) {
 		return nil, fmt.Errorf("policy: unknown policy %q (have %v)", name, Names())
 	}
 	cfg = cfg.Defaults()
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	p, err := f(cfg)
@@ -289,9 +289,9 @@ const (
 	MinTimeEUFS   = "min_time_eufs"
 )
 
-// IsBusyWaiting classifies a signature as a busy-wait (accelerator
+// isBusyWaiting classifies a signature as a busy-wait (accelerator
 // offload) phase: negligible main-memory traffic with low CPI, the
 // pattern EAR detects for CUDA kernels whose host core only spins.
-func IsBusyWaiting(sig metrics.Signature) bool {
+func isBusyWaiting(sig metrics.Signature) bool {
 	return metrics.Classify(sig) == metrics.BusyWaiting
 }

@@ -110,7 +110,7 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	good := testConfig(t)
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Fatal(err)
 	}
 	muts := []func(*Config){
@@ -127,7 +127,7 @@ func TestConfigValidation(t *testing.T) {
 	for i, mut := range muts {
 		c := good
 		mut(&c)
-		if err := c.Validate(); err == nil {
+		if err := c.validate(); err == nil {
 			t.Errorf("mutation %d: expected error", i)
 		}
 	}
@@ -635,10 +635,10 @@ func TestMinTimeEUFSComposes(t *testing.T) {
 }
 
 func TestIsBusyWaiting(t *testing.T) {
-	if !IsBusyWaiting(busyWaitSig()) {
+	if !isBusyWaiting(busyWaitSig()) {
 		t.Error("CUDA busy-wait signature not classified")
 	}
-	if IsBusyWaiting(cpuBoundSig()) || IsBusyWaiting(memBoundSig()) || IsBusyWaiting(avxSig()) {
+	if isBusyWaiting(cpuBoundSig()) || isBusyWaiting(memBoundSig()) || isBusyWaiting(avxSig()) {
 		t.Error("regular signatures misclassified as busy-wait")
 	}
 }

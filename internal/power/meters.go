@@ -19,18 +19,9 @@ type Rapl struct {
 	carryDram float64
 }
 
-// NewRapl wires the RAPL emulation to the given per-socket MSR files.
-func NewRapl(sockets []*msr.File) (*Rapl, error) {
-	r := &Rapl{}
-	if err := r.Init(sockets); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// Init (re)wires the emulation in place with zeroed carries, as NewRapl
-// does but reusing the receiver's buffers, for meters embedded in
-// recycled per-run state.
+// Init (re)wires the emulation to the given per-socket MSR files with
+// zeroed carries, reusing the receiver's buffers, for meters embedded
+// in recycled per-run state; a zero Rapl is ready once Init returns.
 func (r *Rapl) Init(sockets []*msr.File) error {
 	if len(sockets) == 0 {
 		return fmt.Errorf("power: RAPL needs at least one socket")
@@ -92,31 +83,10 @@ func (r *Rapl) SetFlatCarry(pkg []float64, dram float64) {
 	r.carryDram = dram
 }
 
-// PkgEnergy reads the accumulated package energy in joules across all
-// sockets, handling 32-bit counter wraparound relative to prev (the raw
-// values returned by a previous call). It returns the new raw values.
-func (r *Rapl) PkgEnergy(prev []uint64) (joules float64, raw []uint64, err error) {
-	raw = make([]uint64, len(r.sockets))
-	for i, s := range r.sockets {
-		v, err := s.Read(msr.MSRPkgEnergyStatus)
-		if err != nil {
-			return 0, nil, err
-		}
-		raw[i] = v
-		var delta uint64
-		if prev != nil && i < len(prev) {
-			delta = msr.EnergyDelta(prev[i], v)
-		} else {
-			delta = v
-		}
-		joules += s.EnergyJoules(delta)
-	}
-	return joules, raw, nil
-}
-
 // NodeManager emulates the Intel Node Manager DC energy meter: the true
 // energy integral is internal; the published counter only changes once
-// per second of simulated time, which is what IPMI readers observe.
+// per second of simulated time, which is what IPMI readers observe. The
+// zero value is a meter at time zero with zero energy.
 type NodeManager struct {
 	mu        sync.Mutex
 	trueJ     float64
@@ -124,9 +94,6 @@ type NodeManager struct {
 	lastPub   float64 // simulated time of last publication, seconds
 	now       float64
 }
-
-// NewNodeManager returns a meter starting at time zero with zero energy.
-func NewNodeManager() *NodeManager { return &NodeManager{} }
 
 // Init resets the meter to time zero with zero energy, for meters
 // embedded in recycled per-run state.
@@ -185,11 +152,4 @@ func (nm *NodeManager) TrueEnergy() float64 {
 	nm.mu.Lock()
 	defer nm.mu.Unlock()
 	return nm.trueJ
-}
-
-// Now returns the meter's notion of elapsed simulated time in seconds.
-func (nm *NodeManager) Now() float64 {
-	nm.mu.Lock()
-	defer nm.mu.Unlock()
-	return nm.now
 }

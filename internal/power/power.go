@@ -100,8 +100,8 @@ type Input struct {
 	GPUPower      float64 // constant adder for accelerator nodes
 }
 
-// Validate reports whether the input is usable.
-func (in Input) Validate() error {
+// validate reports whether the input is usable.
+func (in Input) validate() error {
 	switch {
 	case in.CoreFreqGHz <= 0 || in.UncoreFreqGHz <= 0:
 		return fmt.Errorf("power: frequencies must be positive (%g, %g)", in.CoreFreqGHz, in.UncoreFreqGHz)
@@ -137,7 +137,7 @@ func (c Coeffs) Node(in Input) (Breakdown, error) {
 	if err := c.Validate(); err != nil {
 		return Breakdown{}, err
 	}
-	if err := in.Validate(); err != nil {
+	if err := in.validate(); err != nil {
 		return Breakdown{}, err
 	}
 	v := c.V0 + c.V1*in.CoreFreqGHz

@@ -45,7 +45,7 @@ func TestCoeffsValidate(t *testing.T) {
 
 func TestInputValidate(t *testing.T) {
 	good := nominalInput()
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Fatal(err)
 	}
 	muts := []func(*Input){
@@ -60,7 +60,7 @@ func TestInputValidate(t *testing.T) {
 	for i, mut := range muts {
 		in := good
 		mut(&in)
-		if err := in.Validate(); err == nil {
+		if err := in.validate(); err == nil {
 			t.Errorf("mutation %d: expected error", i)
 		}
 	}
@@ -186,9 +186,12 @@ func TestSolveActivityErrors(t *testing.T) {
 }
 
 func TestRaplAccounting(t *testing.T) {
-	files := []*msr.File{msr.NewFile(12, 24), msr.NewFile(12, 24)}
-	r, err := NewRapl(files)
-	if err != nil {
+	files := []*msr.File{new(msr.File), new(msr.File)}
+	for _, f := range files {
+		f.Init(12, 24)
+	}
+	var r Rapl
+	if err := r.Init(files); err != nil {
 		t.Fatal(err)
 	}
 	b := Breakdown{Pkg: 200, Dram: 40}
@@ -198,25 +201,33 @@ func TestRaplAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	j, raw, err := r.PkgEnergy(nil)
-	if err != nil {
-		t.Fatal(err)
+	// The package counters read as EARL reads them: the sum over
+	// sockets, then a delta against the previous reading.
+	var raw [2]uint64
+	j := 0.0
+	for i, f := range files {
+		v, err := f.Read(msr.MSRPkgEnergyStatus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[i] = v
+		j += f.EnergyJoules(v)
 	}
 	if math.Abs(j-2000) > 1 {
 		t.Errorf("package energy = %v J, want ~2000", j)
 	}
-	if len(raw) != 2 {
-		t.Fatalf("raw counters = %d, want 2", len(raw))
-	}
-	// Delta read: advance more, then read relative.
 	for i := 0; i < 100; i++ {
 		if err := r.Advance(b, 0.01); err != nil {
 			t.Fatal(err)
 		}
 	}
-	dj, _, err := r.PkgEnergy(raw)
-	if err != nil {
-		t.Fatal(err)
+	dj := 0.0
+	for i, f := range files {
+		v, err := f.Read(msr.MSRPkgEnergyStatus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dj += f.EnergyJoules(msr.EnergyDelta(raw[i], v))
 	}
 	if math.Abs(dj-200) > 0.5 {
 		t.Errorf("delta package energy = %v J, want ~200", dj)
@@ -232,11 +243,13 @@ func TestRaplAccounting(t *testing.T) {
 }
 
 func TestRaplErrors(t *testing.T) {
-	if _, err := NewRapl(nil); err == nil {
+	var r Rapl
+	if err := r.Init(nil); err == nil {
 		t.Error("expected error for no sockets")
 	}
-	r, err := NewRapl([]*msr.File{msr.NewFile(12, 24)})
-	if err != nil {
+	f := new(msr.File)
+	f.Init(12, 24)
+	if err := r.Init([]*msr.File{f}); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Advance(Breakdown{Pkg: 100}, -1); err == nil {
@@ -245,7 +258,7 @@ func TestRaplErrors(t *testing.T) {
 }
 
 func TestNodeManagerQuantisation(t *testing.T) {
-	nm := NewNodeManager()
+	nm := new(NodeManager)
 	// 0.4 s at 300 W: nothing published yet.
 	if err := nm.Advance(300, 0.4); err != nil {
 		t.Fatal(err)
@@ -266,7 +279,7 @@ func TestNodeManagerQuantisation(t *testing.T) {
 }
 
 func TestNodeManagerLongRunAccuracy(t *testing.T) {
-	nm := NewNodeManager()
+	nm := new(NodeManager)
 	// 100 s at 250 W in 10 ms steps: published must track true within
 	// one second's worth of energy.
 	for i := 0; i < 10000; i++ {
@@ -282,13 +295,13 @@ func TestNodeManagerLongRunAccuracy(t *testing.T) {
 	if trueJ-pub > 251 {
 		t.Errorf("published lag = %v J, want <= 1s of power", trueJ-pub)
 	}
-	if nm.Now() < 99.99 || nm.Now() > 100.01 {
-		t.Errorf("Now = %v, want ~100", nm.Now())
+	if _, _, _, now := nm.FlatState(); now < 99.99 || now > 100.01 {
+		t.Errorf("meter clock = %v, want ~100", now)
 	}
 }
 
 func TestNodeManagerNegativeDt(t *testing.T) {
-	nm := NewNodeManager()
+	nm := new(NodeManager)
 	if err := nm.Advance(100, -0.1); err == nil {
 		t.Error("expected error for negative dt")
 	}

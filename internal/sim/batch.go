@@ -20,7 +20,7 @@ type Batch struct {
 	nodes []*node
 	ids   []int
 
-	// clock accumulates Tick deltas; StepUntil never rewinds it.
+	// clock accumulates Tick deltas; stepUntil never rewinds it.
 	clock float64
 }
 
@@ -33,9 +33,6 @@ func NewBatch(cal workload.Calibrated, opt Options) (*Batch, error) {
 	}
 	return &Batch{cal: cal, opt: opt}, nil
 }
-
-// Len reports the resident node count.
-func (b *Batch) Len() int { return len(b.nodes) }
 
 // Add admits one node (seeded by its workload node id) and returns its
 // index.
@@ -52,12 +49,12 @@ func (b *Batch) Add(nodeID int) (int, error) {
 // Tick advances the batch clock by dt and steps every resident node to
 // it.
 func (b *Batch) Tick(dt float64) error {
-	return b.StepUntil(b.clock + dt)
+	return b.stepUntil(b.clock + dt)
 }
 
-// StepUntil advances every resident node to (at least) simulated time
+// stepUntil advances every resident node to (at least) simulated time
 // t or to completion.
-func (b *Batch) StepUntil(t float64) error {
+func (b *Batch) stepUntil(t float64) error {
 	if t > b.clock {
 		b.clock = t
 	}
@@ -79,13 +76,13 @@ func (b *Batch) Done() bool {
 	return true
 }
 
-// TrueEnergy returns the exact DC energy integral of the node at index
+// trueEnergy returns the exact DC energy integral of the node at index
 // i (the simulator-side Node Manager reading).
-func (b *Batch) TrueEnergy(i int) float64 { return b.nodes[i].trueEnergy() }
+func (b *Batch) trueEnergy(i int) float64 { return b.nodes[i].trueEnergy() }
 
-// SetCapRatio applies (or with 0 releases) the node-daemon core-ratio
+// setCapRatio applies (or with 0 releases) the node-daemon core-ratio
 // ceiling on every resident node.
-func (b *Batch) SetCapRatio(r uint64) error {
+func (b *Batch) setCapRatio(r uint64) error {
 	for _, n := range b.nodes {
 		if err := n.setCapRatio(r); err != nil {
 			return err
@@ -94,9 +91,9 @@ func (b *Batch) SetCapRatio(r uint64) error {
 	return nil
 }
 
-// Results assembles every resident node's outcome in index order and
+// results assembles every resident node's outcome in index order and
 // adds each node's step tallies to the telemetry counters.
-func (b *Batch) Results() ([]NodeResult, error) {
+func (b *Batch) results() ([]NodeResult, error) {
 	out := make([]NodeResult, len(b.nodes))
 	for i, n := range b.nodes {
 		nr, err := n.result()

@@ -24,7 +24,7 @@ type batchGoldenCase struct {
 func batchGoldenCases() []batchGoldenCase {
 	return []batchGoldenCase{
 		// Tight budget engages the cap ratchet, exercising the disarm
-		// on SetCapRatio.
+		// on setCapRatio.
 		{name: "btmz_eufs_capped", wl: workload.BTMZC, policy: "min_energy_eufs", budgetW: 1100},
 		{name: "btmz_eufs", wl: workload.BTMZC, policy: "min_energy_eufs"},
 		{name: "btmz_none", wl: workload.BTMZC, policy: "none"},
@@ -125,7 +125,7 @@ func driveBatches(t *testing.T, cal workload.Calibrated, opt Options, nb int, ca
 			if err := sub(batches[s], hi); err != nil {
 				return err
 			}
-			return batches[s].StepUntil(hi)
+			return batches[s].stepUntil(hi)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -138,7 +138,7 @@ func driveBatches(t *testing.T, cal workload.Calibrated, opt Options, nb int, ca
 				if k == 12 {
 					r = 0
 				}
-				if err := b.SetCapRatio(r); err != nil {
+				if err := b.setCapRatio(r); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -149,7 +149,7 @@ func driveBatches(t *testing.T, cal workload.Calibrated, opt Options, nb int, ca
 	}
 	var out []NodeResult
 	for _, b := range batches {
-		rs, err := b.Results()
+		rs, err := b.results()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestCallGranularityIndependence(t *testing.T) {
 			if at >= hi {
 				return nil
 			}
-			if err := b.StepUntil(at); err != nil {
+			if err := b.stepUntil(at); err != nil {
 				return err
 			}
 		}

@@ -71,7 +71,7 @@ func RunCoordinated(cal workload.Calibrated, opt Options, gm PowerManager) (Resu
 		// node has reached the barrier, exactly as in the sequential
 		// schedule.
 		err := par.ForEach(opt.workers(), len(batches), func(s int) error {
-			return batches[s].StepUntil(tick)
+			return batches[s].stepUntil(tick)
 		})
 		if err != nil {
 			return Result{}, err
@@ -82,8 +82,8 @@ func RunCoordinated(cal workload.Calibrated, opt Options, gm PowerManager) (Resu
 			if !b.Done() {
 				alive = true
 			}
-			for i := 0; i < b.Len(); i++ {
-				e := b.TrueEnergy(i)
+			for i := range b.nodes {
+				e := b.trueEnergy(i)
 				powers[idx] = (e - prevE[idx]) / interval
 				prevE[idx] = e
 				idx++
@@ -103,7 +103,7 @@ func RunCoordinated(cal workload.Calibrated, opt Options, gm PowerManager) (Resu
 				}
 			}
 			for _, b := range batches {
-				if err := b.SetCapRatio(ratio); err != nil {
+				if err := b.setCapRatio(ratio); err != nil {
 					return Result{}, err
 				}
 			}
@@ -116,7 +116,7 @@ func RunCoordinated(cal workload.Calibrated, opt Options, gm PowerManager) (Resu
 	res := Result{Workload: cal.Name, Policy: opt.Policy}
 	res.Nodes = make([]NodeResult, 0, cal.Nodes)
 	for _, b := range batches {
-		nrs, err := b.Results()
+		nrs, err := b.results()
 		if err != nil {
 			return Result{}, err
 		}

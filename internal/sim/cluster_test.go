@@ -64,8 +64,8 @@ func TestCoordinatedRunWithLooseBudgetMatchesFreeRun(t *testing.T) {
 	if d := coord.TimeSec - free.TimeSec; d > 0.5 || d < -0.5 {
 		t.Errorf("loose-budget coordinated time %.2fs differs from free %.2fs", coord.TimeSec, free.TimeSec)
 	}
-	if gm.Cap() != 0 {
-		t.Errorf("cap = %d under a loose budget", gm.Cap())
+	if c := gm.Stats().FinalCap; c != 0 {
+		t.Errorf("cap = %d under a loose budget", c)
 	}
 }
 

@@ -83,7 +83,7 @@ func recordedEvents(t *testing.T, r Result) string {
 	t.Helper()
 	rec := telemetry.NewRecorder(0)
 	r.RecordDecisions(rec)
-	if rec.Len() == 0 {
+	if len(rec.Events()) == 0 {
 		t.Fatal("no events recorded from decisions")
 	}
 	var b strings.Builder

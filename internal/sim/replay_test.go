@@ -45,7 +45,8 @@ func runToEnd(t *testing.T, cal workload.Calibrated, id int, opt Options) *node 
 // and controller remainders the next tick would start from.
 func instruments(t *testing.T, n *node) []any {
 	t.Helper()
-	out := []any{n.inm.ReadEnergy(), n.inm.TrueEnergy(), n.inm.Now(), n.stepCount}
+	_, _, _, now := n.inm.FlatState()
+	out := []any{n.inm.ReadEnergy(), n.inm.TrueEnergy(), now, n.stepCount}
 	carry := make([]float64, len(n.sockets))
 	out = append(out, n.rapl.FlatCarry(carry), carry)
 	for s, f := range n.files {

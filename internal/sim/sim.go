@@ -180,7 +180,7 @@ type Result struct {
 }
 
 // aggregate fills the cluster-level fields from Nodes. The accumulation
-// runs in node order with the same operations stats.Max/stats.Mean
+// runs in node order with the same operations a slice maximum and mean
 // perform (running maximum; ordered sum, then one divide), so the
 // aggregates are bit-identical to the slice-based formulation while
 // staying allocation-free — this sits inside every run.
@@ -295,7 +295,7 @@ func RunAveraged(cal workload.Calibrated, opt Options, runs int) (Result, error)
 	} else if err := runsPar(cal, opt, results); err != nil {
 		return Result{}, err
 	}
-	// Accumulate in run order with stats.Mean's exact operations
+	// Accumulate in run order with a slice mean's exact operations
 	// (ordered sum, one divide) so the averages are bit-identical to
 	// the former slice-based version at any Workers count.
 	var times, pows, pkgs, energies, cpus, imcs, cpis, gbs float64

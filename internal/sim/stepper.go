@@ -35,9 +35,3 @@ func (s *Stepper) Step() error { return s.n.stepOnce() }
 
 // Done reports whether the workload has completed.
 func (s *Stepper) Done() bool { return s.n.done }
-
-// Now returns the node's simulated time in seconds.
-func (s *Stepper) Now() float64 { return s.n.now }
-
-// Result assembles the node's outcome; valid once some work has run.
-func (s *Stepper) Result() (NodeResult, error) { return s.n.result() }

@@ -55,7 +55,7 @@ func init() {
 
 // flushTel adds the node's step tallies to the telemetry counters and
 // zeroes them, so a run is counted once however often its results are
-// read. Run and Batch.Results call it; a Stepper never reports.
+// read. Run and Batch.results call it; a Stepper never reports.
 func (n *node) flushTel() {
 	tl := tel.Load()
 	if tl == nil || n.stepCount == 0 {

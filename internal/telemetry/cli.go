@@ -19,8 +19,8 @@ import (
 func ServeEndpoint(ln net.Listener, set *Set, health *Health, extra map[string]http.Handler) {
 	mux := http.NewServeMux()
 	mux.Handle("/", set.Handler())
-	mux.Handle("/healthz", health.Healthz())
-	mux.Handle("/readyz", health.Readyz())
+	mux.Handle("/healthz", health.healthz())
+	mux.Handle("/readyz", health.readyz())
 	for pattern, h := range extra {
 		mux.Handle(pattern, h)
 	}

@@ -18,9 +18,6 @@ type Event struct {
 	Num     map[string]float64 `json:"num,omitempty"`
 }
 
-// DefaultRecorderCap is the ring capacity NewRecorder(0) uses.
-const DefaultRecorderCap = DefaultRingCap
-
 // Recorder is the bounded ring of events (see Ring): when full,
 // recording overwrites the oldest event and counts it as dropped. All
 // methods are nil-safe.
@@ -29,7 +26,7 @@ type Recorder Ring[Event]
 func (r *Recorder) ring() *Ring[Event] { return (*Ring[Event])(r) }
 
 // NewRecorder returns a recorder holding up to capacity events
-// (DefaultRecorderCap when capacity <= 0).
+// (DefaultRingCap when capacity <= 0).
 func NewRecorder(capacity int) *Recorder {
 	return (*Recorder)(NewRing(capacity, func(ev *Event, seq uint64) { ev.Seq = seq }))
 }
@@ -40,18 +37,6 @@ func (r *Recorder) Record(ev Event) { r.ring().Add(ev) }
 
 // Events returns a copy of the buffered events, oldest first.
 func (r *Recorder) Events() []Event { return r.ring().Since(0) }
-
-// EventsSince returns the buffered events with sequence numbers
-// greater than seq, oldest first: the resume form scrapers page with
-// (/events?since=). Events older than seq that the ring already
-// overwrote are simply absent; Dropped tells the scraper how many.
-func (r *Recorder) EventsSince(seq uint64) []Event { return r.ring().Since(seq) }
-
-// Len returns the number of buffered events.
-func (r *Recorder) Len() int { return r.ring().Len() }
-
-// Dropped returns how many events were overwritten.
-func (r *Recorder) Dropped() uint64 { return r.ring().Dropped() }
 
 // WriteJSONLines writes the buffered events as one JSON object per
 // line, oldest first.

@@ -41,8 +41,8 @@ func (h *Health) Register(fn CheckFunc) {
 	h.mu.Unlock()
 }
 
-// Run evaluates every check in registration order.
-func (h *Health) Run() []Check {
+// run evaluates every check in registration order.
+func (h *Health) run() []Check {
 	if h == nil {
 		return nil
 	}
@@ -63,7 +63,7 @@ type healthBody struct {
 }
 
 func (h *Health) body() (healthBody, bool) {
-	checks := h.Run()
+	checks := h.run()
 	if checks == nil {
 		checks = []Check{}
 	}
@@ -80,10 +80,10 @@ func (h *Health) body() (healthBody, bool) {
 	return healthBody{Status: status, Checks: checks}, allOK
 }
 
-// Healthz is the liveness probe: it always answers 200 — reaching the
+// healthz is the liveness probe: it always answers 200 — reaching the
 // handler proves the process is alive — and reports the check details
 // so operators can see degradation without flipping readiness.
-func (h *Health) Healthz() http.Handler {
+func (h *Health) healthz() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		body, _ := h.body()
 		w.Header().Set("Content-Type", "application/json")
@@ -93,9 +93,9 @@ func (h *Health) Healthz() http.Handler {
 	})
 }
 
-// Readyz is the readiness probe: 200 when every check passes, 503
+// readyz is the readiness probe: 200 when every check passes, 503
 // otherwise, with the same JSON body as /healthz.
-func (h *Health) Readyz() http.Handler {
+func (h *Health) readyz() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		body, ok := h.body()
 		w.Header().Set("Content-Type", "application/json")

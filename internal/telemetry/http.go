@@ -5,10 +5,10 @@ import (
 	"strings"
 )
 
-// DroppedEventsHeader carries the recorder's overwritten-event count
+// droppedEventsHeader carries the recorder's overwritten-event count
 // on every /events response, so scrapers can detect ring overruns
 // (previously silent) and tell a quiet source from a wrapped ring.
-const DroppedEventsHeader = "X-Goear-Dropped-Events"
+const droppedEventsHeader = "X-Goear-Dropped-Events"
 
 // Handler serves the set over HTTP:
 //
@@ -29,7 +29,7 @@ func (s *Set) Handler() http.Handler {
 		_ = s.Reg().WritePrometheus(w)
 	})
 	mux.HandleFunc("/events", func(w http.ResponseWriter, req *http.Request) {
-		events, _, ok := s.Rec().ring().ServeSince(w, req, DroppedEventsHeader)
+		events, _, ok := s.Rec().ring().ServeSince(w, req, droppedEventsHeader)
 		if !ok {
 			return
 		}

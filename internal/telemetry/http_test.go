@@ -30,24 +30,24 @@ func TestEventsSince(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.Record(Event{Kind: "k"})
 	}
-	if got := r.EventsSince(0); len(got) != 5 {
+	if got := r.ring().Since(0); len(got) != 5 {
 		t.Fatalf("since 0: %d events, want 5", len(got))
 	}
-	got := r.EventsSince(3)
+	got := r.ring().Since(3)
 	if len(got) != 2 || got[0].Seq != 4 || got[1].Seq != 5 {
 		t.Fatalf("since 3: %+v", got)
 	}
-	if got := r.EventsSince(5); len(got) != 0 {
+	if got := r.ring().Since(5); len(got) != 0 {
 		t.Fatalf("since 5: %d events, want 0", len(got))
 	}
 	var nilRec *Recorder
-	if got := nilRec.EventsSince(0); got != nil {
+	if got := nilRec.ring().Since(0); got != nil {
 		t.Fatalf("nil recorder: %v", got)
 	}
 }
 
 func TestEventsEndpointSinceAndDropped(t *testing.T) {
-	s := &Set{Registry: NewRegistry(), Events: NewRecorder(4)}
+	s := &Set{Registry: newRegistry(), Events: NewRecorder(4)}
 	for i := 0; i < 6; i++ { // capacity 4: seqs 3..6 survive, 2 dropped
 		s.Events.Record(Event{Kind: "k"})
 	}
@@ -58,16 +58,16 @@ func TestEventsEndpointSinceAndDropped(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Errorf("content type = %q", ct)
 	}
-	if h := resp.Header.Get(DroppedEventsHeader); h != "2" {
-		t.Errorf("%s = %q, want 2", DroppedEventsHeader, h)
+	if h := resp.Header.Get(droppedEventsHeader); h != "2" {
+		t.Errorf("%s = %q, want 2", droppedEventsHeader, h)
 	}
 	if n := strings.Count(body, "\n"); n != 4 {
 		t.Errorf("/events returned %d lines, want 4:\n%s", n, body)
 	}
 
 	resp, body = get(t, srv, "/events?since=5")
-	if h := resp.Header.Get(DroppedEventsHeader); h != "2" {
-		t.Errorf("%s on since = %q, want 2", DroppedEventsHeader, h)
+	if h := resp.Header.Get(droppedEventsHeader); h != "2" {
+		t.Errorf("%s on since = %q, want 2", droppedEventsHeader, h)
 	}
 	if n := strings.Count(body, "\n"); n != 1 || !strings.Contains(body, `"seq":6`) {
 		t.Errorf("/events?since=5:\n%s", body)
@@ -79,33 +79,33 @@ func TestEventsEndpointSinceAndDropped(t *testing.T) {
 }
 
 func TestQuantile(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	h := r.Histogram("goear_test_q_seconds", "q", []float64{0.1, 0.5, 1})
-	if got := h.Quantile(0.99); got != 0 {
+	if got := h.quantile(0.99); got != 0 {
 		t.Errorf("empty histogram p99 = %v, want 0", got)
 	}
 	// 10 observations in (0.1, 0.5]: rank interpolates inside that bucket.
 	for i := 0; i < 10; i++ {
 		h.Observe(0.3)
 	}
-	p50 := h.Quantile(0.50)
+	p50 := h.quantile(0.50)
 	if p50 <= 0.1 || p50 > 0.5 {
 		t.Errorf("p50 = %v, want within (0.1, 0.5]", p50)
 	}
 	// An outlier beyond every bound lands in +Inf and clamps to the
 	// largest finite bound.
 	h.Observe(1e9)
-	if got := h.Quantile(1.0); got != 1 {
+	if got := h.quantile(1.0); got != 1 {
 		t.Errorf("p100 with +Inf outlier = %v, want clamp to 1", got)
 	}
 	var nilH *Histogram
-	if got := nilH.Quantile(0.5); got != 0 {
+	if got := nilH.quantile(0.5); got != 0 {
 		t.Errorf("nil histogram quantile = %v", got)
 	}
 }
 
 func TestSLOReportAndHandler(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	fast := r.Histogram("goear_test_fast_seconds", "fast", []float64{0.01, 0.1, 1})
 	slow := r.Histogram("goear_test_slow_seconds", "slow", []float64{0.01, 0.1, 1})
 	for i := 0; i < 100; i++ {
@@ -117,7 +117,7 @@ func TestSLOReportAndHandler(t *testing.T) {
 	s.Register("batch", fast, 0.1) // met
 	s.Register("idle", nil, 0.1)   // no observations: vacuously OK
 
-	rep := s.Report()
+	rep := s.report()
 	if len(rep) != 3 {
 		t.Fatalf("report has %d entries, want 3", len(rep))
 	}
@@ -141,14 +141,14 @@ func TestSLOReportAndHandler(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Errorf("content type = %q", ct)
 	}
-	var decoded []SLOReport
+	var decoded []sloReport
 	if err := json.Unmarshal([]byte(body), &decoded); err != nil || len(decoded) != 3 {
 		t.Errorf("handler body (%v): %s", err, body)
 	}
 
 	var nilSLO *SLO
 	nilSLO.Register("x", nil, 1)
-	if nilSLO.Report() != nil {
+	if nilSLO.report() != nil {
 		t.Error("nil SLO report not nil")
 	}
 }
@@ -162,8 +162,8 @@ func TestHealthEndpoints(t *testing.T) {
 	})
 
 	mux := http.NewServeMux()
-	mux.Handle("/healthz", h.Healthz())
-	mux.Handle("/readyz", h.Readyz())
+	mux.Handle("/healthz", h.healthz())
+	mux.Handle("/readyz", h.readyz())
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
@@ -206,7 +206,7 @@ func TestHealthEndpoints(t *testing.T) {
 	var nilH *Health
 	nilH.Register(func() Check { return Check{} })
 	rec := httptest.NewRecorder()
-	nilH.Readyz().ServeHTTP(rec, httptest.NewRequest("GET", "/readyz", nil))
+	nilH.readyz().ServeHTTP(rec, httptest.NewRequest("GET", "/readyz", nil))
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"ok"`) {
 		t.Errorf("nil health /readyz: %d %s", rec.Code, rec.Body.String())
 	}

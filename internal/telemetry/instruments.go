@@ -114,20 +114,20 @@ func (h *Histogram) Count() uint64 {
 	return h.count.Load()
 }
 
-// Sum returns the sum of observed values (0 on nil).
-func (h *Histogram) Sum() float64 {
+// sum returns the sum of observed values (0 on nil).
+func (h *Histogram) sum() float64 {
 	if h == nil {
 		return 0
 	}
 	return math.Float64frombits(h.sumBits.Load())
 }
 
-// Quantile estimates the q-quantile (0 < q <= 1) from the bucket
+// quantile estimates the q-quantile (0 < q <= 1) from the bucket
 // counts by linear interpolation within the covering bucket — the
 // same estimate Prometheus' histogram_quantile computes. The +Inf
 // bucket has no upper edge, so observations landing there estimate as
 // the largest finite bound. Returns 0 on a nil or empty histogram.
-func (h *Histogram) Quantile(q float64) float64 {
+func (h *Histogram) quantile(q float64) float64 {
 	if h == nil {
 		return 0
 	}

@@ -73,7 +73,7 @@ func writeSeries(w *strings.Builder, f *family, s *series) {
 		w.WriteString(f.name)
 		w.WriteString("_sum")
 		writeLabels(w, f.labels, s.values, "", "")
-		fmt.Fprintf(w, " %s\n", formatFloat(h.Sum()))
+		fmt.Fprintf(w, " %s\n", formatFloat(h.sum()))
 		w.WriteString(f.name)
 		w.WriteString("_count")
 		writeLabels(w, f.labels, s.values, "", "")

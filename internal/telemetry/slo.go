@@ -9,7 +9,7 @@ import (
 
 // SLO summarises per-operation latency objectives from registered
 // histograms. Each entry pairs a wire-op name with the histogram that
-// observes it and a p99 target in seconds; Report computes the
+// observes it and a p99 target in seconds; report computes the
 // current quantile estimates and whether each op is inside its
 // objective. All methods are nil-safe so daemons can wire an SLO
 // unconditionally and register entries only when telemetry is on.
@@ -24,8 +24,8 @@ type sloEntry struct {
 	target float64
 }
 
-// SLOReport is one operation's current latency summary.
-type SLOReport struct {
+// sloReport is one operation's current latency summary.
+type sloReport struct {
 	Op        string  `json:"op"`
 	Count     uint64  `json:"count"`
 	P50       float64 `json:"p50"`
@@ -57,23 +57,23 @@ func (s *SLO) Register(op string, h *Histogram, targetP99 float64) {
 	s.entries = append(s.entries, sloEntry{op: op, h: h, target: targetP99})
 }
 
-// Report returns the current summary for every registered op, sorted
+// report returns the current summary for every registered op, sorted
 // by op name so the output is stable across registration order.
-func (s *SLO) Report() []SLOReport {
+func (s *SLO) report() []sloReport {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
 	entries := append([]sloEntry(nil), s.entries...)
 	s.mu.Unlock()
-	out := make([]SLOReport, 0, len(entries))
+	out := make([]sloReport, 0, len(entries))
 	for _, e := range entries {
-		r := SLOReport{
+		r := sloReport{
 			Op:        e.op,
 			Count:     e.h.Count(),
-			P50:       e.h.Quantile(0.50),
-			P95:       e.h.Quantile(0.95),
-			P99:       e.h.Quantile(0.99),
+			P50:       e.h.quantile(0.50),
+			P95:       e.h.quantile(0.95),
+			P99:       e.h.quantile(0.99),
 			TargetP99: e.target,
 		}
 		r.OK = e.target == 0 || r.Count == 0 || r.P99 <= e.target
@@ -90,9 +90,9 @@ func (s *SLO) Handler() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		rep := s.Report()
+		rep := s.report()
 		if rep == nil {
-			rep = []SLOReport{}
+			rep = []sloReport{}
 		}
 		_ = enc.Encode(rep)
 	})

@@ -124,15 +124,15 @@ func (f *family) with(values []string) *series {
 }
 
 // Registry holds metric families. The zero value is not usable; use
-// NewRegistry. A nil *Registry is valid and hands out nil instruments,
+// newRegistry. A nil *Registry is valid and hands out nil instruments,
 // so disabled instance-scoped telemetry needs no branches at setup.
 type Registry struct {
 	mu   sync.Mutex
 	fams map[string]*family
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
+// newRegistry returns an empty registry.
+func newRegistry() *Registry {
 	return &Registry{fams: make(map[string]*family)}
 }
 
@@ -303,7 +303,7 @@ type Set struct {
 // NewSet returns a Set with a fresh registry and a default-capacity
 // event recorder.
 func NewSet() *Set {
-	return &Set{Registry: NewRegistry(), Events: NewRecorder(0)}
+	return &Set{Registry: newRegistry(), Events: NewRecorder(0)}
 }
 
 // Reg returns the set's registry, nil when the set is nil.

@@ -28,7 +28,7 @@ func TestNameValidation(t *testing.T) {
 			t.Errorf("nameOK(%q) = true", bad)
 		}
 	}
-	r := NewRegistry()
+	r := newRegistry()
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -40,7 +40,7 @@ func TestNameValidation(t *testing.T) {
 }
 
 func TestCounterGaugeHistogram(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	c := r.Counter(testMetricOps, "ops")
 	c.Inc()
 	c.Add(4)
@@ -59,8 +59,8 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	for _, v := range []float64{0.05, 0.5, 0.5, 5, 50} {
 		h.Observe(v)
 	}
-	if h.Count() != 5 || h.Sum() != 56.05 {
-		t.Errorf("histogram count=%d sum=%g", h.Count(), h.Sum())
+	if h.Count() != 5 || h.sum() != 56.05 {
+		t.Errorf("histogram count=%d sum=%g", h.Count(), h.sum())
 	}
 }
 
@@ -77,10 +77,10 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	g.Add(1)
 	h.Observe(1)
 	rec.Record(Event{Kind: "x"})
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.sum() != 0 {
 		t.Error("nil instruments returned non-zero values")
 	}
-	if rec.Len() != 0 || rec.Events() != nil || rec.Dropped() != 0 {
+	if rec.Events() != nil || rec.ring().Len() != 0 || rec.ring().Dropped() != 0 {
 		t.Error("nil recorder not empty")
 	}
 	if r.Counter(testMetricOps, "") != nil || r.CounterVec(testMetricByResult, "", "r") != nil {
@@ -99,7 +99,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 }
 
 func TestVecPreRegistration(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	v := r.CounterVec(testMetricByResult, "by result", "result")
 	ok := v.With("ok")
 	fail := v.With("fail")
@@ -122,7 +122,7 @@ func TestVecPreRegistration(t *testing.T) {
 }
 
 func TestReRegistration(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	a := r.Counter(testMetricOps, "ops")
 	b := r.Counter(testMetricOps, "ops")
 	if a != b {
@@ -139,7 +139,7 @@ func TestReRegistration(t *testing.T) {
 }
 
 func TestPrometheusEncodingAndParse(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	r.Counter(testMetricOps, "ops help").Add(7)
 	r.Gauge(testMetricDepth, "depth").Set(2.5)
 	v := r.CounterVec(testMetricByResult, "by result", "result")
@@ -202,7 +202,7 @@ func TestPrometheusEncodingAndParse(t *testing.T) {
 }
 
 func TestLabelEscaping(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	r.CounterVec(testMetricByResult, "", "result").With("a\"b\\c\nd").Inc()
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
@@ -219,7 +219,7 @@ func TestRecorderRing(t *testing.T) {
 		rec.Record(Event{Kind: "k", TimeSec: float64(i)})
 	}
 	evs := rec.Events()
-	if len(evs) != 3 || rec.Len() != 3 {
+	if len(evs) != 3 || rec.ring().Len() != 3 {
 		t.Fatalf("len = %d", len(evs))
 	}
 	if evs[0].TimeSec != 2 || evs[2].TimeSec != 4 {
@@ -228,8 +228,8 @@ func TestRecorderRing(t *testing.T) {
 	if evs[0].Seq != 3 || evs[2].Seq != 5 {
 		t.Errorf("sequence numbers: %+v", evs)
 	}
-	if rec.Dropped() != 2 {
-		t.Errorf("dropped = %d", rec.Dropped())
+	if rec.ring().Dropped() != 2 {
+		t.Errorf("dropped = %d", rec.ring().Dropped())
 	}
 }
 
@@ -249,7 +249,7 @@ func TestWriteJSONLines(t *testing.T) {
 }
 
 func TestConcurrentInstruments(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	c := r.Counter(testMetricOps, "")
 	g := r.Gauge(testMetricDepth, "")
 	h := r.Histogram(testMetricLatency, "", []float64{10})
@@ -266,8 +266,8 @@ func TestConcurrentInstruments(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if c.Value() != 8000 || g.Value() != 8000 || h.Count() != 8000 || h.Sum() != 8000 {
-		t.Errorf("concurrent totals: c=%d g=%g h=%d/%g", c.Value(), g.Value(), h.Count(), h.Sum())
+	if c.Value() != 8000 || g.Value() != 8000 || h.Count() != 8000 || h.sum() != 8000 {
+		t.Errorf("concurrent totals: c=%d g=%g h=%d/%g", c.Value(), g.Value(), h.Count(), h.sum())
 	}
 }
 

@@ -29,7 +29,7 @@ func (h *HexID) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &s); err != nil {
 		return err
 	}
-	v, err := ParseID(s)
+	v, err := parseID(s)
 	if err != nil {
 		return err
 	}
@@ -37,8 +37,8 @@ func (h *HexID) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// ParseID parses a hex trace or span ID as printed by HexID.
-func ParseID(s string) (uint64, error) {
+// parseID parses a hex trace or span ID as printed by HexID.
+func parseID(s string) (uint64, error) {
 	v, err := strconv.ParseUint(s, 16, 64)
 	if err != nil {
 		return 0, fmt.Errorf("trace: bad id %q: %w", s, err)
@@ -57,16 +57,6 @@ type Attr struct {
 // a small slice so attaching attributes on the hot path costs one
 // allocation, not a map.
 type Attrs []Attr
-
-// Get returns the value for key, or "" when absent.
-func (a Attrs) Get(key string) string {
-	for _, at := range a {
-		if at.Key == key {
-			return at.Value
-		}
-	}
-	return ""
-}
 
 // MarshalJSON encodes the attributes as an object with sorted keys.
 func (a Attrs) MarshalJSON() ([]byte, error) {
@@ -147,10 +137,6 @@ func (b *Buffer) record(s Span) { b.ring().Add(s) }
 // Spans returns a copy of the buffered spans in arrival order.
 func (b *Buffer) Spans() []Span { return b.ring().Since(0) }
 
-// SpansSince returns the buffered spans with sequence numbers greater
-// than seq, in arrival order: the resume form scrapers page with.
-func (b *Buffer) SpansSince(seq uint64) []Span { return b.ring().Since(seq) }
-
 // Len returns the number of buffered spans.
 func (b *Buffer) Len() int { return b.ring().Len() }
 
@@ -171,12 +157,12 @@ func canonical(spans []Span) []Span {
 	for i := range spans {
 		spans[i].Seq = 0
 	}
-	SortCanonical(spans)
+	sortCanonical(spans)
 	return spans
 }
 
-// SortCanonical sorts spans in place by (trace, parent, kind, span).
-func SortCanonical(spans []Span) {
+// sortCanonical sorts spans in place by (trace, parent, kind, span).
+func sortCanonical(spans []Span) {
 	sort.Slice(spans, func(i, j int) bool {
 		a, b := spans[i], spans[j]
 		if a.Trace != b.Trace {

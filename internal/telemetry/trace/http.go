@@ -29,7 +29,7 @@ func (b *Buffer) Handler() http.Handler {
 		traceParam := qp.Get("trace")
 		var traceID HexID
 		if traceParam != "" {
-			id, err := ParseID(traceParam)
+			id, err := parseID(traceParam)
 			if err != nil {
 				http.Error(w, "bad trace parameter: "+err.Error(), http.StatusBadRequest)
 				return

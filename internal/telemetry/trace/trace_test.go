@@ -93,12 +93,12 @@ func TestBufferRingAndSince(t *testing.T) {
 	if spans[0].Seq != 3 || spans[3].Seq != 6 {
 		t.Fatalf("ring kept seqs %d..%d, want 3..6", spans[0].Seq, spans[3].Seq)
 	}
-	since := buf.SpansSince(4)
+	since := buf.ring().Since(4)
 	if len(since) != 2 || since[0].Seq != 5 {
-		t.Fatalf("SpansSince(4) = %+v", since)
+		t.Fatalf("since 4: %+v", since)
 	}
-	if got := buf.SpansSince(99); len(got) != 0 {
-		t.Fatalf("SpansSince past the end = %+v", got)
+	if got := buf.ring().Since(99); len(got) != 0 {
+		t.Fatalf("since past the end: %+v", got)
 	}
 }
 

@@ -24,9 +24,9 @@ import (
 	"goear/internal/msr"
 )
 
-// TickSeconds is the controller reaction period: the ~10 ms Schöne et
+// tickSeconds is the controller reaction period: the ~10 ms Schöne et
 // al. measured for workload-change detection on Skylake-SP.
-const TickSeconds = 0.010
+const tickSeconds = 0.010
 
 // Curve maps the effective (licence-resolved) core ratio to the uncore
 // ratio the silicon heuristic aims for, before MSR clamping.
@@ -78,21 +78,12 @@ type Controller struct {
 	acc   float64 // time accumulated toward the next tick
 }
 
-// NewController attaches a controller to a socket's MSR file. The
-// controller starts from whatever MSR 0x621 currently holds (the
-// simulator boots sockets at the hardware minimum, so the ramp to the
-// workload's level is visible in averages, as it is in the paper's
-// 2.39-vs-2.40 GHz readings).
-func NewController(m *msr.File, curve Curve) (*Controller, error) {
-	c := &Controller{}
-	if err := c.Init(m, curve); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// Init (re)attaches the controller in place, as NewController does but
-// without allocating, for controllers embedded in a larger allocation.
+// Init (re)attaches the controller in place to a socket's MSR file; a
+// zero Controller is ready once Init returns. The controller starts
+// from whatever MSR 0x621 currently holds (the simulator boots sockets
+// at the hardware minimum, so the ramp to the workload's level is
+// visible in averages, as it is in the paper's 2.39-vs-2.40 GHz
+// readings).
 func (c *Controller) Init(m *msr.File, curve Curve) error {
 	if m == nil {
 		return fmt.Errorf("uncore: nil MSR file")
@@ -101,16 +92,6 @@ func (c *Controller) Init(m *msr.File, curve Curve) error {
 		return fmt.Errorf("uncore: nil curve")
 	}
 	c.msrs, c.curve, c.acc = m, curve, 0
-	return nil
-}
-
-// SetCurve replaces the workload-response curve (used when the simulated
-// node switches to a different application phase).
-func (c *Controller) SetCurve(curve Curve) error {
-	if curve == nil {
-		return fmt.Errorf("uncore: nil curve")
-	}
-	c.curve = curve
 	return nil
 }
 
@@ -125,8 +106,8 @@ func (c *Controller) Advance(dt float64, coreRatio uint64) error {
 	// The epsilon absorbs float accumulation error so that e.g. five
 	// 10 ms advances yield exactly five ticks.
 	const eps = 1e-9
-	for c.acc >= TickSeconds-eps {
-		c.acc -= TickSeconds
+	for c.acc >= tickSeconds-eps {
+		c.acc -= tickSeconds
 		if err := c.tick(coreRatio); err != nil {
 			return err
 		}
@@ -221,8 +202,8 @@ func (c *Controller) SetTickAccum(v float64) { c.acc = v }
 func SettleAccum(acc, dt float64) float64 {
 	acc += dt
 	const eps = 1e-9
-	for acc >= TickSeconds-eps {
-		acc -= TickSeconds
+	for acc >= tickSeconds-eps {
+		acc -= tickSeconds
 	}
 	return acc
 }
@@ -238,13 +219,4 @@ func (c *Controller) Settled(coreRatio uint64) (bool, error) {
 		return false, err
 	}
 	return next == cur, nil
-}
-
-// Current returns the operating uncore ratio.
-func (c *Controller) Current() (uint64, error) {
-	v, err := c.msrs.Read(msr.MSRUncorePerfStatus)
-	if err != nil {
-		return 0, err
-	}
-	return msr.DecodeUncorePerfStatus(v), nil
 }

@@ -18,19 +18,16 @@ func newSocket(t *testing.T) *cpu.Socket {
 }
 
 func TestNewControllerErrors(t *testing.T) {
-	if _, err := NewController(nil, AlwaysMax(24)); err == nil {
+	var c Controller
+	if err := c.Init(nil, AlwaysMax(24)); err == nil {
 		t.Error("expected error for nil MSR file")
 	}
 	s := newSocket(t)
-	if _, err := NewController(s.MSR, nil); err == nil {
+	if err := c.Init(s.MSR, nil); err == nil {
 		t.Error("expected error for nil curve")
 	}
-	c, err := NewController(s.MSR, AlwaysMax(24))
-	if err != nil {
+	if err := c.Init(s.MSR, AlwaysMax(24)); err != nil {
 		t.Fatal(err)
-	}
-	if err := c.SetCurve(nil); err == nil {
-		t.Error("expected error for nil curve in SetCurve")
 	}
 	if err := c.Advance(-0.1, 24); err == nil {
 		t.Error("expected error for negative dt")
@@ -39,53 +36,59 @@ func TestNewControllerErrors(t *testing.T) {
 
 func TestRampUpToMax(t *testing.T) {
 	s := newSocket(t)
-	c, err := NewController(s.MSR, AlwaysMax(24))
-	if err != nil {
+	var c Controller
+	if err := c.Init(s.MSR, AlwaysMax(24)); err != nil {
 		t.Fatal(err)
 	}
 	// Boot value is the hardware minimum (12). After 12 ticks the
 	// controller must reach 24, one step per 10 ms.
-	if cur, _ := c.Current(); cur != 12 {
+	if cur, _ := s.CurrentUncoreRatio(); cur != 12 {
 		t.Fatalf("boot ratio = %d, want 12", cur)
 	}
 	if err := c.Advance(0.05, 24); err != nil { // 5 ticks
 		t.Fatal(err)
 	}
-	if cur, _ := c.Current(); cur != 17 {
+	if cur, _ := s.CurrentUncoreRatio(); cur != 17 {
 		t.Errorf("after 50ms ratio = %d, want 17 (one step per tick)", cur)
 	}
 	if err := c.Advance(0.2, 24); err != nil {
 		t.Fatal(err)
 	}
-	if cur, _ := c.Current(); cur != 24 {
+	if cur, _ := s.CurrentUncoreRatio(); cur != 24 {
 		t.Errorf("steady ratio = %d, want 24", cur)
 	}
 	// Stays there.
 	if err := c.Advance(1.0, 24); err != nil {
 		t.Fatal(err)
 	}
-	if cur, _ := c.Current(); cur != 24 {
+	if cur, _ := s.CurrentUncoreRatio(); cur != 24 {
 		t.Errorf("ratio drifted to %d", cur)
 	}
 }
 
 func TestSubTickAccumulation(t *testing.T) {
 	s := newSocket(t)
-	c, _ := NewController(s.MSR, AlwaysMax(24))
+	var c Controller
+	if err := c.Init(s.MSR, AlwaysMax(24)); err != nil {
+		t.Fatal(err)
+	}
 	// 4 advances of 3ms = 12ms: exactly one tick.
 	for i := 0; i < 4; i++ {
 		if err := c.Advance(0.003, 24); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if cur, _ := c.Current(); cur != 13 {
+	if cur, _ := s.CurrentUncoreRatio(); cur != 13 {
 		t.Errorf("after 12ms ratio = %d, want 13", cur)
 	}
 }
 
 func TestRespectsSoftwareLimits(t *testing.T) {
 	s := newSocket(t)
-	c, _ := NewController(s.MSR, AlwaysMax(24))
+	var c Controller
+	if err := c.Init(s.MSR, AlwaysMax(24)); err != nil {
+		t.Fatal(err)
+	}
 	if err := c.Advance(0.5, 24); err != nil { // settle at 24
 		t.Fatal(err)
 	}
@@ -96,7 +99,7 @@ func TestRespectsSoftwareLimits(t *testing.T) {
 	if err := c.Advance(0.02, 24); err != nil { // one tick is enough
 		t.Fatal(err)
 	}
-	cur, _ := c.Current()
+	cur, _ := s.CurrentUncoreRatio()
 	if cur > 18 {
 		t.Errorf("controller above software max: %d", cur)
 	}
@@ -107,14 +110,17 @@ func TestRespectsSoftwareLimits(t *testing.T) {
 	if err := c.Advance(0.05, 24); err != nil {
 		t.Fatal(err)
 	}
-	if cur, _ := c.Current(); cur != 15 {
+	if cur, _ := s.CurrentUncoreRatio(); cur != 15 {
 		t.Errorf("pinned ratio = %d, want 15", cur)
 	}
 }
 
 func TestNeverLeavesLimitsProperty(t *testing.T) {
 	s := newSocket(t)
-	c, _ := NewController(s.MSR, FollowCore(0))
+	var c Controller
+	if err := c.Init(s.MSR, FollowCore(0)); err != nil {
+		t.Fatal(err)
+	}
 	fn := func(minR, maxR, core uint8, epb uint8) bool {
 		lo, hi := uint64(minR%13)+12, uint64(maxR%13)+12
 		if lo > hi {
@@ -129,7 +135,7 @@ func TestNeverLeavesLimitsProperty(t *testing.T) {
 		if err := c.Advance(0.1, uint64(core%20)+10); err != nil {
 			return false
 		}
-		cur, err := c.Current()
+		cur, err := s.CurrentUncoreRatio()
 		if err != nil {
 			return false
 		}
@@ -175,14 +181,17 @@ func TestEPBBias(t *testing.T) {
 	// Powersave EPB ends one step below the curve target; performance
 	// EPB one above (within limits).
 	s := newSocket(t)
-	c, _ := NewController(s.MSR, Fixed(20))
+	var c Controller
+	if err := c.Init(s.MSR, Fixed(20)); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.MSR.Write(msr.IA32EnergyPerfBias, 15); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Advance(0.5, 24); err != nil {
 		t.Fatal(err)
 	}
-	if cur, _ := c.Current(); cur != 19 {
+	if cur, _ := s.CurrentUncoreRatio(); cur != 19 {
 		t.Errorf("powersave EPB: ratio = %d, want 19", cur)
 	}
 	if err := s.MSR.Write(msr.IA32EnergyPerfBias, 0); err != nil {
@@ -191,24 +200,30 @@ func TestEPBBias(t *testing.T) {
 	if err := c.Advance(0.5, 24); err != nil {
 		t.Fatal(err)
 	}
-	if cur, _ := c.Current(); cur != 21 {
+	if cur, _ := s.CurrentUncoreRatio(); cur != 21 {
 		t.Errorf("performance EPB: ratio = %d, want 21", cur)
 	}
 }
 
 func TestCurveSwitchOnPhaseChange(t *testing.T) {
 	s := newSocket(t)
-	c, _ := NewController(s.MSR, AlwaysMax(24))
-	if err := c.Advance(0.5, 24); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetCurve(Fixed(14)); err != nil {
+	var c Controller
+	if err := c.Init(s.MSR, AlwaysMax(24)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Advance(0.5, 24); err != nil {
 		t.Fatal(err)
 	}
-	if cur, _ := c.Current(); cur != 14 {
+	// A node renewed for a run of another workload re-attaches its
+	// controller with that workload's curve; the operating ratio ramps
+	// from where the socket is.
+	if err := c.Init(s.MSR, Fixed(14)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Advance(0.5, 24); err != nil {
+		t.Fatal(err)
+	}
+	if cur, _ := s.CurrentUncoreRatio(); cur != 14 {
 		t.Errorf("after phase change ratio = %d, want 14", cur)
 	}
 }

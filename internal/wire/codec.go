@@ -434,10 +434,10 @@ func (d *decoder) acctRecords(into []accounting.Record) []accounting.Record {
 	return out
 }
 
-// AppendBatch appends b's encoded body to dst and returns the extended
+// appendBatch appends b's encoded body to dst and returns the extended
 // slice: the payload of a TypeBatch frame. A sender that keeps dst
 // across batches encodes without allocating.
-func AppendBatch(dst []byte, b Batch) []byte {
+func appendBatch(dst []byte, b Batch) []byte {
 	e := encoder{buf: slices.Grow(dst, recordsSizeHint(len(b.Records), len(b.Acct)))}
 	e.str(b.ID)
 	e.str(b.Node)
@@ -451,18 +451,19 @@ func AppendBatch(dst []byte, b Batch) []byte {
 // hands to Conn.WriteImage, as often as it takes.
 func BatchImage(buf []byte, b Batch) []byte {
 	buf = slices.Grow(buf[:0], HeaderRoom+recordsSizeHint(len(b.Records), len(b.Acct)))
-	return AppendBatch(buf[:HeaderRoom], b)
+	return appendBatch(buf[:HeaderRoom], b)
 }
 
 // EncodeBatch builds a TypeBatch frame. The error is always nil; the
 // signature is the one every Encode constructor shares.
 func EncodeBatch(b Batch) (Frame, error) {
-	return Frame{Type: TypeBatch, Payload: AppendBatch(nil, b)}, nil
+	return Frame{Type: TypeBatch, Payload: appendBatch(nil, b)}, nil
 }
 
 // The three small bodies have an Append form, for a sender that builds
-// them behind the room of a connection's image (Conn.Body), and an
-// Encode form, the same bytes in a payload of their own.
+// them behind the room of a connection's image (Conn.Body); ack and
+// query also have an Encode form, the same bytes in a payload of their
+// own.
 
 // AppendAck appends a's encoded body, the payload of a TypeAck frame,
 // to dst.
@@ -485,11 +486,6 @@ func AppendError(dst []byte, msg string) []byte {
 	e := encoder{buf: dst}
 	e.str(msg)
 	return e.buf
-}
-
-// EncodeError builds a TypeError frame.
-func EncodeError(msg string) (Frame, error) {
-	return Frame{Type: TypeError, Payload: AppendError(make([]byte, 0, len(msg)+4), msg)}, nil
 }
 
 // AppendQuery appends q's encoded body, the payload of a TypeQuery
@@ -553,13 +549,6 @@ func (f Frame) ack() (id []byte, a Ack, err error) {
 	_, id = d.strBytes()
 	a = Ack{Accepted: d.int(), Duplicate: d.int(), Replaced: d.int()}
 	return id, a, d.finish("ack", "payload")
-}
-
-// AsAck decodes a TypeAck frame.
-func (f Frame) AsAck() (Ack, error) {
-	id, a, err := f.ack()
-	a.BatchID = string(id)
-	return a, err
 }
 
 // AcksBatch reports whether f is a well-formed ack of the batch with

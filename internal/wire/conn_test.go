@@ -166,13 +166,13 @@ func TestConnDoesNotTrustLengthPrefix(t *testing.T) {
 func TestConnWriteMatchesWriteFrame(t *testing.T) {
 	batch, _ := EncodeBatch(benchBatch())
 	ack, _ := EncodeAck(Ack{BatchID: "node00042/7", Accepted: 24, Duplicate: 8})
-	ef, _ := EncodeError("batch node00042/7: bad record")
+	ef := Frame{Type: TypeError, Payload: AppendError(nil, "batch node00042/7: bad record")}
 	query, _ := EncodeQuery(Query{Kind: QueryAcctJobs, User: "alice", Limit: 50, Cursor: "bmV4dA"})
-	result, err := EncodeResult(QueryNodePowers, fleetPowers())
+	result, err := appendResult(nil, nil, QueryNodePowers, fleetPowers())
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames := []Frame{batch, ack, ef, query, result, {Type: TypeResult}}
+	frames := []Frame{batch, ack, ef, query, {Type: TypeResult, Payload: result}, {Type: TypeResult}}
 	if len(frames) != int(typeEnd) {
 		t.Fatalf("%d frames for %d frame types and an empty payload", len(frames), typeEnd-1)
 	}

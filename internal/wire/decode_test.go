@@ -20,7 +20,9 @@ func decodeAny(typ Type, p []byte) (any, error) {
 	case TypeBatch:
 		return f.AsBatch()
 	case TypeAck:
-		return f.AsAck()
+		id, a, err := f.ack()
+		a.BatchID = string(id)
+		return a, err
 	case TypeError:
 		return f.AsError()
 	case TypeQuery:
@@ -69,11 +71,11 @@ func fleetPage() accounting.Page {
 
 func mustResultPayload(tb testing.TB, kind string, v any) []byte {
 	tb.Helper()
-	f, err := EncodeResult(kind, v)
+	p, err := appendResult(nil, nil, kind, v)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return f.Payload
+	return p
 }
 
 // decodeCorporaDigest is the FNV-1a digest of what the decoders make of
@@ -109,7 +111,7 @@ func TestDecodeCorporaGolden(t *testing.T) {
 	inputs = append(inputs,
 		input{"node_powers x200", TypeResult, mustResultPayload(t, QueryNodePowers, fleetPowers())},
 		input{"acct_jobs page x200", TypeResult, mustResultPayload(t, QueryAcctJobs, fleetPage())},
-		input{"batch x32", TypeBatch, AppendBatch(nil, benchBatch())},
+		input{"batch x32", TypeBatch, appendBatch(nil, benchBatch())},
 	)
 	for _, in := range inputs {
 		if n := len(in.p); n > 1 {

@@ -36,9 +36,7 @@ func frameSeeds(tb testing.TB) [][]byte {
 	if ack, err := EncodeAck(Ack{BatchID: "n01/1", Accepted: 1}); err == nil {
 		frames = append(frames, ack)
 	}
-	if ef, err := EncodeError("boom"); err == nil {
-		frames = append(frames, ef)
-	}
+	frames = append(frames, Frame{Type: TypeError, Payload: AppendError(nil, "boom")})
 	if q, err := EncodeQuery(Query{Kind: QueryStats}); err == nil {
 		frames = append(frames, q)
 	}
@@ -114,7 +112,7 @@ func FuzzFrame(f *testing.F) {
 		case TypeBatch:
 			_, perr = fr.AsBatch()
 		case TypeAck:
-			_, perr = fr.AsAck()
+			_, _, perr = fr.ack()
 		case TypeError:
 			_, perr = fr.AsError()
 		case TypeQuery:
@@ -180,7 +178,7 @@ func TestDecodeAllocationBounded(t *testing.T) {
 		case TypeBatch:
 			_, err = f.AsBatch()
 		case TypeAck:
-			_, err = f.AsAck()
+			_, _, err = f.ack()
 		case TypeResult:
 			var res Result
 			if res, err = f.AsResult(); err == nil {
@@ -204,13 +202,13 @@ func TestDecodeAllocationBounded(t *testing.T) {
 func batchSeeds() [][]byte {
 	var seeds [][]byte
 	for _, b := range []Batch{{}, {ID: "n01/1", Node: "n01"}, benchBatch()} {
-		seeds = append(seeds, AppendBatch(nil, b))
+		seeds = append(seeds, appendBatch(nil, b))
 	}
 	return append(seeds,
 		[]byte{0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f},        // a count of 2^32-1 records and no bytes
 		[]byte{0xfe, 0xff, 0xff, 0xff, 0x0f, 'x'},         // a string of 2^31-1 bytes, one present
 		[]byte{2, 'a', 0, 1, 9, 9, 9, 9, 9},               // back-references past the table
-		append(AppendBatch(nil, Batch{ID: "x"}), 0, 0, 0), // trailing bytes
+		append(appendBatch(nil, Batch{ID: "x"}), 0, 0, 0), // trailing bytes
 	)
 }
 
@@ -234,12 +232,12 @@ func FuzzBatchPayload(f *testing.F) {
 			}
 			return
 		}
-		again := AppendBatch(nil, b)
+		again := appendBatch(nil, b)
 		b2, err := Frame{Type: TypeBatch, Payload: again}.AsBatch()
 		if err != nil || !sameBits(b, b2) {
 			t.Fatalf("re-encoded batch decodes to %+v (err %v), want %+v", b2, err, b)
 		}
-		if third := AppendBatch(nil, b2); !bytes.Equal(third, again) {
+		if third := appendBatch(nil, b2); !bytes.Equal(third, again) {
 			t.Fatalf("encoder output is not a fixed point:\n %x\n %x", again, third)
 		}
 	})
@@ -260,11 +258,11 @@ func resultSeeds(tb testing.TB) [][]byte {
 		{QueryGeneration, Generation{Gen: math.MaxUint64}},
 		{QueryStats, map[string]int{"batches": 3}},
 	} {
-		fr, err := EncodeResult(seed.kind, seed.data)
+		p, err := appendResult(nil, nil, seed.kind, seed.data)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		seeds = append(seeds, fr.Payload)
+		seeds = append(seeds, p)
 	}
 	return append(seeds,
 		[]byte{},
@@ -356,11 +354,11 @@ func FuzzResultPayload(f *testing.F) {
 			return
 		}
 		value := reflect.ValueOf(v).Elem().Interface()
-		again, err := EncodeResult(res.Kind, value)
+		again, err := appendResult(nil, nil, res.Kind, value)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res2, err := again.AsResult()
+		res2, err := Frame{Type: TypeResult, Payload: again}.AsResult()
 		if err != nil || res2.Kind != res.Kind {
 			t.Fatalf("re-encoded %s result reads as %q (err %v)", res.Kind, res2.Kind, err)
 		}
@@ -368,9 +366,9 @@ func FuzzResultPayload(f *testing.F) {
 		if err := res2.Decode(v2); err != nil || !sameBits(reflect.ValueOf(v2).Elem().Interface(), value) {
 			t.Fatalf("re-encoded %s decodes to %+v (err %v), want %+v", res.Kind, v2, err, value)
 		}
-		third, err := EncodeResult(res.Kind, reflect.ValueOf(v2).Elem().Interface())
-		if err != nil || !bytes.Equal(third.Payload, again.Payload) {
-			t.Fatalf("encoder output is not a fixed point (err %v):\n %x\n %x", err, again.Payload, third.Payload)
+		third, err := appendResult(nil, nil, res.Kind, reflect.ValueOf(v2).Elem().Interface())
+		if err != nil || !bytes.Equal(third, again) {
+			t.Fatalf("encoder output is not a fixed point (err %v):\n %x\n %x", err, again, third)
 		}
 	})
 }

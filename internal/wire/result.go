@@ -53,21 +53,8 @@ type Result struct {
 // every result payload; index 0, the invalid code, is empty.
 func ResultKinds() []string { return slices.Clone(resultKinds[:]) }
 
-// EncodeResult builds a TypeResult frame of the given kind in a fresh
-// payload; see AppendResult for the shapes it takes.
-func EncodeResult(kind string, data any) (Frame, error) {
-	p, err := AppendResult(nil, kind, data)
-	if err != nil {
-		return Frame{}, err
-	}
-	return Frame{Type: TypeResult, Payload: p}, nil
-}
-
 // AppendResult appends the payload of a TypeResult frame of the given
-// kind to dst and returns the extended slice; a caller that keeps dst
-// across replies encodes one of up to linearTable distinct strings
-// without allocating (Conn.AppendResult, once warm: up to maxTable).
-// The binary kinds take
+// kind to dst and returns the extended slice. The binary kinds take
 // exactly their Go shape ([]eard.JobRecord for records,
 // []accounting.Record for acct_records, accounting.Page for acct_jobs,
 // []NodePower for node_powers, Generation for generation); the JSON
@@ -76,16 +63,14 @@ func EncodeResult(kind string, data any) (Frame, error) {
 // copy in between and to the same bytes: an accounting.Selection for
 // acct_jobs, an *eard.DB for records. On error dst comes back as it
 // was.
-func AppendResult(dst []byte, kind string, data any) ([]byte, error) {
-	return appendResult(dst, nil, kind, data)
-}
-
-// AppendResult is wire.AppendResult encoding with the connection's
-// string table: a reply of more than linearTable distinct strings
-// indexes them in the map the connection kept from an earlier one, not
-// in a map made for it, and the connection keeps it, cleared, for the
-// next — while it stays within maxTable. The bytes are the same. A nil
-// Conn keeps no table.
+//
+// The encoder uses the connection's string table: a reply of more than
+// linearTable distinct strings indexes them in the map the connection
+// kept from an earlier one, not in a map made for it, and the
+// connection keeps it, cleared, for the next — while it stays within
+// maxTable. A caller that keeps dst across replies therefore encodes
+// without allocating once warm. A nil Conn keeps no table; the bytes
+// are the same.
 func (c *Conn) AppendResult(dst []byte, kind string, data any) ([]byte, error) {
 	if c == nil {
 		return appendResult(dst, nil, kind, data)
@@ -93,8 +78,8 @@ func (c *Conn) AppendResult(dst []byte, kind string, data any) ([]byte, error) {
 	return appendResult(dst, &c.strs, kind, data)
 }
 
-// appendResult is AppendResult with the connection's map slot, nil
-// without a connection.
+// appendResult is Conn.AppendResult with the connection's map slot,
+// nil without a connection.
 func appendResult(dst []byte, kept *map[string]int, kind string, data any) ([]byte, error) {
 	code := slices.Index(resultKinds[:], kind)
 	if code <= 0 {
@@ -219,7 +204,7 @@ func (f Frame) AsResult() (Result, error) {
 }
 
 // Decode decodes the result body into v, which must point at the
-// kind's Go shape (see EncodeResult). Slices v already holds are
+// kind's Go shape (see AppendResult). Slices v already holds are
 // reused when large enough, and a decoded slice is never nil.
 func (r Result) Decode(v any) error {
 	d := decoder{p: r.Data}

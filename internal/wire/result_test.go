@@ -82,7 +82,7 @@ func seedStores(t *testing.T) (*eard.DB, *accounting.Store) {
 			}
 		}
 	}
-	if db.Len() == 0 || acct.Len() == 0 {
+	if db.Len() == 0 || len(acct.Snapshot()) == 0 {
 		t.Fatal("the seed corpus carries no records")
 	}
 	return db, acct
@@ -103,21 +103,21 @@ func TestStoreViewsEncodeByteIdentically(t *testing.T) {
 		pages := 0
 		check := func(q accounting.Query) accounting.Page {
 			t.Helper()
-			page, err := accounting.PageRecords(snap, q)
+			page, err := s.Query(q)
 			sel, serr := s.Select(q)
 			if (err != nil) != (serr != nil) {
-				t.Fatalf("%s %+v: PageRecords err = %v, Select err = %v", name, q, err, serr)
+				t.Fatalf("%s %+v: Query err = %v, Select err = %v", name, q, err, serr)
 			}
 			if err != nil {
 				return page
 			}
 			want := mustResultPayload(t, QueryAcctJobs, page)
-			got, err := AppendResult(nil, QueryAcctJobs, sel)
+			got, err := appendResult(nil, nil, QueryAcctJobs, sel)
 			if err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("%s %+v: a Selection encodes to %d bytes (err %v), its Page to %d", name, q, len(got), err, len(want))
 			}
 			// Appending means appending: what dst held stays in front.
-			got, err = AppendResult(prefix[:len(prefix):len(prefix)], QueryAcctJobs, sel)
+			got, err = appendResult(prefix[:len(prefix):len(prefix)], nil, QueryAcctJobs, sel)
 			if err != nil || !bytes.Equal(got, append(bytes.Clone(prefix), want...)) {
 				t.Fatalf("%s %+v: appended to a prefix, a Selection encodes differently (err %v)", name, q, err)
 			}
@@ -156,11 +156,11 @@ func TestStoreViewsEncodeByteIdentically(t *testing.T) {
 
 	for name, db := range map[string]*eard.DB{"empty": eard.NewDB(), "seeds": seedDB, "fleet": fleetDB(t)} {
 		want := mustResultPayload(t, QueryRecords, db.Records())
-		got, err := AppendResult(nil, QueryRecords, db)
+		got, err := appendResult(nil, nil, QueryRecords, db)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("%s: the database encodes to %d bytes (err %v), its Records() to %d", name, len(got), err, len(want))
 		}
-		got, err = AppendResult(prefix[:len(prefix):len(prefix)], QueryRecords, db)
+		got, err = appendResult(prefix[:len(prefix):len(prefix)], nil, QueryRecords, db)
 		if err != nil || !bytes.Equal(got, append(bytes.Clone(prefix), want...)) {
 			t.Fatalf("%s: appended to a prefix, the database encodes differently (err %v)", name, err)
 		}
@@ -173,7 +173,7 @@ func TestStoreViewsEncodeByteIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	for kind, v := range map[string]any{QueryAcctRecords: sel, QueryAcctJobs: seedDB, QueryNodePowers: seedDB, QueryRecords: sel} {
-		if got, err := AppendResult(prefix, kind, v); err == nil || !bytes.Equal(got, prefix) {
+		if got, err := appendResult(prefix, nil, kind, v); err == nil || !bytes.Equal(got, prefix) {
 			t.Errorf("%s accepted a %T (err %v, dst now %d bytes)", kind, v, err, len(got))
 		}
 	}

@@ -59,9 +59,12 @@ func TestAckErrorQueryResultRoundTrip(t *testing.T) {
 	frames := []Frame{}
 	for _, mk := range []func() (Frame, error){
 		func() (Frame, error) { return EncodeAck(Ack{BatchID: "n01/7", Accepted: 3, Duplicate: 1}) },
-		func() (Frame, error) { return EncodeError("bad batch") },
+		func() (Frame, error) { return Frame{Type: TypeError, Payload: AppendError(nil, "bad batch")}, nil },
 		func() (Frame, error) { return EncodeQuery(Query{Kind: QuerySummary, Job: "1001", Step: "0"}) },
-		func() (Frame, error) { return EncodeResult(QueryJobs, []string{"1001"}) },
+		func() (Frame, error) {
+			p, err := appendResult(nil, nil, QueryJobs, []string{"1001"})
+			return Frame{Type: TypeResult, Payload: p}, err
+		},
 	} {
 		f, err := mk()
 		if err != nil {
@@ -85,9 +88,9 @@ func TestAckErrorQueryResultRoundTrip(t *testing.T) {
 	if _, err := ReadFrame(&buf, 0); err != io.EOF {
 		t.Errorf("drained stream read = %v, want io.EOF", err)
 	}
-	a, err := frames[0].AsAck()
-	if err != nil || a.BatchID != "n01/7" || a.Accepted != 3 || a.Duplicate != 1 {
-		t.Errorf("ack = %+v, err %v", a, err)
+	id, a, err := frames[0].ack()
+	if err != nil || string(id) != "n01/7" || a.Accepted != 3 || a.Duplicate != 1 || !frames[0].AcksBatch("n01/7") {
+		t.Errorf("ack of %q = %+v, err %v", id, a, err)
 	}
 	q, err := frames[2].AsQuery()
 	if err != nil || q.Kind != QuerySummary || q.Job != "1001" {
@@ -412,10 +415,11 @@ func TestRoundTripEveryShape(t *testing.T) {
 		}
 		ack := Ack{BatchID: batch.ID, Accepted: rng.Intn(1 << 30), Duplicate: -rng.Intn(9), Replaced: round}
 		af, _ := EncodeAck(ack)
-		if got, err := af.AsAck(); err != nil || got != ack {
+		id, got, err := af.ack()
+		if got.BatchID = string(id); err != nil || got != ack || !af.AcksBatch(batch.ID) {
 			t.Fatalf("round %d: ack came back as %+v (err %v)", round, got, err)
 		}
-		ef, _ := EncodeError(batch.Node)
+		ef := Frame{Type: TypeError, Payload: AppendError(nil, batch.Node)}
 		if got, err := ef.AsError(); err != nil || got.Message != batch.Node {
 			t.Fatalf("round %d: error came back as %+v (err %v)", round, got, err)
 		}
@@ -440,11 +444,11 @@ func TestRoundTripEveryShape(t *testing.T) {
 			{QueryGeneration, gen, new(Generation)},
 			{QuerySummary, eard.JobSummary{JobID: "j", StepID: "0", Nodes: n, EnergyJ: 1e-9}, new(eard.JobSummary)},
 		} {
-			rf, err := EncodeResult(c.kind, c.in)
+			rp, err := appendResult(nil, nil, c.kind, c.in)
 			if err != nil {
 				t.Fatalf("round %d: encode %s: %v", round, c.kind, err)
 			}
-			res, err := rf.AsResult()
+			res, err := Frame{Type: TypeResult, Payload: rp}.AsResult()
 			if err != nil || res.Kind != c.kind {
 				t.Fatalf("round %d: %s result came back as kind %q (err %v)", round, c.kind, res.Kind, err)
 			}
@@ -459,16 +463,17 @@ func TestRoundTripEveryShape(t *testing.T) {
 }
 
 func TestResultShapeMismatch(t *testing.T) {
-	if _, err := EncodeResult(QueryRecords, []NodePower{}); err == nil {
+	if _, err := appendResult(nil, nil, QueryRecords, []NodePower{}); err == nil {
 		t.Error("records result encoded from node powers")
 	}
-	if _, err := EncodeResult("no_such_kind", 1); err == nil {
+	if _, err := appendResult(nil, nil, "no_such_kind", 1); err == nil {
 		t.Error("unknown result kind encoded")
 	}
-	rf, err := EncodeResult(QueryGeneration, Generation{Gen: 9})
+	p, err := appendResult(nil, nil, QueryGeneration, Generation{Gen: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rf := Frame{Type: TypeResult, Payload: p}
 	res, err := rf.AsResult()
 	if err != nil {
 		t.Fatal(err)

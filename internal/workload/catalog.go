@@ -139,7 +139,7 @@ func buildCatalog() []Spec {
 	gpu := GPUNode()
 	specs := []Spec{
 		{
-			Name: BTMZC, Class: CPUBound, ProgModel: "OpenMP", Platform: sd,
+			Name: BTMZC, Class: cpuBound, ProgModel: "OpenMP", Platform: sd,
 			Nodes: 1, ProcsPerNode: 1, ThreadsPerProc: 40, ActiveCores: 40,
 			TargetTimeSec: 145,
 			DefaultSegment: Segment{
@@ -150,7 +150,7 @@ func buildCatalog() []Spec {
 			FreqBias: 0.992, IMCBias: 0.996,
 		},
 		{
-			Name: SPMZC, Class: CPUBound, ProgModel: "OpenMP", Platform: sd,
+			Name: SPMZC, Class: cpuBound, ProgModel: "OpenMP", Platform: sd,
 			Nodes: 1, ProcsPerNode: 1, ThreadsPerProc: 40, ActiveCores: 40,
 			TargetTimeSec: 264,
 			DefaultSegment: Segment{
@@ -192,7 +192,7 @@ func buildCatalog() []Spec {
 			FreqBias:  0.777, IMCBias: 0.996,
 		},
 		{
-			Name: DGEMM, Class: CPUBound, ProgModel: "MKL", Platform: sd,
+			Name: DGEMM, Class: cpuBound, ProgModel: "MKL", Platform: sd,
 			Nodes: 1, ProcsPerNode: 1, ThreadsPerProc: 40, ActiveCores: 40,
 			TargetTimeSec: 160,
 			DefaultSegment: Segment{
@@ -206,7 +206,7 @@ func buildCatalog() []Spec {
 			FreqBias: 0.991, IMCBias: 0.996,
 		},
 		{
-			Name: BTMZMotiv, Class: CPUBound, ProgModel: "MPI", Platform: sd,
+			Name: BTMZMotiv, Class: cpuBound, ProgModel: "MPI", Platform: sd,
 			Nodes: 4, ProcsPerNode: 40, ThreadsPerProc: 1, ActiveCores: 40,
 			TargetTimeSec: 150,
 			DefaultSegment: Segment{
@@ -217,7 +217,7 @@ func buildCatalog() []Spec {
 			FreqBias: 0.992, IMCBias: 0.996,
 		},
 		{
-			Name: LUDMotiv, Class: MemBound, ProgModel: "MPI+OpenMP", Platform: sd,
+			Name: LUDMotiv, Class: memBound, ProgModel: "MPI+OpenMP", Platform: sd,
 			Nodes: 2, ProcsPerNode: 1, ThreadsPerProc: 40, ActiveCores: 40,
 			TargetTimeSec: 300,
 			DefaultSegment: Segment{
@@ -229,7 +229,7 @@ func buildCatalog() []Spec {
 			FreqBias: 0.992, IMCBias: 0.996,
 		},
 		{
-			Name: BQCD, Class: CPUBound, ProgModel: "MPI+OpenMP", Platform: sd,
+			Name: BQCD, Class: cpuBound, ProgModel: "MPI+OpenMP", Platform: sd,
 			Nodes: 4, ProcsPerNode: 10, ThreadsPerProc: 4, ActiveCores: 40,
 			TargetTimeSec: 130.54,
 			DefaultSegment: Segment{
@@ -243,7 +243,7 @@ func buildCatalog() []Spec {
 			FreqBias: 0.989, IMCBias: 0.996,
 		},
 		{
-			Name: BTMZD, Class: CPUBound, ProgModel: "MPI", Platform: sd,
+			Name: BTMZD, Class: cpuBound, ProgModel: "MPI", Platform: sd,
 			Nodes: 4, ProcsPerNode: 40, ThreadsPerProc: 1, ActiveCores: 40,
 			TargetTimeSec: 465.01,
 			DefaultSegment: Segment{
@@ -255,7 +255,7 @@ func buildCatalog() []Spec {
 			FreqBias: 0.992, IMCBias: 0.996,
 		},
 		{
-			Name: GromacsI, Class: CPUBound, ProgModel: "MPI", Platform: sd,
+			Name: GromacsI, Class: cpuBound, ProgModel: "MPI", Platform: sd,
 			Nodes: 4, ProcsPerNode: 40, ThreadsPerProc: 1, ActiveCores: 40,
 			TargetTimeSec: 313.92,
 			DefaultSegment: Segment{
@@ -269,7 +269,7 @@ func buildCatalog() []Spec {
 			FreqBias: 0.95, IMCBias: 0.996,
 		},
 		{
-			Name: GromacsII, Class: CPUBound, ProgModel: "MPI", Platform: sd,
+			Name: GromacsII, Class: cpuBound, ProgModel: "MPI", Platform: sd,
 			Nodes: 16, ProcsPerNode: 40, ThreadsPerProc: 1, ActiveCores: 40,
 			TargetTimeSec: 390.60,
 			DefaultSegment: Segment{
@@ -283,7 +283,7 @@ func buildCatalog() []Spec {
 			FreqBias: 0.954, IMCBias: 0.996,
 		},
 		{
-			Name: HPCG, Class: MemBound, ProgModel: "MPI", Platform: sd,
+			Name: HPCG, Class: memBound, ProgModel: "MPI", Platform: sd,
 			Nodes: 4, ProcsPerNode: 40, ThreadsPerProc: 1, ActiveCores: 40,
 			TargetTimeSec: 169.61,
 			DefaultSegment: Segment{
@@ -295,7 +295,7 @@ func buildCatalog() []Spec {
 			FreqBias: 0.992, IMCBias: 0.996,
 		},
 		{
-			Name: POP, Class: MemBound, ProgModel: "MPI", Platform: sd,
+			Name: POP, Class: memBound, ProgModel: "MPI", Platform: sd,
 			Nodes: 10, ProcsPerNode: 39, ThreadsPerProc: 1, ActiveCores: 39,
 			TargetTimeSec: 1533.03,
 			DefaultSegment: Segment{
@@ -307,7 +307,7 @@ func buildCatalog() []Spec {
 			FreqBias: 0.992, IMCBias: 0.98,
 		},
 		{
-			Name: DUMSES, Class: MemBound, ProgModel: "MPI+OpenMP", Platform: sd,
+			Name: DUMSES, Class: memBound, ProgModel: "MPI+OpenMP", Platform: sd,
 			Nodes: 13, ProcsPerNode: 40, ThreadsPerProc: 1, ActiveCores: 40,
 			TargetTimeSec: 813.21,
 			DefaultSegment: Segment{
@@ -319,7 +319,7 @@ func buildCatalog() []Spec {
 			FreqBias: 0.992, IMCBias: 0.996,
 		},
 		{
-			Name: AFiD, Class: MemBound, ProgModel: "MPI", Platform: sd,
+			Name: AFiD, Class: memBound, ProgModel: "MPI", Platform: sd,
 			Nodes: 15, ProcsPerNode: 39, ThreadsPerProc: 1, ActiveCores: 39,
 			TargetTimeSec: 268.22,
 			DefaultSegment: Segment{
@@ -331,7 +331,7 @@ func buildCatalog() []Spec {
 			FreqBias: 0.992, IMCBias: 0.98,
 		},
 		{
-			Name: PhaseChangeMild, Class: CPUBound, ProgModel: "MPI", Platform: sd,
+			Name: PhaseChangeMild, Class: cpuBound, ProgModel: "MPI", Platform: sd,
 			Nodes: 1, ProcsPerNode: 40, ThreadsPerProc: 1, ActiveCores: 40,
 			TargetTimeSec: 240,
 			DefaultSegment: Segment{
@@ -349,7 +349,7 @@ func buildCatalog() []Spec {
 			// Synthetic application whose behaviour flips mid-run from
 			// CPU bound to memory bound; exercises EARL's signature-
 			// change detection and the policy restart path (§V-B).
-			Name: PhaseChange, Class: MemBound, ProgModel: "MPI", Platform: sd,
+			Name: PhaseChange, Class: memBound, ProgModel: "MPI", Platform: sd,
 			Nodes: 1, ProcsPerNode: 40, ThreadsPerProc: 1, ActiveCores: 40,
 			TargetTimeSec: 240,
 			DefaultSegment: Segment{

@@ -26,8 +26,8 @@ type CurveSpec struct {
 	Ratio uint64 `json:"ratio,omitempty"`
 }
 
-// Build constructs the runtime curve.
-func (c CurveSpec) Build() (uncore.Curve, error) {
+// build constructs the runtime curve.
+func (c CurveSpec) build() (uncore.Curve, error) {
 	switch c.Type {
 	case "always_max":
 		if c.Max == 0 {
@@ -85,7 +85,7 @@ func (f SpecFile) Spec() (Spec, error) {
 	if err != nil {
 		return Spec{}, err
 	}
-	curve, err := f.HWUncore.Build()
+	curve, err := f.HWUncore.build()
 	if err != nil {
 		return Spec{}, err
 	}
@@ -114,7 +114,7 @@ func (f SpecFile) Spec() (Spec, error) {
 	if s.IMCBias == 0 {
 		s.IMCBias = 0.996
 	}
-	if err := s.Validate(); err != nil {
+	if err := s.validate(); err != nil {
 		return Spec{}, err
 	}
 	return s, nil
@@ -135,7 +135,7 @@ func LoadSpec(r io.Reader) (Spec, error) {
 func Template() SpecFile {
 	return SpecFile{
 		Name:      "my-app",
-		Class:     string(CPUBound),
+		Class:     string(cpuBound),
 		ProgModel: "MPI",
 		Platform:  "SD530",
 		Nodes:     2, ProcsPerNode: 40, ThreadsPerProc: 1, ActiveCores: 40,

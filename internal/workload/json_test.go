@@ -20,7 +20,7 @@ func TestCurveSpecBuild(t *testing.T) {
 		{CurveSpec{Type: "fixed", Ratio: 20}, 5, 20},
 	}
 	for i, c := range cases {
-		curve, err := c.spec.Build()
+		curve, err := c.spec.build()
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -40,7 +40,7 @@ func TestCurveSpecErrors(t *testing.T) {
 		{Type: "fixed"},               // missing ratio
 	}
 	for i, b := range bads {
-		if _, err := b.Build(); err == nil {
+		if _, err := b.build(); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
@@ -87,7 +87,7 @@ func TestLoadSpecRejects(t *testing.T) {
 		  "iter_period_sec":1,
 		  "default_segment":{"target_cpi":0.5,"target_gbs":10,"target_power_w":300},
 		  "hw_uncore":{"type":"bogus"}}`, // bad curve
-		`{"name":"","nodes":0,"hw_uncore":{"type":"always_max","max":24}}`, // fails Validate
+		`{"name":"","nodes":0,"hw_uncore":{"type":"always_max","max":24}}`, // fails validate
 	}
 	for i, c := range cases {
 		if _, err := LoadSpec(strings.NewReader(c)); err == nil {

@@ -34,8 +34,8 @@ type Class string
 
 // Workload classes as the paper groups them in §VI-B.
 const (
-	CPUBound    Class = "cpu-bound"
-	MemBound    Class = "mem-bound"
+	cpuBound    Class = "cpu-bound"
+	memBound    Class = "mem-bound"
 	Accelerator Class = "accelerator"
 )
 
@@ -110,8 +110,8 @@ type Spec struct {
 	IMCBias  float64
 }
 
-// Validate reports whether the spec is usable.
-func (s Spec) Validate() error {
+// validate reports whether the spec is usable.
+func (s Spec) validate() error {
 	switch {
 	case s.Name == "":
 		return fmt.Errorf("workload: empty name")
@@ -193,18 +193,9 @@ type Calibrated struct {
 	Segs      []CalSegment
 }
 
-// TotalIterations across all segments.
-func (c Calibrated) TotalIterations() int {
-	n := 0
-	for _, g := range c.Segs {
-		n += g.Iterations
-	}
-	return n
-}
-
 // Calibrate solves the model parameters for every segment.
 func (s Spec) Calibrate() (Calibrated, error) {
-	if err := s.Validate(); err != nil {
+	if err := s.validate(); err != nil {
 		return Calibrated{}, err
 	}
 	m := s.Platform.Machine
@@ -290,19 +281,11 @@ func clampRatio(r, lo, hi uint64) uint64 {
 	return r
 }
 
-// MPIEvents returns the per-iteration MPI event sequence of the
-// workload: a deterministic cycle of call-site identifiers that Dynais
-// consumes to detect the outer loop. Non-MPI workloads return nil.
-func (s Spec) MPIEvents() []uint32 {
-	if s.MPICallsPerIter == 0 {
-		return nil
-	}
-	return s.AppendMPIEvents(make([]uint32, 0, s.MPICallsPerIter))
-}
-
-// AppendMPIEvents writes the iteration's call-site sequence into dst
-// (reusing its capacity) and returns the result. It lets per-run state
-// that is recycled across runs keep one event buffer instead of
+// AppendMPIEvents writes the per-iteration MPI event sequence of the
+// workload into dst (reusing its capacity) and returns the result: a
+// deterministic cycle of call-site identifiers that Dynais consumes to
+// detect the outer loop, empty for non-MPI workloads. Per-run state
+// that is recycled across runs keeps one event buffer instead of
 // reallocating per iteration or per run.
 func (s Spec) AppendMPIEvents(dst []uint32) []uint32 {
 	dst = dst[:0]

@@ -16,7 +16,7 @@ func TestCatalogAllValid(t *testing.T) {
 		t.Fatalf("catalogue has %d entries, want >= 14", len(cat))
 	}
 	for _, s := range cat {
-		if err := s.Validate(); err != nil {
+		if err := s.validate(); err != nil {
 			t.Errorf("%s: %v", s.Name, err)
 		}
 	}
@@ -35,7 +35,9 @@ func TestCatalogCalibratesEverywhere(t *testing.T) {
 			}
 			// At the nominal operating point, each segment must
 			// reproduce its published signature through the models.
+			iters := 0
 			for i, g := range c.Segs {
+				iters += g.Iterations
 				res, err := perf.Evaluate(s.Platform.Machine, g.Phase, c.NominalOp)
 				if err != nil {
 					t.Fatalf("segment %d: %v", i, err)
@@ -71,7 +73,7 @@ func TestCatalogCalibratesEverywhere(t *testing.T) {
 			}
 			// Total simulated duration at nominal must land near the
 			// published time.
-			wall := float64(c.TotalIterations()) * s.IterPeriodSec
+			wall := float64(iters) * s.IterPeriodSec
 			if math.Abs(wall-s.TargetTimeSec) > 0.02*s.TargetTimeSec {
 				t.Errorf("nominal wall time = %v, want %v", wall, s.TargetTimeSec)
 			}
@@ -84,7 +86,7 @@ func TestLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Class != MemBound {
+	if s.Class != memBound {
 		t.Errorf("HPCG class = %v, want mem-bound", s.Class)
 	}
 	if _, err := Lookup("nope"); err == nil {
@@ -166,7 +168,7 @@ func TestValidateRejects(t *testing.T) {
 	for i, mut := range muts {
 		s := base
 		mut(&s)
-		if err := s.Validate(); err == nil {
+		if err := s.validate(); err == nil {
 			t.Errorf("mutation %d: expected error", i)
 		}
 	}
@@ -179,7 +181,7 @@ func TestValidateSegmentFractions(t *testing.T) {
 	}
 	s.Segments[0].FracIters = 0.2 // sums to 0.7
 	defer func() { s.Segments[0].FracIters = 0.5 }()
-	if err := s.Validate(); err == nil {
+	if err := s.validate(); err == nil {
 		t.Error("expected error for fractions not summing to 1")
 	}
 }
@@ -197,8 +199,8 @@ func TestPhaseChangeSegments(t *testing.T) {
 		t.Fatalf("segments = %d, want 2", len(c.Segs))
 	}
 	// Iterations split roughly evenly and cover the total.
-	if c.Segs[0].Iterations+c.Segs[1].Iterations != c.TotalIterations() {
-		t.Error("segment iterations do not sum to total")
+	if total := int(math.Round(s.TargetTimeSec / s.IterPeriodSec)); c.Segs[0].Iterations+c.Segs[1].Iterations != total {
+		t.Errorf("segment iterations %d + %d do not sum to the run's %d", c.Segs[0].Iterations, c.Segs[1].Iterations, total)
 	}
 	if d := c.Segs[0].Iterations - c.Segs[1].Iterations; d < -1 || d > 1 {
 		t.Errorf("uneven split: %d vs %d", c.Segs[0].Iterations, c.Segs[1].Iterations)
@@ -210,7 +212,7 @@ func TestMPIEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := s.MPIEvents()
+	ev := s.AppendMPIEvents(nil)
 	if len(ev) != s.MPICallsPerIter {
 		t.Fatalf("events = %d, want %d", len(ev), s.MPICallsPerIter)
 	}
@@ -223,7 +225,7 @@ func TestMPIEvents(t *testing.T) {
 		}
 		seen[e] = true
 	}
-	ev2 := s.MPIEvents()
+	ev2 := s.AppendMPIEvents(make([]uint32, 3, 64))
 	for i := range ev {
 		if ev[i] != ev2[i] {
 			t.Error("event stream not deterministic")
@@ -231,12 +233,12 @@ func TestMPIEvents(t *testing.T) {
 	}
 	// Different workloads get different id spaces.
 	s2, _ := Lookup(HPCG)
-	if s2.MPIEvents()[0] == ev[0] {
+	if s2.AppendMPIEvents(nil)[0] == ev[0] {
 		t.Error("different workloads share call-site ids")
 	}
 	// Non-MPI workloads have none.
 	k, _ := Lookup(BTMZC)
-	if k.MPIEvents() != nil {
+	if len(k.AppendMPIEvents(nil)) != 0 {
 		t.Error("OpenMP kernel must have no MPI events")
 	}
 }
