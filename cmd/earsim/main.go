@@ -21,11 +21,11 @@ import (
 	"io"
 	"net"
 	"os"
-	"runtime"
 
 	"goear/internal/earconf"
 	"goear/internal/eard"
 	"goear/internal/eargm"
+	"goear/internal/experiments"
 	"goear/internal/model"
 	"goear/internal/sim"
 	"goear/internal/telemetry"
@@ -139,6 +139,9 @@ func run(args []string, out io.Writer) error {
 		return enc.Encode(workload.Template())
 	}
 
+	if *runs < 1 {
+		return fmt.Errorf("-runs must be >= 1 (got %d)", *runs)
+	}
 	var spec workload.Spec
 	var err error
 	if *specPath != "" {
@@ -157,10 +160,6 @@ func run(args []string, out io.Writer) error {
 	if *nodes > 0 {
 		spec.Nodes = *nodes
 	}
-	cal, err := spec.Calibrate()
-	if err != nil {
-		return err
-	}
 
 	opt := sim.Options{
 		Policy:       *pol,
@@ -172,9 +171,6 @@ func run(args []string, out io.Writer) error {
 		MinWindowSec: conf.MinSignatureWindowSec,
 		SigChangeTh:  conf.SignatureChangeTh,
 		DecisionLog:  telemetry.Enabled(),
-		// Fan-out follows the machine; results are byte-identical at
-		// any worker count.
-		Workers: runtime.GOMAXPROCS(0),
 	}
 	if *pinCPU >= 0 {
 		opt.FixedCPUPstate = pinCPU
@@ -183,30 +179,30 @@ func run(args []string, out io.Writer) error {
 		r := units.Freq(*pinUnc * 1e9).Ratio(100 * units.MHz)
 		opt.FixedUncoreRatio = &r
 	}
-	if *pol != "none" && *pol != "" {
-		m, err := loadOrTrain(*modelPath, cal.Platform)
+	if *pol != "none" && *pol != "" && *modelPath != "" {
+		m, err := loadModel(*modelPath)
 		if err != nil {
 			return err
 		}
 		opt.Model = m
 	}
 
+	// The context calibrates the spec, trains its platform's model when
+	// no -model is given, and fans out over GOMAXPROCS; results are
+	// byte-identical at any worker count.
+	ctx := &experiments.Context{Runs: *runs}
 	var res sim.Result
 	if *powercapW > 0 {
-		gm, err := eargm.New(eargm.Config{BudgetW: *powercapW, MaxCapPstate: 10})
-		if err != nil {
-			return err
-		}
-		res, err = sim.RunCoordinated(cal, opt, gm)
+		var st eargm.Stats
+		res, st, err = ctx.RunPowercapped(spec, opt, eargm.Config{BudgetW: *powercapW, MaxCapPstate: 10})
 		if err != nil {
 			return err
 		}
 		printResult(out, "run (powercapped)", res)
-		st := gm.Stats()
 		fmt.Fprintf(out, "  powercap   %9.2f W budget, peak %.2f W, over budget %.1f%% of intervals, final cap p%d\n",
 			*powercapW, st.PeakW, st.OverBudgetPct, st.FinalCap)
 	} else {
-		res, err = sim.RunAveraged(cal, opt, *runs)
+		res, err = ctx.RunSpec(spec, opt)
 		if err != nil {
 			return err
 		}
@@ -220,7 +216,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *compare {
-		base, err := sim.RunAveraged(cal, sim.Baseline(), *runs)
+		base, err := ctx.RunSpec(spec, sim.Baseline())
 		if err != nil {
 			return err
 		}
@@ -263,10 +259,8 @@ func writeTrace(w io.Writer, trace []sim.TracePoint) error {
 	return nil
 }
 
-func loadOrTrain(path string, pl workload.Platform) (*model.Model, error) {
-	if path == "" {
-		return model.TrainForCPU(pl.Machine, pl.Power)
-	}
+// loadModel reads an energy model written by earctl learn.
+func loadModel(path string) (*model.Model, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err

@@ -95,6 +95,10 @@ func TestErrors(t *testing.T) {
 	if err := run([]string{"-model", "/does/not/exist", "-policy", "min_energy"}, &b); err == nil {
 		t.Error("expected error for missing model file")
 	}
+	// The context reads Runs 0 as the paper's three; the flag must not.
+	if err := run([]string{"-workload", "BT-MZ.C", "-runs", "0"}, &b); err == nil {
+		t.Error("expected error for -runs 0")
+	}
 }
 
 func TestAccountingFlow(t *testing.T) {
@@ -193,6 +197,22 @@ func TestSpecTemplateAndCustomSpec(t *testing.T) {
 	// Missing file errors.
 	if err := run([]string{"-spec", filepath.Join(dir, "missing.json")}, &b2); err == nil {
 		t.Error("expected error for missing spec file")
+	}
+}
+
+// TestSpecTemplateGolden pins the workload file format byte for byte:
+// a definition written against it must keep loading.
+func TestSpecTemplateGolden(t *testing.T) {
+	var b strings.Builder
+	if err := run([]string{"-spec-template"}, &b); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "spec_template.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != string(want) {
+		t.Errorf("-spec-template differs from testdata/spec_template.json\ngot:\n%s\nwant:\n%s", b.String(), want)
 	}
 }
 

@@ -28,7 +28,6 @@ import (
 
 	"goear/internal/eargm"
 	"goear/internal/experiments"
-	"goear/internal/model"
 	"goear/internal/policy"
 	"goear/internal/report"
 	"goear/internal/sim"
@@ -62,8 +61,10 @@ type Config struct {
 	NotGuided bool
 	// Seed drives measurement noise.
 	Seed int64
-	// FixedCPUPstate pins the CPU pstate when >= 0 (set -1 or leave the
-	// zero value's companion Fixed* fields unset to disable).
+	// FixedCPUPstate pins the CPU pstate when > 0. Zero pins pstate 1
+	// (nominal) if FixedUncoreGHz is set and nothing otherwise, so
+	// pstate 0 (turbo) cannot be pinned here; a negative value pins
+	// nothing.
 	FixedCPUPstate int
 	// FixedUncoreGHz pins the uncore frequency when > 0.
 	FixedUncoreGHz float64
@@ -209,7 +210,8 @@ func (s *Session) Compare(name string, cfg Config) (Comparison, error) {
 
 // RunSpecFile executes a user-defined workload (the JSON format of
 // `earsim -spec`, see `earsim -spec-template`) under the configuration.
-// Results are not cached across calls.
+// It shares the session's caches with Run: a definition equal to one
+// already run — or to a catalogue entry — is served from them.
 func (s *Session) RunSpecFile(path string, cfg Config) (Result, error) {
 	if s == nil || s.ctx == nil {
 		return Result{}, fmt.Errorf("goear: use NewSession")
@@ -223,15 +225,7 @@ func (s *Session) RunSpecFile(path string, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	opt := cfg.toOptions()
-	if opt.Policy != "" && opt.Policy != PolicyNone {
-		m, err := model.TrainForCPU(spec.Platform.Machine, spec.Platform.Power)
-		if err != nil {
-			return Result{}, err
-		}
-		opt.Model = m
-	}
-	r, err := sim.RunSpec(spec, opt)
+	r, err := s.ctx.RunSpec(spec, cfg.toOptions())
 	if err != nil {
 		return Result{}, err
 	}
@@ -258,7 +252,11 @@ func (s *Session) RunPowercapped(name string, cfg Config, budgetW float64) (Powe
 	if s == nil || s.ctx == nil {
 		return PowercapResult{}, fmt.Errorf("goear: use NewSession")
 	}
-	r, st, err := s.ctx.RunPowercapped(name, cfg.toOptions(), eargm.Config{
+	spec, err := workload.Lookup(name)
+	if err != nil {
+		return PowercapResult{}, err
+	}
+	r, st, err := s.ctx.RunPowercapped(spec, cfg.toOptions(), eargm.Config{
 		BudgetW:      budgetW,
 		MaxCapPstate: 10,
 	})

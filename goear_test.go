@@ -122,6 +122,36 @@ func TestFixedOperatingPoint(t *testing.T) {
 	}
 }
 
+// TestToOptionsPins holds the facade's pinning rule: a positive
+// FixedCPUPstate pins that pstate, zero pins pstate 1 only beside a
+// pinned uncore, and a negative value pins nothing.
+func TestToOptionsPins(t *testing.T) {
+	for _, c := range []struct {
+		pstate int
+		ghz    float64
+		wantP  int // -1: not pinned
+		wantR  uint64
+	}{
+		{0, 0, -1, 0},
+		{3, 0, 3, 0},
+		{0, 1.8, 1, 18},
+		{-1, 1.8, -1, 18},
+	} {
+		o := Config{FixedCPUPstate: c.pstate, FixedUncoreGHz: c.ghz}.toOptions()
+		gotP := -1
+		if o.FixedCPUPstate != nil {
+			gotP = *o.FixedCPUPstate
+		}
+		var gotR uint64
+		if o.FixedUncoreRatio != nil {
+			gotR = *o.FixedUncoreRatio
+		}
+		if gotP != c.wantP || gotR != c.wantR {
+			t.Errorf("{%d, %g}: pstate %d ratio %d, want %d and %d", c.pstate, c.ghz, gotP, gotR, c.wantP, c.wantR)
+		}
+	}
+}
+
 func TestExperimentRendering(t *testing.T) {
 	out, err := session().Experiment("table2")
 	if err != nil {

@@ -37,7 +37,7 @@ func (c *Context) ablations() ([]report.Table, error) {
 // stated reason for preferring it.
 func (c *Context) ablationSearch() ([]report.Table, error) {
 	name := workload.BTCUDA
-	base, err := c.baseline(name)
+	base, err := c.Run(name, sim.Baseline())
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +117,7 @@ func (c *Context) ablationSigChange() ([]report.Table, error) {
 	return tabulate(c, "Ablation A5: signature-change threshold (min_energy_eufs)",
 		[]string{"workload", "sig_th", "policy applies", "time penalty", "energy saving"},
 		cells, func(cl cell) ([]string, error) {
-			base, err := c.baseline(cl.name)
+			base, err := c.Run(cl.name, sim.Baseline())
 			if err != nil {
 				return nil, err
 			}

@@ -17,7 +17,9 @@ package experiments
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sort"
+	"sync"
 
 	"goear/internal/eargm"
 	"goear/internal/model"
@@ -26,10 +28,12 @@ import (
 	"goear/internal/workload"
 )
 
-// Context carries experiment configuration and caches.
+// Context carries experiment configuration and caches. Its caches key
+// on values, not names: a model on the workload.Platform, a calibration
+// and a run on the spec's ID (specID).
 type Context struct {
-	// Runs is the number of averaged runs per configuration (the paper
-	// uses three).
+	// Runs is the number of averaged runs per configuration; 0 means the
+	// paper's three.
 	Runs int
 	// Parallel bounds the goroutines fanned out over independent
 	// simulation work (table rows, averaged seeds, cluster nodes):
@@ -40,8 +44,8 @@ type Context struct {
 	// Each cache counts its own requests and computations (Stats reads
 	// them); with global telemetry enabled the same activity is mirrored
 	// into the goear_experiments_cache_* families across all contexts.
-	models flight[string, *model.Model]
-	cals   flight[string, workload.Calibrated]
+	models flight[workload.Platform, *model.Model]
+	cals   flight[uint64, workload.Calibrated]
 	runs   flight[runKey, sim.Result]
 }
 
@@ -56,12 +60,8 @@ func NewQuick() *Context { return &Context{Runs: 1} }
 // cache, so benchmarks re-execute simulations without re-training.
 func NewFrom(src *Context) *Context {
 	c := &Context{Runs: src.Runs, Parallel: src.Parallel}
-	for k, v := range src.models.snapshot() {
-		c.models.seed(k, v)
-	}
-	for k, v := range src.cals.snapshot() {
-		c.cals.seed(k, v)
-	}
+	c.models.share(&src.models)
+	c.cals.share(&src.cals)
 	return c
 }
 
@@ -73,22 +73,45 @@ func (c *Context) runCount() int {
 	return c.Runs
 }
 
-// cal returns the cached calibration of a catalogue workload,
-// calibrating it exactly once however many goroutines ask.
-func (c *Context) cal(name string) (workload.Calibrated, error) {
-	return c.cals.do(calCache, name, func() (workload.Calibrated, error) {
-		spec, err := workload.Lookup(name)
-		if err != nil {
-			return workload.Calibrated{}, err
-		}
+// specID is a spec's identity: the FNV-64a digest of its %#v rendering,
+// which spells out every field, floats in shortest round-trip form
+// (TestSpecIDCoversEveryField).
+func specID(s workload.Spec) uint64 {
+	h := fnv.New64a()
+	_, _ = fmt.Fprintf(h, "%#v", s) // hash writes cannot fail
+	return h.Sum64()
+}
+
+// catalogIDs maps each catalogue name to its spec's ID, digested once
+// per process; a calibration miss looks the spec up.
+var catalogIDs = sync.OnceValue(func() map[string]uint64 {
+	cat := workload.Catalog()
+	ids := make(map[string]uint64, len(cat))
+	for _, s := range cat {
+		ids[s.Name] = specID(s)
+	}
+	return ids
+})
+
+// catalogCal returns the ID and cached calibration of a catalogue
+// workload, calibrating it exactly once however many goroutines ask.
+func (c *Context) catalogCal(name string) (uint64, workload.Calibrated, error) {
+	id, ok := catalogIDs()[name]
+	if !ok {
+		_, err := workload.Lookup(name) // not in the catalogue: Lookup's error names it
+		return 0, workload.Calibrated{}, err
+	}
+	calw, err := c.cals.do(calCache, id, func() (workload.Calibrated, error) {
+		spec, _ := workload.Lookup(name) // cannot fail: catalogIDs has the name
 		return spec.Calibrate()
 	})
+	return id, calw, err
 }
 
 // modelFor returns the (lazily trained) energy model of a platform,
 // training it exactly once however many goroutines ask.
 func (c *Context) modelFor(pl workload.Platform) (*model.Model, error) {
-	return c.models.do(modelCache, pl.Name, func() (*model.Model, error) {
+	return c.models.do(modelCache, pl, func() (*model.Model, error) {
 		m, err := model.TrainForCPU(pl.Machine, pl.Power)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: training model for %s: %w", pl.Name, err)
@@ -111,16 +134,16 @@ func deref[T comparable](p *T) set[T] {
 	return set[T]{*p, true}
 }
 
-// runKey is the identity of a cached run: workload, averaged run count
+// runKey is the identity of a cached run: spec ID, averaged run count
 // and the options. opt is the defaulted sim.Options with every pointer
-// field nil — its pointee is compared through the field of the same
-// name below — and the fields that cannot change a result (Model, which
-// follows from the workload's platform; Workers; ReferenceStep) zeroed.
-// So a field added to sim.Options is part of the key by construction;
-// one that must not be (or is a pointer) has to be handled in keyOf,
-// and TestRunKeyCoversOptions fails until it is.
+// field but Model (compared by identity) nil — its pointee is compared
+// through the field of the same name below — and the fields that cannot
+// change a result (Workers, ReferenceStep) zeroed. So a field added to
+// sim.Options is part of the key by construction; one that must not be
+// (or is a pointer) has to be handled in keyOf, and
+// TestRunKeyCoversOptions fails until it is.
 type runKey struct {
-	name string
+	spec uint64
 	runs int
 	opt  sim.Options
 
@@ -132,61 +155,80 @@ type runKey struct {
 // keyOf builds the cache key of a run. The options are resolved to
 // their defaults first, so an unset threshold and an explicitly supplied
 // default share a cache entry — they run identically.
-func keyOf(name string, o sim.Options, runs int) runKey {
+func keyOf(spec uint64, o sim.Options, runs int) runKey {
 	o = o.WithDefaults()
 	k := runKey{
-		name: name, runs: runs,
+		spec: spec, runs: runs,
 		cpuTh: deref(o.CPUTh), uncTh: deref(o.UncTh),
 		fixedCPUPstate:   deref(o.FixedCPUPstate),
 		fixedUncoreRatio: deref(o.FixedUncoreRatio),
 	}
 	o.CPUTh, o.UncTh = nil, nil
 	o.FixedCPUPstate, o.FixedUncoreRatio = nil, nil
-	o.Model, o.Workers, o.ReferenceStep = nil, 0, false
+	o.Workers, o.ReferenceStep = 0, false
 	k.opt = o
 	return k
 }
 
-// prepare resolves what every run of a catalogue workload needs: its
-// calibration, the platform's trained model when a policy is requested,
+// prepare completes the options of a run of calw: the platform's
+// trained model when a policy is requested and the caller brought none,
 // and the context's fan-out bound.
-func (c *Context) prepare(name string, opt sim.Options) (workload.Calibrated, sim.Options, error) {
-	calw, err := c.cal(name)
-	if err != nil {
-		return workload.Calibrated{}, opt, err
-	}
-	if opt.Policy != "" && opt.Policy != "none" {
+func (c *Context) prepare(calw workload.Calibrated, opt sim.Options) (sim.Options, error) {
+	if opt.Policy != "" && opt.Policy != "none" && opt.Model == nil {
 		m, err := c.modelFor(calw.Platform)
 		if err != nil {
-			return workload.Calibrated{}, opt, err
+			return opt, err
 		}
 		opt.Model = m
 	}
 	opt.Workers = c.workers()
-	return calw, opt, nil
+	return opt, nil
 }
 
-// Run executes (or recalls) an averaged run of the named catalogue
-// workload, supplying the platform's trained model when a policy is
-// requested. Concurrent callers with the same configuration share one
-// execution.
-func (c *Context) Run(name string, opt sim.Options) (sim.Result, error) {
-	calw, opt, err := c.prepare(name, opt)
+// run executes (or recalls) an averaged run of the spec with ID id.
+func (c *Context) run(id uint64, calw workload.Calibrated, opt sim.Options) (sim.Result, error) {
+	opt, err := c.prepare(calw, opt)
 	if err != nil {
 		return sim.Result{}, err
 	}
 	runs := c.runCount()
-	return c.runs.do(runCache, keyOf(name, opt, runs), func() (sim.Result, error) {
+	return c.runs.do(runCache, keyOf(id, opt, runs), func() (sim.Result, error) {
 		return sim.RunAveraged(calw, opt, runs)
 	})
 }
 
-// RunPowercapped executes the workload under a cluster power budget
-// enforced by an EARGM instance (EAR's energy-control service). Results
-// are not cached: the manager's trace is part of the outcome.
-func (c *Context) RunPowercapped(name string, opt sim.Options, gmCfg eargm.Config) (sim.Result, eargm.Stats, error) {
-	calw, opt, err := c.prepare(name, opt)
+// Run executes (or recalls) an averaged run of the named catalogue
+// workload, supplying the platform's trained model when a policy is
+// requested and opt carries none. Concurrent callers with the same
+// configuration share one execution.
+func (c *Context) Run(name string, opt sim.Options) (sim.Result, error) {
+	id, calw, err := c.catalogCal(name)
 	if err != nil {
+		return sim.Result{}, err
+	}
+	return c.run(id, calw, opt)
+}
+
+// RunSpec is Run for a spec value; one equal to a catalogue entry
+// shares that entry's calibration and runs.
+func (c *Context) RunSpec(spec workload.Spec, opt sim.Options) (sim.Result, error) {
+	id := specID(spec)
+	calw, err := c.cals.do(calCache, id, spec.Calibrate)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	return c.run(id, calw, opt)
+}
+
+// RunPowercapped executes the spec under a cluster power budget
+// enforced by an EARGM instance (EAR's energy-control service). Runs
+// are not cached: the manager's trace is part of the outcome.
+func (c *Context) RunPowercapped(spec workload.Spec, opt sim.Options, gmCfg eargm.Config) (sim.Result, eargm.Stats, error) {
+	calw, err := c.cals.do(calCache, specID(spec), spec.Calibrate)
+	if err != nil {
+		return sim.Result{}, eargm.Stats{}, err
+	}
+	if opt, err = c.prepare(calw, opt); err != nil {
 		return sim.Result{}, eargm.Stats{}, err
 	}
 	gm, err := eargm.New(gmCfg)
@@ -200,15 +242,9 @@ func (c *Context) RunPowercapped(name string, opt sim.Options, gmCfg eargm.Confi
 	return r, gm.Stats(), nil
 }
 
-// baseline is the paper's reference: nominal CPU frequency, hardware
-// UFS, no policy.
-func (c *Context) baseline(name string) (sim.Result, error) {
-	return c.Run(name, sim.Baseline())
-}
-
 // compare runs a configuration and returns its Delta against baseline.
 func (c *Context) compare(name string, opt sim.Options) (sim.Delta, error) {
-	base, err := c.baseline(name)
+	base, err := c.Run(name, sim.Baseline())
 	if err != nil {
 		return sim.Delta{}, err
 	}

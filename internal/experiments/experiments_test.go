@@ -312,22 +312,28 @@ func fill(t *testing.T, v reflect.Value, seed int) {
 
 // TestRunKeyCoversOptions walks sim.Options by reflection so the next
 // option cannot alias silently: in the key's copy of the options every
-// pointer field is nil, every other field either carries the caller's
-// value or is one of the few that cannot change a result, and every
-// pointer option's pointee decides the key by value.
+// pointer field but Model is nil, every other field either carries the
+// caller's value or is one of the few that cannot change a result, every
+// pointer option's pointee decides the key by value, and Model decides
+// it by identity.
 func TestRunKeyCoversOptions(t *testing.T) {
-	neutral := map[string]bool{"Model": true, "Workers": true, "ReferenceStep": true}
-	o := sim.Options{Model: &model.Model{}} // never compared, so its content is left alone
+	neutral := map[string]bool{"Workers": true, "ReferenceStep": true}
+	o := sim.Options{Model: &model.Model{}} // compared by identity, so its content is left alone
 	for v, i := reflect.ValueOf(&o).Elem(), 0; i < v.NumField(); i++ {
 		if v.Type().Field(i).Name != "Model" {
 			fill(t, v.Field(i), 3)
 		}
 	}
-	key := keyOf("w", o, 1)
+	const w = 0x77
+	key := keyOf(w, o, 1)
 	in, got := reflect.ValueOf(o), reflect.ValueOf(key.opt)
 	for i := 0; i < in.NumField(); i++ {
 		f := in.Type().Field(i)
 		switch {
+		case f.Name == "Model":
+			if key.opt.Model != o.Model {
+				t.Error("Model: the key does not hold the caller's model")
+			}
 		case f.Type.Kind() == reflect.Pointer:
 			if !got.Field(i).IsNil() {
 				t.Errorf("%s: pointer left in the key — compares by address", f.Name)
@@ -339,28 +345,33 @@ func TestRunKeyCoversOptions(t *testing.T) {
 		case !got.Field(i).Equal(in.Field(i)):
 			t.Errorf("%s: the key holds %v, the options %v", f.Name, got.Field(i), in.Field(i))
 		}
-		if f.Type.Kind() != reflect.Pointer || neutral[f.Name] {
+		if f.Type.Kind() != reflect.Pointer || f.Name == "Model" {
 			continue
 		}
 		same, other := o, o
 		fill(t, reflect.ValueOf(&same).Elem().Field(i), 3)
 		fill(t, reflect.ValueOf(&other).Elem().Field(i), 4)
-		if keyOf("w", same, 1) != key {
+		if keyOf(w, same, 1) != key {
 			t.Errorf("%s: an equal value behind another pointer changes the key", f.Name)
 		}
-		if keyOf("w", other, 1) == key {
+		if keyOf(w, other, 1) == key {
 			t.Errorf("%s: the pointee is not part of the key", f.Name)
 		}
 		reflect.ValueOf(&other).Elem().Field(i).SetZero()
-		if keyOf("w", other, 1) == key {
+		if keyOf(w, other, 1) == key {
 			t.Errorf("%s: unset and set share a key", f.Name)
 		}
 	}
-	if keyOf("v", o, 1) == key || keyOf("w", o, 2) == key {
-		t.Error("workload and run count must be part of the key")
+	other := o
+	other.Model = &model.Model{}
+	if keyOf(w, other, 1) == key {
+		t.Error("Model: another model shares the key")
+	}
+	if keyOf(w+1, o, 1) == key || keyOf(w, o, 2) == key {
+		t.Error("spec and run count must be part of the key")
 	}
 	// Defaults are resolved first: unset and the explicit default agree.
-	if keyOf("w", sim.Options{}, 1) != keyOf("w", sim.Options{Policy: "none", CPUTh: sim.F(0.05)}, 1) {
+	if keyOf(w, sim.Options{}, 1) != keyOf(w, sim.Options{Policy: "none", CPUTh: sim.F(0.05)}, 1) {
 		t.Error("an explicit default and an unset option have different keys")
 	}
 }

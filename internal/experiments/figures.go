@@ -33,7 +33,7 @@ func (c *Context) fig1() ([]report.Table, error) {
 			return nil, err
 		}
 
-		cal, err := c.cal(name)
+		_, cal, err := c.catalogCal(name)
 		if err != nil {
 			return nil, err
 		}

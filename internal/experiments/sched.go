@@ -67,32 +67,20 @@ func (f *flight[K, V]) len() int {
 	return len(f.m)
 }
 
-// seed pre-completes key with a known value (used to share immutable
-// results across contexts).
-func (f *flight[K, V]) seed(key K, v V) {
-	c := &call[V]{val: v}
-	c.once.Do(func() {})
-	c.done.Store(true)
-	f.mu.Lock()
-	if f.m == nil {
-		f.m = map[K]*call[V]{}
-	}
-	f.m[key] = c
-	f.mu.Unlock()
-}
-
-// snapshot returns the successfully completed entries; in-flight and
+// share gives the empty f src's successfully completed entries: a done
+// call is immutable, so both caches hold the same one. In-flight and
 // failed computations are skipped.
-func (f *flight[K, V]) snapshot() map[K]V {
+func (f *flight[K, V]) share(src *flight[K, V]) {
+	src.mu.Lock()
+	defer src.mu.Unlock()
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make(map[K]V, len(f.m))
-	for k, c := range f.m {
+	f.m = make(map[K]*call[V], len(src.m))
+	for k, c := range src.m {
 		if c.done.Load() && c.err == nil {
-			out[k] = c.val
+			f.m[k] = c
 		}
 	}
-	return out
 }
 
 // CacheStats reports the context's cache population and how much work

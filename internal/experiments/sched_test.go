@@ -40,9 +40,13 @@ func TestFlightSnapshotSkipsErrors(t *testing.T) {
 	var f flight[string, int]
 	f.do(runCache, "good", func() (int, error) { return 1, nil })
 	f.do(runCache, "bad", func() (int, error) { return 0, errTest })
-	snap := f.snapshot()
-	if len(snap) != 1 || snap["good"] != 1 {
-		t.Fatalf("snapshot = %v, want only the good entry", snap)
+	var shared flight[string, int]
+	shared.share(&f)
+	if v, err := shared.do(runCache, "good", func() (int, error) { return 2, nil }); shared.len() != 1 || v != 1 || err != nil {
+		t.Fatalf("shared %d entries, good = %d, %v; want only the good entry, 1", shared.len(), v, err)
+	}
+	if shared.computes.Value() != 0 {
+		t.Error("a shared entry was computed again")
 	}
 	// Errors are cached: a second call must not re-run the function.
 	ran := false

@@ -32,7 +32,7 @@ func (c *Context) table2() ([]report.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			r, err := c.baseline(name)
+			r, err := c.Run(name, sim.Baseline())
 			if err != nil {
 				return nil, err
 			}
@@ -72,7 +72,7 @@ func (c *Context) freqDomains(title, first string, names []string, seed int64) (
 	t := report.Table{Title: title, Columns: []string{first, "dom", "No policy", "ME", "ME+eU"}}
 	type row struct{ base, me, eu sim.Result }
 	rows, err := mapRows(c, names, func(name string) (row, error) {
-		base, err := c.baseline(name)
+		base, err := c.Run(name, sim.Baseline())
 		if err != nil {
 			return row{}, err
 		}
@@ -118,7 +118,7 @@ func (c *Context) table5() ([]report.Table, error) {
 	return tabulate(c, "Table V: MPI applications",
 		[]string{"application", "time (s)", "CPI", "GB/s", "avg DC power (W)"},
 		workload.Applications(), func(name string) ([]string, error) {
-			r, err := c.baseline(name)
+			r, err := c.Run(name, sim.Baseline())
 			if err != nil {
 				return nil, err
 			}

@@ -34,11 +34,6 @@ type node struct {
 	rapl      power.Rapl
 	inm       power.NodeManager
 
-	// curve adapts the workload's HW heuristic curve. It captures the
-	// node (not the workload), so one closure allocation serves every
-	// run the node is recycled for.
-	curve uncore.Curve
-
 	// Everything a replayed tick touches sits together from here to
 	// armed: a 1,024-node sweep walks these bytes once per tick, so the
 	// fewer cache lines they span the cheaper the sweep.
@@ -290,9 +285,6 @@ func (n *node) init(cal workload.Calibrated, nodeID int, opt Options) error {
 	n.lib = nil
 	n.mpiEvents = cal.AppendMPIEvents(n.mpiEvents)
 	n.nctl.n = n
-	if n.curve == nil {
-		n.curve = n.hwCurve()
-	}
 
 	seed := opt.Seed*1000003 + int64(nodeID)*7907 + 1
 	if n.rng == nil {
@@ -323,7 +315,7 @@ func (n *node) init(cal workload.Calibrated, nodeID int, opt Options) error {
 			return err
 		}
 		ctl := &n.ctlStore[s]
-		if err := ctl.Init(sock.MSR, n.curve); err != nil {
+		if err := ctl.Init(sock.MSR, cal.HWUncore); err != nil {
 			return err
 		}
 		n.sockets[s], n.ctls[s], n.files[s] = sock, ctl, sock.MSR
@@ -384,12 +376,6 @@ func (n *node) init(cal workload.Calibrated, nodeID int, opt Options) error {
 		n.lib = lib
 	}
 	return nil
-}
-
-// hwCurve adapts the workload's heuristic-response curve; the paper's
-// per-workload curves were calibrated against effective core ratios.
-func (n *node) hwCurve() uncore.Curve {
-	return func(core uint64) uint64 { return n.cal.HWUncore(core) }
 }
 
 // evalAt returns the cached steady-state behaviour at the node's

@@ -259,15 +259,6 @@ func runNodesPar(cal workload.Calibrated, opt Options, out []NodeResult) error {
 	})
 }
 
-// RunSpec calibrates and runs a workload spec.
-func RunSpec(spec workload.Spec, opt Options) (Result, error) {
-	cal, err := spec.Calibrate()
-	if err != nil {
-		return Result{}, err
-	}
-	return Run(cal, opt)
-}
-
 // RunAveraged performs the paper's measurement protocol: several runs
 // with different seeds, averaged. The per-node detail of the last run
 // is retained. The runs execute concurrently up to Options.Workers;

@@ -309,25 +309,6 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestRunSpecConvenience(t *testing.T) {
-	spec, err := workload.Lookup(workload.BTMZC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := RunSpec(spec, Options{Policy: "none", Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Workload != workload.BTMZC {
-		t.Errorf("workload = %q", r.Workload)
-	}
-	bad := spec
-	bad.Nodes = 0
-	if _, err := RunSpec(bad, Options{}); err == nil {
-		t.Error("expected calibration error")
-	}
-}
-
 func TestUncoreWindowNeverExceedsHardware(t *testing.T) {
 	// Whatever the policy does, the final MSR window must stay inside
 	// the hardware range on every node.

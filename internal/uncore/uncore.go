@@ -29,45 +29,77 @@ import (
 const tickSeconds = 0.010
 
 // Curve maps the effective (licence-resolved) core ratio to the uncore
-// ratio the silicon heuristic aims for, before MSR clamping.
-type Curve func(coreRatio uint64) uint64
+// ratio the silicon heuristic aims for, before MSR clamping (Target). It
+// is a comparable value, serialised as a workload file's "hw_uncore";
+// the zero Curve is invalid.
+type Curve struct {
+	// Type selects the curve family: "always_max", "follow_core",
+	// "step" or "fixed".
+	Type string `json:"type"`
+	// Max is the ratio for always_max.
+	Max uint64 `json:"max,omitempty"`
+	// Offset is follow_core's signed ratio offset.
+	Offset int64 `json:"offset,omitempty"`
+	// Threshold, Hi, Lo parameterise step.
+	Threshold uint64 `json:"threshold,omitempty"`
+	Hi        uint64 `json:"hi,omitempty"`
+	Lo        uint64 `json:"lo,omitempty"`
+	// Ratio is fixed's pin point.
+	Ratio uint64 `json:"ratio,omitempty"`
+}
 
 // AlwaysMax returns a curve that always requests ratio max: the
 // behaviour the paper observed for every workload with appreciable
 // memory traffic ("the HW left the IMC up to the maximum").
-func AlwaysMax(max uint64) Curve {
-	return func(uint64) uint64 { return max }
-}
+func AlwaysMax(max uint64) Curve { return Curve{Type: "always_max", Max: max} }
 
 // FollowCore returns a curve that tracks the fastest active core ratio
 // plus a constant offset (which may be negative): the patent's primary
 // input. DGEMM's AVX512-licensed cores dragging the uncore down is this
 // curve with offset -2.
-func FollowCore(offset int64) Curve {
-	return func(core uint64) uint64 {
-		t := int64(core) + offset
-		if t < 0 {
-			return 0
-		}
-		return uint64(t)
-	}
-}
+func FollowCore(offset int64) Curve { return Curve{Type: "follow_core", Offset: offset} }
 
 // Step returns a curve that requests hi while the core ratio is at least
 // threshold and lo below it: the observed cliff for the CUDA busy-wait
 // and GROMACS cases, where a small core-frequency reduction flipped the
 // heuristic into a much lower uncore target.
 func Step(threshold, hi, lo uint64) Curve {
-	return func(core uint64) uint64 {
-		if core >= threshold {
-			return hi
-		}
-		return lo
-	}
+	return Curve{Type: "step", Threshold: threshold, Hi: hi, Lo: lo}
 }
 
 // Fixed returns a curve pinned to one ratio.
-func Fixed(r uint64) Curve { return func(uint64) uint64 { return r } }
+func Fixed(r uint64) Curve { return Curve{Type: "fixed", Ratio: r} }
+
+// Validate reports whether the curve is one of the four families with
+// the parameters it needs.
+func (c Curve) Validate() error {
+	switch {
+	case c.Type == "follow_core", c.Type == "always_max" && c.Max > 0,
+		c.Type == "step" && c.Threshold > 0 && c.Hi > 0, c.Type == "fixed" && c.Ratio > 0:
+		return nil
+	}
+	return fmt.Errorf("uncore: invalid curve %+v (always_max needs max, step threshold and hi, fixed ratio; follow_core takes an offset)", c)
+}
+
+// Target is the uncore ratio the curve requests at the given core ratio.
+func (c Curve) Target(coreRatio uint64) uint64 {
+	switch c.Type {
+	case "follow_core":
+		t := int64(coreRatio) + c.Offset
+		if t < 0 {
+			return 0
+		}
+		return uint64(t)
+	case "step":
+		if coreRatio >= c.Threshold {
+			return c.Hi
+		}
+		return c.Lo
+	case "fixed":
+		return c.Ratio
+	}
+	return c.Max
+}
 
 // Controller drives one socket's uncore ratio. It owns MSR 0x621
 // (UNCORE_PERF_STATUS) and respects MSR 0x620 (UNCORE_RATIO_LIMIT),
@@ -88,8 +120,8 @@ func (c *Controller) Init(m *msr.File, curve Curve) error {
 	if m == nil {
 		return fmt.Errorf("uncore: nil MSR file")
 	}
-	if curve == nil {
-		return fmt.Errorf("uncore: nil curve")
+	if err := curve.Validate(); err != nil {
+		return err
 	}
 	c.msrs, c.curve, c.acc = m, curve, 0
 	return nil
@@ -125,7 +157,7 @@ func (c *Controller) step(coreRatio uint64) (cur, next uint64, err error) {
 	}
 	lim := msr.DecodeUncoreRatioLimit(limV)
 
-	target := c.curve(coreRatio)
+	target := c.curve.Target(coreRatio)
 
 	// ENERGY_PERF_BIAS: a powersave hint lowers the target one step, a
 	// performance hint raises it one.

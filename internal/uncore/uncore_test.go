@@ -23,8 +23,8 @@ func TestNewControllerErrors(t *testing.T) {
 		t.Error("expected error for nil MSR file")
 	}
 	s := newSocket(t)
-	if err := c.Init(s.MSR, nil); err == nil {
-		t.Error("expected error for nil curve")
+	if err := c.Init(s.MSR, Curve{}); err == nil {
+		t.Error("expected error for the zero curve")
 	}
 	if err := c.Init(s.MSR, AlwaysMax(24)); err != nil {
 		t.Fatal(err)
@@ -147,33 +147,71 @@ func TestNeverLeavesLimitsProperty(t *testing.T) {
 }
 
 func TestFollowCoreCurve(t *testing.T) {
-	if FollowCore(0)(22) != 22 {
+	if FollowCore(0).Target(22) != 22 {
 		t.Error("FollowCore(0) must track the core ratio")
 	}
-	if FollowCore(-2)(22) != 20 {
-		t.Error("FollowCore(-2)(22) != 20")
+	if FollowCore(-2).Target(22) != 20 {
+		t.Error("FollowCore(-2).Target(22) != 20")
 	}
-	if FollowCore(-30)(22) != 0 {
+	if FollowCore(-30).Target(22) != 0 {
 		t.Error("FollowCore must clamp below zero")
 	}
-	if FollowCore(3)(22) != 25 {
-		t.Error("FollowCore(+3)(22) != 25")
+	if FollowCore(3).Target(22) != 25 {
+		t.Error("FollowCore(+3).Target(22) != 25")
 	}
 }
 
 func TestStepCurve(t *testing.T) {
 	cv := Step(24, 24, 15)
-	if cv(26) != 24 || cv(24) != 24 {
+	if cv.Target(26) != 24 || cv.Target(24) != 24 {
 		t.Error("Step above threshold must return hi")
 	}
-	if cv(23) != 15 {
+	if cv.Target(23) != 15 {
 		t.Error("Step below threshold must return lo")
 	}
 }
 
 func TestFixedCurve(t *testing.T) {
-	if Fixed(20)(5) != 20 || Fixed(20)(30) != 20 {
+	if Fixed(20).Target(5) != 20 || Fixed(20).Target(30) != 20 {
 		t.Error("Fixed curve must ignore core ratio")
+	}
+}
+
+func TestCurveTarget(t *testing.T) {
+	cases := []struct {
+		curve Curve
+		in    uint64
+		want  uint64
+	}{
+		{Curve{Type: "always_max", Max: 24}, 10, 24},
+		{Curve{Type: "follow_core", Offset: -2}, 22, 20},
+		{Curve{Type: "step", Threshold: 24, Hi: 24, Lo: 15}, 23, 15},
+		{Curve{Type: "step", Threshold: 24, Hi: 24, Lo: 15}, 24, 24},
+		{Curve{Type: "fixed", Ratio: 20}, 5, 20},
+	}
+	for i, c := range cases {
+		if err := c.curve.Validate(); err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		if got := c.curve.Target(c.in); got != c.want {
+			t.Errorf("case %d: Target(%d) = %d, want %d", i, c.in, got, c.want)
+		}
+	}
+}
+
+func TestCurveRejects(t *testing.T) {
+	bads := []Curve{
+		{Type: "bogus"},
+		{},                            // the zero curve
+		{Type: "always_max"},          // missing max
+		{Type: "step", Hi: 24},        // missing threshold
+		{Type: "step", Threshold: 24}, // missing hi
+		{Type: "fixed"},               // missing ratio
+	}
+	for i, b := range bads {
+		if err := b.Validate(); err == nil {
+			t.Errorf("case %d: expected error", i)
+		}
 	}
 }
 

@@ -8,49 +8,6 @@ import (
 	"goear/internal/uncore"
 )
 
-// CurveSpec is the serialisable form of an uncore.Curve, so external
-// workload definitions can describe the hardware heuristic's response.
-type CurveSpec struct {
-	// Type selects the curve family: "always_max", "follow_core",
-	// "step" or "fixed".
-	Type string `json:"type"`
-	// Max is the ratio for always_max.
-	Max uint64 `json:"max,omitempty"`
-	// Offset is follow_core's signed ratio offset.
-	Offset int64 `json:"offset,omitempty"`
-	// Threshold, Hi, Lo parameterise step.
-	Threshold uint64 `json:"threshold,omitempty"`
-	Hi        uint64 `json:"hi,omitempty"`
-	Lo        uint64 `json:"lo,omitempty"`
-	// Ratio is fixed's pin point.
-	Ratio uint64 `json:"ratio,omitempty"`
-}
-
-// build constructs the runtime curve.
-func (c CurveSpec) build() (uncore.Curve, error) {
-	switch c.Type {
-	case "always_max":
-		if c.Max == 0 {
-			return nil, fmt.Errorf("workload: always_max curve needs max")
-		}
-		return uncore.AlwaysMax(c.Max), nil
-	case "follow_core":
-		return uncore.FollowCore(c.Offset), nil
-	case "step":
-		if c.Threshold == 0 || c.Hi == 0 {
-			return nil, fmt.Errorf("workload: step curve needs threshold and hi")
-		}
-		return uncore.Step(c.Threshold, c.Hi, c.Lo), nil
-	case "fixed":
-		if c.Ratio == 0 {
-			return nil, fmt.Errorf("workload: fixed curve needs ratio")
-		}
-		return uncore.Fixed(c.Ratio), nil
-	default:
-		return nil, fmt.Errorf("workload: unknown curve type %q (always_max, follow_core, step, fixed)", c.Type)
-	}
-}
-
 // SpecFile is the JSON representation of a workload definition, the
 // format `earsim -spec` accepts for user-defined applications.
 type SpecFile struct {
@@ -72,7 +29,7 @@ type SpecFile struct {
 	IterPeriodSec   float64 `json:"iter_period_sec"`
 	MPICallsPerIter int     `json:"mpi_calls_per_iter"`
 
-	HWUncore CurveSpec `json:"hw_uncore"`
+	HWUncore uncore.Curve `json:"hw_uncore"`
 
 	GPUPowerW float64 `json:"gpu_power_w,omitempty"`
 	FreqBias  float64 `json:"freq_bias,omitempty"`
@@ -82,10 +39,6 @@ type SpecFile struct {
 // Spec converts the file form into a validated runtime Spec.
 func (f SpecFile) Spec() (Spec, error) {
 	pl, err := PlatformByName(f.Platform)
-	if err != nil {
-		return Spec{}, err
-	}
-	curve, err := f.HWUncore.build()
 	if err != nil {
 		return Spec{}, err
 	}
@@ -103,7 +56,7 @@ func (f SpecFile) Spec() (Spec, error) {
 		Segments:        f.Segments,
 		IterPeriodSec:   f.IterPeriodSec,
 		MPICallsPerIter: f.MPICallsPerIter,
-		HWUncore:        curve,
+		HWUncore:        f.HWUncore,
 		GPUPowerW:       f.GPUPowerW,
 		FreqBias:        f.FreqBias,
 		IMCBias:         f.IMCBias,
@@ -144,6 +97,6 @@ func Template() SpecFile {
 			TargetCPI: 0.5, TargetGBs: 25, TargetPowerW: 330, OverlapHint: 0.8,
 		},
 		IterPeriodSec: 1.5, MPICallsPerIter: 8,
-		HWUncore: CurveSpec{Type: "always_max", Max: 24},
+		HWUncore: uncore.AlwaysMax(24),
 	}
 }

@@ -5,46 +5,9 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"goear/internal/uncore"
 )
-
-func TestCurveSpecBuild(t *testing.T) {
-	cases := []struct {
-		spec CurveSpec
-		in   uint64
-		want uint64
-	}{
-		{CurveSpec{Type: "always_max", Max: 24}, 10, 24},
-		{CurveSpec{Type: "follow_core", Offset: -2}, 22, 20},
-		{CurveSpec{Type: "step", Threshold: 24, Hi: 24, Lo: 15}, 23, 15},
-		{CurveSpec{Type: "step", Threshold: 24, Hi: 24, Lo: 15}, 24, 24},
-		{CurveSpec{Type: "fixed", Ratio: 20}, 5, 20},
-	}
-	for i, c := range cases {
-		curve, err := c.spec.build()
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		if got := curve(c.in); got != c.want {
-			t.Errorf("case %d: curve(%d) = %d, want %d", i, c.in, got, c.want)
-		}
-	}
-}
-
-func TestCurveSpecErrors(t *testing.T) {
-	bads := []CurveSpec{
-		{Type: "bogus"},
-		{Type: ""},
-		{Type: "always_max"},          // missing max
-		{Type: "step", Hi: 24},        // missing threshold
-		{Type: "step", Threshold: 24}, // missing hi
-		{Type: "fixed"},               // missing ratio
-	}
-	for i, b := range bads {
-		if _, err := b.build(); err == nil {
-			t.Errorf("case %d: expected error", i)
-		}
-	}
-}
 
 func TestTemplateIsValidAndCalibrates(t *testing.T) {
 	f := Template()
@@ -75,6 +38,34 @@ func TestLoadSpecRoundTrip(t *testing.T) {
 	}
 	if s.FreqBias != 0.992 || s.IMCBias != 0.996 {
 		t.Errorf("bias defaults not applied: %v %v", s.FreqBias, s.IMCBias)
+	}
+}
+
+// TestLoadSpecCurveKinds loads one definition per curve family and
+// holds the loaded curve to its constructor's.
+func TestLoadSpecCurveKinds(t *testing.T) {
+	cases := []struct {
+		json string
+		want uncore.Curve
+	}{
+		{`{"type":"always_max","max":24}`, uncore.AlwaysMax(24)},
+		{`{"type":"follow_core","offset":-2}`, uncore.FollowCore(-2)},
+		{`{"type":"step","threshold":26,"hi":24,"lo":15}`, uncore.Step(26, 24, 15)},
+		{`{"type":"fixed","ratio":18}`, uncore.Fixed(18)},
+	}
+	for _, c := range cases {
+		s, err := LoadSpec(strings.NewReader(`{"name":"x","nodes":1,"active_cores":40,"target_time_sec":10,
+		  "iter_period_sec":1,
+		  "default_segment":{"target_cpi":0.5,"target_gbs":10,"target_power_w":300},
+		  "hw_uncore":` + c.json + `}`))
+		if err != nil {
+			t.Fatalf("%s: %v", c.json, err)
+		}
+		for core := uint64(10); core <= 30; core++ {
+			if got, want := s.HWUncore.Target(core), c.want.Target(core); got != want {
+				t.Errorf("%s: Target(%d) = %d, constructor's %d", c.json, core, got, want)
+			}
+		}
 	}
 }
 

@@ -130,14 +130,15 @@ func (s Spec) validate() error {
 		return fmt.Errorf("workload %s: MPI calls per iteration must be non-negative", s.Name)
 	case s.InnerLoopsPerIter < 0:
 		return fmt.Errorf("workload %s: inner loops per iteration must be non-negative", s.Name)
-	case s.HWUncore == nil:
-		return fmt.Errorf("workload %s: missing HW uncore curve", s.Name)
 	case s.FreqBias <= 0 || s.FreqBias > 1:
 		return fmt.Errorf("workload %s: frequency bias %g outside (0,1]", s.Name, s.FreqBias)
 	case s.IMCBias <= 0 || s.IMCBias > 1:
 		return fmt.Errorf("workload %s: IMC bias %g outside (0,1]", s.Name, s.IMCBias)
 	case s.GPUPowerW < 0:
 		return fmt.Errorf("workload %s: GPU power must be non-negative", s.Name)
+	}
+	if err := s.HWUncore.Validate(); err != nil {
+		return fmt.Errorf("workload %s: HW uncore curve: %w", s.Name, err)
 	}
 	segs := s.Segments
 	if len(segs) == 0 {
@@ -213,7 +214,7 @@ func (s Spec) Calibrate() (Calibrated, error) {
 	// The heuristic sees the licence-resolved core ratio, so an AVX512
 	// workload (DGEMM) drives it from the licence frequency.
 	avxActive := segs[0].VPI > 0.5
-	hwRatio := clampRatio(s.HWUncore(m.CPU.EffectiveRatio(nominal, avxActive)),
+	hwRatio := clampRatio(s.HWUncore.Target(m.CPU.EffectiveRatio(nominal, avxActive)),
 		m.CPU.UncoreMinRatio, m.CPU.UncoreMaxRatio)
 	op := perf.Operating{CoreRatio: nominal, UncoreRatio: hwRatio}
 

@@ -157,7 +157,7 @@ func TestValidateRejects(t *testing.T) {
 		func(s *Spec) { s.TargetTimeSec = 0 },
 		func(s *Spec) { s.IterPeriodSec = 0 },
 		func(s *Spec) { s.MPICallsPerIter = -1 },
-		func(s *Spec) { s.HWUncore = nil },
+		func(s *Spec) { s.HWUncore = uncore.Curve{} },
 		func(s *Spec) { s.FreqBias = 0 },
 		func(s *Spec) { s.FreqBias = 1.5 },
 		func(s *Spec) { s.IMCBias = 0 },
@@ -283,7 +283,7 @@ func TestHWUncoreCurvesMatchPaperSettlingPoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := s.HWUncore(c.core); got != c.want {
+		if got := s.HWUncore.Target(c.core); got != c.want {
 			t.Errorf("%s curve(%d) = %d, want %d", c.name, c.core, got, c.want)
 		}
 	}
