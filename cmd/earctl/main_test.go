@@ -5,12 +5,14 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 
 	"goear/internal/accounting"
+	"goear/internal/earconf"
 	"goear/internal/eard"
 	"goear/internal/eardbd"
 	"goear/internal/wire"
@@ -145,8 +147,16 @@ func TestAcct(t *testing.T) {
 
 func TestConfCommand(t *testing.T) {
 	out := capture(t, []string{"conf"})
-	if !strings.Contains(out, "min_energy_eufs") || !strings.Contains(out, "MinSignatureWindowSec") {
+	if !strings.Contains(out, "min_energy_eufs") {
 		t.Errorf("default conf output:\n%s", out)
+	}
+	// conf's rows are the one hand-written key list: each key is a
+	// Config field name.
+	fields := reflect.TypeOf(earconf.Config{})
+	for i := 0; i < fields.NumField(); i++ {
+		if key := fields.Field(i).Name; !strings.Contains(out, key) {
+			t.Errorf("conf output is missing key %s:\n%s", key, out)
+		}
 	}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ear.conf")

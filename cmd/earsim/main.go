@@ -21,12 +21,14 @@ import (
 	"io"
 	"net"
 	"os"
+	"strings"
 
 	"goear/internal/earconf"
 	"goear/internal/eard"
 	"goear/internal/eargm"
 	"goear/internal/experiments"
 	"goear/internal/model"
+	"goear/internal/policy"
 	"goear/internal/sim"
 	"goear/internal/telemetry"
 	"goear/internal/units"
@@ -44,7 +46,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("earsim", flag.ContinueOnError)
 	var (
 		wl        = fs.String("workload", "BT-MZ.C", "catalogue workload name")
-		pol       = fs.String("policy", "none", "energy policy (none, monitoring, min_energy, min_energy_eufs, min_time, min_time_eufs)")
+		pol       = fs.String("policy", "none", "energy policy (none, "+strings.Join(policy.Names(), ", ")+")")
 		cpuTh     = fs.Float64("cpu-th", 0.05, "cpu_policy_th: allowed relative time penalty")
 		uncTh     = fs.Float64("unc-th", 0.02, "unc_policy_th: allowed CPI/GB/s degradation")
 		notGuided = fs.Bool("not-guided", false, "start the uncore search from the maximum instead of the HW selection")

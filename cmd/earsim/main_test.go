@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"goear/internal/eard"
+	"goear/internal/policy"
 )
 
 func TestBaselineRun(t *testing.T) {
@@ -98,6 +99,32 @@ func TestErrors(t *testing.T) {
 	// The context reads Runs 0 as the paper's three; the flag must not.
 	if err := run([]string{"-workload", "BT-MZ.C", "-runs", "0"}, &b); err == nil {
 		t.Error("expected error for -runs 0")
+	}
+}
+
+// TestPolicyUsageNamesEveryPolicy: -policy's help lists every name
+// policy.New accepts.
+func TestPolicyUsageNamesEveryPolicy(t *testing.T) {
+	f, err := os.CreateTemp(t.TempDir(), "usage")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stderr := os.Stderr
+	os.Stderr = f
+	err = run([]string{"-h"}, &strings.Builder{})
+	os.Stderr = stderr
+	if err == nil {
+		t.Fatal("-h: expected flag.ErrHelp")
+	}
+	usage, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range policy.Names() {
+		if !strings.Contains(string(usage), name) {
+			t.Errorf("-policy usage is missing %q:\n%s", name, usage)
+		}
 	}
 }
 

@@ -17,8 +17,7 @@ func TestListAnalyzers(t *testing.T) {
 		t.Fatalf("exit = %d, stderr: %s", code, errOut.String())
 	}
 	for _, name := range []string{
-		"concurrency", "conftag", "determinism", "errcheck", "fixture",
-		"msrfield", "policyreg", "telemetry", "unitsafety",
+		"concurrency", "determinism", "errcheck", "fixture", "telemetry", "unitsafety",
 	} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output is missing %q:\n%s", name, out.String())

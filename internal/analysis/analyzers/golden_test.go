@@ -27,12 +27,9 @@ func TestGolden(t *testing.T) {
 	}{
 		{determinism, "fix/internal/sim", "../testdata/src/determinism"},
 		{unitsafety, "fix/internal/unitsafety", "../testdata/src/unitsafety"},
-		{msrfield, "fix/internal/msr", "../testdata/src/msrfield"},
 		{errcheck, "fix/internal/errs", "../testdata/src/errcheck"},
 		{concurrency, "fix2/internal/sim", "../testdata/src/concurrency"},
 		{telemetry, "fix/internal/telemetrytest", "../testdata/src/telemetry"},
-		{policyreg, "fix/internal/policy", "../testdata/src/policyreg"},
-		{conftag, "fix/internal/earconf", "../testdata/src/conftag"},
 		{fixture, "fix/internal/loadgen", "../testdata/src/fixture"},
 	}
 	for _, c := range cases {
@@ -169,13 +166,14 @@ func TestAllRegistry(t *testing.T) {
 		}
 		names[a.Name] = true
 	}
-	for _, want := range []string{
-		"concurrency", "conftag", "determinism", "errcheck", "fixture",
-		"msrfield", "policyreg", "telemetry", "unitsafety",
-	} {
+	wants := []string{"concurrency", "determinism", "errcheck", "fixture", "telemetry", "unitsafety"}
+	for _, want := range wants {
 		if !names[want] {
 			t.Errorf("suite is missing analyzer %q", want)
 		}
+	}
+	if len(names) != len(wants) {
+		t.Errorf("suite has %d analyzers, want exactly %v", len(names), wants)
 	}
 	all := All()
 	for i := 1; i < len(all); i++ {

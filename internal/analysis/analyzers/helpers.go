@@ -7,9 +7,6 @@
 //     (the CI diffs sequential vs parallel benchtables output).
 //   - unitsafety: quantities from internal/units must not be mixed
 //     across dimensions or fed from raw numeric literals.
-//   - msrfield: MSR bit-field mask/shift pairs must be contiguous,
-//     non-overlapping, match their documented bit ranges, and agree
-//     between Encode*/Decode* pairs.
 //   - errcheck: error returns in internal packages must be consumed.
 //   - concurrency: no by-value copies of sync primitives, and no raw
 //     goroutines in simulation/experiment code (fan-out goes through
@@ -17,12 +14,6 @@
 //   - telemetry: metric names registered with the telemetry registry
 //     must be package-level constants matching ^goear_[a-z0-9_]+$,
 //     each registered at exactly one call site.
-//   - policyreg: every Policy implementation is registered exactly
-//     once under a declared name constant whose value round-trips
-//     config parsing.
-//   - conftag: config keys, the struct fields their parser cases
-//     assign, and the fields' conf struct tags agree — no dead keys,
-//     no stale or missing tags.
 //   - fixture: test helpers build spill journals and wire frames
 //     through the versioned codec constructors, never by hand.
 //
@@ -33,7 +24,6 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/types"
-	"math/bits"
 
 	"goear/internal/analysis"
 )
@@ -42,12 +32,9 @@ import (
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		concurrency,
-		conftag,
 		determinism,
 		errcheck,
 		fixture,
-		msrfield,
-		policyreg,
 		telemetry,
 		unitsafety,
 	}
@@ -81,45 +68,6 @@ func calleePkgFunc(info *types.Info, call *ast.CallExpr) (pkgPath, fn string, ok
 		return "", "", false
 	}
 	return pn.Imported().Path(), sel.Sel.Name, true
-}
-
-// constUint64 returns the compile-time unsigned value of an
-// expression, if the type checker recorded one.
-func constUint64(info *types.Info, e ast.Expr) (uint64, bool) {
-	tv, ok := info.Types[e]
-	if !ok || tv.Value == nil {
-		return 0, false
-	}
-	v := constant.ToInt(tv.Value)
-	if v.Kind() != constant.Int {
-		return 0, false
-	}
-	u, exact := constant.Uint64Val(v)
-	if !exact {
-		return 0, false
-	}
-	return u, true
-}
-
-// maskField describes a contiguous bit run: lo is the lowest bit
-// index, width the number of bits. A zero-width field means the mask
-// had holes (non-contiguous) and is reported separately.
-type maskField struct {
-	lo, width int
-}
-
-// contiguousRun decomposes a mask into its bit run. ok is false when
-// the mask is zero or has holes (e.g. 0x7F7F).
-func contiguousRun(mask uint64) (lo, width int, ok bool) {
-	if mask == 0 {
-		return 0, 0, false
-	}
-	lo = bits.TrailingZeros64(mask)
-	run := mask >> lo
-	if run&(run+1) != 0 {
-		return 0, 0, false
-	}
-	return lo, bits.OnesCount64(mask), true
 }
 
 // isConstExpr reports whether the checker recorded a compile-time

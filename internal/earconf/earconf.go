@@ -4,7 +4,8 @@
 // authorised policy list, and the global manager's power budget; users
 // may then only tighten, not loosen, what the file allows.
 //
-// The format is the INI-like key=value layout ear.conf uses:
+// The format is the INI-like key=value layout ear.conf uses, where a
+// key is the name of a Config field:
 //
 //	# comments and blank lines are ignored
 //	DefaultPolicy=min_energy_eufs
@@ -20,6 +21,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"reflect"
 	"strconv"
 	"strings"
 )
@@ -27,20 +29,20 @@ import (
 // Config is the parsed cluster configuration.
 type Config struct {
 	// DefaultPolicy is applied when a job does not request one.
-	DefaultPolicy string `conf:"DefaultPolicy"`
+	DefaultPolicy string
 	// DefaultCPUPolicyTh and DefaultUncPolicyTh are the site's policy
 	// thresholds.
-	DefaultCPUPolicyTh float64 `conf:"DefaultCPUPolicyTh"`
-	DefaultUncPolicyTh float64 `conf:"DefaultUncPolicyTh"`
+	DefaultCPUPolicyTh float64
+	DefaultUncPolicyTh float64
 	// MinSignatureWindowSec is EARL's signature cadence floor.
-	MinSignatureWindowSec float64 `conf:"MinSignatureWindowSec"`
+	MinSignatureWindowSec float64
 	// SignatureChangeTh re-applies policies on behaviour changes.
-	SignatureChangeTh float64 `conf:"SignatureChangeTh"`
+	SignatureChangeTh float64
 	// AuthorizedPolicies restricts which policies jobs may request;
-	// empty means all registered policies.
-	AuthorizedPolicies []string `conf:"AuthorizedPolicies"`
+	// empty means all policies.
+	AuthorizedPolicies []string
 	// ClusterPowerBudgetW enables the global manager when positive.
-	ClusterPowerBudgetW float64 `conf:"ClusterPowerBudgetW"`
+	ClusterPowerBudgetW float64
 }
 
 // Default returns the site defaults used when no file is present —
@@ -119,55 +121,30 @@ func Parse(r io.Reader) (Config, error) {
 	return c, nil
 }
 
-// set applies one key.
+// set applies one key: the Config field of that name, parsed by its
+// type. A list is comma-separated, with items trimmed and empty ones
+// dropped.
 func (c *Config) set(key, val string) error {
-	parseF := func() (float64, error) {
+	f := reflect.ValueOf(c).Elem().FieldByName(key)
+	if !f.CanSet() {
+		return fmt.Errorf("unknown key %q", key)
+	}
+	switch p := f.Addr().Interface().(type) {
+	case *string:
+		*p = val
+	case *float64:
 		v, err := strconv.ParseFloat(val, 64)
 		if err != nil {
-			return 0, fmt.Errorf("%s: %w", key, err)
+			return fmt.Errorf("%s: %w", key, err)
 		}
-		return v, nil
-	}
-	switch key {
-	case "DefaultPolicy":
-		c.DefaultPolicy = val
-	case "DefaultCPUPolicyTh":
-		v, err := parseF()
-		if err != nil {
-			return err
-		}
-		c.DefaultCPUPolicyTh = v
-	case "DefaultUncPolicyTh":
-		v, err := parseF()
-		if err != nil {
-			return err
-		}
-		c.DefaultUncPolicyTh = v
-	case "MinSignatureWindowSec":
-		v, err := parseF()
-		if err != nil {
-			return err
-		}
-		c.MinSignatureWindowSec = v
-	case "SignatureChangeTh":
-		v, err := parseF()
-		if err != nil {
-			return err
-		}
-		c.SignatureChangeTh = v
-	case "AuthorizedPolicies":
-		c.AuthorizedPolicies = nil
-		for _, p := range strings.Split(val, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				c.AuthorizedPolicies = append(c.AuthorizedPolicies, p)
+		*p = v
+	case *[]string:
+		*p = nil
+		for _, item := range strings.Split(val, ",") {
+			if item = strings.TrimSpace(item); item != "" {
+				*p = append(*p, item)
 			}
 		}
-	case "ClusterPowerBudgetW":
-		v, err := parseF()
-		if err != nil {
-			return err
-		}
-		c.ClusterPowerBudgetW = v
 	default:
 		return fmt.Errorf("unknown key %q", key)
 	}

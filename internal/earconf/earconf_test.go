@@ -1,8 +1,12 @@
 package earconf
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+
+	"goear/internal/policy"
 )
 
 func TestDefaultIsValid(t *testing.T) {
@@ -74,6 +78,47 @@ func TestParseRejects(t *testing.T) {
 	for i, in := range cases {
 		if _, err := Parse(strings.NewReader(in)); err == nil {
 			t.Errorf("case %d (%q): expected error", i, strings.TrimSpace(in))
+		}
+	}
+}
+
+// TestEveryFieldIsAKey: every Config field is the ear.conf key that
+// sets it, so a field of a kind set cannot parse fails here.
+func TestEveryFieldIsAKey(t *testing.T) {
+	def := reflect.ValueOf(Default())
+	for i := 0; i < def.NumField(); i++ {
+		key := def.Type().Field(i).Name
+		want := def.Field(i).Interface()
+		text := fmt.Sprint(want)
+		if list, ok := want.([]string); ok {
+			if len(list) == 0 {
+				list = []string{"monitoring", "min_energy"}
+				want = list
+			}
+			text = strings.Join(list, ",")
+		}
+		var c Config
+		if err := c.set(key, text); err != nil {
+			t.Errorf("%s=%s: %v", key, text, err)
+			continue
+		}
+		if got := reflect.ValueOf(c).Field(i).Interface(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s=%s set %#v, want %#v", key, text, got, want)
+		}
+	}
+}
+
+// TestPolicyNamesRoundTrip: every policy name survives the split and
+// trim of an AuthorizedPolicies list.
+func TestPolicyNamesRoundTrip(t *testing.T) {
+	names := policy.Names()
+	c, err := Parse(strings.NewReader("AuthorizedPolicies=" + strings.Join(names, " , ") + "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if !c.Authorized(name) {
+			t.Errorf("policy %q does not round-trip: parsed %q", name, c.AuthorizedPolicies)
 		}
 	}
 }

@@ -40,6 +40,33 @@ func FuzzPerfCtl(f *testing.F) {
 	})
 }
 
+// FuzzUncorePerfStatus checks the MSR 0x621 (UNCORE_PERF_STATUS)
+// encode/decode pair from both directions: the current uncore ratio
+// round-trips through bits 6:0 modulo the 7-bit field mask, and
+// arbitrary raw register values round-trip exactly once the first
+// decode has dropped the reserved bits.
+func FuzzUncorePerfStatus(f *testing.F) {
+	f.Add(uint64(24), uint64(0))
+	f.Add(uint64(0x7F), uint64(0xFFFFFFFFFFFFFFFF))
+	f.Add(uint64(0), uint64(0x621))
+	f.Add(uint64(128), uint64(0x1800))
+	f.Fuzz(func(t *testing.T, ratio, raw uint64) {
+		enc := EncodeUncorePerfStatus(ratio)
+		if enc&^uint64(0x7F) != 0 {
+			t.Fatalf("EncodeUncorePerfStatus(%#x) = %#x sets bits outside 6:0", ratio, enc)
+		}
+		if dec := DecodeUncorePerfStatus(enc); dec != ratio&0x7F {
+			t.Fatalf("DecodeUncorePerfStatus(EncodeUncorePerfStatus(%#x)) = %#x, want %#x", ratio, dec, ratio&0x7F)
+		}
+
+		// Raw-register direction: decode drops reserved bits, after
+		// which encode/decode is the identity.
+		if canon := EncodeUncorePerfStatus(DecodeUncorePerfStatus(raw)); canon != raw&0x7F {
+			t.Fatalf("EncodeUncorePerfStatus(DecodeUncorePerfStatus(%#x)) = %#x, want %#x", raw, canon, raw&0x7F)
+		}
+	})
+}
+
 // FuzzUncoreRatioLimit checks the MSR 0x620 (UNCORE_RATIO_LIMIT)
 // encode/decode pair from both directions: fields round-trip through
 // the register layout modulo the 7-bit field masks, and arbitrary raw

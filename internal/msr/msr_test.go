@@ -137,6 +137,13 @@ func TestUncorePerfStatusRoundTrip(t *testing.T) {
 	if err := quick.Check(fn, nil); err != nil {
 		t.Error(err)
 	}
+	// SDM layout: the current ratio sits in bits 6:0; 2.4 GHz reads 0x18.
+	if v := EncodeUncorePerfStatus(0x18); v != 0x18 {
+		t.Errorf("encoded = 0x%X, want 0x18", v)
+	}
+	if r := DecodeUncorePerfStatus(^uint64(0x7F) | 0x18); r != 0x18 {
+		t.Errorf("masked decode = 0x%X, want 0x18", r)
+	}
 }
 
 func TestEnergyAccumulationAndUnits(t *testing.T) {

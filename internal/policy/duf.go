@@ -6,15 +6,6 @@ import (
 	"goear/internal/metrics"
 )
 
-func init() {
-	Register(DUF, func(cfg Config) (Policy, error) {
-		return newDUF(cfg), nil
-	})
-}
-
-// DUF is the registered name of the controller-based baseline.
-const DUF = "duf"
-
 // dufIPCTolerance is the relative IPC degradation the controller
 // accepts per probe step, following André et al.'s published setting.
 const dufIPCTolerance = 0.02

@@ -6,20 +6,6 @@ import (
 	"goear/internal/metrics"
 )
 
-func init() {
-	Register(MinEnergyEUFS, func(cfg Config) (Policy, error) {
-		return newEUFS(MinEnergyEUFS, newMinEnergy(cfg), cfg), nil
-	})
-	Register(MinTimeEUFS, func(cfg Config) (Policy, error) {
-		p := newEUFS(MinTimeEUFS, newMinTime(cfg), cfg)
-		// The paper's §VIII direction for min_time: besides lowering the
-		// uncore on compute phases, *raise* it for memory-bound phases
-		// where the hardware heuristic settled low — performance first.
-		p.raiseForMemBound = true
-		return p, nil
-	})
-}
-
 // eufsStage is the state of the paper's Fig. 2 diagram.
 type eufsStage int
 

@@ -7,15 +7,6 @@ import (
 	"goear/internal/model"
 )
 
-func init() {
-	Register(Monitoring, func(cfg Config) (Policy, error) {
-		return &monitoring{cfg: cfg}, nil
-	})
-	Register(MinEnergy, func(cfg Config) (Policy, error) {
-		return newMinEnergy(cfg), nil
-	})
-}
-
 // monitoring is the no-optimisation policy: it observes signatures and
 // never moves frequencies away from the defaults.
 type monitoring struct{ cfg Config }

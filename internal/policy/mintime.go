@@ -6,12 +6,6 @@ import (
 	"goear/internal/model"
 )
 
-func init() {
-	Register(MinTime, func(cfg Config) (Policy, error) {
-		return newMinTime(cfg), nil
-	})
-}
-
 // minTimeDefaultDrop is how many pstates below nominal min_time's
 // default frequency sits: the policy starts from a moderate frequency
 // and *raises* it while the application proves it benefits.

@@ -1,12 +1,12 @@
 // Package policy implements EAR's energy-policy API and the policies the
 // paper evaluates.
 //
-// Policies are plugins: they are registered by name in a global registry
-// (mirroring EAR's dlopen-based plugin mechanism) and constructed from a
-// Config. The EAR Library drives them through the same three entry
-// points as the paper's Code 1: apply on a new signature (node_policy),
-// validate once the policy reported READY, and default frequencies when
-// validation fails (set_def).
+// The policy set is one table from name to constructor (EAR loads its
+// policies as dlopen plugins; here the set is fixed at compile time),
+// and New builds a policy from a Config. The EAR Library drives them
+// through the same three entry points as the paper's Code 1: apply on a
+// new signature (node_policy), validate once the policy reported READY,
+// and default frequencies when validation fails (set_def).
 //
 // A policy returns Ready when it has settled on an operating point and
 // Continue when it wants to be re-applied on the next signature — the
@@ -16,7 +16,6 @@ package policy
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"goear/internal/metrics"
 	"goear/internal/model"
@@ -191,30 +190,27 @@ func (c Config) validate() error {
 	return c.Model.Validate()
 }
 
-// Factory constructs a policy from a config.
-type Factory func(Config) (Policy, error)
-
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Factory{}
-)
-
-// Register adds a policy factory under name; registering a duplicate
-// name panics (programming error at init time).
-func Register(name string, f Factory) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("policy: duplicate registration of %q", name))
-	}
-	registry[name] = f
+// builtins is the policy set: each name with the constructor New calls
+// on a defaulted, validated Config.
+var builtins = map[string]func(Config) Policy{
+	Monitoring:    func(cfg Config) Policy { return &monitoring{cfg: cfg} },
+	MinEnergy:     func(cfg Config) Policy { return newMinEnergy(cfg) },
+	MinEnergyEUFS: func(cfg Config) Policy { return newEUFS(MinEnergyEUFS, newMinEnergy(cfg), cfg) },
+	MinTime:       func(cfg Config) Policy { return newMinTime(cfg) },
+	MinTimeEUFS: func(cfg Config) Policy {
+		p := newEUFS(MinTimeEUFS, newMinTime(cfg), cfg)
+		// The paper's §VIII direction for min_time: besides lowering the
+		// uncore on compute phases, *raise* it for memory-bound phases
+		// where the hardware heuristic settled low — performance first.
+		p.raiseForMemBound = true
+		return p
+	},
+	DUF: func(cfg Config) Policy { return newDUF(cfg) },
 }
 
 // New constructs the named policy.
 func New(name string, cfg Config) (Policy, error) {
-	regMu.RLock()
-	f, ok := registry[name]
-	regMu.RUnlock()
+	build, ok := builtins[name]
 	if !ok {
 		return nil, fmt.Errorf("policy: unknown policy %q (have %v)", name, Names())
 	}
@@ -222,14 +218,10 @@ func New(name string, cfg Config) (Policy, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	p, err := f(cfg)
-	if err != nil {
-		return nil, err
-	}
 	// With telemetry enabled, every constructed policy is wrapped in the
 	// counting decorator (instrument handles resolve here, at setup
 	// time, never inside Apply/Validate).
-	return maybeInstrument(p), nil
+	return maybeInstrument(build(cfg)), nil
 }
 
 // Renew returns old, Reset, when New(name, cfg) would build the same
@@ -247,9 +239,8 @@ func Renew(old Policy, name string, cfg Config) (Policy, error) {
 	return New(name, cfg)
 }
 
-// configured is implemented by the built-in policies: it returns the
-// Config their factory received. Policies registered elsewhere lack it,
-// so Renew always rebuilds them.
+// configured is implemented by every policy in builtins: it returns the
+// Config its constructor received, which Renew compares.
 type configured interface{ config() Config }
 
 // builtAs reports whether p is what New(name, cfg) returns under the
@@ -268,25 +259,25 @@ func builtAs(p Policy, name string, cfg Config) bool {
 	return ok && p.Name() == name && c.config() == cfg
 }
 
-// Names lists registered policies, sorted.
+// Names lists the policies New builds, sorted.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for n := range registry {
+	out := make([]string, 0, len(builtins))
+	for n := range builtins {
 		out = append(out, n)
 	}
 	sort.Strings(out)
 	return out
 }
 
-// Registered policy names.
+// Policy names.
 const (
 	Monitoring    = "monitoring"
 	MinEnergy     = "min_energy"
 	MinEnergyEUFS = "min_energy_eufs"
 	MinTime       = "min_time"
 	MinTimeEUFS   = "min_time_eufs"
+	// DUF names the controller-based baseline.
+	DUF = "duf"
 )
 
 // isBusyWaiting classifies a signature as a busy-wait (accelerator

@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"goear/internal/model"
 	"goear/internal/perf"
 	"goear/internal/power"
+	"goear/internal/telemetry"
 )
 
 var (
@@ -77,18 +80,28 @@ func busyWaitSig() metrics.Signature {
 	}
 }
 
+// TestRegistryNames: the table holds exactly the six name constants,
+// and Names lists them sorted.
 func TestRegistryNames(t *testing.T) {
-	names := Names()
-	want := []string{MinEnergy, MinEnergyEUFS, MinTime, MinTimeEUFS, Monitoring}
-	for _, w := range want {
-		found := false
-		for _, n := range names {
-			if n == w {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("policy %q not registered (have %v)", w, names)
+	want := []string{DUF, MinEnergy, MinEnergyEUFS, MinTime, MinTimeEUFS, Monitoring}
+	if got := Names(); !slices.Equal(got, want) {
+		t.Errorf("Names() = %v, want %v", got, want)
+	}
+}
+
+// TestTelemetryListsEveryPolicy: a scrape before any decision already
+// lists every policy's decision counters at zero.
+func TestTelemetryListsEveryPolicy(t *testing.T) {
+	set := telemetry.Enable()
+	defer telemetry.Disable()
+	var sb strings.Builder
+	if err := set.Registry.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range Names() {
+		want := `goear_policy_decisions_total{policy="` + name + `",state="ready"} 0`
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("scrape is missing %s", want)
 		}
 	}
 }
@@ -97,15 +110,6 @@ func TestNewUnknownPolicy(t *testing.T) {
 	if _, err := New("nope", testConfig(t)); err == nil {
 		t.Error("expected error for unknown policy")
 	}
-}
-
-func TestRegisterDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on duplicate registration")
-		}
-	}()
-	Register(Monitoring, func(Config) (Policy, error) { return nil, nil })
 }
 
 func TestConfigValidation(t *testing.T) {

@@ -43,7 +43,7 @@ func init() {
 		}
 		// Pre-register the label sets of the built-in policies so a
 		// scrape lists their families even before the first decision.
-		for _, name := range []string{Monitoring, MinEnergy, MinEnergyEUFS, MinTime, MinTimeEUFS} {
+		for _, name := range Names() {
 			t.decisions.With(name, "ready")
 			t.decisions.With(name, "continue")
 			t.validations.With(name, "ok")
