@@ -3,10 +3,10 @@ package eardbd
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math/rand"
 	"net"
 	"strconv"
+	"strings"
 	"sync"
 
 	"goear/internal/accounting"
@@ -33,13 +33,29 @@ type rejectedError struct{ Msg string }
 
 func (e *rejectedError) Error() string { return "eardbd: server rejected batch: " + e.Msg }
 
+// unreachableError is ErrUnreachable for one batch: how many attempts
+// failed and the batch's ID, in one allocation.
+type unreachableError struct {
+	attempts int
+	batch    string
+}
+
+func (e *unreachableError) Error() string {
+	return ErrUnreachable.Error() + ": " + strconv.Itoa(e.attempts) + " attempts failed for batch " + e.batch
+}
+
+func (e *unreachableError) Unwrap() error { return ErrUnreachable }
+
 // Client limits. A full queue spills to the journal. Retry delays
 // start at backoffBaseSec and double per attempt up to backoffMaxSec,
-// each scaled by a jitter factor in [0.5, 1).
+// each scaled by a jitter factor in [0.5, 1). Batch IDs are cut from
+// blocks of firstIDBlock bytes, doubling to maxIDBlock.
 const (
 	queueCap       = 4096
 	backoffBaseSec = 0.5
 	backoffMaxSec  = 30
+	firstIDBlock   = 64
+	maxIDBlock     = 1 << 10
 )
 
 // ClientConfig parameterises a reporting client. Node, Dial, Clock
@@ -150,6 +166,8 @@ type Client struct {
 	acctQueue []accounting.Record
 	enc       []byte // the pending batch's image, encoded once; reused across flushes
 	seq       uint64
+	ids       strings.Builder // the block batch IDs are cut from
+	nextIDs   int             // size of the ID block after it
 	stats     ClientStats
 }
 
@@ -183,12 +201,37 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 // sequence number. The "<node>/<seq>" shape is load-bearing — the
 // server's duplicate window and Journal.maxSeq both parse it back — so
 // every producer (client flush, spill, test fixtures) must build IDs
-// here rather than re-deriving the format.
+// here or through appendBatchID, which a client cuts its IDs from one
+// block with, rather than re-deriving the format.
 func BatchID(node string, seq uint64) string {
 	var scratch [64]byte // holds any realistic ID: the string is the one allocation
-	id := append(scratch[:0], node...)
-	id = append(id, '/')
-	return string(strconv.AppendUint(id, seq, 10))
+	return string(appendBatchID(scratch[:0], node, seq))
+}
+
+// appendBatchID appends the batch ID of node and seq to dst.
+func appendBatchID(dst []byte, node string, seq uint64) []byte {
+	dst = append(dst, node...)
+	dst = append(dst, '/')
+	return strconv.AppendUint(dst, seq, 10)
+}
+
+// nextIDLocked advances the batch sequence and returns its ID, cut
+// from the client's ID block, so IDs cost an allocation per block, not
+// per batch. A block too full for the next ID is left to the IDs
+// already cut from it, which the journal or a trace may still hold.
+func (c *Client) nextIDLocked() string {
+	c.seq++
+	var scratch [64]byte
+	id := appendBatchID(scratch[:0], c.cfg.Node, c.seq)
+	if len(id) > c.ids.Cap()-c.ids.Len() {
+		size := max(c.nextIDs, firstIDBlock, len(id))
+		c.nextIDs = min(2*size, maxIDBlock)
+		c.ids.Reset()
+		c.ids.Grow(size)
+	}
+	start := c.ids.Len()
+	c.ids.Write(id)
+	return c.ids.String()[start:]
 }
 
 // Enqueue buffers one record, flushing when the batch-size trigger
@@ -307,8 +350,7 @@ func (c *Client) Stats() ClientStats {
 // the image every send of it goes out from. The result stays valid
 // until the next call; the queues are untouched.
 func (c *Client) encodePendingLocked() EncodedBatch {
-	c.seq++
-	id := BatchID(c.cfg.Node, c.seq)
+	id := c.nextIDLocked()
 	c.enc = wire.BatchImage(c.enc, wire.Batch{ID: id, Node: c.cfg.Node, Records: c.queue, Acct: c.acctQueue})
 	return EncodedBatch{ID: id, Records: c.pendingLocked(), image: c.enc}
 }
@@ -431,7 +473,7 @@ func (c *Client) replayLocked() error {
 
 // sendBatchLocked delivers one encoded batch with bounded, jittered
 // exponential backoff. It returns nil on ack, a bare *rejectedError on
-// a server error frame, or an error wrapping ErrUnreachable when
+// a server error frame, or an *unreachableError when
 // attempts are exhausted — and nothing else. Each send attempt is a
 // client.send child of parent whose context rides the wire frame, which
 // is how the server's span tree connects to this client's; backoff
@@ -509,7 +551,7 @@ func (c *Client) sendBatchLocked(b EncodedBatch, parent *trace.Active) error {
 			c.closeConnLocked()
 		}
 	}
-	return fmt.Errorf("%w: %d attempts failed for batch %s", ErrUnreachable, c.cfg.MaxAttempts, b.ID)
+	return &unreachableError{attempts: c.cfg.MaxAttempts, batch: b.ID}
 }
 
 // backoff returns the delay before the given retry attempt (attempt

@@ -272,6 +272,46 @@ func TestClientUnreachableWithoutJournalKeepsQueue(t *testing.T) {
 	}
 }
 
+// TestUnreachableErrorNamesBatchAndAttempts pins the message a failed
+// flush returns and that it still matches ErrUnreachable.
+func TestUnreachableErrorNamesBatchAndAttempts(t *testing.T) {
+	c := newTestClient(t, ClientConfig{
+		Dial:        func() (net.Conn, error) { return nil, errors.New("refused") },
+		MaxAttempts: 3,
+	})
+	if err := c.Enqueue(rec("j1", "0", "n01", 100)); err != nil {
+		t.Fatal(err)
+	}
+	err := c.Flush()
+	if !errors.Is(err, ErrUnreachable) {
+		t.Fatalf("flush = %v, want ErrUnreachable", err)
+	}
+	if want := "eardbd: daemon unreachable: 3 attempts failed for batch n01/1"; err.Error() != want {
+		t.Errorf("flush error reads %q, want %q", err, want)
+	}
+}
+
+// TestUnreachableFlushAllocatesItsError: a flush through a dialer that
+// always fails costs the error it returns and nothing else — its batch
+// ID comes from the client's ID block.
+func TestUnreachableFlushAllocatesItsError(t *testing.T) {
+	if telemetry.Enabled() {
+		t.Skip("global telemetry is on")
+	}
+	refused := errors.New("refused")
+	c := newTestClient(t, ClientConfig{Dial: func() (net.Conn, error) { return nil, refused }})
+	if err := c.Enqueue(rec("j1", "0", "n01", 100)); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := c.Flush(); !errors.Is(err, ErrUnreachable) {
+			t.Fatalf("flush = %v, want ErrUnreachable", err)
+		}
+	}); n != 1 {
+		t.Errorf("a failed flush: %v allocations, want 1", n)
+	}
+}
+
 func TestClientQueueCapSpillsToJournal(t *testing.T) {
 	journal, err := OpenJournal("")
 	if err != nil {

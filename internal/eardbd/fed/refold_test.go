@@ -294,21 +294,21 @@ func TestStackedRootServesNoStaleView(t *testing.T) {
 	}
 }
 
-// BenchmarkRootMissAfterWrite is the miss query-mixed pays after each
-// write: four shards holding node reports and accounting records, one
-// node report that replaces a record and moves its node's power, then a
-// view — which folds the node reports and powers again and keeps the
-// accounting store.
-func BenchmarkRootMissAfterWrite(b *testing.B) {
-	_, root := buildFederation(b, 8, 4)
-	b.Cleanup(func() { _ = root.Close() })
+// missAfterWrite builds the miss query-mixed pays after each write:
+// four shards holding node reports and accounting records, and a write
+// that sends one node report — replacing a record and moving its node's
+// power — then takes a view, which folds the node reports and powers
+// again and keeps the accounting store.
+func missAfterWrite(tb testing.TB) (root *Root, write func(i int)) {
+	_, root = buildFederation(tb, 8, 4)
+	tb.Cleanup(func() { _ = root.Close() })
 	for i := 0; i < 8; i++ {
 		node := fmt.Sprintf("n%02d", i)
 		acct := make([]accounting.Record, 10)
 		for j := range acct {
 			acct[j] = window(node, fmt.Sprintf("job%d", j%3), j, 30000+float64(j))
 		}
-		deliver(b, root.cfg.Fleet.DialFor(node), wire.Batch{ID: node + "/acct", Node: node, Acct: acct})
+		deliver(tb, root.cfg.Fleet.DialFor(node), wire.Batch{ID: node + "/acct", Node: node, Acct: acct})
 	}
 	// Named apart from n00's own reporter, whose batch IDs the shard's
 	// window still holds.
@@ -316,17 +316,37 @@ func BenchmarkRootMissAfterWrite(b *testing.B) {
 		Node: "late-n00", Dial: root.cfg.Fleet.DialFor("n00"), Clock: eardbd.NewFakeClock(0), Jitter: rand.New(rand.NewSource(1)), BatchRecords: 1,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.Cleanup(func() { _ = writer.Close() })
-	write := func(i int) {
+	tb.Cleanup(func() { _ = writer.Close() })
+	return root, func(i int) {
 		if err := writer.Enqueue(report("n00", "job0", "0", 300+float64(i%2))); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if _, err := root.View(nil); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
+}
+
+// TestRootMissAfterWriteAllocations holds BenchmarkRootMissAfterWrite's
+// allocation count in the tier-1 suite: 45 here, 79 when every group's
+// slot list and header in the shard stores and the root's fold was an
+// allocation of its own and every batch ID a string of its own.
+func TestRootMissAfterWriteAllocations(t *testing.T) {
+	root, write := missAfterWrite(t)
+	i := 0
+	if n := testing.AllocsPerRun(200, func() { i++; write(i) }); n > 50 {
+		t.Errorf("a miss after one write: %v allocations, want at most 50", n)
+	}
+	if st := root.Stats(); st.CacheHits != 0 {
+		t.Errorf("stats = %+v: a write did not move the view", st)
+	}
+}
+
+// BenchmarkRootMissAfterWrite times missAfterWrite's write and view.
+func BenchmarkRootMissAfterWrite(b *testing.B) {
+	root, write := missAfterWrite(b)
 	write(1)
 	b.ReportAllocs()
 	b.ResetTimer()

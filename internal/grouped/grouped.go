@@ -11,9 +11,19 @@
 // away, so a stored record costs its own bytes once, where an
 // append-grown slice pays two to four times its final size in
 // doubling copies and a map of records boxes every value. A group is
-// only a list of 4-byte slot numbers kept in key order; inserting out
-// of order shifts slot numbers, never rows. Slots of evicted groups
-// go on a free list and are reused before a new chunk is opened.
+// only a header and a region of 4-byte slot numbers kept in key order;
+// inserting out of order shifts slot numbers, never rows. Slots of
+// evicted groups go on a free list and are reused before a new chunk is
+// opened.
+//
+// Headers and slot regions are cut from blocks the store owns, so the
+// store allocates per block, not per group: blocks start small and
+// double to a cap, and a group that fills its region moves to one twice
+// the size, leaving the old one to its block. An evicted header is
+// zeroed and reused; when evictions and moves leave the slot blocks
+// holding more than a few slots per live record, Prune repacks every
+// group into fresh blocks, which bounds what the store holds by what it
+// stores.
 //
 // A Store is not safe for concurrent use; its typed wrappers hold the
 // lock. The package depends on the standard library only.
@@ -50,6 +60,27 @@ const (
 // that a nearly empty store wastes little.
 const chunkRows = 64
 
+// Block sizes, in slots and headers: the first block of each kind is
+// small, so a store of a few groups stays small, and each next one
+// doubles up to the cap. A region larger than the slot cap gets a block
+// of its own size. A group's first region holds firstRegion slots.
+const (
+	firstSlotBlock = 16
+	maxSlotBlock   = 1024
+	firstHdrBlock  = 2
+	maxHdrBlock    = 32
+	firstRegion    = 2
+)
+
+// A store repacks its slot blocks in Prune once they hold more than
+// repackPerRecord slots per live record beyond repackSlack: twice what a
+// freshly packed store may hold, so repacks stay rare next to the
+// inserts that make them necessary.
+const (
+	repackPerRecord = 8
+	repackSlack     = 2 * maxSlotBlock
+)
+
 // Store holds records of type R keyed by (group, S), where S is the
 // part of a record's key that tells it from the others of its group.
 type Store[R comparable, S any] struct {
@@ -63,16 +94,56 @@ type Store[R comparable, S any] struct {
 	groups map[Group]*rows
 	n      int
 	gen    uint64
+
+	hdrs     []rows  // the current header block; headers are cut from its spare capacity
+	nextHdrs int     // size of the header block after it
+	freeHdrs []*rows // zeroed headers of evicted groups, reused first
+	slab     []int32 // the current slot block; regions are cut from its spare capacity
+	nextSlab int     // size of the slot block after it
+	held     int     // slots in the blocks opened since the last repack
 	// probe holds the record being inserted. The key functions are
 	// opaque calls, so a pointer handed to one must already be on the
 	// heap, or every caller's record would be moved there.
 	probe R
 }
 
-// rows is one group: the slots of its records, in S order.
+// rows is one group: the slots of its records, in S order, in a
+// region of a slot block whose capacity is the region's size.
 type rows struct {
 	key   Group
 	slots []int32
+}
+
+// header returns an empty group header: an evicted group's, or one cut
+// from the current header block.
+func (s *Store[R, S]) header() *rows {
+	if n := len(s.freeHdrs); n > 0 {
+		g := s.freeHdrs[n-1]
+		s.freeHdrs = s.freeHdrs[:n-1]
+		return g
+	}
+	if len(s.hdrs) == cap(s.hdrs) {
+		size := max(s.nextHdrs, firstHdrBlock)
+		s.nextHdrs = min(2*size, maxHdrBlock)
+		s.hdrs = make([]rows, 0, size)
+	}
+	s.hdrs = s.hdrs[:len(s.hdrs)+1]
+	return &s.hdrs[len(s.hdrs)-1]
+}
+
+// region returns an empty slice with room for n slots, cut from the
+// current slot block. A block too full for it is abandoned to the
+// regions already cut from it.
+func (s *Store[R, S]) region(n int) []int32 {
+	if n > cap(s.slab)-len(s.slab) {
+		size := max(s.nextSlab, firstSlotBlock, n)
+		s.nextSlab = min(2*size, maxSlotBlock)
+		s.slab = make([]int32, 0, size)
+		s.held += size
+	}
+	at := len(s.slab)
+	s.slab = s.slab[:at+n]
+	return s.slab[at : at : at+n]
 }
 
 // New builds an empty store. group and sub split a record's key;
@@ -113,7 +184,8 @@ func (s *Store[R, S]) Insert(r *R) Class {
 	k := s.group(p)
 	g := s.groups[k]
 	if g == nil {
-		g = &rows{key: k}
+		g = s.header()
+		g.key = k
 		s.groups[k] = g
 	}
 	i, found := s.find(g, s.sub(p))
@@ -137,7 +209,10 @@ func (s *Store[R, S]) Insert(r *R) Class {
 		s.used++
 	}
 	*s.row(slot) = *p
-	g.slots = slices.Insert(g.slots, i, slot)
+	if len(g.slots) == cap(g.slots) {
+		g.slots = append(s.region(max(2*cap(g.slots), firstRegion)), g.slots...)
+	}
+	g.slots = slices.Insert(g.slots, i, slot) // within the region: no allocation
 	s.n++
 	s.gen++
 	return Accepted
@@ -207,11 +282,24 @@ func (s *Store[R, S]) Append(dst []R) []R {
 // never partially — until at most keep records remain, and returns how
 // many records went. Groups go oldest first by the latest end any of
 // their records reports, ties broken by key order, so two stores with
-// identical contents prune identically.
+// identical contents prune identically. An evicted group's rows and
+// header are zeroed, so they keep no strings alive. After every Prune
+// the slot blocks hold at most repackPerRecord slots per live record
+// beyond repackSlack: past that, they are repacked.
 func (s *Store[R, S]) Prune(keep int, end func(*R) float64) int {
-	if s.n <= keep {
-		return 0
+	before := s.n
+	if s.n > keep {
+		s.evict(keep, end)
 	}
+	if s.held > repackPerRecord*s.n+repackSlack {
+		s.repack()
+	}
+	return before - s.n
+}
+
+// evict removes whole groups in Prune's order until at most keep
+// records remain.
+func (s *Store[R, S]) evict(keep int, end func(*R) float64) {
 	type aged struct {
 		g   *rows
 		end float64
@@ -225,7 +313,6 @@ func (s *Store[R, S]) Prune(keep int, end func(*R) float64) int {
 		order = append(order, a)
 	}
 	slices.SortStableFunc(order, func(a, b aged) int { return cmp.Compare(a.end, b.end) })
-	before := s.n
 	for _, a := range order {
 		if s.n <= keep {
 			break
@@ -237,7 +324,21 @@ func (s *Store[R, S]) Prune(keep int, end func(*R) float64) int {
 		s.free = append(s.free, a.g.slots...)
 		s.n -= len(a.g.slots)
 		delete(s.groups, a.g.key)
+		*a.g = rows{}
+		s.freeHdrs = append(s.freeHdrs, a.g)
 		s.gen++
 	}
-	return before - s.n
+}
+
+// repack moves every group's header and slots into fresh blocks, each
+// region as large as it was, and drops the free headers: the blocks
+// that evictions and moves left part-empty go with the last reference
+// into them.
+func (s *Store[R, S]) repack() {
+	s.hdrs, s.freeHdrs, s.slab, s.held = nil, nil, nil, 0
+	for k, old := range s.groups {
+		g := s.header()
+		*g = rows{key: k, slots: append(s.region(cap(old.slots)), old.slots...)}
+		s.groups[k] = g
+	}
 }

@@ -184,15 +184,22 @@ func recordsSizeHint(records, acct int) int {
 
 // Literal blocks. A decoded literal is not converted on its own (one
 // heap string per node name of a fleet-sized reply) but copied to the
-// end of the frame's current block and sliced out of it. Blocks start
-// at firstBlock bytes and double to maxBlock, never larger than what
-// the payload can still hold; a block too full for the next literal is
-// abandoned to the strings already cut from it, never re-copied. The
-// strings of one frame therefore share a few blocks: a retained record
-// pins at most its frame's literal blocks, never the payload.
+// end of the frame's current block and sliced out of it. A frame's
+// first block is sized from its payload to about what its kind spends
+// on first-use strings — a resultShare-th of a result, whose rows name
+// many nodes, jobs and users, a frameShare-th of a batch, which names
+// one node (70 bytes of strings in 2 KB) — at least firstBlock and at
+// most maxBlock bytes, and each next one doubles to maxBlock, never
+// larger than what the payload can still hold; a block too full for
+// the next literal is abandoned to the strings already cut from it,
+// never re-copied. The strings of one frame therefore share a few
+// blocks: a retained record pins at most its frame's literal blocks,
+// never the payload.
 const (
-	firstBlock = 64
-	maxBlock   = 4 << 10
+	firstBlock  = 64
+	maxBlock    = 4 << 10
+	resultShare = 16
+	frameShare  = 26
 )
 
 // decoder reads one frame body. Errors are sticky: after the first,
@@ -209,6 +216,12 @@ type decoder struct {
 	more  []string
 	blk   strings.Builder // the current literal block
 	next  int             // size of the block after it
+}
+
+// newDecoder reads payload p, whose first literal block holds a
+// share-th of it.
+func newDecoder(p []byte, share int) decoder {
+	return decoder{p: p, next: min(maxBlock, len(p)/share)}
 }
 
 func (d *decoder) fail(format string, args ...any) {
@@ -513,7 +526,7 @@ func (f Frame) body(want Type) (decoder, error) {
 	if f.Type != want {
 		return decoder{}, fmt.Errorf("wire: frame is %s, not %s", f.Type, want)
 	}
-	return decoder{p: f.Payload}, nil
+	return newDecoder(f.Payload, frameShare), nil
 }
 
 // AsBatch decodes a TypeBatch frame.

@@ -136,9 +136,10 @@ func TestDecodeCorporaGolden(t *testing.T) {
 
 // TestFleetReplyDecodeAllocations pins what the blocks buy on the two
 // fleet-sized replies, decoded into a reused target as a polling
-// client does: a handful of blocks and one table spill, where there
-// was a heap string per literal (200 node names; 71 distinct strings
-// a page) and a table doubled from nothing.
+// client does, and on a batch read and decoded as a server does: a
+// handful of blocks and one table spill, where there was a heap string
+// per literal (200 node names; 71 distinct strings a page) and a table
+// doubled from nothing.
 func TestFleetReplyDecodeAllocations(t *testing.T) {
 	powers, err := Frame{Type: TypeResult, Payload: mustResultPayload(t, QueryNodePowers, fleetPowers())}.AsResult()
 	if err != nil {
@@ -148,18 +149,37 @@ func TestFleetReplyDecodeAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	f, _ := EncodeBatch(benchBatch())
+	var framed bytes.Buffer
+	if err := WriteFrame(&framed, f, 0); err != nil {
+		t.Fatal(err)
+	}
+	rd := bytes.NewReader(nil)
 	var nps []NodePower
 	var pg accounting.Page
+	var batch Batch
 	for _, c := range []struct {
 		name   string
 		decode func() error
 		max    float64
 	}{
-		// 1,800 bytes of names: blocks of 64, 128, 256, 512 and 1,024
-		// bytes, and a table that spills to 128 and then 256 entries.
-		{"node_powers x200", func() error { return powers.Decode(&nps) }, 7},
-		// 540 bytes of literals: four blocks and one spill.
-		{"acct_jobs page x200", func() error { return page.Decode(&pg) }, 5},
+		// 1,800 bytes of names in a 3,600-byte payload: blocks of 225,
+		// 450 and 900 bytes and one for the rest, and a table that spills
+		// to 128 and then 256 entries.
+		{"node_powers x200", func() error { return powers.Decode(&nps) }, 6},
+		// 654 bytes of literals in a 15 KB payload's 937-byte first
+		// block, and one spill.
+		{"acct_jobs page x200", func() error { return page.Decode(&pg) }, 2},
+		// BenchmarkWireDecodeBatch's shape: the frame's payload, and its
+		// 70 bytes of strings in one 81-byte block.
+		{"batch 24+8", func() error {
+			rd.Reset(framed.Bytes())
+			f, err := ReadFrame(rd, 0)
+			if err != nil {
+				return err
+			}
+			return f.DecodeBatch(&batch)
+		}, 2},
 	} {
 		if err := c.decode(); err != nil { // sizes the reused target
 			t.Fatal(err)
@@ -171,6 +191,9 @@ func TestFleetReplyDecodeAllocations(t *testing.T) {
 		}); got > c.max {
 			t.Errorf("%s: %v allocations per decode, want at most %v", c.name, got, c.max)
 		}
+	}
+	if !sameBits(batch, benchBatch()) {
+		t.Error("the reused batch no longer holds the batch")
 	}
 	if !sameBits(nps, fleetPowers()) || !sameBits(pg, fleetPage()) {
 		t.Error("the reused targets no longer hold the replies")

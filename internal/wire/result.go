@@ -207,7 +207,7 @@ func (f Frame) AsResult() (Result, error) {
 // kind's Go shape (see AppendResult). Slices v already holds are
 // reused when large enough, and a decoded slice is never nil.
 func (r Result) Decode(v any) error {
-	d := decoder{p: r.Data}
+	d := newDecoder(r.Data, resultShare)
 	ok := true
 	switch r.Kind {
 	case QueryRecords:
@@ -260,7 +260,7 @@ func (r Result) Generation() (Generation, error) {
 	if r.Kind != QueryGeneration {
 		return Generation{}, fmt.Errorf("wire: decode %s result: not a %s", r.Kind, QueryGeneration)
 	}
-	d := decoder{p: r.Data}
+	d := newDecoder(r.Data, resultShare)
 	g := d.generation()
 	return g, d.finish(r.Kind, "result")
 }
@@ -287,7 +287,7 @@ func (r Result) EachRecord(fn func(eard.JobRecord) error) error {
 	if r.Kind != QueryRecords {
 		return fmt.Errorf("wire: decode %s result: not a %s dump", r.Kind, QueryRecords)
 	}
-	d := decoder{p: r.Data}
+	d := newDecoder(r.Data, resultShare)
 	var rec eard.JobRecord
 	for n := d.count(minRecordLen); n > 0; n-- {
 		if d.record(&rec); d.err != nil {
@@ -305,7 +305,7 @@ func (r Result) EachAcctRecord(fn func(accounting.Record) error) error {
 	if r.Kind != QueryAcctRecords {
 		return fmt.Errorf("wire: decode %s result: not an %s dump", r.Kind, QueryAcctRecords)
 	}
-	d := decoder{p: r.Data}
+	d := newDecoder(r.Data, resultShare)
 	var rec accounting.Record
 	for n := d.count(minAcctLen); n > 0; n-- {
 		if d.acctRecord(&rec); d.err != nil {
