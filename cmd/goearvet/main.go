@@ -1,10 +1,9 @@
-// Command goearvet runs the repository's static-analysis suite:
-// repo-specific analyzers enforcing determinism, unit safety, MSR
-// bit-field consistency, error handling, concurrency discipline,
-// telemetry naming, policy registration, config-tag agreement and
-// fixture hygiene. It is built on internal/analysis and uses only the
-// standard library; packages are type-checked from source, so the
-// tool needs no build cache or installed artifacts.
+// Command goearvet runs the repository's static-analysis suite: three
+// repo-specific analyzers, determinism, unitsafety and errcheck, for
+// the rules no compiler, go vet or runtime check already holds. It is
+// built on internal/analysis and uses only the standard library;
+// packages are type-checked from source, so the tool needs no build
+// cache or installed artifacts.
 //
 // Usage:
 //
@@ -13,9 +12,9 @@
 //
 // Patterns are import paths or ./-relative directories, with an
 // optional /... suffix for recursion. With no pattern, ./... is
-// assumed. goearvet only reports; it never rewrites a file. CI runs
-// it over the whole tree on every event, so a change that breaks a
-// package it did not touch still fails its own lint run.
+// assumed. goearvet only reports; it never rewrites a file. CI and
+// this command's own tests run it over the whole tree, so a change
+// that breaks a package it did not touch still fails.
 //
 // Exit status is 0 for a clean tree, 1 when findings were reported, 2
 // on usage or load errors.

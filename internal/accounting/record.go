@@ -64,8 +64,8 @@ type Rates struct {
 // Record is one job's attributed energy over one phase window on one
 // node: the unit the accounting tier stores, ships and serves.
 // Construct records with NewRecord — the codec version and validation
-// live there, and the goearvet fixture analyzer flags hand-rolled
-// literals in test-helper packages.
+// live there, and Validate refuses a record without one at both client
+// and server.
 type Record struct {
 	V         int     `json:"v"`
 	JobID     string  `json:"job_id"`

@@ -2,9 +2,8 @@ package accounting
 
 import "goear/internal/telemetry"
 
-// Metric names (package-level constants per the goearvet telemetry
-// analyzer). One family set serves both the shard daemons' stores and
-// the federation root's merged store: the registry's get-or-create
+// Metric names. One family set serves both the shard daemons' stores
+// and the federation root's merged store: the registry's get-or-create
 // semantics fold co-hosted stores into the same series.
 const (
 	metricAcctRecords = "goear_accounting_records"

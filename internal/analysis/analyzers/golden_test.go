@@ -28,9 +28,6 @@ func TestGolden(t *testing.T) {
 		{determinism, "fix/internal/sim", "../testdata/src/determinism"},
 		{unitsafety, "fix/internal/unitsafety", "../testdata/src/unitsafety"},
 		{errcheck, "fix/internal/errs", "../testdata/src/errcheck"},
-		{concurrency, "fix2/internal/sim", "../testdata/src/concurrency"},
-		{telemetry, "fix/internal/telemetrytest", "../testdata/src/telemetry"},
-		{fixture, "fix/internal/loadgen", "../testdata/src/fixture"},
 	}
 	for _, c := range cases {
 		loader.AddDir(c.importPath, c.fixture)
@@ -166,7 +163,7 @@ func TestAllRegistry(t *testing.T) {
 		}
 		names[a.Name] = true
 	}
-	wants := []string{"concurrency", "determinism", "errcheck", "fixture", "telemetry", "unitsafety"}
+	wants := []string{"determinism", "errcheck", "unitsafety"}
 	for _, want := range wants {
 		if !names[want] {
 			t.Errorf("suite is missing analyzer %q", want)

@@ -5,8 +5,7 @@ import (
 	"goear/internal/telemetry"
 )
 
-// Metric names (package-level constants per the goearvet telemetry
-// analyzer).
+// Metric names.
 const (
 	metricFedQueries   = "goear_eardbd_fed_queries_total"
 	metricFedFanout    = "goear_eardbd_fed_fanout_total"
@@ -18,7 +17,7 @@ const (
 	metricFedLatency   = "goear_eardbd_fed_latency_seconds"
 )
 
-// Span kinds (dotted-lowercase per the goearvet telemetry analyzer).
+// Span kinds.
 const (
 	spanFedQuery  = "fed.query"
 	spanFedFanout = "fed.fanout"

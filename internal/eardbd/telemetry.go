@@ -5,8 +5,7 @@ import (
 	"goear/internal/wire"
 )
 
-// Metric names (package-level constants per the goearvet telemetry
-// analyzer). Server- and client-side families are distinct so one
+// Metric names. Server- and client-side families are distinct so one
 // process hosting both (tests, simulations) keeps them apart.
 const (
 	metricDBDConnections = "goear_eardbd_connections_total"
@@ -31,11 +30,9 @@ const (
 	metricDBDClientLatency = "goear_eardbd_client_latency_seconds"
 )
 
-// Span kinds (package-level constants per the goearvet telemetry
-// analyzer's dotted-lowercase naming rule). The server side continues
-// the trace context arriving on the wire frame; the client side roots
-// each batch trace by batch ID, so a replayed batch rejoins the trace
-// its spill started.
+// Span kinds. The server side continues the trace context arriving on
+// the wire frame; the client side roots each batch trace by batch ID,
+// so a replayed batch rejoins the trace its spill started.
 const (
 	spanServerBatch    = "server.batch"
 	spanServerValidate = "server.validate"

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"goear/internal/telemetry"
+	"goear/internal/telemetry/trace"
 )
 
 // slicesSource is a scripted PowerSource: each Update reads the next
@@ -215,9 +216,11 @@ func TestSetBudget(t *testing.T) {
 
 func TestCascadeTelemetry(t *testing.T) {
 	set := telemetry.NewSet()
+	spans := trace.NewBuffer(0)
 	c, err := NewCascade(CascadeConfig{
 		BudgetW: 600,
 		Island:  Config{MaxCapPstate: 8, Telemetry: set},
+		Trace:   spans,
 	}, []Island{
 		{Name: "i0", Src: &slicesSource{rows: [][]float64{{400}}}},
 		{Name: "i1", Src: &slicesSource{rows: [][]float64{{100}}}},
@@ -239,5 +242,12 @@ func TestCascadeTelemetry(t *testing.T) {
 	}
 	if got := vals[metricGMIslandPower+`{island="i0"}`]; got != 400 {
 		t.Errorf("island power gauge = %g, want 400", got)
+	}
+	var kinds []string
+	for _, sp := range spans.Spans() {
+		kinds = append(kinds, sp.Kind)
+	}
+	if want := []string{spanGMIsland, spanGMIsland, spanGMInterval}; !reflect.DeepEqual(kinds, want) {
+		t.Errorf("span kinds = %v, want %v", kinds, want)
 	}
 }

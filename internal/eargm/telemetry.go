@@ -4,8 +4,7 @@ import (
 	"goear/internal/telemetry"
 )
 
-// Metric names (package-level constants per the goearvet telemetry
-// analyzer).
+// Metric names.
 const (
 	metricGMIntervals = "goear_eargm_intervals_total"
 	metricGMDeepened  = "goear_eargm_cap_deepened_total"
@@ -19,7 +18,7 @@ const (
 	metricGMIslandCap      = "goear_eargm_island_cap_pstate"
 )
 
-// Span kinds (dotted-lowercase per the goearvet telemetry analyzer).
+// Span kinds.
 const (
 	spanGMInterval = "eargm.interval"
 	spanGMIsland   = "eargm.island"

@@ -6,8 +6,7 @@ import (
 	"goear/internal/telemetry"
 )
 
-// Metric names (package-level constants per the goearvet telemetry
-// analyzer).
+// Metric names.
 const (
 	metricExpCacheRequests = "goear_experiments_cache_requests_total"
 	metricExpCacheComputes = "goear_experiments_cache_computes_total"

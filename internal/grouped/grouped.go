@@ -333,12 +333,14 @@ func (s *Store[R, S]) evict(keep int, end func(*R) float64) {
 // repack moves every group's header and slots into fresh blocks, each
 // region as large as it was, and drops the free headers: the blocks
 // that evictions and moves left part-empty go with the last reference
-// into them.
+// into them. Groups are placed in canonical order, so the layout does
+// not depend on map iteration.
 func (s *Store[R, S]) repack() {
+	old := s.sorted()
 	s.hdrs, s.freeHdrs, s.slab, s.held = nil, nil, nil, 0
-	for k, old := range s.groups {
+	for _, o := range old {
 		g := s.header()
-		*g = rows{key: k, slots: append(s.region(cap(old.slots)), old.slots...)}
-		s.groups[k] = g
+		*g = rows{key: o.key, slots: append(s.region(cap(o.slots)), o.slots...)}
+		s.groups[o.key] = g
 	}
 }

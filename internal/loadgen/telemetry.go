@@ -4,8 +4,7 @@ import (
 	"goear/internal/telemetry"
 )
 
-// Metric names (package-level constants per the goearvet telemetry
-// analyzer).
+// Metric names.
 const (
 	metricLGNodes       = "goear_loadgen_nodes_total"
 	metricLGRecords     = "goear_loadgen_records_total"

@@ -6,8 +6,7 @@ import (
 	"goear/internal/telemetry"
 )
 
-// Metric names (the goearvet telemetry analyzer requires package-level
-// constants matching ^goear_[a-z0-9_]+$, registered exactly once).
+// Metric names.
 const (
 	metricParTasks   = "goear_par_tasks_total"
 	metricParWorkers = "goear_par_workers_started_total"

@@ -6,8 +6,7 @@ import (
 	"goear/internal/telemetry"
 )
 
-// Metric names (package-level constants per the goearvet telemetry
-// analyzer).
+// Metric names.
 const (
 	metricPolicyDecisions   = "goear_policy_decisions_total"
 	metricPolicyValidations = "goear_policy_validations_total"

@@ -6,8 +6,7 @@ import (
 	"goear/internal/telemetry"
 )
 
-// Metric names (package-level constants per the goearvet telemetry
-// analyzer).
+// Metric names.
 const (
 	metricSimSteps      = "goear_sim_steps_total"
 	metricSimReplayed   = "goear_sim_replayed_steps_total"

@@ -73,10 +73,10 @@ func (g *Gauge) Value() float64 {
 // the rest. Observe is a linear scan over the (small, fixed) bounds
 // plus two atomic adds and a CAS float sum.
 type Histogram struct {
-	bounds  []float64
-	buckets []atomic.Uint64 // len(bounds)+1, last is +Inf
-	count   atomic.Uint64
-	sumBits atomic.Uint64
+	bounds   []float64
+	buckets  []atomic.Uint64 // len(bounds)+1, last is +Inf
+	observed atomic.Uint64
+	sumBits  atomic.Uint64
 }
 
 func newHistogram(bounds []float64) *Histogram {
@@ -96,7 +96,7 @@ func (h *Histogram) Observe(v float64) {
 		i++
 	}
 	h.buckets[i].Add(1)
-	h.count.Add(1)
+	h.observed.Add(1)
 	for {
 		old := h.sumBits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -106,12 +106,12 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() uint64 {
+// count returns the number of observations (0 on nil).
+func (h *Histogram) count() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	return h.observed.Load()
 }
 
 // sum returns the sum of observed values (0 on nil).
@@ -131,7 +131,7 @@ func (h *Histogram) quantile(q float64) float64 {
 	if h == nil {
 		return 0
 	}
-	total := h.count.Load()
+	total := h.observed.Load()
 	if total == 0 || len(h.bounds) == 0 {
 		return 0
 	}

@@ -77,7 +77,7 @@ func writeSeries(w *strings.Builder, f *family, s *series) {
 		w.WriteString(f.name)
 		w.WriteString("_count")
 		writeLabels(w, f.labels, s.values, "", "")
-		fmt.Fprintf(w, " %d\n", h.Count())
+		fmt.Fprintf(w, " %d\n", h.count())
 	}
 }
 

@@ -70,7 +70,7 @@ func (s *SLO) report() []sloReport {
 	for _, e := range entries {
 		r := sloReport{
 			Op:        e.op,
-			Count:     e.h.Count(),
+			Count:     e.h.count(),
 			P50:       e.h.quantile(0.50),
 			P95:       e.h.quantile(0.95),
 			P99:       e.h.quantile(0.99),

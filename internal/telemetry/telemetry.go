@@ -4,11 +4,12 @@
 // text-format encoder, and a bounded ring Recorder for structured
 // events with JSON-lines export.
 //
-// Design rules (enforced by the goearvet `telemetry` analyzer and the
-// package itself):
+// Design rules (the registry panics at setup on a breach of the
+// first):
 //
-//   - Metric names are package-level constants matching
-//     ^goear_[a-z0-9_]+$ and are registered at exactly one call site.
+//   - Metric names match ^goear_[a-z0-9_]+$. A name registered twice
+//     must carry the same help (or none, to fetch the family), and a
+//     _latency_seconds family is a histogram keyed by op.
 //   - Label sets are resolved at setup time: Vec.With returns a plain
 //     instrument handle, so the hot path never hashes strings or
 //     allocates.
@@ -26,7 +27,9 @@ package telemetry
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -136,20 +139,29 @@ func newRegistry() *Registry {
 	return &Registry{fams: make(map[string]*family)}
 }
 
-// family registers or fetches a family, panicking on an invalid name
-// or on re-registration with a different shape. Re-registration with
-// the identical shape returns the existing family, so several
-// instances (e.g. many EARDBD clients) may share one registry.
+// family registers or fetches a family. It panics on an invalid name,
+// on a latency family that is not a histogram keyed by op, and on a
+// re-registration with another shape or another non-empty help: a
+// copy-pasted name would otherwise fold two metrics into one family.
+// The identical shape returns the existing family, so several
+// instances (e.g. many EARDBD clients) may share one registry; an
+// empty help only fetches.
 func (r *Registry) family(name, help string, k kind, labels []string, bounds []float64) *family {
 	if !nameOK(name) {
 		panic(fmt.Sprintf("telemetry: metric name %q must match ^goear_[a-z0-9_]+$", name))
 	}
+	if strings.HasSuffix(name, "_latency_seconds") && (k != kindHistogram || !slices.Contains(labels, "op")) {
+		panic(fmt.Sprintf("telemetry: latency family %s must be a histogram keyed by op, got %s%v", name, k, labels))
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f, ok := r.fams[name]; ok {
-		if f.kind != k || !equalStrings(f.labels, labels) || !equalFloats(f.bounds, bounds) {
+		if f.kind != k || !slices.Equal(f.labels, labels) || !slices.Equal(f.bounds, bounds) {
 			panic(fmt.Sprintf("telemetry: metric %s re-registered as %s%v (was %s%v)",
 				name, k, labels, f.kind, f.labels))
+		}
+		if help != "" && help != f.help {
+			panic(fmt.Sprintf("telemetry: metric %s re-registered with help %q (was %q)", name, help, f.help))
 		}
 		return f
 	}
@@ -158,30 +170,6 @@ func (r *Registry) family(name, help string, k kind, labels []string, bounds []f
 		bounds: append([]float64(nil), bounds...)}
 	r.fams[name] = f
 	return f
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalFloats(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Counter registers (or fetches) a plain counter.

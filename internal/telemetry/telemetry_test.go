@@ -7,14 +7,13 @@ import (
 	"testing"
 )
 
-// Metric name constants for the registry tests (the goearvet
-// `telemetry` analyzer requires registration through package-level
-// constants even here).
+// Metric name constants for the registry tests.
 const (
 	testMetricOps      = "goear_test_ops_total"
 	testMetricDepth    = "goear_test_depth"
-	testMetricLatency  = "goear_test_latency_seconds"
+	testMetricWait     = "goear_test_wait_seconds"
 	testMetricByResult = "goear_test_by_result_total"
+	testMetricLatency  = "goear_test_latency_seconds"
 )
 
 func TestNameValidation(t *testing.T) {
@@ -55,12 +54,12 @@ func TestCounterGaugeHistogram(t *testing.T) {
 		t.Errorf("gauge = %g", g.Value())
 	}
 
-	h := r.Histogram(testMetricLatency, "latency", []float64{0.1, 1, 10})
+	h := r.Histogram(testMetricWait, "latency", []float64{0.1, 1, 10})
 	for _, v := range []float64{0.05, 0.5, 0.5, 5, 50} {
 		h.Observe(v)
 	}
-	if h.Count() != 5 || h.sum() != 56.05 {
-		t.Errorf("histogram count=%d sum=%g", h.Count(), h.sum())
+	if h.count() != 5 || h.sum() != 56.05 {
+		t.Errorf("histogram count=%d sum=%g", h.count(), h.sum())
 	}
 }
 
@@ -77,7 +76,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	g.Add(1)
 	h.Observe(1)
 	rec.Record(Event{Kind: "x"})
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.sum() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.count() != 0 || h.sum() != 0 {
 		t.Error("nil instruments returned non-zero values")
 	}
 	if rec.Events() != nil || rec.ring().Len() != 0 || rec.ring().Dropped() != 0 {
@@ -128,14 +127,27 @@ func TestReRegistration(t *testing.T) {
 	if a != b {
 		t.Error("identical re-registration did not return the same instrument")
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("kind conflict did not panic")
-			}
+	if r.Counter(testMetricOps, "") != a {
+		t.Error("an empty-help fetch did not return the registered instrument")
+	}
+	r.HistogramVec(testMetricLatency, "latency by op", []float64{1}, "op")
+	for name, register := range map[string]func(){
+		"kind conflict":             func() { r.Gauge(testMetricOps, "ops") },
+		"help mismatch":             func() { r.Counter(testMetricOps, "copied from another family") },
+		"plain latency histogram":   func() { newRegistry().Histogram(testMetricLatency, "latency", []float64{1}) },
+		"latency vec without op":    func() { newRegistry().HistogramVec(testMetricLatency, "latency", []float64{1}, "shard") },
+		"latency family as a gauge": func() { newRegistry().GaugeVec(testMetricLatency, "latency", "op") },
+		"latency help mismatch":     func() { r.HistogramVec(testMetricLatency, "another latency", []float64{1}, "op") },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			register()
 		}()
-		r.Gauge(testMetricOps, "ops")
-	}()
+	}
 }
 
 func TestPrometheusEncodingAndParse(t *testing.T) {
@@ -145,7 +157,7 @@ func TestPrometheusEncodingAndParse(t *testing.T) {
 	v := r.CounterVec(testMetricByResult, "by result", "result")
 	v.With("ok").Add(3)
 	v.With("fail").Inc()
-	h := r.Histogram(testMetricLatency, "lat", []float64{1, 10})
+	h := r.Histogram(testMetricWait, "lat", []float64{1, 10})
 	h.Observe(0.5)
 	h.Observe(5)
 	h.Observe(50)
@@ -162,11 +174,11 @@ func TestPrometheusEncodingAndParse(t *testing.T) {
 		"goear_test_depth 2.5",
 		`goear_test_by_result_total{result="fail"} 1`,
 		`goear_test_by_result_total{result="ok"} 3`,
-		`goear_test_latency_seconds_bucket{le="1"} 1`,
-		`goear_test_latency_seconds_bucket{le="10"} 2`,
-		`goear_test_latency_seconds_bucket{le="+Inf"} 3`,
-		"goear_test_latency_seconds_sum 55.5",
-		"goear_test_latency_seconds_count 3",
+		`goear_test_wait_seconds_bucket{le="1"} 1`,
+		`goear_test_wait_seconds_bucket{le="10"} 2`,
+		`goear_test_wait_seconds_bucket{le="+Inf"} 3`,
+		"goear_test_wait_seconds_sum 55.5",
+		"goear_test_wait_seconds_count 3",
 	} {
 		if !strings.Contains(text, want+"\n") {
 			t.Errorf("exposition missing %q:\n%s", want, text)
@@ -196,7 +208,7 @@ func TestPrometheusEncodingAndParse(t *testing.T) {
 	if byKey[`goear_test_by_result_total{result="ok"}`] != 3 {
 		t.Errorf("parsed labeled sample = %g", byKey[`goear_test_by_result_total{result="ok"}`])
 	}
-	if byKey[`goear_test_latency_seconds_bucket{le="+Inf"}`] != 3 {
+	if byKey[`goear_test_wait_seconds_bucket{le="+Inf"}`] != 3 {
 		t.Error("parsed histogram bucket missing")
 	}
 }
@@ -252,7 +264,7 @@ func TestConcurrentInstruments(t *testing.T) {
 	r := newRegistry()
 	c := r.Counter(testMetricOps, "")
 	g := r.Gauge(testMetricDepth, "")
-	h := r.Histogram(testMetricLatency, "", []float64{10})
+	h := r.Histogram(testMetricWait, "", []float64{10})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -266,8 +278,8 @@ func TestConcurrentInstruments(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if c.Value() != 8000 || g.Value() != 8000 || h.Count() != 8000 || h.sum() != 8000 {
-		t.Errorf("concurrent totals: c=%d g=%g h=%d/%g", c.Value(), g.Value(), h.Count(), h.sum())
+	if c.Value() != 8000 || g.Value() != 8000 || h.count() != 8000 || h.sum() != 8000 {
+		t.Errorf("concurrent totals: c=%d g=%g h=%d/%g", c.Value(), g.Value(), h.count(), h.sum())
 	}
 }
 

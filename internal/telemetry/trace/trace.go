@@ -21,7 +21,10 @@
 // and an HTTP /traces handler (see buffer.go, http.go).
 package trace
 
-import "sync/atomic"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Context is the compact cross-process form of a span: what rides a
 // wire frame. The zero Context means "no trace"; a real context
@@ -129,11 +132,39 @@ func (t *Tracer) Remote(ctx Context, kind string, now float64) *Active {
 	return t.start(ctx.TraceID, ctx.SpanID, kind, now)
 }
 
+// checkKind panics unless kind is dotted lowercase,
+// ^[a-z]+(\.[a-z_]+)+$: the shape the /traces kind filter matches on
+// dot boundaries. Like the telemetry registry's name check it refuses
+// a bad name where it enters.
+func checkKind(kind string) {
+	if !kindOK(kind) {
+		panic(fmt.Sprintf("trace: span kind %q must match ^[a-z]+(\\.[a-z_]+)+$", kind))
+	}
+}
+
+// kindOK is the span-kind shape as a byte loop: it runs per span, so
+// it neither allocates nor pulls in regexp.
+func kindOK(kind string) bool {
+	dots, seg := 0, 0
+	for i := 0; i < len(kind); i++ {
+		switch c := kind[i]; {
+		case c >= 'a' && c <= 'z', c == '_' && dots > 0:
+			seg++
+		case c == '.' && seg > 0:
+			dots, seg = dots+1, 0
+		default:
+			return false
+		}
+	}
+	return dots > 0 && seg > 0
+}
+
 // start mints the span. The span ID hashes (trace, parent, source,
 // kind): deterministic, and stable under redelivery — a replayed
 // remote span re-derives the identical ID instead of forking the
 // tree.
 func (t *Tracer) start(traceID, parentID uint64, kind string, now float64) *Active {
+	checkKind(kind)
 	id := hashDone(hashString(hashString(hashU64(hashU64(hashInit, traceID), parentID), t.src), kind))
 	return &Active{
 		tracer: t,
@@ -176,6 +207,7 @@ func (a *Active) Child(kind string, now float64) *Active {
 	if a == nil {
 		return nil
 	}
+	checkKind(kind)
 	a.kids++
 	t := a.tracer
 	id := hashDone(hashU64(hashString(hashString(hashU64(hashU64(hashInit, uint64(a.span.Trace)), uint64(a.span.ID)), t.src), kind), a.kids))

@@ -77,6 +77,44 @@ func TestChildIndexDisambiguates(t *testing.T) {
 	}
 }
 
+func TestSpanKindShape(t *testing.T) {
+	for kind, ok := range map[string]bool{
+		"client.send": true, "eargm.island": true, "a.b.c": true, "fed.fan_out": true,
+		"": false, "client": false, "eargmIsland": false, "Client.send": false, "client.": false,
+		".send": false, "client..send": false, "client-send.x": false, "fed_x.query": false, "fed.query2": false,
+	} {
+		if kindOK(kind) != ok {
+			t.Errorf("kindOK(%q) = %v, want %v", kind, !ok, ok)
+		}
+		if ok {
+			continue
+		}
+		tr := New("x", NewBuffer(0))
+		for name, start := range map[string]func(){
+			"Root":      func() { tr.Root(kind, 0) },
+			"RootNamed": func() { tr.RootNamed("n01/1", kind, 0) },
+			"Remote":    func() { tr.Remote(Context{TraceID: 1, SpanID: 2}, kind, 0) },
+			"Child":     func() { tr.Root("a.b", 0).Child(kind, 0) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%q) did not panic", name, kind)
+					}
+				}()
+				start()
+			}()
+		}
+		var off *Tracer
+		if off.Root(kind, 0).Child(kind, 0) != nil {
+			t.Errorf("nil tracer handed out a span for %q", kind)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { checkKind("client.send") }); n != 0 {
+		t.Errorf("span-kind check allocates %v times", n)
+	}
+}
+
 func TestBufferRingAndSince(t *testing.T) {
 	buf := NewBuffer(4)
 	tr := New("t", buf)
