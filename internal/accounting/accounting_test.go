@@ -602,6 +602,8 @@ func TestQueryAllocatesOnlyThePage(t *testing.T) {
 		{"first page", Query{Limit: 200}},
 		{"middle page", Query{Limit: 200, Cursor: EncodeCursor(snap[999].key())}},
 		{"last page", Query{Limit: 200, Cursor: EncodeCursor(snap[len(snap)-201].key())}},
+		// BenchmarkJobQuery's shape: one user's first page.
+		{"alice's first page", Query{User: "alice", Limit: 200}},
 	} {
 		page, err := s.Query(c.q)
 		if err != nil || len(page.Records) != 200 || cap(page.Records) != 200 {

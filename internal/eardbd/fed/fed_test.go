@@ -16,6 +16,7 @@ import (
 	"goear/internal/eard"
 	"goear/internal/eardbd"
 	"goear/internal/telemetry"
+	"goear/internal/telemetry/trace"
 	"goear/internal/wire"
 )
 
@@ -449,9 +450,9 @@ func TestFanOutOverlapsWarmRoundTrips(t *testing.T) {
 }
 
 // TestWarmViewAllocations: a warm view over four shards — a generation
-// poll on every parked connection, served, read and decoded on the
-// caller's goroutine, then a cache hit — allocates the generation
-// vector a miss would keep, and nothing else, on either side.
+// poll on every parked connection, served, read and decoded into an
+// array on the caller's stack, then a cache hit — allocates nothing,
+// on either side.
 func TestWarmViewAllocations(t *testing.T) {
 	_, root := buildFederation(t, 8, 4)
 	t.Cleanup(func() { _ = root.Close() })
@@ -460,8 +461,8 @@ func TestWarmViewAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := testing.AllocsPerRun(100, func() { _, _ = root.View(nil) }); n > 1 {
-		t.Errorf("a warm view over 4 shards allocates %v times, want at most 1", n)
+	if n := testing.AllocsPerRun(100, func() { _, _ = root.View(nil) }); n != 0 {
+		t.Errorf("a warm view over 4 shards allocates %v times, want 0", n)
 	}
 	if st := root.Stats(); st.CacheMisses != 1 || st.Dials != 4 || st.FanoutErrors != 0 {
 		t.Errorf("stats = %+v, want one miss and one dial per shard", st)
@@ -620,10 +621,10 @@ type replacer struct {
 	round  int
 }
 
-func newReplacer(tb testing.TB, srv *eardbd.Server) *replacer {
+func newReplacer(tb testing.TB, srv *eardbd.Server, spans *trace.Buffer) *replacer {
 	tb.Helper()
 	c, err := eardbd.NewClient(eardbd.ClientConfig{
-		Node: "n00", Dial: srv.Dial, Clock: eardbd.NewFakeClock(0), Jitter: rand.New(rand.NewSource(1)), BatchRecords: 4,
+		Node: "n00", Dial: srv.Dial, Clock: eardbd.NewFakeClock(0), Jitter: rand.New(rand.NewSource(1)), BatchRecords: 4, Trace: spans,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -649,20 +650,36 @@ func (r *replacer) roundTrip(tb testing.TB) {
 // of a warm round trip, counted across every goroutine it touches. A
 // batch — enqueue, encode, one write, the shard's read, decode, dedup,
 // store, ack, the client's read — allocates what it keeps and nothing
-// else: the client's batch-ID string and the block the shard cuts the
-// batch's strings from (the ID among them, which the window keeps). A
-// generation poll over a parked root connection — checkout, query,
-// serve, reply, decode, park — keeps nothing and allocates nothing, on
-// either side.
+// else: the block the shard cuts the batch's strings from (the ID
+// among them, which the window keeps); the client cuts the ID from its
+// own block. With span tracing on at both ends, the batch's seven
+// spans add 17: an Active each, the copy the buffer stamps each, and
+// three attribute lists. A generation poll over a parked
+// root connection — checkout, query, serve, reply, decode, park — keeps
+// nothing and allocates nothing, on either side.
 func TestBatchRoundTripAllocations(t *testing.T) {
-	srv := eardbd.NewServer(eard.NewDB(), eardbd.Config{})
-	t.Cleanup(func() { _ = srv.Close() })
-	r := newReplacer(t, srv)
-	for i := 0; i < 64; i++ {
-		r.roundTrip(t) // grow every buffer, and the window's map past its next doubling
-	}
-	if n := testing.AllocsPerRun(100, func() { r.roundTrip(t) }); n > 2 {
-		t.Errorf("a warm 4-record batch round trip allocates %v times, want at most 2", n)
+	var srv *eardbd.Server
+	var r *replacer
+	for _, c := range []struct {
+		name   string
+		spans  *trace.Buffer
+		allocs float64
+	}{
+		{"traced", trace.NewBuffer(64), 18},
+		{"untraced", nil, 1}, // the shard the polls below read
+	} {
+		srv = eardbd.NewServer(eard.NewDB(), eardbd.Config{Trace: c.spans})
+		t.Cleanup(func() { _ = srv.Close() })
+		r = newReplacer(t, srv, c.spans)
+		for i := 0; i < 64; i++ {
+			r.roundTrip(t) // grow every buffer, and the window's map past its next doubling
+		}
+		if n := testing.AllocsPerRun(100, func() { r.roundTrip(t) }); n != c.allocs {
+			t.Errorf("%s: a warm 4-record batch round trip allocates %v times, want %v", c.name, n, c.allocs)
+		}
+		if c.spans != nil && c.spans.Len() == 0 {
+			t.Errorf("%s: no span recorded", c.name)
+		}
 	}
 	if st := srv.Stats(); st.Batches != 165 || st.RecordsAccepted != 4 || st.RecordsReplaced != 4*164 || r.client.Stats().Redials != 1 {
 		t.Errorf("the batches did not replace over one connection: %+v, %d dials", st, r.client.Stats().Redials)
@@ -697,7 +714,7 @@ func TestBatchRoundTripAllocations(t *testing.T) {
 func BenchmarkBatchRoundTrip(b *testing.B) {
 	srv := eardbd.NewServer(eard.NewDB(), eardbd.Config{})
 	b.Cleanup(func() { _ = srv.Close() })
-	r := newReplacer(b, srv)
+	r := newReplacer(b, srv, nil)
 	r.roundTrip(b)
 	b.ReportAllocs()
 	b.ResetTimer()

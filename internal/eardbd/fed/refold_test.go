@@ -329,15 +329,15 @@ func missAfterWrite(tb testing.TB) (root *Root, write func(i int)) {
 	}
 }
 
-// TestRootMissAfterWriteAllocations holds BenchmarkRootMissAfterWrite's
-// allocation count in the tier-1 suite: 45 here, 79 when every group's
-// slot list and header in the shard stores and the root's fold was an
-// allocation of its own and every batch ID a string of its own.
+// TestRootMissAfterWriteAllocations pins BenchmarkRootMissAfterWrite's
+// allocation count: 45, where it was 79 when every group's slot list
+// and header in the shard stores and the root's fold was an allocation
+// of its own and every batch ID a string of its own.
 func TestRootMissAfterWriteAllocations(t *testing.T) {
 	root, write := missAfterWrite(t)
 	i := 0
-	if n := testing.AllocsPerRun(200, func() { i++; write(i) }); n > 50 {
-		t.Errorf("a miss after one write: %v allocations, want at most 50", n)
+	if n := testing.AllocsPerRun(200, func() { i++; write(i) }); n != 45 {
+		t.Errorf("a miss after one write: %v allocations, want 45", n)
 	}
 	if st := root.Stats(); st.CacheHits != 0 {
 		t.Errorf("stats = %+v: a write did not move the view", st)

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -506,6 +508,64 @@ func benchJournalBatches(n int) []wire.Batch {
 		out[i] = b
 	}
 	return out
+}
+
+// TestJournalAllocations pins what spilling and replaying cost, in
+// BenchmarkJournalAppend's and BenchmarkJournalReplay's shapes. 64
+// 32-record batches appended to a memory-only journal allocate an
+// image each and the entry list's doublings: 72. The same journal
+// drained into a live server through a real client — a frame write,
+// the server's store and ack, and a removal per batch — is counted
+// around Flush over every goroutine, so a replay reads its floor of 92
+// or, when the runtime or the server's last bookkeeping lands inside
+// the window, more: the lowest of 20 replays is pinned.
+func TestJournalAllocations(t *testing.T) {
+	batches := benchJournalBatches(64)
+	spill := func() *Journal {
+		j, err := OpenJournal("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, batch := range batches {
+			if err := j.Append(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return j
+	}
+	want := 72.0
+	if raceOn {
+		want += 64 // each image grows from nothing
+	}
+	if n := testing.AllocsPerRun(10, func() { spill() }); n != want {
+		t.Errorf("64 batches spilled: %v allocations, want %v", n, want)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	floor := uint64(math.MaxUint64)
+	for i := 0; i < 20; i++ {
+		j := spill()
+		srv := NewServer(eard.NewDB(), Config{})
+		c, err := NewClient(ClientConfig{
+			Node: "node00001", Dial: srv.Dial, Clock: NewFakeClock(0),
+			Jitter: rand.New(rand.NewSource(1)), Journal: j,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		err = c.Flush()
+		runtime.ReadMemStats(&m1)
+		if err != nil || j.Len() != 0 {
+			t.Fatalf("replay: %v, %d batches left", err, j.Len())
+		}
+		floor = min(floor, m1.Mallocs-m0.Mallocs)
+		_, _ = c.Close(), srv.Close()
+	}
+	if floor != 92 {
+		t.Errorf("64 batches replayed: %d allocations at the least, want 92", floor)
+	}
 }
 
 // BenchmarkJournalAppend spills 32-record batches to a memory-only

@@ -292,14 +292,14 @@ func TestPipeConformance(t *testing.T) {
 	}
 }
 
-// TestPipeAllocations holds the pipe to one allocation per connection
-// and none per deadline re-arm or round trip.
+// TestPipeAllocations holds the pipe to exactly one allocation per
+// connection and none per deadline re-arm or round trip.
 func TestPipeAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		a, b := newPipe()
 		_, _ = a.Close(), b.Close()
-	}); n > 1 {
-		t.Errorf("create and close: %v allocations, want at most 1", n)
+	}); n != 1 {
+		t.Errorf("create and close: %v allocations, want 1", n)
 	}
 
 	a, b := newPipe()

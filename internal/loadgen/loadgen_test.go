@@ -3,6 +3,7 @@ package loadgen
 import (
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -303,11 +304,43 @@ func TestGeneratorValidation(t *testing.T) {
 	}
 }
 
-// BenchmarkDialShard is what one reporter connection costs the fleet
-// beyond its traffic: a dial through the cluster to a live shard and
-// the hang-up. The repo benchmark's ingest workloads dial once per 16
-// to 32 records, so one allocation more here is their whole
-// allocs_per_work bound; BENCH_baseline.json pins the figure.
+// TestDialShardAllocations: what one reporter connection costs the
+// fleet beyond its traffic — a dial through the cluster to a live shard
+// and the hang-up — is two allocations: the pipe and the closure its
+// handler goroutine runs. The repo benchmark's ingest workloads dial
+// once per 16 to 32 records, so one allocation more here is their whole
+// allocs_per_work bound. Each dial waits for the last handler to
+// return, as a second CPU lets it in the benchmark: a goroutine started
+// while its predecessor still runs cannot reuse it, and costs one more.
+func TestDialShardAllocations(t *testing.T) {
+	cluster, err := NewCluster(4, eardbd.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	sh, err := cluster.shard("shard2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dial := func() {
+		conn, err := cluster.dialShard("shard2")
+		if err == nil {
+			err = conn.Close()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for sh.srv.Conns() != 0 {
+			runtime.Gosched()
+		}
+	}
+	dial()
+	if n := testing.AllocsPerRun(100, dial); n != 2 {
+		t.Errorf("a dial and hang-up: %v allocations, want 2", n)
+	}
+}
+
+// BenchmarkDialShard times the dial TestDialShardAllocations counts.
 func BenchmarkDialShard(b *testing.B) {
 	cluster, err := NewCluster(4, eardbd.Config{})
 	if err != nil {

@@ -242,6 +242,20 @@ func TestEvaluateErrors(t *testing.T) {
 	}
 }
 
+// TestEvaluateAllocations: the simulator evaluates an operating point
+// on every step it does not replay; the evaluation allocates nothing.
+func TestEvaluateAllocations(t *testing.T) {
+	m := machine6148()
+	p := Phase{BaseCPI: 0.8, BytesPerInstr: 3, Overlap: 0.92, ActiveCores: 40}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := Evaluate(m, p, Operating{CoreRatio: 24, UncoreRatio: 20}); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Evaluate allocates %v times", n)
+	}
+}
+
 func TestSolveBaseCPIRoundTrip(t *testing.T) {
 	m := machine6148()
 	op := Operating{CoreRatio: 24, UncoreRatio: 24}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"goear/internal/telemetry"
 	"goear/internal/workload"
 )
 
@@ -88,4 +89,104 @@ func TestRunAllocationsIndependentOfLength(t *testing.T) {
 			allocs[0], sigs[0], allocs[1], sigs[1])
 	}
 	t.Logf("%v allocations per node run (%d and %d signatures)", allocs[0], sigs[0], sigs[1])
+}
+
+// TestTickAllocations: a node's step — tick, perf evaluation, meters,
+// controller, EARL — allocates nothing, with global telemetry off or
+// on (per-step tallies are node-local until flushTel), and neither does
+// a tick of a settled 1,024-node batch, whose nodes advance by armed
+// replay.
+func TestTickAllocations(t *testing.T) {
+	cal := calibrated(t, workload.BTMZC)
+	opt := Options{Policy: "none", Seed: 1}
+	for _, on := range []bool{false, true} {
+		if on {
+			telemetry.Enable()
+		}
+		s, err := NewStepper(cal, 0, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		step := func() {
+			if err := s.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 200; i++ {
+			step()
+		}
+		if n := testing.AllocsPerRun(1000, step); n != 0 || s.Done() {
+			t.Errorf("telemetry %v: a node step allocates %v times (done %v)", on, n, s.Done())
+		}
+		telemetry.Disable()
+	}
+
+	bt, err := NewBatch(cal, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := 0; id < 1024; id++ {
+		if _, err := bt.Add(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tick := func() {
+		if err := bt.Tick(0.01); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 300; i++ {
+		tick()
+	}
+	if n := testing.AllocsPerRun(100, tick); n != 0 || bt.Done() {
+		t.Errorf("a settled 1,024-node batch tick allocates %v times (done %v)", n, bt.Done())
+	}
+}
+
+// TestOneIterationRunAllocations: a one-iteration BT-MZ.C run, built as
+// Run builds it on a node it keeps, allocates its Result's node slice
+// and nothing else, with global telemetry off or on; traced, it adds
+// the node's trace samples. (Run draws the node from nodePool; this
+// keeps it, see TestRunAllocationsIndependentOfLength.)
+func TestOneIterationRunAllocations(t *testing.T) {
+	spec, err := workload.Lookup(workload.BTMZC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.TargetTimeSec = 1.2
+	cal, err := spec.Calibrate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name             string
+		trace, telemetry bool
+		want             float64
+	}{
+		{"plain", false, false, 1},
+		{"telemetry", false, true, 1},
+		{"traced", true, false, 2},
+	} {
+		if c.telemetry {
+			telemetry.Enable()
+		}
+		opt := Options{Policy: "none", Seed: 1, Trace: c.trace}.WithDefaults()
+		n := new(node)
+		var got Result
+		run := func() {
+			res := Result{Workload: cal.Name, Policy: opt.Policy, Nodes: make([]NodeResult, cal.Nodes)}
+			res.Nodes[0] = runOn(t, n, cal, 0, opt)
+			n.flushTel()
+			res.aggregate()
+			got = res
+		}
+		run()
+		if n := testing.AllocsPerRun(100, run); n != c.want {
+			t.Errorf("%s: a one-iteration run allocates %v times, want %v", c.name, n, c.want)
+		}
+		if nr := got.Nodes[0]; nr.TimeSec > 2 || (len(nr.Trace) == 0) == c.trace {
+			t.Errorf("%s: a run of %v s with %d trace samples", c.name, nr.TimeSec, len(nr.Trace))
+		}
+		telemetry.Disable()
+	}
 }

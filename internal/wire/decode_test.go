@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"goear/internal/accounting"
@@ -139,7 +141,9 @@ func TestDecodeCorporaGolden(t *testing.T) {
 // client does, and on a batch read and decoded as a server does: a
 // handful of blocks and one table spill, where there was a heap string
 // per literal (200 node names; 71 distinct strings a page) and a table
-// doubled from nothing.
+// doubled from nothing. The bytes pin each kind's first block
+// (frameShare, resultShare): sized a sixteenth of its payload, a
+// batch's block alone grows from 96 to 144 bytes.
 func TestFleetReplyDecodeAllocations(t *testing.T) {
 	powers, err := Frame{Type: TypeResult, Payload: mustResultPayload(t, QueryNodePowers, fleetPowers())}.AsResult()
 	if err != nil {
@@ -159,37 +163,50 @@ func TestFleetReplyDecodeAllocations(t *testing.T) {
 	var pg accounting.Page
 	var batch Batch
 	for _, c := range []struct {
-		name   string
-		decode func() error
-		max    float64
+		name          string
+		decode        func() error
+		allocs, bytes float64
 	}{
 		// 1,800 bytes of names in a 3,600-byte payload: blocks of 225,
 		// 450 and 900 bytes and one for the rest, and a table that spills
 		// to 128 and then 256 entries.
-		{"node_powers x200", func() error { return powers.Decode(&nps) }, 6},
+		{"node_powers x200", func() error { return powers.Decode(&nps) }, 6, 9056},
 		// 654 bytes of literals in a 15 KB payload's 937-byte first
 		// block, and one spill.
-		{"acct_jobs page x200", func() error { return page.Decode(&pg) }, 2},
-		// BenchmarkWireDecodeBatch's shape: the frame's payload, and its
-		// 70 bytes of strings in one 81-byte block.
-		{"batch 24+8", func() error {
+		{"acct_jobs page x200", func() error { return page.Decode(&pg) }, 2, 3328},
+		// The frame read as a server keeps it: its 70 bytes of strings
+		// in one 81-byte block (96 with the allocator's rounding).
+		{"batch 24+8", func() error { return f.DecodeBatch(&batch) }, 1, 96},
+		// BenchmarkWireDecodeBatch's shape: the same, read from the
+		// stream first, which adds the frame's payload.
+		{"batch 24+8 read", func() error {
 			rd.Reset(framed.Bytes())
 			f, err := ReadFrame(rd, 0)
 			if err != nil {
 				return err
 			}
 			return f.DecodeBatch(&batch)
-		}, 2},
+		}, 2, 0},
 	} {
 		if err := c.decode(); err != nil { // sizes the reused target
 			t.Fatal(err)
 		}
-		if got := testing.AllocsPerRun(50, func() {
+		decode := func() {
 			if err := c.decode(); err != nil {
 				t.Fatal(err)
 			}
-		}); got > c.max {
-			t.Errorf("%s: %v allocations per decode, want at most %v", c.name, got, c.max)
+		}
+		if got := testing.AllocsPerRun(50, decode); got != c.allocs {
+			t.Errorf("%s: %v allocations per decode, want %v", c.name, got, c.allocs)
+		}
+		// A read's header scratch comes from a sync.Pool, which drops
+		// items at random under the race detector: its bytes are
+		// TestReadFramePayloadAllocations'.
+		if c.bytes == 0 {
+			continue
+		}
+		if got := bytesPerRun(50, decode); got != c.bytes {
+			t.Errorf("%s: %v bytes allocated per decode, want %v", c.name, got, c.bytes)
 		}
 	}
 	if !sameBits(batch, benchBatch()) {
@@ -198,6 +215,23 @@ func TestFleetReplyDecodeAllocations(t *testing.T) {
 	if !sameBits(nps, fleetPowers()) || !sameBits(pg, fleetPage()) {
 		t.Error("the reused targets no longer hold the replies")
 	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one
+// call of f allocates, averaged over runs calls after a warm-up call.
+// The collector is off meanwhile: under -race a collection allocates
+// a little of its own.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	f()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&m1)
+	return float64((m1.TotalAlloc - m0.TotalAlloc) / uint64(runs))
 }
 
 // TestLiteralBlocksBoundedByPayload: a block is never sized past what

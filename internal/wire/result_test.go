@@ -188,8 +188,9 @@ func TestStoreViewsEncodeByteIdentically(t *testing.T) {
 // 200-record page, whose strings outgrow the linear table) is built
 // behind the room of a warm connection's image, its strings indexed in
 // the table the connection kept, and sent with no allocation at all.
-// (Selecting a page costs its cursor string, before the encoder runs;
-// accounting pins that.)
+// Selecting a page costs its cursor string before the encoder runs
+// (accounting pins that), and handing the Selection to AppendResult
+// boxes it: a page selected and encoded as served allocates those two.
 func TestAppendResultAllocations(t *testing.T) {
 	var sent bytes.Buffer
 	var c Conn
@@ -225,6 +226,23 @@ func TestAppendResultAllocations(t *testing.T) {
 		if len(c.strs) != 0 {
 			t.Errorf("%s: the connection keeps a table of %d strings between frames", tc.name, len(c.strs))
 		}
+	}
+
+	// BenchmarkAcctPageEncode's shape.
+	s := fleetAcct(t)
+	var buf []byte
+	serve := func() {
+		sel, err := s.Select(accounting.Query{User: "alice", Limit: 200})
+		if err == nil {
+			buf, err = c.AppendResult(buf[:0], QueryAcctJobs, sel)
+		}
+		if err != nil || sel.N != 200 {
+			t.Fatalf("selected %d records, err %v", sel.N, err)
+		}
+	}
+	serve()
+	if n := testing.AllocsPerRun(50, serve); n != 2 {
+		t.Errorf("a 200-record page selected and encoded: %v allocations, want 2", n)
 	}
 }
 

@@ -526,6 +526,27 @@ func benchBatch() Batch {
 	return b
 }
 
+// TestEncodeBatchAllocations: one batch out, encoded and framed as
+// BenchmarkWireEncodeBatch does, allocates its payload and nothing else.
+func TestEncodeBatchAllocations(t *testing.T) {
+	batch := benchBatch()
+	want := 1.0
+	if raceOn {
+		want++ // the payload grows from nothing
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		f, err := EncodeBatch(batch)
+		if err == nil {
+			err = WriteFrame(io.Discard, f, 0)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}); n != want {
+		t.Errorf("a 24+8-record batch encoded and framed: %v allocations, want %v", n, want)
+	}
+}
+
 // BenchmarkWireEncodeBatch is one batch out: encode and frame, the
 // client's share of a delivery.
 func BenchmarkWireEncodeBatch(b *testing.B) {
