@@ -2,6 +2,7 @@ package accounting
 
 import (
 	"cmp"
+	"slices"
 	"strings"
 	"sync"
 
@@ -30,6 +31,7 @@ type Store struct {
 	// crossing it evicts whole (job, step) groups, oldest window first,
 	// until the store fits again.
 	maxRecords int
+	evicted    int // records the cap has evicted
 
 	snap    []Record // cached canonical dump; immutable once published
 	snapGen uint64
@@ -92,9 +94,19 @@ func (s *Store) SetMaxRecords(n int) {
 func (s *Store) pruneLocked() {
 	if s.maxRecords > 0 {
 		evicted := s.recs.Prune(s.maxRecords, func(r *Record) float64 { return r.EndSec })
+		s.evicted += evicted
 		s.tel.pruned.Add(uint64(evicted))
 	}
 	s.tel.records.Set(float64(s.recs.Len()))
+}
+
+// Evicted counts the records the retention cap has evicted since the
+// store was built: a store that moved by losing records, which a reader
+// following it by insert cannot tell from the inserts alone.
+func (s *Store) Evicted() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.evicted
 }
 
 // Seed restores records wholesale — a daemon reloading its persisted
@@ -107,6 +119,30 @@ func (s *Store) Seed(recs []Record) {
 		s.recs.Insert(&recs[i])
 	}
 	s.pruneLocked()
+}
+
+// AppendNodes appends the records of the given nodes, a sorted list,
+// to dst in Snapshot's order and returns the extended slice.
+func (s *Store) AppendNodes(dst []Record, nodes []string) []Record {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.recs.Walk(func(r *Record) {
+		if _, ok := slices.BinarySearch(nodes, r.Node); ok {
+			dst = append(dst, *r)
+		}
+	})
+	return dst
+}
+
+// Clone returns a store holding what s holds that shares its storage
+// until written (grouped.Store.Clone), with s's telemetry and retention
+// cap and a snapshot cache of its own: the next of a series of
+// read-only snapshots, built from the last. s must not be written
+// afterwards.
+func (s *Store) Clone() *Store {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return &Store{tel: s.tel, recs: s.recs.Clone(), maxRecords: s.maxRecords}
 }
 
 // Snapshot returns the canonical (Key-ordered) dump of the store. The

@@ -13,6 +13,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 
@@ -193,6 +194,29 @@ func (db *DB) Walk(begin func(n int), each func(*JobRecord)) {
 	defer db.mu.RUnlock()
 	begin(db.recs.Len())
 	db.recs.Walk(each)
+}
+
+// AppendNodes appends the records of the given nodes, a sorted list,
+// to dst in Records' order and returns the extended slice.
+func (db *DB) AppendNodes(dst []JobRecord, nodes []string) []JobRecord {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	db.recs.Walk(func(r *JobRecord) {
+		if _, ok := slices.BinarySearch(nodes, r.Node); ok {
+			dst = append(dst, *r)
+		}
+	})
+	return dst
+}
+
+// Clone returns a database holding what db holds that shares its
+// storage until written (grouped.Store.Clone): the next of a series of
+// read-only snapshots, built from the last. db must not be written
+// afterwards.
+func (db *DB) Clone() *DB {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return &DB{recs: db.recs.Clone()}
 }
 
 // Save writes the database as JSON.

@@ -1,6 +1,7 @@
 package fed
 
 import (
+	"errors"
 	"slices"
 	"strings"
 
@@ -17,11 +18,14 @@ import (
 // eargm snapshot rate and wrong for a dashboard tier taking repeated
 // reads, so the root keys the folded view by the vector of shard
 // ingest generations: a query polls the cheap generation counter on
-// every shard, and only a moved generation pays for dumps and a
-// re-fold — of the parts whose stamps moved, not of the whole view. The
-// rebuilt parts run the exact same insertion arithmetic as an uncached
-// fold, so caching is invisible to the byte-identity contract — it only
-// changes how often each fold runs.
+// every shard, and only a moved generation pays — for what moved, not
+// for the fleet. The shards whose generation moved are asked what
+// changed since the cached view's generation, and the changes are
+// applied to copy-on-write clones of the parts whose stamps moved; a
+// miss that cannot take that path folds those parts again from every
+// shard's full dump. Both run the exact same insertion arithmetic as an
+// uncached fold, so caching is invisible to the byte-identity contract
+// — it only changes how often, and over how much, each fold runs.
 
 // view is one folded reading of the fleet, keyed by the shard
 // generations it was polled at and the root's failure epoch then. A
@@ -30,12 +34,21 @@ import (
 // could reach a generation the root has cached with other contents; it
 // cannot come back without a failed leg or a redial in between, which
 // moves the epoch. A published view is immutable, its stores and power
-// list included: invalidation swaps in a freshly built one, so readers
+// list included: invalidation swaps in a freshly built one — whose
+// clones share storage with this one but never write it — so readers
 // of an old view stay consistent, every query served from one view sees
 // one generation vector, and two views may share a part.
+//
+// dirty holds the parts whose last full fold met a node on a shard the
+// ring does not place it on. Changes are applied only to a view with
+// none: a node seen on two shards keeps the later shard's values in a
+// full fold, which changes read from one shard cannot reproduce. A node
+// report always sets its node's power, so the power lists cover every
+// node that reported; the accounting fold checks the rest.
 type view struct {
 	gens  []wire.Generation
 	epoch uint64
+	dirty parts
 	eardbd.View
 }
 
@@ -83,6 +96,25 @@ func (p parts) String() string {
 	return strings.Join(names, ",")
 }
 
+// rebuild is how a miss rebuilt the parts that moved: from the shards'
+// changes, or from their full dumps and why.
+type rebuild uint8
+
+const (
+	byDelta    rebuild = iota
+	byCold             // there was no cached view
+	byEpoch            // a shard may have restarted since the cached view
+	byNotOwner         // a node came from a shard the ring does not place it on
+	byRefused          // a shard could not say what changed, or does not know the kind
+)
+
+// rebuildNames are the fed.merge span's names of each way, the mode
+// and, for a full fold, the reason after a colon.
+var rebuildNames = [...]string{"delta", "full:cold", "full:epoch", "full:not_owner", "full:refused"}
+
+// errNotOwner stops applying changes at a node its shard does not own.
+var errNotOwner = errors.New("node not owned by the shard that sent it")
+
 // pollGenerations polls every shard's generation, one entry a shard in
 // fleet order, into buf when the fleet fits it. Decoded by value, a poll
 // into an array on the caller's stack stays there: a hit keeps nothing,
@@ -102,17 +134,21 @@ func (r *Root) pollGenerations(parent *trace.Active, buf *[fanOutConcurrency]wir
 
 // View implements eardbd.Backend with the folded cluster view — from
 // cache when no shard generation has moved, otherwise rebuilt from the
-// cached one by folding again the parts whose stamps moved on some
-// shard; a changed epoch re-folds all three. A node reports through
-// exactly one shard (ring placement), so the union of the shards' power
-// lists is disjoint; a node seen on two shards (mid-rebalance traffic)
-// keeps the value from the later shard in fan-out order.
+// cached one: the parts whose stamps moved on some shard take in what
+// the moved shards report changed since the cached view, or are folded
+// again from every shard's dump when the view or a shard rules that out;
+// a changed epoch re-folds all three. A node reports through exactly
+// one shard (ring placement), so the union of the shards' power lists
+// is disjoint; a node seen on two shards (mid-rebalance traffic) keeps
+// the value from the later shard in fan-out order.
 //
 // A part kept from the cached view is exact for its unchanged stamps: a
 // shard stamps a part only after the store under it took the batch, so
 // a part folded before the stamp moved holds at least what the stamp
 // covers — and one that holds more is folded again at the next poll,
-// which sees the stamp moved.
+// which sees the stamp moved. Changes are as exact: a shard stamps a
+// node only after its stores took the batch, and re-sends it whole at
+// every later ask from before the stamp.
 func (r *Root) View(parent *trace.Active) (eardbd.View, error) {
 	msp := parent.Child(spanFedMerge, r.Now.Sec())
 	var buf [fanOutConcurrency]wire.Generation
@@ -129,34 +165,132 @@ func (r *Root) View(parent *trace.Active) (eardbd.View, error) {
 		msp.Attr("cache", "hit").End(r.Now.Sec())
 		return old.View, nil
 	}
-	refold := allParts
-	if old != nil && old.epoch == epoch {
-		refold = movedParts(old.gens, gens)
+	moved, how := allParts, byCold
+	switch {
+	case old == nil:
+	case old.epoch != epoch:
+		how = byEpoch
+	case old.dirty != 0:
+		moved, how = movedParts(old.gens, gens), byNotOwner
+	default:
+		moved, how = movedParts(old.gens, gens), byDelta
 	}
 	r.countCache(false)
-	r.tel.refold(refold)
 	msp.Attr("cache", "miss")
-	if msp != nil {
-		msp.Attr("refold", refold.String())
-	}
 	defer func() { msp.End(r.Now.Sec()) }()
 
 	// Concurrent misses duplicate work but never block a hit, and the
-	// last finisher wins the cache slot. Every dump is folded straight
+	// last finisher wins the cache slot. Every reply is folded straight
 	// from its frame, a record at a time, one shard after the other; a
-	// dump that turns out malformed part-way leaves records behind in a
+	// reply that turns out malformed part-way leaves records behind in a
 	// view that is dropped here, never published.
 	v := &view{gens: slices.Clone(gens), epoch: epoch}
 	if old != nil {
-		v.View = old.View // the parts not folded again are shared
+		v.View, v.dirty = old.View, old.dirty // the parts not rebuilt are shared
 	}
+	if how == byDelta {
+		if how, err = r.applyChanges(msp, v, old.gens, moved); err != nil {
+			return eardbd.View{}, err
+		}
+	}
+	if how != byDelta {
+		if err := r.fold(msp, v, moved); err != nil {
+			return eardbd.View{}, err
+		}
+	}
+	r.tel.refold(moved, how == byDelta)
+	if msp != nil {
+		msp.Attr("refold", rebuildNames[how]+" "+moved.String())
+	}
+	r.cache.Store(v)
+	return v.View, nil
+}
+
+// applyChanges asks every shard whose generation moved since the cached
+// view's for its changes since then (wire.QueryChanges) and applies them
+// to clones of v's moved parts, which share storage with the cached
+// view until written. It returns byDelta once v holds the result, or
+// why the moved parts must be folded from the full dumps instead, with
+// v as it was: a shard refused — records dropped, a restored state, a
+// build that does not know the kind — or named a node it does not own.
+func (r *Root) applyChanges(parent *trace.Active, v *view, since []wire.Generation, moved parts) (rebuild, error) {
+	var (
+		db     = v.DB
+		acct   = v.Acct
+		powers = v.Powers
+		owner  string // the shard whose changes are being applied
+	)
+	if moved&partRecords != 0 {
+		db = db.Clone()
+	}
+	if moved&partAcct != 0 {
+		acct = acct.Clone()
+	}
+	if moved&partPowers != 0 {
+		powers = slices.Clone(powers)
+	}
+	owned := func(node string) error {
+		if r.cfg.Fleet.Owner(node) != owner {
+			return errNotOwner
+		}
+		return nil
+	}
+	ask := func(i int) (wire.Query, bool) {
+		return wire.Query{Kind: wire.QueryChanges, Limit: int(since[i].Gen)}, since[i] != v.gens[i]
+	}
+	err := r.fanOutTo(parent, ask, func(i int, res wire.Result) error {
+		owner = r.cfg.Fleet.names[i]
+		return res.EachChange(func(rec eard.JobRecord) error {
+			if err := owned(rec.Node); err != nil || moved&partRecords == 0 {
+				return err
+			}
+			return db.Insert(rec)
+		}, func(rec accounting.Record) error {
+			if err := owned(rec.Node); err != nil || moved&partAcct == 0 {
+				return err
+			}
+			_, err := acct.Insert(rec)
+			return err
+		}, func(np wire.NodePower) error {
+			if err := owned(np.Node); err != nil || moved&partPowers == 0 {
+				return err
+			}
+			at, found := slices.BinarySearchFunc(powers, np.Node, func(p wire.NodePower, node string) int {
+				return strings.Compare(p.Node, node)
+			})
+			if found {
+				powers[at].PowerW = np.PowerW
+			} else {
+				powers = slices.Insert(powers, at, np)
+			}
+			return nil
+		})
+	})
+	switch {
+	case errors.Is(err, errNotOwner):
+		return byNotOwner, nil
+	case errors.Is(err, eardbd.ErrServer):
+		return byRefused, nil
+	case err != nil:
+		return byDelta, err
+	}
+	v.DB, v.Acct, v.Powers = db, acct, powers
+	return byDelta, nil
+}
+
+// fold rebuilds the given parts of v from every shard's full dump into
+// fresh stores, and marks dirty the parts that met a node on a shard
+// the ring does not place it on.
+func (r *Root) fold(parent *trace.Active, v *view, refold parts) error {
+	names := r.cfg.Fleet.names
+	v.dirty &^= refold
 	if refold&partRecords != 0 {
 		v.DB = eard.NewDB()
-		err = r.fanOut(msp, wire.Query{Kind: wire.QueryRecords}, func(_ int, res wire.Result) error {
+		err := r.fanOut(parent, wire.Query{Kind: wire.QueryRecords}, func(_ int, res wire.Result) error {
 			return res.EachRecord(v.DB.Insert)
 		})
 		if err != nil {
-			return eardbd.View{}, err
+			return err
 		}
 	}
 	if refold&partAcct != 0 {
@@ -164,35 +298,43 @@ func (r *Root) View(parent *trace.Active) (eardbd.View, error) {
 		// goear_accounting_* families on a federation root cover the
 		// serving tier the same way they cover a single daemon.
 		v.Acct = accounting.NewStore(r.ts)
-		err = r.fanOut(msp, wire.Query{Kind: wire.QueryAcctRecords}, func(_ int, res wire.Result) error {
+		err := r.fanOut(parent, wire.Query{Kind: wire.QueryAcctRecords}, func(i int, res wire.Result) error {
+			last := ""
 			return res.EachAcctRecord(func(rec accounting.Record) error {
+				if rec.Node != last {
+					if last = rec.Node; r.cfg.Fleet.Owner(last) != names[i] {
+						v.dirty |= partAcct
+					}
+				}
 				_, err := v.Acct.Insert(rec)
 				return err
 			})
 		})
 		if err != nil {
-			return eardbd.View{}, err
+			return err
 		}
 	}
 	if refold&partPowers != 0 {
 		byNode := map[string]float64{}
 		var nps []wire.NodePower // every shard's list decodes into the first one's
-		err = r.fanOut(msp, wire.Query{Kind: wire.QueryNodePowers}, func(_ int, res wire.Result) error {
+		err := r.fanOut(parent, wire.Query{Kind: wire.QueryNodePowers}, func(i int, res wire.Result) error {
 			if err := res.Decode(&nps); err != nil {
 				return err
 			}
 			for _, np := range nps {
+				if r.cfg.Fleet.Owner(np.Node) != names[i] {
+					v.dirty |= partPowers
+				}
 				byNode[np.Node] = np.PowerW
 			}
 			return nil
 		})
 		if err != nil {
-			return eardbd.View{}, err
+			return err
 		}
 		v.Powers = eardbd.SortedPowers(byNode)
 	}
-	r.cache.Store(v)
-	return v.View, nil
+	return nil
 }
 
 // countCache records one cache outcome in stats and telemetry,

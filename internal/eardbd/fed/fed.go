@@ -236,15 +236,18 @@ type shardConn struct {
 	raw net.Conn
 }
 
-// leg is one shard query in flight: the query sent on conn, then its
-// reply read from it. A query is an idempotent read, so a leg whose
-// connection was parked (reused) may try once more on a fresh dial when
-// it fails — the shard may have restarted under it, which the root
-// cannot tell from a failing shard without asking again — and a failure
-// on a fresh connection is the leg's answer. err ends the leg; conn is
-// nil once it has.
+// leg is one shard query in flight: q sent on conn, then its reply read
+// from it. A query is an idempotent read, so a leg whose connection was
+// parked (reused) may try once more on a fresh dial when it fails — the
+// shard may have restarted under it, which the root cannot tell from a
+// failing shard without asking again — and a failure on a fresh
+// connection is the leg's answer. An error frame is not a failure but
+// an answer, a refusal, on a sound connection. err ends the leg; conn
+// is nil once it has failed.
 type leg struct {
 	shard  string
+	at     int // the shard's index in the fleet
+	q      wire.Query
 	kid    *trace.Active // the leg's fed.fanout span, whose context the query frame carries; nil untraced
 	t0     float64
 	conn   *shardConn
@@ -258,17 +261,17 @@ type leg struct {
 // then parks the connection: a parked connection's buffer belongs to
 // the next query.
 func (r *Root) queryShard(shard string, q wire.Query) (wire.Result, *shardConn, error) {
-	l := r.checkOut(shard, nil)
-	r.send(&l, q)
-	res, err := r.receive(&l, q)
+	l := r.checkOut(shard, q, nil)
+	r.send(&l)
+	res, err := r.receive(&l)
 	return res, l.conn, err
 }
 
 // checkOut counts one fan-out and starts its leg on the shard's most
 // recently parked connection, or on none; the telemetry says which, and
 // whether a dial is a first attempt or the retry.
-func (r *Root) checkOut(shard string, kid *trace.Active) leg {
-	l := leg{shard: shard, kid: kid, t0: r.Now.Sec()}
+func (r *Root) checkOut(shard string, q wire.Query, kid *trace.Active) leg {
+	l := leg{shard: shard, q: q, kid: kid, t0: r.Now.Sec()}
 	how := dialNew
 	r.mu.Lock()
 	r.stats.Fanouts++
@@ -296,14 +299,14 @@ func (r *Root) dial(shard string) (*shardConn, error) {
 
 // send puts the leg's query on its connection in one write, dialling
 // first when it has none.
-func (r *Root) send(l *leg, q wire.Query) {
+func (r *Root) send(l *leg) {
 	for l.err == nil {
 		if l.conn == nil {
 			if l.conn, l.err = r.dial(l.shard); l.err != nil {
 				return
 			}
 		}
-		if l.err = eardbd.SendQuery(&l.conn.Conn, q, l.kid.Context()); l.err == nil || !r.retry(l) {
+		if l.err = eardbd.SendQuery(&l.conn.Conn, l.q, l.kid.Context()); l.err == nil || !r.retry(l) {
 			return
 		}
 	}
@@ -311,16 +314,18 @@ func (r *Root) send(l *leg, q wire.Query) {
 
 // receive reads the reply to the leg's query — a failure on a reused
 // connection sends the query again on a fresh one — and counts the
-// leg's outcome.
-func (r *Root) receive(l *leg, q wire.Query) (wire.Result, error) {
+// leg's outcome. A refusal (an error frame, eardbd.ErrServer) comes
+// back as the leg's error with its connection kept: the shard was
+// reached, and nothing is redialled.
+func (r *Root) receive(l *leg) (wire.Result, error) {
 	var res wire.Result
 	for l.err == nil {
-		if res, l.err = eardbd.ReadResult(&l.conn.Conn); l.err == nil || !r.retry(l) {
+		if res, l.err = eardbd.ReadResult(&l.conn.Conn); l.err == nil || errors.Is(l.err, eardbd.ErrServer) || !r.retry(l) {
 			break
 		}
-		r.send(l, q)
+		r.send(l)
 	}
-	r.countReach(l.shard, l.err == nil)
+	r.countReach(l.shard, l.err == nil || errors.Is(l.err, eardbd.ErrServer))
 	r.Now.Observe(r.tel.latFanout, l.t0)
 	if l.err != nil {
 		return wire.Result{}, fmt.Errorf("fed: shard %s: %w", l.shard, l.err)
@@ -415,7 +420,14 @@ func (r *Root) countReach(shard string, ok bool) {
 const fanOutConcurrency = 8
 
 // fanOut runs one query against every shard, on the calling goroutine,
-// and decodes each result into decode(i). Scatter: every leg is checked
+// and decodes each result into decode(i): fanOutTo asking them all.
+func (r *Root) fanOut(parent *trace.Active, q wire.Query, decode func(i int, res wire.Result) error) error {
+	return r.fanOutTo(parent, func(int) (wire.Query, bool) { return q, true }, decode)
+}
+
+// fanOutTo runs on the calling goroutine the query ask names for each
+// shard it names one for, and decodes each result into decode(i), i
+// the shard's index in the fleet. Scatter: every leg is checked
 // out and its query sent before any reply is read, so the shards work
 // at once. Gather: the replies are read and decoded in configured shard
 // order, leg i while the legs after it are still working — so the merged
@@ -424,49 +436,59 @@ const fanOutConcurrency = 8
 // it would block any one round trip; nothing else waits on it.
 //
 // Every leg is read to the end, even after one has failed: each counts
-// its reach, and each healthy connection is parked, once its reply is
-// decoded (a result is its connection's read buffer) or skipped. The
-// error is the lowest-indexed leg's, from its read or its decode.
+// its reach, and each healthy connection is parked — a refused leg's
+// too — once its reply is decoded (a result is its connection's read
+// buffer) or skipped. The error is the lowest-indexed leg's, from its
+// read or its decode.
 //
 // When parent is live, each shard gets a fed.fanout child span, created
 // in configured shard order — span IDs come from a per-parent child
 // counter, so creation order is what keeps the trace byte-identical
 // across runs.
-func (r *Root) fanOut(parent *trace.Active, q wire.Query, decode func(i int, res wire.Result) error) error {
+func (r *Root) fanOutTo(parent *trace.Active, ask func(i int) (wire.Query, bool), decode func(i int, res wire.Result) error) error {
 	shards := r.cfg.Fleet.names
 	var onStack [fanOutConcurrency]leg
 	legs := onStack[:]
 	if len(shards) > len(legs) {
 		legs = make([]leg, len(shards))
 	}
-	legs = legs[:len(shards)]
-	cold := 0
+	n, cold := 0, 0
 	for i, shard := range shards {
-		legs[i] = r.checkOut(shard, parent.Child(spanFedFanout, r.Now.Sec()).Attr("shard", shard))
-		if legs[i].conn == nil {
+		q, ok := ask(i)
+		if !ok {
+			continue
+		}
+		legs[n] = r.checkOut(shard, q, parent.Child(spanFedFanout, r.Now.Sec()).Attr("shard", shard))
+		legs[n].at = i
+		if legs[n].conn == nil {
 			cold++
 		}
+		n++
 	}
+	legs = legs[:n]
 	if cold > 1 {
 		r.dialCold(legs)
 	}
 	for i := range legs {
-		r.send(&legs[i], q)
+		r.send(&legs[i])
 	}
 	var first error
 	for i := range legs {
 		l := &legs[i]
-		res, err := r.receive(l, q)
-		if err == nil && res.Kind != q.Kind {
-			err = fmt.Errorf("fed: shard %s answered kind %q to %q", l.shard, res.Kind, q.Kind)
+		res, err := r.receive(l)
+		if err == nil && res.Kind != l.q.Kind {
+			err = fmt.Errorf("fed: shard %s answered kind %q to %q", l.shard, res.Kind, l.q.Kind)
 		}
 		result := "ok"
-		if err != nil {
+		switch {
+		case errors.Is(err, eardbd.ErrServer):
+			result = "refused"
+		case err != nil:
 			result = "error"
 		}
 		l.kid.Attr("result", result).End(r.Now.Sec())
 		if err == nil && first == nil {
-			if derr := decode(i, res); derr != nil {
+			if derr := decode(l.at, res); derr != nil {
 				err = fmt.Errorf("fed: shard %s: %w", l.shard, derr)
 			}
 		}
@@ -597,12 +619,13 @@ type IslandSource struct {
 // NodePowers implements eargm.PowerSource for one island.
 func (s *IslandSource) NodePowers() []float64 {
 	res, conn, err := s.root.queryShard(s.shard, wire.Query{Kind: wire.QueryNodePowers})
-	if err != nil {
-		return nil
-	}
 	var nps []wire.NodePower
-	err = res.Decode(&nps)
-	s.root.park(s.shard, conn)
+	if err == nil {
+		err = res.Decode(&nps)
+	}
+	if conn != nil {
+		s.root.park(s.shard, conn)
+	}
 	if err != nil {
 		return nil
 	}

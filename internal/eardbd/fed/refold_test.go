@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -17,10 +19,11 @@ import (
 	"goear/internal/wire"
 )
 
-// TestMissRefoldsOnlyMovedParts: a miss folds again only the parts whose
+// TestMissRefoldsOnlyMovedParts: a miss rebuilds only the parts whose
 // stamps moved on some shard and shares the rest with the cached view —
 // stores, power list and the accounting store's own snapshot cache — and
-// says which it folded on /metrics and on the fed.merge span.
+// says which it rebuilt, and how, on /metrics and on the fed.merge span:
+// the cold view from the full dumps, every later one from the changes.
 func TestMissRefoldsOnlyMovedParts(t *testing.T) {
 	shards := make([]shardFixture, 2)
 	for i := range shards {
@@ -81,20 +84,20 @@ func TestMissRefoldsOnlyMovedParts(t *testing.T) {
 	}
 
 	cold, refold := read()
-	if refold != "records,acct,powers" || acctMisses() != 1 {
+	if refold != "full:cold records,acct,powers" || acctMisses() != 1 {
 		t.Fatalf("cold view refolds %q with %v snapshot misses, want all three and one", refold, acctMisses())
 	}
 
 	send(wire.Batch{ID: "n00/2", Node: "n00", Records: []eard.JobRecord{report("n00", "job0", "1", 260)}})
 	recs, refold := read()
-	if refold != "records,powers" || recs.Acct != cold.Acct || acctMisses() != 1 || recs.DB == cold.DB {
+	if refold != "delta records,powers" || recs.Acct != cold.Acct || acctMisses() != 1 || recs.DB == cold.DB {
 		t.Errorf("a node report refolds %q and %v the accounting store (%v snapshot misses); want records,powers, the same store and one miss",
 			refold, map[bool]string{true: "keeps", false: "replaces"}[recs.Acct == cold.Acct], acctMisses())
 	}
 
 	send(wire.Batch{ID: "n01/2", Node: "n01", Acct: []accounting.Record{window("n01", "job0", 1, 31000)}})
 	acct, refold := read()
-	if refold != "acct" || acct.DB != recs.DB || &acct.Powers[0] != &recs.Powers[0] || acct.Acct == recs.Acct || acctMisses() != 2 {
+	if refold != "delta acct" || acct.DB != recs.DB || &acct.Powers[0] != &recs.Powers[0] || acct.Acct == recs.Acct || acctMisses() != 2 {
 		t.Errorf("an accounting record refolds %q (%v snapshot misses), want acct alone and the node reports and powers kept", refold, acctMisses())
 	}
 
@@ -106,16 +109,18 @@ func TestMissRefoldsOnlyMovedParts(t *testing.T) {
 		t.Fatalf("re-delivery counted %d duplicate records, want one", duplicates()-dups)
 	}
 	powers, refold := read()
-	if refold != "powers" || powers.DB != acct.DB || powers.Acct != acct.Acct || powers.Powers[0].PowerW != 250 {
+	if refold != "delta powers" || powers.DB != acct.DB || powers.Acct != acct.Acct || powers.Powers[0].PowerW != 250 {
 		t.Errorf("a duplicate re-delivery refolds %q, n00 at %v W; want powers alone and n00 back at 250 W", refold, powers.Powers[0].PowerW)
 	}
 
 	if hit, _ := read(); hit.DB != powers.DB || hit.Acct != powers.Acct {
 		t.Error("a read with no write in between did not hit the cache")
 	}
-	for part, want := range map[string]float64{"records": 2, "acct": 2, "powers": 3} {
-		if got := series(t, ts, metricFedRefolds+`{part="`+part+`"}`); got != want {
-			t.Errorf("%s refolds = %v, want %v", part, got, want)
+	for part, want := range map[string][2]float64{"records": {1, 1}, "acct": {1, 1}, "powers": {1, 2}} {
+		for i, how := range []string{"full", "delta"} {
+			if got := series(t, ts, metricFedRefolds+`{part="`+part+`",how="`+how+`"}`); got != want[i] {
+				t.Errorf("%s refolds how=%s = %v, want %v", part, how, got, want[i])
+			}
 		}
 	}
 	if st := root.Stats(); st.CacheMisses != 4 || st.CacheHits != 1 {
@@ -294,17 +299,181 @@ func TestStackedRootServesNoStaleView(t *testing.T) {
 	}
 }
 
-// missAfterWrite builds the miss query-mixed pays after each write:
-// four shards holding node reports and accounting records, and a write
-// that sends one node report — replacing a record and moving its node's
-// power — then takes a view, which folds the node reports and powers
-// again and keeps the accounting store.
-func missAfterWrite(tb testing.TB) (root *Root, write func(i int)) {
-	_, root = buildFederation(tb, 8, 4)
-	tb.Cleanup(func() { _ = root.Close() })
+// beforeChanges serves a shard's state as a build from before the
+// changes kind does: that kind answered with an error frame, as an
+// unknown one, every other kind as the shard answers it.
+type beforeChanges struct{ *eardbd.Server }
+
+// TestRootOverShardsBeforeChanges: a root over shards that do not know
+// the changes kind — roots and shards may be upgraded in either order —
+// takes each refusal as an answer: it folds the moved parts from the
+// full dumps, with answers byte-identical to a single daemon's, and
+// counts no failed leg, dials nothing again and keeps its epoch.
+func TestRootOverShardsBeforeChanges(t *testing.T) {
+	daemon := eardbd.NewServer(eard.NewDB(), eardbd.Config{})
+	t.Cleanup(func() { _ = daemon.Close() })
+	shards := make([]shardFixture, 4)
+	old := map[string]*eardbd.Front{}
+	names := make([]string, len(shards))
+	for i := range shards {
+		names[i] = fmt.Sprintf("s%d", i)
+		shards[i] = shardFixture{name: names[i], srv: eardbd.NewServer(eard.NewDB(), eardbd.Config{})}
+		old[names[i]] = &eardbd.Front{
+			Backend: beforeChanges{shards[i].srv},
+			Batch:   func(*wire.Conn, wire.Frame, *wire.Batch) bool { return false },
+			Count:   func(eardbd.Event) {},
+		}
+		t.Cleanup(func() { _ = old[names[i]].Close() })
+	}
+	writers, err := NewFleet(names, dialer(shards))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet, err := NewFleet(names, func(name string) (net.Conn, error) { return old[name].Dial() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := telemetry.NewSet()
+	root, err := NewRoot(Config{Fleet: fleet, Telemetry: ts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = root.Close() })
+	kinds := []wire.Query{
+		{Kind: wire.QueryAggregate}, {Kind: wire.QueryJobs}, {Kind: wire.QuerySummary, Job: "job0", Step: "0"},
+		{Kind: wire.QueryNodePowers}, {Kind: wire.QueryRecords}, {Kind: wire.QueryAcctJobs, Limit: 3}, {Kind: wire.QueryAcctRecords},
+	}
+	for step, b := range mixedScript() {
+		deliver(t, daemon.Dial, b)
+		deliver(t, writers.DialFor(b.Node), b)
+		for _, q := range kinds {
+			want, err := eardbd.Answer(nil, daemon, nil, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := eardbd.Answer(nil, root, nil, q); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("step %d: the root's %s answer (%v) differs from the daemon's", step, q.Kind, err)
+			}
+		}
+	}
+	if st := root.Stats(); st.FanoutErrors != 0 || st.Redials != 0 || st.Dials != len(shards) {
+		t.Errorf("stats = %+v, want no failed leg, no redial and one dial a shard", st)
+	}
+	if e := root.epoch.Load(); e != 0 {
+		t.Errorf("epoch = %d after refusals, want 0", e)
+	}
+	if d, f := series(t, ts, metricFedRefolds+`{part="records",how="delta"}`), series(t, ts, metricFedRefolds+`{part="records",how="full"}`); d != 0 || f < 2 {
+		t.Errorf("node reports rebuilt %v times from changes and %v from dumps; want every miss from dumps", d, f)
+	}
+}
+
+// frozen serves one view, as a root serves its cached one.
+type frozen struct{ v eardbd.View }
+
+func (f frozen) IngestStats(*trace.Active) (eardbd.Stats, error)   { return eardbd.Stats{}, nil }
+func (f frozen) View(*trace.Active) (eardbd.View, error)           { return f.v, nil }
+func (f frozen) Generation(*trace.Active) (wire.Generation, error) { return wire.Generation{}, nil }
+
+// TestOldViewStaysWhileDeltaBuilds: readers of a published view walk
+// its records dump, summaries and accounting pages while misses build
+// the next views from clones of it — node reports replaced and added,
+// accounting windows, powers moved. The old view reads the same bytes
+// throughout; under -race, a clone writing anything it shares is a
+// reported race as well.
+func TestOldViewStaysWhileDeltaBuilds(t *testing.T) {
+	shards, _ := buildFederation(t, 8, 4)
+	fleet, err := NewFleet([]string{"s0", "s1", "s2", "s3"}, dialer(shards))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := telemetry.NewSet()
+	root, err := NewRoot(Config{Fleet: fleet, Telemetry: ts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = root.Close() })
 	for i := 0; i < 8; i++ {
 		node := fmt.Sprintf("n%02d", i)
-		acct := make([]accounting.Record, 10)
+		deliver(t, fleet.DialFor(node), wire.Batch{ID: node + "/acct", Node: node, Acct: []accounting.Record{window(node, "job0", 0, 30000)}})
+	}
+	old, err := root.View(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func() []byte {
+		var b bytes.Buffer
+		for _, q := range []wire.Query{
+			{Kind: wire.QueryRecords}, {Kind: wire.QueryJobs}, {Kind: wire.QuerySummary, Job: "job1", Step: "0"},
+			{Kind: wire.QueryAcctJobs, Limit: 3}, {Kind: wire.QueryAcctRecords}, {Kind: wire.QueryNodePowers},
+		} {
+			payload, err := eardbd.Answer(nil, frozen{old}, nil, q)
+			fmt.Fprintf(&b, "%v %x\n", err, payload)
+		}
+		return b.Bytes()
+	}
+	want := render()
+	stop := make(chan struct{})
+	changed := make(chan []byte, 4)
+	var readers sync.WaitGroup
+	for range 4 {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if got := render(); !bytes.Equal(got, want) {
+					changed <- got
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 24; i++ {
+		node := fmt.Sprintf("n%02d", i%8)
+		b := wire.Batch{ID: fmt.Sprintf("%s/late%d", node, i), Node: node}
+		switch i % 4 {
+		case 0: // a replace
+			b.Records = []eard.JobRecord{report(node, "job0", "0", 300+float64(i))}
+		case 1: // a new node in a group the old view holds
+			node = fmt.Sprintf("m%02d", i)
+			b.Records = []eard.JobRecord{report(node, "job1", "0", 260)}
+		case 2: // a new group
+			b.Records = []eard.JobRecord{report(node, fmt.Sprintf("late%d", i), "0", 260)}
+		case 3:
+			b.Acct = []accounting.Record{window(node, "job0", 1+i, 31000)}
+		}
+		deliver(t, fleet.DialFor(node), b)
+		if _, err := root.View(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	readers.Wait()
+	select {
+	case got := <-changed:
+		t.Fatalf("the old view read\n%s\nwhile the next ones were built, where it read\n%s", got, want)
+	default:
+	}
+	if d := series(t, ts, metricFedRefolds+`{part="records",how="delta"}`); d != 18 {
+		t.Errorf("%v of 18 node-report misses took in changes", d)
+	}
+}
+
+// missAfterWrite builds the miss query-mixed pays after each write:
+// four shards holding nodes × 10 node reports and windows accounting
+// records a node, and a write that sends one node report — replacing a
+// record and moving its node's power on one shard — then takes a view,
+// which takes in that shard's changes and keeps the accounting store.
+func missAfterWrite(tb testing.TB, nodes, windows int) (root *Root, write func(i int)) {
+	_, root = buildFederation(tb, nodes, 4)
+	tb.Cleanup(func() { _ = root.Close() })
+	for i := 0; i < nodes; i++ {
+		node := fmt.Sprintf("n%02d", i)
+		acct := make([]accounting.Record, windows)
 		for j := range acct {
 			acct[j] = window(node, fmt.Sprintf("job%d", j%3), j, 30000+float64(j))
 		}
@@ -330,23 +499,58 @@ func missAfterWrite(tb testing.TB) (root *Root, write func(i int)) {
 }
 
 // TestRootMissAfterWriteAllocations pins BenchmarkRootMissAfterWrite's
-// allocation count: 45, where it was 79 when every group's slot list
-// and header in the shard stores and the root's fold was an allocation
-// of its own and every batch ID a string of its own.
+// allocation count: 11, the write and the view — on the shard, the
+// group order each store is walked in for the changes; on the root, a
+// clone of the node reports (database, store, chunk list), the one chunk
+// the replace copies, the power list, the view and its key, and the
+// reply's literal block. It was 45 when a miss folded every shard's
+// dump into fresh stores, and 79 before that when every group's slot
+// list and header was an allocation of its own.
 func TestRootMissAfterWriteAllocations(t *testing.T) {
-	root, write := missAfterWrite(t)
+	root, write := missAfterWrite(t, 8, 10)
 	i := 0
-	if n := testing.AllocsPerRun(200, func() { i++; write(i) }); n != 45 {
-		t.Errorf("a miss after one write: %v allocations, want 45", n)
+	if n := testing.AllocsPerRun(200, func() { i++; write(i) }); n != 11 {
+		t.Errorf("a miss after one write: %v allocations, want 11", n)
 	}
 	if st := root.Stats(); st.CacheHits != 0 {
 		t.Errorf("stats = %+v: a write did not move the view", st)
 	}
 }
 
+// TestQueryMixedMissAllocations holds a miss after one write in
+// query-mixed's shape — 200 nodes of 10 node reports and 8 accounting
+// windows over four shards — to what the write changed: the same 11
+// allocations as at 8 nodes, and at most 32 KB, where folding every
+// shard's dump took 112 allocations and 563 KB.
+func TestQueryMixedMissAllocations(t *testing.T) {
+	for _, nodes := range []int{8, 200} {
+		root, write := missAfterWrite(t, nodes, 8)
+		write(0)
+		i := 0
+		if n := testing.AllocsPerRun(50, func() { i++; write(i) }); n != 11 {
+			t.Errorf("%d nodes: a miss after one write: %v allocations, want 11", nodes, n)
+		}
+		const runs = 50
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for j := 0; j < runs; j++ {
+			i++
+			write(i)
+		}
+		runtime.ReadMemStats(&m1)
+		b := (m1.TotalAlloc - m0.TotalAlloc) / runs
+		if nodes == 200 && b > 32<<10 {
+			t.Errorf("%d nodes: a miss after one write: %d bytes, want at most 32 KiB", nodes, b)
+		}
+		if st := root.Stats(); st.CacheHits != 0 || st.FanoutErrors != 0 {
+			t.Errorf("%d nodes: stats = %+v: a write did not move the view, or a leg failed", nodes, st)
+		}
+	}
+}
+
 // BenchmarkRootMissAfterWrite times missAfterWrite's write and view.
 func BenchmarkRootMissAfterWrite(b *testing.B) {
-	root, write := missAfterWrite(b)
+	root, write := missAfterWrite(b, 8, 10)
 	write(1)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -46,8 +46,9 @@ type rootTel struct {
 	cacheHitR *telemetry.Gauge
 	latQuery  *telemetry.Histogram // op="query": serving a merged query
 	latFanout *telemetry.Histogram // op="fanout": one shard round trip
-	// refolds[i] counts the misses that folded part partNames[i] again.
-	refolds [len(partNames)]*telemetry.Counter
+	// refolds[i][delta] counts the misses that rebuilt part partNames[i],
+	// from the shards' changes (delta) or their full dumps.
+	refolds [len(partNames)][2]*telemetry.Counter
 }
 
 func newRootTel(s *telemetry.Set) rootTel {
@@ -66,18 +67,24 @@ func newRootTel(s *telemetry.Set) rootTel {
 		latQuery:  latency.With("query"),
 		latFanout: latency.With("fanout"),
 	}
-	refolds := r.CounterVec(metricFedRefolds, "merged-view parts folded again from shard dumps on a cache miss, by part", "part")
+	refolds := r.CounterVec(metricFedRefolds,
+		"merged-view parts rebuilt on a cache miss, by part and how: from the moved shards' changes (delta) or every shard's dump (full)",
+		"part", "how")
 	for i, name := range partNames {
-		t.refolds[i] = refolds.With(name)
+		t.refolds[i] = [2]*telemetry.Counter{refolds.With(name, "full"), refolds.With(name, "delta")}
 	}
 	return t
 }
 
-// refold counts the parts a cache miss folds again.
-func (t rootTel) refold(p parts) {
+// refold counts the parts a cache miss rebuilt, and how.
+func (t rootTel) refold(p parts, delta bool) {
+	how := 0
+	if delta {
+		how = 1
+	}
 	for i, c := range t.refolds {
 		if p&(1<<i) != 0 {
-			c.Inc()
+			c[how].Inc()
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package eardbd
 
 import (
+	"errors"
 	"fmt"
 	"net"
 
@@ -55,8 +56,12 @@ func ReadResult(c *wire.Conn) (wire.Result, error) {
 	return resultOf(resp)
 }
 
+// ErrServer marks a server's error frame, come back as an error: the
+// query was answered — refused — over a connection that is sound.
+var ErrServer = errors.New("eardbd: server")
+
 // resultOf reads the reply to a query: a result, or the server's error
-// frame as an error.
+// frame as an error wrapping ErrServer.
 func resultOf(resp wire.Frame) (wire.Result, error) {
 	switch resp.Type {
 	case wire.TypeResult:
@@ -66,7 +71,7 @@ func resultOf(resp wire.Frame) (wire.Result, error) {
 		if err != nil {
 			return wire.Result{}, err
 		}
-		return wire.Result{}, fmt.Errorf("eardbd: server: %s", ef.Message)
+		return wire.Result{}, fmt.Errorf("%w: %s", ErrServer, ef.Message)
 	default:
 		return wire.Result{}, fmt.Errorf("eardbd: unexpected %s response to query", resp.Type)
 	}

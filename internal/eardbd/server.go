@@ -118,8 +118,8 @@ type Server struct {
 	seen      map[string]bool
 	seenQueue []string  // FIFO eviction order for the stored IDs of seen
 	resolved  sync.Cond // on mu; signalled when a claim resolves
-	nodeW     map[string]float64
-	powers    []wire.NodePower // nodeW name-sorted, as last handed out; nil once nodeW has moved
+	nodeW     map[string]nodeState
+	powers    []wire.NodePower // the reported powers of nodeW name-sorted, as last handed out; nil once one has moved
 	stats     Stats
 	// gen.Gen is bumped once per batch that lands a record or moves a
 	// node's power (a re-delivered batch of duplicates still rewrites
@@ -133,9 +133,20 @@ type Server struct {
 	// on other events too: db is the caller's and arrives already loaded
 	// from -db (its counter is past 0 before the first batch), and the
 	// stores move per record, mid-batch, where gen moves once under mu
-	// together with the node power view.
+	// together with the node power view. Every node of a batch that
+	// moved anything is stamped with the new value in nodeW, which is
+	// what a changes query answers from (changes.go).
 	gen     wire.Generation
 	lastMut float64 // Now when a batch last landed a record (0 with no clock)
+	// dropped is the generation at which the accounting store last lost
+	// records — evicted over AcctMaxRecords, or replaced by a Restore —
+	// which no changes answer can carry: a changes query from before it
+	// is refused. evicted is the store's eviction count as last seen.
+	dropped uint64
+	evicted int
+	// changed is the scratch a changes answer is gathered in, under mu.
+	changed      wire.Changes
+	changedNodes []string
 }
 
 // NewServer builds a server folding records into db. Telemetry
@@ -156,7 +167,7 @@ func NewServer(db *eard.DB, cfg Config) *Server {
 		acct:  acct,
 		tel:   newServerTel(ts),
 		seen:  map[string]bool{},
-		nodeW: map[string]float64{},
+		nodeW: map[string]nodeState{},
 	}
 	s.resolved.L = &s.mu
 	s.Front = Front{
@@ -213,7 +224,7 @@ func (s *Server) View(*trace.Active) (View, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.powers == nil {
-		s.powers = SortedPowers(s.nodeW)
+		s.powers = s.sortedPowers()
 	}
 	return View{DB: s.db, Acct: s.acct, Powers: s.powers}, nil
 }
@@ -382,6 +393,12 @@ func (s *Server) handleBatch(c *wire.Conn, f wire.Frame, b *wire.Batch) bool {
 	records, accounted := nodes[grouped.Accepted]+nodes[grouped.Replaced] > 0, acct[grouped.Accepted]+acct[grouped.Replaced] > 0
 	if records || accounted || powers {
 		s.gen = s.gen.Bump(records, accounted, powers)
+		s.stamp(b)
+		// Only an accepted accounting record evicts, so the batch that
+		// did is here after its insert, if no other batch was first.
+		if evicted := s.acct.Evicted(); evicted != s.evicted {
+			s.dropped, s.evicted = s.gen.Gen, evicted
+		}
 	}
 	s.seen[b.ID] = true
 	s.seenQueue = append(s.seenQueue, b.ID)
@@ -439,10 +456,12 @@ func (s *Server) NodePowers() []float64 {
 // the value moved — in which case the sorted list View hands out is
 // stale and the caller, who holds mu, owes a generation bump.
 func (s *Server) setPower(node string, w float64) bool {
-	if old, ok := s.nodeW[node]; ok && old == w {
+	st := s.nodeW[node]
+	if st.reported && st.power == w {
 		return false
 	}
-	s.nodeW[node] = w
+	st.power, st.reported = w, true
+	s.nodeW[node] = st
 	s.powers = nil
 	return true
 }
@@ -498,6 +517,7 @@ func (s *Server) Restore(sv Saved) error {
 	}
 	gen := max(s.gen.Gen, sv.Gen)
 	s.gen = wire.Generation{Gen: gen, Records: gen, Acct: gen, Powers: gen}
+	s.dropped, s.evicted = gen, s.acct.Evicted()
 	return nil
 }
 

@@ -82,6 +82,13 @@ func Answer(c *wire.Conn, b Backend, parent *trace.Active, q wire.Query) ([]byte
 			return dst, err
 		}
 		return wire.AppendGeneration(dst, gen), nil
+	case wire.QueryChanges:
+		// Only a daemon keeps the stamps a changes answer is read from; a
+		// root over roots answers as a peer that does not know the kind.
+		if srv, ok := b.(*Server); ok {
+			return srv.appendChanges(c, dst, uint64(max(q.Limit, 0)))
+		}
+		return dst, fmt.Errorf("unknown query kind %q", q.Kind)
 	case wire.QueryAggregate, wire.QueryNodePowers, wire.QueryJobs, wire.QueryRecords,
 		wire.QuerySummary, wire.QueryAcctJobs, wire.QueryAcctRecords:
 		var view View

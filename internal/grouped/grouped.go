@@ -25,12 +25,20 @@
 // group into fresh blocks, which bounds what the store holds by what it
 // stores.
 //
+// A clone shares its source's chunks, headers, regions and group map
+// and copies one only the first time it writes to it: every chunk and
+// header, and the map, carries the clone depth of the store that made
+// it, and a store writes only its own. The source is never written
+// through a clone, so a published store stays as it was while the next
+// one is built from it.
+//
 // A Store is not safe for concurrent use; its typed wrappers hold the
 // lock. The package depends on the standard library only.
 package grouped
 
 import (
 	"cmp"
+	"maps"
 	"slices"
 	"strings"
 )
@@ -88,12 +96,17 @@ type Store[R comparable, S any] struct {
 	sub   func(*R) S
 	order func(a, b S) int
 
-	chunks []*[chunkRows]R
+	chunks []chunk[R]
 	used   int32   // slots handed out of chunks so far
 	free   []int32 // slots given back by evicted groups
 	groups map[Group]*rows
 	n      int
 	gen    uint64
+	// depth counts the clones between the store and the one it was
+	// built from empty. Its own chunks and headers carry it, and mapDepth
+	// is groups' depth; those of lower depth are its source's, read-only
+	// to it.
+	depth, mapDepth uint64
 
 	hdrs     []rows  // the current header block; headers are cut from its spare capacity
 	nextHdrs int     // size of the header block after it
@@ -107,28 +120,39 @@ type Store[R comparable, S any] struct {
 	probe R
 }
 
+// chunk is one block of rows and the depth of the store that made it.
+type chunk[R any] struct {
+	rows  *[chunkRows]R
+	depth uint64
+}
+
 // rows is one group: the slots of its records, in S order, in a
-// region of a slot block whose capacity is the region's size.
+// region of a slot block whose capacity is the region's size, and the
+// depth of the store that cut the header.
 type rows struct {
 	key   Group
 	slots []int32
+	depth uint64
 }
 
-// header returns an empty group header: an evicted group's, or one cut
-// from the current header block.
+// header returns an empty group header of the store's own: an evicted
+// group's, or one cut from the current header block.
 func (s *Store[R, S]) header() *rows {
+	var g *rows
 	if n := len(s.freeHdrs); n > 0 {
-		g := s.freeHdrs[n-1]
+		g = s.freeHdrs[n-1]
 		s.freeHdrs = s.freeHdrs[:n-1]
-		return g
+	} else {
+		if len(s.hdrs) == cap(s.hdrs) {
+			size := max(s.nextHdrs, firstHdrBlock)
+			s.nextHdrs = min(2*size, maxHdrBlock)
+			s.hdrs = make([]rows, 0, size)
+		}
+		s.hdrs = s.hdrs[:len(s.hdrs)+1]
+		g = &s.hdrs[len(s.hdrs)-1]
 	}
-	if len(s.hdrs) == cap(s.hdrs) {
-		size := max(s.nextHdrs, firstHdrBlock)
-		s.nextHdrs = min(2*size, maxHdrBlock)
-		s.hdrs = make([]rows, 0, size)
-	}
-	s.hdrs = s.hdrs[:len(s.hdrs)+1]
-	return &s.hdrs[len(s.hdrs)-1]
+	g.depth = s.depth
+	return g
 }
 
 // region returns an empty slice with room for n slots, cut from the
@@ -152,7 +176,50 @@ func New[R comparable, S any](group func(*R) Group, sub func(*R) S, order func(a
 	return &Store[R, S]{group: group, sub: sub, order: order, groups: map[Group]*rows{}}
 }
 
-func (s *Store[R, S]) row(slot int32) *R { return &s.chunks[slot/chunkRows][slot%chunkRows] }
+// Clone returns a store holding what s holds, at the same generation,
+// in two allocations whatever its size: it shares s's chunks, headers,
+// slot regions and group map, and copies a chunk, a group's header and
+// region, or the map the first time it writes to one. Nothing of s is
+// ever written through the clone; s itself must not be written once
+// cloned, since the clone reads through to it.
+func (s *Store[R, S]) Clone() *Store[R, S] {
+	return &Store[R, S]{
+		group:    s.group,
+		sub:      s.sub,
+		order:    s.order,
+		chunks:   slices.Clone(s.chunks),
+		used:     s.used,
+		free:     slices.Clone(s.free),
+		groups:   s.groups,
+		n:        s.n,
+		gen:      s.gen,
+		depth:    s.depth + 1,
+		mapDepth: s.mapDepth,
+	}
+}
+
+func (s *Store[R, S]) row(slot int32) *R { return &s.chunks[slot/chunkRows].rows[slot%chunkRows] }
+
+// writable returns slot's row for writing: a chunk the store shares
+// with its source is copied first.
+func (s *Store[R, S]) writable(slot int32) *R {
+	c := &s.chunks[slot/chunkRows]
+	if c.depth != s.depth {
+		rows := new([chunkRows]R)
+		*rows = *c.rows
+		*c = chunk[R]{rows: rows, depth: s.depth}
+	}
+	return &c.rows[slot%chunkRows]
+}
+
+// writableGroups returns the group map for writing: a map the store
+// shares with its source is copied first.
+func (s *Store[R, S]) writableGroups() map[Group]*rows {
+	if s.mapDepth != s.depth {
+		s.groups, s.mapDepth = maps.Clone(s.groups), s.depth
+	}
+	return s.groups
+}
 
 // find returns the position of sub in g's slot list and whether a
 // record is stored there. Records mostly arrive in key order, so the
@@ -186,15 +253,15 @@ func (s *Store[R, S]) Insert(r *R) Class {
 	if g == nil {
 		g = s.header()
 		g.key = k
-		s.groups[k] = g
+		s.writableGroups()[k] = g
 	}
 	i, found := s.find(g, s.sub(p))
 	if found {
-		row := s.row(g.slots[i])
-		if *row == *p {
+		slot := g.slots[i]
+		if *s.row(slot) == *p {
 			return Duplicate
 		}
-		*row = *p
+		*s.writable(slot) = *p
 		s.gen++
 		return Replaced
 	}
@@ -203,14 +270,24 @@ func (s *Store[R, S]) Insert(r *R) Class {
 		slot, s.free = s.free[n-1], s.free[:n-1]
 	} else {
 		if int(s.used) == len(s.chunks)*chunkRows {
-			s.chunks = append(s.chunks, new([chunkRows]R))
+			s.chunks = append(s.chunks, chunk[R]{rows: new([chunkRows]R), depth: s.depth})
 		}
 		slot = s.used
 		s.used++
 	}
-	*s.row(slot) = *p
-	if len(g.slots) == cap(g.slots) {
-		g.slots = append(s.region(max(2*cap(g.slots), firstRegion)), g.slots...)
+	*s.writable(slot) = *p
+	if g.depth != s.depth || len(g.slots) == cap(g.slots) {
+		size := cap(g.slots)
+		if len(g.slots) == size {
+			size = max(2*size, firstRegion)
+		}
+		slots := g.slots
+		if g.depth != s.depth { // a header of the store's own
+			g = s.header()
+			g.key = k
+			s.writableGroups()[k] = g
+		}
+		g.slots = append(s.region(size), slots...)
 	}
 	g.slots = slices.Insert(g.slots, i, slot) // within the region: no allocation
 	s.n++
@@ -283,7 +360,8 @@ func (s *Store[R, S]) Append(dst []R) []R {
 // many records went. Groups go oldest first by the latest end any of
 // their records reports, ties broken by key order, so two stores with
 // identical contents prune identically. An evicted group's rows and
-// header are zeroed, so they keep no strings alive. After every Prune
+// header are zeroed, so they keep no strings alive (a clone leaves
+// those it shares with its source to the source). After every Prune
 // the slot blocks hold at most repackPerRecord slots per live record
 // beyond repackSlack: past that, they are repacked.
 func (s *Store[R, S]) Prune(keep int, end func(*R) float64) int {
@@ -319,13 +397,17 @@ func (s *Store[R, S]) evict(keep int, end func(*R) float64) {
 		}
 		var zero R
 		for _, slot := range a.g.slots {
-			*s.row(slot) = zero // release the row's strings with the group
+			if c := &s.chunks[slot/chunkRows]; c.depth == s.depth {
+				c.rows[slot%chunkRows] = zero // release the row's strings with the group
+			}
 		}
 		s.free = append(s.free, a.g.slots...)
 		s.n -= len(a.g.slots)
-		delete(s.groups, a.g.key)
-		*a.g = rows{}
-		s.freeHdrs = append(s.freeHdrs, a.g)
+		delete(s.writableGroups(), a.g.key)
+		if a.g.depth == s.depth {
+			*a.g = rows{}
+			s.freeHdrs = append(s.freeHdrs, a.g)
+		}
 		s.gen++
 	}
 }
@@ -338,9 +420,10 @@ func (s *Store[R, S]) evict(keep int, end func(*R) float64) {
 func (s *Store[R, S]) repack() {
 	old := s.sorted()
 	s.hdrs, s.freeHdrs, s.slab, s.held = nil, nil, nil, 0
+	groups := s.writableGroups()
 	for _, o := range old {
 		g := s.header()
-		*g = rows{key: o.key, slots: append(s.region(cap(o.slots)), o.slots...)}
-		s.groups[o.key] = g
+		g.key, g.slots = o.key, append(s.region(cap(o.slots)), o.slots...)
+		groups[o.key] = g
 	}
 }

@@ -9,12 +9,13 @@ import (
 )
 
 // MaxKept is the largest buffer a Conn keeps between frames, on either
-// side. Batches, acks, pages, power lists and generation polls fit, so
-// a peer that stays — a reporter, an admin tool, a root's pooled
-// connection — is served without allocating; a shard dump does not, and
-// is garbage once handled: a root asks for one only after a write, and
-// a few hundred idle connections must not each pin the largest frame
-// they ever carried.
+// side. Batches, acks, pages, power lists, generation polls and the
+// changes a write makes fit, so a peer that stays — a reporter, an
+// admin tool, a root's pooled connection — is served without
+// allocating; a shard dump does not, and is garbage once handled: a
+// root asks for one only on a cold, epoch or fallback miss, and a few
+// hundred idle connections must not each pin the largest frame they
+// ever carried.
 const MaxKept = 32 << 10
 
 // firstBuf is the size a Conn's buffers start at: an ack, an error, a

@@ -36,7 +36,7 @@ func decodeAny(typ Type, p []byte) (any, error) {
 	}
 	target := map[string]any{
 		QueryRecords: new([]eard.JobRecord), QueryAcctRecords: new([]accounting.Record), QueryAcctJobs: new(accounting.Page),
-		QueryNodePowers: new([]NodePower), QueryGeneration: new(Generation),
+		QueryNodePowers: new([]NodePower), QueryGeneration: new(Generation), QueryChanges: new(Changes),
 	}[res.Kind]
 	if target == nil {
 		return nil, nil

@@ -184,7 +184,7 @@ func TestDecodeAllocationBounded(t *testing.T) {
 			if res, err = f.AsResult(); err == nil {
 				err = res.Decode(map[string]any{
 					QueryNodePowers: new([]NodePower), QueryRecords: new([]eard.JobRecord), QueryAcctJobs: new(accounting.Page),
-					QueryAcctRecords: new([]accounting.Record), QueryGeneration: new(Generation),
+					QueryAcctRecords: new([]accounting.Record), QueryGeneration: new(Generation), QueryChanges: new(Changes),
 				}[res.Kind])
 			}
 		}
@@ -290,6 +290,21 @@ func eachAgreesWithDecode(t *testing.T, res Result, v any, err error) {
 		recs := []accounting.Record{}
 		eachErr = res.EachAcctRecord(func(r accounting.Record) error { recs = append(recs, r); return nil })
 		streamed, whole = recs, *v.(*[]accounting.Record)
+	case QueryChanges:
+		// Compared part by part: the slice decode of a body that fails
+		// leaves the parts before the fault decoded and the rest empty.
+		ch, want := Changes{Records: []eard.JobRecord{}, Acct: []accounting.Record{}, Powers: []NodePower{}}, v.(*Changes)
+		eachErr = res.EachChange(
+			func(r eard.JobRecord) error { ch.Records = append(ch.Records, r); return nil },
+			func(r accounting.Record) error { ch.Acct = append(ch.Acct, r); return nil },
+			func(np NodePower) error { ch.Powers = append(ch.Powers, np); return nil })
+		if (eachErr != nil) != (err != nil) || (eachErr != nil && !errors.Is(eachErr, ErrPayload)) {
+			t.Fatalf("%s: streaming decode err = %v, slice decode err = %v", res.Kind, eachErr, err)
+		}
+		if err == nil && !sameBits(ch, *want) {
+			t.Fatalf("%s: streamed changes differ from the decoded ones\n got %+v\nwant %+v", res.Kind, ch, *want)
+		}
+		return
 	default:
 		if res.EachRecord(nil) == nil || res.EachAcctRecord(nil) == nil {
 			t.Fatalf("a %s result streamed as a dump", res.Kind)
@@ -317,7 +332,12 @@ func eachAgreesWithDecode(t *testing.T, res Result, v any, err error) {
 // held only to never panicking (encoding/json's allocation per input
 // byte is its own business).
 func FuzzResultPayload(f *testing.F) {
-	for _, seed := range resultSeeds(f) {
+	b := benchBatch()
+	changes, err := appendResult(nil, nil, QueryChanges, &Changes{Records: b.Records, Acct: b.Acct, Powers: []NodePower{{Node: "n01", PowerW: 271.5}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range append(resultSeeds(f), changes) {
 		f.Add(seed)
 		f.Add(seed[:2*len(seed)/3]) // a dump that fails part-way
 	}
@@ -335,6 +355,7 @@ func FuzzResultPayload(f *testing.F) {
 			QueryAcctJobs:    func() any { return new(accounting.Page) },
 			QueryNodePowers:  func() any { return new([]NodePower) },
 			QueryGeneration:  func() any { return new(Generation) },
+			QueryChanges:     func() any { return new(Changes) },
 		}
 		target, binary := targets[res.Kind]
 		if !binary {

@@ -18,6 +18,7 @@ import (
 //	acct_jobs     n × acct, next str, total int
 //	node_powers   n × (node str, power_w f64)
 //	generation    gen uint, records uint, acct uint, powers uint
+//	changes       n × record, n × acct, n × (node str, power_w f64)
 //	stats, aggregate, jobs, summary
 //	              the rest of the payload is the value as JSON
 //
@@ -25,7 +26,7 @@ import (
 // stamps writes it, decodes with every stamp equal to gen: to a cache
 // every part moved whenever anything did.
 //
-// The five binary kinds are the ones that carry records or sit on the
+// The six binary kinds are the ones that carry records or sit on the
 // federation root's fan-out path. The four JSON kinds are small,
 // operator-facing scalars whose shapes belong to the packages above
 // this one; each kind has exactly one encoding. They stay JSON on a
@@ -37,6 +38,7 @@ import (
 var resultKinds = [...]string{
 	"", QueryStats, QueryAggregate, QueryJobs, QuerySummary,
 	QueryNodePowers, QueryRecords, QueryAcctJobs, QueryAcctRecords, QueryGeneration,
+	QueryChanges,
 }
 
 // minNodePowerLen is the smallest encoded NodePower.
@@ -57,7 +59,9 @@ func ResultKinds() []string { return slices.Clone(resultKinds[:]) }
 // kind to dst and returns the extended slice. The binary kinds take
 // exactly their Go shape ([]eard.JobRecord for records,
 // []accounting.Record for acct_records, accounting.Page for acct_jobs,
-// []NodePower for node_powers, Generation for generation); the JSON
+// []NodePower for node_powers, Generation for generation, Changes for
+// changes — or a pointer to it, which a store answering into a kept
+// buffer passes so as not to box a copy); the JSON
 // kinds take any marshallable value. The two kinds a store serves
 // also take the store's own view, encoded record by record with no
 // copy in between and to the same bytes: an accounting.Selection for
@@ -127,12 +131,24 @@ func appendResult(dst []byte, kept *map[string]int, kind string, data any) ([]by
 	case QueryNodePowers:
 		var nps []NodePower
 		if nps, ok = data.([]NodePower); ok {
-			begin(16 + len(nps)*(minNodePowerLen+16))
-			e.uint(uint64(len(nps)))
-			for _, np := range nps {
-				e.str(np.Node)
-				e.f64(np.PowerW)
-			}
+			begin(nodePowersSizeHint(len(nps)))
+			e.nodePowers(nps)
+		}
+	case QueryChanges:
+		var ch *Changes
+		switch c := data.(type) {
+		case *Changes:
+			ch = c
+		case Changes:
+			ch = &c
+		default:
+			ok = false
+		}
+		if ok {
+			begin(recordsSizeHint(len(ch.Records), len(ch.Acct)) + nodePowersSizeHint(len(ch.Powers)))
+			e.records(ch.Records)
+			e.acctRecords(ch.Acct)
+			e.nodePowers(ch.Powers)
 		}
 	case QueryGeneration:
 		var g Generation
@@ -152,6 +168,17 @@ func appendResult(dst []byte, kept *map[string]int, kind string, data any) ([]by
 	}
 	e.release()
 	return e.buf, nil
+}
+
+// nodePowersSizeHint guesses the encoded size of n node powers.
+func nodePowersSizeHint(n int) int { return 16 + n*(minNodePowerLen+16) }
+
+func (e *encoder) nodePowers(nps []NodePower) {
+	e.uint(uint64(len(nps)))
+	for _, np := range nps {
+		e.str(np.Node)
+		e.f64(np.PowerW)
+	}
 }
 
 // appendRecordsOf is the records dump encoded straight from the
@@ -230,11 +257,14 @@ func (r Result) Decode(v any) error {
 	case QueryNodePowers:
 		var p *[]NodePower
 		if p, ok = v.(*[]NodePower); ok {
-			nps := nonNil(resize((*p)[:0], d.count(minNodePowerLen)))
-			for i := range nps {
-				nps[i] = NodePower{Node: d.str(), PowerW: d.f64()}
-			}
-			*p = nps
+			*p = d.nodePowers(*p)
+		}
+	case QueryChanges:
+		var p *Changes
+		if p, ok = v.(*Changes); ok {
+			p.Records = nonNil(d.records(p.Records[:0]))
+			p.Acct = nonNil(d.acctRecords(p.Acct[:0]))
+			p.Powers = d.nodePowers(p.Powers)
 		}
 	case QueryGeneration:
 		var p *Generation
@@ -251,6 +281,16 @@ func (r Result) Decode(v any) error {
 		return fmt.Errorf("wire: decode %s result: unexpected target type %T", r.Kind, v)
 	}
 	return d.finish(r.Kind, "result")
+}
+
+// nodePowers decodes n × node power into into's backing array when it
+// fits.
+func (d *decoder) nodePowers(into []NodePower) []NodePower {
+	nps := nonNil(resize(into[:0], d.count(minNodePowerLen)))
+	for i := range nps {
+		nps[i] = NodePower{Node: d.str(), PowerW: d.f64()}
+	}
+	return nps
 }
 
 // Generation decodes a generation result, as Decode into a *Generation
@@ -313,6 +353,41 @@ func (r Result) EachAcctRecord(fn func(accounting.Record) error) error {
 		}
 		if err := fn(rec); err != nil {
 			return err
+		}
+	}
+	return d.finish(r.Kind, "result")
+}
+
+// EachChange decodes a changes result one element at a time, as
+// EachRecord does a dump: every node report to rec, then every
+// accounting record to acct, then every node power to power. It stops
+// at the first error a function returns and returns it.
+func (r Result) EachChange(rec func(eard.JobRecord) error, acct func(accounting.Record) error, power func(NodePower) error) error {
+	if r.Kind != QueryChanges {
+		return fmt.Errorf("wire: decode %s result: not a %s result", r.Kind, QueryChanges)
+	}
+	d := newDecoder(r.Data, resultShare)
+	var jr eard.JobRecord
+	for n := d.count(minRecordLen); n > 0 && d.err == nil; n-- {
+		if d.record(&jr); d.err == nil {
+			if err := rec(jr); err != nil {
+				return err
+			}
+		}
+	}
+	var ar accounting.Record
+	for n := d.count(minAcctLen); n > 0 && d.err == nil; n-- {
+		if d.acctRecord(&ar); d.err == nil {
+			if err := acct(ar); err != nil {
+				return err
+			}
+		}
+	}
+	for n := d.count(minNodePowerLen); n > 0 && d.err == nil; n-- {
+		if np := (NodePower{Node: d.str(), PowerW: d.f64()}); d.err == nil {
+			if err := power(np); err != nil {
+				return err
+			}
 		}
 	}
 	return d.finish(r.Kind, "result")

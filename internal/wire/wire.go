@@ -374,7 +374,9 @@ type ErrorFrame struct {
 // Query asks the server for a snapshot. Kind selects the view; Job
 // and Step scope the "summary" kind. User, Since, Limit and Cursor
 // scope and paginate the "acct_jobs" kind (Job doubles as its job
-// filter).
+// filter). Limit carries the generation a "changes" query asks from:
+// a field every decoder already reads, so a peer that does not know
+// the kind answers that it does not, with an error frame.
 type Query struct {
 	Kind   string
 	Job    string
@@ -412,7 +414,23 @@ const (
 	// generations mean the cached merge is still exact, unchanged stamps
 	// that the part they stamp is.
 	QueryGeneration = "generation"
+	// QueryChanges asks for what moved since the generation in Limit (a
+	// Changes): a root's cached view takes it in instead of the dumps.
+	// A store that cannot tell — it has dropped or restored accounting
+	// records since — refuses with an error frame, as a peer built
+	// before the kind does, and the asker falls back to the dumps.
+	QueryChanges = "changes"
 )
+
+// Changes is the QueryChanges result: every node a store stamped after
+// the generation asked from, whole — its node reports and accounting
+// records in canonical order, and its last reported power, if it has
+// reported one, by node name.
+type Changes struct {
+	Records []eard.JobRecord
+	Acct    []accounting.Record
+	Powers  []NodePower
+}
 
 // Generation is a store mutation counter, the QueryGeneration result.
 // Gen advances whenever anything a view hands out moves — a node report

@@ -459,6 +459,18 @@ func TestRoundTripEveryShape(t *testing.T) {
 				t.Fatalf("round %d: %s came back as %+v, want %+v", round, c.kind, got, c.in)
 			}
 		}
+		ch := Changes{Records: recs, Acct: acct, Powers: nps}
+		rp, err := appendResult(nil, nil, QueryChanges, &ch)
+		var back Changes
+		if err == nil {
+			var res Result
+			if res, err = (Frame{Type: TypeResult, Payload: rp}).AsResult(); err == nil {
+				err = res.Decode(&back)
+			}
+		}
+		if err != nil || !bitEqual(reflect.ValueOf(back), reflect.ValueOf(ch)) {
+			t.Fatalf("round %d: changes came back as %+v (err %v), want %+v", round, back, err, ch)
+		}
 	}
 }
 
