@@ -1,24 +1,28 @@
 package main
 
 import (
-	"net/http/httptest"
+	"net"
 	"strings"
 	"testing"
 
 	"goear/internal/telemetry"
 )
 
-// serveTelemetry spins a telemetry set with known values behind an
-// HTTP server and returns its host:port.
+// serveTelemetry serves a telemetry set with known values on a
+// telemetry endpoint and returns its host:port.
 func serveTelemetry(t *testing.T) string {
 	t.Helper()
 	set := telemetry.NewSet()
 	set.Registry.Counter("goear_test_batches_total", "test counter").Add(7)
 	set.Registry.Gauge("goear_test_power_watts", "test gauge").Set(412.5)
 	set.Events.Record(telemetry.Event{Kind: "test.event", Src: "n0"})
-	srv := httptest.NewServer(set.Handler())
-	t.Cleanup(srv.Close)
-	return strings.TrimPrefix(srv.URL, "http://")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	telemetry.ServeEndpoint(ln, set, nil, nil)
+	return ln.Addr().String()
 }
 
 func TestMetricsTable(t *testing.T) {

@@ -18,9 +18,11 @@
 // it across its shards every control interval, ratcheting per-island
 // pstate ceilings from the live merged power view.
 //
-// The -telemetry HTTP endpoint serves /metrics and /events, plus
+// The -telemetry HTTP endpoint serves /metrics, /events, /healthz,
+// /readyz, /slo (latency objectives), /traces with -trace, and
 // /api/jobs: the per-job energy accounting query API (filter with
-// ?user=, ?job=, ?since=; page with ?limit= and ?cursor=).
+// ?user=, ?job=, ?since=; page with ?limit= and ?cursor=). Its / lists
+// them all.
 //
 //	eardbd -listen 127.0.0.1:4711 -db /var/lib/ear/jobs.json
 //	eardbd -unix /run/eardbd.sock
@@ -80,7 +82,7 @@ func run(args []string, out io.Writer, ready chan<- []string, quit <-chan struct
 	fedShards := fs.String("fed", "", "comma-separated shard TCP endpoints: run as a federation root (query-only)")
 	maxFrame := fs.Int("max-frame", 0, "per-frame payload byte limit (default 1 MiB)")
 	acctRetain := fs.Int("acct-retain", 0, "resident accounting record cap: oldest (job, step) groups are evicted past it (0 = unlimited)")
-	telAddr := fs.String("telemetry", "", "HTTP address serving /metrics, /events, /healthz, /readyz and /api/jobs (empty = telemetry off)")
+	telAddr := fs.String("telemetry", "", "HTTP address serving /metrics, /events, /healthz, /readyz, /api/jobs, /slo and with -trace /traces (empty = telemetry off)")
 	traceOn := fs.Bool("trace", false, "record span traces, served at /traces on the telemetry address (requires -telemetry)")
 	staleAfter := fs.Float64("stale-after", 0, "readiness degrades when no record landed for this many seconds (ingest mode, 0 = off)")
 	cascadeBudget := fs.Float64("cascade", 0, "cluster DC power budget in watts: run the cascaded EARGM over the shards (fed mode only, 0 = off)")

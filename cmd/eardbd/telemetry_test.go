@@ -97,8 +97,8 @@ func TestDaemonTelemetryEndpoint(t *testing.T) {
 
 // TestDaemonTraceAndHealthEndpoints boots an ingest daemon with
 // tracing on and scrapes the observability surface: the probes must
-// answer, and a delivered batch must show up as server-side spans on
-// /traces. (It runs after TestDaemonTelemetryEndpoint: the global
+// answer, a delivered batch must show up as server-side spans on
+// /traces, and the index at / must list every route and nothing else. (It runs after TestDaemonTelemetryEndpoint: the global
 // telemetry set is shared, and that test asserts exact counts.)
 func TestDaemonTraceAndHealthEndpoints(t *testing.T) {
 	var out strings.Builder
@@ -149,6 +149,23 @@ func TestDaemonTraceAndHealthEndpoints(t *testing.T) {
 	}
 	if code, body := get("/traces?kind=server.store"); code != 200 || strings.Contains(body, "server.batch") {
 		t.Errorf("/traces?kind filter leaked: %d %s", code, body)
+	}
+	// The index lists every route mounted, and every path it lists
+	// answers.
+	_, index := get("/")
+	var listed []string
+	for _, line := range strings.Split(index, "\n") {
+		if strings.HasPrefix(line, "/") {
+			listed = append(listed, line)
+		}
+	}
+	if got, want := strings.Join(listed, " "), "/api/jobs /events /healthz /metrics /readyz /slo /traces"; got != want {
+		t.Errorf("index lists %q, want %q", got, want)
+	}
+	for _, path := range listed {
+		if code, _ := get(path); code == http.StatusNotFound {
+			t.Errorf("GET %s = 404, but the index lists it", path)
+		}
 	}
 
 	close(quit)

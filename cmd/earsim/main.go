@@ -64,7 +64,7 @@ func run(args []string, out io.Writer) error {
 		powercapW = fs.Float64("powercap", 0, "cluster DC power budget in watts (0 = unmanaged); runs under the global manager")
 		nodes     = fs.Int("nodes", 0, "override the workload's node count, scaling the run to cluster size (0 = as catalogued)")
 		confPath  = fs.String("conf", "", "ear.conf-style site configuration providing defaults and policy authorisation")
-		telAddr   = fs.String("telemetry", "", "HTTP address serving /metrics and /events for the run's duration")
+		telAddr   = fs.String("telemetry", "", "HTTP address serving /metrics, /events, /healthz and /readyz for the run's duration")
 		metricsTo = fs.String("metrics-out", "", "write the final Prometheus metrics snapshot to this file (- = stdout)")
 		eventsTo  = fs.String("events-out", "", "write the final telemetry event log as JSON lines to this file (- = stdout)")
 	)

@@ -19,10 +19,9 @@
 // Exit status is 0 for a clean tree, 1 when findings were reported, 2
 // on usage or load errors.
 //
-// Findings are suppressed line by line with an annotation carrying a
-// mandatory reason:
-//
-//	v := ratio * gran //goearvet:ignore count times granularity
+// A finding cannot be suppressed: a deliberate error discard is
+// written `_ = f()`, and code that must read the wall clock lives
+// outside the determinism scope.
 package main
 
 import (

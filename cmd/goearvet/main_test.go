@@ -124,9 +124,9 @@ func TestBadPattern(t *testing.T) {
 	}
 }
 
-// TestAllAnalyzersDisabled: no analyzer can be switched off from the
-// command line — //goearvet:ignore with a reason is the one escape, per
-// line — so the old per-analyzer toggles are usage errors.
+// TestAllAnalyzersDisabled: no analyzer can be switched off, from the
+// command line or in the source, so the old per-analyzer toggles are
+// usage errors.
 func TestAllAnalyzersDisabled(t *testing.T) {
 	for _, name := range []string{"determinism", "unitsafety", "msrfield", "errcheck", "concurrency",
 		"telemetry", "policyreg", "conftag", "fixture"} {

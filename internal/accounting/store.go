@@ -38,8 +38,7 @@ type Store struct {
 	snapOK  bool
 }
 
-// NewStore builds an empty store. ts may be nil (no telemetry); pass
-// telemetry.Default() to opt into the process-wide set.
+// NewStore builds an empty store. ts may be nil (no telemetry).
 func NewStore(ts *telemetry.Set) *Store {
 	return &Store{
 		tel: newStoreTel(ts),

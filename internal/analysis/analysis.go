@@ -9,15 +9,7 @@
 // invariants of the *source*, not just of any particular test run.
 // Runtime tests catch a violation only on the inputs they happen to
 // exercise; the analyzers in internal/analysis/analyzers reject the
-// violating code outright.
-//
-// Findings can be suppressed, one line at a time, with an in-code
-// annotation that must carry a reason:
-//
-//	v, _ := strconv.Atoi(s) //goearvet:ignore input already validated
-//
-// A directive on its own line suppresses the line below it. A
-// directive without a reason is itself reported.
+// violating code outright. There is no suppression directive.
 package analysis
 
 import (
@@ -156,16 +148,10 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 }
 
 // Run executes every applicable analyzer over every package and
-// returns the surviving findings sorted by position. Findings on
-// lines carrying a //goearvet:ignore directive (or directly below a
-// directive on its own line) are dropped; directives without a reason
-// are reported as findings of the pseudo-analyzer "ignore".
+// returns the findings sorted by position.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
-		ign := collectIgnores(pkg.Fset, pkg.Files)
-		diags = append(diags, ign.malformed...)
-		var pkgDiags []Diagnostic
 		for _, a := range analyzers {
 			if !a.appliesTo(pkg.Path) {
 				continue
@@ -177,15 +163,10 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 				Files:    pkg.Files,
 				Pkg:      pkg.Types,
 				Info:     pkg.Info,
-				diags:    &pkgDiags,
+				diags:    &diags,
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("analysis: %s on %s: %w", a.Name, pkg.Path, err)
-			}
-		}
-		for _, d := range pkgDiags {
-			if !ign.suppressed(d) {
-				diags = append(diags, d)
 			}
 		}
 	}

@@ -1,9 +1,8 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
-	"go/parser"
-	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
@@ -53,60 +52,10 @@ func TestDiagnosticString(t *testing.T) {
 	}
 }
 
-// parseOne parses a single source string for directive tests.
-func parseOne(t *testing.T, src string) (*token.FileSet, []*ast.File) {
-	t.Helper()
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "fixture.go", src, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fset, []*ast.File{f}
-}
-
-func TestIgnoreDirectives(t *testing.T) {
-	src := `package p
-
-func a() int {
-	return 1 //goearvet:ignore reasoned trailing directive
-}
-
-func b() int {
-	//goearvet:ignore own-line directive covers the next line
-	return 2
-}
-
-func c() int {
-	return 3 //goearvet:ignore
-}
-`
-	fset, files := parseOne(t, src)
-	ign := collectIgnores(fset, files)
-
-	if len(ign.malformed) != 1 {
-		t.Fatalf("malformed directives = %d, want 1", len(ign.malformed))
-	}
-	if m := ign.malformed[0]; m.Analyzer != "ignore" || !strings.Contains(m.Message, "needs a reason") {
-		t.Errorf("malformed diagnostic = %+v", m)
-	}
-
-	suppressedLines := []int{4, 8, 9}
-	for _, line := range suppressedLines {
-		if !ign.suppressed(Diagnostic{File: "fixture.go", Line: line}) {
-			t.Errorf("line %d should be suppressed", line)
-		}
-	}
-	// The reasonless directive on line 13/14 suppresses nothing.
-	for _, line := range []int{13, 14} {
-		if ign.suppressed(Diagnostic{File: "fixture.go", Line: line}) {
-			t.Errorf("line %d must not be suppressed by a reasonless directive", line)
-		}
-	}
-}
-
-// TestRunSuppressionAndSorting drives Run end-to-end with a synthetic
-// analyzer over a real loaded package.
-func TestRunSuppressionAndSorting(t *testing.T) {
+// TestRunSortsAndScopes drives Run end-to-end over a real loaded
+// package: the findings of two analyzers come back in position order,
+// and a scoped analyzer does not run outside its scope.
+func TestRunSortsAndScopes(t *testing.T) {
 	dir := t.TempDir()
 	src := `package p
 
@@ -115,7 +64,7 @@ func f() int {
 }
 
 func g() int {
-	return 2 //goearvet:ignore synthetic finding is expected here
+	return 2
 }
 `
 	if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o644); err != nil {
@@ -128,30 +77,35 @@ func g() int {
 		t.Fatal(err)
 	}
 
-	reportReturns := &Analyzer{
-		Name: "returns",
-		Doc:  "flags every return statement",
-		Run: func(pass *Pass) error {
-			for _, f := range pass.Files {
-				ast.Inspect(f, func(n ast.Node) bool {
-					if r, ok := n.(*ast.ReturnStmt); ok {
-						pass.Reportf(r.Pos(), "return found")
-					}
-					return true
-				})
-			}
-			return nil
-		},
+	reportEach := func(name string, match func(ast.Node) bool) *Analyzer {
+		return &Analyzer{
+			Name: name,
+			Doc:  "flags every " + name,
+			Run: func(pass *Pass) error {
+				for _, f := range pass.Files {
+					ast.Inspect(f, func(n ast.Node) bool {
+						if match(n) {
+							pass.Reportf(n.Pos(), "%s found", name)
+						}
+						return true
+					})
+				}
+				return nil
+			},
+		}
 	}
-	diags, err := Run([]*Package{pkg}, []*Analyzer{reportReturns})
+	returns := reportEach("returns", func(n ast.Node) bool { _, ok := n.(*ast.ReturnStmt); return ok })
+	funcs := reportEach("funcs", func(n ast.Node) bool { _, ok := n.(*ast.FuncDecl); return ok })
+	diags, err := Run([]*Package{pkg}, []*Analyzer{returns, funcs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diags) != 1 {
-		t.Fatalf("diags = %v, want exactly the unsuppressed return", diags)
+	var got []string
+	for _, d := range diags {
+		got = append(got, fmt.Sprintf("%d %s", d.Line, d.Analyzer))
 	}
-	if diags[0].Line != 4 {
-		t.Errorf("finding at line %d, want 4", diags[0].Line)
+	if want := "3 funcs, 4 returns, 7 funcs, 8 returns"; strings.Join(got, ", ") != want {
+		t.Errorf("findings = %s, want %s", strings.Join(got, ", "), want)
 	}
 
 	scoped := &Analyzer{

@@ -13,11 +13,10 @@ import (
 // conservation checks); a discarded error here means a run continues
 // on state it believes is impossible.
 //
-// Deliberate discards stay possible two ways: assign the error to
-// blank (`_ = f()`), or annotate the line with //goearvet:ignore and
-// a reason. Writes through fmt to a strings.Builder or bytes.Buffer
-// are exempt — those writers cannot fail — as is best-effort console
-// logging via fmt.Print/Printf/Println.
+// A deliberate discard assigns the error to blank (`_ = f()`). Writes
+// through fmt to a strings.Builder or bytes.Buffer are exempt — those
+// writers cannot fail — as is best-effort console logging via
+// fmt.Print/Printf/Println.
 var errcheck = &analysis.Analyzer{
 	Name: "errcheck",
 	Doc: "flag dropped error results in internal packages (expression statements, " +

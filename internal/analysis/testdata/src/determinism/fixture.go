@@ -97,14 +97,3 @@ func (c *clientish) badNestedNow() {
 	t := time.Now() // want `time\.Now reads the wall clock`
 	_ = t
 }
-
-// ignoredClock shows line-level suppression: the directive carries a
-// reason and the finding below it is dropped.
-func ignoredClock() int64 {
-	//goearvet:ignore fixture demonstrates suppression
-	return time.Now().UnixNano()
-}
-
-func trailingIgnore() int64 {
-	return time.Now().UnixNano() //goearvet:ignore trailing-comment form of suppression
-}

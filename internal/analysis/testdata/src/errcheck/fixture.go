@@ -45,7 +45,3 @@ func exemptWrites() string {
 func nonExemptWriter(f *os.File) {
 	fmt.Fprintf(f, "x=%d", 1) // want `result of fmt\.Fprintf includes an error that is dropped`
 }
-
-func ignored() {
-	fallible() //goearvet:ignore fixture demonstrates suppression
-}

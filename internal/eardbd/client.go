@@ -87,8 +87,7 @@ type ClientConfig struct {
 	Journal *Journal
 	// Telemetry, when set, mirrors the ClientStats counters into that
 	// set's registry (goear_eardbd_client_* families) and logs spill and
-	// replay events. Falls back to the process-global telemetry set; nil
-	// when that is disabled too, making every instrument a no-op.
+	// replay events. Nil makes every instrument a no-op.
 	Telemetry *telemetry.Set
 	// Trace, when set, records a span tree per batch into the buffer.
 	// Each batch's trace is keyed by its batch ID (trace.RootNamed), so
@@ -178,13 +177,9 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	ts := cfg.Telemetry
-	if ts == nil {
-		ts = telemetry.Default()
-	}
 	c := &Client{
 		cfg:    cfg,
-		tel:    newClientTel(ts),
+		tel:    newClientTel(cfg.Telemetry),
 		tracer: trace.New(cfg.Node, cfg.Trace),
 		framed: wire.Conn{MaxPayload: cfg.MaxFramePayload},
 	}

@@ -12,7 +12,6 @@ import (
 	"goear/internal/accounting"
 	"goear/internal/eard"
 	"goear/internal/par"
-	"goear/internal/telemetry"
 )
 
 // ackDropDialer dials srv with the client end wrapped in an
@@ -129,9 +128,6 @@ func TestQueueHintLeavesRoomForTheBatch(t *testing.T) {
 // TestNewClientWithoutTelemetryAllocatesOnlyItself: with telemetry off
 // a client resolves no instruments, so building one is its struct.
 func TestNewClientWithoutTelemetryAllocatesOnlyItself(t *testing.T) {
-	if telemetry.Enabled() {
-		t.Skip("global telemetry is on")
-	}
 	cfg := ClientConfig{
 		Node: "n01", Dial: func() (net.Conn, error) { return nil, errors.New("no") },
 		Clock: NewFakeClock(0), Jitter: rand.New(rand.NewSource(1)),
@@ -295,9 +291,6 @@ func TestUnreachableErrorNamesBatchAndAttempts(t *testing.T) {
 // always fails costs the error it returns and nothing else — its batch
 // ID comes from the client's ID block.
 func TestUnreachableFlushAllocatesItsError(t *testing.T) {
-	if telemetry.Enabled() {
-		t.Skip("global telemetry is on")
-	}
 	refused := errors.New("refused")
 	c := newTestClient(t, ClientConfig{Dial: func() (net.Conn, error) { return nil, refused }})
 	if err := c.Enqueue(rec("j1", "0", "n01", 100)); err != nil {

@@ -297,7 +297,7 @@ func (r *Root) fold(parent *trace.Active, v *view, refold parts) error {
 		// The merged store shares the root's telemetry set, so the
 		// goear_accounting_* families on a federation root cover the
 		// serving tier the same way they cover a single daemon.
-		v.Acct = accounting.NewStore(r.ts)
+		v.Acct = accounting.NewStore(r.cfg.Telemetry)
 		err := r.fanOut(parent, wire.Query{Kind: wire.QueryAcctRecords}, func(i int, res wire.Result) error {
 			last := ""
 			return res.EachAcctRecord(func(rec accounting.Record) error {

@@ -93,8 +93,8 @@ type Config struct {
 	// serving sides (default wire.DefaultMaxPayload).
 	MaxFramePayload int
 	// Telemetry, when set, exposes fan-out activity as
-	// goear_eardbd_fed_* families in that set; falls back to the
-	// process-global set, and to no-ops when that is disabled too.
+	// goear_eardbd_fed_* families in that set; nil makes every
+	// instrument a no-op.
 	Telemetry *telemetry.Set
 	// Trace, when set, records a span tree per served query: a
 	// fed.query root continuing the incoming frame's context, one
@@ -130,7 +130,6 @@ type Stats struct {
 type Root struct {
 	eardbd.Front
 	cfg Config
-	ts  *telemetry.Set
 	tel rootTel
 
 	mu     sync.Mutex
@@ -160,14 +159,9 @@ func NewRoot(cfg Config) (*Root, error) {
 	if cfg.MaxFramePayload <= 0 {
 		cfg.MaxFramePayload = wire.DefaultMaxPayload
 	}
-	ts := cfg.Telemetry
-	if ts == nil {
-		ts = telemetry.Default()
-	}
 	root := &Root{
 		cfg:   cfg,
-		ts:    ts,
-		tel:   newRootTel(ts),
+		tel:   newRootTel(cfg.Telemetry),
 		reach: map[string]bool{},
 		idle:  map[string][]*shardConn{},
 	}
@@ -180,7 +174,7 @@ func NewRoot(cfg Config) (*Root, error) {
 		QuerySpan:       spanFedQuery,
 		Now:             cfg.Now,
 		QueryLatency:    root.tel.latQuery,
-		ReplyBytes:      eardbd.NewReplyBytes(ts),
+		ReplyBytes:      eardbd.NewReplyBytes(cfg.Telemetry),
 	}
 	root.tel.shards.Set(float64(len(cfg.Fleet.names)))
 	return root, nil

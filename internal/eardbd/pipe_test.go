@@ -78,15 +78,6 @@ func want(t *testing.T, what string, got ioResult, n int, err error) {
 	}
 }
 
-// wantTimeout holds an error to net.Pipe's deadline contract.
-func wantTimeout(t *testing.T, what string, got ioResult) {
-	t.Helper()
-	var op *net.OpError
-	if got.n != 0 || !errors.Is(got.err, os.ErrDeadlineExceeded) || !errors.As(got.err, &op) || !op.Timeout() {
-		t.Fatalf("%s = %d, %v; want 0 and a *net.OpError timeout", what, got.n, got.err)
-	}
-}
-
 func call(n int, err error) ioResult { return ioResult{n, err} }
 
 // pipeCases is the behaviour table: each runs on a fresh pair of ends.
@@ -124,12 +115,6 @@ var pipeCases = []struct {
 		want(t, "write from the open end", call(b.Write([]byte("x"))), 0, io.ErrClosedPipe)
 		want(t, "read from the closed end", call(a.Read(make([]byte, 1))), 0, io.ErrClosedPipe)
 		want(t, "write from the closed end", call(a.Write([]byte("x"))), 0, io.ErrClosedPipe)
-		if err := b.SetDeadline(time.Now().Add(time.Hour)); !errors.Is(err, io.ErrClosedPipe) {
-			t.Fatalf("deadline on the open end = %v", err)
-		}
-		if err := a.SetReadDeadline(time.Now().Add(time.Hour)); !errors.Is(err, io.ErrClosedPipe) {
-			t.Fatalf("deadline on the closed end = %v", err)
-		}
 		for i := 0; i < 2; i++ {
 			if err := a.Close(); err != nil {
 				t.Fatalf("close again = %v", err)
@@ -180,7 +165,6 @@ var pipeCases = []struct {
 		}
 		// Every writer is blocked before the first read.
 		time.Sleep(20 * time.Millisecond)
-		_ = b.SetReadDeadline(time.Now().Add(5 * time.Second))
 		var got []byte
 		buf := make([]byte, 7)
 		for len(got) < writers*size {
@@ -203,78 +187,6 @@ var pipeCases = []struct {
 			t.Fatalf("%d distinct blocks, want %d", len(seen), writers)
 		}
 	}},
-	{"a past deadline", func(t *testing.T, a, b net.Conn) {
-		past := time.Now().Add(-time.Second)
-		_ = a.SetReadDeadline(past)
-		wantTimeout(t, "read", call(a.Read(make([]byte, 1))))
-		_ = a.SetWriteDeadline(past)
-		wantTimeout(t, "write", call(a.Write([]byte("x"))))
-		// The peer's deadlines are its own.
-		w := goWrite(b, []byte("y"))
-		pending(t, "the peer's write", w)
-		_ = b.Close()
-		want(t, "the peer's write", wait(t, w), 0, io.ErrClosedPipe)
-	}},
-	{"a future deadline fires", func(t *testing.T, a, b net.Conn) {
-		at := time.Now().Add(30 * time.Millisecond)
-		_ = a.SetDeadline(at)
-		wantTimeout(t, "read", call(a.Read(make([]byte, 1))))
-		if time.Now().Before(at) {
-			t.Fatal("the read timed out before its deadline")
-		}
-		wantTimeout(t, "write", call(a.Write([]byte("x"))))
-
-		at = time.Now().Add(30 * time.Millisecond)
-		_ = b.SetWriteDeadline(at)
-		wantTimeout(t, "write nobody reads", call(b.Write([]byte("x"))))
-		if time.Now().Before(at) {
-			t.Fatal("the write timed out before its deadline")
-		}
-	}},
-	{"a deadline set under a blocked read", func(t *testing.T, a, b net.Conn) {
-		r := goRead(b, make([]byte, 1))
-		pending(t, "read", r)
-		_ = b.SetReadDeadline(time.Now().Add(-time.Second))
-		wantTimeout(t, "read under a deadline set in the past", wait(t, r))
-
-		r = goRead(a, make([]byte, 1))
-		pending(t, "read", r)
-		_ = a.SetReadDeadline(time.Now().Add(time.Hour))
-		pending(t, "read under a far deadline", r)
-		_ = a.SetReadDeadline(time.Now().Add(10 * time.Millisecond))
-		wantTimeout(t, "read under a deadline moved earlier", wait(t, r))
-	}},
-	{"a re-armed deadline", func(t *testing.T, a, b net.Conn) {
-		_ = a.SetReadDeadline(time.Now().Add(-time.Second))
-		wantTimeout(t, "read", call(a.Read(make([]byte, 1))))
-		_ = a.SetReadDeadline(time.Now().Add(time.Hour))
-		w := goWrite(b, []byte("x"))
-		want(t, "read after re-arming", call(a.Read(make([]byte, 1))), 1, nil)
-		want(t, "write", wait(t, w), 1, nil)
-
-		// Moved later before it fires: the first arm's time passes
-		// without a timeout.
-		_ = a.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
-		_ = a.SetReadDeadline(time.Now().Add(time.Hour))
-		time.Sleep(40 * time.Millisecond)
-		w = goWrite(b, []byte("x"))
-		want(t, "read past a moved deadline's first time", call(a.Read(make([]byte, 1))), 1, nil)
-		want(t, "write", wait(t, w), 1, nil)
-	}},
-	{"a cleared deadline", func(t *testing.T, a, b net.Conn) {
-		_ = a.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
-		_ = a.SetReadDeadline(time.Time{})
-		time.Sleep(40 * time.Millisecond)
-		w := goWrite(b, []byte("x"))
-		want(t, "read past a cleared deadline", call(a.Read(make([]byte, 1))), 1, nil)
-		want(t, "write", wait(t, w), 1, nil)
-
-		_ = a.SetWriteDeadline(time.Now().Add(-time.Second))
-		_ = a.SetWriteDeadline(time.Time{})
-		r := goRead(b, make([]byte, 1))
-		want(t, "write after clearing an expired deadline", call(a.Write([]byte("x"))), 1, nil)
-		want(t, "read", wait(t, r), 1, nil)
-	}},
 }
 
 // TestPipeConformance runs the behaviour table against net.Pipe and
@@ -292,8 +204,33 @@ func TestPipeConformance(t *testing.T) {
 	}
 }
 
+// TestPipeHasNoDeadlines holds each Set*Deadline to os.ErrNoDeadline,
+// as an *os.File without deadlines returns, and the connection to
+// carry bytes both ways after all three.
+func TestPipeHasNoDeadlines(t *testing.T) {
+	a, b := newPipe()
+	defer a.Close()
+	defer b.Close()
+	at := time.Now().Add(-time.Second)
+	for name, set := range map[string]func(time.Time) error{
+		"SetDeadline":      a.SetDeadline,
+		"SetReadDeadline":  a.SetReadDeadline,
+		"SetWriteDeadline": a.SetWriteDeadline,
+	} {
+		if err := set(at); !errors.Is(err, os.ErrNoDeadline) {
+			t.Errorf("%s = %v, want os.ErrNoDeadline", name, err)
+		}
+	}
+	w := goWrite(a, []byte("ping"))
+	want(t, "read", call(b.Read(make([]byte, 4))), 4, nil)
+	want(t, "write", wait(t, w), 4, nil)
+	w = goWrite(b, []byte("pong"))
+	want(t, "read", call(a.Read(make([]byte, 4))), 4, nil)
+	want(t, "write", wait(t, w), 4, nil)
+}
+
 // TestPipeAllocations holds the pipe to exactly one allocation per
-// connection and none per deadline re-arm or round trip.
+// connection and none per round trip.
 func TestPipeAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		a, b := newPipe()
@@ -305,14 +242,6 @@ func TestPipeAllocations(t *testing.T) {
 	a, b := newPipe()
 	defer a.Close()
 	defer b.Close()
-	_ = a.SetDeadline(time.Now().Add(time.Hour))
-	if n := testing.AllocsPerRun(100, func() {
-		_ = a.SetReadDeadline(time.Now().Add(time.Hour))
-		_ = a.SetDeadline(time.Now().Add(time.Hour))
-	}); n != 0 {
-		t.Errorf("deadline re-arm: %v allocations, want 0", n)
-	}
-
 	go echoPipe(b)
 	msg, reply := make([]byte, 16), make([]byte, 8)
 	if n := testing.AllocsPerRun(100, func() {
@@ -341,8 +270,7 @@ func echoPipe(c net.Conn) {
 }
 
 // BenchmarkPipe measures the pipe beside net.Pipe: a connection's
-// creation and close, a read-deadline re-arm, and a 16 B / 8 B round
-// trip.
+// creation and close, and a 16 B / 8 B round trip.
 func BenchmarkPipe(b *testing.B) {
 	for _, kind := range pipeKinds {
 		b.Run("create/"+kind.name, func(b *testing.B) {
@@ -350,15 +278,6 @@ func BenchmarkPipe(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				x, y := kind.new()
 				_, _ = x.Close(), y.Close()
-			}
-		})
-		b.Run("rearm/"+kind.name, func(b *testing.B) {
-			x, y := kind.new()
-			defer x.Close()
-			defer y.Close()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = x.SetReadDeadline(time.Now().Add(time.Hour))
 			}
 		})
 		b.Run("pingpong/"+kind.name, func(b *testing.B) {

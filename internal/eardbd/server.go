@@ -49,8 +49,7 @@ type Config struct {
 	AcctMaxRecords int
 	// Telemetry, when set, mirrors the Stats counters into that set's
 	// registry (goear_eardbd_* families) and logs batch outcomes to its
-	// event recorder. Falls back to the process-global telemetry set;
-	// nil when that is disabled too, making every instrument a no-op.
+	// event recorder. Nil makes every instrument a no-op.
 	Telemetry *telemetry.Set
 	// Trace, when set, records a span tree per handled batch and query
 	// into the buffer, continuing any trace context carried on the
@@ -150,14 +149,9 @@ type Server struct {
 }
 
 // NewServer builds a server folding records into db. Telemetry
-// handles are resolved here, once: enabling the global set after
-// construction does not retrofit an existing server.
+// handles are resolved here, once.
 func NewServer(db *eard.DB, cfg Config) *Server {
-	ts := cfg.Telemetry
-	if ts == nil {
-		ts = telemetry.Default()
-	}
-	acct := accounting.NewStore(ts)
+	acct := accounting.NewStore(cfg.Telemetry)
 	if cfg.AcctMaxRecords > 0 {
 		acct.SetMaxRecords(cfg.AcctMaxRecords)
 	}
@@ -165,7 +159,7 @@ func NewServer(db *eard.DB, cfg Config) *Server {
 		cfg:   cfg.withDefaults(),
 		db:    db,
 		acct:  acct,
-		tel:   newServerTel(ts),
+		tel:   newServerTel(cfg.Telemetry),
 		seen:  map[string]bool{},
 		nodeW: map[string]nodeState{},
 	}
@@ -179,7 +173,7 @@ func NewServer(db *eard.DB, cfg Config) *Server {
 		QuerySpan:       spanServerQuery,
 		Now:             cfg.Now,
 		QueryLatency:    s.tel.latQuery,
-		ReplyBytes:      NewReplyBytes(ts),
+		ReplyBytes:      NewReplyBytes(cfg.Telemetry),
 	}
 	return s
 }

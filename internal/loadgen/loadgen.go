@@ -46,9 +46,7 @@ type Config struct {
 	// comparable with the single-daemon golden.
 	NodeName func(i int) string
 	// Telemetry, when set, exposes the generator's progress as
-	// goear_loadgen_* instruments. Falls back to the process-global
-	// set; nil when that is disabled too, making every instrument a
-	// no-op.
+	// goear_loadgen_* instruments. Nil makes every instrument a no-op.
 	Telemetry *telemetry.Set
 	// Trace, when set, is handed to every node client so each batch
 	// renders its span tree into the shared buffer. Batch traces are

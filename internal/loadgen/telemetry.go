@@ -24,9 +24,6 @@ type genTel struct {
 }
 
 func newGenTel(s *telemetry.Set) genTel {
-	if s == nil {
-		s = telemetry.Default()
-	}
 	r := s.Reg()
 	return genTel{
 		nodes:       r.Counter(metricLGNodes, "simulated node reporters completed"),

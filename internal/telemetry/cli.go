@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"os"
@@ -13,17 +14,15 @@ import (
 // outside goearvet's determinism scope, so real time is read here.
 
 // ServeEndpoint serves a process's telemetry endpoint on ln until ln
-// closes: the set's /metrics, /events and index page (Set.Handler),
-// health's /healthz and /readyz, and the caller's extra routes by mux
-// pattern. A nil set or health serves the empty forms.
+// closes: the set's /metrics and /events, health's /healthz and
+// /readyz, the caller's extra routes by mux pattern, and at / an index
+// of all of them. A nil set or health serves the empty forms.
 func ServeEndpoint(ln net.Listener, set *Set, health *Health, extra map[string]http.Handler) {
-	mux := http.NewServeMux()
-	mux.Handle("/", set.Handler())
-	mux.Handle("/healthz", health.healthz())
-	mux.Handle("/readyz", health.readyz())
-	for pattern, h := range extra {
-		mux.Handle(pattern, h)
-	}
+	routes := set.routes()
+	routes["/healthz"] = health.healthz()
+	routes["/readyz"] = health.readyz()
+	maps.Copy(routes, extra)
+	mux := withIndex(routes)
 	// Serve returns when the listener closes; the process's fate is
 	// decided by its real work, not by this endpoint.
 	go func() { _ = http.Serve(ln, mux) }()

@@ -51,7 +51,7 @@ func TestEventsEndpointSinceAndDropped(t *testing.T) {
 	for i := 0; i < 6; i++ { // capacity 4: seqs 3..6 survive, 2 dropped
 		s.Events.Record(Event{Kind: "k"})
 	}
-	srv := httptest.NewServer(s.Handler())
+	srv := httptest.NewServer(withIndex(s.routes()))
 	defer srv.Close()
 
 	resp, body := get(t, srv, "/events")

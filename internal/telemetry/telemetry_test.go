@@ -323,7 +323,7 @@ func TestHTTPHandler(t *testing.T) {
 	s := NewSet()
 	s.Registry.Counter(testMetricOps, "ops").Add(2)
 	s.Events.Record(Event{Kind: "x"})
-	srv := httptest.NewServer(s.Handler())
+	srv := httptest.NewServer(withIndex(s.routes()))
 	defer srv.Close()
 
 	get := func(path string) string {
