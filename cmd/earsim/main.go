@@ -19,10 +19,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"strings"
 
+	"goear/internal/cpu"
 	"goear/internal/earconf"
 	"goear/internal/eard"
 	"goear/internal/eargm"
@@ -144,6 +146,9 @@ func run(args []string, out io.Writer) error {
 	if *runs < 1 {
 		return fmt.Errorf("-runs must be >= 1 (got %d)", *runs)
 	}
+	if v := *pinUnc; v < 0 || math.IsNaN(v) || math.IsInf(v, 1) {
+		return fmt.Errorf("-pin-uncore must be 0 or a finite positive GHz value (got %v)", *pinUnc)
+	}
 	var spec workload.Spec
 	var err error
 	if *specPath != "" {
@@ -178,7 +183,7 @@ func run(args []string, out io.Writer) error {
 		opt.FixedCPUPstate = pinCPU
 	}
 	if *pinUnc > 0 {
-		r := units.Freq(*pinUnc * 1e9).Ratio(100 * units.MHz)
+		r := units.GHz(*pinUnc).Ratio(cpu.BusClock)
 		opt.FixedUncoreRatio = &r
 	}
 	if *pol != "none" && *pol != "" && *modelPath != "" {

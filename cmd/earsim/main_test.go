@@ -53,6 +53,13 @@ func TestPinnedUncore(t *testing.T) {
 	if !strings.Contains(b.String(), "1.49 GHz") && !strings.Contains(b.String(), "1.50 GHz") {
 		t.Errorf("pinned IMC not reflected:\n%s", b.String())
 	}
+	// A pin is 0 or a frequency the uncore can run at (1.2-2.4 GHz);
+	// anything else is an error, not a clamp or a silent fallback.
+	for _, v := range []string{"99", "inf", "NaN", "-2", "0.04"} {
+		if err := run([]string{"-workload", "BT-MZ.C", "-pin-uncore", v, "-runs", "1"}, &b); err == nil {
+			t.Errorf("-pin-uncore %s: expected error", v)
+		}
+	}
 }
 
 // TestNodesPowercapCampaign drives the one CLI path into a coordinated

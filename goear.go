@@ -26,6 +26,7 @@ import (
 	"os"
 	"strings"
 
+	"goear/internal/cpu"
 	"goear/internal/eargm"
 	"goear/internal/experiments"
 	"goear/internal/policy"
@@ -66,7 +67,8 @@ type Config struct {
 	// pstate 0 (turbo) cannot be pinned here; a negative value pins
 	// nothing.
 	FixedCPUPstate int
-	// FixedUncoreGHz pins the uncore frequency when > 0.
+	// FixedUncoreGHz pins the uncore frequency when > 0; a frequency
+	// outside the platform's uncore range makes the run fail.
 	FixedUncoreGHz float64
 }
 
@@ -160,7 +162,7 @@ func (c Config) toOptions() sim.Options {
 		opt.FixedCPUPstate = &p
 	}
 	if c.FixedUncoreGHz > 0 {
-		r := units.Freq(c.FixedUncoreGHz * 1e9).Ratio(100 * units.MHz)
+		r := units.GHz(c.FixedUncoreGHz).Ratio(cpu.BusClock)
 		opt.FixedUncoreRatio = &r
 	}
 	return opt

@@ -120,6 +120,9 @@ func TestFixedOperatingPoint(t *testing.T) {
 	if r.AvgIMCGHz > 1.85 || r.AvgIMCGHz < 1.7 {
 		t.Errorf("pinned IMC = %v, want ~1.79", r.AvgIMCGHz)
 	}
+	if _, err := session().Run("BT-MZ.C", Config{Seed: 1, FixedUncoreGHz: 5}); err == nil {
+		t.Error("FixedUncoreGHz 5 is above the uncore range; expected an error")
+	}
 }
 
 // TestToOptionsPins holds the facade's pinning rule: a positive

@@ -3,9 +3,8 @@
 // and type-checks them with go/types, then runs repo-specific
 // analyzers over the typed syntax trees.
 //
-// The framework exists because the guarantees this reproduction rests
-// on — deterministic simulation output, bit-exact MSR field encoding,
-// dimensional consistency of the internal/units quantities — are
+// The framework exists because two guarantees this reproduction rests
+// on — deterministic simulation output and consumed errors — are
 // invariants of the *source*, not just of any particular test run.
 // Runtime tests catch a violation only on the inputs they happen to
 // exercise; the analyzers in internal/analysis/analyzers reject the
@@ -20,18 +19,17 @@ import (
 	"sort"
 )
 
-// Diagnostic is one analyzer finding, positioned in the loaded file
-// set. It is the unit of text and -json output.
+// Diagnostic is one analyzer finding, positioned in the loaded file set.
 type Diagnostic struct {
 	// Analyzer is the name of the analyzer that produced the finding.
-	Analyzer string `json:"analyzer"`
+	Analyzer string
 	// File is the path of the offending file as it was loaded.
-	File string `json:"file"`
+	File string
 	// Line and Col are the 1-based position within File.
-	Line int `json:"line"`
-	Col  int `json:"col"`
+	Line int
+	Col  int
 	// Message describes the violation.
-	Message string `json:"message"`
+	Message string
 }
 
 // pos formats the diagnostic position as file:line:col.
@@ -48,11 +46,9 @@ func (d Diagnostic) String() string {
 // Analyzer is one named check. Analyzers are stateless; all per-run
 // state lives on the Pass.
 type Analyzer struct {
-	// Name identifies the analyzer in output and in enable/disable
-	// flags. It must be a single lowercase word.
+	// Name identifies the analyzer in its findings. It must be a
+	// single lowercase word.
 	Name string
-	// Doc is a one-paragraph description shown by goearvet -list.
-	Doc string
 	// Scope restricts the analyzer to packages whose import path
 	// contains one of the given segment sequences (see PathMatches).
 	// An empty scope applies the analyzer to every loaded package.

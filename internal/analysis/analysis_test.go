@@ -80,7 +80,6 @@ func g() int {
 	reportEach := func(name string, match func(ast.Node) bool) *Analyzer {
 		return &Analyzer{
 			Name: name,
-			Doc:  "flags every " + name,
 			Run: func(pass *Pass) error {
 				for _, f := range pass.Files {
 					ast.Inspect(f, func(n ast.Node) bool {
@@ -110,7 +109,6 @@ func g() int {
 
 	scoped := &Analyzer{
 		Name:  "scoped",
-		Doc:   "never runs here",
 		Scope: []string{"internal/sim"},
 		Run: func(pass *Pass) error {
 			t.Error("scoped analyzer ran outside its scope")
@@ -132,7 +130,7 @@ func TestLoaderModule(t *testing.T) {
 		t.Errorf("module path = %q", mod)
 	}
 	paths := l.Paths()
-	wantSome := []string{"goear", "goear/internal/units", "goear/internal/msr", "goear/cmd/goearvet"}
+	wantSome := []string{"goear", "goear/internal/units", "goear/internal/msr", "goear/cmd/earsim"}
 	for _, w := range wantSome {
 		found := false
 		for _, p := range paths {

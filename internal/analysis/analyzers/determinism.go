@@ -21,14 +21,10 @@ import (
 // generators, and never emit ordered output straight out of a map
 // iteration. The report-aggregation tier is held to the same bar so
 // closed-loop tests stay reproducible: its client takes an injected
-// Clock and an explicitly seeded jitter generator instead.
+// Clock and an explicitly seeded jitter generator instead; explicitly
+// seeded *rand.Rand generators are allowed everywhere in scope.
 var determinism = &analysis.Analyzer{
 	Name: "determinism",
-	Doc: "forbid wall-clock reads (time.Now/Since/Until), global math/rand draws, " +
-		"and output or slice building in bare map-iteration order inside " +
-		"internal/sim, internal/experiments, internal/policy, " +
-		"internal/wire, internal/eardbd, internal/loadgen and internal/grouped; " +
-		"explicitly seeded *rand.Rand generators remain allowed",
 	Scope: []string{"internal/sim", "internal/experiments", "internal/policy",
 		"internal/wire", "internal/eardbd", "internal/loadgen", "internal/grouped"},
 	Run: runDeterminism,

@@ -8,19 +8,18 @@ import (
 )
 
 // errcheck flags calls in internal packages whose error result is
-// silently dropped. The simulator layers its failure reporting
-// through returned errors (MSR writability, config validation,
-// conservation checks); a discarded error here means a run continues
-// on state it believes is impossible.
+// silently dropped: in an expression statement, a defer or a go
+// statement. The simulator layers its failure reporting through
+// returned errors (MSR writability, config validation, conservation
+// checks); a discarded error here means a run continues on state it
+// believes is impossible.
 //
 // A deliberate discard assigns the error to blank (`_ = f()`). Writes
 // through fmt to a strings.Builder or bytes.Buffer are exempt — those
 // writers cannot fail — as is best-effort console logging via
 // fmt.Print/Printf/Println.
 var errcheck = &analysis.Analyzer{
-	Name: "errcheck",
-	Doc: "flag dropped error results in internal packages (expression statements, " +
-		"defer and go calls); infallible Builder/Buffer writes are exempt",
+	Name:  "errcheck",
 	Scope: []string{"internal"},
 	Run:   runErrCheck,
 }

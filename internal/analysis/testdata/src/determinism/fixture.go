@@ -1,4 +1,4 @@
-// Package sim is a goearvet test fixture. It is loaded under the
+// Package sim is an analyzer test fixture. It is loaded under the
 // import path "fix/internal/sim" so the determinism analyzer treats
 // it as simulation code. The // want comments are golden
 // expectations consumed by the analyzer tests.

@@ -1,4 +1,4 @@
-// Package errs is a goearvet test fixture for the errcheck analyzer,
+// Package errs is the errcheck analyzer's test fixture,
 // loaded under "fix/internal/errs".
 package errs
 

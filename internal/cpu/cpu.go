@@ -17,7 +17,7 @@ import (
 )
 
 // BusClock is the ratio granularity shared by core and uncore domains.
-const BusClock = 100 * units.MHz
+var BusClock = units.GHz(0.1)
 
 // Model describes a processor SKU.
 type Model struct {
@@ -117,7 +117,7 @@ func (m Model) PstateCount() int { return int(m.NominalRatio-m.MinRatio) + 2 }
 // workload dependent and resolved by EffectiveRatio.
 func (m Model) PstateFreq(p int) (units.Freq, error) {
 	if p < 0 || p >= m.PstateCount() {
-		return 0, fmt.Errorf("cpu: pstate %d out of range [0,%d)", p, m.PstateCount())
+		return units.Freq{}, fmt.Errorf("cpu: pstate %d out of range [0,%d)", p, m.PstateCount())
 	}
 	if p == 0 {
 		return units.FromRatio(m.NominalRatio+1, BusClock), nil

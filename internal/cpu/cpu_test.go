@@ -45,10 +45,10 @@ func TestPstateTable6148(t *testing.T) {
 		p    int
 		want units.Freq
 	}{
-		{0, 2.5 * units.GHz},
-		{1, 2.4 * units.GHz},
-		{2, 2.3 * units.GHz},
-		{3, 2.2 * units.GHz},
+		{0, units.GHz(2.5)},
+		{1, units.GHz(2.4)},
+		{2, units.GHz(2.3)},
+		{3, units.GHz(2.2)},
 	}
 	for _, c := range cases {
 		f, err := m.PstateFreq(c.p)
@@ -66,7 +66,7 @@ func TestPstateTable6148(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if last != 1.0*units.GHz {
+	if last != units.GHz(1.0) {
 		t.Errorf("lowest pstate = %v, want 1GHz", last)
 	}
 }
@@ -113,7 +113,7 @@ func TestPstatesMonotonicProperty(t *testing.T) {
 	for _, m := range []Model{XeonGold6148(), XeonGold6142M(), XeonGold6252()} {
 		ps := m.Pstates()
 		for i := 1; i < len(ps); i++ {
-			if ps[i] >= ps[i-1] {
+			if ps[i].GHzF() >= ps[i-1].GHzF() {
 				t.Errorf("%s: pstate %d (%v) not below pstate %d (%v)",
 					m.Name, i, ps[i], i-1, ps[i-1])
 			}

@@ -124,7 +124,7 @@ func Evaluate(m Machine, p Phase, op Operating) (Result, error) {
 	}
 	fEff := effectiveCoreFreq(m.CPU, p.VPI, op.CoreRatio)
 	fu := units.FromRatio(op.UncoreRatio, cpu.BusClock)
-	if fu <= 0 {
+	if fu.GHzF() <= 0 {
 		return Result{}, fmt.Errorf("perf: uncore ratio %d yields non-positive frequency", op.UncoreRatio)
 	}
 	fg := fEff.GHzF()
@@ -205,7 +205,7 @@ func effectiveCoreFreq(m cpu.Model, vpi float64, coreRatio uint64) units.Freq {
 	rAvx := m.EffectiveRatio(coreRatio, true)
 	fNon := units.FromRatio(rNon, cpu.BusClock).GHzF()
 	fAvx := units.FromRatio(rAvx, cpu.BusClock).GHzF()
-	return units.Freq(((1-vpi)*fNon + vpi*fAvx) * 1e9)
+	return units.GHz((1-vpi)*fNon + vpi*fAvx)
 }
 
 // SolveWithCoreFrac inverts the model with an explicit core-bound CPI

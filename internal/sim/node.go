@@ -337,6 +337,9 @@ func (n *node) init(cal workload.Calibrated, nodeID int, opt Options) error {
 	}
 	if opt.FixedUncoreRatio != nil {
 		r := *opt.FixedUncoreRatio
+		if r < m.CPU.UncoreMinRatio || r > m.CPU.UncoreMaxRatio {
+			return fmt.Errorf("sim: pinned uncore ratio %d outside [%d, %d]", r, m.CPU.UncoreMinRatio, m.CPU.UncoreMaxRatio)
+		}
 		if err := nctl.SetUncoreLimits(r, r); err != nil {
 			return err
 		}

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"goear/internal/workload"
@@ -190,6 +191,19 @@ func TestFixedUncoreSweepShape(t *testing.T) {
 		want := float64(ratio) / 10 * 0.996
 		if math.Abs(res.AvgIMCGHz-want) > 0.05 {
 			t.Errorf("ratio %d: measured IMC %.3f, want ~%.3f", ratio, res.AvgIMCGHz, want)
+		}
+	}
+}
+
+// TestPinnedUncoreOutOfRange: a pin outside the machine's uncore range
+// is refused at setup rather than clamped by the silicon model.
+func TestPinnedUncoreOutOfRange(t *testing.T) {
+	cal := calibrated(t, workload.BTMZC)
+	for _, ratio := range []uint64{0, 11, 25, 30} {
+		r := ratio
+		_, err := Run(cal, Options{Policy: "none", Seed: 1, FixedUncoreRatio: &r})
+		if err == nil || !strings.Contains(err.Error(), "[12, 24]") {
+			t.Errorf("ratio %d: err = %v, want an error naming [12, 24]", ratio, err)
 		}
 	}
 }

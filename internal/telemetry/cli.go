@@ -11,7 +11,7 @@ import (
 
 // What every command's main would otherwise repeat — the HTTP endpoint,
 // the "-"-or-path sink, the wall clock — one of each. This package is
-// outside goearvet's determinism scope, so real time is read here.
+// outside the determinism analyzer's scope, so real time is read here.
 
 // ServeEndpoint serves a process's telemetry endpoint on ln until ln
 // closes: the set's /metrics and /events, health's /healthz and

@@ -1,201 +1,52 @@
-// Package units defines the physical quantities used throughout goear:
-// frequency, power, energy and time intervals, together with parsing and
-// formatting helpers.
+// Package units defines the frequency type the CPU and uncore models
+// trade in, and the percentage helper the comparisons print.
 //
-// Frequencies are stored in hertz, powers in watts, energies in joules.
-// The types are plain float64 wrappers so that arithmetic stays cheap in
-// the simulator hot path while signatures remain self-documenting.
+// A Freq is a struct around hertz, so the compiler holds its dimension:
+// a bare number does not convert to one, and Freq·Freq or Freq + 1 do
+// not compile. Arithmetic goes through GHzF and back through GHz, which
+// keeps every product the same float64 operation.
 package units
 
 import (
-	"fmt"
 	"math"
 	"strconv"
 	"strings"
 )
 
-// Freq is a frequency in hertz.
-type Freq float64
+// Freq is a frequency, stored in hertz.
+type Freq struct{ hz float64 }
 
-// Common frequency units.
-const (
-	Hz  Freq = 1
-	KHz Freq = 1e3
-	MHz Freq = 1e6
-	GHz Freq = 1e9
-)
+// GHz builds a frequency from gigahertz.
+func GHz(g float64) Freq { return Freq{g * 1e9} }
+
+// FromRatio builds a frequency from a hardware ratio and granularity.
+func FromRatio(ratio uint64, gran Freq) Freq { return Freq{float64(ratio) * gran.hz} }
 
 // GHzF returns f expressed in gigahertz.
-func (f Freq) GHzF() float64 { return float64(f) / 1e9 }
-
-// MHzF returns f expressed in megahertz.
-func (f Freq) MHzF() float64 { return float64(f) / 1e6 }
+func (f Freq) GHzF() float64 { return f.hz / 1e9 }
 
 // Ratio returns the hardware ratio for f given a bus-clock granularity,
 // rounding to the nearest multiple. Intel uncore and core ratios use a
 // 100 MHz granularity.
 func (f Freq) Ratio(gran Freq) uint64 {
-	if gran <= 0 {
+	if gran.hz <= 0 {
 		return 0
 	}
-	return uint64(math.Round(float64(f) / float64(gran)))
+	return uint64(math.Round(f.hz / gran.hz))
 }
-
-// FromRatio builds a frequency from a hardware ratio and granularity.
-// The ratio is a dimensionless count, so the product is formed on
-// float64 and only the result carries the Freq dimension.
-func FromRatio(ratio uint64, gran Freq) Freq { return Freq(float64(ratio) * float64(gran)) }
 
 // String formats the frequency with an adaptive unit.
 func (f Freq) String() string {
 	switch {
-	case f >= GHz:
+	case f.hz >= 1e9:
 		return trimZeros(strconv.FormatFloat(f.GHzF(), 'f', 2, 64)) + "GHz"
-	case f >= MHz:
-		return trimZeros(strconv.FormatFloat(f.MHzF(), 'f', 1, 64)) + "MHz"
-	case f >= KHz:
-		return trimZeros(strconv.FormatFloat(float64(f)/1e3, 'f', 1, 64)) + "kHz"
+	case f.hz >= 1e6:
+		return trimZeros(strconv.FormatFloat(f.hz/1e6, 'f', 1, 64)) + "MHz"
+	case f.hz >= 1e3:
+		return trimZeros(strconv.FormatFloat(f.hz/1e3, 'f', 1, 64)) + "kHz"
 	default:
-		return trimZeros(strconv.FormatFloat(float64(f), 'f', 1, 64)) + "Hz"
+		return trimZeros(strconv.FormatFloat(f.hz, 'f', 1, 64)) + "Hz"
 	}
-}
-
-// hasFoldSuffix reports whether s ends in the ASCII suffix suf,
-// compared case-insensitively byte by byte. Working on raw bytes keeps
-// suffix trimming exact for any input (strings.ToLower can change a
-// string's byte length on some Unicode inputs).
-func hasFoldSuffix(s, suf string) bool {
-	return len(s) >= len(suf) && strings.EqualFold(s[len(s)-len(suf):], suf)
-}
-
-// ParseFreq parses strings such as "2.4GHz", "2400MHz" or "2400000000".
-// A bare number is interpreted as hertz. Negative and non-finite
-// values are rejected.
-func ParseFreq(s string) (Freq, error) {
-	t := strings.TrimSpace(s)
-	// The suffix selects a dimensionless scale factor; the Freq
-	// dimension is attached once, after the multiply.
-	unit := float64(Hz)
-	for _, u := range []struct {
-		suf  string
-		unit Freq
-	}{{"ghz", GHz}, {"mhz", MHz}, {"khz", KHz}, {"hz", Hz}} {
-		if hasFoldSuffix(t, u.suf) {
-			unit, t = float64(u.unit), t[:len(t)-len(u.suf)]
-			break
-		}
-	}
-	v, err := strconv.ParseFloat(strings.TrimSpace(t), 64)
-	if err != nil {
-		return 0, fmt.Errorf("units: parse frequency %q: %w", s, err)
-	}
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, fmt.Errorf("units: non-finite frequency %q", s)
-	}
-	if v < 0 {
-		return 0, fmt.Errorf("units: negative frequency %q", s)
-	}
-	res := Freq(v * unit)
-	if math.IsInf(float64(res), 0) {
-		return 0, fmt.Errorf("units: frequency %q overflows", s)
-	}
-	return res, nil
-}
-
-// Power is an electrical power in watts.
-type Power float64
-
-// Common power units. MW is megawatts (site budgets); nothing in
-// EAR's domain is measured in milliwatts.
-const (
-	Watt Power = 1
-	KW   Power = 1e3
-	MW   Power = 1e6
-)
-
-// Watts returns the power as a float64 in watts.
-func (p Power) Watts() float64 { return float64(p) }
-
-// String formats the power in watts with two decimals.
-func (p Power) String() string {
-	return trimZeros(strconv.FormatFloat(float64(p), 'f', 2, 64)) + "W"
-}
-
-// ParsePower parses strings such as "300W", "1.5kW" or "42500"
-// (cluster power budgets and node power readings). A bare number is
-// interpreted as watts. Negative and non-finite values are rejected.
-func ParsePower(s string) (Power, error) {
-	t := strings.TrimSpace(s)
-	unit := 1.0
-	switch {
-	case hasFoldSuffix(t, "kw"):
-		unit, t = 1e3, t[:len(t)-2]
-	case hasFoldSuffix(t, "mw"):
-		// Megawatts: site budgets, not milliwatts — nothing in EAR's
-		// domain is measured in milliwatts.
-		unit, t = 1e6, t[:len(t)-2]
-	case hasFoldSuffix(t, "w"):
-		t = t[:len(t)-1]
-	}
-	v, err := strconv.ParseFloat(strings.TrimSpace(t), 64)
-	if err != nil {
-		return 0, fmt.Errorf("units: parse power %q: %w", s, err)
-	}
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, fmt.Errorf("units: non-finite power %q", s)
-	}
-	if v < 0 {
-		return 0, fmt.Errorf("units: negative power %q", s)
-	}
-	res := v * unit
-	if math.IsInf(res, 0) {
-		return 0, fmt.Errorf("units: power %q overflows", s)
-	}
-	return Power(res), nil
-}
-
-// Energy is an amount of energy in joules.
-type Energy float64
-
-// Common energy units.
-const (
-	Joule Energy = 1
-	KJ    Energy = 1e3
-)
-
-// Joules returns the energy as a float64 in joules.
-func (e Energy) Joules() float64 { return float64(e) }
-
-// WattSeconds constructs the energy dissipated by power p over d seconds.
-func WattSeconds(p Power, seconds float64) Energy {
-	return Energy(float64(p) * seconds)
-}
-
-// Over returns the average power of e dissipated over the given duration.
-// It returns 0 for non-positive durations.
-func (e Energy) Over(seconds float64) Power {
-	if seconds <= 0 {
-		return 0
-	}
-	return Power(float64(e) / seconds)
-}
-
-// String formats the energy in joules (or kJ above 10 kJ).
-func (e Energy) String() string {
-	if math.Abs(float64(e)) >= 1e4 {
-		return trimZeros(strconv.FormatFloat(float64(e)/1e3, 'f', 2, 64)) + "kJ"
-	}
-	return trimZeros(strconv.FormatFloat(float64(e), 'f', 2, 64)) + "J"
-}
-
-// Seconds is a duration expressed in seconds. The simulator uses float
-// seconds rather than time.Duration to avoid overflow and keep the math
-// transparent.
-type Seconds float64
-
-// String formats the duration.
-func (s Seconds) String() string {
-	return trimZeros(strconv.FormatFloat(float64(s), 'f', 3, 64)) + "s"
 }
 
 // PercentChange returns 100*(now-ref)/ref, or 0 when ref is 0.

@@ -1,18 +1,22 @@
 package units
 
 import (
-	"math"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"goear/internal/analysis"
 )
 
+// busClock is the 100 MHz ratio granularity of the modelled parts.
+var busClock = GHz(0.1)
+
 func TestFreqConversions(t *testing.T) {
-	f := 2.4 * GHz
-	if got := f.GHzF(); got != 2.4 {
+	if got := GHz(2.4).GHzF(); got != 2.4 {
 		t.Errorf("GHzF = %v, want 2.4", got)
-	}
-	if got := f.MHzF(); got != 2400 {
-		t.Errorf("MHzF = %v, want 2400", got)
 	}
 }
 
@@ -22,12 +26,12 @@ func TestFreqRatio(t *testing.T) {
 		gran Freq
 		want uint64
 	}{
-		{2.4 * GHz, 100 * MHz, 24},
-		{1.2 * GHz, 100 * MHz, 12},
-		{2.35 * GHz, 100 * MHz, 24}, // rounds to nearest
-		{2.449 * GHz, 100 * MHz, 24},
-		{0, 100 * MHz, 0},
-		{2.4 * GHz, 0, 0}, // degenerate granularity
+		{GHz(2.4), busClock, 24},
+		{GHz(1.2), busClock, 12},
+		{GHz(2.35), busClock, 24}, // rounds to nearest
+		{GHz(2.449), busClock, 24},
+		{Freq{}, busClock, 0},
+		{GHz(2.4), Freq{}, 0}, // degenerate granularity
 	}
 	for _, c := range cases {
 		if got := c.f.Ratio(c.gran); got != c.want {
@@ -41,60 +45,7 @@ func TestFromRatioRoundTrip(t *testing.T) {
 	// through FromRatio/Ratio at 100 MHz granularity.
 	f := func(r uint8) bool {
 		ratio := uint64(r%64) + 1
-		return FromRatio(ratio, 100*MHz).Ratio(100*MHz) == ratio
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestParseFreq(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Freq
-		ok   bool
-	}{
-		{"2.4GHz", 2.4 * GHz, true},
-		{"2.4 GHz", 2.4 * GHz, true},
-		{"2400MHz", 2400 * MHz, true},
-		{"2400mhz", 2400 * MHz, true},
-		{"1200kHz", 1200 * KHz, true},
-		{"42Hz", 42 * Hz, true},
-		{"2400000000", Freq(2.4e9), true},
-		{"", 0, false},
-		{"GHz", 0, false},
-		{"-1GHz", 0, false},
-		{"abcGHz", 0, false},
-	}
-	for _, c := range cases {
-		got, err := ParseFreq(c.in)
-		if c.ok && err != nil {
-			t.Errorf("ParseFreq(%q) error: %v", c.in, err)
-			continue
-		}
-		if !c.ok {
-			if err == nil {
-				t.Errorf("ParseFreq(%q) = %v, want error", c.in, got)
-			}
-			continue
-		}
-		if math.Abs(float64(got-c.want)) > 1e-6 {
-			t.Errorf("ParseFreq(%q) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
-func TestParseFreqFormatRoundTrip(t *testing.T) {
-	// String output of whole-100MHz frequencies must parse back to the
-	// same value.
-	f := func(r uint8) bool {
-		ratio := uint64(r%40) + 1
-		orig := FromRatio(ratio, 100*MHz)
-		parsed, err := ParseFreq(orig.String())
-		if err != nil {
-			return false
-		}
-		return math.Abs(float64(parsed-orig)) < 1e3 // within 1 kHz
+		return FromRatio(ratio, busClock).Ratio(busClock) == ratio
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -106,48 +57,50 @@ func TestFreqString(t *testing.T) {
 		f    Freq
 		want string
 	}{
-		{2.4 * GHz, "2.4GHz"},
-		{2.39 * GHz, "2.39GHz"},
-		{100 * MHz, "100MHz"},
-		{1.5 * KHz, "1.5kHz"},
-		{10 * Hz, "10Hz"},
+		{GHz(2.4), "2.4GHz"},
+		{GHz(2.39), "2.39GHz"},
+		{busClock, "100MHz"},
+		{Freq{1500}, "1.5kHz"},
+		{Freq{10}, "10Hz"},
 	}
 	for _, c := range cases {
 		if got := c.f.String(); got != c.want {
-			t.Errorf("String(%g) = %q, want %q", float64(c.f), got, c.want)
+			t.Errorf("String(%g) = %q, want %q", c.f.hz, got, c.want)
 		}
 	}
 }
 
-func TestEnergyPower(t *testing.T) {
-	e := WattSeconds(300, 10)
-	if e != 3000 {
-		t.Fatalf("WattSeconds = %v, want 3000", e)
+// TestFreqIsNotAFloat pins what the type holds: a bare number does not
+// convert to a Freq, and a Freq does not multiply by a Freq or add a
+// number. Each body is type-checked against this package as another
+// package would import it; the valid one must pass and the others fail.
+func TestFreqIsNotAFloat(t *testing.T) {
+	loader := analysis.NewLoader()
+	if _, err := loader.AddModule("../.."); err != nil {
+		t.Fatal(err)
 	}
-	if p := e.Over(10); p != 300 {
-		t.Errorf("Over = %v, want 300", p)
-	}
-	if p := e.Over(0); p != 0 {
-		t.Errorf("Over(0) = %v, want 0", p)
-	}
-	if p := e.Over(-1); p != 0 {
-		t.Errorf("Over(-1) = %v, want 0", p)
-	}
-}
-
-func TestEnergyConservationProperty(t *testing.T) {
-	// Splitting an interval in two conserves energy.
-	f := func(pw uint16, aFrac uint8) bool {
-		p := Power(float64(pw%1000) + 1)
-		total := 100.0
-		a := total * float64(aFrac) / 255
-		e1 := WattSeconds(p, a)
-		e2 := WattSeconds(p, total-a)
-		whole := WattSeconds(p, total)
-		return math.Abs(float64(e1+e2-whole)) < 1e-6*float64(whole)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+	for i, body := range []string{
+		"_ = units.GHz(2.4).Ratio(units.FromRatio(1, f))", // the one that compiles
+		"_ = units.Freq(2.4e9)",
+		"_ = f * f",
+		"_ = f + 1",
+	} {
+		dir := t.TempDir()
+		src := "package p\n\nimport \"goear/internal/units\"\n\nfunc use(f units.Freq) {\n\t" + body + "\n}\n"
+		if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		path := fmt.Sprintf("freqcheck/p%d", i)
+		loader.AddDir(path, dir)
+		_, err := loader.Load(path)
+		switch {
+		case i == 0 && err != nil:
+			t.Errorf("%s: %v", body, err)
+		case i > 0 && err == nil:
+			t.Errorf("%s type-checks; Freq must not behave as a float", body)
+		case err != nil && !strings.Contains(err.Error(), "type-check"):
+			t.Errorf("%s: failed for another reason: %v", body, err)
+		}
 	}
 }
 
@@ -160,20 +113,5 @@ func TestPercentChange(t *testing.T) {
 	}
 	if got := PercentChange(0, 90); got != 0 {
 		t.Errorf("PercentChange(0,90) = %v, want 0", got)
-	}
-}
-
-func TestStringFormats(t *testing.T) {
-	if got := Power(332.5).String(); got != "332.5W" {
-		t.Errorf("Power.String = %q", got)
-	}
-	if got := Energy(1234).String(); got != "1234J" {
-		t.Errorf("Energy.String = %q", got)
-	}
-	if got := Energy(48000).String(); got != "48kJ" {
-		t.Errorf("Energy(48000).String = %q", got)
-	}
-	if got := Seconds(1.5).String(); got != "1.5s" {
-		t.Errorf("Seconds.String = %q", got)
 	}
 }
