@@ -16,7 +16,9 @@ import (
 // that generation takes them in and holds them as they are now. Records
 // are never removed one at a time, so re-sending a node whole carries
 // every change to it; an accounting eviction or a Restore does remove
-// records, and a changes query from before the last one is refused.
+// records, and a changes query from a generation before the last one is
+// refused. A query from zero has no base to have lost: Answer serves it
+// from the whole view, stamped or not, as every backend does.
 
 // nodeState is what the server keeps of one node: its last reported
 // power, once it has reported one, and the generation at which its node
@@ -64,9 +66,9 @@ func (s *Server) sortedPowers() []wire.NodePower {
 	return out
 }
 
-// appendChanges answers a changes query (wire.QueryChanges) into dst
-// with c's string table: every node stamped after since, or a refusal
-// when records were dropped after it. The answer is gathered in scratch
+// appendChanges answers a changes query (wire.QueryChanges) from a
+// generation since > 0 into dst with c's string table: every node
+// stamped after since, or a refusal when records were dropped after it. The answer is gathered in scratch
 // the server keeps, and built where the connection builds every reply,
 // so a warm answer allocates only the group order the two store walks
 // sort; scratch that held more than a kept reply does is let go with it.

@@ -19,13 +19,15 @@ import (
 // reads, so the root keys the folded view by the vector of shard
 // ingest generations: a query polls the cheap generation counter on
 // every shard, and only a moved generation pays — for what moved, not
-// for the fleet. The shards whose generation moved are asked what
-// changed since the cached view's generation, and the changes are
-// applied to copy-on-write clones of the parts whose stamps moved; a
-// miss that cannot take that path folds those parts again from every
-// shard's full dump. Both run the exact same insertion arithmetic as an
-// uncached fold, so caching is invisible to the byte-identity contract
-// — it only changes how often, and over how much, each fold runs.
+// for the fleet. Every miss builds the parts whose stamps moved one way,
+// by applying the shards' changes (wire.QueryChanges): the moved
+// shards' changes since the cached view's generation, written into
+// copy-on-write clones, or — when there is no cached view, or it cannot
+// take that path — every shard's changes since zero, its whole view,
+// written into fresh stores. Both run the exact same insertion
+// arithmetic as an uncached fold, so caching is invisible to the
+// byte-identity contract — it only changes how often, and over how
+// much, each fold runs.
 
 // view is one folded reading of the fleet, keyed by the shard
 // generations it was polled at and the root's failure epoch then. A
@@ -39,12 +41,11 @@ import (
 // of an old view stay consistent, every query served from one view sees
 // one generation vector, and two views may share a part.
 //
-// dirty holds the parts whose last full fold met a node on a shard the
-// ring does not place it on. Changes are applied only to a view with
-// none: a node seen on two shards keeps the later shard's values in a
-// full fold, which changes read from one shard cannot reproduce. A node
-// report always sets its node's power, so the power lists cover every
-// node that reported; the accounting fold checks the rest.
+// dirty holds the parts whose last rebuild from zero met a node on a
+// shard the ring does not place it on. Changes since a generation are
+// applied only to a view with none: a node seen on two shards keeps the
+// later shard's values in a rebuild from zero, which changes read from
+// one shard cannot reproduce.
 type view struct {
 	gens  []wire.Generation
 	epoch uint64
@@ -96,8 +97,9 @@ func (p parts) String() string {
 	return strings.Join(names, ",")
 }
 
-// rebuild is how a miss rebuilt the parts that moved: from the shards'
-// changes, or from their full dumps and why.
+// rebuild is how a miss rebuilt the parts that moved: from the moved
+// shards' changes since the cached view (delta), or from every shard's
+// changes since zero (full) and why.
 type rebuild uint8
 
 const (
@@ -105,7 +107,7 @@ const (
 	byCold             // there was no cached view
 	byEpoch            // a shard may have restarted since the cached view
 	byNotOwner         // a node came from a shard the ring does not place it on
-	byRefused          // a shard could not say what changed, or does not know the kind
+	byRefused          // a shard could not say what changed since the cached view
 )
 
 // rebuildNames are the fed.merge span's names of each way, the mode
@@ -135,17 +137,17 @@ func (r *Root) pollGenerations(parent *trace.Active, buf *[fanOutConcurrency]wir
 // View implements eardbd.Backend with the folded cluster view — from
 // cache when no shard generation has moved, otherwise rebuilt from the
 // cached one: the parts whose stamps moved on some shard take in what
-// the moved shards report changed since the cached view, or are folded
-// again from every shard's dump when the view or a shard rules that out;
-// a changed epoch re-folds all three. A node reports through exactly
-// one shard (ring placement), so the union of the shards' power lists
-// is disjoint; a node seen on two shards (mid-rebalance traffic) keeps
-// the value from the later shard in fan-out order.
+// the moved shards report changed since the cached view, or are built
+// again from every shard's whole view when the view or a shard rules
+// that out; a changed epoch rebuilds all three. A node reports through
+// exactly one shard (ring placement), so the union of the shards' power
+// lists is disjoint; a node seen on two shards (mid-rebalance traffic)
+// keeps the value from the later shard in fan-out order.
 //
 // A part kept from the cached view is exact for its unchanged stamps: a
 // shard stamps a part only after the store under it took the batch, so
-// a part folded before the stamp moved holds at least what the stamp
-// covers — and one that holds more is folded again at the next poll,
+// a part built before the stamp moved holds at least what the stamp
+// covers — and one that holds more is built again at the next poll,
 // which sees the stamp moved. Changes are as exact: a shard stamps a
 // node only after its stores took the batch, and re-sends it whole at
 // every later ask from before the stamp.
@@ -194,7 +196,7 @@ func (r *Root) View(parent *trace.Active) (eardbd.View, error) {
 		}
 	}
 	if how != byDelta {
-		if err := r.fold(msp, v, moved); err != nil {
+		if _, err := r.applyChanges(msp, v, nil, moved); err != nil {
 			return eardbd.View{}, err
 		}
 	}
@@ -206,53 +208,87 @@ func (r *Root) View(parent *trace.Active) (eardbd.View, error) {
 	return v.View, nil
 }
 
-// applyChanges asks every shard whose generation moved since the cached
-// view's for its changes since then (wire.QueryChanges) and applies them
-// to clones of v's moved parts, which share storage with the cached
-// view until written. It returns byDelta once v holds the result, or
-// why the moved parts must be folded from the full dumps instead, with
-// v as it was: a shard refused — records dropped, a restored state, a
-// build that does not know the kind — or named a node it does not own.
+// applyChanges takes the shards' changes (wire.QueryChanges) into v's
+// moved parts and returns byDelta once v holds the result.
+//
+// From the generations in since, it asks only the shards whose
+// generation moved, and writes clones of v's parts, which share storage
+// with the cached view until written. A shard that refuses — records
+// dropped, a restored state, a root that keeps no stamps — or names a
+// node it does not own leaves v as it was, and applyChanges returns
+// why, for the caller to rebuild from zero.
+//
+// From zero (since nil), it asks every shard for its whole view, writes
+// fresh stores, and marks dirty the parts that met a node on a shard
+// the ring does not place it on. A refusal then fails the view: a shard
+// that cannot answer from zero — a build from before the kind — cannot
+// serve a root (receive counts that leg failed).
 func (r *Root) applyChanges(parent *trace.Active, v *view, since []wire.Generation, moved parts) (rebuild, error) {
 	var (
 		db     = v.DB
 		acct   = v.Acct
 		powers = v.Powers
+		dirty  = v.dirty &^ moved
 		owner  string // the shard whose changes are being applied
 	)
-	if moved&partRecords != 0 {
-		db = db.Clone()
-	}
-	if moved&partAcct != 0 {
-		acct = acct.Clone()
-	}
-	if moved&partPowers != 0 {
-		powers = slices.Clone(powers)
-	}
-	owned := func(node string) error {
-		if r.cfg.Fleet.Owner(node) != owner {
-			return errNotOwner
+	fromZero := since == nil
+	switch {
+	case fromZero:
+		if moved&partRecords != 0 {
+			db = eard.NewDB()
 		}
-		return nil
+		if moved&partAcct != 0 {
+			// The merged store shares the root's telemetry set, so the
+			// goear_accounting_* families on a federation root cover the
+			// serving tier the same way they cover a single daemon.
+			acct = accounting.NewStore(r.cfg.Telemetry)
+		}
+		if moved&partPowers != 0 {
+			powers = []wire.NodePower{}
+		}
+	default:
+		if moved&partRecords != 0 {
+			db = db.Clone()
+		}
+		if moved&partAcct != 0 {
+			acct = acct.Clone()
+		}
+		if moved&partPowers != 0 {
+			powers = slices.Clone(powers)
+		}
+	}
+	// take reports whether an element of node goes into part p: p is
+	// being rebuilt, and node is the owner's or, from zero, marks p dirty.
+	take := func(node string, p parts) (bool, error) {
+		if r.cfg.Fleet.Owner(node) != owner {
+			if !fromZero {
+				return false, errNotOwner
+			}
+			dirty |= p & moved
+		}
+		return moved&p != 0, nil
 	}
 	ask := func(i int) (wire.Query, bool) {
+		if fromZero {
+			return wire.Query{Kind: wire.QueryChanges}, true
+		}
 		return wire.Query{Kind: wire.QueryChanges, Limit: int(since[i].Gen)}, since[i] != v.gens[i]
 	}
 	err := r.fanOutTo(parent, ask, func(i int, res wire.Result) error {
 		owner = r.cfg.Fleet.names[i]
 		return res.EachChange(func(rec eard.JobRecord) error {
-			if err := owned(rec.Node); err != nil || moved&partRecords == 0 {
+			if ok, err := take(rec.Node, partRecords); !ok {
 				return err
 			}
 			return db.Insert(rec)
 		}, func(rec accounting.Record) error {
-			if err := owned(rec.Node); err != nil || moved&partAcct == 0 {
+			if ok, err := take(rec.Node, partAcct); !ok {
 				return err
 			}
 			_, err := acct.Insert(rec)
 			return err
 		}, func(np wire.NodePower) error {
-			if err := owned(np.Node); err != nil || moved&partPowers == 0 {
+			if ok, err := take(np.Node, partPowers); !ok {
 				return err
 			}
 			at, found := slices.BinarySearchFunc(powers, np.Node, func(p wire.NodePower, node string) int {
@@ -267,6 +303,8 @@ func (r *Root) applyChanges(parent *trace.Active, v *view, since []wire.Generati
 		})
 	})
 	switch {
+	case err != nil && fromZero:
+		return byDelta, err
 	case errors.Is(err, errNotOwner):
 		return byNotOwner, nil
 	case errors.Is(err, eardbd.ErrServer):
@@ -274,67 +312,8 @@ func (r *Root) applyChanges(parent *trace.Active, v *view, since []wire.Generati
 	case err != nil:
 		return byDelta, err
 	}
-	v.DB, v.Acct, v.Powers = db, acct, powers
+	v.DB, v.Acct, v.Powers, v.dirty = db, acct, powers, dirty
 	return byDelta, nil
-}
-
-// fold rebuilds the given parts of v from every shard's full dump into
-// fresh stores, and marks dirty the parts that met a node on a shard
-// the ring does not place it on.
-func (r *Root) fold(parent *trace.Active, v *view, refold parts) error {
-	names := r.cfg.Fleet.names
-	v.dirty &^= refold
-	if refold&partRecords != 0 {
-		v.DB = eard.NewDB()
-		err := r.fanOut(parent, wire.Query{Kind: wire.QueryRecords}, func(_ int, res wire.Result) error {
-			return res.EachRecord(v.DB.Insert)
-		})
-		if err != nil {
-			return err
-		}
-	}
-	if refold&partAcct != 0 {
-		// The merged store shares the root's telemetry set, so the
-		// goear_accounting_* families on a federation root cover the
-		// serving tier the same way they cover a single daemon.
-		v.Acct = accounting.NewStore(r.cfg.Telemetry)
-		err := r.fanOut(parent, wire.Query{Kind: wire.QueryAcctRecords}, func(i int, res wire.Result) error {
-			last := ""
-			return res.EachAcctRecord(func(rec accounting.Record) error {
-				if rec.Node != last {
-					if last = rec.Node; r.cfg.Fleet.Owner(last) != names[i] {
-						v.dirty |= partAcct
-					}
-				}
-				_, err := v.Acct.Insert(rec)
-				return err
-			})
-		})
-		if err != nil {
-			return err
-		}
-	}
-	if refold&partPowers != 0 {
-		byNode := map[string]float64{}
-		var nps []wire.NodePower // every shard's list decodes into the first one's
-		err := r.fanOut(parent, wire.Query{Kind: wire.QueryNodePowers}, func(i int, res wire.Result) error {
-			if err := res.Decode(&nps); err != nil {
-				return err
-			}
-			for _, np := range nps {
-				if r.cfg.Fleet.Owner(np.Node) != names[i] {
-					v.dirty |= partPowers
-				}
-				byNode[np.Node] = np.PowerW
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		v.Powers = eardbd.SortedPowers(byNode)
-	}
-	return nil
 }
 
 // countCache records one cache outcome in stats and telemetry,

@@ -6,12 +6,16 @@
 // to the shards, merges the answers in node order, and serves the
 // same wire snapshot API a single daemon does — so eargm.PowerSource
 // consumers and `earctl dbd` work unchanged whether they talk to one
-// daemon or a fleet.
+// daemon or a fleet. The root learns what the shards hold from one
+// query kind, changes: every shard's whole view from generation zero,
+// then what moved since (cache.go). Shards must therefore be upgraded
+// before the roots above them: a root refuses, with a counted fan-out
+// error, a shard that does not know the kind.
 //
 // Merging is built for byte-identity, not just equivalence. Node
 // powers merge by sorted node name, the exact order a single daemon
 // sums in; job summaries are recomputed by folding every shard's
-// record dump into a fresh eard.DB and running the same Summarize
+// node reports into one eard.DB and running the same Summarize
 // arithmetic over the same sorted records. A workload routed through
 // N shards therefore renders the same aggregate, bit for bit, as the
 // same workload through one daemon — the contract the closed-loop
@@ -118,7 +122,7 @@ type Stats struct {
 	Dials        int `json:"dials"`         // shard connections opened (the other fan-outs reused a parked one)
 	Redials      int `json:"redials"`       // of those, second attempts after a reused connection failed
 	CacheHits    int `json:"cache_hits"`    // merged snapshots served from cache
-	CacheMisses  int `json:"cache_misses"`  // merged snapshots rebuilt from shard dumps
+	CacheMisses  int `json:"cache_misses"`  // merged snapshots rebuilt from the shards' changes
 }
 
 // Root is the federation front end: an eardbd.Front — the listeners,
@@ -309,8 +313,11 @@ func (r *Root) send(l *leg) {
 // receive reads the reply to the leg's query — a failure on a reused
 // connection sends the query again on a fresh one — and counts the
 // leg's outcome. A refusal (an error frame, eardbd.ErrServer) comes
-// back as the leg's error with its connection kept: the shard was
-// reached, and nothing is redialled.
+// back as the leg's error with its connection kept, and nothing is
+// redialled. It counts as an answer, the shard reached, except to
+// changes from zero: a shard that refuses to say what it holds — a
+// build from before the kind — cannot serve the root, and the leg
+// counts failed.
 func (r *Root) receive(l *leg) (wire.Result, error) {
 	var res wire.Result
 	for l.err == nil {
@@ -319,7 +326,8 @@ func (r *Root) receive(l *leg) (wire.Result, error) {
 		}
 		r.send(l)
 	}
-	r.countReach(l.shard, l.err == nil || errors.Is(l.err, eardbd.ErrServer))
+	whole := l.q.Kind == wire.QueryChanges && l.q.Limit <= 0
+	r.countReach(l.shard, l.err == nil || errors.Is(l.err, eardbd.ErrServer) && !whole)
 	r.Now.Observe(r.tel.latFanout, l.t0)
 	if l.err != nil {
 		return wire.Result{}, fmt.Errorf("fed: shard %s: %w", l.shard, l.err)

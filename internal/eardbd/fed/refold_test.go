@@ -2,13 +2,17 @@ package fed
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"goear/internal/accounting"
 	"goear/internal/eard"
@@ -299,37 +303,62 @@ func TestStackedRootServesNoStaleView(t *testing.T) {
 	}
 }
 
-// beforeChanges serves a shard's state as a build from before the
-// changes kind does: that kind answered with an error frame, as an
-// unknown one, every other kind as the shard answers it.
-type beforeChanges struct{ *eardbd.Server }
+// beforeChanges dials srv as a build from before the changes kind
+// served it, at the frame level: a changes query gets the error frame
+// such a build sends for a kind it does not know, and every other query
+// what srv answers.
+func beforeChanges(srv *eardbd.Server) (net.Conn, error) {
+	client, server := net.Pipe()
+	go func() {
+		defer server.Close()
+		for {
+			f, err := wire.ReadFrame(server, 0)
+			if err != nil {
+				return
+			}
+			q, err := f.AsQuery()
+			if err == nil && q.Kind == wire.QueryChanges {
+				err = fmt.Errorf("unknown query kind %q", q.Kind)
+			}
+			reply := wire.Frame{Type: wire.TypeResult}
+			if err == nil {
+				reply.Payload, err = eardbd.Answer(nil, srv, nil, q)
+			}
+			if err != nil {
+				reply = wire.Frame{Type: wire.TypeError, Payload: wire.AppendError(nil, err.Error())}
+			}
+			if wire.WriteFrame(server, reply, 0) != nil {
+				return
+			}
+		}
+	}()
+	return client, nil
+}
 
-// TestRootOverShardsBeforeChanges: a root over shards that do not know
-// the changes kind — roots and shards may be upgraded in either order —
-// takes each refusal as an answer: it folds the moved parts from the
-// full dumps, with answers byte-identical to a single daemon's, and
-// counts no failed leg, dials nothing again and keeps its epoch.
-func TestRootOverShardsBeforeChanges(t *testing.T) {
-	daemon := eardbd.NewServer(eard.NewDB(), eardbd.Config{})
-	t.Cleanup(func() { _ = daemon.Close() })
-	shards := make([]shardFixture, 4)
-	old := map[string]*eardbd.Front{}
+// TestRootRefusesShardsBeforeChanges: a root learns what a shard holds
+// only from the changes kind, so shards are upgraded before the roots
+// above them. A root over shards built before the kind fails every view
+// with an error that names the shard and the kind, counts each such leg
+// failed, and publishes nothing; the kinds those shards know still
+// reach them.
+func TestRootRefusesShardsBeforeChanges(t *testing.T) {
+	shards := make([]shardFixture, 2)
 	names := make([]string, len(shards))
 	for i := range shards {
 		names[i] = fmt.Sprintf("s%d", i)
 		shards[i] = shardFixture{name: names[i], srv: eardbd.NewServer(eard.NewDB(), eardbd.Config{})}
-		old[names[i]] = &eardbd.Front{
-			Backend: beforeChanges{shards[i].srv},
-			Batch:   func(*wire.Conn, wire.Frame, *wire.Batch) bool { return false },
-			Count:   func(eardbd.Event) {},
-		}
-		t.Cleanup(func() { _ = old[names[i]].Close() })
+		t.Cleanup(func() { _ = shards[i].srv.Close() })
 	}
 	writers, err := NewFleet(names, dialer(shards))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet, err := NewFleet(names, func(name string) (net.Conn, error) { return old[name].Dial() })
+	for _, b := range mixedScript() {
+		deliver(t, writers.DialFor(b.Node), b)
+	}
+	fleet, err := NewFleet(names, func(name string) (net.Conn, error) {
+		return beforeChanges(shards[slices.Index(names, name)].srv)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,31 +368,65 @@ func TestRootOverShardsBeforeChanges(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = root.Close() })
-	kinds := []wire.Query{
-		{Kind: wire.QueryAggregate}, {Kind: wire.QueryJobs}, {Kind: wire.QuerySummary, Job: "job0", Step: "0"},
-		{Kind: wire.QueryNodePowers}, {Kind: wire.QueryRecords}, {Kind: wire.QueryAcctJobs, Limit: 3}, {Kind: wire.QueryAcctRecords},
-	}
-	for step, b := range mixedScript() {
-		deliver(t, daemon.Dial, b)
-		deliver(t, writers.DialFor(b.Node), b)
-		for _, q := range kinds {
-			want, err := eardbd.Answer(nil, daemon, nil, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, err := eardbd.Answer(nil, root, nil, q); err != nil || !bytes.Equal(got, want) {
-				t.Errorf("step %d: the root's %s answer (%v) differs from the daemon's", step, q.Kind, err)
-			}
+	for range 2 {
+		_, err := root.Aggregate()
+		if err == nil || !strings.Contains(err.Error(), "shard s0") || !strings.Contains(err.Error(), `unknown query kind "changes"`) {
+			t.Fatalf("a view over shards before the changes kind: err = %v, want shard s0's refusal of the kind", err)
 		}
 	}
-	if st := root.Stats(); st.FanoutErrors != 0 || st.Redials != 0 || st.Dials != len(shards) {
-		t.Errorf("stats = %+v, want no failed leg, no redial and one dial a shard", st)
+	if root.cache.Load() != nil {
+		t.Error("a refused view was published")
 	}
-	if e := root.epoch.Load(); e != 0 {
-		t.Errorf("epoch = %d after refusals, want 0", e)
+	for _, name := range names {
+		ok := series(t, ts, metricFedFanout+`{shard="`+name+`",result="ok"}`)
+		failed := series(t, ts, metricFedFanout+`{shard="`+name+`",result="error"}`)
+		if ok != 2 || failed != 2 {
+			t.Errorf("shard %s: %v legs ok and %v failed, want a poll ok and a refusal failed a view, twice", name, ok, failed)
+		}
 	}
-	if d, f := series(t, ts, metricFedRefolds+`{part="records",how="delta"}`), series(t, ts, metricFedRefolds+`{part="records",how="full"}`); d != 0 || f < 2 {
-		t.Errorf("node reports rebuilt %v times from changes and %v from dumps; want every miss from dumps", d, f)
+	if st, err := root.MergedStats(); err != nil || st.Batches != len(mixedScript()) {
+		t.Errorf("the ingest counters through the root: %+v, %v; want every batch counted", st, err)
+	}
+}
+
+// TestWholeViewOverFrameLimit: a shard's whole view — its changes from
+// zero, one frame — is larger than the root's frame limit, though its
+// generation poll is not. The view fails with the counted fan-out error
+// that names the limit, at once and again at the next read, and nothing
+// is published.
+func TestWholeViewOverFrameLimit(t *testing.T) {
+	shards, _ := buildFederation(t, 8, 2)
+	const limit = 2 << 10
+	if whole, err := eardbd.Answer(nil, shards[0].srv, nil, wire.Query{Kind: wire.QueryChanges}); err != nil || len(whole) <= limit {
+		t.Fatalf("shard s0's whole view is %d bytes (%v), want more than %d", len(whole), err, limit)
+	}
+	fleet, err := NewFleet([]string{"s0", "s1"}, dialer(shards))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := telemetry.NewSet()
+	root, err := NewRoot(Config{Fleet: fleet, MaxFramePayload: limit, Telemetry: ts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = root.Close() })
+	for i := 1; i <= 2; i++ {
+		done := make(chan error, 1)
+		go func() { _, err := root.View(nil); done <- err }()
+		select {
+		case err = <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("a view over a shard whose answer exceeds the frame limit hangs")
+		}
+		if !errors.Is(err, wire.ErrTooLarge) || !strings.Contains(err.Error(), fmt.Sprintf("limit %d", limit)) || !strings.Contains(err.Error(), "shard s0") {
+			t.Fatalf("view %d: err = %v, want shard s0's frame over the limit of %d", i, err, limit)
+		}
+		if got := series(t, ts, metricFedFanout+`{shard="s0",result="error"}`); got != float64(i) {
+			t.Errorf("view %d: %v failed legs counted on s0, want %d", i, got, i)
+		}
+	}
+	if root.cache.Load() != nil {
+		t.Error("a view missing a shard was published")
 	}
 }
 
@@ -463,13 +526,12 @@ func TestOldViewStaysWhileDeltaBuilds(t *testing.T) {
 	}
 }
 
-// missAfterWrite builds the miss query-mixed pays after each write:
-// four shards holding nodes × 10 node reports and windows accounting
-// records a node, and a write that sends one node report — replacing a
-// record and moving its node's power on one shard — then takes a view,
-// which takes in that shard's changes and keeps the accounting store.
-func missAfterWrite(tb testing.TB, nodes, windows int) (root *Root, write func(i int)) {
-	_, root = buildFederation(tb, nodes, 4)
+// queryMixedFleet fills four shards in query-mixed's shape: nodes × 10
+// node reports and windows accounting records a node, each sent to its
+// ring owner. It returns the shards and a root over them that has not
+// read yet.
+func queryMixedFleet(tb testing.TB, nodes, windows int) ([]shardFixture, *Root) {
+	shards, root := buildFederation(tb, nodes, 4)
 	tb.Cleanup(func() { _ = root.Close() })
 	for i := 0; i < nodes; i++ {
 		node := fmt.Sprintf("n%02d", i)
@@ -479,6 +541,16 @@ func missAfterWrite(tb testing.TB, nodes, windows int) (root *Root, write func(i
 		}
 		deliver(tb, root.cfg.Fleet.DialFor(node), wire.Batch{ID: node + "/acct", Node: node, Acct: acct})
 	}
+	return shards, root
+}
+
+// missAfterWrite builds the miss query-mixed pays after each write:
+// queryMixedFleet's shards, and a write that sends one node report —
+// replacing a record and moving its node's power on one shard — then
+// takes a view, which takes in that shard's changes and keeps the
+// accounting store.
+func missAfterWrite(tb testing.TB, nodes, windows int) (root *Root, write func(i int)) {
+	_, root = queryMixedFleet(tb, nodes, windows)
 	// Named apart from n00's own reporter, whose batch IDs the shard's
 	// window still holds.
 	writer, err := eardbd.NewClient(eardbd.ClientConfig{
@@ -545,6 +617,72 @@ func TestQueryMixedMissAllocations(t *testing.T) {
 		if st := root.Stats(); st.CacheHits != 0 || st.FanoutErrors != 0 {
 			t.Errorf("%d nodes: stats = %+v: a write did not move the view, or a leg failed", nodes, st)
 		}
+	}
+}
+
+// TestQueryMixedColdMissAllocations pins the cold miss every
+// query-mixed trial pays: a fresh root's first view over
+// queryMixedFleet(200, 8), without the root's construction. It dials
+// the four shards, polls each, and asks each for its changes from zero
+// — its whole view in one frame — into fresh stores: 8 legs, where
+// folding the records, acct_records and node_powers dumps took 16, and
+// 175 allocations where that took 210. The bytes rose, from 1.13 MB to
+// 1.22 MB: a shard's whole view is one frame larger than a connection
+// keeps, read into a payload of its own.
+func TestQueryMixedColdMissAllocations(t *testing.T) {
+	shards, unread := queryMixedFleet(t, 200, 8)
+	fleet := unread.cfg.Fleet
+	// cold takes a fresh root's first view and returns what it cost,
+	// once the root has closed and every shard has let go of its
+	// connections, so the next run starts from the same state.
+	cold := func(ts *telemetry.Set) (mallocs, bytes uint64) {
+		t.Helper()
+		root, err := NewRoot(Config{Fleet: fleet, Telemetry: ts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		_, err = root.View(nil)
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := root.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, sh := range shards {
+			for sh.srv.Conns() > 0 {
+				runtime.Gosched()
+			}
+		}
+		return m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
+	}
+	ts := telemetry.NewSet()
+	cold(ts)
+	legs := 0.0
+	for _, sh := range shards {
+		legs += series(t, ts, metricFedFanout+`{shard="`+sh.name+`",result="ok"}`)
+	}
+	if legs != 8 {
+		t.Errorf("a cold miss over 4 shards took %v fan-out legs, want 8: a poll and a changes answer a shard", legs)
+	}
+	if raceOn {
+		return
+	}
+	// The least of 20: a run now and then pays a goroutine or two more,
+	// when one of the last run's has not yet exited.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	mallocs, bytes := cold(nil)
+	for range 19 {
+		m, b := cold(nil)
+		mallocs, bytes = min(mallocs, m), min(bytes, b)
+	}
+	if mallocs != 175 {
+		t.Errorf("a cold miss: %d allocations, want 175", mallocs)
+	}
+	if bytes > 1300<<10 {
+		t.Errorf("a cold miss: %d bytes, want at most 1,300 KiB", bytes)
 	}
 }
 

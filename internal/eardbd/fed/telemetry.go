@@ -47,7 +47,7 @@ type rootTel struct {
 	latQuery  *telemetry.Histogram // op="query": serving a merged query
 	latFanout *telemetry.Histogram // op="fanout": one shard round trip
 	// refolds[i][delta] counts the misses that rebuilt part partNames[i],
-	// from the shards' changes (delta) or their full dumps.
+	// from the moved shards' changes (delta) or every shard's whole view.
 	refolds [len(partNames)][2]*telemetry.Counter
 }
 
@@ -68,7 +68,7 @@ func newRootTel(s *telemetry.Set) rootTel {
 		latFanout: latency.With("fanout"),
 	}
 	refolds := r.CounterVec(metricFedRefolds,
-		"merged-view parts rebuilt on a cache miss, by part and how: from the moved shards' changes (delta) or every shard's dump (full)",
+		"merged-view parts rebuilt on a cache miss, by part and how: from the moved shards' changes (delta) or every shard's whole view (full)",
 		"part", "how")
 	for i, name := range partNames {
 		t.refolds[i] = [2]*telemetry.Counter{refolds.With(name, "full"), refolds.With(name, "delta")}

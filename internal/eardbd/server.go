@@ -139,8 +139,8 @@ type Server struct {
 	lastMut float64 // Now when a batch last landed a record (0 with no clock)
 	// dropped is the generation at which the accounting store last lost
 	// records — evicted over AcctMaxRecords, or replaced by a Restore —
-	// which no changes answer can carry: a changes query from before it
-	// is refused. evicted is the store's eviction count as last seen.
+	// which no changes answer can carry: a changes query from a
+	// generation before it is refused (one from zero is answered whole). evicted is the store's eviction count as last seen.
 	dropped uint64
 	evicted int
 	// changed is the scratch a changes answer is gathered in, under mu.

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"goear/internal/accounting"
 	"goear/internal/eard"
 	"goear/internal/wire"
 )
@@ -688,6 +689,74 @@ func TestRestoreContinuesGeneration(t *testing.T) {
 	}
 	if blob, _ := json.Marshal(NewServer(eard.NewDB(), Config{}).Saved()); strings.Contains(string(blob), "generation") {
 		t.Errorf("an empty server saves %s: a zero generation is omitted, as files written before it were", blob)
+	}
+}
+
+// TestRestoredServerAnswersChanges: a server restored from another's
+// saved state at generation G, over the same database, holds nodes no
+// batch has stamped — records loaded with the database, restored powers
+// and accounting. It answers changes from zero with its whole view, from
+// G with nothing until a batch lands and then with exactly that batch's
+// nodes, whole, and refuses from G-1: the restore replaced its
+// accounting there.
+func TestRestoredServerAnswersChanges(t *testing.T) {
+	srv := NewServer(eard.NewDB(), Config{})
+	conn, err := srv.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, node := range []string{"n01", "n02", "n03"} {
+		sendAcked(t, srv, conn, wire.Batch{ID: node + "/1", Node: node,
+			Records: []eard.JobRecord{rec("j1", "0", node, 100+float64(i))},
+			Acct: []accounting.Record{{
+				V: accounting.CodecVersion, JobID: "j1", StepID: "0", User: "alice", Node: node,
+				StartSec: 0, EndSec: 60, NodeJ: 1000 + float64(i),
+			}}})
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sv := srv.Saved()
+	back := NewServer(srv.DB(), Config{})
+	t.Cleanup(func() { _ = back.Close() })
+	if err := back.Restore(sv); err != nil {
+		t.Fatal(err)
+	}
+	g := int(sv.Gen)
+	changes := func(since int) (wire.Changes, error) {
+		t.Helper()
+		var ch wire.Changes
+		payload, err := Answer(nil, back, nil, wire.Query{Kind: wire.QueryChanges, Limit: since})
+		if err == nil {
+			err = wire.Result{Kind: wire.QueryChanges, Data: payload[1:]}.Decode(&ch)
+		}
+		return ch, err
+	}
+	whole, err := changes(0)
+	if err != nil {
+		t.Fatalf("changes from 0 after a restore: %v", err)
+	}
+	if !reflect.DeepEqual(whole.Records, srv.DB().Records()) || !reflect.DeepEqual(whole.Acct, sv.Acct) || !reflect.DeepEqual(whole.Powers, sv.Powers) {
+		t.Errorf("changes from 0 after a restore:\n%+v\nwant the whole view: records %+v, acct %+v, powers %+v",
+			whole, srv.DB().Records(), sv.Acct, sv.Powers)
+	}
+	if ch, err := changes(g); err != nil || len(ch.Records)+len(ch.Acct)+len(ch.Powers) != 0 {
+		t.Errorf("changes from the restored generation %d with no batch since: %+v, %v; want none", g, ch, err)
+	}
+	conn, err = back.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	sendAcked(t, back, conn, wire.Batch{ID: "n02/2", Node: "n02", Records: []eard.JobRecord{rec("j2", "0", "n02", 180)}})
+	ch, err := changes(g)
+	want := []eard.JobRecord{rec("j1", "0", "n02", 101), rec("j2", "0", "n02", 180)}
+	if err != nil || !reflect.DeepEqual(ch.Records, want) || len(ch.Acct) != 1 || ch.Acct[0].Node != "n02" ||
+		!reflect.DeepEqual(ch.Powers, []wire.NodePower{{Node: "n02", PowerW: 180}}) {
+		t.Errorf("changes from %d after n02's batch: %+v, %v; want n02 whole and no other node", g, ch, err)
+	}
+	if _, err := changes(g - 1); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("dropped at %d", g)) {
+		t.Errorf("changes from %d, before the restore: err = %v, want a refusal", g-1, err)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -83,12 +82,17 @@ func Answer(c *wire.Conn, b Backend, parent *trace.Active, q wire.Query) ([]byte
 		}
 		return wire.AppendGeneration(dst, gen), nil
 	case wire.QueryChanges:
-		// Only a daemon keeps the stamps a changes answer is read from; a
-		// root over roots answers as a peer that does not know the kind.
-		if srv, ok := b.(*Server); ok {
-			return srv.appendChanges(c, dst, uint64(max(q.Limit, 0)))
+		if q.Limit > 0 {
+			// Only a daemon keeps the node stamps an answer from a
+			// generation is read from. A root refuses one, and its asker
+			// asks from zero, which every backend answers from its view.
+			srv, ok := b.(*Server)
+			if !ok {
+				return dst, fmt.Errorf("no changes since generation %d: a root keeps no node stamps", q.Limit)
+			}
+			return srv.appendChanges(c, dst, uint64(q.Limit))
 		}
-		return dst, fmt.Errorf("unknown query kind %q", q.Kind)
+		fallthrough
 	case wire.QueryAggregate, wire.QueryNodePowers, wire.QueryJobs, wire.QueryRecords,
 		wire.QuerySummary, wire.QueryAcctJobs, wire.QueryAcctRecords:
 		var view View
@@ -104,8 +108,8 @@ func Answer(c *wire.Conn, b Backend, parent *trace.Active, q wire.Query) ([]byte
 	return c.AppendResult(dst, q.Kind, v)
 }
 
-// answer computes the value of one state query. The two kinds that
-// carry a store's records hand the encoder the store's own view — a
+// answer computes the value of one state query. The kinds that carry
+// a store's records hand the encoder the store's own view — a
 // selection of the shared accounting snapshot, the node-report
 // database itself — so a record moves once, from its row into the
 // frame.
@@ -129,24 +133,11 @@ func (v View) answer(q wire.Query) (any, error) {
 			Limit:  q.Limit,
 			Cursor: q.Cursor,
 		})
+	case wire.QueryChanges: // from zero: the whole view
+		return &wire.Changes{DB: v.DB, Acct: v.Acct.Snapshot(), Powers: v.Powers}, nil
 	default: // wire.QueryAcctRecords
 		return v.Acct.Snapshot(), nil
 	}
-}
-
-// SortedPowers renders a node → power map as the name-sorted list the
-// wire carries and every power sum runs over.
-func SortedPowers(byNode map[string]float64) []wire.NodePower {
-	names := make([]string, 0, len(byNode))
-	for n := range byNode {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]wire.NodePower, len(names))
-	for i, n := range names {
-		out[i] = wire.NodePower{Node: n, PowerW: byNode[n]}
-	}
-	return out
 }
 
 // Watts strips the names off a power list: the eargm.PowerSource shape.

@@ -12,10 +12,10 @@ import (
 // side. Batches, acks, pages, power lists, generation polls and the
 // changes a write makes fit, so a peer that stays — a reporter, an
 // admin tool, a root's pooled connection — is served without
-// allocating; a shard dump does not, and is garbage once handled: a
-// root asks for one only on a cold, epoch or fallback miss, and a few
-// hundred idle connections must not each pin the largest frame they
-// ever carried.
+// allocating; a shard's whole view (changes from 0) or a dump does not,
+// and is garbage once handled: a root asks for one only on a cold,
+// epoch or fallback miss, and a few hundred idle connections must not
+// each pin the largest frame they ever carried.
 const MaxKept = 32 << 10
 
 // firstBuf is the size a Conn's buffers start at: an ack, an error, a

@@ -62,11 +62,11 @@ func ResultKinds() []string { return slices.Clone(resultKinds[:]) }
 // []NodePower for node_powers, Generation for generation, Changes for
 // changes — or a pointer to it, which a store answering into a kept
 // buffer passes so as not to box a copy); the JSON
-// kinds take any marshallable value. The two kinds a store serves
+// kinds take any marshallable value. The kinds a store serves whole
 // also take the store's own view, encoded record by record with no
 // copy in between and to the same bytes: an accounting.Selection for
-// acct_jobs, an *eard.DB for records. On error dst comes back as it
-// was.
+// acct_jobs, an *eard.DB for records, and a Changes whose DB stands
+// for its records. On error dst comes back as it was.
 //
 // The encoder uses the connection's string table: a reply of more than
 // linearTable distinct strings indexes them in the map the connection
@@ -100,7 +100,7 @@ func appendResult(dst []byte, kept *map[string]int, kind string, data any) ([]by
 			begin(recordsSizeHint(len(recs), 0))
 			e.records(recs)
 		case *eard.DB:
-			return appendRecordsOf(dst, kept, uint8(code), recs), nil
+			return appendRecordsOf(dst, kept, uint8(code), recs, nil), nil
 		default:
 			ok = false
 		}
@@ -144,6 +144,9 @@ func appendResult(dst []byte, kept *map[string]int, kind string, data any) ([]by
 		default:
 			ok = false
 		}
+		if ok && ch.DB != nil {
+			return appendRecordsOf(dst, kept, uint8(code), ch.DB, ch), nil
+		}
 		if ok {
 			begin(recordsSizeHint(len(ch.Records), len(ch.Acct)) + nodePowersSizeHint(len(ch.Powers)))
 			e.records(ch.Records)
@@ -182,18 +185,28 @@ func (e *encoder) nodePowers(nps []NodePower) {
 }
 
 // appendRecordsOf is the records dump encoded straight from the
-// database's rows, under its read lock. It is a function of its own
-// because its encoder is reached from callbacks handed across two
-// packages and a generic instantiation: should the compiler ever stop
-// proving they do not escape, the encoder moves to the heap here, for
-// a dump, and not in AppendResult for every reply of every kind
+// database's rows, under its read lock — followed, for a changes answer
+// that stands for every record (Changes.DB), by its accounting records
+// and powers. It is a function of its own because its encoder is
+// reached from callbacks handed across two packages and a generic
+// instantiation: should the compiler ever stop proving they do not
+// escape, the encoder moves to the heap here, for a dump, and not in
+// AppendResult for every reply of every kind
 // (TestAppendResultAllocations holds that line).
-func appendRecordsOf(dst []byte, kept *map[string]int, code uint8, db *eard.DB) []byte {
+func appendRecordsOf(dst []byte, kept *map[string]int, code uint8, db *eard.DB, rest *Changes) []byte {
 	e := encoder{buf: dst, kept: kept}
+	hint := 0
+	if rest != nil {
+		hint = recordsSizeHint(0, len(rest.Acct)) + nodePowersSizeHint(len(rest.Powers))
+	}
 	db.Walk(func(n int) {
-		e.buf = append(slices.Grow(e.buf, 1+recordsSizeHint(n, 0)), code)
+		e.buf = append(slices.Grow(e.buf, 1+recordsSizeHint(n, 0)+hint), code)
 		e.uint(uint64(n))
 	}, e.record)
+	if rest != nil {
+		e.acctRecords(rest.Acct)
+		e.nodePowers(rest.Powers)
+	}
 	e.release()
 	return e.buf
 }
@@ -317,51 +330,13 @@ func (d *decoder) generation() Generation {
 	return g
 }
 
-// EachRecord decodes a records dump one record at a time, handing each
-// to fn, so a dump folds into a store with no slice in between. The
-// strings of a record are cut from the frame's literal blocks like any
-// decoded string. It stops at fn's first error and returns it; a
-// malformed body fails as Decode does, after fn has seen the records
-// before the fault.
-func (r Result) EachRecord(fn func(eard.JobRecord) error) error {
-	if r.Kind != QueryRecords {
-		return fmt.Errorf("wire: decode %s result: not a %s dump", r.Kind, QueryRecords)
-	}
-	d := newDecoder(r.Data, resultShare)
-	var rec eard.JobRecord
-	for n := d.count(minRecordLen); n > 0; n-- {
-		if d.record(&rec); d.err != nil {
-			break
-		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-	}
-	return d.finish(r.Kind, "result")
-}
-
-// EachAcctRecord is EachRecord for an acct_records dump.
-func (r Result) EachAcctRecord(fn func(accounting.Record) error) error {
-	if r.Kind != QueryAcctRecords {
-		return fmt.Errorf("wire: decode %s result: not an %s dump", r.Kind, QueryAcctRecords)
-	}
-	d := newDecoder(r.Data, resultShare)
-	var rec accounting.Record
-	for n := d.count(minAcctLen); n > 0; n-- {
-		if d.acctRecord(&rec); d.err != nil {
-			break
-		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-	}
-	return d.finish(r.Kind, "result")
-}
-
-// EachChange decodes a changes result one element at a time, as
-// EachRecord does a dump: every node report to rec, then every
-// accounting record to acct, then every node power to power. It stops
-// at the first error a function returns and returns it.
+// EachChange decodes a changes result one element at a time, so it
+// folds into stores with no slice in between: every node report to
+// rec, then every accounting record to acct, then every node power to
+// power. The strings of an element are cut from the frame's literal
+// blocks like any decoded string. It stops at the first error a
+// function returns and returns it; a malformed body fails as Decode
+// does, after the functions have seen the elements before the fault.
 func (r Result) EachChange(rec func(eard.JobRecord) error, acct func(accounting.Record) error, power func(NodePower) error) error {
 	if r.Kind != QueryChanges {
 		return fmt.Errorf("wire: decode %s result: not a %s result", r.Kind, QueryChanges)

@@ -1,7 +1,7 @@
 // Package wire is the framed protocol spoken between EAR's node-side
 // reporting clients and the database daemon (package eardbd), and the
 // one serialisation of the ingest path: the same bytes travel on the
-// socket, sit in the client's spill journal and carry the shard dumps
+// socket, sit in the client's spill journal and carry the shard views
 // a federation root merges. EAR's real deployment streams job
 // signatures from every node daemon to EARDBD over plain sockets; this
 // codec reproduces that surface with a length-prefixed, versioned
@@ -399,15 +399,14 @@ const (
 	// to a single daemon's.
 	QueryNodePowers = "node_powers"
 	// QueryRecords dumps every stored record sorted by (job, step,
-	// node). The federation root folds shard dumps into one database so
-	// merged summaries run the exact arithmetic a single daemon would.
+	// node): what `earctl dbd records` prints and `earctl acct|report`
+	// read.
 	QueryRecords = "records"
 	// QueryAcctJobs serves one filtered, cursor-paginated page of
 	// per-job energy records (an accounting.Page).
 	QueryAcctJobs = "acct_jobs"
 	// QueryAcctRecords dumps every stored accounting record in
-	// canonical (job, step, node, phase) order — the bulk path the
-	// federation root merges shards by.
+	// canonical (job, step, node, phase) order.
 	QueryAcctRecords = "acct_records"
 	// QueryGeneration returns the store's mutation counter and part
 	// stamps (a Generation). Snapshot caches poll it: unchanged
@@ -415,10 +414,13 @@ const (
 	// that the part they stamp is.
 	QueryGeneration = "generation"
 	// QueryChanges asks for what moved since the generation in Limit (a
-	// Changes): a root's cached view takes it in instead of the dumps.
-	// A store that cannot tell — it has dropped or restored accounting
-	// records since — refuses with an error frame, as a peer built
-	// before the kind does, and the asker falls back to the dumps.
+	// Changes), which is how a federation root builds its view. From 0
+	// (Limit <= 0) every store answers with all it holds, in one frame:
+	// the records dump, the acct_records dump and the power list. From a
+	// generation only a shard daemon answers, from its node stamps; it
+	// refuses with an error frame when it has dropped or restored
+	// accounting records since, and a root refuses it always. The asker
+	// then asks from 0.
 	QueryChanges = "changes"
 )
 
@@ -430,6 +432,11 @@ type Changes struct {
 	Records []eard.JobRecord
 	Acct    []accounting.Record
 	Powers  []NodePower
+	// DB, when set, stands for Records on the encoding side: every
+	// record it holds, encoded straight from its rows as the records
+	// dump is. An answer from 0 carries it; a decoded Changes never has
+	// one.
+	DB *eard.DB
 }
 
 // Generation is a store mutation counter, the QueryGeneration result.
