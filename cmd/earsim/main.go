@@ -76,8 +76,9 @@ func run(args []string, out io.Writer) error {
 
 	// Telemetry is opt-in: either exposure flag turns the global set on
 	// before any simulation objects resolve their instrument handles.
+	var set *telemetry.Set
 	if *telAddr != "" || *metricsTo != "" || *eventsTo != "" {
-		set := telemetry.Enable()
+		set = telemetry.Enable()
 		if *telAddr != "" {
 			ln, err := net.Listen("tcp", *telAddr)
 			if err != nil {
@@ -201,7 +202,7 @@ func run(args []string, out io.Writer) error {
 	var res sim.Result
 	if *powercapW > 0 {
 		var st eargm.Stats
-		res, st, err = ctx.RunPowercapped(spec, opt, eargm.Config{BudgetW: *powercapW, MaxCapPstate: 10})
+		res, st, err = ctx.RunPowercapped(spec, opt, eargm.Config{BudgetW: *powercapW, MaxCapPstate: 10, Telemetry: set})
 		if err != nil {
 			return err
 		}
@@ -218,7 +219,7 @@ func run(args []string, out io.Writer) error {
 
 	// Feed the run's policy decisions into the global event recorder so
 	// /events and -events-out carry them.
-	if set := telemetry.Default(); set != nil {
+	if set != nil {
 		res.RecordDecisions(set.Rec())
 	}
 

@@ -63,3 +63,23 @@ func TestTelemetryHTTP(t *testing.T) {
 		t.Errorf("output missing telemetry address:\n%s", b.String())
 	}
 }
+
+// TestPowercapMetrics checks that -powercap hands the run's telemetry
+// set to the global manager: eargm uses no set it is not given.
+func TestPowercapMetrics(t *testing.T) {
+	mPath := filepath.Join(t.TempDir(), "metrics.prom")
+	var b strings.Builder
+	err := run([]string{
+		"-workload", "BT-MZ.C", "-powercap", "300", "-runs", "1", "-metrics-out", mPath,
+	}, &b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, err := os.ReadFile(mPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(metrics), "goear_eargm_intervals_total") {
+		t.Errorf("metrics snapshot missing goear_eargm_intervals_total:\n%.400s", metrics)
+	}
+}

@@ -9,217 +9,142 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
-// Package is one loaded, type-checked package.
-type Package struct {
-	// Path is the import path the package was registered under.
-	Path string
-	// Dir is the directory its files were read from.
-	Dir  string
-	Fset *token.FileSet
-	// Files are the parsed non-test files, sorted by file name.
-	Files []*ast.File
-	Types *types.Package
-	Info  *types.Info
+// pkg is one loaded, type-checked package.
+type pkg struct {
+	fset *token.FileSet
+	// files are the parsed non-test files, sorted by file name.
+	files []*ast.File
+	types *types.Package
+	info  *types.Info
 }
 
-// Loader resolves and type-checks packages of one module plus any
-// extra directories (used for analyzer test fixtures), using only the
-// standard library: module-internal imports are resolved against the
-// registered directories, everything else falls back to the source
-// importer, which type-checks the standard library from GOROOT/src.
+// Loader type-checks the packages of one module from source. A module
+// import resolves to its directory; anything else goes through the
+// source importer, which type-checks the standard library from
+// GOROOT/src. Each package is checked once per loader.
 type Loader struct {
-	fset    *token.FileSet
-	std     types.ImporterFrom
-	dirs    map[string]string // import path -> directory
-	pkgs    map[string]*Package
-	loading map[string]bool
+	fset   *token.FileSet
+	std    types.Importer
+	module string
+	dirs   map[string]string // import path -> directory
+	pkgs   map[string]*pkg
 }
 
-// NewLoader returns an empty loader.
-func NewLoader() *Loader {
+// NewLoader reads root/go.mod for the module path and registers every
+// directory under root that holds a non-test .go file, skipping
+// testdata and hidden or underscored directories.
+func NewLoader(root string) (*Loader, error) {
+	module, err := moduleName(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return nil, err
+	}
 	fset := token.NewFileSet()
 	l := &Loader{
-		fset:    fset,
-		dirs:    map[string]string{},
-		pkgs:    map[string]*Package{},
-		loading: map[string]bool{},
-	}
-	l.std = importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
-	return l
-}
-
-// Fset exposes the loader's file set (shared with the standard
-// library importer so all positions agree).
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
-// AddModule reads root/go.mod for the module path and registers every
-// package directory under root. Directories named testdata, hidden
-// directories, and directories without non-test .go files are
-// skipped. It returns the module path.
-func (l *Loader) AddModule(root string) (string, error) {
-	modPath, err := moduleName(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return "", err
+		fset:   fset,
+		std:    importer.ForCompiler(fset, "source", nil),
+		module: module,
+		dirs:   map[string]string{},
+		pkgs:   map[string]*pkg{},
 	}
 	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		if !d.IsDir() {
-			return nil
-		}
 		name := d.Name()
-		if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
-			return filepath.SkipDir
-		}
-		if !hasGoFiles(path) {
+		if d.IsDir() {
+			if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+				return filepath.SkipDir
+			}
 			return nil
 		}
-		rel, err := filepath.Rel(root, path)
+		if !isSource(name) {
+			return nil
+		}
+		dir := filepath.Dir(path)
+		rel, err := filepath.Rel(root, dir)
 		if err != nil {
 			return err
 		}
-		imp := modPath
-		if rel != "." {
-			imp = modPath + "/" + filepath.ToSlash(rel)
-		}
-		l.dirs[imp] = path
+		l.dirs[filepath.ToSlash(filepath.Join(module, rel))] = dir
 		return nil
 	})
 	if err != nil {
-		return "", fmt.Errorf("analysis: walk module %s: %w", root, err)
+		return nil, fmt.Errorf("analysis: walk module %s: %w", root, err)
 	}
-	return modPath, nil
+	return l, nil
 }
 
-// AddDir registers a single directory under an explicit import path
-// (used to give test fixtures scoped paths such as
-// "fix/determinism/internal/sim").
-func (l *Loader) AddDir(importPath, dir string) {
+// Check type-checks the package in dir under importPath, resolving its
+// imports against the module.
+func (l *Loader) Check(importPath, dir string) error {
 	l.dirs[importPath] = dir
+	_, err := l.load(importPath)
+	return err
 }
 
-// Paths returns every registered import path, sorted.
-func (l *Loader) Paths() []string {
-	out := make([]string, 0, len(l.dirs))
-	for p := range l.dirs {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Load parses and type-checks the package registered under the import
-// path (cached after the first call).
-func (l *Loader) Load(path string) (*Package, error) {
-	if pkg, ok := l.pkgs[path]; ok {
-		return pkg, nil
+// load parses and type-checks the package registered under path
+// (cached after the first call).
+func (l *Loader) load(path string) (*pkg, error) {
+	if p, ok := l.pkgs[path]; ok {
+		return p, nil
 	}
 	dir, ok := l.dirs[path]
 	if !ok {
 		return nil, fmt.Errorf("analysis: package %s is not registered", path)
 	}
-	if l.loading[path] {
-		return nil, fmt.Errorf("analysis: import cycle through %s", path)
-	}
-	l.loading[path] = true
-	defer delete(l.loading, path)
-
-	files, err := l.parseDir(dir)
+	entries, err := os.ReadDir(dir) // sorted by name
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("analysis: %w", err)
 	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("analysis: no non-test Go files in %s", dir)
-	}
-
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
-	conf := types.Config{Importer: (*loaderImporter)(l)}
-	tpkg, err := conf.Check(path, l.fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("analysis: type-check %s: %w", path, err)
-	}
-	pkg := &Package{
-		Path:  path,
-		Dir:   dir,
-		Fset:  l.fset,
-		Files: files,
-		Types: tpkg,
-		Info:  info,
-	}
-	l.pkgs[path] = pkg
-	return pkg, nil
-}
-
-// LoadAll loads the given import paths (all registered paths when
-// patterns is empty) in sorted order.
-func (l *Loader) LoadAll(paths []string) ([]*Package, error) {
-	if len(paths) == 0 {
-		paths = l.Paths()
-	}
-	out := make([]*Package, 0, len(paths))
-	for _, p := range paths {
-		pkg, err := l.Load(p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pkg)
-	}
-	return out, nil
-}
-
-// parseDir parses every non-test .go file of dir, sorted by name.
-func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("analysis: read %s: %w", dir, err)
-	}
-	var names []string
+	var files []*ast.File
 	for _, e := range entries {
-		n := e.Name()
-		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
+		if e.IsDir() || !isSource(e.Name()) {
 			continue
 		}
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	files := make([]*ast.File, 0, len(names))
-	for _, n := range names {
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, n), nil, parser.ParseComments)
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: parse: %w", err)
 		}
 		files = append(files, f)
 	}
-	return files, nil
-}
-
-// loaderImporter adapts the Loader to types.Importer: module packages
-// resolve through the loader itself, everything else through the
-// source importer.
-type loaderImporter Loader
-
-func (li *loaderImporter) Import(path string) (*types.Package, error) {
-	l := (*Loader)(li)
-	if _, ok := l.dirs[path]; ok {
-		pkg, err := l.Load(path)
+	if len(files) == 0 {
+		return nil, fmt.Errorf("analysis: no non-test Go files in %s", dir)
+	}
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	conf := types.Config{Importer: importerFunc(func(imp string) (*types.Package, error) {
+		if _, ok := l.dirs[imp]; !ok {
+			return l.std.Import(imp)
+		}
+		p, err := l.load(imp)
 		if err != nil {
 			return nil, err
 		}
-		return pkg.Types, nil
+		return p.types, nil
+	})}
+	tpkg, err := conf.Check(path, l.fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("analysis: type-check %s: %w", path, err)
 	}
-	return l.std.Import(path)
+	p := &pkg{fset: l.fset, files: files, types: tpkg, info: info}
+	l.pkgs[path] = p
+	return p, nil
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// isSource reports whether a file name is a non-test Go source.
+func isSource(name string) bool {
+	return strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go")
 }
 
 // moduleName extracts the module path from a go.mod file.
@@ -229,30 +154,11 @@ func moduleName(gomod string) (string, error) {
 		return "", fmt.Errorf("analysis: %w", err)
 	}
 	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module"); ok {
-			name := strings.TrimSpace(rest)
-			name = strings.Trim(name, `"`)
-			if name != "" {
+		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module"); ok {
+			if name := strings.Trim(strings.TrimSpace(rest), `"`); name != "" {
 				return name, nil
 			}
 		}
 	}
 	return "", fmt.Errorf("analysis: no module line in %s", gomod)
-}
-
-// hasGoFiles reports whether dir directly contains a non-test .go
-// file.
-func hasGoFiles(dir string) bool {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range entries {
-		n := e.Name()
-		if !e.IsDir() && strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") {
-			return true
-		}
-	}
-	return false
 }

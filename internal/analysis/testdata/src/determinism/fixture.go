@@ -1,7 +1,6 @@
-// Package sim is an analyzer test fixture. It is loaded under the
-// import path "fix/internal/sim" so the determinism analyzer treats
-// it as simulation code. The // want comments are golden
-// expectations consumed by the analyzer tests.
+// Package sim is the determinism check's test fixture, loaded under
+// "fix/internal/sim". The // want comments are golden expectations
+// consumed by TestGolden.
 package sim
 
 import (
@@ -51,6 +50,16 @@ func goodCollectThenSort(m map[string]int) []string {
 	return out
 }
 
+// goodCollectThenSortSlice is the same idiom through sort.Slice.
+func goodCollectThenSortSlice(m map[string]int) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
 // goodAggregate only folds the values; order-neutral.
 func goodAggregate(m map[string]int) int {
 	total := 0
@@ -66,14 +75,14 @@ func badMapPrint(m map[string]int) {
 	}
 }
 
-// fakeClock is the injected-clock shape the autofix looks for: a
-// parameterless Now with a single result.
+// fakeClock is an injected clock: a parameterless Now with a single
+// result.
 type fakeClock struct{ now float64 }
 
 func (c fakeClock) Now() float64 { return c.now }
 
-// stepper carries a clock directly on the receiver; the time.Now
-// finding below gets a suggested fix rewriting to s.clock.Now().
+// stepper carries a clock on the receiver and still reads the wall
+// clock: the injected clock next to it does not excuse time.Now.
 type stepper struct {
 	clock fakeClock
 }
@@ -85,7 +94,7 @@ func (s *stepper) badReceiverNow() float64 {
 }
 
 // clientish nests the clock one level down in a config struct, the
-// c.cfg.Clock shape of the eardbd client; the fix follows it.
+// c.cfg.Clock shape of the eardbd client.
 type clientCfg struct {
 	Name  string
 	Clock fakeClock

@@ -1,5 +1,5 @@
-// Package errs is the errcheck analyzer's test fixture,
-// loaded under "fix/internal/errs".
+// Package errs is errcheck's test fixture, loaded under
+// "fix/internal/errs".
 package errs
 
 import (

@@ -29,9 +29,7 @@ type Config struct {
 	MaxCapPstate int
 	// Telemetry, when set, exposes the manager's activity as
 	// goear_eargm_* instruments and logs ratchet transitions to that
-	// set's event recorder. Falls back to the process-global telemetry
-	// set; nil when that is disabled too, making every instrument a
-	// no-op.
+	// set's event recorder; nil makes every instrument a no-op.
 	Telemetry *telemetry.Set
 }
 
@@ -88,11 +86,7 @@ func New(cfg Config) (*Manager, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	ts := cfg.Telemetry
-	if ts == nil {
-		ts = telemetry.Default()
-	}
-	return &Manager{cfg: cfg, tel: newGMTel(ts)}, nil
+	return &Manager{cfg: cfg, tel: newGMTel(cfg.Telemetry)}, nil
 }
 
 // Interval implements sim.PowerManager.

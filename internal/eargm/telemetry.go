@@ -58,9 +58,6 @@ type cascadeTel struct {
 }
 
 func newCascadeTel(s *telemetry.Set, islands []Island) cascadeTel {
-	if s == nil {
-		s = telemetry.Default()
-	}
 	r := s.Reg()
 	t := cascadeTel{
 		updates: r.Counter(metricGMCascadeUpdates, "cascaded control intervals evaluated"),

@@ -75,8 +75,8 @@ func TestFreqString(t *testing.T) {
 // number. Each body is type-checked against this package as another
 // package would import it; the valid one must pass and the others fail.
 func TestFreqIsNotAFloat(t *testing.T) {
-	loader := analysis.NewLoader()
-	if _, err := loader.AddModule("../.."); err != nil {
+	loader, err := analysis.NewLoader("../..")
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i, body := range []string{
@@ -90,9 +90,7 @@ func TestFreqIsNotAFloat(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		path := fmt.Sprintf("freqcheck/p%d", i)
-		loader.AddDir(path, dir)
-		_, err := loader.Load(path)
+		err := loader.Check(fmt.Sprintf("freqcheck/p%d", i), dir)
 		switch {
 		case i == 0 && err != nil:
 			t.Errorf("%s: %v", body, err)
