@@ -197,7 +197,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	// The query hammer pages the accounting API through a federation
-	// root concurrently with ingest, exercising the snapshot cache
+	// root concurrently with ingest, exercising the root's view cache
 	// under constant invalidation. Errors are expected around fault
 	// injection (a severed shard fails the fan-out) and are counted,
 	// not fatal.

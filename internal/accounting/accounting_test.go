@@ -230,38 +230,6 @@ func TestStoreClassesAndGeneration(t *testing.T) {
 	}
 }
 
-func TestSnapshotCacheCounters(t *testing.T) {
-	set := telemetry.NewSet()
-	s := NewStore(set)
-	for i := 0; i < 3; i++ {
-		if _, err := s.Insert(mustRecord(t, fmt.Sprintf("j%d", i), "0", "alice", "n1", 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Snapshot() // miss: first build
-	s.Snapshot() // hit
-	s.Snapshot() // hit
-	if _, err := s.Insert(mustRecord(t, "j9", "0", "bob", "n2", 0)); err != nil {
-		t.Fatal(err)
-	}
-	s.Snapshot() // miss: generation moved
-
-	var buf bytes.Buffer
-	if err := set.Reg().WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	for _, want := range []string{
-		`goear_accounting_snapshot_cache_total{result="hit"} 2`,
-		`goear_accounting_snapshot_cache_total{result="miss"} 2`,
-		`goear_accounting_records 4`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("telemetry missing %q in:\n%s", want, text)
-		}
-	}
-}
-
 func TestSnapshotCanonicalOrder(t *testing.T) {
 	s := NewStore(nil)
 	// Insert out of order; the snapshot must come back Key-sorted.
@@ -494,44 +462,73 @@ func TestQueryLimitClamping(t *testing.T) {
 	}
 }
 
+// referencePage is the page q selects over a canonical snapshot, built
+// the plain way: filter, skip to the cursor, cut at the limit.
+func referencePage(snap []Record, q Query) (Page, error) {
+	limit := min(q.Limit, MaxPageSize)
+	if limit <= 0 {
+		limit = defaultPageSize
+	}
+	var after Key
+	if q.Cursor != "" {
+		k, err := decodeCursor(q.Cursor)
+		if err != nil {
+			return Page{}, err
+		}
+		after = k
+	}
+	page := Page{Records: []Record{}}
+	for _, r := range snap {
+		if !q.match(&r) {
+			continue
+		}
+		page.Total++
+		if q.Cursor != "" && !after.less(r.key()) {
+			continue
+		}
+		if len(page.Records) == limit {
+			page.Next = EncodeCursor(page.Records[limit-1].key())
+			continue
+		}
+		page.Records = append(page.Records, r)
+	}
+	return page, nil
+}
+
 // TestSelectMatchesReferencePage walks every filter with every limit
 // from the first page to the last over a 3,000-record store, then the
-// cursors no walk produces. At every step selectSnapshot, Selection.Each,
-// Selection.page and Store.Query agree, and the pages —
+// cursors no walk produces. At every step Store.Select, Store.Query and
+// the plain filter-and-cut page of a snapshot agree, and the pages —
 // records, Next (the cursor bytes) and Total, or a refusal — hash to a
 // digest pinned while they were still held, page for page, to the
-// page-building loop selectSnapshot replaced.
+// page-building loop an earlier selection replaced.
 func TestSelectMatchesReferencePage(t *testing.T) {
 	s := buildStore(t, 15, 200)
 	snap := s.Snapshot()
 	h := fnv.New64a()
 	check := func(q Query) Page {
 		t.Helper()
-		sel, err := selectSnapshot(snap, q)
+		want, err := referencePage(snap, q)
 		if err != nil {
 			if _, err := s.Query(q); err == nil {
-				t.Fatalf("%+v: Store.Query accepted what Select refused", q)
+				t.Fatalf("%+v: Store.Query accepted what the reference refused", q)
 			}
 			h.Write([]byte("refused\n"))
 			return Page{}
 		}
-		want := sel.page()
-		if sel.N != len(want.Records) || sel.Next != want.Next || sel.Total != want.Total {
-			t.Fatalf("%+v: selected %d records, next %q, total %d; its page %d, %q, %d",
-				q, sel.N, sel.Next, sel.Total, len(want.Records), want.Next, want.Total)
-		}
-		i := 0
-		sel.Each(func(r *Record) {
+		begun, i := -1, 0
+		next, total, err := s.Select(q, func(n int) { begun = n }, func(r *Record) {
 			if i >= len(want.Records) || *r != want.Records[i] {
-				t.Fatalf("%+v: Each yields %+v at %d", q, *r, i)
+				t.Fatalf("%+v: Select yields %+v at %d", q, *r, i)
 			}
 			i++
 		})
-		if i != len(want.Records) {
-			t.Fatalf("%+v: Each yielded %d records, want %d", q, i, len(want.Records))
+		if err != nil || begun != len(want.Records) || i != begun || next != want.Next || total != want.Total {
+			t.Fatalf("%+v: selected %d records (yielded %d), next %q, total %d, err %v; want %d, %q, %d",
+				q, begun, i, next, total, err, len(want.Records), want.Next, want.Total)
 		}
 		if got := mustQuery(t, s, q); got.Records == nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("%+v: Store.Query differs from Selection.Page (%d records, next %q)", q, len(got.Records), got.Next)
+			t.Fatalf("%+v: Store.Query differs from the reference page (%d records, next %q)", q, len(got.Records), got.Next)
 		}
 		data, err := json.Marshal(want)
 		if err != nil {
@@ -622,7 +619,7 @@ func TestQueryAllocatesOnlyThePage(t *testing.T) {
 			}
 			cursors++
 		}
-		if got := testing.AllocsPerRun(20, func() { _, _ = s.Select(c.q) }); got != cursors {
+		if got := testing.AllocsPerRun(20, func() { _, _, _ = s.Select(c.q, func(int) {}, func(*Record) {}) }); got != cursors {
 			t.Errorf("%s: Store.Select allocates %v times, its cursors %v", c.name, got, cursors)
 		}
 		if got := testing.AllocsPerRun(20, func() { _, _ = s.Query(c.q) }); got != cursors+1 {
@@ -679,11 +676,10 @@ func TestHTTPHandler(t *testing.T) {
 }
 
 // BenchmarkJobQuery is the pinned query-path benchmark: a filtered,
-// paginated read against a warm snapshot, the steady-state serving
-// cost of the accounting tier.
+// paginated read over a 3,000-record store's rows, copied out, the
+// steady-state serving cost of the accounting tier.
 func BenchmarkJobQuery(b *testing.B) {
 	s := buildStore(b, 30, 100) // 3000 records
-	s.Snapshot()                // warm the cache
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

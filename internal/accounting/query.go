@@ -51,89 +51,6 @@ func (q *Query) match(r *Record) bool {
 	return true
 }
 
-// Selection is one evaluated query before anything is copied: which
-// records of a canonical snapshot make up the page, not the records
-// themselves. It aliases the snapshot it was selected from — shared and
-// read-only — so serving a page costs its encoding and nothing else.
-type Selection struct {
-	q    Query
-	tail []Record // the snapshot from the page's first record on
-	// N is the number of records on the page; Next and Total are the
-	// Page fields of the same name.
-	N     int
-	Next  string
-	Total int
-}
-
-// selectSnapshot evaluates q over a canonical (Key-ordered) snapshot in one
-// pass. Pure: same snapshot + same query ⇒ same page, bytes included,
-// which is what makes pages interchangeable between a shard daemon and
-// a federation root holding the same merged state.
-func selectSnapshot(snap []Record, q Query) (Selection, error) {
-	limit := q.Limit
-	switch {
-	case limit <= 0:
-		limit = defaultPageSize
-	case limit > MaxPageSize:
-		limit = MaxPageSize
-	}
-	var after Key
-	skipping := false
-	if q.Cursor != "" {
-		k, err := decodeCursor(q.Cursor)
-		if err != nil {
-			return Selection{}, err
-		}
-		after = k
-		skipping = true
-	}
-	sel := Selection{q: q}
-	last, more := 0, false
-	for i := range snap {
-		r := &snap[i]
-		if !q.match(r) {
-			continue
-		}
-		sel.Total++
-		if skipping && !after.less(r.key()) {
-			continue
-		}
-		if sel.N == limit {
-			more = true
-			continue
-		}
-		if sel.N == 0 {
-			sel.tail = snap[i:]
-		}
-		sel.N++
-		last = i
-	}
-	if more {
-		sel.Next = EncodeCursor(snap[last].key())
-	}
-	return sel, nil
-}
-
-// Each calls fn for every record of the page, in order. The pointers
-// are into the shared snapshot: read-only.
-func (s Selection) Each(fn func(*Record)) {
-	n := 0
-	for i := 0; n < s.N; i++ {
-		if r := &s.tail[i]; s.q.match(r) {
-			fn(r)
-			n++
-		}
-	}
-}
-
-// page copies the selected records out: the value in-process callers
-// and the HTTP API hold on to.
-func (s Selection) page() Page {
-	page := Page{Records: make([]Record, 0, s.N), Next: s.Next, Total: s.Total}
-	s.Each(func(r *Record) { page.Records = append(page.Records, *r) })
-	return page
-}
-
 // Walk pages through q until exhaustion and returns the concatenated
 // records — the convenience the CLI's -all flag and tests use. The
 // per-call limit still applies per page.

@@ -18,10 +18,9 @@ type nodePhase struct {
 }
 
 // Store holds job energy records keyed by (job, step, node, phase) in
-// the shared grouped store and serves them read-optimised: the
-// canonical sorted snapshot is built once per generation and handed
-// out until the next mutating insert invalidates it, so a query storm
-// between ingest batches sorts nothing.
+// the shared grouped store and serves every read from those rows, under
+// its lock: a page, a dump and a copy all walk them in canonical order,
+// with no second copy of the records kept beside them.
 type Store struct {
 	tel storeTel
 
@@ -32,10 +31,6 @@ type Store struct {
 	// until the store fits again.
 	maxRecords int
 	evicted    int // records the cap has evicted
-
-	snap    []Record // cached canonical dump; immutable once published
-	snapGen uint64
-	snapOK  bool
 }
 
 // NewStore builds an empty store. ts may be nil (no telemetry).
@@ -56,8 +51,8 @@ func NewStore(ts *telemetry.Set) *Store {
 // job records ride the same dedup semantics as node reports: a
 // byte-identical re-insert is a duplicate, a same-key
 // different-payload insert replaces. Accepted and replaced records
-// bump the store generation — the signal snapshot caches (local and
-// federation-root) key on.
+// bump the store generation — the signal the federation root's view
+// cache keys on.
 func (s *Store) Insert(r Record) (grouped.Class, error) {
 	if err := r.Validate(); err != nil {
 		return grouped.Accepted, err
@@ -88,8 +83,8 @@ func (s *Store) SetMaxRecords(n int) {
 
 // pruneLocked enforces the retention cap — whole (job, step) groups go,
 // oldest first by the group's latest window end (see grouped.Prune);
-// any eviction moves the generation, so stacked snapshot caches
-// rebuild — and refreshes the resident-records gauge.
+// any eviction moves the generation, so a root's cached view rebuilds —
+// and refreshes the resident-records gauge.
 func (s *Store) pruneLocked() {
 	if s.maxRecords > 0 {
 		evicted := s.recs.Prune(s.maxRecords, func(r *Record) float64 { return r.EndSec })
@@ -110,7 +105,7 @@ func (s *Store) Evicted() int {
 
 // Seed restores records wholesale — a daemon reloading its persisted
 // store after a restart — without classifying them as fresh ingest.
-// The generation still advances so stacked snapshot caches rebuild.
+// The generation still advances so a root's cached view rebuilds.
 func (s *Store) Seed(recs []Record) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -118,6 +113,13 @@ func (s *Store) Seed(recs []Record) {
 		s.recs.Insert(&recs[i])
 	}
 	s.pruneLocked()
+}
+
+// Len returns the number of stored records.
+func (s *Store) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.recs.Len()
 }
 
 // AppendNodes appends the records of the given nodes, a sorted list,
@@ -135,56 +137,108 @@ func (s *Store) AppendNodes(dst []Record, nodes []string) []Record {
 
 // Clone returns a store holding what s holds that shares its storage
 // until written (grouped.Store.Clone), with s's telemetry and retention
-// cap and a snapshot cache of its own: the next of a series of
-// read-only snapshots, built from the last. s must not be written
-// afterwards.
+// cap: the next of a series of read-only snapshots, built from the
+// last. s must not be written afterwards.
 func (s *Store) Clone() *Store {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return &Store{tel: s.tel, recs: s.recs.Clone(), maxRecords: s.maxRecords}
 }
 
-// Snapshot returns the canonical (Key-ordered) dump of the store. The
-// slice is shared and must not be mutated: it is rebuilt — never
-// edited — when the generation moves, so concurrent readers always
-// hold an internally consistent dump.
+// Snapshot returns a copy of every record in canonical (Key) order:
+// what persistence saves. Serving copies nothing: a dump is Walk, a
+// page Select.
 func (s *Store) Snapshot() []Record {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.snapshotLocked()
+	return s.recs.Append(make([]Record, 0, s.recs.Len()))
 }
 
-func (s *Store) snapshotLocked() []Record {
-	gen := s.recs.Generation()
-	if s.snapOK && s.snapGen == gen {
-		s.tel.cacheHit.Inc()
-		return s.snap
-	}
-	s.tel.cacheMiss.Inc()
-	s.snap = s.recs.Append(make([]Record, 0, s.recs.Len()))
-	s.snapGen = gen
-	s.snapOK = true
-	return s.snap
+// Walk is Snapshot without the copy: under one hold of the lock it calls
+// begin with the record count and then each with every record in
+// Snapshot's order. The pointers are into the store's own rows —
+// read-only, valid only during the call — and neither callback may call
+// back into s.
+func (s *Store) Walk(begin func(n int), each func(*Record)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	begin(s.recs.Len())
+	s.recs.Walk(each)
 }
 
 // Select evaluates one filtered, cursor-paginated query over the
-// canonical snapshot without copying the page out of it — what the
-// wire path encodes from. Two stores with identical contents select
-// byte-identical pages for the same query — the property the
-// federation-root vs. single-daemon acceptance check rides on.
-func (s *Store) Select(q Query) (Selection, error) {
-	s.mu.Lock()
-	snap := s.snapshotLocked()
-	s.mu.Unlock()
+// store's rows without copying the page out of them — what the wire
+// path encodes from. Under one hold of the lock it finds the page, calls
+// begin with its record count and each with every record on it in
+// canonical order, and returns the page's Next and Total; the
+// callbacks are Walk's, under Walk's rules. Two stores with identical
+// contents select byte-identical pages for the same query — the
+// property the federation-root vs. single-daemon acceptance check rides
+// on.
+func (s *Store) Select(q Query, begin func(n int), each func(*Record)) (next string, total int, err error) {
+	limit := q.Limit
+	switch {
+	case limit <= 0:
+		limit = defaultPageSize
+	case limit > MaxPageSize:
+		limit = MaxPageSize
+	}
 	s.tel.queries.Inc()
-	return selectSnapshot(snap, q)
+	var after Key
+	if q.Cursor != "" {
+		if after, err = decodeCursor(q.Cursor); err != nil {
+			return "", 0, err
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// One pass counts the matches and finds the page: where it starts in
+	// the canonical order, how many records it holds and the last of them.
+	var last *Record
+	at, first, n, more := 0, 0, 0, false
+	s.recs.Walk(func(r *Record) {
+		at++
+		if !q.match(r) {
+			return
+		}
+		total++
+		switch {
+		case q.Cursor != "" && !after.less(r.key()):
+		case n == limit:
+			more = true
+		default:
+			if n == 0 {
+				first = at - 1
+			}
+			n++
+			last = r
+		}
+	})
+	if more {
+		next = EncodeCursor(last.key())
+	}
+	begin(n)
+	if n > 0 {
+		s.recs.WalkFrom(first, func(r *Record) bool {
+			if q.match(r) {
+				each(r)
+				n--
+			}
+			return n > 0
+		})
+	}
+	return next, total, nil
 }
 
 // Query is Select with the page copied out, for callers that keep it.
 func (s *Store) Query(q Query) (Page, error) {
-	sel, err := s.Select(q)
+	var page Page
+	next, total, err := s.Select(q,
+		func(n int) { page.Records = make([]Record, 0, n) },
+		func(r *Record) { page.Records = append(page.Records, *r) })
 	if err != nil {
 		return Page{}, err
 	}
-	return sel.page(), nil
+	page.Next, page.Total = next, total
+	return page, nil
 }

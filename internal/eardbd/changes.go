@@ -70,8 +70,8 @@ func (s *Server) sortedPowers() []wire.NodePower {
 // generation since > 0 into dst with c's string table: every node
 // stamped after since, or a refusal when records were dropped after it. The answer is gathered in scratch
 // the server keeps, and built where the connection builds every reply,
-// so a warm answer allocates only the group order the two store walks
-// sort; scratch that held more than a kept reply does is let go with it.
+// so a warm answer allocates nothing while the stores' group orders
+// stand; scratch that held more than a kept reply does is let go with it.
 func (s *Server) appendChanges(c *wire.Conn, dst []byte, since uint64) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -94,10 +94,10 @@ func (s *Server) appendChanges(c *wire.Conn, dst []byte, since uint64) ([]byte, 
 	}
 	ch.Records = s.db.AppendNodes(ch.Records[:0], nodes)
 	ch.Acct = s.acct.AppendNodes(ch.Acct[:0], nodes)
-	out, err := c.AppendResult(dst, wire.QueryChanges, ch)
+	out := c.AppendChanges(dst, ch)
 	if cap(out) > wire.MaxKept {
 		s.changed, s.changedNodes = wire.Changes{}, nil
-		return out, err
+		return out, nil
 	}
 	// Cleared, so the scratch keeps no strings of records since replaced.
 	clear(nodes)
@@ -105,5 +105,5 @@ func (s *Server) appendChanges(c *wire.Conn, dst []byte, since uint64) ([]byte, 
 	clear(ch.Acct)
 	clear(ch.Powers)
 	s.changedNodes = nodes
-	return out, err
+	return out, nil
 }

@@ -25,7 +25,7 @@ import (
 
 // TestMissRefoldsOnlyMovedParts: a miss rebuilds only the parts whose
 // stamps moved on some shard and shares the rest with the cached view —
-// stores, power list and the accounting store's own snapshot cache — and
+// the stores themselves, the same pointers, and the power list — and
 // says which it rebuilt, and how, on /metrics and on the fed.merge span:
 // the cold view from the full dumps, every later one from the changes.
 func TestMissRefoldsOnlyMovedParts(t *testing.T) {
@@ -55,8 +55,7 @@ func TestMissRefoldsOnlyMovedParts(t *testing.T) {
 		send(wire.Batch{ID: node + "/1", Node: node, Records: []eard.JobRecord{report(node, "job0", "0", 250)},
 			Acct: []accounting.Record{window(node, "job0", 0, 30000)}})
 	}
-	// read takes a view under a traced query, reads the accounting
-	// snapshot as a page would, and returns the view and what its
+	// read takes a view under a traced query and returns it and what its
 	// fed.merge span says was folded.
 	read := func() (eardbd.View, string) {
 		t.Helper()
@@ -65,7 +64,6 @@ func TestMissRefoldsOnlyMovedParts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v.Acct.Snapshot()
 		merges := 0
 		var refold string
 		for _, s := range spans.Spans() {
@@ -83,26 +81,22 @@ func TestMissRefoldsOnlyMovedParts(t *testing.T) {
 		}
 		return v, refold
 	}
-	acctMisses := func() float64 {
-		return series(t, ts, `goear_accounting_snapshot_cache_total{result="miss"}`)
-	}
-
 	cold, refold := read()
-	if refold != "full:cold records,acct,powers" || acctMisses() != 1 {
-		t.Fatalf("cold view refolds %q with %v snapshot misses, want all three and one", refold, acctMisses())
+	if refold != "full:cold records,acct,powers" {
+		t.Fatalf("cold view refolds %q, want all three", refold)
 	}
 
 	send(wire.Batch{ID: "n00/2", Node: "n00", Records: []eard.JobRecord{report("n00", "job0", "1", 260)}})
 	recs, refold := read()
-	if refold != "delta records,powers" || recs.Acct != cold.Acct || acctMisses() != 1 || recs.DB == cold.DB {
-		t.Errorf("a node report refolds %q and %v the accounting store (%v snapshot misses); want records,powers, the same store and one miss",
-			refold, map[bool]string{true: "keeps", false: "replaces"}[recs.Acct == cold.Acct], acctMisses())
+	if refold != "delta records,powers" || recs.Acct != cold.Acct || recs.DB == cold.DB {
+		t.Errorf("a node report refolds %q and %v the accounting store; want records,powers and the same *accounting.Store",
+			refold, map[bool]string{true: "keeps", false: "replaces"}[recs.Acct == cold.Acct])
 	}
 
 	send(wire.Batch{ID: "n01/2", Node: "n01", Acct: []accounting.Record{window("n01", "job0", 1, 31000)}})
 	acct, refold := read()
-	if refold != "delta acct" || acct.DB != recs.DB || &acct.Powers[0] != &recs.Powers[0] || acct.Acct == recs.Acct || acctMisses() != 2 {
-		t.Errorf("an accounting record refolds %q (%v snapshot misses), want acct alone and the node reports and powers kept", refold, acctMisses())
+	if refold != "delta acct" || acct.DB != recs.DB || &acct.Powers[0] != &recs.Powers[0] || acct.Acct == recs.Acct {
+		t.Errorf("an accounting record refolds %q, want acct alone, a new accounting store and the node reports and powers kept", refold)
 	}
 
 	// n00's step-0 record again, under an ID the batch window does not
@@ -571,18 +565,19 @@ func missAfterWrite(tb testing.TB, nodes, windows int) (root *Root, write func(i
 }
 
 // TestRootMissAfterWriteAllocations pins BenchmarkRootMissAfterWrite's
-// allocation count: 11, the write and the view — on the shard, the
-// group order each store is walked in for the changes; on the root, a
-// clone of the node reports (database, store, chunk list), the one chunk
-// the replace copies, the power list, the view and its key, and the
-// reply's literal block. It was 45 when a miss folded every shard's
-// dump into fresh stores, and 79 before that when every group's slot
-// list and header was an allocation of its own.
+// allocation count: 9, the write and the view — on the root, a clone of
+// the node reports (database, store, chunk list), the one chunk the
+// replace copies, the power list, the view and its key, and the reply's
+// literal block. The shard walks its stores for the changes in the
+// group order they keep, which a replace leaves standing; it sorted one
+// per walk, 11 in all, until that order was kept. It was 45 when a miss
+// folded every shard's dump into fresh stores, and 79 before that when
+// every group's slot list and header was an allocation of its own.
 func TestRootMissAfterWriteAllocations(t *testing.T) {
 	root, write := missAfterWrite(t, 8, 10)
 	i := 0
-	if n := testing.AllocsPerRun(200, func() { i++; write(i) }); n != 11 {
-		t.Errorf("a miss after one write: %v allocations, want 11", n)
+	if n := testing.AllocsPerRun(200, func() { i++; write(i) }); n != 9 {
+		t.Errorf("a miss after one write: %v allocations, want 9", n)
 	}
 	if st := root.Stats(); st.CacheHits != 0 {
 		t.Errorf("stats = %+v: a write did not move the view", st)
@@ -591,7 +586,7 @@ func TestRootMissAfterWriteAllocations(t *testing.T) {
 
 // TestQueryMixedMissAllocations holds a miss after one write in
 // query-mixed's shape — 200 nodes of 10 node reports and 8 accounting
-// windows over four shards — to what the write changed: the same 11
+// windows over four shards — to what the write changed: the same 9
 // allocations as at 8 nodes, and at most 32 KB, where folding every
 // shard's dump took 112 allocations and 563 KB.
 func TestQueryMixedMissAllocations(t *testing.T) {
@@ -599,8 +594,8 @@ func TestQueryMixedMissAllocations(t *testing.T) {
 		root, write := missAfterWrite(t, nodes, 8)
 		write(0)
 		i := 0
-		if n := testing.AllocsPerRun(50, func() { i++; write(i) }); n != 11 {
-			t.Errorf("%d nodes: a miss after one write: %v allocations, want 11", nodes, n)
+		if n := testing.AllocsPerRun(50, func() { i++; write(i) }); n != 9 {
+			t.Errorf("%d nodes: a miss after one write: %v allocations, want 9", nodes, n)
 		}
 		const runs = 50
 		var m0, m1 runtime.MemStats
@@ -626,7 +621,9 @@ func TestQueryMixedMissAllocations(t *testing.T) {
 // the four shards, polls each, and asks each for its changes from zero
 // — its whole view in one frame — into fresh stores: 8 legs, where
 // folding the records, acct_records and node_powers dumps took 16, and
-// 175 allocations where that took 210. The bytes rose, from 1.13 MB to
+// 166 allocations where that took 210. A shard answers from its stores'
+// rows in the group order they keep, through a typed appender: 175
+// while each answer sorted its node reports' groups and boxed itself. The bytes rose, from 1.13 MB to
 // 1.22 MB: a shard's whole view is one frame larger than a connection
 // keeps, read into a payload of its own.
 func TestQueryMixedColdMissAllocations(t *testing.T) {
@@ -678,8 +675,8 @@ func TestQueryMixedColdMissAllocations(t *testing.T) {
 		m, b := cold(nil)
 		mallocs, bytes = min(mallocs, m), min(bytes, b)
 	}
-	if mallocs != 175 {
-		t.Errorf("a cold miss: %d allocations, want 175", mallocs)
+	if mallocs != 166 {
+		t.Errorf("a cold miss: %d allocations, want 166", mallocs)
 	}
 	if bytes > 1300<<10 {
 		t.Errorf("a cold miss: %d bytes, want at most 1,300 KiB", bytes)

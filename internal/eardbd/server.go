@@ -45,7 +45,7 @@ type Config struct {
 	// AcctMaxRecords caps the per-job accounting store's resident
 	// record count (0 = unlimited). Over the cap, whole (job, step)
 	// groups are evicted oldest-window-first; each eviction advances
-	// the store generation so stacked snapshot caches rebuild.
+	// the store generation so a root's cached view rebuilds.
 	AcctMaxRecords int
 	// Telemetry, when set, mirrors the Stats counters into that set's
 	// registry (goear_eardbd_* families) and logs batch outcomes to its

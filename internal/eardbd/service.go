@@ -62,20 +62,18 @@ func (v View) Aggregate() Aggregate {
 // table, for c to Send — or, for a nil c, in a fresh payload. On error
 // it builds nothing.
 func Answer(c *wire.Conn, b Backend, parent *trace.Active, q wire.Query) ([]byte, error) {
-	var (
-		dst []byte
-		v   any
-		err error
-	)
+	var dst []byte
 	if c != nil {
 		dst = c.Body()
 	}
 	switch q.Kind {
 	case wire.QueryStats:
-		v, err = b.IngestStats(parent)
+		st, err := b.IngestStats(parent)
+		if err != nil {
+			return dst, err
+		}
+		return c.AppendResult(dst, q.Kind, st)
 	case wire.QueryGeneration:
-		// Encoded from the value: boxed in v, a generation would cost
-		// every poll an allocation.
 		gen, err := b.Generation(parent)
 		if err != nil {
 			return dst, err
@@ -95,38 +93,40 @@ func Answer(c *wire.Conn, b Backend, parent *trace.Active, q wire.Query) ([]byte
 		fallthrough
 	case wire.QueryAggregate, wire.QueryNodePowers, wire.QueryJobs, wire.QueryRecords,
 		wire.QuerySummary, wire.QueryAcctJobs, wire.QueryAcctRecords:
-		var view View
-		if view, err = b.View(parent); err == nil {
-			v, err = view.answer(q)
+		v, err := b.View(parent)
+		if err != nil {
+			return dst, err
 		}
+		return v.answer(c, dst, q)
 	default:
 		return dst, fmt.Errorf("unknown query kind %q", q.Kind)
 	}
-	if err != nil {
-		return dst, err
-	}
-	return c.AppendResult(dst, q.Kind, v)
 }
 
-// answer computes the value of one state query. The kinds that carry
-// a store's records hand the encoder the store's own view — a
-// selection of the shared accounting snapshot, the node-report
-// database itself — so a record moves once, from its row into the
-// frame.
-func (v View) answer(q wire.Query) (any, error) {
+// answer encodes the result of one state query into dst. The binary
+// kinds go through their typed appenders, the ones that carry a store's
+// records straight from its rows under its lock — a page, the dumps, the
+// whole view a changes query from zero asks for — so a record moves
+// once, from its row into the frame, and nothing is boxed in an
+// interface. Only the JSON kinds pass through one.
+func (v View) answer(c *wire.Conn, dst []byte, q wire.Query) ([]byte, error) {
 	switch q.Kind {
 	case wire.QueryAggregate:
-		return v.Aggregate(), nil
+		return c.AppendResult(dst, q.Kind, v.Aggregate())
 	case wire.QueryNodePowers:
-		return v.Powers, nil
+		return c.AppendNodePowers(dst, v.Powers), nil
 	case wire.QueryJobs:
-		return v.DB.Summaries(), nil
+		return c.AppendResult(dst, q.Kind, v.DB.Summaries())
 	case wire.QueryRecords:
-		return v.DB, nil
+		return c.AppendRecordsOf(dst, v.DB), nil
 	case wire.QuerySummary:
-		return v.DB.Summarize(q.Job, q.Step)
+		sum, err := v.DB.Summarize(q.Job, q.Step)
+		if err != nil {
+			return dst, err
+		}
+		return c.AppendResult(dst, q.Kind, sum)
 	case wire.QueryAcctJobs:
-		return v.Acct.Select(accounting.Query{
+		return c.AppendAcctPage(dst, v.Acct, accounting.Query{
 			User:   q.User,
 			Job:    q.Job,
 			Since:  q.Since,
@@ -134,9 +134,9 @@ func (v View) answer(q wire.Query) (any, error) {
 			Cursor: q.Cursor,
 		})
 	case wire.QueryChanges: // from zero: the whole view
-		return &wire.Changes{DB: v.DB, Acct: v.Acct.Snapshot(), Powers: v.Powers}, nil
+		return c.AppendChanges(dst, &wire.Changes{DB: v.DB, AcctStore: v.Acct, Powers: v.Powers}), nil
 	default: // wire.QueryAcctRecords
-		return v.Acct.Snapshot(), nil
+		return c.AppendAcctRecordsOf(dst, v.Acct), nil
 	}
 }
 

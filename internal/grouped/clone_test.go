@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -104,5 +105,102 @@ func TestCloneCopiesOnFirstWrite(t *testing.T) {
 	}
 	if want := 1024; cl2.Len() > want || !slices.ContainsFunc(cl2.Groups(), func(g Group) bool { return g.Job == "z" }) {
 		t.Errorf("the second clone holds %d rows after a prune to %d, groups %v", cl2.Len(), want, cl2.Groups())
+	}
+}
+
+// TestGroupOrderIsKeptUntilHeadersChange: a walk builds the canonical
+// group order once, and later walks read it with no allocation until
+// the set of group headers changes. A replace or a new key in a group
+// the store owns keeps it; a new group drops it, and the next walk
+// builds it again in one allocation. A clone walks its source's order
+// until it copies a group's header to write to it, then builds its own,
+// which holds the clone's writes.
+func TestGroupOrderIsKeptUntilHeadersChange(t *testing.T) {
+	st := filled(256)
+	walk := func(s *Store[churnRecord, string]) float64 {
+		return testing.AllocsPerRun(5, func() { s.Walk(func(*churnRecord) {}) })
+	}
+	if n := walk(st); n != 0 {
+		t.Errorf("a warm walk: %v allocations, want 0", n)
+	}
+	st.Insert(&churnRecord{job: "j1", node: "n00001", end: -1}) // a replace
+	st.Insert(&churnRecord{job: "j1", node: "m", end: 1})       // a new key in an owned group
+	if st.ord == nil {
+		t.Error("a replace or an insert into an existing group dropped the order")
+	}
+	st.Insert(&churnRecord{job: "a", node: "m", end: 2}) // a new group
+	if st.ord != nil {
+		t.Fatal("a new group kept the order")
+	}
+	if n := testing.AllocsPerRun(5, func() { st.ord = nil; st.Walk(func(*churnRecord) {}) }); n != 1 {
+		t.Errorf("building the order: %v allocations, want 1", n)
+	}
+
+	cl := st.Clone()
+	if &cl.ord[0] != &st.ord[0] || walk(cl) != 0 {
+		t.Error("a clone does not walk its source's order")
+	}
+	cl.Insert(&churnRecord{job: "j1", node: "n00001", end: -3}) // a replace: the header stays shared
+	if cl.ord == nil {
+		t.Error("a replace in a clone dropped the order it shares")
+	}
+	cl.Insert(&churnRecord{job: "j1", node: "mm", end: 3}) // copies j1's header
+	if cl.ord != nil {
+		t.Fatal("a clone kept its source's order after copying a header")
+	}
+	if w := walked(cl); !strings.Contains(w, "j1/mm/3\n") || !strings.Contains(w, "j1/n00001/-3\n") || cl.ord == nil {
+		t.Error("the clone's own order misses its writes")
+	}
+	if w := walked(st); strings.Contains(w, "j1/mm/3\n") || !strings.Contains(w, "j1/n00001/-1\n") {
+		t.Error("the clone's writes reached its source's walk")
+	}
+}
+
+// TestWalkFromIsWalksTail: WalkFrom(i) visits what Walk visits from the
+// i-th record on, whole groups skipped, and stops when fn says so.
+func TestWalkFromIsWalksTail(t *testing.T) {
+	st := filled(300)
+	all := st.Append(nil)
+	for i := 0; i <= len(all)+1; i++ {
+		var got []churnRecord
+		st.WalkFrom(i, func(r *churnRecord) bool { got = append(got, *r); return len(got) < 5 })
+		want := all[min(i, len(all)):]
+		if want = want[:min(5, len(want))]; !slices.Equal(got, want) {
+			t.Fatalf("WalkFrom(%d) visits %v, want %v", i, got, want)
+		}
+	}
+}
+
+// TestReadersBuildTheOrderAtOnce: readers that walk, list groups and
+// clone at once — as they do under eard.DB's read lock — after a write
+// dropped the order all see the canonical order; under -race, building
+// it together is not a race.
+func TestReadersBuildTheOrderAtOnce(t *testing.T) {
+	st := filled(512)
+	st.Walk(func(*churnRecord) {})
+	st.Insert(&churnRecord{job: "a", node: "m", end: 2}) // drops the order
+	ref := New(st.group, st.sub, st.order)
+	for _, r := range st.Append(nil) {
+		ref.Insert(&r)
+	}
+	want := walked(ref)
+	got := make([]string, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if i == 0 {
+				got[i] = walked(st.Clone())
+			} else {
+				got[i] = walked(st)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g != want {
+			t.Errorf("reader %d walked another order", i)
+		}
 	}
 }

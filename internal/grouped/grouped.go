@@ -32,8 +32,14 @@
 // through a clone, so a published store stays as it was while the next
 // one is built from it.
 //
+// Walks visit groups in a canonical order the store keeps: built by the
+// first walk after the set of group headers changes, never on insert,
+// and shared with a clone until the clone changes a header itself.
+//
 // A Store is not safe for concurrent use; its typed wrappers hold the
-// lock. The package depends on the standard library only.
+// lock. Reads may run at once under a read lock: the order they build
+// has a lock of its own. The package depends on the standard library
+// only.
 package grouped
 
 import (
@@ -41,6 +47,7 @@ import (
 	"maps"
 	"slices"
 	"strings"
+	"sync"
 )
 
 // Group identifies a job step, the unit records are grouped by.
@@ -114,6 +121,11 @@ type Store[R comparable, S any] struct {
 	slab     []int32 // the current slot block; regions are cut from its spare capacity
 	nextSlab int     // size of the slot block after it
 	held     int     // slots in the blocks opened since the last repack
+	// ord is the groups in canonical order, nil until a walk builds it
+	// after the group map changed; ordMu keeps readers from building it
+	// at once.
+	ordMu sync.Mutex
+	ord   []*rows
 	// probe holds the record being inserted. The key functions are
 	// opaque calls, so a pointer handed to one must already be on the
 	// heap, or every caller's record would be moved there.
@@ -178,11 +190,14 @@ func New[R comparable, S any](group func(*R) Group, sub func(*R) S, order func(a
 
 // Clone returns a store holding what s holds, at the same generation,
 // in two allocations whatever its size: it shares s's chunks, headers,
-// slot regions and group map, and copies a chunk, a group's header and
-// region, or the map the first time it writes to one. Nothing of s is
-// ever written through the clone; s itself must not be written once
-// cloned, since the clone reads through to it.
+// slot regions, group map and canonical order, and copies a chunk, a
+// group's header and region, or the map the first time it writes to
+// one. Nothing of s is ever written through the clone; s itself must
+// not be written once cloned, since the clone reads through to it.
 func (s *Store[R, S]) Clone() *Store[R, S] {
+	s.ordMu.Lock()
+	ord := s.ord
+	s.ordMu.Unlock()
 	return &Store[R, S]{
 		group:    s.group,
 		sub:      s.sub,
@@ -195,6 +210,7 @@ func (s *Store[R, S]) Clone() *Store[R, S] {
 		gen:      s.gen,
 		depth:    s.depth + 1,
 		mapDepth: s.mapDepth,
+		ord:      ord,
 	}
 }
 
@@ -213,8 +229,10 @@ func (s *Store[R, S]) writable(slot int32) *R {
 }
 
 // writableGroups returns the group map for writing: a map the store
-// shares with its source is copied first.
+// shares with its source is copied first. A write to the map changes the
+// set of headers, so the canonical order goes with it.
 func (s *Store[R, S]) writableGroups() map[Group]*rows {
+	s.ord = nil
 	if s.mapDepth != s.depth {
 		s.groups, s.mapDepth = maps.Clone(s.groups), s.depth
 	}
@@ -304,14 +322,21 @@ func (s *Store[R, S]) Len() int { return s.n }
 // mean identical contents.
 func (s *Store[R, S]) Generation() uint64 { return s.gen }
 
-// sorted returns the groups in canonical order.
+// sorted returns the groups in canonical order: the order the store
+// keeps, built first if the headers changed since the last walk. The
+// slice is shared and read-only.
 func (s *Store[R, S]) sorted() []*rows {
-	gs := make([]*rows, 0, len(s.groups))
-	for _, g := range s.groups {
-		gs = append(gs, g)
+	s.ordMu.Lock()
+	defer s.ordMu.Unlock()
+	if s.ord == nil {
+		gs := make([]*rows, 0, len(s.groups))
+		for _, g := range s.groups {
+			gs = append(gs, g)
+		}
+		slices.SortFunc(gs, func(a, b *rows) int { return a.key.Compare(b.key) })
+		s.ord = gs
 	}
-	slices.SortFunc(gs, func(a, b *rows) int { return a.key.Compare(b.key) })
-	return gs
+	return s.ord
 }
 
 // Groups lists the stored groups in canonical order.
@@ -345,6 +370,24 @@ func (s *Store[R, S]) Walk(fn func(*R)) {
 		for _, slot := range g.slots {
 			fn(s.row(slot))
 		}
+	}
+}
+
+// WalkFrom is Walk from the record at position i of Walk's order on,
+// stopping once fn returns false. Whole groups before i are skipped
+// without visiting their records.
+func (s *Store[R, S]) WalkFrom(i int, fn func(*R) bool) {
+	for _, g := range s.sorted() {
+		if i >= len(g.slots) {
+			i -= len(g.slots)
+			continue
+		}
+		for _, slot := range g.slots[i:] {
+			if !fn(s.row(slot)) {
+				return
+			}
+		}
+		i = 0
 	}
 }
 

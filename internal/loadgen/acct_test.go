@@ -73,7 +73,7 @@ func TestAcctByteIdenticalAcrossShardCounts(t *testing.T) {
 	}
 }
 
-// TestAcctRootCacheHits pins the snapshot cache: with ingest quiet, a
+// TestAcctRootCacheHits pins the root's view cache: with ingest quiet, a
 // repeated query is served from the generation-keyed cache and the
 // root's stats say so.
 func TestAcctRootCacheHits(t *testing.T) {

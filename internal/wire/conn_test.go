@@ -168,7 +168,7 @@ func TestConnWriteMatchesWriteFrame(t *testing.T) {
 	ack, _ := EncodeAck(Ack{BatchID: "node00042/7", Accepted: 24, Duplicate: 8})
 	ef := Frame{Type: TypeError, Payload: AppendError(nil, "batch node00042/7: bad record")}
 	query, _ := EncodeQuery(Query{Kind: QueryAcctJobs, User: "alice", Limit: 50, Cursor: "bmV4dA"})
-	result, err := appendResult(nil, nil, QueryNodePowers, fleetPowers())
+	result, err := noConn.AppendResult(nil, QueryNodePowers, fleetPowers())
 	if err != nil {
 		t.Fatal(err)
 	}

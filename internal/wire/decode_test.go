@@ -73,11 +73,44 @@ func fleetPage() accounting.Page {
 
 func mustResultPayload(tb testing.TB, kind string, v any) []byte {
 	tb.Helper()
-	p, err := appendResult(nil, nil, kind, v)
+	switch sv := v.(type) {
+	case storePage:
+		page, err := sv.s.Query(sv.q)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		v = page
+	case *eard.DB:
+		v = sv.Records()
+	}
+	p, err := noConn.AppendResult(nil, kind, v)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return p
+}
+
+// noConn encodes as a caller without a connection does: with no string
+// table kept between payloads.
+var noConn *Conn
+
+// storePage is an acct_jobs page as a server serves it: q over s,
+// encoded from the store's rows (AppendAcctPage).
+type storePage struct {
+	s *accounting.Store
+	q accounting.Query
+}
+
+// appendReply encodes v as c serves it: a storePage or a database
+// through its typed appender, anything else through AppendResult.
+func appendReply(c *Conn, dst []byte, kind string, v any) ([]byte, error) {
+	switch sv := v.(type) {
+	case storePage:
+		return c.AppendAcctPage(dst, sv.s, sv.q)
+	case *eard.DB:
+		return c.AppendRecordsOf(dst, sv), nil
+	}
+	return c.AppendResult(dst, kind, v)
 }
 
 // decodeCorporaDigest is the FNV-1a digest of what the decoders make of

@@ -258,7 +258,7 @@ func resultSeeds(tb testing.TB) [][]byte {
 		{QueryGeneration, Generation{Gen: math.MaxUint64}},
 		{QueryStats, map[string]int{"batches": 3}},
 	} {
-		p, err := appendResult(nil, nil, seed.kind, seed.data)
+		p, err := noConn.AppendResult(nil, seed.kind, seed.data)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -305,7 +305,7 @@ func eachAgreesWithDecode(t *testing.T, res Result, v any, err error) {
 // byte is its own business).
 func FuzzResultPayload(f *testing.F) {
 	b := benchBatch()
-	changes, err := appendResult(nil, nil, QueryChanges, &Changes{Records: b.Records, Acct: b.Acct, Powers: []NodePower{{Node: "n01", PowerW: 271.5}}})
+	changes, err := noConn.AppendResult(nil, QueryChanges, &Changes{Records: b.Records, Acct: b.Acct, Powers: []NodePower{{Node: "n01", PowerW: 271.5}}})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func FuzzResultPayload(f *testing.F) {
 			return
 		}
 		value := reflect.ValueOf(v).Elem().Interface()
-		again, err := appendResult(nil, nil, res.Kind, value)
+		again, err := noConn.AppendResult(nil, res.Kind, value)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -359,7 +359,7 @@ func FuzzResultPayload(f *testing.F) {
 		if err := res2.Decode(v2); err != nil || !sameBits(reflect.ValueOf(v2).Elem().Interface(), value) {
 			t.Fatalf("re-encoded %s decodes to %+v (err %v), want %+v", res.Kind, v2, err, value)
 		}
-		third, err := appendResult(nil, nil, res.Kind, reflect.ValueOf(v2).Elem().Interface())
+		third, err := noConn.AppendResult(nil, res.Kind, reflect.ValueOf(v2).Elem().Interface())
 		if err != nil || !bytes.Equal(third, again) {
 			t.Fatalf("encoder output is not a fixed point (err %v):\n %x\n %x", err, again, third)
 		}

@@ -59,99 +59,60 @@ func ResultKinds() []string { return slices.Clone(resultKinds[:]) }
 // kind to dst and returns the extended slice. The binary kinds take
 // exactly their Go shape ([]eard.JobRecord for records,
 // []accounting.Record for acct_records, accounting.Page for acct_jobs,
-// []NodePower for node_powers, Generation for generation, Changes for
-// changes — or a pointer to it, which a store answering into a kept
-// buffer passes so as not to box a copy); the JSON
-// kinds take any marshallable value. The kinds a store serves whole
-// also take the store's own view, encoded record by record with no
-// copy in between and to the same bytes: an accounting.Selection for
-// acct_jobs, an *eard.DB for records, and a Changes whose DB stands
-// for its records. On error dst comes back as it was.
+// []NodePower for node_powers, Generation for generation, Changes or
+// *Changes for changes); the JSON kinds take any marshallable value. On
+// error dst comes back as it was. A value in an interface is boxed, one
+// allocation a reply: a server answers the binary kinds through the
+// typed appenders below, which take theirs as they are, and only the
+// JSON kinds through here.
 //
-// The encoder uses the connection's string table: a reply of more than
-// linearTable distinct strings indexes them in the map the connection
-// kept from an earlier one, not in a map made for it, and the
-// connection keeps it, cleared, for the next — while it stays within
+// Every appender uses the connection's string table: a reply of more
+// than linearTable distinct strings indexes them in the map the
+// connection kept from an earlier one, not in a map made for it, and
+// the connection keeps it, cleared, for the next — while it stays within
 // maxTable. A caller that keeps dst across replies therefore encodes
-// without allocating once warm. A nil Conn keeps no table; the bytes
-// are the same.
+// without allocating once warm. A nil Conn keeps no table; the bytes are
+// the same.
 func (c *Conn) AppendResult(dst []byte, kind string, data any) ([]byte, error) {
-	if c == nil {
-		return appendResult(dst, nil, kind, data)
-	}
-	return appendResult(dst, &c.strs, kind, data)
-}
-
-// appendResult is Conn.AppendResult with the connection's map slot,
-// nil without a connection.
-func appendResult(dst []byte, kept *map[string]int, kind string, data any) ([]byte, error) {
-	code := slices.Index(resultKinds[:], kind)
-	if code <= 0 {
+	if !slices.Contains(resultKinds[1:], kind) {
 		return dst, fmt.Errorf("wire: encode result: unknown kind %q", kind)
 	}
-	e := encoder{kept: kept}
-	// begin sizes the payload for the body about to be written.
-	begin := func(sizeHint int) { e.buf = append(slices.Grow(dst, 1+sizeHint), uint8(code)) }
+	e := encoder{buf: dst, kept: c.table()}
 	ok := true
 	switch kind {
 	case QueryRecords:
-		switch recs := data.(type) {
-		case []eard.JobRecord:
-			begin(recordsSizeHint(len(recs), 0))
+		var recs []eard.JobRecord
+		if recs, ok = data.([]eard.JobRecord); ok {
+			e.open(kind, recordsSizeHint(len(recs), 0))
 			e.records(recs)
-		case *eard.DB:
-			return appendRecordsOf(dst, kept, uint8(code), recs, nil), nil
-		default:
-			ok = false
 		}
 	case QueryAcctRecords:
 		var recs []accounting.Record
 		if recs, ok = data.([]accounting.Record); ok {
-			begin(recordsSizeHint(0, len(recs)))
+			e.open(kind, recordsSizeHint(0, len(recs)))
 			e.acctRecords(recs)
 		}
 	case QueryAcctJobs:
-		switch page := data.(type) {
-		case accounting.Page:
-			begin(recordsSizeHint(0, len(page.Records)) + len(page.Next))
+		var page accounting.Page
+		if page, ok = data.(accounting.Page); ok {
+			e.open(kind, recordsSizeHint(0, len(page.Records))+len(page.Next))
 			e.acctRecords(page.Records)
 			e.str(page.Next)
 			e.int(page.Total)
-		case accounting.Selection:
-			begin(recordsSizeHint(0, page.N) + len(page.Next))
-			e.uint(uint64(page.N))
-			// Each is a concrete method that only calls its argument, so
-			// the closure — and with it e — stays on the stack.
-			page.Each(func(r *accounting.Record) { e.acctRecord(r) })
-			e.str(page.Next)
-			e.int(page.Total)
-		default:
-			ok = false
 		}
 	case QueryNodePowers:
 		var nps []NodePower
 		if nps, ok = data.([]NodePower); ok {
-			begin(nodePowersSizeHint(len(nps)))
-			e.nodePowers(nps)
+			return c.AppendNodePowers(dst, nps), nil
 		}
 	case QueryChanges:
-		var ch *Changes
-		switch c := data.(type) {
+		switch ch := data.(type) {
 		case *Changes:
-			ch = c
+			return c.AppendChanges(dst, ch), nil
 		case Changes:
-			ch = &c
+			return c.AppendChanges(dst, &ch), nil
 		default:
 			ok = false
-		}
-		if ok && ch.DB != nil {
-			return appendRecordsOf(dst, kept, uint8(code), ch.DB, ch), nil
-		}
-		if ok {
-			begin(recordsSizeHint(len(ch.Records), len(ch.Acct)) + nodePowersSizeHint(len(ch.Powers)))
-			e.records(ch.Records)
-			e.acctRecords(ch.Acct)
-			e.nodePowers(ch.Powers)
 		}
 	case QueryGeneration:
 		var g Generation
@@ -163,7 +124,7 @@ func appendResult(dst []byte, kept *map[string]int, kind string, data any) ([]by
 		if err != nil {
 			return dst, fmt.Errorf("wire: encode %s result: %w", kind, err)
 		}
-		begin(len(raw))
+		e.open(kind, len(raw))
 		e.buf = append(e.buf, raw...)
 	}
 	if !ok {
@@ -171,6 +132,21 @@ func appendResult(dst []byte, kept *map[string]int, kind string, data any) ([]by
 	}
 	e.release()
 	return e.buf, nil
+}
+
+// table is the connection's slot for its string table, nil without a
+// connection.
+func (c *Conn) table() *map[string]int {
+	if c == nil {
+		return nil
+	}
+	return &c.strs
+}
+
+// open starts the body of a result of the given kind, sized for
+// sizeHint bytes more.
+func (e *encoder) open(kind string, sizeHint int) {
+	e.buf = append(slices.Grow(e.buf, 1+sizeHint), uint8(slices.Index(resultKinds[:], kind)))
 }
 
 // nodePowersSizeHint guesses the encoded size of n node powers.
@@ -184,29 +160,88 @@ func (e *encoder) nodePowers(nps []NodePower) {
 	}
 }
 
-// appendRecordsOf is the records dump encoded straight from the
-// database's rows, under its read lock — followed, for a changes answer
-// that stands for every record (Changes.DB), by its accounting records
-// and powers. It is a function of its own because its encoder is
-// reached from callbacks handed across two packages and a generic
-// instantiation: should the compiler ever stop proving they do not
-// escape, the encoder moves to the heap here, for a dump, and not in
-// AppendResult for every reply of every kind
+// AppendNodePowers appends the payload of a node_powers result to dst.
+func (c *Conn) AppendNodePowers(dst []byte, nps []NodePower) []byte {
+	e := encoder{buf: dst, kept: c.table()}
+	e.open(QueryNodePowers, nodePowersSizeHint(len(nps)))
+	e.nodePowers(nps)
+	e.release()
+	return e.buf
+}
+
+// The appenders below encode from a store's rows under its lock, to the
+// bytes of its copy. Each is a function of its own: should the compiler
+// stop proving that the callbacks a walk takes do not escape, an
+// encoder moves to the heap there, not in AppendResult for every reply
 // (TestAppendResultAllocations holds that line).
-func appendRecordsOf(dst []byte, kept *map[string]int, code uint8, db *eard.DB, rest *Changes) []byte {
-	e := encoder{buf: dst, kept: kept}
-	hint := 0
-	if rest != nil {
-		hint = recordsSizeHint(0, len(rest.Acct)) + nodePowersSizeHint(len(rest.Powers))
-	}
+
+// AppendRecordsOf appends the payload of db's records dump to dst.
+func (c *Conn) AppendRecordsOf(dst []byte, db *eard.DB) []byte {
+	e := encoder{buf: dst, kept: c.table()}
 	db.Walk(func(n int) {
-		e.buf = append(slices.Grow(e.buf, 1+recordsSizeHint(n, 0)+hint), code)
+		e.open(QueryRecords, recordsSizeHint(n, 0))
 		e.uint(uint64(n))
 	}, e.record)
-	if rest != nil {
-		e.acctRecords(rest.Acct)
-		e.nodePowers(rest.Powers)
+	e.release()
+	return e.buf
+}
+
+// AppendAcctRecordsOf appends the payload of s's acct_records dump to
+// dst.
+func (c *Conn) AppendAcctRecordsOf(dst []byte, s *accounting.Store) []byte {
+	e := encoder{buf: dst, kept: c.table()}
+	s.Walk(func(n int) {
+		e.open(QueryAcctRecords, recordsSizeHint(0, n))
+		e.uint(uint64(n))
+	}, e.acctRecord)
+	e.release()
+	return e.buf
+}
+
+// AppendAcctPage appends the payload of the acct_jobs page q selects
+// from s to dst: its count, records, Next and Total from one hold of
+// the store's lock (accounting.Store.Select). On error dst comes back
+// as it was.
+func (c *Conn) AppendAcctPage(dst []byte, s *accounting.Store, q accounting.Query) ([]byte, error) {
+	e := encoder{buf: dst, kept: c.table()}
+	next, total, err := s.Select(q, func(n int) {
+		e.open(QueryAcctJobs, recordsSizeHint(0, n))
+		e.uint(uint64(n))
+	}, e.acctRecord)
+	if err != nil {
+		return dst, err
 	}
+	e.str(next)
+	e.int(total)
+	e.release()
+	return e.buf, nil
+}
+
+// AppendChanges appends the payload of a changes result to dst. A DB
+// or AcctStore it carries stands for its Records or Acct, encoded from
+// the store's rows under one hold of its lock.
+func (c *Conn) AppendChanges(dst []byte, ch *Changes) []byte {
+	e := encoder{buf: dst, kept: c.table()}
+	acct := len(ch.Acct)
+	if ch.AcctStore != nil {
+		acct = ch.AcctStore.Len() // a size hint: the walk below counts again
+	}
+	rest := nodePowersSizeHint(len(ch.Powers))
+	if ch.DB != nil {
+		ch.DB.Walk(func(n int) {
+			e.open(QueryChanges, recordsSizeHint(n, 0)+recordsSizeHint(0, acct)+rest)
+			e.uint(uint64(n))
+		}, e.record)
+	} else {
+		e.open(QueryChanges, recordsSizeHint(len(ch.Records), acct)+rest)
+		e.records(ch.Records)
+	}
+	if ch.AcctStore != nil {
+		ch.AcctStore.Walk(func(n int) { e.uint(uint64(n)) }, e.acctRecord)
+	} else {
+		e.acctRecords(ch.Acct)
+	}
+	e.nodePowers(ch.Powers)
 	e.release()
 	return e.buf
 }

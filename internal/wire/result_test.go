@@ -88,39 +88,45 @@ func seedStores(t *testing.T) (*eard.DB, *accounting.Store) {
 	return db, acct
 }
 
-// TestStoreViewsEncodeByteIdentically: a page encoded from a Selection
-// of the shared snapshot, and a dump encoded from the database's rows,
-// are byte for byte the page and the dump encoded from their copies —
-// every filter with every limit from the first page to the last, the
-// cursors no walk produces, an empty store, the fuzz seed corpus and a
-// 3,000-record fleet.
+// TestStoreViewsEncodeByteIdentically: a page, an accounting dump and a
+// whole-view changes answer encoded from the stores' rows, and a
+// records dump encoded from the database's, are byte for byte the same
+// results encoded from copies — every filter with every limit from the
+// first page to the last, the cursors no walk produces, an empty store,
+// the fuzz seed corpus and a 3,000-record fleet.
 func TestStoreViewsEncodeByteIdentically(t *testing.T) {
 	seedDB, seedAcct := seedStores(t)
 	prefix := []byte("kept")
+	// same checks that got is want, and that appending to a prefix keeps
+	// the prefix in front of the same bytes.
+	same := func(what string, want []byte, encode func(dst []byte) ([]byte, error)) {
+		t.Helper()
+		if got, err := encode(nil); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s encodes to %d bytes (err %v), its copy to %d", what, len(got), err, len(want))
+		}
+		if got, err := encode(prefix[:len(prefix):len(prefix)]); err != nil || !bytes.Equal(got, append(bytes.Clone(prefix), want...)) {
+			t.Fatalf("%s, appended to a prefix, encodes differently (err %v)", what, err)
+		}
+	}
 
 	for name, s := range map[string]*accounting.Store{"empty": accounting.NewStore(nil), "seeds": seedAcct, "fleet": fleetAcct(t)} {
 		snap := s.Snapshot()
+		same(name+"'s acct_records dump", mustResultPayload(t, QueryAcctRecords, snap), func(dst []byte) ([]byte, error) {
+			return noConn.AppendAcctRecordsOf(dst, s), nil
+		})
 		pages := 0
 		check := func(q accounting.Query) accounting.Page {
 			t.Helper()
 			page, err := s.Query(q)
-			sel, serr := s.Select(q)
-			if (err != nil) != (serr != nil) {
-				t.Fatalf("%s %+v: Query err = %v, Select err = %v", name, q, err, serr)
+			if got, serr := noConn.AppendAcctPage(prefix, s, q); (err != nil) != (serr != nil) || serr != nil && !bytes.Equal(got, prefix) {
+				t.Fatalf("%s %+v: Query err = %v, AppendAcctPage err = %v, dst now %d bytes", name, q, err, serr, len(got))
 			}
 			if err != nil {
 				return page
 			}
-			want := mustResultPayload(t, QueryAcctJobs, page)
-			got, err := appendResult(nil, nil, QueryAcctJobs, sel)
-			if err != nil || !bytes.Equal(got, want) {
-				t.Fatalf("%s %+v: a Selection encodes to %d bytes (err %v), its Page to %d", name, q, len(got), err, len(want))
-			}
-			// Appending means appending: what dst held stays in front.
-			got, err = appendResult(prefix[:len(prefix):len(prefix)], nil, QueryAcctJobs, sel)
-			if err != nil || !bytes.Equal(got, append(bytes.Clone(prefix), want...)) {
-				t.Fatalf("%s %+v: appended to a prefix, a Selection encodes differently (err %v)", name, q, err)
-			}
+			same(fmt.Sprintf("%s %+v: a page of the store", name, q), mustResultPayload(t, QueryAcctJobs, page), func(dst []byte) ([]byte, error) {
+				return noConn.AppendAcctPage(dst, s, q)
+			})
 			pages++
 			return page
 		}
@@ -155,25 +161,22 @@ func TestStoreViewsEncodeByteIdentically(t *testing.T) {
 	}
 
 	for name, db := range map[string]*eard.DB{"empty": eard.NewDB(), "seeds": seedDB, "fleet": fleetDB(t)} {
-		want := mustResultPayload(t, QueryRecords, db.Records())
-		got, err := appendResult(nil, nil, QueryRecords, db)
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("%s: the database encodes to %d bytes (err %v), its Records() to %d", name, len(got), err, len(want))
-		}
-		got, err = appendResult(prefix[:len(prefix):len(prefix)], nil, QueryRecords, db)
-		if err != nil || !bytes.Equal(got, append(bytes.Clone(prefix), want...)) {
-			t.Fatalf("%s: appended to a prefix, the database encodes differently (err %v)", name, err)
-		}
+		same(name+"'s records dump", mustResultPayload(t, QueryRecords, db.Records()), func(dst []byte) ([]byte, error) {
+			return noConn.AppendRecordsOf(dst, db), nil
+		})
+	}
+	powers := fleetPowers()
+	for name, acct := range map[string]*accounting.Store{"empty": accounting.NewStore(nil), "seeds": seedAcct} {
+		want := mustResultPayload(t, QueryChanges, Changes{Records: seedDB.Records(), Acct: acct.Snapshot(), Powers: powers})
+		same("a whole view with the "+name+" accounting store", want, func(dst []byte) ([]byte, error) {
+			return noConn.AppendChanges(dst, &Changes{DB: seedDB, AcctStore: acct, Powers: powers}), nil
+		})
 	}
 
-	// The store views belong to their own kinds only, and a refused
-	// value leaves dst as it was.
-	sel, err := seedAcct.Select(accounting.Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for kind, v := range map[string]any{QueryAcctRecords: sel, QueryAcctJobs: seedDB, QueryNodePowers: seedDB, QueryRecords: sel} {
-		if got, err := appendResult(prefix, nil, kind, v); err == nil || !bytes.Equal(got, prefix) {
+	// AppendResult takes no store — each has its typed appender — and a
+	// refused value leaves dst as it was.
+	for kind, v := range map[string]any{QueryAcctRecords: seedAcct, QueryAcctJobs: seedAcct, QueryNodePowers: seedDB, QueryRecords: seedDB} {
+		if got, err := noConn.AppendResult(prefix, kind, v); err == nil || !bytes.Equal(got, prefix) {
 			t.Errorf("%s accepted a %T (err %v, dst now %d bytes)", kind, v, err, len(got))
 		}
 	}
@@ -188,9 +191,9 @@ func TestStoreViewsEncodeByteIdentically(t *testing.T) {
 // 200-record page, whose strings outgrow the linear table) is built
 // behind the room of a warm connection's image, its strings indexed in
 // the table the connection kept, and sent with no allocation at all.
-// Selecting a page costs its cursor string before the encoder runs
-// (accounting pins that), and handing the Selection to AppendResult
-// boxes it: a page selected and encoded as served allocates those two.
+// A page served from a store costs its cursor string (accounting pins
+// that) and nothing else: the typed appender boxes nothing, and where
+// handing the page over in an interface cost one more, it costs none.
 func TestAppendResultAllocations(t *testing.T) {
 	var sent bytes.Buffer
 	var c Conn
@@ -230,31 +233,32 @@ func TestAppendResultAllocations(t *testing.T) {
 
 	// BenchmarkAcctPageEncode's shape.
 	s := fleetAcct(t)
+	q := accounting.Query{User: "alice", Limit: 200}
 	var buf []byte
 	serve := func() {
-		sel, err := s.Select(accounting.Query{User: "alice", Limit: 200})
-		if err == nil {
-			buf, err = c.AppendResult(buf[:0], QueryAcctJobs, sel)
-		}
-		if err != nil || sel.N != 200 {
-			t.Fatalf("selected %d records, err %v", sel.N, err)
+		var err error
+		if buf, err = c.AppendAcctPage(buf[:0], s, q); err != nil {
+			t.Fatal(err)
 		}
 	}
 	serve()
-	if n := testing.AllocsPerRun(50, serve); n != 2 {
-		t.Errorf("a 200-record page selected and encoded: %v allocations, want 2", n)
+	if n := testing.AllocsPerRun(50, serve); n != 1 {
+		t.Errorf("a 200-record page selected and encoded: %v allocations, want 1", n)
+	}
+	if want := mustResultPayload(t, QueryAcctJobs, storePage{s, q}); !bytes.Equal(buf, want) {
+		t.Error("the page served from the store is not the payload its copy encodes to")
 	}
 }
 
-// alicePage selects the first limit records of alice's jobs from the
+// alicePage copies the first limit records of alice's jobs out of the
 // fleet store, a page that continues.
-func alicePage(t *testing.T, limit int) accounting.Selection {
+func alicePage(t *testing.T, limit int) accounting.Page {
 	t.Helper()
-	sel, err := fleetAcct(t).Select(accounting.Query{User: "alice", Limit: limit})
-	if err != nil || sel.N != limit || sel.Next == "" {
-		t.Fatalf("selected %d of %d records, next %q, err %v", sel.N, limit, sel.Next, err)
+	page, err := fleetAcct(t).Query(accounting.Query{User: "alice", Limit: limit})
+	if err != nil || len(page.Records) != limit || page.Next == "" {
+		t.Fatalf("selected %d of %d records, next %q, err %v", len(page.Records), limit, page.Next, err)
 	}
-	return sel
+	return page
 }
 
 // TestConnStringTable: replies through one connection, whose string
@@ -276,7 +280,7 @@ func TestConnStringTable(t *testing.T) {
 	}{
 		{"names 0-199", QueryNodePowers, fleet, true},
 		{"names 100-199", QueryNodePowers, fleet[100:], true},
-		{"page of 200", QueryAcctJobs, alicePage(t, 200), true},
+		{"page of 200", QueryAcctJobs, storePage{fleetAcct(t), accounting.Query{User: "alice", Limit: 200}}, true},
 		{"names 50-149", QueryNodePowers, fleet[50:150], true},
 		{"names 0-9, no table needed", QueryNodePowers, fleet[:10], true},
 		{"node reports of the fleet", QueryRecords, fleetDB(t), true},
@@ -284,7 +288,7 @@ func TestConnStringTable(t *testing.T) {
 		{"names 0-199 again", QueryNodePowers, fleet, true},
 	} {
 		before := c.strs
-		got, err := c.AppendResult(nil, tc.kind, tc.v)
+		got, err := appendReply(&c, nil, tc.kind, tc.v)
 		if want := mustResultPayload(t, tc.kind, tc.v); err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("%s: %d bytes (err %v), EncodeResult builds %d", tc.name, len(got), err, len(want))
 		}
@@ -329,22 +333,18 @@ func TestGenerationBodyOfCounterAlone(t *testing.T) {
 
 // BenchmarkAcctPageEncode is what serving one accounting page costs a
 // connection that keeps its reply buffer and string table: select 200
-// of 3,000 records from the warm snapshot and encode them straight into
+// of 3,000 records from the store's rows and encode them straight into
 // the frame.
 func BenchmarkAcctPageEncode(b *testing.B) {
 	s := fleetAcct(b)
-	s.Snapshot()
 	q := accounting.Query{User: "alice", Limit: 200}
 	var c Conn
 	var buf []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sel, err := s.Select(q)
-		if err != nil || sel.N != 200 {
-			b.Fatalf("selected %d records, err %v", sel.N, err)
-		}
-		if buf, err = c.AppendResult(buf[:0], QueryAcctJobs, sel); err != nil {
+		var err error
+		if buf, err = c.AppendAcctPage(buf[:0], s, q); err != nil {
 			b.Fatal(err)
 		}
 	}

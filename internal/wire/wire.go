@@ -409,7 +409,7 @@ const (
 	// canonical (job, step, node, phase) order.
 	QueryAcctRecords = "acct_records"
 	// QueryGeneration returns the store's mutation counter and part
-	// stamps (a Generation). Snapshot caches poll it: unchanged
+	// stamps (a Generation). The root's view cache polls it: unchanged
 	// generations mean the cached merge is still exact, unchanged stamps
 	// that the part they stamp is.
 	QueryGeneration = "generation"
@@ -432,11 +432,12 @@ type Changes struct {
 	Records []eard.JobRecord
 	Acct    []accounting.Record
 	Powers  []NodePower
-	// DB, when set, stands for Records on the encoding side: every
-	// record it holds, encoded straight from its rows as the records
-	// dump is. An answer from 0 carries it; a decoded Changes never has
-	// one.
-	DB *eard.DB
+	// DB and AcctStore, when set, stand for Records and Acct on the
+	// encoding side: every record the store holds, encoded straight
+	// from its rows as the dumps are. An answer from 0 carries both; a
+	// decoded Changes never has either.
+	DB        *eard.DB
+	AcctStore *accounting.Store
 }
 
 // Generation is a store mutation counter, the QueryGeneration result.

@@ -62,7 +62,7 @@ func TestAckErrorQueryResultRoundTrip(t *testing.T) {
 		func() (Frame, error) { return Frame{Type: TypeError, Payload: AppendError(nil, "bad batch")}, nil },
 		func() (Frame, error) { return EncodeQuery(Query{Kind: QuerySummary, Job: "1001", Step: "0"}) },
 		func() (Frame, error) {
-			p, err := appendResult(nil, nil, QueryJobs, []string{"1001"})
+			p, err := noConn.AppendResult(nil, QueryJobs, []string{"1001"})
 			return Frame{Type: TypeResult, Payload: p}, err
 		},
 	} {
@@ -444,7 +444,7 @@ func TestRoundTripEveryShape(t *testing.T) {
 			{QueryGeneration, gen, new(Generation)},
 			{QuerySummary, eard.JobSummary{JobID: "j", StepID: "0", Nodes: n, EnergyJ: 1e-9}, new(eard.JobSummary)},
 		} {
-			rp, err := appendResult(nil, nil, c.kind, c.in)
+			rp, err := noConn.AppendResult(nil, c.kind, c.in)
 			if err != nil {
 				t.Fatalf("round %d: encode %s: %v", round, c.kind, err)
 			}
@@ -460,7 +460,7 @@ func TestRoundTripEveryShape(t *testing.T) {
 			}
 		}
 		ch := Changes{Records: recs, Acct: acct, Powers: nps}
-		rp, err := appendResult(nil, nil, QueryChanges, &ch)
+		rp, err := noConn.AppendResult(nil, QueryChanges, &ch)
 		var back Changes
 		if err == nil {
 			var res Result
@@ -475,13 +475,13 @@ func TestRoundTripEveryShape(t *testing.T) {
 }
 
 func TestResultShapeMismatch(t *testing.T) {
-	if _, err := appendResult(nil, nil, QueryRecords, []NodePower{}); err == nil {
+	if _, err := noConn.AppendResult(nil, QueryRecords, []NodePower{}); err == nil {
 		t.Error("records result encoded from node powers")
 	}
-	if _, err := appendResult(nil, nil, "no_such_kind", 1); err == nil {
+	if _, err := noConn.AppendResult(nil, "no_such_kind", 1); err == nil {
 		t.Error("unknown result kind encoded")
 	}
-	p, err := appendResult(nil, nil, QueryGeneration, Generation{Gen: 9})
+	p, err := noConn.AppendResult(nil, QueryGeneration, Generation{Gen: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
