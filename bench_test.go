@@ -227,9 +227,9 @@ func BenchmarkDynaisPush(b *testing.B) {
 
 func benchSimSecond(b *testing.B, telemetryOn bool) {
 	// One simulated node-second of BT-MZ.C per iteration (policy off).
+	opt := sim.Options{Policy: "none"}
 	if telemetryOn {
-		telemetry.Enable()
-		b.Cleanup(telemetry.Disable)
+		opt.Telemetry = telemetry.NewSet()
 	}
 	spec, err := workload.Lookup(workload.BTMZC)
 	if err != nil {
@@ -243,7 +243,8 @@ func benchSimSecond(b *testing.B, telemetryOn bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(cal, sim.Options{Policy: "none", Seed: int64(i)}); err != nil {
+		opt.Seed = int64(i)
+		if _, err := sim.Run(cal, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -251,8 +252,8 @@ func benchSimSecond(b *testing.B, telemetryOn bool) {
 
 func BenchmarkSimSecond(b *testing.B) { benchSimSecond(b, false) }
 
-// BenchmarkSimSecondTelemetry is BenchmarkSimSecond with the global
-// telemetry set enabled; the delta against the plain benchmark is the
+// BenchmarkSimSecondTelemetry is BenchmarkSimSecond with a telemetry
+// set passed in the options; the delta against the plain benchmark is the
 // enabled-instrumentation overhead (DESIGN.md §9).
 func BenchmarkSimSecondTelemetry(b *testing.B) { benchSimSecond(b, true) }
 
@@ -260,12 +261,11 @@ func BenchmarkSimSecondTelemetry(b *testing.B) { benchSimSecond(b, true) }
 // tick, perf evaluation, dynais, EARL — in isolation via sim.Stepper,
 // the per-step cost every experiment above pays millions of times.
 func benchNodeTick(b *testing.B, telemetryOn bool) {
-	if telemetryOn {
-		telemetry.Enable()
-		b.Cleanup(telemetry.Disable)
-	}
 	cal := mustCal(b, workload.BTMZC)
 	opt := sim.Options{Policy: "none", Seed: 1}
+	if telemetryOn {
+		opt.Telemetry = telemetry.NewSet()
+	}
 	s, err := sim.NewStepper(cal, 0, opt)
 	if err != nil {
 		b.Fatal(err)
@@ -288,8 +288,8 @@ func benchNodeTick(b *testing.B, telemetryOn bool) {
 
 func BenchmarkNodeTick(b *testing.B) { benchNodeTick(b, false) }
 
-// BenchmarkNodeTickTelemetry is BenchmarkNodeTick with the global
-// telemetry set enabled (per-step counting is node-local and flushed
+// BenchmarkNodeTickTelemetry is BenchmarkNodeTick with a telemetry set
+// passed in the options (per-step counting is node-local and flushed
 // once per run, so the expected delta is ~zero).
 func BenchmarkNodeTickTelemetry(b *testing.B) { benchNodeTick(b, true) }
 

@@ -104,14 +104,14 @@ func run(args []string, out io.Writer, ready chan<- []string, quit <-chan struct
 	// keeps (eardbd.Saved).
 	statePath := *dbPath + ".state"
 
-	// Telemetry must be live before the server is built: instrument
-	// handles are resolved in NewServer. The HTTP listener binds here
-	// but serving starts after the service exists, because the mux also
+	// The telemetry set is built before the server: instrument handles
+	// are resolved in NewServer. The HTTP listener binds here but
+	// serving starts after the service exists, because the mux also
 	// mounts the service-backed /api/jobs query endpoint.
 	var telLn net.Listener
 	var telSet *telemetry.Set
 	if *telAddr != "" {
-		telSet = telemetry.Enable()
+		telSet = telemetry.NewSet()
 		var err error
 		telLn, err = net.Listen("tcp", *telAddr)
 		if err != nil {

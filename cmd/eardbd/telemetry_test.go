@@ -98,8 +98,7 @@ func TestDaemonTelemetryEndpoint(t *testing.T) {
 // TestDaemonTraceAndHealthEndpoints boots an ingest daemon with
 // tracing on and scrapes the observability surface: the probes must
 // answer, a delivered batch must show up as server-side spans on
-// /traces, and the index at / must list every route and nothing else. (It runs after TestDaemonTelemetryEndpoint: the global
-// telemetry set is shared, and that test asserts exact counts.)
+// /traces, and the index at / must list every route and nothing else.
 func TestDaemonTraceAndHealthEndpoints(t *testing.T) {
 	var out strings.Builder
 	ready := make(chan []string, 1)

@@ -74,11 +74,11 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	// Telemetry is opt-in: either exposure flag turns the global set on
-	// before any simulation objects resolve their instrument handles.
+	// Telemetry is opt-in: any exposure flag builds the set the run
+	// counts into, passed in its options and the manager's config.
 	var set *telemetry.Set
 	if *telAddr != "" || *metricsTo != "" || *eventsTo != "" {
-		set = telemetry.Enable()
+		set = telemetry.NewSet()
 		if *telAddr != "" {
 			ln, err := net.Listen("tcp", *telAddr)
 			if err != nil {
@@ -178,7 +178,8 @@ func run(args []string, out io.Writer) error {
 		Trace:        *tracePath != "",
 		MinWindowSec: conf.MinSignatureWindowSec,
 		SigChangeTh:  conf.SignatureChangeTh,
-		DecisionLog:  telemetry.Enabled(),
+		DecisionLog:  set != nil,
+		Telemetry:    set,
 	}
 	if *pinCPU >= 0 {
 		opt.FixedCPUPstate = pinCPU
@@ -217,14 +218,16 @@ func run(args []string, out io.Writer) error {
 		printResult(out, "run", res)
 	}
 
-	// Feed the run's policy decisions into the global event recorder so
+	// Feed the run's policy decisions into the set's event recorder so
 	// /events and -events-out carry them.
 	if set != nil {
 		res.RecordDecisions(set.Rec())
 	}
 
 	if *compare {
-		base, err := ctx.RunSpec(spec, sim.Baseline())
+		bopt := sim.Baseline()
+		bopt.Telemetry = set
+		base, err := ctx.RunSpec(spec, bopt)
 		if err != nil {
 			return err
 		}

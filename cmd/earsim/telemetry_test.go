@@ -8,8 +8,9 @@ import (
 )
 
 // TestTelemetryDump runs a policy workload with telemetry on and
-// checks the final metrics and event snapshots: simulator and policy
-// families must be populated and every policy decision logged.
+// checks the final metrics and event snapshots: simulator, policy and
+// experiment-cache families must be populated and every policy decision
+// logged.
 func TestTelemetryDump(t *testing.T) {
 	dir := t.TempDir()
 	mPath := filepath.Join(dir, "metrics.prom")
@@ -33,6 +34,8 @@ func TestTelemetryDump(t *testing.T) {
 		"# TYPE goear_sim_mpi_events_total counter",
 		"# TYPE goear_sim_signatures_total counter",
 		`goear_policy_decisions_total{policy="min_energy_eufs",state="ready"}`,
+		`goear_policy_validations_total{policy="min_energy_eufs",result="ok"}`,
+		`goear_experiments_cache_requests_total{cache="run"} 1`,
 	} {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("metrics snapshot missing %q", want)

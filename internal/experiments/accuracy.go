@@ -33,7 +33,7 @@ func accuracyProbes(cores int) []perf.Phase {
 func (c *Context) modelAccuracy() ([]report.Table, error) {
 	var out []report.Table
 	for _, pl := range []workload.Platform{workload.SD530(), workload.CascadeLake()} {
-		m, err := c.modelFor(pl)
+		m, err := c.modelFor(nil, pl)
 		if err != nil {
 			return nil, err
 		}

@@ -25,6 +25,7 @@ import (
 	"goear/internal/model"
 	"goear/internal/report"
 	"goear/internal/sim"
+	"goear/internal/telemetry"
 	"goear/internal/workload"
 )
 
@@ -42,8 +43,8 @@ type Context struct {
 	Parallel int
 
 	// Each cache counts its own requests and computations (Stats reads
-	// them); with global telemetry enabled the same activity is mirrored
-	// into the goear_experiments_cache_* families across all contexts.
+	// them); a request whose options carry a telemetry set also counts
+	// into that set's goear_experiments_cache_* families.
 	models flight[workload.Platform, *model.Model]
 	cals   flight[uint64, workload.Calibrated]
 	runs   flight[runKey, sim.Result]
@@ -95,13 +96,14 @@ var catalogIDs = sync.OnceValue(func() map[string]uint64 {
 
 // catalogCal returns the ID and cached calibration of a catalogue
 // workload, calibrating it exactly once however many goroutines ask.
-func (c *Context) catalogCal(name string) (uint64, workload.Calibrated, error) {
+// The request counts into set.
+func (c *Context) catalogCal(set *telemetry.Set, name string) (uint64, workload.Calibrated, error) {
 	id, ok := catalogIDs()[name]
 	if !ok {
 		_, err := workload.Lookup(name) // not in the catalogue: Lookup's error names it
 		return 0, workload.Calibrated{}, err
 	}
-	calw, err := c.cals.do(calCache, id, func() (workload.Calibrated, error) {
+	calw, err := c.cals.do(set, calCache, id, func() (workload.Calibrated, error) {
 		spec, _ := workload.Lookup(name) // cannot fail: catalogIDs has the name
 		return spec.Calibrate()
 	})
@@ -109,9 +111,10 @@ func (c *Context) catalogCal(name string) (uint64, workload.Calibrated, error) {
 }
 
 // modelFor returns the (lazily trained) energy model of a platform,
-// training it exactly once however many goroutines ask.
-func (c *Context) modelFor(pl workload.Platform) (*model.Model, error) {
-	return c.models.do(modelCache, pl, func() (*model.Model, error) {
+// training it exactly once however many goroutines ask. The request
+// counts into set.
+func (c *Context) modelFor(set *telemetry.Set, pl workload.Platform) (*model.Model, error) {
+	return c.models.do(set, modelCache, pl, func() (*model.Model, error) {
 		m, err := model.TrainForCPU(pl.Machine, pl.Power)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: training model for %s: %w", pl.Name, err)
@@ -138,9 +141,9 @@ func deref[T comparable](p *T) set[T] {
 // and the options. opt is the defaulted sim.Options with every pointer
 // field but Model (compared by identity) nil — its pointee is compared
 // through the field of the same name below — and the fields that cannot
-// change a result (Workers, ReferenceStep) zeroed. So a field added to
-// sim.Options is part of the key by construction; one that must not be
-// (or is a pointer) has to be handled in keyOf, and
+// change a result (Workers, ReferenceStep, Telemetry) zeroed. So a field
+// added to sim.Options is part of the key by construction; one that must
+// not be (or is a pointer) has to be handled in keyOf, and
 // TestRunKeyCoversOptions fails until it is.
 type runKey struct {
 	spec uint64
@@ -165,7 +168,7 @@ func keyOf(spec uint64, o sim.Options, runs int) runKey {
 	}
 	o.CPUTh, o.UncTh = nil, nil
 	o.FixedCPUPstate, o.FixedUncoreRatio = nil, nil
-	o.Workers, o.ReferenceStep = 0, false
+	o.Workers, o.ReferenceStep, o.Telemetry = 0, false, nil
 	k.opt = o
 	return k
 }
@@ -175,7 +178,7 @@ func keyOf(spec uint64, o sim.Options, runs int) runKey {
 // and the context's fan-out bound.
 func (c *Context) prepare(calw workload.Calibrated, opt sim.Options) (sim.Options, error) {
 	if opt.Policy != "" && opt.Policy != "none" && opt.Model == nil {
-		m, err := c.modelFor(calw.Platform)
+		m, err := c.modelFor(opt.Telemetry, calw.Platform)
 		if err != nil {
 			return opt, err
 		}
@@ -192,7 +195,7 @@ func (c *Context) run(id uint64, calw workload.Calibrated, opt sim.Options) (sim
 		return sim.Result{}, err
 	}
 	runs := c.runCount()
-	return c.runs.do(runCache, keyOf(id, opt, runs), func() (sim.Result, error) {
+	return c.runs.do(opt.Telemetry, runCache, keyOf(id, opt, runs), func() (sim.Result, error) {
 		return sim.RunAveraged(calw, opt, runs)
 	})
 }
@@ -202,7 +205,7 @@ func (c *Context) run(id uint64, calw workload.Calibrated, opt sim.Options) (sim
 // requested and opt carries none. Concurrent callers with the same
 // configuration share one execution.
 func (c *Context) Run(name string, opt sim.Options) (sim.Result, error) {
-	id, calw, err := c.catalogCal(name)
+	id, calw, err := c.catalogCal(opt.Telemetry, name)
 	if err != nil {
 		return sim.Result{}, err
 	}
@@ -213,7 +216,7 @@ func (c *Context) Run(name string, opt sim.Options) (sim.Result, error) {
 // shares that entry's calibration and runs.
 func (c *Context) RunSpec(spec workload.Spec, opt sim.Options) (sim.Result, error) {
 	id := specID(spec)
-	calw, err := c.cals.do(calCache, id, spec.Calibrate)
+	calw, err := c.cals.do(opt.Telemetry, calCache, id, spec.Calibrate)
 	if err != nil {
 		return sim.Result{}, err
 	}
@@ -224,7 +227,7 @@ func (c *Context) RunSpec(spec workload.Spec, opt sim.Options) (sim.Result, erro
 // enforced by an EARGM instance (EAR's energy-control service). Runs
 // are not cached: the manager's trace is part of the outcome.
 func (c *Context) RunPowercapped(spec workload.Spec, opt sim.Options, gmCfg eargm.Config) (sim.Result, eargm.Stats, error) {
-	calw, err := c.cals.do(calCache, specID(spec), spec.Calibrate)
+	calw, err := c.cals.do(opt.Telemetry, calCache, specID(spec), spec.Calibrate)
 	if err != nil {
 		return sim.Result{}, eargm.Stats{}, err
 	}

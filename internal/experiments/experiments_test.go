@@ -10,6 +10,7 @@ import (
 
 	"goear/internal/model"
 	"goear/internal/sim"
+	"goear/internal/telemetry"
 	"goear/internal/workload"
 )
 
@@ -313,14 +314,16 @@ func fill(t *testing.T, v reflect.Value, seed int) {
 // TestRunKeyCoversOptions walks sim.Options by reflection so the next
 // option cannot alias silently: in the key's copy of the options every
 // pointer field but Model is nil, every other field either carries the
-// caller's value or is one of the few that cannot change a result, every
-// pointer option's pointee decides the key by value, and Model decides
-// it by identity.
+// caller's value or is one of the few that cannot change a result (a
+// telemetry set among them), every other pointer option's pointee
+// decides the key by value, and Model decides it by identity.
 func TestRunKeyCoversOptions(t *testing.T) {
-	neutral := map[string]bool{"Workers": true, "ReferenceStep": true}
-	o := sim.Options{Model: &model.Model{}} // compared by identity, so its content is left alone
+	neutral := map[string]bool{"Workers": true, "ReferenceStep": true, "Telemetry": true}
+	// Model is compared by identity and a set is never compared, so
+	// their contents are left alone.
+	o := sim.Options{Model: &model.Model{}, Telemetry: telemetry.NewSet()}
 	for v, i := reflect.ValueOf(&o).Elem(), 0; i < v.NumField(); i++ {
-		if v.Type().Field(i).Name != "Model" {
+		if v.Field(i).IsZero() {
 			fill(t, v.Field(i), 3)
 		}
 	}
@@ -334,18 +337,18 @@ func TestRunKeyCoversOptions(t *testing.T) {
 			if key.opt.Model != o.Model {
 				t.Error("Model: the key does not hold the caller's model")
 			}
-		case f.Type.Kind() == reflect.Pointer:
-			if !got.Field(i).IsNil() {
-				t.Errorf("%s: pointer left in the key — compares by address", f.Name)
-			}
 		case neutral[f.Name]:
 			if !got.Field(i).IsZero() {
 				t.Errorf("%s: listed result-neutral but not zeroed in the key", f.Name)
 			}
+		case f.Type.Kind() == reflect.Pointer:
+			if !got.Field(i).IsNil() {
+				t.Errorf("%s: pointer left in the key — compares by address", f.Name)
+			}
 		case !got.Field(i).Equal(in.Field(i)):
 			t.Errorf("%s: the key holds %v, the options %v", f.Name, got.Field(i), in.Field(i))
 		}
-		if f.Type.Kind() != reflect.Pointer || f.Name == "Model" {
+		if f.Type.Kind() != reflect.Pointer || f.Name == "Model" || neutral[f.Name] {
 			continue
 		}
 		same, other := o, o

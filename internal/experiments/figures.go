@@ -33,7 +33,7 @@ func (c *Context) fig1() ([]report.Table, error) {
 			return nil, err
 		}
 
-		_, cal, err := c.catalogCal(name)
+		_, cal, err := c.catalogCal(nil, name)
 		if err != nil {
 			return nil, err
 		}

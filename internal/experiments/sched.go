@@ -31,14 +31,12 @@ type call[V any] struct {
 
 // do returns the cached value for key, computing it with fn exactly
 // once no matter how many goroutines ask concurrently. The request and
-// the computation are counted here and, with global telemetry enabled,
-// mirrored into the series labelled as.
-func (f *flight[K, V]) do(as cache, key K, fn func() (V, error)) (V, error) {
+// the computation are counted here and, with a set, into its series
+// labelled as.
+func (f *flight[K, V]) do(set *telemetry.Set, as cache, key K, fn func() (V, error)) (V, error) {
+	requests, computes := cacheCounters(set, as)
 	f.requests.Inc()
-	t := tel.Load()
-	if t != nil {
-		t[as].requests.Inc()
-	}
+	requests.Inc()
 	f.mu.Lock()
 	if f.m == nil {
 		f.m = map[K]*call[V]{}
@@ -51,9 +49,7 @@ func (f *flight[K, V]) do(as cache, key K, fn func() (V, error)) (V, error) {
 	f.mu.Unlock()
 	c.once.Do(func() {
 		f.computes.Inc()
-		if t != nil {
-			t[as].computes.Inc()
-		}
+		computes.Inc()
 		c.val, c.err = fn()
 		c.done.Store(true)
 	})

@@ -5,7 +5,10 @@ import (
 	"sync"
 	"testing"
 
+	"goear/internal/policy"
+	"goear/internal/sim"
 	"goear/internal/telemetry"
+	"goear/internal/workload"
 )
 
 var errTest = errors.New("boom")
@@ -18,7 +21,7 @@ func TestFlightExactlyOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err := f.do(runCache, "k", func() (int, error) {
+			v, err := f.do(nil, runCache, "k", func() (int, error) {
 				calls++ // safe: do guarantees exactly one execution
 				return 42, nil
 			})
@@ -38,11 +41,11 @@ func TestFlightExactlyOnce(t *testing.T) {
 
 func TestFlightSnapshotSkipsErrors(t *testing.T) {
 	var f flight[string, int]
-	f.do(runCache, "good", func() (int, error) { return 1, nil })
-	f.do(runCache, "bad", func() (int, error) { return 0, errTest })
+	f.do(nil, runCache, "good", func() (int, error) { return 1, nil })
+	f.do(nil, runCache, "bad", func() (int, error) { return 0, errTest })
 	var shared flight[string, int]
 	shared.share(&f)
-	if v, err := shared.do(runCache, "good", func() (int, error) { return 2, nil }); shared.len() != 1 || v != 1 || err != nil {
+	if v, err := shared.do(nil, runCache, "good", func() (int, error) { return 2, nil }); shared.len() != 1 || v != 1 || err != nil {
 		t.Fatalf("shared %d entries, good = %d, %v; want only the good entry, 1", shared.len(), v, err)
 	}
 	if shared.computes.Value() != 0 {
@@ -50,7 +53,7 @@ func TestFlightSnapshotSkipsErrors(t *testing.T) {
 	}
 	// Errors are cached: a second call must not re-run the function.
 	ran := false
-	if _, err := f.do(runCache, "bad", func() (int, error) { ran = true; return 0, nil }); err == nil {
+	if _, err := f.do(nil, runCache, "bad", func() (int, error) { ran = true; return 0, nil }); err == nil {
 		t.Error("cached error lost")
 	}
 	if ran {
@@ -58,35 +61,77 @@ func TestFlightSnapshotSkipsErrors(t *testing.T) {
 	}
 }
 
-// TestCacheActivityMirrored: what each cache counts for Stats is what
-// it mirrors into its own labelled series of the global registry.
-func TestCacheActivityMirrored(t *testing.T) {
-	telemetry.Enable()
-	defer telemetry.Disable()
-	c := NewQuick()
-	for _, id := range []string{"table2", "fig6"} {
-		if _, err := c.Generate(id); err != nil {
-			t.Fatal(err)
+// TestCacheActivityPerSet: two contexts working at once, each passing
+// its own telemetry set in the run options, count their cache activity
+// into their own set only — each set's series equal its context's
+// Stats — and a request without a set counts into neither.
+func TestCacheActivityPerSet(t *testing.T) {
+	opts := []sim.Options{
+		{Policy: policy.MinEnergy},
+		{Policy: policy.MinEnergy},
+		{Policy: policy.MinEnergyEUFS},
+	}
+	ctxs := []*Context{NewQuick(), NewQuick()}
+	sets := []*telemetry.Set{telemetry.NewSet(), telemetry.NewSet()}
+	var wg sync.WaitGroup
+	errs := make([]error, len(ctxs))
+	for i := range ctxs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Context i asks i+1 times, so the sets' counts differ.
+			for range i + 1 {
+				for _, opt := range opts {
+					opt.Telemetry = sets[i]
+					if _, err := ctxs[i].Run(workload.DGEMM, opt); err != nil {
+						errs[i] = err
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+
+	type counts [numCaches][2]uint64 // requests, computes
+	read := func(set *telemetry.Set) (c counts) {
+		for as := range numCaches {
+			req, comp := cacheCounters(set, as)
+			c[as] = [2]uint64{req.Value(), comp.Value()}
+		}
+		return c
+	}
+	for i, c := range ctxs {
+		st := c.Stats()
+		want := counts{
+			modelCache: {uint64(st.ModelsTrained + st.ModelHits), uint64(st.ModelsTrained)},
+			calCache:   {uint64(st.CalibrationsRun + st.CalibrationHits), uint64(st.CalibrationsRun)},
+			runCache:   {uint64(st.RunsExecuted + st.RunHits), uint64(st.RunsExecuted)},
+		}
+		for as := range numCaches {
+			if want[as][1] == 0 || want[as][0] == want[as][1] {
+				t.Errorf("context %d, %s cache: %d requests, %d computes; the runs should cause both hits and misses",
+					i, cacheLabels[as], want[as][0], want[as][1])
+			}
+		}
+		if got := read(sets[i]); got != want {
+			t.Errorf("context %d: set counts %v, Stats %v", i, got, want)
 		}
 	}
-	st, m := c.Stats(), tel.Load()
-	for _, k := range []struct {
-		as             cache
-		computes, hits int
-	}{
-		{modelCache, st.ModelsTrained, st.ModelHits},
-		{calCache, st.CalibrationsRun, st.CalibrationHits},
-		{runCache, st.RunsExecuted, st.RunHits},
-	} {
-		if k.computes == 0 || k.hits == 0 {
-			t.Errorf("%s cache: %d computes, %d hits; the experiments should cause both", cacheLabels[k.as], k.computes, k.hits)
-		}
-		if got := int(m[k.as].computes.Value()); got != k.computes {
-			t.Errorf("%s computes mirrored as %d, counted %d", cacheLabels[k.as], got, k.computes)
-		}
-		if got := int(m[k.as].requests.Value()); got != k.computes+k.hits {
-			t.Errorf("%s requests mirrored as %d, counted %d", cacheLabels[k.as], got, k.computes+k.hits)
-		}
+
+	before := [2]counts{read(sets[0]), read(sets[1])}
+	runs := ctxs[0].Stats().RunsExecuted
+	if _, err := ctxs[0].Run(workload.DGEMM, sim.Options{Policy: policy.MinTime}); err != nil {
+		t.Fatal(err)
+	}
+	if ctxs[0].Stats().RunsExecuted != runs+1 {
+		t.Fatal("the run without a set was not executed")
+	}
+	if after := [2]counts{read(sets[0]), read(sets[1])}; after != before {
+		t.Errorf("a request without a set changed the sets: %v, was %v", after, before)
 	}
 }
 

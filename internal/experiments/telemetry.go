@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"sync/atomic"
-
-	"goear/internal/telemetry"
-)
+import "goear/internal/telemetry"
 
 // Metric names.
 const (
@@ -13,7 +9,7 @@ const (
 )
 
 // cache names one of a Context's three singleflight caches in the
-// mirrored series.
+// counted series.
 type cache int
 
 const (
@@ -25,26 +21,19 @@ const (
 
 var cacheLabels = [numCaches]string{"model", "calibration", "run"}
 
-// cacheTel mirrors every context's cache activity into the global
-// registry; handles are pre-resolved per cache label so the request
-// path never hashes label strings.
-type cacheTel struct{ requests, computes *telemetry.Counter }
-
-var tel atomic.Pointer[[numCaches]cacheTel]
-
-func init() {
-	telemetry.OnEnable(func(s *telemetry.Set) {
-		if s == nil {
-			tel.Store(nil)
-			return
-		}
-		r := s.Registry
-		req := r.CounterVec(metricExpCacheRequests, "singleflight cache requests by cache", "cache")
-		comp := r.CounterVec(metricExpCacheComputes, "singleflight cache computations (misses) by cache", "cache")
-		var t [numCaches]cacheTel
-		for i, label := range cacheLabels {
-			t[i] = cacheTel{req.With(label), comp.With(label)}
-		}
-		tel.Store(&t)
-	})
+// cacheCounters resolves the request and computation series of cache
+// as in set, nil for a nil set. Every cache's series is registered, so a
+// scrape lists all three from the first request on.
+func cacheCounters(set *telemetry.Set, as cache) (requests, computes *telemetry.Counter) {
+	r := set.Reg()
+	if r == nil {
+		return nil, nil
+	}
+	req := r.CounterVec(metricExpCacheRequests, "singleflight cache requests by cache", "cache")
+	comp := r.CounterVec(metricExpCacheComputes, "singleflight cache computations (misses) by cache", "cache")
+	for _, label := range cacheLabels {
+		req.With(label)
+		comp.With(label)
+	}
+	return req.With(cacheLabels[as]), comp.With(cacheLabels[as])
 }

@@ -27,44 +27,25 @@ func ForEach(limit, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	tl := tel.Load()
 	if limit <= 1 || n == 1 {
-		if tl != nil {
-			tl.inline.Inc()
-		}
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil {
-				if tl != nil {
-					tl.tasks.Add(uint64(i))
-				}
 				return err
 			}
-		}
-		if tl != nil {
-			tl.tasks.Add(uint64(n))
 		}
 		return nil
 	}
 	if limit > n {
 		limit = n
 	}
-	if tl != nil {
-		tl.workers.Add(uint64(limit))
-		tl.queue.Add(float64(n))
-	}
 
-	f := &fanOut{fn: fn, tl: tl, n: n, errIdx: n}
+	f := &fanOut{fn: fn, n: n, errIdx: n}
 	f.wg.Add(limit)
 	for w := 1; w < limit; w++ {
 		go f.work()
 	}
 	f.work()
 	f.wg.Wait()
-	if tl != nil {
-		// Indices skipped after an error were never executed; return
-		// the queue gauge to its pre-call level regardless.
-		tl.queue.Add(-float64(int64(n) - f.done.Load()))
-	}
 	return f.first
 }
 
@@ -73,11 +54,9 @@ func ForEach(limit, n int, fn func(i int) error) error {
 // closure.
 type fanOut struct {
 	fn     func(i int) error
-	tl     *parTel
 	n      int
 	next   atomic.Int64
 	failed atomic.Bool
-	done   atomic.Int64 // tasks completed, counted only with telemetry
 	wg     sync.WaitGroup
 
 	mu     sync.Mutex
@@ -88,14 +67,10 @@ type fanOut struct {
 // work claims indices until they run out or a call fails.
 func (f *fanOut) work() {
 	defer f.wg.Done()
-	if f.tl != nil {
-		f.tl.active.Add(1)
-	}
-	completed := 0
 	for {
 		i := int(f.next.Add(1)) - 1
 		if i >= f.n || f.failed.Load() {
-			break
+			return
 		}
 		if err := f.fn(i); err != nil {
 			f.mu.Lock()
@@ -104,15 +79,8 @@ func (f *fanOut) work() {
 			}
 			f.mu.Unlock()
 			f.failed.Store(true)
-			break
+			return
 		}
-		completed++
-	}
-	if f.tl != nil {
-		f.tl.active.Add(-1)
-		f.tl.tasks.Add(uint64(completed))
-		f.tl.queue.Add(-float64(completed))
-		f.done.Add(int64(completed))
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"goear/internal/telemetry"
 )
 
 func TestForEachCoversAllIndices(t *testing.T) {
@@ -100,32 +98,6 @@ func TestForEachAllocatesOnePerWorker(t *testing.T) {
 		if got > float64(limit) {
 			t.Errorf("ForEach(%d, 8, nop): %v allocations, want <= %d", limit, got, limit)
 		}
-	}
-}
-
-func TestForEachFailureRestoresGauges(t *testing.T) {
-	telemetry.Enable()
-	defer telemetry.Disable()
-	tl := tel.Load()
-	queue, active := tl.queue.Value(), tl.active.Value()
-	started := tl.workers.Value()
-	err := ForEach(3, 100, func(i int) error {
-		if i%7 == 2 {
-			return errors.New("fail")
-		}
-		return nil
-	})
-	if err == nil {
-		t.Fatal("expected error")
-	}
-	if got := tl.queue.Value(); got != queue {
-		t.Errorf("queue depth %v after the call, %v before", got, queue)
-	}
-	if got := tl.active.Value(); got != active {
-		t.Errorf("active workers %v after the call, %v before", got, active)
-	}
-	if got := tl.workers.Value() - started; got != 3 {
-		t.Errorf("workers started %d, want 3 (the caller counts)", got)
 	}
 }
 

@@ -218,17 +218,12 @@ func New(name string, cfg Config) (Policy, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	// With telemetry enabled, every constructed policy is wrapped in the
-	// counting decorator (instrument handles resolve here, at setup
-	// time, never inside Apply/Validate).
-	return maybeInstrument(build(cfg)), nil
+	return build(cfg), nil
 }
 
 // Renew returns old, Reset, when New(name, cfg) would build the same
-// policy: the same name and defaulted Config, and the same telemetry
-// decoration (a policy built while telemetry was off is never reused
-// once it is on, nor one counting into a since-replaced registry).
-// Otherwise it returns New(name, cfg). A pooled simulator node renews
+// policy: the same name and defaulted Config. Otherwise it returns
+// New(name, cfg). A pooled simulator node renews
 // its policy each run, keeping the buffers (prediction tables) the
 // policy owns.
 func Renew(old Policy, name string, cfg Config) (Policy, error) {
@@ -243,18 +238,9 @@ func Renew(old Policy, name string, cfg Config) (Policy, error) {
 // Config its constructor received, which Renew compares.
 type configured interface{ config() Config }
 
-// builtAs reports whether p is what New(name, cfg) returns under the
-// current telemetry state, up to its run state.
+// builtAs reports whether p is what New(name, cfg) returns, up to its
+// run state.
 func builtAs(p Policy, name string, cfg Config) bool {
-	t := tel.Load()
-	if in, ok := p.(*instrumented); ok {
-		if in.tel != t {
-			return false
-		}
-		p = in.Policy
-	} else if t != nil {
-		return false
-	}
 	c, ok := p.(configured)
 	return ok && p.Name() == name && c.config() == cfg
 }

@@ -2,7 +2,6 @@ package policy
 
 import (
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 
@@ -12,7 +11,6 @@ import (
 	"goear/internal/model"
 	"goear/internal/perf"
 	"goear/internal/power"
-	"goear/internal/telemetry"
 )
 
 var (
@@ -86,23 +84,6 @@ func TestRegistryNames(t *testing.T) {
 	want := []string{DUF, MinEnergy, MinEnergyEUFS, MinTime, MinTimeEUFS, Monitoring}
 	if got := Names(); !slices.Equal(got, want) {
 		t.Errorf("Names() = %v, want %v", got, want)
-	}
-}
-
-// TestTelemetryListsEveryPolicy: a scrape before any decision already
-// lists every policy's decision counters at zero.
-func TestTelemetryListsEveryPolicy(t *testing.T) {
-	set := telemetry.Enable()
-	defer telemetry.Disable()
-	var sb strings.Builder
-	if err := set.Registry.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range Names() {
-		want := `goear_policy_decisions_total{policy="` + name + `",state="ready"} 0`
-		if !strings.Contains(sb.String(), want) {
-			t.Errorf("scrape is missing %s", want)
-		}
 	}
 }
 

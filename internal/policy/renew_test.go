@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"goear/internal/metrics"
-	"goear/internal/telemetry"
 )
 
 // step is everything a policy shows EARL for one input: the Apply
@@ -113,8 +112,8 @@ func TestResetMatchesFresh(t *testing.T) {
 }
 
 // TestRenewReusesOnlyWhatNewWouldBuild: Renew hands back the old
-// instance exactly when name, defaulted Config and telemetry decoration
-// all match, and builds anew otherwise.
+// instance exactly when name and defaulted Config both match, and builds
+// anew otherwise.
 func TestRenewReusesOnlyWhatNewWouldBuild(t *testing.T) {
 	cfg := testConfig(t)
 	renew := func(old Policy, name string, c Config) Policy {
@@ -146,24 +145,4 @@ func TestRenewReusesOnlyWhatNewWouldBuild(t *testing.T) {
 		t.Error("unknown name accepted")
 	}
 
-	// Telemetry decoration: off → on, on → on (same set), a new set,
-	// and back off.
-	telemetry.Enable()
-	on := renew(old, MinEnergyEUFS, cfg)
-	if _, ok := on.(*instrumented); !ok || on == old {
-		t.Fatal("telemetry on: the plain policy was reused")
-	}
-	if p := renew(on, MinEnergyEUFS, cfg); p != on {
-		t.Error("telemetry still on: not reused")
-	}
-	telemetry.Disable()
-	telemetry.Enable()
-	if p := renew(on, MinEnergyEUFS, cfg); p == on {
-		t.Error("telemetry re-enabled: the policy counting into the old set was reused")
-	}
-	telemetry.Disable()
-	off := renew(on, MinEnergyEUFS, cfg)
-	if _, ok := off.(*instrumented); ok {
-		t.Error("telemetry off: the instrumented policy was reused")
-	}
 }

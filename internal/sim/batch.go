@@ -92,7 +92,7 @@ func (b *Batch) setCapRatio(r uint64) error {
 }
 
 // results assembles every resident node's outcome in index order and
-// adds each node's step tallies to the telemetry counters.
+// adds each node's step tallies to its telemetry counters.
 func (b *Batch) results() ([]NodeResult, error) {
 	out := make([]NodeResult, len(b.nodes))
 	for i, n := range b.nodes {

@@ -92,6 +92,12 @@ type node struct {
 	ownLib *earl.Library
 	pol    policy.Policy
 
+	// tel is the instrument bundle of the run's telemetry set, nil
+	// without one; counted is pol wrapped to count into it. init keeps
+	// both while the set and the renewed policy stay the same.
+	tel     *simTel
+	counted *counted
+
 	// capRatio, when non-zero, is a node-daemon-enforced ceiling on the
 	// core ratio (the EARGM powercap path); the policy's requests are
 	// clamped to it at actuation level.
@@ -137,9 +143,7 @@ var nodePool = sync.Pool{New: func() any { return new(node) }}
 // runNode simulates the whole workload on one node.
 func runNode(cal workload.Calibrated, nodeID int, opt Options) (NodeResult, error) {
 	n := nodePool.Get().(*node)
-	if tl := tel.Load(); tl != nil && n.everUsed {
-		tl.recycles.Inc()
-	}
+	recycled := n.everUsed
 	n.everUsed = true
 	defer func() {
 		// The trace slice escapes into the result; drop it so reuse
@@ -150,6 +154,9 @@ func runNode(cal workload.Calibrated, nodeID int, opt Options) (NodeResult, erro
 	}()
 	if err := n.init(cal, nodeID, opt); err != nil {
 		return NodeResult{}, err
+	}
+	if recycled && n.tel != nil {
+		n.tel.recycles.Inc()
 	}
 	if err := n.runUntil(math.Inf(1)); err != nil {
 		return NodeResult{}, err
@@ -283,6 +290,9 @@ func (n *node) init(cal workload.Calibrated, nodeID int, opt Options) error {
 	n.armed = armedState{}
 	n.tNoise, n.pNoise = 0, 0
 	n.lib = nil
+	if n.tel == nil || n.tel.set != opt.Telemetry {
+		n.tel = newSimTel(opt.Telemetry)
+	}
 	n.mpiEvents = cal.AppendMPIEvents(n.mpiEvents)
 	n.nctl.n = n
 
@@ -363,6 +373,10 @@ func (n *node) init(cal workload.Calibrated, nodeID int, opt Options) error {
 			return err
 		}
 		n.pol = pol
+		if n.tel != nil {
+			n.counted = n.tel.count(n.counted, pol)
+			pol = n.counted
+		}
 		lib, err := earl.Renew(n.ownLib, earl.Config{
 			Policy:       pol,
 			MinWindowSec: opt.MinWindowSec,

@@ -92,18 +92,19 @@ func TestRunAllocationsIndependentOfLength(t *testing.T) {
 }
 
 // TestTickAllocations: a node's step — tick, perf evaluation, meters,
-// controller, EARL — allocates nothing, with global telemetry off or
-// on (per-step tallies are node-local until flushTel), and neither does
+// controller, EARL — allocates nothing, without a telemetry set or with
+// one (per-step tallies are node-local until flushTel), and neither does
 // a tick of a settled 1,024-node batch, whose nodes advance by armed
 // replay.
 func TestTickAllocations(t *testing.T) {
 	cal := calibrated(t, workload.BTMZC)
 	opt := Options{Policy: "none", Seed: 1}
 	for _, on := range []bool{false, true} {
+		o := opt
 		if on {
-			telemetry.Enable()
+			o.Telemetry = telemetry.NewSet()
 		}
-		s, err := NewStepper(cal, 0, opt)
+		s, err := NewStepper(cal, 0, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +119,6 @@ func TestTickAllocations(t *testing.T) {
 		if n := testing.AllocsPerRun(1000, step); n != 0 || s.Done() {
 			t.Errorf("telemetry %v: a node step allocates %v times (done %v)", on, n, s.Done())
 		}
-		telemetry.Disable()
 	}
 
 	bt, err := NewBatch(cal, opt)
@@ -145,7 +145,7 @@ func TestTickAllocations(t *testing.T) {
 
 // TestOneIterationRunAllocations: a one-iteration BT-MZ.C run, built as
 // Run builds it on a node it keeps, allocates its Result's node slice
-// and nothing else, with global telemetry off or on; traced, it adds
+// and nothing else, without a telemetry set or with one; traced, it adds
 // the node's trace samples. (Run draws the node from nodePool; this
 // keeps it, see TestRunAllocationsIndependentOfLength.)
 func TestOneIterationRunAllocations(t *testing.T) {
@@ -167,10 +167,10 @@ func TestOneIterationRunAllocations(t *testing.T) {
 		{"telemetry", false, true, 1},
 		{"traced", true, false, 2},
 	} {
-		if c.telemetry {
-			telemetry.Enable()
-		}
 		opt := Options{Policy: "none", Seed: 1, Trace: c.trace}.WithDefaults()
+		if c.telemetry {
+			opt.Telemetry = telemetry.NewSet()
+		}
 		n := new(node)
 		var got Result
 		run := func() {
@@ -187,6 +187,5 @@ func TestOneIterationRunAllocations(t *testing.T) {
 		if nr := got.Nodes[0]; nr.TimeSec > 2 || (len(nr.Trace) == 0) == c.trace {
 			t.Errorf("%s: a run of %v s with %d trace samples", c.name, nr.TimeSec, len(nr.Trace))
 		}
-		telemetry.Disable()
 	}
 }

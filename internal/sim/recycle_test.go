@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"goear/internal/policy"
-	"goear/internal/telemetry"
 	"goear/internal/workload"
 )
 
@@ -81,32 +80,5 @@ func TestRecycledNodeMatchesFresh(t *testing.T) {
 		if opt.DecisionLog && len(got.Decisions) == 0 {
 			t.Errorf("run %d: decision log on, no decisions", i)
 		}
-	}
-}
-
-// TestRecycledNodeFollowsTelemetry: a node's kept policy is counted
-// once telemetry is turned on between runs, and stops being counted
-// once it is turned off again.
-func TestRecycledNodeFollowsTelemetry(t *testing.T) {
-	cal := calibrated(t, workload.BTMZD)
-	opt := Options{Policy: policy.MinEnergyEUFS, Model: platformModel(t, cal.Platform), Seed: 1}.WithDefaults()
-	n := new(node)
-	runOn(t, n, cal, 0, opt)
-
-	set := telemetry.Enable()
-	defer telemetry.Disable()
-	decisions := set.Registry.CounterVec("goear_policy_decisions_total", "", "policy", "state")
-	count := func() uint64 {
-		return decisions.With(opt.Policy, "ready").Value() + decisions.With(opt.Policy, "continue").Value()
-	}
-	runOn(t, n, cal, 0, opt)
-	on := count()
-	if on == 0 {
-		t.Fatal("telemetry on: the recycled node's policy decisions were not counted")
-	}
-	telemetry.Disable()
-	runOn(t, n, cal, 0, opt)
-	if off := count(); off != on {
-		t.Errorf("telemetry off: decisions counted went from %d to %d", on, off)
 	}
 }

@@ -211,13 +211,12 @@ func TestStepTelemetryCoversEveryDriver(t *testing.T) {
 	} {
 		t.Run(d.name, func(t *testing.T) {
 			for _, l := range loads {
-				telemetry.Enable()
-				err := d.drive(l)
-				tl := tel.Load()
-				telemetry.Disable()
-				if err != nil {
+				set := telemetry.NewSet()
+				l.opt.Telemetry = set
+				if err := d.drive(l); err != nil {
 					t.Fatal(err)
 				}
+				tl := newSimTel(set)
 				steps, replayed, runs := tl.steps.Value(), tl.replayed.Value(), tl.runs.Value()
 				if runs != uint64(l.cal.Nodes) || steps != l.steps {
 					t.Errorf("%s: %d runs, %d steps; want %d runs, %d steps", l.cal.Name, runs, steps, l.cal.Nodes, l.steps)

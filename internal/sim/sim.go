@@ -10,6 +10,7 @@ import (
 
 	"goear/internal/model"
 	"goear/internal/par"
+	"goear/internal/telemetry"
 	"goear/internal/workload"
 )
 
@@ -66,6 +67,9 @@ type Options struct {
 	// (the identity tests assert it); the switch exists as the oracle
 	// for verification and benchmarking.
 	ReferenceStep bool
+	// Telemetry is the set the run's nodes and policies count into; nil
+	// turns telemetry off. It never changes a result.
+	Telemetry *telemetry.Set
 }
 
 // workers returns the effective fan-out bound.

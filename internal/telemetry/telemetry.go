@@ -15,14 +15,11 @@
 //     allocates.
 //   - Instruments are nil-safe: every method on a nil instrument is a
 //     no-op, so disabled telemetry costs one predictable nil check.
-//     Packages keep their instruments in an atomic pointer that stays
-//     nil until telemetry is enabled (see OnEnable).
 //
-// Two scopes exist side by side: the process-global Set managed by
-// Enable/Disable (used by sim, par, experiments and the policy layer),
-// and instance-scoped Sets injected through a Config field (used by the
-// EARDBD client/server and EARGM, which may run several instances per
-// process or per test).
+// Every Set is passed in: a component counts into the Set its
+// configuration carries (sim.Options, eardbd.Config, fed.Config,
+// loadgen.Config, eargm.Config) and into nothing when that is nil, so
+// several runs or instances in one process or test never share series.
 package telemetry
 
 import (

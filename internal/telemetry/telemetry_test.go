@@ -283,42 +283,6 @@ func TestConcurrentInstruments(t *testing.T) {
 	}
 }
 
-func TestGlobalEnableDisable(t *testing.T) {
-	if Enabled() {
-		t.Fatal("telemetry enabled at test start")
-	}
-	var got *Set
-	calls := 0
-	OnEnable(func(s *Set) { got = s; calls++ })
-	if calls != 0 {
-		t.Fatal("hook ran while disabled")
-	}
-	s := Enable()
-	if s == nil || Default() != s || !Enabled() {
-		t.Fatal("Enable did not install a set")
-	}
-	if got != s || calls != 1 {
-		t.Fatalf("hook: calls=%d", calls)
-	}
-	if Enable() != s || calls != 1 {
-		t.Error("Enable not idempotent")
-	}
-	// A hook registered while enabled runs immediately.
-	late := 0
-	OnEnable(func(*Set) { late++ })
-	if late != 1 {
-		t.Errorf("late hook calls = %d", late)
-	}
-	Disable()
-	if Enabled() || Default() != nil {
-		t.Error("Disable did not clear the set")
-	}
-	if got != nil {
-		t.Error("hook did not receive nil on Disable")
-	}
-	Disable() // idempotent
-}
-
 func TestHTTPHandler(t *testing.T) {
 	s := NewSet()
 	s.Registry.Counter(testMetricOps, "ops").Add(2)
