@@ -19,8 +19,8 @@ func liveHeap() uint64 {
 
 // TestStoreHoldsOneCopy: a 3,000-record store holds its records once,
 // in its rows. Selecting a page, encoding a page as the wire serves it
-// and encoding the acct_records dump leave the live heap less than
-// 1 KiB larger than they found it; a store that kept a canonical copy
+// and encoding the store into a whole view (changes from zero) leave the
+// live heap less than 1 KiB larger than they found it; a store that kept a canonical copy
 // beside its rows grew by about half a megabyte here.
 func TestStoreHoldsOneCopy(t *testing.T) {
 	s := accounting.NewStore(nil)
@@ -48,9 +48,9 @@ func TestStoreHoldsOneCopy(t *testing.T) {
 	if _, err := (*wire.Conn)(nil).AppendAcctPage(nil, s, q); err != nil {
 		t.Fatal(err)
 	}
-	_ = (*wire.Conn)(nil).AppendAcctRecordsOf(nil, s)
+	_ = (*wire.Conn)(nil).AppendChanges(nil, &wire.Changes{AcctStore: s})
 	if grown := int64(liveHeap()) - int64(before); grown >= 1<<10 {
-		t.Errorf("a page selected, a page encoded and a dump encoded left the live heap %d bytes larger, want under 1 KiB", grown)
+		t.Errorf("a page selected, a page encoded and a whole view encoded left the live heap %d bytes larger, want under 1 KiB", grown)
 	}
 	runtime.KeepAlive(s)
 }

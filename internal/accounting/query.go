@@ -4,8 +4,8 @@ import "fmt"
 
 // Page-size bounds: a query asking for nothing gets defaultPageSize
 // records, and nobody gets more than MaxPageSize per round trip — the
-// read tier is sized for many small queries, not bulk export (the
-// records dump query is the bulk path).
+// read tier is sized for many small queries, not bulk export (a
+// changes query from zero, a store's whole view, is the bulk path).
 const (
 	defaultPageSize = 100
 	MaxPageSize     = 1000

@@ -287,7 +287,7 @@ func TestConcurrentAdminsShareBoundedPool(t *testing.T) {
 // only once its reply has been decoded. Eight readers at a time, 200
 // snapshots each, share at most four parked connections per shard; a
 // write lands between every burst, so the bursts begin with concurrent
-// misses (dumps and power lists decoded out of the buffers) and go on
+// misses (whole views and changes decoded out of the buffers) and go on
 // with hits (generation polls). Every snapshot is the bytes a lone root
 // reads serially after the same write. Were a connection parked before
 // its reply was decoded, a reader would decode what another's query

@@ -130,7 +130,7 @@ type Stats struct {
 // Backend that fans out to the shards. It is safe for concurrent use.
 // Every state query is answered from a generation-keyed cached view
 // (see cache.go): a query costs one cheap generation poll per shard
-// until ingest actually moves, instead of a full record dump.
+// until ingest actually moves, instead of every shard's whole view.
 type Root struct {
 	eardbd.Front
 	cfg Config

@@ -27,7 +27,8 @@ import (
 // stamps moved on some shard and shares the rest with the cached view —
 // the stores themselves, the same pointers, and the power list — and
 // says which it rebuilt, and how, on /metrics and on the fed.merge span:
-// the cold view from the full dumps, every later one from the changes.
+// the cold view in full, from changes from zero, every later one from
+// the changes since.
 func TestMissRefoldsOnlyMovedParts(t *testing.T) {
 	shards := make([]shardFixture, 2)
 	for i := range shards {
@@ -167,9 +168,8 @@ func TestWarmRootAnswersLikeColdAndDaemon(t *testing.T) {
 		{Kind: wire.QueryJobs},
 		{Kind: wire.QuerySummary, Job: "job0", Step: "0"},
 		{Kind: wire.QueryNodePowers},
-		{Kind: wire.QueryRecords},
+		{Kind: wire.QueryChanges}, // from zero: the whole view
 		{Kind: wire.QueryAcctJobs, Limit: 3},
-		{Kind: wire.QueryAcctRecords},
 		{Kind: wire.QueryStats},
 	}
 	answer := func(b eardbd.Backend, q wire.Query) []byte {
@@ -424,6 +424,59 @@ func TestWholeViewOverFrameLimit(t *testing.T) {
 	}
 }
 
+// TestOversizedAnswerRefused: a shard whose whole view is larger than
+// its own frame limit, under a root with the same limit, refuses the
+// changes query with an error frame that names the size and the limit,
+// and keeps the connection. The root fails the view with that refusal,
+// counts the leg failed, and reuses the connection for the next view:
+// no redial.
+func TestOversizedAnswerRefused(t *testing.T) {
+	const limit = 2 << 10
+	shards := make([]shardFixture, 2)
+	names := make([]string, len(shards))
+	for i := range shards {
+		names[i] = fmt.Sprintf("s%d", i)
+		shards[i] = shardFixture{name: names[i], srv: eardbd.NewServer(eard.NewDB(), eardbd.Config{MaxFramePayload: limit})}
+		t.Cleanup(func() { _ = shards[i].srv.Close() })
+	}
+	fleet, err := NewFleet(names, dialer(shards))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		node := fmt.Sprintf("n%02d", i)
+		var recs []eard.JobRecord
+		for j := 0; j < 4; j++ {
+			recs = append(recs, report(node, fmt.Sprintf("job%d", j), "0", 250+float64(j)))
+		}
+		deliver(t, fleet.DialFor(node), wire.Batch{ID: node + "/1", Node: node, Records: recs})
+	}
+	if whole, err := eardbd.Answer(nil, shards[0].srv, nil, wire.Query{Kind: wire.QueryChanges}); err != nil || len(whole) <= limit {
+		t.Fatalf("shard s0's whole view is %d bytes (%v), want more than %d", len(whole), err, limit)
+	}
+	ts := telemetry.NewSet()
+	root, err := NewRoot(Config{Fleet: fleet, MaxFramePayload: limit, Telemetry: ts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = root.Close() })
+	for i := 1; i <= 2; i++ {
+		_, err := root.View(nil)
+		if !errors.Is(err, eardbd.ErrServer) || !strings.Contains(err.Error(), fmt.Sprintf("limit %d", limit)) || !strings.Contains(err.Error(), "shard s0") {
+			t.Fatalf("view %d: err = %v, want shard s0's refusal naming the limit of %d", i, err, limit)
+		}
+		if got := series(t, ts, metricFedFanout+`{shard="s0",result="error"}`); got != float64(i) {
+			t.Errorf("view %d: %v failed legs counted on s0, want %d", i, got, i)
+		}
+	}
+	if st := root.Stats(); st.Redials != 0 {
+		t.Errorf("two refused views cost %d redials, want 0: the shard hung up", st.Redials)
+	}
+	if root.cache.Load() != nil {
+		t.Error("a view missing a shard was published")
+	}
+}
+
 // frozen serves one view, as a root serves its cached one.
 type frozen struct{ v eardbd.View }
 
@@ -432,7 +485,7 @@ func (f frozen) View(*trace.Active) (eardbd.View, error)           { return f.v,
 func (f frozen) Generation(*trace.Active) (wire.Generation, error) { return wire.Generation{}, nil }
 
 // TestOldViewStaysWhileDeltaBuilds: readers of a published view walk
-// its records dump, summaries and accounting pages while misses build
+// its whole view, summaries and accounting pages while misses build
 // the next views from clones of it — node reports replaced and added,
 // accounting windows, powers moved. The old view reads the same bytes
 // throughout; under -race, a clone writing anything it shares is a
@@ -460,8 +513,8 @@ func TestOldViewStaysWhileDeltaBuilds(t *testing.T) {
 	render := func() []byte {
 		var b bytes.Buffer
 		for _, q := range []wire.Query{
-			{Kind: wire.QueryRecords}, {Kind: wire.QueryJobs}, {Kind: wire.QuerySummary, Job: "job1", Step: "0"},
-			{Kind: wire.QueryAcctJobs, Limit: 3}, {Kind: wire.QueryAcctRecords}, {Kind: wire.QueryNodePowers},
+			{Kind: wire.QueryChanges}, {Kind: wire.QueryJobs}, {Kind: wire.QuerySummary, Job: "job1", Step: "0"},
+			{Kind: wire.QueryAcctJobs, Limit: 3}, {Kind: wire.QueryNodePowers},
 		} {
 			payload, err := eardbd.Answer(nil, frozen{old}, nil, q)
 			fmt.Fprintf(&b, "%v %x\n", err, payload)

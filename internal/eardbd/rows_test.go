@@ -45,13 +45,13 @@ func inOrder(recs []accounting.Record) int {
 }
 
 // TestShardServesFromRowsWhileBatchesLand: a shard serves acct_jobs
-// pages, the acct_records dump and its whole view (changes from zero)
-// from its live stores' rows while writers land batches of node reports
+// pages and its whole view (changes from zero) from its live stores'
+// rows while writers land batches of node reports
 // and accounting records — new jobs, new nodes of a job, replaced
 // windows. Every page decodes with exactly the records its count names,
 // its Total is at least that count, its Next is the cursor of its last
 // record, and the page that cursor asks for starts strictly after it;
-// every dump and view decodes whole and in canonical order. Under
+// every view decodes whole and in canonical order. Under
 // -race, a read of the rows outside the store's lock is a reported race.
 func TestShardServesFromRowsWhileBatchesLand(t *testing.T) {
 	srv := NewServer(eard.NewDB(), Config{})
@@ -155,17 +155,13 @@ func TestShardServesFromRowsWhileBatchesLand(t *testing.T) {
 			}
 			defer conn.Close()
 			for i := 0; ; i++ {
-				var dump []accounting.Record
 				var whole wire.Changes
 				err := walk(conn, users[(r+i)%2], 3+i%5)
 				if err == nil {
-					err = read(conn, wire.Query{Kind: wire.QueryAcctRecords}, &dump)
-				}
-				if err == nil {
 					err = read(conn, wire.Query{Kind: wire.QueryChanges}, &whole)
 				}
-				if err == nil && (inOrder(dump) >= 0 || inOrder(whole.Acct) >= 0) {
-					err = fmt.Errorf("a dump of %d or a view of %d accounting records is out of order", len(dump), len(whole.Acct))
+				if err == nil && inOrder(whole.Acct) >= 0 {
+					err = fmt.Errorf("a view of %d accounting records is out of order", len(whole.Acct))
 				}
 				if err != nil {
 					t.Error(err)
@@ -188,9 +184,9 @@ func TestShardServesFromRowsWhileBatchesLand(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	var dump []accounting.Record
-	if err := read(conn, wire.Query{Kind: wire.QueryAcctRecords}, &dump); err != nil || len(dump) != srv.acct.Len() || len(dump) == 0 {
-		t.Fatalf("the dump holds %d records (%v), the store %d", len(dump), err, srv.acct.Len())
+	var whole wire.Changes
+	if err := read(conn, wire.Query{Kind: wire.QueryChanges}, &whole); err != nil || len(whole.Acct) != srv.acct.Len() || len(whole.Acct) == 0 {
+		t.Fatalf("the whole view holds %d accounting records (%v), the store %d", len(whole.Acct), err, srv.acct.Len())
 	}
 	if err := walk(conn, "", 7); err != nil {
 		t.Fatal(err)

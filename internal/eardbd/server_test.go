@@ -378,9 +378,9 @@ func TestServerQueries(t *testing.T) {
 		t.Errorf("stats = %+v", st)
 	}
 
-	// Unknown kinds and missing jobs answer with an error frame but
-	// keep the connection.
-	for _, q := range []wire.Query{{Kind: "bogus"}, {Kind: wire.QuerySummary, Job: "nope"}} {
+	// Unknown kinds, the retired dumps among them, and missing jobs
+	// answer with an error frame but keep the connection.
+	for _, q := range []wire.Query{{Kind: "bogus"}, {Kind: "records"}, {Kind: "acct_records"}, {Kind: wire.QuerySummary, Job: "nope"}} {
 		qf, err := wire.EncodeQuery(q)
 		if err != nil {
 			t.Fatal(err)
@@ -398,9 +398,9 @@ func TestServerQueries(t *testing.T) {
 
 // TestReplyBufferKeptOnlyWhileSmall drives serveQuery as ServeConn
 // does, over the connection's framing state: a small reply is built in
-// the connection's image and kept, a dump past wire.MaxKept is written
-// from a buffer of its own that is not kept, and the next small reply
-// is built in the very bytes the first one was.
+// the connection's image and kept, a whole view past wire.MaxKept is
+// written from a buffer of its own that is not kept, and the next small
+// reply is built in the very bytes the first one was.
 func TestReplyBufferKeptOnlyWhileSmall(t *testing.T) {
 	db := eard.NewDB()
 	for i := 0; i < 800; i++ {
@@ -448,17 +448,17 @@ func TestReplyBufferKeptOnlyWhileSmall(t *testing.T) {
 		t.Fatalf("after a %d-byte reply the connection keeps a buffer of %d bytes that holds it: %v", len(small.Payload), cap(kept), holds(small))
 	}
 
-	dump := serve(wire.QueryRecords)
-	if len(dump.Payload) <= wire.MaxKept {
-		t.Fatalf("the dump is only %d bytes: it tests nothing", len(dump.Payload))
+	view := serve(wire.QueryChanges) // from zero
+	if len(view.Payload) <= wire.MaxKept {
+		t.Fatalf("the whole view is only %d bytes: it tests nothing", len(view.Payload))
 	}
 	if image := c.Body(); cap(image) > wire.MaxKept || &image[0] != &kept[0] {
-		t.Fatalf("a %d-byte dump left the connection holding a buffer of %d bytes", len(dump.Payload), cap(image))
+		t.Fatalf("a %d-byte whole view left the connection holding a buffer of %d bytes", len(view.Payload), cap(image))
 	}
 
 	next := serve(wire.QueryGeneration)
 	if &c.Body()[0] != &kept[0] || !holds(next) {
-		t.Fatalf("after the dump, a %d-byte reply was not built in the kept buffer", len(next.Payload))
+		t.Fatalf("after the whole view, a %d-byte reply was not built in the kept buffer", len(next.Payload))
 	}
 }
 

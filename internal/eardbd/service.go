@@ -91,8 +91,8 @@ func Answer(c *wire.Conn, b Backend, parent *trace.Active, q wire.Query) ([]byte
 			return srv.appendChanges(c, dst, uint64(q.Limit))
 		}
 		fallthrough
-	case wire.QueryAggregate, wire.QueryNodePowers, wire.QueryJobs, wire.QueryRecords,
-		wire.QuerySummary, wire.QueryAcctJobs, wire.QueryAcctRecords:
+	case wire.QueryAggregate, wire.QueryNodePowers, wire.QueryJobs,
+		wire.QuerySummary, wire.QueryAcctJobs:
 		v, err := b.View(parent)
 		if err != nil {
 			return dst, err
@@ -105,8 +105,8 @@ func Answer(c *wire.Conn, b Backend, parent *trace.Active, q wire.Query) ([]byte
 
 // answer encodes the result of one state query into dst. The binary
 // kinds go through their typed appenders, the ones that carry a store's
-// records straight from its rows under its lock — a page, the dumps, the
-// whole view a changes query from zero asks for — so a record moves
+// records straight from its rows under its lock — a page, the whole
+// view a changes query from zero asks for — so a record moves
 // once, from its row into the frame, and nothing is boxed in an
 // interface. Only the JSON kinds pass through one.
 func (v View) answer(c *wire.Conn, dst []byte, q wire.Query) ([]byte, error) {
@@ -117,8 +117,6 @@ func (v View) answer(c *wire.Conn, dst []byte, q wire.Query) ([]byte, error) {
 		return c.AppendNodePowers(dst, v.Powers), nil
 	case wire.QueryJobs:
 		return c.AppendResult(dst, q.Kind, v.DB.Summaries())
-	case wire.QueryRecords:
-		return c.AppendRecordsOf(dst, v.DB), nil
 	case wire.QuerySummary:
 		sum, err := v.DB.Summarize(q.Job, q.Step)
 		if err != nil {
@@ -133,10 +131,8 @@ func (v View) answer(c *wire.Conn, dst []byte, q wire.Query) ([]byte, error) {
 			Limit:  q.Limit,
 			Cursor: q.Cursor,
 		})
-	case wire.QueryChanges: // from zero: the whole view
+	default: // wire.QueryChanges from zero: the whole view
 		return c.AppendChanges(dst, &wire.Changes{DB: v.DB, AcctStore: v.Acct, Powers: v.Powers}), nil
-	default: // wire.QueryAcctRecords
-		return c.AppendAcctRecordsOf(dst, v.Acct), nil
 	}
 }
 
@@ -206,8 +202,8 @@ type Front struct {
 	QuerySpan    string
 	Now          Stopwatch
 	QueryLatency *telemetry.Histogram
-	// ReplyBytes counts the payload bytes of served results by kind
-	// (NewReplyBytes).
+	// ReplyBytes counts the payload bytes of answered results by kind
+	// (NewReplyBytes), one refused as over the frame limit included.
 	ReplyBytes ReplyBytes
 
 	mu        sync.Mutex
@@ -421,7 +417,14 @@ func (fr *Front) serveQuery(c *wire.Conn, f wire.Frame) bool {
 	if sp != nil {
 		sp.Attr("bytes", strconv.Itoa(len(payload)))
 	}
-	return c.Send(wire.TypeResult, trace.Context{}, image) == nil
+	err = c.Send(wire.TypeResult, trace.Context{}, image)
+	if errors.Is(err, wire.ErrTooLarge) {
+		// Refused before a byte was written, so the connection is still
+		// in step: the asker gets the size and the limit, not a hang-up.
+		fr.ReplyError(c, err.Error())
+		return true
+	}
+	return err == nil
 }
 
 // protocolError counts a violation and tells the peer; the caller

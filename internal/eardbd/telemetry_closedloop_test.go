@@ -235,13 +235,19 @@ func TestTelemetryClosedLoopWorkerInvariance(t *testing.T) {
 		// for reads zero.
 		metricDBDReplyBytes + `{kind="node_powers"}`: 2 + 8*(1+3+8),
 		metricDBDReplyBytes + `{kind="generation"}`:  2 * (1 + 4),
-		metricDBDReplyBytes + `{kind="records"}`:     0,
+		metricDBDReplyBytes + `{kind="changes"}`:     0,
 	} {
 		if _, ok := vals[key]; !ok {
 			t.Errorf("/metrics has no %s", key)
 		}
 		if vals[key] != want {
 			t.Errorf("%s = %g, want %g", key, vals[key], want)
+		}
+	}
+	// A retired kind has no series.
+	for _, kind := range []string{"records", "acct_records"} {
+		if key := metricDBDReplyBytes + `{kind="` + kind + `"}`; strings.Contains(refText, key) {
+			t.Errorf("/metrics has %s", key)
 		}
 	}
 	if refKinds["eardbd.batch"] != 24 {

@@ -162,7 +162,7 @@ func (c *Cluster) Restart(name string) error {
 }
 
 // Root builds a federation root over the cluster's shards, sharing
-// the shards' frame-payload cap so large record dumps survive the
+// the shards' frame-payload cap so large whole views survive the
 // merge queries, and the shards' trace buffer so a root query and the
 // shard queries it fans out render as one connected tree.
 func (c *Cluster) Root() (*fed.Root, error) {

@@ -23,10 +23,9 @@ var deltaQueries = []wire.Query{
 	{Kind: wire.QueryJobs},
 	{Kind: wire.QuerySummary, Job: "j0", Step: "0"},
 	{Kind: wire.QueryNodePowers},
-	{Kind: wire.QueryRecords},
+	{Kind: wire.QueryChanges}, // from zero: the whole view
 	{Kind: wire.QueryAcctJobs, Limit: 3},
 	{Kind: wire.QueryAcctJobs, User: "u1"},
-	{Kind: wire.QueryAcctRecords},
 	{Kind: wire.QueryStats},
 }
 
@@ -179,7 +178,7 @@ func TestDeltaRootMatchesFullFold(t *testing.T) {
 	}
 	delta, full := by[`{part="records",how="delta"}`], by[`{part="records",how="full"}`]
 	if delta == 0 || full <= float64(seeds) {
-		t.Errorf("the cached roots rebuilt node reports %v times from changes and %v from dumps over %d seeds: want both paths taken",
+		t.Errorf("the cached roots rebuilt node reports %v times from changes and %v in full over %d seeds: want both paths taken",
 			delta, full, seeds)
 	}
 }

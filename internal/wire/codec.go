@@ -47,15 +47,15 @@ const (
 // linearTable is how many strings an encoder finds by scanning before
 // it builds a map, and how many a decoder holds before its table
 // spills to the heap: a batch holds a dozen or two distinct strings, a
-// shard dump hundreds.
+// shard's whole view hundreds.
 const linearTable = 32
 
 // maxTable is the most strings a map may have indexed and still be kept
 // by a connection for its next frame. 896 is what a 1,024-slot map
 // holds before it doubles: about 30 KiB at 24 bytes and a control byte
 // a slot (go1.24), MaxKept's scale. A fleet-sized reply — 200 node
-// names, a 200-record page — fits with room to spare; a map a shard
-// dump grew past it is dropped, as an outgrown frame buffer is, rather
+// names, a 200-record page — fits with room to spare; a map a shard's
+// whole view grew past it is dropped, as an outgrown frame buffer is, rather
 // than cleared: clearing keeps a map's slots, and every later reply
 // would pay to clear them again.
 const maxTable = 896

@@ -13,8 +13,6 @@ import (
 // Result bodies. A result payload is one kind byte — the index of the
 // kind in resultKinds — followed by that kind's body:
 //
-//	records       n × record
-//	acct_records  n × acct
 //	acct_jobs     n × acct, next str, total int
 //	node_powers   n × (node str, power_w f64)
 //	generation    gen uint, records uint, acct uint, powers uint
@@ -22,11 +20,11 @@ import (
 //	stats, aggregate, jobs, summary
 //	              the rest of the payload is the value as JSON
 //
-// A generation body of gen alone, as a sender from before the part
-// stamps writes it, decodes with every stamp equal to gen: to a cache
-// every part moved whenever anything did.
+// Bytes 6 and 8 were the records and acct_records dumps, which changes
+// from zero carries in one frame. They are retired, not reused: a
+// result of either is an unknown kind.
 //
-// The six binary kinds are the ones that carry records or sit on the
+// The four binary kinds are the ones that carry records or sit on the
 // federation root's fan-out path. The four JSON kinds are small,
 // operator-facing scalars whose shapes belong to the packages above
 // this one; each kind has exactly one encoding. They stay JSON on a
@@ -34,10 +32,11 @@ import (
 // read trial allocated (EXPERIMENTS.md, 2026-10-02), against four more
 // layouts to keep in step with types this package does not own.
 
-// resultKinds maps a result's kind byte to its name; 0 is invalid.
+// resultKinds maps a result's kind byte to its name. An empty slot is
+// invalid: 0, and the retired 6 and 8.
 var resultKinds = [...]string{
 	"", QueryStats, QueryAggregate, QueryJobs, QuerySummary,
-	QueryNodePowers, QueryRecords, QueryAcctJobs, QueryAcctRecords, QueryGeneration,
+	QueryNodePowers, "", QueryAcctJobs, "", QueryGeneration,
 	QueryChanges,
 }
 
@@ -52,15 +51,15 @@ type Result struct {
 }
 
 // ResultKinds lists the result kinds by kind byte — the first byte of
-// every result payload; index 0, the invalid code, is empty.
+// every result payload; the invalid codes, 0 and the retired ones, are
+// empty.
 func ResultKinds() []string { return slices.Clone(resultKinds[:]) }
 
 // AppendResult appends the payload of a TypeResult frame of the given
 // kind to dst and returns the extended slice. The binary kinds take
-// exactly their Go shape ([]eard.JobRecord for records,
-// []accounting.Record for acct_records, accounting.Page for acct_jobs,
-// []NodePower for node_powers, Generation for generation, Changes or
-// *Changes for changes); the JSON kinds take any marshallable value. On
+// exactly their Go shape (accounting.Page for acct_jobs, []NodePower
+// for node_powers, Generation for generation, Changes or *Changes for
+// changes); the JSON kinds take any marshallable value. On
 // error dst comes back as it was. A value in an interface is boxed, one
 // allocation a reply: a server answers the binary kinds through the
 // typed appenders below, which take theirs as they are, and only the
@@ -74,24 +73,12 @@ func ResultKinds() []string { return slices.Clone(resultKinds[:]) }
 // without allocating once warm. A nil Conn keeps no table; the bytes are
 // the same.
 func (c *Conn) AppendResult(dst []byte, kind string, data any) ([]byte, error) {
-	if !slices.Contains(resultKinds[1:], kind) {
+	if kind == "" || !slices.Contains(resultKinds[:], kind) {
 		return dst, fmt.Errorf("wire: encode result: unknown kind %q", kind)
 	}
 	e := encoder{buf: dst, kept: c.table()}
 	ok := true
 	switch kind {
-	case QueryRecords:
-		var recs []eard.JobRecord
-		if recs, ok = data.([]eard.JobRecord); ok {
-			e.open(kind, recordsSizeHint(len(recs), 0))
-			e.records(recs)
-		}
-	case QueryAcctRecords:
-		var recs []accounting.Record
-		if recs, ok = data.([]accounting.Record); ok {
-			e.open(kind, recordsSizeHint(0, len(recs)))
-			e.acctRecords(recs)
-		}
 	case QueryAcctJobs:
 		var page accounting.Page
 		if page, ok = data.(accounting.Page); ok {
@@ -175,29 +162,6 @@ func (c *Conn) AppendNodePowers(dst []byte, nps []NodePower) []byte {
 // encoder moves to the heap there, not in AppendResult for every reply
 // (TestAppendResultAllocations holds that line).
 
-// AppendRecordsOf appends the payload of db's records dump to dst.
-func (c *Conn) AppendRecordsOf(dst []byte, db *eard.DB) []byte {
-	e := encoder{buf: dst, kept: c.table()}
-	db.Walk(func(n int) {
-		e.open(QueryRecords, recordsSizeHint(n, 0))
-		e.uint(uint64(n))
-	}, e.record)
-	e.release()
-	return e.buf
-}
-
-// AppendAcctRecordsOf appends the payload of s's acct_records dump to
-// dst.
-func (c *Conn) AppendAcctRecordsOf(dst []byte, s *accounting.Store) []byte {
-	e := encoder{buf: dst, kept: c.table()}
-	s.Walk(func(n int) {
-		e.open(QueryAcctRecords, recordsSizeHint(0, n))
-		e.uint(uint64(n))
-	}, e.acctRecord)
-	e.release()
-	return e.buf
-}
-
 // AppendAcctPage appends the payload of the acct_jobs page q selects
 // from s to dst: its count, records, Next and Total from one hold of
 // the store's lock (accounting.Store.Select). On error dst comes back
@@ -269,7 +233,7 @@ func (f Frame) AsResult() (Result, error) {
 		return Result{}, err
 	}
 	code := d.byte()
-	if d.err == nil && (code == 0 || int(code) >= len(resultKinds)) {
+	if d.err == nil && (int(code) >= len(resultKinds) || resultKinds[code] == "") {
 		d.fail("unknown result kind %d", code)
 	}
 	if d.err != nil {
@@ -285,16 +249,6 @@ func (r Result) Decode(v any) error {
 	d := newDecoder(r.Data, resultShare)
 	ok := true
 	switch r.Kind {
-	case QueryRecords:
-		var p *[]eard.JobRecord
-		if p, ok = v.(*[]eard.JobRecord); ok {
-			*p = nonNil(d.records((*p)[:0]))
-		}
-	case QueryAcctRecords:
-		var p *[]accounting.Record
-		if p, ok = v.(*[]accounting.Record); ok {
-			*p = nonNil(d.acctRecords((*p)[:0]))
-		}
 	case QueryAcctJobs:
 		var p *accounting.Page
 		if p, ok = v.(*accounting.Page); ok {
@@ -354,15 +308,9 @@ func (r Result) Generation() (Generation, error) {
 }
 
 // generation reads a generation body: the counter and its three part
-// stamps, or the counter alone, which stamps every part with it.
+// stamps.
 func (d *decoder) generation() Generation {
-	g := Generation{Gen: d.uint()}
-	if d.err == nil && d.left() == 0 {
-		g.Records, g.Acct, g.Powers = g.Gen, g.Gen, g.Gen
-		return g
-	}
-	g.Records, g.Acct, g.Powers = d.uint(), d.uint(), d.uint()
-	return g
+	return Generation{Gen: d.uint(), Records: d.uint(), Acct: d.uint(), Powers: d.uint()}
 }
 
 // EachChange decodes a changes result one element at a time, so it

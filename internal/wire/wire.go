@@ -398,16 +398,9 @@ const (
 	// across shards, and what makes the merged eargm feed byte-identical
 	// to a single daemon's.
 	QueryNodePowers = "node_powers"
-	// QueryRecords dumps every stored record sorted by (job, step,
-	// node): what `earctl dbd records` prints and `earctl acct|report`
-	// read.
-	QueryRecords = "records"
 	// QueryAcctJobs serves one filtered, cursor-paginated page of
 	// per-job energy records (an accounting.Page).
 	QueryAcctJobs = "acct_jobs"
-	// QueryAcctRecords dumps every stored accounting record in
-	// canonical (job, step, node, phase) order.
-	QueryAcctRecords = "acct_records"
 	// QueryGeneration returns the store's mutation counter and part
 	// stamps (a Generation). The root's view cache polls it: unchanged
 	// generations mean the cached merge is still exact, unchanged stamps
@@ -416,11 +409,12 @@ const (
 	// QueryChanges asks for what moved since the generation in Limit (a
 	// Changes), which is how a federation root builds its view. From 0
 	// (Limit <= 0) every store answers with all it holds, in one frame:
-	// the records dump, the acct_records dump and the power list. From a
-	// generation only a shard daemon answers, from its node stamps; it
-	// refuses with an error frame when it has dropped or restored
-	// accounting records since, and a root refuses it always. The asker
-	// then asks from 0.
+	// every node report sorted by (job, step, node), every accounting
+	// record in canonical (job, step, node, phase) order, and the power
+	// list. From a generation only a shard daemon answers, from its node
+	// stamps; it refuses with an error frame when it has dropped or
+	// restored accounting records since, and a root refuses it always.
+	// The asker then asks from 0.
 	QueryChanges = "changes"
 )
 
@@ -434,8 +428,8 @@ type Changes struct {
 	Powers  []NodePower
 	// DB and AcctStore, when set, stand for Records and Acct on the
 	// encoding side: every record the store holds, encoded straight
-	// from its rows as the dumps are. An answer from 0 carries both; a
-	// decoded Changes never has either.
+	// from its rows. An answer from 0 carries both; a decoded Changes
+	// never has either.
 	DB        *eard.DB
 	AcctStore *accounting.Store
 }
@@ -449,8 +443,8 @@ type Changes struct {
 // re-folds only the parts whose stamps moved.
 type Generation struct {
 	Gen     uint64
-	Records uint64 // the node reports: the records dump
-	Acct    uint64 // the accounting records: the acct_records dump
+	Records uint64 // the node reports
+	Acct    uint64 // the accounting records
 	Powers  uint64 // every node's last reported power: node_powers
 }
 

@@ -437,8 +437,6 @@ func TestRoundTripEveryShape(t *testing.T) {
 			in   any
 			out  any
 		}{
-			{QueryRecords, recs, new([]eard.JobRecord)},
-			{QueryAcctRecords, acct, new([]accounting.Record)},
 			{QueryAcctJobs, page, new(accounting.Page)},
 			{QueryNodePowers, nps, new([]NodePower)},
 			{QueryGeneration, gen, new(Generation)},
@@ -475,11 +473,13 @@ func TestRoundTripEveryShape(t *testing.T) {
 }
 
 func TestResultShapeMismatch(t *testing.T) {
-	if _, err := noConn.AppendResult(nil, QueryRecords, []NodePower{}); err == nil {
-		t.Error("records result encoded from node powers")
+	if _, err := noConn.AppendResult(nil, QueryChanges, []NodePower{}); err == nil {
+		t.Error("changes result encoded from node powers")
 	}
-	if _, err := noConn.AppendResult(nil, "no_such_kind", 1); err == nil {
-		t.Error("unknown result kind encoded")
+	for _, kind := range []string{"no_such_kind", "", "records", "acct_records"} {
+		if _, err := noConn.AppendResult(nil, kind, 1); err == nil {
+			t.Errorf("unknown result kind %q encoded", kind)
+		}
 	}
 	p, err := noConn.AppendResult(nil, QueryGeneration, Generation{Gen: 9})
 	if err != nil {
