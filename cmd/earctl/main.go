@@ -12,14 +12,14 @@
 //	earctl msr     [-platform SD530|CascadeLake|GPUNode]
 //	earctl learn   [-platform P] [-o model.json]  train the energy model (for earsim -model)
 //	earctl experiments        list reproducible paper experiments
-//	earctl acct -db jobs.json list accounting records
+//	earctl acct -db jobs.db   list accounting records
 //	earctl conf [-f ear.conf]  show the effective site configuration
-//	earctl report -db jobs.json per-application and per-policy energy report
+//	earctl report -db jobs.db per-application and per-policy energy report
 //	earctl dbd -addr host:port[,host:port...] <stats|aggregate|jobs|summary> query a live eardbd or a shard fleet
 //	earctl jobs -addr host:port[,host:port...] [-user u] [-job j] [-since s] list per-job energy records
 //	earctl metrics -addr host:port  scrape a daemon's telemetry endpoint
 //	earctl trace -addr host:port [-trace id] [-kind prefix] [-since seq]  fetch a daemon's span traces
-//	earctl send -addr host:port[,host:port...] -records jobs.json [-node n] [-journal f]  feed records to eardbd
+//	earctl send -addr host:port[,host:port...] -records jobs.db [-node n] [-journal f]  feed records to eardbd
 package main
 
 import (
@@ -260,14 +260,14 @@ func confCmd(args []string, out io.Writer) error {
 
 func reportCmd(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("report", flag.ContinueOnError)
-	dbPath := fs.String("db", "", "accounting database JSON")
+	dbPath := fs.String("db", "", "accounting state file (earsim -acct, eardbd -db)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *dbPath == "" {
 		return fmt.Errorf("report needs -db")
 	}
-	db, err := eard.LoadFile(*dbPath)
+	db, _, err := eardbd.LoadState(*dbPath)
 	if err != nil {
 		return err
 	}
@@ -686,14 +686,14 @@ func printSpanTrees(out io.Writer, spans []trace.Span) {
 
 func acct(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("acct", flag.ContinueOnError)
-	dbPath := fs.String("db", "", "accounting database JSON")
+	dbPath := fs.String("db", "", "accounting state file (earsim -acct, eardbd -db)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *dbPath == "" {
 		return fmt.Errorf("acct needs -db")
 	}
-	db, err := eard.LoadFile(*dbPath)
+	db, _, err := eardbd.LoadState(*dbPath)
 	if err != nil {
 		return err
 	}

@@ -115,7 +115,7 @@ func TestExperimentsList(t *testing.T) {
 
 func TestAcct(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "jobs.json")
+	path := filepath.Join(dir, "jobs.db")
 	db := eard.NewDB()
 	if err := db.Insert(eard.JobRecord{
 		JobID: "j1", StepID: "0", Node: "n0", App: "HPCG",
@@ -123,14 +123,9 @@ func TestAcct(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Create(path)
-	if err != nil {
+	if err := eardbd.SaveState(path, db, eardbd.Saved{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 
 	out := capture(t, []string{"acct", "-db", path})
 	if !strings.Contains(out, "j1") || !strings.Contains(out, "HPCG") {
@@ -140,7 +135,7 @@ func TestAcct(t *testing.T) {
 	if err := run([]string{"acct"}, &b); err == nil {
 		t.Error("expected error for missing -db")
 	}
-	if err := run([]string{"acct", "-db", filepath.Join(dir, "missing.json")}, &b); err == nil {
+	if err := run([]string{"acct", "-db", filepath.Join(dir, "missing.db")}, &b); err == nil {
 		t.Error("expected error for missing file")
 	}
 }
@@ -175,7 +170,7 @@ func TestConfCommand(t *testing.T) {
 
 func TestReportCommand(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "jobs.json")
+	path := filepath.Join(dir, "jobs.db")
 	db := eard.NewDB()
 	for i, app := range []string{"HPCG", "BT-MZ"} {
 		if err := db.Insert(eard.JobRecord{
@@ -185,14 +180,9 @@ func TestReportCommand(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	f, err := os.Create(path)
-	if err != nil {
+	if err := eardbd.SaveState(path, db, eardbd.Saved{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 	out := capture(t, []string{"report", "-db", path})
 	for _, want := range []string{"energy by application", "energy by policy", "HPCG", "min_energy_eufs"} {
 		if !strings.Contains(out, want) {

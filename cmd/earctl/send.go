@@ -1,23 +1,20 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 
-	"goear/internal/eard"
 	"goear/internal/eardbd"
 	"goear/internal/telemetry"
 	"goear/internal/telemetry/trace"
 )
 
-// sendCmd is the node-side reporting feeder: it reads job records (the
-// JSON array format eard.DB saves, as produced by earsim and the
-// examples) and streams them to a running eardbd daemon through the
+// sendCmd is the node-side reporting feeder: it reads a state file (as
+// earsim -acct and eardbd -db write it) and streams its node reports and
+// job accounting records to a running eardbd daemon through the
 // buffering client — batching, retrying with backoff, and spilling to a
 // local journal when the daemon is unreachable. Rerun with the same
 // -journal once the daemon is back and the spilled batches are replayed
@@ -31,7 +28,7 @@ func sendCmd(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("send", flag.ContinueOnError)
 	addr := fs.String("addr", "", "eardbd TCP address, or a comma-separated shard list: the node routes to its ring owner")
 	unixSock := fs.String("unix", "", "eardbd unix socket path")
-	records := fs.String("records", "", "JSON record file to send (eard.DB format)")
+	records := fs.String("records", "", "state file whose records to send (earsim -acct, eardbd -db)")
 	node := fs.String("node", "", "reporting node name (default: first record's node)")
 	journalPath := fs.String("journal", "", "spill journal path for offline buffering")
 	batch := fs.Int("batch", 64, "records per batch")
@@ -48,24 +45,19 @@ func sendCmd(args []string, out io.Writer) error {
 		return fmt.Errorf("send needs -records")
 	}
 
-	f, err := os.Open(*records)
+	db, saved, err := eardbd.LoadState(*records)
 	if err != nil {
 		return err
 	}
-	var recs []eard.JobRecord
-	derr := json.NewDecoder(f).Decode(&recs)
-	cerr := f.Close()
-	if derr != nil {
-		return fmt.Errorf("decode %s: %w", *records, derr)
-	}
-	if cerr != nil {
-		return cerr
-	}
-	if len(recs) == 0 {
+	recs := db.Records()
+	switch {
+	case len(recs) == 0 && len(saved.Acct) == 0:
 		return fmt.Errorf("%s holds no records", *records)
-	}
-	if *node == "" {
+	case *node != "":
+	case len(recs) > 0:
 		*node = recs[0].Node
+	default:
+		*node = saved.Acct[0].Node
 	}
 
 	journal, err := eardbd.OpenJournal(*journalPath)
@@ -101,6 +93,11 @@ func sendCmd(args []string, out io.Writer) error {
 	var firstErr error
 	for _, r := range recs {
 		if err := c.Enqueue(r); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	for _, r := range saved.Acct {
+		if err := c.EnqueueAcct(r); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

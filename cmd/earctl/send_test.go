@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"goear/internal/accounting"
 	"goear/internal/eard"
 	"goear/internal/eardbd"
 )
@@ -27,14 +28,18 @@ func startSendServer(t *testing.T) (*eardbd.Server, string) {
 	return srv, l.Addr().String()
 }
 
-func writeRecords(t *testing.T, recs []eard.JobRecord) string {
+// writeRecords saves recs and acct to a state file, as earsim -acct
+// and eardbd -db write one, and returns its path.
+func writeRecords(t *testing.T, recs []eard.JobRecord, acct ...accounting.Record) string {
 	t.Helper()
-	data, err := json.Marshal(recs)
-	if err != nil {
-		t.Fatal(err)
+	db := eard.NewDB()
+	for _, r := range recs {
+		if err := db.Insert(r); err != nil {
+			t.Fatal(err)
+		}
 	}
-	path := filepath.Join(t.TempDir(), "jobs.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "jobs.db")
+	if err := eardbd.SaveState(path, db, eardbd.Saved{Acct: acct}); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -70,6 +75,36 @@ func TestSendDeliversAll(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "5 enqueued, 5 sent in 3 batch(es)") {
 		t.Errorf("output = %q", out.String())
+	}
+}
+
+// TestSendShipsAccounting: a state file's job accounting records go
+// out with its node reports, so a daemon's file sent onward to another
+// drops nothing; a file of accounting records alone names its node.
+func TestSendShipsAccounting(t *testing.T) {
+	srv, addr := startSendServer(t)
+	acct := []accounting.Record{acctRec(t, "n01", 100), acctRec(t, "n01", 200)}
+	acct[1].StepID = "1"
+	path := writeRecords(t, testRecords(3), acct...)
+
+	var out strings.Builder
+	if err := run([]string{"send", "-addr", addr, "-records", path, "-node", "n01"}, &out); err != nil {
+		t.Fatalf("run: %v\noutput: %s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "5 enqueued, 5 sent") {
+		t.Errorf("output = %q", out.String())
+	}
+	if got := srv.Acct().Snapshot(); len(got) != 2 || got[0] != acct[0] || got[1] != acct[1] {
+		t.Errorf("server holds accounting %+v, want %+v", got, acct)
+	}
+
+	srv2, addr2 := startSendServer(t)
+	out.Reset()
+	if err := run([]string{"send", "-addr", addr2, "-records", writeRecords(t, nil, acct...)}, &out); err != nil {
+		t.Fatalf("run: %v\noutput: %s", err, out.String())
+	}
+	if got := srv2.Acct().Len(); got != 2 {
+		t.Errorf("accounting-only file: server holds %d accounting records, want 2", got)
 	}
 }
 
@@ -226,8 +261,8 @@ func TestSendFlagErrors(t *testing.T) {
 const sendFramesDigest = "66bfed39894f0bfbe3e614beeb9f46a81094ca222344b5e33d5d87b987d6cff0"
 
 // TestSendFramesMatchEardsend pins the move of eardsend into earctl at
-// the wire: for the same records file, earctl send writes byte for
-// byte the frames eardsend did.
+// the wire: for the same five records, read from a state file now,
+// earctl send writes byte for byte the frames eardsend did.
 func TestSendFramesMatchEardsend(t *testing.T) {
 	srv, _ := startSendServer(t)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -262,8 +297,16 @@ func TestSendFramesMatchEardsend(t *testing.T) {
 		got <- cp
 	}()
 
+	blob, err := os.ReadFile("testdata/send_records.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []eard.JobRecord
+	if err := json.Unmarshal(blob, &recs); err != nil {
+		t.Fatal(err)
+	}
 	var out strings.Builder
-	err = run([]string{"send", "-addr", l.Addr().String(), "-records", "testdata/send_records.json",
+	err = run([]string{"send", "-addr", l.Addr().String(), "-records", writeRecords(t, recs),
 		"-node", "n01", "-batch", "2"}, &out)
 	if err != nil {
 		t.Fatalf("send: %v\noutput: %s", err, out.String())

@@ -3,8 +3,10 @@
 // listens on TCP and/or a unix socket for wire-framed record batches,
 // validates and deduplicates them into an in-memory eard.DB, serves
 // snapshot queries (earctl dbd ...), and with -db persists what it
-// acknowledged on shutdown: the records as JSON at that path, the node
-// powers and job accounting records beside it at <path>.state.
+// acknowledged on shutdown to that one file: its records, job
+// accounting records, node powers and generation, as the whole view a
+// federation root reads (eardbd.SaveState), which earctl acct|report
+// read too.
 //
 // With -fed the daemon runs as a federation root instead: a query-only
 // tier over a fleet of shard daemons that merges their snapshots and
@@ -24,17 +26,16 @@
 // ?user=, ?job=, ?since=; page with ?limit= and ?cursor=). Its / lists
 // them all.
 //
-//	eardbd -listen 127.0.0.1:4711 -db /var/lib/ear/jobs.json
+//	eardbd -listen 127.0.0.1:4711 -db /var/lib/ear/shard.db
 //	eardbd -unix /run/eardbd.sock
 //	eardbd -listen 127.0.0.1:4700 -fed 127.0.0.1:4711,127.0.0.1:4712
 //	eardbd -listen 127.0.0.1:4700 -fed ... -cascade 40000 -cascade-interval 10
 //
-// Stop with SIGINT/SIGTERM; both files are written on exit, each
-// through a temporary file renamed into place.
+// Stop with SIGINT/SIGTERM; the -db file is written on exit, through
+// a temporary file renamed into place.
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -78,7 +79,7 @@ func run(args []string, out io.Writer, ready chan<- []string, quit <-chan struct
 	fs := flag.NewFlagSet("eardbd", flag.ContinueOnError)
 	listen := fs.String("listen", "", "TCP listen address (host:port)")
 	unix := fs.String("unix", "", "unix socket path to listen on")
-	dbPath := fs.String("db", "", "JSON accounting database to load and persist")
+	dbPath := fs.String("db", "", "state file to restore at start and save at exit (records, accounting, node powers)")
 	fedShards := fs.String("fed", "", "comma-separated shard TCP endpoints: run as a federation root (query-only)")
 	maxFrame := fs.Int("max-frame", 0, "per-frame payload byte limit (default 1 MiB)")
 	acctRetain := fs.Int("acct-retain", 0, "resident accounting record cap: oldest (job, step) groups are evicted past it (0 = unlimited)")
@@ -99,11 +100,6 @@ func run(args []string, out io.Writer, ready chan<- []string, quit <-chan struct
 	if *traceOn && *telAddr == "" {
 		return fmt.Errorf("-trace serves spans over the telemetry endpoint: pass -telemetry")
 	}
-	// Beside the -db record file, which keeps the format earctl
-	// acct|report and earsim -acct share, goes the rest of what a restart
-	// keeps (eardbd.Saved).
-	statePath := *dbPath + ".state"
-
 	// The telemetry set is built before the server: instrument handles
 	// are resolved in NewServer. The HTTP listener binds here but
 	// serving starts after the service exists, because the mux also
@@ -177,6 +173,12 @@ func run(args []string, out io.Writer, ready chan<- []string, quit <-chan struct
 			if err != nil {
 				return err
 			}
+			// The ticker panics on a period of 0 ns or less, which a tiny
+			// interval rounds to and an out-of-range one can convert to.
+			period := time.Duration(casc.Interval() * float64(time.Second))
+			if period <= 0 {
+				return fmt.Errorf("-cascade-interval %g s has no ticker period", casc.Interval())
+			}
 			fmt.Fprintf(out, "eardbd: cascaded eargm over %d islands, budget %.0f W, interval %.0fs\n",
 				len(islands), *cascadeBudget, casc.Interval())
 			stop := make(chan struct{})
@@ -187,7 +189,7 @@ func run(args []string, out io.Writer, ready chan<- []string, quit <-chan struct
 				// The controller's logical clock accumulates the control
 				// period per tick, so a run's ratchet trace depends only
 				// on the observed powers, never on wall time.
-				tick := time.NewTicker(time.Duration(casc.Interval() * float64(time.Second)))
+				tick := time.NewTicker(period)
 				defer tick.Stop()
 				now := 0.0
 				for {
@@ -211,34 +213,24 @@ func run(args []string, out io.Writer, ready chan<- []string, quit <-chan struct
 		}
 	} else {
 		db = eard.NewDB()
+		var saved eardbd.Saved
 		if *dbPath != "" {
-			loaded, err := eard.LoadFile(*dbPath)
+			loaded, sv, err := eardbd.LoadState(*dbPath)
 			switch {
 			case errors.Is(err, os.ErrNotExist):
 				// First boot: the file appears at shutdown.
 			case err != nil:
 				return err
 			default:
-				db = loaded
-				fmt.Fprintf(out, "eardbd: loaded %d records from %s\n", db.Len(), *dbPath)
+				db, saved = loaded, sv
+				fmt.Fprintf(out, "eardbd: loaded %d records, %d node powers and %d accounting records from %s\n",
+					db.Len(), len(saved.Powers), len(saved.Acct), *dbPath)
 			}
 		}
 		srv = eardbd.NewServer(db, eardbd.Config{MaxFramePayload: *maxFrame, AcctMaxRecords: *acctRetain, Telemetry: telSet, Trace: traceBuf, Now: wallSec})
 		svc = srv
-		if *dbPath != "" {
-			saved, err := loadState(statePath)
-			switch {
-			case errors.Is(err, os.ErrNotExist):
-				// First boot, or a record file earsim wrote: nothing beside it yet.
-			case err != nil:
-				return err
-			default:
-				if err := srv.Restore(saved); err != nil {
-					return err
-				}
-				fmt.Fprintf(out, "eardbd: restored %d node powers and %d accounting records from %s\n",
-					len(saved.Powers), len(saved.Acct), statePath)
-			}
+		if err := srv.Restore(saved); err != nil {
+			return err
 		}
 	}
 
@@ -314,34 +306,13 @@ func run(args []string, out io.Writer, ready chan<- []string, quit <-chan struct
 	}
 
 	if *dbPath != "" {
-		if err := db.SaveFile(*dbPath); err != nil {
+		saved := srv.Saved()
+		if err := eardbd.SaveState(*dbPath, db, saved); err != nil {
 			return err
 		}
 		st := srv.Stats()
-		fmt.Fprintf(out, "eardbd: saved %d records to %s (%d batches, %d accepted, %d duplicate, %d replaced)\n",
-			db.Len(), *dbPath, st.Batches, st.RecordsAccepted, st.RecordsDuplicate, st.RecordsReplaced)
-		saved := srv.Saved()
-		err := eard.WriteFile(statePath, func(w io.Writer) error { return json.NewEncoder(w).Encode(saved) })
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "eardbd: saved %d node powers and %d accounting records to %s\n",
-			len(saved.Powers), len(saved.Acct), statePath)
+		fmt.Fprintf(out, "eardbd: saved %d records, %d node powers and %d accounting records to %s (%d batches, %d accepted, %d duplicate, %d replaced)\n",
+			db.Len(), len(saved.Powers), len(saved.Acct), *dbPath, st.Batches, st.RecordsAccepted, st.RecordsDuplicate, st.RecordsReplaced)
 	}
 	return firstErr
-}
-
-// loadState reads the state a previous run saved; a missing file is an
-// error satisfying errors.Is(err, os.ErrNotExist), which a first boot
-// treats as an empty state.
-func loadState(path string) (eardbd.Saved, error) {
-	var saved eardbd.Saved
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return saved, err
-	}
-	if err := json.Unmarshal(blob, &saved); err != nil {
-		return saved, fmt.Errorf("decode %s: %w", path, err)
-	}
-	return saved, nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"net"
 	"os"
 	"path/filepath"
@@ -67,9 +68,11 @@ func sendBatch(t *testing.T, addr string, b wire.Batch) {
 
 // TestDaemonLifecycleWithPersistence: what the daemon acknowledged, it
 // still serves after a restart — the records, every node's last
-// reported power and the job accounting records, byte for byte.
+// reported power and the job accounting records, byte for byte — from
+// the one file it wrote.
 func TestDaemonLifecycleWithPersistence(t *testing.T) {
-	dbFile := filepath.Join(t.TempDir(), "jobs.json")
+	dir := t.TempDir()
+	dbFile := filepath.Join(dir, "shard.db")
 	addr, stop := startDaemon(t, "-db", dbFile)
 
 	acct := make([]accounting.Record, 2)
@@ -116,16 +119,15 @@ func TestDaemonLifecycleWithPersistence(t *testing.T) {
 		t.Fatalf("aggregate before the restart = %s", before[0])
 	}
 	out := stop()
-	for _, want := range []string{"saved 2 records", "saved 2 node powers and 2 accounting records"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("shutdown output missing %q:\n%s", want, out)
-		}
+	if want := "saved 2 records, 2 node powers and 2 accounting records to " + dbFile; !strings.Contains(out, want) {
+		t.Errorf("shutdown output missing %q:\n%s", want, out)
 	}
-	if left, _ := filepath.Glob(dbFile + "*.tmp"); len(left) != 0 {
-		t.Errorf("temporary files left beside the database: %v", left)
+	// One file: no F.state beside it, and no temporary file left.
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 || entries[0].Name() != "shard.db" {
+		t.Errorf("the daemon left %v (%v), want shard.db alone", entries, err)
 	}
 
-	// A restarted daemon loads both files and serves what it did before.
+	// A restarted daemon loads the file and serves what it did before.
 	addr2, stop2 := startDaemon(t, "-db", dbFile)
 	after := read(addr2)
 	for i, kind := range []string{"aggregate", "node_powers", "acct_jobs"} {
@@ -134,10 +136,8 @@ func TestDaemonLifecycleWithPersistence(t *testing.T) {
 		}
 	}
 	out2 := stop2()
-	for _, want := range []string{"loaded 2 records", "restored 2 node powers and 2 accounting records"} {
-		if !strings.Contains(out2, want) {
-			t.Errorf("restart output missing %q:\n%s", want, out2)
-		}
+	if want := "loaded 2 records, 2 node powers and 2 accounting records from " + dbFile; !strings.Contains(out2, want) {
+		t.Errorf("restart output missing %q:\n%s", want, out2)
 	}
 }
 
@@ -232,24 +232,42 @@ func TestFederationRootDaemon(t *testing.T) {
 	}
 }
 
-// TestNegativeCascadeBudgetRefused: a negative -cascade budget reaches
-// the cascade's validation instead of leaving a plain root serving.
-func TestNegativeCascadeBudgetRefused(t *testing.T) {
+// refusedAtStart runs a root with args and checks that it refuses to
+// start with an error containing want.
+func refusedAtStart(t *testing.T, want string, args ...string) {
+	t.Helper()
 	var out strings.Builder
 	ready, quit, done := make(chan []string, 1), make(chan struct{}), make(chan error, 1)
 	go func() {
-		done <- run([]string{"-listen", "127.0.0.1:0", "-fed", "a:1", "-cascade", "-5"}, &out, ready, quit)
+		done <- run(append([]string{"-listen", "127.0.0.1:0", "-fed", "a:1"}, args...), &out, ready, quit)
 	}()
 	select {
 	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "budget must be positive") {
-			t.Errorf("run = %v, want the cascade's budget error", err)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%v: run = %v, want an error containing %q", args, err, want)
 		}
 	case <-ready:
 		close(quit)
 		<-done
-		t.Error("a negative cascade budget started a root without a cascade")
+		t.Errorf("%v started a root", args)
 	}
+}
+
+// TestNegativeCascadeBudgetRefused: a negative -cascade budget reaches
+// the cascade's validation instead of leaving a plain root serving.
+func TestNegativeCascadeBudgetRefused(t *testing.T) {
+	refusedAtStart(t, "budget must be positive", "-cascade", "-5")
+}
+
+// TestUnusableCascadeRefused: a budget or a control period the cascade
+// cannot run on is refused at start. NaN passed every x <= 0 check, and
+// a period that rounds to no ticker period panicked at the first tick.
+func TestUnusableCascadeRefused(t *testing.T) {
+	refusedAtStart(t, "budget must be positive and finite", "-cascade", "NaN")
+	refusedAtStart(t, "budget must be positive and finite", "-cascade", "+Inf")
+	refusedAtStart(t, "interval must be positive and finite", "-cascade", "1000", "-cascade-interval", "NaN")
+	refusedAtStart(t, "interval must be positive and finite", "-cascade", "1000", "-cascade-interval", "+Inf")
+	refusedAtStart(t, "has no ticker period", "-cascade", "1000", "-cascade-interval", "1e-12")
 }
 
 func TestDaemonFlagErrors(t *testing.T) {
@@ -272,20 +290,27 @@ func TestDaemonFlagErrors(t *testing.T) {
 	if err := run([]string{"-listen", "127.0.0.1:0", "-trace"}, &out, nil, nil); err == nil {
 		t.Error("-trace without -telemetry accepted")
 	}
-	bad := filepath.Join(t.TempDir(), "corrupt.json")
-	if err := os.WriteFile(bad, []byte("not json"), 0o644); err != nil {
+	bad := filepath.Join(t.TempDir(), "corrupt.db")
+	if err := os.WriteFile(bad, []byte("EARW"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := run([]string{"-listen", "127.0.0.1:0", "-db", bad}, &out, nil, nil); err == nil {
 		t.Error("corrupt db file accepted")
 	}
-	good := filepath.Join(t.TempDir(), "jobs.json")
-	for path, content := range map[string]string{good: "[]", good + ".state": "not json"} {
+	// A record file and state pair in the JSON a build before the wire
+	// state file wrote is refused at boot, naming the file.
+	dir := t.TempDir()
+	old := filepath.Join(dir, "jobs.json")
+	for path, content := range map[string]string{
+		old:                                   `[{"job_id":"j1","step_id":"0","node":"n01","time_sec":10,"energy_j":3000}]`,
+		filepath.Join(dir, "jobs.json.state"): `{"node_powers":[{"node":"n01","power_w":300}],"acct":[]}`,
+	} {
 		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := run([]string{"-listen", "127.0.0.1:0", "-db", good}, &out, nil, nil); err == nil {
-		t.Error("corrupt state file accepted")
+	err := run([]string{"-listen", "127.0.0.1:0", "-db", old}, &out, nil, nil)
+	if !errors.Is(err, wire.ErrMagic) || !strings.Contains(err.Error(), old) {
+		t.Errorf("old JSON state file: run = %v, want it refused with %v, naming %s", err, wire.ErrMagic, old)
 	}
 }

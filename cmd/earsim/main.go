@@ -9,7 +9,7 @@
 //	earsim -workload HPCG -policy min_energy -cpu-th 0.05 -runs 3
 //	earsim -workload BT-MZ.C -pin-uncore 1.8
 //	earsim -workload GROMACS(I) -policy min_energy_eufs -not-guided
-//	earsim -workload HPCG -policy min_energy_eufs -acct jobs.json -job j42
+//	earsim -workload HPCG -policy min_energy_eufs -acct jobs.db -job j42
 //	earsim -workload BT-MZ.C -nodes 4096 -powercap 1.1e6
 package main
 
@@ -27,6 +27,7 @@ import (
 	"goear/internal/cpu"
 	"goear/internal/earconf"
 	"goear/internal/eard"
+	"goear/internal/eardbd"
 	"goear/internal/eargm"
 	"goear/internal/experiments"
 	"goear/internal/model"
@@ -58,7 +59,7 @@ func run(args []string, out io.Writer) error {
 		pinCPU    = fs.Int("pin-cpu-pstate", -1, "pin the CPU pstate (disables DVFS)")
 		pinUnc    = fs.Float64("pin-uncore", 0, "pin the uncore frequency in GHz (0 = hardware UFS)")
 		modelPath = fs.String("model", "", "energy-model JSON from earctl learn (default: train in-process)")
-		acctPath  = fs.String("acct", "", "accounting database JSON to append the run to")
+		acctPath  = fs.String("acct", "", "accounting state file to append the run's node records to (the file eardbd -db and earctl acct read)")
 		jobID     = fs.String("job", "job0", "job id for accounting")
 		tracePath = fs.String("trace", "", "write node 0's 1 Hz time series (power, frequencies, CPI) as CSV")
 		specPath  = fs.String("spec", "", "JSON workload definition to run instead of a catalogue entry")
@@ -149,6 +150,9 @@ func run(args []string, out io.Writer) error {
 	}
 	if v := *pinUnc; v < 0 || math.IsNaN(v) || math.IsInf(v, 1) {
 		return fmt.Errorf("-pin-uncore must be 0 or a finite positive GHz value (got %v)", *pinUnc)
+	}
+	if v := *powercapW; v < 0 || math.IsNaN(v) || math.IsInf(v, 1) {
+		return fmt.Errorf("-powercap must be 0 or a finite positive budget in watts (got %v)", *powercapW)
 	}
 	var spec workload.Spec
 	var err error
@@ -294,7 +298,7 @@ func printResult(out io.Writer, label string, r sim.Result) {
 }
 
 func appendAccounting(path, jobID string, r sim.Result) error {
-	db, err := eard.LoadFile(path)
+	db, saved, err := eardbd.LoadState(path)
 	if errors.Is(err, os.ErrNotExist) {
 		db, err = eard.NewDB(), nil // first run into this file
 	}
@@ -312,5 +316,5 @@ func appendAccounting(path, jobID string, r sim.Result) error {
 			return err
 		}
 	}
-	return db.SaveFile(path)
+	return eardbd.SaveState(path, db, saved)
 }

@@ -3,12 +3,14 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
-	"goear/internal/eard"
+	"goear/internal/eardbd"
 	"goear/internal/policy"
+	"goear/internal/wire"
 )
 
 func TestBaselineRun(t *testing.T) {
@@ -137,7 +139,7 @@ func TestPolicyUsageNamesEveryPolicy(t *testing.T) {
 
 func TestAccountingFlow(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "jobs.json")
+	path := filepath.Join(dir, "jobs.db")
 	var b strings.Builder
 	err := run([]string{
 		"-workload", "BT-MZ.C", "-runs", "1", "-acct", path, "-job", "j7",
@@ -145,13 +147,8 @@ func TestAccountingFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(path)
+	db, _, err := eardbd.LoadState(path)
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	db := eard.NewDB()
-	if err := db.Load(f); err != nil {
 		t.Fatal(err)
 	}
 	sum, err := db.Summarize("j7", "0")
@@ -161,23 +158,26 @@ func TestAccountingFlow(t *testing.T) {
 	if sum.Nodes != 1 || sum.EnergyJ <= 0 {
 		t.Errorf("accounting summary = %+v", sum)
 	}
-	// Appending a second job keeps the first.
+	// Appending a second job keeps the first, and what a daemon saved
+	// beside the records.
+	kept := eardbd.Saved{Powers: []wire.NodePower{{Node: "n01", PowerW: 250}}, Gen: 4}
+	if err := eardbd.SaveState(path, db, kept); err != nil {
+		t.Fatal(err)
+	}
 	if err := run([]string{
 		"-workload", "BT-MZ.C", "-runs", "1", "-acct", path, "-job", "j8",
 	}, &b); err != nil {
 		t.Fatal(err)
 	}
-	db2 := eard.NewDB()
-	f2, err := os.Open(path)
+	db2, saved, err := eardbd.LoadState(path)
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer f2.Close()
-	if err := db2.Load(f2); err != nil {
 		t.Fatal(err)
 	}
 	if len(db2.Jobs()) != 2 {
 		t.Errorf("jobs = %v, want 2", db2.Jobs())
+	}
+	if !reflect.DeepEqual(saved, kept) {
+		t.Errorf("appending a run rewrote the saved state %+v as %+v", kept, saved)
 	}
 }
 
@@ -258,6 +258,13 @@ func TestPowercapFlag(t *testing.T) {
 	out := b.String()
 	if !strings.Contains(out, "powercapped") || !strings.Contains(out, "final cap p") {
 		t.Errorf("powercap output missing: %s", out)
+	}
+	// A budget is 0 (unmanaged) or finite and positive; NaN once ran
+	// unmanaged without a word.
+	for _, v := range []string{"NaN", "+Inf", "-Inf", "-300"} {
+		if err := run([]string{"-workload", "BT-MZ.C", "-powercap", v, "-runs", "1"}, &b); err == nil {
+			t.Errorf("-powercap %s: expected error", v)
+		}
 	}
 }
 

@@ -3,12 +3,12 @@
 // the per-application runtime library (EARL, package earl) and a
 // privileged node daemon that records per-job energy accounting and
 // serves it to the cluster database. This package provides that
-// accounting: job records keyed by (job, step, node), aggregation across
-// nodes, and JSON persistence.
+// accounting: job records keyed by (job, step, node) and aggregation
+// across nodes. A daemon's state file holds them in the wire format
+// (eardbd.SaveState), written through WriteFile.
 package eard
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -58,9 +58,9 @@ func (r JobRecord) Validate() error {
 	return nil
 }
 
-// DB is an in-memory accounting database with JSON persistence: the
-// shared grouped store keyed by (job, step) and node, behind a lock,
-// with validation on the way in.
+// DB is an in-memory accounting database: the shared grouped store
+// keyed by (job, step) and node, behind a lock, with validation on the
+// way in.
 type DB struct {
 	mu   sync.RWMutex
 	recs *grouped.Store[JobRecord, string]
@@ -176,8 +176,8 @@ func (db *DB) Jobs() [][2]string {
 }
 
 // Records returns every stored record sorted by (job, step, node):
-// the canonical dump order shared by Save and the federation tier's
-// shard merges.
+// the canonical dump order shared by state files and the federation
+// tier's shard merges.
 func (db *DB) Records() []JobRecord {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -219,33 +219,6 @@ func (db *DB) Clone() *DB {
 	return &DB{recs: db.recs.Clone()}
 }
 
-// Save writes the database as JSON.
-func (db *DB) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(db.Records())
-}
-
-// LoadFile returns the database saved at path. A missing file is an
-// error satisfying errors.Is(err, fs.ErrNotExist), which first-boot
-// callers treat as an empty database.
-func LoadFile(path string) (*DB, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = f.Close() }() // read-only: nothing to lose
-	db := NewDB()
-	if err := db.Load(f); err != nil {
-		return nil, err
-	}
-	return db, nil
-}
-
-// SaveFile writes the database to path as Save does, replacing the
-// file the way WriteFile does.
-func (db *DB) SaveFile(path string) error { return WriteFile(path, db.Save) }
-
 // WriteFile replaces the file at path with what write produces, through
 // a temporary file beside it that is synced and then renamed over path:
 // a crash mid-save leaves the previous file intact and loadable.
@@ -269,23 +242,4 @@ func WriteFile(path string, write func(io.Writer) error) error {
 		_ = os.Remove(tmp) // the write's error is the one to report
 	}
 	return err
-}
-
-// Load replaces the database contents from JSON produced by Save.
-func (db *DB) Load(r io.Reader) error {
-	var recs []JobRecord
-	if err := json.NewDecoder(r).Decode(&recs); err != nil {
-		return fmt.Errorf("eard: decode: %w", err)
-	}
-	fresh := newRecords()
-	for i := range recs {
-		if err := recs[i].Validate(); err != nil {
-			return err
-		}
-		fresh.Insert(&recs[i])
-	}
-	db.mu.Lock()
-	db.recs = fresh
-	db.mu.Unlock()
-	return nil
 }

@@ -1,15 +1,10 @@
 package eard
 
 import (
-	"bytes"
 	"cmp"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -224,39 +219,6 @@ func TestJobsSorted(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	db := NewDB()
-	for i := 0; i < 3; i++ {
-		if err := db.Insert(rec("j1", "s0", fmt.Sprintf("n%d", i), float64(1000+i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back := NewDB()
-	if err := back.Load(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != 3 {
-		t.Errorf("loaded %d records, want 3", back.Len())
-	}
-	if got := back.Job("j1", "s0")[1].EnergyJ; got != 1001 {
-		t.Errorf("loaded energy = %v", got)
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	db := NewDB()
-	if err := db.Load(strings.NewReader("not json")); err == nil {
-		t.Error("expected decode error")
-	}
-	if err := db.Load(strings.NewReader(`[{"job_id":"","node":"","time_sec":0}]`)); err == nil {
-		t.Error("expected validation error")
-	}
-}
-
 func TestConcurrentInsertAndRead(t *testing.T) {
 	db := NewDB()
 	var wg sync.WaitGroup
@@ -366,49 +328,5 @@ func TestJobLookup(t *testing.T) {
 	}
 	if got := db.Job("j1", "1"); len(got) != 0 {
 		t.Errorf("Job matched a different step: %+v", got)
-	}
-}
-
-func TestFileRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "jobs.json")
-	if _, err := LoadFile(path); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("missing file: err = %v, want ErrNotExist", err)
-	}
-	db := NewDB()
-	rec := JobRecord{JobID: "j1", StepID: "0", Node: "n01", App: "x", TimeSec: 10, EnergyJ: 3000, AvgPower: 300}
-	if err := db.Insert(rec); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := back.Records(); len(got) != 1 || got[0] != rec {
-		t.Errorf("round trip = %+v, want %+v", got, rec)
-	}
-	// A save that dies part-way leaves the previous file loadable and
-	// nothing else behind.
-	torn := errors.New("killed mid-save")
-	err = WriteFile(path, func(w io.Writer) error {
-		_, _ = io.WriteString(w, `[{"job_id":"j1","st`)
-		return torn
-	})
-	if !errors.Is(err, torn) {
-		t.Fatalf("WriteFile = %v, want the write's error", err)
-	}
-	if back, err = LoadFile(path); err != nil || back.Len() != 1 {
-		t.Errorf("after a torn save: %v, want the previous file intact", err)
-	}
-	if left, _ := filepath.Glob(path + ".*"); len(left) != 0 {
-		t.Errorf("torn save left %v behind", left)
-	}
-	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadFile(path); err == nil {
-		t.Error("corrupt file loaded")
 	}
 }

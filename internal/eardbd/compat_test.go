@@ -2,7 +2,6 @@ package eardbd
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -18,8 +17,8 @@ import (
 
 // The compatibility corpus (testdata/compat) holds what one build wrote
 // for every later one to read: a frame of every batch, query and result
-// kind, a spill journal whose last frame a crash cut short, and the two
-// files `eardbd -db F` writes (F and F.state). A later build must read
+// kind, a spill journal whose last frame a crash cut short, and the
+// state file `eardbd -db F` writes. A later build must read
 // each file, or refuse it with the error refused names. A format change
 // adds files under new names and never edits the old ones. A file this
 // build writes and the corpus lacks is written by TestCompatCorpus,
@@ -32,10 +31,13 @@ const compatDir = "testdata/compat"
 // drops a format lists its files here. The records and acct_records
 // dumps are retired kinds: changes from zero carries both, and their
 // kind bytes are not reused. Their queries still decode, since a query
-// names its kind as a string.
+// names its kind as a string. The JSON record file and its .state
+// sidecar were the -db pair before the state file: neither is a frame.
 var refused = map[string]error{
 	"result-records.frame":      wire.ErrPayload,
 	"result-acct_records.frame": wire.ErrPayload,
+	"state.json":                wire.ErrMagic,
+	"state.json.state":          wire.ErrMagic,
 }
 
 // compatAckID is the batch the corpus's ack frame acknowledges.
@@ -122,23 +124,22 @@ func compatCorpus(t *testing.T) map[string][]byte {
 		}
 		frame("result-"+name+".frame", wire.Frame{Type: wire.TypeResult, Payload: payload})
 	}
-	var db bytes.Buffer
-	if err := srv.DB().Save(&db); err != nil {
+	state := filepath.Join(t.TempDir(), "state.db")
+	if err := SaveState(state, srv.DB(), srv.Saved()); err != nil { // as eardbd -db writes it
 		t.Fatal(err)
 	}
-	files["state.json"] = db.Bytes()
-	var state bytes.Buffer
-	if err := json.NewEncoder(&state).Encode(srv.Saved()); err != nil { // as eardbd -db writes it
+	data, err := os.ReadFile(state)
+	if err != nil {
 		t.Fatal(err)
 	}
-	files["state.json.state"] = state.Bytes()
+	files["state.db"] = data
 	return files
 }
 
 // readCompat reads one corpus file as the build reads its kind: a
 // frame decoded by its type and, for a result, its kind; a journal
-// opened, from a copy, since opening rewrites a torn one; a state file
-// pair loaded and restored as `eardbd -db` boots from it.
+// opened, from a copy, since opening rewrites a torn one; anything else
+// loaded and restored as the state file `eardbd -db` boots from.
 func readCompat(t *testing.T, name string) error {
 	path := filepath.Join(compatDir, name)
 	data, err := os.ReadFile(path)
@@ -158,21 +159,12 @@ func readCompat(t *testing.T, name string) error {
 			err = fmt.Errorf("loaded %d batches, want the %d whole ones", j.Len(), len(compatBatches())-1)
 		}
 		return err
-	case strings.HasSuffix(name, ".state"):
-		return nil // read with its pair
 	default:
-		db, err := eard.LoadFile(path)
+		db, sv, err := LoadState(path)
 		if err != nil {
 			return err
 		}
-		var sv Saved
-		state, err := os.ReadFile(path + ".state")
-		if err == nil {
-			err = json.Unmarshal(state, &sv)
-		}
-		if err == nil {
-			err = NewServer(db, Config{}).Restore(sv)
-		}
+		err = NewServer(db, Config{}).Restore(sv)
 		if err == nil && (db.Len() == 0 || len(sv.Powers) == 0 || len(sv.Acct) == 0 || sv.Gen == 0) {
 			err = fmt.Errorf("restored %d records, %d powers, %d accounting records at generation %d: want some of each",
 				db.Len(), len(sv.Powers), len(sv.Acct), sv.Gen)

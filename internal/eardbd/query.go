@@ -31,11 +31,7 @@ func queryCtx(conn net.Conn, q wire.Query, maxPayload int, tc trace.Context) (wi
 	if err := wire.WriteFrame(conn, qf, maxPayload); err != nil {
 		return wire.Result{}, err
 	}
-	resp, err := wire.ReadFrame(conn, maxPayload)
-	if err != nil {
-		return wire.Result{}, err
-	}
-	return resultOf(resp)
+	return resultOf(wire.ReadFrame(conn, maxPayload))
 }
 
 // SendQuery and ReadResult are queryCtx's two halves over a
@@ -49,20 +45,20 @@ func SendQuery(c *wire.Conn, q wire.Query, tc trace.Context) error {
 // ReadResult reads the reply to a query SendQuery sent. The result's
 // body is c's read buffer: valid until c's next read and no longer.
 func ReadResult(c *wire.Conn) (wire.Result, error) {
-	resp, err := c.Read()
-	if err != nil {
-		return wire.Result{}, err
-	}
-	return resultOf(resp)
+	return resultOf(c.Read())
 }
 
 // ErrServer marks a server's error frame, come back as an error: the
 // query was answered — refused — over a connection that is sound.
 var ErrServer = errors.New("eardbd: server")
 
-// resultOf reads the reply to a query: a result, or the server's error
-// frame as an error wrapping ErrServer.
-func resultOf(resp wire.Frame) (wire.Result, error) {
+// resultOf reads the reply to a query as a read returned it: a result,
+// the read's error, or the server's error frame as an error wrapping
+// ErrServer.
+func resultOf(resp wire.Frame, err error) (wire.Result, error) {
+	if err != nil {
+		return wire.Result{}, err
+	}
 	switch resp.Type {
 	case wire.TypeResult:
 		return resp.AsResult()

@@ -15,7 +15,11 @@
 package eardbd
 
 import (
+	"errors"
 	"fmt"
+	"io"
+	"math"
+	"os"
 	"sync"
 
 	"goear/internal/accounting"
@@ -467,12 +471,11 @@ func (s *Server) setPower(node string, w float64) bool {
 // not kept: a batch redelivered to a restarted daemon is deduplicated
 // record by record against the stores. The generation is, so a
 // restarted daemon never answers one it has answered with other
-// contents: a root's cached view is keyed by it. Files written before it
-// was kept have none and restore as they did.
+// contents: a root's cached view is keyed by it.
 type Saved struct {
-	Powers []wire.NodePower    `json:"node_powers"`
-	Acct   []accounting.Record `json:"acct"`
-	Gen    uint64              `json:"generation,omitempty"`
+	Powers []wire.NodePower
+	Acct   []accounting.Record
+	Gen    uint64
 }
 
 // Saved captures the server's restart state, once it has stopped
@@ -484,14 +487,17 @@ func (s *Server) Saved() Saved {
 }
 
 // Restore loads a captured state, as a daemon booting over its
-// persisted files does, without counting any of it as fresh ingest, and
+// persisted file does, without counting any of it as fresh ingest, and
 // continues the generation from the saved one, every part stamped with
-// it. It refuses a state holding a record a batch could not have
-// delivered.
+// it. It refuses a state holding a record or a power a batch could not
+// have delivered.
 func (s *Server) Restore(sv Saved) error {
 	for _, np := range sv.Powers {
-		if np.Node == "" {
+		switch {
+		case np.Node == "":
 			return fmt.Errorf("eardbd: restore: node power %g W has no node", np.PowerW)
+		case math.IsNaN(np.PowerW) || math.IsInf(np.PowerW, 0):
+			return fmt.Errorf("eardbd: restore: node %s power %g W is not finite", np.Node, np.PowerW)
 		}
 	}
 	for _, r := range sv.Acct {
@@ -514,6 +520,71 @@ func (s *Server) Restore(sv Saved) error {
 	s.dropped, s.evicted = gen, s.acct.Evicted()
 	return nil
 }
+
+// SaveState writes db and sv to path as a state file — the whole view a
+// root reads on a cold miss: a changes result from zero, then the
+// generation, every part stamped with sv's — in one rename
+// (eard.WriteFile): a crash mid-save leaves the previous file whole.
+func SaveState(path string, db *eard.DB, sv Saved) error {
+	return eard.WriteFile(path, func(w io.Writer) error {
+		c := wire.Conn{MaxPayload: math.MaxInt32}
+		c.Reset(writeEnd{w})
+		err := c.Send(wire.TypeResult, trace.Context{}, c.AppendChanges(c.Body(), &wire.Changes{DB: db, Acct: sv.Acct, Powers: sv.Powers}))
+		if err != nil {
+			return err
+		}
+		g := wire.Generation{Gen: sv.Gen, Records: sv.Gen, Acct: sv.Gen, Powers: sv.Gen}
+		return c.Send(wire.TypeResult, trace.Context{}, wire.AppendGeneration(c.Body(), g))
+	})
+}
+
+// LoadState reads the state file at path: the node reports through
+// DB.Insert, which validates each, and the rest as a Saved for Restore.
+// A missing file is an error satisfying errors.Is(err, os.ErrNotExist).
+// A frame larger than the file, and a file that is not exactly the two
+// frames — fewer, torn, followed by more bytes, not frames — is refused.
+func LoadState(path string) (*eard.DB, Saved, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, Saved{}, err
+	}
+	defer func() { _ = f.Close() }() // read-only: nothing to lose
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, Saved{}, err
+	}
+	c := wire.Conn{MaxPayload: int(min(fi.Size(), math.MaxInt32))}
+	c.Reset(f)
+	db, sv := eard.NewDB(), Saved{}
+	res, err := resultOf(c.Read())
+	if err == nil {
+		err = res.EachChange(db.Insert,
+			func(r accounting.Record) error { sv.Acct = append(sv.Acct, r); return nil },
+			func(np wire.NodePower) error { sv.Powers = append(sv.Powers, np); return nil })
+	}
+	var g wire.Generation
+	if err == nil {
+		res, err = resultOf(c.Read())
+	}
+	if err == nil {
+		g, err = res.Generation()
+	}
+	if err == nil {
+		if _, rerr := c.Read(); !errors.Is(rerr, io.EOF) {
+			err = fmt.Errorf("%w: bytes follow the generation", wire.ErrPayload)
+		}
+	}
+	if err != nil {
+		return nil, Saved{}, fmt.Errorf("eardbd: state %s: %w", path, err)
+	}
+	sv.Gen = g.Gen
+	return db, sv, nil
+}
+
+// writeEnd is the file SaveState writes, as a transport never read.
+type writeEnd struct{ io.Writer }
+
+func (writeEnd) Read([]byte) (int, error) { return 0, io.EOF }
 
 // rejectBatch counts and reports a permanent (non-retryable) batch
 // rejection while keeping the connection open.

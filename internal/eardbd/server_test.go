@@ -3,13 +3,16 @@ package eardbd
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -643,10 +646,10 @@ func TestGenerationCoversNodePowers(t *testing.T) {
 	}
 }
 
-// TestRestoreContinuesGeneration: a restored server answers the
-// generation its state was saved at and counts on from there, so it
-// never answers one it has answered with other contents; a state file
-// written before the generation was kept restores as it did.
+// TestRestoreContinuesGeneration: a server restored from the state file
+// another saved answers the generation that state was saved at and
+// counts on from there, so it never answers one it has answered with
+// other contents.
 func TestRestoreContinuesGeneration(t *testing.T) {
 	srv := NewServer(eard.NewDB(), Config{})
 	conn, err := srv.Dial()
@@ -660,36 +663,185 @@ func TestRestoreContinuesGeneration(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	blob, err := json.Marshal(srv.Saved())
-	if err != nil {
+	path := filepath.Join(t.TempDir(), "shard.db")
+	if err := SaveState(path, srv.DB(), srv.Saved()); err != nil {
 		t.Fatal(err)
 	}
-	var sv Saved
-	if err := json.Unmarshal(blob, &sv); err != nil || sv.Gen != 3 {
-		t.Fatalf("saved %s (%v), want generation 3", blob, err)
+	db, sv, err := LoadState(path)
+	if err != nil || sv.Gen != 3 {
+		t.Fatalf("loaded %+v (%v), want generation 3", sv, err)
 	}
-	back := NewServer(srv.DB(), Config{})
+	back := NewServer(db, Config{})
+	t.Cleanup(func() { _ = back.Close() })
 	if err := back.Restore(sv); err != nil {
 		t.Fatal(err)
 	}
-	if gen, _ := back.Generation(nil); gen.Gen != 3 {
-		t.Errorf("restored at generation %d, want the saved 3", gen)
+	if gen, _ := back.Generation(nil); gen != (wire.Generation{Gen: 3, Records: 3, Acct: 3, Powers: 3}) {
+		t.Errorf("restored at generation %+v, want the saved 3 on every part", gen)
+	}
+	conn, err = back.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sendAcked(t, back, conn, wire.Batch{ID: "n01/4", Node: "n01", Records: []eard.JobRecord{rec("4", "0", "n01", 100)}})
+	if gen, _ := back.Generation(nil); gen.Gen != 4 {
+		t.Errorf("the first batch after the restore moved the generation to %d, want 4", gen.Gen)
+	}
+}
+
+// TestRestoreRefusesNonFinitePower: a state carrying a power no batch
+// could have delivered is refused, not fed to the aggregate and EARGM.
+// A state file carries a power's raw bits, so NaN and ±Inf can reach a
+// restore; a negative power, which a batch can deliver, is restored.
+func TestRestoreRefusesNonFinitePower(t *testing.T) {
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		srv := NewServer(eard.NewDB(), Config{})
+		err := srv.Restore(Saved{Powers: []wire.NodePower{{Node: "n01", PowerW: 250}, {Node: "n02", PowerW: w}}})
+		if err == nil {
+			t.Errorf("a node power of %g W restored: EARGM is fed %v", w, srv.NodePowers())
+		}
+	}
+	srv := NewServer(eard.NewDB(), Config{})
+	if err := srv.Restore(Saved{Powers: []wire.NodePower{{Node: "n01", PowerW: -5}}}); err != nil {
+		t.Errorf("a negative node power refused: %v", err)
+	}
+}
+
+// TestStateSaveLoadRoundTrip: a state file reads back as exactly the
+// records and Saved it was written from.
+func TestStateSaveLoadRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "shard.db")
+	db := eard.NewDB()
+	for i := 0; i < 3; i++ {
+		if err := db.Insert(rec("j1", "s0", fmt.Sprintf("n%d", i), float64(1000+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sv := Saved{
+		Powers: []wire.NodePower{{Node: "n0", PowerW: 250.5}, {Node: "n1", PowerW: -0.0}, {Node: "n2", PowerW: 260}},
+		Acct: []accounting.Record{{
+			V: accounting.CodecVersion, JobID: "j1", StepID: "s0", User: "alice", Node: "n0",
+			StartSec: 0, EndSec: 60, PkgJ: 600, NodeJ: 1000,
+		}},
+		Gen: 7,
+	}
+	if err := SaveState(path, db, sv); err != nil {
+		t.Fatal(err)
+	}
+	back, got, err := LoadState(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, sv) || !reflect.DeepEqual(back.Records(), db.Records()) {
+		t.Errorf("round trip = %+v and %+v, want %+v and %+v", got, back.Records(), sv, db.Records())
+	}
+	if math.Signbit(got.Powers[1].PowerW) != math.Signbit(sv.Powers[1].PowerW) {
+		t.Error("a power's sign bit was lost")
+	}
+}
+
+// TestStateFileRoundTrip: a missing state file is os.ErrNotExist, a
+// saved one loads, and a save that dies part-way leaves the previous
+// file loadable and nothing beside it.
+func TestStateFileRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "shard.db")
+	if _, _, err := LoadState(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("missing file: err = %v, want ErrNotExist", err)
+	}
+	db := eard.NewDB()
+	r := rec("j1", "0", "n01", 3000)
+	if err := db.Insert(r); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveState(path, db, Saved{}); err != nil {
+		t.Fatal(err)
+	}
+	back, _, err := LoadState(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := back.Records(); len(got) != 1 || got[0] != r {
+		t.Errorf("round trip = %+v, want %+v", got, r)
 	}
 
-	var old Saved
-	if err := json.Unmarshal([]byte(`{"node_powers":[{"node":"n01","power_w":100}],"acct":[]}`), &old); err != nil {
+	torn := errors.New("killed mid-save")
+	err = eard.WriteFile(path, func(w io.Writer) error {
+		_, _ = w.Write([]byte("EARW\x02"))
+		return torn
+	})
+	if !errors.Is(err, torn) {
+		t.Fatalf("WriteFile = %v, want the write's error", err)
+	}
+	if back, _, err = LoadState(path); err != nil || back.Len() != 1 {
+		t.Errorf("after a torn save: %v, want the previous file intact", err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Errorf("a torn save left %v, want the state file alone", entries)
+	}
+}
+
+// TestLoadStateRejectsGarbage: a file that is not exactly a state
+// file's two frames is refused, and so is one whose records a batch
+// could not have delivered.
+func TestLoadStateRejectsGarbage(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.db")
+	db := eard.NewDB()
+	if err := db.Insert(rec("j1", "0", "n01", 100)); err != nil {
 		t.Fatal(err)
 	}
-	fresh := NewServer(eard.NewDB(), Config{})
-	if err := fresh.Restore(old); err != nil {
+	if err := SaveState(good, db, Saved{Powers: []wire.NodePower{{Node: "n01", PowerW: 300}}, Gen: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if gen, _ := fresh.Generation(nil); gen.Gen != 1 {
-		t.Errorf("a state saved without a generation restores at %d, want 1", gen)
+	whole, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if blob, _ := json.Marshal(NewServer(eard.NewDB(), Config{}).Saved()); strings.Contains(string(blob), "generation") {
-		t.Errorf("an empty server saves %s: a zero generation is omitted, as files written before it were", blob)
+	changes := whole[:len(whole)-len(stateFrame(t, wire.AppendGeneration(nil, wire.Generation{Gen: 2, Records: 2, Acct: 2, Powers: 2})))]
+	invalid := rec("j1", "0", "n01", 100)
+	invalid.TimeSec = 0
+	var c wire.Conn
+	invalidView := stateFrame(t, c.AppendChanges(nil, &wire.Changes{Records: []eard.JobRecord{invalid}}))
+	gen := stateFrame(t, wire.AppendGeneration(nil, wire.Generation{Gen: 1, Records: 1, Acct: 1, Powers: 1}))
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"empty", nil, io.EOF},
+		{"JSON", []byte(`[{"job_id":"j1","step_id":"0","node":"n01","time_sec":10}]`), wire.ErrMagic},
+		{"cut 3 bytes short", whole[:len(whole)-3], io.ErrUnexpectedEOF},
+		{"no generation", changes, io.EOF},
+		{"trailing bytes", append(slices.Clip(whole), 0), wire.ErrPayload},
+		{"a frame more", append(slices.Clip(whole), gen...), wire.ErrPayload},
+		{"generation first", append(slices.Clip(gen), changes...), nil},
+		{"invalid record", append(invalidView, gen...), nil},
+	} {
+		path := filepath.Join(dir, "bad.db")
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := LoadState(path)
+		switch {
+		case err == nil:
+			t.Errorf("%s: loaded", tc.name)
+		case tc.want != nil && !errors.Is(err, tc.want):
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		case !strings.Contains(err.Error(), path):
+			t.Errorf("%s: err = %v does not name the file", tc.name, err)
+		}
 	}
+}
+
+// stateFrame frames a result payload as a state file holds it.
+func stateFrame(t *testing.T, payload []byte) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := wire.WriteFrame(&b, wire.Frame{Type: wire.TypeResult, Payload: payload}, 0); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
 }
 
 // TestRestoredServerAnswersChanges: a server restored from another's

@@ -55,8 +55,8 @@ type CascadeConfig struct {
 
 // validate reports whether the configuration is usable.
 func (c CascadeConfig) validate() error {
-	if c.BudgetW <= 0 {
-		return fmt.Errorf("eargm: cascade budget must be positive, got %g", c.BudgetW)
+	if !usable(c.BudgetW) {
+		return fmt.Errorf("eargm: cascade budget must be positive and finite, got %g", c.BudgetW)
 	}
 	return nil
 }

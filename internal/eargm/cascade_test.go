@@ -190,6 +190,9 @@ func TestCascadeValidation(t *testing.T) {
 		{"no source", CascadeConfig{BudgetW: 100}, []Island{{Name: "a"}}},
 		{"dup name", CascadeConfig{BudgetW: 100}, []Island{{Name: "a", Src: src}, {Name: "a", Src: src}}},
 		{"negative budget", CascadeConfig{BudgetW: -5}, []Island{{Name: "a", Src: src}}},
+		{"NaN budget", CascadeConfig{BudgetW: math.NaN(), Island: Config{MaxCapPstate: 8}}, []Island{{Name: "a", Src: src}}},
+		{"infinite budget", CascadeConfig{BudgetW: math.Inf(1), Island: Config{MaxCapPstate: 8}}, []Island{{Name: "a", Src: src}}},
+		{"NaN interval", CascadeConfig{BudgetW: 100, Island: Config{MaxCapPstate: 8, IntervalSec: math.NaN()}}, []Island{{Name: "a", Src: src}}},
 	}
 	for _, tc := range cases {
 		if _, err := NewCascade(tc.cfg, tc.islands); err == nil {
@@ -203,8 +206,10 @@ func TestSetBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.setBudget(-1); err == nil {
-		t.Error("negative budget accepted")
+	for _, w := range []float64{-1, 0, math.NaN(), math.Inf(1)} {
+		if err := m.setBudget(w); err == nil {
+			t.Errorf("budget %g accepted", w)
+		}
 	}
 	if err := m.setBudget(750); err != nil {
 		t.Fatal(err)

@@ -14,6 +14,7 @@ package eargm
 
 import (
 	"fmt"
+	"math"
 
 	"goear/internal/telemetry"
 )
@@ -58,15 +59,19 @@ func (c Config) defaults() Config {
 // validate reports whether the configuration is usable.
 func (c Config) validate() error {
 	switch {
-	case c.BudgetW <= 0:
-		return fmt.Errorf("eargm: budget must be positive, got %g", c.BudgetW)
-	case c.IntervalSec <= 0:
-		return fmt.Errorf("eargm: interval must be positive")
+	case !usable(c.BudgetW):
+		return fmt.Errorf("eargm: budget must be positive and finite, got %g", c.BudgetW)
+	case !usable(c.IntervalSec):
+		return fmt.Errorf("eargm: interval must be positive and finite, got %g", c.IntervalSec)
 	case c.MaxCapPstate < minCapPstate:
 		return fmt.Errorf("eargm: max cap pstate %d below min %d", c.MaxCapPstate, minCapPstate)
 	}
 	return nil
 }
+
+// usable reports whether x is a budget or a period a controller can
+// run on: positive and finite. NaN is neither, and passes x <= 0.
+func usable(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // Manager is the global power manager. It implements sim.PowerManager.
 type Manager struct {
@@ -153,8 +158,8 @@ func (m *Manager) Update(now float64, nodePowerW []float64) (int, error) {
 // re-apportions island budgets every interval as cluster draw shifts;
 // resetting the ratchet each time would defeat the hysteresis.
 func (m *Manager) setBudget(w float64) error {
-	if w <= 0 {
-		return fmt.Errorf("eargm: budget must be positive, got %g", w)
+	if !usable(w) {
+		return fmt.Errorf("eargm: budget must be positive and finite, got %g", w)
 	}
 	m.cfg.BudgetW = w
 	return nil

@@ -1,6 +1,7 @@
 package eargm
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -19,6 +20,10 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 	muts := []func(*Config){
 		func(c *Config) { c.BudgetW = 0 },
 		func(c *Config) { c.IntervalSec = -1 },
+		func(c *Config) { c.BudgetW = math.NaN() },
+		func(c *Config) { c.BudgetW = math.Inf(1) },
+		func(c *Config) { c.IntervalSec = math.NaN() },
+		func(c *Config) { c.IntervalSec = math.Inf(1) },
 		func(c *Config) { c.MaxCapPstate = 0 },
 	}
 	for i, mut := range muts {
