@@ -351,7 +351,7 @@ func dbdCmd(args []string, out io.Writer) error {
 	unixSock := fs.String("unix", "", "eardbd unix socket path")
 	job := fs.String("job", "", "job id for the summary query")
 	step := fs.String("step", "", "step id for the summary query")
-	maxFrame := fs.Int("max-frame", 0, "frame payload cap in bytes (default 1 MiB; raise to match the daemons' -max-frame)")
+	maxFrame := fs.Int("max-frame", 0, "frame payload cap in bytes (default 1 MiB; a one-frame answer, such as the job list, must fit it, while a root over -addr shards reads whole views of any size)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

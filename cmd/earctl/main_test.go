@@ -166,6 +166,14 @@ func TestConfCommand(t *testing.T) {
 	if err := run([]string{"conf", "-f", filepath.Join(dir, "missing")}, &b); err == nil {
 		t.Error("expected error for missing file")
 	}
+	// NaN fails every comparison; the file is refused, not printed.
+	nan := filepath.Join(dir, "nan.conf")
+	if err := os.WriteFile(nan, []byte("SignatureChangeTh=NaN\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"conf", "-f", nan}, &b); err == nil {
+		t.Error("a SignatureChangeTh of NaN was accepted")
+	}
 }
 
 func TestReportCommand(t *testing.T) {

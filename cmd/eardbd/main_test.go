@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"goear/internal/accounting"
 	"goear/internal/eard"
 	"goear/internal/eardbd"
+	"goear/internal/telemetry/trace"
 	"goear/internal/wire"
 )
 
@@ -312,5 +314,66 @@ func TestDaemonFlagErrors(t *testing.T) {
 	err := run([]string{"-listen", "127.0.0.1:0", "-db", old}, &out, nil, nil)
 	if !errors.Is(err, wire.ErrMagic) || !strings.Contains(err.Error(), old) {
 		t.Errorf("old JSON state file: run = %v, want it refused with %v, naming %s", err, wire.ErrMagic, old)
+	}
+}
+
+// TestDefaultRootReadsALargeShard: a root and a shard at the default
+// frame limit, the shard holding 20,000 node reports (2,000 nodes × 10,
+// earload's -nodes 2000 -records 10), whose whole view is past the
+// limit: the root's aggregate counts every record, as the shard's own
+// does.
+func TestDefaultRootReadsALargeShard(t *testing.T) {
+	shard, stopShard := startDaemon(t)
+	defer stopShard()
+	conn, err := net.Dial("tcp", shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var c wire.Conn
+	c.Reset(conn)
+	for b := 0; b < 200; b++ {
+		batch := wire.Batch{ID: fmt.Sprintf("load/%d", b), Node: "load"}
+		for n := 10 * b; n < 10*(b+1); n++ {
+			node := fmt.Sprintf("node%05d", n)
+			for r := 0; r < 10; r++ {
+				batch.Records = append(batch.Records, eard.JobRecord{
+					JobID: fmt.Sprintf("job%d", r), StepID: "0", Node: node, App: "BT-MZ.C", Policy: "min_energy",
+					TimeSec: 100, EnergyJ: 25000 + float64(n), AvgPower: 250, AvgCPU: 2.1, AvgIMC: 2.4,
+				})
+			}
+		}
+		if err := c.WriteImage(wire.TypeBatch, trace.Context{}, wire.BatchImage(nil, batch)); err != nil {
+			t.Fatal(err)
+		}
+		if f, err := c.Read(); err != nil || !f.AcksBatch(batch.ID) {
+			t.Fatalf("batch %d not acked: %v", b, err)
+		}
+	}
+	aggregate := func(addr string) eardbd.Aggregate {
+		t.Helper()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		res, err := eardbd.Query(conn, wire.Query{Kind: wire.QueryAggregate}, 0)
+		var agg eardbd.Aggregate
+		if err == nil {
+			err = res.Decode(&agg)
+		}
+		if err != nil {
+			t.Fatalf("aggregate from %s: %v", addr, err)
+		}
+		return agg
+	}
+	want := aggregate(shard)
+	if want.Records != 20000 || want.Nodes != 2000 {
+		t.Fatalf("the shard holds %+v, want 20,000 records of 2,000 nodes", want)
+	}
+	root, stopRoot := startDaemon(t, "-fed", shard)
+	defer stopRoot()
+	if got := aggregate(root); got != want {
+		t.Errorf("the root's aggregate is %+v, the shard's %+v", got, want)
 	}
 }

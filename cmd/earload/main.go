@@ -78,7 +78,7 @@ func run(args []string, out io.Writer) error {
 	queries := fs.Int("queries", 0, "concurrent workers hammering the accounting query API while ingest runs")
 	kill := fs.String("kill", "", "kill spec <shard>@<nodes-done> (in-process only)")
 	restart := fs.String("restart", "", "restart spec <shard>@<nodes-done> (in-process only)")
-	maxFrame := fs.Int("max-frame", 64<<20, "frame payload cap in bytes (snapshot record dumps scale with node count)")
+	maxFrame := fs.Int("max-frame", 64<<20, "frame payload cap in bytes of the in-process shards and root (a whole view streams under any cap; a one-frame answer, such as the job list, must fit it)")
 	snapshotPath := fs.String("snapshot", "", "write the federation root snapshot here ('-' = stdout)")
 	metrics := fs.Bool("metrics", false, "dump the telemetry registry after the run")
 	traceOn := fs.Bool("trace", false, "record span traces across the burst (clients, shards and root share one buffer)")

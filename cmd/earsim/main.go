@@ -148,6 +148,9 @@ func run(args []string, out io.Writer) error {
 	if *runs < 1 {
 		return fmt.Errorf("-runs must be >= 1 (got %d)", *runs)
 	}
+	if *nodes < 0 {
+		return fmt.Errorf("-nodes must be 0 (as catalogued) or a node count (got %d)", *nodes)
+	}
 	if v := *pinUnc; v < 0 || math.IsNaN(v) || math.IsInf(v, 1) {
 		return fmt.Errorf("-pin-uncore must be 0 or a finite positive GHz value (got %v)", *pinUnc)
 	}

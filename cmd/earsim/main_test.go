@@ -268,6 +268,33 @@ func TestPowercapFlag(t *testing.T) {
 	}
 }
 
+// TestNaNSettingsRefused: a policy threshold or a site setting of NaN
+// is refused, where it once ran — NaN fails every comparison a range
+// test made — and so is a negative node count, which once ran the
+// catalogued size.
+func TestNaNSettingsRefused(t *testing.T) {
+	var b strings.Builder
+	for _, args := range [][]string{
+		{"-policy", "min_energy_eufs", "-unc-th", "NaN"},
+		{"-policy", "min_energy_eufs", "-cpu-th", "NaN"},
+		{"-nodes", "-5"},
+	} {
+		if err := run(append([]string{"-workload", "BT-MZ.C", "-runs", "1"}, args...), &b); err == nil {
+			t.Errorf("%v: expected error", args)
+		}
+	}
+	dir := t.TempDir()
+	for _, key := range []string{"DefaultCPUPolicyTh", "DefaultUncPolicyTh", "ClusterPowerBudgetW"} {
+		conf := filepath.Join(dir, key+".conf")
+		if err := os.WriteFile(conf, []byte(key+"=NaN\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := run([]string{"-workload", "BT-MZ.C", "-runs", "1", "-conf", conf}, &b); err == nil {
+			t.Errorf("-conf with %s=NaN: expected error", key)
+		}
+	}
+}
+
 func TestSiteConfiguration(t *testing.T) {
 	dir := t.TempDir()
 	conf := filepath.Join(dir, "ear.conf")

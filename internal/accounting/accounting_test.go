@@ -202,11 +202,11 @@ func TestStoreClassesAndGeneration(t *testing.T) {
 	if err != nil || class != grouped.Accepted {
 		t.Fatalf("first insert: class %v err %v", class, err)
 	}
-	g1 := s.recs.Generation()
+	g1 := s.recs.Rows().Generation()
 	if class, _ = s.Insert(r); class != grouped.Duplicate {
 		t.Fatalf("identical re-insert: class %v, want duplicate", class)
 	}
-	if s.recs.Generation() != g1 {
+	if s.recs.Rows().Generation() != g1 {
 		t.Error("duplicate moved the generation counter")
 	}
 	r2 := r
@@ -214,7 +214,7 @@ func TestStoreClassesAndGeneration(t *testing.T) {
 	if class, _ = s.Insert(r2); class != grouped.Replaced {
 		t.Fatalf("same-key different payload: class %v, want replaced", class)
 	}
-	if s.recs.Generation() == g1 {
+	if s.recs.Rows().Generation() == g1 {
 		t.Error("replace did not move the generation counter")
 	}
 	bad := r
@@ -287,12 +287,12 @@ func TestStoreRetentionCap(t *testing.T) {
 
 	// Installing a cap of 4 must evict the oldest group whole and bump
 	// the generation.
-	gen := s.recs.Generation()
+	gen := s.recs.Rows().Generation()
 	s.SetMaxRecords(4)
 	if n := len(s.Snapshot()); n != 4 {
 		t.Fatalf("snapshot holds %d records after SetMaxRecords(4), want 4", n)
 	}
-	if s.recs.Generation() == gen {
+	if s.recs.Rows().Generation() == gen {
 		t.Error("eviction did not move the generation counter")
 	}
 	for n := 0; n < 2; n++ {

@@ -18,14 +18,14 @@ type nodePhase struct {
 }
 
 // Store holds job energy records keyed by (job, step, node, phase) in
-// the shared grouped store and serves every read from those rows, under
-// its lock: a page, a dump and a copy all walk them in canonical order,
-// with no second copy of the records kept beside them.
+// the shared grouped store and serves every read from those rows: a page
+// and a copy under its lock, a whole view from pinned rows (Pin), all in
+// canonical order, with no second copy of the records kept beside them.
 type Store struct {
 	tel storeTel
 
 	mu   sync.Mutex
-	recs *grouped.Store[Record, nodePhase]
+	recs grouped.Shared[Record, nodePhase]
 	// maxRecords, when positive, caps the resident record count:
 	// crossing it evicts whole (job, step) groups, oldest window first,
 	// until the store fits again.
@@ -37,12 +37,12 @@ type Store struct {
 func NewStore(ts *telemetry.Set) *Store {
 	return &Store{
 		tel: newStoreTel(ts),
-		recs: grouped.New(
+		recs: grouped.Share(grouped.New(
 			func(r *Record) grouped.Group { return grouped.Group{Job: r.JobID, Step: r.StepID} },
 			func(r *Record) nodePhase { return nodePhase{r.Node, r.Phase} },
 			func(a, b nodePhase) int {
 				return cmp.Or(strings.Compare(a.node, b.node), cmp.Compare(a.phase, b.phase))
-			}),
+			})),
 	}
 }
 
@@ -59,7 +59,7 @@ func (s *Store) Insert(r Record) (grouped.Class, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	class := s.recs.Insert(&r)
+	class := s.recs.Writable().Insert(&r)
 	switch class {
 	case grouped.Duplicate:
 		s.tel.ingDup.Inc()
@@ -87,11 +87,11 @@ func (s *Store) SetMaxRecords(n int) {
 // and refreshes the resident-records gauge.
 func (s *Store) pruneLocked() {
 	if s.maxRecords > 0 {
-		evicted := s.recs.Prune(s.maxRecords, func(r *Record) float64 { return r.EndSec })
+		evicted := s.recs.Writable().Prune(s.maxRecords, func(r *Record) float64 { return r.EndSec })
 		s.evicted += evicted
 		s.tel.pruned.Add(uint64(evicted))
 	}
-	s.tel.records.Set(float64(s.recs.Len()))
+	s.tel.records.Set(float64(s.recs.Rows().Len()))
 }
 
 // Evicted counts the records the retention cap has evicted since the
@@ -109,8 +109,9 @@ func (s *Store) Evicted() int {
 func (s *Store) Seed(recs []Record) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	rows := s.recs.Writable()
 	for i := range recs {
-		s.recs.Insert(&recs[i])
+		rows.Insert(&recs[i])
 	}
 	s.pruneLocked()
 }
@@ -119,7 +120,7 @@ func (s *Store) Seed(recs []Record) {
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.recs.Len()
+	return s.recs.Rows().Len()
 }
 
 // AppendNodes appends the records of the given nodes, a sorted list,
@@ -127,7 +128,7 @@ func (s *Store) Len() int {
 func (s *Store) AppendNodes(dst []Record, nodes []string) []Record {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.recs.Walk(func(r *Record) {
+	s.recs.Rows().Walk(func(r *Record) {
 		if _, ok := slices.BinarySearch(nodes, r.Node); ok {
 			dst = append(dst, *r)
 		}
@@ -142,36 +143,33 @@ func (s *Store) AppendNodes(dst []Record, nodes []string) []Record {
 func (s *Store) Clone() *Store {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return &Store{tel: s.tel, recs: s.recs.Clone(), maxRecords: s.maxRecords}
+	return &Store{tel: s.tel, recs: grouped.Share(s.recs.Rows().Clone()), maxRecords: s.maxRecords}
 }
 
 // Snapshot returns a copy of every record in canonical (Key) order:
-// what persistence saves. Serving copies nothing: a dump is Walk, a
-// page Select.
+// what persistence saves. Serving copies nothing: a whole view walks
+// pinned rows (Pin), a page is Select.
 func (s *Store) Snapshot() []Record {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.recs.Append(make([]Record, 0, s.recs.Len()))
+	return s.recs.Rows().Append(make([]Record, 0, s.recs.Rows().Len()))
 }
 
-// Walk is Snapshot without the copy: under one hold of the lock it calls
-// begin with the record count and then each with every record in
-// Snapshot's order. The pointers are into the store's own rows —
-// read-only, valid only during the call — and neither callback may call
-// back into s.
-func (s *Store) Walk(begin func(n int), each func(*Record)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	begin(s.recs.Len())
-	s.recs.Walk(each)
-}
+// Pinned is a store's rows as they stood when pinned (Pin).
+type Pinned = grouped.Pinned[Record, nodePhase]
+
+// Pin returns the store's rows for reading without its lock until
+// Release, in Snapshot's order: a reader that walks them holds up no
+// write or eviction (grouped.Shared).
+func (s *Store) Pin() Pinned { return s.recs.Pin(&s.mu) }
 
 // Select evaluates one filtered, cursor-paginated query over the
 // store's rows without copying the page out of them — what the wire
 // path encodes from. Under one hold of the lock it finds the page, calls
 // begin with its record count and each with every record on it in
-// canonical order, and returns the page's Next and Total; the
-// callbacks are Walk's, under Walk's rules. Two stores with identical
+// canonical order, and returns the page's Next and Total. The pointers
+// are into the store's own rows — read-only, valid only during the call
+// — and neither callback may call back into s. Two stores with identical
 // contents select byte-identical pages for the same query — the
 // property the federation-root vs. single-daemon acceptance check rides
 // on.
@@ -196,7 +194,7 @@ func (s *Store) Select(q Query, begin func(n int), each func(*Record)) (next str
 	// the canonical order, how many records it holds and the last of them.
 	var last *Record
 	at, first, n, more := 0, 0, 0, false
-	s.recs.Walk(func(r *Record) {
+	s.recs.Rows().Walk(func(r *Record) {
 		at++
 		if !q.match(r) {
 			return
@@ -219,7 +217,7 @@ func (s *Store) Select(q Query, begin func(n int), each func(*Record)) (next str
 	}
 	begin(n)
 	if n > 0 {
-		s.recs.WalkFrom(first, func(r *Record) bool {
+		s.recs.Rows().WalkFrom(first, func(r *Record) bool {
 			if q.match(r) {
 				each(r)
 				n--

@@ -21,6 +21,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"strconv"
 	"strings"
@@ -62,16 +63,18 @@ func (c Config) validate() error {
 	switch {
 	case c.DefaultPolicy == "":
 		return fmt.Errorf("earconf: DefaultPolicy is required")
-	case c.DefaultCPUPolicyTh < 0 || c.DefaultCPUPolicyTh > 1:
+	// Each range is written so that NaN, which fails every comparison,
+	// falls outside it, and so does an infinity where it is unbounded.
+	case !(c.DefaultCPUPolicyTh >= 0 && c.DefaultCPUPolicyTh <= 1):
 		return fmt.Errorf("earconf: DefaultCPUPolicyTh %g outside [0,1]", c.DefaultCPUPolicyTh)
-	case c.DefaultUncPolicyTh < 0 || c.DefaultUncPolicyTh > 1:
+	case !(c.DefaultUncPolicyTh >= 0 && c.DefaultUncPolicyTh <= 1):
 		return fmt.Errorf("earconf: DefaultUncPolicyTh %g outside [0,1]", c.DefaultUncPolicyTh)
-	case c.MinSignatureWindowSec < 1:
-		return fmt.Errorf("earconf: MinSignatureWindowSec must be >= 1 (the DC meter updates once per second)")
-	case c.SignatureChangeTh <= 0 || c.SignatureChangeTh > 1:
+	case !(c.MinSignatureWindowSec >= 1 && c.MinSignatureWindowSec <= math.MaxFloat64):
+		return fmt.Errorf("earconf: MinSignatureWindowSec %g must be finite and >= 1 (the DC meter updates once per second)", c.MinSignatureWindowSec)
+	case !(c.SignatureChangeTh > 0 && c.SignatureChangeTh <= 1):
 		return fmt.Errorf("earconf: SignatureChangeTh %g outside (0,1]", c.SignatureChangeTh)
-	case c.ClusterPowerBudgetW < 0:
-		return fmt.Errorf("earconf: ClusterPowerBudgetW must be non-negative")
+	case !(c.ClusterPowerBudgetW >= 0 && c.ClusterPowerBudgetW <= math.MaxFloat64):
+		return fmt.Errorf("earconf: ClusterPowerBudgetW %g must be finite and non-negative", c.ClusterPowerBudgetW)
 	}
 	return nil
 }

@@ -74,6 +74,15 @@ func TestParseRejects(t *testing.T) {
 		"SignatureChangeTh=0\n",       // out of range
 		"ClusterPowerBudgetW=-10\n",   // negative
 		"DefaultPolicy=\n",            // empty
+		// NaN fails every comparison: each range refuses it, and an
+		// unbounded one an infinity too.
+		"DefaultCPUPolicyTh=NaN\n",
+		"DefaultUncPolicyTh=NaN\n",
+		"MinSignatureWindowSec=NaN\n",
+		"MinSignatureWindowSec=+Inf\n",
+		"SignatureChangeTh=NaN\n",
+		"ClusterPowerBudgetW=NaN\n",
+		"ClusterPowerBudgetW=+Inf\n",
 	}
 	for i, in := range cases {
 		if _, err := Parse(strings.NewReader(in)); err == nil {

@@ -63,7 +63,7 @@ func (r JobRecord) Validate() error {
 // way in.
 type DB struct {
 	mu   sync.RWMutex
-	recs *grouped.Store[JobRecord, string]
+	recs grouped.Shared[JobRecord, string]
 }
 
 func newRecords() *grouped.Store[JobRecord, string] {
@@ -74,7 +74,7 @@ func newRecords() *grouped.Store[JobRecord, string] {
 }
 
 // NewDB returns an empty accounting database.
-func NewDB() *DB { return &DB{recs: newRecords()} }
+func NewDB() *DB { return &DB{recs: grouped.Share(newRecords())} }
 
 // Insert stores (or replaces) a record.
 func (db *DB) Insert(r JobRecord) error {
@@ -92,14 +92,14 @@ func (db *DB) Put(r JobRecord) (grouped.Class, error) {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.recs.Insert(&r), nil
+	return db.recs.Writable().Insert(&r), nil
 }
 
 // Len returns the number of records.
 func (db *DB) Len() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.recs.Len()
+	return db.recs.Rows().Len()
 }
 
 // Job returns all node records of one job step, sorted by node.
@@ -107,7 +107,7 @@ func (db *DB) Job(jobID, stepID string) []JobRecord {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	var out []JobRecord
-	db.recs.Each(grouped.Group{Job: jobID, Step: stepID}, func(r *JobRecord) { out = append(out, *r) })
+	db.recs.Rows().Each(grouped.Group{Job: jobID, Step: stepID}, func(r *JobRecord) { out = append(out, *r) })
 	return out
 }
 
@@ -126,7 +126,7 @@ type JobSummary struct {
 // with no records summarizes to zero Nodes. Callers hold the lock.
 func (db *DB) summarize(k grouped.Group) JobSummary {
 	s := JobSummary{JobID: k.Job, StepID: k.Step}
-	s.Nodes = db.recs.Each(k, func(r *JobRecord) {
+	s.Nodes = db.recs.Rows().Each(k, func(r *JobRecord) {
 		if r.TimeSec > s.TimeSec {
 			s.TimeSec = r.TimeSec
 		}
@@ -155,7 +155,7 @@ func (db *DB) Summarize(jobID, stepID string) (JobSummary, error) {
 func (db *DB) Summaries() []JobSummary {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	groups := db.recs.Groups()
+	groups := db.recs.Rows().Groups()
 	out := make([]JobSummary, len(groups))
 	for i, k := range groups {
 		out[i] = db.summarize(k)
@@ -167,7 +167,7 @@ func (db *DB) Summaries() []JobSummary {
 func (db *DB) Jobs() [][2]string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	groups := db.recs.Groups()
+	groups := db.recs.Rows().Groups()
 	out := make([][2]string, len(groups))
 	for i, k := range groups {
 		out[i] = [2]string{k.Job, k.Step}
@@ -181,27 +181,23 @@ func (db *DB) Jobs() [][2]string {
 func (db *DB) Records() []JobRecord {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.recs.Append(make([]JobRecord, 0, db.recs.Len()))
+	return db.recs.Rows().Append(make([]JobRecord, 0, db.recs.Rows().Len()))
 }
 
-// Walk is Records without the copy: under one read lock it calls
-// begin with the record count and then each with every stored record in
-// Records' order. The pointers are into the database's own rows —
-// read-only, valid only during the call — and neither callback may call
-// back into db.
-func (db *DB) Walk(begin func(n int), each func(*JobRecord)) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	begin(db.recs.Len())
-	db.recs.Walk(each)
-}
+// Pinned is a database's rows as they stood when pinned (Pin).
+type Pinned = grouped.Pinned[JobRecord, string]
+
+// Pin returns the database's rows for reading without its lock until
+// Release, in Records' order: a reader that walks them holds up no
+// writer (grouped.Shared).
+func (db *DB) Pin() Pinned { return db.recs.Pin(&db.mu) }
 
 // AppendNodes appends the records of the given nodes, a sorted list,
 // to dst in Records' order and returns the extended slice.
 func (db *DB) AppendNodes(dst []JobRecord, nodes []string) []JobRecord {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	db.recs.Walk(func(r *JobRecord) {
+	db.recs.Rows().Walk(func(r *JobRecord) {
 		if _, ok := slices.BinarySearch(nodes, r.Node); ok {
 			dst = append(dst, *r)
 		}
@@ -216,7 +212,7 @@ func (db *DB) AppendNodes(dst []JobRecord, nodes []string) []JobRecord {
 func (db *DB) Clone() *DB {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return &DB{recs: db.recs.Clone()}
+	return &DB{recs: grouped.Share(db.recs.Rows().Clone())}
 }
 
 // WriteFile replaces the file at path with what write produces, through

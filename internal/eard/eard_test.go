@@ -238,7 +238,14 @@ func TestConcurrentInsertAndRead(t *testing.T) {
 		db.Records()
 		db.Job("j", "s")
 		_, _ = db.Summarize("j", "s")
-		db.Walk(func(int) {}, func(*JobRecord) {})
+		// A pinned walk holds no lock: the inserts write a clone.
+		pinned := db.Pin()
+		n := 0
+		pinned.Walk(func(*JobRecord) { n++ })
+		if n != pinned.Len() {
+			t.Fatalf("walked %d pinned records of %d", n, pinned.Len())
+		}
+		pinned.Release()
 	}
 	wg.Wait()
 	if db.Len() != 200 {

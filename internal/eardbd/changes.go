@@ -67,25 +67,26 @@ func (s *Server) sortedPowers() []wire.NodePower {
 }
 
 // appendChanges answers a changes query (wire.QueryChanges) from a
-// generation since > 0 into dst with c's string table: every node
-// stamped after since, or a refusal when records were dropped after it. The answer is gathered in scratch
-// the server keeps, and built where the connection builds every reply,
-// so a warm answer allocates nothing while the stores' group orders
-// stand; scratch that held more than a kept reply does is let go with it.
+// generation since > 0 on c: every node stamped after since, or a
+// refusal when records were dropped after it. The answer is gathered
+// under mu into scratch the server keeps, taken out while the answer
+// streams from it with mu released, so a warm answer allocates nothing
+// while the stores' group orders stand; scratch that held more than a
+// kept frame carries is let go after its answer.
 func (s *Server) appendChanges(c *wire.Conn, dst []byte, since uint64) ([]byte, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.dropped > since {
+		s.mu.Unlock()
 		return dst, fmt.Errorf("eardbd: no changes since generation %d: records were dropped at %d", since, s.dropped)
 	}
-	nodes := s.changedNodes[:0]
+	ch, nodes := s.changed, s.changedNodes[:0]
+	s.changed, s.changedNodes = wire.Changes{}, nil
 	for n, st := range s.nodeW {
 		if st.moved > since {
 			nodes = append(nodes, n)
 		}
 	}
 	slices.Sort(nodes)
-	ch := &s.changed
 	ch.Powers = ch.Powers[:0]
 	for _, n := range nodes {
 		if st := s.nodeW[n]; st.reported {
@@ -94,16 +95,22 @@ func (s *Server) appendChanges(c *wire.Conn, dst []byte, since uint64) ([]byte, 
 	}
 	ch.Records = s.db.AppendNodes(ch.Records[:0], nodes)
 	ch.Acct = s.acct.AppendNodes(ch.Acct[:0], nodes)
-	out := c.AppendChanges(dst, ch)
-	if cap(out) > wire.MaxKept {
-		s.changed, s.changedNodes = wire.Changes{}, nil
-		return out, nil
+	s.mu.Unlock()
+	out, err := c.AppendChanges(dst, &ch)
+	if len(ch.Records)+len(ch.Acct) > maxKeptScratch {
+		return out, err
 	}
 	// Cleared, so the scratch keeps no strings of records since replaced.
 	clear(nodes)
 	clear(ch.Records)
 	clear(ch.Acct)
 	clear(ch.Powers)
-	s.changedNodes = nodes
-	return out, nil
+	s.mu.Lock()
+	s.changed, s.changedNodes = ch, nodes
+	s.mu.Unlock()
+	return out, err
 }
+
+// maxKeptScratch is the most records a changes answer's scratch holds
+// and is still kept: about what one kept frame carries.
+const maxKeptScratch = wire.MaxKept / 64

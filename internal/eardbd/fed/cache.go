@@ -274,9 +274,15 @@ func (r *Root) applyChanges(parent *trace.Active, v *view, since []wire.Generati
 		}
 		return wire.Query{Kind: wire.QueryChanges, Limit: int(since[i].Gen)}, since[i] != v.gens[i]
 	}
+	// One reader a shard's answer, which may be frames: its string table
+	// spans them.
+	var answer wire.ChangesReader
+	from := -1
 	err := r.fanOutTo(parent, ask, func(i int, res wire.Result) error {
-		owner = r.cfg.Fleet.names[i]
-		return res.EachChange(func(rec eard.JobRecord) error {
+		if i != from {
+			owner, from, answer = r.cfg.Fleet.names[i], i, wire.ChangesReader{}
+		}
+		_, err := answer.Apply(res, func(rec eard.JobRecord) error {
 			if ok, err := take(rec.Node, partRecords); !ok {
 				return err
 			}
@@ -301,6 +307,7 @@ func (r *Root) applyChanges(parent *trace.Active, v *view, since []wire.Generati
 			}
 			return nil
 		})
+		return err
 	})
 	switch {
 	case err != nil && fromZero:

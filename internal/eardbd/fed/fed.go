@@ -178,7 +178,7 @@ func NewRoot(cfg Config) (*Root, error) {
 		QuerySpan:       spanFedQuery,
 		Now:             cfg.Now,
 		QueryLatency:    root.tel.latQuery,
-		ReplyBytes:      eardbd.NewReplyBytes(cfg.Telemetry),
+		Replies:         eardbd.NewReplies(cfg.Telemetry),
 	}
 	root.tel.shards.Set(float64(len(cfg.Fleet.names)))
 	return root, nil
@@ -261,8 +261,8 @@ type leg struct {
 func (r *Root) queryShard(shard string, q wire.Query) (wire.Result, *shardConn, error) {
 	l := r.checkOut(shard, q, nil)
 	r.send(&l)
-	res, err := r.receive(&l)
-	return res, l.conn, err
+	res := r.receive(&l)
+	return res, l.conn, r.settle(&l)
 }
 
 // checkOut counts one fan-out and starts its leg on the shard's most
@@ -310,15 +310,11 @@ func (r *Root) send(l *leg) {
 	}
 }
 
-// receive reads the reply to the leg's query — a failure on a reused
-// connection sends the query again on a fresh one — and counts the
-// leg's outcome. A refusal (an error frame, eardbd.ErrServer) comes
-// back as the leg's error with its connection kept, and nothing is
-// redialled. It counts as an answer, the shard reached, except to
-// changes from zero: a shard that refuses to say what it holds — a
-// build from before the kind — cannot serve the root, and the leg
-// counts failed.
-func (r *Root) receive(l *leg) (wire.Result, error) {
+// receive reads the first frame of the reply to the leg's query; a
+// failure on a reused connection sends the query again on a fresh one.
+// A refusal (an error frame, eardbd.ErrServer) ends the leg with its
+// connection kept, and nothing is redialled.
+func (r *Root) receive(l *leg) wire.Result {
 	var res wire.Result
 	for l.err == nil {
 		if res, l.err = eardbd.ReadResult(&l.conn.Conn); l.err == nil || errors.Is(l.err, eardbd.ErrServer) || !r.retry(l) {
@@ -326,13 +322,36 @@ func (r *Root) receive(l *leg) (wire.Result, error) {
 		}
 		r.send(l)
 	}
+	return res
+}
+
+// more reads the next frame of a changes answer the leg has begun to
+// take in. Nothing is tried again: what the frames before it built is
+// not built twice, so a failure ends the leg and hangs up; a refusal
+// keeps the connection, which is still in step.
+func (r *Root) more(l *leg) wire.Result {
+	res, err := eardbd.ReadResult(&l.conn.Conn)
+	if err != nil && !errors.Is(err, eardbd.ErrServer) {
+		_ = l.conn.raw.Close() // the leg's error is the one to report
+		l.conn = nil
+	}
+	l.err = err
+	return res
+}
+
+// settle counts the outcome of a leg whose reply has been read, and
+// returns its error. A refusal counts as an answer, the shard reached,
+// except to changes from zero: a shard that refuses to say what it
+// holds — a build from before the kind, an answer with a record past
+// the frame limit — cannot serve the root, and the leg counts failed.
+func (r *Root) settle(l *leg) error {
 	whole := l.q.Kind == wire.QueryChanges && l.q.Limit <= 0
 	r.countReach(l.shard, l.err == nil || errors.Is(l.err, eardbd.ErrServer) && !whole)
 	r.Now.Observe(r.tel.latFanout, l.t0)
 	if l.err != nil {
-		return wire.Result{}, fmt.Errorf("fed: shard %s: %w", l.shard, l.err)
+		return fmt.Errorf("fed: shard %s: %w", l.shard, l.err)
 	}
-	return res, nil
+	return nil
 }
 
 // retry hangs up the leg's failed connection and reports whether the
@@ -429,7 +448,8 @@ func (r *Root) fanOut(parent *trace.Active, q wire.Query, decode func(i int, res
 
 // fanOutTo runs on the calling goroutine the query ask names for each
 // shard it names one for, and decodes each result into decode(i), i
-// the shard's index in the fleet. Scatter: every leg is checked
+// the shard's index in the fleet — every frame of a changes answer in
+// turn. Scatter: every leg is checked
 // out and its query sent before any reply is read, so the shards work
 // at once. Gather: the replies are read and decoded in configured shard
 // order, leg i while the legs after it are still working — so the merged
@@ -440,8 +460,8 @@ func (r *Root) fanOut(parent *trace.Active, q wire.Query, decode func(i int, res
 // Every leg is read to the end, even after one has failed: each counts
 // its reach, and each healthy connection is parked — a refused leg's
 // too — once its reply is decoded (a result is its connection's read
-// buffer) or skipped. The error is the lowest-indexed leg's, from its
-// read or its decode.
+// buffer) or skipped, every frame of it. The error is the
+// lowest-indexed leg's, from its read or its decode.
 //
 // When parent is live, each shard gets a fed.fanout child span, created
 // in configured shard order — span IDs come from a per-parent child
@@ -477,9 +497,34 @@ func (r *Root) fanOutTo(parent *trace.Active, ask func(i int) (wire.Query, bool)
 	var first error
 	for i := range legs {
 		l := &legs[i]
-		res, err := r.receive(l)
-		if err == nil && res.Kind != l.q.Kind {
-			err = fmt.Errorf("fed: shard %s answered kind %q to %q", l.shard, res.Kind, l.q.Kind)
+		res := r.receive(l)
+		// The frames of a changes answer are decoded as they arrive, each
+		// in the connection's read buffer before the next is read; after
+		// a decode fails, the rest are read and dropped, so that the
+		// connection stays in step.
+		var kind, derr error
+		for l.err == nil {
+			part := res.Kind == wire.ChangesPart && l.q.Kind == wire.QueryChanges
+			if res.Kind != l.q.Kind && !part {
+				kind = fmt.Errorf("fed: shard %s answered kind %q to %q", l.shard, res.Kind, l.q.Kind)
+				break
+			}
+			if derr == nil && first == nil {
+				derr = decode(l.at, res)
+			}
+			if !part {
+				break
+			}
+			res = r.more(l)
+		}
+		err := r.settle(l)
+		if err == nil {
+			err = kind
+		}
+		if l.conn != nil && l.q.Kind == wire.QueryChanges && l.q.Limit <= 0 {
+			// A whole view is read once a cold or epoch miss: the parked
+			// connection keeps no buffer its size.
+			l.conn.Trim()
 		}
 		result := "ok"
 		switch {
@@ -489,10 +534,8 @@ func (r *Root) fanOutTo(parent *trace.Active, ask func(i int) (wire.Query, bool)
 			result = "error"
 		}
 		l.kid.Attr("result", result).End(r.Now.Sec())
-		if err == nil && first == nil {
-			if derr := decode(l.at, res); derr != nil {
-				err = fmt.Errorf("fed: shard %s: %w", l.shard, derr)
-			}
+		if err == nil && derr != nil {
+			err = fmt.Errorf("fed: shard %s: %w", l.shard, derr)
 		}
 		if l.conn != nil {
 			r.park(l.shard, l.conn)

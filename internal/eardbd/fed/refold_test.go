@@ -4,15 +4,16 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"goear/internal/accounting"
 	"goear/internal/eard"
@@ -383,94 +384,211 @@ func TestRootRefusesShardsBeforeChanges(t *testing.T) {
 	}
 }
 
-// TestWholeViewOverFrameLimit: a shard's whole view — its changes from
-// zero, one frame — is larger than the root's frame limit, though its
-// generation poll is not. The view fails with the counted fan-out error
-// that names the limit, at once and again at the next read, and nothing
-// is published.
-func TestWholeViewOverFrameLimit(t *testing.T) {
-	shards, _ := buildFederation(t, 8, 2)
-	const limit = 2 << 10
-	if whole, err := eardbd.Answer(nil, shards[0].srv, nil, wire.Query{Kind: wire.QueryChanges}); err != nil || len(whole) <= limit {
-		t.Fatalf("shard s0's whole view is %d bytes (%v), want more than %d", len(whole), err, limit)
+// limitedFleet is two shards' state — nodes × 4 node reports, a window
+// each, every node's power — that root serves from fresh servers at any
+// frame limit.
+type limitedFleet struct {
+	db    [2]*eard.DB
+	sv    [2]eardbd.Saved
+	fleet *Fleet
+}
+
+// newLimitedFleet delivers nodes nodes' batches to two default shards
+// through their ring and keeps what the shards then hold.
+func newLimitedFleet(t *testing.T, nodes int) *limitedFleet {
+	t.Helper()
+	shards, root := buildFederation(t, 0, 2)
+	t.Cleanup(func() { _ = root.Close() })
+	for i := 0; i < nodes; i++ {
+		node := fmt.Sprintf("n%03d", i)
+		var recs []eard.JobRecord
+		for j := 0; j < 4; j++ {
+			recs = append(recs, report(node, fmt.Sprintf("job%d", j), "0", 250+float64(j)))
+		}
+		deliver(t, root.cfg.Fleet.DialFor(node), wire.Batch{ID: node + "/1", Node: node, Records: recs,
+			Acct: []accounting.Record{window(node, "job0", 0, 30000+float64(i))}})
+	}
+	lf := &limitedFleet{fleet: root.cfg.Fleet}
+	for i, sh := range shards {
+		lf.db[i], lf.sv[i] = sh.srv.DB(), sh.srv.Saved()
+	}
+	return lf
+}
+
+// root serves the state from two servers whose frame limit is limit (0:
+// the default), counting into ts, and returns a root over them with the
+// same limit.
+func (lf *limitedFleet) root(t *testing.T, limit int, ts *telemetry.Set) (*Root, []shardFixture) {
+	t.Helper()
+	shards := make([]shardFixture, 2)
+	for i := range shards {
+		srv := eardbd.NewServer(lf.db[i], eardbd.Config{MaxFramePayload: limit, Telemetry: ts})
+		if err := srv.Restore(lf.sv[i]); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = srv.Close() })
+		shards[i] = shardFixture{name: fmt.Sprintf("s%d", i), srv: srv}
 	}
 	fleet, err := NewFleet([]string{"s0", "s1"}, dialer(shards))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := telemetry.NewSet()
 	root, err := NewRoot(Config{Fleet: fleet, MaxFramePayload: limit, Telemetry: ts})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = root.Close() })
-	for i := 1; i <= 2; i++ {
-		done := make(chan error, 1)
-		go func() { _, err := root.View(nil); done <- err }()
-		select {
-		case err = <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatal("a view over a shard whose answer exceeds the frame limit hangs")
-		}
-		if !errors.Is(err, wire.ErrTooLarge) || !strings.Contains(err.Error(), fmt.Sprintf("limit %d", limit)) || !strings.Contains(err.Error(), "shard s0") {
-			t.Fatalf("view %d: err = %v, want shard s0's frame over the limit of %d", i, err, limit)
-		}
-		if got := series(t, ts, metricFedFanout+`{shard="s0",result="error"}`); got != float64(i) {
-			t.Errorf("view %d: %v failed legs counted on s0, want %d", i, got, i)
+	return root, shards
+}
+
+// wholeView is the payload bytes of a shard's whole view, built with
+// no frame limit to cut it.
+func wholeView(t *testing.T, srv *eardbd.Server) int {
+	t.Helper()
+	var out countingSink
+	c := wire.Conn{MaxPayload: 1 << 30}
+	c.Reset(&out)
+	image, err := eardbd.Answer(&c, srv, nil, wire.Query{Kind: wire.QueryChanges})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.Streamed() + len(image) - wire.HeaderRoom
+}
+
+// countingSink is a transport that counts what is written and reads
+// nothing.
+type countingSink struct{ n int }
+
+func (s *countingSink) Write(p []byte) (int, error) { s.n += len(p); return len(p), nil }
+func (*countingSink) Read([]byte) (int, error)      { return 0, io.EOF }
+
+// sameView reports whether two views hold the same records, accounting
+// records and powers, in the same order.
+func sameView(a, b eardbd.View) bool {
+	return reflect.DeepEqual(a.DB.Records(), b.DB.Records()) &&
+		reflect.DeepEqual(a.Acct.Snapshot(), b.Acct.Snapshot()) &&
+		reflect.DeepEqual(a.Powers, b.Powers)
+}
+
+// TestWholeViewOverFrameLimit: a shard's whole view four times the
+// frame limit it shares with its root is served: it streams in frames
+// under the limit, and the root's view is the one a root and shards with
+// the default limit build, each view in one frame. The generation poll
+// and the view take a poll and one answer a shard, none of them failed.
+func TestWholeViewOverFrameLimit(t *testing.T) {
+	const limit = 2 << 10
+	lf := newLimitedFleet(t, 100)
+	ref, _ := lf.root(t, 0, nil)
+	want, err := ref.View(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := telemetry.NewSet()
+	root, shards := lf.root(t, limit, ts)
+	if whole := wholeView(t, shards[0].srv); whole <= 4*limit {
+		t.Fatalf("shard s0's whole view is %d bytes, want more than 4 × %d", whole, limit)
+	}
+	got, err := root.View(nil)
+	if err != nil {
+		t.Fatalf("a view four times the frame limit: %v", err)
+	}
+	if !sameView(got, want) {
+		t.Error("the view streamed under the limit differs from the one-frame view")
+	}
+	for _, sh := range shards {
+		if ok, failed := series(t, ts, metricFedFanout+`{shard="`+sh.name+`",result="ok"}`), series(t, ts, metricFedFanout+`{shard="`+sh.name+`",result="error"}`); ok != 2 || failed != 0 {
+			t.Errorf("shard %s: %v legs ok and %v failed, want a poll and an answer ok", sh.name, ok, failed)
 		}
 	}
-	if root.cache.Load() != nil {
-		t.Error("a view missing a shard was published")
+	if st := root.Stats(); st.Redials != 0 || st.Dials != 2 {
+		t.Errorf("stats = %+v: want one dial a shard, its connection reused for the answer", st)
 	}
 }
 
-// TestOversizedAnswerRefused: a shard whose whole view is larger than
-// its own frame limit, under a root with the same limit, refuses the
-// changes query with an error frame that names the size and the limit,
-// and keeps the connection. The root fails the view with that refusal,
-// counts the leg failed, and reuses the connection for the next view:
-// no redial.
+// TestOversizedAnswerRefused: an answer of a one-frame kind — here the
+// job summaries of a shard and of a root — past the frame limit is
+// refused with an error frame that names the size and the limit, over a
+// connection that stays in step, and each refusal is counted on
+// goear_eardbd_replies_refused_total by kind and recorded as an
+// eardbd.refused event naming the kind, the size and the limit.
 func TestOversizedAnswerRefused(t *testing.T) {
 	const limit = 2 << 10
-	shards := make([]shardFixture, 2)
-	names := make([]string, len(shards))
-	for i := range shards {
-		names[i] = fmt.Sprintf("s%d", i)
-		shards[i] = shardFixture{name: names[i], srv: eardbd.NewServer(eard.NewDB(), eardbd.Config{MaxFramePayload: limit})}
-		t.Cleanup(func() { _ = shards[i].srv.Close() })
-	}
-	fleet, err := NewFleet(names, dialer(shards))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 16; i++ {
-		node := fmt.Sprintf("n%02d", i)
-		var recs []eard.JobRecord
-		for j := 0; j < 4; j++ {
-			recs = append(recs, report(node, fmt.Sprintf("job%d", j), "0", 250+float64(j)))
+	lf := newLimitedFleet(t, 40)
+	for _, sh := range []int{0, 1} {
+		for j := 0; j < 40; j++ { // job summaries past the limit on every shard
+			if err := lf.db[sh].Insert(report(fmt.Sprintf("x%d", sh), fmt.Sprintf("extra-job-%03d", j), "0", 200)); err != nil {
+				t.Fatal(err)
+			}
 		}
-		deliver(t, fleet.DialFor(node), wire.Batch{ID: node + "/1", Node: node, Records: recs})
-	}
-	if whole, err := eardbd.Answer(nil, shards[0].srv, nil, wire.Query{Kind: wire.QueryChanges}); err != nil || len(whole) <= limit {
-		t.Fatalf("shard s0's whole view is %d bytes (%v), want more than %d", len(whole), err, limit)
 	}
 	ts := telemetry.NewSet()
-	root, err := NewRoot(Config{Fleet: fleet, MaxFramePayload: limit, Telemetry: ts})
-	if err != nil {
+	root, shards := lf.root(t, limit, ts)
+	for _, server := range []struct {
+		name string
+		dial func() (net.Conn, error)
+	}{{"shard s0", shards[0].srv.Dial}, {"root", root.Dial}} {
+		conn, err := server.dial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = eardbd.Query(conn, wire.Query{Kind: wire.QueryJobs}, limit)
+		if !errors.Is(err, eardbd.ErrServer) || !strings.Contains(err.Error(), fmt.Sprintf("limit %d", limit)) {
+			t.Fatalf("%s: jobs past the limit: err = %v, want a refusal naming the limit of %d", server.name, err, limit)
+		}
+		if _, err := eardbd.Query(conn, wire.Query{Kind: wire.QueryGeneration}, limit); err != nil {
+			t.Errorf("%s: the connection after a refusal: %v", server.name, err)
+		}
+		_ = conn.Close()
+	}
+	if got := series(t, ts, `goear_eardbd_replies_refused_total{kind="jobs"}`); got != 2 {
+		t.Errorf("%v jobs answers counted refused, want 2: the shard's and the root's", got)
+	}
+	refusals := 0
+	for _, ev := range ts.Rec().Events() {
+		if ev.Kind == "eardbd.refused" {
+			refusals++
+			if ev.Str["kind"] != wire.QueryJobs || ev.Num["limit"] != limit || ev.Num["bytes"] <= limit {
+				t.Errorf("refusal event %+v: want the kind, a size past the limit and the limit", ev)
+			}
+		}
+	}
+	if refusals != 2 {
+		t.Errorf("%d refusal events, want 2", refusals)
+	}
+}
+
+// TestOneRecordPastTheLimitRefused: a shard holding one record whose
+// encoding alone is past the frame limit it shares with its root cannot
+// cut its whole view there. It sends the frames before that record,
+// refuses the rest with an error frame that names the size and the
+// limit, counts the refusal, and keeps the connection. The root fails
+// the view with that refusal, counts the leg failed, publishes nothing,
+// and reuses the connection for the next view: no redial.
+func TestOneRecordPastTheLimitRefused(t *testing.T) {
+	const limit = 2 << 10
+	lf := newLimitedFleet(t, 40)
+	big := report("n000", "job0", "0", 250)
+	big.App = strings.Repeat("x", limit)
+	if err := lf.db[slices.Index(lf.fleet.Names(), lf.fleet.Owner("n000"))].Insert(big); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = root.Close() })
+	owner := lf.fleet.Owner("n000")
+	ts := telemetry.NewSet()
+	root, _ := lf.root(t, limit, ts)
 	for i := 1; i <= 2; i++ {
 		_, err := root.View(nil)
-		if !errors.Is(err, eardbd.ErrServer) || !strings.Contains(err.Error(), fmt.Sprintf("limit %d", limit)) || !strings.Contains(err.Error(), "shard s0") {
-			t.Fatalf("view %d: err = %v, want shard s0's refusal naming the limit of %d", i, err, limit)
+		if !errors.Is(err, eardbd.ErrServer) || !strings.Contains(err.Error(), fmt.Sprintf("limit %d", limit)) || !strings.Contains(err.Error(), "shard "+owner) {
+			t.Fatalf("view %d: err = %v, want shard %s's refusal naming the limit of %d", i, err, owner, limit)
 		}
-		if got := series(t, ts, metricFedFanout+`{shard="s0",result="error"}`); got != float64(i) {
-			t.Errorf("view %d: %v failed legs counted on s0, want %d", i, got, i)
+		if got := series(t, ts, metricFedFanout+`{shard="`+owner+`",result="error"}`); got != float64(i) {
+			t.Errorf("view %d: %v failed legs counted on %s, want %d", i, got, owner, i)
+		}
+		if got := series(t, ts, `goear_eardbd_replies_refused_total{kind="changes"}`); got != float64(i) {
+			t.Errorf("view %d: %v changes answers counted refused, want %d", i, got, i)
 		}
 	}
 	if st := root.Stats(); st.Redials != 0 {
-		t.Errorf("two refused views cost %d redials, want 0: the shard hung up", st.Redials)
+		t.Errorf("two refused views cost %d redials, want 0: the connection fell out of step", st.Redials)
 	}
 	if root.cache.Load() != nil {
 		t.Error("a view missing a shard was published")
@@ -672,13 +790,16 @@ func TestQueryMixedMissAllocations(t *testing.T) {
 // query-mixed trial pays: a fresh root's first view over
 // queryMixedFleet(200, 8), without the root's construction. It dials
 // the four shards, polls each, and asks each for its changes from zero
-// — its whole view in one frame — into fresh stores: 8 legs, where
-// folding the records, acct_records and node_powers dumps took 16, and
-// 166 allocations where that took 210. A shard answers from its stores'
-// rows in the group order they keep, through a typed appender: 175
-// while each answer sorted its node reports' groups and boxed itself. The bytes rose, from 1.13 MB to
-// 1.22 MB: a shard's whole view is one frame larger than a connection
-// keeps, read into a payload of its own.
+// — its whole view, streamed in frames that pass through both sides'
+// kept buffers — into fresh stores: 8 legs, where folding the records,
+// acct_records and node_powers dumps took 16, and 163 allocations where
+// that took 210. A shard answers from its stores' rows in the group
+// order they keep, through a typed appender: 175 while each answer
+// sorted its node reports' groups and boxed itself, 166 while a whole
+// view was one frame. The bytes fell from 1.22 MB to 0.83 MB with the
+// stream: a one-frame view was allocated twice, as the shard's image
+// and as the root's payload, where a streamed one costs each fresh
+// root connection one kept read buffer.
 func TestQueryMixedColdMissAllocations(t *testing.T) {
 	shards, unread := queryMixedFleet(t, 200, 8)
 	fleet := unread.cfg.Fleet
@@ -728,11 +849,11 @@ func TestQueryMixedColdMissAllocations(t *testing.T) {
 		m, b := cold(nil)
 		mallocs, bytes = min(mallocs, m), min(bytes, b)
 	}
-	if mallocs != 166 {
-		t.Errorf("a cold miss: %d allocations, want 166", mallocs)
+	if mallocs != 163 {
+		t.Errorf("a cold miss: %d allocations, want 163", mallocs)
 	}
-	if bytes > 1300<<10 {
-		t.Errorf("a cold miss: %d bytes, want at most 1,300 KiB", bytes)
+	if bytes > 1000<<10 {
+		t.Errorf("a cold miss: %d bytes, want at most 1,000 KiB", bytes)
 	}
 }
 

@@ -147,7 +147,8 @@ type Server struct {
 	// generation before it is refused (one from zero is answered whole). evicted is the store's eviction count as last seen.
 	dropped uint64
 	evicted int
-	// changed is the scratch a changes answer is gathered in, under mu.
+	// changed is the scratch a changes answer is gathered in under mu,
+	// and taken out while it streams (changes.go).
 	changed      wire.Changes
 	changedNodes []string
 }
@@ -177,7 +178,7 @@ func NewServer(db *eard.DB, cfg Config) *Server {
 		QuerySpan:       spanServerQuery,
 		Now:             cfg.Now,
 		QueryLatency:    s.tel.latQuery,
-		ReplyBytes:      NewReplyBytes(cfg.Telemetry),
+		Replies:         NewReplies(cfg.Telemetry),
 	}
 	return s
 }
@@ -522,14 +523,18 @@ func (s *Server) Restore(sv Saved) error {
 }
 
 // SaveState writes db and sv to path as a state file — the whole view a
-// root reads on a cold miss: a changes result from zero, then the
-// generation, every part stamped with sv's — in one rename
-// (eard.WriteFile): a crash mid-save leaves the previous file whole.
+// root reads on a cold miss: the changes answer from zero, streamed in
+// the frames a connection keeps, then the generation, every part
+// stamped with sv's — in one rename (eard.WriteFile): a crash mid-save
+// leaves the previous file whole.
 func SaveState(path string, db *eard.DB, sv Saved) error {
 	return eard.WriteFile(path, func(w io.Writer) error {
 		c := wire.Conn{MaxPayload: math.MaxInt32}
 		c.Reset(writeEnd{w})
-		err := c.Send(wire.TypeResult, trace.Context{}, c.AppendChanges(c.Body(), &wire.Changes{DB: db, Acct: sv.Acct, Powers: sv.Powers}))
+		image, err := c.AppendChanges(c.Body(), &wire.Changes{DB: db, Acct: sv.Acct, Powers: sv.Powers})
+		if err == nil {
+			err = c.Send(wire.TypeResult, trace.Context{}, image)
+		}
 		if err != nil {
 			return err
 		}
@@ -541,8 +546,9 @@ func SaveState(path string, db *eard.DB, sv Saved) error {
 // LoadState reads the state file at path: the node reports through
 // DB.Insert, which validates each, and the rest as a Saved for Restore.
 // A missing file is an error satisfying errors.Is(err, os.ErrNotExist).
-// A frame larger than the file, and a file that is not exactly the two
-// frames — fewer, torn, followed by more bytes, not frames — is refused.
+// A frame larger than the file, and a file that is not exactly a
+// changes answer and a generation — short of either, torn, followed by
+// more bytes, not frames — is refused.
 func LoadState(path string) (*eard.DB, Saved, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -558,7 +564,7 @@ func LoadState(path string) (*eard.DB, Saved, error) {
 	db, sv := eard.NewDB(), Saved{}
 	res, err := resultOf(c.Read())
 	if err == nil {
-		err = res.EachChange(db.Insert,
+		err = readChanges(&c, res, db.Insert,
 			func(r accounting.Record) error { sv.Acct = append(sv.Acct, r); return nil },
 			func(np wire.NodePower) error { sv.Powers = append(sv.Powers, np); return nil })
 	}
@@ -579,6 +585,24 @@ func LoadState(path string) (*eard.DB, Saved, error) {
 	}
 	sv.Gen = g.Gen
 	return db, sv, nil
+}
+
+// readChanges applies a changes answer whose first frame is res, reading
+// the rest of it from c, one frame at a time in c's read buffer: every
+// node report to rec, every accounting record to acct, every node power
+// to power (wire.ChangesReader). It returns the first error, a refusal
+// or a frame out of place included.
+func readChanges(c *wire.Conn, res wire.Result, rec func(eard.JobRecord) error, acct func(accounting.Record) error, power func(wire.NodePower) error) error {
+	var s wire.ChangesReader
+	for {
+		done, err := s.Apply(res, rec, acct, power)
+		if err != nil || done {
+			return err
+		}
+		if res, err = ReadResult(c); err != nil {
+			return err
+		}
+	}
 }
 
 // writeEnd is the file SaveState writes, as a transport never read.

@@ -19,6 +19,7 @@ import (
 
 	"goear/internal/accounting"
 	"goear/internal/eard"
+	"goear/internal/telemetry"
 	"goear/internal/wire"
 )
 
@@ -401,12 +402,13 @@ func TestServerQueries(t *testing.T) {
 
 // TestReplyBufferKeptOnlyWhileSmall drives serveQuery as ServeConn
 // does, over the connection's framing state: a small reply is built in
-// the connection's image and kept, a whole view past wire.MaxKept is
-// written from a buffer of its own that is not kept, and the next small
-// reply is built in the very bytes the first one was.
+// the connection's image and kept; a whole view past wire.MaxKept
+// streams in frames that each fit a kept buffer, all built in one image
+// the connection keeps; and the next small reply is built in the very
+// bytes the view's frames were.
 func TestReplyBufferKeptOnlyWhileSmall(t *testing.T) {
 	db := eard.NewDB()
-	for i := 0; i < 800; i++ {
+	for i := 0; i < 2000; i++ {
 		if err := db.Insert(rec("j1", "0", fmt.Sprintf("node%05d", i), 300)); err != nil {
 			t.Fatal(err)
 		}
@@ -417,25 +419,35 @@ func TestReplyBufferKeptOnlyWhileSmall(t *testing.T) {
 	defer server.Close()
 	var c wire.Conn
 	c.Reset(server)
-	serve := func(kind string) wire.Frame {
+	// serve answers a query and returns every frame of the answer.
+	serve := func(kind string) []wire.Frame {
 		t.Helper()
 		qf, err := wire.EncodeQuery(wire.Query{Kind: kind})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := make(chan wire.Frame, 1)
+		got := make(chan []wire.Frame, 1)
 		go func() {
-			f, _ := wire.ReadFrame(client, 0)
-			got <- f
+			var frames []wire.Frame
+			for {
+				f, err := wire.ReadFrame(client, 0)
+				frames = append(frames, f)
+				if res, rerr := f.AsResult(); err != nil || rerr != nil || res.Kind != wire.ChangesPart {
+					got <- frames
+					return
+				}
+			}
 		}()
 		if !srv.serveQuery(&c, qf) {
 			t.Fatalf("%s: serveQuery gave the connection up", kind)
 		}
-		f := <-got
-		if f.Type != wire.TypeResult {
-			t.Fatalf("%s: answered with a %s frame", kind, f.Type)
+		frames := <-got
+		for _, f := range frames {
+			if f.Type != wire.TypeResult {
+				t.Fatalf("%s: answered with a %s frame", kind, f.Type)
+			}
 		}
-		return f
+		return frames
 	}
 	// holds reports whether the connection's image, as kept, holds f's
 	// payload behind its room.
@@ -446,22 +458,29 @@ func TestReplyBufferKeptOnlyWhileSmall(t *testing.T) {
 	}
 
 	small := serve(wire.QueryNodePowers)
-	kept := c.Body()
-	if cap(kept) > wire.MaxKept || !holds(small) {
-		t.Fatalf("after a %d-byte reply the connection keeps a buffer of %d bytes that holds it: %v", len(small.Payload), cap(kept), holds(small))
+	if kept := c.Body(); len(small) != 1 || cap(kept) > wire.MaxKept || !holds(small[0]) {
+		t.Fatalf("after a %d-byte reply the connection keeps a buffer of %d bytes that holds it: %v", len(small[0].Payload), cap(kept), holds(small[0]))
 	}
 
 	view := serve(wire.QueryChanges) // from zero
-	if len(view.Payload) <= wire.MaxKept {
-		t.Fatalf("the whole view is only %d bytes: it tests nothing", len(view.Payload))
+	total := 0
+	for _, f := range view {
+		if wire.HeaderRoom+len(f.Payload) > wire.MaxKept {
+			t.Fatalf("a frame of the whole view holds %d bytes: it does not pass through a kept buffer", len(f.Payload))
+		}
+		total += len(f.Payload)
 	}
-	if image := c.Body(); cap(image) > wire.MaxKept || &image[0] != &kept[0] {
-		t.Fatalf("a %d-byte whole view left the connection holding a buffer of %d bytes", len(view.Payload), cap(image))
+	if total <= 2*wire.MaxKept || len(view) < 3 {
+		t.Fatalf("the whole view is only %d bytes in %d frames: it tests nothing", total, len(view))
+	}
+	kept := c.Body()
+	if cap(kept) > wire.MaxKept || !holds(view[len(view)-1]) {
+		t.Fatalf("a %d-byte whole view left the connection holding a buffer of %d bytes, not its last frame", total, cap(kept))
 	}
 
 	next := serve(wire.QueryGeneration)
-	if &c.Body()[0] != &kept[0] || !holds(next) {
-		t.Fatalf("after the whole view, a %d-byte reply was not built in the kept buffer", len(next.Payload))
+	if &c.Body()[0] != &kept[0] || !holds(next[0]) {
+		t.Fatalf("after the whole view, a %d-byte reply was not built in the kept buffer", len(next[0].Payload))
 	}
 }
 
@@ -740,6 +759,54 @@ func TestStateSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLargeStateStreams: a state file past a kept frame is the changes
+// answer a root reads, streamed in frames that each pass through a kept
+// buffer, then the generation, and it loads back as it was saved.
+func TestLargeStateStreams(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "shard.db")
+	db := eard.NewDB()
+	sv := Saved{Gen: 9}
+	for i := 0; i < 2000; i++ {
+		node := fmt.Sprintf("node%05d", i)
+		if err := db.Insert(rec(fmt.Sprintf("j%d", i%7), "0", node, float64(1000+i))); err != nil {
+			t.Fatal(err)
+		}
+		sv.Powers = append(sv.Powers, wire.NodePower{Node: node, PowerW: float64(200 + i%50)})
+		sv.Acct = append(sv.Acct, accounting.Record{
+			V: accounting.CodecVersion, JobID: fmt.Sprintf("j%d", i%7), StepID: "0", User: "alice", Node: node,
+			StartSec: 0, EndSec: 60, PkgJ: 600, NodeJ: 1000 + float64(i),
+		})
+	}
+	if err := SaveState(path, db, sv); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := 0
+	for rd := bytes.NewReader(data); rd.Len() > 0; frames++ {
+		f, err := wire.ReadFrame(rd, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wire.HeaderRoom+len(f.Payload) > wire.MaxKept {
+			t.Fatalf("frame %d holds %d bytes: it does not pass through a kept buffer", frames, len(f.Payload))
+		}
+	}
+	if len(data) <= 4*wire.MaxKept || frames < 6 {
+		t.Fatalf("a state file of %d bytes in %d frames: it tests nothing", len(data), frames)
+	}
+	back, got, err := LoadState(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, sv) || !reflect.DeepEqual(back.Records(), db.Records()) {
+		t.Errorf("a streamed state file loads back as %d records, %d powers and %d accounting records, want %d, %d and %d",
+			back.Len(), len(got.Powers), len(got.Acct), db.Len(), len(sv.Powers), len(sv.Acct))
+	}
+}
+
 // TestStateFileRoundTrip: a missing state file is os.ErrNotExist, a
 // saved one loads, and a save that dies part-way leaves the previous
 // file loadable and nothing beside it.
@@ -802,7 +869,11 @@ func TestLoadStateRejectsGarbage(t *testing.T) {
 	invalid := rec("j1", "0", "n01", 100)
 	invalid.TimeSec = 0
 	var c wire.Conn
-	invalidView := stateFrame(t, c.AppendChanges(nil, &wire.Changes{Records: []eard.JobRecord{invalid}}))
+	payload, err := c.AppendChanges(nil, &wire.Changes{Records: []eard.JobRecord{invalid}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	invalidView := stateFrame(t, payload)
 	gen := stateFrame(t, wire.AppendGeneration(nil, wire.Generation{Gen: 1, Records: 1, Acct: 1, Powers: 1}))
 	for _, tc := range []struct {
 		name string
@@ -942,5 +1013,51 @@ func TestServeAfterCloseRefuses(t *testing.T) {
 	}
 	if err := srv.Serve(l); err == nil {
 		t.Error("Serve on a closed server succeeded")
+	}
+}
+
+// cutTransport takes its first ok writes whole and cuts every one
+// after them short, as a peer that goes away mid-frame does.
+type cutTransport struct{ ok, writes int }
+
+func (t *cutTransport) Write(p []byte) (int, error) {
+	if t.writes++; t.writes > t.ok {
+		return len(p) / 2, io.ErrClosedPipe
+	}
+	return len(p), nil
+}
+
+func (*cutTransport) Read([]byte) (int, error) { return 0, io.EOF }
+
+// TestStreamCutOnTheTransportHangsUp: a part of a whole view that fails
+// on the transport after the part before it left leaves the connection
+// out of step, so serveQuery gives it up: nothing is written after the
+// cut part — no error frame — and nothing counts as refused.
+func TestStreamCutOnTheTransportHangsUp(t *testing.T) {
+	db := eard.NewDB()
+	for i := 0; i < 2000; i++ {
+		if err := db.Insert(rec("j1", "0", fmt.Sprintf("node%05d", i), 300)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := telemetry.NewSet()
+	srv := NewServer(db, Config{Telemetry: ts})
+	qf, err := wire.EncodeQuery(wire.Query{Kind: wire.QueryChanges})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &cutTransport{ok: 1}
+	var c wire.Conn
+	c.Reset(tr)
+	if srv.serveQuery(&c, qf) {
+		t.Fatal("serveQuery kept a connection a part was cut off on")
+	}
+	if tr.writes != 2 {
+		t.Errorf("%d writes, want 2: the first part and the cut one, nothing after", tr.writes)
+	}
+	for name, v := range metricsMap(t, ts) {
+		if strings.HasPrefix(name, metricDBDRepliesRefused) && v != 0 {
+			t.Errorf("%s = %v, want 0: a cut is not a refusal", name, v)
+		}
 	}
 }

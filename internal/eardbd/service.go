@@ -59,8 +59,10 @@ func (v View) Aggregate() Aggregate {
 // Answer computes the result of one snapshot query, from at most one
 // lookup of the backend, and encodes it as the payload of a TypeResult
 // frame: behind the room of c's image (Conn.Body), with c's string
-// table, for c to Send — or, for a nil c, in a fresh payload. On error
-// it builds nothing.
+// table, for c to Send — or, for a nil c, in a fresh payload. A changes
+// answer streams: the frames before its last are sent on c as they fill
+// (wire.Conn.AppendChanges), and with a nil c one that needs more than
+// one frame fails. On error there is nothing to send.
 func Answer(c *wire.Conn, b Backend, parent *trace.Active, q wire.Query) ([]byte, error) {
 	var dst []byte
 	if c != nil {
@@ -105,10 +107,10 @@ func Answer(c *wire.Conn, b Backend, parent *trace.Active, q wire.Query) ([]byte
 
 // answer encodes the result of one state query into dst. The binary
 // kinds go through their typed appenders, the ones that carry a store's
-// records straight from its rows under its lock — a page, the whole
-// view a changes query from zero asks for — so a record moves
-// once, from its row into the frame, and nothing is boxed in an
-// interface. Only the JSON kinds pass through one.
+// records straight from its rows — a page under the store's lock, the
+// whole view a changes query from zero asks for from its pinned rows —
+// so a record moves once, from its row into a frame, and nothing is
+// boxed in an interface. Only the JSON kinds pass through one.
 func (v View) answer(c *wire.Conn, dst []byte, q wire.Query) ([]byte, error) {
 	switch q.Kind {
 	case wire.QueryAggregate:
@@ -132,7 +134,7 @@ func (v View) answer(c *wire.Conn, dst []byte, q wire.Query) ([]byte, error) {
 			Cursor: q.Cursor,
 		})
 	default: // wire.QueryChanges from zero: the whole view
-		return c.AppendChanges(dst, &wire.Changes{DB: v.DB, AcctStore: v.Acct, Powers: v.Powers}), nil
+		return c.AppendChanges(dst, &wire.Changes{DB: v.DB, AcctStore: v.Acct, Powers: v.Powers})
 	}
 }
 
@@ -202,9 +204,10 @@ type Front struct {
 	QuerySpan    string
 	Now          Stopwatch
 	QueryLatency *telemetry.Histogram
-	// ReplyBytes counts the payload bytes of answered results by kind
-	// (NewReplyBytes), one refused as over the frame limit included.
-	ReplyBytes ReplyBytes
+	// Replies counts the payload bytes of answered results by kind, one
+	// refused as over the frame limit included, and those refusals
+	// (NewReplies).
+	Replies Replies
 
 	mu        sync.Mutex
 	closed    bool
@@ -406,25 +409,37 @@ func (fr *Front) serveQuery(c *wire.Conn, f wire.Frame) bool {
 	}()
 	fr.Count(EventQuery)
 	image, err := Answer(c, fr.Backend, sp, q)
-	if err != nil {
-		// A query the backend cannot answer is the caller's problem, not
-		// the connection's: it stays open.
-		fr.ReplyError(c, err.Error())
-		return true
+	if err == nil {
+		// Counted before the last frame leaves: the asker may read the
+		// counters as soon as it has the answer.
+		payload := image[wire.HeaderRoom:]
+		n := len(payload)
+		if q.Kind == wire.QueryChanges {
+			n += c.Streamed()
+		}
+		fr.Replies.count(payload, n)
+		if sp != nil {
+			sp.Attr("bytes", strconv.Itoa(n))
+		}
+		if err = c.Send(wire.TypeResult, trace.Context{}, image); err == nil {
+			return true
+		}
+		if !errors.Is(err, wire.ErrTooLarge) {
+			return false // the peer is gone
+		}
 	}
-	payload := image[wire.HeaderRoom:]
-	fr.ReplyBytes.count(payload)
-	if sp != nil {
-		sp.Attr("bytes", strconv.Itoa(len(payload)))
+	if errors.Is(err, wire.ErrStreamCut) {
+		return false // a part of the answer failed on the transport
 	}
-	err = c.Send(wire.TypeResult, trace.Context{}, image)
-	if errors.Is(err, wire.ErrTooLarge) {
-		// Refused before a byte was written, so the connection is still
-		// in step: the asker gets the size and the limit, not a hang-up.
-		fr.ReplyError(c, err.Error())
-		return true
-	}
-	return err == nil
+	// A query the backend cannot answer is the caller's problem, not the
+	// connection's: it stays open. So does one whose answer (a one-frame
+	// kind, or a single record of a changes answer) is past the frame
+	// limit: refused before a byte of that frame was written, the
+	// connection is still in step, and the asker gets the size and the
+	// limit, not a hang-up.
+	fr.Replies.refused(q.Kind, err)
+	fr.ReplyError(c, err.Error())
+	return true
 }
 
 // protocolError counts a violation and tells the peer; the caller

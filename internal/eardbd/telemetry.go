@@ -1,6 +1,8 @@
 package eardbd
 
 import (
+	"errors"
+
 	"goear/internal/telemetry"
 	"goear/internal/wire"
 )
@@ -14,6 +16,8 @@ const (
 	metricDBDProtoErrors = "goear_eardbd_protocol_errors_total"
 	metricDBDQueries     = "goear_eardbd_queries_total"
 	metricDBDReplyBytes  = "goear_eardbd_reply_bytes_total"
+
+	metricDBDRepliesRefused = "goear_eardbd_replies_refused_total"
 
 	metricDBDClientFlushes     = "goear_eardbd_client_flushes_total"
 	metricDBDClientBatchesSent = "goear_eardbd_client_batches_sent_total"
@@ -110,35 +114,62 @@ func newServerTel(s *telemetry.Set) serverTel {
 	}
 }
 
-// ReplyBytes counts served result payload bytes by kind: how big the
-// answers a daemon or root serves are, readable live. It is indexed by
-// the kind byte a result payload starts with, so counting a reply is an
-// array load and an add. The zero value counts nothing.
-type ReplyBytes []*telemetry.Counter
+// Replies counts what a daemon or root serves, readable live: the
+// payload bytes of the answers by kind, and the answers refused as past
+// the frame limit, each also an event naming the kind, the size and the
+// limit. Served bytes are indexed by the kind byte a result payload
+// starts with, so counting a reply is an array load and an add. The
+// zero value counts nothing.
+type Replies struct {
+	bytes   []*telemetry.Counter
+	refusal *telemetry.CounterVec
+	rec     *telemetry.Recorder
+}
 
-// NewReplyBytes resolves one counter per result kind in s (nil: every
-// counter is a no-op). A shard daemon and a root sharing one set fold
-// into the same series, as their query counters do.
-func NewReplyBytes(s *telemetry.Set) ReplyBytes {
+// NewReplies resolves one counter per result kind in s (nil: every
+// counter is a no-op); a changes answer's parts count as changes. A
+// shard daemon and a root sharing one set fold into the same series, as
+// their query counters do.
+func NewReplies(s *telemetry.Set) Replies {
 	vec := s.Reg().CounterVec(metricDBDReplyBytes, "result payload bytes served, by result kind", "kind")
+	refusal := s.Reg().CounterVec(metricDBDRepliesRefused, "answers refused as past the frame limit, by query kind", "kind")
 	if vec == nil {
-		return nil
+		return Replies{}
 	}
 	kinds := wire.ResultKinds()
-	out := make(ReplyBytes, len(kinds))
+	out := Replies{bytes: make([]*telemetry.Counter, len(kinds)), refusal: refusal, rec: s.Rec()}
 	for code, kind := range kinds {
-		if kind != "" {
-			out[code] = vec.With(kind)
+		switch kind {
+		case "":
+		case wire.ChangesPart:
+			out.bytes[code] = vec.With(wire.QueryChanges)
+		default:
+			out.bytes[code] = vec.With(kind)
 		}
 	}
 	return out
 }
 
-// count adds one served result payload.
-func (rb ReplyBytes) count(payload []byte) {
-	if len(payload) > 0 && int(payload[0]) < len(rb) {
-		rb[payload[0]].Add(uint64(len(payload)))
+// count adds n bytes served under the kind payload starts with.
+func (rp Replies) count(payload []byte, n int) {
+	if len(payload) > 0 && int(payload[0]) < len(rp.bytes) {
+		rp.bytes[payload[0]].Add(uint64(n))
 	}
+}
+
+// refused counts an answer to a kind query that err refused as past
+// the frame limit, and records it; any other error is not counted.
+func (rp Replies) refused(kind string, err error) {
+	var size *wire.SizeError
+	if rp.refusal == nil || !errors.As(err, &size) {
+		return
+	}
+	rp.refusal.With(kind).Inc()
+	rp.rec.Record(telemetry.Event{
+		Kind: "eardbd.refused",
+		Str:  map[string]string{"kind": kind},
+		Num:  map[string]float64{"bytes": float64(size.Size), "limit": float64(size.Limit)},
+	})
 }
 
 // LatencySLO registers the server's per-op latency histograms with an

@@ -276,16 +276,16 @@ func TestTelemetryClosedLoopWorkerInvariance(t *testing.T) {
 // is no result at all is not counted against anybody.
 func TestReplyBytesCountsWithoutAllocating(t *testing.T) {
 	set := telemetry.NewSet()
-	on, off := NewReplyBytes(set), NewReplyBytes(nil)
+	on, off := NewReplies(set), NewReplies(nil)
 	gen, err := (*wire.Conn)(nil).AppendResult(nil, wire.QueryGeneration, wire.Generation{Gen: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		on.count(gen)
-		off.count(gen)
-		on.count([]byte{200, 1, 2})
-		on.count(nil)
+		on.count(gen, len(gen))
+		off.count(gen, len(gen))
+		on.count([]byte{200, 1, 2}, 3)
+		on.count(nil, 0)
 	}); n != 0 {
 		t.Errorf("counting a reply allocates %v times", n)
 	}

@@ -38,7 +38,8 @@
 //
 // A Store is not safe for concurrent use; its typed wrappers hold the
 // lock. Reads may run at once under a read lock: the order they build
-// has a lock of its own. The package depends on the standard library
+// has a lock of its own. A reader that walks a store without the lock
+// pins it (Shared), and the writers work on a clone while it does. The package depends on the standard library
 // only.
 package grouped
 

@@ -15,6 +15,7 @@ package policy
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"goear/internal/metrics"
@@ -176,16 +177,18 @@ func (c Config) validate() error {
 	switch {
 	case c.Model == nil:
 		return fmt.Errorf("policy: missing energy model")
-	case c.CPUPolicyTh < 0 || c.CPUPolicyTh > 1:
+	// Each range is written so that NaN, which fails every comparison,
+	// falls outside it.
+	case !(c.CPUPolicyTh >= 0 && c.CPUPolicyTh <= 1):
 		return fmt.Errorf("policy: cpu_policy_th %g outside [0,1]", c.CPUPolicyTh)
-	case c.UncPolicyTh < 0 || c.UncPolicyTh > 1:
+	case !(c.UncPolicyTh >= 0 && c.UncPolicyTh <= 1):
 		return fmt.Errorf("policy: unc_policy_th %g outside [0,1]", c.UncPolicyTh)
 	case c.DefaultPstate < 0 || c.DefaultPstate >= c.Model.PstateCount():
 		return fmt.Errorf("policy: default pstate %d outside model", c.DefaultPstate)
 	case c.UncoreMinRatio == 0 || c.UncoreMinRatio > c.UncoreMaxRatio:
 		return fmt.Errorf("policy: uncore window [%d,%d] invalid", c.UncoreMinRatio, c.UncoreMaxRatio)
-	case c.SigChangeTh <= 0:
-		return fmt.Errorf("policy: signature change threshold must be positive")
+	case !(c.SigChangeTh > 0 && c.SigChangeTh <= math.MaxFloat64):
+		return fmt.Errorf("policy: signature change threshold %g must be positive and finite", c.SigChangeTh)
 	}
 	return c.Model.Validate()
 }

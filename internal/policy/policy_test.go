@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -108,6 +109,12 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.UncoreMinRatio = 0 },
 		func(c *Config) { c.UncoreMinRatio = 30 },
 		func(c *Config) { c.SigChangeTh = -1 },
+		// NaN fails every comparison, so a range test that a value
+		// merely does not fail let it through.
+		func(c *Config) { c.CPUPolicyTh = math.NaN() },
+		func(c *Config) { c.UncPolicyTh = math.NaN() },
+		func(c *Config) { c.SigChangeTh = math.NaN() },
+		func(c *Config) { c.SigChangeTh = math.Inf(1) },
 	}
 	for i, mut := range muts {
 		c := good

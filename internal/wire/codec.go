@@ -60,10 +60,12 @@ const linearTable = 32
 // would pay to clear them again.
 const maxTable = 896
 
-// encoder appends one frame body to buf. Its string table is the
-// first n entries of small until that is full, the map idx from then
-// on. (An array and a count, not a slice of the array: a struct that
-// points into itself is moved to the heap.) kept, when not nil, is a
+// encoder appends one frame body to buf — or the bodies of one changes
+// answer's frames, one after another, its table spanning them
+// (stream.go). Its string table is the first n entries of small until
+// that is full, the map idx from then on. (An array and a count, not a
+// slice of the array: a struct that points into itself is moved to the
+// heap.) kept, when not nil, is a
 // connection's slot for the map between frames: idx is taken from it
 // instead of made, and release puts it back.
 type encoder struct {
@@ -117,10 +119,10 @@ func (e *encoder) str(s string) {
 	e.buf = append(e.buf, s...)
 }
 
-// release ends the frame: the map, if the frame needed one, goes back
-// to the connection cleared — a stale entry would become a reference
-// the next frame's decoder cannot resolve — unless it grew past
-// maxTable.
+// release ends the frame, or the answer: the map, if it needed one,
+// goes back to the connection cleared — a stale entry would become a
+// reference the next answer's decoder cannot resolve — unless it grew
+// past maxTable.
 func (e *encoder) release() {
 	if e.kept != nil && e.idx != nil && len(e.idx) <= maxTable {
 		clear(e.idx)
@@ -202,9 +204,11 @@ const (
 	frameShare  = 26
 )
 
-// decoder reads one frame body. Errors are sticky: after the first,
-// every read returns a zero value, and finish reports it. The string
-// table is the first n entries of small, then more. A decoder is
+// decoder reads one frame body — or, in a ChangesReader, the bodies of
+// one changes answer's frames in turn, its table spanning them. Errors
+// are sticky: after the first, every read returns a zero value, and
+// finish reports it. The string table is the first n entries of small,
+// then more. A decoder is
 // copied only before its first literal (Frame.body returns it by
 // value): blk must not be copied once written to.
 type decoder struct {

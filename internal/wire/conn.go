@@ -9,13 +9,14 @@ import (
 )
 
 // MaxKept is the largest buffer a Conn keeps between frames, on either
-// side. Batches, acks, pages, power lists, generation polls and the
-// changes a write makes fit, so a peer that stays — a reporter, an
-// admin tool, a root's pooled connection — is served without
-// allocating; a shard's whole view (changes from 0) does not, and is
-// garbage once handled: a root asks for one only on a cold,
-// epoch or fallback miss, and a few hundred idle connections must not
-// each pin the largest frame they ever carried.
+// side. Batches, acks, pages, power lists, generation polls and every
+// part of a changes answer fit (a whole view streams in parts cut to
+// it, AppendChanges), so a peer that stays — a reporter, an admin tool,
+// a root's pooled connection — is served without allocating, whatever
+// the size of the view it reads. Only a frame of a one-frame kind past
+// it, or a single record that is, is garbage once handled: a few
+// hundred idle connections must not each pin the largest frame they
+// ever carried.
 const MaxKept = 32 << 10
 
 // firstBuf is the size a Conn's buffers start at: an ack, an error, a
@@ -23,10 +24,12 @@ const MaxKept = 32 << 10
 const firstBuf = 64
 
 // Conn is one connection's framing state: the transport, one read
-// buffer, one write buffer and the encoder's string table. It is how a connection that carries more
-// than one frame moves them — a frame read is one transport Read when
-// the bytes are there, a frame sent is one Write — and it allocates only
-// while its buffers grow towards the frames it carries. The state is
+// buffer, one write buffer and the encoder's string table, which a
+// changes answer keeps across its parts. It is how a connection that
+// carries more than one frame moves them — a frame read is one
+// transport Read when the bytes are there, a frame sent is one Write —
+// and it allocates only while its buffers grow towards the frames it
+// carries. The state is
 // not the connection: Reset points it at the next transport, buffers
 // kept, so a client keeps one across redials and a server recycles one
 // across the connections it serves. A Conn is not safe for concurrent
@@ -53,8 +56,11 @@ type Conn struct {
 	// wbuf is the image buffer Body hands out, kept while small.
 	wbuf []byte
 	// strs is the string table AppendResult's encoder indexes a
-	// fleet-sized reply in: empty between frames, kept while small.
+	// fleet-sized reply in: empty between answers, kept while small.
 	strs map[string]int
+	// streamed is the payload bytes of the parts the last AppendChanges
+	// sent ahead of the image it returned.
+	streamed int
 }
 
 // Reset points the state at a new transport — nil to let go of the last
@@ -117,6 +123,17 @@ func (c *Conn) Read() (Frame, error) {
 		return Frame{}, fmt.Errorf("wire: read payload: %w", cutShort(err))
 	}
 	return Frame{Type: t, Payload: payload, Trace: tc}, nil
+}
+
+// Trim lets go of a read buffer grown past the first, unless bytes read
+// ahead are waiting in it: the next frame that needs more grows it
+// again. A connection that has read a rare large answer — a root's
+// whole view of a shard — and stays open keeps no more than its first
+// buffer.
+func (c *Conn) Trim() {
+	if c.r == c.w && len(c.rbuf) > firstBuf {
+		c.rbuf, c.r, c.w = nil, 0, 0
+	}
 }
 
 // fill reads from the transport until n bytes, at most MaxKept, are

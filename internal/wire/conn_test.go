@@ -269,3 +269,41 @@ func TestConnKeepsOnlySmallBuffers(t *testing.T) {
 		t.Errorf("a %d-byte frame left the connection holding %d and %d bytes", len(large), len(c.rbuf), cap(c.Body()))
 	}
 }
+
+// TestTrimLetsTheReadBufferGo: a connection that has read a frame past
+// its first buffer keeps the larger buffer for the frames after it;
+// Trim lets it go, unless bytes read ahead wait in it.
+func TestTrimLetsTheReadBufferGo(t *testing.T) {
+	var stream bytes.Buffer
+	for _, n := range []int{MaxKept - HeaderRoom, 8, 8} {
+		if err := WriteFrame(&stream, Frame{Type: TypeResult, Payload: make([]byte, n)}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := Conn{MaxPayload: connLimit}
+	c.Reset(&chunked{data: stream.Bytes()})
+	if _, err := c.Read(); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.rbuf) <= firstBuf {
+		t.Fatalf("a %d-byte frame was read in a buffer of %d bytes", MaxKept-HeaderRoom, len(c.rbuf))
+	}
+	buf := &c.rbuf[0]
+	if _, err := c.Read(); err != nil || &c.rbuf[0] != buf {
+		t.Fatalf("the next frame took a buffer of its own (err %v)", err)
+	}
+	if c.r == c.w {
+		t.Fatal("nothing was read ahead: the test cannot tell a Trim that waits")
+	}
+	c.Trim()
+	if &c.rbuf[0] != buf {
+		t.Fatal("Trim dropped bytes read ahead")
+	}
+	if _, err := c.Read(); err != nil {
+		t.Fatal(err)
+	}
+	c.Trim()
+	if len(c.rbuf) != 0 {
+		t.Errorf("after Trim the connection holds a read buffer of %d bytes", len(c.rbuf))
+	}
+}

@@ -109,7 +109,7 @@ func appendReply(c *Conn, dst []byte, kind string, v any) ([]byte, error) {
 	case storePage:
 		return c.AppendAcctPage(dst, sv.s, sv.q)
 	case *eard.DB:
-		return c.AppendChanges(dst, &Changes{DB: sv}), nil
+		return c.AppendChanges(dst, &Changes{DB: sv})
 	}
 	return c.AppendResult(dst, kind, v)
 }

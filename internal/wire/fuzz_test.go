@@ -277,27 +277,37 @@ func resultSeeds(tb testing.TB) [][]byte {
 // eachAgreesWithDecode holds the streaming decode of a changes result
 // to the slice decode of the same body, whose outcome was v and err:
 // the same elements in the same order, or both fail with ErrPayload.
-// Any other kind must refuse to stream.
+// Any other kind must refuse to stream, and a part leaves the answer
+// open.
 func eachAgreesWithDecode(t *testing.T, res Result, v any, err error) {
 	t.Helper()
+	var s ChangesReader
 	if res.Kind != QueryChanges {
-		if res.EachChange(nil, nil, nil) == nil {
-			t.Fatalf("a %s result streamed as changes", res.Kind)
+		if done, err := s.Apply(res, keep[eard.JobRecord](nil), keep[accounting.Record](nil), keep[NodePower](nil)); done || (err == nil) != (res.Kind == ChangesPart) {
+			t.Fatalf("a %s result streamed as changes: closed %v, err %v", res.Kind, done, err)
 		}
 		return
 	}
 	// Compared part by part: the slice decode of a body that fails
 	// leaves the parts before the fault decoded and the rest empty.
 	ch, want := Changes{Records: []eard.JobRecord{}, Acct: []accounting.Record{}, Powers: []NodePower{}}, v.(*Changes)
-	eachErr := res.EachChange(
-		func(r eard.JobRecord) error { ch.Records = append(ch.Records, r); return nil },
-		func(r accounting.Record) error { ch.Acct = append(ch.Acct, r); return nil },
-		func(np NodePower) error { ch.Powers = append(ch.Powers, np); return nil })
-	if (eachErr != nil) != (err != nil) || (eachErr != nil && !errors.Is(eachErr, ErrPayload)) {
-		t.Fatalf("%s: streaming decode err = %v, slice decode err = %v", res.Kind, eachErr, err)
+	done, eachErr := s.Apply(res, keep(&ch.Records), keep(&ch.Acct), keep(&ch.Powers))
+	if (eachErr != nil) != (err != nil) || (eachErr != nil && !errors.Is(eachErr, ErrPayload)) || done != (eachErr == nil) {
+		t.Fatalf("%s: streaming decode closed %v, err = %v, slice decode err = %v", res.Kind, done, eachErr, err)
 	}
 	if err == nil && !sameBits(ch, *want) {
 		t.Fatalf("%s: streamed changes differ from the decoded ones\n got %+v\nwant %+v", res.Kind, ch, *want)
+	}
+}
+
+// keep returns an element callback that appends to *dst, or drops the
+// element for a nil dst.
+func keep[T any](dst *[]T) func(T) error {
+	return func(v T) error {
+		if dst != nil {
+			*dst = append(*dst, v)
+		}
+		return nil
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"goear/internal/accounting"
-	"goear/internal/eard"
 )
 
 // Result bodies. A result payload is one kind byte — the index of the
@@ -16,13 +15,22 @@ import (
 //	acct_jobs     n × acct, next str, total int
 //	node_powers   n × (node str, power_w f64)
 //	generation    gen uint, records uint, acct uint, powers uint
-//	changes       n × record, n × acct, n × (node str, power_w f64)
+//	changes       n × record, n × acct, n × (node str, power_w f64),
+//	              [parts uint]
+//	changes_part  n × record, n × acct, n × (node str, power_w f64),
+//	              seq uint
 //	stats, aggregate, jobs, summary
 //	              the rest of the payload is the value as JSON
 //
+// A changes answer is a stream: zero or more changes_part frames, the
+// seq-th counting from 0, closed by one changes frame that counts them
+// when there are any; the elements are the concatenation of the frames'
+// sections, and one string table spans the stream (stream.go). A view
+// that fits one frame is the changes frame alone.
+//
 // Bytes 6 and 8 were the records and acct_records dumps, which changes
-// from zero carries in one frame. They are retired, not reused: a
-// result of either is an unknown kind.
+// from zero carries. They are retired, not reused: a result of either
+// is an unknown kind.
 //
 // The four binary kinds are the ones that carry records or sit on the
 // federation root's fan-out path. The four JSON kinds are small,
@@ -37,7 +45,7 @@ import (
 var resultKinds = [...]string{
 	"", QueryStats, QueryAggregate, QueryJobs, QuerySummary,
 	QueryNodePowers, "", QueryAcctJobs, "", QueryGeneration,
-	QueryChanges,
+	QueryChanges, ChangesPart,
 }
 
 // minNodePowerLen is the smallest encoded NodePower.
@@ -59,7 +67,8 @@ func ResultKinds() []string { return slices.Clone(resultKinds[:]) }
 // kind to dst and returns the extended slice. The binary kinds take
 // exactly their Go shape (accounting.Page for acct_jobs, []NodePower
 // for node_powers, Generation for generation, Changes or *Changes for
-// changes); the JSON kinds take any marshallable value. On
+// changes, as AppendChanges encodes it); the JSON kinds take any
+// marshallable value. On
 // error dst comes back as it was. A value in an interface is boxed, one
 // allocation a reply: a server answers the binary kinds through the
 // typed appenders below, which take theirs as they are, and only the
@@ -73,7 +82,7 @@ func ResultKinds() []string { return slices.Clone(resultKinds[:]) }
 // without allocating once warm. A nil Conn keeps no table; the bytes are
 // the same.
 func (c *Conn) AppendResult(dst []byte, kind string, data any) ([]byte, error) {
-	if kind == "" || !slices.Contains(resultKinds[:], kind) {
+	if kind == "" || kind == ChangesPart || !slices.Contains(resultKinds[:], kind) {
 		return dst, fmt.Errorf("wire: encode result: unknown kind %q", kind)
 	}
 	e := encoder{buf: dst, kept: c.table()}
@@ -93,13 +102,21 @@ func (c *Conn) AppendResult(dst []byte, kind string, data any) ([]byte, error) {
 			return c.AppendNodePowers(dst, nps), nil
 		}
 	case QueryChanges:
-		switch ch := data.(type) {
+		var ch *Changes
+		switch v := data.(type) {
 		case *Changes:
-			return c.AppendChanges(dst, ch), nil
+			ch = v
 		case Changes:
-			return c.AppendChanges(dst, &ch), nil
+			ch = &v
 		default:
 			ok = false
+		}
+		if ok {
+			out, err := c.AppendChanges(dst, ch)
+			if err != nil {
+				return dst, err
+			}
+			return out, nil
 		}
 	case QueryGeneration:
 		var g Generation
@@ -156,8 +173,9 @@ func (c *Conn) AppendNodePowers(dst []byte, nps []NodePower) []byte {
 	return e.buf
 }
 
-// The appenders below encode from a store's rows under its lock, to the
-// bytes of its copy. Each is a function of its own: should the compiler
+// The appenders below encode from a store's rows, to the bytes of its
+// copy: a page under the store's lock, a changes answer from pinned rows
+// (stream.go). Each is a function of its own: should the compiler
 // stop proving that the callbacks a walk takes do not escape, an
 // encoder moves to the heap there, not in AppendResult for every reply
 // (TestAppendResultAllocations holds that line).
@@ -179,35 +197,6 @@ func (c *Conn) AppendAcctPage(dst []byte, s *accounting.Store, q accounting.Quer
 	e.int(total)
 	e.release()
 	return e.buf, nil
-}
-
-// AppendChanges appends the payload of a changes result to dst. A DB
-// or AcctStore it carries stands for its Records or Acct, encoded from
-// the store's rows under one hold of its lock.
-func (c *Conn) AppendChanges(dst []byte, ch *Changes) []byte {
-	e := encoder{buf: dst, kept: c.table()}
-	acct := len(ch.Acct)
-	if ch.AcctStore != nil {
-		acct = ch.AcctStore.Len() // a size hint: the walk below counts again
-	}
-	rest := nodePowersSizeHint(len(ch.Powers))
-	if ch.DB != nil {
-		ch.DB.Walk(func(n int) {
-			e.open(QueryChanges, recordsSizeHint(n, 0)+recordsSizeHint(0, acct)+rest)
-			e.uint(uint64(n))
-		}, e.record)
-	} else {
-		e.open(QueryChanges, recordsSizeHint(len(ch.Records), acct)+rest)
-		e.records(ch.Records)
-	}
-	if ch.AcctStore != nil {
-		ch.AcctStore.Walk(func(n int) { e.uint(uint64(n)) }, e.acctRecord)
-	} else {
-		e.acctRecords(ch.Acct)
-	}
-	e.nodePowers(ch.Powers)
-	e.release()
-	return e.buf
 }
 
 // generationCode is the generation kind's byte.
@@ -244,7 +233,10 @@ func (f Frame) AsResult() (Result, error) {
 
 // Decode decodes the result body into v, which must point at the
 // kind's Go shape (see AppendResult). Slices v already holds are
-// reused when large enough, and a decoded slice is never nil.
+// reused when large enough, and a decoded slice is never nil. A changes
+// result decodes as the whole of a one-frame answer; a longer answer's
+// frames are read together through a ChangesReader, and a changes_part
+// on its own is refused.
 func (r Result) Decode(v any) error {
 	d := newDecoder(r.Data, resultShare)
 	ok := true
@@ -273,6 +265,8 @@ func (r Result) Decode(v any) error {
 		if p, ok = v.(*Generation); ok {
 			*p = d.generation()
 		}
+	case ChangesPart:
+		d.fail("a part decodes within its changes stream")
 	default:
 		if err := json.Unmarshal(r.Data, v); err != nil {
 			return fmt.Errorf("wire: decode %s result: %w", r.Kind, err)
@@ -311,44 +305,6 @@ func (r Result) Generation() (Generation, error) {
 // stamps.
 func (d *decoder) generation() Generation {
 	return Generation{Gen: d.uint(), Records: d.uint(), Acct: d.uint(), Powers: d.uint()}
-}
-
-// EachChange decodes a changes result one element at a time, so it
-// folds into stores with no slice in between: every node report to
-// rec, then every accounting record to acct, then every node power to
-// power. The strings of an element are cut from the frame's literal
-// blocks like any decoded string. It stops at the first error a
-// function returns and returns it; a malformed body fails as Decode
-// does, after the functions have seen the elements before the fault.
-func (r Result) EachChange(rec func(eard.JobRecord) error, acct func(accounting.Record) error, power func(NodePower) error) error {
-	if r.Kind != QueryChanges {
-		return fmt.Errorf("wire: decode %s result: not a %s result", r.Kind, QueryChanges)
-	}
-	d := newDecoder(r.Data, resultShare)
-	var jr eard.JobRecord
-	for n := d.count(minRecordLen); n > 0 && d.err == nil; n-- {
-		if d.record(&jr); d.err == nil {
-			if err := rec(jr); err != nil {
-				return err
-			}
-		}
-	}
-	var ar accounting.Record
-	for n := d.count(minAcctLen); n > 0 && d.err == nil; n-- {
-		if d.acctRecord(&ar); d.err == nil {
-			if err := acct(ar); err != nil {
-				return err
-			}
-		}
-	}
-	for n := d.count(minNodePowerLen); n > 0 && d.err == nil; n-- {
-		if np := (NodePower{Node: d.str(), PowerW: d.f64()}); d.err == nil {
-			if err := power(np); err != nil {
-				return err
-			}
-		}
-	}
-	return d.finish(r.Kind, "result")
 }
 
 // nonNil turns a nil slice into an empty one, so an empty result

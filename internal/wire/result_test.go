@@ -33,9 +33,12 @@ func fleetAcct(tb testing.TB) *accounting.Store {
 	return s
 }
 
-func fleetDB(tb testing.TB) *eard.DB {
+func fleetDB(tb testing.TB) *eard.DB { return fleetJobsDB(tb, 15) }
+
+// fleetJobsDB is fleetDB's first jobs jobs.
+func fleetJobsDB(tb testing.TB, jobs int) *eard.DB {
 	db := eard.NewDB()
-	for j := 0; j < 15; j++ {
+	for j := 0; j < jobs; j++ {
 		for n := 199; n >= 0; n-- { // against key order
 			p := 250 + float64(n%40)
 			err := db.Insert(eard.JobRecord{
@@ -156,12 +159,25 @@ func TestStoreViewsEncodeByteIdentically(t *testing.T) {
 		}
 	}
 
+	// A whole view streams the frames its copies stream, and one that
+	// fits a frame is that frame alone, with or without a connection.
 	powers := fleetPowers()
 	for dbName, db := range map[string]*eard.DB{"empty": eard.NewDB(), "seeds": seedDB, "fleet": fleetDB(t)} {
 		for acctName, acct := range accts {
-			want := mustResultPayload(t, QueryChanges, Changes{Records: db.Records(), Acct: acct.Snapshot(), Powers: powers})
-			same("a whole view of the "+dbName+" database and the "+acctName+" accounting store", want, func(dst []byte) ([]byte, error) {
-				return noConn.AppendChanges(dst, &Changes{DB: db, AcctStore: acct, Powers: powers}), nil
+			what := "a whole view of the " + dbName + " database and the " + acctName + " accounting store"
+			copies := &Changes{Records: db.Records(), Acct: acct.Snapshot(), Powers: powers}
+			want, frames := streamOf(t, 0, copies)
+			if got, _ := streamOf(t, 0, &Changes{DB: db, AcctStore: acct, Powers: powers}); !bytes.Equal(got, want) {
+				t.Fatalf("%s streams %d bytes, its copies %d", what, len(got), len(want))
+			}
+			if frames > 1 {
+				if _, err := noConn.AppendChanges(nil, copies); err == nil {
+					t.Fatalf("%s: %d frames encoded with no connection to stream them on", what, frames)
+				}
+				continue
+			}
+			same(what, mustResultPayload(t, QueryChanges, *copies), func(dst []byte) ([]byte, error) {
+				return noConn.AppendChanges(dst, &Changes{DB: db, AcctStore: acct, Powers: powers})
 			})
 		}
 	}
@@ -276,7 +292,7 @@ func TestConnStringTable(t *testing.T) {
 		{"page of 200", QueryAcctJobs, storePage{fleetAcct(t), accounting.Query{User: "alice", Limit: 200}}, true},
 		{"names 50-149", QueryNodePowers, fleet[50:150], true},
 		{"names 0-9, no table needed", QueryNodePowers, fleet[:10], true},
-		{"node reports of the fleet", QueryChanges, fleetDB(t), true},
+		{"node reports of a fleet job", QueryChanges, fleetJobsDB(t, 1), true},
 		{"one name more than a kept table holds", QueryNodePowers, many, false},
 		{"names 0-199 again", QueryNodePowers, fleet, true},
 	} {

@@ -40,10 +40,12 @@
 // IEEE-754 bits in eight big-endian bytes — so a value crosses any
 // number of hops bit for bit, -0, subnormals and all, and byte-identity
 // of every aggregate holds by construction — and strings through a
-// frame-scoped table: a string's first use in a frame carries its
-// bytes, every later use is a varint back-reference. Nothing is shared
-// across frames, so every frame (and every journal entry) decodes on
-// its own.
+// table scoped to one frame or one stream: a string's first use carries
+// its bytes, every later use is a varint back-reference. The one stream
+// is a changes answer, whose parts share a table, so each literal
+// crosses once per answer; nothing else is shared across frames, so a
+// batch, every other result and every journal entry decode on their
+// own.
 package wire
 
 import (
@@ -171,10 +173,21 @@ func checkOutgoing(t Type, n, maxPayload int) error {
 		maxPayload = DefaultMaxPayload
 	}
 	if n > maxPayload {
-		return fmt.Errorf("%w: %d bytes > limit %d", ErrTooLarge, n, maxPayload)
+		return &SizeError{Size: n, Limit: maxPayload}
 	}
 	return nil
 }
+
+// SizeError is a frame this side refused to send: Size payload bytes
+// past the limit. It is an ErrTooLarge (errors.Is), and tells a server
+// what to count and record about the answer it could not send.
+type SizeError struct{ Size, Limit int }
+
+func (e *SizeError) Error() string {
+	return fmt.Sprintf("%v: %d bytes > limit %d", ErrTooLarge, e.Size, e.Limit)
+}
+
+func (e *SizeError) Unwrap() error { return ErrTooLarge }
 
 // stamp writes the header of a t frame with an n-byte payload into
 // room, the HeaderRoom bytes that end where the payload starts, and
@@ -408,15 +421,23 @@ const (
 	QueryGeneration = "generation"
 	// QueryChanges asks for what moved since the generation in Limit (a
 	// Changes), which is how a federation root builds its view. From 0
-	// (Limit <= 0) every store answers with all it holds, in one frame:
-	// every node report sorted by (job, step, node), every accounting
-	// record in canonical (job, step, node, phase) order, and the power
-	// list. From a generation only a shard daemon answers, from its node
-	// stamps; it refuses with an error frame when it has dropped or
-	// restored accounting records since, and a root refuses it always.
-	// The asker then asks from 0.
+	// (Limit <= 0) every store answers with all it holds: every node
+	// report sorted by (job, step, node), every accounting record in
+	// canonical (job, step, node, phase) order, and the power list. From
+	// a generation only a shard daemon answers, from its node stamps; it
+	// refuses with an error frame when it has dropped or restored
+	// accounting records since, and a root refuses it always. The asker
+	// then asks from 0. Either answer is a stream of frames that each
+	// pass through a connection's kept buffers (AppendChanges,
+	// ChangesReader), so a view of any size moves under any frame limit
+	// a record fits.
 	QueryChanges = "changes"
 )
+
+// ChangesPart is the result kind of every frame of a changes answer but
+// the last, which is a QueryChanges result. It is not a query kind:
+// nothing asks for a part.
+const ChangesPart = "changes_part"
 
 // Changes is the QueryChanges result: every node a store stamped after
 // the generation asked from, whole — its node reports and accounting
@@ -428,8 +449,8 @@ type Changes struct {
 	Powers  []NodePower
 	// DB and AcctStore, when set, stand for Records and Acct on the
 	// encoding side: every record the store holds, encoded straight
-	// from its rows. An answer from 0 carries both; a decoded Changes
-	// never has either.
+	// from its pinned rows (AppendChanges). An answer from 0 carries
+	// both; a decoded Changes never has either.
 	DB        *eard.DB
 	AcctStore *accounting.Store
 }
