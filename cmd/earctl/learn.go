@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"os"
 
 	"goear/internal/experiments"
 	"goear/internal/model"
@@ -17,6 +18,8 @@ import (
 // nodes: a grid of probe workloads is executed across every pstate pair
 // of the simulated platform and the projection coefficients are fitted
 // by least squares. The model is written as JSON for earsim -model.
+// With -o - stdout carries the JSON alone and the progress lines go to
+// stderr, so `earctl learn > m.json` writes a file earsim reads.
 func learnCmd(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("learn", flag.ContinueOnError)
 	plName := platformFlag(fs)
@@ -29,7 +32,11 @@ func learnCmd(args []string, out io.Writer) error {
 		return err
 	}
 
-	fmt.Fprintf(out, "training energy model for %s (%d probes x %d pstates)...\n",
+	progress := out
+	if *outPath == "-" {
+		progress = os.Stderr
+	}
+	fmt.Fprintf(progress, "training energy model for %s (%d probes x %d pstates)...\n",
 		pl.Machine.CPU.Name,
 		len(model.DefaultProbes(pl.Machine.CPU.TotalCores())),
 		pl.Machine.CPU.PstateCount())
@@ -41,7 +48,7 @@ func learnCmd(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "held-out CPI projection error: %.2f%%\n", mae*100)
+	fmt.Fprintf(progress, "held-out CPI projection error: %.2f%%\n", mae*100)
 
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {

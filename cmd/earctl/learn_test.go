@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"hash/fnv"
 	"os"
 	"path/filepath"
@@ -36,13 +37,28 @@ func TestTrainToFile(t *testing.T) {
 	}
 }
 
+// TestTrainToStdout: with the default -o -, stdout is the model alone —
+// the bytes -o file writes plus a line end — so `earctl learn > m.json`
+// gives a file earsim -model reads.
 func TestTrainToStdout(t *testing.T) {
 	var b strings.Builder
 	if err := run([]string{"learn", "-platform", "GPUNode"}, &b); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), `"pairs"`) {
-		t.Error("JSON model not written to stdout")
+	var m model.Model
+	if err := json.Unmarshal([]byte(b.String()), &m); err != nil {
+		t.Fatalf("stdout is not a model: %v\n%s", err, b.String())
+	}
+	path := filepath.Join(t.TempDir(), "model.json")
+	if err := run([]string{"learn", "-platform", "GPUNode", "-o", path}, new(strings.Builder)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := b.String(), string(data)+"\n"; got != want {
+		t.Errorf("stdout is %d bytes, want the %d-byte file plus a line end", len(got), len(data))
 	}
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,8 +10,10 @@ import (
 	"testing"
 
 	"goear/internal/eardbd"
+	"goear/internal/model"
 	"goear/internal/policy"
 	"goear/internal/wire"
+	"goear/internal/workload"
 )
 
 func TestBaselineRun(t *testing.T) {
@@ -108,6 +111,38 @@ func TestErrors(t *testing.T) {
 	// The context reads Runs 0 as the paper's three; the flag must not.
 	if err := run([]string{"-workload", "BT-MZ.C", "-runs", "0"}, &b); err == nil {
 		t.Error("expected error for -runs 0")
+	}
+}
+
+// TestModelFromAnotherPlatformRefused: a model learned on Cascade Lake
+// (2.4 GHz turbo) does not drive a workload on SD530 (2.6 GHz turbo);
+// the run fails naming both instead of printing results.
+func TestModelFromAnotherPlatformRefused(t *testing.T) {
+	pl := workload.CascadeLake()
+	m, err := model.TrainForCPU(pl.Machine, pl.Power)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "cl.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	err = run([]string{"-model", path, "-workload", "BT-MZ.C", "-policy", "min_energy_eufs", "-runs", "1"}, &b)
+	if err == nil {
+		t.Fatalf("a Cascade Lake model ran BT-MZ.C on SD530:\n%s", b.String())
+	}
+	for _, want := range []string{"2.4 GHz turbo", "2.6 GHz turbo"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	if b.Len() != 0 {
+		t.Errorf("refused run printed:\n%s", b.String())
 	}
 }
 

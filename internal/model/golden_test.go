@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
 
 	"goear/internal/metrics"
@@ -36,38 +37,47 @@ func coeffDigest(m *Model) uint64 {
 // command to the same digests). The digests were computed with the generic
 // slice-of-slices least squares (stats.LeastSquares at PR 15); a
 // training change that moves one bit of one coefficient fails here
-// before it can move results_full.txt.
+// before it can move results_full.txt. Training fans out over
+// GOMAXPROCS, so the digests are checked at one, two and four.
 func TestTrainedCoefficientsGolden(t *testing.T) {
-	for _, tc := range []struct {
-		pl          workload.Platform
-		coeff, json uint64
-	}{
-		{workload.SD530(), 0xf28cbf00aa8208f4, 0x764d1e844ad284d9},
-		{workload.CascadeLake(), 0x9c96d61747758034, 0x154ab86f397b4f65},
-		{workload.GPUNode(), 0x26a52a01328daa9d, 0xa914b7ba868de00e},
-	} {
-		m, err := TrainForCPU(tc.pl.Machine, tc.pl.Power)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.pl.Name, err)
-		}
-		if got := coeffDigest(m); got != tc.coeff {
-			t.Errorf("%s: coefficient digest %#016x, want %#016x", tc.pl.Name, got, tc.coeff)
-		}
-		data, err := json.MarshalIndent(m, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := fnv.New64a()
-		h.Write(data)
-		if got := h.Sum64(); got != tc.json {
-			t.Errorf("%s: model JSON digest %#016x (%d bytes), want %#016x", tc.pl.Name, got, len(data), tc.json)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, tc := range []struct {
+			pl          workload.Platform
+			coeff, json uint64
+		}{
+			{workload.SD530(), 0xf28cbf00aa8208f4, 0x764d1e844ad284d9},
+			{workload.CascadeLake(), 0x9c96d61747758034, 0x154ab86f397b4f65},
+			{workload.GPUNode(), 0x26a52a01328daa9d, 0xa914b7ba868de00e},
+		} {
+			m, err := TrainForCPU(tc.pl.Machine, tc.pl.Power)
+			if err != nil {
+				t.Fatalf("%s at GOMAXPROCS %d: %v", tc.pl.Name, procs, err)
+			}
+			if got := coeffDigest(m); got != tc.coeff {
+				t.Errorf("%s at GOMAXPROCS %d: coefficient digest %#016x, want %#016x", tc.pl.Name, procs, got, tc.coeff)
+			}
+			data, err := json.MarshalIndent(m, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			h.Write(data)
+			if got := h.Sum64(); got != tc.json {
+				t.Errorf("%s at GOMAXPROCS %d: model JSON digest %#016x (%d bytes), want %#016x",
+					tc.pl.Name, procs, got, len(data), tc.json)
+			}
 		}
 	}
 }
 
 // TestTrainErrorText pins the wording of the two ways a (pair, class)
-// fit can fail; both name the pair and the class.
+// fit can fail; both name the pair and the class. It runs at
+// GOMAXPROCS 4, where every pstate row fails at once, so the text is
+// also the one a sequential run reports first.
 func TestTrainErrorText(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	pl := workload.SD530()
 	all := DefaultProbes(pl.Machine.CPU.TotalCores())
 
@@ -85,7 +95,7 @@ func TestTrainErrorText(t *testing.T) {
 		same[i] = all[0]
 	}
 	_, err = train(pl.Machine, pl.Power, same)
-	if want := "model: pair (0,0) class 0: model: CPI fit: singular system"; err == nil || err.Error() != want {
+	if want := "model: pair (0,0) class 0: CPI fit: singular system"; err == nil || err.Error() != want {
 		t.Errorf("singular error = %v, want %q", err, want)
 	}
 	if !errors.Is(err, errSingular) {
@@ -94,9 +104,11 @@ func TestTrainErrorText(t *testing.T) {
 }
 
 // TestTrainAllocations pins the learning phase's heap use: the model
-// it returns, the probe list and the evaluation grid — 46 objects,
-// nothing per sample, pair or class — and a prediction from the
-// trained model, which allocates nothing.
+// it returns, the probe list, the evaluation grid and the two row
+// closures handed to par.ForEach with the machine they share — 49
+// objects, nothing per sample, pair or class — and a prediction from
+// the trained model, which allocates nothing. AllocsPerRun sets
+// GOMAXPROCS to 1, so the rows run inline and start no goroutine.
 func TestTrainAllocations(t *testing.T) {
 	pl := workload.SD530()
 	var m *Model
@@ -108,8 +120,8 @@ func TestTrainAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 46 {
-		t.Errorf("TrainForCPU(SD530) allocates %v objects, want 46", allocs)
+	if allocs != 49 {
+		t.Errorf("TrainForCPU(SD530) allocates %v objects, want 49", allocs)
 	}
 	sig := metrics.Signature{IterTimeSec: 1, CPI: 0.8, TPI: 0.02, GBs: 40, DCPowerW: 330, VPI: 0.2}
 	if n := testing.AllocsPerRun(100, func() {

@@ -254,11 +254,40 @@ func (m *Model) checkPstates(from, to int) error {
 // is the all-core turbo frequency, entry 1 the nominal, stepping down.
 func pstateTable(c cpu.Model) []float64 {
 	out := make([]float64, c.PstateCount())
-	out[0] = units.FromRatio(c.TurboRatio, cpu.BusClock).GHzF()
-	for p := 1; p < c.PstateCount(); p++ {
-		out[p] = units.FromRatio(c.NominalRatio-uint64(p-1), cpu.BusClock).GHzF()
+	for p := range out {
+		out[p] = pstateGHz(c, p)
 	}
 	return out
+}
+
+// pstateGHz is entry p of c's pstate table.
+func pstateGHz(c cpu.Model, p int) float64 {
+	if p == 0 {
+		return units.FromRatio(c.TurboRatio, cpu.BusClock).GHzF()
+	}
+	return units.FromRatio(c.NominalRatio-uint64(p-1), cpu.BusClock).GHzF()
+}
+
+// avx512Pstate is the pstate of c's all-core AVX512 licence frequency.
+func avx512Pstate(c cpu.Model) int { return int(c.NominalRatio-c.AVX512Ratio) + 1 }
+
+// Fits returns nil when the model was trained for CPU c: the same
+// pstate table and AVX512 licence pstate. Otherwise the error names
+// both turbo frequencies. It allocates nothing when the model fits.
+func (m *Model) Fits(c cpu.Model) error {
+	fits := len(m.FreqGHz) == c.PstateCount() && m.AVX512Pstate == avx512Pstate(c)
+	for p := 0; fits && p < len(m.FreqGHz); p++ {
+		fits = m.FreqGHz[p] == pstateGHz(c, p)
+	}
+	if fits {
+		return nil
+	}
+	var turbo float64
+	if len(m.FreqGHz) > 0 {
+		turbo = m.FreqGHz[0]
+	}
+	return fmt.Errorf("model: trained for a %.1f GHz turbo (%d pstates, AVX512 pstate %d), the CPU has a %.1f GHz turbo (%d pstates, AVX512 pstate %d)",
+		turbo, len(m.FreqGHz), m.AVX512Pstate, pstateGHz(c, 0), c.PstateCount(), avx512Pstate(c))
 }
 
 // MarshalJSON / UnmarshalJSON give the model a stable on-disk format so

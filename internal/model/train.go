@@ -2,8 +2,10 @@ package model
 
 import (
 	"fmt"
+	"runtime"
 
 	"goear/internal/cpu"
+	"goear/internal/par"
 	"goear/internal/perf"
 	"goear/internal/power"
 	"goear/internal/units"
@@ -59,7 +61,11 @@ func TrainForCPU(machine perf.Machine, pw power.Coeffs) (*Model, error) {
 
 // train evaluates every probe at every pstate pair (uncore held at the
 // hardware maximum, as EAR's CPU-frequency model assumes) and fits the
-// per-class projection coefficients by least squares.
+// per-class projection coefficients by least squares. Both stages fan
+// out by pstate row over GOMAXPROCS workers; each row writes only its
+// own slot and feeds its accumulators in probe order, so the model is
+// bit-identical at any worker count, and the error is the one a
+// sequential run meets first.
 func train(machine perf.Machine, pw power.Coeffs, probes []Probe) (*Model, error) {
 	c := machine.CPU
 	n := c.PstateCount()
@@ -67,28 +73,34 @@ func train(machine perf.Machine, pw power.Coeffs, probes []Probe) (*Model, error
 	capGBs := machine.Mem.CapabilityGBs(fuMax)
 	m := &Model{
 		FreqGHz:      pstateTable(c),
-		AVX512Pstate: int(c.NominalRatio-c.AVX512Ratio) + 1,
+		AVX512Pstate: avx512Pstate(c),
 		CapGBs:       capGBs,
 		SatGBs:       capGBs * machine.Mem.MaxUtilization,
 		Pairs:        make([][]PairCoeffs, n),
 	}
+	workers := runtime.GOMAXPROCS(0)
 
-	// Pre-evaluate every probe at every pstate.
+	// Pre-evaluate every probe at every pstate. Activity reaches only
+	// the power model, so a probe whose phase repeats its predecessor's
+	// (DefaultProbes lists each phase once per activity, side by side)
+	// reuses that execution result.
 	type point struct {
 		cpi, tpi, gbs, rho, pow float64
 	}
 	eval := make([][]point, n) // [pstate][probe]
 	uncore := c.UncoreMaxRatio
-	for p := 0; p < n; p++ {
+	err := par.ForEach(workers, n, func(p int) error {
 		ratio, err := c.PstateRatio(p)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		eval[p] = make([]point, len(probes))
+		row := make([]point, len(probes))
+		var r perf.Result
 		for i, pr := range probes {
-			r, err := perf.Evaluate(machine, pr.Phase, perf.Operating{CoreRatio: ratio, UncoreRatio: uncore})
-			if err != nil {
-				return nil, fmt.Errorf("model: probe %d at pstate %d: %w", i, p, err)
+			if i == 0 || pr.Phase != probes[i-1].Phase {
+				if r, err = perf.Evaluate(machine, pr.Phase, perf.Operating{CoreRatio: ratio, UncoreRatio: uncore}); err != nil {
+					return fmt.Errorf("model: probe %d at pstate %d: %w", i, p, err)
+				}
 			}
 			b, err := pw.Node(power.Input{
 				CoreFreqGHz:   r.EffCoreFreq.GHzF(),
@@ -99,9 +111,9 @@ func train(machine perf.Machine, pw power.Coeffs, probes []Probe) (*Model, error
 				GBs:           r.NodeGBs,
 			})
 			if err != nil {
-				return nil, fmt.Errorf("model: probe %d power at pstate %d: %w", i, p, err)
+				return fmt.Errorf("model: probe %d power at pstate %d: %w", i, p, err)
 			}
-			eval[p][i] = point{
+			row[i] = point{
 				cpi: r.CPI,
 				tpi: pr.Phase.BytesPerInstr / perf.CacheLineBytes,
 				gbs: r.NodeGBs,
@@ -109,13 +121,18 @@ func train(machine perf.Machine, pw power.Coeffs, probes []Probe) (*Model, error
 				pow: b.Total,
 			}
 		}
+		eval[p] = row
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Fit each (from, to, class) by streaming its samples, in probe
 	// order, into fixed-size normal equations: no design matrix is ever
 	// materialised.
-	for from := 0; from < n; from++ {
-		m.Pairs[from] = make([]PairCoeffs, n)
+	err = par.ForEach(workers, n, func(from int) error {
+		row := make([]PairCoeffs, n)
 		for to := 0; to < n; to++ {
 			var cpiFit, powFit [numClasses]normal3
 			for i, src := range eval[from] {
@@ -127,24 +144,27 @@ func train(machine perf.Machine, pw power.Coeffs, probes []Probe) (*Model, error
 				cpiFit[cl].add([3]float64{src.cpi, src.tpi, 1}, dst.cpi)
 				powFit[cl].add([3]float64{src.pow, src.tpi, 1}, dst.pow)
 			}
-			var pc PairCoeffs
 			for cl := 0; cl < numClasses; cl++ {
 				if cpiFit[cl].n < 4 {
-					return nil, fmt.Errorf("model: pair (%d,%d) class %d has only %d samples",
+					return fmt.Errorf("model: pair (%d,%d) class %d has only %d samples",
 						from, to, cl, cpiFit[cl].n)
 				}
 				cb, err := cpiFit[cl].solve()
 				if err != nil {
-					return nil, fmt.Errorf("model: pair (%d,%d) class %d: model: CPI fit: %w", from, to, cl, err)
+					return fmt.Errorf("model: pair (%d,%d) class %d: CPI fit: %w", from, to, cl, err)
 				}
 				pb, err := powFit[cl].solve()
 				if err != nil {
-					return nil, fmt.Errorf("model: pair (%d,%d) class %d: model: power fit: %w", from, to, cl, err)
+					return fmt.Errorf("model: pair (%d,%d) class %d: power fit: %w", from, to, cl, err)
 				}
-				pc.ByClass[cl] = LinCoeffs{A: cb[0], B: cb[1], C: cb[2], D: pb[0], E: pb[1], F: pb[2]}
+				row[to].ByClass[cl] = LinCoeffs{A: cb[0], B: cb[1], C: cb[2], D: pb[0], E: pb[1], F: pb[2]}
 			}
-			m.Pairs[from][to] = pc
 		}
+		m.Pairs[from] = row
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return m, m.Validate()
 }

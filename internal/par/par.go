@@ -20,9 +20,10 @@ import (
 // ForEach invokes fn(0) … fn(n-1), running at most limit invocations
 // concurrently. With limit <= 1 the calls happen inline, in order.
 // Otherwise the calling goroutine is one of the limit workers, so
-// limit-1 goroutines are started. On error the remaining unstarted
-// indices are skipped and the error of the lowest-indexed failed call
-// is returned.
+// limit-1 goroutines are started. On error the indices above the
+// lowest failed one are skipped, every index below it still runs, and
+// the error of the lowest-indexed failed call is returned: the error a
+// sequential run reports.
 func ForEach(limit, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -39,7 +40,8 @@ func ForEach(limit, n int, fn func(i int) error) error {
 		limit = n
 	}
 
-	f := &fanOut{fn: fn, n: n, errIdx: n}
+	f := &fanOut{fn: fn, n: n}
+	f.lowest.Store(int64(n))
 	f.wg.Add(limit)
 	for w := 1; w < limit; w++ {
 		go f.work()
@@ -53,32 +55,35 @@ func ForEach(limit, n int, fn func(i int) error) error {
 // It is the call's one heap object; each started goroutine adds its
 // closure.
 type fanOut struct {
-	fn     func(i int) error
-	n      int
-	next   atomic.Int64
-	failed atomic.Bool
-	wg     sync.WaitGroup
+	fn   func(i int) error
+	n    int
+	next atomic.Int64
+	wg   sync.WaitGroup
 
+	// lowest is the lowest failed index so far (n while none has
+	// failed); first is its error. Both change under mu.
 	mu     sync.Mutex
-	errIdx int
+	lowest atomic.Int64
 	first  error
 }
 
-// work claims indices until they run out or a call fails.
+// work claims indices until they run out, pass a failed one, or a call
+// fails. An index claimed below a failure still runs, even when the
+// failure lands between its claim and its call.
 func (f *fanOut) work() {
 	defer f.wg.Done()
 	for {
-		i := int(f.next.Add(1)) - 1
-		if i >= f.n || f.failed.Load() {
+		i := f.next.Add(1) - 1
+		if i >= int64(f.n) || i > f.lowest.Load() {
 			return
 		}
-		if err := f.fn(i); err != nil {
+		if err := f.fn(int(i)); err != nil {
 			f.mu.Lock()
-			if i < f.errIdx {
-				f.errIdx, f.first = i, err
+			if i < f.lowest.Load() {
+				f.lowest.Store(i)
+				f.first = err
 			}
 			f.mu.Unlock()
-			f.failed.Store(true)
 			return
 		}
 	}

@@ -84,6 +84,30 @@ func TestForEachSkipsAfterFailure(t *testing.T) {
 	}
 }
 
+// Every index below the lowest failure runs, so the error is the one a
+// sequential run reports whichever worker fails first.
+func TestForEachRunsEveryIndexBelowAFailure(t *testing.T) {
+	const n, bad = 64, 40
+	for round := 0; round < 50; round++ {
+		var ran [n]atomic.Bool
+		err := ForEach(4, n, func(i int) error {
+			ran[i].Store(true)
+			if i >= bad {
+				return fmt.Errorf("fail %d", i)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != fmt.Sprintf("fail %d", bad) {
+			t.Fatalf("round %d: err = %v, want fail %d", round, err, bad)
+		}
+		for i := 0; i < bad; i++ {
+			if !ran[i].Load() {
+				t.Fatalf("round %d: index %d below the failure never ran", round, i)
+			}
+		}
+	}
+}
+
 func nop(int) error { return nil }
 
 // A parallel call costs its shared state plus one closure per started

@@ -28,8 +28,8 @@ type Batch struct {
 // are defaulted exactly as Run does; nodes join with Add.
 func NewBatch(cal workload.Calibrated, opt Options) (*Batch, error) {
 	opt = opt.WithDefaults()
-	if opt.Policy != "none" && opt.Model == nil {
-		return nil, fmt.Errorf("sim: policy %q needs a trained model", opt.Policy)
+	if err := checkModel(cal, opt); err != nil {
+		return nil, err
 	}
 	return &Batch{cal: cal, opt: opt}, nil
 }

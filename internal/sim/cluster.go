@@ -39,8 +39,8 @@ func RunCoordinated(cal workload.Calibrated, opt Options, gm PowerManager) (Resu
 	if gm.Interval() <= 0 {
 		return Result{}, fmt.Errorf("sim: power manager interval must be positive")
 	}
-	if opt.Policy != "none" && opt.Model == nil {
-		return Result{}, fmt.Errorf("sim: policy %q needs a trained model", opt.Policy)
+	if err := checkModel(cal, opt); err != nil {
+		return Result{}, err
 	}
 
 	nb := min(opt.workers(), cal.Nodes)

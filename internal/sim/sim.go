@@ -219,14 +219,30 @@ func (r *Result) aggregate() {
 	r.AvgGBs = gbs / cnt
 }
 
+// checkModel refuses options a run cannot honour: a policy without a
+// trained model, or a model trained for another platform than the one
+// cal was calibrated on. It allocates nothing when the options pass.
+func checkModel(cal workload.Calibrated, opt Options) error {
+	if opt.Model == nil {
+		if opt.Policy != "none" {
+			return fmt.Errorf("sim: policy %q needs a trained model", opt.Policy)
+		}
+		return nil
+	}
+	if err := opt.Model.Fits(cal.Platform.Machine.CPU); err != nil {
+		return fmt.Errorf("sim: platform %s: %w", cal.Platform.Name, err)
+	}
+	return nil
+}
+
 // Run executes the workload on all its nodes under the given options.
 // Nodes are simulated concurrently up to Options.Workers; each node is
 // fully independent (own sockets, MSR files, meters, EARL instance and
 // RNG), so the result does not depend on scheduling.
 func Run(cal workload.Calibrated, opt Options) (Result, error) {
 	opt = opt.WithDefaults()
-	if opt.Policy != "none" && opt.Model == nil {
-		return Result{}, fmt.Errorf("sim: policy %q needs a trained model", opt.Policy)
+	if err := checkModel(cal, opt); err != nil {
+		return Result{}, err
 	}
 	res := Result{Workload: cal.Name, Policy: opt.Policy}
 	res.Nodes = make([]NodeResult, cal.Nodes)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"goear/internal/eargm"
 	"goear/internal/workload"
 )
 
@@ -320,6 +321,48 @@ func TestRunErrors(t *testing.T) {
 	m := platformModel(t, cal.Platform)
 	if _, err := Run(cal, Options{Policy: "no_such_policy", Model: m}); err == nil {
 		t.Error("expected error for unknown policy")
+	}
+}
+
+// TestModelForAnotherPlatformIsRefused holds every way into a run to
+// one check: a model trained on Cascade Lake (2.4 GHz turbo) does not
+// run SD530's BT-MZ.C (2.6 GHz turbo), and the error names both. The
+// check allocates nothing when the model fits.
+func TestModelForAnotherPlatformIsRefused(t *testing.T) {
+	cal := calibrated(t, workload.BTMZC)
+	opt := Options{Policy: "min_energy_eufs", Model: platformModel(t, workload.CascadeLake())}
+	gm, err := eargm.New(eargm.Config{BudgetW: 1000, MaxCapPstate: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, entry := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Run", func() error { _, err := Run(cal, opt); return err }},
+		{"NewBatch", func() error { _, err := NewBatch(cal, opt); return err }},
+		{"RunCoordinated", func() error { _, err := RunCoordinated(cal, opt, gm); return err }},
+		{"NewStepper", func() error { _, err := NewStepper(cal, 0, opt); return err }},
+	} {
+		err := entry.run()
+		if err == nil {
+			t.Errorf("%s ran a Cascade Lake model on SD530", entry.name)
+			continue
+		}
+		for _, want := range []string{"SD530", "2.4 GHz turbo", "2.6 GHz turbo"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not name %q", entry.name, err, want)
+			}
+		}
+	}
+
+	opt.Model = platformModel(t, cal.Platform)
+	if n := testing.AllocsPerRun(100, func() {
+		if err := checkModel(cal, opt); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("checkModel allocates %v times on a fitting model", n)
 	}
 }
 

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"goear/internal/workload"
-)
+import "goear/internal/workload"
 
 // Stepper drives one simulated node tick by tick through stepOnce
 // alone: it never arms, so every Step pays the full inner loop (tick →
@@ -19,8 +15,8 @@ type Stepper struct {
 // workload. Options are defaulted exactly as Run does.
 func NewStepper(cal workload.Calibrated, nodeID int, opt Options) (*Stepper, error) {
 	opt = opt.WithDefaults()
-	if opt.Policy != "none" && opt.Model == nil {
-		return nil, fmt.Errorf("sim: policy %q needs a trained model", opt.Policy)
+	if err := checkModel(cal, opt); err != nil {
+		return nil, err
 	}
 	n, err := newNode(cal, nodeID, opt)
 	if err != nil {
