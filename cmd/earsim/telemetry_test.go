@@ -1,6 +1,7 @@
 package main
 
 import (
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
@@ -84,5 +85,31 @@ func TestPowercapMetrics(t *testing.T) {
 	}
 	if !strings.Contains(string(metrics), "goear_eargm_intervals_total") {
 		t.Errorf("metrics snapshot missing goear_eargm_intervals_total:\n%.400s", metrics)
+	}
+}
+
+// TestDecisionEventsGolden pins the bytes -events-out writes for a
+// two-node BQCD run under min_energy_eufs: every policy.decision event,
+// the ones with a prediction and the ones without, as FNV-64a over the
+// file. A change to how EARL's decisions are recorded that moves one
+// byte of /events fails here.
+func TestDecisionEventsGolden(t *testing.T) {
+	ePath := filepath.Join(t.TempDir(), "events.jsonl")
+	var b strings.Builder
+	err := run([]string{
+		"-workload", "BQCD", "-policy", "min_energy_eufs", "-nodes", "2", "-events-out", ePath,
+	}, &b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := os.ReadFile(ePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(events)
+	if got, want := h.Sum64(), uint64(0x3b40af3109c48ade); got != want {
+		t.Errorf("events digest %#016x (%d bytes, %d lines), want %#016x",
+			got, len(events), strings.Count(string(events), "\n"), want)
 	}
 }
