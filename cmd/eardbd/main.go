@@ -40,6 +40,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -100,6 +101,16 @@ func run(args []string, out io.Writer, ready chan<- []string, quit <-chan struct
 	if *traceOn && *telAddr == "" {
 		return fmt.Errorf("-trace serves spans over the telemetry endpoint: pass -telemetry")
 	}
+	switch {
+	case *maxFrame < 0:
+		return fmt.Errorf("-max-frame %d is negative: pass 0 for the 1 MiB default", *maxFrame)
+	case *acctRetain < 0:
+		return fmt.Errorf("-acct-retain %d is negative: pass 0 for no cap", *acctRetain)
+	case !(*staleAfter >= 0 && *staleAfter <= math.MaxFloat64):
+		return fmt.Errorf("-stale-after %g s must be finite and non-negative", *staleAfter)
+	case *staleAfter != 0 && *telAddr == "":
+		return fmt.Errorf("-stale-after degrades readiness on the telemetry endpoint: pass -telemetry")
+	}
 	// The telemetry set is built before the server: instrument handles
 	// are resolved in NewServer. The HTTP listener binds here but
 	// serving starts after the service exists, because the mux also
@@ -140,6 +151,8 @@ func run(args []string, out io.Writer, ready chan<- []string, quit <-chan struct
 			return fmt.Errorf("-db is ingest-only: a federation root keeps no database")
 		case *acctRetain != 0:
 			return fmt.Errorf("-acct-retain is ingest-only: a federation root keeps no accounting store")
+		case *staleAfter != 0:
+			return fmt.Errorf("-stale-after is ingest-only: no record lands on a federation root")
 		}
 		fleet, err := fed.NewFleet(ring.ParseMembers(*fedShards), nil)
 		if err != nil {

@@ -234,14 +234,14 @@ func TestFederationRootDaemon(t *testing.T) {
 	}
 }
 
-// refusedAtStart runs a root with args and checks that it refuses to
-// start with an error containing want.
+// refusedAtStart runs a daemon on an ephemeral port with args and
+// checks that it refuses to start with an error containing want.
 func refusedAtStart(t *testing.T, want string, args ...string) {
 	t.Helper()
 	var out strings.Builder
 	ready, quit, done := make(chan []string, 1), make(chan struct{}), make(chan error, 1)
 	go func() {
-		done <- run(append([]string{"-listen", "127.0.0.1:0", "-fed", "a:1"}, args...), &out, ready, quit)
+		done <- run(append([]string{"-listen", "127.0.0.1:0"}, args...), &out, ready, quit)
 	}()
 	select {
 	case err := <-done:
@@ -258,18 +258,35 @@ func refusedAtStart(t *testing.T, want string, args ...string) {
 // TestNegativeCascadeBudgetRefused: a negative -cascade budget reaches
 // the cascade's validation instead of leaving a plain root serving.
 func TestNegativeCascadeBudgetRefused(t *testing.T) {
-	refusedAtStart(t, "budget must be positive", "-cascade", "-5")
+	refusedAtStart(t, "budget must be positive", "-fed", "a:1", "-cascade", "-5")
 }
 
 // TestUnusableCascadeRefused: a budget or a control period the cascade
 // cannot run on is refused at start. NaN passed every x <= 0 check, and
 // a period that rounds to no ticker period panicked at the first tick.
 func TestUnusableCascadeRefused(t *testing.T) {
-	refusedAtStart(t, "budget must be positive and finite", "-cascade", "NaN")
-	refusedAtStart(t, "budget must be positive and finite", "-cascade", "+Inf")
-	refusedAtStart(t, "interval must be positive and finite", "-cascade", "1000", "-cascade-interval", "NaN")
-	refusedAtStart(t, "interval must be positive and finite", "-cascade", "1000", "-cascade-interval", "+Inf")
-	refusedAtStart(t, "has no ticker period", "-cascade", "1000", "-cascade-interval", "1e-12")
+	refusedAtStart(t, "budget must be positive and finite", "-fed", "a:1", "-cascade", "NaN")
+	refusedAtStart(t, "budget must be positive and finite", "-fed", "a:1", "-cascade", "+Inf")
+	refusedAtStart(t, "interval must be positive and finite", "-fed", "a:1", "-cascade", "1000", "-cascade-interval", "NaN")
+	refusedAtStart(t, "interval must be positive and finite", "-fed", "a:1", "-cascade", "1000", "-cascade-interval", "+Inf")
+	refusedAtStart(t, "has no ticker period", "-fed", "a:1", "-cascade", "1000", "-cascade-interval", "1e-12")
+}
+
+// TestNumericFlagsRefused: a number the daemon would ignore or misread
+// is refused at start, naming its flag. A NaN -stale-after never
+// degraded readiness (age > NaN is false), a negative -acct-retain meant
+// unlimited and a negative -max-frame meant 1 MiB, and -stale-after was
+// dropped without -telemetry or on a federation root.
+func TestNumericFlagsRefused(t *testing.T) {
+	tel := []string{"-telemetry", "127.0.0.1:0"}
+	for _, v := range []string{"NaN", "+Inf", "-Inf", "-1"} {
+		refusedAtStart(t, "-stale-after", append(tel, "-stale-after", v)...)
+	}
+	refusedAtStart(t, "-stale-after", "-stale-after", "5")
+	refusedAtStart(t, "-stale-after", append(tel, "-stale-after", "5", "-fed", "a:1")...)
+	refusedAtStart(t, "-acct-retain", "-acct-retain", "-1")
+	refusedAtStart(t, "-max-frame", "-max-frame", "-1")
+	refusedAtStart(t, "-max-frame", "-fed", "a:1", "-max-frame", "-1")
 }
 
 func TestDaemonFlagErrors(t *testing.T) {

@@ -11,30 +11,22 @@ import (
 
 // Query performs one snapshot query over an open connection: the
 // admin-tool side of the protocol (earctl dbd). A server error frame
-// comes back as an error; maxPayload <= 0 uses the wire default.
-func Query(conn net.Conn, q wire.Query, maxPayload int) (wire.Result, error) {
-	return queryCtx(conn, q, maxPayload, trace.Context{})
-}
-
-// queryCtx is Query carrying a trace context on the query frame, so a
-// caller's span tree continues into the server's server.query span. A
-// zero context sends an untraced frame, byte-identical to Query's. It
+// comes back as an error; maxPayload <= 0 uses the wire default. It
 // keeps no state between calls and the result is the caller's to keep;
 // a caller that asks the same peer again and again holds a wire.Conn
 // and asks through SendQuery and ReadResult.
-func queryCtx(conn net.Conn, q wire.Query, maxPayload int, tc trace.Context) (wire.Result, error) {
+func Query(conn net.Conn, q wire.Query, maxPayload int) (wire.Result, error) {
 	qf, err := wire.EncodeQuery(q)
 	if err != nil {
 		return wire.Result{}, err
 	}
-	qf.Trace = tc
 	if err := wire.WriteFrame(conn, qf, maxPayload); err != nil {
 		return wire.Result{}, err
 	}
 	return resultOf(wire.ReadFrame(conn, maxPayload))
 }
 
-// SendQuery and ReadResult are queryCtx's two halves over a
+// SendQuery and ReadResult are Query's two halves over a
 // connection's framing state — the federation root's pooled shard
 // connections, which it asks all before it reads any. SendQuery builds
 // the query in c's image and sends it in one write.

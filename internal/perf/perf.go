@@ -208,121 +208,27 @@ func effectiveCoreFreq(m cpu.Model, vpi float64, coreRatio uint64) units.Freq {
 	return units.GHz((1-vpi)*fNon + vpi*fAvx)
 }
 
-// SolveWithCoreFrac inverts the model with an explicit core-bound CPI
-// share: coreFrac of the target CPI goes to BaseCPI and the rest to the
-// exposed-memory-stall term, with the overlap solved to fit. The split
-// determines how the workload responds to core frequency (the core part
-// scales, the stall part does not) and to uncore frequency (through the
-// stall part), so it is the calibration's handle on each application's
-// observed DVFS/UFS response. If the memory traffic cannot carry the
-// requested stall share even at zero overlap, the remainder falls back
-// into BaseCPI.
-func SolveWithCoreFrac(m Machine, proto Phase, op Operating, targetCPI, targetGBs, coreFrac float64) (Phase, error) {
-	if coreFrac <= 0 || coreFrac > 1 {
-		return Phase{}, fmt.Errorf("perf: core CPI fraction %g outside (0,1]", coreFrac)
+// Solve inverts the model: given a target total CPI and achieved
+// bandwidth at an operating point, it returns the phase that reproduces
+// them through Evaluate. VPI and ActiveCores come from proto and
+// BytesPerInstr is always solved; coreFrac says which CPI share is free.
+//
+// With coreFrac 0, proto.Overlap is held and BaseCPI takes the rest of
+// the CPI; if the overlap leaves no room for a core component it is
+// raised until a small core CPI remains. With coreFrac in (0,1], that
+// share of the target CPI is held in BaseCPI and the overlap is solved
+// to fit the exposed-memory-stall rest. The split determines how the
+// workload responds to core frequency (the core part scales, the stall
+// part does not) and to uncore frequency (through the stall part), so
+// it is the calibration's handle on each application's observed
+// DVFS/UFS response. If the memory traffic cannot carry the requested
+// stall share even at zero overlap, the remainder falls back into
+// BaseCPI. The workload calibration uses it to make each catalogue
+// entry reproduce its published signature at nominal frequency.
+func Solve(m Machine, proto Phase, op Operating, targetCPI, targetGBs, coreFrac float64) (Phase, error) {
+	if !(coreFrac >= 0 && coreFrac <= 1) {
+		return Phase{}, fmt.Errorf("perf: core CPI fraction %g outside [0,1]", coreFrac)
 	}
-	if targetCPI <= 0 {
-		return Phase{}, fmt.Errorf("perf: target CPI must be positive, got %g", targetCPI)
-	}
-	if targetGBs < 0 {
-		return Phase{}, fmt.Errorf("perf: target GB/s must be non-negative, got %g", targetGBs)
-	}
-	fEff := effectiveCoreFreq(m.CPU, proto.VPI, op.CoreRatio)
-	fg := fEff.GHzF()
-	fu := units.FromRatio(op.UncoreRatio, cpu.BusClock)
-
-	ipsCore := fg * 1e9 / targetCPI
-	bytesPerInstr := 0.0
-	if targetGBs > 0 {
-		bytesPerInstr = targetGBs * 1e9 / (float64(proto.ActiveCores) * ipsCore)
-	}
-	lines := bytesPerInstr / CacheLineBytes
-	rho := m.Mem.Utilization(targetGBs, fu)
-	lat := m.Mem.LatencyNs(fu, rho)
-
-	base := coreFrac * targetCPI
-	const minBase = 0.05
-	if base < minBase {
-		base = minBase
-	}
-	stall := targetCPI - base
-	overlap := 0.0
-	if maxStall := lines * lat * fg; maxStall > 0 && stall > 0 {
-		overlap = 1 - stall/maxStall
-		if overlap < 0 {
-			// The DRAM traffic cannot carry this much stall: take what
-			// it can at zero overlap and return the rest to the core.
-			overlap = 0
-			base = targetCPI - maxStall
-			if base < minBase {
-				base = minBase
-			}
-		}
-		if overlap >= 1 {
-			overlap = 0.999
-		}
-	} else {
-		base = targetCPI
-	}
-
-	out := proto
-	out.BaseCPI = base
-	out.BytesPerInstr = bytesPerInstr
-	out.Overlap = overlap
-	if err := out.validate(); err != nil {
-		return Phase{}, fmt.Errorf("perf: core-fraction calibration produced invalid phase: %w", err)
-	}
-
-	// Refine overlap (holding the core share) and bytes against the
-	// full model so the targets reproduce exactly through Evaluate.
-	for i := 0; i < 40; i++ {
-		got, err := Evaluate(m, out, op)
-		if err != nil {
-			return Phase{}, err
-		}
-		cpiErr := targetCPI - got.CPI
-		if slope := lines * lat * fg; slope > 0 {
-			// dCPI/dOverlap = -lines·lat·fg
-			out.Overlap -= cpiErr / slope
-			out.Overlap = clampF(out.Overlap, 0, 0.999)
-		} else {
-			out.BaseCPI += cpiErr
-			if out.BaseCPI < minBase {
-				out.BaseCPI = minBase
-			}
-		}
-		if targetGBs > 0 && got.NodeGBs > 0 {
-			out.BytesPerInstr *= math.Sqrt(targetGBs / got.NodeGBs)
-			lines = out.BytesPerInstr / CacheLineBytes
-		}
-		if math.Abs(cpiErr) < 1e-9*targetCPI {
-			if targetGBs == 0 || math.Abs(got.NodeGBs-targetGBs) < 1e-6*targetGBs {
-				break
-			}
-		}
-	}
-	if err := out.validate(); err != nil {
-		return Phase{}, fmt.Errorf("perf: core-fraction refinement produced invalid phase: %w", err)
-	}
-	return out, nil
-}
-
-func clampF(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// SolveBaseCPI inverts the model: given a target total CPI and achieved
-// bandwidth at an operating point, it returns the BaseCPI and
-// BytesPerInstr that reproduce them. Overlap and ActiveCores must already
-// be set in proto. It is used by the workload calibration to make each
-// catalogue entry reproduce its published signature at nominal frequency.
-func SolveBaseCPI(m Machine, proto Phase, op Operating, targetCPI, targetGBs float64) (Phase, error) {
 	if targetCPI <= 0 {
 		return Phase{}, fmt.Errorf("perf: target CPI must be positive, got %g", targetCPI)
 	}
@@ -340,28 +246,45 @@ func SolveBaseCPI(m Machine, proto Phase, op Operating, targetCPI, targetGBs flo
 	if targetGBs > 0 {
 		bytesPerInstr = targetGBs * 1e9 / (float64(proto.ActiveCores) * ipsCore)
 	}
-
-	// Exposed-latency stall at the target utilisation.
+	// The exposed-latency stall at zero overlap, at the target
+	// utilisation.
+	lines := bytesPerInstr / CacheLineBytes
 	rho := m.Mem.Utilization(targetGBs, fu)
 	lat := m.Mem.LatencyNs(fu, rho)
-	overlap := proto.Overlap
-	stall := (1 - overlap) * (bytesPerInstr / CacheLineBytes) * lat * fg
-	base := targetCPI - stall
-	// If the requested overlap leaves no room for a core component,
-	// raise the overlap until a small core CPI remains.
+	maxStall := lines * lat * fg
+
 	const minBase = 0.05
-	if base < minBase {
-		needStall := targetCPI - minBase
-		if linesLat := (bytesPerInstr / CacheLineBytes) * lat * fg; linesLat > 0 && needStall > 0 {
-			overlap = 1 - needStall/linesLat
+	var base, overlap float64
+	if coreFrac > 0 {
+		base = max(coreFrac*targetCPI, minBase)
+		if stall := targetCPI - base; maxStall > 0 && stall > 0 {
+			overlap = 1 - stall/maxStall
 			if overlap < 0 {
+				// The DRAM traffic cannot carry this much stall: take what
+				// it can at zero overlap and return the rest to the core.
 				overlap = 0
+				base = max(targetCPI-maxStall, minBase)
 			}
 			if overlap >= 1 {
 				overlap = 0.999
 			}
+		} else {
+			base = targetCPI
 		}
-		base = minBase
+	} else {
+		overlap = proto.Overlap
+		base = targetCPI - (1-overlap)*lines*lat*fg
+		// If the requested overlap leaves no room for a core component,
+		// raise the overlap until a small core CPI remains.
+		if base < minBase {
+			if needStall := targetCPI - minBase; maxStall > 0 && needStall > 0 {
+				overlap = max(1-needStall/maxStall, 0)
+				if overlap >= 1 {
+					overlap = 0.999
+				}
+			}
+			base = minBase
+		}
 	}
 
 	out := proto
@@ -374,23 +297,27 @@ func SolveBaseCPI(m Machine, proto Phase, op Operating, targetCPI, targetGBs flo
 
 	// Refine against the full model so the calibrated phase reproduces
 	// the targets exactly through Evaluate, including queueing and
-	// saturation effects the analytic guess ignores.
+	// saturation effects the analytic guess ignores. The free share
+	// takes the CPI error: the overlap when the core share is held and
+	// the traffic can move it, BaseCPI otherwise.
 	for i := 0; i < 40; i++ {
 		got, err := Evaluate(m, out, op)
 		if err != nil {
 			return Phase{}, err
 		}
 		cpiErr := targetCPI - got.CPI
-		out.BaseCPI += cpiErr
-		if out.BaseCPI < minBase {
-			out.BaseCPI = minBase
+		if slope := lines * lat * fg; coreFrac > 0 && slope > 0 {
+			// dCPI/dOverlap = -lines·lat·fg
+			out.Overlap = clampF(out.Overlap-cpiErr/slope, 0, 0.999)
+		} else {
+			out.BaseCPI = max(out.BaseCPI+cpiErr, minBase)
 		}
 		if targetGBs > 0 && got.NodeGBs > 0 {
 			// Achieved GB/s scales with bytes/instr at fixed CPI; a
 			// damped multiplicative step converges even when the
 			// bytes themselves feed back into CPI.
-			f := targetGBs / got.NodeGBs
-			out.BytesPerInstr *= math.Sqrt(f)
+			out.BytesPerInstr *= math.Sqrt(targetGBs / got.NodeGBs)
+			lines = out.BytesPerInstr / CacheLineBytes
 		}
 		if math.Abs(cpiErr) < 1e-9*targetCPI {
 			if targetGBs == 0 || math.Abs(got.NodeGBs-targetGBs) < 1e-6*targetGBs {
@@ -402,4 +329,14 @@ func SolveBaseCPI(m Machine, proto Phase, op Operating, targetCPI, targetGBs flo
 		return Phase{}, fmt.Errorf("perf: calibration refinement produced invalid phase: %w", err)
 	}
 	return out, nil
+}
+
+func clampF(v, lo, hi float64) float64 {
+	if v < lo {
+		return lo
+	}
+	if v > hi {
+		return hi
+	}
+	return v
 }

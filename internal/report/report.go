@@ -3,6 +3,7 @@
 package report
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
 	"strconv"
@@ -69,28 +70,13 @@ func (t Table) Render(w io.Writer) error {
 	return err
 }
 
-// CSV writes the table as comma-separated values (quoted when needed).
+// CSV writes the table as RFC 4180 comma-separated values.
 func (t Table) CSV(w io.Writer) error {
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if strings.ContainsAny(cell, ",\"\n") {
-				b.WriteString(strconv.Quote(cell))
-			} else {
-				b.WriteString(cell)
-			}
-		}
-		b.WriteByte('\n')
+	cw := csv.NewWriter(w)
+	if err := cw.Write(t.Columns); err != nil {
+		return err
 	}
-	writeRow(t.Columns)
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
+	return cw.WriteAll(t.Rows)
 }
 
 // String renders to a string (for tests and logs).

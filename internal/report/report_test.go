@@ -1,8 +1,10 @@
 package report
 
 import (
+	"encoding/csv"
 	"errors"
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -84,6 +86,28 @@ func TestCSVQuoting(t *testing.T) {
 	}
 	if lines[2] != `"a,b",2.50` {
 		t.Errorf("quoted row = %q", lines[2])
+	}
+}
+
+// TestCSVReadsBack: every cell, a quote, a comma and a line break in
+// it included, reads back unchanged through encoding/csv.
+func TestCSVReadsBack(t *testing.T) {
+	tab := Table{Columns: []string{"name", `say "hi"`}}
+	for _, row := range [][]string{{"a,b", "2.50"}, {`"quoted"`, "two\nlines"}, {" lead", ""}} {
+		if err := tab.AddRow(row...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var b strings.Builder
+	if err := tab.CSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	got, err := csv.NewReader(strings.NewReader(b.String())).ReadAll()
+	if err != nil {
+		t.Fatalf("CSV does not read back: %v\n%s", err, b.String())
+	}
+	if want := append([][]string{tab.Columns}, tab.Rows...); !reflect.DeepEqual(got, want) {
+		t.Errorf("read back %q, want %q", got, want)
 	}
 }
 

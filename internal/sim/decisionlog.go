@@ -1,101 +1,17 @@
 package sim
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"io"
 
-	"goear/internal/earl"
 	"goear/internal/telemetry"
 )
 
-// Decision is one EARL signature-handling event in the stable JSON
-// schema of Result.WriteDecisionLog. Zero-valued optional fields are
-// omitted, so a line carries exactly what the decision contained.
-type Decision struct {
-	Node        int     `json:"node"`
-	TimeSec     float64 `json:"t"`
-	State       string  `json:"state"`
-	PolicyState string  `json:"policy_state,omitempty"`
-	CPUPstate   int     `json:"cpu_pstate"`
-	SetIMC      bool    `json:"set_imc,omitempty"`
-	IMCMinRatio uint64  `json:"imc_min,omitempty"`
-	IMCMaxRatio uint64  `json:"imc_max,omitempty"`
-	Applied     bool    `json:"applied"`
-	Validated   bool    `json:"validated,omitempty"`
-	SigChange   bool    `json:"sig_change,omitempty"`
-	CPI         float64 `json:"cpi"`
-	GBs         float64 `json:"gbs"`
-	DCPowerW    float64 `json:"dc_power_w"`
-	PredTimeSec float64 `json:"pred_time_s,omitempty"`
-	PredPowerW  float64 `json:"pred_power_w,omitempty"`
-	RefTimeSec  float64 `json:"ref_time_s,omitempty"`
-	RefPowerW   float64 `json:"ref_power_w,omitempty"`
-}
-
-// decisionsFromEvents converts an EARL trace into the log schema. The
-// node id is filled in at write time from the result's node order.
-func decisionsFromEvents(evs []earl.Event) []Decision {
-	if len(evs) == 0 {
-		return nil
-	}
-	out := make([]Decision, len(evs))
-	for i, ev := range evs {
-		d := Decision{
-			TimeSec:   ev.TimeSec,
-			State:     ev.State.String(),
-			CPUPstate: ev.Freqs.CPUPstate,
-			SetIMC:    ev.Freqs.SetIMC,
-			Applied:   ev.Applied,
-			Validated: ev.Validated,
-			SigChange: ev.SigChange,
-			CPI:       ev.Sig.CPI,
-			GBs:       ev.Sig.GBs,
-			DCPowerW:  ev.Sig.DCPowerW,
-		}
-		if ev.Applied {
-			d.PolicyState = ev.PolicyState.String()
-		}
-		if ev.Freqs.SetIMC {
-			d.IMCMinRatio = ev.Freqs.IMCMinRatio
-			d.IMCMaxRatio = ev.Freqs.IMCMaxRatio
-		}
-		if ev.HavePred {
-			d.PredTimeSec = ev.Pred.TimeSec
-			d.PredPowerW = ev.Pred.PowerW
-			d.RefTimeSec = ev.Pred.RefTimeSec
-			d.RefPowerW = ev.Pred.RefPowerW
-		}
-		out[i] = d
-	}
-	return out
-}
-
-// WriteDecisionLog writes every node's policy decisions as JSON lines,
-// in node order then event order. Because decisions are collected
-// per-node from EARL's deterministic trace (never through a shared
-// recorder), the output is byte-identical at any Options.Workers
-// setting. Requires Options.DecisionLog; without it the log is empty.
-func (r *Result) WriteDecisionLog(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for nodeID := range r.Nodes {
-		for _, d := range r.Nodes[nodeID].Decisions {
-			d.Node = nodeID
-			if err := enc.Encode(d); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
 // RecordDecisions feeds the run's decision log into a telemetry event
-// recorder (one event per decision, node order then event order).
-// Callers invoke it after the run completes, so recording order — and
-// therefore the /events payload — stays deterministic regardless of
-// the worker count the run used.
+// recorder: one policy.decision event per EARL event, node order then
+// event order. Callers invoke it after the run completes, so recording
+// order — and therefore the /events payload — stays deterministic
+// regardless of the worker count the run used. Requires
+// Options.DecisionLog; without it nothing is recorded.
 func (r *Result) RecordDecisions(rec *telemetry.Recorder) {
 	for nodeID := range r.Nodes {
 		for _, d := range r.Nodes[nodeID].Decisions {
@@ -105,30 +21,30 @@ func (r *Result) RecordDecisions(rec *telemetry.Recorder) {
 				Src:     fmt.Sprintf("node%d", nodeID),
 				Str: map[string]string{
 					"policy": r.Policy,
-					"state":  d.State,
+					"state":  d.State.String(),
 				},
 				Num: map[string]float64{
-					"cpu_pstate": float64(d.CPUPstate),
-					"cpi":        d.CPI,
-					"gbs":        d.GBs,
-					"dc_power_w": d.DCPowerW,
+					"cpu_pstate": float64(d.Freqs.CPUPstate),
+					"cpi":        d.Sig.CPI,
+					"gbs":        d.Sig.GBs,
+					"dc_power_w": d.Sig.DCPowerW,
 				},
 			}
 			if d.Applied {
-				ev.Str["policy_state"] = d.PolicyState
+				ev.Str["policy_state"] = d.PolicyState.String()
 			}
-			if d.SetIMC {
-				ev.Num["imc_min"] = float64(d.IMCMinRatio)
-				ev.Num["imc_max"] = float64(d.IMCMaxRatio)
+			if d.Freqs.SetIMC {
+				ev.Num["imc_min"] = float64(d.Freqs.IMCMinRatio)
+				ev.Num["imc_max"] = float64(d.Freqs.IMCMaxRatio)
 			}
-			if d.PredTimeSec != 0 || d.PredPowerW != 0 {
-				ev.Num["pred_time_s"] = d.PredTimeSec
-				ev.Num["pred_power_w"] = d.PredPowerW
+			if p := d.Pred; d.HavePred && (p.TimeSec != 0 || p.PowerW != 0) {
+				ev.Num["pred_time_s"] = p.TimeSec
+				ev.Num["pred_power_w"] = p.PowerW
 				// Predicted-vs-actual energy: predicted iteration energy
 				// against the measured signature's power over the same
 				// predicted time.
-				ev.Num["pred_energy_j"] = d.PredTimeSec * d.PredPowerW
-				ev.Num["actual_energy_j"] = d.PredTimeSec * d.DCPowerW
+				ev.Num["pred_energy_j"] = p.TimeSec * p.PowerW
+				ev.Num["actual_energy_j"] = p.TimeSec * d.Sig.DCPowerW
 			}
 			rec.Record(ev)
 		}

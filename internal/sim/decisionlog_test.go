@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,7 +10,8 @@ import (
 )
 
 // decisionRun runs the four-node BQCD workload under min_energy with
-// the decision log on and returns the rendered log plus the result.
+// the decision log on and returns the recorded events as JSON lines
+// plus the result.
 func decisionRun(t *testing.T, workers int) (string, Result) {
 	t.Helper()
 	cal := calibrated(t, workload.BQCD)
@@ -21,15 +23,11 @@ func decisionRun(t *testing.T, workers int) (string, Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b strings.Builder
-	if err := r.WriteDecisionLog(&b); err != nil {
-		t.Fatal(err)
-	}
-	return b.String(), r
+	return recordedEvents(t, r), r
 }
 
 // TestDecisionLogCapturesEveryDecision checks the log is complete: one
-// line per EARL event on every node, each carrying the chosen CPU
+// event per EARL event on every node, each carrying the chosen CPU
 // pstate and the measured signature.
 func TestDecisionLogCapturesEveryDecision(t *testing.T) {
 	log, r := decisionRun(t, 1)
@@ -45,7 +43,7 @@ func TestDecisionLogCapturesEveryDecision(t *testing.T) {
 		t.Fatalf("log has %d lines, result holds %d decisions", len(lines), total)
 	}
 	for i, line := range lines {
-		for _, field := range []string{`"node":`, `"t":`, `"state":`, `"cpu_pstate":`, `"dc_power_w":`} {
+		for _, field := range []string{`"src":"node`, `"t":`, `"state":`, `"cpu_pstate":`, `"dc_power_w":`} {
 			if !strings.Contains(line, field) {
 				t.Fatalf("line %d lacks %s: %s", i, field, line)
 			}
@@ -53,26 +51,26 @@ func TestDecisionLogCapturesEveryDecision(t *testing.T) {
 	}
 	// A policy run must include applied decisions with a predicted
 	// operating point to compare against.
-	if !strings.Contains(log, `"applied":true`) || !strings.Contains(log, `"pred_power_w":`) {
+	if !strings.Contains(log, `"policy_state":`) || !strings.Contains(log, `"pred_power_w":`) {
 		t.Errorf("log carries no applied decision with a prediction:\n%.400s", log)
 	}
 }
 
 // TestDecisionLogWorkerInvariance pins the determinism contract of
-// Options.DecisionLog: the JSON-lines log — and the telemetry event
-// stream derived from it — is byte-identical at any Workers setting,
-// because decisions are collected per node and recorded post-run in
-// node order.
+// Options.DecisionLog: the decisions, and the telemetry event stream
+// recorded from them, are identical at any Workers setting, because
+// decisions are collected per node and recorded post-run in node order.
 func TestDecisionLogWorkerInvariance(t *testing.T) {
 	ref, refRes := decisionRun(t, 1)
 	for _, workers := range []int{2, 8} {
 		got, res := decisionRun(t, workers)
 		if got != ref {
-			t.Errorf("workers=%d: decision log differs from sequential run", workers)
-		}
-		refEvents, gotEvents := recordedEvents(t, refRes), recordedEvents(t, res)
-		if gotEvents != refEvents {
 			t.Errorf("workers=%d: telemetry event stream differs from sequential run", workers)
+		}
+		for i := range res.Nodes {
+			if !slices.Equal(res.Nodes[i].Decisions, refRes.Nodes[i].Decisions) {
+				t.Errorf("workers=%d: node %d decisions differ from sequential run", workers, i)
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"goear/internal/cpu"
@@ -590,7 +591,7 @@ func (n *node) result() (NodeResult, error) {
 		r.NestedLevel, r.NestedPeriod = n.lib.NestedStructure()
 		r.PolicyApplies = n.lib.Applies()
 		if n.opt.DecisionLog {
-			r.Decisions = decisionsFromEvents(n.lib.Events())
+			r.Decisions = slices.Clone(n.lib.Events())
 		}
 	}
 	return r, nil

@@ -8,6 +8,7 @@ package sim
 import (
 	"fmt"
 
+	"goear/internal/earl"
 	"goear/internal/model"
 	"goear/internal/par"
 	"goear/internal/telemetry"
@@ -48,9 +49,9 @@ type Options struct {
 	// MinWindowSec overrides EARL's signature window.
 	MinWindowSec float64
 	// DecisionLog collects every EARL signature-handling event into
-	// NodeResult.Decisions (see Result.WriteDecisionLog). Collection is
+	// NodeResult.Decisions (see Result.RecordDecisions). Collection is
 	// per-node and ordered, so the log is byte-identical at any Workers
-	// count. Off by default: the conversion allocates per node run.
+	// count. Off by default: the copy allocates per node run.
 	DecisionLog bool
 	// Trace records a per-node time series (one point per traceStepSec
 	// of simulated time) in NodeResult.Trace. A traced node never arms:
@@ -161,9 +162,9 @@ type NodeResult struct {
 	NestedPeriod int
 	// Trace is the sampled time series when Options.Trace is set.
 	Trace []TracePoint
-	// Decisions is the EARL decision trace when Options.DecisionLog is
-	// set (node ids are assigned by Result.WriteDecisionLog).
-	Decisions []Decision
+	// Decisions is a copy of EARL's event trace when Options.DecisionLog
+	// is set.
+	Decisions []earl.Event
 }
 
 // Result aggregates a cluster run.

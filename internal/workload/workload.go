@@ -227,13 +227,7 @@ func (s Spec) Calibrate() (Calibrated, error) {
 	assigned := 0
 	for i, g := range segs {
 		proto := perf.Phase{VPI: g.VPI, Overlap: g.OverlapHint, ActiveCores: s.ActiveCores}
-		var ph perf.Phase
-		var err error
-		if g.CoreCPIFrac > 0 {
-			ph, err = perf.SolveWithCoreFrac(m, proto, op, g.TargetCPI, g.TargetGBs, g.CoreCPIFrac)
-		} else {
-			ph, err = perf.SolveBaseCPI(m, proto, op, g.TargetCPI, g.TargetGBs)
-		}
+		ph, err := perf.Solve(m, proto, op, g.TargetCPI, g.TargetGBs, g.CoreCPIFrac)
 		if err != nil {
 			return Calibrated{}, fmt.Errorf("workload %s segment %d: %w", s.Name, i, err)
 		}
