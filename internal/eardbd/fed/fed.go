@@ -49,6 +49,9 @@ type Fleet struct {
 	names []string
 	ring  *ring.Ring
 	dial  func(name string) (net.Conn, error)
+	// dialers holds one dial function per shard, which DialFor hands out:
+	// a reporter's costs nothing to make.
+	dialers map[string]func() (net.Conn, error)
 }
 
 // NewFleet describes the named shards, reached through dial — or over
@@ -66,7 +69,11 @@ func NewFleet(names []string, dial func(name string) (net.Conn, error)) (*Fleet,
 	if dial == nil {
 		dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 	}
-	return &Fleet{names: append([]string(nil), names...), ring: rg, dial: dial}, nil
+	dialers := make(map[string]func() (net.Conn, error), len(names))
+	for _, name := range names {
+		dialers[name] = func() (net.Conn, error) { return dial(name) }
+	}
+	return &Fleet{names: append([]string(nil), names...), ring: rg, dial: dial, dialers: dialers}, nil
 }
 
 // Names returns the shard names in the order given, which is the order
@@ -82,10 +89,10 @@ func (f *Fleet) Owner(node string) string {
 // Dial opens a connection to one shard.
 func (f *Fleet) Dial(name string) (net.Conn, error) { return f.dial(name) }
 
-// DialFor returns a dial function routing one node to its ring owner.
+// DialFor returns a dial function routing one node to its ring owner:
+// the owner's, made once, so a call allocates nothing.
 func (f *Fleet) DialFor(node string) func() (net.Conn, error) {
-	owner := f.Owner(node)
-	return func() (net.Conn, error) { return f.dial(owner) }
+	return f.dialers[f.Owner(node)]
 }
 
 // Config parameterises a federation root.

@@ -2,6 +2,7 @@ package fed
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -469,6 +470,33 @@ func TestWarmViewAllocations(t *testing.T) {
 	}
 }
 
+// TestDialForAllocations: the dial function a reporter is handed is
+// its owner's, made with the fleet, so asking for one allocates
+// nothing; it reaches the owner through the fleet's dial function.
+func TestDialForAllocations(t *testing.T) {
+	var dialed string
+	fleet, err := NewFleet([]string{"s0", "s1", "s2", "s3"}, func(name string) (net.Conn, error) {
+		dialed = name
+		return nil, errors.New("down")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := make([]string, 64)
+	for i := range nodes {
+		nodes[i] = fmt.Sprintf("n%03d", i)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(100, func() { _ = fleet.DialFor(nodes[i%len(nodes)]); i++ }); n != 0 {
+		t.Errorf("DialFor allocates %v times, want 0", n)
+	}
+	for _, node := range nodes {
+		if _, err := fleet.DialFor(node)(); err == nil || dialed != fleet.Owner(node) {
+			t.Fatalf("%s: dialed %q (err %v), want its owner %q", node, dialed, err, fleet.Owner(node))
+		}
+	}
+}
+
 // BenchmarkRootWarmView is the read TestWarmViewAllocations counts.
 func BenchmarkRootWarmView(b *testing.B) {
 	_, root := buildFederation(b, 8, 4)
@@ -649,12 +677,13 @@ func (r *replacer) roundTrip(tb testing.TB) {
 // TestBatchRoundTripAllocations pins what the framed connections leave
 // of a warm round trip, counted across every goroutine it touches. A
 // batch — enqueue, encode, one write, the shard's read, decode, dedup,
-// store, ack, the client's read — allocates what it keeps and nothing
-// else: the block the shard cuts the batch's strings from (the ID
-// among them, which the window keeps); the client cuts the ID from its
-// own block. With span tracing on at both ends, the batch's seven
-// spans add 17: an Active each, the copy the buffer stamps each, and
-// three attribute lists. A generation poll over a parked
+// store, ack, the client's read — allocates nothing on either side:
+// the shard's connection returns the strings the last batch named and
+// cuts the new ID, which the window keeps, from the literal block it
+// keeps between frames (one block in a few hundred batches; it was one
+// a batch, 1, while every frame opened its own). With span tracing on
+// at both ends, the batch's seven spans add 17: an Active each, the
+// copy the buffer stamps each, and three attribute lists. A generation poll over a parked
 // root connection — checkout, query, serve, reply, decode, park — keeps
 // nothing and allocates nothing, on either side.
 func TestBatchRoundTripAllocations(t *testing.T) {
@@ -665,8 +694,8 @@ func TestBatchRoundTripAllocations(t *testing.T) {
 		spans  *trace.Buffer
 		allocs float64
 	}{
-		{"traced", trace.NewBuffer(64), 18},
-		{"untraced", nil, 1}, // the shard the polls below read
+		{"traced", trace.NewBuffer(64), 17},
+		{"untraced", nil, 0}, // the shard the polls below read
 	} {
 		srv = eardbd.NewServer(eard.NewDB(), eardbd.Config{Trace: c.spans})
 		t.Cleanup(func() { _ = srv.Close() })

@@ -736,10 +736,12 @@ func missAfterWrite(tb testing.TB, nodes, windows int) (root *Root, write func(i
 }
 
 // TestRootMissAfterWriteAllocations pins BenchmarkRootMissAfterWrite's
-// allocation count: 9, the write and the view — on the root, a clone of
-// the node reports (database, store, chunk list), the one chunk the
-// replace copies, the power list, the view and its key, and the reply's
-// literal block. The shard walks its stores for the changes in the
+// allocation count: 8, the view alone — on the root, a clone of the
+// node reports (database, store, chunk list), the one chunk the replace
+// copies, the power list, the view and its key, and the reply's literal
+// block. The write allocates nothing: the shard's connection decodes
+// the batch into the literal block it keeps between frames (9 while
+// every batch frame opened a block of its own). The shard walks its stores for the changes in the
 // group order they keep, which a replace leaves standing; it sorted one
 // per walk, 11 in all, until that order was kept. It was 45 when a miss
 // folded every shard's dump into fresh stores, and 79 before that when
@@ -747,8 +749,8 @@ func missAfterWrite(tb testing.TB, nodes, windows int) (root *Root, write func(i
 func TestRootMissAfterWriteAllocations(t *testing.T) {
 	root, write := missAfterWrite(t, 8, 10)
 	i := 0
-	if n := testing.AllocsPerRun(200, func() { i++; write(i) }); n != 9 {
-		t.Errorf("a miss after one write: %v allocations, want 9", n)
+	if n := testing.AllocsPerRun(200, func() { i++; write(i) }); n != 8 {
+		t.Errorf("a miss after one write: %v allocations, want 8", n)
 	}
 	if st := root.Stats(); st.CacheHits != 0 {
 		t.Errorf("stats = %+v: a write did not move the view", st)
@@ -757,7 +759,7 @@ func TestRootMissAfterWriteAllocations(t *testing.T) {
 
 // TestQueryMixedMissAllocations holds a miss after one write in
 // query-mixed's shape — 200 nodes of 10 node reports and 8 accounting
-// windows over four shards — to what the write changed: the same 9
+// windows over four shards — to what the write changed: the same 8
 // allocations as at 8 nodes, and at most 32 KB, where folding every
 // shard's dump took 112 allocations and 563 KB.
 func TestQueryMixedMissAllocations(t *testing.T) {
@@ -765,8 +767,8 @@ func TestQueryMixedMissAllocations(t *testing.T) {
 		root, write := missAfterWrite(t, nodes, 8)
 		write(0)
 		i := 0
-		if n := testing.AllocsPerRun(50, func() { i++; write(i) }); n != 9 {
-			t.Errorf("%d nodes: a miss after one write: %v allocations, want 9", nodes, n)
+		if n := testing.AllocsPerRun(50, func() { i++; write(i) }); n != 8 {
+			t.Errorf("%d nodes: a miss after one write: %v allocations, want 8", nodes, n)
 		}
 		const runs = 50
 		var m0, m1 runtime.MemStats

@@ -93,7 +93,7 @@ func OpenJournal(path string) (*Journal, error) {
 			return j, j.rewrite()
 		}
 		if err == nil {
-			err = fr.DecodeBatch(&b)
+			err = c.DecodeBatch(fr, &b)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("eardbd: journal %s corrupt after %d batches: %w", path, len(j.entries), err)

@@ -274,7 +274,7 @@ func (s *Server) HealthCheck(staleAfterSec float64) telemetry.CheckFunc {
 // may be kept once handleBatch returns.
 func (s *Server) handleBatch(c *wire.Conn, f wire.Frame, b *wire.Batch) bool {
 	t0 := s.Now.Sec()
-	if err := f.DecodeBatch(b); err != nil {
+	if err := c.DecodeBatch(f, b); err != nil {
 		s.protocolError(c, err.Error())
 		return false
 	}

@@ -186,17 +186,24 @@ func recordsSizeHint(records, acct int) int {
 
 // Literal blocks. A decoded literal is not converted on its own (one
 // heap string per node name of a fleet-sized reply) but copied to the
-// end of the frame's current block and sliced out of it. A frame's
-// first block is sized from its payload to about what its kind spends
-// on first-use strings — a resultShare-th of a result, whose rows name
-// many nodes, jobs and users, a frameShare-th of a batch, which names
-// one node (70 bytes of strings in 2 KB) — at least firstBlock and at
-// most maxBlock bytes, and each next one doubles to maxBlock, never
-// larger than what the payload can still hold; a block too full for
-// the next literal is abandoned to the strings already cut from it,
-// never re-copied. The strings of one frame therefore share a few
-// blocks: a retained record pins at most its frame's literal blocks,
-// never the payload.
+// end of a block and sliced out of it. A block too full for the next
+// literal is abandoned to the strings already cut from it, never
+// re-copied, and the next one doubles, from firstBlock to maxBlock (a
+// literal longer than that gets a block of its own length). A retained
+// string therefore pins at most one block of at most maxBlock bytes —
+// for a batch, the block the connection state that decoded it keeps
+// while later frames fill it — and never the payload.
+//
+// A batch decoded through the Conn that read it (Conn.DecodeBatch) is
+// cut from the block that connection state keeps between frames, and a
+// literal equal to one of the last batch's strings is that string,
+// copied nowhere: a node's next batch repeats its node, jobs, app and
+// policy, so a warm connection decodes it without allocating. A frame
+// decoded on its own starts a block sized from its payload to about
+// what its kind spends on first-use strings — a resultShare-th of a
+// result, whose rows name many nodes, jobs and users, a frameShare-th
+// of a batch, which names one node (70 bytes of strings in 2 KB) — and
+// no block of it is larger than what the payload can still hold.
 const (
 	firstBlock  = 64
 	maxBlock    = 4 << 10
@@ -204,13 +211,43 @@ const (
 	frameShare  = 26
 )
 
+// literals is a block literals are cut from and the size of the next.
+type literals struct {
+	blk  strings.Builder // the current block
+	next int
+}
+
+// cut copies lit to the block and returns it as a string. A literal
+// that does not fit starts the next block, of at most room bytes.
+func (l *literals) cut(lit []byte, room int) string {
+	if len(lit) > l.blk.Cap()-l.blk.Len() {
+		size := max(l.next, firstBlock, len(lit))
+		l.next = min(2*size, maxBlock)
+		l.blk.Reset()
+		l.blk.Grow(min(size, room))
+	}
+	start := l.blk.Len()
+	l.blk.Write(lit)
+	return l.blk.String()[start:]
+}
+
+// batchState is what a Conn keeps of the batches it decodes: the block
+// their literals are cut from and the string table of the last one
+// that decoded.
+type batchState struct {
+	lits literals
+	last [linearTable]string
+	n    int
+}
+
 // decoder reads one frame body — or, in a ChangesReader, the bodies of
 // one changes answer's frames in turn, its table spanning them. Errors
 // are sticky: after the first, every read returns a zero value, and
 // finish reports it. The string table is the first n entries of small,
-// then more. A decoder is
-// copied only before its first literal (Frame.body returns it by
-// value): blk must not be copied once written to.
+// then more. Literals are cut from warm's block when a Conn decodes a
+// batch, from lits otherwise. A decoder is copied only before its
+// first literal (Frame.body returns it by value): lits must not be
+// copied once written to.
 type decoder struct {
 	p     []byte
 	off   int
@@ -218,14 +255,14 @@ type decoder struct {
 	n     int
 	small [linearTable]string
 	more  []string
-	blk   strings.Builder // the current literal block
-	next  int             // size of the block after it
+	lits  literals
+	warm  *batchState
 }
 
 // newDecoder reads payload p, whose first literal block holds a
 // share-th of it.
 func newDecoder(p []byte, share int) decoder {
-	return decoder{p: p, next: min(maxBlock, len(p)/share)}
+	return decoder{p: p, lits: literals{next: min(maxBlock, len(p)/share)}}
 }
 
 func (d *decoder) fail(format string, args ...any) {
@@ -314,18 +351,21 @@ func (d *decoder) strBytes() (string, []byte) {
 	return "", d.p[d.off-int(n) : d.off]
 }
 
-// literal copies lit, which ends at d.off, into the frame's block and
-// returns it as a string.
+// literal returns lit, which ends at d.off, as a string: one of the
+// last batch's when a warm table holds it, else cut from a block — a
+// kept one, which later frames go on filling, or the frame's own, no
+// larger than what the payload can still hold.
 func (d *decoder) literal(lit []byte) string {
-	if len(lit) > d.blk.Cap()-d.blk.Len() {
-		size := max(d.next, firstBlock, len(lit))
-		d.next = min(2*size, maxBlock)
-		d.blk.Reset()
-		d.blk.Grow(min(size, len(lit)+d.left()))
+	w := d.warm
+	if w == nil {
+		return d.lits.cut(lit, len(lit)+d.left())
 	}
-	start := d.blk.Len()
-	d.blk.Write(lit)
-	return d.blk.String()[start:]
+	for _, s := range w.last[:w.n] {
+		if s == string(lit) {
+			return s
+		}
+	}
+	return w.lits.cut(lit, math.MaxInt)
 }
 
 func (d *decoder) remember(s string) string {
@@ -542,12 +582,18 @@ func (f Frame) AsBatch() (Batch, error) {
 // DecodeBatch decodes a TypeBatch frame into b, reusing the backing
 // arrays of b.Records and b.Acct when they are large enough — a server
 // that has stored the previous batch's records by value decodes the
-// next one without allocating slices.
+// next one without allocating slices. It is for a frame on its own; a
+// connection decodes the batches it reads with Conn.DecodeBatch.
 func (f Frame) DecodeBatch(b *Batch) error {
 	d, err := f.body(TypeBatch)
 	if err != nil {
 		return err
 	}
+	return d.batch(b)
+}
+
+// batch decodes a batch body into b.
+func (d *decoder) batch(b *Batch) error {
 	b.ID = d.str()
 	b.Node = d.str()
 	b.Records = d.records(b.Records[:0])

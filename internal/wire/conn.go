@@ -24,17 +24,17 @@ const MaxKept = 32 << 10
 const firstBuf = 64
 
 // Conn is one connection's framing state: the transport, one read
-// buffer, one write buffer and the encoder's string table, which a
-// changes answer keeps across its parts. It is how a connection that
+// buffer, one write buffer, the encoder's string table, which a
+// changes answer keeps across its parts, and the literal block and last
+// string table of the batches it decodes. It is how a connection that
 // carries more than one frame moves them — a frame read is one
 // transport Read when the bytes are there, a frame sent is one Write —
 // and it allocates only while its buffers grow towards the frames it
-// carries. The state is
-// not the connection: Reset points it at the next transport, buffers
-// kept, so a client keeps one across redials and a server recycles one
-// across the connections it serves. A Conn is not safe for concurrent
-// use and must not be copied once it has read; a zero Conn is ready for
-// Reset.
+// carries. The state is not the connection: Reset points it at the
+// next transport, buffers and literal state kept, so a client keeps one
+// across redials and a server recycles one across the connections it
+// serves. A Conn is not safe for concurrent use and must not be copied
+// once it has read; a zero Conn is ready for Reset.
 type Conn struct {
 	// MaxPayload caps the payload of every frame read or sent; <= 0
 	// means DefaultMaxPayload.
@@ -61,6 +61,10 @@ type Conn struct {
 	// streamed is the payload bytes of the parts the last AppendChanges
 	// sent ahead of the image it returned.
 	streamed int
+	// batch is the literal state of the batches DecodeBatch decodes,
+	// made by the first: a Conn that decodes none — a reporter's, a
+	// root's — carries the pointer alone.
+	batch *batchState
 }
 
 // Reset points the state at a new transport — nil to let go of the last
@@ -123,6 +127,30 @@ func (c *Conn) Read() (Frame, error) {
 		return Frame{}, fmt.Errorf("wire: read payload: %w", cutShort(err))
 	}
 	return Frame{Type: t, Payload: payload, Trace: tc}, nil
+}
+
+// DecodeBatch is Frame.DecodeBatch for a batch frame c has read, with
+// the literal state the connection keeps between frames: a literal
+// equal to one of the last batch's strings is that string, and any
+// other is cut from the connection's block, which later batches go on
+// filling. A warm connection that carries one node's batches decodes
+// the next without allocating, but for a new block now and then. The
+// strings stay valid after the next Read, as Frame.DecodeBatch's do; a
+// batch that fails to decode leaves the last batch's table as it was.
+func (c *Conn) DecodeBatch(f Frame, b *Batch) error {
+	d, err := f.body(TypeBatch)
+	if err != nil {
+		return err
+	}
+	if c.batch == nil {
+		c.batch = new(batchState)
+	}
+	d.warm = c.batch
+	if err := d.batch(b); err != nil {
+		return err
+	}
+	c.batch.last, c.batch.n = d.small, d.n
+	return nil
 }
 
 // Trim lets go of a read buffer grown past the first, unless bytes read

@@ -3,10 +3,14 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
+	"goear/internal/eard"
 	"goear/internal/telemetry/trace"
 )
 
@@ -306,4 +310,142 @@ func TestTrimLetsTheReadBufferGo(t *testing.T) {
 	if len(c.rbuf) != 0 {
 		t.Errorf("after Trim the connection holds a read buffer of %d bytes", len(c.rbuf))
 	}
+}
+
+// batchStream is a seeded reporter's stream of n batch frames over one
+// connection, as a shard reads it: three nodes, jobs named again and
+// new ones, awkward strings and values, every sixteenth batch a literal
+// longer than a block, and frame cut — when it is one of the n — stopping its
+// body half-way, its length prefix telling the truth.
+func batchStream(tb testing.TB, seed int64, n, cut int) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	jobs := []string{"job0"}
+	job := func() string { return jobs[rng.Intn(len(jobs))] }
+	var stream bytes.Buffer
+	for i := 0; i < n; i++ {
+		node := fmt.Sprintf("n%02d", rng.Intn(3))
+		if rng.Intn(3) == 0 {
+			jobs = append(jobs, fmt.Sprintf("job%d", len(jobs)))
+		}
+		b := Batch{ID: fmt.Sprintf("%s/%d", node, i), Node: node}
+		for r := rng.Intn(6); r > 0; r-- {
+			rec := oddRecord(rng)
+			rec.JobID, rec.Node = job(), node
+			b.Records = append(b.Records, rec)
+		}
+		for r := rng.Intn(3); r > 0; r-- {
+			ar := oddAcct(rng)
+			ar.JobID, ar.Node = job(), node
+			b.Acct = append(b.Acct, ar)
+		}
+		if i%16 == 15 {
+			long := strings.Repeat(string(rune('a'+i%26)), maxBlock+1+rng.Intn(maxBlock))
+			b.Records = append(b.Records, eard.JobRecord{JobID: job(), Node: node, App: long})
+		}
+		p := appendBatch(nil, b)
+		if i == cut {
+			p = p[:len(p)/2]
+		}
+		if err := WriteFrame(&stream, Frame{Type: TypeBatch, Payload: p}, 0); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return stream.Bytes()
+}
+
+// batchStreamAgrees reads stream in the given chunks through one Conn
+// and decodes every batch frame with Conn.DecodeBatch into one scratch
+// batch, as a shard does. Each decode must give what a fresh
+// Frame.DecodeBatch of the same frame gives — the same value, or the
+// same error — and a failed one must leave the connection's last table
+// as it was. Once the stream is read, every string handed out must
+// still read as it did when handed out: nothing a later frame brings
+// overwrites it. It returns how many batch frames failed to decode.
+func batchStreamAgrees(t *testing.T, stream, sizes []byte) (failed int) {
+	t.Helper()
+	c := Conn{MaxPayload: connLimit}
+	c.Reset(&chunked{data: stream, sizes: sizes})
+	type handed struct{ s, was string }
+	var out []handed
+	hand := func(ss ...string) {
+		for _, s := range ss {
+			out = append(out, handed{s, strings.Clone(s)})
+		}
+	}
+	var b Batch
+	for i := 0; ; i++ {
+		f, err := c.Read()
+		if err != nil {
+			break
+		}
+		if f.Type != TypeBatch {
+			continue
+		}
+		want, wantErr := Frame{Type: TypeBatch, Payload: bytes.Clone(f.Payload)}.AsBatch()
+		var last [linearTable]string
+		n := 0
+		if c.batch != nil {
+			last, n = c.batch.last, c.batch.n
+		}
+		err = c.DecodeBatch(f, &b)
+		switch {
+		case (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()):
+			t.Fatalf("frame %d: Conn.DecodeBatch fails with %v, Frame.DecodeBatch with %v", i, err, wantErr)
+		case err != nil:
+			failed++
+			if c.batch.last != last || c.batch.n != n {
+				t.Fatalf("frame %d: a failed decode moved the last table", i)
+			}
+		case !sameBits(b, want):
+			t.Fatalf("frame %d: Conn.DecodeBatch gives %+v, Frame.DecodeBatch %+v", i, b, want)
+		}
+		hand(b.ID, b.Node)
+		for _, r := range b.Records {
+			hand(r.JobID, r.StepID, r.Node, r.App, r.Policy)
+		}
+		for _, r := range b.Acct {
+			hand(r.JobID, r.StepID, r.User, r.Node, r.Policy)
+		}
+	}
+	for i, h := range out {
+		if h.s != h.was {
+			t.Fatalf("string %d, handed out as %q, reads %q once the stream is read", i, h.was, h.s)
+		}
+	}
+	return failed
+}
+
+// TestConnDecodeBatchStream holds a connection's kept literal state —
+// its block and the last batch's table — to a fresh decode of every
+// frame, over seeded streams of 40 batches with one cut short, read in
+// several chunkings.
+func TestConnDecodeBatchStream(t *testing.T) {
+	for seed := int64(1); seed <= 16; seed++ {
+		stream := batchStream(t, seed, 40, int(seed)*2)
+		for _, sizes := range [][]byte{nil, {0}, {11, 0, 29}, {255}} {
+			if failed := batchStreamAgrees(t, stream, sizes); failed != 1 {
+				t.Fatalf("seed %d: %d frames failed to decode, want the one cut short", seed, failed)
+			}
+		}
+	}
+}
+
+// FuzzBatchStream is TestConnDecodeBatchStream over streams the input
+// chooses — seed, length and the frame cut short — with one byte of
+// them xored and read in chunks, both as it chooses: whatever arrives,
+// a batch decoded through the connection equals its fresh decode, a
+// failed one leaves the last table alone, and no string handed out
+// changes. (The stream is built, not taken from the input: a stream of
+// a few kilobytes is slow to minimise.)
+func FuzzBatchStream(f *testing.F) {
+	f.Add(int64(1), uint8(5), uint8(255), uint16(0), uint8(0), []byte{})
+	f.Add(int64(2), uint8(20), uint8(3), uint16(0), uint8(0), []byte{0, 11, 200})
+	f.Add(int64(3), uint8(8), uint8(255), uint16(1000), uint8(0x40), []byte{63})
+	f.Fuzz(func(t *testing.T, seed int64, n, cut uint8, at uint16, xor uint8, sizes []byte) {
+		stream := batchStream(t, seed, int(n%32), int(cut))
+		if len(stream) > 0 {
+			stream[int(at)%len(stream)] ^= xor
+		}
+		batchStreamAgrees(t, stream, sizes)
+	})
 }

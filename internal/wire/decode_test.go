@@ -175,12 +175,14 @@ func TestDecodeCorporaGolden(t *testing.T) {
 
 // TestFleetReplyDecodeAllocations pins what the blocks buy on the two
 // fleet-sized replies, decoded into a reused target as a polling
-// client does, and on a batch read and decoded as a server does: a
-// handful of blocks and one table spill, where there was a heap string
-// per literal (200 node names; 71 distinct strings a page) and a table
-// doubled from nothing. The bytes pin each kind's first block
-// (frameShare, resultShare): sized a sixteenth of its payload, a
-// batch's block alone grows from 96 to 144 bytes.
+// client does, and on a batch decoded on its own and through a warm
+// connection, as a server does: a handful of blocks and one table
+// spill, where there was a heap string per literal (200 node names; 71
+// distinct strings a page) and a table doubled from nothing, and
+// nothing at all for a batch that names what the last one did. The
+// bytes pin each kind's first block (frameShare, resultShare): sized a
+// sixteenth of its payload, a batch's block alone grows from 96 to 144
+// bytes.
 func TestFleetReplyDecodeAllocations(t *testing.T) {
 	powers, err := Frame{Type: TypeResult, Payload: mustResultPayload(t, QueryNodePowers, fleetPowers())}.AsResult()
 	if err != nil {
@@ -199,6 +201,7 @@ func TestFleetReplyDecodeAllocations(t *testing.T) {
 	var nps []NodePower
 	var pg accounting.Page
 	var batch Batch
+	var warm Conn
 	for _, c := range []struct {
 		name          string
 		decode        func() error
@@ -224,6 +227,9 @@ func TestFleetReplyDecodeAllocations(t *testing.T) {
 			}
 			return f.DecodeBatch(&batch)
 		}, 2, 0},
+		// The same batch again through the connection a shard decodes
+		// with: every literal is one the last batch named.
+		{"batch 24+8 warm", func() error { return warm.DecodeBatch(f, &batch) }, 0, 0},
 	} {
 		if err := c.decode(); err != nil { // sizes the reused target
 			t.Fatal(err)
@@ -293,13 +299,13 @@ func TestLiteralBlocksBoundedByPayload(t *testing.T) {
 		if d.err != nil {
 			t.Fatal(d.err)
 		}
-		if d.blk.Len() != len(s) {
+		if d.lits.blk.Len() != len(s) {
 			continue // cut from the block the literal before it opened
 		}
 		blocks++
-		pinned += d.blk.Cap()
-		if fill := len(s) + d.left(); d.blk.Cap() > fill+fill/4+16 {
-			t.Fatalf("block %d: %d bytes with %d payload bytes to fill it", blocks, d.blk.Cap(), fill)
+		pinned += d.lits.blk.Cap()
+		if fill := len(s) + d.left(); d.lits.blk.Cap() > fill+fill/4+16 {
+			t.Fatalf("block %d: %d bytes with %d payload bytes to fill it", blocks, d.lits.blk.Cap(), fill)
 		}
 	}
 	if blocks < 9 || pinned > 2*len(d.p) {

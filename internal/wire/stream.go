@@ -267,7 +267,7 @@ func (s *ChangesReader) Apply(r Result, rec func(eard.JobRecord) error, acct fun
 	case s.closed:
 		d.fail("a %s frame after the answer closed", r.Kind)
 	case !s.begun:
-		d.next = min(maxBlock, len(r.Data)/resultShare)
+		d.lits.next = min(maxBlock, len(r.Data)/resultShare)
 		s.begun = true
 	}
 	if d.err != nil {
