@@ -330,7 +330,8 @@ func (fr *Front) Close() error {
 // connState is what serving a connection takes beyond the connection:
 // its framing state — the read buffer frames arrive in, the image acks
 // and results are built in, the string table a fleet-sized result is
-// encoded with — and the batch decode scratch.
+// encoded with, the literal block and last table batches decode with —
+// and the batch decode scratch.
 type connState struct {
 	wire.Conn
 	scratch wire.Batch
@@ -338,7 +339,8 @@ type connState struct {
 
 // batchPool recycles connection state across connections: node daemons
 // that connect, report one batch and hang up would otherwise pay for a
-// fresh read buffer, ack buffer and record slices every time.
+// fresh read buffer, ack buffer, literal block and record slices every
+// time.
 var batchPool = sync.Pool{New: func() any { return new(connState) }}
 
 // ServeConn speaks the wire protocol on one connection until EOF or a
