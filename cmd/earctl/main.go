@@ -224,17 +224,9 @@ func confCmd(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	c := earconf.Default()
-	if *path != "" {
-		f, err := os.Open(*path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		c, err = earconf.Parse(f)
-		if err != nil {
-			return err
-		}
+	c, err := earconf.Load(*path)
+	if err != nil {
+		return err
 	}
 	t := report.Table{Columns: []string{"key", "value"}}
 	auth := "all registered policies"

@@ -174,6 +174,14 @@ func TestConfCommand(t *testing.T) {
 	if err := run([]string{"conf", "-f", nan}, &b); err == nil {
 		t.Error("a SignatureChangeTh of NaN was accepted")
 	}
+	// A zero threshold once printed 0.000 while runs used the default.
+	zero := filepath.Join(dir, "zero.conf")
+	if err := os.WriteFile(zero, []byte("DefaultCPUPolicyTh=0\nDefaultUncPolicyTh=0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"conf", "-f", zero}, &b); err == nil || !strings.Contains(err.Error(), "DefaultCPUPolicyTh") {
+		t.Errorf("zero thresholds: got %v, want an error naming DefaultCPUPolicyTh", err)
+	}
 }
 
 func TestReportCommand(t *testing.T) {

@@ -50,8 +50,8 @@ func run(args []string, out io.Writer) error {
 	var (
 		wl        = fs.String("workload", "BT-MZ.C", "catalogue workload name")
 		pol       = fs.String("policy", "none", "energy policy (none, "+strings.Join(policy.Names(), ", ")+")")
-		cpuTh     = fs.Float64("cpu-th", 0.05, "cpu_policy_th: allowed relative time penalty")
-		uncTh     = fs.Float64("unc-th", 0.02, "unc_policy_th: allowed CPI/GB/s degradation")
+		cpuTh     = fs.Float64("cpu-th", policy.DefaultCPUPolicyTh, "cpu_policy_th: allowed relative time penalty, in (0,1]")
+		uncTh     = fs.Float64("unc-th", policy.DefaultUncPolicyTh, "unc_policy_th: allowed CPI/GB/s degradation, in (0,1]")
 		notGuided = fs.Bool("not-guided", false, "start the uncore search from the maximum instead of the HW selection")
 		runs      = fs.Int("runs", 3, "averaged runs (the paper uses 3)")
 		seed      = fs.Int64("seed", 1, "noise seed")
@@ -107,17 +107,11 @@ func run(args []string, out io.Writer) error {
 		}()
 	}
 
-	conf := earconf.Default()
+	conf, err := earconf.Load(*confPath)
+	if err != nil {
+		return err
+	}
 	if *confPath != "" {
-		f, err := os.Open(*confPath)
-		if err != nil {
-			return err
-		}
-		conf, err = earconf.Parse(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
 		// Flags left at their defaults inherit the site configuration.
 		flagSet := map[string]bool{}
 		fs.Visit(func(f *flag.Flag) { flagSet[f.Name] = true })
@@ -134,7 +128,7 @@ func run(args []string, out io.Writer) error {
 			*powercapW = conf.ClusterPowerBudgetW
 		}
 	}
-	if *pol != "none" && *pol != "" && !conf.Authorized(*pol) {
+	if !conf.Authorized(*pol) {
 		return fmt.Errorf("policy %q not authorised by site configuration (allowed: %v)",
 			*pol, conf.AuthorizedPolicies)
 	}
@@ -145,6 +139,13 @@ func run(args []string, out io.Writer) error {
 		return enc.Encode(workload.Template())
 	}
 
+	// A zero threshold would run at the paper's default, not at zero.
+	if !(*cpuTh > 0 && *cpuTh <= 1) {
+		return fmt.Errorf("-cpu-th must lie in (0,1] (got %v)", *cpuTh)
+	}
+	if !(*uncTh > 0 && *uncTh <= 1) {
+		return fmt.Errorf("-unc-th must lie in (0,1] (got %v)", *uncTh)
+	}
 	if *runs < 1 {
 		return fmt.Errorf("-runs must be >= 1 (got %d)", *runs)
 	}
@@ -158,7 +159,6 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-powercap must be 0 or a finite positive budget in watts (got %v)", *powercapW)
 	}
 	var spec workload.Spec
-	var err error
 	if *specPath != "" {
 		f, ferr := os.Open(*specPath)
 		if ferr != nil {
@@ -178,8 +178,8 @@ func run(args []string, out io.Writer) error {
 
 	opt := sim.Options{
 		Policy:       *pol,
-		CPUTh:        sim.F(*cpuTh),
-		UncTh:        sim.F(*uncTh),
+		CPUTh:        *cpuTh,
+		UncTh:        *uncTh,
 		HWGuidedOff:  *notGuided,
 		Seed:         *seed,
 		Trace:        *tracePath != "",

@@ -330,6 +330,18 @@ func TestNaNSettingsRefused(t *testing.T) {
 	}
 }
 
+// TestZeroThresholdRefused: a zero threshold once ran at the paper's
+// default (5 % or 2 %) without a word; it is refused, naming the flag.
+func TestZeroThresholdRefused(t *testing.T) {
+	var b strings.Builder
+	for _, flag := range []string{"-cpu-th", "-unc-th"} {
+		err := run([]string{"-workload", "BT-MZ.C", "-runs", "1", "-policy", "min_energy_eufs", flag, "0"}, &b)
+		if err == nil || !strings.Contains(err.Error(), flag) {
+			t.Errorf("%s 0: got %v, want an error naming %s", flag, err, flag)
+		}
+	}
+}
+
 func TestSiteConfiguration(t *testing.T) {
 	dir := t.TempDir()
 	conf := filepath.Join(dir, "ear.conf")

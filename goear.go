@@ -52,10 +52,10 @@ type Config struct {
 	// (nominal frequency, hardware UFS — the paper's baseline).
 	Policy string
 	// CPUPolicyTh is the allowed relative time penalty of the CPU
-	// frequency selection (default 0.05, the paper's usual setting).
+	// frequency selection; zero means the paper's usual 5 %.
 	CPUPolicyTh float64
 	// UncPolicyTh is the additional CPI/GB/s degradation allowed to the
-	// uncore selection (default 0.02).
+	// uncore selection; zero means the paper's 2 %.
 	UncPolicyTh float64
 	// NotGuided starts the uncore search from the hardware maximum
 	// instead of the hardware-selected frequency (the paper's ME+NG-U).
@@ -143,16 +143,10 @@ func ExperimentIDs() []string { return experiments.IDs() }
 func (c Config) toOptions() sim.Options {
 	opt := sim.Options{
 		Policy:      c.Policy,
+		CPUTh:       c.CPUPolicyTh,
+		UncTh:       c.UncPolicyTh,
 		HWGuidedOff: c.NotGuided,
 		Seed:        c.Seed,
-	}
-	// The facade keeps zero-means-default threshold semantics; explicit
-	// zeros are a sim.Options-level capability (sim.F(0)).
-	if c.CPUPolicyTh != 0 {
-		opt.CPUTh = sim.F(c.CPUPolicyTh)
-	}
-	if c.UncPolicyTh != 0 {
-		opt.UncTh = sim.F(c.UncPolicyTh)
 	}
 	if c.FixedCPUPstate > 0 || (c.FixedCPUPstate == 0 && c.FixedUncoreGHz > 0) {
 		p := c.FixedCPUPstate

@@ -1,8 +1,9 @@
 // Package earconf parses the cluster configuration file that drives
 // EAR's defaults, in the spirit of ear.conf: the sysadmin sets the
 // default policy and its thresholds, the signature cadence, the
-// authorised policy list, and the global manager's power budget; users
-// may then only tighten, not loosen, what the file allows.
+// authorised policy list, and the global manager's power budget. A job's
+// flags override the file's thresholds and budget either way; only the
+// policy it requests is checked, against AuthorizedPolicies.
 //
 // The format is the INI-like key=value layout ear.conf uses, where a
 // key is the name of a Config field:
@@ -22,9 +23,14 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
+
+	"goear/internal/metrics"
+	"goear/internal/policy"
 )
 
 // Config is the parsed cluster configuration.
@@ -32,7 +38,7 @@ type Config struct {
 	// DefaultPolicy is applied when a job does not request one.
 	DefaultPolicy string
 	// DefaultCPUPolicyTh and DefaultUncPolicyTh are the site's policy
-	// thresholds.
+	// thresholds, in (0,1].
 	DefaultCPUPolicyTh float64
 	DefaultUncPolicyTh float64
 	// MinSignatureWindowSec is EARL's signature cadence floor.
@@ -50,11 +56,11 @@ type Config struct {
 // the configuration the paper evaluates with.
 func Default() Config {
 	return Config{
-		DefaultPolicy:         "min_energy_eufs",
-		DefaultCPUPolicyTh:    0.05,
-		DefaultUncPolicyTh:    0.02,
-		MinSignatureWindowSec: 10,
-		SignatureChangeTh:     0.15,
+		DefaultPolicy:         policy.MinEnergyEUFS,
+		DefaultCPUPolicyTh:    policy.DefaultCPUPolicyTh,
+		DefaultUncPolicyTh:    policy.DefaultUncPolicyTh,
+		MinSignatureWindowSec: metrics.MinWindowSeconds,
+		SignatureChangeTh:     policy.DefaultSigChangeTh,
 	}
 }
 
@@ -65,10 +71,13 @@ func (c Config) validate() error {
 		return fmt.Errorf("earconf: DefaultPolicy is required")
 	// Each range is written so that NaN, which fails every comparison,
 	// falls outside it, and so does an infinity where it is unbounded.
-	case !(c.DefaultCPUPolicyTh >= 0 && c.DefaultCPUPolicyTh <= 1):
-		return fmt.Errorf("earconf: DefaultCPUPolicyTh %g outside [0,1]", c.DefaultCPUPolicyTh)
-	case !(c.DefaultUncPolicyTh >= 0 && c.DefaultUncPolicyTh <= 1):
-		return fmt.Errorf("earconf: DefaultUncPolicyTh %g outside [0,1]", c.DefaultUncPolicyTh)
+	case !c.Authorized(c.DefaultPolicy):
+		return fmt.Errorf("earconf: DefaultPolicy %q is not one of AuthorizedPolicies %v", c.DefaultPolicy, c.AuthorizedPolicies)
+	// A zero threshold would run at the paper's default, not at zero.
+	case !(c.DefaultCPUPolicyTh > 0 && c.DefaultCPUPolicyTh <= 1):
+		return fmt.Errorf("earconf: DefaultCPUPolicyTh %g outside (0,1]", c.DefaultCPUPolicyTh)
+	case !(c.DefaultUncPolicyTh > 0 && c.DefaultUncPolicyTh <= 1):
+		return fmt.Errorf("earconf: DefaultUncPolicyTh %g outside (0,1]", c.DefaultUncPolicyTh)
 	case !(c.MinSignatureWindowSec >= 1 && c.MinSignatureWindowSec <= math.MaxFloat64):
 		return fmt.Errorf("earconf: MinSignatureWindowSec %g must be finite and >= 1 (the DC meter updates once per second)", c.MinSignatureWindowSec)
 	case !(c.SignatureChangeTh > 0 && c.SignatureChangeTh <= 1):
@@ -79,17 +88,25 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Authorized reports whether the site allows the given policy.
-func (c Config) Authorized(policy string) bool {
-	if len(c.AuthorizedPolicies) == 0 {
-		return true
+// Authorized reports whether the site allows the given policy. Running
+// none ("" or "none", the nominal baseline) needs no authorisation.
+func (c Config) Authorized(name string) bool {
+	return name == "" || name == "none" || len(c.AuthorizedPolicies) == 0 ||
+		slices.Contains(c.AuthorizedPolicies, name)
+}
+
+// Load reads the configuration file at path, or returns Default when
+// path is empty.
+func Load(path string) (Config, error) {
+	if path == "" {
+		return Default(), nil
 	}
-	for _, p := range c.AuthorizedPolicies {
-		if p == policy {
-			return true
-		}
+	f, err := os.Open(path)
+	if err != nil {
+		return Config{}, err
 	}
-	return false
+	defer func() { _ = f.Close() }() // read-only: nothing to lose
+	return Parse(f)
 }
 
 // Parse reads a configuration, starting from Default and overriding

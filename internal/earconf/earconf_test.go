@@ -48,6 +48,13 @@ ClusterPowerBudgetW=5000
 	if c.Authorized("min_time") {
 		t.Error("unlisted policy authorized")
 	}
+	// Running no policy needs no authorisation, as a default too.
+	if !c.Authorized("none") {
+		t.Error(`"none" refused by a policy list`)
+	}
+	if _, err := Parse(strings.NewReader("DefaultPolicy=none\nAuthorizedPolicies=monitoring\n")); err != nil {
+		t.Errorf("DefaultPolicy=none refused: %v", err)
+	}
 }
 
 func TestParsePartialFileKeepsDefaults(t *testing.T) {
@@ -74,6 +81,11 @@ func TestParseRejects(t *testing.T) {
 		"SignatureChangeTh=0\n",       // out of range
 		"ClusterPowerBudgetW=-10\n",   // negative
 		"DefaultPolicy=\n",            // empty
+		// A zero threshold would run at the paper's default, not at zero.
+		"DefaultCPUPolicyTh=0\n",
+		"DefaultUncPolicyTh=0\n",
+		// A default its own list forbids would fail every run relying on it.
+		"DefaultPolicy=min_energy_eufs\nAuthorizedPolicies=monitoring\n",
 		// NaN fails every comparison: each range refuses it, and an
 		// unbounded one an infinity too.
 		"DefaultCPUPolicyTh=NaN\n",

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"net"
 	"strconv"
-	"strings"
 	"sync"
 
 	"goear/internal/accounting"
@@ -49,12 +48,11 @@ func (e *unreachableError) Unwrap() error { return ErrUnreachable }
 // Client limits. A full queue spills to the journal. Retry delays
 // start at backoffBaseSec and double per attempt up to backoffMaxSec,
 // each scaled by a jitter factor in [0.5, 1). Batch IDs are cut from
-// blocks of firstIDBlock bytes, doubling to maxIDBlock.
+// blocks of at most maxIDBlock bytes.
 const (
 	queueCap       = 4096
 	backoffBaseSec = 0.5
 	backoffMaxSec  = 30
-	firstIDBlock   = 64
 	maxIDBlock     = 1 << 10
 )
 
@@ -165,8 +163,7 @@ type Client struct {
 	acctQueue []accounting.Record
 	enc       []byte // the pending batch's image, encoded once; reused across flushes
 	seq       uint64
-	ids       strings.Builder // the block batch IDs are cut from
-	nextIDs   int             // size of the ID block after it
+	ids       wire.Literals // the block batch IDs are cut from
 	stats     ClientStats
 }
 
@@ -218,15 +215,7 @@ func (c *Client) nextIDLocked() string {
 	c.seq++
 	var scratch [64]byte
 	id := appendBatchID(scratch[:0], c.cfg.Node, c.seq)
-	if len(id) > c.ids.Cap()-c.ids.Len() {
-		size := max(c.nextIDs, firstIDBlock, len(id))
-		c.nextIDs = min(2*size, maxIDBlock)
-		c.ids.Reset()
-		c.ids.Grow(size)
-	}
-	start := c.ids.Len()
-	c.ids.Write(id)
-	return c.ids.String()[start:]
+	return c.ids.Cut(id, max(maxIDBlock, len(id)))
 }
 
 // Enqueue buffers one record, flushing when the batch-size trigger

@@ -94,7 +94,7 @@ func (c Config) defaults() Config {
 		c.MinWindowSec = metrics.MinWindowSeconds
 	}
 	if c.SigChangeTh == 0 {
-		c.SigChangeTh = 0.15
+		c.SigChangeTh = policy.DefaultSigChangeTh
 	}
 	return c
 }

@@ -45,9 +45,10 @@ func (c *Context) ablationSearch() ([]report.Table, error) {
 		[]string{"configuration", "time penalty", "DC power saving",
 			"energy saving", "settle (s)", "avg IMC (GHz)"},
 		[]runCfg{
-			{"ME+eU (HW-guided)", name, sim.Options{Policy: "min_energy_eufs", Seed: 40, Trace: true}},
-			{"ME+NG-U (from max)", name, sim.Options{Policy: "min_energy_eufs", HWGuidedOff: true, Seed: 40, Trace: true}},
+			{"ME+eU (HW-guided)", name, minEnergyEU(40)},
+			{"ME+NG-U (from max)", name, minEnergyNGU(40)},
 		}, func(cfg runCfg) ([]string, error) {
+			cfg.opt.Trace = true // the settle column reads the trace
 			r, err := c.Run(cfg.name, cfg.opt)
 			if err != nil {
 				return nil, err
@@ -81,19 +82,22 @@ func settleTime(trace []sim.TracePoint) float64 {
 func (c *Context) ablationSweeps() ([]report.Table, error) {
 	var a4 []runCfg
 	for _, unc := range []float64{0.005, 0.01, 0.02, 0.03, 0.05} {
-		a4 = append(a4, runCfg{
-			"unc_th " + report.F(unc*100, 1) + "%", workload.SPMZC,
-			sim.Options{Policy: "min_energy_eufs", UncTh: sim.F(unc), Seed: 40},
-		})
+		o := minEnergyEU(40)
+		o.UncTh = unc
+		a4 = append(a4, runCfg{"unc_th " + report.F(unc*100, 1) + "%", workload.SPMZC, o})
 	}
+	oldModel := minEnergy(40)
+	oldModel.NoAVX512Model = true
+	pinBoth := minEnergyEU(40)
+	pinBoth.PinBothUncoreLimits = true
 	return c.sweeps(
 		sweep{"Ablation A2: AVX512 model on/off (DGEMM, min_energy)", "configuration", barFigure, []runCfg{
-			{"AVX512 model", workload.DGEMM, sim.Options{Policy: "min_energy", Seed: 40}},
-			{"default model", workload.DGEMM, sim.Options{Policy: "min_energy", NoAVX512Model: true, Seed: 40}},
+			{"AVX512 model", workload.DGEMM, minEnergy(40)},
+			{"default model", workload.DGEMM, oldModel},
 		}},
 		sweep{"Ablation A3: move-max-only vs pin min=max uncore window (BT-MZ.C, ME+eU)", "configuration", barFigure, []runCfg{
-			{"move max only", workload.BTMZC, sim.Options{Policy: "min_energy_eufs", Seed: 40}},
-			{"pin min=max", workload.BTMZC, sim.Options{Policy: "min_energy_eufs", PinBothUncoreLimits: true, Seed: 40}},
+			{"move max only", workload.BTMZC, minEnergyEU(40)},
+			{"pin min=max", workload.BTMZC, pinBoth},
 		}},
 		sweep{"Ablation A4: unc_policy_th sensitivity (SP-MZ.C, ME+eU)", "configuration", barFigure, a4},
 	)
@@ -121,9 +125,9 @@ func (c *Context) ablationSigChange() ([]report.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			r, err := c.Run(cl.name, sim.Options{
-				Policy: "min_energy_eufs", SigChangeTh: cl.th, Seed: 40,
-			})
+			o := minEnergyEU(40)
+			o.SigChangeTh = cl.th
+			r, err := c.Run(cl.name, o)
 			if err != nil {
 				return nil, err
 			}

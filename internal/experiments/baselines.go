@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"goear/internal/policy"
 	"goear/internal/report"
 	"goear/internal/sim"
 	"goear/internal/workload"
@@ -30,7 +31,7 @@ func (c *Context) baselines() ([]report.Table, error) {
 	return c.sweeps(sweep{"Baselines: EAR ME+eU vs controller-based uncore scaling (duf)",
 		"workload", barFigure,
 		policyPairs([]string{workload.BTMZC, workload.BTCUDA, workload.HPCG}, 50,
-			[2]string{"ME+eU", "min_energy_eufs"}, [2]string{"duf", "duf"})})
+			[2]string{"ME+eU", policy.MinEnergyEUFS}, [2]string{"duf", policy.DUF})})
 }
 
 // futureWork evaluates the extension the paper announces but does not
@@ -41,5 +42,5 @@ func (c *Context) futureWork() ([]report.Table, error) {
 	return c.sweeps(sweep{"Future work (paper §VIII): min_time_to_solution with explicit UFS",
 		"workload", barFigure,
 		policyPairs([]string{workload.BTMZC, workload.HPCG, workload.POP}, 60,
-			[2]string{"min_time", "min_time"}, [2]string{"min_time+eU", "min_time_eufs"})})
+			[2]string{"min_time", policy.MinTime}, [2]string{"min_time+eU", policy.MinTimeEUFS})})
 }

@@ -23,6 +23,7 @@ import (
 
 	"goear/internal/eargm"
 	"goear/internal/model"
+	"goear/internal/policy"
 	"goear/internal/report"
 	"goear/internal/sim"
 	"goear/internal/telemetry"
@@ -138,19 +139,18 @@ func deref[T comparable](p *T) set[T] {
 }
 
 // runKey is the identity of a cached run: spec ID, averaged run count
-// and the options. opt is the defaulted sim.Options with every pointer
-// field but Model (compared by identity) nil — its pointee is compared
-// through the field of the same name below — and the fields that cannot
-// change a result (Workers, ReferenceStep, Telemetry) zeroed. So a field
-// added to sim.Options is part of the key by construction; one that must
-// not be (or is a pointer) has to be handled in keyOf, and
+// and the options. opt is the defaulted sim.Options with the two pins
+// nil — their pointees are compared through the fields of the same
+// name below — and the fields that cannot change a result (Workers,
+// ReferenceStep, Telemetry) zeroed; Model is compared by identity. So a
+// field added to sim.Options is part of the key by construction; one
+// that must not be (or is a pointer) has to be handled in keyOf, and
 // TestRunKeyCoversOptions fails until it is.
 type runKey struct {
 	spec uint64
 	runs int
 	opt  sim.Options
 
-	cpuTh, uncTh     set[float64]
 	fixedCPUPstate   set[int]
 	fixedUncoreRatio set[uint64]
 }
@@ -162,11 +162,9 @@ func keyOf(spec uint64, o sim.Options, runs int) runKey {
 	o = o.WithDefaults()
 	k := runKey{
 		spec: spec, runs: runs,
-		cpuTh: deref(o.CPUTh), uncTh: deref(o.UncTh),
 		fixedCPUPstate:   deref(o.FixedCPUPstate),
 		fixedUncoreRatio: deref(o.FixedUncoreRatio),
 	}
-	o.CPUTh, o.UncTh = nil, nil
 	o.FixedCPUPstate, o.FixedUncoreRatio = nil, nil
 	o.Workers, o.ReferenceStep, o.Telemetry = 0, false, nil
 	k.opt = o
@@ -243,6 +241,21 @@ func (c *Context) RunPowercapped(spec workload.Spec, opt sim.Options, gmCfg earg
 		return sim.Result{}, eargm.Stats{}, err
 	}
 	return r, gm.Stats(), nil
+}
+
+// The campaign's named configurations at a seed, with the paper's
+// default thresholds: ME, ME+eU, and ME+NG-U — ME+eU searching the
+// uncore from its maximum instead of the hardware's selection.
+func minEnergy(seed int64) sim.Options {
+	return sim.Options{Policy: policy.MinEnergy, Seed: seed}
+}
+
+func minEnergyEU(seed int64) sim.Options {
+	return sim.Options{Policy: policy.MinEnergyEUFS, Seed: seed}
+}
+
+func minEnergyNGU(seed int64) sim.Options {
+	return sim.Options{Policy: policy.MinEnergyEUFS, HWGuidedOff: true, Seed: seed}
 }
 
 // compare runs a configuration and returns its Delta against baseline.

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"goear/internal/model"
+	"goear/internal/policy"
 	"goear/internal/sim"
 	"goear/internal/telemetry"
 	"goear/internal/workload"
@@ -238,10 +239,10 @@ func TestRunCacheReuse(t *testing.T) {
 		t.Errorf("cache grew on identical run: %d -> %d", n, got)
 	}
 	// Different thresholds are distinct entries.
-	if _, err := c.Run(workload.BTMZC, sim.Options{Policy: "min_energy", CPUTh: sim.F(0.03), Seed: 100}); err != nil {
+	if _, err := c.Run(workload.BTMZC, sim.Options{Policy: "min_energy", CPUTh: 0.03, Seed: 100}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(workload.BTMZC, sim.Options{Policy: "min_energy", CPUTh: sim.F(0.05), Seed: 100}); err != nil {
+	if _, err := c.Run(workload.BTMZC, sim.Options{Policy: "min_energy", CPUTh: 0.05, Seed: 100}); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Stats(); got.Runs != n+2 || got.RunsExecuted != got.Runs {
@@ -374,7 +375,8 @@ func TestRunKeyCoversOptions(t *testing.T) {
 		t.Error("spec and run count must be part of the key")
 	}
 	// Defaults are resolved first: unset and the explicit default agree.
-	if keyOf(w, sim.Options{}, 1) != keyOf(w, sim.Options{Policy: "none", CPUTh: sim.F(0.05)}, 1) {
+	explicit := sim.Options{Policy: "none", CPUTh: policy.DefaultCPUPolicyTh, UncTh: policy.DefaultUncPolicyTh}
+	if keyOf(w, sim.Options{}, 1) != keyOf(w, explicit, 1) {
 		t.Error("an explicit default and an unset option have different keys")
 	}
 }

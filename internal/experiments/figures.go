@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"goear/internal/policy"
 	"goear/internal/report"
 	"goear/internal/sim"
 	"goear/internal/workload"
@@ -20,7 +21,7 @@ func (c *Context) fig1() ([]report.Table, error) {
 	var out []report.Table
 	for _, name := range []string{workload.BTMZMotiv, workload.LUDMotiv} {
 		// Stage 1: let the policy pick the CPU frequency.
-		me, err := c.Run(name, sim.Options{Policy: "min_energy", Seed: 10})
+		me, err := c.Run(name, minEnergy(10))
 		if err != nil {
 			return nil, err
 		}
@@ -73,24 +74,25 @@ func (c *Context) fig1() ([]report.Table, error) {
 	return out, nil
 }
 
-// appOpt is a seed-30 application run of policy at cpu_policy_th cpuTh
-// with unc_policy_th at its 2 % default: the configuration behind
-// Figs. 3-8 and Tables VI-VII.
-func appOpt(policy string, cpuTh float64) sim.Options {
-	return sim.Options{Policy: policy, CPUTh: sim.F(cpuTh), Seed: 30}
+// appSeed is the seed of the application runs behind Figs. 3-8 and
+// Tables VI-VII.
+const appSeed = 30
+
+// atCPUTh is o at cpu_policy_th th.
+func atCPUTh(o sim.Options, th float64) sim.Options {
+	o.CPUTh = th
+	return o
 }
 
 // policyRows is the row group the application figures repeat: ME, the
 // not-guided uncore search (ME+NG-U) when ng is set, and ME+eU on one
 // workload at one cpu_policy_th. suffix tells a table's groups apart.
 func policyRows(name string, cpuTh float64, suffix string, ng bool) []runCfg {
-	rows := []runCfg{{"ME" + suffix, name, appOpt("min_energy", cpuTh)}}
+	rows := []runCfg{{"ME" + suffix, name, atCPUTh(minEnergy(appSeed), cpuTh)}}
 	if ng {
-		o := appOpt("min_energy_eufs", cpuTh)
-		o.HWGuidedOff = true
-		rows = append(rows, runCfg{"ME+NG-U" + suffix, name, o})
+		rows = append(rows, runCfg{"ME+NG-U" + suffix, name, atCPUTh(minEnergyNGU(appSeed), cpuTh)})
 	}
-	return append(rows, runCfg{"ME+eU" + suffix, name, appOpt("min_energy_eufs", cpuTh)})
+	return append(rows, runCfg{"ME+eU" + suffix, name, atCPUTh(minEnergyEU(appSeed), cpuTh)})
 }
 
 // cpuThRows is policyRows at cpu_policy_th 3 % and 5 %, each group
@@ -107,10 +109,10 @@ func cpuThRows(name string, ng bool) []runCfg {
 // cpu_policy_th 3 %. Rows are labelled in whole percents, so the 0.1 %
 // that stands in for the paper's 0 % threshold reads "0%".
 func uncThRows(name string, uncs ...float64) []runCfg {
-	rows := []runCfg{{"ME", name, appOpt("min_energy", 0.03)}}
+	rows := []runCfg{{"ME", name, atCPUTh(minEnergy(appSeed), 0.03)}}
 	for _, unc := range uncs {
-		o := appOpt("min_energy_eufs", 0.03)
-		o.UncTh = sim.F(unc)
+		o := atCPUTh(minEnergyEU(appSeed), 0.03)
+		o.UncTh = unc
 		rows = append(rows, runCfg{fmt.Sprintf("ME+eU %d%%", int(unc*100)), name, o})
 	}
 	return rows
@@ -142,7 +144,7 @@ func (c *Context) fig5() ([]report.Table, error) {
 // (cpu_policy_th 5%, unc_policy_th 2%).
 func (c *Context) fig6() ([]report.Table, error) {
 	return c.sweeps(sweep{"Fig 6: GROMACS(II), min_energy configurations (cpu_th 5%)",
-		"configuration", barFigure, policyRows(workload.GromacsII, 0.05, "", false)})
+		"configuration", barFigure, policyRows(workload.GromacsII, policy.DefaultCPUPolicyTh, "", false)})
 }
 
 // fig7 reproduces Figure 7: HPCG (a) and POP (b) under ME and ME+eU
@@ -151,7 +153,7 @@ func (c *Context) fig7() ([]report.Table, error) {
 	var ss []sweep
 	for _, name := range []string{workload.HPCG, workload.POP} {
 		ss = append(ss, sweep{fmt.Sprintf("Fig 7 (%s): min_energy configurations (cpu_th 5%%)", name),
-			"configuration", efficiencyRatio, policyRows(name, 0.05, "", false)})
+			"configuration", efficiencyRatio, policyRows(name, policy.DefaultCPUPolicyTh, "", false)})
 	}
 	return c.sweeps(ss...)
 }

@@ -28,14 +28,6 @@ type runCfg struct {
 	opt   sim.Options
 }
 
-// compareAll resolves every configuration's Delta against its
-// workload's baseline, in parallel, preserving order.
-func (c *Context) compareAll(cfgs []runCfg) ([]sim.Delta, error) {
-	return mapRows(c, cfgs, func(r runCfg) (sim.Delta, error) {
-		return c.compare(r.name, r.opt)
-	})
-}
-
 // layout is the column set a sweep is rendered with.
 type layout int
 
@@ -88,7 +80,7 @@ func (c *Context) sweeps(ss ...sweep) ([]report.Table, error) {
 	for _, s := range ss {
 		all = append(all, s.rows...)
 	}
-	ds, err := c.compareAll(all)
+	ds, err := mapRows(c, all, func(r runCfg) (sim.Delta, error) { return c.compare(r.name, r.opt) })
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"goear/internal/policy"
 	"goear/internal/report"
 	"goear/internal/sim"
 	"goear/internal/workload"
@@ -13,7 +14,7 @@ func (c *Context) table1() ([]report.Table, error) {
 	return tabulate(c, "Table I: kernel metrics under min_energy with hardware IMC selection",
 		[]string{"kernel", "CPI", "GB/s", "CPU freq (GHz)", "IMC freq (GHz)"},
 		[]string{workload.BTMZMotiv, workload.LUDMotiv}, func(name string) ([]string, error) {
-			r, err := c.Run(name, sim.Options{Policy: "min_energy", Seed: 10})
+			r, err := c.Run(name, minEnergy(10))
 			if err != nil {
 				return nil, err
 			}
@@ -50,11 +51,11 @@ func (c *Context) table3() ([]report.Table, error) {
 			"power saving ME", "power saving ME+eU",
 			"energy saving ME", "energy saving ME+eU"},
 		workload.Kernels(), func(name string) ([]string, error) {
-			me, err := c.compare(name, sim.Options{Policy: "min_energy", Seed: 20})
+			me, err := c.compare(name, minEnergy(20))
 			if err != nil {
 				return nil, err
 			}
-			eu, err := c.compare(name, sim.Options{Policy: "min_energy_eufs", Seed: 20})
+			eu, err := c.compare(name, minEnergyEU(20))
 			if err != nil {
 				return nil, err
 			}
@@ -67,7 +68,7 @@ func (c *Context) table3() ([]report.Table, error) {
 
 // freqDomains renders the average CPU and IMC frequency of each named
 // workload under No policy / ME / ME+eU, the two policies at the given
-// seed and the workload's paperCPUTh: Tables IV and VI.
+// seed and the workload's paper cpu_policy_th: Tables IV and VI.
 func (c *Context) freqDomains(title, first string, names []string, seed int64) ([]report.Table, error) {
 	t := report.Table{Title: title, Columns: []string{first, "dom", "No policy", "ME", "ME+eU"}}
 	type row struct{ base, me, eu sim.Result }
@@ -76,13 +77,11 @@ func (c *Context) freqDomains(title, first string, names []string, seed int64) (
 		if err != nil {
 			return row{}, err
 		}
-		opt := sim.Options{Policy: "min_energy", CPUTh: sim.F(paperCPUTh(name)), Seed: seed}
-		me, err := c.Run(name, opt)
+		me, err := c.Run(name, atCPUTh(minEnergy(seed), paperCPUTh(name)))
 		if err != nil {
 			return row{}, err
 		}
-		opt.Policy = "min_energy_eufs"
-		eu, err := c.Run(name, opt)
+		eu, err := c.Run(name, atCPUTh(minEnergyEU(seed), paperCPUTh(name)))
 		if err != nil {
 			return row{}, err
 		}
@@ -128,26 +127,26 @@ func (c *Context) table5() ([]report.Table, error) {
 }
 
 // paperCPUTh is the cpu_policy_th the paper runs a workload at: 3% for
-// BQCD, 5% for every other application and for the kernels.
+// BQCD, the 5% default for every other application and for the kernels.
 func paperCPUTh(name string) float64 {
 	if name == workload.BQCD {
 		return 0.03
 	}
-	return 0.05
+	return policy.DefaultCPUPolicyTh
 }
 
 // table6 reproduces Table VI: average CPU and IMC frequency per
 // application under No policy / ME / ME+eU.
 func (c *Context) table6() ([]report.Table, error) {
 	return c.freqDomains("Table VI: avg CPU and IMC frequency domains (applications)", "application",
-		workload.Applications(), 30)
+		workload.Applications(), appSeed)
 }
 
 // appEUDelta resolves ME+eU at the application's cpu_policy_th against
 // the nominal baseline: the comparison behind Table VII and the
 // headline summary.
 func (c *Context) appEUDelta(name string) (sim.Delta, error) {
-	return c.compare(name, appOpt("min_energy_eufs", paperCPUTh(name)))
+	return c.compare(name, atCPUTh(minEnergyEU(appSeed), paperCPUTh(name)))
 }
 
 // table7 reproduces Table VII: DC node power savings vs RAPL PCK power

@@ -155,19 +155,28 @@ const (
 	minTimeMinGain = 0.03
 )
 
-// Defaults fills unset fields with the paper's defaults.
+// The paper's defaults, declared once: cpu_policy_th (5 %),
+// unc_policy_th (2 %) and the signature variation taken for a phase
+// change (15 %). Every other default of a run reads them.
+const (
+	DefaultCPUPolicyTh = 0.05
+	DefaultUncPolicyTh = 0.02
+	DefaultSigChangeTh = 0.15
+)
+
+// Defaults fills unset (zero) fields with the paper's defaults.
 func (c Config) Defaults() Config {
 	if c.CPUPolicyTh == 0 {
-		c.CPUPolicyTh = 0.05
+		c.CPUPolicyTh = DefaultCPUPolicyTh
 	}
 	if c.UncPolicyTh == 0 {
-		c.UncPolicyTh = 0.02
+		c.UncPolicyTh = DefaultUncPolicyTh
 	}
 	if c.DefaultPstate == 0 {
 		c.DefaultPstate = 1
 	}
 	if c.SigChangeTh == 0 {
-		c.SigChangeTh = 0.15
+		c.SigChangeTh = DefaultSigChangeTh
 	}
 	return c
 }

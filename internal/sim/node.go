@@ -359,8 +359,8 @@ func (n *node) init(cal workload.Calibrated, nodeID int, opt Options) error {
 	if opt.Policy != "none" {
 		pcfg := policy.Config{
 			Model:          opt.Model,
-			CPUPolicyTh:    *opt.CPUTh,
-			UncPolicyTh:    *opt.UncTh,
+			CPUPolicyTh:    opt.CPUTh,
+			UncPolicyTh:    opt.UncTh,
 			HWGuided:       !opt.HWGuidedOff,
 			UseAVX512Model: !opt.NoAVX512Model,
 			DefaultPstate:  1,

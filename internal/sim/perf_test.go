@@ -5,21 +5,22 @@ import (
 	"reflect"
 	"testing"
 
+	"goear/internal/policy"
 	"goear/internal/telemetry"
 	"goear/internal/workload"
 )
 
-// TestExplicitZeroThresholds is the regression test for the options
-// zero-value fix: F(0) must survive defaulting, and nil must still
-// resolve to the documented defaults.
+// TestExplicitZeroThresholds: a zero threshold is the unset one and
+// resolves to the paper's defaults, and a set one is kept.
 func TestExplicitZeroThresholds(t *testing.T) {
-	d := Options{}.WithDefaults()
-	if *d.CPUTh != 0.05 || *d.UncTh != 0.02 {
-		t.Errorf("nil thresholds resolved to (%v, %v), want (0.05, 0.02)", *d.CPUTh, *d.UncTh)
+	d := Options{CPUTh: 0, UncTh: 0}.WithDefaults()
+	if d.CPUTh != policy.DefaultCPUPolicyTh || d.UncTh != policy.DefaultUncPolicyTh {
+		t.Errorf("zero thresholds resolved to (%v, %v), want (%v, %v)",
+			d.CPUTh, d.UncTh, policy.DefaultCPUPolicyTh, policy.DefaultUncPolicyTh)
 	}
-	z := Options{CPUTh: F(0), UncTh: F(0)}.WithDefaults()
-	if *z.CPUTh != 0 || *z.UncTh != 0 {
-		t.Errorf("explicit zeros resolved to (%v, %v), want (0, 0)", *z.CPUTh, *z.UncTh)
+	s := Options{CPUTh: 0.03, UncTh: 0.01}.WithDefaults()
+	if s.CPUTh != 0.03 || s.UncTh != 0.01 {
+		t.Errorf("set thresholds resolved to (%v, %v), want (0.03, 0.01)", s.CPUTh, s.UncTh)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"goear/internal/earl"
 	"goear/internal/model"
 	"goear/internal/par"
+	"goear/internal/policy"
 	"goear/internal/telemetry"
 	"goear/internal/workload"
 )
@@ -20,12 +21,11 @@ type Options struct {
 	// Policy is a registered policy name, or "" / "none" to run without
 	// EARL (the paper's nominal-frequency baseline).
 	Policy string
-	// CPUTh and UncTh are the policy thresholds. nil means "use the
-	// default" (5 % and 2 %); F(0) requests an explicit zero threshold,
-	// which a plain float64 field could not distinguish from unset —
-	// the ablations need that distinction.
-	CPUTh *float64
-	UncTh *float64
+	// CPUTh and UncTh are the policy thresholds; zero means the
+	// paper's defaults, policy.DefaultCPUPolicyTh and
+	// policy.DefaultUncPolicyTh.
+	CPUTh float64
+	UncTh float64
 	// HWGuidedOff disables the HW-guided IMC search start (Fig. 5's
 	// ME+NG-U configuration).
 	HWGuidedOff bool
@@ -81,12 +81,6 @@ func (o Options) workers() int {
 	return o.Workers
 }
 
-// F wraps a float64 for the pointer-valued Options fields, so callers
-// can supply explicit values — including zero — inline:
-//
-//	sim.Options{Policy: "min_energy_eufs", UncTh: sim.F(0)}
-func F(v float64) *float64 { return &v }
-
 // The fixed simulation constants.
 const (
 	// stepSec is the simulation step: 10 ms, the uncore controller tick.
@@ -98,14 +92,6 @@ const (
 	traceStepSec = 1.0
 )
 
-// Shared targets for the defaulted threshold pointers: resolving an
-// unset option must not allocate (Run sits on the experiment hot path).
-// Callers treat Options fields as read-only, so aliasing is safe.
-var (
-	defCPUTh = 0.05
-	defUncTh = 0.02
-)
-
 // WithDefaults returns the options with every unset field resolved to
 // its default. Run and friends apply it internally; it is exported so
 // callers that key caches on option values (the experiment engine) can
@@ -115,11 +101,11 @@ func (o Options) WithDefaults() Options {
 	if o.Policy == "" {
 		o.Policy = "none"
 	}
-	if o.CPUTh == nil {
-		o.CPUTh = &defCPUTh
+	if o.CPUTh == 0 {
+		o.CPUTh = policy.DefaultCPUPolicyTh
 	}
-	if o.UncTh == nil {
-		o.UncTh = &defUncTh
+	if o.UncTh == 0 {
+		o.UncTh = policy.DefaultUncPolicyTh
 	}
 	return o
 }

@@ -128,11 +128,11 @@ func TestEUFSRespectsUncThreshold(t *testing.T) {
 	// immediately; with a loose one it goes deeper.
 	cal := calibrated(t, workload.SPMZC)
 	m := platformModel(t, cal.Platform)
-	tight, err := Run(cal, Options{Policy: "min_energy_eufs", Model: m, UncTh: F(0.005), Seed: 1})
+	tight, err := Run(cal, Options{Policy: "min_energy_eufs", Model: m, UncTh: 0.005, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	loose, err := Run(cal, Options{Policy: "min_energy_eufs", Model: m, UncTh: F(0.04), Seed: 1})
+	loose, err := Run(cal, Options{Policy: "min_energy_eufs", Model: m, UncTh: 0.04, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

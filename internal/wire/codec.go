@@ -211,15 +211,16 @@ const (
 	frameShare  = 26
 )
 
-// literals is a block literals are cut from and the size of the next.
-type literals struct {
+// Literals is a block literals are cut from and the size of the next;
+// besides the decoder, a client cuts its batch IDs from one.
+type Literals struct {
 	blk  strings.Builder // the current block
 	next int
 }
 
-// cut copies lit to the block and returns it as a string. A literal
-// that does not fit starts the next block, of at most room bytes.
-func (l *literals) cut(lit []byte, room int) string {
+// Cut copies lit to the block and returns it as a string. A literal
+// that does not fit starts the next block, of at most room ≥ len(lit) bytes.
+func (l *Literals) Cut(lit []byte, room int) string {
 	if len(lit) > l.blk.Cap()-l.blk.Len() {
 		size := max(l.next, firstBlock, len(lit))
 		l.next = min(2*size, maxBlock)
@@ -235,7 +236,7 @@ func (l *literals) cut(lit []byte, room int) string {
 // their literals are cut from and the string table of the last one
 // that decoded.
 type batchState struct {
-	lits literals
+	lits Literals
 	last [linearTable]string
 	n    int
 }
@@ -255,14 +256,14 @@ type decoder struct {
 	n     int
 	small [linearTable]string
 	more  []string
-	lits  literals
+	lits  Literals
 	warm  *batchState
 }
 
 // newDecoder reads payload p, whose first literal block holds a
 // share-th of it.
 func newDecoder(p []byte, share int) decoder {
-	return decoder{p: p, lits: literals{next: min(maxBlock, len(p)/share)}}
+	return decoder{p: p, lits: Literals{next: min(maxBlock, len(p)/share)}}
 }
 
 func (d *decoder) fail(format string, args ...any) {
@@ -358,14 +359,14 @@ func (d *decoder) strBytes() (string, []byte) {
 func (d *decoder) literal(lit []byte) string {
 	w := d.warm
 	if w == nil {
-		return d.lits.cut(lit, len(lit)+d.left())
+		return d.lits.Cut(lit, len(lit)+d.left())
 	}
 	for _, s := range w.last[:w.n] {
 		if s == string(lit) {
 			return s
 		}
 	}
-	return w.lits.cut(lit, math.MaxInt)
+	return w.lits.Cut(lit, math.MaxInt)
 }
 
 func (d *decoder) remember(s string) string {
