@@ -82,9 +82,15 @@ func run(args []string, out io.Writer) error {
 	ctx := experiments.New()
 	ctx.Runs = *runs
 	ctx.Parallel = *parallel
+	return generate(ctx, *exp, *csv, out)
+}
 
-	ids := []string{*exp}
-	if *exp == "all" {
+// generate renders experiment exp from ctx to out — every experiment,
+// in the registry's presentation order, for "all" — ctx.Parallel of
+// them at a time.
+func generate(ctx *experiments.Context, exp string, csv bool, out io.Writer) error {
+	ids := []string{exp}
+	if exp == "all" {
 		ids = experiments.Order()
 	}
 	// Experiments render into per-experiment buffers that are flushed
@@ -92,12 +98,12 @@ func run(args []string, out io.Writer) error {
 	// which experiment finishes first. The shared context deduplicates
 	// the many runs the experiments have in common.
 	bufs := make([]bytes.Buffer, len(ids))
-	err := par.ForEach(*parallel, len(ids), func(i int) error {
+	err := par.ForEach(ctx.Parallel, len(ids), func(i int) error {
 		tabs, err := ctx.Generate(ids[i])
 		if err != nil {
 			return err
 		}
-		return renderTables(&bufs[i], tabs, *csv)
+		return renderTables(&bufs[i], tabs, csv)
 	})
 	if err != nil {
 		return err

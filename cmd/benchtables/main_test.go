@@ -1,6 +1,7 @@
 package main
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -41,10 +42,15 @@ func TestUnknownExperiment(t *testing.T) {
 
 // TestOrderCoversAllGenerators holds `-exp all` to the registry: it
 // prints every registered experiment, in the registry's presentation
-// order, exactly as the single-experiment invocations print them.
+// order, exactly as each renders on its own. The experiments render
+// from one context, so the campaign runs once and each experiment after
+// it is served from the context's caches; one CLI call — a fresh
+// context — keeps the -exp path under the same check.
 func TestOrderCoversAllGenerators(t *testing.T) {
+	ctx := experiments.New()
+	ctx.Runs, ctx.Parallel = 1, runtime.GOMAXPROCS(0)
 	var all, each strings.Builder
-	if err := run([]string{"-exp", "all", "-runs", "1"}, &all); err != nil {
+	if err := generate(ctx, "all", false, &all); err != nil {
 		t.Fatal(err)
 	}
 	order := experiments.Order()
@@ -52,11 +58,21 @@ func TestOrderCoversAllGenerators(t *testing.T) {
 		t.Fatalf("registry order has %d ids, IDs() %d", len(order), len(experiments.IDs()))
 	}
 	for _, id := range order {
-		if err := run([]string{"-exp", id, "-runs", "1"}, &each); err != nil {
+		if err := generate(ctx, id, false, &each); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if all.String() != each.String() {
 		t.Error("-exp all is not the registry's experiments in the registry's order")
+	}
+	var cli, one strings.Builder
+	if err := run([]string{"-exp", "table2", "-runs", "1"}, &cli); err != nil {
+		t.Fatal(err)
+	}
+	if err := generate(ctx, "table2", false, &one); err != nil {
+		t.Fatal(err)
+	}
+	if cli.String() != one.String() || !strings.Contains(all.String(), one.String()) {
+		t.Error("-exp table2 does not print what table2 renders in the campaign")
 	}
 }

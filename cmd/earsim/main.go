@@ -160,12 +160,7 @@ func run(args []string, out io.Writer) error {
 	}
 	var spec workload.Spec
 	if *specPath != "" {
-		f, ferr := os.Open(*specPath)
-		if ferr != nil {
-			return ferr
-		}
-		spec, err = workload.LoadSpec(f)
-		f.Close()
+		spec, err = workload.LoadSpecFile(*specPath)
 	} else {
 		spec, err = workload.Lookup(*wl)
 	}

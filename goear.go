@@ -23,7 +23,6 @@ package goear
 
 import (
 	"fmt"
-	"os"
 	"strings"
 
 	"goear/internal/cpu"
@@ -186,21 +185,19 @@ func (s *Session) Compare(name string, cfg Config) (Comparison, error) {
 	if cfg.Policy == "" || cfg.Policy == PolicyNone {
 		return Comparison{}, fmt.Errorf("goear: comparison needs a policy")
 	}
-	run, err := s.run(name, cfg)
+	if s == nil || s.ctx == nil {
+		return Comparison{}, fmt.Errorf("goear: use NewSession")
+	}
+	c, err := s.ctx.Compare(name, cfg.toOptions())
 	if err != nil {
 		return Comparison{}, err
 	}
-	base, err := s.ctx.Run(name, sim.Baseline())
-	if err != nil {
-		return Comparison{}, err
-	}
-	d := sim.DeltaOf(base, run)
 	return Comparison{
-		Run:             fromSim(run),
-		Baseline:        fromSim(base),
-		TimePenaltyPct:  d.TimePenaltyPct,
-		PowerSavingPct:  d.PowerSavingPct,
-		EnergySavingPct: d.EnergySavingPct,
+		Run:             fromSim(c.Run),
+		Baseline:        fromSim(c.Baseline),
+		TimePenaltyPct:  c.TimePenaltyPct,
+		PowerSavingPct:  c.PowerSavingPct,
+		EnergySavingPct: c.EnergySavingPct,
 	}, nil
 }
 
@@ -212,12 +209,7 @@ func (s *Session) RunSpecFile(path string, cfg Config) (Result, error) {
 	if s == nil || s.ctx == nil {
 		return Result{}, fmt.Errorf("goear: use NewSession")
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return Result{}, err
-	}
-	defer f.Close()
-	spec, err := workload.LoadSpec(f)
+	spec, err := workload.LoadSpecFile(path)
 	if err != nil {
 		return Result{}, err
 	}

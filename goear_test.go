@@ -8,6 +8,9 @@ import (
 	"sync"
 	"testing"
 
+	"goear/internal/experiments"
+	"goear/internal/policy"
+	"goear/internal/sim"
 	"goear/internal/workload"
 )
 
@@ -85,6 +88,31 @@ func TestCompareEUFS(t *testing.T) {
 	}
 	if c.Run.AvgIMCGHz >= c.Baseline.AvgIMCGHz {
 		t.Error("eUFS did not lower the uncore")
+	}
+}
+
+// TestCompareIsTheCampaigns: the facade's comparison is the engine's —
+// Table III's ME+eU cell for DGEMM (min_energy_eufs at seed 20, against
+// the nominal baseline) read through a fresh campaign context gives the
+// same runs and the same deltas, bit for bit.
+func TestCompareIsTheCampaigns(t *testing.T) {
+	got, err := session().Compare("DGEMM", Config{Policy: PolicyMinEnergyEUFS, Seed: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := experiments.NewQuick().Compare("DGEMM", sim.Options{Policy: policy.MinEnergyEUFS, Seed: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Comparison{
+		Run: fromSim(c.Run), Baseline: fromSim(c.Baseline),
+		TimePenaltyPct: c.TimePenaltyPct, PowerSavingPct: c.PowerSavingPct, EnergySavingPct: c.EnergySavingPct,
+	}
+	if got != want {
+		t.Errorf("the facade compares\n%+v\nthe campaign\n%+v", got, want)
+	}
+	if c.Run.AvgIMCGHz >= c.Baseline.AvgIMCGHz {
+		t.Error("the campaign's eUFS run did not lower the uncore")
 	}
 }
 

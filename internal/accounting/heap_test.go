@@ -65,7 +65,7 @@ func TestStoreHoldsOneCopy(t *testing.T) {
 	}
 	q := accounting.Query{User: "alice", Limit: 200}
 	before := liveHeap()
-	if _, _, err := s.Select(q, func(int) {}, func(*accounting.Record) {}); err != nil {
+	if _, _, _, err := s.Select(q, func(int) {}, func(*accounting.Record) {}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := (*wire.Conn)(nil).AppendAcctPage(nil, s, q); err != nil {

@@ -12,6 +12,7 @@
 package accounting
 
 import (
+	"bytes"
 	"encoding/base64"
 	"fmt"
 	"math"
@@ -180,42 +181,68 @@ const cursorSep = "\x1f"
 // and a longer key costs one buffer more, not a different result.
 const cursorRoom = 96
 
-// EncodeCursor renders a pagination cursor naming the last-returned
-// key. Cursors are opaque to clients and stable across daemons: the
-// same key encodes identically everywhere, which is what lets a page
-// walk hop between a shard daemon and a federation root mid-flight.
-// The fields are joined and encoded on the stack; the cursor string is
-// the one allocation.
-func EncodeCursor(k Key) string {
+// AppendCursor appends the pagination cursor naming k to dst and
+// returns the extended slice. Cursors are opaque to clients and stable
+// across daemons: the same key encodes identically everywhere, which is
+// what lets a page walk hop between a shard daemon and a federation
+// root mid-flight. The fields are joined on the stack, so a cursor
+// appended to a kept buffer — a page's frame — allocates nothing.
+func AppendCursor(dst []byte, k Key) []byte {
 	var raw [cursorRoom]byte
 	b := append(raw[:0], k.JobID...)
 	b = append(append(b, cursorSep...), k.StepID...)
 	b = append(append(b, cursorSep...), k.Node...)
 	b = strconv.AppendInt(append(b, cursorSep...), int64(k.Phase), 10)
-	var enc [cursorRoom * 4 / 3]byte
-	return string(base64.RawURLEncoding.AppendEncode(enc[:0], b))
+	return base64.RawURLEncoding.AppendEncode(dst, b)
 }
 
-// decodeCursor parses a cursor back into the key it names. The cursor
-// is decoded on the stack into one string, and the key's three strings
-// are cut from it.
-func decodeCursor(s string) (Key, error) {
+// EncodeCursor is AppendCursor's cursor as a string, the one
+// allocation: what a page copied out carries in Next.
+func EncodeCursor(k Key) string {
+	var enc [cursorRoom * 4 / 3]byte
+	return string(AppendCursor(enc[:0], k))
+}
+
+// cursor is a parsed cursor: the fields of the key it names, its
+// strings as bytes of the buffer it was parsed into.
+type cursor struct {
+	job, step, node []byte
+	phase           int
+}
+
+// parseCursor parses s into the key it names, decoding it into buf's
+// backing array — a caller's stack, for a fleet's keys — and cutting
+// the key's strings from there.
+func parseCursor(buf []byte, s string) (cursor, error) {
 	var src [cursorRoom * 4 / 3]byte
-	var raw [cursorRoom]byte
-	dec, err := base64.RawURLEncoding.AppendDecode(raw[:0], append(src[:0], s...))
+	dec, err := base64.RawURLEncoding.AppendDecode(buf[:0], append(src[:0], s...))
 	if err != nil {
-		return Key{}, fmt.Errorf("accounting: bad cursor: %w", err)
+		return cursor{}, fmt.Errorf("accounting: bad cursor: %w", err)
 	}
-	fields := string(dec)
-	if n := strings.Count(fields, cursorSep) + 1; n != 4 {
-		return Key{}, fmt.Errorf("accounting: bad cursor: %d fields", n)
+	if n := bytes.Count(dec, []byte(cursorSep)) + 1; n != 4 {
+		return cursor{}, fmt.Errorf("accounting: bad cursor: %d fields", n)
 	}
-	job, rest, _ := strings.Cut(fields, cursorSep)
-	step, rest, _ := strings.Cut(rest, cursorSep)
-	node, rest, _ := strings.Cut(rest, cursorSep)
-	phase, err := strconv.Atoi(rest)
-	if err != nil {
-		return Key{}, fmt.Errorf("accounting: bad cursor phase: %w", err)
+	var c cursor
+	c.job, dec, _ = bytes.Cut(dec, []byte(cursorSep))
+	c.step, dec, _ = bytes.Cut(dec, []byte(cursorSep))
+	c.node, dec, _ = bytes.Cut(dec, []byte(cursorSep))
+	if c.phase, err = strconv.Atoi(string(dec)); err != nil {
+		return cursor{}, fmt.Errorf("accounting: bad cursor phase: %w", err)
 	}
-	return Key{JobID: job, StepID: step, Node: node, Phase: phase}, nil
+	return c, nil
+}
+
+// before reports whether the cursor's key orders before r's, as
+// Key.less does: whether a page resumed from the cursor may hold r.
+func (c *cursor) before(r *Record) bool {
+	if string(c.job) != r.JobID {
+		return string(c.job) < r.JobID
+	}
+	if string(c.step) != r.StepID {
+		return string(c.step) < r.StepID
+	}
+	if string(c.node) != r.Node {
+		return string(c.node) < r.Node
+	}
+	return c.phase < r.Phase
 }

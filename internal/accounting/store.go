@@ -167,13 +167,16 @@ func (s *Store) Pin() Pinned { return s.recs.Pin(&s.mu) }
 // store's rows without copying the page out of them — what the wire
 // path encodes from. Under one hold of the lock it finds the page, calls
 // begin with its record count and each with every record on it in
-// canonical order, and returns the page's Next and Total. The pointers
-// are into the store's own rows — read-only, valid only during the call
-// — and neither callback may call back into s. Two stores with identical
-// contents select byte-identical pages for the same query — the
-// property the federation-root vs. single-daemon acceptance check rides
-// on.
-func (s *Store) Select(q Query, begin func(n int), each func(*Record)) (next string, total int, err error) {
+// canonical order, and returns the page's Total and, when another page
+// follows (more), next, the key of its last record, which the next
+// page's cursor names (AppendCursor, EncodeCursor). The resume cursor is
+// parsed on the stack and compared with the rows as bytes, so a page is
+// selected without allocating. The pointers are into the store's own
+// rows — read-only, valid only during the call — and neither callback
+// may call back into s. Two stores with identical contents select
+// byte-identical pages for the same query — the property the
+// federation-root vs. single-daemon acceptance check rides on.
+func (s *Store) Select(q Query, begin func(n int), each func(*Record)) (next Key, more bool, total int, err error) {
 	limit := q.Limit
 	switch {
 	case limit <= 0:
@@ -182,10 +185,11 @@ func (s *Store) Select(q Query, begin func(n int), each func(*Record)) (next str
 		limit = MaxPageSize
 	}
 	s.tel.queries.Inc()
-	var after Key
+	var raw [cursorRoom]byte
+	var after cursor
 	if q.Cursor != "" {
-		if after, err = decodeCursor(q.Cursor); err != nil {
-			return "", 0, err
+		if after, err = parseCursor(raw[:], q.Cursor); err != nil {
+			return Key{}, false, 0, err
 		}
 	}
 	s.mu.Lock()
@@ -193,7 +197,7 @@ func (s *Store) Select(q Query, begin func(n int), each func(*Record)) (next str
 	// One pass counts the matches and finds the page: where it starts in
 	// the canonical order, how many records it holds and the last of them.
 	var last *Record
-	at, first, n, more := 0, 0, 0, false
+	at, first, n := 0, 0, 0
 	s.recs.Rows().Walk(func(r *Record) {
 		at++
 		if !q.match(r) {
@@ -201,7 +205,7 @@ func (s *Store) Select(q Query, begin func(n int), each func(*Record)) (next str
 		}
 		total++
 		switch {
-		case q.Cursor != "" && !after.less(r.key()):
+		case q.Cursor != "" && !after.before(r):
 		case n == limit:
 			more = true
 		default:
@@ -213,7 +217,7 @@ func (s *Store) Select(q Query, begin func(n int), each func(*Record)) (next str
 		}
 	})
 	if more {
-		next = EncodeCursor(last.key())
+		next = last.key()
 	}
 	begin(n)
 	if n > 0 {
@@ -225,18 +229,21 @@ func (s *Store) Select(q Query, begin func(n int), each func(*Record)) (next str
 			return n > 0
 		})
 	}
-	return next, total, nil
+	return next, more, total, nil
 }
 
 // Query is Select with the page copied out, for callers that keep it.
 func (s *Store) Query(q Query) (Page, error) {
 	var page Page
-	next, total, err := s.Select(q,
+	next, more, total, err := s.Select(q,
 		func(n int) { page.Records = make([]Record, 0, n) },
 		func(r *Record) { page.Records = append(page.Records, *r) })
 	if err != nil {
 		return Page{}, err
 	}
-	page.Next, page.Total = next, total
+	if more {
+		page.Next = EncodeCursor(next)
+	}
+	page.Total = total
 	return page, nil
 }

@@ -859,6 +859,99 @@ func TestQueryMixedColdMissAllocations(t *testing.T) {
 	}
 }
 
+// adminLine is an admin's connection to a root as the root's frame
+// loop sees it: the query frames to read, replayed from the start, and
+// the answers written, counted.
+type adminLine struct {
+	in      bytes.Reader
+	written int
+}
+
+func (a *adminLine) Read(p []byte) (int, error)  { return a.in.Read(p) }
+func (a *adminLine) Write(p []byte) (int, error) { a.written += len(p); return len(p), nil }
+
+// TestServedQueryAllocations: a query served on a warm admin connection
+// over a warm root view — the frame read and decoded through the
+// connection's literal state, answered (eardbd.Answer) and sent from
+// the connection's image, as the root's frame loop serves it — allocates
+// nothing, over queryMixedFleet(200, 8): an acct_jobs page resumed from
+// a cursor, each one a new cursor cut from the connection's kept block
+// and the next page's cursor appended straight into the frame, and the
+// 200-node power list. A page decoded on its own cut a literal block of
+// its own and rendered its next cursor as a string: 2 allocations.
+func TestServedQueryAllocations(t *testing.T) {
+	_, root := queryMixedFleet(t, 200, 8)
+	v, err := root.View(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The query frames of a 50-record page walk past its first page.
+	var walk [][]byte
+	for q := (accounting.Query{Limit: 50}); ; {
+		page, err := v.Acct.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if page.Next == "" {
+			break
+		}
+		q.Cursor = page.Next
+		walk = append(walk, queryFrame(t, wire.Query{Kind: wire.QueryAcctJobs, Limit: q.Limit, Cursor: q.Cursor}))
+	}
+	powers := queryFrame(t, wire.Query{Kind: wire.QueryNodePowers})
+	if len(walk) < 30 {
+		t.Fatalf("a walk of %d pages", len(walk))
+	}
+	var line adminLine
+	var c wire.Conn
+	c.Reset(&line)
+	serve := func(frame []byte) {
+		line.in.Reset(frame)
+		f, err := c.Read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := c.DecodeQuery(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		image, err := eardbd.Answer(&c, root, nil, q)
+		if err == nil {
+			err = c.Send(wire.TypeResult, trace.Context{}, image)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, frame := range walk { // the buffers, the table and the block grow to the walk
+		serve(frame)
+	}
+	serve(powers)
+	i := 0
+	if n := testing.AllocsPerRun(100, func() { serve(walk[i%len(walk)]); i++ }); n != 0 {
+		t.Errorf("an acct_jobs page from a cursor, served warm: %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { serve(powers) }); n != 0 {
+		t.Errorf("node_powers, served warm: %v allocations, want 0", n)
+	}
+	if st := root.Stats(); st.CacheMisses != 1 || st.FanoutErrors != 0 {
+		t.Errorf("stats = %+v, want the one miss that built the view", st)
+	}
+}
+
+// queryFrame is q as one framed query, the bytes an admin sends.
+func queryFrame(tb testing.TB, q wire.Query) []byte {
+	f, err := wire.EncodeQuery(q)
+	var b bytes.Buffer
+	if err == nil {
+		err = wire.WriteFrame(&b, f, 0)
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b.Bytes()
+}
+
 // BenchmarkRootMissAfterWrite times missAfterWrite's write and view.
 func BenchmarkRootMissAfterWrite(b *testing.B) {
 	root, write := missAfterWrite(b, 8, 10)

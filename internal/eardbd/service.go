@@ -398,7 +398,7 @@ func (fr *Front) ServeConn(conn net.Conn) {
 // context; whatever the backend fans out hangs below it.
 func (fr *Front) serveQuery(c *wire.Conn, f wire.Frame) bool {
 	t0 := fr.Now.Sec()
-	q, err := f.AsQuery()
+	q, err := c.DecodeQuery(f)
 	if err != nil {
 		fr.protocolError(c, err.Error())
 		return false

@@ -258,17 +258,27 @@ func minEnergyNGU(seed int64) sim.Options {
 	return sim.Options{Policy: policy.MinEnergyEUFS, HWGuidedOff: true, Seed: seed}
 }
 
-// compare runs a configuration and returns its Delta against baseline.
-func (c *Context) compare(name string, opt sim.Options) (sim.Delta, error) {
+// Comparison is a run beside the nominal baseline of the same
+// workload, and the paper's deltas between the two.
+type Comparison struct {
+	Baseline, Run sim.Result
+	sim.Delta
+}
+
+// Compare runs a catalogue workload under opt and under the nominal
+// baseline (sim.Baseline) on the context's caches, and measures the one
+// against the other: every table of deltas, and the goear facade's
+// Compare, are made of it.
+func (c *Context) Compare(name string, opt sim.Options) (Comparison, error) {
 	base, err := c.Run(name, sim.Baseline())
 	if err != nil {
-		return sim.Delta{}, err
+		return Comparison{}, err
 	}
 	r, err := c.Run(name, opt)
 	if err != nil {
-		return sim.Delta{}, err
+		return Comparison{}, err
 	}
-	return sim.DeltaOf(base, r), nil
+	return Comparison{Baseline: base, Run: r, Delta: sim.DeltaOf(base, r)}, nil
 }
 
 // registry lists the experiments in the paper's presentation order. It

@@ -411,11 +411,11 @@ func TestSweepsHandsEachTableItsRows(t *testing.T) {
 			t.Fatalf("table %q: rows = %d, want %d", s.title, len(tab.Rows), len(s.rows))
 		}
 		for j, r := range s.rows {
-			d, err := c.compare(r.name, r.opt)
+			d, err := c.Compare(r.name, r.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := s.layout.cells(r.label, d); !reflect.DeepEqual(tab.Rows[j], want) {
+			if want := s.layout.cells(r.label, d.Delta); !reflect.DeepEqual(tab.Rows[j], want) {
 				t.Errorf("table %q row %d = %v, want %v", s.title, j, tab.Rows[j], want)
 			}
 		}

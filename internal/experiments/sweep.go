@@ -80,7 +80,10 @@ func (c *Context) sweeps(ss ...sweep) ([]report.Table, error) {
 	for _, s := range ss {
 		all = append(all, s.rows...)
 	}
-	ds, err := mapRows(c, all, func(r runCfg) (sim.Delta, error) { return c.compare(r.name, r.opt) })
+	ds, err := mapRows(c, all, func(r runCfg) (sim.Delta, error) {
+		cmp, err := c.Compare(r.name, r.opt)
+		return cmp.Delta, err
+	})
 	if err != nil {
 		return nil, err
 	}

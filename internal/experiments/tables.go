@@ -51,11 +51,11 @@ func (c *Context) table3() ([]report.Table, error) {
 			"power saving ME", "power saving ME+eU",
 			"energy saving ME", "energy saving ME+eU"},
 		workload.Kernels(), func(name string) ([]string, error) {
-			me, err := c.compare(name, minEnergy(20))
+			me, err := c.Compare(name, minEnergy(20))
 			if err != nil {
 				return nil, err
 			}
-			eu, err := c.compare(name, minEnergyEU(20))
+			eu, err := c.Compare(name, minEnergyEU(20))
 			if err != nil {
 				return nil, err
 			}
@@ -146,7 +146,8 @@ func (c *Context) table6() ([]report.Table, error) {
 // the nominal baseline: the comparison behind Table VII and the
 // headline summary.
 func (c *Context) appEUDelta(name string) (sim.Delta, error) {
-	return c.compare(name, atCPUTh(minEnergyEU(appSeed), paperCPUTh(name)))
+	cmp, err := c.Compare(name, atCPUTh(minEnergyEU(appSeed), paperCPUTh(name)))
+	return cmp.Delta, err
 }
 
 // table7 reproduces Table VII: DC node power savings vs RAPL PCK power

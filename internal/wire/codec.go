@@ -119,6 +119,40 @@ func (e *encoder) str(s string) {
 	e.buf = append(e.buf, s...)
 }
 
+// lastStr makes the bytes appended to buf from at on a str, written as
+// str would write them as a string — a reference when the table holds
+// them, else a literal, its tag moved in ahead of them — without making
+// a string of them. The table does not take them in, so it ends a body's
+// strings: a page's cursor, appended straight into the frame.
+func (e *encoder) lastStr(at int) {
+	lit := e.buf[at:]
+	i, ok := 0, false
+	switch {
+	case len(lit) == 0:
+		e.buf = append(e.buf, 0)
+		return
+	case e.idx != nil:
+		i, ok = e.idx[string(lit)]
+	default:
+		for j, t := range e.small[:e.n] {
+			if t == string(lit) {
+				i, ok = j, true
+				break
+			}
+		}
+	}
+	if ok {
+		e.buf = e.buf[:at]
+		e.uint(uint64(i)<<1 | 1)
+		return
+	}
+	var tag [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(tag[:], uint64(len(lit))<<1)
+	e.buf = append(e.buf, tag[:n]...)
+	copy(e.buf[at+n:], e.buf[at:])
+	copy(e.buf[at:], tag[:n])
+}
+
 // release ends the frame, or the answer: the map, if it needed one,
 // goes back to the connection cleared — a stale entry would become a
 // reference the next answer's decoder cannot resolve — unless it grew
@@ -191,19 +225,23 @@ func recordsSizeHint(records, acct int) int {
 // re-copied, and the next one doubles, from firstBlock to maxBlock (a
 // literal longer than that gets a block of its own length). A retained
 // string therefore pins at most one block of at most maxBlock bytes —
-// for a batch, the block the connection state that decoded it keeps
-// while later frames fill it — and never the payload.
+// for a batch or a query, the block the connection state that decoded
+// it keeps while later frames fill it — and never the payload.
 //
-// A batch decoded through the Conn that read it (Conn.DecodeBatch) is
-// cut from the block that connection state keeps between frames, and a
-// literal equal to one of the last batch's strings is that string,
+// A batch or a query decoded through the Conn that read it
+// (Conn.DecodeBatch, Conn.DecodeQuery) is cut from the block that
+// connection's one literal state keeps between frames, and a literal
+// equal to one of the last decoded frame's strings is that string,
 // copied nowhere: a node's next batch repeats its node, jobs, app and
-// policy, so a warm connection decodes it without allocating. A frame
-// decoded on its own starts a block sized from its payload to about
-// what its kind spends on first-use strings — a resultShare-th of a
-// result, whose rows name many nodes, jobs and users, a frameShare-th
-// of a batch, which names one node (70 bytes of strings in 2 KB) — and
-// no block of it is larger than what the payload can still hold.
+// policy, an admin's next query its kind, user and job, so a warm
+// connection decodes either without allocating. A frame decoded on its
+// own starts a block sized from its payload to about what its kind
+// spends on first-use strings — a resultShare-th of a result, whose
+// rows name many nodes, jobs and users, a frameShare-th of a batch,
+// which names one node (70 bytes of strings in 2 KB) — and no block of
+// it is larger than what the payload can still hold. A power list,
+// whose count is known before its first name, sizes the block its names
+// are cut from to the most they can take (reserve), up to maxBlock.
 const (
 	firstBlock  = 64
 	maxBlock    = 4 << 10
@@ -232,10 +270,10 @@ func (l *Literals) Cut(lit []byte, room int) string {
 	return l.blk.String()[start:]
 }
 
-// batchState is what a Conn keeps of the batches it decodes: the block
-// their literals are cut from and the string table of the last one
-// that decoded.
-type batchState struct {
+// literalState is what a Conn keeps of the frames it decodes, batches
+// and queries alike: the block their literals are cut from and the
+// string table of the last one that decoded.
+type literalState struct {
 	lits Literals
 	last [linearTable]string
 	n    int
@@ -245,10 +283,10 @@ type batchState struct {
 // one changes answer's frames in turn, its table spanning them. Errors
 // are sticky: after the first, every read returns a zero value, and
 // finish reports it. The string table is the first n entries of small,
-// then more. Literals are cut from warm's block when a Conn decodes a
-// batch, from lits otherwise. A decoder is copied only before its
-// first literal (Frame.body returns it by value): lits must not be
-// copied once written to.
+// then more. Literals are cut from the literal state of conn, the Conn
+// that read the frame when it decodes it, from lits otherwise. A
+// decoder is copied only before its first literal (Frame.body returns
+// it by value): lits must not be copied once written to.
 type decoder struct {
 	p     []byte
 	off   int
@@ -257,7 +295,7 @@ type decoder struct {
 	small [linearTable]string
 	more  []string
 	lits  Literals
-	warm  *batchState
+	conn  *Conn
 }
 
 // newDecoder reads payload p, whose first literal block holds a
@@ -353,14 +391,19 @@ func (d *decoder) strBytes() (string, []byte) {
 }
 
 // literal returns lit, which ends at d.off, as a string: one of the
-// last batch's when a warm table holds it, else cut from a block — a
-// kept one, which later frames go on filling, or the frame's own, no
-// larger than what the payload can still hold.
+// last frame's when a connection's table holds it, else cut from a
+// block — the connection's, which later frames go on filling, made by
+// its first literal (a connection that decodes only polls, which carry
+// none, has no state), or the frame's own, no larger than what the
+// payload can still hold.
 func (d *decoder) literal(lit []byte) string {
-	w := d.warm
-	if w == nil {
+	if d.conn == nil {
 		return d.lits.Cut(lit, len(lit)+d.left())
 	}
+	if d.conn.lits == nil {
+		d.conn.lits = new(literalState)
+	}
+	w := d.conn.lits
 	for _, s := range w.last[:w.n] {
 		if s == string(lit) {
 			return s
@@ -382,6 +425,23 @@ func (d *decoder) remember(s string) string {
 		d.more = append(d.more, s)
 	}
 	return s
+}
+
+// reserve readies the table and the literals for n more strings of at
+// most size literal bytes in all: the spill array grows once to hold
+// them, and when the block in hand cannot take them the next is sized
+// to, up to maxBlock.
+func (d *decoder) reserve(n, size int) {
+	if extra := d.n + n - linearTable; extra > 0 {
+		if d.more == nil {
+			d.more = make([]string, 0, extra)
+		} else {
+			d.more = slices.Grow(d.more, extra)
+		}
+	}
+	if size > d.lits.blk.Cap()-d.lits.blk.Len() {
+		d.lits.next = min(size, maxBlock)
+	}
 }
 
 func (d *decoder) str() string {
@@ -634,12 +694,18 @@ func (f Frame) AsError() (ErrorFrame, error) {
 	return e, d.finish("error", "payload")
 }
 
-// AsQuery decodes a TypeQuery frame.
+// AsQuery decodes a TypeQuery frame. It is for a frame on its own; a
+// connection decodes the queries it reads with Conn.DecodeQuery.
 func (f Frame) AsQuery() (Query, error) {
 	d, err := f.body(TypeQuery)
 	if err != nil {
 		return Query{}, err
 	}
+	return d.query()
+}
+
+// query decodes a query body.
+func (d *decoder) query() (Query, error) {
 	q := Query{Kind: d.kind(), Job: d.str(), Step: d.str(), User: d.str(), Cursor: d.str(), Since: d.f64(), Limit: d.int()}
 	return q, d.finish("query", "payload")
 }

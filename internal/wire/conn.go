@@ -26,14 +26,14 @@ const firstBuf = 64
 // Conn is one connection's framing state: the transport, one read
 // buffer, one write buffer, the encoder's string table, which a
 // changes answer keeps across its parts, and the literal block and last
-// string table of the batches it decodes. It is how a connection that
-// carries more than one frame moves them — a frame read is one
-// transport Read when the bytes are there, a frame sent is one Write —
-// and it allocates only while its buffers grow towards the frames it
-// carries. The state is not the connection: Reset points it at the
-// next transport, buffers and literal state kept, so a client keeps one
-// across redials and a server recycles one across the connections it
-// serves. A Conn is not safe for concurrent use and must not be copied
+// string table of the batches and queries it decodes. It is how a
+// connection that carries more than one frame moves them — a frame
+// read is one transport Read when the bytes are there, a frame sent is
+// one Write — and it allocates only while its buffers grow towards the
+// frames it carries. The state is not the connection: Reset points it
+// at the next transport, buffers and literal state kept, so a client
+// keeps one across redials and a server recycles one across the
+// connections it serves. A Conn is not safe for concurrent use and must not be copied
 // once it has read; a zero Conn is ready for Reset.
 type Conn struct {
 	// MaxPayload caps the payload of every frame read or sent; <= 0
@@ -61,10 +61,12 @@ type Conn struct {
 	// streamed is the payload bytes of the parts the last AppendChanges
 	// sent ahead of the image it returned.
 	streamed int
-	// batch is the literal state of the batches DecodeBatch decodes,
-	// made by the first: a Conn that decodes none — a reporter's, a
-	// root's — carries the pointer alone.
-	batch *batchState
+	// lits is the literal state of the batches and queries DecodeBatch
+	// and DecodeQuery decode, made by the first literal: a Conn that
+	// decodes none — a reporter's, a root's shard connection — or only
+	// queries without one — a shard's end of a root's polls — carries the
+	// pointer alone.
+	lits *literalState
 }
 
 // Reset points the state at a new transport — nil to let go of the last
@@ -131,26 +133,56 @@ func (c *Conn) Read() (Frame, error) {
 
 // DecodeBatch is Frame.DecodeBatch for a batch frame c has read, with
 // the literal state the connection keeps between frames: a literal
-// equal to one of the last batch's strings is that string, and any
-// other is cut from the connection's block, which later batches go on
-// filling. A warm connection that carries one node's batches decodes
+// equal to one of the last decoded frame's strings is that string, and
+// any other is cut from the connection's block, which later frames go
+// on filling. A warm connection that carries one node's batches decodes
 // the next without allocating, but for a new block now and then. The
 // strings stay valid after the next Read, as Frame.DecodeBatch's do; a
-// batch that fails to decode leaves the last batch's table as it was.
+// batch that fails to decode leaves the last frame's table as it was.
 func (c *Conn) DecodeBatch(f Frame, b *Batch) error {
-	d, err := f.body(TypeBatch)
+	d, err := c.warmBody(f, TypeBatch)
 	if err != nil {
 		return err
 	}
-	if c.batch == nil {
-		c.batch = new(batchState)
-	}
-	d.warm = c.batch
 	if err := d.batch(b); err != nil {
 		return err
 	}
-	c.batch.last, c.batch.n = d.small, d.n
+	c.keep(&d)
 	return nil
+}
+
+// DecodeQuery is Frame.AsQuery for a query frame c has read, through
+// the literal state DecodeBatch decodes with: an admin's next page
+// names the kind, user and job its last did, and its new cursor is cut
+// from the connection's block, so a warm connection decodes it without
+// allocating. A query that fails to decode leaves the last frame's
+// table as it was.
+func (c *Conn) DecodeQuery(f Frame) (Query, error) {
+	d, err := c.warmBody(f, TypeQuery)
+	if err != nil {
+		return Query{}, err
+	}
+	q, err := d.query()
+	if err == nil {
+		c.keep(&d)
+	}
+	return q, err
+}
+
+// warmBody starts decoding f's payload with the connection's literal
+// state.
+func (c *Conn) warmBody(f Frame, want Type) (decoder, error) {
+	d, err := f.body(want)
+	d.conn = c
+	return d, err
+}
+
+// keep makes the table of a frame d decoded the one the connection's
+// next frame meets, when it has a literal state.
+func (c *Conn) keep(d *decoder) {
+	if c.lits != nil {
+		c.lits.last, c.lits.n = d.small, d.n
+	}
 }
 
 // Trim lets go of a read buffer grown past the first, unless bytes read

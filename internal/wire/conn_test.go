@@ -318,50 +318,89 @@ func TestTrimLetsTheReadBufferGo(t *testing.T) {
 // longer than a block, and frame cut — when it is one of the n — stopping its
 // body half-way, its length prefix telling the truth.
 func batchStream(tb testing.TB, seed int64, n, cut int) []byte {
+	return mixedStream(tb, seed, n, cut, 0)
+}
+
+// mixedStream is batchStream with about one frame in everyQuery a query
+// instead (none for 0), as an admin's connection to a root carries
+// them between a late writer's batches: known kinds and odd ones, users
+// and jobs named again, a new cursor most pages, awkward strings and
+// values, every sixteenth query a cursor longer than a block. A batch
+// stream draws no number more than batchStream always has.
+func mixedStream(tb testing.TB, seed int64, n, cut, everyQuery int) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	jobs := []string{"job0"}
 	job := func() string { return jobs[rng.Intn(len(jobs))] }
+	odd := func() string { return oddStrings[rng.Intn(len(oddStrings))] }
+	kinds := []string{QueryAcctJobs, QueryAcctJobs, QueryNodePowers, QueryAggregate, "no_such_kind"}
+	users := []string{"alice", "bob", "", "\x00\x1f"}
+	cursor := ""
 	var stream bytes.Buffer
 	for i := 0; i < n; i++ {
-		node := fmt.Sprintf("n%02d", rng.Intn(3))
-		if rng.Intn(3) == 0 {
-			jobs = append(jobs, fmt.Sprintf("job%d", len(jobs)))
+		var t Type
+		var p []byte
+		if everyQuery > 0 && rng.Intn(everyQuery) == 0 {
+			if rng.Intn(4) > 0 {
+				cursor = fmt.Sprintf("c%d-%s", i, job())
+			}
+			q := Query{Kind: kinds[rng.Intn(len(kinds))], Job: job(), Step: odd(), User: users[rng.Intn(len(users))],
+				Cursor: cursor, Since: oddFloats[rng.Intn(len(oddFloats))], Limit: rng.Intn(400) - 100}
+			if i%16 == 7 {
+				q.Cursor = strings.Repeat(string(rune('A'+i%26)), maxBlock+1+rng.Intn(maxBlock))
+			}
+			t, p = TypeQuery, AppendQuery(nil, q)
+		} else {
+			node := fmt.Sprintf("n%02d", rng.Intn(3))
+			if rng.Intn(3) == 0 {
+				jobs = append(jobs, fmt.Sprintf("job%d", len(jobs)))
+			}
+			b := Batch{ID: fmt.Sprintf("%s/%d", node, i), Node: node}
+			for r := rng.Intn(6); r > 0; r-- {
+				rec := oddRecord(rng)
+				rec.JobID, rec.Node = job(), node
+				b.Records = append(b.Records, rec)
+			}
+			for r := rng.Intn(3); r > 0; r-- {
+				ar := oddAcct(rng)
+				ar.JobID, ar.Node = job(), node
+				b.Acct = append(b.Acct, ar)
+			}
+			if i%16 == 15 {
+				long := strings.Repeat(string(rune('a'+i%26)), maxBlock+1+rng.Intn(maxBlock))
+				b.Records = append(b.Records, eard.JobRecord{JobID: job(), Node: node, App: long})
+			}
+			t, p = TypeBatch, appendBatch(nil, b)
 		}
-		b := Batch{ID: fmt.Sprintf("%s/%d", node, i), Node: node}
-		for r := rng.Intn(6); r > 0; r-- {
-			rec := oddRecord(rng)
-			rec.JobID, rec.Node = job(), node
-			b.Records = append(b.Records, rec)
-		}
-		for r := rng.Intn(3); r > 0; r-- {
-			ar := oddAcct(rng)
-			ar.JobID, ar.Node = job(), node
-			b.Acct = append(b.Acct, ar)
-		}
-		if i%16 == 15 {
-			long := strings.Repeat(string(rune('a'+i%26)), maxBlock+1+rng.Intn(maxBlock))
-			b.Records = append(b.Records, eard.JobRecord{JobID: job(), Node: node, App: long})
-		}
-		p := appendBatch(nil, b)
 		if i == cut {
 			p = p[:len(p)/2]
 		}
-		if err := WriteFrame(&stream, Frame{Type: TypeBatch, Payload: p}, 0); err != nil {
+		if err := WriteFrame(&stream, Frame{Type: t, Payload: p}, 0); err != nil {
 			tb.Fatal(err)
 		}
 	}
 	return stream.Bytes()
 }
 
-// batchStreamAgrees reads stream in the given chunks through one Conn
-// and decodes every batch frame with Conn.DecodeBatch into one scratch
-// batch, as a shard does. Each decode must give what a fresh
-// Frame.DecodeBatch of the same frame gives — the same value, or the
-// same error — and a failed one must leave the connection's last table
-// as it was. Once the stream is read, every string handed out must
-// still read as it did when handed out: nothing a later frame brings
-// overwrites it. It returns how many batch frames failed to decode.
-func batchStreamAgrees(t *testing.T, stream, sizes []byte) (failed int) {
+// kept is the table c's next frame meets: the last decoded frame's,
+// none before c has a literal state.
+func kept(c *Conn) (last [linearTable]string, n int) {
+	if c.lits != nil {
+		last, n = c.lits.last, c.lits.n
+	}
+	return last, n
+}
+
+// streamAgrees reads stream in the given chunks through one Conn and
+// decodes every batch frame with Conn.DecodeBatch into one scratch
+// batch, as a shard does, and every query frame with Conn.DecodeQuery,
+// as a root serving an admin does. Each decode must give what a fresh
+// Frame.DecodeBatch or Frame.AsQuery of the same frame gives — the same
+// value, or the same error — and a failed one must leave the
+// connection's last table as it was. Once the stream is read, every
+// string handed out must still read as it did when handed out: nothing
+// a later frame brings overwrites it. It returns how many frames failed
+// to decode.
+func streamAgrees(t *testing.T, stream, sizes []byte) (failed int) {
 	t.Helper()
 	c := Conn{MaxPayload: connLimit}
 	c.Reset(&chunked{data: stream, sizes: sizes})
@@ -378,33 +417,41 @@ func batchStreamAgrees(t *testing.T, stream, sizes []byte) (failed int) {
 		if err != nil {
 			break
 		}
-		if f.Type != TypeBatch {
+		if f.Type != TypeBatch && f.Type != TypeQuery {
 			continue
 		}
-		want, wantErr := Frame{Type: TypeBatch, Payload: bytes.Clone(f.Payload)}.AsBatch()
-		var last [linearTable]string
-		n := 0
-		if c.batch != nil {
-			last, n = c.batch.last, c.batch.n
+		fresh := Frame{Type: f.Type, Payload: bytes.Clone(f.Payload)}
+		last, n := kept(&c)
+		var got, want any
+		var wantErr error
+		if f.Type == TypeBatch {
+			want, wantErr = fresh.AsBatch()
+			err = c.DecodeBatch(f, &b)
+			got = b
+			hand(b.ID, b.Node)
+			for _, r := range b.Records {
+				hand(r.JobID, r.StepID, r.Node, r.App, r.Policy)
+			}
+			for _, r := range b.Acct {
+				hand(r.JobID, r.StepID, r.User, r.Node, r.Policy)
+			}
+		} else {
+			want, wantErr = fresh.AsQuery()
+			var q Query
+			q, err = c.DecodeQuery(f)
+			got = q
+			hand(q.Kind, q.Job, q.Step, q.User, q.Cursor)
 		}
-		err = c.DecodeBatch(f, &b)
 		switch {
 		case (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()):
-			t.Fatalf("frame %d: Conn.DecodeBatch fails with %v, Frame.DecodeBatch with %v", i, err, wantErr)
+			t.Fatalf("frame %d: the connection's %s decode fails with %v, the fresh one with %v", i, f.Type, err, wantErr)
 		case err != nil:
 			failed++
-			if c.batch.last != last || c.batch.n != n {
-				t.Fatalf("frame %d: a failed decode moved the last table", i)
+			if l, m := kept(&c); l != last || m != n {
+				t.Fatalf("frame %d: a failed %s decode moved the last table", i, f.Type)
 			}
-		case !sameBits(b, want):
-			t.Fatalf("frame %d: Conn.DecodeBatch gives %+v, Frame.DecodeBatch %+v", i, b, want)
-		}
-		hand(b.ID, b.Node)
-		for _, r := range b.Records {
-			hand(r.JobID, r.StepID, r.Node, r.App, r.Policy)
-		}
-		for _, r := range b.Acct {
-			hand(r.JobID, r.StepID, r.User, r.Node, r.Policy)
+		case !sameBits(got, want):
+			t.Fatalf("frame %d: the connection decodes %+v, a fresh decode %+v", i, got, want)
 		}
 	}
 	for i, h := range out {
@@ -423,7 +470,23 @@ func TestConnDecodeBatchStream(t *testing.T) {
 	for seed := int64(1); seed <= 16; seed++ {
 		stream := batchStream(t, seed, 40, int(seed)*2)
 		for _, sizes := range [][]byte{nil, {0}, {11, 0, 29}, {255}} {
-			if failed := batchStreamAgrees(t, stream, sizes); failed != 1 {
+			if failed := streamAgrees(t, stream, sizes); failed != 1 {
+				t.Fatalf("seed %d: %d frames failed to decode, want the one cut short", seed, failed)
+			}
+		}
+	}
+}
+
+// TestConnDecodeQueryStream holds the same kept state to a fresh
+// decode over seeded streams of 40 frames, about one in three a query,
+// with one frame — a batch or a query — cut short: batches and queries
+// decode through the one literal state, and a query that follows a
+// batch, or a batch a query, may meet the other's table.
+func TestConnDecodeQueryStream(t *testing.T) {
+	for seed := int64(1); seed <= 16; seed++ {
+		stream := mixedStream(t, seed, 40, int(seed)*2, 3)
+		for _, sizes := range [][]byte{nil, {0}, {11, 0, 29}, {255}} {
+			if failed := streamAgrees(t, stream, sizes); failed != 1 {
 				t.Fatalf("seed %d: %d frames failed to decode, want the one cut short", seed, failed)
 			}
 		}
@@ -446,6 +509,25 @@ func FuzzBatchStream(f *testing.F) {
 		if len(stream) > 0 {
 			stream[int(at)%len(stream)] ^= xor
 		}
-		batchStreamAgrees(t, stream, sizes)
+		streamAgrees(t, stream, sizes)
+	})
+}
+
+// FuzzQueryStream is TestConnDecodeQueryStream over streams the input
+// chooses, as FuzzBatchStream chooses its batch streams, and with the
+// share of queries the input chooses too: whatever arrives, a query or
+// a batch decoded through the connection equals its fresh decode, a
+// failed one leaves the last table alone, and no string handed out
+// changes.
+func FuzzQueryStream(f *testing.F) {
+	f.Add(int64(1), uint8(5), uint8(255), uint8(3), uint16(0), uint8(0), []byte{})
+	f.Add(int64(2), uint8(20), uint8(3), uint8(0), uint16(0), uint8(0), []byte{0, 11, 200})
+	f.Add(int64(3), uint8(12), uint8(255), uint8(2), uint16(300), uint8(0x40), []byte{63})
+	f.Fuzz(func(t *testing.T, seed int64, n, cut, every uint8, at uint16, xor uint8, sizes []byte) {
+		stream := mixedStream(t, seed, int(n%32), int(cut), 1+int(every%4))
+		if len(stream) > 0 {
+			stream[int(at)%len(stream)] ^= xor
+		}
+		streamAgrees(t, stream, sizes)
 	})
 }

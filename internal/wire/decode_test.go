@@ -176,8 +176,9 @@ func TestDecodeCorporaGolden(t *testing.T) {
 // TestFleetReplyDecodeAllocations pins what the blocks buy on the two
 // fleet-sized replies, decoded into a reused target as a polling
 // client does, and on a batch decoded on its own and through a warm
-// connection, as a server does: a handful of blocks and one table
-// spill, where there was a heap string per literal (200 node names; 71
+// connection, as a server does: one block and one table spill for a
+// power list, sized from its count, a block and a spill for a page,
+// where there was a heap string per literal (200 node names; 71
 // distinct strings a page) and a table doubled from nothing, and
 // nothing at all for a batch that names what the last one did. The
 // bytes pin each kind's first block (frameShare, resultShare): sized a
@@ -207,10 +208,13 @@ func TestFleetReplyDecodeAllocations(t *testing.T) {
 		decode        func() error
 		allocs, bytes float64
 	}{
-		// 1,800 bytes of names in a 3,600-byte payload: blocks of 225,
-		// 450 and 900 bytes and one for the rest, and a table that spills
-		// to 128 and then 256 entries.
-		{"node_powers x200", func() error { return powers.Decode(&nps) }, 6, 9056},
+		// 1,800 bytes of names in a 3,600-byte payload, the count read
+		// first: one block of the 1,800 bytes the names can take at
+		// most (2,048 with the allocator's rounding) and one spill of
+		// the 168 entries past the linear table (2,688 bytes and a
+		// malloc header: 3,072). Block by doubling block and a spill
+		// grown 128 then 256, it was 6 allocations and 9,056 bytes.
+		{"node_powers x200", func() error { return powers.Decode(&nps) }, 2, 5120},
 		// 654 bytes of literals in a 15 KB payload's 937-byte first
 		// block, and one spill.
 		{"acct_jobs page x200", func() error { return page.Decode(&pg) }, 2, 3328},

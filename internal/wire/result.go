@@ -182,18 +182,23 @@ func (c *Conn) AppendNodePowers(dst []byte, nps []NodePower) []byte {
 
 // AppendAcctPage appends the payload of the acct_jobs page q selects
 // from s to dst: its count, records, Next and Total from one hold of
-// the store's lock (accounting.Store.Select). On error dst comes back
-// as it was.
+// the store's lock (accounting.Store.Select), the Next cursor appended
+// straight into the frame from the page's last key. On error dst comes
+// back as it was.
 func (c *Conn) AppendAcctPage(dst []byte, s *accounting.Store, q accounting.Query) ([]byte, error) {
 	e := encoder{buf: dst, kept: c.table()}
-	next, total, err := s.Select(q, func(n int) {
+	next, more, total, err := s.Select(q, func(n int) {
 		e.open(QueryAcctJobs, recordsSizeHint(0, n))
 		e.uint(uint64(n))
 	}, e.acctRecord)
 	if err != nil {
 		return dst, err
 	}
-	e.str(next)
+	at := len(e.buf)
+	if more {
+		e.buf = accounting.AppendCursor(e.buf, next)
+	}
+	e.lastStr(at)
 	e.int(total)
 	e.release()
 	return e.buf, nil
@@ -280,9 +285,14 @@ func (r Result) Decode(v any) error {
 }
 
 // nodePowers decodes n × node power into into's backing array when it
-// fits.
+// fits. The count comes first, so the table and the literal block are
+// sized for the names before the first is read: every byte left but
+// the entries' tags and powers may be a name.
 func (d *decoder) nodePowers(into []NodePower) []NodePower {
 	nps := nonNil(resize(into[:0], d.count(minNodePowerLen)))
+	if len(nps) > 0 {
+		d.reserve(len(nps), d.left()-len(nps)*minNodePowerLen)
+	}
 	for i := range nps {
 		nps[i] = NodePower{Node: d.str(), PowerW: d.f64()}
 	}

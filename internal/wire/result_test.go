@@ -200,9 +200,10 @@ func TestStoreViewsEncodeByteIdentically(t *testing.T) {
 // 200-record page, whose strings outgrow the linear table) is built
 // behind the room of a warm connection's image, its strings indexed in
 // the table the connection kept, and sent with no allocation at all.
-// A page served from a store costs its cursor string (accounting pins
-// that) and nothing else: the typed appender boxes nothing, and where
-// handing the page over in an interface cost one more, it costs none.
+// A page served from a store allocates nothing either: the typed
+// appender boxes nothing, where handing the page over in an interface
+// cost one more, and its cursor is appended into the frame from the
+// page's last key, where it was rendered as a string first (1).
 func TestAppendResultAllocations(t *testing.T) {
 	var sent bytes.Buffer
 	var c Conn
@@ -251,11 +252,45 @@ func TestAppendResultAllocations(t *testing.T) {
 		}
 	}
 	serve()
-	if n := testing.AllocsPerRun(50, serve); n != 1 {
-		t.Errorf("a 200-record page selected and encoded: %v allocations, want 1", n)
+	if n := testing.AllocsPerRun(50, serve); n != 0 {
+		t.Errorf("a 200-record page selected and encoded: %v allocations, want 0", n)
 	}
 	if want := mustResultPayload(t, QueryAcctJobs, storePage{s, q}); !bytes.Equal(buf, want) {
 		t.Error("the page served from the store is not the payload its copy encodes to")
+	}
+}
+
+// TestPageCursorNamedInTheTable: a page whose records name a string
+// equal to the cursor that ends it — a user so named — refers to that
+// string for its cursor, as the page copied out and encoded does,
+// whether the table is still linear or has spilled to its map: the
+// cursor appended from the store's rows is looked up as a string would
+// be, and its literal appears once, as the user.
+func TestPageCursorNamedInTheTable(t *testing.T) {
+	for _, nodes := range []int{3, 2 * linearTable} {
+		s := accounting.NewStore(nil)
+		q := accounting.Query{Limit: nodes - 1}
+		user := accounting.EncodeCursor(accounting.Key{JobID: "j", StepID: "0", Node: fleetNode(nodes - 2)})
+		for n := 0; n < nodes; n++ {
+			if _, err := s.Insert(accounting.Record{V: accounting.CodecVersion, JobID: "j", StepID: "0", User: user, Node: fleetNode(n), EndSec: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		page, err := s.Query(q)
+		if err != nil || page.Next != user {
+			t.Fatalf("%d nodes: the page ends at cursor %q (err %v), want the user's name %q", nodes, page.Next, err, user)
+		}
+		want := mustResultPayload(t, QueryAcctJobs, page)
+		var c Conn
+		for _, conn := range []*Conn{noConn, &c, &c} {
+			got, err := conn.AppendAcctPage(nil, s, q)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%d nodes: the page from the store's rows is not the page copied out (err %v)", nodes, err)
+			}
+			if n := bytes.Count(got, []byte(user)); n != 1 {
+				t.Fatalf("%d nodes: the cursor's bytes appear %d times, want once, as the user", nodes, n)
+			}
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 
 	"goear/internal/uncore"
 )
@@ -82,6 +83,18 @@ func LoadSpec(r io.Reader) (Spec, error) {
 		return Spec{}, fmt.Errorf("workload: decode spec: %w", err)
 	}
 	return f.Spec()
+}
+
+// LoadSpecFile reads a workload definition from the JSON file at path:
+// the one spec-file loader, `earsim -spec` and the goear facade's
+// RunSpecFile both read through it.
+func LoadSpecFile(path string) (Spec, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return Spec{}, err
+	}
+	defer func() { _ = f.Close() }() // read-only: nothing to lose
+	return LoadSpec(f)
 }
 
 // Template returns a documented starter definition a user can edit.
