@@ -6,7 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
 	"testing"
+
+	"goear/internal/experiments"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files under testdata/")
@@ -72,23 +76,45 @@ func TestGolden(t *testing.T) {
 	}
 }
 
+// campaign is `benchtables -exp all` at the default flags (three runs,
+// default parallelism) and the context that rendered it.
+type campaign struct {
+	ctx *experiments.Context
+	all []byte
+	err error
+}
+
+// defaultCampaign renders the whole campaign once per test binary:
+// TestResultsFullMatchesDefaultFlags compares it with results_full.txt
+// and TestOrderCoversAllGenerators renders each experiment again from
+// the same context, out of its caches. TestOrderCoversAllGenerators'
+// fresh-context `-exp table2` call ties these settings to the flags'
+// defaults.
+var defaultCampaign = sync.OnceValue(func() campaign {
+	ctx := experiments.New()
+	ctx.Runs, ctx.Parallel = 3, runtime.GOMAXPROCS(0)
+	var all bytes.Buffer
+	err := generate(ctx, "all", false, &all)
+	return campaign{ctx: ctx, all: all.Bytes(), err: err}
+})
+
 // TestResultsFullMatchesDefaultFlags ties the committed results_full.txt
 // to the command that claims to produce it: `benchtables -exp all` at
-// the default flags (three runs, default parallelism) must reproduce
-// the file byte for byte, so the published numbers cannot drift from
-// the code. After a deliberate model change regenerate it with
+// the default flags must reproduce the file byte for byte, so the
+// published numbers cannot drift from the code. After a deliberate
+// model change regenerate it with
 // `go run ./cmd/benchtables -exp all > results_full.txt`.
 func TestResultsFullMatchesDefaultFlags(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("..", "..", "results_full.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got bytes.Buffer
-	if err := run([]string{"-exp", "all"}, &got); err != nil {
-		t.Fatal(err)
+	c := defaultCampaign()
+	if c.err != nil {
+		t.Fatal(c.err)
 	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Errorf("`benchtables -exp all` differs from results_full.txt (%d vs %d bytes)", got.Len(), len(want))
+	if !bytes.Equal(c.all, want) {
+		t.Errorf("`benchtables -exp all` differs from results_full.txt (%d vs %d bytes)", len(c.all), len(want))
 	}
 }
 

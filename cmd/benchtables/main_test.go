@@ -1,7 +1,6 @@
 package main
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 
@@ -43,36 +42,35 @@ func TestUnknownExperiment(t *testing.T) {
 // TestOrderCoversAllGenerators holds `-exp all` to the registry: it
 // prints every registered experiment, in the registry's presentation
 // order, exactly as each renders on its own. The experiments render
-// from one context, so the campaign runs once and each experiment after
-// it is served from the context's caches; one CLI call — a fresh
-// context — keeps the -exp path under the same check.
+// from the context that rendered the default campaign, so each is
+// served from its caches; one CLI call — a fresh context at the default
+// flags — keeps the -exp path under the same check.
 func TestOrderCoversAllGenerators(t *testing.T) {
-	ctx := experiments.New()
-	ctx.Runs, ctx.Parallel = 1, runtime.GOMAXPROCS(0)
-	var all, each strings.Builder
-	if err := generate(ctx, "all", false, &all); err != nil {
-		t.Fatal(err)
+	c := defaultCampaign()
+	if c.err != nil {
+		t.Fatal(c.err)
 	}
 	order := experiments.Order()
 	if len(order) != len(experiments.IDs()) {
 		t.Fatalf("registry order has %d ids, IDs() %d", len(order), len(experiments.IDs()))
 	}
+	var each strings.Builder
 	for _, id := range order {
-		if err := generate(ctx, id, false, &each); err != nil {
+		if err := generate(c.ctx, id, false, &each); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if all.String() != each.String() {
+	if string(c.all) != each.String() {
 		t.Error("-exp all is not the registry's experiments in the registry's order")
 	}
 	var cli, one strings.Builder
-	if err := run([]string{"-exp", "table2", "-runs", "1"}, &cli); err != nil {
+	if err := run([]string{"-exp", "table2"}, &cli); err != nil {
 		t.Fatal(err)
 	}
-	if err := generate(ctx, "table2", false, &one); err != nil {
+	if err := generate(c.ctx, "table2", false, &one); err != nil {
 		t.Fatal(err)
 	}
-	if cli.String() != one.String() || !strings.Contains(all.String(), one.String()) {
+	if cli.String() != one.String() || !strings.Contains(string(c.all), one.String()) {
 		t.Error("-exp table2 does not print what table2 renders in the campaign")
 	}
 }

@@ -85,6 +85,22 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// A value the generator would replace with its default, or read as
+	// "none", is refused rather than quietly run as something else.
+	for _, f := range []struct {
+		name     string
+		val, min int
+	}{
+		{"records", *records, 1},
+		{"batch", *batch, 1},
+		{"workers", *workers, 1},
+		{"acct", *acct, 0},
+		{"queries", *queries, 0},
+	} {
+		if f.val < f.min {
+			return fmt.Errorf("-%s must be at least %d, got %d", f.name, f.min, f.val)
+		}
+	}
 
 	set := telemetry.NewSet()
 	var traceBuf *trace.Buffer

@@ -70,6 +70,31 @@ func TestEarloadFlagErrors(t *testing.T) {
 	}
 }
 
+// TestEarloadRefusesUnhonouredCounts: a count the generator would run
+// as its default (-records, -batch, -workers at 0) or as "none" (a
+// negative -acct or -queries) is refused, naming the flag, before any
+// load runs.
+func TestEarloadRefusesUnhonouredCounts(t *testing.T) {
+	for _, c := range []struct {
+		flag, val string
+	}{
+		{"-records", "0"},
+		{"-batch", "0"},
+		{"-workers", "0"},
+		{"-acct", "-3"},
+		{"-queries", "-2"},
+	} {
+		var out strings.Builder
+		err := run([]string{"-nodes", "4", c.flag, c.val}, &out)
+		if err == nil || !strings.Contains(err.Error(), c.flag+" ") {
+			t.Errorf("run(%s %s) = %v, want an error naming %s", c.flag, c.val, err, c.flag)
+		}
+		if out.Len() != 0 {
+			t.Errorf("run(%s %s) wrote %q before refusing", c.flag, c.val, out.String())
+		}
+	}
+}
+
 // snapshotOf runs a burst with the given shard count and returns the
 // root snapshot text.
 func snapshotOf(t *testing.T, nodes, shards, records int, extra ...string) string {

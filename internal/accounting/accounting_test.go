@@ -75,7 +75,7 @@ func TestAttributeConservesEnergy(t *testing.T) {
 		{Meta: Meta{JobID: "b", StepID: "0", User: "bob"}, Usage: Usage{Instr: 1e12, Cycles: 5e12, DRAMBytes: 9e11}},
 		{Meta: Meta{JobID: "c", StepID: "0", User: "carol"}, Usage: Usage{Instr: 7e11, Cycles: 1e12, DRAMBytes: 0}},
 	}
-	recs, err := Attribute(Window{Node: "n1", EndSec: 120}, total, tenants)
+	recs, err := Attribute(nil, Window{Node: "n1", EndSec: 120}, total, tenants)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestAttributeConservesEnergy(t *testing.T) {
 }
 
 func TestAttributeEdgeCases(t *testing.T) {
-	if _, err := Attribute(Window{Node: "n", EndSec: 1}, Energy{}, nil); err == nil {
+	if _, err := Attribute(nil, Window{Node: "n", EndSec: 1}, Energy{}, nil); err == nil {
 		t.Error("Attribute accepted an empty tenant set")
 	}
 	// All-zero usage splits equally.
@@ -113,7 +113,7 @@ func TestAttributeEdgeCases(t *testing.T) {
 		{Meta: Meta{JobID: "a", StepID: "0", User: "u"}},
 		{Meta: Meta{JobID: "b", StepID: "0", User: "u"}},
 	}
-	recs, err := Attribute(Window{Node: "n", EndSec: 1}, Energy{PkgJ: 100, NodeJ: 100}, tenants)
+	recs, err := Attribute(nil, Window{Node: "n", EndSec: 1}, Energy{PkgJ: 100, NodeJ: 100}, tenants)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,71 +20,83 @@ type Tenant struct {
 	Rates Rates
 }
 
-// shares splits total across weights w, conserving the sum: every
-// entry but the last positive-weight one gets total*w/sum, and the
-// last positive-weight entry gets the remainder, so the split re-adds
-// to total to within one ulp regardless of how the divisions round.
-// All-zero (or negative-clamped) weights fall back to an equal split.
-func shares(total float64, w []float64) []float64 {
-	out := make([]float64, len(w))
-	if len(w) == 0 {
-		return out
+// column names one usage counter of a tenant.
+type column int
+
+const (
+	instrCol column = iota
+	cyclesCol
+	trafficCol
+)
+
+func (u Usage) get(c column) float64 {
+	switch c {
+	case instrCol:
+		return u.Instr
+	case cyclesCol:
+		return u.Cycles
 	}
+	return u.DRAMBytes
+}
+
+// pick returns first when any tenant has positive evidence in it, else
+// fallback, so each domain degrades gracefully when a counter is
+// missing (e.g. no DRAM-bandwidth events): DRAM traffic falls back to
+// cycles, cycles to instructions.
+func pick(tenants []Tenant, first, fallback column) column {
+	for i := range tenants {
+		if tenants[i].Usage.get(first) > 0 {
+			return first
+		}
+	}
+	return fallback
+}
+
+// split sets field of each record to its tenant's share of total by
+// usage column c, conserving the sum: every positive-weight tenant but
+// the last gets total*w/sum, and the last positive-weight tenant gets
+// the remainder, so the split re-adds to total to within one ulp
+// regardless of how the divisions round. Tenants without positive
+// weight keep the zero their record starts with; all-zero (or
+// negative-clamped) weights fall back to an equal split.
+func split(recs []Record, tenants []Tenant, c column, total float64, field func(*Record) *float64) {
 	var sum float64
 	last := -1
-	for i, x := range w {
-		if x > 0 {
+	for i := range tenants {
+		if x := tenants[i].Usage.get(c); x > 0 {
 			sum += x
 			last = i
 		}
 	}
+	var acc float64
 	if last < 0 {
 		// No evidence to split by: equal shares, remainder to the last.
-		var acc float64
-		n := float64(len(w))
-		for i := range out {
-			if i == len(out)-1 {
-				out[i] = total - acc
-				break
-			}
-			out[i] = total / n
-			acc += out[i]
+		n := float64(len(recs))
+		for i := range recs[:len(recs)-1] {
+			*field(&recs[i]) = total / n
+			acc += *field(&recs[i])
 		}
-		return out
+		*field(&recs[len(recs)-1]) = total - acc
+		return
 	}
-	var acc float64
-	for i, x := range w {
-		if x <= 0 {
-			continue
+	for i := range tenants[:last] {
+		if x := tenants[i].Usage.get(c); x > 0 {
+			*field(&recs[i]) = total * (x / sum)
+			acc += *field(&recs[i])
 		}
-		if i == last {
-			// Clamp: rounding can push acc a fraction of an ulp past
-			// total, and a -1e-13 J share would fail validation.
-			if out[i] = total - acc; out[i] < 0 {
-				out[i] = 0
-			}
-			break
-		}
-		out[i] = total * (x / sum)
-		acc += out[i]
 	}
-	return out
+	// Clamp: rounding can push acc a fraction of an ulp past total, and
+	// a -1e-13 J share would fail validation.
+	share := field(&recs[last])
+	if *share = total - acc; *share < 0 {
+		*share = 0
+	}
 }
 
-// pick returns the first usage-counter column with any positive
-// evidence, so each domain degrades gracefully when a counter is
-// missing (e.g. no DRAM-bandwidth events): DRAM traffic falls back to
-// cycles, cycles to instructions.
-func pick(cols ...[]float64) []float64 {
-	for _, c := range cols {
-		for _, v := range c {
-			if v > 0 {
-				return c
-			}
-		}
-	}
-	return cols[len(cols)-1]
-}
+func pkgJ(r *Record) *float64    { return &r.PkgJ }
+func dramJ(r *Record) *float64   { return &r.DramJ }
+func uncoreJ(r *Record) *float64 { return &r.UncoreJ }
+func nodeJ(r *Record) *float64   { return &r.NodeJ }
 
 // Attribute ratio-splits a node window's measured per-domain energy
 // across the resident tenants by their usage counters, the Kepler
@@ -101,39 +113,32 @@ func pick(cols ...[]float64) []float64 {
 //     board power is charged in proportion to useful work, as Kepler
 //     charges idle power by dynamic ratio.
 //
-// Each domain conserves: the returned records' joules sum back to the
-// window totals to within one ulp. The tenant order is preserved, and
-// the result depends only on the inputs — no clocks, no maps — so two
-// daemons attributing the same window emit byte-identical records.
-func Attribute(w Window, total Energy, tenants []Tenant) ([]Record, error) {
+// It appends one record per tenant to dst, in tenant order, and
+// returns the extended slice; each domain is split in one pass over
+// the tenants straight into the appended records, so a dst with room
+// costs no allocation. On error dst is returned as it came.
+//
+// Each domain conserves: the appended records' joules sum back to the
+// window totals to within one ulp. The result depends only on the
+// inputs — no clocks, no maps — so two daemons attributing the same
+// window emit byte-identical records.
+func Attribute(dst []Record, w Window, total Energy, tenants []Tenant) ([]Record, error) {
 	if len(tenants) == 0 {
-		return nil, fmt.Errorf("accounting: attribute %s phase %d: no tenants", w.Node, w.Phase)
+		return dst, fmt.Errorf("accounting: attribute %s phase %d: no tenants", w.Node, w.Phase)
 	}
-	instr := make([]float64, len(tenants))
-	cycles := make([]float64, len(tenants))
-	traffic := make([]float64, len(tenants))
-	for i, t := range tenants {
-		instr[i] = t.Usage.Instr
-		cycles[i] = t.Usage.Cycles
-		traffic[i] = t.Usage.DRAMBytes
+	base := len(dst)
+	for i := range tenants {
+		dst = append(dst, newRecord(tenants[i].Meta, w, Energy{}, tenants[i].Rates))
 	}
-	pkg := shares(total.PkgJ, pick(cycles, instr))
-	dram := shares(total.DramJ, pick(traffic, instr))
-	uncore := shares(total.UncoreJ, pick(traffic, cycles))
-	node := shares(total.NodeJ, pick(instr, cycles))
-
-	out := make([]Record, 0, len(tenants))
-	for i, t := range tenants {
-		rec, err := NewRecord(t.Meta, w, Energy{
-			PkgJ:    pkg[i],
-			DramJ:   dram[i],
-			UncoreJ: uncore[i],
-			NodeJ:   node[i],
-		}, t.Rates)
-		if err != nil {
-			return nil, fmt.Errorf("accounting: attribute %s phase %d tenant %d: %w", w.Node, w.Phase, i, err)
+	recs := dst[base:]
+	split(recs, tenants, pick(tenants, cyclesCol, instrCol), total.PkgJ, pkgJ)
+	split(recs, tenants, pick(tenants, trafficCol, instrCol), total.DramJ, dramJ)
+	split(recs, tenants, pick(tenants, trafficCol, cyclesCol), total.UncoreJ, uncoreJ)
+	split(recs, tenants, pick(tenants, instrCol, cyclesCol), total.NodeJ, nodeJ)
+	for i := range recs {
+		if err := recs[i].Validate(); err != nil {
+			return dst[:base], fmt.Errorf("accounting: attribute %s phase %d tenant %d: %w", w.Node, w.Phase, i, err)
 		}
-		out = append(out, rec)
 	}
-	return out, nil
+	return dst, nil
 }

@@ -86,7 +86,7 @@ func TestAttributeGolden(t *testing.T) {
 	var b [8]byte
 	clamped := false
 	for _, c := range attributeBattery() {
-		recs, err := Attribute(c.w, c.total, c.tenants)
+		recs, err := Attribute(nil, c.w, c.total, c.tenants)
 		if err != nil {
 			t.Fatalf("phase %d: %v", c.w.Phase, err)
 		}
@@ -108,5 +108,22 @@ func TestAttributeGolden(t *testing.T) {
 	}
 	if got := h.Sum64(); got != want {
 		t.Errorf("attribution digest %#016x, want %#016x", got, want)
+	}
+}
+
+// TestAttributeAllocations: Attribute splits every domain straight into
+// the records it appends, so a destination with room costs nothing.
+func TestAttributeAllocations(t *testing.T) {
+	battery := attributeBattery()
+	dst := make([]Record, 0, 3)
+	for _, c := range battery[len(battery)-8:] {
+		if n := testing.AllocsPerRun(20, func() {
+			var err error
+			if dst, err = Attribute(dst[:0], c.w, c.total, c.tenants); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%d tenants into a slice with room: %v allocations, want 0", len(c.tenants), n)
+		}
 	}
 }

@@ -87,7 +87,16 @@ type Record struct {
 
 // NewRecord builds a versioned record from its parts and validates it.
 func NewRecord(m Meta, w Window, e Energy, r Rates) (Record, error) {
-	rec := Record{
+	rec := newRecord(m, w, e, r)
+	if err := rec.Validate(); err != nil {
+		return Record{}, err
+	}
+	return rec, nil
+}
+
+// newRecord builds a versioned record from its parts.
+func newRecord(m Meta, w Window, e Energy, r Rates) Record {
+	return Record{
 		V:         CodecVersion,
 		JobID:     m.JobID,
 		StepID:    m.StepID,
@@ -104,10 +113,6 @@ func NewRecord(m Meta, w Window, e Energy, r Rates) (Record, error) {
 		AvgCPUGHz: r.AvgCPUGHz,
 		AvgIMCGHz: r.AvgIMCGHz,
 	}
-	if err := rec.Validate(); err != nil {
-		return Record{}, err
-	}
-	return rec, nil
 }
 
 // Validate reports whether the record is well-formed at the current

@@ -3,7 +3,6 @@ package eardbd
 import (
 	"bytes"
 	"errors"
-	"math/rand"
 	"net"
 	"strconv"
 	"sync"
@@ -69,8 +68,9 @@ type ClientConfig struct {
 	// Clock paces backoff sleeps and stamps spans.
 	Clock Clock
 	// Jitter randomises backoff; an explicitly seeded generator keeps
-	// retry schedules reproducible.
-	Jitter *rand.Rand
+	// retry schedules reproducible. Only Float64 is called, so a
+	// math/rand or a math/rand/v2 *Rand serves.
+	Jitter interface{ Float64() float64 }
 	// BatchRecords triggers a flush when the queue reaches this size
 	// (default 64).
 	BatchRecords int

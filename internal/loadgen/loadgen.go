@@ -3,9 +3,10 @@ package loadgen
 import (
 	"errors"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"net"
 	"sort"
+	"strconv"
 	"sync"
 
 	"goear/internal/accounting"
@@ -79,6 +80,8 @@ func (c Config) validate() error {
 		return fmt.Errorf("loadgen: need at least one node, got %d", c.Nodes)
 	case c.RecordsPerNode < 1:
 		return fmt.Errorf("loadgen: need at least one record per node")
+	case c.AcctPerNode < 0:
+		return fmt.Errorf("loadgen: accounting windows per node must not be negative, got %d", c.AcctPerNode)
 	case c.BatchRecords < 1:
 		return fmt.Errorf("loadgen: batch size must be positive")
 	case c.Workers < 1:
@@ -172,8 +175,23 @@ func New(cfg Config) (*Generator, error) {
 	}, nil
 }
 
-// NodeName names node i; placement and record content key off it.
-func NodeName(i int) string { return fmt.Sprintf("node%05d", i) }
+// NodeName names node i ("node00042"); placement and record content
+// key off it.
+func NodeName(i int) string {
+	var b [len("node") + 1 + 20]byte
+	out := append(b[:0], "node"...)
+	u, width := uint64(i), 5
+	if i < 0 {
+		out = append(out, '-')
+		u, width = -u, 4
+	}
+	var d [20]byte
+	digits := strconv.AppendUint(d[:0], u, 10)
+	for k := len(digits); k < width; k++ {
+		out = append(out, '0')
+	}
+	return string(append(out, digits...))
+}
 
 func (g *Generator) nodeName(i int) string {
 	if g.cfg.NodeName != nil {
@@ -182,17 +200,33 @@ func (g *Generator) nodeName(i int) string {
 	return NodeName(i)
 }
 
+// Each node draws its records and its accounting windows from streams
+// of their own: a PCG seeded with (Seed, recordStream+i) or (Seed,
+// acctStream+i). Seeding is two words on the stack, so a node's stream
+// costs nothing beyond the records it produces.
+const (
+	recordStream = 1000
+	acctStream   = 5000000
+)
+
+// unit draws a float64 in [0, 1) from p, as math/rand/v2's Float64
+// does, without boxing p into a *rand.Rand.
+func unit(p *rand.PCG) float64 { return float64(p.Uint64()<<11>>11) / (1 << 53) }
+
+// jobIDs are the jobs a node's records and windows rotate through.
+var jobIDs = [3]string{"job0", "job1", "job2"}
+
 // Records generates node i's deterministic record stream: the
 // canonical closed-loop workload shape (three jobs, per-node power in
 // [250, 290) W) scaled to RecordsPerNode.
 func (g *Generator) Records(i int) []eard.JobRecord {
 	node := g.nodeName(i)
-	rng := rand.New(rand.NewSource(g.cfg.Seed + int64(1000+i)))
+	rng := rand.NewPCG(uint64(g.cfg.Seed), uint64(recordStream+i))
 	out := make([]eard.JobRecord, g.cfg.RecordsPerNode)
 	for j := range out {
-		power := 250 + 40*rng.Float64()
+		power := 250 + 40*unit(rng)
 		out[j] = eard.JobRecord{
-			JobID: fmt.Sprintf("job%d", j%3), StepID: fmt.Sprint(j / 3), Node: node,
+			JobID: jobIDs[j%3], StepID: strconv.Itoa(j / 3), Node: node,
 			App: "BT-MZ.C", Policy: "min_energy",
 			TimeSec: 120, EnergyJ: power * 120, AvgPower: power,
 			AvgCPU: 2.1, AvgIMC: 2.4,
@@ -210,16 +244,21 @@ var acctUsers = [...]string{"alice", "bob", "carol"}
 // usage counters ratio-split the window's measured energy through the
 // real attribution engine. Content depends only on (Seed, node index).
 func (g *Generator) AcctRecords(i int) ([]accounting.Record, error) {
-	if g.cfg.AcctPerNode <= 0 {
+	if g.cfg.AcctPerNode == 0 {
 		return nil, nil
 	}
 	node := g.nodeName(i)
-	rng := rand.New(rand.NewSource(g.cfg.Seed + int64(5000000+i)))
-	var out []accounting.Record
+	rng := rand.NewPCG(uint64(g.cfg.Seed), uint64(acctStream+i))
+	n := 0
 	for w := 0; w < g.cfg.AcctPerNode; w++ {
-		pkg := 180 + 60*rng.Float64() // W-ish rates over a 120 s window
-		dram := 25 + 10*rng.Float64()
-		uncore := 30 + 15*rng.Float64()
+		n += 1 + (i+w)%len(acctUsers)
+	}
+	out := make([]accounting.Record, 0, n)
+	var tenants [len(acctUsers)]accounting.Tenant
+	for w := 0; w < g.cfg.AcctPerNode; w++ {
+		pkg := 180 + 60*unit(rng) // W-ish rates over a 120 s window
+		dram := 25 + 10*unit(rng)
+		uncore := 30 + 15*unit(rng)
 		window := accounting.Window{
 			Node:     node,
 			Phase:    w,
@@ -232,29 +271,27 @@ func (g *Generator) AcctRecords(i int) ([]accounting.Record, error) {
 			UncoreJ: uncore * 120,
 			NodeJ:   (pkg + dram + 45) * 120,
 		}
-		nTenants := 1 + (i+w)%len(acctUsers)
-		tenants := make([]accounting.Tenant, nTenants)
-		for t := range tenants {
-			tenants[t] = accounting.Tenant{
+		resident := tenants[:1+(i+w)%len(acctUsers)]
+		for t := range resident {
+			resident[t] = accounting.Tenant{
 				Meta: accounting.Meta{
-					JobID:  fmt.Sprintf("job%d", (w+t)%3),
-					StepID: fmt.Sprint(t),
+					JobID:  jobIDs[(w+t)%3],
+					StepID: strconv.Itoa(t),
 					User:   acctUsers[t],
 					Policy: "min_energy",
 				},
 				Usage: accounting.Usage{
-					Instr:     (1 + rng.Float64()) * 1e12,
-					Cycles:    (1 + rng.Float64()) * 1e12,
-					DRAMBytes: (1 + rng.Float64()) * 1e11,
+					Instr:     (1 + unit(rng)) * 1e12,
+					Cycles:    (1 + unit(rng)) * 1e12,
+					DRAMBytes: (1 + unit(rng)) * 1e11,
 				},
 				Rates: accounting.Rates{AvgCPUGHz: 2.1, AvgIMCGHz: 2.4},
 			}
 		}
-		recs, err := accounting.Attribute(window, energy, tenants)
-		if err != nil {
+		var err error
+		if out, err = accounting.Attribute(out, window, energy, resident); err != nil {
 			return nil, err
 		}
-		out = append(out, recs...)
 	}
 	return out, nil
 }
@@ -282,14 +319,14 @@ func (g *Generator) Run(dial func(node string) func() (net.Conn, error), hooks H
 }
 
 // clientFor builds one node's reporting client over its journal. The
-// burst and the drain differ only in the jitter seed they mix into the
-// workload seed.
+// burst and the drain differ only in the jitter stream they seed next
+// to the workload seed.
 func (g *Generator) clientFor(node string, dial func() (net.Conn, error), journal *eardbd.Journal, seed int64) (*eardbd.Client, error) {
 	return eardbd.NewClient(eardbd.ClientConfig{
 		Node:         node,
 		Dial:         dial,
 		Clock:        eardbd.NewFakeClock(0),
-		Jitter:       rand.New(rand.NewSource(g.cfg.Seed ^ seed)),
+		Jitter:       rand.New(rand.NewPCG(uint64(g.cfg.Seed), uint64(seed))),
 		BatchRecords: g.cfg.BatchRecords,
 		Journal:      journal,
 		Telemetry:    g.cfg.Telemetry,

@@ -288,6 +288,7 @@ func TestGeneratorValidation(t *testing.T) {
 		{},
 		{Nodes: -1},
 		{Nodes: 1, RecordsPerNode: -1},
+		{Nodes: 1, AcctPerNode: -1},
 		{Nodes: 1, BatchRecords: -1},
 		{Nodes: 1, Workers: -1},
 	} {
