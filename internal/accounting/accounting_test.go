@@ -108,6 +108,11 @@ func TestAttributeEdgeCases(t *testing.T) {
 	if _, err := Attribute(nil, Window{Node: "n", EndSec: 1}, Energy{}, nil); err == nil {
 		t.Error("Attribute accepted an empty tenant set")
 	}
+	// A refused window appends nothing.
+	dst := make([]Record, 1, 4)
+	if got, err := Attribute(dst, Window{Node: "n", EndSec: 1}, Energy{}, []Tenant{{Meta: Meta{JobID: "a", StepID: "0"}}}); err == nil || len(got) != 1 {
+		t.Errorf("a tenant without a user: %d records, err %v; want dst as it came and an error", len(got), err)
+	}
 	// All-zero usage splits equally.
 	tenants := []Tenant{
 		{Meta: Meta{JobID: "a", StepID: "0", User: "u"}},
