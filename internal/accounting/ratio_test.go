@@ -8,22 +8,20 @@ import (
 	"testing"
 )
 
+// attributeCase is one window of the attribution battery.
+type attributeCase struct {
+	w       Window
+	total   Energy
+	tenants []Tenant
+}
+
 // attributeBattery is a seeded battery of windows for the attribution
 // golden: every tenant count from one to three against every pattern
 // of all-zero usage columns (each pick fallback, down to the all-zero
 // equal split), with zero and negative entries inside the live columns,
 // plus a window whose split rounds the running sum past its total so
 // the last share clamps at zero.
-func attributeBattery() []struct {
-	w       Window
-	total   Energy
-	tenants []Tenant
-} {
-	type window = struct {
-		w       Window
-		total   Energy
-		tenants []Tenant
-	}
+func attributeBattery() []attributeCase {
 	rng := rand.New(rand.NewPCG(11, 54))
 	draw := func(live bool) float64 {
 		switch {
@@ -36,7 +34,7 @@ func attributeBattery() []struct {
 		}
 		return (0.01 + rng.Float64()) * 1e12
 	}
-	var out []window
+	var out []attributeCase
 	phase := 0
 	for n := 1; n <= 3; n++ {
 		for zero := 0; zero < 8; zero++ { // bit k set: usage column k all zero
@@ -52,7 +50,7 @@ func attributeBattery() []struct {
 						},
 					}
 				}
-				out = append(out, window{
+				out = append(out, attributeCase{
 					w: Window{Node: "n", Phase: phase, StartSec: 120 * float64(phase), EndSec: 120 * float64(phase+1)},
 					total: Energy{
 						PkgJ:    rng.Float64() * 3e4,
@@ -72,7 +70,7 @@ func attributeBattery() []struct {
 	for t, x := range []float64{0.1, 0.7, 1e-300} {
 		clamp[t] = Tenant{Meta: Meta{JobID: "job", StepID: "0", User: "u"}, Usage: Usage{Instr: x}}
 	}
-	out = append(out, window{w: Window{Node: "n", Phase: phase, EndSec: 1}, total: Energy{NodeJ: 3.33}, tenants: clamp})
+	out = append(out, attributeCase{w: Window{Node: "n", Phase: phase, EndSec: 1}, total: Energy{NodeJ: 3.33}, tenants: clamp})
 	return out
 }
 
@@ -114,16 +112,15 @@ func TestAttributeGolden(t *testing.T) {
 // TestAttributeAllocations: Attribute splits every domain straight into
 // the records it appends, so a destination with room costs nothing.
 func TestAttributeAllocations(t *testing.T) {
-	battery := attributeBattery()
 	dst := make([]Record, 0, 3)
-	for _, c := range battery[len(battery)-8:] {
-		if n := testing.AllocsPerRun(20, func() {
+	for _, c := range attributeBattery() {
+		if n := testing.AllocsPerRun(10, func() {
 			var err error
 			if dst, err = Attribute(dst[:0], c.w, c.total, c.tenants); err != nil {
 				t.Fatal(err)
 			}
 		}); n != 0 {
-			t.Errorf("%d tenants into a slice with room: %v allocations, want 0", len(c.tenants), n)
+			t.Fatalf("phase %d, %d tenants, into a slice with room: %v allocations, want 0", c.w.Phase, len(c.tenants), n)
 		}
 	}
 }

@@ -91,7 +91,7 @@ func TestGeneratorStream(t *testing.T) {
 			}
 			var pkg, dram, nodeJ float64
 			for k, r := range acct[:n] {
-				if r.JobID != fmt.Sprintf("job%d", (w+k)%3) || r.StepID != strconv.Itoa(k) ||
+				if r.JobID != "job"+strconv.Itoa((w+k)%3) || r.StepID != strconv.Itoa(k) ||
 					r.User != acctUsers[k] || r.Node != node || r.Phase != w {
 					t.Fatalf("node %d window %d tenant %d: %+v", i, w, k, r)
 				}
