@@ -8,17 +8,26 @@ import (
 
 // Batch advances many simulated nodes of one calibrated workload in
 // lock step: the slice RunCoordinated's intervals are made of, and the
-// handle benchmarks sweep one tick at a time. It holds only the nodes
-// and a clock — each node carries its own stepping state (replay.go),
-// which persists between calls, so the call granularity (one tick, one
-// EARGM interval, anything between) changes neither the results nor
-// the cost per node-tick.
+// handle benchmarks sweep one tick at a time. It holds the nodes, a
+// clock and one evaluation table — each node carries its own stepping
+// state (replay.go), which persists between calls, so the call
+// granularity (one tick, one EARGM interval, anything between) changes
+// neither the results nor the cost per node-tick.
+//
+// A Batch is stepped from one goroutine at a time: RunCoordinated hands
+// each batch to one worker per interval and joins them at the barrier.
+// That is why its nodes share evals without a lock.
 type Batch struct {
 	cal workload.Calibrated
 	opt Options
 
 	nodes []*node
 	ids   []int
+
+	// evals is every admitted node's evaluation table: the nodes run
+	// the same calibrated workload, so each operating point is
+	// evaluated once per batch, not once per node.
+	evals evalTable
 
 	// clock accumulates Tick deltas; stepUntil never rewinds it.
 	clock float64
@@ -41,6 +50,7 @@ func (b *Batch) Add(nodeID int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	n.evals = &b.evals
 	b.nodes = append(b.nodes, n)
 	b.ids = append(b.ids, nodeID)
 	return len(b.nodes) - 1, nil

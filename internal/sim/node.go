@@ -62,14 +62,15 @@ type node struct {
 	armed armedState
 
 	// Steady-state evaluation cache. The operating point changes rarely
-	// relative to the 10 ms step, so a same-key fast path plus a linear
-	// scan over the handful of visited points beats a map: no hashing
-	// on the hot path and no per-node map allocation.
+	// relative to the 10 ms step, so the node keeps its last key and
+	// entry (a copy, checked first) and falls back to evals: its Batch's
+	// table, shared by every node the batch admitted, or ownEvals when
+	// the node runs alone (Run, Stepper).
 	lastKey   cacheKey
 	lastEntry evalEntry
 	haveEval  bool
-	cacheKeys []cacheKey
-	cacheVals []evalEntry
+	evals     *evalTable
+	ownEvals  evalTable
 
 	// mpiEvents is the per-iteration MPI call-site sequence, computed
 	// once: Spec.MPIEvents allocates and hashes per call. mpiCount
@@ -117,6 +118,17 @@ type node struct {
 	// everUsed marks a node that already served a run (i.e. a pool
 	// recycle on the next Get); init must NOT reset it.
 	everUsed bool
+}
+
+// evalTable memoises steady-state evaluations of one calibrated
+// workload by operating point. The few points a run visits make a
+// linear scan cheaper than a map: no hashing, no map allocation. Every
+// entry is a pure function of its key and the workload, so any number
+// of nodes of that workload may share one table; entries are copied
+// out by value, so an append that moves the slices reaches no node.
+type evalTable struct {
+	keys []cacheKey
+	vals []evalEntry
 }
 
 type cacheKey struct {
@@ -279,8 +291,9 @@ func (n *node) init(cal workload.Calibrated, nodeID int, opt Options) error {
 	n.coreFreqSec, n.imcFreqSec = 0, 0
 	n.pkgJ, n.dramJ = 0, 0
 	n.haveEval = false
-	n.cacheKeys = n.cacheKeys[:0]
-	n.cacheVals = n.cacheVals[:0]
+	n.ownEvals.keys = n.ownEvals.keys[:0]
+	n.ownEvals.vals = n.ownEvals.vals[:0]
+	n.evals = &n.ownEvals
 	n.capRatio = 0
 	n.trace = nil
 	n.lastTraceT, n.lastTraceE, n.lastTraceB = 0, 0, 0
@@ -414,9 +427,10 @@ func (n *node) evalAt(segIdx int) (evalEntry, error) {
 	if n.haveEval && key == n.lastKey {
 		return n.lastEntry, nil
 	}
-	for i := range n.cacheKeys {
-		if n.cacheKeys[i] == key {
-			n.lastKey, n.lastEntry, n.haveEval = key, n.cacheVals[i], true
+	t := n.evals
+	for i := range t.keys {
+		if t.keys[i] == key {
+			n.lastKey, n.lastEntry, n.haveEval = key, t.vals[i], true
 			return n.lastEntry, nil
 		}
 	}
@@ -443,8 +457,8 @@ func (n *node) evalAt(segIdx int) (evalEntry, error) {
 		brk:      brk,
 		effRatio: uint64(math.Round(res.EffCoreFreq.GHzF() * 10)),
 	}
-	n.cacheKeys = append(n.cacheKeys, key)
-	n.cacheVals = append(n.cacheVals, e)
+	t.keys = append(t.keys, key)
+	t.vals = append(t.vals, e)
 	n.lastKey, n.lastEntry, n.haveEval = key, e, true
 	return e, nil
 }
