@@ -53,6 +53,8 @@ func RunCoordinated(cal workload.Calibrated, opt Options, gm PowerManager) (Resu
 		// Contiguous ranges keep global node order equal to batch order
 		// followed by in-batch dense order.
 		lo, hi := s*cal.Nodes/nb, (s+1)*cal.Nodes/nb
+		b.nodes = make([]*node, 0, hi-lo)
+		b.ids = make([]int, 0, hi-lo)
 		for id := lo; id < hi; id++ {
 			if _, err := b.Add(id); err != nil {
 				return Result{}, fmt.Errorf("sim: %s node %d: %w", cal.Name, id, err)

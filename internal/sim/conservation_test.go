@@ -26,12 +26,12 @@ func TestRaplCountersMatchTrueIntegral(t *testing.T) {
 		}
 	}
 	var raplJ float64
-	for _, s := range n.sockets {
-		v, err := s.MSR.Read(msr.MSRPkgEnergyStatus)
+	for _, f := range n.files {
+		v, err := f.Read(msr.MSRPkgEnergyStatus)
 		if err != nil {
 			t.Fatal(err)
 		}
-		raplJ += s.MSR.EnergyJoules(v)
+		raplJ += f.EnergyJoules(v)
 	}
 	// The 32-bit counters wrap every ~2^32/2^14 J ≈ 262 kJ; a 145 s run
 	// at ~235 W package stays below one wrap, so the raw values are the

@@ -23,17 +23,13 @@ type node struct {
 	cal workload.Calibrated
 	opt Options
 
-	// sockets and ctls point into sockStore/ctlStore so each node makes
-	// two backing allocations instead of one per socket; the pointer
-	// slices keep call sites (and the no-copy discipline around the MSR
-	// atomics) unchanged.
-	sockets   []*cpu.Socket
-	ctls      []*uncore.Controller
-	sockStore []cpu.Socket
-	ctlStore  []uncore.Controller
-	files     []*msr.File
-	rapl      power.Rapl
-	inm       power.NodeManager
+	// slots holds each socket beside its uncore controller, one backing
+	// allocation for all of them; files points at the sockets' MSR files
+	// for power.Rapl, which holds it.
+	slots []socketSlot
+	files []*msr.File
+	rapl  power.Rapl
+	inm   power.NodeManager
 
 	// Everything a replayed tick touches sits together from here to
 	// armed: a 1,024-node sweep walks these bytes once per tick, so the
@@ -84,7 +80,7 @@ type node struct {
 	// actuation path never allocates.
 	nctl nodeCtl
 
-	rng *rand.Rand
+	rng rand.Rand
 	// lib is this run's EARL instance, nil when no policy runs. ownLib
 	// and pol are the node's EARL stack: init renews them in place run
 	// after run (earl.Renew, policy.Renew), so a recycled node keeps its
@@ -118,6 +114,14 @@ type node struct {
 	// everUsed marks a node that already served a run (i.e. a pool
 	// recycle on the next Get); init must NOT reset it.
 	everUsed bool
+}
+
+// socketSlot is one socket and the uncore controller that reads its MSR
+// file in place: a slot must not move once initialised, so init rebuilds
+// every slot whenever it reallocates the slice. Callers range by index.
+type socketSlot struct {
+	sock cpu.Socket
+	ctl  uncore.Controller
 }
 
 // evalTable memoises steady-state evaluations of one calibrated
@@ -311,8 +315,8 @@ func (n *node) init(cal workload.Calibrated, nodeID int, opt Options) error {
 	n.nctl.n = n
 
 	seed := opt.Seed*1000003 + int64(nodeID)*7907 + 1
-	if n.rng == nil {
-		n.rng = rand.New(rand.NewSource(seed))
+	if n.rng == (rand.Rand{}) {
+		n.rng = *rand.New(rand.NewSource(seed))
 	} else {
 		// Seed restores the exact generator state NewSource(seed)
 		// produces, so recycled nodes draw identical noise sequences.
@@ -320,29 +324,22 @@ func (n *node) init(cal workload.Calibrated, nodeID int, opt Options) error {
 	}
 
 	ns := m.CPU.Sockets
-	if cap(n.sockStore) < ns {
-		n.sockStore = make([]cpu.Socket, ns)
-		n.ctlStore = make([]uncore.Controller, ns)
-		n.sockets = make([]*cpu.Socket, ns)
-		n.ctls = make([]*uncore.Controller, ns)
+	if cap(n.slots) < ns {
+		n.slots = make([]socketSlot, ns)
 		n.files = make([]*msr.File, ns)
 	} else {
-		n.sockStore = n.sockStore[:ns]
-		n.ctlStore = n.ctlStore[:ns]
-		n.sockets = n.sockets[:ns]
-		n.ctls = n.ctls[:ns]
+		n.slots = n.slots[:ns]
 		n.files = n.files[:ns]
 	}
-	for s := 0; s < ns; s++ {
-		sock := &n.sockStore[s]
-		if err := sock.Init(m.CPU, s); err != nil {
+	for s := range n.slots {
+		sl := &n.slots[s]
+		if err := sl.sock.Init(m.CPU, s); err != nil {
 			return err
 		}
-		ctl := &n.ctlStore[s]
-		if err := ctl.Init(sock.MSR, cal.HWUncore); err != nil {
+		if err := sl.ctl.Init(sl.sock.MSR, cal.HWUncore); err != nil {
 			return err
 		}
-		n.sockets[s], n.ctls[s], n.files[s] = sock, ctl, sock.MSR
+		n.files[s] = sl.sock.MSR
 	}
 	if err := n.rapl.Init(n.files); err != nil {
 		return err
@@ -412,7 +409,7 @@ func (n *node) init(cal workload.Calibrated, nodeID int, opt Options) error {
 // evalAt returns the cached steady-state behaviour at the node's
 // current operating point, honouring any power-management core cap.
 func (n *node) evalAt(segIdx int) (evalEntry, error) {
-	coreRatio, uncRatio, err := n.sockets[0].OperatingPoint()
+	coreRatio, uncRatio, err := n.slots[0].sock.OperatingPoint()
 	if err != nil {
 		return evalEntry{}, err
 	}
@@ -496,8 +493,8 @@ func (n *node) advance(segIdx int, e evalEntry, nInstr, dt, pNoise float64) erro
 	n.coreFreqSec += float64(e.res.EffCoreFreq.GHzF() * n.cal.FreqBias * dt)
 	n.imcFreqSec += float64(e.res.UncoreFreq.GHzF() * n.cal.IMCBias * dt)
 
-	for _, c := range n.ctls {
-		if err := c.Advance(dt, e.effRatio); err != nil {
+	for s := range n.slots {
+		if err := n.slots[s].ctl.Advance(dt, e.effRatio); err != nil {
 			return err
 		}
 	}
@@ -519,7 +516,7 @@ func (n *node) traceSample(e evalEntry) error {
 	if err != nil {
 		return err
 	}
-	lim, err := n.sockets[0].UncoreLimits()
+	lim, err := n.slots[0].sock.UncoreLimits()
 	if err != nil {
 		return err
 	}
@@ -580,7 +577,7 @@ func (n *node) result() (NodeResult, error) {
 	if err != nil {
 		return NodeResult{}, err
 	}
-	lim, err := n.sockets[0].UncoreLimits()
+	lim, err := n.slots[0].sock.UncoreLimits()
 	if err != nil {
 		return NodeResult{}, err
 	}
@@ -619,8 +616,8 @@ func (c *nodeCtl) SetCPUPstate(p int) error {
 	if err != nil {
 		return err
 	}
-	for _, s := range c.n.sockets {
-		if err := s.RequestRatio(ratio); err != nil {
+	for s := range c.n.slots {
+		if err := c.n.slots[s].sock.RequestRatio(ratio); err != nil {
 			return err
 		}
 	}
@@ -628,8 +625,8 @@ func (c *nodeCtl) SetCPUPstate(p int) error {
 }
 
 func (c *nodeCtl) SetUncoreLimits(minR, maxR uint64) error {
-	for _, s := range c.n.sockets {
-		if err := s.SetUncoreLimits(minR, maxR); err != nil {
+	for s := range c.n.slots {
+		if err := c.n.slots[s].sock.SetUncoreLimits(minR, maxR); err != nil {
 			return err
 		}
 	}
@@ -637,7 +634,7 @@ func (c *nodeCtl) SetUncoreLimits(minR, maxR uint64) error {
 }
 
 func (c *nodeCtl) CurrentPstate() (int, error) {
-	ratio, err := c.n.sockets[0].RequestedRatio()
+	ratio, err := c.n.slots[0].sock.RequestedRatio()
 	if err != nil {
 		return 0, err
 	}
@@ -645,7 +642,7 @@ func (c *nodeCtl) CurrentPstate() (int, error) {
 }
 
 func (c *nodeCtl) CurrentUncoreRatio() (uint64, error) {
-	return c.n.sockets[0].CurrentUncoreRatio()
+	return c.n.slots[0].sock.CurrentUncoreRatio()
 }
 
 func (c *nodeCtl) Counters() (metrics.Sample, error) {

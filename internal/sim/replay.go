@@ -38,7 +38,7 @@ const armSockets = 2
 // its precomputed tick. Only replay, arm, disarm and trueEnergy touch it.
 type armedState struct {
 	on bool
-	// accel and nsock copy n.cal.Class and len(n.sockets), so a
+	// accel and nsock copy n.cal.Class and len(n.slots), so a
 	// replayed tick reads nothing outside the node's hot bytes.
 	accel bool
 	nsock int
@@ -179,7 +179,7 @@ func (n *node) replay(t float64) {
 // holds. On any other state, or any error, the node simply stays slow
 // (the next stepOnce surfaces the error).
 func (n *node) arm() {
-	ns := len(n.sockets)
+	ns := len(n.slots)
 	if n.done || !n.iterActive || n.opt.Trace || ns > armSockets {
 		return
 	}
@@ -187,8 +187,8 @@ func (n *node) arm() {
 	if err != nil {
 		return
 	}
-	for _, c := range n.ctls {
-		if ok, err := c.Settled(e.effRatio); err != nil || !ok {
+	for s := range n.slots {
+		if ok, err := n.slots[s].ctl.Settled(e.effRatio); err != nil || !ok {
 			return
 		}
 	}
@@ -232,7 +232,7 @@ func (n *node) arm() {
 		if a.cntPkg[s], err = n.files[s].Read(msr.MSRPkgEnergyStatus); err != nil {
 			return
 		}
-		a.ctlAcc[s] = n.ctls[s].TickAccum()
+		a.ctlAcc[s] = n.slots[s].ctl.TickAccum()
 	}
 	if a.cntDram, err = n.files[0].Read(msr.MSRDramEnergyStatus); err != nil {
 		return
@@ -251,7 +251,7 @@ func (n *node) disarm() error {
 		if err := n.files[s].WriteHw(msr.MSRPkgEnergyStatus, a.cntPkg[s]); err != nil {
 			return err
 		}
-		n.ctls[s].SetTickAccum(a.ctlAcc[s])
+		n.slots[s].ctl.SetTickAccum(a.ctlAcc[s])
 	}
 	if err := n.files[0].WriteHw(msr.MSRDramEnergyStatus, a.cntDram); err != nil {
 		return err

@@ -47,7 +47,7 @@ func instruments(t *testing.T, n *node) []any {
 	t.Helper()
 	_, _, _, now := n.inm.FlatState()
 	out := []any{n.inm.ReadEnergy(), n.inm.TrueEnergy(), now, n.stepCount}
-	carry := make([]float64, len(n.sockets))
+	carry := make([]float64, len(n.slots))
 	out = append(out, n.rapl.FlatCarry(carry), carry)
 	for s, f := range n.files {
 		for _, reg := range []uint32{msr.MSRPkgEnergyStatus, msr.MSRDramEnergyStatus, msr.MSRUncorePerfStatus} {
@@ -57,7 +57,7 @@ func instruments(t *testing.T, n *node) []any {
 			}
 			out = append(out, v)
 		}
-		out = append(out, n.ctls[s].TickAccum())
+		out = append(out, n.slots[s].ctl.TickAccum())
 	}
 	return out
 }
