@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"goear/internal/eargm"
 	"goear/internal/model"
 	"goear/internal/par"
+	"goear/internal/policy"
 	"goear/internal/workload"
 )
 
@@ -60,25 +62,34 @@ func (c batchGoldenCase) manager(t *testing.T) *eargm.Manager {
 // TestBatchMatchesReferenceByteIdentical pins the engine's invariant on
 // coordinated runs: armed replay produces byte-identical results to
 // ReferenceStep's tick-by-tick stepping, at every worker (and so batch)
-// count, capped and uncapped, for both workload classes.
+// count, capped and uncapped, for both workload classes. Both
+// catalogue workloads run on one node, so the cluster is widened to
+// six: the partitions then differ, down to one node per batch, where
+// every node evaluates into a table of its own, against one batch
+// whose six nodes share one.
 func TestBatchMatchesReferenceByteIdentical(t *testing.T) {
 	for _, c := range batchGoldenCases() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			cal := calibrated(t, c.wl)
+			cal.Nodes = 6
 			m := platformModel(t, cal.Platform)
 
 			refOpt := c.options(t, m)
 			refOpt.ReferenceStep = true
 			refOpt.Workers = 1
-			ref, err := RunCoordinated(cal, refOpt, c.manager(t))
+			gm := c.manager(t)
+			ref, err := RunCoordinated(cal, refOpt, gm)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if over := gm.Stats().OverBudget; (over > 0) != (c.budgetW > 0) {
+				t.Fatalf("budget %v W: %d intervals over budget", c.budgetW, over)
+			}
 
-			// One batch per worker: 1, 2 and 4 partitions.
-			for _, workers := range []int{1, 2, 4} {
+			// One batch per worker: 1, 2, 4 and one node per batch.
+			for _, workers := range []int{1, 2, 4, cal.Nodes} {
 				opt := c.options(t, m)
 				opt.Workers = workers
 				got, err := RunCoordinated(cal, opt, c.manager(t))
@@ -91,6 +102,75 @@ func TestBatchMatchesReferenceByteIdentical(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBatchEvaluatesEachPointOnce pins the batch's evaluation table:
+// on a capped 32-node BT-MZ.C run over two batches, each batch
+// evaluates every operating point its nodes visit exactly once. Its
+// table holds no key twice, its keys are the union of its nodes' own
+// tables when the same run puts one node in each batch (20 points, 320
+// evaluations over a batch's 16 nodes), and none of its nodes fills a
+// table of its own.
+func TestBatchEvaluatesEachPointOnce(t *testing.T) {
+	cal := calibrated(t, workload.BTMZC)
+	cal.Nodes = 32
+	m := platformModel(t, cal.Platform)
+	run := func(workers int) []*Batch {
+		t.Helper()
+		opt := Options{Policy: policy.MinEnergyEUFS, Model: m, Seed: 11, Workers: workers}.WithDefaults()
+		gm, err := eargm.New(eargm.Config{BudgetW: 300 * float64(cal.Nodes), MaxCapPstate: 8, IntervalSec: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches, err := partition(cal, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := coordinate(cal, opt, gm, gm.Interval(), batches); err != nil {
+			t.Fatal(err)
+		}
+		if gm.Stats().OverBudget == 0 {
+			t.Fatal("precondition: the budget never binds")
+		}
+		return batches
+	}
+	shared, alone := run(2), run(cal.Nodes)
+	if len(shared) != 2 || len(alone) != cal.Nodes {
+		t.Fatalf("%d and %d batches, want 2 and %d", len(shared), len(alone), cal.Nodes)
+	}
+	for s, b := range shared {
+		got := map[cacheKey]bool{}
+		capped := false
+		for _, k := range b.evals.keys {
+			if got[k] {
+				t.Errorf("batch %d evaluates %+v twice", s, k)
+			}
+			got[k] = true
+			capped = capped || k.cap != 0
+		}
+		want := map[cacheKey]bool{}
+		own := 0
+		for i, id := range b.ids {
+			if n := len(b.nodes[i].ownEvals.keys); n != 0 {
+				t.Errorf("batch %d node %d: %d evaluations in a table of its own", s, id, n)
+			}
+			for _, k := range alone[id].evals.keys {
+				want[k] = true
+			}
+			own += len(alone[id].evals.keys)
+		}
+		if !maps.Equal(got, want) {
+			t.Errorf("batch %d evaluates %d points, its nodes alone %d distinct ones", s, len(got), len(want))
+		}
+		if !capped {
+			t.Errorf("batch %d evaluates no capped point", s)
+		}
+		// The count is exact: the run is deterministic.
+		if len(b.evals.keys) != 20 {
+			t.Errorf("batch %d: %d evaluations for %d nodes (%d one node per batch), want 20",
+				s, len(b.evals.keys), len(b.ids), own)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"goear/internal/par"
 	"goear/internal/workload"
@@ -36,34 +37,49 @@ func RunCoordinated(cal workload.Calibrated, opt Options, gm PowerManager) (Resu
 	if gm == nil {
 		return Result{}, fmt.Errorf("sim: coordinated run needs a power manager")
 	}
-	if gm.Interval() <= 0 {
-		return Result{}, fmt.Errorf("sim: power manager interval must be positive")
+	// NaN passes a plain <= 0 test and never lets a node advance; +Inf
+	// runs every node to the end in one interval and reports 0 W.
+	interval := gm.Interval()
+	if !(interval > 0) || math.IsInf(interval, 1) {
+		return Result{}, fmt.Errorf("sim: power manager interval %v must be positive and finite", interval)
 	}
 	if err := checkModel(cal, opt); err != nil {
 		return Result{}, err
 	}
+	batches, err := partition(cal, opt)
+	if err != nil {
+		return Result{}, err
+	}
+	return coordinate(cal, opt, gm, interval, batches)
+}
 
+// partition builds one Batch per worker, never more than nodes:
+// contiguous node-id ranges, so global node order is batch order
+// followed by in-batch order.
+func partition(cal workload.Calibrated, opt Options) ([]*Batch, error) {
 	nb := min(opt.workers(), cal.Nodes)
 	batches := make([]*Batch, nb)
 	for s := range batches {
 		b, err := NewBatch(cal, opt)
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
-		// Contiguous ranges keep global node order equal to batch order
-		// followed by in-batch dense order.
 		lo, hi := s*cal.Nodes/nb, (s+1)*cal.Nodes/nb
 		b.nodes = make([]*node, 0, hi-lo)
 		b.ids = make([]int, 0, hi-lo)
 		for id := lo; id < hi; id++ {
 			if _, err := b.Add(id); err != nil {
-				return Result{}, fmt.Errorf("sim: %s node %d: %w", cal.Name, id, err)
+				return nil, fmt.Errorf("sim: %s node %d: %w", cal.Name, id, err)
 			}
 		}
 		batches[s] = b
 	}
+	return batches, nil
+}
 
-	interval := gm.Interval()
+// coordinate advances the batches interval by interval under gm until
+// every node has finished, then assembles the run's result.
+func coordinate(cal workload.Calibrated, opt Options, gm PowerManager, interval float64, batches []*Batch) (Result, error) {
 	prevE := make([]float64, cal.Nodes)
 	powers := make([]float64, cal.Nodes)
 	curCap := 0

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"goear/internal/eargm"
@@ -83,15 +85,23 @@ func TestCoordinatedRunErrors(t *testing.T) {
 	}
 }
 
-// badManager has a non-positive interval.
-type badManager struct{}
+// badManager reports a fixed interval and never caps.
+type badManager float64
 
-func (badManager) Interval() float64                      { return 0 }
+func (m badManager) Interval() float64                    { return float64(m) }
 func (badManager) Update(float64, []float64) (int, error) { return 0, nil }
 
+// TestCoordinatedRunRejectsBadInterval: an interval that is not
+// positive and finite is refused. NaN passes a plain "<= 0" test and
+// then never lets a node advance, so the run would not return; +Inf
+// runs every node to the end in one interval and hands the manager 0 W.
 func TestCoordinatedRunRejectsBadInterval(t *testing.T) {
 	cal := calibrated(t, workload.BTMZC)
-	if _, err := RunCoordinated(cal, Options{}, badManager{}); err == nil {
-		t.Error("expected error for zero interval")
+	for _, iv := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		t.Run(fmt.Sprint(iv), func(t *testing.T) {
+			if _, err := RunCoordinated(cal, Options{}, badManager(iv)); err == nil {
+				t.Errorf("interval %v accepted", iv)
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"goear/internal/eargm"
 	"goear/internal/policy"
 	"goear/internal/telemetry"
 	"goear/internal/workload"
@@ -90,6 +91,35 @@ func TestRunAllocationsIndependentOfLength(t *testing.T) {
 			allocs[0], sigs[0], allocs[1], sigs[1])
 	}
 	t.Logf("%v allocations per node run (%d and %d signatures)", allocs[0], sigs[0], sigs[1])
+}
+
+// TestCoordinatedNodeAllocations pins what one more node costs a
+// coordinated run, (A(2n) − A(n))/n allocations at n = 4: the node's own
+// state — its struct, socket slots, MSR file pointers, noise source,
+// RAPL carries and EARL stack. Operating points are evaluated into the
+// batch's table, so a node adds no evaluation storage (was ≈ 28 a node:
+// its own table grown by append, a heap-held generator, four socket
+// slices). Workers is 1, so no goroutine is started.
+func TestCoordinatedNodeAllocations(t *testing.T) {
+	cal := calibrated(t, workload.BTMZC)
+	opt := Options{Policy: policy.MinEnergyEUFS, Model: platformModel(t, cal.Platform), Seed: 3, Workers: 1}
+	allocs := func(nodes int) float64 {
+		c := cal
+		c.Nodes = nodes
+		return testing.AllocsPerRun(3, func() {
+			gm, err := eargm.New(eargm.Config{BudgetW: 300 * float64(nodes), MaxCapPstate: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := RunCoordinated(c, opt, gm); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const n = 4
+	if per := (allocs(2*n) - allocs(n)) / n; per != 12 {
+		t.Errorf("one more node allocates %v times in a coordinated run, want 12", per)
+	}
 }
 
 // TestTickAllocations: a node's step — tick, perf evaluation, meters,
