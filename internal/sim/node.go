@@ -117,8 +117,9 @@ type node struct {
 }
 
 // socketSlot is one socket and the uncore controller that reads its MSR
-// file in place: a slot must not move once initialised, so init rebuilds
-// every slot whenever it reallocates the slice. Callers range by index.
+// file in place: a slot must not move or be copied once initialised, so
+// init rebuilds every slot whenever it reallocates the slice, and callers
+// index the slice rather than range over its values.
 type socketSlot struct {
 	sock cpu.Socket
 	ctl  uncore.Controller

@@ -97,24 +97,29 @@ func TestRunAllocationsIndependentOfLength(t *testing.T) {
 // coordinated run, (A(2n) − A(n))/n allocations at n = 4: the node's own
 // state — its struct, socket slots, MSR file pointers, noise source,
 // RAPL carries and EARL stack. Operating points are evaluated into the
-// batch's table, so a node adds no evaluation storage (was ≈ 28 a node:
-// its own table grown by append, a heap-held generator, four socket
-// slices). Workers is 1, so no goroutine is started.
+// batch's table, so a node adds no evaluation storage. Workers is 1, so
+// no goroutine is started. Each count is the least of five runs: now and
+// then the runtime allocates during one (a full go test ./... once read
+// 11.75 a node from three-run averages).
 func TestCoordinatedNodeAllocations(t *testing.T) {
 	cal := calibrated(t, workload.BTMZC)
 	opt := Options{Policy: policy.MinEnergyEUFS, Model: platformModel(t, cal.Platform), Seed: 3, Workers: 1}
 	allocs := func(nodes int) float64 {
 		c := cal
 		c.Nodes = nodes
-		return testing.AllocsPerRun(3, func() {
-			gm, err := eargm.New(eargm.Config{BudgetW: 300 * float64(nodes), MaxCapPstate: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := RunCoordinated(c, opt, gm); err != nil {
-				t.Fatal(err)
-			}
-		})
+		least := math.Inf(1)
+		for range 5 {
+			least = min(least, testing.AllocsPerRun(1, func() {
+				gm, err := eargm.New(eargm.Config{BudgetW: 300 * float64(nodes), MaxCapPstate: 8})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := RunCoordinated(c, opt, gm); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		return least
 	}
 	const n = 4
 	if per := (allocs(2*n) - allocs(n)) / n; per != 12 {
