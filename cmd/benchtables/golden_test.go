@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -140,9 +141,44 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestCampaignRunCache pins what the default campaign computes: three
+// trained models, 17 calibrations and 114 distinct runs, each computed
+// once. It adds no campaign run; a change that makes the campaign run
+// more (or the same run twice) fails here.
+func TestCampaignRunCache(t *testing.T) {
+	c := defaultCampaign()
+	if c.err != nil {
+		t.Fatal(c.err)
+	}
+	s := c.ctx.Stats()
+	if s.Models != 3 || s.Calibrations != 17 || s.Runs != 114 {
+		t.Errorf("campaign cache keys: %d models, %d calibrations, %d runs; want 3, 17, 114",
+			s.Models, s.Calibrations, s.Runs)
+	}
+	if s.ModelsTrained != s.Models || s.CalibrationsRun != s.Calibrations || s.RunsExecuted != s.Runs {
+		t.Errorf("campaign computed %d models, %d calibrations, %d runs for %d, %d, %d keys: want each once",
+			s.ModelsTrained, s.CalibrationsRun, s.RunsExecuted, s.Models, s.Calibrations, s.Runs)
+	}
+}
+
 func TestParallelFlagValidation(t *testing.T) {
 	var b bytes.Buffer
 	if err := run([]string{"-exp", "table2", "-parallel", "0"}, &b); err == nil {
 		t.Error("expected error for -parallel 0")
+	}
+}
+
+// TestRunsFlagValidation: fewer than one averaged run is refused before
+// any work, naming the flag, as earsim refuses it.
+func TestRunsFlagValidation(t *testing.T) {
+	for _, runs := range []string{"0", "-2"} {
+		var b bytes.Buffer
+		err := run([]string{"-exp", "table2", "-runs", runs}, &b)
+		if err == nil || !strings.Contains(err.Error(), "-runs") {
+			t.Errorf("-runs %s: err = %v, want an error naming -runs", runs, err)
+		}
+		if b.Len() != 0 {
+			t.Errorf("-runs %s wrote %d bytes before refusing", runs, b.Len())
+		}
 	}
 }

@@ -50,6 +50,9 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *runs < 1 {
+		return fmt.Errorf("-runs must be >= 1 (got %d)", *runs)
+	}
 	if *parallel < 1 {
 		return fmt.Errorf("-parallel must be >= 1 (got %d)", *parallel)
 	}

@@ -28,10 +28,10 @@ func policyPairs(names []string, seed int64, policies ...[2]string) []runCfg {
 // DVFS matters (HPCG) it leaves the CPU saving on the table; on
 // uncore-dominated codes the two approaches converge.
 func (c *Context) baselines() ([]report.Table, error) {
-	return c.sweeps(sweep{"Baselines: EAR ME+eU vs controller-based uncore scaling (duf)",
-		"workload", barFigure,
+	return c.sweeps(bars("Baselines: EAR ME+eU vs controller-based uncore scaling (duf)",
+		"workload",
 		policyPairs([]string{workload.BTMZC, workload.BTCUDA, workload.HPCG}, 50,
-			[2]string{"ME+eU", policy.MinEnergyEUFS}, [2]string{"duf", policy.DUF})})
+			[2]string{"ME+eU", policy.MinEnergyEUFS}, [2]string{"duf", policy.DUF})))
 }
 
 // futureWork evaluates the extension the paper announces but does not
@@ -39,8 +39,8 @@ func (c *Context) baselines() ([]report.Table, error) {
 // rows show min_time climbing frequency-sensitive codes back to nominal
 // while the uncore stage still harvests the IMC headroom.
 func (c *Context) futureWork() ([]report.Table, error) {
-	return c.sweeps(sweep{"Future work (paper §VIII): min_time_to_solution with explicit UFS",
-		"workload", barFigure,
+	return c.sweeps(bars("Future work (paper §VIII): min_time_to_solution with explicit UFS",
+		"workload",
 		policyPairs([]string{workload.BTMZC, workload.HPCG, workload.POP}, 60,
-			[2]string{"min_time", policy.MinTime}, [2]string{"min_time+eU", policy.MinTimeEUFS})})
+			[2]string{"min_time", policy.MinTime}, [2]string{"min_time+eU", policy.MinTimeEUFS})))
 }

@@ -10,6 +10,7 @@ import (
 
 	"goear/internal/model"
 	"goear/internal/policy"
+	"goear/internal/report"
 	"goear/internal/sim"
 	"goear/internal/telemetry"
 	"goear/internal/workload"
@@ -382,18 +383,24 @@ func TestRunKeyCoversOptions(t *testing.T) {
 }
 
 // TestSweepsHandsEachTableItsRows pins the flattening: tables of
-// different layouts and lengths resolved in one fan-out each get their
-// own rows, in order, rendered with their own layout.
+// different column sets and lengths resolved in one fan-out each get
+// their own rows, in order, rendered with their own columns and cells —
+// those that read the run itself, as Tables II and A5 do, included.
 func TestSweepsHandsEachTableItsRows(t *testing.T) {
 	c := NewQuick()
 	me := sim.Options{Policy: "min_energy", Seed: 20}
 	eu := sim.Options{Policy: "min_energy_eufs", Seed: 20}
 	ss := []sweep{
-		{"bars", "configuration", barFigure, []runCfg{
-			{"a", workload.BTMZC, me}, {"b", workload.BTMZC, eu}, {"c", workload.DGEMM, me}}},
-		{"none", "workload", barFigure, nil},
-		{"ratios", "kernel", efficiencyRatio, []runCfg{
-			{"d", workload.DGEMM, eu}, {"e", workload.BTCUDA, eu}}},
+		bars("bars", "configuration", []runCfg{
+			{"a", workload.BTMZC, me}, {"b", workload.BTMZC, eu}, {"c", workload.DGEMM, me}}),
+		bars("none", "workload", nil),
+		ratios("ratios", "kernel", []runCfg{
+			{"d", workload.DGEMM, eu}, {"e", workload.BTCUDA, eu}}),
+		{"runs", []string{"workload", "time (s)", "policy"}, []runCfg{
+			{"f", workload.DGEMM, sim.Baseline()}, {"g", workload.BTCUDA, me}},
+			func(r runCfg, d Comparison) []string {
+				return []string{r.name, report.F(d.Run.TimeSec, 2), d.Run.Policy}
+			}},
 	}
 	tabs, err := c.sweeps(ss...)
 	if err != nil {
@@ -404,7 +411,7 @@ func TestSweepsHandsEachTableItsRows(t *testing.T) {
 	}
 	for i, s := range ss {
 		tab := tabs[i]
-		if tab.Title != s.title || !reflect.DeepEqual(tab.Columns, s.layout.columns(s.first)) {
+		if tab.Title != s.title || !reflect.DeepEqual(tab.Columns, s.columns) {
 			t.Errorf("table %d: title %q columns %v", i, tab.Title, tab.Columns)
 		}
 		if len(tab.Rows) != len(s.rows) {
@@ -415,13 +422,16 @@ func TestSweepsHandsEachTableItsRows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := s.layout.cells(r.label, d.Delta); !reflect.DeepEqual(tab.Rows[j], want) {
+			if want := s.cells(r, d); !reflect.DeepEqual(tab.Rows[j], want) {
 				t.Errorf("table %q row %d = %v, want %v", s.title, j, tab.Rows[j], want)
 			}
 		}
 	}
 	if got, want := len(tabs[0].Columns), len(tabs[2].Columns)+1; got != want {
-		t.Errorf("bar figure has %d columns, ratio table %d: layouts not distinct", got, want-1)
+		t.Errorf("bar figure has %d columns, ratio table %d: column sets not distinct", got, want-1)
+	}
+	if runs := tabs[3].Rows; runs[0][2] != "none" || runs[1][2] != "min_energy" {
+		t.Errorf("run-reading rows = %v, want each row's own run", runs)
 	}
 }
 
@@ -639,7 +649,7 @@ func TestFutureWorkStory(t *testing.T) {
 
 func TestA1SettleTimeShowsGuidedAdvantage(t *testing.T) {
 	c := NewQuick()
-	tabs, err := c.ablationSearch()
+	tabs, err := c.sweeps(a1())
 	if err != nil {
 		t.Fatal(err)
 	}

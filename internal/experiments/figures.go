@@ -40,9 +40,9 @@ func (c *Context) fig1() ([]report.Table, error) {
 		}
 		maxR := cal.Platform.Machine.CPU.UncoreMaxRatio
 		minR := cal.Platform.Machine.CPU.UncoreMinRatio
-		var ratios []uint64
+		var uncRatios []uint64
 		for r := maxR; ; r-- {
-			ratios = append(ratios, r)
+			uncRatios = append(uncRatios, r)
 			if r == minR {
 				break
 			}
@@ -52,7 +52,7 @@ func (c *Context) fig1() ([]report.Table, error) {
 				name, pinned, report.GHz(ref.AvgIMCGHz)),
 			[]string{"uncore (GHz)", "power saving", "energy saving",
 				"time penalty", "GB/s penalty", "avg IMC (GHz)"},
-			ratios, func(ratio uint64) ([]string, error) {
+			uncRatios, func(ratio uint64) ([]string, error) {
 				r, err := c.Run(name, sim.Options{
 					Policy: "none", Seed: 10,
 					FixedCPUPstate: &pinned, FixedUncoreRatio: &ratio,
@@ -121,30 +121,30 @@ func uncThRows(name string, uncs ...float64) []runCfg {
 // fig3 reproduces Figure 3: BQCD under ME and ME+eU with
 // unc_policy_th 1%, 2% and 3% (cpu_policy_th 3%).
 func (c *Context) fig3() ([]report.Table, error) {
-	return c.sweeps(sweep{"Fig 3: BQCD, min_energy configurations (cpu_th 3%)",
-		"configuration", barFigure, uncThRows(workload.BQCD, 0.01, 0.02, 0.03)})
+	return c.sweeps(bars("Fig 3: BQCD, min_energy configurations (cpu_th 3%)",
+		"configuration", uncThRows(workload.BQCD, 0.01, 0.02, 0.03)))
 }
 
 // fig4 reproduces Figure 4: BT-MZ under ME and ME+eU with
 // unc_policy_th 0%, 1% and 2% (cpu_policy_th 3%).
 func (c *Context) fig4() ([]report.Table, error) {
-	return c.sweeps(sweep{"Fig 4: BT-MZ, min_energy configurations (cpu_th 3%)",
-		"configuration", barFigure, uncThRows(workload.BTMZD, 0.001, 0.01, 0.02)})
+	return c.sweeps(bars("Fig 4: BT-MZ, min_energy configurations (cpu_th 3%)",
+		"configuration", uncThRows(workload.BTMZD, 0.001, 0.01, 0.02)))
 }
 
 // fig5 reproduces Figure 5: GROMACS(I) with cpu_policy_th 3% and 5%,
 // comparing ME, the not-guided uncore search (ME+NG-U) and the
 // HW-guided search (ME+eU), all with unc_policy_th 2%.
 func (c *Context) fig5() ([]report.Table, error) {
-	return c.sweeps(sweep{"Fig 5: GROMACS(I), HW-guided vs not-guided uncore search (unc_th 2%)",
-		"configuration", barFigure, cpuThRows(workload.GromacsI, true)})
+	return c.sweeps(bars("Fig 5: GROMACS(I), HW-guided vs not-guided uncore search (unc_th 2%)",
+		"configuration", cpuThRows(workload.GromacsI, true)))
 }
 
 // fig6 reproduces Figure 6: GROMACS(II) under ME and ME+eU
 // (cpu_policy_th 5%, unc_policy_th 2%).
 func (c *Context) fig6() ([]report.Table, error) {
-	return c.sweeps(sweep{"Fig 6: GROMACS(II), min_energy configurations (cpu_th 5%)",
-		"configuration", barFigure, policyRows(workload.GromacsII, policy.DefaultCPUPolicyTh, "", false)})
+	return c.sweeps(bars("Fig 6: GROMACS(II), min_energy configurations (cpu_th 5%)",
+		"configuration", policyRows(workload.GromacsII, policy.DefaultCPUPolicyTh, "", false)))
 }
 
 // fig7 reproduces Figure 7: HPCG (a) and POP (b) under ME and ME+eU
@@ -152,8 +152,8 @@ func (c *Context) fig6() ([]report.Table, error) {
 func (c *Context) fig7() ([]report.Table, error) {
 	var ss []sweep
 	for _, name := range []string{workload.HPCG, workload.POP} {
-		ss = append(ss, sweep{fmt.Sprintf("Fig 7 (%s): min_energy configurations (cpu_th 5%%)", name),
-			"configuration", efficiencyRatio, policyRows(name, policy.DefaultCPUPolicyTh, "", false)})
+		ss = append(ss, ratios(fmt.Sprintf("Fig 7 (%s): min_energy configurations (cpu_th 5%%)", name),
+			"configuration", policyRows(name, policy.DefaultCPUPolicyTh, "", false)))
 	}
 	return c.sweeps(ss...)
 }
@@ -163,8 +163,8 @@ func (c *Context) fig7() ([]report.Table, error) {
 func (c *Context) fig8() ([]report.Table, error) {
 	var ss []sweep
 	for _, name := range []string{workload.DUMSES, workload.AFiD} {
-		ss = append(ss, sweep{fmt.Sprintf("Fig 8 (%s): cpu_th 3%% vs 5%% (unc_th 2%%)", name),
-			"configuration", efficiencyRatio, cpuThRows(name, false)})
+		ss = append(ss, ratios(fmt.Sprintf("Fig 8 (%s): cpu_th 3%% vs 5%% (unc_th 2%%)", name),
+			"configuration", cpuThRows(name, false)))
 	}
 	return c.sweeps(ss...)
 }

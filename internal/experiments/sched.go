@@ -131,8 +131,8 @@ func (c *Context) workers() int {
 }
 
 // mapRows computes one value per item on the context's worker pool,
-// preserving item order — the engine behind every generator's row
-// fan-out. Each fn call typically resolves through the singleflight
+// preserving item order — the engine behind tabulate and the row
+// fan-out of the generators that are not sweeps. Each fn call typically resolves through the singleflight
 // caches, so rows that share configurations share work.
 func mapRows[T, R any](c *Context, items []T, fn func(T) (R, error)) ([]R, error) {
 	return par.Map(c.workers(), items, fn)

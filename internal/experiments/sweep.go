@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"goear/internal/par"
 	"goear/internal/report"
 	"goear/internal/sim"
 )
@@ -28,76 +29,92 @@ type runCfg struct {
 	opt   sim.Options
 }
 
-// layout is the column set a sweep is rendered with.
-type layout int
-
-const (
-	// barFigure: penalties and savings plus the two average frequencies
-	// (the bar figures, the ablations, the baselines).
-	barFigure layout = iota
-	// efficiencyRatio: penalties and savings plus energy saving per
-	// unit of time penalty (Figs. 7 and 8).
-	efficiencyRatio
-)
-
-func (l layout) columns(first string) []string {
-	if l == efficiencyRatio {
-		return []string{first, "time penalty", "DC power saving", "energy saving", "eff. ratio"}
+// rowsOf is one row per name, in name order.
+func rowsOf(names []string, row func(name string) runCfg) []runCfg {
+	rows := make([]runCfg, len(names))
+	for i, name := range names {
+		rows[i] = row(name)
 	}
-	return []string{first, "time penalty", "DC power saving",
-		"energy saving", "avg CPU (GHz)", "avg IMC (GHz)"}
+	return rows
 }
 
-func (l layout) cells(label string, d sim.Delta) []string {
-	if l == efficiencyRatio {
-		ratio := "-"
-		if d.EfficiencyRatio != 0 {
-			ratio = report.F(d.EfficiencyRatio, 2)
-		}
-		return []string{label, report.Pct(d.TimePenaltyPct), report.Pct(d.PowerSavingPct),
-			report.Pct(d.EnergySavingPct), ratio}
-	}
-	return []string{label, report.Pct(d.TimePenaltyPct), report.Pct(d.PowerSavingPct),
-		report.Pct(d.EnergySavingPct), report.GHz(d.AvgCPUGHz), report.GHz(d.AvgIMCGHz)}
-}
-
-// sweep is one configuration-sweep table as a value: every row is a
-// configured run reported against its workload's nominal baseline.
-// Figs. 3-8, the baselines, the future-work study and ablations A2-A4
-// are lists of these.
+// sweep is a table whose rows are one configured run each, measured
+// against its workload's nominal baseline (Context.Compare): Tables II,
+// V and VII, Figs. 3-8, the ablations, the baselines and the
+// future-work study. cells renders one row from its run and that
+// comparison.
 type sweep struct {
-	title  string
-	first  string // header of the label column
-	layout layout
-	rows   []runCfg
+	title   string
+	columns []string
+	rows    []runCfg
+	cells   func(runCfg, Comparison) []string
+}
+
+// bars is a sweep with the bar figures' columns: penalties and savings
+// plus the two average frequencies (Figs. 3-6, ablations A2-A4, the
+// baselines and future work). first heads the label column.
+func bars(title, first string, rows []runCfg) sweep {
+	return sweep{title, []string{first, "time penalty", "DC power saving",
+		"energy saving", "avg CPU (GHz)", "avg IMC (GHz)"}, rows,
+		func(r runCfg, d Comparison) []string {
+			return []string{r.label, report.Pct(d.TimePenaltyPct), report.Pct(d.PowerSavingPct),
+				report.Pct(d.EnergySavingPct), report.GHz(d.AvgCPUGHz), report.GHz(d.AvgIMCGHz)}
+		}}
+}
+
+// ratios is a sweep with penalties and savings plus energy saving per
+// unit of time penalty (Figs. 7 and 8). first heads the label column.
+func ratios(title, first string, rows []runCfg) sweep {
+	return sweep{title, []string{first, "time penalty", "DC power saving",
+		"energy saving", "eff. ratio"}, rows,
+		func(r runCfg, d Comparison) []string {
+			ratio := "-"
+			if d.EfficiencyRatio != 0 {
+				ratio = report.F(d.EfficiencyRatio, 2)
+			}
+			return []string{r.label, report.Pct(d.TimePenaltyPct), report.Pct(d.PowerSavingPct),
+				report.Pct(d.EnergySavingPct), ratio}
+		}}
 }
 
 // sweeps renders the tables in order. The rows of all of them resolve
-// in one fan-out, so a multi-table artefact keeps the worker pool busy
+// through Compare in one fan-out, each rendered on the worker that
+// resolved it, so a multi-table artefact keeps the worker pool busy
 // across its tables.
 func (c *Context) sweeps(ss ...sweep) ([]report.Table, error) {
-	var all []runCfg
+	n := 0
 	for _, s := range ss {
-		all = append(all, s.rows...)
+		n += len(s.rows)
 	}
-	ds, err := mapRows(c, all, func(r runCfg) (sim.Delta, error) {
-		cmp, err := c.Compare(r.name, r.opt)
-		return cmp.Delta, err
+	cells := make([][]string, n)
+	err := par.ForEach(c.workers(), n, func(i int) error {
+		k, j := 0, i // row i of the flattened tables is row j of table k
+		for j >= len(ss[k].rows) {
+			j -= len(ss[k].rows)
+			k++
+		}
+		r := ss[k].rows[j]
+		d, err := c.Compare(r.name, r.opt)
+		if err != nil {
+			return err
+		}
+		cells[i] = ss[k].cells(r, d)
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	out := make([]report.Table, len(ss))
 	for i, s := range ss {
-		t := report.Table{Title: s.title, Columns: s.layout.columns(s.first),
-			Rows: make([][]string, 0, len(s.rows))}
-		for j, r := range s.rows {
-			if err := t.AddRow(s.layout.cells(r.label, ds[j])...); err != nil {
+		// A table's rows are its stretch of cells: AddRow checks each
+		// row's width and appends it in place.
+		out[i] = report.Table{Title: s.title, Columns: s.columns, Rows: cells[:0:len(s.rows)]}
+		for _, row := range cells[:len(s.rows)] {
+			if err := out[i].AddRow(row...); err != nil {
 				return nil, err
 			}
 		}
-		ds = ds[len(s.rows):]
-		out[i] = t
+		cells = cells[len(s.rows):]
 	}
 	return out, nil
 }

@@ -24,22 +24,19 @@ func (c *Context) table1() ([]report.Table, error) {
 }
 
 // table2 reproduces Table II: single-node kernel characteristics at
-// nominal frequency.
+// nominal frequency. A row is the kernel's baseline run, labelled with
+// its programming model.
 func (c *Context) table2() ([]report.Table, error) {
-	return tabulate(c, "Table II: single node kernels",
+	rows := rowsOf(workload.Kernels(), func(name string) runCfg {
+		spec, _ := workload.Lookup(name) // a name it lacks fails in Compare, naming it
+		return runCfg{spec.ProgModel, name, sim.Baseline()}
+	})
+	return c.sweeps(sweep{"Table II: single node kernels",
 		[]string{"kernel", "prog. model", "time (s)", "CPI", "GB/s", "avg DC power (W)"},
-		workload.Kernels(), func(name string) ([]string, error) {
-			spec, err := workload.Lookup(name)
-			if err != nil {
-				return nil, err
-			}
-			r, err := c.Run(name, sim.Baseline())
-			if err != nil {
-				return nil, err
-			}
-			return []string{name, spec.ProgModel, report.F(r.TimeSec, 0),
-				report.F(r.AvgCPI, 2), report.F(r.AvgGBs, 2), report.F(r.AvgPowerW, 0)}, nil
-		})
+		rows, func(r runCfg, d Comparison) []string {
+			return []string{r.name, r.label, report.F(d.Run.TimeSec, 0),
+				report.F(d.Run.AvgCPI, 2), report.F(d.Run.AvgGBs, 2), report.F(d.Run.AvgPowerW, 0)}
+		}})
 }
 
 // table3 reproduces Table III: kernel time penalty / power saving /
@@ -112,18 +109,16 @@ func (c *Context) table4() ([]report.Table, error) {
 }
 
 // table5 reproduces Table V: MPI application characteristics at nominal
-// frequency.
+// frequency. A row is the application's baseline run.
 func (c *Context) table5() ([]report.Table, error) {
-	return tabulate(c, "Table V: MPI applications",
+	return c.sweeps(sweep{"Table V: MPI applications",
 		[]string{"application", "time (s)", "CPI", "GB/s", "avg DC power (W)"},
-		workload.Applications(), func(name string) ([]string, error) {
-			r, err := c.Run(name, sim.Baseline())
-			if err != nil {
-				return nil, err
-			}
-			return []string{name, report.F(r.TimeSec, 2), report.F(r.AvgCPI, 2),
-				report.F(r.AvgGBs, 2), report.F(r.AvgPowerW, 2)}, nil
-		})
+		rowsOf(workload.Applications(), func(name string) runCfg {
+			return runCfg{name, name, sim.Baseline()}
+		}), func(r runCfg, d Comparison) []string {
+			return []string{r.label, report.F(d.Run.TimeSec, 2), report.F(d.Run.AvgCPI, 2),
+				report.F(d.Run.AvgGBs, 2), report.F(d.Run.AvgPowerW, 2)}
+		}})
 }
 
 // paperCPUTh is the cpu_policy_th the paper runs a workload at: 3% for
@@ -142,30 +137,24 @@ func (c *Context) table6() ([]report.Table, error) {
 		workload.Applications(), appSeed)
 }
 
-// appEUDelta resolves ME+eU at the application's cpu_policy_th against
-// the nominal baseline: the comparison behind Table VII and the
-// headline summary.
-func (c *Context) appEUDelta(name string) (sim.Delta, error) {
-	cmp, err := c.Compare(name, atCPUTh(minEnergyEU(appSeed), paperCPUTh(name)))
-	return cmp.Delta, err
+// appEU is the row of ME+eU at the application's cpu_policy_th: the run
+// behind Table VII and the headline summary.
+func appEU(name string) runCfg {
+	return runCfg{name, name, atCPUTh(minEnergyEU(appSeed), paperCPUTh(name))}
 }
 
 // table7 reproduces Table VII: DC node power savings vs RAPL PCK power
 // savings under ME+eU, for the applications but GROMACS(I) (omitted as
 // in the paper).
 func (c *Context) table7() ([]report.Table, error) {
-	return tabulate(c, "Table VII: DC node power savings vs RAPL PCK power savings (ME+eU)",
+	return c.sweeps(sweep{"Table VII: DC node power savings vs RAPL PCK power savings (ME+eU)",
 		[]string{"application", "DC node power", "RAPL PCK power"},
-		[]string{
+		rowsOf([]string{
 			workload.BQCD, workload.BTMZD, workload.GromacsII, workload.HPCG,
 			workload.POP, workload.DUMSES, workload.AFiD,
-		}, func(name string) ([]string, error) {
-			d, err := c.appEUDelta(name)
-			if err != nil {
-				return nil, err
-			}
-			return []string{name, report.Pct(d.PowerSavingPct), report.Pct(d.PkgSavingPct)}, nil
-		})
+		}, appEU), func(r runCfg, d Comparison) []string {
+			return []string{r.label, report.Pct(d.PowerSavingPct), report.Pct(d.PkgSavingPct)}
+		}})
 }
 
 // summary reproduces the headline numbers of the abstract and §VIII:
@@ -176,7 +165,11 @@ func (c *Context) summary() ([]report.Table, error) {
 		Title:   "Summary: ME+eU across MPI applications (paper: avg energy save ~9%, avg time penalty ~3%)",
 		Columns: []string{"metric", "average", "maximum"},
 	}
-	ds, err := mapRows(c, workload.Applications(), c.appEUDelta)
+	ds, err := mapRows(c, workload.Applications(), func(name string) (sim.Delta, error) {
+		r := appEU(name)
+		cmp, err := c.Compare(r.name, r.opt)
+		return cmp.Delta, err
+	})
 	if err != nil {
 		return nil, err
 	}
