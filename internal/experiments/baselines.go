@@ -11,7 +11,7 @@ import (
 // side by side per workload, default thresholds: each policy is a
 // {label, registered name} pair and a row reads "workload / label".
 func policyPairs(names []string, seed int64, policies ...[2]string) []runCfg {
-	var rows []runCfg
+	rows := make([]runCfg, 0, len(names)*len(policies))
 	for _, name := range names {
 		for _, p := range policies {
 			rows = append(rows, runCfg{name + " / " + p[0], name, sim.Options{Policy: p[1], Seed: seed}})

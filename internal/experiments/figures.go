@@ -84,11 +84,13 @@ func atCPUTh(o sim.Options, th float64) sim.Options {
 	return o
 }
 
-// policyRows is the row group the application figures repeat: ME, the
-// not-guided uncore search (ME+NG-U) when ng is set, and ME+eU on one
-// workload at one cpu_policy_th. suffix tells a table's groups apart.
-func policyRows(name string, cpuTh float64, suffix string, ng bool) []runCfg {
-	rows := []runCfg{{"ME" + suffix, name, atCPUTh(minEnergy(appSeed), cpuTh)}}
+// policyRows appends to rows the row group the application figures
+// repeat: ME, the not-guided uncore search (ME+NG-U) when ng is set, and
+// ME+eU on one workload at one cpu_policy_th. suffix tells a table's
+// groups apart. Callers size rows for the group, so it is built in one
+// allocation.
+func policyRows(rows []runCfg, name string, cpuTh float64, suffix string, ng bool) []runCfg {
+	rows = append(rows, runCfg{"ME" + suffix, name, atCPUTh(minEnergy(appSeed), cpuTh)})
 	if ng {
 		rows = append(rows, runCfg{"ME+NG-U" + suffix, name, atCPUTh(minEnergyNGU(appSeed), cpuTh)})
 	}
@@ -98,9 +100,10 @@ func policyRows(name string, cpuTh float64, suffix string, ng bool) []runCfg {
 // cpuThRows is policyRows at cpu_policy_th 3 % and 5 %, each group
 // labelled with its threshold.
 func cpuThRows(name string, ng bool) []runCfg {
-	var rows []runCfg
-	for _, th := range []float64{0.03, 0.05} {
-		rows = append(rows, policyRows(name, th, fmt.Sprintf(" (cpu_th %d%%)", int(th*100)), ng)...)
+	ths := []float64{0.03, 0.05}
+	rows := make([]runCfg, 0, 3*len(ths))
+	for _, th := range ths {
+		rows = policyRows(rows, name, th, fmt.Sprintf(" (cpu_th %d%%)", int(th*100)), ng)
 	}
 	return rows
 }
@@ -109,7 +112,8 @@ func cpuThRows(name string, ng bool) []runCfg {
 // cpu_policy_th 3 %. Rows are labelled in whole percents, so the 0.1 %
 // that stands in for the paper's 0 % threshold reads "0%".
 func uncThRows(name string, uncs ...float64) []runCfg {
-	rows := []runCfg{{"ME", name, atCPUTh(minEnergy(appSeed), 0.03)}}
+	rows := make([]runCfg, 1, 1+len(uncs))
+	rows[0] = runCfg{"ME", name, atCPUTh(minEnergy(appSeed), 0.03)}
 	for _, unc := range uncs {
 		o := atCPUTh(minEnergyEU(appSeed), 0.03)
 		o.UncTh = unc
@@ -144,7 +148,7 @@ func (c *Context) fig5() ([]report.Table, error) {
 // (cpu_policy_th 5%, unc_policy_th 2%).
 func (c *Context) fig6() ([]report.Table, error) {
 	return c.sweeps(bars("Fig 6: GROMACS(II), min_energy configurations (cpu_th 5%)",
-		"configuration", policyRows(workload.GromacsII, policy.DefaultCPUPolicyTh, "", false)))
+		"configuration", policyRows(make([]runCfg, 0, 2), workload.GromacsII, policy.DefaultCPUPolicyTh, "", false)))
 }
 
 // fig7 reproduces Figure 7: HPCG (a) and POP (b) under ME and ME+eU
@@ -153,7 +157,7 @@ func (c *Context) fig7() ([]report.Table, error) {
 	var ss []sweep
 	for _, name := range []string{workload.HPCG, workload.POP} {
 		ss = append(ss, ratios(fmt.Sprintf("Fig 7 (%s): min_energy configurations (cpu_th 5%%)", name),
-			"configuration", policyRows(name, policy.DefaultCPUPolicyTh, "", false)))
+			"configuration", policyRows(make([]runCfg, 0, 2), name, policy.DefaultCPUPolicyTh, "", false)))
 	}
 	return c.sweeps(ss...)
 }

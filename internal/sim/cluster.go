@@ -14,7 +14,9 @@ import (
 // interval (0 for nodes whose job already ended) and returns the core
 // pstate ceiling it wants enforced (0 = uncapped).
 type PowerManager interface {
-	// Interval is the manager's control period in seconds.
+	// Interval is the manager's control period in seconds: finite and
+	// no shorter than the 10 ms simulation step, or RunCoordinated
+	// refuses the run.
 	Interval() float64
 	// Update processes one interval's readings and returns the pstate
 	// cap to enforce on every node (0 releases the cap).
@@ -38,10 +40,13 @@ func RunCoordinated(cal workload.Calibrated, opt Options, gm PowerManager) (Resu
 		return Result{}, fmt.Errorf("sim: coordinated run needs a power manager")
 	}
 	// NaN passes a plain <= 0 test and never lets a node advance; +Inf
-	// runs every node to the end in one interval and reports 0 W.
+	// runs every node to the end in one interval and reports 0 W. An
+	// interval below the step pays a barrier for every node more than
+	// once a tick, and tick += interval stalls once tick is 2^53
+	// intervals long.
 	interval := gm.Interval()
-	if !(interval > 0) || math.IsInf(interval, 1) {
-		return Result{}, fmt.Errorf("sim: power manager interval %v must be positive and finite", interval)
+	if !(interval >= stepSec) || math.IsInf(interval, 1) {
+		return Result{}, fmt.Errorf("sim: power manager interval %v must be finite and at least the %g s step", interval, stepSec)
 	}
 	if err := checkModel(cal, opt); err != nil {
 		return Result{}, err

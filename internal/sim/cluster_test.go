@@ -91,13 +91,16 @@ type badManager float64
 func (m badManager) Interval() float64                    { return float64(m) }
 func (badManager) Update(float64, []float64) (int, error) { return 0, nil }
 
-// TestCoordinatedRunRejectsBadInterval: an interval that is not
-// positive and finite is refused. NaN passes a plain "<= 0" test and
-// then never lets a node advance, so the run would not return; +Inf
+// TestCoordinatedRunRejectsBadInterval: an interval shorter than the
+// 10 ms step, or not finite, is refused. NaN passes a plain "<= 0" test
+// and then never lets a node advance, so the run would not return; +Inf
 // runs every node to the end in one interval and hands the manager 0 W.
+// A positive interval far below the step pays an interval's fixed cost
+// for every node many times a tick: at 1e-9 s the run did not return,
+// and past 2^53 intervals tick += interval stops moving.
 func TestCoordinatedRunRejectsBadInterval(t *testing.T) {
 	cal := calibrated(t, workload.BTMZC)
-	for _, iv := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+	for _, iv := range []float64{0, -1, math.NaN(), math.Inf(1), 1e-9, 0.005} {
 		t.Run(fmt.Sprint(iv), func(t *testing.T) {
 			if _, err := RunCoordinated(cal, Options{}, badManager(iv)); err == nil {
 				t.Errorf("interval %v accepted", iv)

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"math"
+
 	"goear/internal/msr"
+	"goear/internal/ulp"
 	"goear/internal/uncore"
 	"goear/internal/workload"
 )
@@ -15,10 +18,14 @@ import (
 //     evaluation cached, every uncore controller settled, no trace
 //     sampling. Every remaining tick of the iteration then performs the
 //     same constant increments, so arm precomputes them once (the
-//     node's tickLUT) and replay repeats them with exactly stepOnce's
-//     arithmetic, in exactly its order, until the caller's barrier or
-//     the iteration's last tick. The replay is bit-identical to
-//     stepping; the identity tests compare the two field by field.
+//     node's tickLUT), and replay moves the node over the span of ticks
+//     up to the caller's barrier or the iteration's last tick at once.
+//     Each replayed quantity is a chain of one constant float op a
+//     tick; on the ulp grid of the binade it is in, k ticks of it are
+//     integer arithmetic on its bits (internal/ulp), so the span costs
+//     a few operations per chain and binade, not per tick, and the
+//     replay is bit-identical to stepping. The identity tests compare
+//     the two field by field, FuzzSpanMatchesTicks each chain.
 //
 // Arming and disarming round-trip the meters and controllers through
 // their flat views (power.NodeManager.FlatState, Rapl.FlatCarry,
@@ -35,7 +42,8 @@ import (
 const armSockets = 2
 
 // armedState is an armed node's lifted meter and controller state plus
-// its precomputed tick. Only replay, arm, disarm and trueEnergy touch it.
+// its precomputed tick. Only replay, replayTicks, arm, disarm and
+// trueEnergy touch it.
 type armedState struct {
 	on bool
 	// accel and nsock copy n.cal.Class and len(n.slots), so a
@@ -72,6 +80,10 @@ type tickLUT struct {
 	coreFS    float64 // core frequency-seconds per tick
 	imcFS     float64
 	esuScale  float64 // joules -> RAPL counter counts multiplier
+	// per is the work one tick retires from the iteration (instructions
+	// for a CPU code, seconds for an accelerator), stop the largest work
+	// left at which the next tick would clamp or finish it.
+	per, stop float64
 }
 
 // runUntil advances the node to (at least) simulated time t or to
@@ -100,44 +112,87 @@ func (n *node) runUntil(t float64) error {
 	return nil
 }
 
-// replay repeats the armed node's precomputed tick until the node
-// reaches t or its iteration's next tick would clamp or finish, which
-// only stepOnce handles; it returns with that tick untouched.
+// shortSpan is the span below which ticking beats solving: a span
+// solved in closed form costs about what 30 ticks cost one at a time,
+// and a batch swept one tick per call must not pay that every tick.
+const shortSpan = 32
+
+// replay moves the armed node ahead by a span of k ticks: k is the
+// number of ticks before the node reaches t or its iteration's next tick
+// would clamp or finish, which only stepOnce handles; replay returns
+// with that tick untouched. A span of shortSpan ticks or more moves
+// every replayed quantity ahead as an independent chain in closed form
+// (internal/ulp, span.go), bit for bit what k repetitions of the
+// precomputed tick give; a shorter one is those repetitions.
 func (n *node) replay(t float64) {
 	a := &n.armed
 	l := &a.lut
-	ticks := uint64(0)
-	for n.now < t {
-		if a.accel {
-			// stepOnce: dt = min(stepSec, wallLeft); the replayed tick
-			// needs dt == stepSec and the iteration not to finish.
-			if n.wallLeft-l.dt <= 1e-9 {
-				break
-			}
-			n.wallLeft -= l.dt
-		} else {
-			// stepOnce: nInstr = stepSec/spi clamped to instrLeft; the
-			// replayed tick needs no clamp and the iteration not to
-			// finish.
-			if l.instr > n.instrLeft {
-				break
-			}
-			left := n.instrLeft - l.instr
-			if left <= 1e-6 {
-				break
-			}
-			n.instrLeft = left
-		}
-		ticks++
+	left := &n.instrLeft
+	if a.accel {
+		left = &n.wallLeft
+	}
+	if k, _ := ulp.Reach(n.now, l.dt, t, shortSpan); k < shortSpan {
+		n.replayTicks(left, k)
+		return
+	}
 
-		// advance(), with every per-tick constant taken from the LUT in
-		// the same order.
+	// The span ends at the barrier or before the tick stepOnce would
+	// clamp or finish: the first at which the falling chain of work left
+	// is at or below the LUT's stop.
+	end, last := ulp.Reach(*left, -l.per, l.stop, math.MaxUint64)
+	k, now := ulp.Reach(n.now, l.dt, t, end)
+	if k == 0 {
+		return
+	}
+	if k < end {
+		last = ulp.Advance(*left, -l.per, k)
+	}
+	*left, n.now = last, now
+
+	// advance(), every per-tick constant taken from the LUT.
+	n.instr = ulp.Advance(n.instr, l.nodeInstr, k)
+	n.cycles = ulp.Advance(n.cycles, l.cycles, k)
+	n.avx = ulp.Advance(n.avx, l.avx, k)
+	n.bytes = ulp.Advance(n.bytes, l.bytes, k)
+	n.pkgJ = ulp.Advance(n.pkgJ, l.pkgJ, k)
+	n.dramJ = ulp.Advance(n.dramJ, l.dramJ, k)
+	n.coreFreqSec = ulp.Advance(n.coreFreqSec, l.coreFS, k)
+	n.imcFreqSec = ulp.Advance(n.imcFreqSec, l.imcFS, k)
+
+	// Node Manager: integrate, publish at whole-second boundaries.
+	a.inmTrue, a.inmPub, a.inmLast, a.inmNow = inmSpan(a.inmTrue, a.inmPub, a.inmLast, a.inmNow, l.totalJ, l.dt, k)
+
+	// RAPL: carry fractional joules, truncate to counter units, wrap the
+	// mirrored 32-bit counters exactly as msr.AddEnergyHw does.
+	for s := 0; s < a.nsock; s++ {
+		a.carryPkg[s], a.cntPkg[s] = raplSpan(l.sockPkgJ, a.carryPkg[s], a.cntPkg[s], l.esuScale, k)
+		// Settled controllers: ticks are no-ops, only the accumulator moves.
+		a.ctlAcc[s] = uncore.SettleSpan(a.ctlAcc[s], l.dt, k)
+	}
+	a.carryDram, a.cntDram = raplSpan(l.dramJ, a.carryDram, a.cntDram, l.esuScale, k)
+
+	n.stepCount += k
+	n.replayed += k
+}
+
+// replayTicks repeats the precomputed tick at most k times, stopping
+// before the iteration's clamp or finish: stepOnce and advance's
+// arithmetic with every per-tick constant taken from the LUT.
+func (n *node) replayTicks(left *float64, k uint64) {
+	a := &n.armed
+	l := &a.lut
+	var i uint64
+	for ; i < k && *left > l.stop; i++ {
+		*left -= l.per
 		n.instr += l.nodeInstr
 		n.cycles += l.cycles
 		n.avx += l.avx
 		n.bytes += l.bytes
+		n.pkgJ += l.pkgJ
+		n.dramJ += l.dramJ
+		n.coreFreqSec += l.coreFS
+		n.imcFreqSec += l.imcFS
 
-		// Node Manager: integrate, publish at whole-second boundaries.
 		a.inmTrue += l.totalJ
 		a.inmNow += l.dt
 		if a.inmNow-a.inmLast >= 1.0 {
@@ -145,32 +200,15 @@ func (n *node) replay(t float64) {
 			a.inmLast = float64(int64(a.inmNow))
 		}
 
-		// RAPL: carry fractional joules, truncate to counter units, wrap
-		// the mirrored 32-bit counters exactly as msr.AddEnergyHw does.
 		for s := 0; s < a.nsock; s++ {
-			j := l.sockPkgJ + a.carryPkg[s]
-			whole := float64(int64(j*1e6)) / 1e6
-			a.cntPkg[s] = (a.cntPkg[s] + uint64(whole*l.esuScale)) & 0xFFFFFFFF
-			a.carryPkg[s] = j - whole
-		}
-		j := l.dramJ + a.carryDram
-		whole := float64(int64(j*1e6)) / 1e6
-		a.cntDram = (a.cntDram + uint64(whole*l.esuScale)) & 0xFFFFFFFF
-		a.carryDram = j - whole
-
-		n.pkgJ += l.pkgJ
-		n.dramJ += l.dramJ
-		n.coreFreqSec += l.coreFS
-		n.imcFreqSec += l.imcFS
-
-		// Settled controllers: ticks are no-ops, only the accumulator moves.
-		for s := 0; s < a.nsock; s++ {
+			a.carryPkg[s], a.cntPkg[s] = raplTick(l.sockPkgJ, a.carryPkg[s], a.cntPkg[s], l.esuScale)
 			a.ctlAcc[s] = uncore.SettleAccum(a.ctlAcc[s], l.dt)
 		}
+		a.carryDram, a.cntDram = raplTick(l.dramJ, a.carryDram, a.cntDram, l.esuScale)
 		n.now += l.dt
 	}
-	n.stepCount += ticks
-	n.replayed += ticks
+	n.stepCount += i
+	n.replayed += i
 }
 
 // arm lifts the node into the fast path when it is mid-iteration at a
@@ -221,6 +259,12 @@ func (n *node) arm() {
 	l.dramJ = float64(scaledDram * l.dt)
 	l.coreFS = float64(e.res.EffCoreFreq.GHzF() * n.cal.FreqBias * l.dt)
 	l.imcFS = float64(e.res.UncoreFreq.GHzF() * n.cal.IMCBias * l.dt)
+
+	if a.accel {
+		l.per, l.stop = l.dt, lastClamp(l.dt, 1e-9)
+	} else {
+		l.per, l.stop = l.instr, lastClamp(l.instr, 1e-6)
+	}
 
 	unit, err := n.files[0].Read(msr.MSRRaplPowerUnit)
 	if err != nil {

@@ -20,13 +20,19 @@ package uncore
 
 import (
 	"fmt"
+	"math"
 
 	"goear/internal/msr"
+	"goear/internal/ulp"
 )
 
 // tickSeconds is the controller reaction period: the ~10 ms Schöne et
 // al. measured for workload-change detection on Skylake-SP.
 const tickSeconds = 0.010
+
+// eps absorbs float accumulation error in the tick accumulator, so that
+// e.g. five 10 ms advances yield exactly five ticks.
+const eps = 1e-9
 
 // Curve maps the effective (licence-resolved) core ratio to the uncore
 // ratio the silicon heuristic aims for, before MSR clamping (Target). It
@@ -135,9 +141,6 @@ func (c *Controller) Advance(dt float64, coreRatio uint64) error {
 		return fmt.Errorf("uncore: negative time step %g", dt)
 	}
 	c.acc += dt
-	// The epsilon absorbs float accumulation error so that e.g. five
-	// 10 ms advances yield exactly five ticks.
-	const eps = 1e-9
 	for c.acc >= tickSeconds-eps {
 		c.acc -= tickSeconds
 		if err := c.tick(coreRatio); err != nil {
@@ -223,7 +226,7 @@ func (c *Controller) tick(coreRatio uint64) error {
 func (c *Controller) TickAccum() float64 { return c.acc }
 
 // SetTickAccum restores an accumulator lifted with TickAccum (or
-// advanced externally with SettleAccum).
+// advanced externally with SettleAccum or SettleSpan).
 func (c *Controller) SetTickAccum(v float64) { c.acc = v }
 
 // SettleAccum advances a lifted tick accumulator by dt using exactly
@@ -233,9 +236,46 @@ func (c *Controller) SetTickAccum(v float64) { c.acc = v }
 // the simulator arms a node under.
 func SettleAccum(acc, dt float64) float64 {
 	acc += dt
-	const eps = 1e-9
 	for acc >= tickSeconds-eps {
 		acc -= tickSeconds
+	}
+	return acc
+}
+
+// SettleSpan returns what k successive SettleAccum(acc, dt) calls
+// return, bit for bit, in a time that does not grow with k.
+//
+// While x = acc+dt drains exactly one tick (x ≥ tickSeconds−eps and
+// x−tickSeconds below it), x−tickSeconds is exact (Sterbenz: x and
+// tickSeconds are within a factor of two), and so is d = dt−tickSeconds
+// for a dt within a factor of two of tickSeconds. The next tick's x,
+// fl(x−tickSeconds+dt), is then fl(x+d): x is a chain of constant step,
+// which ulp walks to the first tick that leaves the one-drain window,
+// and the accumulator after the tick before it is that tick's
+// x−tickSeconds. Every other tick is SettleAccum itself.
+func SettleSpan(acc, dt float64, k uint64) float64 {
+	var thr float64 = tickSeconds - eps // the rounded bound SettleAccum compares with
+	d := dt - tickSeconds
+	// The window's far edge in x: the first x that drains twice when x
+	// rises, the last that drains nothing when it falls.
+	var edge float64
+	if d > 0 {
+		if edge = tickSeconds + thr; edge-tickSeconds < thr {
+			edge = math.Nextafter(edge, 1)
+		}
+	} else {
+		edge = math.Nextafter(thr, 0)
+	}
+	for k > 0 {
+		x := acc + dt
+		if x < thr || x-tickSeconds >= thr || dt < tickSeconds/2 || dt > 2*tickSeconds {
+			acc = SettleAccum(acc, dt)
+			k--
+			continue
+		}
+		m, _ := ulp.Reach(x, d, edge, k) // ticks 0..m−1 drain once
+		acc = ulp.Advance(x, d, m-1) - tickSeconds
+		k -= m
 	}
 	return acc
 }
