@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"goear/internal/msr"
+	"goear/internal/ulp"
 )
 
 // Rapl feeds per-socket RAPL energy counters from the node power model.
@@ -45,8 +46,8 @@ func (r *Rapl) Advance(b Breakdown, dt float64) error {
 		return fmt.Errorf("power: negative time step %g", dt)
 	}
 	// float64(a*b) forbids fusing the product into the add that follows
-	// (Go spec, floating-point operators), so the simulator's armed
-	// replay, which adds the stored product, matches on every target.
+	// (Go spec, floating-point operators), so Span, which forms the same
+	// product once for its whole span, matches on every target.
 	perSocketPkg := float64(b.Pkg / float64(len(r.sockets)) * dt)
 	for i, s := range r.sockets {
 		j := perSocketPkg + r.carryPkg[i]
@@ -67,20 +68,43 @@ func (r *Rapl) Advance(b Breakdown, dt float64) error {
 	return nil
 }
 
-// FlatCarry copies the fractional-joule carries into pkg (which must
-// hold one element per socket) and returns the DRAM carry. Together
-// with SetFlatCarry it lets the simulator's armed replay lift the
-// meter's hot state and restore it unchanged afterwards.
-func (r *Rapl) FlatCarry(pkg []float64) (dram float64) {
-	copy(pkg, r.carryPkg)
-	return r.carryDram
+// Span accounts k successive Advance(b, dt) calls at once, bit for bit:
+// the carries and the energy registers land where the k calls leave
+// them, and each register is read and written once. Under
+// ulp.ShortSpan ticks the span is ticked, above it solved in closed
+// form (raplSpan).
+func (r *Rapl) Span(b Breakdown, dt float64, k uint64) error {
+	if dt < 0 {
+		return fmt.Errorf("power: negative time step %g", dt)
+	}
+	perSocketPkg := float64(b.Pkg / float64(len(r.sockets)) * dt)
+	for i, s := range r.sockets {
+		unit, err := s.Read(msr.MSRRaplPowerUnit)
+		if err != nil {
+			return err
+		}
+		esu := float64(uint64(1) << ((unit >> 8) & 0x1F))
+		if r.carryPkg[i], err = spanCounter(s, msr.MSRPkgEnergyStatus, perSocketPkg, r.carryPkg[i], esu, k); err != nil {
+			return err
+		}
+		if i == 0 {
+			if r.carryDram, err = spanCounter(s, msr.MSRDramEnergyStatus, float64(b.Dram*dt), r.carryDram, esu, k); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
-// SetFlatCarry restores carries previously lifted with FlatCarry (or
-// advanced externally by a replay of Advance's arithmetic).
-func (r *Rapl) SetFlatCarry(pkg []float64, dram float64) {
-	copy(r.carryPkg, pkg)
-	r.carryDram = dram
+// spanCounter moves one energy register and its carry k ticks of p
+// joules ahead and returns the carry.
+func spanCounter(f *msr.File, reg uint32, p, carry, esu float64, k uint64) (float64, error) {
+	cnt, err := f.Read(reg)
+	if err != nil {
+		return carry, err
+	}
+	carry, cnt = raplSpan(p, carry, cnt, esu, k)
+	return carry, f.WriteHw(reg, cnt)
 }
 
 // NodeManager emulates the Intel Node Manager DC energy meter: the true
@@ -111,31 +135,40 @@ func (nm *NodeManager) Advance(powerW, dt float64) error {
 	}
 	nm.mu.Lock()
 	defer nm.mu.Unlock()
-	nm.trueJ += float64(powerW * dt) // unfused, see Rapl.Advance
+	nm.tick(float64(powerW*dt), dt) // unfused, see Rapl.Advance
+	return nil
+}
+
+// Span integrates k successive Advance(powerW, dt) calls at once, bit
+// for bit: energy integral, published counter, last publication and
+// clock. Under ulp.ShortSpan ticks the span is ticked, above it solved
+// in closed form (inmSpan).
+func (nm *NodeManager) Span(powerW, dt float64, k uint64) error {
+	if dt < 0 {
+		return fmt.Errorf("power: negative time step %g", dt)
+	}
+	nm.mu.Lock()
+	defer nm.mu.Unlock()
+	perJ := float64(powerW * dt)
+	if k < ulp.ShortSpan {
+		for ; k > 0; k-- {
+			nm.tick(perJ, dt)
+		}
+		return nil
+	}
+	nm.trueJ, nm.published, nm.lastPub, nm.now = inmSpan(nm.trueJ, nm.published, nm.lastPub, nm.now, perJ, dt, k)
+	return nil
+}
+
+// tick integrates perJ joules over dt seconds and publishes the counter
+// once the clock is a whole second past the last publication.
+func (nm *NodeManager) tick(perJ, dt float64) {
+	nm.trueJ += perJ
 	nm.now += dt
 	if nm.now-nm.lastPub >= 1.0 {
 		nm.published = nm.trueJ
 		nm.lastPub = float64(int64(nm.now)) // snap to the boundary
 	}
-	return nil
-}
-
-// FlatState returns the meter's full internal state: the true energy
-// integral, the published counter, the last publication time and the
-// meter clock. It exists so the simulator's armed replay can lift the
-// state, advance it with Advance's exact arithmetic, and restore it
-// with SetFlatState — the flat round trip is bit-exact.
-func (nm *NodeManager) FlatState() (trueJ, published, lastPub, now float64) {
-	nm.mu.Lock()
-	defer nm.mu.Unlock()
-	return nm.trueJ, nm.published, nm.lastPub, nm.now
-}
-
-// SetFlatState restores state previously lifted with FlatState.
-func (nm *NodeManager) SetFlatState(trueJ, published, lastPub, now float64) {
-	nm.mu.Lock()
-	defer nm.mu.Unlock()
-	nm.trueJ, nm.published, nm.lastPub, nm.now = trueJ, published, lastPub, now
 }
 
 // ReadEnergy returns the last published accumulated DC energy in joules,

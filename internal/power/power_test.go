@@ -255,6 +255,9 @@ func TestRaplErrors(t *testing.T) {
 	if err := r.Advance(Breakdown{Pkg: 100}, -1); err == nil {
 		t.Error("expected error for negative dt")
 	}
+	if err := r.Span(Breakdown{Pkg: 100}, -1, 40); err == nil {
+		t.Error("expected error for a span of negative dt")
+	}
 }
 
 func TestNodeManagerQuantisation(t *testing.T) {
@@ -295,7 +298,7 @@ func TestNodeManagerLongRunAccuracy(t *testing.T) {
 	if trueJ-pub > 251 {
 		t.Errorf("published lag = %v J, want <= 1s of power", trueJ-pub)
 	}
-	if _, _, _, now := nm.FlatState(); now < 99.99 || now > 100.01 {
+	if now := nm.now; now < 99.99 || now > 100.01 {
 		t.Errorf("meter clock = %v, want ~100", now)
 	}
 }
@@ -304,5 +307,8 @@ func TestNodeManagerNegativeDt(t *testing.T) {
 	nm := new(NodeManager)
 	if err := nm.Advance(100, -0.1); err == nil {
 		t.Error("expected error for negative dt")
+	}
+	if err := nm.Span(100, -0.1, 40); err == nil {
+		t.Error("expected error for a span of negative dt")
 	}
 }

@@ -1,4 +1,4 @@
-package sim
+package power
 
 import (
 	"math"
@@ -7,29 +7,13 @@ import (
 	"goear/internal/ulp"
 )
 
-// The armed node's meters moved a span of k ticks ahead at once, bit for
-// bit: the accumulators are ulp.Advance chains, and these are the two
-// meters that are more than one chain.
+// The meters' closed forms: k ticks of Advance at once, bit for bit. The
+// accumulators are ulp.Advance chains; these are the two meters that
+// are more than one chain.
 
 const mantBits = 52 // a float64's stored mantissa bits
 
-// lastClamp returns the largest work left at which stepOnce's tick would
-// clamp or finish the iteration. The tick is replayed while it takes a
-// full per and leaves more than floor, fl(left−per) > floor (a CPU
-// code's clamp, per > left, leaves ≤ 0); fl(left−per) grows with left,
-// so the ticks that are not replayed are those at or below one bound.
-func lastClamp(per, floor float64) float64 {
-	x := floor + per
-	for x-per > floor {
-		x = math.Nextafter(x, 0)
-	}
-	for up := math.Nextafter(x, math.Inf(1)); up-per <= floor; up = math.Nextafter(up, math.Inf(1)) {
-		x = up
-	}
-	return x
-}
-
-// inmSpan moves a lifted power.NodeManager — energy integral, published
+// inmSpan moves a NodeManager's state — energy integral, published
 // value, last publication and clock — k ticks of perJ joules and dt
 // seconds ahead. The meter publishes at the tick its clock has moved a
 // whole second past the last publication (now − last ≥ 1, an exact
@@ -53,8 +37,8 @@ func inmSpan(trueJ, pub, last, now, perJ, dt float64, k uint64) (float64, float6
 	return ulp.Advance(trueJ, perJ, k-at), pub, last, now
 }
 
-// raplTick is one tick of a RAPL carry, exactly as power.Rapl.Advance
-// does it: carry fractional joules, truncate to whole microjoules, add
+// raplTick is one tick of a RAPL carry, exactly as Rapl.Advance does
+// it: carry fractional joules, truncate to whole microjoules, add
 // them to the mirrored 32-bit counter in counter units, wrap it as
 // msr.AddEnergyHw does.
 func raplTick(p, carry float64, cnt uint64, esu float64) (float64, uint64) {
@@ -65,12 +49,13 @@ func raplTick(p, carry float64, cnt uint64, esu float64) (float64, uint64) {
 
 // raplSpan returns a RAPL carry and its counter after k raplTicks of p
 // joules. It ticks until raplCycle can take the rest at once: a carry
-// lifted from another operating point or off the grid needs a tick or
-// two first. Past three tries the carry is not settling (p's joules
-// straddle a binade, say) and the rest is ticked.
+// left by another operating point or off the grid needs a tick or two
+// first. Past three tries the carry is not settling (p's joules
+// straddle a binade, say) and the rest is ticked, as is a rest under
+// ulp.ShortSpan ticks.
 func raplSpan(p, carry float64, cnt uint64, esu float64, k uint64) (float64, uint64) {
 	for try := 0; k > 0; try++ {
-		if try < 3 {
+		if try < 3 && k >= ulp.ShortSpan {
 			if c, n, ok := raplCycle(p, carry, cnt, esu, k); ok {
 				return c, n
 			}

@@ -88,17 +88,14 @@ func (b *Batch) Done() bool {
 
 // trueEnergy returns the exact DC energy integral of the node at index
 // i (the simulator-side Node Manager reading).
-func (b *Batch) trueEnergy(i int) float64 { return b.nodes[i].trueEnergy() }
+func (b *Batch) trueEnergy(i int) float64 { return b.nodes[i].inm.TrueEnergy() }
 
 // setCapRatio applies (or with 0 releases) the node-daemon core-ratio
 // ceiling on every resident node.
-func (b *Batch) setCapRatio(r uint64) error {
+func (b *Batch) setCapRatio(r uint64) {
 	for _, n := range b.nodes {
-		if err := n.setCapRatio(r); err != nil {
-			return err
-		}
+		n.setCapRatio(r)
 	}
-	return nil
 }
 
 // results assembles every resident node's outcome in index order and

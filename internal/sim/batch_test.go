@@ -180,7 +180,9 @@ func TestBatchEvaluatesEachPointOnce(t *testing.T) {
 // choosing inside the interval, and the cap is not a manager's but a
 // fixed schedule (on after interval 4, off after interval 12), so the
 // only thing that varies between two calls is where runUntil returns.
-func driveBatches(t *testing.T, cal workload.Calibrated, opt Options, nb int, capped bool, sub func(b *Batch, hi float64) error) []NodeResult {
+// Beside the results it returns every node's instruments at every
+// interval's barrier, in node order.
+func driveBatches(t *testing.T, cal workload.Calibrated, opt Options, nb int, capped bool, sub func(b *Batch, hi float64) error) ([]NodeResult, [][]any) {
 	t.Helper()
 	batches := make([]*Batch, nb)
 	for s := range batches {
@@ -199,6 +201,7 @@ func driveBatches(t *testing.T, cal workload.Calibrated, opt Options, nb int, ca
 	if err != nil {
 		t.Fatal(err)
 	}
+	var barriers [][]any
 	for k := 1; ; k++ {
 		hi := 5 * float64(k)
 		err := par.ForEach(nb, nb, func(s int) error {
@@ -211,18 +214,21 @@ func driveBatches(t *testing.T, cal workload.Calibrated, opt Options, nb int, ca
 			t.Fatal(err)
 		}
 		alive := false
+		var seen []any
 		for _, b := range batches {
 			alive = alive || !b.Done()
+			for _, n := range b.nodes {
+				seen = append(seen, instruments(t, n))
+			}
 			if capped && (k == 4 || k == 12) {
 				r := capRatio
 				if k == 12 {
 					r = 0
 				}
-				if err := b.setCapRatio(r); err != nil {
-					t.Fatal(err)
-				}
+				b.setCapRatio(r)
 			}
 		}
+		barriers = append(barriers, seen)
 		if !alive {
 			break
 		}
@@ -235,14 +241,16 @@ func driveBatches(t *testing.T, cal workload.Calibrated, opt Options, nb int, ca
 		}
 		out = append(out, rs...)
 	}
-	return out
+	return out, barriers
 }
 
 // TestCallGranularityIndependence pins that armed state persisting
 // between calls is invisible: the same nodes advanced by one-tick
 // sweeps, by whole intervals and by a seeded random barrier schedule
 // yield byte-identical results, equal to ReferenceStep's, capped and
-// uncapped, split over 1, 2 and 4 batches.
+// uncapped, split over 1, 2 and 4 batches — and at every interval's
+// barrier each node's meters, controllers and registers equal
+// ReferenceStep's there, not only at the end.
 func TestCallGranularityIndependence(t *testing.T) {
 	cal := calibrated(t, workload.BTMZC)
 	cal.Nodes = 4
@@ -275,20 +283,30 @@ func TestCallGranularityIndependence(t *testing.T) {
 
 	refOpt := opt
 	refOpt.ReferenceStep = true
-	if reflect.DeepEqual(driveBatches(t, cal, refOpt, 1, false, whole), driveBatches(t, cal, refOpt, 1, true, whole)) {
+	free, _ := driveBatches(t, cal, refOpt, 1, false, whole)
+	if cappedRef, _ := driveBatches(t, cal, refOpt, 1, true, whole); reflect.DeepEqual(free, cappedRef) {
 		t.Fatal("precondition: the cap schedule changes nothing")
 	}
 	for _, capped := range []bool{false, true} {
-		ref := driveBatches(t, cal, refOpt, 1, capped, whole)
+		ref, refBarriers := driveBatches(t, cal, refOpt, 1, capped, whole)
 		for _, sched := range []struct {
 			name string
 			sub  func(*Batch, float64) error
 		}{{"ticks", ticks}, {"intervals", whole}, {"random", random}} {
 			for _, nb := range []int{1, 2, 4} {
 				t.Run(fmt.Sprintf("capped=%v/%s/batches=%d", capped, sched.name, nb), func(t *testing.T) {
-					got := driveBatches(t, cal, opt, nb, capped, sched.sub)
+					got, barriers := driveBatches(t, cal, opt, nb, capped, sched.sub)
 					if !reflect.DeepEqual(got, ref) {
 						t.Errorf("results differ from ReferenceStep\n got: %+v\nwant: %+v", got, ref)
+					}
+					for k := range min(len(barriers), len(refBarriers)) {
+						if !reflect.DeepEqual(barriers[k], refBarriers[k]) {
+							t.Fatalf("instruments at the barrier %g s differ from ReferenceStep's\n got: %v\nwant: %v",
+								5*float64(k+1), barriers[k], refBarriers[k])
+						}
+					}
+					if len(barriers) != len(refBarriers) {
+						t.Errorf("%d barriers, ReferenceStep %d", len(barriers), len(refBarriers))
 					}
 				})
 			}

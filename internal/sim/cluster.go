@@ -126,9 +126,7 @@ func coordinate(cal workload.Calibrated, opt Options, gm PowerManager, interval 
 				}
 			}
 			for _, b := range batches {
-				if err := b.setCapRatio(ratio); err != nil {
-					return Result{}, err
-				}
+				b.setCapRatio(ratio)
 			}
 		}
 		if !alive {

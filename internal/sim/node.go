@@ -31,9 +31,9 @@ type node struct {
 	rapl  power.Rapl
 	inm   power.NodeManager
 
-	// Everything a replayed tick touches sits together from here to
-	// armed: a 1,024-node sweep walks these bytes once per tick, so the
-	// fewer cache lines they span the cheaper the sweep.
+	// Every node counter a replayed tick touches sits together from
+	// here to armed: a 1,024-node sweep walks these bytes once per
+	// tick, so the fewer cache lines they span the cheaper the sweep.
 	now float64
 
 	// Cumulative node counters (what EARL samples).
@@ -265,16 +265,11 @@ func (n *node) stepOnce() error {
 
 // setCapRatio applies (or with 0 releases) the node-daemon core-ratio
 // ceiling used by cluster power management. The cap changes the
-// operating point, so an armed node is disarmed first; it re-arms once
-// stable again.
-func (n *node) setCapRatio(r uint64) error {
-	if n.armed.on {
-		if err := n.disarm(); err != nil {
-			return err
-		}
-	}
+// operating point, so an armed node is disarmed; it re-arms once stable
+// again.
+func (n *node) setCapRatio(r uint64) {
+	n.armed.on = false
 	n.capRatio = r
-	return nil
 }
 
 func newNode(cal workload.Calibrated, nodeID int, opt Options) (*node, error) {
@@ -408,11 +403,13 @@ func (n *node) init(cal workload.Calibrated, nodeID int, opt Options) error {
 }
 
 // evalAt returns the cached steady-state behaviour at the node's
-// current operating point, honouring any power-management core cap.
-func (n *node) evalAt(segIdx int) (evalEntry, error) {
+// current operating point, honouring any power-management core cap. The
+// entry is the node's own copy, n.lastEntry, never one in the table,
+// whose next append may move it; it holds until the next evalAt.
+func (n *node) evalAt(segIdx int) (*evalEntry, error) {
 	coreRatio, uncRatio, err := n.slots[0].sock.OperatingPoint()
 	if err != nil {
-		return evalEntry{}, err
+		return nil, err
 	}
 	if n.capRatio != 0 && coreRatio > n.capRatio {
 		coreRatio = n.capRatio
@@ -423,20 +420,20 @@ func (n *node) evalAt(segIdx int) (evalEntry, error) {
 	}
 	key := cacheKey{segIdx, coreRatio, uncRatio, n.capRatio}
 	if n.haveEval && key == n.lastKey {
-		return n.lastEntry, nil
+		return &n.lastEntry, nil
 	}
 	t := n.evals
 	for i := range t.keys {
 		if t.keys[i] == key {
 			n.lastKey, n.lastEntry, n.haveEval = key, t.vals[i], true
-			return n.lastEntry, nil
+			return &n.lastEntry, nil
 		}
 	}
 	seg := n.cal.Segs[segIdx]
 	m := n.cal.Platform.Machine
 	res, err := perf.Evaluate(m, seg.Phase, perf.Operating{CoreRatio: coreRatio, UncoreRatio: uncRatio})
 	if err != nil {
-		return evalEntry{}, err
+		return nil, err
 	}
 	brk, err := n.cal.Platform.Power.Node(power.Input{
 		CoreFreqGHz:   res.EffCoreFreq.GHzF(),
@@ -448,7 +445,7 @@ func (n *node) evalAt(segIdx int) (evalEntry, error) {
 		GPUPower:      n.cal.GPUPowerW,
 	})
 	if err != nil {
-		return evalEntry{}, err
+		return nil, err
 	}
 	e := evalEntry{
 		res:      res,
@@ -458,7 +455,7 @@ func (n *node) evalAt(segIdx int) (evalEntry, error) {
 	t.keys = append(t.keys, key)
 	t.vals = append(t.vals, e)
 	n.lastKey, n.lastEntry, n.haveEval = key, e, true
-	return e, nil
+	return &n.lastEntry, nil
 }
 
 // advance moves simulated time forward by dt with nInstr instructions
@@ -466,8 +463,9 @@ func (n *node) evalAt(segIdx int) (evalEntry, error) {
 // float64(a*b): the explicit conversion rounds it, which by the language
 // spec forbids fusing it into the add (an FMA on arm64, ppc64, s390x),
 // so the armed replay — which adds the same product, rounded once into
-// its tickLUT — is bit-identical on every target, not only on amd64.
-func (n *node) advance(segIdx int, e evalEntry, nInstr, dt, pNoise float64) error {
+// its tickLUT or formed once by a meter's Span — is bit-identical on
+// every target, not only on amd64.
+func (n *node) advance(segIdx int, e *evalEntry, nInstr, dt, pNoise float64) error {
 	seg := n.cal.Segs[segIdx]
 	nodeInstr := float64(nInstr * float64(n.cal.ActiveCores))
 
@@ -509,7 +507,7 @@ func (n *node) advance(segIdx int, e evalEntry, nInstr, dt, pNoise float64) erro
 }
 
 // traceSample appends one time-series point.
-func (n *node) traceSample(e evalEntry) error {
+func (n *node) traceSample(e *evalEntry) error {
 	dt := n.now - n.lastTraceT
 	energy := n.inm.TrueEnergy()
 	bytes := n.bytes
@@ -564,13 +562,8 @@ func (n *node) iterationBoundary() error {
 	return n.lib.OnTick(n.now)
 }
 
-// result assembles the node's run outcome, flushing armed state first.
+// result assembles the node's run outcome.
 func (n *node) result() (NodeResult, error) {
-	if n.armed.on {
-		if err := n.disarm(); err != nil {
-			return NodeResult{}, err
-		}
-	}
 	if n.now <= 0 || n.instr <= 0 {
 		return NodeResult{}, fmt.Errorf("sim: empty run")
 	}

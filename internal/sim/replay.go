@@ -3,9 +3,7 @@ package sim
 import (
 	"math"
 
-	"goear/internal/msr"
 	"goear/internal/ulp"
-	"goear/internal/uncore"
 	"goear/internal/workload"
 )
 
@@ -17,55 +15,38 @@ import (
 //   - armed: the node is mid-iteration at a stable operating point —
 //     evaluation cached, every uncore controller settled, no trace
 //     sampling. Every remaining tick of the iteration then performs the
-//     same constant increments, so arm precomputes them once (the
-//     node's tickLUT), and replay moves the node over the span of ticks
+//     same constant increments, so arm precomputes the node's own once
+//     (its tickLUT), and replay moves the node over the span of ticks
 //     up to the caller's barrier or the iteration's last tick at once.
-//     Each replayed quantity is a chain of one constant float op a
+//     Each of the node's counters is a chain of one constant float op a
 //     tick; on the ulp grid of the binade it is in, k ticks of it are
 //     integer arithmetic on its bits (internal/ulp), so the span costs
-//     a few operations per chain and binade, not per tick, and the
-//     replay is bit-identical to stepping. The identity tests compare
-//     the two field by field, FuzzSpanMatchesTicks each chain.
+//     a few operations per chain and binade, not per tick. The meters
+//     and controllers move their own state by the same span (their Span
+//     methods), so every instrument and register is current whenever
+//     runUntil returns. The replay is bit-identical to stepping: the
+//     identity tests compare the two field by field,
+//     FuzzSpanMatchesTicks the node's chains and each meter's fuzz test
+//     its Span.
 //
-// Arming and disarming round-trip the meters and controllers through
-// their flat views (power.NodeManager.FlatState, Rapl.FlatCarry,
-// uncore.Controller.TickAccum, the raw RAPL MSR counters); the node's
-// own counters are advanced in place. Armed state persists between
-// runUntil calls, so a batch swept one tick per call pays for arming
-// once per iteration, not once per call.
+// Armed state is the LUT alone and persists between runUntil calls, so
+// a batch swept one tick per call pays for arming once per iteration,
+// not once per call; disarming clears a flag.
 
-// armSockets is the widest node the armed state holds: every catalogue
-// platform has two sockets. A wider node never arms and steps tick by
-// tick. Eight-wide carries were measured and rejected — the per-node
-// state outgrows the cache on a 1,024-node sweep and a replayed tick
-// costs twice as much.
-const armSockets = 2
-
-// armedState is an armed node's lifted meter and controller state plus
-// its precomputed tick. Only replay, replayTicks, arm, disarm and
-// trueEnergy touch it.
+// armedState is an armed node's precomputed tick: arm builds it,
+// replay and its two helpers read it, and clearing on disarms it.
 type armedState struct {
 	on bool
-	// accel and nsock copy n.cal.Class and len(n.slots), so a
-	// replayed tick reads nothing outside the node's hot bytes.
+	// accel copies n.cal.Class, so a replayed tick reads nothing
+	// outside the node's hot bytes to pick its work counter.
 	accel bool
-	nsock int
 	lut   tickLUT
-
-	inmTrue, inmPub, inmLast, inmNow float64
-
-	carryDram float64
-	cntDram   uint64
-	carryPkg  [armSockets]float64
-	cntPkg    [armSockets]uint64
-	ctlAcc    [armSockets]float64
 }
 
 // tickLUT is one node's precomputed tick: every value stepOnce would
 // recompute identically each tick while the operating point holds. Each
-// field is built with the exact expression (and evaluation order) of
-// stepOnce and advance, so replaying the adds is bit-identical to
-// stepping.
+// field is built with the exact expression of stepOnce and advance, so
+// replaying the adds is bit-identical to stepping.
 type tickLUT struct {
 	dt        float64 // simulated seconds per tick
 	instr     float64 // per-core instructions per tick
@@ -73,13 +54,10 @@ type tickLUT struct {
 	cycles    float64
 	avx       float64
 	bytes     float64
-	totalJ    float64 // DC energy per tick (INM scope)
 	pkgJ      float64 // RAPL PKG joules per tick (all sockets)
 	dramJ     float64
-	sockPkgJ  float64 // RAPL PKG joules per tick per socket
 	coreFS    float64 // core frequency-seconds per tick
 	imcFS     float64
-	esuScale  float64 // joules -> RAPL counter counts multiplier
 	// per is the work one tick retires from the iteration (instructions
 	// for a CPU code, seconds for an accelerator), stop the largest work
 	// left at which the next tick would clamp or finish it.
@@ -94,13 +72,10 @@ type tickLUT struct {
 func (n *node) runUntil(t float64) error {
 	for !n.done && n.now < t {
 		if n.armed.on {
-			n.replay(t)
-			if n.now >= t {
-				return nil
-			}
-			if err := n.disarm(); err != nil {
+			if err := n.replay(t); err != nil || n.now >= t {
 				return err
 			}
+			n.armed.on = false
 		}
 		if err := n.stepOnce(); err != nil {
 			return err
@@ -112,37 +87,62 @@ func (n *node) runUntil(t float64) error {
 	return nil
 }
 
-// shortSpan is the span below which ticking beats solving: a span
-// solved in closed form costs about what 30 ticks cost one at a time,
-// and a batch swept one tick per call must not pay that every tick.
-const shortSpan = 32
-
 // replay moves the armed node ahead by a span of k ticks: k is the
 // number of ticks before the node reaches t or its iteration's next tick
 // would clamp or finish, which only stepOnce handles; replay returns
-// with that tick untouched. A span of shortSpan ticks or more moves
-// every replayed quantity ahead as an independent chain in closed form
-// (internal/ulp, span.go), bit for bit what k repetitions of the
-// precomputed tick give; a shorter one is those repetitions.
-func (n *node) replay(t float64) {
+// with that tick untouched. A span of ulp.ShortSpan ticks or more moves
+// each of the node's counters ahead as an independent chain in closed
+// form, bit for bit what k repetitions of the precomputed tick give; a
+// shorter one is those repetitions. The meters and controllers then
+// take the same k ticks through their Span methods, with the operands
+// advance hands their Advance.
+func (n *node) replay(t float64) error {
 	a := &n.armed
 	l := &a.lut
 	left := &n.instrLeft
 	if a.accel {
 		left = &n.wallLeft
 	}
-	if k, _ := ulp.Reach(n.now, l.dt, t, shortSpan); k < shortSpan {
-		n.replayTicks(left, k)
-		return
+	var k uint64
+	if k, _ = ulp.Reach(n.now, l.dt, t, ulp.ShortSpan); k < ulp.ShortSpan {
+		k = n.replayTicks(left, k)
+	} else {
+		k = n.replaySpan(left, t)
 	}
+	if k == 0 {
+		return nil
+	}
+	n.stepCount += k
+	n.replayed += k
 
-	// The span ends at the barrier or before the tick stepOnce would
-	// clamp or finish: the first at which the falling chain of work left
-	// is at or below the LUT's stop.
+	e := &n.lastEntry // the entry arm evaluated: nothing re-evaluates while armed
+	if err := n.inm.Span(e.brk.Total*n.pNoise, l.dt, k); err != nil {
+		return err
+	}
+	scaled := e.brk
+	scaled.Pkg *= n.pNoise
+	scaled.Dram *= n.pNoise
+	if err := n.rapl.Span(scaled, l.dt, k); err != nil {
+		return err
+	}
+	for s := range n.slots {
+		if err := n.slots[s].ctl.Span(l.dt, e.effRatio, k); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// replaySpan moves the node's own counters ahead by the span to t in
+// closed form and returns its length. The span ends at the barrier or
+// before the tick stepOnce would clamp or finish: the first at which the
+// falling chain of work left is at or below the LUT's stop.
+func (n *node) replaySpan(left *float64, t float64) uint64 {
+	l := &n.armed.lut
 	end, last := ulp.Reach(*left, -l.per, l.stop, math.MaxUint64)
 	k, now := ulp.Reach(n.now, l.dt, t, end)
 	if k == 0 {
-		return
+		return 0
 	}
 	if k < end {
 		last = ulp.Advance(*left, -l.per, k)
@@ -158,29 +158,15 @@ func (n *node) replay(t float64) {
 	n.dramJ = ulp.Advance(n.dramJ, l.dramJ, k)
 	n.coreFreqSec = ulp.Advance(n.coreFreqSec, l.coreFS, k)
 	n.imcFreqSec = ulp.Advance(n.imcFreqSec, l.imcFS, k)
-
-	// Node Manager: integrate, publish at whole-second boundaries.
-	a.inmTrue, a.inmPub, a.inmLast, a.inmNow = inmSpan(a.inmTrue, a.inmPub, a.inmLast, a.inmNow, l.totalJ, l.dt, k)
-
-	// RAPL: carry fractional joules, truncate to counter units, wrap the
-	// mirrored 32-bit counters exactly as msr.AddEnergyHw does.
-	for s := 0; s < a.nsock; s++ {
-		a.carryPkg[s], a.cntPkg[s] = raplSpan(l.sockPkgJ, a.carryPkg[s], a.cntPkg[s], l.esuScale, k)
-		// Settled controllers: ticks are no-ops, only the accumulator moves.
-		a.ctlAcc[s] = uncore.SettleSpan(a.ctlAcc[s], l.dt, k)
-	}
-	a.carryDram, a.cntDram = raplSpan(l.dramJ, a.carryDram, a.cntDram, l.esuScale, k)
-
-	n.stepCount += k
-	n.replayed += k
+	return k
 }
 
-// replayTicks repeats the precomputed tick at most k times, stopping
-// before the iteration's clamp or finish: stepOnce and advance's
-// arithmetic with every per-tick constant taken from the LUT.
-func (n *node) replayTicks(left *float64, k uint64) {
-	a := &n.armed
-	l := &a.lut
+// replayTicks repeats the precomputed tick on the node's own counters at
+// most k times, stopping before the iteration's clamp or finish, and
+// returns how many it repeated: stepOnce and advance's arithmetic with
+// every per-tick constant taken from the LUT.
+func (n *node) replayTicks(left *float64, k uint64) uint64 {
+	l := &n.armed.lut
 	var i uint64
 	for ; i < k && *left > l.stop; i++ {
 		*left -= l.per
@@ -192,33 +178,17 @@ func (n *node) replayTicks(left *float64, k uint64) {
 		n.dramJ += l.dramJ
 		n.coreFreqSec += l.coreFS
 		n.imcFreqSec += l.imcFS
-
-		a.inmTrue += l.totalJ
-		a.inmNow += l.dt
-		if a.inmNow-a.inmLast >= 1.0 {
-			a.inmPub = a.inmTrue
-			a.inmLast = float64(int64(a.inmNow))
-		}
-
-		for s := 0; s < a.nsock; s++ {
-			a.carryPkg[s], a.cntPkg[s] = raplTick(l.sockPkgJ, a.carryPkg[s], a.cntPkg[s], l.esuScale)
-			a.ctlAcc[s] = uncore.SettleAccum(a.ctlAcc[s], l.dt)
-		}
-		a.carryDram, a.cntDram = raplTick(l.dramJ, a.carryDram, a.cntDram, l.esuScale)
 		n.now += l.dt
 	}
-	n.stepCount += i
-	n.replayed += i
+	return i
 }
 
 // arm lifts the node into the fast path when it is mid-iteration at a
 // stable operating point: evaluation cached, every uncore controller
-// settled, no trace sampling, no more sockets than the armed state
-// holds. On any other state, or any error, the node simply stays slow
-// (the next stepOnce surfaces the error).
+// settled, no trace sampling. On any other state, or any error, the node
+// simply stays slow (the next stepOnce surfaces the error).
 func (n *node) arm() {
-	ns := len(n.slots)
-	if n.done || !n.iterActive || n.opt.Trace || ns > armSockets {
+	if n.done || !n.iterActive || n.opt.Trace {
 		return
 	}
 	e, err := n.evalAt(n.segIdx)
@@ -232,7 +202,6 @@ func (n *node) arm() {
 	}
 	a := &n.armed
 	a.accel = n.cal.Class == workload.Accelerator
-	a.nsock = ns
 	l := &a.lut
 	spi := e.res.SecPerInstr * n.tNoise
 	if a.accel {
@@ -250,13 +219,8 @@ func (n *node) arm() {
 	l.cycles = float64(l.dt * e.res.EffCoreFreq.GHzF() * 1e9 * cores)
 	l.avx = float64(seg.Phase.VPI * l.nodeInstr)
 	l.bytes = float64(l.nodeInstr * seg.Phase.BytesPerInstr)
-	total := e.brk.Total * n.pNoise
-	l.totalJ = float64(total * l.dt)
-	scaledPkg := e.brk.Pkg * n.pNoise
-	scaledDram := e.brk.Dram * n.pNoise
-	l.sockPkgJ = float64(scaledPkg / float64(ns) * l.dt)
-	l.pkgJ = float64(scaledPkg * l.dt)
-	l.dramJ = float64(scaledDram * l.dt)
+	l.pkgJ = float64(e.brk.Pkg * n.pNoise * l.dt)
+	l.dramJ = float64(e.brk.Dram * n.pNoise * l.dt)
 	l.coreFS = float64(e.res.EffCoreFreq.GHzF() * n.cal.FreqBias * l.dt)
 	l.imcFS = float64(e.res.UncoreFreq.GHzF() * n.cal.IMCBias * l.dt)
 
@@ -265,53 +229,21 @@ func (n *node) arm() {
 	} else {
 		l.per, l.stop = l.instr, lastClamp(l.instr, 1e-6)
 	}
-
-	unit, err := n.files[0].Read(msr.MSRRaplPowerUnit)
-	if err != nil {
-		return
-	}
-	l.esuScale = float64(uint64(1) << ((unit >> 8) & 0x1F))
-
-	for s := 0; s < ns; s++ {
-		if a.cntPkg[s], err = n.files[s].Read(msr.MSRPkgEnergyStatus); err != nil {
-			return
-		}
-		a.ctlAcc[s] = n.slots[s].ctl.TickAccum()
-	}
-	if a.cntDram, err = n.files[0].Read(msr.MSRDramEnergyStatus); err != nil {
-		return
-	}
-	a.carryDram = n.rapl.FlatCarry(a.carryPkg[:ns])
-	a.inmTrue, a.inmPub, a.inmLast, a.inmNow = n.inm.FlatState()
 	a.on = true
 }
 
-// disarm flushes the lifted state back — meters, carries, controllers,
-// MSR energy registers — restoring exactly the state tick-by-tick
-// stepping would have reached.
-func (n *node) disarm() error {
-	a := &n.armed
-	for s := 0; s < a.nsock; s++ {
-		if err := n.files[s].WriteHw(msr.MSRPkgEnergyStatus, a.cntPkg[s]); err != nil {
-			return err
-		}
-		n.slots[s].ctl.SetTickAccum(a.ctlAcc[s])
+// lastClamp returns the largest work left at which stepOnce's tick would
+// clamp or finish the iteration. The tick is replayed while it takes a
+// full per and leaves more than floor, fl(left−per) > floor (a CPU
+// code's clamp, per > left, leaves ≤ 0); fl(left−per) grows with left,
+// so the ticks that are not replayed are those at or below one bound.
+func lastClamp(per, floor float64) float64 {
+	x := floor + per
+	for x-per > floor {
+		x = math.Nextafter(x, 0)
 	}
-	if err := n.files[0].WriteHw(msr.MSRDramEnergyStatus, a.cntDram); err != nil {
-		return err
+	for up := math.Nextafter(x, math.Inf(1)); up-per <= floor; up = math.Nextafter(up, math.Inf(1)) {
+		x = up
 	}
-	n.rapl.SetFlatCarry(a.carryPkg[:a.nsock], a.carryDram)
-	n.inm.SetFlatState(a.inmTrue, a.inmPub, a.inmLast, a.inmNow)
-	a.on = false
-	return nil
-}
-
-// trueEnergy returns the node's exact DC energy integral (the
-// simulator-side Node Manager reading), served from the lifted state
-// while armed so a power reading costs no flush.
-func (n *node) trueEnergy() float64 {
-	if n.armed.on {
-		return n.armed.inmTrue
-	}
-	return n.inm.TrueEnergy()
+	return x
 }

@@ -40,16 +40,19 @@ func runToEnd(t *testing.T, cal workload.Calibrated, id int, opt Options) *node 
 	return n
 }
 
-// instruments reads what software on the node could observe after the
-// run: the RAPL MSR counters, the published INM value, plus the meter
-// and controller remainders the next tick would start from.
+// instruments reads what software on the node could observe, and what
+// the next tick starts from: the Node Manager, the RAPL meter and each
+// uncore controller whole (carries, clocks, accumulators and the MSR
+// files they write), the RAPL and uncore registers read through the
+// node's files, and the tick count. It is a deep copy, so a snapshot
+// taken mid-run compares with reflect.DeepEqual once the node has moved
+// on.
 func instruments(t *testing.T, n *node) []any {
 	t.Helper()
-	_, _, _, now := n.inm.FlatState()
-	out := []any{n.inm.ReadEnergy(), n.inm.TrueEnergy(), now, n.stepCount}
-	carry := make([]float64, len(n.slots))
-	out = append(out, n.rapl.FlatCarry(carry), carry)
+	out := flatten(nil, reflect.ValueOf(&n.inm))
+	out = flatten(out, reflect.ValueOf(&n.rapl))
 	for s, f := range n.files {
+		out = flatten(out, reflect.ValueOf(&n.slots[s].ctl))
 		for _, reg := range []uint32{msr.MSRPkgEnergyStatus, msr.MSRDramEnergyStatus, msr.MSRUncorePerfStatus} {
 			v, err := f.Read(reg)
 			if err != nil {
@@ -57,7 +60,38 @@ func instruments(t *testing.T, n *node) []any {
 			}
 			out = append(out, v)
 		}
-		out = append(out, n.slots[s].ctl.TickAccum())
+	}
+	return append(out, n.stepCount)
+}
+
+// flatten appends every scalar reachable from v — pointers followed,
+// unexported fields read, floats as their bits.
+func flatten(out []any, v reflect.Value) []any {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() {
+			return append(out, nil)
+		}
+		return flatten(out, v.Elem())
+	case reflect.Struct:
+		for i := range v.NumField() {
+			out = flatten(out, v.Field(i))
+		}
+	case reflect.Slice, reflect.Array:
+		out = append(out, v.Len())
+		for i := range v.Len() {
+			out = flatten(out, v.Index(i))
+		}
+	case reflect.Float64:
+		out = append(out, math.Float64bits(v.Float()))
+	case reflect.Int, reflect.Int32, reflect.Int64:
+		out = append(out, v.Int())
+	case reflect.Uint32, reflect.Uint64:
+		out = append(out, v.Uint())
+	case reflect.String:
+		out = append(out, v.String())
+	default:
+		panic("flatten: unhandled kind " + v.Kind().String())
 	}
 	return out
 }
@@ -122,25 +156,30 @@ func TestRunMatchesStepperExactly(t *testing.T) {
 	}
 }
 
-// TestNeverArms covers the two nodes the fast path must refuse: one
-// wider than the armed state's socket arrays, and one being traced
-// (trace points need per-step sampling). Both must run, match the
-// oracle, and replay nothing.
+// TestNeverArms covers the node the fast path must refuse, one being
+// traced (trace points need per-step sampling): it must run, match the
+// oracle and replay nothing. Beside it, a four-socket node, wider than
+// every catalogue platform, arms like any other: it must replay and
+// match the oracle.
 func TestNeverArms(t *testing.T) {
 	wide := calibrated(t, workload.BTMZC)
-	wide.Platform.Machine.CPU.Sockets = 2 * armSockets
+	wide.Platform.Machine.CPU.Sockets = 4
 	traced := calibrated(t, workload.BTMZC)
 	for _, c := range []struct {
 		name string
 		cal  workload.Calibrated
 		opt  Options
+		arms bool
 	}{
-		{"four_sockets", wide, Options{Policy: "none", Seed: 4}},
-		{"trace", traced, Options{Policy: "min_energy_eufs", Model: platformModel(t, traced.Platform), Seed: 4, Trace: true}},
+		{"four_sockets", wide, Options{Policy: "none", Seed: 4}, true},
+		{"trace", traced, Options{Policy: "min_energy_eufs", Model: platformModel(t, traced.Platform), Seed: 4, Trace: true}, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			n := runToEnd(t, c.cal, 0, c.opt)
-			if n.replayed != 0 || n.armed.on {
+			if c.arms && n.replayed == 0 {
+				t.Error("no tick replayed; want a node that arms")
+			}
+			if !c.arms && (n.replayed != 0 || n.armed.on) {
 				t.Errorf("%d ticks replayed, armed=%v; want a node that never arms", n.replayed, n.armed.on)
 			}
 			oracle := stepToEnd(t, c.cal, 0, c.opt)

@@ -5,11 +5,10 @@ import (
 	"testing"
 
 	"goear/internal/ulp"
-	"goear/internal/uncore"
 )
 
-// The per-tick oracles: each chain exactly as the armed tick wrote it
-// before spans were solved in closed form.
+// The per-tick oracles: each chain exactly as the armed tick writes it
+// under ulp.ShortSpan.
 
 func advanceTicks(s, c float64, k uint64) float64 {
 	for ; k > 0; k-- {
@@ -37,94 +36,66 @@ func endTicks(left, per, floor float64, kmax uint64) (uint64, float64) {
 	return j, left
 }
 
-func inmTicks(trueJ, pub, last, now, perJ, dt float64, k uint64) (float64, float64, float64, float64) {
-	for ; k > 0; k-- {
-		trueJ += perJ
-		now += dt
-		if now-last >= 1.0 {
-			pub = trueJ
-			last = float64(int64(now))
-		}
-	}
-	return trueJ, pub, last, now
-}
-
-func raplTicks(p, carry float64, cnt uint64, esu float64, k uint64) (float64, uint64) {
-	for ; k > 0; k-- {
-		carry, cnt = raplTick(p, carry, cnt, esu)
-	}
-	return carry, cnt
-}
-
-func settleTicks(acc, dt float64, k uint64) float64 {
-	for ; k > 0; k-- {
-		acc = uncore.SettleAccum(acc, dt)
-	}
-	return acc
-}
-
 // span kinds, the fuzz input's first byte modulo spanKinds.
 const (
-	spanRise   = iota // advance and reach, c ≥ 0
-	spanFall          // advance and reach, c ≤ 0
-	spanRapl          // raplSpan: carry, count, 32-bit wrap
-	spanSettle        // uncore.SettleSpan
-	spanInm           // inmSpan: the Node Manager's publications
+	spanRise = iota // advance and reach, c ≥ 0
+	spanFall        // advance and reach, c ≤ 0
 	spanKinds
 )
 
-// FuzzSpanMatchesTicks: every chain's closed form equals its per-tick
-// loop bit for bit — rising and falling accumulators (value, the tick a
-// bound is reached, the tick before an iteration's end), a RAPL carry with its count and 32-bit wrap, the
-// controller's settled accumulator, and the Node Manager's publications.
-// The seeds force the edges the closed forms argue about: half-ulp ties,
-// binade crossings in both directions, negative and off-grid carries,
-// off-grid controller accumulators, dt == 0.01, and counters about to
-// wrap.
+// FuzzSpanMatchesTicks: every chain the armed node moves itself equals
+// its per-tick loop bit for bit — rising and falling accumulators (value,
+// the tick a bound is reached, the tick before an iteration's end). The
+// seeds force the edges the closed forms argue about: half-ulp ties,
+// binade crossings in both directions, steps that round to nothing; then
+// the node's chains at the magnitudes a run reaches, and the chains the
+// meters hand internal/ulp (the Node Manager's clock to its next
+// publication, the uncore controller's one-drain window). Each meter's
+// own Span is fuzzed beside it: power.FuzzSpanMatchesAdvance and
+// uncore.FuzzSpanMatchesAdvance.
 func FuzzSpanMatchesTicks(f *testing.F) {
 	const u1 = 0x1p-52 // the ulp of [1, 2)
 	type seed struct {
 		kind    uint8
 		s, c, x float64
 		k       uint16
-		cnt     uint64
 		why     string
 	}
 	for _, sd := range []seed{
-		{spanRise, 1, 0.5 * u1, 2, 1000, 0, "half-ulp tie"},
-		{spanRise, 1.5, 3 * 0.5 * u1, 2, 1000, 0, "odd multiple of a half ulp"},
-		{spanRise, 2 - 3e-14, 1e-15, 3, 5000, 0, "rising across 2"},
-		{spanRise, 1023.99, 0.01, 1100, 2000, 0, "rising across 1024 to a bound"},
-		{spanRise, 0.005, 0.00999999999999998, 7.3, 3000, 0, "a clock to a barrier"},
-		{spanRise, 1e-300, 1, 5, 10, 0, "off the grid: c far above s"},
-		{spanRise, 0, 0.01, 1, 200, 0, "from zero"},
-		{spanRise, 12.5, 0, 20, 100, 0, "c == 0"},
-		{spanRise, 3, 1e-17, 4, 100, 0, "c under half an ulp"},
-		{spanFall, 1 + 2*u1, -1.3 * u1, 0.5, 10, 0, "falling across 1: the sum rounds on the finer grid"},
-		{spanFall, 1 + 8*u1, -0.5 * u1, 0.5, 40, 0, "falling tie"},
-		{spanFall, 2.5e7, -1.1e5, 1e-6, 400, 0, "instructions left to the floor"},
-		{spanFall, 0.15, -0.01, 1e-9, 30, 0, "wall time left to the floor"},
-		{spanRapl, 0.61234567891, 3e-7, 14, 5000, 12345, "settled carry"},
-		{spanRapl, 0.61234567891, -1e-17, 14, 5000, 12345, "negative carry"},
-		{spanRapl, 0.61234567891, 1.2345678901234e-20, 14, 5000, 12345, "carry off the grid"},
-		{spanRapl, 1.5e-7, 0, 16, 3000, 1, "under a microjoule a tick"},
-		{spanRapl, 2.75, 5e-7, 14, 9000, 0xFFFFF000, "count wraps at 32 bits"},
-		{spanRapl, 0.5, 0, 14, 500, 7, "whole microjoules, no carry"},
-		{spanRapl, 0.9999995, 2e-7, 14, 500, 7, "j straddles 1"},
-		{spanSettle, 0.003, 0.01, 0, 500, 0, "dt == 0.01"},
-		{spanSettle, 1e-20, 0.01, 0, 500, 0, "off-grid accumulator, dt == 0.01"},
-		{spanSettle, 2e-12, 0.01 + 5e-15, 0, 3000, 0, "dt above 0.01"},
-		{spanSettle, 2e-12, 0.01 - 5e-15, 0, 3000, 0, "dt below 0.01"},
-		{spanSettle, 0, 0.0099999995, 0, 3000, 0, "drifting out below the threshold"},
-		{spanSettle, 0.004, 0.0051, 0, 300, 0, "dt outside the binade"},
-		{spanInm, 3.2, 0.01, 0, 1000, 120, "publishes every 100 ticks"},
-		{spanInm, 1234.995, 0.00999999999999998, 5e5, 50, 300, "one publication in the span"},
-		{spanInm, 0, 0.01, 0, 300, 77, "from time zero"},
-		{spanInm, 10, 2.5, 0, 200, 100, "a tick longer than two seconds"},
+		{spanRise, 1, 0.5 * u1, 2, 1000, "half-ulp tie"},
+		{spanRise, 1.5, 3 * 0.5 * u1, 2, 1000, "odd multiple of a half ulp"},
+		{spanRise, 2 - 3e-14, 1e-15, 3, 5000, "rising across 2"},
+		{spanRise, 1023.99, 0.01, 1100, 2000, "rising across 1024 to a bound"},
+		{spanRise, 0.005, 0.00999999999999998, 7.3, 3000, "a clock to a barrier"},
+		{spanRise, 1e-300, 1, 5, 10, "off the grid: c far above s"},
+		{spanRise, 0, 0.01, 1, 200, "from zero"},
+		{spanRise, 12.5, 0, 20, 100, "c == 0"},
+		{spanRise, 3, 1e-17, 4, 100, "c under half an ulp"},
+		{spanFall, 1 + 2*u1, -1.3 * u1, 0.5, 10, "falling across 1: the sum rounds on the finer grid"},
+		{spanFall, 1 + 8*u1, -0.5 * u1, 0.5, 40, "falling tie"},
+		{spanFall, 2.5e7, -1.1e5, 1e-6, 400, "instructions left to the floor"},
+		{spanFall, 0.15, -0.01, 1e-9, 30, "wall time left to the floor"},
+		{spanRise, 4.39e12, 9.6e7, 4.4e12, 20000, "node instructions across 2^42"},
+		{spanRise, 1.7591e13, 4.4e8, 1.76e13, 30000, "core cycles across 2^44"},
+		{spanRise, 1.1258e15, 3.3e10, 1.126e15, 10000, "DRAM bytes across 2^50"},
+		{spanRise, 16383.9, 2.0999999999999996, 16390, 500, "package joules across 2^14"},
+		{spanRise, 255.99, 0.024, 256.3, 500, "frequency-seconds across 256"},
+		{spanRise, 8191.995, 0.00999999999999998, 8192.5, 5000, "the node clock across 8192 to a barrier"},
+		{spanFall, 4.29497e9, -1.9e7, 1e-6, 500, "instructions left across 2^32"},
+		{spanFall, 1.0000000000000002, -0.01, 1e-9, 200, "wall time left from just above 1"},
+		{spanRise, 3.2, 0.01, 4, 1000, "the meter clock to its next publication"},
+		{spanRise, 1234.995, 0.00999999999999998, 1235, 50, "the meter clock one tick short of a publication"},
+		{spanRise, 10, 2.5, 11, 200, "a meter tick longer than the publication second"},
+		{spanRise, 5e5, 2.9999999999999996, 0, 40000, "the meter integral, no bound"},
+		{spanRise, 0.010000000002, 5e-15, 0.019999999, 3000, "the drain window rising: dt above 0.01"},
+		{spanFall, 0.010000000002, -5e-15, 0.009999999, 3000, "the drain window falling: dt below 0.01"},
+		{spanFall, 0.0099999995 + 0.0099999995, -5e-10, 0.009999999, 3000, "drifting out below the drain threshold"},
+		{spanRise, 0.013, 0, 0.019999999, 500, "the drain window at dt == 0.01"},
+		{spanFall, 0.0151, -0.0049, 0.009999999, 300, "a step outside the drain window's binade"},
 	} {
-		f.Add(sd.kind, sd.s, sd.c, sd.x, sd.k, sd.cnt)
+		f.Add(sd.kind, sd.s, sd.c, sd.x, sd.k)
 	}
-	f.Fuzz(func(t *testing.T, kind uint8, s, c, x float64, k16 uint16, cnt uint64) {
+	f.Fuzz(func(t *testing.T, kind uint8, s, c, x float64, k16 uint16) {
 		for _, v := range []float64{s, c, x} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return
@@ -136,67 +107,28 @@ func FuzzSpanMatchesTicks(f *testing.F) {
 				t.Fatalf("%s: closed form %v (%#x), ticks %v (%#x)", what, got, math.Float64bits(got), want, math.Float64bits(want))
 			}
 		}
-		switch kind % spanKinds {
-		case spanRise, spanFall:
-			if kind%spanKinds == spanRise {
-				c = math.Abs(c)
-			} else {
-				c = -math.Abs(c)
-			}
-			same("advance", ulp.Advance(s, c, k), advanceTicks(s, c, k))
-			if x = math.Abs(x); x == 0 {
-				return
-			}
-			gj, gs := ulp.Reach(s, c, x, k)
-			wj, ws := reachTicks(s, c, x, k)
+		if kind%spanKinds == spanRise {
+			c = math.Abs(c)
+		} else {
+			c = -math.Abs(c)
+		}
+		same("advance", ulp.Advance(s, c, k), advanceTicks(s, c, k))
+		if x = math.Abs(x); x == 0 {
+			return
+		}
+		gj, gs := ulp.Reach(s, c, x, k)
+		wj, ws := reachTicks(s, c, x, k)
+		if gj != wj {
+			t.Fatalf("reach: closed form stops after %d ticks, ticks after %d", gj, wj)
+		}
+		same("reach", gs, ws)
+		if kind%spanKinds == spanFall && math.Abs(s) < 1e300 && -c < 1e300 && x < 1e300 {
+			gj, gs := ulp.Reach(s, c, lastClamp(-c, x), k)
+			wj, ws := endTicks(s, -c, x, k)
 			if gj != wj {
-				t.Fatalf("reach: closed form stops after %d ticks, ticks after %d", gj, wj)
+				t.Fatalf("iteration end: closed form stops after %d ticks, ticks after %d", gj, wj)
 			}
-			same("reach", gs, ws)
-			if kind%spanKinds == spanFall && math.Abs(s) < 1e300 && -c < 1e300 && x < 1e300 {
-				gj, gs := ulp.Reach(s, c, lastClamp(-c, x), k)
-				wj, ws := endTicks(s, -c, x, k)
-				if gj != wj {
-					t.Fatalf("iteration end: closed form stops after %d ticks, ticks after %d", gj, wj)
-				}
-				same("iteration end", gs, ws)
-			}
-		case spanRapl:
-			p := math.Abs(s)
-			if p > 1e6 || math.Abs(c) > 1 {
-				return
-			}
-			esu := math.Ldexp(1, int(math.Mod(math.Abs(x), 32)))
-			cnt &= 0xFFFFFFFF
-			gc, gn := raplSpan(p, c, cnt, esu, k)
-			wc, wn := raplTicks(p, c, cnt, esu, k)
-			same("rapl carry", gc, wc)
-			if gn != wn {
-				t.Fatalf("rapl count: closed form %#x, ticks %#x", gn, wn)
-			}
-		case spanSettle:
-			// Beyond these the loop drains for ever; Advance never hands
-			// it such a value.
-			if math.Abs(s) > 1 || c < 0 || c > 0.1 {
-				return
-			}
-			same("settle", uncore.SettleSpan(s, c, k), settleTicks(s, c, k))
-		case spanInm:
-			// s is the clock, c the tick's seconds, cnt the tick's
-			// joules; the meter's last publication is the clock's whole
-			// second, as after any tick.
-			now, dt := math.Abs(s), math.Abs(c)
-			if now > 1e9 || dt > 10 {
-				return
-			}
-			perJ := float64(cnt%100000) / 7
-			last := float64(int64(now))
-			gt, gp, gl, gnow := inmSpan(x, -1, last, now, perJ, dt, k)
-			wt, wp, wl, wnow := inmTicks(x, -1, last, now, perJ, dt, k)
-			same("inm energy", gt, wt)
-			same("inm published", gp, wp)
-			same("inm last publication", gl, wl)
-			same("inm clock", gnow, wnow)
+			same("iteration end", gs, ws)
 		}
 	})
 }

@@ -218,23 +218,37 @@ func (c *Controller) tick(coreRatio uint64) error {
 	return c.msrs.WriteHw(msr.MSRUncorePerfStatus, msr.EncodeUncorePerfStatus(next))
 }
 
-// TickAccum returns the time accumulated toward the controller's next
-// tick. Together with SetTickAccum it lets the simulator's armed
-// replay lift the controller's only mutable non-MSR state while the
-// controller is settled (ticks are then pure no-ops) and restore it
-// unchanged afterwards.
-func (c *Controller) TickAccum() float64 { return c.acc }
+// Span runs the controller as k successive Advance(dt, coreRatio) calls
+// do, bit for bit. A settled controller's ticks neither publish nor
+// read anything that changes, so only its accumulator moves: under
+// ulp.ShortSpan ticks one drain at a time, above it in closed form
+// (settleSpan). A ramping one is advanced call by call.
+func (c *Controller) Span(dt float64, coreRatio uint64, k uint64) error {
+	if dt < 0 {
+		return fmt.Errorf("uncore: negative time step %g", dt)
+	}
+	if settled, err := c.Settled(coreRatio); err != nil || !settled {
+		for ; k > 0; k-- {
+			if err := c.Advance(dt, coreRatio); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if k < ulp.ShortSpan {
+		for ; k > 0; k-- {
+			c.acc = settleAccum(c.acc, dt)
+		}
+		return nil
+	}
+	c.acc = settleSpan(c.acc, dt, k)
+	return nil
+}
 
-// SetTickAccum restores an accumulator lifted with TickAccum (or
-// advanced externally with SettleAccum or SettleSpan).
-func (c *Controller) SetTickAccum(v float64) { c.acc = v }
-
-// SettleAccum advances a lifted tick accumulator by dt using exactly
-// Advance's arithmetic, draining whole ticks without performing them.
-// It is only correct while the controller is settled (a tick neither
-// reads changing state nor writes anything), which is the condition
-// the simulator arms a node under.
-func SettleAccum(acc, dt float64) float64 {
+// settleAccum advances the tick accumulator by dt using exactly
+// Advance's arithmetic, draining whole ticks without performing them:
+// Advance on a settled controller.
+func settleAccum(acc, dt float64) float64 {
 	acc += dt
 	for acc >= tickSeconds-eps {
 		acc -= tickSeconds
@@ -242,7 +256,7 @@ func SettleAccum(acc, dt float64) float64 {
 	return acc
 }
 
-// SettleSpan returns what k successive SettleAccum(acc, dt) calls
+// settleSpan returns what k successive settleAccum(acc, dt) calls
 // return, bit for bit, in a time that does not grow with k.
 //
 // While x = acc+dt drains exactly one tick (x ≥ tickSeconds−eps and
@@ -252,9 +266,9 @@ func SettleAccum(acc, dt float64) float64 {
 // fl(x−tickSeconds+dt), is then fl(x+d): x is a chain of constant step,
 // which ulp walks to the first tick that leaves the one-drain window,
 // and the accumulator after the tick before it is that tick's
-// x−tickSeconds. Every other tick is SettleAccum itself.
-func SettleSpan(acc, dt float64, k uint64) float64 {
-	var thr float64 = tickSeconds - eps // the rounded bound SettleAccum compares with
+// x−tickSeconds. Every other tick is settleAccum itself.
+func settleSpan(acc, dt float64, k uint64) float64 {
+	var thr float64 = tickSeconds - eps // the rounded bound settleAccum compares with
 	d := dt - tickSeconds
 	// The window's far edge in x: the first x that drains twice when x
 	// rises, the last that drains nothing when it falls.
@@ -269,7 +283,7 @@ func SettleSpan(acc, dt float64, k uint64) float64 {
 	for k > 0 {
 		x := acc + dt
 		if x < thr || x-tickSeconds >= thr || dt < tickSeconds/2 || dt > 2*tickSeconds {
-			acc = SettleAccum(acc, dt)
+			acc = settleAccum(acc, dt)
 			k--
 			continue
 		}

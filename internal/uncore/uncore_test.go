@@ -32,6 +32,9 @@ func TestNewControllerErrors(t *testing.T) {
 	if err := c.Advance(-0.1, 24); err == nil {
 		t.Error("expected error for negative dt")
 	}
+	if err := c.Span(-0.1, 24, 40); err == nil {
+		t.Error("expected error for a span of negative dt")
+	}
 }
 
 func TestRampUpToMax(t *testing.T) {
