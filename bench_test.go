@@ -296,7 +296,10 @@ func BenchmarkNodeTickTelemetry(b *testing.B) { benchNodeTick(b, true) }
 // Batch stepping benchmarks: sim.Batch, the lock-step driver cluster
 // campaigns run on, measured over a 1024-node shard. BenchmarkBatchTick
 // is one 10 ms tick of the whole shard (the ns/node-tick metric is the
-// per-node cost to compare with BenchmarkNodeTick, which never arms);
+// per-node cost to compare with BenchmarkNodeTick, which never arms).
+// Every armed node moves a one-tick span there, solved in closed form
+// like a span of any length, so it measures a span's fixed cost; Run
+// and RunCoordinated never step one tick per call.
 // BenchmarkClusterSecond advances the shard one simulated second, and
 // BenchmarkClusterSecondReference does the same through stepOnce-only
 // Steppers — the ratio is what armed replay saves.

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"goear/internal/msr"
-	"goear/internal/ulp"
 )
 
 // Rapl feeds per-socket RAPL energy counters from the node power model.
@@ -70,9 +69,8 @@ func (r *Rapl) Advance(b Breakdown, dt float64) error {
 
 // Span accounts k successive Advance(b, dt) calls at once, bit for bit:
 // the carries and the energy registers land where the k calls leave
-// them, and each register is read and written once. Under
-// ulp.ShortSpan ticks the span is ticked, above it solved in closed
-// form (raplSpan).
+// them, and each register is read and written once. Every span, one
+// tick or many, is solved in closed form (raplSpan).
 func (r *Rapl) Span(b Breakdown, dt float64, k uint64) error {
 	if dt < 0 {
 		return fmt.Errorf("power: negative time step %g", dt)
@@ -135,40 +133,26 @@ func (nm *NodeManager) Advance(powerW, dt float64) error {
 	}
 	nm.mu.Lock()
 	defer nm.mu.Unlock()
-	nm.tick(float64(powerW*dt), dt) // unfused, see Rapl.Advance
+	nm.trueJ += float64(powerW * dt) // unfused, see Rapl.Advance
+	nm.now += dt
+	if nm.now-nm.lastPub >= 1.0 {
+		nm.published = nm.trueJ
+		nm.lastPub = float64(int64(nm.now)) // snap to the boundary
+	}
 	return nil
 }
 
 // Span integrates k successive Advance(powerW, dt) calls at once, bit
 // for bit: energy integral, published counter, last publication and
-// clock. Under ulp.ShortSpan ticks the span is ticked, above it solved
-// in closed form (inmSpan).
+// clock, in closed form (inmSpan) whatever k is.
 func (nm *NodeManager) Span(powerW, dt float64, k uint64) error {
 	if dt < 0 {
 		return fmt.Errorf("power: negative time step %g", dt)
 	}
 	nm.mu.Lock()
 	defer nm.mu.Unlock()
-	perJ := float64(powerW * dt)
-	if k < ulp.ShortSpan {
-		for ; k > 0; k-- {
-			nm.tick(perJ, dt)
-		}
-		return nil
-	}
-	nm.trueJ, nm.published, nm.lastPub, nm.now = inmSpan(nm.trueJ, nm.published, nm.lastPub, nm.now, perJ, dt, k)
+	nm.trueJ, nm.published, nm.lastPub, nm.now = inmSpan(nm.trueJ, nm.published, nm.lastPub, nm.now, float64(powerW*dt), dt, k)
 	return nil
-}
-
-// tick integrates perJ joules over dt seconds and publishes the counter
-// once the clock is a whole second past the last publication.
-func (nm *NodeManager) tick(perJ, dt float64) {
-	nm.trueJ += perJ
-	nm.now += dt
-	if nm.now-nm.lastPub >= 1.0 {
-		nm.published = nm.trueJ
-		nm.lastPub = float64(int64(nm.now)) // snap to the boundary
-	}
 }
 
 // ReadEnergy returns the last published accumulated DC energy in joules,

@@ -48,14 +48,13 @@ func raplTick(p, carry float64, cnt uint64, esu float64) (float64, uint64) {
 }
 
 // raplSpan returns a RAPL carry and its counter after k raplTicks of p
-// joules. It ticks until raplCycle can take the rest at once: a carry
-// left by another operating point or off the grid needs a tick or two
-// first. Past three tries the carry is not settling (p's joules
-// straddle a binade, say) and the rest is ticked, as is a rest under
-// ulp.ShortSpan ticks.
+// joules, whatever k is. It ticks until raplCycle can take the rest at
+// once: a carry left by another operating point or off the grid needs a
+// tick or two first. Past three tries the carry is not settling (p's
+// joules straddle a binade, say) and the rest is ticked.
 func raplSpan(p, carry float64, cnt uint64, esu float64, k uint64) (float64, uint64) {
 	for try := 0; k > 0; try++ {
-		if try < 3 && k >= ulp.ShortSpan {
+		if try < 3 {
 			if c, n, ok := raplCycle(p, carry, cnt, esu, k); ok {
 				return c, n
 			}

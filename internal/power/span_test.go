@@ -51,7 +51,8 @@ func raplAt(t *testing.T, esu uint64, carry float64, cnt uint64) *Rapl {
 // publication, clock). The seeds force the edges the closed forms argue
 // about: negative and off-grid carries, joules under a microjoule or
 // straddling 1, counters about to wrap, a publication inside the span,
-// ticks longer than the publication second.
+// ticks longer than the publication second; and spans of one, two and
+// 31 ticks, which take the same closed forms as long ones.
 func FuzzSpanMatchesAdvance(f *testing.F) {
 	type seed struct {
 		kind    uint8
@@ -72,6 +73,16 @@ func FuzzSpanMatchesAdvance(f *testing.F) {
 		{spanInm, 1234.995, 0.00999999999999998, 5e5, 50, 300, "one publication in the span"},
 		{spanInm, 0, 0.01, 0, 300, 77, "from time zero"},
 		{spanInm, 10, 2.5, 0, 200, 100, "a tick longer than two seconds"},
+		{spanRapl, 0.61234567891, 9.7890999994909578e-07, 14, 1, 12345, "carry on its cycle, one tick"},
+		{spanRapl, 0.61234567891, 9.7890999994909578e-07, 14, 2, 12345, "carry on its cycle, two ticks"},
+		{spanRapl, 0.61234567891, 9.7890999994909578e-07, 14, 31, 12345, "carry on its cycle, 31 ticks"},
+		{spanRapl, 2.75, 5.0000000006988898e-07, 14, 1, 0xFFFFF000, "count wraps in a one-tick span"},
+		{spanRapl, 2.75, 5.0000000006988898e-07, 14, 2, 0xFFFF4000, "count wraps on the second of two ticks"},
+		{spanRapl, 2.75, 5.0000000006988898e-07, 14, 31, 0xFFF00000, "count wraps inside 31 ticks"},
+		{spanInm, 1234.995, 0.00999999999999998, 5e5, 2, 300, "a publication on the first of two ticks"},
+		{spanInm, 1234.985, 0.00999999999999998, 5e5, 2, 300, "a publication on the second of two ticks"},
+		{spanInm, 0, 0.01, 0, 1, 77, "from time zero, one tick"},
+		{spanInm, 3.9, 0.01, 0, 31, 120, "a publication inside 31 ticks"},
 	} {
 		f.Add(sd.kind, sd.s, sd.c, sd.x, sd.k, sd.cnt)
 	}

@@ -11,8 +11,10 @@ import (
 // handle benchmarks sweep one tick at a time. It holds the nodes, a
 // clock and one evaluation table — each node carries its own stepping
 // state (replay.go), which persists between calls, so the call
-// granularity (one tick, one EARGM interval, anything between) changes
-// neither the results nor the cost per node-tick.
+// granularity (one tick, one EARGM interval, anything between) does not
+// change the results. It does change the cost per node-tick: each call
+// moves every armed node by one span, whose cost hardly depends on its
+// length, so a sweep of one tick per call pays a span's cost every tick.
 //
 // A Batch is stepped from one goroutine at a time: RunCoordinated hands
 // each batch to one worker per interval and joins them at the barrier.

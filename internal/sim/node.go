@@ -48,11 +48,13 @@ type node struct {
 	iterActive bool
 	done       bool
 
-	// stepCount tallies every tick of this run and replayed those
-	// advanced while armed; plain ints on purpose — flushTel adds them
-	// to the telemetry counters in one atomic Add each.
+	// stepCount tallies every tick of this run, replayed those advanced
+	// while armed and spans the replays that advanced them; plain ints
+	// on purpose — flushTel adds them to the telemetry counters in one
+	// atomic Add each.
 	stepCount uint64
 	replayed  uint64
+	spans     uint64
 
 	// armed is the fast-path state (see replay.go).
 	armed armedState
@@ -300,7 +302,7 @@ func (n *node) init(cal workload.Calibrated, nodeID int, opt Options) error {
 	n.segIdx, n.iterInSeg = 0, 0
 	n.instrLeft, n.wallLeft = 0, 0
 	n.iterActive, n.done = false, false
-	n.stepCount, n.replayed, n.mpiCount = 0, 0, 0
+	n.stepCount, n.replayed, n.spans, n.mpiCount = 0, 0, 0, 0
 	n.armed = armedState{}
 	n.tNoise, n.pNoise = 0, 0
 	n.lib = nil

@@ -21,7 +21,9 @@ import (
 //     Each of the node's counters is a chain of one constant float op a
 //     tick; on the ulp grid of the binade it is in, k ticks of it are
 //     integer arithmetic on its bits (internal/ulp), so the span costs
-//     a few operations per chain and binade, not per tick. The meters
+//     a few operations per chain and binade, not per tick. There is one
+//     path whatever the span's length: a one-tick span is solved the
+//     same way, at a cost that hardly depends on the length. The meters
 //     and controllers move their own state by the same span (their Span
 //     methods), so every instrument and register is current whenever
 //     runUntil returns. The replay is bit-identical to stepping: the
@@ -34,7 +36,7 @@ import (
 // not once per call; disarming clears a flag.
 
 // armedState is an armed node's precomputed tick: arm builds it,
-// replay and its two helpers read it, and clearing on disarms it.
+// replay reads it, and clearing on disarms it.
 type armedState struct {
 	on bool
 	// accel copies n.cal.Class, so a replayed tick reads nothing
@@ -90,12 +92,11 @@ func (n *node) runUntil(t float64) error {
 // replay moves the armed node ahead by a span of k ticks: k is the
 // number of ticks before the node reaches t or its iteration's next tick
 // would clamp or finish, which only stepOnce handles; replay returns
-// with that tick untouched. A span of ulp.ShortSpan ticks or more moves
-// each of the node's counters ahead as an independent chain in closed
-// form, bit for bit what k repetitions of the precomputed tick give; a
-// shorter one is those repetitions. The meters and controllers then
-// take the same k ticks through their Span methods, with the operands
-// advance hands their Advance.
+// with that tick untouched. Whatever k is, each of the node's counters
+// moves ahead as an independent chain in closed form, bit for bit what
+// k repetitions of the precomputed tick give. The meters and controllers
+// then take the same k ticks through their Span methods, with the
+// operands advance hands their Advance.
 func (n *node) replay(t float64) error {
 	a := &n.armed
 	l := &a.lut
@@ -103,17 +104,31 @@ func (n *node) replay(t float64) error {
 	if a.accel {
 		left = &n.wallLeft
 	}
-	var k uint64
-	if k, _ = ulp.Reach(n.now, l.dt, t, ulp.ShortSpan); k < ulp.ShortSpan {
-		k = n.replayTicks(left, k)
-	} else {
-		k = n.replaySpan(left, t)
-	}
+	// The span ends at the barrier or before the tick stepOnce would
+	// clamp or finish: the first at which the falling chain of work left
+	// is at or below the LUT's stop.
+	end, last := ulp.Reach(*left, -l.per, l.stop, math.MaxUint64)
+	k, now := ulp.Reach(n.now, l.dt, t, end)
 	if k == 0 {
 		return nil
 	}
+	if k < end {
+		last = ulp.Advance(*left, -l.per, k)
+	}
+	*left, n.now = last, now
 	n.stepCount += k
 	n.replayed += k
+	n.spans++
+
+	// advance(), every per-tick constant taken from the LUT.
+	n.instr = ulp.Advance(n.instr, l.nodeInstr, k)
+	n.cycles = ulp.Advance(n.cycles, l.cycles, k)
+	n.avx = ulp.Advance(n.avx, l.avx, k)
+	n.bytes = ulp.Advance(n.bytes, l.bytes, k)
+	n.pkgJ = ulp.Advance(n.pkgJ, l.pkgJ, k)
+	n.dramJ = ulp.Advance(n.dramJ, l.dramJ, k)
+	n.coreFreqSec = ulp.Advance(n.coreFreqSec, l.coreFS, k)
+	n.imcFreqSec = ulp.Advance(n.imcFreqSec, l.imcFS, k)
 
 	e := &n.lastEntry // the entry arm evaluated: nothing re-evaluates while armed
 	if err := n.inm.Span(e.brk.Total*n.pNoise, l.dt, k); err != nil {
@@ -131,56 +146,6 @@ func (n *node) replay(t float64) error {
 		}
 	}
 	return nil
-}
-
-// replaySpan moves the node's own counters ahead by the span to t in
-// closed form and returns its length. The span ends at the barrier or
-// before the tick stepOnce would clamp or finish: the first at which the
-// falling chain of work left is at or below the LUT's stop.
-func (n *node) replaySpan(left *float64, t float64) uint64 {
-	l := &n.armed.lut
-	end, last := ulp.Reach(*left, -l.per, l.stop, math.MaxUint64)
-	k, now := ulp.Reach(n.now, l.dt, t, end)
-	if k == 0 {
-		return 0
-	}
-	if k < end {
-		last = ulp.Advance(*left, -l.per, k)
-	}
-	*left, n.now = last, now
-
-	// advance(), every per-tick constant taken from the LUT.
-	n.instr = ulp.Advance(n.instr, l.nodeInstr, k)
-	n.cycles = ulp.Advance(n.cycles, l.cycles, k)
-	n.avx = ulp.Advance(n.avx, l.avx, k)
-	n.bytes = ulp.Advance(n.bytes, l.bytes, k)
-	n.pkgJ = ulp.Advance(n.pkgJ, l.pkgJ, k)
-	n.dramJ = ulp.Advance(n.dramJ, l.dramJ, k)
-	n.coreFreqSec = ulp.Advance(n.coreFreqSec, l.coreFS, k)
-	n.imcFreqSec = ulp.Advance(n.imcFreqSec, l.imcFS, k)
-	return k
-}
-
-// replayTicks repeats the precomputed tick on the node's own counters at
-// most k times, stopping before the iteration's clamp or finish, and
-// returns how many it repeated: stepOnce and advance's arithmetic with
-// every per-tick constant taken from the LUT.
-func (n *node) replayTicks(left *float64, k uint64) uint64 {
-	l := &n.armed.lut
-	var i uint64
-	for ; i < k && *left > l.stop; i++ {
-		*left -= l.per
-		n.instr += l.nodeInstr
-		n.cycles += l.cycles
-		n.avx += l.avx
-		n.bytes += l.bytes
-		n.pkgJ += l.pkgJ
-		n.dramJ += l.dramJ
-		n.coreFreqSec += l.coreFS
-		n.imcFreqSec += l.imcFS
-		n.now += l.dt
-	}
-	return i
 }
 
 // arm lifts the node into the fast path when it is mid-iteration at a

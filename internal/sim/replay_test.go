@@ -273,21 +273,24 @@ func TestStepTelemetryCoversEveryDriver(t *testing.T) {
 
 // TestReplayedTickCounts pins the work of a fixed free run and a small
 // coordinated run, read from each run's own telemetry set: every tick
-// (goear_sim_steps_total) and the ticks replayed while armed
-// (goear_sim_replayed_steps_total). A span that replays one tick more or
-// fewer than the per-tick loop did moves them; the coordinated run caps
-// and releases its nodes, so its spans end at barriers and disarms too.
+// (goear_sim_steps_total), the ticks replayed while armed
+// (goear_sim_replayed_steps_total) and the replays that moved them
+// (goear_sim_replay_spans_total). A span that replays one tick more or
+// fewer than the per-tick loop did moves the first two, a span that
+// ends at another tick the third; the coordinated run caps and releases
+// its nodes, so its spans end at barriers and disarms too, and 49 of
+// them are under 32 ticks.
 func TestReplayedTickCounts(t *testing.T) {
 	cal := calibrated(t, workload.BTMZC)
 	mdl := platformModel(t, cal.Platform)
 	small := cal
 	small.Nodes = 3
 	for _, c := range []struct {
-		name            string
-		run             func(Options) error
-		steps, replayed uint64
+		name                   string
+		run                    func(Options) error
+		steps, replayed, spans uint64
 	}{
-		{"Run", func(opt Options) error { _, err := Run(cal, opt); return err }, 14799, 14546},
+		{"Run", func(opt Options) error { _, err := Run(cal, opt); return err }, 14799, 14546, 121},
 		{"RunCoordinated", func(opt Options) error {
 			gm, err := eargm.New(eargm.Config{BudgetW: 3 * 300, MaxCapPstate: 8, IntervalSec: 5})
 			if err != nil {
@@ -295,7 +298,7 @@ func TestReplayedTickCounts(t *testing.T) {
 			}
 			_, err = RunCoordinated(small, opt, gm)
 			return err
-		}, 49754, 48981},
+		}, 49754, 48981, 459},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			set := telemetry.NewSet()
@@ -303,8 +306,8 @@ func TestReplayedTickCounts(t *testing.T) {
 				t.Fatal(err)
 			}
 			tl := newSimTel(set)
-			if s, r := tl.steps.Value(), tl.replayed.Value(); s != c.steps || r != c.replayed {
-				t.Errorf("%d steps, %d replayed; want %d, %d", s, r, c.steps, c.replayed)
+			if s, r, sp := tl.steps.Value(), tl.replayed.Value(), tl.spans.Value(); s != c.steps || r != c.replayed || sp != c.spans {
+				t.Errorf("%d steps, %d replayed in %d spans; want %d, %d in %d", s, r, sp, c.steps, c.replayed, c.spans)
 			}
 		})
 	}

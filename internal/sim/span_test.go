@@ -7,8 +7,7 @@ import (
 	"goear/internal/ulp"
 )
 
-// The per-tick oracles: each chain exactly as the armed tick writes it
-// under ulp.ShortSpan.
+// The per-tick oracles: each chain exactly as stepOnce's tick writes it.
 
 func advanceTicks(s, c float64, k uint64) float64 {
 	for ; k > 0; k-- {
@@ -50,7 +49,8 @@ const (
 // binade crossings in both directions, steps that round to nothing; then
 // the node's chains at the magnitudes a run reaches, and the chains the
 // meters hand internal/ulp (the Node Manager's clock to its next
-// publication, the uncore controller's one-drain window). Each meter's
+// publication, the uncore controller's one-drain window); then spans of
+// one, two and 31 ticks, solved like long ones. Each meter's
 // own Span is fuzzed beside it: power.FuzzSpanMatchesAdvance and
 // uncore.FuzzSpanMatchesAdvance.
 func FuzzSpanMatchesTicks(f *testing.F) {
@@ -92,6 +92,14 @@ func FuzzSpanMatchesTicks(f *testing.F) {
 		{spanFall, 0.0099999995 + 0.0099999995, -5e-10, 0.009999999, 3000, "drifting out below the drain threshold"},
 		{spanRise, 0.013, 0, 0.019999999, 500, "the drain window at dt == 0.01"},
 		{spanFall, 0.0151, -0.0049, 0.009999999, 300, "a step outside the drain window's binade"},
+		{spanRise, 7.295, 0.00999999999999998, 7.3, 31, "a clock one tick short of its barrier"},
+		{spanRise, 1023.99, 0.01, 1100, 2, "rising across 1024 in two ticks"},
+		{spanRise, 0.005, 0.00999999999999998, 7.3, 1, "a clock, one tick"},
+		{spanFall, 1 + 2*u1, -1.3 * u1, 0.5, 2, "falling across 1 in two ticks"},
+		{spanFall, 2.5e7, -1.1e5, 1e-6, 31, "instructions left, 31 ticks"},
+		{spanFall, 1.5e5, -1.1e5, 1e-6, 31, "instructions left one tick from the iteration end"},
+		{spanFall, 0.02, -0.01, 1e-9, 2, "wall time left one tick from the iteration end"},
+		{spanFall, 0.15, -0.01, 1e-9, 1, "wall time left, one tick"},
 	} {
 		f.Add(sd.kind, sd.s, sd.c, sd.x, sd.k)
 	}

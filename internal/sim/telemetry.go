@@ -9,6 +9,7 @@ import (
 const (
 	metricSimSteps          = "goear_sim_steps_total"
 	metricSimReplayed       = "goear_sim_replayed_steps_total"
+	metricSimReplaySpans    = "goear_sim_replay_spans_total"
 	metricSimMPIEvents      = "goear_sim_mpi_events_total"
 	metricSimSignatures     = "goear_sim_signatures_total"
 	metricSimNodeRuns       = "goear_sim_node_runs_total"
@@ -27,7 +28,8 @@ var savingBounds = []float64{0, 1, 2, 5, 10, 15, 20, 30, 50}
 // keeps it while its runs carry the same set. flushTel adds the node's
 // plain step tallies in one Add each, so the per-step hot path carries
 // no atomics for telemetry. steps − replayed is the number of ticks that
-// took the slow path; mpiEvents and signatures say what those slow ticks
+// took the slow path, replayed ÷ spans the mean span an armed node
+// moved in one replay; mpiEvents and signatures say what those slow ticks
 // did at their iteration boundaries (events delivered to EARL per slow
 // step, signatures per run). The policy families count the decisions of
 // the node's policy through the counted decorator.
@@ -35,6 +37,7 @@ type simTel struct {
 	set        *telemetry.Set
 	steps      *telemetry.Counter
 	replayed   *telemetry.Counter
+	spans      *telemetry.Counter
 	mpiEvents  *telemetry.Counter
 	signatures *telemetry.Counter
 	runs       *telemetry.Counter
@@ -55,6 +58,7 @@ func newSimTel(set *telemetry.Set) *simTel {
 		set:         set,
 		steps:       r.Counter(metricSimSteps, "simulation steps executed"),
 		replayed:    r.Counter(metricSimReplayed, "simulation steps advanced by armed replay"),
+		spans:       r.Counter(metricSimReplaySpans, "armed replays that advanced at least one step"),
 		mpiEvents:   r.Counter(metricSimMPIEvents, "MPI events delivered to EARL at iteration boundaries"),
 		signatures:  r.Counter(metricSimSignatures, "EARL signatures computed"),
 		runs:        r.Counter(metricSimNodeRuns, "node runs completed"),
@@ -86,11 +90,12 @@ func (n *node) flushTel() {
 	tl.runs.Inc()
 	tl.steps.Add(n.stepCount)
 	tl.replayed.Add(n.replayed)
+	tl.spans.Add(n.spans)
 	tl.mpiEvents.Add(n.mpiCount)
 	if n.lib != nil {
 		tl.signatures.Add(uint64(n.lib.Signatures()))
 	}
-	n.stepCount, n.replayed, n.mpiCount = 0, 0, 0
+	n.stepCount, n.replayed, n.spans, n.mpiCount = 0, 0, 0, 0
 }
 
 // counted decorates a policy with decision counters and the

@@ -23,12 +23,6 @@ import (
 
 const mantBits = 52
 
-// ShortSpan is the span below which ticking beats solving: a span solved
-// in closed form costs about what 30 ticks cost one at a time, and a
-// batch swept one tick per call must not pay that every tick. Every
-// span method under it ticks instead.
-const ShortSpan = 32
-
 // stretch reports how far s can go on adding c in exact integer steps:
 // s's bits b, the step in ulps, and n, the number of additions whose
 // results b + j·step (j = 1..n) stay on the grid — at most top−u rising,

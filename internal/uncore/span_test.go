@@ -11,10 +11,11 @@ import (
 // bit for bit — the tick accumulator and the published ratio. The
 // controller's curve asks for ratio 18 and it starts at 12 + start%13,
 // so a start of 6 is settled (the seeds' case: only the accumulator
-// moves, in closed form past ulp.ShortSpan) and any other ramps. The
-// seeds force the drain window's edges: dt == 0.01, an off-grid
-// accumulator, dt just above and below 0.01, a dt drifting out below
-// the threshold, and one outside the window's binade.
+// moves, in closed form whatever the span's length) and any other
+// ramps. The seeds force the drain window's edges: dt == 0.01, an
+// off-grid accumulator, dt just above and below 0.01, a dt drifting out
+// below the threshold, and one outside the window's binade; each over
+// long spans and over spans of one, two and 31 ticks.
 func FuzzSpanMatchesAdvance(f *testing.F) {
 	type seed struct {
 		acc, dt float64
@@ -29,6 +30,12 @@ func FuzzSpanMatchesAdvance(f *testing.F) {
 		{2e-12, 0.01 - 5e-15, 3000, 6, "dt below 0.01"},
 		{0, 0.0099999995, 3000, 6, "drifting out below the threshold"},
 		{0.004, 0.0051, 300, 6, "dt outside the binade"},
+		{0.003, 0.01, 1, 6, "dt == 0.01, one tick"},
+		{0.003, 0.01, 2, 6, "dt == 0.01, two ticks"},
+		{1e-20, 0.01, 31, 6, "off-grid accumulator, dt == 0.01, 31 ticks"},
+		{2e-12, 0.01 + 5e-15, 1, 6, "dt above 0.01, one tick"},
+		{2e-12, 0.01 - 5e-15, 2, 6, "dt below 0.01, two ticks"},
+		{0, 0.0099999995, 31, 6, "dt just below the threshold, 31 ticks"},
 		{0.002, 0.01, 40, 0, "ramping from the minimum"},
 	} {
 		f.Add(sd.acc, sd.dt, sd.k, sd.start)

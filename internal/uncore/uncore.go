@@ -220,9 +220,9 @@ func (c *Controller) tick(coreRatio uint64) error {
 
 // Span runs the controller as k successive Advance(dt, coreRatio) calls
 // do, bit for bit. A settled controller's ticks neither publish nor
-// read anything that changes, so only its accumulator moves: under
-// ulp.ShortSpan ticks one drain at a time, above it in closed form
-// (settleSpan). A ramping one is advanced call by call.
+// read anything that changes, so only its accumulator moves, in closed
+// form (settleSpan) whatever k is. A ramping one is advanced call by
+// call.
 func (c *Controller) Span(dt float64, coreRatio uint64, k uint64) error {
 	if dt < 0 {
 		return fmt.Errorf("uncore: negative time step %g", dt)
@@ -232,12 +232,6 @@ func (c *Controller) Span(dt float64, coreRatio uint64, k uint64) error {
 			if err := c.Advance(dt, coreRatio); err != nil {
 				return err
 			}
-		}
-		return nil
-	}
-	if k < ulp.ShortSpan {
-		for ; k > 0; k-- {
-			c.acc = settleAccum(c.acc, dt)
 		}
 		return nil
 	}
