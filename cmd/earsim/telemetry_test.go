@@ -89,27 +89,40 @@ func TestPowercapMetrics(t *testing.T) {
 }
 
 // TestDecisionEventsGolden pins the bytes -events-out writes for a
-// two-node BQCD run under min_energy_eufs: every policy.decision event,
-// the ones with a prediction and the ones without, as FNV-64a over the
-// file. A change to how EARL's decisions are recorded that moves one
+// two-node BQCD run under each row's policy: every policy.decision
+// event, the ones with a prediction and the ones without, as FNV-64a
+// over the file. min_energy_eufs and min_time_eufs carry each base
+// search's projection through the eUFS wrapper; duf's events carry
+// none. A change to how EARL's decisions are recorded that moves one
 // byte of /events fails here.
 func TestDecisionEventsGolden(t *testing.T) {
-	ePath := filepath.Join(t.TempDir(), "events.jsonl")
-	var b strings.Builder
-	err := run([]string{
-		"-workload", "BQCD", "-policy", "min_energy_eufs", "-nodes", "2", "-events-out", ePath,
-	}, &b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	events, err := os.ReadFile(ePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := fnv.New64a()
-	h.Write(events)
-	if got, want := h.Sum64(), uint64(0x3b40af3109c48ade); got != want {
-		t.Errorf("events digest %#016x (%d bytes, %d lines), want %#016x",
-			got, len(events), strings.Count(string(events), "\n"), want)
+	for _, tc := range []struct {
+		policy string
+		want   uint64
+	}{
+		{"min_energy_eufs", 0x3b40af3109c48ade},
+		{"min_time_eufs", 0xecf0ef968c6453bc},
+		{"duf", 0x9810d0f07bf69baa},
+	} {
+		t.Run(tc.policy, func(t *testing.T) {
+			ePath := filepath.Join(t.TempDir(), "events.jsonl")
+			var b strings.Builder
+			err := run([]string{
+				"-workload", "BQCD", "-policy", tc.policy, "-nodes", "2", "-events-out", ePath,
+			}, &b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			events, err := os.ReadFile(ePath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			h.Write(events)
+			if got := h.Sum64(); got != tc.want {
+				t.Errorf("events digest %#016x (%d bytes, %d lines), want %#016x",
+					got, len(events), strings.Count(string(events), "\n"), tc.want)
+			}
+		})
 	}
 }

@@ -187,7 +187,7 @@ func (l *Library) OnMPICall(ev uint32, now float64) error {
 	case dynais.NewIteration:
 		l.iterations++
 		if now-l.lastSigAt >= l.cfg.MinWindowSec {
-			return l.computeSignature(now, false)
+			return l.computeSignature(now)
 		}
 	case dynais.EndLoop:
 		// Structure lost: next signature will be time-guided until a
@@ -203,14 +203,14 @@ func (l *Library) OnTick(now float64) error {
 		return nil
 	}
 	if now-l.lastSigAt >= l.cfg.MinWindowSec {
-		return l.computeSignature(now, true)
+		return l.computeSignature(now)
 	}
 	return nil
 }
 
 // computeSignature builds the window signature and runs the Code 1
 // state machine.
-func (l *Library) computeSignature(now float64, timeGuided bool) error {
+func (l *Library) computeSignature(now float64) error {
 	cur, err := l.ctl.Counters()
 	if err != nil {
 		return err
@@ -233,12 +233,12 @@ func (l *Library) computeSignature(now float64, timeGuided bool) error {
 	l.last = cur
 	l.lastSigAt = now
 	l.sigCount++
-	return l.newSignature(sig, now, timeGuided)
+	return l.newSignature(sig, now)
 }
 
 // newSignature is the paper's state_new_signature.
-func (l *Library) newSignature(sig metrics.Signature, now float64, timeGuided bool) error {
-	in, err := l.inputs(sig, timeGuided)
+func (l *Library) newSignature(sig metrics.Signature, now float64) error {
+	in, err := l.inputs(sig)
 	if err != nil {
 		return err
 	}
@@ -254,9 +254,7 @@ func (l *Library) newSignature(sig metrics.Signature, now float64, timeGuided bo
 			return err
 		}
 		ev.PolicyState, ev.Freqs, ev.Applied = pst, nf, true
-		if pr, ok := l.cfg.Policy.(policy.Predictor); ok {
-			ev.Pred, ev.HavePred = pr.LastPrediction()
-		}
+		ev.Pred, ev.HavePred = l.cfg.Policy.LastPrediction()
 		if pst == policy.Ready {
 			l.state = validatePolicy
 			l.haveStable = false
@@ -265,24 +263,14 @@ func (l *Library) newSignature(sig metrics.Signature, now float64, timeGuided bo
 	case validatePolicy:
 		ok := l.cfg.Policy.Validate(in)
 		ev.Validated = ok
-		if !ok {
-			// set_def: restore defaults and re-run the policy.
-			def := l.cfg.Policy.Default()
-			l.cfg.Policy.Reset()
-			if err := l.applyFreqs(def); err != nil {
-				return err
-			}
-			ev.Freqs, ev.Applied = def, true
-			l.state = nodePolicy
-			l.haveStable = false
-			break
-		}
-		if !l.haveStable {
+		if ok && !l.haveStable {
 			l.stable, l.haveStable = sig, true
 			break
 		}
-		if metrics.Changed(l.stable, sig, l.cfg.SigChangeTh) {
-			ev.SigChange = true
+		ev.SigChange = ok && metrics.Changed(l.stable, sig, l.cfg.SigChangeTh)
+		if !ok || ev.SigChange {
+			// set_def, on a failed validation or a signature change:
+			// restore defaults and re-run the policy.
 			def := l.cfg.Policy.Default()
 			l.cfg.Policy.Reset()
 			if err := l.applyFreqs(def); err != nil {
@@ -304,7 +292,7 @@ func (l *Library) newSignature(sig metrics.Signature, now float64, timeGuided bo
 }
 
 // inputs assembles the policy inputs from the node state.
-func (l *Library) inputs(sig metrics.Signature, timeGuided bool) (policy.Inputs, error) {
+func (l *Library) inputs(sig metrics.Signature) (policy.Inputs, error) {
 	ps, err := l.ctl.CurrentPstate()
 	if err != nil {
 		return policy.Inputs{}, err
@@ -317,7 +305,6 @@ func (l *Library) inputs(sig metrics.Signature, timeGuided bool) (policy.Inputs,
 		Sig:                sig,
 		CurrentPstate:      ps,
 		CurrentUncoreRatio: unc,
-		TimeGuided:         timeGuided,
 	}, nil
 }
 

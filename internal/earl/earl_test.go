@@ -101,6 +101,9 @@ func (s *scriptedPolicy) Apply(in policy.Inputs) (policy.NodeFreqs, policy.State
 func (s *scriptedPolicy) Validate(policy.Inputs) bool { s.validateCalls++; return s.validateOK }
 func (s *scriptedPolicy) Default() policy.NodeFreqs   { return s.def }
 func (s *scriptedPolicy) Reset()                      { s.resets++ }
+func (s *scriptedPolicy) LastPrediction() (policy.PredictionView, bool) {
+	return policy.PredictionView{}, false
+}
 
 // runIterations feeds n iterations of an MPI pattern at the given
 // iteration period.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"os"
 	"reflect"
 	"sort"
@@ -461,6 +462,25 @@ func TestSummaryBands(t *testing.T) {
 	}
 	if maxT > 9 {
 		t.Errorf("max time penalty = %.2f%%, want bounded like the paper's ~5%%", maxT)
+	}
+}
+
+// TestSummaryMaximumOfNegativeColumn: a column where every application
+// loses reports its largest value as the maximum, not 0.
+func TestSummaryMaximumOfNegativeColumn(t *testing.T) {
+	tab, err := summaryTable([]sim.Delta{
+		{EnergySavingPct: -3, TimePenaltyPct: -1},
+		{EnergySavingPct: -1, TimePenaltyPct: -4},
+		{EnergySavingPct: -2, TimePenaltyPct: -2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range [][]float64{{-2, -1}, {-7.0 / 3, -1}} {
+		avg, top := parsePct(t, tab.Rows[i][1]), parsePct(t, tab.Rows[i][2])
+		if math.Abs(avg-want[0]) > 0.01 || top != want[1] {
+			t.Errorf("%s: average %v, maximum %v; want %v, %v", tab.Rows[i][0], avg, top, want[0], want[1])
+		}
 	}
 }
 

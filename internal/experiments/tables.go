@@ -161,10 +161,6 @@ func (c *Context) table7() ([]report.Table, error) {
 // average and maximum energy saving and time penalty of ME+eU across
 // the applications.
 func (c *Context) summary() ([]report.Table, error) {
-	t := report.Table{
-		Title:   "Summary: ME+eU across MPI applications (paper: avg energy save ~9%, avg time penalty ~3%)",
-		Columns: []string{"metric", "average", "maximum"},
-	}
 	ds, err := mapRows(c, workload.Applications(), func(name string) (sim.Delta, error) {
 		r := appEU(name)
 		cmp, err := c.Compare(r.name, r.opt)
@@ -173,23 +169,29 @@ func (c *Context) summary() ([]report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	var eSum, tSum, eMax, tMax float64
-	for _, d := range ds {
-		eSum += d.EnergySavingPct
-		tSum += d.TimePenaltyPct
-		if d.EnergySavingPct > eMax {
-			eMax = d.EnergySavingPct
-		}
-		if d.TimePenaltyPct > tMax {
-			tMax = d.TimePenaltyPct
-		}
-	}
-	n := float64(len(ds))
-	if err := t.AddRow("energy saving", report.Pct(eSum/n), report.Pct(eMax)); err != nil {
-		return nil, err
-	}
-	if err := t.AddRow("time penalty", report.Pct(tSum/n), report.Pct(tMax)); err != nil {
+	t, err := summaryTable(ds)
+	if err != nil {
 		return nil, err
 	}
 	return []report.Table{t}, nil
+}
+
+// summaryTable is the summary over one comparison per application: each
+// column's average and its largest value, negative ones included.
+func summaryTable(ds []sim.Delta) (report.Table, error) {
+	t := report.Table{
+		Title:   "Summary: ME+eU across MPI applications (paper: avg energy save ~9%, avg time penalty ~3%)",
+		Columns: []string{"metric", "average", "maximum"},
+	}
+	energy, penalty := make([]float64, len(ds)), make([]float64, len(ds))
+	for i, d := range ds {
+		energy[i], penalty[i] = d.EnergySavingPct, d.TimePenaltyPct
+	}
+	if err := t.AddRow("energy saving", report.Pct(mean(energy)), report.Pct(maxOf(energy))); err != nil {
+		return report.Table{}, err
+	}
+	if err := t.AddRow("time penalty", report.Pct(mean(penalty)), report.Pct(maxOf(penalty))); err != nil {
+		return report.Table{}, err
+	}
+	return t, nil
 }

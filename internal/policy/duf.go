@@ -73,10 +73,7 @@ func (p *duf) Apply(in Inputs) (NodeFreqs, State, error) {
 
 	// Degradation beyond tolerance: back off one step and hold.
 	if ipc(sig) < p.refIPC*(1-dufIPCTolerance) || sig.GBs < p.refGBs*(1-dufIPCTolerance) {
-		p.curMax += uncoreStep
-		if p.curMax > p.cfg.UncoreMaxRatio {
-			p.curMax = p.cfg.UncoreMaxRatio
-		}
+		p.curMax = p.cfg.stepUncore(p.curMax, true)
 		p.holding = true
 		return p.freqs(in), Ready, nil
 	}
@@ -87,17 +84,13 @@ func (p *duf) Apply(in Inputs) (NodeFreqs, State, error) {
 	return p.step(in)
 }
 
-// step lowers the ceiling one notch (or holds at the floor).
+// step lowers the ceiling one notch, or holds once it is at the floor.
 func (p *duf) step(in Inputs) (NodeFreqs, State, error) {
 	if p.curMax <= p.cfg.UncoreMinRatio {
-		p.curMax = p.cfg.UncoreMinRatio
 		p.holding = true
 		return p.freqs(in), Ready, nil
 	}
-	p.curMax -= uncoreStep
-	if p.curMax < p.cfg.UncoreMinRatio {
-		p.curMax = p.cfg.UncoreMinRatio
-	}
+	p.curMax = p.cfg.stepUncore(p.curMax, false)
 	return p.freqs(in), Continue, nil
 }
 
@@ -127,6 +120,9 @@ func (p *duf) Validate(in Inputs) bool {
 	}
 	return true
 }
+
+// LastPrediction reports none: the controller has no model.
+func (p *duf) LastPrediction() (PredictionView, bool) { return PredictionView{}, false }
 
 func (p *duf) Default() NodeFreqs {
 	return NodeFreqs{

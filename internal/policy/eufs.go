@@ -129,10 +129,7 @@ func (p *eufs) compRef(in Inputs) (NodeFreqs, State, error) {
 		p.curMax = p.cfg.UncoreMinRatio
 		return p.freqs(), Ready, nil
 	}
-	p.curMax = start - uncoreStep
-	if p.curMax < p.cfg.UncoreMinRatio {
-		p.curMax = p.cfg.UncoreMinRatio
-	}
+	p.curMax = p.cfg.stepUncore(start, false)
 	return p.freqs(), Continue, nil
 }
 
@@ -153,10 +150,7 @@ func (p *eufs) imcStep(in Inputs) (NodeFreqs, State, error) {
 	extraCPI := p.refCPI * p.cfg.UncPolicyTh
 	extraGBs := p.refGBs * p.cfg.UncPolicyTh
 	if sig.CPI > p.refCPI+extraCPI || sig.GBs < p.refGBs-extraGBs {
-		p.curMax += uncoreStep
-		if p.curMax > p.cfg.UncoreMaxRatio {
-			p.curMax = p.cfg.UncoreMaxRatio
-		}
+		p.curMax = p.cfg.stepUncore(p.curMax, true)
 		return p.freqs(), Ready, nil
 	}
 
@@ -166,10 +160,7 @@ func (p *eufs) imcStep(in Inputs) (NodeFreqs, State, error) {
 	}
 
 	// Keep lowering.
-	p.curMax -= uncoreStep
-	if p.curMax < p.cfg.UncoreMinRatio {
-		p.curMax = p.cfg.UncoreMinRatio
-	}
+	p.curMax = p.cfg.stepUncore(p.curMax, false)
 	return p.freqs(), Continue, nil
 }
 
@@ -202,12 +193,7 @@ func (p *eufs) freqs() NodeFreqs {
 
 // LastPrediction forwards the base policy's prediction view, so the
 // eUFS wrapper stays transparent to telemetry and decision logging.
-func (p *eufs) LastPrediction() (PredictionView, bool) {
-	if pr, ok := p.base.(Predictor); ok {
-		return pr.LastPrediction()
-	}
-	return PredictionView{}, false
-}
+func (p *eufs) LastPrediction() (PredictionView, bool) { return p.base.LastPrediction() }
 
 // Validate reports whether the stable behaviour still matches the
 // reference within the signature-change threshold.
@@ -235,6 +221,16 @@ func (p *eufs) Reset() {
 	p.refCPI, p.refGBs = 0, 0
 	p.curMax = 0
 	p.started = false
+}
+
+// stepUncore moves an uncore ceiling r one step down, held at the
+// window's floor, or with raise one step up, held at its ceiling: the
+// one move eUFS's search and duf's probe make.
+func (c Config) stepUncore(r uint64, raise bool) uint64 {
+	if raise {
+		return min(r+uncoreStep, c.UncoreMaxRatio)
+	}
+	return max(r, c.UncoreMinRatio+uncoreStep) - uncoreStep
 }
 
 func clamp(v, lo, hi uint64) uint64 {

@@ -6,7 +6,9 @@
 // and New builds a policy from a Config. The EAR Library drives them
 // through the same three entry points as the paper's Code 1: apply on a
 // new signature (node_policy), validate once the policy reported READY,
-// and default frequencies when validation fails (set_def).
+// and default frequencies when validation fails (set_def). Every policy
+// also reports the model projection behind its last apply
+// (LastPrediction), so nothing that wraps or drives one asserts its type.
 //
 // A policy returns Ready when it has settled on an operating point and
 // Continue when it wants to be re-applied on the next signature — the
@@ -67,9 +69,6 @@ type Inputs struct {
 	// 0x621 — the hardware's current selection, which the HW-guided
 	// search uses as its starting point.
 	CurrentUncoreRatio uint64
-	// TimeGuided is true when no loop structure was detected and the
-	// signature window is the iteration (non-MPI applications).
-	TimeGuided bool
 }
 
 // PredictionView is a policy's latest model projection, exposed for
@@ -83,13 +82,6 @@ type PredictionView struct {
 	PowerW     float64
 	RefTimeSec float64
 	RefPowerW  float64
-}
-
-// Predictor is optionally implemented by policies that can report the
-// prediction behind their last Apply.
-type Predictor interface {
-	// LastPrediction returns the view and whether a prediction exists.
-	LastPrediction() (PredictionView, bool)
 }
 
 // Policy is the plugin interface (the paper's policy_operations).
@@ -106,6 +98,10 @@ type Policy interface {
 	// Default returns the safe frequencies EARL applies when
 	// validation fails (set_def).
 	Default() NodeFreqs
+	// LastPrediction returns the projection behind the last Apply and
+	// whether there is one: EARL's decision event and the predicted
+	// saving read it. A policy without a model reports none.
+	LastPrediction() (PredictionView, bool)
 	// Reset clears internal state so the policy can be re-applied from
 	// scratch (used on application phase changes).
 	Reset()

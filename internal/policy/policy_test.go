@@ -232,7 +232,7 @@ func TestMinEnergyBusyWaitDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nf, _, err := p.Apply(Inputs{Sig: busyWaitSig(), CurrentPstate: 1, CurrentUncoreRatio: 24, TimeGuided: true})
+	nf, _, err := p.Apply(Inputs{Sig: busyWaitSig(), CurrentPstate: 1, CurrentUncoreRatio: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,6 +294,77 @@ func TestMinEnergyInvalidSignature(t *testing.T) {
 	}
 	if _, _, err := p.Apply(Inputs{Sig: metrics.Signature{}, CurrentPstate: 1}); err == nil {
 		t.Error("expected error for invalid signature")
+	}
+}
+
+// nanModel is the test model with every CPI intercept NaN, so every
+// projection's CPI (and time) is NaN.
+func nanModel(t *testing.T) *model.Model {
+	m := *sd530Model(t)
+	m.Pairs = make([][]model.PairCoeffs, len(m.Pairs))
+	for i, row := range sd530Model(t).Pairs {
+		m.Pairs[i] = slices.Clone(row)
+		for j := range m.Pairs[i] {
+			for c := range m.Pairs[i][j].ByClass {
+				m.Pairs[i][j].ByClass[c].C = math.NaN()
+			}
+		}
+	}
+	return &m
+}
+
+// TestValidateRejectsNaNCPI pins the one reading of a NaN CPI, measured
+// or predicted: Validate fails, for both CPU searches and for both eUFS
+// wrappers while they are still before the IMC stage (where they defer
+// to the base search). A NaN prediction reaches a wrapper only at the
+// default pstate, which goes straight to the IMC stage, so its rows
+// are the bare searches'.
+func TestValidateRejectsNaNCPI(t *testing.T) {
+	sig := memBoundSig()
+	near, nan := sig, sig
+	near.CPI *= 0.7
+	nan.CPI = math.NaN()
+	for _, tc := range []struct {
+		name     string
+		policy   string
+		nanModel bool
+		measured metrics.Signature
+		want     bool
+	}{
+		{"min_energy/near", MinEnergy, false, near, true},
+		{"min_energy/measured_nan", MinEnergy, false, nan, false},
+		{"min_energy/predicted_nan", MinEnergy, true, near, false},
+		{"min_time/near", MinTime, false, near, true},
+		{"min_time/measured_nan", MinTime, false, nan, false},
+		{"min_time/predicted_nan", MinTime, true, near, false},
+		{"min_energy_eufs/near", MinEnergyEUFS, false, near, true},
+		{"min_energy_eufs/measured_nan", MinEnergyEUFS, false, nan, false},
+		{"min_time_eufs/near", MinTimeEUFS, false, near, true},
+		{"min_time_eufs/measured_nan", MinTimeEUFS, false, nan, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(t)
+			if tc.nanModel {
+				cfg.Model = nanModel(t)
+			}
+			p, err := New(tc.policy, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nf, st, err := p.Apply(Inputs{Sig: sig, CurrentPstate: 1, CurrentUncoreRatio: 24})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if nf.SetIMC || (tc.policy != MinEnergy && tc.policy != MinTime) && st != Continue {
+				t.Fatalf("Apply = %+v, %v: not before the IMC stage", nf, st)
+			}
+			if pred, have := p.LastPrediction(); tc.nanModel && (!have || !math.IsNaN(pred.TimeSec)) {
+				t.Fatalf("prediction %+v (have %v), want a NaN projection", pred, have)
+			}
+			if got := p.Validate(Inputs{Sig: tc.measured, CurrentPstate: nf.CPUPstate, CurrentUncoreRatio: 24}); got != tc.want {
+				t.Errorf("Validate = %v, want %v", got, tc.want)
+			}
+		})
 	}
 }
 

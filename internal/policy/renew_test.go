@@ -48,9 +48,7 @@ func drivePolicy(p Policy, ins []Inputs) []step {
 		if err != nil {
 			s.Err = err.Error()
 		}
-		if pr, ok := p.(Predictor); ok {
-			s.Pred, s.HavePred = pr.LastPrediction()
-		}
+		s.Pred, s.HavePred = p.LastPrediction()
 		near, far := in, in
 		near.Sig.CPI *= 1.01
 		far.Sig.CPI *= 3

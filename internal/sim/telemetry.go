@@ -100,8 +100,8 @@ func (n *node) flushTel() {
 
 // counted decorates a policy with decision counters and the
 // predicted-saving histogram; the handles resolve when it is built (run
-// setup), never inside Apply/Validate. It forwards Predictor so EARL's
-// decision trace still sees the underlying prediction.
+// setup), never inside Apply/Validate. The embedded policy's
+// LastPrediction is EARL's decision trace's, unchanged.
 type counted struct {
 	policy.Policy
 	tel     *simTel // the bundle the handles below resolve into
@@ -155,12 +155,4 @@ func (p *counted) Validate(in policy.Inputs) bool {
 		p.valFail.Inc()
 	}
 	return ok
-}
-
-// LastPrediction forwards the decorated policy's prediction view.
-func (p *counted) LastPrediction() (policy.PredictionView, bool) {
-	if pr, ok := p.Policy.(policy.Predictor); ok {
-		return pr.LastPrediction()
-	}
-	return policy.PredictionView{}, false
 }
