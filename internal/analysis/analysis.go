@@ -1,17 +1,19 @@
-// Package analysis holds the module to two source-level rules that its
+// Package analysis holds the module to the source-level rules that its
 // runtime tests can only sample:
 //
 //   - determinism: no wall clock, no global math/rand generator and no
 //     output in map-iteration order, so every run is a pure function of
 //     its seed (CI cmps benchtables at -parallel 1 against -parallel 8);
-//   - errcheck: no error result dropped in statement position.
+//   - errcheck: no error result dropped in statement position;
+//   - the rule table (rules.go): where a named object or a syntactic
+//     form may be used, one exact count and one coverage figure.
 //
 // Each check is a plain function over one loaded package that renders
 // its findings as "file:line:col: message (check)". Both hold every
 // package under internal/; determinism skips internal/telemetry, where
-// WallClock adapts the wall clock for the binaries. TestWholeTreeClean
-// runs them over the module in every go test run, and there is no
-// suppression directive. The loader parses and type-checks from source
+// WallClock adapts the wall clock for the binaries. The table reads the
+// whole module. TestWholeTreeClean runs all three in every go test run;
+// there is no suppression directive. The loader type-checks from source
 // with the standard library alone.
 package analysis
 
@@ -44,7 +46,7 @@ func (l *Loader) scope(path string) (det, errs bool) {
 	return errs && path != l.module+"/internal/telemetry", errs
 }
 
-// lint runs both checks over the module in import-path order.
+// lint runs both checks and the rule table over the module in import-path order.
 func (l *Loader) lint() ([]string, error) {
 	var paths []string
 	for path := range l.dirs {
@@ -52,21 +54,22 @@ func (l *Loader) lint() ([]string, error) {
 	}
 	sort.Strings(paths)
 	var found []string
+	var pkgs []*pkg
 	for _, path := range paths {
-		det, errs := l.scope(path)
-		if !errs {
-			continue
-		}
 		p, err := l.load(path)
 		if err != nil {
 			return nil, err
 		}
+		pkgs = append(pkgs, p)
+		det, errs := l.scope(path)
 		if det {
 			found = append(found, determinism(p)...)
 		}
-		found = append(found, errcheck(p)...)
+		if errs {
+			found = append(found, errcheck(p)...)
+		}
 	}
-	return found, nil
+	return append(found, l.breaches(rules, pkgs)...), nil
 }
 
 // stripParens removes any number of surrounding parentheses.

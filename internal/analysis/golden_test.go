@@ -11,8 +11,8 @@ import (
 
 // module is the one loader of this test binary: the module and both
 // fixtures, so the standard library is type-checked from source once.
-// The fixtures sit under internal/ paths outside the module, which
-// lint does not visit.
+// The fixtures sit under internal/ paths outside the module, which no
+// check's scope and no rule's reads take in.
 var module = sync.OnceValues(func() (*Loader, error) {
 	l, err := NewLoader("../..")
 	if err != nil {
@@ -151,9 +151,9 @@ func TestFixtureCount(t *testing.T) {
 	}
 }
 
-// TestWholeTreeClean holds the module to both checks in the ordinary
-// test run, so a finding in a package a change did not touch still
-// fails that change's tests.
+// TestWholeTreeClean holds the module to both checks and the rule
+// table in the ordinary test run, so a finding in a package a change
+// did not touch still fails that change's tests.
 func TestWholeTreeClean(t *testing.T) {
 	l, err := module()
 	if err != nil {

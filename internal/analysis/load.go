@@ -17,6 +17,7 @@ type pkg struct {
 	fset *token.FileSet
 	// files are the parsed non-test files, sorted by file name.
 	files []*ast.File
+	tests []*ast.File // the directory's _test.go files, parsed, not type-checked
 	types *types.Package
 	info  *types.Info
 }
@@ -99,20 +100,35 @@ func (l *Loader) load(path string) (*pkg, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: %w", err)
 	}
-	var files []*ast.File
+	var files, tests []*ast.File
 	for _, e := range entries {
-		if e.IsDir() || !isSource(e.Name()) {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
 			continue
 		}
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
+		mode, into := parser.ParseComments, &files
+		if !isSource(e.Name()) {
+			mode, into = parser.SkipObjectResolution, &tests
+		}
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, e.Name()), nil, mode)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: parse: %w", err)
 		}
-		files = append(files, f)
+		*into = append(*into, f)
 	}
 	if len(files) == 0 {
 		return nil, fmt.Errorf("analysis: no non-test Go files in %s", dir)
 	}
+	p, err := l.typeCheck(path, files, tests)
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[path] = p
+	return p, nil
+}
+
+// typeCheck type-checks files as the package path, beside tests, and
+// caches nothing, so a test can check a mutant under a held path.
+func (l *Loader) typeCheck(path string, files, tests []*ast.File) (*pkg, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -133,9 +149,7 @@ func (l *Loader) load(path string) (*pkg, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: type-check %s: %w", path, err)
 	}
-	p := &pkg{fset: l.fset, files: files, types: tpkg, info: info}
-	l.pkgs[path] = p
-	return p, nil
+	return &pkg{fset: l.fset, files: files, tests: tests, types: tpkg, info: info}, nil
 }
 
 type importerFunc func(path string) (*types.Package, error)

@@ -13,6 +13,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -217,7 +218,8 @@ func (db *DB) Clone() *DB {
 
 // WriteFile replaces the file at path with what write produces, through
 // a temporary file beside it that is synced and then renamed over path:
-// a crash mid-save leaves the previous file intact and loadable.
+// a crash mid-save leaves the previous file intact and loadable. The
+// directory is synced after the rename, which makes the rename durable.
 func WriteFile(path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -236,6 +238,15 @@ func WriteFile(path string, write func(io.Writer) error) error {
 	}
 	if err != nil {
 		_ = os.Remove(tmp) // the write's error is the one to report
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	err = dir.Sync()
+	if cerr := dir.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }

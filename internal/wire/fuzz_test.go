@@ -172,7 +172,9 @@ func TestDecodeAllocationBounded(t *testing.T) {
 			cases[kind+" result: huge count"] = Frame{Type: TypeResult, Payload: append([]byte{byte(code + 5)}, huge...)}
 		}
 	}
-	decode := func(f Frame) (err error) {
+	// targets are the result decode targets, built before the window
+	// opens so that only the decoder's allocations are counted.
+	decode := func(f Frame, targets map[string]any) (err error) {
 		switch f.Type {
 		case TypeBatch:
 			_, err = f.AsBatch()
@@ -181,10 +183,7 @@ func TestDecodeAllocationBounded(t *testing.T) {
 		case TypeResult:
 			var res Result
 			if res, err = f.AsResult(); err == nil {
-				err = res.Decode(map[string]any{
-					QueryNodePowers: new([]NodePower), QueryAcctJobs: new(accounting.Page),
-					QueryGeneration: new(Generation), QueryChanges: new(Changes),
-				}[res.Kind])
+				err = res.Decode(targets[res.Kind])
 			}
 		}
 		return err
@@ -196,9 +195,13 @@ func TestDecodeAllocationBounded(t *testing.T) {
 		var err error
 		got := uint64(math.MaxUint64)
 		for range 5 {
+			targets := map[string]any{
+				QueryNodePowers: new([]NodePower), QueryAcctJobs: new(accounting.Page),
+				QueryGeneration: new(Generation), QueryChanges: new(Changes),
+			}
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
-			err = decode(f)
+			err = decode(f, targets)
 			runtime.ReadMemStats(&m1)
 			got = min(got, m1.TotalAlloc-m0.TotalAlloc)
 		}
