@@ -52,7 +52,7 @@ var rules = []rule{
 	{name: "One site-config loader", uses: []string{"goear/internal/earconf.Parse"}, reads: outsideBench, allow: []string{"internal/earconf"}},
 	{name: "One spec-file loader", uses: []string{"goear/internal/workload.LoadSpec"}, reads: outsideBench, allow: []string{"internal/workload"}},
 	{name: "The load generator seeds no math/rand source", uses: []string{"math/rand.NewSource"}, reads: []string{"internal/loadgen", "internal/accounting"}},
-	{name: "One evaluation site in the simulator", uses: []string{"goear/internal/perf.Evaluate"}, reads: []string{"internal/sim"}, allow: []string{"(*goear/internal/sim.node).evalAt"}},
+	{name: "One evaluation site in the simulator", uses: []string{"goear/internal/perf.Evaluate", "goear/internal/perf.EvaluateAll"}, reads: []string{"internal/sim"}, allow: []string{"(*goear/internal/sim.node).evalAt"}},
 	{name: "The simulator leaves RAPL to power.Rapl", uses: []string{"goear/internal/msr.MSRPkgEnergyStatus", "goear/internal/msr.MSRDramEnergyStatus", "goear/internal/msr.MSRRaplPowerUnit"}, reads: []string{"internal/sim"}},
 	{name: "One comparison path in the campaign", uses: []string{"goear/internal/sim.DeltaOf"}, reads: []string{"internal/experiments"}, allow: []string{"(*goear/internal/experiments.Context).Compare", "(*goear/internal/experiments.Context).fig1"}},
 	{name: "A policy is driven through its interface", uses: []string{exportedAssert, "goear/internal/policy.Predictor", "goear/internal/earl.Predictor", "goear/internal/sim.Predictor"}, reads: []string{"internal/earl", "internal/sim", "internal/policy"}},

@@ -47,6 +47,8 @@ func TestRuleMutants(t *testing.T) {
 			`^mutant.go:2:\d+: math/rand\.NewSource used in goear/internal/loadgen\.mut `},
 		{"One evaluation site in the simulator", "goear/internal/sim", "import \"goear/internal/perf\"\nfunc mut() { _ = perf.Evaluate }",
 			`^mutant.go:2:\d+: goear/internal/perf\.Evaluate used in goear/internal/sim\.mut `},
+		{"One evaluation site in the simulator", "goear/internal/sim", "import \"goear/internal/perf\"\nfunc mut() { _ = perf.EvaluateAll }",
+			`^mutant.go:2:\d+: goear/internal/perf\.EvaluateAll used in goear/internal/sim\.mut `},
 		{"The simulator leaves RAPL to power.Rapl", "goear/internal/sim", "import \"goear/internal/msr\"\nconst mut = msr.MSRDramEnergyStatus",
 			`^mutant.go:2:\d+: goear/internal/msr\.MSRDramEnergyStatus used in goear/internal/sim\.mut `},
 		{"One comparison path in the campaign", "goear/internal/experiments", "import \"goear/internal/sim\"\nvar mut = sim.DeltaOf",

@@ -103,20 +103,31 @@ func (c Config) Utilization(demandGBs float64, fu units.Freq) float64 {
 }
 
 // LatencyNs returns the effective DRAM access latency at uncore frequency
-// fu under utilisation rho: the idle latency plus the uncore-clocked
-// component, inflated by a queueing factor 1 + QueueGain·rho³/(1-rho).
+// fu under utilisation rho, clamped to [0, MaxUtilization]: the
+// unqueued latency times the queueing factor.
 func (c Config) LatencyNs(fu units.Freq, rho float64) float64 {
-	g := fu.GHzF()
-	if g <= 0 {
-		g = 1e-3
-	}
-	base := c.IdleLatencyNs + c.UncoreLatencyNsGHz/g
 	if rho < 0 {
 		rho = 0
 	}
 	if rho > c.MaxUtilization {
 		rho = c.MaxUtilization
 	}
-	queue := 1 + c.QueueGain*rho*rho*rho/(1-rho)
-	return base * queue
+	return c.UnqueuedLatencyNs(fu) * c.QueueFactor(rho)
+}
+
+// UnqueuedLatencyNs returns the DRAM access latency at uncore frequency
+// fu with empty queues: the idle latency plus the uncore-clocked
+// component.
+func (c Config) UnqueuedLatencyNs(fu units.Freq) float64 {
+	g := fu.GHzF()
+	if g <= 0 {
+		g = 1e-3
+	}
+	return c.IdleLatencyNs + c.UncoreLatencyNsGHz/g
+}
+
+// QueueFactor returns the latency inflation 1 + QueueGain·rho³/(1-rho)
+// at a utilisation rho in [0, MaxUtilization], which it does not check.
+func (c Config) QueueFactor(rho float64) float64 {
+	return 1 + c.QueueGain*rho*rho*rho/(1-rho)
 }

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"goear/internal/metrics"
@@ -73,7 +74,8 @@ func TestTrainedCoefficientsGolden(t *testing.T) {
 }
 
 // TestTrainErrorText pins the wording of the two ways a (pair, class)
-// fit can fail; both name the pair and the class. It runs at
+// fit can fail, both naming the pair and the class, and of a probe the
+// evaluation refuses, naming the probe and the pstate. It runs at
 // GOMAXPROCS 4, where every pstate row fails at once, so the text is
 // also the one a sequential run reports first.
 func TestTrainErrorText(t *testing.T) {
@@ -101,11 +103,21 @@ func TestTrainErrorText(t *testing.T) {
 	if !errors.Is(err, errSingular) {
 		t.Errorf("singular error %v does not wrap errSingular", err)
 	}
+
+	// A phase the evaluation refuses is named by its first probe: probe
+	// 5 shares no phase with probe 4 once its overlap is broken.
+	bad := slices.Clone(all[:12])
+	bad[5].Phase.Overlap = 1
+	_, err = train(pl.Machine, pl.Power, bad)
+	if want := "model: probe 5 at pstate 0: perf: overlap 1 outside [0,1)"; err == nil || err.Error() != want {
+		t.Errorf("evaluation error = %v, want %q", err, want)
+	}
 }
 
 // TestTrainAllocations pins the learning phase's heap use: the model
-// it returns, the probe list, the evaluation grid and the two row
-// closures handed to par.ForEach with the machine they share — 49
+// it returns, the probe list, the distinct phases, the result and
+// sample grids (one slice each, not one per pstate row) and the two row
+// closures handed to par.ForEach with the machine they share — 35
 // objects, nothing per sample, pair or class — and a prediction from
 // the trained model, which allocates nothing. AllocsPerRun sets
 // GOMAXPROCS to 1, so the rows run inline and start no goroutine.
@@ -120,8 +132,8 @@ func TestTrainAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 49 {
-		t.Errorf("TrainForCPU(SD530) allocates %v objects, want 49", allocs)
+	if allocs != 35 {
+		t.Errorf("TrainForCPU(SD530) allocates %v objects, want 35", allocs)
 	}
 	sig := metrics.Signature{IterTimeSec: 1, CPI: 0.8, TPI: 0.02, GBs: 40, DCPowerW: 330, VPI: 0.2}
 	if n := testing.AllocsPerRun(100, func() {

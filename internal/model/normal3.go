@@ -13,23 +13,35 @@ var errSingular = errors.New("singular system")
 // least-squares fit, min ||X·beta − y||², one sample at a time: XᵀX
 // (upper triangle) and Xᵀy live in fixed arrays, so a fit of any number
 // of samples needs no design matrix and no heap. The zero value is an
-// empty system. Every sum receives its addends in add order, so the
-// result is a function of the sample sequence alone.
+// empty system. Every sum receives its addends in the order samples are
+// added, so the result is a function of the sample sequence alone.
 type normal3 struct {
 	n   int // samples added
 	xtx [3][3]float64
 	xty [3]float64
 }
 
-// add appends the sample (x, y) to the system.
-func (a *normal3) add(x [3]float64, y float64) {
+// affine is a fit row (x, t, 1) with the products that are not exact
+// formed once: x·1 and 1·1 need no multiplication.
+type affine struct{ x, t, xx, xt, tt float64 }
+
+// affineRow returns the row (x, t, 1).
+func affineRow(x, t float64) affine { return affine{x: x, t: t, xx: x * x, xt: x * t, tt: t * t} }
+
+// addAffine appends the sample (r, y) to the system: bit for bit the
+// sums of adding the row (x, t, 1) term by term, with each product
+// formed once per row, not once per system it joins.
+func (a *normal3) addAffine(r *affine, y float64) {
 	a.n++
-	for i := 0; i < 3; i++ {
-		for j := i; j < 3; j++ {
-			a.xtx[i][j] += x[i] * x[j]
-		}
-		a.xty[i] += x[i] * y
-	}
+	a.xtx[0][0] += r.xx
+	a.xtx[0][1] += r.xt
+	a.xtx[0][2] += r.x
+	a.xtx[1][1] += r.tt
+	a.xtx[1][2] += r.t
+	a.xtx[2][2]++
+	a.xty[0] += float64(r.x * y)
+	a.xty[1] += float64(r.t * y)
+	a.xty[2] += y
 }
 
 // solve returns the coefficient vector beta, one entry per feature, by

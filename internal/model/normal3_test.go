@@ -224,3 +224,32 @@ func TestNormal3MatchesReference(t *testing.T) {
 		t.Errorf("solve digest %#016x, want %#016x", got, want)
 	}
 }
+
+// add appends the sample (x, y) to the system: the general row, which
+// the tests use to prove solve and addAffine against.
+func (a *normal3) add(x [3]float64, y float64) {
+	a.n++
+	for i := 0; i < 3; i++ {
+		for j := i; j < 3; j++ {
+			a.xtx[i][j] += float64(x[i] * x[j])
+		}
+		a.xty[i] += float64(x[i] * y)
+	}
+}
+
+// TestAddAffineMatchesAdd: a row (x, t, 1) added with its products
+// formed once leaves the system's sums bit for bit as adding it term by
+// term does.
+func TestAddAffineMatchesAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	var a, b normal3
+	for i := 0; i < 400; i++ {
+		x, tpi, y := 0.3+300*rng.Float64(), rng.Float64()/8, 5*rng.NormFloat64()
+		a.add([3]float64{x, tpi, 1}, y)
+		r := affineRow(x, tpi)
+		b.addAffine(&r, y)
+		if a != b {
+			t.Fatalf("after %d rows: add gives %+v, addAffine %+v", i+1, a, b)
+		}
+	}
+}

@@ -63,7 +63,7 @@ func TrainForCPU(machine perf.Machine, pw power.Coeffs) (*Model, error) {
 // hardware maximum, as EAR's CPU-frequency model assumes) and fits the
 // per-class projection coefficients by least squares. Both stages fan
 // out by pstate row over GOMAXPROCS workers; each row writes only its
-// own slot and feeds its accumulators in probe order, so the model is
+// own slots and feeds its accumulators in probe order, so the model is
 // bit-identical at any worker count, and the error is the one a
 // sequential run meets first.
 func train(machine perf.Machine, pw power.Coeffs, probes []Probe) (*Model, error) {
@@ -80,28 +80,36 @@ func train(machine perf.Machine, pw power.Coeffs, probes []Probe) (*Model, error
 	}
 	workers := runtime.GOMAXPROCS(0)
 
-	// Pre-evaluate every probe at every pstate. Activity reaches only
-	// the power model, so a probe whose phase repeats its predecessor's
-	// (DefaultProbes lists each phase once per activity, side by side)
-	// reuses that execution result.
-	type point struct {
-		cpi, tpi, gbs, rho, pow float64
+	// Activity reaches only the power model, so each distinct phase is
+	// evaluated once per pstate: DefaultProbes lists each phase once per
+	// activity, side by side, and a probe whose phase repeats its
+	// predecessor's reuses that execution result.
+	phases := make([]perf.Phase, 0, len(probes))
+	for i, pr := range probes {
+		if newPhase(probes, i) {
+			phases = append(phases, pr.Phase)
+		}
 	}
-	eval := make([][]point, n) // [pstate][probe]
+	np := len(probes)
+	results := make([]perf.Result, n*len(phases)) // [pstate][phase]
+	eval := make([]sample, n*np)                  // [pstate][probe]
 	uncore := c.UncoreMaxRatio
 	err := par.ForEach(workers, n, func(p int) error {
 		ratio, err := c.PstateRatio(p)
 		if err != nil {
 			return err
 		}
-		row := make([]point, len(probes))
-		var r perf.Result
+		res := results[p*len(phases) : (p+1)*len(phases)]
+		if k, err := perf.EvaluateAll(machine, perf.Operating{CoreRatio: ratio, UncoreRatio: uncore}, phases, res); err != nil {
+			return fmt.Errorf("model: probe %d at pstate %d: %w", firstProbe(probes, k), p, err)
+		}
+		row := eval[p*np : (p+1)*np]
+		j := -1
 		for i, pr := range probes {
-			if i == 0 || pr.Phase != probes[i-1].Phase {
-				if r, err = perf.Evaluate(machine, pr.Phase, perf.Operating{CoreRatio: ratio, UncoreRatio: uncore}); err != nil {
-					return fmt.Errorf("model: probe %d at pstate %d: %w", i, p, err)
-				}
+			if newPhase(probes, i) {
+				j++
 			}
+			r := &res[j]
 			b, err := pw.Node(power.Input{
 				CoreFreqGHz:   r.EffCoreFreq.GHzF(),
 				UncoreFreqGHz: r.UncoreFreq.GHzF(),
@@ -113,15 +121,14 @@ func train(machine perf.Machine, pw power.Coeffs, probes []Probe) (*Model, error
 			if err != nil {
 				return fmt.Errorf("model: probe %d power at pstate %d: %w", i, p, err)
 			}
-			row[i] = point{
-				cpi: r.CPI,
-				tpi: pr.Phase.BytesPerInstr / perf.CacheLineBytes,
-				gbs: r.NodeGBs,
-				rho: r.NodeGBs / capGBs,
-				pow: b.Total,
+			tpi := pr.Phase.BytesPerInstr / perf.CacheLineBytes
+			row[i] = sample{
+				cpi: affineRow(r.CPI, tpi),
+				pow: affineRow(b.Total, tpi),
+				cl:  m.classOf(r.NodeGBs),
+				fit: r.NodeGBs/capGBs <= trainSatCutoff,
 			}
 		}
-		eval[p] = row
 		return nil
 	})
 	if err != nil {
@@ -130,19 +137,20 @@ func train(machine perf.Machine, pw power.Coeffs, probes []Probe) (*Model, error
 
 	// Fit each (from, to, class) by streaming its samples, in probe
 	// order, into fixed-size normal equations: no design matrix is ever
-	// materialised.
+	// materialised, and a source sample's products were formed with it.
 	err = par.ForEach(workers, n, func(from int) error {
 		row := make([]PairCoeffs, n)
+		src := eval[from*np : (from+1)*np]
 		for to := 0; to < n; to++ {
+			dst := eval[to*np : (to+1)*np]
 			var cpiFit, powFit [numClasses]normal3
-			for i, src := range eval[from] {
-				dst := eval[to][i]
-				if src.rho > trainSatCutoff || dst.rho > trainSatCutoff {
+			for i := range src {
+				s, d := &src[i], &dst[i]
+				if !s.fit || !d.fit {
 					continue
 				}
-				cl := m.classOf(src.gbs)
-				cpiFit[cl].add([3]float64{src.cpi, src.tpi, 1}, dst.cpi)
-				powFit[cl].add([3]float64{src.pow, src.tpi, 1}, dst.pow)
+				cpiFit[s.cl].addAffine(&s.cpi, d.cpi.x)
+				powFit[s.cl].addAffine(&s.pow, d.pow.x)
 			}
 			for cl := 0; cl < numClasses; cl++ {
 				if cpiFit[cl].n < 4 {
@@ -167,4 +175,34 @@ func train(machine perf.Machine, pw power.Coeffs, probes []Probe) (*Model, error
 		return nil, err
 	}
 	return m, m.Validate()
+}
+
+// sample is one probe evaluated at one pstate, as both fits see it: the
+// CPI row (CPI, TPI, 1) and the power row (watts, TPI, 1), its
+// utilisation class, and whether it is below the saturation cutoff, the
+// only samples a fit takes.
+type sample struct {
+	cpi, pow affine
+	cl       int
+	fit      bool
+}
+
+// newPhase reports whether probe i's phase differs from its
+// predecessor's, so that it is evaluated and not reused.
+func newPhase(probes []Probe, i int) bool {
+	return i == 0 || probes[i].Phase != probes[i-1].Phase
+}
+
+// firstProbe returns the index of the first probe of the k-th distinct
+// phase.
+func firstProbe(probes []Probe, k int) int {
+	for i := range probes {
+		if newPhase(probes, i) {
+			if k == 0 {
+				return i
+			}
+			k--
+		}
+	}
+	return len(probes)
 }

@@ -108,8 +108,26 @@ type Result struct {
 // bracket below 1e-18, far under measurement noise.
 const bisectIters = 60
 
+// lanes is how many phases' bisections run in lock-step. A bisection
+// step is a chain of dependent divisions; four independent chains keep
+// the divider busy where one leaves it waiting on its own latency.
+const lanes = 4
+
 // Evaluate computes the steady-state Result of running phase p on
-// machine m at operating point op.
+// machine m at operating point op. It is EvaluateAll of one phase.
+func Evaluate(m Machine, p Phase, op Operating) (Result, error) {
+	var out [1]Result
+	if _, _, err := evaluateAll(m, op, []Phase{p}, out[:]); err != nil {
+		return Result{}, err
+	}
+	return out[0], nil
+}
+
+// EvaluateAll computes the steady-state Result of every phase at one
+// operating point into out (at least as long as phases), each bit for
+// bit what Evaluate returns for it. It returns how many phases it
+// evaluated: on an error, out[:n] holds the results of the phases
+// before phases[n], the first that failed.
 //
 // The self-consistency problem is: utilisation rho determines latency,
 // latency determines CPI, CPI determines demanded bandwidth, and demand
@@ -118,82 +136,185 @@ const bisectIters = 60
 // found by bisection. If even at maximum utilisation the demand exceeds
 // the saturated capability, the phase is bandwidth-bound and cycles
 // stretch until achieved bandwidth equals that capability.
-func Evaluate(m Machine, p Phase, op Operating) (Result, error) {
-	if err := p.validate(); err != nil {
-		return Result{}, err
-	}
-	fEff := effectiveCoreFreq(m.CPU, p.VPI, op.CoreRatio)
+func EvaluateAll(m Machine, op Operating, phases []Phase, out []Result) (int, error) {
+	n, _, err := evaluateAll(m, op, phases, out)
+	return n, err
+}
+
+// point is what every phase evaluated at one operating point shares.
+type point struct {
+	mem   mem.Config
+	cap   float64 // node bandwidth capability, GB/s
+	latNs float64 // DRAM latency with empty queues
+}
+
+// lane is one phase's bisection: the phase's constants, its bracket,
+// and where its result goes.
+type lane struct {
+	base, exposed, fg, fg9, cores, bpi float64
+	lo, hi                             float64
+	i                                  int // index into phases and out
+}
+
+// cpi is the latency-limited CPI of l's phase at a trial utilisation.
+func (a *point) cpi(l *lane, rho float64) float64 {
+	return l.base + float64(l.exposed*(a.latNs*a.mem.QueueFactor(rho))*l.fg)
+}
+
+// demand is the node bandwidth l's phase demands at that CPI.
+func (l *lane) demand(cpi float64) float64 {
+	return l.cores * (l.fg9 / cpi) * l.bpi / 1e9
+}
+
+// evaluateAll is EvaluateAll that also returns the bisection steps
+// taken, summed over phases: the work count the learning phase pins.
+// Phases that need no bisection (no traffic, or bandwidth-bound even at
+// maximum utilisation) are solved as they come; the others fill lanes,
+// and each full group of lanes bisects side by side.
+func evaluateAll(m Machine, op Operating, phases []Phase, out []Result) (n, steps int, err error) {
 	fu := units.FromRatio(op.UncoreRatio, cpu.BusClock)
-	if fu.GHzF() <= 0 {
-		return Result{}, fmt.Errorf("perf: uncore ratio %d yields non-positive frequency", op.UncoreRatio)
-	}
-	fg := fEff.GHzF()
-
-	linesPerInstr := p.BytesPerInstr / CacheLineBytes
-	exposed := (1 - p.Overlap) * linesPerInstr
-	cap := m.Mem.CapabilityGBs(fu)
-	sat := cap * m.Mem.MaxUtilization
-
-	// cpiAt computes latency-limited CPI at a trial utilisation.
-	cpiAt := func(rho float64) float64 {
-		return p.BaseCPI + exposed*m.Mem.LatencyNs(fu, rho)*fg
-	}
-	// demandAt computes the node bandwidth demanded at that CPI.
-	demandAt := func(cpi float64) float64 {
-		return float64(p.ActiveCores) * (fg * 1e9 / cpi) * p.BytesPerInstr / 1e9
-	}
-	// implied maps trial rho to the utilisation its demand would cause.
-	implied := func(rho float64) float64 {
-		if cap <= 0 {
-			return m.Mem.MaxUtilization
+	a := point{mem: m.Mem, cap: m.Mem.CapabilityGBs(fu), latNs: m.Mem.UnqueuedLatencyNs(fu)}
+	maxU := m.Mem.MaxUtilization
+	var g [lanes]lane
+	w := 0
+	for n = 0; n < len(phases); n++ {
+		p := &phases[n]
+		if err = p.validate(); err != nil {
+			break
 		}
-		u := demandAt(cpiAt(rho)) / cap
-		if u > m.Mem.MaxUtilization {
-			u = m.Mem.MaxUtilization
+		if fu.GHzF() <= 0 {
+			err = fmt.Errorf("perf: uncore ratio %d yields non-positive frequency", op.UncoreRatio)
+			break
 		}
-		return u
-	}
-
-	var rho, cpi float64
-	switch {
-	case p.BytesPerInstr == 0:
-		rho, cpi = 0, p.BaseCPI
-	case implied(m.Mem.MaxUtilization) >= m.Mem.MaxUtilization:
-		// Saturated even under maximum queueing delay: bandwidth-bound.
-		rho = m.Mem.MaxUtilization
-		cpi = cpiAt(rho)
-		if d := demandAt(cpi); d > sat && sat > 0 {
-			cpi *= d / sat
+		fEff := effectiveCoreFreq(m.CPU, p.VPI, op.CoreRatio)
+		fg := fEff.GHzF()
+		l := lane{
+			base:    p.BaseCPI,
+			exposed: (1 - p.Overlap) * (p.BytesPerInstr / CacheLineBytes),
+			fg:      fg,
+			fg9:     fg * 1e9,
+			cores:   float64(p.ActiveCores),
+			bpi:     p.BytesPerInstr,
+			hi:      maxU,
+			i:       n,
 		}
-	default:
-		lo, hi := 0.0, m.Mem.MaxUtilization
-		for i := 0; i < bisectIters; i++ {
-			mid := (lo + hi) / 2
-			if implied(mid) > mid {
-				lo = mid
-			} else {
-				hi = mid
+		out[n] = Result{EffCoreFreq: fEff, UncoreFreq: fu}
+		switch {
+		case p.BytesPerInstr == 0:
+			l.finish(&out[n], 0, p.BaseCPI)
+		case a.cap <= 0 || l.demand(a.cpi(&l, maxU))/a.cap >= maxU:
+			// Saturated even under maximum queueing delay: bandwidth-bound.
+			cpi := a.cpi(&l, maxU)
+			if d, sat := l.demand(cpi), a.cap*maxU; d > sat && sat > 0 {
+				cpi *= d / sat
+			}
+			l.finish(&out[n], maxU, cpi)
+		default:
+			g[w] = l
+			if w++; w == lanes {
+				steps += a.bisect(g[:w], out)
+				w = 0
 			}
 		}
-		rho = (lo + hi) / 2
-		cpi = cpiAt(rho)
 	}
+	steps += a.bisect(g[:w], out)
+	for i := range out[:n] {
+		if cpi := out[i].CPI; math.IsNaN(cpi) || math.IsInf(cpi, 0) {
+			return i, steps, fmt.Errorf("perf: model diverged (CPI=%v)", cpi)
+		}
+	}
+	return n, steps, err
+}
 
-	ipsCore := fg * 1e9 / cpi
-	gbs := float64(p.ActiveCores) * ipsCore * p.BytesPerInstr / 1e9
-	res := Result{
-		CPI:            cpi,
-		EffCoreFreq:    fEff,
-		UncoreFreq:     fu,
-		IPSCore:        ipsCore,
-		NodeGBs:        gbs,
-		MemUtilization: rho,
-		SecPerInstr:    1 / ipsCore,
+// bisect solves the lanes' fixed points in lock-step, writes their
+// results, and returns the steps taken. Each lane keeps the scalar
+// expression order and moves one bracket end by a mask, not a branch
+// (which end is a coin toss a branch predictor cannot learn). A lane
+// stops at the first step whose midpoint was an end of its bracket
+// already: that step's outcome repeats for ever, so every later step
+// would leave the bracket as it is, and stopping there is exact.
+//
+// A lone lane, Evaluate's case, would wait on each step's whole chain of
+// divisions. It takes two steps a round instead: beside the midpoint it
+// evaluates both midpoints the next step can take, the three chains
+// overlap, and the first outcome picks the second step's.
+func (a *point) bisect(g []lane, out []Result) (steps int) {
+	per := 1
+	if len(g) == 1 {
+		per = 2
 	}
-	if math.IsNaN(res.CPI) || math.IsInf(res.CPI, 0) {
-		return Result{}, fmt.Errorf("perf: model diverged (CPI=%v)", res.CPI)
+	live := len(g)
+	var done [lanes]bool
+	for it := 0; it < bisectIters && live > 0; it += per {
+		for k := range g {
+			if done[k] {
+				continue
+			}
+			l := &g[k]
+			mid := midpoint(l.lo, l.hi)
+			if per == 1 {
+				steps++
+				done[k] = l.step(a.rises(l, mid), mid)
+			} else {
+				down, up := midpoint(l.lo, mid), midpoint(mid, l.hi)
+				m, mDown, mUp := a.rises(l, mid), a.rises(l, down), a.rises(l, up)
+				steps++
+				if done[k] = l.step(m, mid); !done[k] {
+					steps++
+					done[k] = l.step(mUp&m|mDown&^m, pick(m, up, down))
+				}
+			}
+			if done[k] {
+				live--
+			}
+		}
 	}
-	return res, nil
+	for k := range g {
+		l := &g[k]
+		rho := midpoint(l.lo, l.hi)
+		l.finish(&out[l.i], rho, a.cpi(l, rho))
+	}
+	return steps
+}
+
+// rises returns all ones when the utilisation l's demand at rho implies
+// exceeds rho (rho-u is negative), and zero otherwise. The implied
+// utilisation is u clamped to maxU, but the clamp never decides: below
+// maxU it keeps the comparison's outcome, and at maxU itself u is below
+// maxU, or the phase would be bandwidth-bound and not bisected. A NaN u
+// may go either way; only a phase whose CPI diverges makes one.
+func (a *point) rises(l *lane, rho float64) uint64 {
+	u := l.demand(a.cpi(l, rho)) / a.cap
+	return uint64(int64(math.Float64bits(rho-u)) >> 63)
+}
+
+// step moves l's low bracket end to mid where m is all ones, its high
+// end where m is zero, and reports whether mid was an end already.
+func (l *lane) step(m uint64, mid float64) (stop bool) {
+	stop = mid == l.lo || mid == l.hi
+	l.lo, l.hi = pick(m, mid, l.lo), pick(m, l.hi, mid)
+	return stop
+}
+
+// midpoint halves lo+hi. The compiler halves by a product, exact here,
+// and the explicit conversion keeps arm64 from fusing it into the sum
+// that follows.
+func midpoint(lo, hi float64) float64 { return float64((lo + hi) / 2) }
+
+// pick returns x where m is all ones and y where it is zero.
+func pick(m uint64, x, y float64) float64 {
+	return math.Float64frombits(math.Float64bits(x)&m | math.Float64bits(y)&^m)
+}
+
+// finish fills in the rates that follow from the phase's utilisation
+// and CPI.
+func (l *lane) finish(r *Result, rho, cpi float64) {
+	ipsCore := l.fg9 / cpi
+	r.CPI = cpi
+	r.IPSCore = ipsCore
+	r.NodeGBs = l.cores * ipsCore * l.bpi / 1e9
+	r.MemUtilization = rho
+	r.SecPerInstr = 1 / ipsCore
 }
 
 // effectiveCoreFreq resolves the licence-blended core frequency for a
@@ -205,7 +326,7 @@ func effectiveCoreFreq(m cpu.Model, vpi float64, coreRatio uint64) units.Freq {
 	rAvx := m.EffectiveRatio(coreRatio, true)
 	fNon := units.FromRatio(rNon, cpu.BusClock).GHzF()
 	fAvx := units.FromRatio(rAvx, cpu.BusClock).GHzF()
-	return units.GHz((1-vpi)*fNon + vpi*fAvx)
+	return units.GHz(float64((1-vpi)*fNon) + float64(vpi*fAvx))
 }
 
 // Solve inverts the model: given a target total CPI and achieved
