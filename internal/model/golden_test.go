@@ -115,12 +115,14 @@ func TestTrainErrorText(t *testing.T) {
 }
 
 // TestTrainAllocations pins the learning phase's heap use: the model
-// it returns, the probe list, the distinct phases, the result and
-// sample grids (one slice each, not one per pstate row) and the two row
-// closures handed to par.ForEach with the machine they share — 35
-// objects, nothing per sample, pair or class — and a prediction from
-// the trained model, which allocates nothing. AllocsPerRun sets
-// GOMAXPROCS to 1, so the rows run inline and start no goroutine.
+// it returns with its frequency table and row index, the probe list
+// (made at its length), the distinct phases, the result, sample,
+// fit-mask and coefficient grids (one slice each, not one per pstate
+// row) and the two row closures handed to par.ForEach with the machine
+// they share — 12 objects, nothing per sample, pair or class — and a
+// prediction from the trained model, which allocates nothing.
+// AllocsPerRun sets GOMAXPROCS to 1, so the rows run inline and start
+// no goroutine.
 func TestTrainAllocations(t *testing.T) {
 	pl := workload.SD530()
 	var m *Model
@@ -132,8 +134,8 @@ func TestTrainAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 35 {
-		t.Errorf("TrainForCPU(SD530) allocates %v objects, want 35", allocs)
+	if allocs != 12 {
+		t.Errorf("TrainForCPU(SD530) allocates %v objects, want 12", allocs)
 	}
 	sig := metrics.Signature{IterTimeSec: 1, CPI: 0.8, TPI: 0.02, GBs: 40, DCPowerW: 330, VPI: 0.2}
 	if n := testing.AllocsPerRun(100, func() {

@@ -28,10 +28,12 @@ type affine struct{ x, t, xx, xt, tt float64 }
 // affineRow returns the row (x, t, 1).
 func affineRow(x, t float64) affine { return affine{x: x, t: t, xx: x * x, xt: x * t, tt: t * t} }
 
-// addAffine appends the sample (r, y) to the system: bit for bit the
-// sums of adding the row (x, t, 1) term by term, with each product
-// formed once per row, not once per system it joins.
-func (a *normal3) addAffine(r *affine, y float64) {
+// addRow adds the row (x, t, 1) to the system's XᵀX, and counts it: bit
+// for bit the sums of adding the row term by term, with each product
+// formed once per row, not once per system it joins. A sample is one
+// addRow and one addY; systems whose samples share their rows share
+// XᵀX, so one addRow serves them all.
+func (a *normal3) addRow(r *affine) {
 	a.n++
 	a.xtx[0][0] += r.xx
 	a.xtx[0][1] += r.xt
@@ -39,6 +41,10 @@ func (a *normal3) addAffine(r *affine, y float64) {
 	a.xtx[1][1] += r.tt
 	a.xtx[1][2] += r.t
 	a.xtx[2][2]++
+}
+
+// addY adds the row (x, t, 1) with target y to the system's Xᵀy.
+func (a *normal3) addY(r *affine, y float64) {
 	a.xty[0] += float64(r.x * y)
 	a.xty[1] += float64(r.t * y)
 	a.xty[2] += y

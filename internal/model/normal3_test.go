@@ -226,7 +226,7 @@ func TestNormal3MatchesReference(t *testing.T) {
 }
 
 // add appends the sample (x, y) to the system: the general row, which
-// the tests use to prove solve and addAffine against.
+// the tests use to prove solve, addRow and addY against.
 func (a *normal3) add(x [3]float64, y float64) {
 	a.n++
 	for i := 0; i < 3; i++ {
@@ -238,8 +238,8 @@ func (a *normal3) add(x [3]float64, y float64) {
 }
 
 // TestAddAffineMatchesAdd: a row (x, t, 1) added with its products
-// formed once leaves the system's sums bit for bit as adding it term by
-// term does.
+// formed once, XᵀX by addRow and Xᵀy by addY, leaves the system's sums
+// bit for bit as adding it term by term does.
 func TestAddAffineMatchesAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	var a, b normal3
@@ -247,9 +247,10 @@ func TestAddAffineMatchesAdd(t *testing.T) {
 		x, tpi, y := 0.3+300*rng.Float64(), rng.Float64()/8, 5*rng.NormFloat64()
 		a.add([3]float64{x, tpi, 1}, y)
 		r := affineRow(x, tpi)
-		b.addAffine(&r, y)
+		b.addRow(&r)
+		b.addY(&r, y)
 		if a != b {
-			t.Fatalf("after %d rows: add gives %+v, addAffine %+v", i+1, a, b)
+			t.Fatalf("after %d rows: add gives %+v, addRow and addY %+v", i+1, a, b)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 
 	"goear/internal/cpu"
@@ -21,11 +22,15 @@ type Probe struct {
 // DefaultProbes spans the CPI/TPI/bandwidth space the paper's kernels
 // and applications cover, like EAR's learning-phase kernel suite.
 func DefaultProbes(activeCores int) []Probe {
-	var out []Probe
-	for _, baseCPI := range []float64{0.3, 0.45, 0.6, 1.0, 1.6} {
-		for _, bpi := range []float64{0.02, 0.1, 0.3, 0.8, 2, 4, 6, 8} {
-			for _, ov := range []float64{0.7, 0.85, 0.95, 0.985, 0.995} {
-				for _, act := range []float64{0.7, 1.2} {
+	cpis := []float64{0.3, 0.45, 0.6, 1.0, 1.6}
+	bpis := []float64{0.02, 0.1, 0.3, 0.8, 2, 4, 6, 8}
+	ovs := []float64{0.7, 0.85, 0.95, 0.985, 0.995}
+	acts := []float64{0.7, 1.2}
+	out := make([]Probe, 0, len(cpis)*len(bpis)*len(ovs)*len(acts))
+	for _, baseCPI := range cpis {
+		for _, bpi := range bpis {
+			for _, ov := range ovs {
+				for _, act := range acts {
 					out = append(out, Probe{
 						Phase: perf.Phase{
 							BaseCPI:       baseCPI,
@@ -53,23 +58,24 @@ func TrainForCPU(machine perf.Machine, pw power.Coeffs) (*Model, error) {
 	if err := machine.Validate(); err != nil {
 		return nil, err
 	}
-	if err := pw.Validate(); err != nil {
-		return nil, err
-	}
 	return train(machine, pw, DefaultProbes(machine.CPU.TotalCores()))
 }
 
 // train evaluates every probe at every pstate pair (uncore held at the
 // hardware maximum, as EAR's CPU-frequency model assumes) and fits the
-// per-class projection coefficients by least squares. Both stages fan
-// out by pstate row over GOMAXPROCS workers; each row writes only its
-// own slots and feeds its accumulators in probe order, so the model is
-// bit-identical at any worker count, and the error is the one a
-// sequential run meets first.
+// per-class projection coefficients by least squares. It validates the
+// power coefficients, once. Both stages fan out by pstate row over
+// GOMAXPROCS workers; each row writes only its own slots and feeds its
+// accumulators in probe order, so the model is bit-identical at any
+// worker count, and the error is the one a sequential run meets first.
 func train(machine perf.Machine, pw power.Coeffs, probes []Probe) (*Model, error) {
 	c := machine.CPU
 	n := c.PstateCount()
 	fuMax := units.FromRatio(c.UncoreMaxRatio, cpu.BusClock)
+	node, err := pw.AtUncore(fuMax.GHzF())
+	if err != nil {
+		return nil, err
+	}
 	capGBs := machine.Mem.CapabilityGBs(fuMax)
 	m := &Model{
 		FreqGHz:      pstateTable(c),
@@ -91,10 +97,12 @@ func train(machine perf.Machine, pw power.Coeffs, probes []Probe) (*Model, error
 		}
 	}
 	np := len(probes)
+	words := (np + 63) / 64
 	results := make([]perf.Result, n*len(phases)) // [pstate][phase]
 	eval := make([]sample, n*np)                  // [pstate][probe]
+	fits := make([]uint64, n*words)               // [pstate][probe/64], bit set: below the cutoff
 	uncore := c.UncoreMaxRatio
-	err := par.ForEach(workers, n, func(p int) error {
+	err = par.ForEach(workers, n, func(p int) error {
 		ratio, err := c.PstateRatio(p)
 		if err != nil {
 			return err
@@ -103,14 +111,14 @@ func train(machine perf.Machine, pw power.Coeffs, probes []Probe) (*Model, error
 		if k, err := perf.EvaluateAll(machine, perf.Operating{CoreRatio: ratio, UncoreRatio: uncore}, phases, res); err != nil {
 			return fmt.Errorf("model: probe %d at pstate %d: %w", firstProbe(probes, k), p, err)
 		}
-		row := eval[p*np : (p+1)*np]
+		row, fit := eval[p*np:(p+1)*np], fits[p*words:(p+1)*words]
 		j := -1
 		for i, pr := range probes {
 			if newPhase(probes, i) {
 				j++
 			}
 			r := &res[j]
-			b, err := pw.Node(power.Input{
+			b, err := node.Node(power.Input{
 				CoreFreqGHz:   r.EffCoreFreq.GHzF(),
 				UncoreFreqGHz: r.UncoreFreq.GHzF(),
 				Sockets:       c.Sockets,
@@ -126,7 +134,9 @@ func train(machine perf.Machine, pw power.Coeffs, probes []Probe) (*Model, error
 				cpi: affineRow(r.CPI, tpi),
 				pow: affineRow(b.Total, tpi),
 				cl:  m.classOf(r.NodeGBs),
-				fit: r.NodeGBs/capGBs <= trainSatCutoff,
+			}
+			if r.NodeGBs/capGBs <= trainSatCutoff {
+				fit[i/64] |= 1 << (i % 64)
 			}
 		}
 		return nil
@@ -138,34 +148,71 @@ func train(machine perf.Machine, pw power.Coeffs, probes []Probe) (*Model, error
 	// Fit each (from, to, class) by streaming its samples, in probe
 	// order, into fixed-size normal equations: no design matrix is ever
 	// materialised, and a source sample's products were formed with it.
+	// A pair fits the probes below the cutoff at both its pstates, and
+	// its XᵀX depends on those probes' source rows and classes alone, so
+	// the pairs of one source row that fit the same probes form a group
+	// that accumulates XᵀX once; each pair adds only its own Xᵀy. Groups
+	// run in the order of their first pair, so the first error met is a
+	// sequential run's: a group's pairs fail alike, on XᵀX.
+	pairs := make([]PairCoeffs, n*n)
 	err = par.ForEach(workers, n, func(from int) error {
-		row := make([]PairCoeffs, n)
+		row := pairs[from*n : (from+1)*n]
 		src := eval[from*np : (from+1)*np]
-		for to := 0; to < n; to++ {
-			dst := eval[to*np : (to+1)*np]
-			var cpiFit, powFit [numClasses]normal3
-			for i := range src {
-				s, d := &src[i], &dst[i]
-				if !s.fit || !d.fit {
+		srcFit := fits[from*words : (from+1)*words]
+		// both returns the probes pair (from, to) fits.
+		both := func(to, w int) uint64 { return srcFit[w] & fits[to*words+w] }
+		same := func(a, b int) bool {
+			for w := range srcFit {
+				if both(a, w) != both(b, w) {
+					return false
+				}
+			}
+			return true
+		}
+	groups:
+		for first := 0; first < n; first++ {
+			for prev := 0; prev < first; prev++ {
+				if same(prev, first) {
+					continue groups // first's group was fitted with prev's
+				}
+			}
+			var cpiX, powX [numClasses]normal3
+			for w := range srcFit {
+				for set := both(first, w); set != 0; set &= set - 1 {
+					s := &src[w*64+bits.TrailingZeros64(set)]
+					cpiX[s.cl].addRow(&s.cpi)
+					powX[s.cl].addRow(&s.pow)
+				}
+			}
+			for to := first; to < n; to++ {
+				if !same(first, to) {
 					continue
 				}
-				cpiFit[s.cl].addAffine(&s.cpi, d.cpi.x)
-				powFit[s.cl].addAffine(&s.pow, d.pow.x)
-			}
-			for cl := 0; cl < numClasses; cl++ {
-				if cpiFit[cl].n < 4 {
-					return fmt.Errorf("model: pair (%d,%d) class %d has only %d samples",
-						from, to, cl, cpiFit[cl].n)
+				dst := eval[to*np : (to+1)*np]
+				cpiFit, powFit := cpiX, powX
+				for w := range srcFit {
+					for set := both(to, w); set != 0; set &= set - 1 {
+						i := w*64 + bits.TrailingZeros64(set)
+						s := &src[i]
+						cpiFit[s.cl].addY(&s.cpi, dst[i].cpi.x)
+						powFit[s.cl].addY(&s.pow, dst[i].pow.x)
+					}
 				}
-				cb, err := cpiFit[cl].solve()
-				if err != nil {
-					return fmt.Errorf("model: pair (%d,%d) class %d: CPI fit: %w", from, to, cl, err)
+				for cl := 0; cl < numClasses; cl++ {
+					if cpiFit[cl].n < 4 {
+						return fmt.Errorf("model: pair (%d,%d) class %d has only %d samples",
+							from, to, cl, cpiFit[cl].n)
+					}
+					cb, err := cpiFit[cl].solve()
+					if err != nil {
+						return fmt.Errorf("model: pair (%d,%d) class %d: CPI fit: %w", from, to, cl, err)
+					}
+					pb, err := powFit[cl].solve()
+					if err != nil {
+						return fmt.Errorf("model: pair (%d,%d) class %d: power fit: %w", from, to, cl, err)
+					}
+					row[to].ByClass[cl] = LinCoeffs{A: cb[0], B: cb[1], C: cb[2], D: pb[0], E: pb[1], F: pb[2]}
 				}
-				pb, err := powFit[cl].solve()
-				if err != nil {
-					return fmt.Errorf("model: pair (%d,%d) class %d: power fit: %w", from, to, cl, err)
-				}
-				row[to].ByClass[cl] = LinCoeffs{A: cb[0], B: cb[1], C: cb[2], D: pb[0], E: pb[1], F: pb[2]}
 			}
 		}
 		m.Pairs[from] = row
@@ -178,13 +225,12 @@ func train(machine perf.Machine, pw power.Coeffs, probes []Probe) (*Model, error
 }
 
 // sample is one probe evaluated at one pstate, as both fits see it: the
-// CPI row (CPI, TPI, 1) and the power row (watts, TPI, 1), its
-// utilisation class, and whether it is below the saturation cutoff, the
-// only samples a fit takes.
+// CPI row (CPI, TPI, 1) and the power row (watts, TPI, 1) and its
+// utilisation class. Whether it is below the saturation cutoff, the
+// only samples a fit takes, is its bit in the row's fit mask.
 type sample struct {
 	cpi, pow affine
 	cl       int
-	fit      bool
 }
 
 // newPhase reports whether probe i's phase differs from its

@@ -38,23 +38,28 @@ func probePhases(activeCores int) []perf.Phase {
 }
 
 // TestTrainingWorkCounts pins the learning phase's evaluation work on
-// SD530: 3,200 evaluations, every one bisected, in 178,708 bisection
-// steps. A bisection that ran all 60 steps would take 192,000; the
-// lanes stop at the first midpoint that meets an end of the bracket.
+// SD530: 3,200 evaluations, every one solved by search, whose fixed
+// points the exact search finds in 7,727 evaluations of rises, and
+// whose bisections replay in 178,708 steps. That is the step count the
+// bisection took when it evaluated rises at every step, so the replay
+// takes the same path. A bisection that ran all 60 steps would take
+// 192,000; the lanes stop at the first midpoint that meets an end of
+// the bracket.
 func TestTrainingWorkCounts(t *testing.T) {
 	m, ops, phases := trainingGrid(t)
 	out := make([]perf.Result, len(phases))
-	var evals, steps int
+	var evals, steps, rises int
 	for _, op := range ops {
-		n, s, err := perf.EvaluateAllSteps(m, op, phases, out)
+		n, s, r, err := perf.EvaluateAllWork(m, op, phases, out)
 		if err != nil {
 			t.Fatal(err)
 		}
 		evals += n
 		steps += s
+		rises += r
 	}
-	if evals != 3200 || steps != 178708 {
-		t.Errorf("%d evaluations in %d bisection steps, want 3200 in 178708", evals, steps)
+	if evals != 3200 || steps != 178708 || rises != 7727 {
+		t.Errorf("%d evaluations, %d bisection steps replayed, %d rises evaluations; want 3200, 178708, 7727", evals, steps, rises)
 	}
 }
 

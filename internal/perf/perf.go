@@ -108,9 +108,11 @@ type Result struct {
 // bracket below 1e-18, far under measurement noise.
 const bisectIters = 60
 
-// lanes is how many phases' bisections run in lock-step. A bisection
-// step is a chain of dependent divisions; four independent chains keep
-// the divider busy where one leaves it waiting on its own latency.
+// newtonIters bounds the Newton steps that estimate a fixed point; the
+// exact search corrects whatever error they leave.
+const newtonIters = 16
+
+// lanes is how many phases' bisections are replayed in lock-step.
 const lanes = 4
 
 // Evaluate computes the steady-state Result of running phase p on
@@ -132,13 +134,21 @@ func Evaluate(m Machine, p Phase, op Operating) (Result, error) {
 // The self-consistency problem is: utilisation rho determines latency,
 // latency determines CPI, CPI determines demanded bandwidth, and demand
 // determines rho again. The implied-utilisation map is continuous and
-// strictly decreasing in rho, so it has a unique fixed point which is
-// found by bisection. If even at maximum utilisation the demand exceeds
-// the saturated capability, the phase is bandwidth-bound and cycles
-// stretch until achieved bandwidth equals that capability.
+// strictly decreasing in rho, so it has a unique fixed point, and the
+// result is the utilisation a 60-step bisection for it ends at. If even
+// at maximum utilisation the demand exceeds the saturated capability,
+// the phase is bandwidth-bound and cycles stretch until achieved
+// bandwidth equals that capability.
 func EvaluateAll(m Machine, op Operating, phases []Phase, out []Result) (int, error) {
 	n, _, err := evaluateAll(m, op, phases, out)
 	return n, err
+}
+
+// work is what evaluateAll did, summed over phases: the work counts the
+// learning phase pins.
+type work struct {
+	steps int // bisection steps replayed
+	rises int // evaluations of rises by the exact search
 }
 
 // point is what every phase evaluated at one operating point shares.
@@ -146,6 +156,7 @@ type point struct {
 	mem   mem.Config
 	cap   float64 // node bandwidth capability, GB/s
 	latNs float64 // DRAM latency with empty queues
+	maxU  float64 // mem.MaxUtilization
 }
 
 // lane is one phase's bisection: the phase's constants, its bracket,
@@ -166,17 +177,43 @@ func (l *lane) demand(cpi float64) float64 {
 	return l.cores * (l.fg9 / cpi) * l.bpi / 1e9
 }
 
-// evaluateAll is EvaluateAll that also returns the bisection steps
-// taken, summed over phases: the work count the learning phase pins.
+// newPoint returns what every phase evaluated at uncore frequency fu on
+// memory c shares.
+func newPoint(c mem.Config, fu units.Freq) point {
+	return point{mem: c, cap: c.CapabilityGBs(fu), latNs: c.UnqueuedLatencyNs(fu), maxU: c.MaxUtilization}
+}
+
+// lane returns phase p's lane at effective core frequency fg GHz, its
+// result going to out[i].
+func (a *point) lane(p *Phase, fg float64, i int) lane {
+	return lane{
+		base:    p.BaseCPI,
+		exposed: (1 - p.Overlap) * (p.BytesPerInstr / CacheLineBytes),
+		fg:      fg,
+		fg9:     fg * 1e9,
+		cores:   float64(p.ActiveCores),
+		bpi:     p.BytesPerInstr,
+		hi:      a.maxU,
+		i:       i,
+	}
+}
+
+// saturated reports whether l's phase is bandwidth-bound: its demand
+// reaches the saturated capability even under maximum queueing delay.
+func (a *point) saturated(l *lane) bool {
+	return a.cap <= 0 || l.demand(a.cpi(l, a.maxU))/a.cap >= a.maxU
+}
+
+// evaluateAll is EvaluateAll that also returns the work it did.
 // Phases that need no bisection (no traffic, or bandwidth-bound even at
 // maximum utilisation) are solved as they come; the others fill lanes,
-// and each full group of lanes bisects side by side.
-func evaluateAll(m Machine, op Operating, phases []Phase, out []Result) (n, steps int, err error) {
+// and each full group of lanes is solved together.
+func evaluateAll(m Machine, op Operating, phases []Phase, out []Result) (n int, w work, err error) {
 	fu := units.FromRatio(op.UncoreRatio, cpu.BusClock)
-	a := point{mem: m.Mem, cap: m.Mem.CapabilityGBs(fu), latNs: m.Mem.UnqueuedLatencyNs(fu)}
-	maxU := m.Mem.MaxUtilization
+	a := newPoint(m.Mem, fu)
+	maxU := a.maxU
 	var g [lanes]lane
-	w := 0
+	k := 0
 	for n = 0; n < len(phases); n++ {
 		p := &phases[n]
 		if err = p.validate(); err != nil {
@@ -187,85 +224,64 @@ func evaluateAll(m Machine, op Operating, phases []Phase, out []Result) (n, step
 			break
 		}
 		fEff := effectiveCoreFreq(m.CPU, p.VPI, op.CoreRatio)
-		fg := fEff.GHzF()
-		l := lane{
-			base:    p.BaseCPI,
-			exposed: (1 - p.Overlap) * (p.BytesPerInstr / CacheLineBytes),
-			fg:      fg,
-			fg9:     fg * 1e9,
-			cores:   float64(p.ActiveCores),
-			bpi:     p.BytesPerInstr,
-			hi:      maxU,
-			i:       n,
-		}
+		l := a.lane(p, fEff.GHzF(), n)
 		out[n] = Result{EffCoreFreq: fEff, UncoreFreq: fu}
 		switch {
 		case p.BytesPerInstr == 0:
 			l.finish(&out[n], 0, p.BaseCPI)
-		case a.cap <= 0 || l.demand(a.cpi(&l, maxU))/a.cap >= maxU:
-			// Saturated even under maximum queueing delay: bandwidth-bound.
+		case a.saturated(&l):
 			cpi := a.cpi(&l, maxU)
 			if d, sat := l.demand(cpi), a.cap*maxU; d > sat && sat > 0 {
 				cpi *= d / sat
 			}
 			l.finish(&out[n], maxU, cpi)
 		default:
-			g[w] = l
-			if w++; w == lanes {
-				steps += a.bisect(g[:w], out)
-				w = 0
+			g[k] = l
+			if k++; k == lanes {
+				a.solve(g[:k], out, &w)
+				k = 0
 			}
 		}
 	}
-	steps += a.bisect(g[:w], out)
+	a.solve(g[:k], out, &w)
 	for i := range out[:n] {
 		if cpi := out[i].CPI; math.IsNaN(cpi) || math.IsInf(cpi, 0) {
-			return i, steps, fmt.Errorf("perf: model diverged (CPI=%v)", cpi)
+			return i, w, fmt.Errorf("perf: model diverged (CPI=%v)", cpi)
 		}
 	}
-	return n, steps, err
+	return n, w, err
 }
 
-// bisect solves the lanes' fixed points in lock-step, writes their
-// results, and returns the steps taken. Each lane keeps the scalar
-// expression order and moves one bracket end by a mask, not a branch
-// (which end is a coin toss a branch predictor cannot learn). A lane
-// stops at the first step whose midpoint was an end of its bracket
-// already: that step's outcome repeats for ever, so every later step
-// would leave the bracket as it is, and stopping there is exact.
+// solve finds the lanes' fixed points, writes their results and adds
+// its work to w.
 //
-// A lone lane, Evaluate's case, would wait on each step's whole chain of
-// divisions. It takes two steps a round instead: beside the midpoint it
-// evaluates both midpoints the next step can take, the three chains
-// overlap, and the first outcome picks the second step's.
-func (a *point) bisect(g []lane, out []Result) (steps int) {
-	per := 1
-	if len(g) == 1 {
-		per = 2
+// The result is where a bisection of [0, maxU] on rises ends: it halves
+// the bracket at most 60 times, and stops at the first step whose
+// midpoint was an end of its bracket already, since that step's outcome
+// repeats for ever. Every operation in rises is a correctly rounded +,
+// −, × or ÷ on operands of fixed sign, so rises is monotone in floating
+// point too: it is one below T, the least float in (0, maxU] where it is
+// zero, and zero from T on. The bisection's path is therefore a function
+// of T alone. solve finds T exactly by a search on the float bit
+// patterns, a few evaluations of rises each, and replays the path with
+// mid < T in place of rises(mid): no division, the lanes in lock-step,
+// each moving one bracket end by a mask and not a branch (which end is a
+// coin toss a branch predictor cannot learn).
+func (a *point) solve(g []lane, out []Result, w *work) {
+	var t [lanes]uint64
+	for k := range g {
+		t[k] = a.least(&g[k], w)
 	}
-	live := len(g)
-	var done [lanes]bool
-	for it := 0; it < bisectIters && live > 0; it += per {
+	// A lane that has stopped steps on with the others: its midpoint is
+	// an end of its bracket and its outcome moves that end onto itself.
+	live := uint(1)<<len(g) - 1 // bit k is set until lane k stops
+	for it := 0; it < bisectIters && live != 0; it++ {
 		for k := range g {
-			if done[k] {
-				continue
-			}
 			l := &g[k]
 			mid := midpoint(l.lo, l.hi)
-			if per == 1 {
-				steps++
-				done[k] = l.step(a.rises(l, mid), mid)
-			} else {
-				down, up := midpoint(l.lo, mid), midpoint(mid, l.hi)
-				m, mDown, mUp := a.rises(l, mid), a.rises(l, down), a.rises(l, up)
-				steps++
-				if done[k] = l.step(m, mid); !done[k] {
-					steps++
-					done[k] = l.step(mUp&m|mDown&^m, pick(m, up, down))
-				}
-			}
-			if done[k] {
-				live--
+			w.steps += int(live >> k & 1)
+			if l.step(below(mid, t[k]), mid) {
+				live &^= 1 << k
 			}
 		}
 	}
@@ -274,18 +290,118 @@ func (a *point) bisect(g []lane, out []Result) (steps int) {
 		rho := midpoint(l.lo, l.hi)
 		l.finish(&out[l.i], rho, a.cpi(l, rho))
 	}
-	return steps
+}
+
+// least returns the bits of T, the least float in (0, maxU] at which
+// rises is zero, counting its evaluations of rises in w. It starts at
+// Newton's estimate, gallops away from it in ulps until the outcome
+// changes, then halves the bit interval between the last two outcomes:
+// positive floats are ordered as their bit patterns are. Every loop is
+// bounded by the 63 bits below the sign, whatever rises returns, so a
+// phase whose CPI diverges ends too, with a T its result does not need.
+func (a *point) least(l *lane, w *work) uint64 {
+	// rises is one at lo, or lo is zero, and zero at hi: at maxU, the
+	// phase's demand is below the saturated capability, or it would be
+	// bandwidth-bound and not solved here.
+	lo, hi := uint64(0), math.Float64bits(a.maxU)
+	x := math.Float64bits(a.estimate(l))
+	x = min(max(x, 1), hi) // a NaN or negative estimate has bits above hi
+	if x < hi {
+		w.rises++
+		if a.rises(l, math.Float64frombits(x)) != 0 {
+			lo = x
+			for d := uint64(1); hi-x > d; d <<= 1 {
+				w.rises++
+				if a.rises(l, math.Float64frombits(x+d)) == 0 {
+					hi = x + d
+					break
+				}
+				lo = x + d
+			}
+		} else {
+			hi = x
+			for d := uint64(1); x-lo > d; d <<= 1 {
+				w.rises++
+				if a.rises(l, math.Float64frombits(x-d)) != 0 {
+					lo = x - d
+					break
+				}
+				hi = x - d
+			}
+		}
+	}
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		w.rises++
+		if a.rises(l, math.Float64frombits(mid)) != 0 {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return hi
+}
+
+// estimate approximates l's fixed point by Newton's method on
+// f(ρ) = ρ − k/cpi(ρ), where cpi(ρ) = b + eg·ρ³/(1−ρ) is the CPI with
+// e = exposed·latNs·fg, b = base + e and eg = e·QueueGain, and k/cpi the
+// implied utilisation. f is below zero at 0 and above it at maxU, and
+// each step keeps that bracket: a step that leaves it takes the
+// bracket's midpoint instead. It starts at min(k/b, maxU), at or above
+// the root, and stops when a step moves less than 2^-26 of ρ, so that
+// the last step left rounding alone. Every product is rounded before it
+// is summed, so the estimate, and the search's work after it, are the
+// same on every target.
+func (a *point) estimate(l *lane) float64 {
+	e := float64(float64(l.exposed*a.latNs) * l.fg)
+	eg := float64(e * a.mem.QueueGain)
+	b := l.base + e
+	k := l.demand(1) / a.cap
+	lo, hi := 0.0, a.maxU
+	x := min(k/b, hi)
+	for i := 0; i < newtonIters; i++ {
+		w := 1 / (1 - x)
+		q := float64(float64(eg*float64(x*x)) * w) // eg·ρ²/(1−ρ)
+		ic := 1 / (b + float64(q*x))
+		u := float64(k * ic)
+		f := x - u
+		switch {
+		case f > 0:
+			hi = x
+		case f < 0:
+			lo = x
+		default:
+			return x // a root, or f is NaN
+		}
+		// f' = 1 + u·cpi'/cpi, with cpi' = eg·ρ²(3−2ρ)/(1−ρ)².
+		df := 1 + float64(u*float64(float64(q*float64((3-float64(2*x))*w))*ic))
+		nx := x - f/df
+		if !(nx >= lo && nx <= hi) {
+			nx = midpoint(lo, hi)
+		}
+		d := math.Abs(nx - x)
+		if x = nx; d <= float64(x*0x1p-26) {
+			break
+		}
+	}
+	return x
 }
 
 // rises returns all ones when the utilisation l's demand at rho implies
 // exceeds rho (rho-u is negative), and zero otherwise. The implied
 // utilisation is u clamped to maxU, but the clamp never decides: below
 // maxU it keeps the comparison's outcome, and at maxU itself u is below
-// maxU, or the phase would be bandwidth-bound and not bisected. A NaN u
+// maxU, or the phase would be bandwidth-bound and not solved. A NaN u
 // may go either way; only a phase whose CPI diverges makes one.
 func (a *point) rises(l *lane, rho float64) uint64 {
 	u := l.demand(a.cpi(l, rho)) / a.cap
 	return uint64(int64(math.Float64bits(rho-u)) >> 63)
+}
+
+// below returns all ones when the positive float x is below the one
+// whose bits are t, and zero otherwise.
+func below(x float64, t uint64) uint64 {
+	return uint64(int64(math.Float64bits(x)-t) >> 63)
 }
 
 // step moves l's low bracket end to mid where m is all ones, its high
@@ -372,7 +488,7 @@ func Solve(m Machine, proto Phase, op Operating, targetCPI, targetGBs, coreFrac 
 	lines := bytesPerInstr / CacheLineBytes
 	rho := m.Mem.Utilization(targetGBs, fu)
 	lat := m.Mem.LatencyNs(fu, rho)
-	maxStall := lines * lat * fg
+	maxStall := float64(lines * lat * fg)
 
 	const minBase = 0.05
 	var base, overlap float64
@@ -394,7 +510,7 @@ func Solve(m Machine, proto Phase, op Operating, targetCPI, targetGBs, coreFrac 
 		}
 	} else {
 		overlap = proto.Overlap
-		base = targetCPI - (1-overlap)*lines*lat*fg
+		base = targetCPI - float64((1-overlap)*lines*lat*fg)
 		// If the requested overlap leaves no room for a core component,
 		// raise the overlap until a small core CPI remains.
 		if base < minBase {

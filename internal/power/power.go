@@ -137,15 +137,49 @@ func (c Coeffs) Node(in Input) (Breakdown, error) {
 	if err := c.Validate(); err != nil {
 		return Breakdown{}, err
 	}
+	return c.node(in, math.Pow(in.UncoreFreqGHz, c.UncoreExp))
+}
+
+// AtUncore is a model whose coefficients have been validated, held at
+// one uncore frequency, so that its Node checks the coefficients and
+// raises that frequency to UncoreExp once, not on every call.
+type AtUncore struct {
+	c    Coeffs
+	ghz  float64 // the uncore frequency, GHz
+	fExp float64 // ghz^UncoreExp
+}
+
+// AtUncore validates c and holds the uncore frequency at ghz, as the
+// learning phase does at the hardware maximum.
+func (c Coeffs) AtUncore(ghz float64) (AtUncore, error) {
+	if err := c.Validate(); err != nil {
+		return AtUncore{}, err
+	}
+	return AtUncore{c: c, ghz: ghz, fExp: math.Pow(ghz, c.UncoreExp)}, nil
+}
+
+// Node is Coeffs.Node of an input at the held uncore frequency, bit for
+// bit; an input at another uncore frequency is refused.
+func (a AtUncore) Node(in Input) (Breakdown, error) {
+	if in.UncoreFreqGHz != a.ghz {
+		return Breakdown{}, fmt.Errorf("power: uncore %g GHz, model held at %g GHz", in.UncoreFreqGHz, a.ghz)
+	}
+	return a.c.node(in, a.fExp)
+}
+
+// node evaluates the model of valid coefficients, fExp being
+// in.UncoreFreqGHz^UncoreExp. Every product that feeds a sum is rounded
+// first, so that no target fuses one.
+func (c Coeffs) node(in Input, fExp float64) (Breakdown, error) {
 	if err := in.validate(); err != nil {
 		return Breakdown{}, err
 	}
-	v := c.V0 + c.V1*in.CoreFreqGHz
+	v := c.V0 + float64(c.V1*in.CoreFreqGHz)
 	b := Breakdown{
-		CoreDyn: c.CoreDynPerCore * float64(in.ActiveCores) * in.CoreFreqGHz * v * v * in.Activity,
-		Uncore:  float64(in.Sockets) * c.UncoreDyn * math.Pow(in.UncoreFreqGHz, c.UncoreExp),
-		PkgBase: float64(in.Sockets) * c.PkgBase,
-		Dram:    c.DramBase + c.DramPerGBs*in.GBs,
+		CoreDyn: float64(c.CoreDynPerCore * float64(in.ActiveCores) * in.CoreFreqGHz * v * v * in.Activity),
+		Uncore:  float64(float64(in.Sockets) * c.UncoreDyn * fExp),
+		PkgBase: float64(float64(in.Sockets) * c.PkgBase),
+		Dram:    c.DramBase + float64(c.DramPerGBs*in.GBs),
 		Other:   c.NodeConst,
 		GPU:     in.GPUPower,
 	}
@@ -164,7 +198,7 @@ func (c Coeffs) SolveActivity(in Input, targetDC float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	v := c.V0 + c.V1*in.CoreFreqGHz
+	v := c.V0 + float64(c.V1*in.CoreFreqGHz)
 	coreTerm := c.CoreDynPerCore * float64(in.ActiveCores) * in.CoreFreqGHz * v * v
 	if coreTerm <= 0 {
 		return 0, fmt.Errorf("power: cannot solve activity with zero core term")

@@ -154,6 +154,48 @@ func TestNodeErrors(t *testing.T) {
 	}
 }
 
+// TestAtUncoreMatchesNode: the model held at one uncore frequency gives
+// Coeffs.Node's breakdown bit for bit at that frequency, refuses an
+// input at another, and, like Node, refuses invalid coefficients and
+// inputs.
+func TestAtUncoreMatchesNode(t *testing.T) {
+	for _, c := range []Coeffs{SD530Coeffs(), GPUNodeCoeffs()} {
+		at, err := c.AtUncore(2.4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []float64{1.0, 1.7, 2.4, 3.7} {
+			for _, gbs := range []float64{0, 28, 101.3} {
+				in := nominalInput()
+				in.CoreFreqGHz, in.GBs, in.Activity = f, gbs, f/3
+				want, err := c.Node(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := at.Node(in)
+				if err != nil || got != want {
+					t.Fatalf("core %g GHz, %g GB/s: AtUncore gives %+v, %v; Node %+v", f, gbs, got, err, want)
+				}
+			}
+		}
+		in := nominalInput()
+		in.UncoreFreqGHz = 1.2
+		if _, err := at.Node(in); err == nil {
+			t.Error("expected an error for an input at another uncore frequency")
+		}
+		in = nominalInput()
+		in.Sockets = 0
+		if _, err := at.Node(in); err == nil {
+			t.Error("expected input validation error")
+		}
+	}
+	bad := SD530Coeffs()
+	bad.PkgBase = -5
+	if _, err := bad.AtUncore(2.4); err == nil {
+		t.Error("expected coefficient validation error")
+	}
+}
+
 func TestSolveActivityRoundTrip(t *testing.T) {
 	c := SD530Coeffs()
 	for _, target := range []float64{300, 332, 358, 369} {

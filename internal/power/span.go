@@ -85,7 +85,7 @@ func raplCycle(p, carry float64, cnt uint64, esu float64, k uint64) (float64, ui
 	g, inv := math.Float64frombits((e-mantBits)<<mantBits), math.Float64frombits((2098-e)<<mantBits)
 	w := float64(int64(p * 1e6))
 	lo, hi := w/1e6, (w+1)/1e6
-	pu, cu, lou, hiu := p*inv, carry*inv, lo*inv, hi*inv
+	pu, cu, lou, hiu := float64(p*inv), float64(carry*inv), float64(lo*inv), float64(hi*inv)
 	if pu != math.Trunc(pu) || cu != math.Trunc(cu) || lou != math.Trunc(lou) || hiu != math.Trunc(hiu) {
 		return 0, 0, false
 	}
