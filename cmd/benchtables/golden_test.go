@@ -77,27 +77,50 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// campaign is `benchtables -exp all` at the default flags (three runs,
-// default parallelism) and the context that rendered it.
+// campaign is `benchtables -exp all` at some flags and the context that
+// rendered it.
 type campaign struct {
 	ctx *experiments.Context
 	all []byte
 	err error
 }
 
-// defaultCampaign renders the whole campaign once per test binary:
-// TestResultsFullMatchesDefaultFlags compares it with results_full.txt
-// and TestOrderCoversAllGenerators renders each experiment again from
-// the same context, out of its caches. TestOrderCoversAllGenerators'
-// fresh-context `-exp table2` call ties these settings to the flags'
-// defaults.
-var defaultCampaign = sync.OnceValue(func() campaign {
-	ctx := experiments.New()
-	ctx.Runs, ctx.Parallel = 3, runtime.GOMAXPROCS(0)
-	var all bytes.Buffer
-	err := generate(ctx, "all", false, &all)
-	return campaign{ctx: ctx, all: all.Bytes(), err: err}
-})
+// campaignAt returns the whole campaign at -runs runs and -parallel
+// parallel, as run renders it, rendered once however often the returned
+// function is called.
+func campaignAt(runs, parallel int) func() campaign {
+	return sync.OnceValue(func() campaign {
+		ctx := experiments.New()
+		ctx.Runs, ctx.Parallel = runs, parallel
+		var all bytes.Buffer
+		err := generate(ctx, "all", false, &all)
+		return campaign{ctx: ctx, all: all.Bytes(), err: err}
+	})
+}
+
+// defaultCampaign is the campaign at the default flags (three runs,
+// default parallelism): TestResultsFullMatchesDefaultFlags compares it
+// with results_full.txt and TestOrderCoversAllGenerators renders each
+// experiment again from the same context, out of its caches.
+// TestOrderCoversAllGenerators' fresh-context `-exp table2` call ties
+// these settings to the flags' defaults.
+var defaultCampaign = campaignAt(3, runtime.GOMAXPROCS(0))
+
+// wantResultsFull compares c's bytes with the committed results_full.txt.
+func wantResultsFull(t *testing.T, c campaign) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("..", "..", "results_full.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.err != nil {
+		t.Fatal(c.err)
+	}
+	if !bytes.Equal(c.all, want) {
+		t.Errorf("`benchtables -exp all` at -runs %d -parallel %d differs from results_full.txt (%d vs %d bytes)",
+			c.ctx.Runs, c.ctx.Parallel, len(c.all), len(want))
+	}
+}
 
 // TestResultsFullMatchesDefaultFlags ties the committed results_full.txt
 // to the command that claims to produce it: `benchtables -exp all` at
@@ -106,24 +129,32 @@ var defaultCampaign = sync.OnceValue(func() campaign {
 // model change regenerate it with
 // `go run ./cmd/benchtables -exp all > results_full.txt`.
 func TestResultsFullMatchesDefaultFlags(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("..", "..", "results_full.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := defaultCampaign()
-	if c.err != nil {
-		t.Fatal(c.err)
-	}
-	if !bytes.Equal(c.all, want) {
-		t.Errorf("`benchtables -exp all` differs from results_full.txt (%d vs %d bytes)", len(c.all), len(want))
-	}
+	wantResultsFull(t, defaultCampaign())
+}
+
+// TestResultsFullOnOneWorker: `-exp all -parallel 1` prints
+// results_full.txt too. With one worker, one goroutine hands one pooled
+// node every workload and policy in turn, so state that a renewed EARL
+// library or policy kept from its last run would show up here as a
+// diff.
+func TestResultsFullOnOneWorker(t *testing.T) {
+	wantResultsFull(t, campaignAt(3, 1)())
 }
 
 // TestParallelMatchesSequential is the engine's core guarantee: the
-// byte stream is identical at every worker count. Each invocation uses
-// a fresh context, so nothing is shared between the two runs but the
-// seeds.
+// byte stream is identical at every worker count. The whole `-runs 1`
+// campaign must print the same bytes at -parallel 1 and -parallel 8,
+// each side in its own context; each subtest runs one experiment at
+// both worker counts in fresh contexts, so nothing is shared between
+// the two runs but the seeds.
 func TestParallelMatchesSequential(t *testing.T) {
+	seq, par := campaignAt(1, 1)(), campaignAt(1, 8)()
+	if seq.err != nil || par.err != nil {
+		t.Fatal(seq.err, par.err)
+	}
+	if !bytes.Equal(seq.all, par.all) {
+		t.Errorf("`-exp all -runs 1`: -parallel 8 prints %d bytes that differ from -parallel 1's %d", len(par.all), len(seq.all))
+	}
 	for _, exp := range []string{"table3", "fig3", "summary"} {
 		t.Run(exp, func(t *testing.T) {
 			var seq, par bytes.Buffer

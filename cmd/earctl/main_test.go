@@ -263,15 +263,7 @@ func wantStatsRows(t *testing.T, out string, rows map[string]int) {
 // as an identical re-delivery and once as an update.
 func startDBD(t *testing.T) string {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := eardbd.NewServer(eard.NewDB(), eardbd.Config{})
-	go func() { _ = srv.Serve(l) }()
-	t.Cleanup(func() { _ = srv.Close() })
-
-	addr := l.Addr().String()
+	_, addr := startShard(t)
 	sendBatch(t, addr, wire.Batch{ID: "seed/1", Node: "n01", Records: []eard.JobRecord{
 		{JobID: "j1", StepID: "0", Node: "n01", App: "lulesh", TimeSec: 100, EnergyJ: 30000, AvgPower: 300},
 		{JobID: "j1", StepID: "0", Node: "n02", App: "lulesh", TimeSec: 100, EnergyJ: 31000, AvgPower: 310},
@@ -369,18 +361,12 @@ func TestParseEndpoints(t *testing.T) {
 // cluster view.
 func TestDbdFederatedQuery(t *testing.T) {
 	addr1 := startDBD(t) // n01 250 W + n02 310 W
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := eardbd.NewServer(eard.NewDB(), eardbd.Config{})
-	go func() { _ = srv.Serve(l) }()
-	t.Cleanup(func() { _ = srv.Close() })
-	sendBatch(t, l.Addr().String(), wire.Batch{ID: "seed2/1", Node: "n03", Records: []eard.JobRecord{
+	_, addr2 := startShard(t)
+	sendBatch(t, addr2, wire.Batch{ID: "seed2/1", Node: "n03", Records: []eard.JobRecord{
 		{JobID: "j3", StepID: "0", Node: "n03", App: "lulesh", TimeSec: 100, EnergyJ: 40000, AvgPower: 400},
 	}, Acct: []accounting.Record{acctRec(t, "n03", 9900)}})
 
-	both := addr1 + "," + l.Addr().String()
+	both := addr1 + "," + addr2
 	// 250 + 310 + 400 W across three nodes.
 	out := capture(t, []string{"dbd", "-addr", both, "aggregate"})
 	if !strings.Contains(out, "960.0") || !strings.Contains(out, "3") {

@@ -16,7 +16,9 @@ import (
 	"goear/internal/eardbd"
 )
 
-func startSendServer(t *testing.T) (*eardbd.Server, string) {
+// startShard serves an empty eardbd shard on an ephemeral TCP port,
+// closed when the test ends, and returns it with its address.
+func startShard(t *testing.T) (*eardbd.Server, string) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -61,7 +63,7 @@ func testRecords(n int) []eard.JobRecord {
 }
 
 func TestSendDeliversAll(t *testing.T) {
-	srv, addr := startSendServer(t)
+	srv, addr := startShard(t)
 	recs := testRecords(5)
 	path := writeRecords(t, recs)
 
@@ -82,7 +84,7 @@ func TestSendDeliversAll(t *testing.T) {
 // out with its node reports, so a daemon's file sent onward to another
 // drops nothing; a file of accounting records alone names its node.
 func TestSendShipsAccounting(t *testing.T) {
-	srv, addr := startSendServer(t)
+	srv, addr := startShard(t)
 	acct := []accounting.Record{acctRec(t, "n01", 100), acctRec(t, "n01", 200)}
 	acct[1].StepID = "1"
 	path := writeRecords(t, testRecords(3), acct...)
@@ -98,7 +100,7 @@ func TestSendShipsAccounting(t *testing.T) {
 		t.Errorf("server holds accounting %+v, want %+v", got, acct)
 	}
 
-	srv2, addr2 := startSendServer(t)
+	srv2, addr2 := startShard(t)
 	out.Reset()
 	if err := run([]string{"send", "-addr", addr2, "-records", writeRecords(t, nil, acct...)}, &out); err != nil {
 		t.Fatalf("run: %v\noutput: %s", err, out.String())
@@ -111,7 +113,7 @@ func TestSendShipsAccounting(t *testing.T) {
 // TestSendTracesOut feeds with span tracing on: the export must hold
 // the client-side trace of every batch.
 func TestSendTracesOut(t *testing.T) {
-	_, addr := startSendServer(t)
+	_, addr := startShard(t)
 	path := writeRecords(t, testRecords(4))
 	tracePath := filepath.Join(t.TempDir(), "traces.jsonl")
 
@@ -164,7 +166,7 @@ func TestSendSpillsThenReplays(t *testing.T) {
 
 	// Daemon comes back; replaying the same journal delivers exactly once
 	// even though the record file is sent again too.
-	srv, addr := startSendServer(t)
+	srv, addr := startShard(t)
 	out.Reset()
 	err = run([]string{"send", "-addr", addr, "-records", path, "-node", "n01", "-journal", journal}, &out)
 	if err != nil {
@@ -208,8 +210,8 @@ func TestSendLostWithoutJournal(t *testing.T) {
 // list: every record must land on the single shard the hash ring owns
 // the node on, the same owner the load generator and federation use.
 func TestSendAddrsRoutesByRing(t *testing.T) {
-	srv1, addr1 := startSendServer(t)
-	srv2, addr2 := startSendServer(t)
+	srv1, addr1 := startShard(t)
+	srv2, addr2 := startShard(t)
 	recs := testRecords(4)
 	for i := range recs {
 		recs[i].Node = "n01"
@@ -264,7 +266,7 @@ const sendFramesDigest = "66bfed39894f0bfbe3e614beeb9f46a81094ca222344b5e33d5d87
 // the wire: for the same five records, read from a state file now,
 // earctl send writes byte for byte the frames eardsend did.
 func TestSendFramesMatchEardsend(t *testing.T) {
-	srv, _ := startSendServer(t)
+	srv, _ := startShard(t)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -17,10 +17,13 @@ import (
 	"goear/internal/wire"
 )
 
-// startDaemon runs the daemon against an ephemeral TCP port and
-// returns its address plus a shutdown function that waits for a clean
-// exit and returns the accumulated output.
-func startDaemon(t *testing.T, extra ...string) (string, func() string) {
+// startDaemon runs the daemon on an ephemeral TCP port with extra
+// flags and returns every address it reported ready — the wire
+// listeners in flag order, then the telemetry endpoint when -telemetry
+// is on — plus a shutdown function that waits for a clean exit and
+// returns the accumulated output. A later -listen in extra overrides
+// the ephemeral one.
+func startDaemon(t *testing.T, extra ...string) ([]string, func() string) {
 	t.Helper()
 	var out strings.Builder
 	ready := make(chan []string, 1)
@@ -37,10 +40,10 @@ func startDaemon(t *testing.T, extra ...string) (string, func() string) {
 			}
 			return out.String()
 		}
-		return addrs[0], stop
+		return addrs, stop
 	case err := <-done:
 		t.Fatalf("daemon died on startup: %v (output: %s)", err, out.String())
-		return "", nil
+		return nil, nil
 	}
 }
 
@@ -68,6 +71,24 @@ func sendBatch(t *testing.T, addr string, b wire.Batch) {
 	}
 }
 
+// ask puts q to the daemon at addr on a fresh connection and decodes
+// the answer into v.
+func ask(t *testing.T, addr string, q wire.Query, v any) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	res, err := eardbd.Query(conn, q, 0)
+	if err == nil {
+		err = res.Decode(v)
+	}
+	if err != nil {
+		t.Fatalf("%s from %s: %v", q.Kind, addr, err)
+	}
+}
+
 // TestDaemonLifecycleWithPersistence: what the daemon acknowledged, it
 // still serves after a restart — the records, every node's last
 // reported power and the job accounting records, byte for byte — from
@@ -75,7 +96,8 @@ func sendBatch(t *testing.T, addr string, b wire.Batch) {
 func TestDaemonLifecycleWithPersistence(t *testing.T) {
 	dir := t.TempDir()
 	dbFile := filepath.Join(dir, "shard.db")
-	addr, stop := startDaemon(t, "-db", dbFile)
+	addrs, stop := startDaemon(t, "-db", dbFile)
+	addr := addrs[0]
 
 	acct := make([]accounting.Record, 2)
 	for i, node := range []string{"n01", "n02"} {
@@ -130,8 +152,8 @@ func TestDaemonLifecycleWithPersistence(t *testing.T) {
 	}
 
 	// A restarted daemon loads the file and serves what it did before.
-	addr2, stop2 := startDaemon(t, "-db", dbFile)
-	after := read(addr2)
+	addrs2, stop2 := startDaemon(t, "-db", dbFile)
+	after := read(addrs2[0])
 	for i, kind := range []string{"aggregate", "node_powers", "acct_jobs"} {
 		if !bytes.Equal(after[i], before[i]) {
 			t.Errorf("%s after the restart differs:\n before %q\n after  %q", kind, before[i], after[i])
@@ -145,15 +167,9 @@ func TestDaemonLifecycleWithPersistence(t *testing.T) {
 
 func TestDaemonUnixSocket(t *testing.T) {
 	sock := filepath.Join(t.TempDir(), "eardbd.sock")
-	var out strings.Builder
-	ready := make(chan []string, 1)
-	quit := make(chan struct{})
-	done := make(chan error, 1)
-	go func() { done <- run([]string{"-unix", sock}, &out, ready, quit) }()
-	select {
-	case <-ready:
-	case err := <-done:
-		t.Fatalf("daemon died: %v", err)
+	addrs, stop := startDaemon(t, "-unix", sock)
+	if len(addrs) != 2 || addrs[1] != sock {
+		t.Fatalf("ready addrs = %v, want TCP then %s", addrs, sock)
 	}
 	conn, err := net.Dial("unix", sock)
 	if err != nil {
@@ -172,20 +188,18 @@ func TestDaemonUnixSocket(t *testing.T) {
 	if err := conn.Close(); err != nil {
 		t.Fatal(err)
 	}
-	close(quit)
-	if err := <-done; err != nil {
-		t.Errorf("exit: %v", err)
-	}
+	stop()
 }
 
 // TestFederationRootDaemon runs two ingest daemons and a -fed root
 // over them: the root must serve the merged cluster snapshot and
 // refuse record batches.
 func TestFederationRootDaemon(t *testing.T) {
-	addr1, stop1 := startDaemon(t)
+	shard1, stop1 := startDaemon(t)
 	defer stop1()
-	addr2, stop2 := startDaemon(t)
+	shard2, stop2 := startDaemon(t)
 	defer stop2()
+	addr1, addr2 := shard1[0], shard2[0]
 	sendBatch(t, addr1, wire.Batch{ID: "n01/1", Node: "n01", Records: []eard.JobRecord{
 		{JobID: "j1", StepID: "0", Node: "n01", App: "X", TimeSec: 10, EnergyJ: 3000, AvgPower: 300},
 	}})
@@ -193,39 +207,31 @@ func TestFederationRootDaemon(t *testing.T) {
 		{JobID: "j1", StepID: "0", Node: "n02", App: "X", TimeSec: 10, EnergyJ: 3100, AvgPower: 310},
 	}})
 
-	rootAddr, stopRoot := startDaemon(t, "-fed", addr1+","+addr2)
+	root, stopRoot := startDaemon(t, "-fed", addr1+","+addr2)
 	defer stopRoot()
+	rootAddr := root[0]
+	var agg eardbd.Aggregate
+	ask(t, rootAddr, wire.Query{Kind: wire.QueryAggregate}, &agg)
+	if agg.Nodes != 2 || agg.Records != 2 || agg.TotalPowerW != 610 {
+		t.Errorf("root aggregate = %+v, want 2 nodes, 2 records, 610 W", agg)
+	}
+
+	// The root is a read path: batches must be refused, not merged.
 	conn, err := net.Dial("tcp", rootAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	res, err := eardbd.Query(conn, wire.Query{Kind: wire.QueryAggregate}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"nodes":2`, `"records":2`, `"total_power_w":610`} {
-		if !strings.Contains(string(res.Data), want) {
-			t.Errorf("root aggregate missing %s: %s", want, res.Data)
-		}
-	}
-
-	// The root is a read path: batches must be refused, not merged.
-	conn2, err := net.Dial("tcp", rootAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn2.Close()
 	f, err := wire.EncodeBatch(wire.Batch{ID: "n03/1", Node: "n03", Records: []eard.JobRecord{
 		{JobID: "j2", StepID: "0", Node: "n03", App: "X", TimeSec: 10, EnergyJ: 1000, AvgPower: 100},
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.WriteFrame(conn2, f, 0); err != nil {
+	if err := wire.WriteFrame(conn, f, 0); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := wire.ReadFrame(conn2, 0)
+	resp, err := wire.ReadFrame(conn, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,8 +346,9 @@ func TestDaemonFlagErrors(t *testing.T) {
 // limit: the root's aggregate counts every record, as the shard's own
 // does.
 func TestDefaultRootReadsALargeShard(t *testing.T) {
-	shard, stopShard := startDaemon(t)
+	shards, stopShard := startDaemon(t)
 	defer stopShard()
+	shard := shards[0]
 	conn, err := net.Dial("tcp", shard)
 	if err != nil {
 		t.Fatal(err)
@@ -367,30 +374,15 @@ func TestDefaultRootReadsALargeShard(t *testing.T) {
 			t.Fatalf("batch %d not acked: %v", b, err)
 		}
 	}
-	aggregate := func(addr string) eardbd.Aggregate {
-		t.Helper()
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		res, err := eardbd.Query(conn, wire.Query{Kind: wire.QueryAggregate}, 0)
-		var agg eardbd.Aggregate
-		if err == nil {
-			err = res.Decode(&agg)
-		}
-		if err != nil {
-			t.Fatalf("aggregate from %s: %v", addr, err)
-		}
-		return agg
-	}
-	want := aggregate(shard)
+	var want, got eardbd.Aggregate
+	ask(t, shard, wire.Query{Kind: wire.QueryAggregate}, &want)
 	if want.Records != 20000 || want.Nodes != 2000 {
 		t.Fatalf("the shard holds %+v, want 20,000 records of 2,000 nodes", want)
 	}
 	root, stopRoot := startDaemon(t, "-fed", shard)
 	defer stopRoot()
-	if got := aggregate(root); got != want {
+	ask(t, root[0], wire.Query{Kind: wire.QueryAggregate}, &got)
+	if got != want {
 		t.Errorf("the root's aggregate is %+v, the shard's %+v", got, want)
 	}
 }

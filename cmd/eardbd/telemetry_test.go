@@ -11,23 +11,45 @@ import (
 	"goear/internal/wire"
 )
 
+// get fetches path from the telemetry endpoint at addr and returns the
+// status code and body.
+func get(t *testing.T, addr, path string) (int, string) {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if cerr := resp.Body.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(body)
+}
+
+// scrape reads the /metrics exposition at addr into each sample's value
+// keyed by its name and labels as written (`name{k="v"}`).
+func scrape(t *testing.T, addr string) map[string]float64 {
+	t.Helper()
+	code, body := get(t, addr, "/metrics")
+	samples, err := telemetry.ParseText(strings.NewReader(body))
+	if code != http.StatusOK || err != nil {
+		t.Fatalf("/metrics = %d, %v", code, err)
+	}
+	vals := map[string]float64{}
+	for _, s := range samples {
+		vals[s.Name+s.Labels] = s.Value
+	}
+	return vals
+}
+
 // TestDaemonTelemetryEndpoint boots the daemon with -telemetry, feeds
 // it a batch (plus a dedup-window redelivery), and scrapes the HTTP
 // endpoint: the closed loop the observability layer exists for.
 func TestDaemonTelemetryEndpoint(t *testing.T) {
-	var out strings.Builder
-	ready := make(chan []string, 1)
-	quit := make(chan struct{})
-	done := make(chan error, 1)
-	go func() {
-		done <- run([]string{"-listen", "127.0.0.1:0", "-telemetry", "127.0.0.1:0"}, &out, ready, quit)
-	}()
-	var addrs []string
-	select {
-	case addrs = <-ready:
-	case err := <-done:
-		t.Fatalf("daemon died on startup: %v (output: %s)", err, out.String())
-	}
+	addrs, stop := startDaemon(t, "-telemetry", "127.0.0.1:0")
 	if len(addrs) != 2 {
 		t.Fatalf("ready addrs = %v, want wire + telemetry", addrs)
 	}
@@ -45,18 +67,20 @@ func TestDaemonTelemetryEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if cerr := resp.Body.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Errorf("metrics Content-Type = %q", ct)
 	}
-	samples, err := telemetry.ParseText(resp.Body)
-	if err != nil {
-		t.Fatalf("metrics endpoint served unparseable exposition: %v", err)
+	if !strings.Contains("\n"+string(body), "\n# TYPE goear_eardbd_batches_total counter\n") {
+		t.Errorf("exposition has no counter TYPE line for the batches family:\n%s", body)
 	}
-	vals := map[string]float64{}
-	for _, s := range samples {
-		vals[s.Name+s.Labels] = s.Value
-	}
+	vals := scrape(t, telAddr)
 	for key, want := range map[string]float64{
 		`goear_eardbd_batches_total{result="accepted"}`:  1,
 		`goear_eardbd_batches_total{result="duplicate"}`: 1,
@@ -71,27 +95,13 @@ func TestDaemonTelemetryEndpoint(t *testing.T) {
 		t.Errorf("connections = %v, want >= 2", vals["goear_eardbd_connections_total"])
 	}
 
-	evResp, err := http.Get("http://" + telAddr + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer evResp.Body.Close()
-	evBody, err := io.ReadAll(evResp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := string(evBody)
-	if !strings.Contains(events, `"kind":"eardbd.batch"`) ||
+	if _, events := get(t, telAddr, "/events"); !strings.Contains(events, `"kind":"eardbd.batch"`) ||
 		!strings.Contains(events, `"result":"duplicate"`) {
 		t.Errorf("event log missing batch events:\n%s", events)
 	}
 
-	close(quit)
-	if err := <-done; err != nil {
-		t.Errorf("daemon exit: %v", err)
-	}
-	if !strings.Contains(out.String(), "telemetry on http://") {
-		t.Errorf("startup output missing telemetry line:\n%s", out.String())
+	if out := stop(); !strings.Contains(out, "telemetry on http://") {
+		t.Errorf("startup output missing telemetry line:\n%s", out)
 	}
 }
 
@@ -100,58 +110,33 @@ func TestDaemonTelemetryEndpoint(t *testing.T) {
 // answer, a delivered batch must show up as server-side spans on
 // /traces, and the index at / must list every route and nothing else.
 func TestDaemonTraceAndHealthEndpoints(t *testing.T) {
-	var out strings.Builder
-	ready := make(chan []string, 1)
-	quit := make(chan struct{})
-	done := make(chan error, 1)
-	args := []string{"-listen", "127.0.0.1:0", "-telemetry", "127.0.0.1:0", "-trace"}
-	go func() { done <- run(args, &out, ready, quit) }()
-	var addrs []string
-	select {
-	case addrs = <-ready:
-	case err := <-done:
-		t.Fatalf("daemon died on startup: %v (output: %s)", err, out.String())
-	}
+	addrs, stop := startDaemon(t, "-telemetry", "127.0.0.1:0", "-trace")
+	defer stop()
 	wireAddr, telAddr := addrs[0], addrs[len(addrs)-1]
 
 	sendBatch(t, wireAddr, wire.Batch{ID: "n05/1", Node: "n05", Records: []eard.JobRecord{
 		{JobID: "j9", StepID: "0", Node: "n05", App: "X", TimeSec: 10, EnergyJ: 3000, AvgPower: 300},
 	}})
 
-	get := func(path string) (int, string) {
-		t.Helper()
-		resp, err := http.Get("http://" + telAddr + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if cerr := resp.Body.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, string(body)
-	}
-	if code, body := get("/healthz"); code != 200 || !strings.Contains(body, `"status": "ok"`) {
+	if code, body := get(t, telAddr, "/healthz"); code != 200 || !strings.Contains(body, `"status": "ok"`) {
 		t.Errorf("/healthz = %d %s", code, body)
 	}
-	if code, body := get("/readyz"); code != 200 || !strings.Contains(body, `"generation 1"`) {
+	if code, body := get(t, telAddr, "/readyz"); code != 200 || !strings.Contains(body, `"generation 1"`) {
 		t.Errorf("/readyz = %d %s", code, body)
 	}
-	if code, body := get("/slo"); code != 200 || !strings.Contains(body, `"op": "batch"`) {
+	if code, body := get(t, telAddr, "/slo"); code != 200 || !strings.Contains(body, `"op": "batch"`) {
 		t.Errorf("/slo = %d %s", code, body)
 	}
-	if code, body := get("/traces"); code != 200 ||
+	if code, body := get(t, telAddr, "/traces"); code != 200 ||
 		!strings.Contains(body, `"kind":"server.batch"`) || !strings.Contains(body, `"batch":"n05/1"`) {
 		t.Errorf("/traces = %d %s", code, body)
 	}
-	if code, body := get("/traces?kind=server.store"); code != 200 || strings.Contains(body, "server.batch") {
+	if code, body := get(t, telAddr, "/traces?kind=server.store"); code != 200 || strings.Contains(body, "server.batch") {
 		t.Errorf("/traces?kind filter leaked: %d %s", code, body)
 	}
 	// The index lists every route mounted, and every path it lists
 	// answers.
-	_, index := get("/")
+	_, index := get(t, telAddr, "/")
 	var listed []string
 	for _, line := range strings.Split(index, "\n") {
 		if strings.HasPrefix(line, "/") {
@@ -162,13 +147,8 @@ func TestDaemonTraceAndHealthEndpoints(t *testing.T) {
 		t.Errorf("index lists %q, want %q", got, want)
 	}
 	for _, path := range listed {
-		if code, _ := get(path); code == http.StatusNotFound {
+		if code, _ := get(t, telAddr, path); code == http.StatusNotFound {
 			t.Errorf("GET %s = 404, but the index lists it", path)
 		}
-	}
-
-	close(quit)
-	if err := <-done; err != nil {
-		t.Errorf("daemon exit: %v", err)
 	}
 }

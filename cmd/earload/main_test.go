@@ -1,8 +1,12 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +15,7 @@ import (
 
 	"goear/internal/eard"
 	"goear/internal/eardbd"
+	"goear/internal/telemetry/trace"
 )
 
 func readFile(path string) (string, error) {
@@ -124,29 +129,44 @@ func TestEarloadSnapshotIdenticalAcrossShardCounts(t *testing.T) {
 	}
 }
 
+// startShard serves an eardbd shard with cfg on an ephemeral TCP port,
+// closed when the test ends, and returns it with its address.
+func startShard(t *testing.T, cfg eardbd.Config) (*eardbd.Server, string) {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := eardbd.NewServer(eard.NewDB(), cfg)
+	go func() { _ = srv.Serve(l) }() // returns nil on Close
+	t.Cleanup(func() { _ = srv.Close() })
+	return srv, l.Addr().String()
+}
+
 // TestEarloadExternalShardsHangUp drives -addrs mode against two
-// listening daemons and reads the same snapshot an in-process fleet of
-// two gives; once the run returns, the daemons serve no connection of
-// its — the roots behind the query hammer and the snapshot hang up the
-// connections they parked.
+// listening daemons while four workers page the accounting API, and
+// reads the same snapshot an in-process fleet of two gives; once the
+// run returns, the daemons serve no connection of its — the roots
+// behind the query hammer and the snapshot hang up the connections
+// they parked.
 func TestEarloadExternalShardsHangUp(t *testing.T) {
 	var addrs []string
 	var shards []*eardbd.Server
 	for i := 0; i < 2; i++ {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := eardbd.NewServer(eard.NewDB(), eardbd.Config{})
-		go func() { _ = srv.Serve(l) }() // returns nil on Close
-		defer srv.Close()
-		addrs, shards = append(addrs, l.Addr().String()), append(shards, srv)
+		srv, addr := startShard(t, eardbd.Config{})
+		addrs, shards = append(addrs, addr), append(shards, srv)
 	}
 	snap := filepath.Join(t.TempDir(), "snap.json")
 	var out strings.Builder
-	err := run([]string{"-addrs", strings.Join(addrs, ","), "-nodes", "40", "-acct", "1", "-queries", "2", "-snapshot", snap}, &out)
+	err := run([]string{"-addrs", strings.Join(addrs, ","), "-nodes", "40", "-acct", "1", "-queries", "4", "-snapshot", snap, "-metrics"}, &out)
 	if err != nil {
 		t.Fatalf("%v\noutput: %s", err, out.String())
+	}
+	for _, want := range []string{"backlog 0", "query hammer: 4 workers", `goear_accounting_ingest_total{result="accepted"}`,
+		"\ngoear_loadgen_nodes_total 40\n", "\ngoear_eardbd_client_batches_sent_total "} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output missing %q:\n%s", want, out.String())
+		}
 	}
 	got, err := readFile(snap)
 	if err != nil {
@@ -163,6 +183,70 @@ func TestEarloadExternalShardsHangUp(t *testing.T) {
 				t.Fatalf("a daemon still serves %d connections after earload returned", srv.Conns())
 			}
 			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// TestEarloadTracesJoinShardSpans runs a traced burst against two
+// tracing daemons: earload prints its batch round trips and exports
+// the client's spans, and the wire context joins the shards' server
+// spans to the client's trace — a client batch's trace id finds its
+// server.batch and server.store spans on the shards' /traces.
+func TestEarloadTracesJoinShardSpans(t *testing.T) {
+	var addrs, traces []string
+	for i := 0; i < 2; i++ {
+		buf := trace.NewBuffer(0)
+		_, addr := startShard(t, eardbd.Config{Trace: buf})
+		mux := http.NewServeMux()
+		mux.Handle("/traces", buf.Handler())
+		tel := httptest.NewServer(mux)
+		t.Cleanup(tel.Close)
+		addrs, traces = append(addrs, addr), append(traces, tel.URL+"/traces")
+	}
+	export := filepath.Join(t.TempDir(), "client_spans.jsonl")
+	var out strings.Builder
+	err := run([]string{"-nodes", "200", "-records", "5", "-workers", "32",
+		"-addrs", strings.Join(addrs, ","), "-trace", "-traces-out", export}, &out)
+	if err != nil {
+		t.Fatalf("%v\noutput: %s", err, out.String())
+	}
+	for _, want := range []string{"backlog 0", "batch rtt:"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output missing %q:\n%s", want, out.String())
+		}
+	}
+	spans, err := readFile(export)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tid string
+	for _, line := range strings.Split(spans, "\n") {
+		var s trace.Span
+		if json.Unmarshal([]byte(line), &s) == nil && s.Kind == "client.batch" {
+			tid = s.Trace.String()
+			break
+		}
+	}
+	if tid == "" || !strings.Contains(spans, `"kind":"client.send"`) {
+		t.Fatalf("the client export holds no client.batch with client.send spans:\n%.500s", spans)
+	}
+	var server strings.Builder
+	for _, u := range traces {
+		resp, err := http.Get(u + "?trace=" + tid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = io.Copy(&server, resp.Body)
+		if cerr := resp.Body.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, want := range []string{`"kind":"server.batch"`, `"kind":"server.store"`, `"trace":"` + tid + `"`} {
+		if !strings.Contains(server.String(), want) {
+			t.Errorf("the shards' spans of trace %s miss %s:\n%s", tid, want, server.String())
 		}
 	}
 }

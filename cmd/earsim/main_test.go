@@ -216,6 +216,65 @@ func TestAccountingFlow(t *testing.T) {
 	}
 }
 
+// TestAcctFileGolden pins the state file `earsim -acct` writes for a
+// fresh path, byte for byte: earctl's TestAccountingFileFlow reads the
+// same testdata file as earsim's output. After a deliberate model
+// change, delete it and regenerate it with
+// `go run ./cmd/earsim -workload HPCG -policy min_energy_eufs -runs 1 -acct cmd/earsim/testdata/hpcg_node.db`.
+func TestAcctFileGolden(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "node.db")
+	var b strings.Builder
+	if err := run([]string{"-workload", "HPCG", "-policy", "min_energy_eufs", "-runs", "1", "-acct", path}, &b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "accounting: recorded 4 node(s) under job job0 in "+path) {
+		t.Errorf("output names no accounting file:\n%s", b.String())
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "hpcg_node.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("-acct wrote %d bytes that differ from testdata/hpcg_node.db (%d bytes)", len(got), len(want))
+	}
+}
+
+// TestModelFileRunsLikeInProcessTraining: a model file from the learning
+// phase, encoded as `earctl learn -platform SD530 -o F` encodes it,
+// drives a run to the output training in process gives. The run is
+// HPCG's, which the model's projections steer: BT-MZ.C prints the same
+// under a model whose every CPI projection is scaled by 1.5.
+func TestModelFileRunsLikeInProcessTraining(t *testing.T) {
+	pl := workload.SD530()
+	m, err := model.TrainForCPU(pl.Machine, pl.Power)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "m.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-workload", "HPCG", "-policy", "min_energy_eufs", "-compare"}
+	var fromFile, inProcess strings.Builder
+	if err := run(append([]string{"-model", path}, args...), &fromFile); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(args, &inProcess); err != nil {
+		t.Fatal(err)
+	}
+	if fromFile.String() != inProcess.String() {
+		t.Errorf("-model prints\n%s\ntraining in process\n%s", fromFile.String(), inProcess.String())
+	}
+}
+
 func TestTraceCSV(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "trace.csv")
@@ -262,6 +321,15 @@ func TestSpecTemplateAndCustomSpec(t *testing.T) {
 	}
 	if !strings.Contains(b2.String(), "my-app under none on 2 node(s)") {
 		t.Errorf("custom spec output: %s", b2.String())
+	}
+	// It runs under a policy against the baseline as a catalogued
+	// workload does.
+	b2.Reset()
+	if err := run([]string{"-spec", path, "-policy", "min_energy_eufs", "-compare", "-runs", "1"}, &b2); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b2.String(), "my-app under min_energy_eufs on 2 node(s)") || !strings.Contains(b2.String(), "vs nominal baseline") {
+		t.Errorf("custom spec under a policy: %s", b2.String())
 	}
 	// Missing file errors.
 	if err := run([]string{"-spec", filepath.Join(dir, "missing.json")}, &b2); err == nil {

@@ -134,8 +134,8 @@ func (m *Model) classOf(gbs float64) int {
 // bandwidth-roofline clamp.
 func (m *Model) projectDefault(sig metrics.Signature, from, to int) Prediction {
 	c := m.Pairs[from][to].ByClass[m.classOf(sig.GBs)]
-	cpi2 := c.A*sig.CPI + c.B*sig.TPI + c.C
-	pow2 := c.D*sig.DCPowerW + c.E*sig.TPI + c.F
+	cpi2 := float64(c.A*sig.CPI) + float64(c.B*sig.TPI) + c.C
+	pow2 := float64(c.D*sig.DCPowerW) + float64(c.E*sig.TPI) + c.F
 	f1, f2 := m.FreqGHz[from], m.FreqGHz[to]
 	// Roofline: achieved bandwidth cannot exceed the saturated
 	// capability at any frequency, which bounds CPI from below.
@@ -181,9 +181,9 @@ func (m *Model) Predict(sig metrics.Signature, from, to int) (Prediction, error)
 	avx := m.projectDefault(sig, fromAvx, toAvx)
 	w := sig.VPI
 	return Prediction{
-		TimeSec: (1-w)*def.TimeSec + w*avx.TimeSec,
-		PowerW:  (1-w)*def.PowerW + w*avx.PowerW,
-		CPI:     (1-w)*def.CPI + w*avx.CPI,
+		TimeSec: float64((1-w)*def.TimeSec) + float64(w*avx.TimeSec),
+		PowerW:  float64((1-w)*def.PowerW) + float64(w*avx.PowerW),
+		CPI:     float64((1-w)*def.CPI) + float64(w*avx.CPI),
 	}, nil
 }
 

@@ -81,16 +81,16 @@ func (a *normal3) solve() ([3]float64, error) {
 				continue
 			}
 			for c := col; c < 3; c++ {
-				M[r][c] -= f * M[col][c]
+				M[r][c] -= float64(f * M[col][c])
 			}
-			x[r] -= f * x[col]
+			x[r] -= float64(f * x[col])
 		}
 	}
 	// Back substitution.
 	for col := 2; col >= 0; col-- {
 		s := x[col]
 		for c := col + 1; c < 3; c++ {
-			s -= M[col][c] * x[c]
+			s -= float64(M[col][c] * x[c])
 		}
 		x[col] = s / M[col][col]
 	}

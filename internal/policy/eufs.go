@@ -147,8 +147,8 @@ func (p *eufs) imcStep(in Inputs) (NodeFreqs, State, error) {
 	}
 
 	// Degradation beyond the uncore threshold: revert the last step.
-	extraCPI := p.refCPI * p.cfg.UncPolicyTh
-	extraGBs := p.refGBs * p.cfg.UncPolicyTh
+	extraCPI := float64(p.refCPI * p.cfg.UncPolicyTh)
+	extraGBs := float64(p.refGBs * p.cfg.UncPolicyTh)
 	if sig.CPI > p.refCPI+extraCPI || sig.GBs < p.refGBs-extraGBs {
 		p.curMax = p.cfg.stepUncore(p.curMax, true)
 		return p.freqs(), Ready, nil

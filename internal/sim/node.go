@@ -190,8 +190,8 @@ func runNode(cal workload.Calibrated, nodeID int, opt Options) (NodeResult, erro
 
 // startIteration draws this iteration's noise and work budget.
 func (n *node) startIteration() {
-	n.tNoise = 1 + noiseSD*n.rng.NormFloat64()
-	n.pNoise = 1 + noiseSD*n.rng.NormFloat64()
+	n.tNoise = 1 + float64(noiseSD*n.rng.NormFloat64())
+	n.pNoise = 1 + float64(noiseSD*n.rng.NormFloat64())
 	if n.tNoise < 0.9 {
 		n.tNoise = 0.9
 	}

@@ -138,8 +138,8 @@ func (p *counted) Apply(in policy.Inputs) (policy.NodeFreqs, policy.State, error
 	if st == policy.Ready {
 		p.ready.Inc()
 		if v, have := p.LastPrediction(); have && v.RefTimeSec > 0 && v.RefPowerW > 0 {
-			refE := v.RefTimeSec * v.RefPowerW
-			p.saving.Observe((refE - v.TimeSec*v.PowerW) / refE * 100)
+			refE := float64(v.RefTimeSec * v.RefPowerW)
+			p.saving.Observe((refE - float64(v.TimeSec*v.PowerW)) / refE * 100)
 		}
 	} else {
 		p.cont.Inc()
