@@ -39,27 +39,21 @@ func probePhases(activeCores int) []perf.Phase {
 
 // TestTrainingWorkCounts pins the learning phase's evaluation work on
 // SD530: 3,200 evaluations, every one solved by search, whose fixed
-// points the exact search finds in 7,727 evaluations of rises, and
-// whose bisections replay in 178,708 steps. That is the step count the
-// bisection took when it evaluated rises at every step, so the replay
-// takes the same path. A bisection that ran all 60 steps would take
-// 192,000; the lanes stop at the first midpoint that meets an end of
-// the bracket.
+// points the exact search finds in 7,727 evaluations of rises.
 func TestTrainingWorkCounts(t *testing.T) {
 	m, ops, phases := trainingGrid(t)
 	out := make([]perf.Result, len(phases))
-	var evals, steps, rises int
+	var evals, rises int
 	for _, op := range ops {
-		n, s, r, err := perf.EvaluateAllWork(m, op, phases, out)
+		n, r, err := perf.EvaluateAllWork(m, op, phases, out)
 		if err != nil {
 			t.Fatal(err)
 		}
 		evals += n
-		steps += s
 		rises += r
 	}
-	if evals != 3200 || steps != 178708 || rises != 7727 {
-		t.Errorf("%d evaluations, %d bisection steps replayed, %d rises evaluations; want 3200, 178708, 7727", evals, steps, rises)
+	if evals != 3200 || rises != 7727 {
+		t.Errorf("%d evaluations, %d rises evaluations; want 3200, 7727", evals, rises)
 	}
 }
 
