@@ -11,13 +11,14 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-// fit3 streams (X, y) into a normal3 and solves it.
+// fit3 streams (X, y) into a normal3 and its rhs3 and solves them.
 func fit3(X [][3]float64, y []float64) ([3]float64, error) {
 	var a normal3
+	var v rhs3
 	for i, x := range X {
-		a.add(x, y[i])
+		a.add(&v, x, y[i])
 	}
-	return a.solve()
+	return a.solve(&v)
 }
 
 func TestSolveLinearExact(t *testing.T) {
@@ -53,17 +54,18 @@ func TestSolveLinearSingular(t *testing.T) {
 
 func TestSolveDoesNotConsumeAccumulator(t *testing.T) {
 	var a normal3
+	var v rhs3
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 10; i++ {
-		a.add([3]float64{rng.Float64(), rng.Float64(), 1}, rng.Float64())
+		a.add(&v, [3]float64{rng.Float64(), rng.Float64(), 1}, rng.Float64())
 	}
-	before := a
-	x1, err := a.solve()
+	before, vBefore := a, v
+	x1, err := a.solve(&v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x2, _ := a.solve()
-	if a != before || x1 != x2 || a.n != 10 {
+	x2, _ := a.solve(&v)
+	if a != before || v != vBefore || x1 != x2 || a.n != 10 {
 		t.Error("solve changed the accumulator")
 	}
 }
@@ -110,7 +112,7 @@ func TestLeastSquaresNoisy(t *testing.T) {
 
 func TestLeastSquaresErrors(t *testing.T) {
 	var empty normal3
-	if _, err := empty.solve(); err != errSingular {
+	if _, err := empty.solve(&rhs3{}); err != errSingular {
 		t.Errorf("empty system: err = %v, want errSingular", err)
 	}
 	// Fewer samples than features.
@@ -129,10 +131,11 @@ func TestSolveLinearRandomProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var a normal3
+		var v rhs3
 		for i := 0; i < 8+int(rng.Int31n(20)); i++ {
-			a.add([3]float64{rng.Float64()*2 - 1, rng.Float64()*2 - 1, 1}, rng.Float64()*10)
+			a.add(&v, [3]float64{rng.Float64()*2 - 1, rng.Float64()*2 - 1, 1}, rng.Float64()*10)
 		}
-		x, err := a.solve()
+		x, err := a.solve(&v)
 		if err != nil {
 			return false
 		}
@@ -145,7 +148,7 @@ func TestSolveLinearRandomProperty(t *testing.T) {
 				}
 				s += aij * x[j]
 			}
-			if !almostEqual(s, a.xty[i], 1e-8) {
+			if !almostEqual(s, v[i], 1e-8) {
 				return false
 			}
 		}
@@ -192,13 +195,14 @@ func TestNormal3MatchesReference(t *testing.T) {
 		for _, n := range []int{1, 2, 3, 4, 5, 17, 400} {
 			for rep := 0; rep < 20; rep++ {
 				var acc normal3
+				var v rhs3
 				for i := 0; i < n; i++ {
-					acc.add(sh.row(), 5*rng.NormFloat64())
+					acc.add(&v, sh.row(), 5*rng.NormFloat64())
 				}
 				if acc.n != n {
 					t.Fatalf("%s: n = %d after %d samples", sh.name, acc.n, n)
 				}
-				got, err := acc.solve()
+				got, err := acc.solve(&v)
 				buf = buf[:0]
 				switch err {
 				case nil:
@@ -225,15 +229,16 @@ func TestNormal3MatchesReference(t *testing.T) {
 	}
 }
 
-// add appends the sample (x, y) to the system: the general row, which
-// the tests use to prove solve, addRow and addY against.
-func (a *normal3) add(x [3]float64, y float64) {
+// add appends the sample (x, y) to the system a and its Xᵀy v: the
+// general row, which the tests use to prove solve, addRow and addY
+// against.
+func (a *normal3) add(v *rhs3, x [3]float64, y float64) {
 	a.n++
 	for i := 0; i < 3; i++ {
 		for j := i; j < 3; j++ {
 			a.xtx[i][j] += float64(x[i] * x[j])
 		}
-		a.xty[i] += float64(x[i] * y)
+		v[i] += float64(x[i] * y)
 	}
 }
 
@@ -243,14 +248,15 @@ func (a *normal3) add(x [3]float64, y float64) {
 func TestAddAffineMatchesAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	var a, b normal3
+	var av, bv rhs3
 	for i := 0; i < 400; i++ {
 		x, tpi, y := 0.3+300*rng.Float64(), rng.Float64()/8, 5*rng.NormFloat64()
-		a.add([3]float64{x, tpi, 1}, y)
+		a.add(&av, [3]float64{x, tpi, 1}, y)
 		r := affineRow(x, tpi)
 		b.addRow(&r)
-		b.addY(&r, y)
-		if a != b {
-			t.Fatalf("after %d rows: add gives %+v, addRow and addY %+v", i+1, a, b)
+		bv.addY(&r, y)
+		if a != b || av != bv {
+			t.Fatalf("after %d rows: add gives %+v %v, addRow and addY %+v %v", i+1, a, av, b, bv)
 		}
 	}
 }

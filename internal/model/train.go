@@ -151,7 +151,8 @@ func train(machine perf.Machine, pw power.Coeffs, probes []Probe) (*Model, error
 	// A pair fits the probes below the cutoff at both its pstates, and
 	// its XᵀX depends on those probes' source rows and classes alone, so
 	// the pairs of one source row that fit the same probes form a group
-	// that accumulates XᵀX once; each pair adds only its own Xᵀy. Groups
+	// that accumulates XᵀX once; each pair accumulates only its own Xᵀy
+	// and solves it against the group's XᵀX, which it never copies. Groups
 	// run in the order of their first pair, so the first error met is a
 	// sequential run's: a group's pairs fail alike, on XᵀX.
 	pairs := make([]PairCoeffs, n*n)
@@ -189,25 +190,25 @@ func train(machine perf.Machine, pw power.Coeffs, probes []Probe) (*Model, error
 					continue
 				}
 				dst := eval[to*np : (to+1)*np]
-				cpiFit, powFit := cpiX, powX
+				var cpiY, powY [numClasses]rhs3
 				for w := range srcFit {
 					for set := both(to, w); set != 0; set &= set - 1 {
 						i := w*64 + bits.TrailingZeros64(set)
 						s := &src[i]
-						cpiFit[s.cl].addY(&s.cpi, dst[i].cpi.x)
-						powFit[s.cl].addY(&s.pow, dst[i].pow.x)
+						cpiY[s.cl].addY(&s.cpi, dst[i].cpi.x)
+						powY[s.cl].addY(&s.pow, dst[i].pow.x)
 					}
 				}
 				for cl := 0; cl < numClasses; cl++ {
-					if cpiFit[cl].n < 4 {
+					if cpiX[cl].n < 4 {
 						return fmt.Errorf("model: pair (%d,%d) class %d has only %d samples",
-							from, to, cl, cpiFit[cl].n)
+							from, to, cl, cpiX[cl].n)
 					}
-					cb, err := cpiFit[cl].solve()
+					cb, err := cpiX[cl].solve(&cpiY[cl])
 					if err != nil {
 						return fmt.Errorf("model: pair (%d,%d) class %d: CPI fit: %w", from, to, cl, err)
 					}
-					pb, err := powFit[cl].solve()
+					pb, err := powX[cl].solve(&powY[cl])
 					if err != nil {
 						return fmt.Errorf("model: pair (%d,%d) class %d: power fit: %w", from, to, cl, err)
 					}
