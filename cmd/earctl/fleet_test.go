@@ -6,10 +6,8 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"regexp"
-	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"goear/internal/eardbd"
 	"goear/internal/eardbd/fed"
@@ -106,14 +104,8 @@ func TestTraceRendersFedQuery(t *testing.T) {
 	tel := httptest.NewServer(mux)
 	defer tel.Close()
 
+	// The root ends the query's span before the answer leaves.
 	capture(t, []string{"dbd", "-addr", root, "aggregate"})
-	// The root ends the query's span just after the answer leaves.
-	for deadline := time.Now().Add(10 * time.Second); !slices.ContainsFunc(buf.Spans(), func(s trace.Span) bool { return s.Kind == "fed.query" }); {
-		if time.Now().After(deadline) {
-			t.Fatal("the root never ended the query's span")
-		}
-		time.Sleep(time.Millisecond)
-	}
 	out := capture(t, []string{"trace", "-addr", strings.TrimPrefix(tel.URL, "http://"), "-kind", "fed"})
 	if !regexp.MustCompile(`(?m)^  fed\.query .* bytes=[1-9]`).MatchString(out) || strings.Count(out, "fed.fanout") < 2 {
 		t.Errorf("earctl trace -kind fed:\n%s\nwant a fed.query line with bytes=N over a fed.fanout leg per shard", out)

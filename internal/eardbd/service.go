@@ -405,15 +405,12 @@ func (fr *Front) serveQuery(c *wire.Conn, f wire.Frame) bool {
 	}
 	sp := fr.Tracer.Remote(f.Trace, fr.QuerySpan, t0)
 	sp.Attr("kind", string(q.Kind))
-	defer func() {
-		sp.End(fr.Now.Sec())
-		fr.Now.Observe(fr.QueryLatency, t0)
-	}()
 	fr.Count(EventQuery)
 	image, err := Answer(c, fr.Backend, sp, q)
 	if err == nil {
-		// Counted before the last frame leaves: the asker may read the
-		// counters as soon as it has the answer.
+		// Counted, timed and traced before the last frame leaves: the
+		// asker may read the counters, the latency and the span as soon
+		// as it has the answer.
 		payload := image[wire.HeaderRoom:]
 		n := len(payload)
 		if q.Kind == wire.QueryChanges {
@@ -423,15 +420,18 @@ func (fr *Front) serveQuery(c *wire.Conn, f wire.Frame) bool {
 		if sp != nil {
 			sp.Attr("bytes", strconv.Itoa(n))
 		}
+		fr.endQuery(sp, t0)
 		if err = c.Send(wire.TypeResult, trace.Context{}, image); err == nil {
 			return true
 		}
 		if !errors.Is(err, wire.ErrTooLarge) {
 			return false // the peer is gone
 		}
-	}
-	if errors.Is(err, wire.ErrStreamCut) {
-		return false // a part of the answer failed on the transport
+	} else {
+		fr.endQuery(sp, t0)
+		if errors.Is(err, wire.ErrStreamCut) {
+			return false // a part of the answer failed on the transport
+		}
 	}
 	// A query the backend cannot answer is the caller's problem, not the
 	// connection's: it stays open. So does one whose answer (a one-frame
@@ -442,6 +442,13 @@ func (fr *Front) serveQuery(c *wire.Conn, f wire.Frame) bool {
 	fr.Replies.refused(q.Kind, err)
 	fr.ReplyError(c, err.Error())
 	return true
+}
+
+// endQuery ends a served query's span and observes its latency, once,
+// before the last frame of its answer or error leaves.
+func (fr *Front) endQuery(sp *trace.Active, t0 float64) {
+	sp.End(fr.Now.Sec())
+	fr.Now.Observe(fr.QueryLatency, t0)
 }
 
 // protocolError counts a violation and tells the peer; the caller
