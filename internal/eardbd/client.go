@@ -1,7 +1,6 @@
 package eardbd
 
 import (
-	"bytes"
 	"errors"
 	"net"
 	"strconv"
@@ -47,9 +46,12 @@ func (e *unreachableError) Unwrap() error { return ErrUnreachable }
 // Client limits. A full queue spills to the journal. Retry delays
 // start at backoffBaseSec and double per attempt up to backoffMaxSec,
 // each scaled by a jitter factor in [0.5, 1). Batch IDs are cut from
-// blocks of at most maxIDBlock bytes.
+// blocks of at most maxIDBlock bytes. The window queue starts with room
+// for the windows left before the batch trigger, at most firstWindows:
+// a node reports a few windows an interval, not a batch of them.
 const (
 	queueCap       = 4096
+	firstWindows   = 8
 	backoffBaseSec = 0.5
 	backoffMaxSec  = 30
 	maxIDBlock     = 1 << 10
@@ -156,15 +158,17 @@ type Client struct {
 	tel    clientTel
 	tracer *trace.Tracer
 
-	mu        sync.Mutex
-	conn      net.Conn  // nil between connections
-	framed    wire.Conn // conn's framing state; its buffers outlive conn
-	queue     []eard.JobRecord
-	acctQueue []accounting.Record
-	enc       []byte // the pending batch's image, encoded once; reused across flushes
-	seq       uint64
-	ids       wire.Literals // the block batch IDs are cut from
-	stats     ClientStats
+	mu     sync.Mutex
+	conn   net.Conn  // nil between connections
+	framed wire.Conn // conn's framing state; its buffers outlive conn
+	// batch is the pending batch's records, encoded as they were
+	// enqueued, made by the first; windows are the pending accounting
+	// windows, encoded behind them at each flush.
+	batch   *wire.BatchBuilder
+	windows []accounting.Record
+	seq     uint64
+	ids     wire.Literals // the block batch IDs are cut from
+	stats   ClientStats
 }
 
 // NewClient builds a client. Records go out when a batch fills or on
@@ -231,10 +235,7 @@ func (c *Client) Enqueue(r eard.JobRecord) error {
 	if err := c.makeRoomLocked(); err != nil {
 		return err
 	}
-	if c.queue == nil {
-		c.queue = make([]eard.JobRecord, 0, c.queueHint())
-	}
-	c.queue = append(c.queue, r)
+	c.builderLocked().Add(&r)
 	c.stats.Enqueued++
 	if c.pendingLocked() >= c.cfg.BatchRecords {
 		return c.flushLocked()
@@ -255,10 +256,10 @@ func (c *Client) EnqueueAcct(r accounting.Record) error {
 	if err := c.makeRoomLocked(); err != nil {
 		return err
 	}
-	if c.acctQueue == nil {
-		c.acctQueue = make([]accounting.Record, 0, c.queueHint())
+	if c.windows == nil {
+		c.windows = make([]accounting.Record, 0, max(1, min(firstWindows, c.cfg.BatchRecords-c.pendingLocked())))
 	}
-	c.acctQueue = append(c.acctQueue, r)
+	c.windows = append(c.windows, r)
 	c.stats.Enqueued++
 	if c.pendingLocked() >= c.cfg.BatchRecords {
 		return c.flushLocked()
@@ -266,22 +267,25 @@ func (c *Client) EnqueueAcct(r accounting.Record) error {
 	return nil
 }
 
-// queueHint is the capacity a queue is first allocated with (c.mu
-// held): the room left before the batch trigger, which counts both
-// queues. A reporter that sends 24 records and then 8 accounting
-// records into 32-record batches allocates 32 and 8 slots, not 32 and
-// 32. A queue grows past its hint when a long-lived client's mix shifts
-// towards its kind — once, since a flush keeps the backing arrays — or
-// while the daemon is unreachable and nothing journals.
-func (c *Client) queueHint() int {
-	return max(1, min(c.cfg.BatchRecords, queueCap)-c.pendingLocked())
+// builderLocked returns the pending batch's builder, made on first
+// use with its first buffer sized for a full batch: a client that only
+// replays its journal never makes one.
+func (c *Client) builderLocked() *wire.BatchBuilder {
+	if c.batch == nil {
+		c.batch = wire.NewBatchBuilder(c.cfg.Node, min(c.cfg.BatchRecords, queueCap))
+	}
+	return c.batch
 }
 
-// pendingLocked counts buffered records across both queues; the batch
-// size and queue-capacity triggers act on the combined load because
-// both queues ship in one wire batch.
+// pendingLocked counts buffered records and windows together; the
+// batch size and queue-capacity triggers act on the combined load
+// because both ship in one wire batch.
 func (c *Client) pendingLocked() int {
-	return len(c.queue) + len(c.acctQueue)
+	n := len(c.windows)
+	if c.batch != nil {
+		n += c.batch.Len()
+	}
+	return n
 }
 
 // makeRoomLocked enforces the queue cap ahead of an append, spilling
@@ -329,20 +333,27 @@ func (c *Client) Stats() ClientStats {
 	return c.stats
 }
 
-// encodePendingLocked gives the pending load — both queues — the next
-// batch ID and encodes it, once, into the client's reused buffer, as
-// the image every send of it goes out from. The result stays valid
-// until the next call; the queues are untouched.
+// encodePendingLocked gives the pending load the next batch ID and
+// returns its image: the records as they were encoded at enqueue, the
+// windows behind them. The image stays valid until the next enqueue,
+// flush or clear.
 func (c *Client) encodePendingLocked() EncodedBatch {
 	id := c.nextIDLocked()
-	c.enc = wire.BatchImage(c.enc, wire.Batch{ID: id, Node: c.cfg.Node, Records: c.queue, Acct: c.acctQueue})
-	return EncodedBatch{ID: id, Records: c.pendingLocked(), image: c.enc}
+	image := c.builderLocked().Image(id, c.windows)
+	return EncodedBatch{ID: id, Records: c.pendingLocked(), image: image}
 }
 
-// clearPendingLocked empties both queues, keeping their backing arrays
-// for the next batch: once a batch is encoded nothing aliases them.
+// clearPendingLocked empties the pending load once its image is
+// delivered or dropped. The builder keeps its buffer and the window
+// queue its backing array for the next batch while they are small: a
+// buffer grown past wire.MaxKept, or a queue past a batch's worth of
+// windows, during an outage is let go.
 func (c *Client) clearPendingLocked() {
-	c.queue, c.acctQueue = c.queue[:0], c.acctQueue[:0]
+	c.batch.Reset()
+	c.windows = c.windows[:0]
+	if cap(c.windows) > c.cfg.BatchRecords {
+		c.windows = nil
+	}
 }
 
 // flushLocked replays any journal backlog, then ships the queue. The
@@ -552,8 +563,8 @@ func (c *Client) backoff(attempt int) float64 {
 	return d * (0.5 + 0.5*c.cfg.Jitter.Float64())
 }
 
-// spillQueueLocked moves the whole pending load — both queues — into
-// the journal under a fresh batch ID.
+// spillQueueLocked moves the whole pending load — records and windows —
+// into the journal under a fresh batch ID.
 func (c *Client) spillQueueLocked() error {
 	if c.pendingLocked() == 0 {
 		return nil
@@ -565,16 +576,16 @@ func (c *Client) spillQueueLocked() error {
 	return nil
 }
 
-// journalBatchLocked persists one encoded batch to the journal, which
-// gets its own copy of the image (b's is the client's reused buffer).
-// The spill is recorded as its own span in the batch's ID-keyed trace,
-// so a spill-then-replay batch reads as one trace: flush, spill,
-// replay.
+// journalBatchLocked persists the pending batch, encoded as b, to the
+// journal, which keeps b's image: the builder lets go of its buffer and
+// builds the next batch in another. The spill is recorded as its own
+// span in the batch's ID-keyed trace, so a spill-then-replay batch
+// reads as one trace: flush, spill, replay.
 func (c *Client) journalBatchLocked(b EncodedBatch) error {
-	b.image = bytes.Clone(b.image)
 	if err := c.cfg.Journal.appendEncoded(b); err != nil {
 		return err
 	}
+	c.batch.Detach()
 	now := c.cfg.Clock.Now()
 	c.tracer.RootNamed(b.ID, spanClientSpill, now).
 		Attr("records", strconv.Itoa(b.Records)).End(now)

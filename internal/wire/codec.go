@@ -179,13 +179,6 @@ func (e *encoder) record(r *eard.JobRecord) {
 	e.f64(r.AvgGBs)
 }
 
-func (e *encoder) records(recs []eard.JobRecord) {
-	e.uint(uint64(len(recs)))
-	for i := range recs {
-		e.record(&recs[i])
-	}
-}
-
 func (e *encoder) acctRecord(r *accounting.Record) {
 	e.int(r.V)
 	e.str(r.JobID)
@@ -550,32 +543,6 @@ func (d *decoder) acctRecords(into []accounting.Record) []accounting.Record {
 		d.acctRecord(&out[i])
 	}
 	return out
-}
-
-// appendBatch appends b's encoded body to dst and returns the extended
-// slice: the payload of a TypeBatch frame. A sender that keeps dst
-// across batches encodes without allocating.
-func appendBatch(dst []byte, b Batch) []byte {
-	e := encoder{buf: slices.Grow(dst, recordsSizeHint(len(b.Records), len(b.Acct)))}
-	e.str(b.ID)
-	e.str(b.Node)
-	e.records(b.Records)
-	e.acctRecords(b.Acct)
-	return e.buf
-}
-
-// BatchImage encodes b as an image (HeaderRoom bytes of room, then the
-// body) in buf's backing array when that is large enough: what a sender
-// hands to Conn.WriteImage, as often as it takes.
-func BatchImage(buf []byte, b Batch) []byte {
-	buf = slices.Grow(buf[:0], HeaderRoom+recordsSizeHint(len(b.Records), len(b.Acct)))
-	return appendBatch(buf[:HeaderRoom], b)
-}
-
-// EncodeBatch builds a TypeBatch frame. The error is always nil; the
-// signature is the one every Encode constructor shares.
-func EncodeBatch(b Batch) (Frame, error) {
-	return Frame{Type: TypeBatch, Payload: appendBatch(nil, b)}, nil
 }
 
 // The three small bodies have an Append form, for a sender that builds
