@@ -254,6 +254,14 @@ func TestSendFlagErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "no records") {
 		t.Errorf("empty record file: err = %v", err)
 	}
+
+	// A batch past the daemon's limit is refused before anything is
+	// sent: the daemon would refuse the batch and the client drop it.
+	five := writeRecords(t, testRecords(5))
+	if err := run([]string{"send", "-addr", "x", "-records", five, "-batch", "2000"}, &out); err == nil ||
+		!strings.Contains(err.Error(), "batch size 2000 is past the daemon's limit of 1024") {
+		t.Errorf("-batch 2000: err = %v", err)
+	}
 }
 
 // sendFramesDigest is the SHA-256 of the 459 bytes the parent commit's

@@ -100,6 +100,17 @@ func TestEarloadRefusesUnhonouredCounts(t *testing.T) {
 	}
 }
 
+// TestEarloadRefusesBatchPastTheLimit: a -batch past the daemon's batch
+// limit is the reporting client's error, not batches the shards refuse
+// and the clients drop.
+func TestEarloadRefusesBatchPastTheLimit(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{"-nodes", "2", "-batch", "2000"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "batch size 2000 is past the daemon's limit of 1024") {
+		t.Errorf("-batch 2000: err = %v", err)
+	}
+}
+
 // snapshotOf runs a burst with the given shard count and returns the
 // root snapshot text.
 func snapshotOf(t *testing.T, nodes, shards, records int, extra ...string) string {

@@ -53,6 +53,10 @@ func TestRuleMutants(t *testing.T) {
 			`^mutant.go:2:\d+: goear/internal/msr\.MSRDramEnergyStatus used in goear/internal/sim\.mut `},
 		{"One comparison path in the campaign", "goear/internal/experiments", "import \"goear/internal/sim\"\nvar mut = sim.DeltaOf",
 			`^mutant.go:2:\d+: goear/internal/sim\.DeltaOf used in goear/internal/experiments\.mut `},
+		{"The campaign's cells are built a row at a time", "goear/internal/experiments", "import \"goear/internal/report\"\nfunc mut(v float64) []string { return []string{\"x\", report.Pct(v)} }",
+			`^mutant.go:2:\d+: goear/internal/report\.Pct used in goear/internal/experiments\.mut `},
+		{"The campaign's cells are built a row at a time", "goear/internal/experiments", "import \"fmt\"\nfunc mut(to int) []string { return []string{fmt.Sprint(to)} }",
+			`^mutant.go:2:\d+: fmt\.Sprint used in goear/internal/experiments\.mut `},
 		{"A policy is driven through its interface", "goear/internal/earl", "import \"goear/internal/policy\"\nfunc mut(x any) { _ = x.(*policy.Config) }",
 			`^mutant.go:2:26: type assertion to an exported type used in goear/internal/earl\.mut `},
 		{"A policy is driven through its interface", "goear/internal/sim", "import \"goear/internal/policy\"\nfunc mut(x any) {\nswitch x.(type) {\ncase nil, policy.Policy:\n}\n}",

@@ -2,6 +2,7 @@ package eardbd
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"strconv"
 	"sync"
@@ -43,14 +44,16 @@ func (e *unreachableError) Error() string {
 
 func (e *unreachableError) Unwrap() error { return ErrUnreachable }
 
-// Client limits. A full queue spills to the journal. Retry delays
-// start at backoffBaseSec and double per attempt up to backoffMaxSec,
-// each scaled by a jitter factor in [0.5, 1). Batch IDs are cut from
-// blocks of at most maxIDBlock bytes. The window queue starts with room
-// for the windows left before the batch trigger, at most firstWindows:
-// a node reports a few windows an interval, not a batch of them.
+// Client limits. The pending batch holds at most maxBatchRecords
+// records and windows, the daemon's own batch limit, so no batch the
+// client sends is refused for its size; a full one spills to the
+// journal. Retry delays start at backoffBaseSec and double per attempt
+// up to backoffMaxSec, each scaled by a jitter factor in [0.5, 1).
+// Batch IDs are cut from blocks of at most maxIDBlock bytes. The window
+// queue starts with room for the windows left before the batch
+// trigger, at most firstWindows: a node reports a few windows an
+// interval, not a batch of them.
 const (
-	queueCap       = 4096
 	firstWindows   = 8
 	backoffBaseSec = 0.5
 	backoffMaxSec  = 30
@@ -74,7 +77,8 @@ type ClientConfig struct {
 	// math/rand or a math/rand/v2 *Rand serves.
 	Jitter interface{ Float64() float64 }
 	// BatchRecords triggers a flush when the queue reaches this size
-	// (default 64).
+	// (default 64). NewClient refuses one past the daemon's batch limit
+	// (1,024 records and windows).
 	BatchRecords int
 	// MaxAttempts bounds delivery tries per flush (default 3).
 	MaxAttempts int
@@ -132,6 +136,8 @@ func (c ClientConfig) validate() error {
 		return errors.New("eardbd: client needs an injected clock")
 	case c.Jitter == nil:
 		return errors.New("eardbd: client needs an explicitly seeded jitter generator")
+	case c.BatchRecords > maxBatchRecords:
+		return fmt.Errorf("eardbd: batch size %d is past the daemon's limit of %d records a batch", c.BatchRecords, maxBatchRecords)
 	}
 	return nil
 }
@@ -272,7 +278,7 @@ func (c *Client) EnqueueAcct(r accounting.Record) error {
 // replays its journal never makes one.
 func (c *Client) builderLocked() *wire.BatchBuilder {
 	if c.batch == nil {
-		c.batch = wire.NewBatchBuilder(c.cfg.Node, min(c.cfg.BatchRecords, queueCap))
+		c.batch = wire.NewBatchBuilder(c.cfg.Node, c.cfg.BatchRecords)
 	}
 	return c.batch
 }
@@ -288,10 +294,12 @@ func (c *Client) pendingLocked() int {
 	return n
 }
 
-// makeRoomLocked enforces the queue cap ahead of an append, spilling
-// the pending batch when a journal can absorb it.
+// makeRoomLocked enforces the batch limit ahead of an append, spilling
+// the pending batch when a journal can absorb it. With a journal the
+// batch is spilled whenever a flush cannot reach the daemon, so it
+// fills only after a failed spill.
 func (c *Client) makeRoomLocked() error {
-	if c.pendingLocked() < queueCap {
+	if c.pendingLocked() < maxBatchRecords {
 		return nil
 	}
 	if c.cfg.Journal == nil {

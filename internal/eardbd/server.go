@@ -30,7 +30,8 @@ import (
 	"goear/internal/wire"
 )
 
-// Server limits. A batch holds at most maxBatchRecords records. The
+// Server limits. A batch holds at most maxBatchRecords records and
+// windows, which is also as many as a client keeps pending. The
 // batch-ID dedup window holds the last maxSeenBatches IDs; oldest IDs
 // are evicted first. An eviction only matters if a client replays a
 // batch older than the window, and even then the replay is caught

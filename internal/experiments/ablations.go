@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"goear/internal/report"
 	"goear/internal/sim"
 	"goear/internal/workload"
@@ -29,12 +31,10 @@ func a1() sweep {
 		[]runCfg{
 			{"ME+eU (HW-guided)", workload.BTCUDA, guided},
 			{"ME+NG-U (from max)", workload.BTCUDA, fromMax},
-		}, func(r runCfg, d Comparison) []string {
-			return []string{r.label,
-				report.Pct(d.TimePenaltyPct), report.Pct(d.PowerSavingPct),
-				report.Pct(d.EnergySavingPct),
-				report.F(settleTime(d.Run.Nodes[0].Trace), 0),
-				report.GHz(d.AvgIMCGHz)}
+		}, func(room []string, r runCfg, d Comparison) []string {
+			return report.NewRow(room).Label(r.label).
+				Pct(d.TimePenaltyPct).Pct(d.PowerSavingPct).Pct(d.EnergySavingPct).
+				F(settleTime(d.Run.Nodes[0].Trace), 0).GHz(d.AvgIMCGHz).Cells()
 		}}
 }
 
@@ -79,7 +79,7 @@ func a4() sweep {
 	for i, unc := range uncs {
 		o := minEnergyEU(40)
 		o.UncTh = unc
-		rows[i] = runCfg{"unc_th " + report.F(unc*100, 1) + "%", workload.SPMZC, o}
+		rows[i] = runCfg{fmt.Sprintf("unc_th %.1f%%", unc*100), workload.SPMZC, o}
 	}
 	return bars("Ablation A4: unc_policy_th sensitivity (SP-MZ.C, ME+eU)", "configuration", rows)
 }
@@ -96,14 +96,13 @@ func a5() sweep {
 		for _, th := range ths {
 			o := minEnergyEU(40)
 			o.SigChangeTh = th
-			rows = append(rows, runCfg{report.F(th*100, 0) + "%", name, o})
+			rows = append(rows, runCfg{fmt.Sprintf("%.0f%%", th*100), name, o})
 		}
 	}
 	return sweep{"Ablation A5: signature-change threshold (min_energy_eufs)",
 		[]string{"workload", "sig_th", "policy applies", "time penalty", "energy saving"},
-		rows, func(r runCfg, d Comparison) []string {
-			return []string{r.name, r.label,
-				report.F(float64(d.Run.Nodes[0].PolicyApplies), 0),
-				report.Pct(d.TimePenaltyPct), report.Pct(d.EnergySavingPct)}
+		rows, func(room []string, r runCfg, d Comparison) []string {
+			return report.NewRow(room).Label(r.name).Label(r.label).Int(d.Run.Nodes[0].PolicyApplies).
+				Pct(d.TimePenaltyPct).Pct(d.EnergySavingPct).Cells()
 		}}
 }

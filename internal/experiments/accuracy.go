@@ -42,7 +42,7 @@ func (c *Context) modelAccuracy() ([]report.Table, error) {
 			fmt.Sprintf("Model accuracy (%s): held-out projection error from the nominal pstate", pl.Name),
 			[]string{"target pstate", "target freq (GHz)",
 				"mean |CPI err|", "max |CPI err|", "mean |power err|"},
-			accuracyTargets(cpuM), func(to int) ([]string, error) {
+			accuracyTargets(cpuM), func(room []string, to int) ([]string, error) {
 				cpiErrs, powErrs, err := heldOutErrors(pl, m, to)
 				if err != nil {
 					return nil, err
@@ -51,9 +51,9 @@ func (c *Context) modelAccuracy() ([]report.Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				return []string{fmt.Sprint(to), report.GHz(f.GHzF()),
-					report.Pct(100 * mean(cpiErrs)), report.Pct(100 * maxOf(cpiErrs)),
-					report.Pct(100 * mean(powErrs))}, nil
+				return report.NewRow(room).Int(to).GHz(f.GHzF()).
+					Pct(100 * mean(cpiErrs)).Pct(100 * maxOf(cpiErrs)).
+					Pct(100 * mean(powErrs)).Cells(), nil
 			})
 		if err != nil {
 			return nil, err

@@ -399,8 +399,8 @@ func TestSweepsHandsEachTableItsRows(t *testing.T) {
 			{"d", workload.DGEMM, eu}, {"e", workload.BTCUDA, eu}}),
 		{"runs", []string{"workload", "time (s)", "policy"}, []runCfg{
 			{"f", workload.DGEMM, sim.Baseline()}, {"g", workload.BTCUDA, me}},
-			func(r runCfg, d Comparison) []string {
-				return []string{r.name, report.F(d.Run.TimeSec, 2), d.Run.Policy}
+			func(room []string, r runCfg, d Comparison) []string {
+				return report.NewRow(room).Label(r.name).F(d.Run.TimeSec, 2).Label(d.Run.Policy).Cells()
 			}},
 	}
 	tabs, err := c.sweeps(ss...)
@@ -423,7 +423,7 @@ func TestSweepsHandsEachTableItsRows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := s.cells(r, d); !reflect.DeepEqual(tab.Rows[j], want) {
+			if want := s.cells(nil, r, d); !reflect.DeepEqual(tab.Rows[j], want) {
 				t.Errorf("table %q row %d = %v, want %v", s.title, j, tab.Rows[j], want)
 			}
 		}

@@ -48,11 +48,11 @@ func (c *Context) fig1() ([]report.Table, error) {
 			}
 		}
 		t, err := tabulate(c,
-			fmt.Sprintf("Fig 1 (%s): fixed-uncore sweep at policy-selected CPU frequency (pstate %d); reference avg IMC %s GHz",
-				name, pinned, report.GHz(ref.AvgIMCGHz)),
+			fmt.Sprintf("Fig 1 (%s): fixed-uncore sweep at policy-selected CPU frequency (pstate %d); reference avg IMC %.2f GHz",
+				name, pinned, ref.AvgIMCGHz),
 			[]string{"uncore (GHz)", "power saving", "energy saving",
 				"time penalty", "GB/s penalty", "avg IMC (GHz)"},
-			uncRatios, func(ratio uint64) ([]string, error) {
+			uncRatios, func(room []string, ratio uint64) ([]string, error) {
 				r, err := c.Run(name, sim.Options{
 					Policy: "none", Seed: 10,
 					FixedCPUPstate: &pinned, FixedUncoreRatio: &ratio,
@@ -61,10 +61,10 @@ func (c *Context) fig1() ([]report.Table, error) {
 					return nil, err
 				}
 				d := sim.DeltaOf(ref, r)
-				return []string{report.GHz(float64(ratio) / 10),
-					report.Pct(d.PowerSavingPct), report.Pct(d.EnergySavingPct),
-					report.Pct(d.TimePenaltyPct), report.Pct(d.GBsPenaltyPct),
-					report.GHz(r.AvgIMCGHz)}, nil
+				return report.NewRow(room).GHz(float64(ratio) / 10).
+					Pct(d.PowerSavingPct).Pct(d.EnergySavingPct).
+					Pct(d.TimePenaltyPct).Pct(d.GBsPenaltyPct).
+					GHz(r.AvgIMCGHz).Cells(), nil
 			})
 		if err != nil {
 			return nil, err

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"goear/internal/par"
 	"goear/internal/telemetry"
 )
 
@@ -128,12 +127,4 @@ func (c *Context) workers() int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return 1
-}
-
-// mapRows computes one value per item on the context's worker pool,
-// preserving item order — the engine behind tabulate and the row
-// fan-out of the generators that are not sweeps. Each fn call typically resolves through the singleflight
-// caches, so rows that share configurations share work.
-func mapRows[T, R any](c *Context, items []T, fn func(T) (R, error)) ([]R, error) {
-	return par.Map(c.workers(), items, fn)
 }
