@@ -32,8 +32,12 @@ func accuracyProbes(cores int) []perf.Phase {
 // policies' decisions.
 func (c *Context) modelAccuracy() ([]report.Table, error) {
 	var out []report.Table
-	for _, pl := range []workload.Platform{workload.SD530(), workload.CascadeLake()} {
-		m, err := c.modelFor(nil, pl)
+	// The rows read pl through a pointer into platforms: one allocation
+	// for the table, not a copy of a platform on the heap each.
+	platforms := []workload.Platform{workload.SD530(), workload.CascadeLake()}
+	for i := range platforms {
+		pl := &platforms[i]
+		m, err := c.modelFor(nil, *pl)
 		if err != nil {
 			return nil, err
 		}
@@ -43,7 +47,7 @@ func (c *Context) modelAccuracy() ([]report.Table, error) {
 			[]string{"target pstate", "target freq (GHz)",
 				"mean |CPI err|", "max |CPI err|", "mean |power err|"},
 			accuracyTargets(cpuM), func(room []string, to int) ([]string, error) {
-				cpiErrs, powErrs, err := heldOutErrors(pl, m, to)
+				cpiErrs, powErrs, err := heldOutErrors(*pl, m, to)
 				if err != nil {
 					return nil, err
 				}

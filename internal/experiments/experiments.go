@@ -47,7 +47,7 @@ type Context struct {
 	// them); a request whose options carry a telemetry set also counts
 	// into that set's goear_experiments_cache_* families.
 	models flight[workload.Platform, *model.Model]
-	cals   flight[uint64, workload.Calibrated]
+	cals   flight[uint64, *workload.Calibrated]
 	runs   flight[runKey, sim.Result]
 }
 
@@ -97,18 +97,34 @@ var catalogIDs = sync.OnceValue(func() map[string]uint64 {
 
 // catalogCal returns the ID and cached calibration of a catalogue
 // workload, calibrating it exactly once however many goroutines ask.
-// The request counts into set.
-func (c *Context) catalogCal(set *telemetry.Set, name string) (uint64, workload.Calibrated, error) {
+// The request counts into set. The calibration is shared: read it, do
+// not write it.
+func (c *Context) catalogCal(set *telemetry.Set, name string) (uint64, *workload.Calibrated, error) {
 	id, ok := catalogIDs()[name]
 	if !ok {
 		_, err := workload.Lookup(name) // not in the catalogue: Lookup's error names it
-		return 0, workload.Calibrated{}, err
+		return 0, nil, err
 	}
-	calw, err := c.cals.do(set, calCache, id, func() (workload.Calibrated, error) {
+	calw, err := c.cals.do(set, calCache, id, func() (*workload.Calibrated, error) {
 		spec, _ := workload.Lookup(name) // cannot fail: catalogIDs has the name
-		return spec.Calibrate()
+		return calibrate(spec)
 	})
 	return id, calw, err
+}
+
+// calibrate is spec's calibration on the heap, where the calibration
+// cache keeps it and every run of it reads it in place.
+func calibrate(spec workload.Spec) (*workload.Calibrated, error) {
+	calw, err := spec.Calibrate()
+	if err != nil {
+		return nil, err
+	}
+	return &calw, nil
+}
+
+// specCal is catalogCal for a spec value.
+func (c *Context) specCal(set *telemetry.Set, id uint64, spec workload.Spec) (*workload.Calibrated, error) {
+	return c.cals.do(set, calCache, id, func() (*workload.Calibrated, error) { return calibrate(spec) })
 }
 
 // modelFor returns the (lazily trained) energy model of a platform,
@@ -174,7 +190,7 @@ func keyOf(spec uint64, o sim.Options, runs int) runKey {
 // prepare completes the options of a run of calw: the platform's
 // trained model when a policy is requested and the caller brought none,
 // and the context's fan-out bound.
-func (c *Context) prepare(calw workload.Calibrated, opt sim.Options) (sim.Options, error) {
+func (c *Context) prepare(calw *workload.Calibrated, opt sim.Options) (sim.Options, error) {
 	if opt.Policy != "" && opt.Policy != "none" && opt.Model == nil {
 		m, err := c.modelFor(opt.Telemetry, calw.Platform)
 		if err != nil {
@@ -187,7 +203,7 @@ func (c *Context) prepare(calw workload.Calibrated, opt sim.Options) (sim.Option
 }
 
 // run executes (or recalls) an averaged run of the spec with ID id.
-func (c *Context) run(id uint64, calw workload.Calibrated, opt sim.Options) (sim.Result, error) {
+func (c *Context) run(id uint64, calw *workload.Calibrated, opt sim.Options) (sim.Result, error) {
 	opt, err := c.prepare(calw, opt)
 	if err != nil {
 		return sim.Result{}, err
@@ -214,7 +230,7 @@ func (c *Context) Run(name string, opt sim.Options) (sim.Result, error) {
 // shares that entry's calibration and runs.
 func (c *Context) RunSpec(spec workload.Spec, opt sim.Options) (sim.Result, error) {
 	id := specID(spec)
-	calw, err := c.cals.do(opt.Telemetry, calCache, id, spec.Calibrate)
+	calw, err := c.specCal(opt.Telemetry, id, spec)
 	if err != nil {
 		return sim.Result{}, err
 	}
@@ -225,7 +241,7 @@ func (c *Context) RunSpec(spec workload.Spec, opt sim.Options) (sim.Result, erro
 // enforced by an EARGM instance (EAR's energy-control service). Runs
 // are not cached: the manager's trace is part of the outcome.
 func (c *Context) RunPowercapped(spec workload.Spec, opt sim.Options, gmCfg eargm.Config) (sim.Result, eargm.Stats, error) {
-	calw, err := c.cals.do(opt.Telemetry, calCache, specID(spec), spec.Calibrate)
+	calw, err := c.specCal(opt.Telemetry, specID(spec), spec)
 	if err != nil {
 		return sim.Result{}, eargm.Stats{}, err
 	}
@@ -236,7 +252,7 @@ func (c *Context) RunPowercapped(spec workload.Spec, opt sim.Options, gmCfg earg
 	if err != nil {
 		return sim.Result{}, eargm.Stats{}, err
 	}
-	r, err := sim.RunCoordinated(calw, opt, gm)
+	r, err := sim.RunCoordinated(*calw, opt, gm)
 	if err != nil {
 		return sim.Result{}, eargm.Stats{}, err
 	}

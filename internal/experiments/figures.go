@@ -19,17 +19,22 @@ import (
 // the sweep itself fans out one run per uncore point.
 func (c *Context) fig1() ([]report.Table, error) {
 	var out []report.Table
-	for _, name := range []string{workload.BTMZMotiv, workload.LUDMotiv} {
+	kernels := []string{workload.BTMZMotiv, workload.LUDMotiv}
+	// The runs' FixedCPUPstate points into pins: one allocation for the
+	// figure, not one a kernel.
+	pins := make([]int, len(kernels))
+	for k, name := range kernels {
 		// Stage 1: let the policy pick the CPU frequency.
 		me, err := c.Run(name, minEnergy(10))
 		if err != nil {
 			return nil, err
 		}
-		pinned := me.Nodes[0].FinalCPUPstate
+		pinned := &pins[k]
+		*pinned = me.Nodes[0].FinalCPUPstate
 
 		// Stage 2: reference run at that CPU frequency with hardware
 		// UFS (default uncore range).
-		ref, err := c.Run(name, sim.Options{Policy: "none", Seed: 10, FixedCPUPstate: &pinned})
+		ref, err := c.Run(name, sim.Options{Policy: "none", Seed: 10, FixedCPUPstate: pinned})
 		if err != nil {
 			return nil, err
 		}
@@ -40,22 +45,21 @@ func (c *Context) fig1() ([]report.Table, error) {
 		}
 		maxR := cal.Platform.Machine.CPU.UncoreMaxRatio
 		minR := cal.Platform.Machine.CPU.UncoreMinRatio
-		var uncRatios []uint64
-		for r := maxR; ; r-- {
-			uncRatios = append(uncRatios, r)
-			if r == minR {
-				break
-			}
+		// Every row's FixedUncoreRatio points into uncRatios, at
+		// maxR − ratio: one allocation for the sweep, not one a row.
+		uncRatios := make([]uint64, maxR-minR+1)
+		for i := range uncRatios {
+			uncRatios[i] = maxR - uint64(i)
 		}
 		t, err := tabulate(c,
 			fmt.Sprintf("Fig 1 (%s): fixed-uncore sweep at policy-selected CPU frequency (pstate %d); reference avg IMC %.2f GHz",
-				name, pinned, ref.AvgIMCGHz),
+				name, *pinned, ref.AvgIMCGHz),
 			[]string{"uncore (GHz)", "power saving", "energy saving",
 				"time penalty", "GB/s penalty", "avg IMC (GHz)"},
 			uncRatios, func(room []string, ratio uint64) ([]string, error) {
 				r, err := c.Run(name, sim.Options{
 					Policy: "none", Seed: 10,
-					FixedCPUPstate: &pinned, FixedUncoreRatio: &ratio,
+					FixedCPUPstate: pinned, FixedUncoreRatio: &uncRatios[maxR-ratio],
 				})
 				if err != nil {
 					return nil, err

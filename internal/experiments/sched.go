@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"hash/maphash"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -14,14 +15,35 @@ import (
 // errors, which are deterministic here: bad configurations stay bad)
 // are cached for the cache's lifetime. It counts its own requests and
 // computations. The zero value is ready to use.
+//
+// Entries are indexed by a digest of their key, not by the key: a map
+// stores a key past 128 bytes (a runKey is 176) out of line, one
+// allocation per insert. Each entry keeps its whole key, entries whose
+// digests collide chain through next, and a lookup compares whole
+// keys, so two keys never share an entry. The entries are cut from
+// chunks the cache owns, in the order their keys were first requested.
 type flight[K comparable, V any] struct {
-	mu sync.Mutex
-	m  map[K]*call[V]
+	mu     sync.Mutex
+	seed   maphash.Seed
+	heads  map[uint64]*call[K, V]
+	chunks []*[callChunk]call[K, V]
+	n      int // entries cut so far
+
+	// digest, when set, replaces the maphash digest: tests make keys
+	// collide with it.
+	digest func(K) uint64
 
 	requests, computes telemetry.Counter
 }
 
-type call[V any] struct {
+// callChunk is the number of entries per chunk: the campaign's 114
+// runs take four chunks.
+const callChunk = 32
+
+type call[K comparable, V any] struct {
+	key  K
+	next *call[K, V] // the next entry with the same digest
+
 	once sync.Once
 	done atomic.Bool
 	val  V
@@ -37,43 +59,66 @@ func (f *flight[K, V]) do(set *telemetry.Set, as cache, key K, fn func() (V, err
 	f.requests.Inc()
 	requests.Inc()
 	f.mu.Lock()
-	if f.m == nil {
-		f.m = map[K]*call[V]{}
-	}
-	c, ok := f.m[key]
-	if !ok {
-		c = &call[V]{}
-		f.m[key] = c
-	}
+	c := f.entry(key)
 	f.mu.Unlock()
-	c.once.Do(func() {
-		f.computes.Inc()
-		computes.Inc()
-		c.val, c.err = fn()
-		c.done.Store(true)
-	})
+	if !c.done.Load() {
+		c.once.Do(func() {
+			f.computes.Inc()
+			computes.Inc()
+			c.val, c.err = fn()
+			c.done.Store(true)
+		})
+	}
 	return c.val, c.err
+}
+
+// entry returns key's entry, adding an empty one on the key's first
+// request. f.mu is held.
+func (f *flight[K, V]) entry(key K) *call[K, V] {
+	if f.heads == nil {
+		f.heads = map[uint64]*call[K, V]{}
+		f.seed = maphash.MakeSeed()
+	}
+	d := maphash.Comparable(f.seed, key)
+	if f.digest != nil {
+		d = f.digest(key)
+	}
+	for c := f.heads[d]; c != nil; c = c.next {
+		if c.key == key {
+			return c
+		}
+	}
+	if f.n%callChunk == 0 {
+		f.chunks = append(f.chunks, new([callChunk]call[K, V]))
+	}
+	c := &f.chunks[f.n/callChunk][f.n%callChunk]
+	f.n++
+	c.key, c.next = key, f.heads[d]
+	f.heads[d] = c
+	return c
 }
 
 // len counts the distinct keys ever requested.
 func (f *flight[K, V]) len() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return len(f.m)
+	return f.n
 }
 
-// share gives the empty f src's successfully completed entries: a done
-// call is immutable, so both caches hold the same one. In-flight and
-// failed computations are skipped.
+// share gives the empty f src's successfully completed entries, in
+// src's order: a done entry's value is immutable, so both caches hold
+// the same one. In-flight and failed computations are skipped.
 func (f *flight[K, V]) share(src *flight[K, V]) {
 	src.mu.Lock()
 	defer src.mu.Unlock()
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.m = make(map[K]*call[V], len(src.m))
-	for k, c := range src.m {
-		if c.done.Load() && c.err == nil {
-			f.m[k] = c
+	for i := range src.n {
+		s := &src.chunks[i/callChunk][i%callChunk]
+		if s.done.Load() && s.err == nil {
+			c := f.entry(s.key)
+			c.val = s.val
+			c.done.Store(true)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"goear/internal/policy"
@@ -177,5 +178,52 @@ func TestGenerateStress(t *testing.T) {
 	}
 	if st.RunsExecuted != st.Runs {
 		t.Errorf("runs executed %d times for %d cache entries", st.RunsExecuted, st.Runs)
+	}
+}
+
+// TestFlightCollidingKeysStayApart: with every key's digest the same,
+// all entries share one chain, and still each key gets its own entry,
+// computed once however many goroutines ask at once. A hit allocates
+// nothing, on the colliding chain and on a run cache keyed by the
+// default digest.
+func TestFlightCollidingKeysStayApart(t *testing.T) {
+	f := flight[string, string]{digest: func(string) uint64 { return 7 }}
+	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	var calls [8]atomic.Int32
+	var wg sync.WaitGroup
+	for g := range 64 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			k := g % len(keys)
+			v, err := f.do(nil, runCache, keys[k], func() (string, error) {
+				calls[k].Add(1)
+				return keys[k] + "!", nil
+			})
+			if err != nil || v != keys[k]+"!" {
+				t.Errorf("key %s: %q, %v", keys[k], v, err)
+			}
+		}()
+	}
+	wg.Wait()
+	for k := range keys {
+		if n := calls[k].Load(); n != 1 {
+			t.Errorf("key %s computed %d times, want 1", keys[k], n)
+		}
+	}
+	if f.len() != len(keys) || len(f.heads) != 1 {
+		t.Fatalf("%d entries under %d digests, want %d under 1", f.len(), len(f.heads), len(keys))
+	}
+
+	never := func() (string, error) { t.Error("a cached key was computed again"); return "", nil }
+	if n := testing.AllocsPerRun(100, func() { _, _ = f.do(nil, runCache, "a", never) }); n != 0 {
+		t.Errorf("a hit at the chain's end allocates %v times", n)
+	}
+	var runs flight[runKey, sim.Result]
+	key := keyOf(1, minEnergyNGU(3), 3)
+	result := func() (sim.Result, error) { return sim.Result{Workload: "w"}, nil }
+	_, _ = runs.do(nil, runCache, key, result)
+	if n := testing.AllocsPerRun(100, func() { _, _ = runs.do(nil, runCache, key, result) }); n != 0 {
+		t.Errorf("a run cache hit allocates %v times", n)
 	}
 }

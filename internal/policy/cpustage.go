@@ -24,7 +24,11 @@ type cpuStage struct {
 	predCPI float64
 }
 
-func (s *cpuStage) config() Config { return s.cfg }
+// init sets s as construction does: cfg, the default pstate and the
+// validation margin, no selection yet. The table's buffer stays.
+func (s *cpuStage) init(cfg Config, def int, margin float64) {
+	*s = cpuStage{cfg: cfg, def: def, margin: margin, tbl: s.tbl}
+}
 
 // table projects the signature, measured at the current pstate, onto
 // every pstate: the window's one table build, after which a search is

@@ -31,12 +31,12 @@ type duf struct {
 	holding bool
 }
 
-func newDUF(cfg Config) *duf {
-	return &duf{cfg: cfg, curMax: cfg.UncoreMaxRatio}
+func (p *duf) init(cfg Config) *duf {
+	*p = duf{cfg: cfg, curMax: cfg.UncoreMaxRatio}
+	return p
 }
 
-func (p *duf) Name() string   { return DUF }
-func (p *duf) config() Config { return p.cfg }
+func (p *duf) Name() string { return DUF }
 
 // ipc converts the signature's CPI to instructions per cycle, the
 // metric the published controllers regulate on.

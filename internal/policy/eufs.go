@@ -60,12 +60,13 @@ type eufs struct {
 	started bool
 }
 
-func newEUFS(name string, base Policy, cfg Config) *eufs {
-	return &eufs{name: name, base: base, cfg: cfg, stage: stCPUFreqSel, cpuSel: cfg.DefaultPstate}
+func (p *eufs) init(name string, base Policy, cfg Config, raiseForMemBound bool) *eufs {
+	*p = eufs{name: name, base: base, cfg: cfg, raiseForMemBound: raiseForMemBound,
+		stage: stCPUFreqSel, cpuSel: cfg.DefaultPstate}
+	return p
 }
 
-func (p *eufs) Name() string   { return p.name }
-func (p *eufs) config() Config { return p.cfg }
+func (p *eufs) Name() string { return p.name }
 
 func (p *eufs) Apply(in Inputs) (NodeFreqs, State, error) {
 	if !in.Sig.Valid() {

@@ -10,8 +10,7 @@ import (
 // never moves frequencies away from the defaults.
 type monitoring struct{ cfg Config }
 
-func (m *monitoring) Name() string   { return Monitoring }
-func (m *monitoring) config() Config { return m.cfg }
+func (m *monitoring) Name() string { return Monitoring }
 
 func (m *monitoring) Apply(in Inputs) (NodeFreqs, State, error) {
 	return NodeFreqs{CPUPstate: in.CurrentPstate}, Ready, nil
@@ -33,8 +32,9 @@ func (m *monitoring) Reset() {}
 // projection onto the default pstate (§V-B).
 type minEnergy struct{ cpuStage }
 
-func newMinEnergy(cfg Config) *minEnergy {
-	return &minEnergy{cpuStage{cfg: cfg, def: cfg.DefaultPstate, margin: cfg.SigChangeTh + cfg.CPUPolicyTh}}
+func (p *minEnergy) init(cfg Config) *minEnergy {
+	p.cpuStage.init(cfg, cfg.DefaultPstate, cfg.SigChangeTh+cfg.CPUPolicyTh)
+	return p
 }
 
 func (p *minEnergy) Name() string { return MinEnergy }

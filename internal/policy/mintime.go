@@ -16,9 +16,10 @@ const minTimeDefaultDrop = 4
 // min_energy (via the shared eufs wrapper).
 type minTime struct{ cpuStage }
 
-func newMinTime(cfg Config) *minTime {
+func (p *minTime) init(cfg Config) *minTime {
 	def := min(cfg.DefaultPstate+minTimeDefaultDrop, cfg.Model.PstateCount()-1)
-	return &minTime{cpuStage{cfg: cfg, def: def, margin: cfg.SigChangeTh + minTimeMinGain}}
+	p.cpuStage.init(cfg, def, cfg.SigChangeTh+minTimeMinGain)
+	return p
 }
 
 func (p *minTime) Name() string { return MinTime }

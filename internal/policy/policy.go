@@ -198,26 +198,54 @@ func (c Config) validate() error {
 	return c.Model.Validate()
 }
 
-// builtins is the policy set: each name with the constructor New calls
-// on a defaulted, validated Config.
-var builtins = map[string]func(Config) Policy{
-	Monitoring:    func(cfg Config) Policy { return &monitoring{cfg: cfg} },
-	MinEnergy:     func(cfg Config) Policy { return newMinEnergy(cfg) },
-	MinEnergyEUFS: func(cfg Config) Policy { return newEUFS(MinEnergyEUFS, newMinEnergy(cfg), cfg) },
-	MinTime:       func(cfg Config) Policy { return newMinTime(cfg) },
-	MinTimeEUFS: func(cfg Config) Policy {
-		p := newEUFS(MinTimeEUFS, newMinTime(cfg), cfg)
+// builtins is the policy set: each name with the constructor New and
+// Renew run on a defaulted, validated Config. A constructor builds into
+// old when old is a policy of its kind, keeping the buffers old owns
+// (prediction tables), and into a new one otherwise; either way it sets
+// every other field, so the two are the same policy.
+var builtins = map[string]func(old Policy, cfg Config) Policy{
+	Monitoring: func(old Policy, cfg Config) Policy {
+		p := into[monitoring](old)
+		*p = monitoring{cfg: cfg}
+		return p
+	},
+	MinEnergy: func(old Policy, cfg Config) Policy { return into[minEnergy](old).init(cfg) },
+	MinEnergyEUFS: func(old Policy, cfg Config) Policy {
+		p := into[eufs](old)
+		return p.init(MinEnergyEUFS, into[minEnergy](p.base).init(cfg), cfg, false)
+	},
+	MinTime: func(old Policy, cfg Config) Policy { return into[minTime](old).init(cfg) },
+	MinTimeEUFS: func(old Policy, cfg Config) Policy {
 		// The paper's §VIII direction for min_time: besides lowering the
 		// uncore on compute phases, *raise* it for memory-bound phases
 		// where the hardware heuristic settled low — performance first.
-		p.raiseForMemBound = true
-		return p
+		p := into[eufs](old)
+		return p.init(MinTimeEUFS, into[minTime](p.base).init(cfg), cfg, true)
 	},
-	DUF: func(cfg Config) Policy { return newDUF(cfg) },
+	DUF: func(old Policy, cfg Config) Policy { return into[duf](old).init(cfg) },
+}
+
+// into returns old as the *T a constructor builds into, or a new T when
+// old is not one (nil included).
+func into[T any, P interface {
+	*T
+	Policy
+}](old Policy) P {
+	if p, ok := old.(P); ok {
+		return p
+	}
+	return new(T)
 }
 
 // New constructs the named policy.
-func New(name string, cfg Config) (Policy, error) {
+func New(name string, cfg Config) (Policy, error) { return Renew(nil, name, cfg) }
+
+// Renew is New(name, cfg) built into old when old has that name: the
+// same constructor runs over the instance, so it comes back configured
+// by cfg and in its initial state, with the buffers (prediction tables)
+// it owns kept. A pooled simulator node renews its policy each run. On
+// an error old is left as it was.
+func Renew(old Policy, name string, cfg Config) (Policy, error) {
 	build, ok := builtins[name]
 	if !ok {
 		return nil, fmt.Errorf("policy: unknown policy %q (have %v)", name, Names())
@@ -226,31 +254,10 @@ func New(name string, cfg Config) (Policy, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return build(cfg), nil
-}
-
-// Renew returns old, Reset, when New(name, cfg) would build the same
-// policy: the same name and defaulted Config. Otherwise it returns
-// New(name, cfg). A pooled simulator node renews
-// its policy each run, keeping the buffers (prediction tables) the
-// policy owns.
-func Renew(old Policy, name string, cfg Config) (Policy, error) {
-	if old != nil && builtAs(old, name, cfg.Defaults()) {
-		old.Reset()
-		return old, nil
+	if old != nil && old.Name() != name {
+		old = nil
 	}
-	return New(name, cfg)
-}
-
-// configured is implemented by every policy in builtins: it returns the
-// Config its constructor received, which Renew compares.
-type configured interface{ config() Config }
-
-// builtAs reports whether p is what New(name, cfg) returns, up to its
-// run state.
-func builtAs(p Policy, name string, cfg Config) bool {
-	c, ok := p.(configured)
-	return ok && p.Name() == name && c.config() == cfg
+	return build(old, cfg), nil
 }
 
 // Names lists the policies New builds, sorted.

@@ -39,14 +39,18 @@ func resetInputs() []Inputs {
 	}
 }
 
+// drivePolicy returns what p shows before its first Apply, then one
+// step per input.
 func drivePolicy(p Policy, ins []Inputs) []step {
-	out := make([]step, len(ins))
-	for i, in := range ins {
-		s := &out[i]
-		nf, st, err := p.Apply(in)
-		s.NF, s.State = nf, st
-		if err != nil {
-			s.Err = err.Error()
+	out := make([]step, 1+len(ins))
+	for i := range out {
+		s, in := &out[i], ins[max(i-1, 0)]
+		if i > 0 {
+			nf, st, err := p.Apply(in)
+			s.NF, s.State = nf, st
+			if err != nil {
+				s.Err = err.Error()
+			}
 		}
 		s.Pred, s.HavePred = p.LastPrediction()
 		near, far := in, in
@@ -64,19 +68,29 @@ func drivePolicy(p Policy, ins []Inputs) []step {
 // exactly what construction builds. A policy driven through one input
 // sequence and then Reset answers a second sequence as a new instance
 // does — which is what lets Renew hand a recycled node its old policy.
+// Renewed in place under a changed config, it answers as a new instance
+// built with that config does.
 func TestResetMatchesFresh(t *testing.T) {
 	cfg := testConfig(t)
+	changed := cfg
+	changed.CPUPolicyTh, changed.UncPolicyTh, changed.SigChangeTh = 0.08, 0.01, 0.2
+	changed.HWGuided, changed.UseAVX512Model, changed.PinBothLimits = false, false, true
+	changed.DefaultPstate = 2
 	ins := resetInputs()
 	dirty := make([]Inputs, len(ins))
 	for i := range ins {
 		dirty[i] = ins[len(ins)-1-i]
 	}
-	for _, name := range Names() {
-		fresh, err := New(name, cfg)
+	fresh := func(name string, c Config) []step {
+		t.Helper()
+		p, err := New(name, c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := drivePolicy(fresh, ins)
+		return drivePolicy(p, ins)
+	}
+	for _, name := range Names() {
+		want := fresh(name, cfg)
 		fails := 0
 		for _, s := range want {
 			if !s.ValidFar {
@@ -86,17 +100,28 @@ func TestResetMatchesFresh(t *testing.T) {
 		if fails == 0 && name != Monitoring {
 			t.Errorf("%s: no Validate failure in the sequence", name)
 		}
+		wantChanged := fresh(name, changed)
+		if name != Monitoring && reflect.DeepEqual(wantChanged, want) {
+			t.Errorf("%s: the changed config answers the sequence as the first does", name)
+		}
 
 		p, err := New(name, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, how := range []string{"Reset", "Renew"} {
+		for _, how := range []string{"Reset", "Renew", "Renew with a changed config", "Renew back"} {
 			drivePolicy(p, dirty)
-			if how == "Reset" {
+			want, c := want, cfg
+			switch how {
+			case "Reset":
 				p.Reset()
-			} else if r, err := Renew(p, name, cfg); err != nil || r != p {
-				t.Fatalf("%s: Renew with the same config did not reuse the instance (err %v)", name, err)
+			case "Renew with a changed config":
+				want, c = wantChanged, changed
+				fallthrough
+			default:
+				if r, err := Renew(p, name, c); err != nil || r != p {
+					t.Fatalf("%s: %s did not reuse the instance (err %v)", name, how, err)
+				}
 			}
 			got := drivePolicy(p, ins)
 			for i := range want {
@@ -110,8 +135,9 @@ func TestResetMatchesFresh(t *testing.T) {
 }
 
 // TestRenewReusesOnlyWhatNewWouldBuild: Renew hands back the old
-// instance exactly when name and defaulted Config both match, and builds
-// anew otherwise.
+// instance exactly when the name matches — reconfigured when the
+// defaulted Config differs (TestResetMatchesFresh holds it to New) —
+// and builds anew for another name.
 func TestRenewReusesOnlyWhatNewWouldBuild(t *testing.T) {
 	cfg := testConfig(t)
 	renew := func(old Policy, name string, c Config) Policy {
@@ -133,8 +159,8 @@ func TestRenewReusesOnlyWhatNewWouldBuild(t *testing.T) {
 	}
 	other := cfg
 	other.UncPolicyTh = 0.03
-	if p := renew(old, MinEnergyEUFS, other); p == old {
-		t.Error("changed config: reused")
+	if p := renew(old, MinEnergyEUFS, other); p != old {
+		t.Error("changed config: not reused")
 	}
 	if p := renew(old, MinTimeEUFS, cfg); p == old || p.Name() != MinTimeEUFS {
 		t.Errorf("changed name: got %s, reused %v", p.Name(), p == old)

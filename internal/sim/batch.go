@@ -48,7 +48,7 @@ func NewBatch(cal workload.Calibrated, opt Options) (*Batch, error) {
 // Add admits one node (seeded by its workload node id) and returns its
 // index.
 func (b *Batch) Add(nodeID int) (int, error) {
-	n, err := newNode(b.cal, nodeID, b.opt)
+	n, err := newNode(&b.cal, nodeID, b.opt)
 	if err != nil {
 		return 0, err
 	}

@@ -16,7 +16,7 @@ import (
 // must agree with the simulator's exact package-energy integral.
 func TestRaplCountersMatchTrueIntegral(t *testing.T) {
 	cal := calibrated(t, workload.BTMZC)
-	n, err := newNode(cal, 0, Options{Policy: "none", Seed: 1}.WithDefaults())
+	n, err := newNode(&cal, 0, Options{Policy: "none", Seed: 1}.WithDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}

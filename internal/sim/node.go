@@ -103,7 +103,8 @@ type node struct {
 	// clamped to it at actuation level.
 	capRatio uint64
 
-	// Trace sampling state.
+	// Trace sampling state. The buffer stays with the node from run to
+	// run; result hands out a copy.
 	trace      []TracePoint
 	lastTraceT float64
 	lastTraceE float64
@@ -161,17 +162,13 @@ type evalEntry struct {
 var nodePool = sync.Pool{New: func() any { return new(node) }}
 
 // runNode simulates the whole workload on one node.
-func runNode(cal workload.Calibrated, nodeID int, opt Options) (NodeResult, error) {
+func runNode(cal *workload.Calibrated, nodeID int, opt Options) (NodeResult, error) {
 	n := nodePool.Get().(*node)
 	recycled := n.everUsed
 	n.everUsed = true
-	defer func() {
-		// The trace slice escapes into the result; drop it so reuse
-		// cannot alias a returned NodeResult. Nothing of the library
-		// escapes: result copies its counts and decisions out.
-		n.trace = nil
-		nodePool.Put(n)
-	}()
+	// Nothing of the node escapes into the result: result copies the
+	// trace, the library's counts and its decisions out.
+	defer nodePool.Put(n)
 	if err := n.init(cal, nodeID, opt); err != nil {
 		return NodeResult{}, err
 	}
@@ -274,7 +271,7 @@ func (n *node) setCapRatio(r uint64) {
 	n.capRatio = r
 }
 
-func newNode(cal workload.Calibrated, nodeID int, opt Options) (*node, error) {
+func newNode(cal *workload.Calibrated, nodeID int, opt Options) (*node, error) {
 	n := new(node)
 	if err := n.init(cal, nodeID, opt); err != nil {
 		return nil, err
@@ -285,9 +282,9 @@ func newNode(cal workload.Calibrated, nodeID int, opt Options) (*node, error) {
 // init (re)builds the node in place for one run, reusing every buffer
 // the receiver already owns. It must reset all run state: recycled
 // nodes come out of nodePool mid-campaign.
-func (n *node) init(cal workload.Calibrated, nodeID int, opt Options) error {
+func (n *node) init(cal *workload.Calibrated, nodeID int, opt Options) error {
 	m := cal.Platform.Machine
-	n.cal, n.opt = cal, opt
+	n.cal, n.opt = *cal, opt
 	n.now = 0
 	n.instr, n.cycles, n.avx, n.bytes = 0, 0, 0, 0
 	n.coreFreqSec, n.imcFreqSec = 0, 0
@@ -297,7 +294,7 @@ func (n *node) init(cal workload.Calibrated, nodeID int, opt Options) error {
 	n.ownEvals.vals = n.ownEvals.vals[:0]
 	n.evals = &n.ownEvals
 	n.capRatio = 0
-	n.trace = nil
+	n.trace = n.trace[:0]
 	n.lastTraceT, n.lastTraceE, n.lastTraceB = 0, 0, 0
 	n.segIdx, n.iterInSeg = 0, 0
 	n.instrLeft, n.wallLeft = 0, 0
@@ -591,7 +588,12 @@ func (n *node) result() (NodeResult, error) {
 	}
 	r.AvgPowerW = r.EnergyJ / r.TimeSec
 	r.AvgPkgPowerW = r.PkgEnergyJ / r.TimeSec
-	r.Trace = n.trace
+	if len(n.trace) > 0 {
+		// An exact-size copy: the node keeps its buffer for its next
+		// run, and no result aliases it.
+		r.Trace = make([]TracePoint, len(n.trace))
+		copy(r.Trace, n.trace)
+	}
 	if n.lib != nil {
 		r.Signatures = n.lib.Signatures()
 		r.LoopDetected = n.lib.LoopDetected()

@@ -37,7 +37,7 @@ func TestWorkersByteIdentical(t *testing.T) {
 	var ref Result
 	for i, workers := range []int{1, 4, 16} {
 		opt := Options{Policy: "min_energy_eufs", Model: m, Seed: 7, Workers: workers}
-		r, err := RunAveraged(cal, opt, 4)
+		r, err := RunAveraged(&cal, opt, 4)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -69,7 +69,7 @@ func TestRunAllocationsIndependentOfLength(t *testing.T) {
 	var allocs [2]float64
 	for i, cal := range []workload.Calibrated{short, long} {
 		allocs[i] = testing.AllocsPerRun(5, func() {
-			n, err := newNode(cal, 0, opt)
+			n, err := newNode(&cal, 0, opt)
 			if err == nil {
 				err = n.runUntil(math.Inf(1))
 			}

@@ -30,7 +30,7 @@ func stepToEnd(t *testing.T, cal workload.Calibrated, id int, opt Options) *node
 // runToEnd drives a fresh node through the engine, as runNode does.
 func runToEnd(t *testing.T, cal workload.Calibrated, id int, opt Options) *node {
 	t.Helper()
-	n, err := newNode(cal, id, opt.WithDefaults())
+	n, err := newNode(&cal, id, opt.WithDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}

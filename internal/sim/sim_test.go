@@ -279,14 +279,14 @@ func TestDeterminism(t *testing.T) {
 
 func TestRunAveraged(t *testing.T) {
 	cal := calibrated(t, workload.BTMZC)
-	r, err := RunAveraged(cal, Options{Policy: "none", Seed: 1}, 3)
+	r, err := RunAveraged(&cal, Options{Policy: "none", Seed: 1}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(r.TimeSec-145) > 5 {
 		t.Errorf("averaged time = %v", r.TimeSec)
 	}
-	if _, err := RunAveraged(cal, Options{}, 0); err == nil {
+	if _, err := RunAveraged(&cal, Options{}, 0); err == nil {
 		t.Error("expected error for zero runs")
 	}
 }
@@ -302,7 +302,7 @@ func TestRunAveragedOneRunIsRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := RunAveraged(cal, opt, 1)
+			got, err := RunAveraged(&cal, opt, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

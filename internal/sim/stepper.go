@@ -18,7 +18,7 @@ func NewStepper(cal workload.Calibrated, nodeID int, opt Options) (*Stepper, err
 	if err := checkModel(cal, opt); err != nil {
 		return nil, err
 	}
-	n, err := newNode(cal, nodeID, opt)
+	n, err := newNode(&cal, nodeID, opt)
 	if err != nil {
 		return nil, err
 	}
