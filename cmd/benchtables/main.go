@@ -3,8 +3,9 @@
 //
 // Experiments fan out across a bounded worker pool (-parallel, default
 // GOMAXPROCS): whole experiments run concurrently, and each experiment
-// fans its independent rows, averaged seeds and cluster nodes out
-// again. Simulation randomness is derived from explicit seeds, so the
+// fans its independent rows out again, handing the rows' averaged
+// seeds and cluster nodes only the workers the rows leave spare.
+// Simulation randomness is derived from explicit seeds, so the
 // output is byte-identical at every -parallel setting — only the
 // wall-clock time changes.
 //

@@ -54,8 +54,9 @@ var rules = []rule{
 	{name: "The load generator seeds no math/rand source", uses: []string{"math/rand.NewSource"}, reads: []string{"internal/loadgen", "internal/accounting"}},
 	{name: "One evaluation site in the simulator", uses: []string{"goear/internal/perf.Evaluate", "goear/internal/perf.EvaluateAll"}, reads: []string{"internal/sim"}, allow: []string{"(*goear/internal/sim.node).evalAt"}},
 	{name: "The simulator leaves RAPL to power.Rapl", uses: []string{"goear/internal/msr.MSRPkgEnergyStatus", "goear/internal/msr.MSRDramEnergyStatus", "goear/internal/msr.MSRRaplPowerUnit"}, reads: []string{"internal/sim"}},
-	{name: "One comparison path in the campaign", uses: []string{"goear/internal/sim.DeltaOf"}, reads: []string{"internal/experiments"}, allow: []string{"(*goear/internal/experiments.Context).Compare", "(*goear/internal/experiments.Context).fig1"}},
-	{name: "The campaign's cells are built a row at a time", uses: []string{"goear/internal/report.F", "goear/internal/report.GHz", "goear/internal/report.Pct", "strconv.FormatFloat", "fmt.Sprint"}, reads: []string{"internal/experiments"}},
+	{name: "One comparison path in the campaign", uses: []string{"goear/internal/sim.DeltaOf"}, reads: []string{"internal/experiments"}, allow: []string{"(goear/internal/experiments.fan).compare", "(*goear/internal/experiments.Context).fig1"}},
+	{name: "One fan-out in a campaign", uses: []string{"goear/internal/par.ForEach"}, reads: []string{"internal/experiments"}, allow: []string{"(goear/internal/experiments.fan).rows"}},
+	{name: "The campaign's cells are built a row at a time", uses: []string{"goear/internal/report.F", "goear/internal/report.GHz", "goear/internal/report.Pct", "strconv.FormatFloat", "fmt.Sprint", "fmt.Sprintf"}, reads: []string{"internal/experiments"}},
 	{name: "A policy is driven through its interface", uses: []string{exportedAssert, "goear/internal/policy.Predictor", "goear/internal/earl.Predictor", "goear/internal/sim.Predictor"}, reads: []string{"internal/earl", "internal/sim", "internal/policy"}},
 	{name: "No raw goroutines in deterministic code", uses: []string{goStmt}, reads: []string{"internal/sim", "internal/experiments", "internal/policy", "internal/model"}},
 	{name: "No package init", uses: []string{initFunc}, reads: everywhere},

@@ -55,8 +55,12 @@ func TestRuleMutants(t *testing.T) {
 			`^mutant.go:2:\d+: goear/internal/sim\.DeltaOf used in goear/internal/experiments\.mut `},
 		{"The campaign's cells are built a row at a time", "goear/internal/experiments", "import \"goear/internal/report\"\nfunc mut(v float64) []string { return []string{\"x\", report.Pct(v)} }",
 			`^mutant.go:2:\d+: goear/internal/report\.Pct used in goear/internal/experiments\.mut `},
+		{"One fan-out in a campaign", "goear/internal/experiments", "import \"goear/internal/par\"\nfunc mut(n int) error { return par.ForEach(2, n, func(int) error { return nil }) }",
+			`^mutant.go:2:\d+: goear/internal/par\.ForEach used in goear/internal/experiments\.mut `},
 		{"The campaign's cells are built a row at a time", "goear/internal/experiments", "import \"fmt\"\nfunc mut(to int) []string { return []string{fmt.Sprint(to)} }",
 			`^mutant.go:2:\d+: fmt\.Sprint used in goear/internal/experiments\.mut `},
+		{"The campaign's cells are built a row at a time", "goear/internal/experiments", "import \"fmt\"\nfunc mut(th float64) string { return fmt.Sprintf(\"%.0f%%\", th) }",
+			`^mutant.go:2:\d+: fmt\.Sprintf used in goear/internal/experiments\.mut `},
 		{"A policy is driven through its interface", "goear/internal/earl", "import \"goear/internal/policy\"\nfunc mut(x any) { _ = x.(*policy.Config) }",
 			`^mutant.go:2:26: type assertion to an exported type used in goear/internal/earl\.mut `},
 		{"A policy is driven through its interface", "goear/internal/sim", "import \"goear/internal/policy\"\nfunc mut(x any) {\nswitch x.(type) {\ncase nil, policy.Policy:\n}\n}",

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"goear/internal/report"
 	"goear/internal/sim"
 	"goear/internal/workload"
@@ -79,7 +77,7 @@ func a4() sweep {
 	for i, unc := range uncs {
 		o := minEnergyEU(40)
 		o.UncTh = unc
-		rows[i] = runCfg{fmt.Sprintf("unc_th %.1f%%", unc*100), workload.SPMZC, o}
+		rows[i] = runCfg{label("unc_th ", unc*100, 1, "%"), workload.SPMZC, o}
 	}
 	return bars("Ablation A4: unc_policy_th sensitivity (SP-MZ.C, ME+eU)", "configuration", rows)
 }
@@ -96,7 +94,7 @@ func a5() sweep {
 		for _, th := range ths {
 			o := minEnergyEU(40)
 			o.SigChangeTh = th
-			rows = append(rows, runCfg{fmt.Sprintf("%.0f%%", th*100), name, o})
+			rows = append(rows, runCfg{label("", th*100, 0, "%"), name, o})
 		}
 	}
 	return sweep{"Ablation A5: signature-change threshold (min_energy_eufs)",

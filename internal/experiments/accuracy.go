@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 
 	"goear/internal/cpu"
@@ -43,10 +42,10 @@ func (c *Context) modelAccuracy() ([]report.Table, error) {
 		}
 		cpuM := pl.Machine.CPU
 		t, err := tabulate(c,
-			fmt.Sprintf("Model accuracy (%s): held-out projection error from the nominal pstate", pl.Name),
+			"Model accuracy ("+pl.Name+"): held-out projection error from the nominal pstate",
 			[]string{"target pstate", "target freq (GHz)",
 				"mean |CPI err|", "max |CPI err|", "mean |power err|"},
-			accuracyTargets(cpuM), func(room []string, to int) ([]string, error) {
+			accuracyTargets(cpuM), func(_ fan, room []string, to int) ([]string, error) {
 				cpiErrs, powErrs, err := heldOutErrors(*pl, m, to)
 				if err != nil {
 					return nil, err

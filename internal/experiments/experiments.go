@@ -23,6 +23,7 @@ import (
 
 	"goear/internal/eargm"
 	"goear/internal/model"
+	"goear/internal/par"
 	"goear/internal/policy"
 	"goear/internal/report"
 	"goear/internal/sim"
@@ -37,10 +38,14 @@ type Context struct {
 	// Runs is the number of averaged runs per configuration; 0 means the
 	// paper's three.
 	Runs int
-	// Parallel bounds the goroutines fanned out over independent
-	// simulation work (table rows, averaged seeds, cluster nodes):
-	// 0 = GOMAXPROCS (the default), 1 = fully sequential, n = n
-	// workers. Results are identical at any setting.
+	// Parallel bounds the goroutines a generator fans out over
+	// independent simulation work (table rows, averaged seeds, cluster
+	// nodes), all levels together: 0 = GOMAXPROCS (the default), 1 =
+	// fully sequential, n = n workers. A table's rows run min(rows, n)
+	// at a time and each row's runs get the spare n/that for their
+	// seeds and nodes, at least one (par.Split, again inside
+	// sim.RunAveraged); a run asked for on its own gets all n. Results
+	// are identical at any setting.
 	Parallel int
 
 	// Each cache counts its own requests and computations (Stats reads
@@ -187,31 +192,78 @@ func keyOf(spec uint64, o sim.Options, runs int) runKey {
 	return k
 }
 
+// A fan is a fan-out of a table's rows over the context's workers,
+// split between the rows and their runs (par.Split): the rows run wide
+// at a time, and every run a row asks for through the fan gets each
+// node workers, so Parallel bounds the rows and their runs' nodes
+// together. A run asked for on its own is a fan of one: it keeps every
+// worker.
+type fan struct {
+	c             *Context
+	n, wide, each int
+}
+
+// fan splits the context's workers over n rows.
+func (c *Context) fan(n int) fan {
+	wide, each := par.Split(c.workers(), n)
+	return fan{c, n, wide, each}
+}
+
+// rows calls row(0) … row(n-1), wide at a time: the campaign's one
+// fan-out. A row asks for its runs through f (run, compare), not
+// through the Context, whose runs would take every worker again.
+func (f fan) rows(row func(i int) error) error {
+	return par.ForEach(f.wide, f.n, row)
+}
+
 // prepare completes the options of a run of calw: the platform's
 // trained model when a policy is requested and the caller brought none,
-// and the context's fan-out bound.
-func (c *Context) prepare(calw *workload.Calibrated, opt sim.Options) (sim.Options, error) {
+// and the fan's share of the workers for the run's nodes.
+func (f fan) prepare(calw *workload.Calibrated, opt sim.Options) (sim.Options, error) {
 	if opt.Policy != "" && opt.Policy != "none" && opt.Model == nil {
-		m, err := c.modelFor(opt.Telemetry, calw.Platform)
+		m, err := f.c.modelFor(opt.Telemetry, calw.Platform)
 		if err != nil {
 			return opt, err
 		}
 		opt.Model = m
 	}
-	opt.Workers = c.workers()
+	opt.Workers = f.each
 	return opt, nil
 }
 
-// run executes (or recalls) an averaged run of the spec with ID id.
-func (c *Context) run(id uint64, calw *workload.Calibrated, opt sim.Options) (sim.Result, error) {
-	opt, err := c.prepare(calw, opt)
+// runCal executes (or recalls) an averaged run of the spec with ID id.
+func (f fan) runCal(id uint64, calw *workload.Calibrated, opt sim.Options) (sim.Result, error) {
+	opt, err := f.prepare(calw, opt)
 	if err != nil {
 		return sim.Result{}, err
 	}
+	c := f.c
 	runs := c.runCount()
 	return c.runs.do(opt.Telemetry, runCache, keyOf(id, opt, runs), func() (sim.Result, error) {
 		return sim.RunAveraged(calw, opt, runs)
 	})
+}
+
+// run is Context.Run for a row of f.
+func (f fan) run(name string, opt sim.Options) (sim.Result, error) {
+	id, calw, err := f.c.catalogCal(opt.Telemetry, name)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	return f.runCal(id, calw, opt)
+}
+
+// compare is Context.Compare for a row of f.
+func (f fan) compare(name string, opt sim.Options) (Comparison, error) {
+	base, err := f.run(name, sim.Baseline())
+	if err != nil {
+		return Comparison{}, err
+	}
+	r, err := f.run(name, opt)
+	if err != nil {
+		return Comparison{}, err
+	}
+	return Comparison{Baseline: base, Run: r, Delta: sim.DeltaOf(base, r)}, nil
 }
 
 // Run executes (or recalls) an averaged run of the named catalogue
@@ -219,11 +271,7 @@ func (c *Context) run(id uint64, calw *workload.Calibrated, opt sim.Options) (si
 // requested and opt carries none. Concurrent callers with the same
 // configuration share one execution.
 func (c *Context) Run(name string, opt sim.Options) (sim.Result, error) {
-	id, calw, err := c.catalogCal(opt.Telemetry, name)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return c.run(id, calw, opt)
+	return c.fan(1).run(name, opt)
 }
 
 // RunSpec is Run for a spec value; one equal to a catalogue entry
@@ -234,7 +282,7 @@ func (c *Context) RunSpec(spec workload.Spec, opt sim.Options) (sim.Result, erro
 	if err != nil {
 		return sim.Result{}, err
 	}
-	return c.run(id, calw, opt)
+	return c.fan(1).runCal(id, calw, opt)
 }
 
 // RunPowercapped executes the spec under a cluster power budget
@@ -245,7 +293,7 @@ func (c *Context) RunPowercapped(spec workload.Spec, opt sim.Options, gmCfg earg
 	if err != nil {
 		return sim.Result{}, eargm.Stats{}, err
 	}
-	if opt, err = c.prepare(calw, opt); err != nil {
+	if opt, err = c.fan(1).prepare(calw, opt); err != nil {
 		return sim.Result{}, eargm.Stats{}, err
 	}
 	gm, err := eargm.New(gmCfg)
@@ -286,15 +334,7 @@ type Comparison struct {
 // against the other: every table of deltas, and the goear facade's
 // Compare, are made of it.
 func (c *Context) Compare(name string, opt sim.Options) (Comparison, error) {
-	base, err := c.Run(name, sim.Baseline())
-	if err != nil {
-		return Comparison{}, err
-	}
-	r, err := c.Run(name, opt)
-	if err != nil {
-		return Comparison{}, err
-	}
-	return Comparison{Baseline: base, Run: r, Delta: sim.DeltaOf(base, r)}, nil
+	return c.fan(1).compare(name, opt)
 }
 
 // registry lists the experiments in the paper's presentation order. It

@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"fmt"
+	"strconv"
 
 	"goear/internal/policy"
 	"goear/internal/report"
@@ -52,12 +52,12 @@ func (c *Context) fig1() ([]report.Table, error) {
 			uncRatios[i] = maxR - uint64(i)
 		}
 		t, err := tabulate(c,
-			fmt.Sprintf("Fig 1 (%s): fixed-uncore sweep at policy-selected CPU frequency (pstate %d); reference avg IMC %.2f GHz",
-				name, *pinned, ref.AvgIMCGHz),
+			label("Fig 1 ("+name+"): fixed-uncore sweep at policy-selected CPU frequency (pstate "+
+				strconv.Itoa(*pinned)+"); reference avg IMC ", ref.AvgIMCGHz, 2, " GHz"),
 			[]string{"uncore (GHz)", "power saving", "energy saving",
 				"time penalty", "GB/s penalty", "avg IMC (GHz)"},
-			uncRatios, func(room []string, ratio uint64) ([]string, error) {
-				r, err := c.Run(name, sim.Options{
+			uncRatios, func(f fan, room []string, ratio uint64) ([]string, error) {
+				r, err := f.run(name, sim.Options{
 					Policy: "none", Seed: 10,
 					FixedCPUPstate: pinned, FixedUncoreRatio: &uncRatios[maxR-ratio],
 				})
@@ -107,7 +107,7 @@ func cpuThRows(name string, ng bool) []runCfg {
 	ths := []float64{0.03, 0.05}
 	rows := make([]runCfg, 0, 3*len(ths))
 	for _, th := range ths {
-		rows = policyRows(rows, name, th, fmt.Sprintf(" (cpu_th %d%%)", int(th*100)), ng)
+		rows = policyRows(rows, name, th, " (cpu_th "+strconv.Itoa(int(th*100))+"%)", ng)
 	}
 	return rows
 }
@@ -121,7 +121,7 @@ func uncThRows(name string, uncs ...float64) []runCfg {
 	for _, unc := range uncs {
 		o := atCPUTh(minEnergyEU(appSeed), 0.03)
 		o.UncTh = unc
-		rows = append(rows, runCfg{fmt.Sprintf("ME+eU %d%%", int(unc*100)), name, o})
+		rows = append(rows, runCfg{"ME+eU " + strconv.Itoa(int(unc*100)) + "%", name, o})
 	}
 	return rows
 }
@@ -160,7 +160,7 @@ func (c *Context) fig6() ([]report.Table, error) {
 func (c *Context) fig7() ([]report.Table, error) {
 	var ss []sweep
 	for _, name := range []string{workload.HPCG, workload.POP} {
-		ss = append(ss, ratios(fmt.Sprintf("Fig 7 (%s): min_energy configurations (cpu_th 5%%)", name),
+		ss = append(ss, ratios("Fig 7 ("+name+"): min_energy configurations (cpu_th 5%)",
 			"configuration", policyRows(make([]runCfg, 0, 2), name, policy.DefaultCPUPolicyTh, "", false)))
 	}
 	return c.sweeps(ss...)
@@ -171,7 +171,7 @@ func (c *Context) fig7() ([]report.Table, error) {
 func (c *Context) fig8() ([]report.Table, error) {
 	var ss []sweep
 	for _, name := range []string{workload.DUMSES, workload.AFiD} {
-		ss = append(ss, ratios(fmt.Sprintf("Fig 8 (%s): cpu_th 3%% vs 5%% (unc_th 2%%)", name),
+		ss = append(ss, ratios("Fig 8 ("+name+"): cpu_th 3% vs 5% (unc_th 2%)",
 			"configuration", cpuThRows(name, false)))
 	}
 	return c.sweeps(ss...)

@@ -181,6 +181,34 @@ func TestGenerateStress(t *testing.T) {
 	}
 }
 
+// TestFanSplitsWorkers: Parallel bounds a table's rows and their runs'
+// nodes together. A lone run keeps every worker for its nodes; rows
+// that leave workers spare hand each row's runs its share; rows that
+// fill the workers run their runs' nodes in order.
+func TestFanSplitsWorkers(t *testing.T) {
+	for _, tc := range []struct {
+		what            string
+		parallel, items int
+		want            int
+	}{
+		{"a lone run", 4, 1, 4},
+		{"each of 2 rows", 4, 2, 2},
+		{"each of 13 rows", 2, 13, 1},
+	} {
+		c := NewQuick()
+		c.Parallel = tc.parallel
+		got, err := fanWorkers(c, tc.items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range got {
+			if w != tc.want {
+				t.Errorf("%s at Parallel %d: row %d's runs get %d node workers, want %d", tc.what, tc.parallel, i, w, tc.want)
+			}
+		}
+	}
+}
+
 // TestFlightCollidingKeysStayApart: with every key's digest the same,
 // all entries share one chain, and still each key gets its own entry,
 // computed once however many goroutines ask at once. A hit allocates

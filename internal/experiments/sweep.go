@@ -1,18 +1,20 @@
 package experiments
 
 import (
-	"goear/internal/par"
+	"strconv"
+
 	"goear/internal/report"
 	"goear/internal/sim"
 )
 
 // tabulate renders a table with columns of its own: one row per item,
-// rows in item order, each built by cells on the worker pool into its
-// room in the table's slab.
-func tabulate[T any](c *Context, title string, columns []string, items []T, cells func(room []string, item T) ([]string, error)) ([]report.Table, error) {
+// rows in item order, each built by cells in a fan of the items into
+// its room in the table's slab. cells asks for its runs through f.
+func tabulate[T any](c *Context, title string, columns []string, items []T, cells func(f fan, room []string, item T) ([]string, error)) ([]report.Table, error) {
 	rows := slab(1, func(int) (int, int) { return len(items), len(columns) })
-	err := par.ForEach(c.workers(), len(items), func(i int) error {
-		row, err := cells(rows[i], items[i])
+	f := c.fan(len(items))
+	err := f.rows(func(i int) error {
+		row, err := cells(f, rows[i], items[i])
 		rows[i] = row
 		return err
 	})
@@ -66,6 +68,14 @@ type runCfg struct {
 	opt   sim.Options
 }
 
+// label is prefix, v with prec decimals and suffix: what fmt's %.*f
+// between the two prints, in the string's one allocation.
+func label(prefix string, v float64, prec int, suffix string) string {
+	var buf [128]byte
+	b := strconv.AppendFloat(append(buf[:0], prefix...), v, 'f', prec, 64)
+	return string(append(b, suffix...))
+}
+
 // rowsOf is one row per name, in name order.
 func rowsOf(names []string, row func(name string) runCfg) []runCfg {
 	rows := make([]runCfg, len(names))
@@ -76,7 +86,7 @@ func rowsOf(names []string, row func(name string) runCfg) []runCfg {
 }
 
 // sweep is a table whose rows are one configured run each, measured
-// against its workload's nominal baseline (Context.Compare): Tables II,
+// against its workload's nominal baseline (compare): Tables II,
 // V and VII, Figs. 3-8, the ablations, the baselines and the
 // future-work study. cells builds one row from its run and that
 // comparison, into the row's room.
@@ -115,19 +125,20 @@ func ratios(title, first string, rows []runCfg) sweep {
 }
 
 // sweeps renders the tables in order. The rows of all of them resolve
-// through Compare in one fan-out, each built on the worker that
-// resolved it into its room in one slab for every table, so a
-// multi-table artefact keeps the worker pool busy across its tables.
+// through compare in one fan, each built on the worker that resolved
+// it into its room in one slab for every table, so a multi-table
+// artefact keeps the worker pool busy across its tables.
 func (c *Context) sweeps(ss ...sweep) ([]report.Table, error) {
 	rows := slab(len(ss), func(k int) (int, int) { return len(ss[k].rows), len(ss[k].columns) })
-	err := par.ForEach(c.workers(), len(rows), func(i int) error {
+	f := c.fan(len(rows))
+	err := f.rows(func(i int) error {
 		k, j := 0, i // row i of the flattened tables is row j of table k
 		for j >= len(ss[k].rows) {
 			j -= len(ss[k].rows)
 			k++
 		}
 		r := ss[k].rows[j]
-		d, err := c.Compare(r.name, r.opt)
+		d, err := f.compare(r.name, r.opt)
 		if err != nil {
 			return err
 		}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"goear/internal/par"
 	"goear/internal/policy"
 	"goear/internal/report"
 	"goear/internal/sim"
@@ -14,8 +13,8 @@ import (
 func (c *Context) table1() ([]report.Table, error) {
 	return tabulate(c, "Table I: kernel metrics under min_energy with hardware IMC selection",
 		[]string{"kernel", "CPI", "GB/s", "CPU freq (GHz)", "IMC freq (GHz)"},
-		[]string{workload.BTMZMotiv, workload.LUDMotiv}, func(room []string, name string) ([]string, error) {
-			r, err := c.Run(name, minEnergy(10))
+		[]string{workload.BTMZMotiv, workload.LUDMotiv}, func(f fan, room []string, name string) ([]string, error) {
+			r, err := f.run(name, minEnergy(10))
 			if err != nil {
 				return nil, err
 			}
@@ -48,12 +47,12 @@ func (c *Context) table3() ([]report.Table, error) {
 			"time penalty ME", "time penalty ME+eU",
 			"power saving ME", "power saving ME+eU",
 			"energy saving ME", "energy saving ME+eU"},
-		workload.Kernels(), func(room []string, name string) ([]string, error) {
-			me, err := c.Compare(name, minEnergy(20))
+		workload.Kernels(), func(f fan, room []string, name string) ([]string, error) {
+			me, err := f.compare(name, minEnergy(20))
 			if err != nil {
 				return nil, err
 			}
-			eu, err := c.Compare(name, minEnergyEU(20))
+			eu, err := f.compare(name, minEnergyEU(20))
 			if err != nil {
 				return nil, err
 			}
@@ -71,17 +70,18 @@ func (c *Context) table3() ([]report.Table, error) {
 func (c *Context) freqDomains(title, first string, names []string, seed int64) ([]report.Table, error) {
 	columns := []string{first, "dom", "No policy", "ME", "ME+eU"}
 	rows := slab(1, func(int) (int, int) { return 2 * len(names), len(columns) })
-	err := par.ForEach(c.workers(), len(names), func(i int) error {
+	f := c.fan(len(names))
+	err := f.rows(func(i int) error {
 		name := names[i]
-		base, err := c.Run(name, sim.Baseline())
+		base, err := f.run(name, sim.Baseline())
 		if err != nil {
 			return err
 		}
-		me, err := c.Run(name, atCPUTh(minEnergy(seed), paperCPUTh(name)))
+		me, err := f.run(name, atCPUTh(minEnergy(seed), paperCPUTh(name)))
 		if err != nil {
 			return err
 		}
-		eu, err := c.Run(name, atCPUTh(minEnergyEU(seed), paperCPUTh(name)))
+		eu, err := f.run(name, atCPUTh(minEnergyEU(seed), paperCPUTh(name)))
 		if err != nil {
 			return err
 		}
@@ -161,10 +161,14 @@ func (c *Context) table7() ([]report.Table, error) {
 // average and maximum energy saving and time penalty of ME+eU across
 // the applications.
 func (c *Context) summary() ([]report.Table, error) {
-	ds, err := par.Map(c.workers(), workload.Applications(), func(name string) (sim.Delta, error) {
-		r := appEU(name)
-		cmp, err := c.Compare(r.name, r.opt)
-		return cmp.Delta, err
+	apps := workload.Applications()
+	ds := make([]sim.Delta, len(apps))
+	f := c.fan(len(apps))
+	err := f.rows(func(i int) error {
+		r := appEU(apps[i])
+		cmp, err := f.compare(r.name, r.opt)
+		ds[i] = cmp.Delta
+		return err
 	})
 	if err != nil {
 		return nil, err

@@ -1,7 +1,7 @@
 // Package par provides the bounded fan-out primitives behind the
 // parallel experiment engine: a work-stealing ForEach over an index
-// range and an order-preserving Map, both capped at a caller-chosen
-// worker count.
+// range capped at a caller-chosen worker count, and Split, which
+// shares that count between a fan-out and the fan-outs nested in it.
 //
 // Parallelism here never changes results. Every unit of work writes
 // only to its own slot, outputs are assembled in input order, and all
@@ -89,22 +89,13 @@ func (f *fanOut) work() {
 	}
 }
 
-// Map applies fn to every item, running at most limit applications
-// concurrently, and returns the results in input order. On error the
-// partial results are discarded and the error of the lowest-indexed
-// failed item is returned.
-func Map[T, R any](limit int, items []T, fn func(T) (R, error)) ([]R, error) {
-	out := make([]R, len(items))
-	err := ForEach(limit, len(items), func(i int) error {
-		r, err := fn(items[i])
-		if err != nil {
-			return err
-		}
-		out[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+// Split shares workers between a fan-out of items and the work each
+// item fans out in turn, so the two levels together stay within
+// workers: wide items run at a time, and each of them gets each
+// workers of its own, at least one. A fan-out of one item hands it
+// every worker; one at least as wide as workers keeps every worker
+// busy at its own level and hands each item one.
+func Split(workers, items int) (wide, each int) {
+	wide = max(1, min(items, workers))
+	return wide, max(1, workers/wide)
 }

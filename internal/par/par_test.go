@@ -125,30 +125,27 @@ func TestForEachAllocatesOnePerWorker(t *testing.T) {
 	}
 }
 
-func TestMapPreservesOrder(t *testing.T) {
-	items := make([]int, 100)
-	for i := range items {
-		items[i] = i
-	}
-	out, err := Map(8, items, func(v int) (int, error) { return v * v, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d, want %d", i, v, i*i)
+// Split's table: the items' width never passes workers, and the width
+// times each item's share stays within workers whenever both are at
+// least one.
+func TestSplit(t *testing.T) {
+	for _, c := range []struct{ workers, items, wide, each int }{
+		{1, 1, 1, 1},
+		{1, 13, 1, 1},
+		{2, 1, 1, 2},  // a lone run keeps every worker
+		{2, 2, 2, 1},  // rows fill the workers: their runs go in order
+		{2, 13, 2, 1}, // a table's rows at Parallel 2
+		{4, 1, 1, 4},
+		{4, 2, 2, 2}, // two rows share the spare workers
+		{4, 3, 3, 1}, // the remainder is not handed down
+		{8, 3, 3, 2},
+		{8, 100, 8, 1},
+		{4, 0, 1, 4}, // no items: nothing runs, and nothing divides by zero
+		{0, 5, 1, 1}, // no workers reads as one
+	} {
+		wide, each := Split(c.workers, c.items)
+		if wide != c.wide || each != c.each {
+			t.Errorf("Split(%d, %d) = %d, %d; want %d, %d", c.workers, c.items, wide, each, c.wide, c.each)
 		}
-	}
-}
-
-func TestMapError(t *testing.T) {
-	_, err := Map(4, []int{0, 1, 2}, func(v int) (int, error) {
-		if v == 1 {
-			return 0, errors.New("boom")
-		}
-		return v, nil
-	})
-	if err == nil || err.Error() != "boom" {
-		t.Fatalf("err = %v", err)
 	}
 }

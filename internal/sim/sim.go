@@ -57,11 +57,14 @@ type Options struct {
 	// of simulated time) in NodeResult.Trace. A traced node never arms:
 	// trace points need per-step sampling.
 	Trace bool
-	// Workers bounds the goroutines fanned out over a run's nodes and
-	// over RunAveraged's seeds (0 or 1 = sequential). Every node and
-	// every averaged run draws its randomness from an RNG seeded purely
-	// by (Seed, node id, run index), so results are byte-identical at
-	// any worker count; Workers only changes wall-clock time.
+	// Workers bounds the goroutines a run fans out (0 or 1 =
+	// sequential): over its nodes, or over RunAveraged's seeds and
+	// their nodes together. RunAveraged splits it (par.Split): its
+	// seeds run min(runs, Workers) at a time and each run's nodes get
+	// the spare Workers/that, at least one. Every node and every
+	// averaged run draws its randomness from an RNG seeded purely by
+	// (Seed, node id, run index), so results are byte-identical at any
+	// worker count; Workers only changes wall-clock time.
 	Workers int
 	// ReferenceStep makes every node step tick by tick and never arm
 	// for replay (see replay.go). Results are byte-identical either way
@@ -297,11 +300,12 @@ func runNodesPar(cal *workload.Calibrated, opt Options, out []NodeResult) error 
 
 // RunAveraged performs the paper's measurement protocol: several runs
 // with different seeds, averaged. The per-node detail of the last run
-// is retained. The runs execute concurrently up to Options.Workers;
-// each run's seed is a pure function of (opt.Seed, run index) and the
-// averages are accumulated in run order, so the result is identical at
-// any worker count. cal is read in place and never written: concurrent
-// callers may share one calibration.
+// is retained. Options.Workers is split between the runs and their
+// nodes (par.Split): the runs execute wide at a time and each run's
+// nodes get each workers. Each run's seed is a pure function of
+// (opt.Seed, run index) and the averages are accumulated in run order,
+// so the result is identical at any worker count. cal is read in place
+// and never written: concurrent callers may share one calibration.
 func RunAveraged(cal *workload.Calibrated, opt Options, runs int) (Result, error) {
 	if runs < 1 {
 		return Result{}, fmt.Errorf("sim: need at least one run")
@@ -310,8 +314,10 @@ func RunAveraged(cal *workload.Calibrated, opt Options, runs int) (Result, error
 		// Every average below would be (0 + x) / 1 == x.
 		return run(cal, opt)
 	}
+	wide, each := par.Split(opt.workers(), runs)
+	opt.Workers = each
 	results := make([]Result, runs)
-	if opt.workers() == 1 {
+	if wide == 1 {
 		// In order, as par.ForEach runs at limit 1, minus the closure.
 		for i := range results {
 			r, err := run(cal, seededRun(opt, i))
@@ -320,7 +326,7 @@ func RunAveraged(cal *workload.Calibrated, opt Options, runs int) (Result, error
 			}
 			results[i] = r
 		}
-	} else if err := runsPar(cal, opt, results); err != nil {
+	} else if err := runsPar(cal, opt, wide, results); err != nil {
 		return Result{}, err
 	}
 	// Accumulate in run order with a slice mean's exact operations
@@ -358,10 +364,10 @@ func seededRun(opt Options, i int) Options {
 	return opt
 }
 
-// runsPar is RunAveraged's parallel dispatch, apart for the same reason
-// as runNodesPar.
-func runsPar(cal *workload.Calibrated, opt Options, out []Result) error {
-	return par.ForEach(opt.workers(), len(out), func(i int) error {
+// runsPar is RunAveraged's parallel dispatch, wide runs at a time,
+// apart for the same reason as runNodesPar.
+func runsPar(cal *workload.Calibrated, opt Options, wide int, out []Result) error {
+	return par.ForEach(wide, len(out), func(i int) error {
 		r, err := run(cal, seededRun(opt, i))
 		if err != nil {
 			return err
