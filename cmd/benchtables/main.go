@@ -1,13 +1,16 @@
 // Command benchtables regenerates the paper's evaluation: every table
 // and figure, or a selected one, rendered as text (or CSV for plotting).
 //
-// Experiments fan out across a bounded worker pool (-parallel, default
-// GOMAXPROCS): whole experiments run concurrently, and each experiment
-// fans its independent rows out again, handing the rows' averaged
-// seeds and cluster nodes only the workers the rows leave spare.
-// Simulation randomness is derived from explicit seeds, so the
-// output is byte-identical at every -parallel setting — only the
-// wall-clock time changes.
+// Experiments fan out -parallel at a time (default GOMAXPROCS), and
+// each experiment fans its independent rows out again under the same
+// bound, handing the rows' averaged seeds and cluster nodes only the
+// workers the rows leave spare. So up to -parallel × -parallel
+// simulations run at once: splitting the bound between the experiments
+// instead is slower, since an experiment waiting on a run another one
+// started would hold its worker idle. Model training uses every CPU
+// at any setting. Simulation randomness is derived from explicit
+// seeds, so the output is byte-identical at every -parallel setting —
+// only the wall-clock time changes.
 //
 // Examples:
 //
@@ -45,7 +48,7 @@ func run(args []string, out io.Writer) error {
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned text")
 	runs := fs.Int("runs", 3, "averaged runs per configuration (the paper uses 3)")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0),
-		"worker bound for concurrent experiment generation (1 = sequential; output is identical at any setting)")
+		"experiments generated at once, and each one's worker bound (1 = every run in order; output is identical at any setting)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the generation to this file")
 	memprofile := fs.String("memprofile", "", "write an allocation profile (alloc_space) to this file at exit")
 	if err := fs.Parse(args); err != nil {

@@ -187,8 +187,9 @@ func run(args []string, out io.Writer) error {
 		opt.FixedCPUPstate = pinCPU
 	}
 	if *pinUnc > 0 {
-		r := units.GHz(*pinUnc).Ratio(cpu.BusClock)
-		opt.FixedUncoreRatio = &r
+		// At least ratio 1: a frequency that rounds to 0 is refused as
+		// out of range, not read as no pin.
+		opt.FixedUncoreRatio = max(units.GHz(*pinUnc).Ratio(cpu.BusClock), 1)
 	}
 	if *pol != "none" && *pol != "" && *modelPath != "" {
 		m, err := loadModel(*modelPath)

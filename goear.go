@@ -155,8 +155,9 @@ func (c Config) toOptions() sim.Options {
 		opt.FixedCPUPstate = &p
 	}
 	if c.FixedUncoreGHz > 0 {
-		r := units.GHz(c.FixedUncoreGHz).Ratio(cpu.BusClock)
-		opt.FixedUncoreRatio = &r
+		// At least ratio 1: a frequency that rounds to 0 is refused as
+		// out of range, not read as no pin.
+		opt.FixedUncoreRatio = max(units.GHz(c.FixedUncoreGHz).Ratio(cpu.BusClock), 1)
 	}
 	return opt
 }

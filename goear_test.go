@@ -167,18 +167,15 @@ func TestToOptionsPins(t *testing.T) {
 		{3, 0, 3, 0},
 		{0, 1.8, 1, 18},
 		{-1, 1.8, -1, 18},
+		{0, 0.01, 1, 1}, // a pin, refused by the run as out of range
 	} {
 		o := Config{FixedCPUPstate: c.pstate, FixedUncoreGHz: c.ghz}.toOptions()
 		gotP := -1
 		if o.FixedCPUPstate != nil {
 			gotP = *o.FixedCPUPstate
 		}
-		var gotR uint64
-		if o.FixedUncoreRatio != nil {
-			gotR = *o.FixedUncoreRatio
-		}
-		if gotP != c.wantP || gotR != c.wantR {
-			t.Errorf("{%d, %g}: pstate %d ratio %d, want %d and %d", c.pstate, c.ghz, gotP, gotR, c.wantP, c.wantR)
+		if gotP != c.wantP || o.FixedUncoreRatio != c.wantR {
+			t.Errorf("{%d, %g}: pstate %d ratio %d, want %d and %d", c.pstate, c.ghz, gotP, o.FixedUncoreRatio, c.wantP, c.wantR)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -15,7 +16,8 @@ import (
 // pkg is one loaded, type-checked package.
 type pkg struct {
 	fset *token.FileSet
-	// files are the parsed non-test files, sorted by file name.
+	// files are the parsed non-test files the default build selects
+	// (one side of a build-tag switch), sorted by file name.
 	files []*ast.File
 	tests []*ast.File // the directory's _test.go files, parsed, not type-checked
 	types *types.Package
@@ -108,6 +110,10 @@ func (l *Loader) load(path string) (*pkg, error) {
 		mode, into := parser.ParseComments, &files
 		if !isSource(e.Name()) {
 			mode, into = parser.SkipObjectResolution, &tests
+		} else if ok, err := build.Default.MatchFile(dir, e.Name()); err != nil {
+			return nil, fmt.Errorf("analysis: %w", err)
+		} else if !ok {
+			continue // the other side of a build-tag switch, as go build leaves it out
 		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, e.Name()), nil, mode)
 		if err != nil {

@@ -16,7 +16,8 @@ import (
 // module-relative file or directory, or the FullName of the declaration
 // a use sits in; each allowed site must hold a use. A key is a func's
 // FullName, another object's "pkgpath.Name" (so an alias import, a
-// method value and a dot-import are the same use), or a form below. Two
+// method value and a dot-import are the same use), "package pkgpath"
+// (any object of that package used from another), or a form below. Two
 // rows hold a figure instead: count, the exact number of uses, and
 // asked, that each constant whose key starts with uses[0] is used
 // outside allow.
@@ -62,6 +63,7 @@ var rules = []rule{
 	{name: "No package init", uses: []string{initFunc}, reads: everywhere},
 	{name: "Flag count held", uses: flagDefs(), reads: []string{"cmd"}, count: 88},
 	{name: "One atomic writer", uses: []string{"os.Rename"}, reads: everywhere, allow: []string{"goear/internal/eard.WriteFile"}},
+	{name: "Allocation meters stay in tests", uses: []string{"package goear/internal/alloctest"}, reads: everywhere},
 }
 
 // flagDefs are the flag functions and FlagSet methods that define a flag.
@@ -175,6 +177,9 @@ func (h *holder) walk(p *pkg, on []int, decl ast.Node, file, site string) {
 		case *ast.Ident:
 			if obj := p.info.Uses[n]; obj != nil {
 				h.use(on, objKey(obj), n.Pos(), file, site)
+				if o := obj.Pkg(); o != nil && o != p.types {
+					h.use(on, "package "+o.Path(), n.Pos(), file, site)
+				}
 			} else if c, ok := p.info.Defs[n].(*types.Const); ok {
 				h.defs = append(h.defs, c)
 			}

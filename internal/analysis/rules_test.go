@@ -79,6 +79,10 @@ func TestRuleMutants(t *testing.T) {
 			`^2 uses under cmd, want 88 `},
 		{"One atomic writer", "goear/internal/eardbd", "import \"os\"\nfunc mut() error { return os.Rename(\"a\", \"b\") }",
 			`^mutant.go:2:\d+: os\.Rename used in goear/internal/eardbd\.mut `},
+		{"Allocation meters stay in tests", "goear/internal/sim", "import at \"goear/internal/alloctest\"\nfunc mut() uint64 { return at.Count(func() {}).Bytes }",
+			`^mutant.go:2:\d+: package goear/internal/alloctest used in goear/internal/sim\.mut `},
+		{"Allocation meters stay in tests", "goear/bench", "import . \"goear/internal/alloctest\"\nvar mut = Race",
+			`^mutant.go:2:\d+: package goear/internal/alloctest used in goear/bench\.mut `},
 	} {
 		// The package clause shares the mutant's first line, so its
 		// lines keep their numbers. A path ending in _test names an

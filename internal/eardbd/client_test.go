@@ -4,19 +4,18 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"goear/internal/accounting"
+	"goear/internal/alloctest"
 	"goear/internal/eard"
 	"goear/internal/par"
 	"goear/internal/wire"
@@ -741,26 +740,20 @@ func TestOneBatchReporterAllocations(t *testing.T) {
 		}
 	}
 	report() // the server's connection state, and the batch ID it dedups from here on
-	if raceOn {
-		t.Skip("under -race the server's pool drops the connection state it keeps at random")
-	}
+	// The server's pool keeps that state from one reporter to the next.
+	alloctest.Hold(t)
 	if n := testing.AllocsPerRun(20, report); n != 7 {
 		t.Errorf("a one-batch reporter: %v allocations, want 7", n)
 	}
 	// Bytes: the least of five rounds of 20, since a goroutine an
 	// earlier test left winding down can land an allocation in a round.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	least := math.Inf(1)
-	for round := 0; round < 5; round++ {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		for i := 0; i < 20; i++ {
-			report()
-		}
-		runtime.ReadMemStats(&m1)
-		least = min(least, float64(m1.TotalAlloc-m0.TotalAlloc)/20)
-	}
+	least := float64(alloctest.Least(5, func() alloctest.Allocs {
+		return alloctest.Count(func() {
+			for range 20 {
+				report()
+			}
+		})
+	}).Bytes) / 20
 	if least != 5632 {
 		t.Errorf("a one-batch reporter: %v bytes, want 5632", least)
 	}

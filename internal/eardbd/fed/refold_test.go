@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"goear/internal/accounting"
+	"goear/internal/alloctest"
 	"goear/internal/eard"
 	"goear/internal/eardbd"
 	"goear/internal/eardbd/dbdtest"
@@ -771,14 +772,12 @@ func TestQueryMixedMissAllocations(t *testing.T) {
 			t.Errorf("%d nodes: a miss after one write: %v allocations, want 8", nodes, n)
 		}
 		const runs = 50
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		for j := 0; j < runs; j++ {
-			i++
-			write(i)
-		}
-		runtime.ReadMemStats(&m1)
-		b := (m1.TotalAlloc - m0.TotalAlloc) / runs
+		b := alloctest.Count(func() {
+			for range runs {
+				i++
+				write(i)
+			}
+		}).Bytes / runs
 		if nodes == 200 && b > 32<<10 {
 			t.Errorf("%d nodes: a miss after one write: %d bytes, want at most 32 KiB", nodes, b)
 		}
@@ -808,16 +807,13 @@ func TestQueryMixedColdMissAllocations(t *testing.T) {
 	// cold takes a fresh root's first view and returns what it cost,
 	// once the root has closed and every shard has let go of its
 	// connections, so the next run starts from the same state.
-	cold := func(ts *telemetry.Set) (mallocs, bytes uint64) {
+	cold := func(ts *telemetry.Set) alloctest.Allocs {
 		t.Helper()
 		root, err := NewRoot(Config{Fleet: fleet, Telemetry: ts})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		_, err = root.View(nil)
-		runtime.ReadMemStats(&m1)
+		a := alloctest.Count(func() { _, err = root.View(nil) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -829,7 +825,7 @@ func TestQueryMixedColdMissAllocations(t *testing.T) {
 				runtime.Gosched()
 			}
 		}
-		return m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
+		return a
 	}
 	ts := telemetry.NewSet()
 	cold(ts)
@@ -840,22 +836,17 @@ func TestQueryMixedColdMissAllocations(t *testing.T) {
 	if legs != 8 {
 		t.Errorf("a cold miss over 4 shards took %v fan-out legs, want 8: a poll and a changes answer a shard", legs)
 	}
-	if raceOn {
+	if alloctest.Race {
 		return
 	}
 	// The least of 20: a run now and then pays a goroutine or two more,
 	// when one of the last run's has not yet exited.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	mallocs, bytes := cold(nil)
-	for range 19 {
-		m, b := cold(nil)
-		mallocs, bytes = min(mallocs, m), min(bytes, b)
+	least := alloctest.Least(20, func() alloctest.Allocs { return cold(nil) })
+	if least.Mallocs != 163 {
+		t.Errorf("a cold miss: %d allocations, want 163", least.Mallocs)
 	}
-	if mallocs != 163 {
-		t.Errorf("a cold miss: %d allocations, want 163", mallocs)
-	}
-	if bytes > 1000<<10 {
-		t.Errorf("a cold miss: %d bytes, want at most 1,000 KiB", bytes)
+	if least.Bytes > 1000<<10 {
+		t.Errorf("a cold miss: %d bytes, want at most 1,000 KiB", least.Bytes)
 	}
 }
 

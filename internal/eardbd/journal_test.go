@@ -4,15 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
+	"goear/internal/alloctest"
 	"goear/internal/eard"
 	"goear/internal/wire"
 )
@@ -565,16 +564,14 @@ func TestJournalAllocations(t *testing.T) {
 		return j
 	}
 	want := 72.0
-	if raceOn {
+	if alloctest.Race {
 		want += 64 // each image grows from nothing
 	}
 	if n := testing.AllocsPerRun(10, func() { spill() }); n != want {
 		t.Errorf("64 batches spilled: %v allocations, want %v", n, want)
 	}
 
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	floor := uint64(math.MaxUint64)
-	for i := 0; i < 20; i++ {
+	floor := alloctest.Least(20, func() alloctest.Allocs {
 		j := spill()
 		srv := NewServer(eard.NewDB(), Config{})
 		c, err := NewClient(ClientConfig{
@@ -584,16 +581,13 @@ func TestJournalAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		err = c.Flush()
-		runtime.ReadMemStats(&m1)
+		a := alloctest.Count(func() { err = c.Flush() })
 		if err != nil || j.Len() != 0 {
 			t.Fatalf("replay: %v, %d batches left", err, j.Len())
 		}
-		floor = min(floor, m1.Mallocs-m0.Mallocs)
 		_, _ = c.Close(), srv.Close()
-	}
+		return a
+	}).Mallocs
 	if floor != 28 {
 		t.Errorf("64 batches replayed: %d allocations at the least, want 28", floor)
 	}

@@ -1,9 +1,9 @@
 package experiments
 
 import (
-	"runtime"
-	"runtime/debug"
 	"testing"
+
+	"goear/internal/alloctest"
 )
 
 // TestWarmCampaignAllocations pins what sim-campaign's trial allocates:
@@ -25,41 +25,33 @@ import (
 //
 // At Parallel 2 two rows take nodes from the one pool in an order the
 // scheduler picks, so what a run's recycled node must rebuild still
-// moves the count (ROADMAP L(2)): single rounds read 742-760, the least
-// of eight 745-750. So the pin is a ceiling: Parallel 1's count, the 54
+// moves the count: single rounds read 742-762, the least of eight
+// 742-750. sim.nodePool's doc gives the measured reason the pool stays
+// all the same. So the pin is a ceiling: Parallel 1's count, the 54
 // that the row fan-outs and the lone runs' node dispatches add (exact
 // with the pool bypassed: every node built anew), and 18 for the pool.
 // It read 990-1,016 while every run a row asked for fanned its nodes
 // out over both workers again, a par dispatch each, beside the row
 // fan-out that already kept them busy.
 func TestWarmCampaignAllocations(t *testing.T) {
-	if raceOn {
-		t.Skip("sync.Pool drops pooled sim nodes at random under -race")
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	alloctest.Hold(t)
 	least := func(parallel int) uint64 {
 		warm := NewQuick()
 		warm.Parallel = parallel
-		round := func() uint64 {
+		round := func() alloctest.Allocs {
 			c := NewFrom(warm)
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for _, id := range IDs() {
-				if _, err := c.Generate(id); err != nil {
-					t.Fatal(err)
+			a := alloctest.Count(func() {
+				for _, id := range IDs() {
+					if _, err := c.Generate(id); err != nil {
+						t.Fatal(err)
+					}
 				}
-			}
-			runtime.ReadMemStats(&after)
+			})
 			warm = c // keeps the calibrations the round added
-			return after.Mallocs - before.Mallocs
+			return a
 		}
 		round() // trains the models and calibrates the workloads
-		n := round()
-		for range 7 {
-			n = min(n, round())
-		}
-		return n
+		return alloctest.Least(8, round).Mallocs
 	}
 	const serial = 698
 	if n := least(1); n != serial {

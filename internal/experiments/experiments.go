@@ -10,7 +10,7 @@
 // All caches are singleflight: concurrent generators asking for the
 // same model, calibration or run share one computation instead of
 // racing or duplicating it, and Context.Parallel bounds how much
-// simulation work the generators fan out at once (see sched.go).
+// simulation work one generator fans out at once (see sched.go).
 // Because every run's randomness derives from explicit seeds, the
 // generated tables are byte-identical at any parallelism.
 package experiments
@@ -38,14 +38,22 @@ type Context struct {
 	// Runs is the number of averaged runs per configuration; 0 means the
 	// paper's three.
 	Runs int
-	// Parallel bounds the goroutines a generator fans out over
+	// Parallel bounds the goroutines one generator fans out over
 	// independent simulation work (table rows, averaged seeds, cluster
-	// nodes), all levels together: 0 = GOMAXPROCS (the default), 1 =
-	// fully sequential, n = n workers. A table's rows run min(rows, n)
+	// nodes), all levels together: 0 = GOMAXPROCS (the default), n = n
+	// workers, 1 = every run in order. A table's rows run min(rows, n)
 	// at a time and each row's runs get the spare n/that for their
 	// seeds and nodes, at least one (par.Split, again inside
-	// sim.RunAveraged); a run asked for on its own gets all n. Results
-	// are identical at any setting.
+	// sim.RunAveraged); a run asked for on its own gets all n.
+	//
+	// It bounds a generator, not the process. A caller that runs
+	// several generators at once multiplies it: cmd/benchtables runs
+	// Parallel experiments at once, each with this bound. That is
+	// faster than splitting the bound between them, because a
+	// generator waiting on another's singleflight run would otherwise
+	// hold its worker idle (DESIGN §3). Model training is not bounded
+	// at all: model.TrainForCPU fans out over GOMAXPROCS at any
+	// setting. Results are identical at any setting.
 	Parallel int
 
 	// Each cache counts its own requests and computations (Stats reads
@@ -160,9 +168,9 @@ func deref[T comparable](p *T) set[T] {
 }
 
 // runKey is the identity of a cached run: spec ID, averaged run count
-// and the options. opt is the defaulted sim.Options with the two pins
-// nil — their pointees are compared through the fields of the same
-// name below — and the fields that cannot change a result (Workers,
+// and the options. opt is the defaulted sim.Options with the CPU pin
+// nil — its pointee is compared through the field of the same name
+// below — and the fields that cannot change a result (Workers,
 // ReferenceStep, Telemetry) zeroed; Model is compared by identity. So a
 // field added to sim.Options is part of the key by construction; one
 // that must not be (or is a pointer) has to be handled in keyOf, and
@@ -172,8 +180,7 @@ type runKey struct {
 	runs int
 	opt  sim.Options
 
-	fixedCPUPstate   set[int]
-	fixedUncoreRatio set[uint64]
+	fixedCPUPstate set[int]
 }
 
 // keyOf builds the cache key of a run. The options are resolved to
@@ -181,12 +188,8 @@ type runKey struct {
 // default share a cache entry — they run identically.
 func keyOf(spec uint64, o sim.Options, runs int) runKey {
 	o = o.WithDefaults()
-	k := runKey{
-		spec: spec, runs: runs,
-		fixedCPUPstate:   deref(o.FixedCPUPstate),
-		fixedUncoreRatio: deref(o.FixedUncoreRatio),
-	}
-	o.FixedCPUPstate, o.FixedUncoreRatio = nil, nil
+	k := runKey{spec: spec, runs: runs, fixedCPUPstate: deref(o.FixedCPUPstate)}
+	o.FixedCPUPstate = nil
 	o.Workers, o.ReferenceStep, o.Telemetry = 0, false, nil
 	k.opt = o
 	return k

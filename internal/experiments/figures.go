@@ -45,8 +45,6 @@ func (c *Context) fig1() ([]report.Table, error) {
 		}
 		maxR := cal.Platform.Machine.CPU.UncoreMaxRatio
 		minR := cal.Platform.Machine.CPU.UncoreMinRatio
-		// Every row's FixedUncoreRatio points into uncRatios, at
-		// maxR − ratio: one allocation for the sweep, not one a row.
 		uncRatios := make([]uint64, maxR-minR+1)
 		for i := range uncRatios {
 			uncRatios[i] = maxR - uint64(i)
@@ -59,7 +57,7 @@ func (c *Context) fig1() ([]report.Table, error) {
 			uncRatios, func(f fan, room []string, ratio uint64) ([]string, error) {
 				r, err := f.run(name, sim.Options{
 					Policy: "none", Seed: 10,
-					FixedCPUPstate: pinned, FixedUncoreRatio: &uncRatios[maxR-ratio],
+					FixedCPUPstate: pinned, FixedUncoreRatio: ratio,
 				})
 				if err != nil {
 					return nil, err

@@ -17,7 +17,7 @@ import (
 // computations. The zero value is ready to use.
 //
 // Entries are indexed by a digest of their key, not by the key: a map
-// stores a key past 128 bytes (a runKey is 176) out of line, one
+// stores a key past 128 bytes (a runKey is 160) out of line, one
 // allocation per insert. Each entry keeps its whole key, entries whose
 // digests collide chain through next, and a lookup compares whole
 // keys, so two keys never share an entry. The entries are cut from

@@ -159,6 +159,15 @@ type evalEntry struct {
 // to keep the per-run constant-size allocations (sockets, MSR files,
 // meters, caches, and the EARL library, Dynais windows and policy) out
 // of the steady-state experiment loop.
+//
+// It stays a pool by measurement (DESIGN §8). A warm campaign makes 472
+// node runs. With every node built anew it allocates 11,465 objects and
+// 7.06 MB at Parallel 1, where the pool leaves 698 and 0.30 MB (11,519
+// against 742-762 at Parallel 2): far past sim-campaign's 2 %
+// allocs_per_work bound. A node held outside a pool, one per worker,
+// keeps 48.9 KB live, 32.8 KB of it the trace buffer ablation A1's
+// traced runs grew: about 9 % of sim-campaign's 0.507 MiB live_heap_mb,
+// whose bound is 10 %, for each simulation the bench runs at once.
 var nodePool = sync.Pool{New: func() any { return new(node) }}
 
 // runNode simulates the whole workload on one node.
@@ -351,8 +360,7 @@ func (n *node) init(cal *workload.Calibrated, nodeID int, opt Options) error {
 	if err := nctl.SetCPUPstate(p0); err != nil {
 		return err
 	}
-	if opt.FixedUncoreRatio != nil {
-		r := *opt.FixedUncoreRatio
+	if r := opt.FixedUncoreRatio; r != 0 {
 		if r < m.CPU.UncoreMinRatio || r > m.CPU.UncoreMaxRatio {
 			return fmt.Errorf("sim: pinned uncore ratio %d outside [%d, %d]", r, m.CPU.UncoreMinRatio, m.CPU.UncoreMaxRatio)
 		}

@@ -3,11 +3,10 @@ package sim
 import (
 	"math"
 	"reflect"
-	"runtime"
-	"runtime/debug"
 	"slices"
 	"testing"
 
+	"goear/internal/alloctest"
 	"goear/internal/policy"
 	"goear/internal/telemetry"
 	"goear/internal/workload"
@@ -87,27 +86,12 @@ func TestRecycledNodeMatchesFresh(t *testing.T) {
 	}
 }
 
-// holdPool keeps nodePool's nodes for the rest of a test: the collector
-// off, so no pool is emptied, and one P, so a run gets the node the run
-// before it put back.
-func holdPool(t *testing.T) {
-	if raceOn {
-		t.Skip("sync.Pool drops pooled sim nodes at random under -race")
-	}
-	gc := debug.SetGCPercent(-1)
-	procs := runtime.GOMAXPROCS(1)
-	t.Cleanup(func() {
-		runtime.GOMAXPROCS(procs)
-		debug.SetGCPercent(gc)
-	})
-}
-
 // TestRecycledTraceIsACopy: a pooled node keeps its trace buffer from
 // run to run and hands each result an exact-size copy, so a second
 // traced run through the same node leaves the first run's trace as it
 // was.
 func TestRecycledTraceIsACopy(t *testing.T) {
-	holdPool(t)
+	alloctest.Hold(t)
 	spec, err := workload.Lookup(workload.BTMZC)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +137,7 @@ func TestRecycledTraceIsACopy(t *testing.T) {
 // pointer to that path too moved the whole calibration to the heap on
 // every call (2).
 func TestWarmRunAllocations(t *testing.T) {
-	holdPool(t)
+	alloctest.Hold(t)
 	cal := motivation(t)
 	opt := Options{Policy: policy.MinEnergyEUFS, Model: platformModel(t, cal.Platform), Seed: 1, Workers: 1}
 	run := func() {
@@ -183,26 +167,20 @@ const parDispatchAllocs = 3
 // eight rounds, since MemStats counts the runtime's own allocations
 // too.
 func TestWarmParallelRunAveragedAllocations(t *testing.T) {
-	holdPool(t)
+	alloctest.Hold(t)
 	cal := motivation(t)
 	const runs = 3
 	least := func(workers int) uint64 {
 		opt := Options{Policy: policy.MinEnergyEUFS, Model: platformModel(t, cal.Platform), Seed: 1, Workers: workers}
-		round := func() uint64 {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			if _, err := RunAveraged(&cal, opt, runs); err != nil {
-				t.Fatal(err)
-			}
-			runtime.ReadMemStats(&after)
-			return after.Mallocs - before.Mallocs
+		round := func() alloctest.Allocs {
+			return alloctest.Count(func() {
+				if _, err := RunAveraged(&cal, opt, runs); err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
 		round()
-		n := round()
-		for range 7 {
-			n = min(n, round())
-		}
-		return n
+		return alloctest.Least(8, round).Mallocs
 	}
 	serial, parallel := least(1), least(2)
 	if dispatch := uint64(parDispatchAllocs); parallel > serial+dispatch {

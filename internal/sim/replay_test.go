@@ -124,7 +124,7 @@ func TestRunMatchesStepperExactly(t *testing.T) {
 						opt.SigChangeTh = 0.002
 					}
 					if limits {
-						opt.FixedCPUPstate, opt.FixedUncoreRatio = &pstate, &ratio
+						opt.FixedCPUPstate, opt.FixedUncoreRatio = &pstate, ratio
 					}
 					t.Run(fmt.Sprintf("%s/%s/phases=%v/limits=%v", wl, pol, phases, limits), func(t *testing.T) {
 						t.Parallel()

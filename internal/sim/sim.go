@@ -38,9 +38,10 @@ type Options struct {
 	Seed int64
 	// FixedCPUPstate pins the CPU pstate for the whole run (Fig. 1).
 	FixedCPUPstate *int
-	// FixedUncoreRatio pins MSR 0x620 min=max (Fig. 1 sweeps). It must
-	// lie in the CPU's [UncoreMinRatio, UncoreMaxRatio].
-	FixedUncoreRatio *uint64
+	// FixedUncoreRatio pins MSR 0x620 min=max (Fig. 1 sweeps); zero
+	// leaves the hardware UFS range open. A pin must lie in the CPU's
+	// [UncoreMinRatio, UncoreMaxRatio].
+	FixedUncoreRatio uint64
 	// PinBothUncoreLimits makes the eUFS search pin min=max instead of
 	// moving only the maximum (ablation A3 of the paper's §V-B item 3).
 	PinBothUncoreLimits bool

@@ -178,8 +178,7 @@ func TestFixedUncoreSweepShape(t *testing.T) {
 	var prevPower float64
 	first := true
 	for _, ratio := range []uint64{24, 21, 18, 15, 12} {
-		r := ratio
-		res, err := Run(cal, Options{Policy: "none", Seed: 1, FixedCPUPstate: &ps, FixedUncoreRatio: &r})
+		res, err := Run(cal, Options{Policy: "none", Seed: 1, FixedCPUPstate: &ps, FixedUncoreRatio: ratio})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,12 +196,12 @@ func TestFixedUncoreSweepShape(t *testing.T) {
 }
 
 // TestPinnedUncoreOutOfRange: a pin outside the machine's uncore range
-// is refused at setup rather than clamped by the silicon model.
+// is refused at setup rather than clamped by the silicon model. Ratio 0
+// is no pin: the hardware UFS range stays open.
 func TestPinnedUncoreOutOfRange(t *testing.T) {
 	cal := calibrated(t, workload.BTMZC)
-	for _, ratio := range []uint64{0, 11, 25, 30} {
-		r := ratio
-		_, err := Run(cal, Options{Policy: "none", Seed: 1, FixedUncoreRatio: &r})
+	for _, ratio := range []uint64{1, 11, 25, 30} {
+		_, err := Run(cal, Options{Policy: "none", Seed: 1, FixedUncoreRatio: ratio})
 		if err == nil || !strings.Contains(err.Error(), "[12, 24]") {
 			t.Errorf("ratio %d: err = %v, want an error naming [12, 24]", ratio, err)
 		}

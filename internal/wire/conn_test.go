@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
 	"strings"
 	"testing"
 
+	"goear/internal/alloctest"
 	"goear/internal/eard"
 	"goear/internal/telemetry/trace"
 )
@@ -151,14 +151,12 @@ func TestConnDoesNotTrustLengthPrefix(t *testing.T) {
 	const limit = 256 << 20
 	c := Conn{MaxPayload: limit}
 	c.Reset(&chunked{data: header(Magic, Version, uint8(TypeResult), 0, limit)})
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	_, err := c.Read()
-	runtime.ReadMemStats(&m1)
+	var err error
+	a := alloctest.Count(func() { _, err = c.Read() })
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("error = %v, want wrapped io.ErrUnexpectedEOF", err)
 	}
-	if got := m1.TotalAlloc - m0.TotalAlloc; got >= 2<<20 {
+	if got := a.Bytes; got >= 2<<20 {
 		t.Errorf("a 12-byte header made Conn.Read allocate %d bytes", got)
 	}
 }

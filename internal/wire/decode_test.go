@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"goear/internal/accounting"
+	"goear/internal/alloctest"
 	"goear/internal/eard"
 )
 
@@ -272,13 +273,12 @@ func bytesPerRun(runs int, f func()) float64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	f()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < runs; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&m1)
-	return float64((m1.TotalAlloc - m0.TotalAlloc) / uint64(runs))
+	a := alloctest.Count(func() {
+		for range runs {
+			f()
+		}
+	})
+	return float64(a.Bytes / uint64(runs))
 }
 
 // TestLiteralBlocksBoundedByPayload: a block is never sized past what

@@ -6,11 +6,11 @@ import (
 	"io"
 	"math"
 	"reflect"
-	"runtime"
 	"runtime/metrics"
 	"testing"
 
 	"goear/internal/accounting"
+	"goear/internal/alloctest"
 	"goear/internal/eard"
 	"goear/internal/telemetry/trace"
 )
@@ -128,7 +128,8 @@ func FuzzFrame(f *testing.F) {
 
 // allocatedBy reports the heap bytes allocated while fn runs, read
 // from the runtime's cumulative counter without stopping the world
-// (inside a fuzz worker runtime.ReadMemStats takes milliseconds). An
+// (inside a fuzz worker alloctest.Count's MemStats read takes
+// milliseconds). An
 // allocation of 32 KiB or more is counted at once, smaller ones when
 // their span is retired, so the figure can run a few spans late.
 func allocatedBy(fn func()) uint64 {
@@ -153,7 +154,7 @@ func decodeBudget(n int, slack uint64) uint64 { return uint64(24*n) + slack }
 const fuzzSlack = 1 << 20
 
 // TestDecodeAllocationBounded holds the decoders to the budget exactly
-// (ReadMemStats is cheap outside a fuzz worker) on the inputs built to
+// (alloctest.Count is cheap outside a fuzz worker) on the inputs built to
 // break it: counts and lengths that promise far more than follows.
 func TestDecodeAllocationBounded(t *testing.T) {
 	huge := []byte{0xff, 0xff, 0xff, 0xff, 0x0f}    // 2^32-1 as a varint
@@ -193,18 +194,13 @@ func TestDecodeAllocationBounded(t *testing.T) {
 		// allocates while a decode runs is charged to it. The least of
 		// several decodes is the decoder's own.
 		var err error
-		got := uint64(math.MaxUint64)
-		for range 5 {
+		got := alloctest.Least(5, func() alloctest.Allocs {
 			targets := map[string]any{
 				QueryNodePowers: new([]NodePower), QueryAcctJobs: new(accounting.Page),
 				QueryGeneration: new(Generation), QueryChanges: new(Changes),
 			}
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			err = decode(f, targets)
-			runtime.ReadMemStats(&m1)
-			got = min(got, m1.TotalAlloc-m0.TotalAlloc)
-		}
+			return alloctest.Count(func() { err = decode(f, targets) })
+		}).Bytes
 		if !errors.Is(err, ErrPayload) {
 			t.Errorf("%s: err = %v, want ErrPayload", name, err)
 		}

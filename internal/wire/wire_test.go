@@ -8,11 +8,11 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
 	"goear/internal/accounting"
+	"goear/internal/alloctest"
 	"goear/internal/eard"
 	"goear/internal/telemetry/trace"
 )
@@ -279,14 +279,12 @@ func TestUnmarshalTypeMismatch(t *testing.T) {
 func TestReadFrameDoesNotTrustLengthPrefix(t *testing.T) {
 	const limit = 256 << 20
 	raw := header(Magic, Version, uint8(TypeResult), 0, limit)
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	_, err := ReadFrame(bytes.NewReader(raw), limit)
-	runtime.ReadMemStats(&m1)
+	var err error
+	a := alloctest.Count(func() { _, err = ReadFrame(bytes.NewReader(raw), limit) })
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("error = %v, want wrapped io.ErrUnexpectedEOF", err)
 	}
-	if got := m1.TotalAlloc - m0.TotalAlloc; got >= 2<<20 {
+	if got := a.Bytes; got >= 2<<20 {
 		t.Errorf("a 12-byte header made ReadFrame allocate %d bytes", got)
 	}
 }
@@ -304,16 +302,15 @@ func TestReadFramePayloadAllocations(t *testing.T) {
 		}
 		rd := bytes.NewReader(nil)
 		const runs = 20
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		for i := 0; i < runs; i++ {
-			rd.Reset(buf.Bytes())
-			if _, err := ReadFrame(rd, 0); err != nil {
-				t.Fatal(err)
+		a := alloctest.Count(func() {
+			for range runs {
+				rd.Reset(buf.Bytes())
+				if _, err := ReadFrame(rd, 0); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		runtime.ReadMemStats(&m1)
-		per := int(m1.TotalAlloc-m0.TotalAlloc) / runs
+		})
+		per := int(a.Bytes) / runs
 		if per < size || per > size+size/8+64 {
 			t.Errorf("%d-byte payload: %d bytes allocated per ReadFrame, want one allocation of the payload", size, per)
 		}
@@ -543,7 +540,7 @@ func benchBatch() Batch {
 func TestEncodeBatchAllocations(t *testing.T) {
 	batch := benchBatch()
 	want := 1.0
-	if raceOn {
+	if alloctest.Race {
 		want++ // the payload grows from nothing
 	}
 	if n := testing.AllocsPerRun(50, func() {
