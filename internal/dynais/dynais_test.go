@@ -262,3 +262,17 @@ func TestPushDoesNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkDynaisPush is one event into a detector locked on a period-8
+// loop.
+func BenchmarkDynaisPush(b *testing.B) {
+	d, err := New(64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pattern := []uint32{1, 2, 3, 4, 5, 6, 7, 8}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		d.Push(pattern[i%len(pattern)])
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"goear/internal/metrics"
 	"goear/internal/model"
 	"goear/internal/policy"
 	"goear/internal/report"
@@ -249,6 +250,19 @@ func TestRunCacheReuse(t *testing.T) {
 	}
 	if got := c.Stats(); got.Runs != n+2 || got.RunsExecuted != got.Runs {
 		t.Errorf("distinct options not cached separately: %+v", got)
+	}
+	// An explicit default is the unset value: one entry, one execution.
+	if _, err := c.Run(workload.BTMZC, sim.Options{Policy: "min_energy_eufs", Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	executed := c.Stats().RunsExecuted
+	explicit := sim.Options{Policy: "min_energy_eufs", Seed: 3, CPUTh: policy.DefaultCPUPolicyTh,
+		UncTh: policy.DefaultUncPolicyTh, SigChangeTh: policy.DefaultSigChangeTh, MinWindowSec: metrics.MinWindowSeconds}
+	if _, err := c.Run(workload.BTMZC, explicit); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Stats().RunsExecuted; got != executed {
+		t.Errorf("run at explicit defaults executed again: %d -> %d runs", executed, got)
 	}
 }
 

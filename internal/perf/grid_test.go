@@ -72,3 +72,16 @@ func BenchmarkEvaluateAll(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPerfEvaluate is one evaluation of a memory-leaning phase on
+// SD530 at a single operating point.
+func BenchmarkPerfEvaluate(b *testing.B) {
+	m := workload.SD530().Machine
+	p := perf.Phase{BaseCPI: 0.8, BytesPerInstr: 3, Overlap: 0.92, ActiveCores: 40}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := perf.Evaluate(m, p, perf.Operating{CoreRatio: 24, UncoreRatio: 20}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"goear/internal/eargm"
+	"goear/internal/metrics"
 	"goear/internal/policy"
 	"goear/internal/telemetry"
 	"goear/internal/workload"
@@ -14,14 +15,18 @@ import (
 // TestExplicitZeroThresholds: a zero threshold is the unset one and
 // resolves to the paper's defaults, and a set one is kept.
 func TestExplicitZeroThresholds(t *testing.T) {
-	d := Options{CPUTh: 0, UncTh: 0}.WithDefaults()
-	if d.CPUTh != policy.DefaultCPUPolicyTh || d.UncTh != policy.DefaultUncPolicyTh {
-		t.Errorf("zero thresholds resolved to (%v, %v), want (%v, %v)",
-			d.CPUTh, d.UncTh, policy.DefaultCPUPolicyTh, policy.DefaultUncPolicyTh)
+	d := Options{}.WithDefaults()
+	want := Options{CPUTh: policy.DefaultCPUPolicyTh, UncTh: policy.DefaultUncPolicyTh,
+		SigChangeTh: policy.DefaultSigChangeTh, MinWindowSec: metrics.MinWindowSeconds}
+	if d.CPUTh != want.CPUTh || d.UncTh != want.UncTh || d.SigChangeTh != want.SigChangeTh || d.MinWindowSec != want.MinWindowSec {
+		t.Errorf("zero thresholds resolved to (%v, %v, %v, %v), want (%v, %v, %v, %v)",
+			d.CPUTh, d.UncTh, d.SigChangeTh, d.MinWindowSec,
+			want.CPUTh, want.UncTh, want.SigChangeTh, want.MinWindowSec)
 	}
-	s := Options{CPUTh: 0.03, UncTh: 0.01}.WithDefaults()
-	if s.CPUTh != 0.03 || s.UncTh != 0.01 {
-		t.Errorf("set thresholds resolved to (%v, %v), want (0.03, 0.01)", s.CPUTh, s.UncTh)
+	s := Options{CPUTh: 0.03, UncTh: 0.01, SigChangeTh: 0.10, MinWindowSec: 20}.WithDefaults()
+	if s.CPUTh != 0.03 || s.UncTh != 0.01 || s.SigChangeTh != 0.10 || s.MinWindowSec != 20 {
+		t.Errorf("set thresholds resolved to (%v, %v, %v, %v), want (0.03, 0.01, 0.1, 20)",
+			s.CPUTh, s.UncTh, s.SigChangeTh, s.MinWindowSec)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"goear/internal/earl"
+	"goear/internal/metrics"
 	"goear/internal/model"
 	"goear/internal/par"
 	"goear/internal/policy"
@@ -45,9 +46,11 @@ type Options struct {
 	// PinBothUncoreLimits makes the eUFS search pin min=max instead of
 	// moving only the maximum (ablation A3 of the paper's §V-B item 3).
 	PinBothUncoreLimits bool
-	// SigChangeTh overrides EARL's signature-change threshold.
+	// SigChangeTh overrides EARL's signature-change threshold; zero
+	// means policy.DefaultSigChangeTh.
 	SigChangeTh float64
-	// MinWindowSec overrides EARL's signature window.
+	// MinWindowSec overrides EARL's signature window; zero means
+	// metrics.MinWindowSeconds.
 	MinWindowSec float64
 	// DecisionLog collects every EARL signature-handling event into
 	// NodeResult.Decisions (see Result.RecordDecisions). Collection is
@@ -110,6 +113,12 @@ func (o Options) WithDefaults() Options {
 	}
 	if o.UncTh == 0 {
 		o.UncTh = policy.DefaultUncPolicyTh
+	}
+	if o.SigChangeTh == 0 {
+		o.SigChangeTh = policy.DefaultSigChangeTh
+	}
+	if o.MinWindowSec == 0 {
+		o.MinWindowSec = metrics.MinWindowSeconds
 	}
 	return o
 }

@@ -4,9 +4,11 @@ import "goear/internal/workload"
 
 // Stepper drives one simulated node tick by tick through stepOnce
 // alone: it never arms, so every Step pays the full inner loop (tick →
-// perf evaluation → meters → controller → EARL). Benchmarks use it to
-// measure that cost in isolation from run setup and aggregation, and
-// the identity tests use it as the oracle Run's replay must equal.
+// perf evaluation → meters → controller → EARL). Its users: this
+// package's identity tests, as the oracle Run's replay must equal, and
+// its BenchmarkNodeTick and BenchmarkClusterSecondReference probes; and
+// the repo benchmark's per-layer ledger (bench/layers.go), its one
+// caller outside the package.
 type Stepper struct {
 	n *node
 }
